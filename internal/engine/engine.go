@@ -183,6 +183,25 @@ type Engine struct {
 	// re-appends the same encoding after a yield, during which another
 	// transaction may commit and must take a buffer of its own.
 	payloadBufs [][]byte
+	// lockLists is a freelist of Tx.locks backing arrays, so a transaction's
+	// ordered lock list costs no allocation in the steady state.
+	lockLists [][]string
+}
+
+func (e *Engine) getLockList() []string {
+	if n := len(e.lockLists); n > 0 {
+		l := e.lockLists[n-1]
+		e.lockLists = e.lockLists[:n-1]
+		return l
+	}
+	return nil
+}
+
+func (e *Engine) putLockList(l []string) {
+	if cap(l) > 0 {
+		clear(l)
+		e.lockLists = append(e.lockLists, l[:0])
+	}
 }
 
 // getPayloadBuf takes an encode buffer from the freelist (nil when empty —

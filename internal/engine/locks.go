@@ -63,26 +63,29 @@ func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
 	return &lockTable{s: s, timeout: timeout, locks: make(map[string]*lock), waiting: make(map[uint64]*lock)}
 }
 
-// acquire blocks until txid holds key in at least mode, or times out.
-func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode) error {
+// acquire blocks until txid holds key in at least mode, or times out. fresh
+// reports that txid did not hold key before and does now: the caller owes
+// releaseAll that key.
+func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode) (fresh bool, err error) {
 	lk := lt.locks[key]
 	if lk == nil {
 		lk = &lock{granted: make(map[uint64]LockMode)}
 		lt.locks[key] = lk
 	}
-	if held, ok := lk.granted[txid]; ok && held >= mode {
-		return nil // already strong enough
+	held, holds := lk.granted[txid]
+	if holds && held >= mode {
+		return false, nil // already strong enough
 	}
 	if lk.compatible(txid, mode) && (len(lk.queue) == 0 || lk.upgradeOf(txid, mode)) {
 		// Grant immediately. Upgrades may jump the queue: the holder
 		// blocking behind its own lock would deadlock instead.
 		lk.granted[txid] = mode
-		return nil
+		return !holds, nil
 	}
 	// Exact deadlock detection: refuse to wait if doing so closes a cycle
 	// in the waits-for graph. The requester is the victim and retries.
 	if lt.wouldDeadlock(txid, lk) {
-		return fmt.Errorf("%w: key %q mode %v tx %d", ErrDeadlock, key, mode, txid)
+		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrDeadlock, key, mode, txid)
 	}
 	req := &lockReq{txid: txid, mode: mode, granted: lt.s.NewEvent(fmt.Sprintf("lock:%s:%d", key, txid))}
 	if lk.upgradeOf(txid, mode) {
@@ -95,9 +98,9 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	delete(lt.waiting, txid)
 	if !granted {
 		lk.removeReq(req)
-		return fmt.Errorf("%w: key %q mode %v tx %d", ErrLockTimeout, key, mode, txid)
+		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrLockTimeout, key, mode, txid)
 	}
-	return nil
+	return !holds, nil
 }
 
 // blockerIDs returns the transactions a new waiter on lk would wait
@@ -181,9 +184,11 @@ func (lk *lock) removeReq(req *lockReq) {
 }
 
 // releaseAll frees every lock txid holds and cancels its queued requests,
-// then grants whatever became possible.
-func (lt *lockTable) releaseAll(txid uint64, keys map[string]LockMode) {
-	for key := range keys {
+// then grants whatever became possible. keys is in acquisition order, so
+// which waiter wakes first is a function of the run and not of Go's map
+// iteration order.
+func (lt *lockTable) releaseAll(txid uint64, keys []string) {
+	for _, key := range keys {
 		lk := lt.locks[key]
 		if lk == nil {
 			continue

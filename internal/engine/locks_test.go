@@ -23,13 +23,13 @@ func TestLockSharedCompatible(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := uint64(i + 1)
 		s.Spawn(nil, fmt.Sprintf("r%d", i), func(p *sim.Proc) {
-			if err := lt.acquire(p, id, "k", LockS); err != nil {
+			if _, err := lt.acquire(p, id, "k", LockS); err != nil {
 				t.Errorf("S acquire: %v", err)
 				return
 			}
 			holders++
 			p.Sleep(time.Millisecond)
-			lt.releaseAll(id, map[string]LockMode{"k": LockS})
+			lt.releaseAll(id, []string{"k"})
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -44,17 +44,17 @@ func TestLockExclusiveBlocksShared(t *testing.T) {
 	s, lt := ltRig(1, 0)
 	var order []string
 	s.Spawn(nil, "writer", func(p *sim.Proc) {
-		_ = lt.acquire(p, 1, "k", LockX)
+		_, _ = lt.acquire(p, 1, "k", LockX)
 		order = append(order, "X-acquired")
 		p.Sleep(5 * time.Millisecond)
 		order = append(order, "X-released")
-		lt.releaseAll(1, map[string]LockMode{"k": LockX})
+		lt.releaseAll(1, []string{"k"})
 	})
 	s.Spawn(nil, "reader", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		_ = lt.acquire(p, 2, "k", LockS)
+		_, _ = lt.acquire(p, 2, "k", LockS)
 		order = append(order, "S-acquired")
-		lt.releaseAll(2, map[string]LockMode{"k": LockS})
+		lt.releaseAll(2, []string{"k"})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -70,18 +70,18 @@ func TestLockExclusiveBlocksShared(t *testing.T) {
 func TestLockReacquireStrongerIsUpgrade(t *testing.T) {
 	s, lt := ltRig(1, 0)
 	s.Spawn(nil, "p", func(p *sim.Proc) {
-		if err := lt.acquire(p, 1, "k", LockS); err != nil {
+		if _, err := lt.acquire(p, 1, "k", LockS); err != nil {
 			t.Errorf("S: %v", err)
 		}
 		// Sole holder: upgrade granted immediately.
-		if err := lt.acquire(p, 1, "k", LockX); err != nil {
+		if _, err := lt.acquire(p, 1, "k", LockX); err != nil {
 			t.Errorf("upgrade: %v", err)
 		}
 		// X implies S: re-acquiring weaker is a no-op.
-		if err := lt.acquire(p, 1, "k", LockS); err != nil {
+		if _, err := lt.acquire(p, 1, "k", LockS); err != nil {
 			t.Errorf("weaker re-acquire: %v", err)
 		}
-		lt.releaseAll(1, map[string]LockMode{"k": LockX})
+		lt.releaseAll(1, []string{"k"})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -92,19 +92,19 @@ func TestLockUpgradeWaitsForOtherReaders(t *testing.T) {
 	s, lt := ltRig(1, 0)
 	var upgraded sim.Time
 	s.Spawn(nil, "upgrader", func(p *sim.Proc) {
-		_ = lt.acquire(p, 1, "k", LockS)
+		_, _ = lt.acquire(p, 1, "k", LockS)
 		p.Sleep(time.Millisecond)
-		if err := lt.acquire(p, 1, "k", LockX); err != nil {
+		if _, err := lt.acquire(p, 1, "k", LockX); err != nil {
 			t.Errorf("upgrade: %v", err)
 			return
 		}
 		upgraded = p.Now()
-		lt.releaseAll(1, map[string]LockMode{"k": LockX})
+		lt.releaseAll(1, []string{"k"})
 	})
 	s.Spawn(nil, "reader", func(p *sim.Proc) {
-		_ = lt.acquire(p, 2, "k", LockS)
+		_, _ = lt.acquire(p, 2, "k", LockS)
 		p.Sleep(5 * time.Millisecond)
-		lt.releaseAll(2, map[string]LockMode{"k": LockS})
+		lt.releaseAll(2, []string{"k"})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -126,17 +126,17 @@ func TestLockDeadlockDetectedImmediately(t *testing.T) {
 			first, second = "b", "a"
 		}
 		s.Spawn(nil, fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			_ = lt.acquire(p, id, first, LockX)
+			_, _ = lt.acquire(p, id, first, LockX)
 			p.Sleep(time.Millisecond)
-			if err := lt.acquire(p, id, second, LockX); err != nil {
+			if _, err := lt.acquire(p, id, second, LockX); err != nil {
 				if errors.Is(err, ErrDeadlock) {
 					deadlocks++
 					resolvedAt = p.Now()
 				}
-				lt.releaseAll(id, map[string]LockMode{first: LockX})
+				lt.releaseAll(id, []string{first})
 				return
 			}
-			lt.releaseAll(id, map[string]LockMode{first: LockX, second: LockX})
+			lt.releaseAll(id, []string{first, second})
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -158,17 +158,17 @@ func TestLockThreeWayCycleDetected(t *testing.T) {
 		id := uint64(i + 1)
 		first, second := keys[i], keys[(i+1)%3]
 		s.Spawn(nil, fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			_ = lt.acquire(p, id, first, LockX)
+			_, _ = lt.acquire(p, id, first, LockX)
 			p.Sleep(time.Millisecond)
-			if err := lt.acquire(p, id, second, LockX); err != nil {
+			if _, err := lt.acquire(p, id, second, LockX); err != nil {
 				if errors.Is(err, ErrDeadlock) {
 					deadlocks++
 				}
-				lt.releaseAll(id, map[string]LockMode{first: LockX})
+				lt.releaseAll(id, []string{first})
 				return
 			}
 			p.Sleep(time.Millisecond)
-			lt.releaseAll(id, map[string]LockMode{first: LockX, second: LockX})
+			lt.releaseAll(id, []string{first, second})
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -189,17 +189,17 @@ func TestLockSharedUpgradeDeadlock(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		id := uint64(i + 1)
 		s.Spawn(nil, fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			_ = lt.acquire(p, id, "k", LockS)
+			_, _ = lt.acquire(p, id, "k", LockS)
 			p.Sleep(time.Millisecond)
-			if err := lt.acquire(p, id, "k", LockX); err != nil {
+			if _, err := lt.acquire(p, id, "k", LockX); err != nil {
 				if errors.Is(err, ErrDeadlock) {
 					deadlocks++
 				}
-				lt.releaseAll(id, map[string]LockMode{"k": LockS})
+				lt.releaseAll(id, []string{"k"})
 				return
 			}
 			upgrades++
-			lt.releaseAll(id, map[string]LockMode{"k": LockX})
+			lt.releaseAll(id, []string{"k"})
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -216,13 +216,13 @@ func TestLockTimeoutBackstop(t *testing.T) {
 	s, lt := ltRig(1, 5*time.Millisecond)
 	var timedOut bool
 	s.Spawn(nil, "holder", func(p *sim.Proc) {
-		_ = lt.acquire(p, 1, "k", LockX)
+		_, _ = lt.acquire(p, 1, "k", LockX)
 		p.Sleep(time.Hour)
-		lt.releaseAll(1, map[string]LockMode{"k": LockX})
+		lt.releaseAll(1, []string{"k"})
 	})
 	s.Spawn(nil, "waiter", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		err := lt.acquire(p, 2, "k", LockX)
+		_, err := lt.acquire(p, 2, "k", LockX)
 		timedOut = errors.Is(err, ErrLockTimeout)
 	})
 	if err := s.RunFor(time.Second); err != nil {
@@ -236,9 +236,9 @@ func TestLockTimeoutBackstop(t *testing.T) {
 func TestLockReleaseCleansEmptyEntries(t *testing.T) {
 	s, lt := ltRig(1, 0)
 	s.Spawn(nil, "p", func(p *sim.Proc) {
-		_ = lt.acquire(p, 1, "k1", LockX)
-		_ = lt.acquire(p, 1, "k2", LockS)
-		lt.releaseAll(1, map[string]LockMode{"k1": LockX, "k2": LockS})
+		_, _ = lt.acquire(p, 1, "k1", LockX)
+		_, _ = lt.acquire(p, 1, "k2", LockS)
+		lt.releaseAll(1, []string{"k1", "k2"})
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -254,23 +254,23 @@ func TestLockWriterNotStarvedByReaders(t *testing.T) {
 	s, lt := ltRig(1, 0)
 	var writerAt sim.Time
 	s.Spawn(nil, "r0", func(p *sim.Proc) {
-		_ = lt.acquire(p, 100, "k", LockS)
+		_, _ = lt.acquire(p, 100, "k", LockS)
 		p.Sleep(2 * time.Millisecond)
-		lt.releaseAll(100, map[string]LockMode{"k": LockS})
+		lt.releaseAll(100, []string{"k"})
 	})
 	s.Spawn(nil, "writer", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		_ = lt.acquire(p, 1, "k", LockX)
+		_, _ = lt.acquire(p, 1, "k", LockX)
 		writerAt = p.Now()
-		lt.releaseAll(1, map[string]LockMode{"k": LockX})
+		lt.releaseAll(1, []string{"k"})
 	})
 	for i := 0; i < 5; i++ {
 		id := uint64(i + 10)
 		s.Spawn(nil, fmt.Sprintf("r%d", i+1), func(p *sim.Proc) {
 			p.Sleep(time.Duration(i)*500*time.Microsecond + 1500*time.Microsecond)
-			_ = lt.acquire(p, id, "k", LockS)
+			_, _ = lt.acquire(p, id, "k", LockS)
 			p.Sleep(2 * time.Millisecond)
-			lt.releaseAll(id, map[string]LockMode{"k": LockS})
+			lt.releaseAll(id, []string{"k"})
 		})
 	}
 	if err := s.Run(); err != nil {

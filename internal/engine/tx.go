@@ -21,7 +21,7 @@ type Tx struct {
 	id   uint64
 	done bool
 
-	locks    map[string]LockMode
+	locks    []string // keys held, in acquisition order
 	writes   []txWrite
 	writeIdx map[string]int // key → index in writes (latest wins)
 	began    sim.Time
@@ -41,7 +41,7 @@ func (e *Engine) Begin(p *sim.Proc) *Tx {
 		e:        e,
 		p:        p,
 		id:       e.nextTxID,
-		locks:    make(map[string]LockMode),
+		locks:    e.getLockList(),
 		writeIdx: make(map[string]int),
 		began:    p.Now(),
 	}
@@ -57,16 +57,11 @@ func (e *Engine) Begin(p *sim.Proc) *Tx {
 func (t *Tx) ID() uint64 { return t.id }
 
 func (t *Tx) lock(key string, mode LockMode) error {
-	if held, ok := t.locks[key]; ok && held >= mode {
-		return nil
+	fresh, err := t.e.locks.acquire(t.p, t.id, key, mode)
+	if fresh {
+		t.locks = append(t.locks, key)
 	}
-	if err := t.e.locks.acquire(t.p, t.id, key, mode); err != nil {
-		return err
-	}
-	if held, ok := t.locks[key]; !ok || mode > held {
-		t.locks[key] = mode
-	}
-	return nil
+	return err
 }
 
 // Get returns the value for key under a shared lock (or the transaction's
@@ -263,4 +258,6 @@ func (t *Tx) Abort() {
 func (t *Tx) finish() {
 	t.done = true
 	t.e.locks.releaseAll(t.id, t.locks)
+	t.e.putLockList(t.locks)
+	t.locks = nil
 }

@@ -294,3 +294,46 @@ func TestDedicatedLogDiskSeparatesDevices(t *testing.T) {
 		t.Fatalf("durability on dedicated spindle: acked=%d %v", j.Len(), res)
 	}
 }
+
+// TestSameSeedTPCBRigsAreIdentical runs the contended TPC-B load twice in
+// one process on same-seed rigs. Hot-row lock hand-off used to follow Go's
+// map iteration order (lockTable.releaseAll), so two runs committed
+// slightly different counts; they must agree to the event.
+func TestSameSeedTPCBRigsAreIdentical(t *testing.T) {
+	run := func() (committed int64, events uint64) {
+		r, err := New(Config{Seed: 1, Mode: RapiLog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := r.S.NewEvent("done")
+		r.S.Spawn(r.Plat.Domain(), "driver", func(p *sim.Proc) {
+			defer done.Fire()
+			e, err := r.Boot(p)
+			if err != nil {
+				t.Errorf("boot: %v", err)
+				return
+			}
+			w := &workload.TPCB{}
+			if err := w.Load(p, e); err != nil {
+				t.Errorf("load: %v", err)
+				return
+			}
+			res := workload.RunClients(p, r.Plat.Domain(), e, w, workload.RunnerConfig{
+				Clients: 8, Duration: 100 * time.Millisecond, Retries: 100,
+			})
+			committed = res.Committed
+		})
+		if err := r.S.RunUntilEvent(done); err != nil {
+			t.Fatal(err)
+		}
+		return committed, r.S.Dispatched()
+	}
+	c1, e1 := run()
+	c2, e2 := run()
+	if c1 == 0 {
+		t.Fatal("no transaction committed")
+	}
+	if c1 != c2 || e1 != e2 {
+		t.Fatalf("same-seed runs differ: committed %d vs %d, events %d vs %d", c1, c2, e1, e2)
+	}
+}
