@@ -272,6 +272,7 @@ func RunFailoverTrial(cfg FailoverConfig, seed int64) FailoverTrial {
 		res.Err = err
 		return res
 	}
+	defer c.Close()
 	s := c.S
 	dir := workload.NewDirectory()
 	c.OnPromote = func(gen int, name string, e *engine.Engine, dom *sim.Domain) {

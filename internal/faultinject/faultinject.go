@@ -389,6 +389,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		res.Err = err
 		return res
 	}
+	defer r.Close()
 	if cfg.BreakDump {
 		// Every dump-zone write fails permanently; reads still succeed
 		// (returning whatever is there — zeros), so recovery sees "no dump"

@@ -25,6 +25,7 @@ func runShardedTrial(cfg CampaignConfig, seed int64) TrialResult {
 		res.Err = err
 		return res
 	}
+	defer sh.Close()
 	s := sh.S
 	n := cfg.Shards
 	journals := make([]*workload.Journal, n)

@@ -151,6 +151,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// Close ends the cluster's simulation (sim.Sim.Close): every node, the
+// fabric and the coordinator go with it.
+func (c *Cluster) Close() { c.S.Close() }
+
 // buildNodeRig assembles the storage half of a node's deployment (machine,
 // disks, partitions) on the shared substrate, deferring the platform so
 // promotion can replay the replicated prefix into the log partition first.

@@ -265,6 +265,12 @@ func New(cfg Config) (*Rig, error) {
 	return newOnSubstrate(cfg, s, m, o)
 }
 
+// Close ends the deployment's simulation and releases every process it
+// still holds (sim.Sim.Close). Call it when the run is over and its results
+// have been read; a rig built by NewSharded or NewCluster is closed through
+// its owner.
+func (r *Rig) Close() { r.S.Close() }
+
 // newOnSubstrate builds a deployment's storage and platform stack on an
 // existing simulation/machine/observability substrate. New calls it with a
 // substrate of its own; NewSharded calls it once per shard with the shared

@@ -83,6 +83,9 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 	return sh, nil
 }
 
+// Close ends the fleet's shared simulation (sim.Sim.Close).
+func (sh *Sharded) Close() { sh.S.Close() }
+
 // ShardFor returns the shard that owns a transaction key.
 func (sh *Sharded) ShardFor(key string) int { return sh.Router.ShardFor(key) }
 

@@ -1,28 +1,49 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Event is a one-shot broadcast condition: processes wait until someone
 // fires it. Waiting on an already-fired event returns immediately. Events
 // are the basic completion signal used throughout the simulation (I/O done,
 // power restored, drain finished).
 type Event struct {
-	s           *Sim
-	name        string
-	descWait    string
-	descTimeout string
-	fired       bool
-	waiters     []waiter
+	name    string
+	namer   fmt.Stringer // replaces name when set; rendered on demand
+	fired   bool
+	waiters []waiter
 }
 
 // NewEvent creates an unfired event.
-func (s *Sim) NewEvent(name string) *Event {
-	return &Event{
-		s:           s,
-		name:        name,
-		descWait:    "event:" + name,
-		descTimeout: "event:" + name + "(timeout)",
+func (s *Sim) NewEvent(name string) *Event { return &Event{name: name} }
+
+// NewEventNamedBy creates an unfired event whose name is rendered only when
+// something asks for it (a deadlock report, an error message). Hot paths
+// that create an event per blocked request use it to format nothing.
+func (s *Sim) NewEventNamedBy(namer fmt.Stringer) *Event { return &Event{namer: namer} }
+
+// Name returns the event's name.
+func (e *Event) Name() string {
+	if e.namer != nil {
+		return e.namer.String()
 	}
+	return e.name
+}
+
+func (e *Event) describeWait(m waitMode) string {
+	if m == waitTimed {
+		return "event:" + e.Name() + "(timeout)"
+	}
+	return "event:" + e.Name()
+}
+
+// Reset returns the event to the unfired state so that its owner can reuse
+// it. Nothing may still be waiting on it.
+func (e *Event) Reset() {
+	e.fired = false
+	e.waiters = e.waiters[:0]
 }
 
 // Fired reports whether the event has fired.
@@ -48,7 +69,7 @@ func (e *Event) Wait(p *Proc) {
 		p.checkKilled()
 		return
 	}
-	w := p.newWaiter(e.descWait)
+	w := p.newWaiter(e, waitPlain)
 	e.waiters = append(e.waiters, w)
 	// No abort hook needed: stale waiters are skipped at wake time.
 	p.park()
@@ -68,9 +89,9 @@ func (e *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 		p.checkKilled()
 		return false
 	}
-	w := p.newWaiter(e.descTimeout)
+	w := p.newWaiter(e, waitTimed)
 	e.waiters = append(e.waiters, w)
-	p.sim.atWake(p.sim.now.Add(d), p, w.gen)
+	p.sim.atTimeout(d, p, w.gen)
 	p.park()
 	return e.fired
 }
@@ -79,21 +100,18 @@ func (e *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 // with broadcast-only semantics): each Broadcast wakes every process
 // currently waiting; future waiters block until the next Broadcast.
 type Signal struct {
-	s           *Sim
-	name        string
-	descWait    string
-	descTimeout string
-	waiters     []waiter
+	name    string
+	waiters []waiter
 }
 
 // NewSignal creates a signal.
-func (s *Sim) NewSignal(name string) *Signal {
-	return &Signal{
-		s:           s,
-		name:        name,
-		descWait:    "signal:" + name,
-		descTimeout: "signal:" + name + "(timeout)",
+func (s *Sim) NewSignal(name string) *Signal { return &Signal{name: name} }
+
+func (g *Signal) describeWait(m waitMode) string {
+	if m == waitTimed {
+		return "signal:" + g.name + "(timeout)"
 	}
+	return "signal:" + g.name
 }
 
 // Broadcast wakes all current waiters.
@@ -109,7 +127,7 @@ func (g *Signal) Broadcast() {
 
 // Wait blocks p until the next Broadcast.
 func (g *Signal) Wait(p *Proc) {
-	w := p.newWaiter(g.descWait)
+	w := p.newWaiter(g, waitPlain)
 	g.waiters = append(g.waiters, w)
 	p.park()
 }
@@ -121,12 +139,12 @@ func (g *Signal) WaitTimeout(p *Proc, d time.Duration) bool {
 		p.checkKilled()
 		return false
 	}
-	w := p.newWaiter(g.descTimeout)
+	w := p.newWaiter(g, waitTimed)
 	g.waiters = append(g.waiters, w)
 	// The broadcast and the timer wake the same waiter; distinguish by
 	// draining: if we are still registered at resume time the broadcast did
 	// not happen.
-	p.sim.atWake(p.sim.now.Add(d), p, w.gen)
+	p.sim.atTimeout(d, p, w.gen)
 	p.park()
 	for _, other := range g.waiters {
 		if other == w {

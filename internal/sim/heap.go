@@ -10,13 +10,16 @@ package sim
 //
 // Timers are pooled: Step returns each popped timer to the Sim's freelist,
 // so a steady-state simulation schedules millions of events with zero
-// allocations.
+// allocations. idx is the timer's position in the heap while it is queued,
+// which is what lets a timed wait that completed early take its timeout
+// back out (eventHeap.remove) instead of leaving it to expire.
 type timer struct {
 	t    Time
 	seq  uint64
 	fn   func() // tkFn only
 	p    *Proc  // tkWake, tkStart, tkKill
 	gen  uint64 // tkWake: the wait generation this wake targets
+	idx  int
 	kind uint8
 }
 
@@ -30,13 +33,13 @@ const (
 
 // eventHeap is a binary min-heap of timers ordered by (t, seq). It is
 // hand-rolled rather than wrapping container/heap to avoid interface
-// boxing on the hottest path in the kernel.
+// boxing on the hottest path in the kernel. Sifting moves a hole rather
+// than swapping, so each level costs one store (plus the moved timer's idx).
 type eventHeap struct {
 	items []*timer
 }
 
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func before(a, b *timer) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -44,16 +47,8 @@ func (h *eventHeap) less(i, j int) bool {
 }
 
 func (h *eventHeap) push(tm *timer) {
-	h.items = append(h.items, tm)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
+	h.items = append(h.items, nil)
+	h.up(len(h.items)-1, tm)
 }
 
 func (h *eventHeap) peek() *timer {
@@ -64,35 +59,64 @@ func (h *eventHeap) peek() *timer {
 }
 
 func (h *eventHeap) pop() *timer {
-	n := len(h.items)
-	if n == 0 {
+	if len(h.items) == 0 {
 		return nil
 	}
 	top := h.items[0]
-	h.items[0] = h.items[n-1]
-	h.items[n-1] = nil
-	h.items = h.items[:n-1]
-	h.siftDown(0)
+	h.remove(top)
 	return top
 }
 
-func (h *eventHeap) siftDown(i int) {
+// remove takes a queued timer out of the heap, wherever it sits: the last
+// timer fills its slot and sifts to where it belongs.
+func (h *eventHeap) remove(tm *timer) {
+	n := len(h.items) - 1
+	last := h.items[n]
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if tm == last {
+		return
+	}
+	if before(last, tm) {
+		h.up(tm.idx, last)
+	} else {
+		h.down(tm.idx, last)
+	}
+}
+
+// up places tm at or above the hole i.
+func (h *eventHeap) up(i int, tm *timer) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		pt := h.items[parent]
+		if !before(tm, pt) {
+			break
+		}
+		h.items[i], pt.idx = pt, i
+		i = parent
+	}
+	h.items[i], tm.idx = tm, i
+}
+
+// down places tm at or below the hole i.
+func (h *eventHeap) down(i int, tm *timer) {
 	n := len(h.items)
 	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && h.less(left, smallest) {
-			smallest = left
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if right < n && h.less(right, smallest) {
-			smallest = right
+		ct := h.items[c]
+		if r := c + 1; r < n && before(h.items[r], ct) {
+			c, ct = r, h.items[r]
 		}
-		if smallest == i {
-			return
+		if !before(ct, tm) {
+			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		h.items[i], ct.idx = ct, i
+		i = c
 	}
+	h.items[i], tm.idx = tm, i
 }
 
 func (h *eventHeap) len() int { return len(h.items) }

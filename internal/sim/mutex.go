@@ -7,9 +7,7 @@ import "fmt"
 // waiters cannot starve. If a waiting process is killed it is removed from
 // the queue; if ownership had already been handed to it, ownership passes on.
 type Mutex struct {
-	s      *Sim
 	name   string
-	desc   string
 	locked bool
 	owner  *Proc
 	queue  []waiter
@@ -17,8 +15,10 @@ type Mutex struct {
 
 // NewMutex creates an unlocked mutex.
 func (s *Sim) NewMutex(name string) *Mutex {
-	return &Mutex{s: s, name: name, desc: "mutex:" + name}
+	return &Mutex{name: name}
 }
+
+func (m *Mutex) describeWait(waitMode) string { return "mutex:" + m.name }
 
 // Locked reports whether the mutex is held.
 func (m *Mutex) Locked() bool { return m.locked }
@@ -34,7 +34,7 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic(fmt.Sprintf("sim: mutex %q: recursive lock by %s", m.name, p.name))
 	}
-	w := p.newWaiter(m.desc)
+	w := p.newWaiter(m, waitPlain)
 	m.queue = append(m.queue, w)
 	p.abort = func() {
 		// Killed while waiting: either still queued, or ownership was
@@ -107,9 +107,7 @@ func (m *Mutex) removeWaiter(w waiter) {
 // waiting starvation-free. It models CPUs, disk queue slots, and the
 // RapiLog buffer budget.
 type Resource struct {
-	s        *Sim
 	name     string
-	desc     string
 	capacity int64
 	avail    int64
 	queue    []resWaiter
@@ -125,8 +123,10 @@ func (s *Sim) NewResource(name string, capacity int64) *Resource {
 	if capacity < 0 {
 		panic("sim: NewResource: negative capacity")
 	}
-	return &Resource{s: s, name: name, desc: "resource:" + name, capacity: capacity, avail: capacity}
+	return &Resource{name: name, capacity: capacity, avail: capacity}
 }
+
+func (r *Resource) describeWait(waitMode) string { return "resource:" + r.name }
 
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() int64 { return r.capacity }
@@ -154,7 +154,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		r.avail -= n
 		return
 	}
-	w := p.newWaiter(r.desc)
+	w := p.newWaiter(r, waitPlain)
 	r.queue = append(r.queue, resWaiter{w: w, n: n})
 	p.abort = func() { r.removeWaiter(w) }
 	p.park()

@@ -25,10 +25,7 @@ func popFront[T any](s []T) []T {
 // pooled object carries a prebuilt abort hook, so the steady-state blocking
 // paths allocate nothing.
 type Queue[T any] struct {
-	s       *Sim
 	name    string
-	descGet string
-	descPut string
 	cap     int
 	items   []T
 	getters []*qGetter[T]
@@ -60,13 +57,14 @@ func NewQueue[T any](s *Sim, name string, capacity int) *Queue[T] {
 	if capacity < 0 {
 		panic("sim: NewQueue: negative capacity")
 	}
-	return &Queue[T]{
-		s:       s,
-		name:    name,
-		descGet: "queue:" + name + "(get)",
-		descPut: "queue:" + name + "(put)",
-		cap:     capacity,
+	return &Queue[T]{name: name, cap: capacity}
+}
+
+func (q *Queue[T]) describeWait(m waitMode) string {
+	if m == waitGet {
+		return "queue:" + q.name + "(get)"
 	}
+	return "queue:" + q.name + "(put)"
 }
 
 // Len returns the number of buffered items.
@@ -91,7 +89,7 @@ func (q *Queue[T]) newGetter(p *Proc) *qGetter[T] {
 			q.freeGetter(g)
 		}
 	}
-	g.w = p.newWaiter(q.descGet)
+	g.w = p.newWaiter(q, waitGet)
 	return g
 }
 
@@ -115,7 +113,7 @@ func (q *Queue[T]) newPutter(p *Proc, v T) *qPutter[T] {
 			q.freePutter(pu)
 		}
 	}
-	pu.w = p.newWaiter(q.descPut)
+	pu.w = p.newWaiter(q, waitPut)
 	pu.v = v
 	return pu
 }

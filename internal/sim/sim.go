@@ -3,10 +3,11 @@
 // Everything in this repository — disk latency, PSU hold-up windows, CPU
 // contention, crash injection — runs on virtual time provided by this
 // package. Simulated activities are written as ordinary sequential Go code
-// inside processes (Proc). Processes are goroutines, but the kernel runs
-// exactly one at a time and hands control between them explicitly, so the
-// simulation is single-threaded in effect: no locks are needed around
-// simulation state, and identical seeds produce identical executions.
+// inside processes (Proc). Processes are coroutines (see handoff.go): the
+// kernel runs exactly one at a time and switches to it and back directly,
+// so the simulation is single-threaded in effect: no locks are needed
+// around simulation state, and identical seeds produce identical
+// executions.
 //
 // The design follows the classic process-interaction style (SimPy, CSIM):
 //
@@ -26,7 +27,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -46,16 +46,9 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// resumeKind tells a parked process why it is being resumed.
-type resumeKind int
-
-const (
-	resumeRun  resumeKind = iota // normal wake-up
-	resumeKill                   // the process's domain was killed
-)
-
-// killPanic is thrown inside a process goroutine to unwind it when its
-// domain is killed. It is recovered by the process wrapper and never escapes.
+// killPanic is thrown inside a process to unwind it when it or its domain
+// is killed or the simulation is closed. It is recovered by the process
+// wrapper and never escapes.
 type killPanic struct{ p *Proc }
 
 // Sim is a discrete-event simulation instance.
@@ -70,13 +63,13 @@ type Sim struct {
 	dispatched uint64
 	events     eventHeap
 	timerPool  []*timer // recycled timers; the steady state allocates none
-	yield      chan struct{}
 	rng        *rand.Rand
 
 	procs   map[int]*Proc
 	nextPID int
 	running *Proc
 	inRun   bool
+	closed  bool
 	fatal   error
 	traceFn func(t Time, format string, args ...any)
 	nextDom int
@@ -88,7 +81,6 @@ type Sim struct {
 // nondeterminism.
 func New(seed int64) *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[int]*Proc),
 	}
@@ -157,6 +149,16 @@ func (s *Sim) atWake(t Time, p *Proc, gen uint64) {
 	s.events.push(tm)
 }
 
+// atTimeout schedules the expiry of p's current timed wait. The timer is
+// remembered on the process so that park can cancel it when the wait
+// completes another way.
+func (s *Sim) atTimeout(d time.Duration, p *Proc, gen uint64) {
+	tm := s.newTimer(s.now.Add(d))
+	tm.p, tm.gen, tm.kind = p, gen, tkWake
+	s.events.push(tm)
+	p.timeout = tm
+}
+
 // atStart schedules the first handoff to a freshly spawned process.
 func (s *Sim) atStart(p *Proc) {
 	tm := s.newTimer(s.now)
@@ -180,6 +182,9 @@ func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now.Add(d), fn) }
 //
 // If dom is nil the process belongs to a root domain that is never killed.
 func (s *Sim) Spawn(dom *Domain, name string, fn func(p *Proc)) *Proc {
+	if s.closed {
+		panic("sim: Spawn on a closed simulation")
+	}
 	if dom == nil {
 		dom = s.rootDomain()
 	}
@@ -189,35 +194,14 @@ func (s *Sim) Spawn(dom *Domain, name string, fn func(p *Proc)) *Proc {
 		id:     s.nextPID,
 		name:   name,
 		domain: dom,
-		resume: make(chan resumeKind),
 		killed: dom.dead, // spawning into a dead domain yields a stillborn proc
 	}
 	s.procs[p.id] = p
 	dom.procs[p.id] = p
+	p.start(fn)
 
-	go func() {
-		k := <-p.resume
-		if k == resumeRun && !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(killPanic); !ok {
-							s.fatal = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-						}
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.done = true
-		p.parked = false
-		delete(s.procs, p.id)
-		delete(p.domain.procs, p.id)
-		s.yield <- struct{}{}
-	}()
-
-	// Start event: hand control to the new process unless it was killed
-	// before it ever ran.
+	// Start event: hand control to the new process; one killed before it
+	// ever ran observes that and finishes without running fn.
 	s.atStart(p)
 	return p
 }
@@ -227,15 +211,6 @@ func (s *Sim) rootDomain() *Domain {
 		s.root = &Domain{sim: s, name: "root", procs: make(map[int]*Proc)}
 	}
 	return s.root
-}
-
-// handoff transfers control from the scheduler to process p and waits for it
-// to park or finish.
-func (s *Sim) handoff(p *Proc, k resumeKind) {
-	s.running = p
-	p.resume <- k
-	<-s.yield
-	s.running = nil
 }
 
 // Step executes the next pending event. It reports false when no events
@@ -261,33 +236,26 @@ func (s *Sim) Step() (bool, error) {
 		fn()
 	case tkWake:
 		p, gen := tm.p, tm.gen
+		if p.timeout == tm {
+			p.timeout = nil // expiring, nothing left to cancel
+		}
 		s.recycle(tm)
 		if p.done || !p.parked || p.waitGen != gen {
 			break // stale wake: the wait already completed another way
 		}
-		if p.killed {
-			s.handoff(p, resumeKill)
-			break
-		}
-		s.handoff(p, resumeRun)
+		s.handoff(p)
 	case tkStart:
 		p := tm.p
 		s.recycle(tm)
-		if p.done {
-			break
+		if !p.done {
+			s.handoff(p)
 		}
-		if p.killed {
-			s.handoff(p, resumeKill)
-			break
-		}
-		s.handoff(p, resumeRun)
 	case tkKill:
 		p := tm.p
 		s.recycle(tm)
-		if p.done || !p.parked {
-			break
+		if !p.done && p.parked {
+			s.handoff(p)
 		}
-		s.handoff(p, resumeKill)
 	}
 	if s.fatal != nil {
 		return false, s.fatal
@@ -329,7 +297,7 @@ func (s *Sim) RunUntilEvent(ev *Event) error {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("sim: event queue drained before %q fired", ev.name)
+			return fmt.Errorf("sim: event queue drained before %q fired", ev.Name())
 		}
 	}
 	return nil
@@ -378,7 +346,7 @@ func (s *Sim) deadlockError() error {
 		if p.daemon {
 			continue
 		}
-		stuck = append(stuck, fmt.Sprintf("%s(%d) waiting on %s", p.name, p.id, p.waiting))
+		stuck = append(stuck, fmt.Sprintf("%s(%d) waiting on %s", p.name, p.id, p.waitingOn()))
 	}
 	sort.Strings(stuck)
 	return &DeadlockError{At: s.now, Procs: stuck}
@@ -407,22 +375,55 @@ func (s *Sim) Running() *Proc { return s.running }
 // Proc
 // ---------------------------------------------------------------------------
 
-// Proc is a simulation process: a goroutine interleaved cooperatively with
+// Proc is a simulation process: a coroutine interleaved cooperatively with
 // all other processes on the virtual clock. All methods must be called from
 // the process's own code, except the read-only accessors.
 type Proc struct {
-	sim     *Sim
-	id      int
-	name    string
-	domain  *Domain
-	resume  chan resumeKind
-	done    bool
-	parked  bool
-	killed  bool
-	waitGen uint64
-	waiting string
-	abort   func() // cleanup when killed while parked on a primitive
-	daemon  bool
+	sim    *Sim
+	id     int
+	name   string
+	domain *Domain
+	co     coroutine
+	done   bool
+	parked bool
+	killed bool
+	daemon bool
+
+	// The current wait: its generation, what it is on (for deadlock
+	// reports, rendered only then), its pending timeout if it is a timed
+	// wait, and the cleanup to run if the process is killed in it.
+	waitGen  uint64
+	waitOn   waitTarget
+	waitMode waitMode
+	timeout  *timer
+	abort    func()
+}
+
+// waitTarget is a primitive a process can park on. It renders the wait for
+// a deadlock report on demand, so registering a wait formats nothing.
+type waitTarget interface {
+	describeWait(m waitMode) string
+}
+
+// waitMode distinguishes the ways of waiting on one primitive.
+type waitMode uint8
+
+const (
+	waitPlain waitMode = iota
+	waitTimed          // Event/Signal WaitTimeout
+	waitGet            // Queue.Get
+	waitPut            // Queue.Put
+)
+
+// waitingOn describes what a parked process is blocked on.
+func (p *Proc) waitingOn() string {
+	if p.waitOn == nil {
+		if p.parked {
+			return "sleep"
+		}
+		return ""
+	}
+	return p.waitOn.describeWait(p.waitMode)
 }
 
 // SetDaemon marks the process as background machinery: Run treats a
@@ -471,12 +472,10 @@ type waiter struct {
 	gen uint64
 }
 
-// newWaiter begins a wait with a human-readable description (shown in
-// deadlock reports). Callers should pass precomputed strings, not Sprintf
-// results — this is on every blocking path.
-func (p *Proc) newWaiter(desc string) waiter {
+// newWaiter begins a wait on a primitive (named in deadlock reports).
+func (p *Proc) newWaiter(on waitTarget, m waitMode) waiter {
 	p.waitGen++
-	p.waiting = desc
+	p.waitOn, p.waitMode = on, m
 	return waiter{p: p, gen: p.waitGen}
 }
 
@@ -487,27 +486,6 @@ func (p *Proc) newWaiter(desc string) waiter {
 func (w waiter) wake() {
 	s := w.p.sim
 	s.atWake(s.now, w.p, w.gen)
-}
-
-// park blocks the process until a waiter wakes it. It must only be called by
-// the process itself, after registering the wait with a wake source. If the
-// process is killed while parked, the registered abort hook runs (so
-// primitives can clean their queues) and the process unwinds.
-func (p *Proc) park() {
-	if p.killed {
-		p.runAbort()
-		panic(killPanic{p})
-	}
-	p.parked = true
-	p.sim.yield <- struct{}{}
-	k := <-p.resume
-	p.parked = false
-	p.waiting = ""
-	if k == resumeKill || p.killed {
-		p.runAbort()
-		panic(killPanic{p})
-	}
-	p.abort = nil
 }
 
 func (p *Proc) runAbort() {
@@ -527,7 +505,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	// Inlined wait: no waiter value, no closure, no formatted description —
 	// sleep is the kernel's hottest blocking call.
 	p.waitGen++
-	p.waiting = "sleep"
 	p.sim.atWake(p.sim.now.Add(d), p, p.waitGen)
 	p.park()
 }
@@ -552,8 +529,8 @@ func (p *Proc) Kill() {
 	if p == s.running {
 		panic(killPanic{p})
 	}
-	// Parked procs resume with the kill signal; spawned-but-unstarted procs
-	// are handled by their start event, which observes killed.
+	// Parked procs are resumed to observe killed and unwind;
+	// spawned-but-unstarted procs observe it at their start event.
 	if p.parked {
 		s.atKill(p)
 	}
@@ -627,8 +604,9 @@ func (d *Domain) Kill() {
 			suicide = true
 			continue
 		}
-		// Resume parked procs with the kill signal. Procs that have been
-		// spawned but not yet started are handled by their start event.
+		// Resume parked procs so they observe killed and unwind. Procs
+		// that have been spawned but not yet started observe it at their
+		// start event.
 		if p.parked {
 			s.atKill(p)
 		}
