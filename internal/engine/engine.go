@@ -178,46 +178,51 @@ type Engine struct {
 	applying map[uint64]uint64 // txid → first LSN
 	ckptBusy bool
 	ckptDone *sim.Signal
-	// payloadBufs is a freelist of redo-record encode buffers. A commit
-	// owns one buffer for its whole append loop — the checkpoint-retry path
-	// re-appends the same encoding after a yield, during which another
-	// transaction may commit and must take a buffer of its own.
-	payloadBufs [][]byte
-	// lockLists is a freelist of Tx.locks backing arrays, so a transaction's
-	// ordered lock list costs no allocation in the steady state.
-	lockLists [][]string
+	// bufs is a freelist of byte buffers that one transaction owns for a
+	// while: its staged values (Tx.vals, Begin to finish) and its
+	// redo-record encode buffer (the commit's append loop — the
+	// checkpoint-retry path re-appends the same encoding after a yield,
+	// during which another transaction may commit and must take a buffer of
+	// its own).
+	bufs       [][]byte
+	lockLists  slicePool[string]  // Tx.locks backing arrays
+	writeLists slicePool[txWrite] // Tx.writes backing arrays
 }
 
-func (e *Engine) getLockList() []string {
-	if n := len(e.lockLists); n > 0 {
-		l := e.lockLists[n-1]
-		e.lockLists = e.lockLists[:n-1]
-		return l
-	}
-	return nil
-}
-
-func (e *Engine) putLockList(l []string) {
-	if cap(l) > 0 {
-		clear(l)
-		e.lockLists = append(e.lockLists, l[:0])
-	}
-}
-
-// getPayloadBuf takes an encode buffer from the freelist (nil when empty —
-// updatePayload grows it to fit).
-func (e *Engine) getPayloadBuf() []byte {
-	if n := len(e.payloadBufs); n > 0 {
-		b := e.payloadBufs[n-1]
-		e.payloadBufs = e.payloadBufs[:n-1]
+// getBuf takes an empty byte buffer from the freelist (nil when there is
+// none — appending grows it).
+func (e *Engine) getBuf() []byte {
+	if n := len(e.bufs); n > 0 {
+		b := e.bufs[n-1]
+		e.bufs = e.bufs[:n-1]
 		return b
 	}
 	return nil
 }
 
-func (e *Engine) putPayloadBuf(b []byte) {
+func (e *Engine) putBuf(b []byte) {
 	if cap(b) > 0 {
-		e.payloadBufs = append(e.payloadBufs, b[:0])
+		e.bufs = append(e.bufs, b[:0])
+	}
+}
+
+// slicePool is a freelist of slice backing arrays. put clears the slice, so
+// a pooled array keeps nothing alive.
+type slicePool[T any] [][]T
+
+func (sp *slicePool[T]) get() []T {
+	if n := len(*sp); n > 0 {
+		s := (*sp)[n-1]
+		*sp = (*sp)[:n-1]
+		return s
+	}
+	return nil
+}
+
+func (sp *slicePool[T]) put(s []T) {
+	if cap(s) > 0 {
+		clear(s)
+		*sp = append(*sp, s[:0])
 	}
 }
 

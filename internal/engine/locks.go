@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -36,6 +37,12 @@ func (m LockMode) String() string {
 // order and timeout-based deadlock resolution. It lives and dies with the
 // engine instance: a crash abandons the whole table, which is correct
 // because the crash also abandons every in-flight transaction.
+//
+// Every transaction takes and drops a lock per row it touches, so the table
+// recycles what that churns through: lock entries and blocked requests come
+// from freelists, holders are a short slice rather than a map, and deadlock
+// detection walks the waits-for graph on scratch slices. The steady state
+// allocates nothing.
 type lockTable struct {
 	s       *sim.Sim
 	timeout time.Duration
@@ -43,18 +50,32 @@ type lockTable struct {
 	// waiting maps a blocked transaction to the lock it waits on, forming
 	// the waits-for graph used for exact deadlock detection.
 	waiting map[uint64]*lock
+
+	freeLocks []*lock
+	freeReqs  []*lockReq
+	seen, dfs []uint64 // wouldDeadlock scratch
 }
 
 type lock struct {
-	granted map[uint64]LockMode // txid → strongest held mode
+	holders []holder // at most one entry per transaction
 	queue   []*lockReq
+}
+
+type holder struct {
+	txid uint64
+	mode LockMode // strongest held
 }
 
 type lockReq struct {
 	txid    uint64
 	mode    LockMode
-	granted *sim.Event
+	key     string
+	granted *sim.Event // named by the request itself, see String
 }
+
+// String names the request's grant event. It is rendered only if a deadlock
+// report has to show what the blocked process waits on.
+func (r *lockReq) String() string { return fmt.Sprintf("lock:%s:%d", r.key, r.txid) }
 
 func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
 	if timeout == 0 {
@@ -63,23 +84,47 @@ func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
 	return &lockTable{s: s, timeout: timeout, locks: make(map[string]*lock), waiting: make(map[uint64]*lock)}
 }
 
+func (lt *lockTable) newLock() *lock {
+	if n := len(lt.freeLocks); n > 0 {
+		lk := lt.freeLocks[n-1]
+		lt.freeLocks = lt.freeLocks[:n-1]
+		return lk
+	}
+	return &lock{}
+}
+
+func (lt *lockTable) newReq(txid uint64, key string, mode LockMode) *lockReq {
+	var r *lockReq
+	if n := len(lt.freeReqs); n > 0 {
+		r = lt.freeReqs[n-1]
+		lt.freeReqs = lt.freeReqs[:n-1]
+		r.granted.Reset()
+	} else {
+		r = &lockReq{}
+		r.granted = lt.s.NewEventNamedBy(r)
+	}
+	r.txid, r.key, r.mode = txid, key, mode
+	return r
+}
+
 // acquire blocks until txid holds key in at least mode, or times out. fresh
 // reports that txid did not hold key before and does now: the caller owes
 // releaseAll that key.
 func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode) (fresh bool, err error) {
 	lk := lt.locks[key]
 	if lk == nil {
-		lk = &lock{granted: make(map[uint64]LockMode)}
+		lk = lt.newLock()
 		lt.locks[key] = lk
 	}
-	held, holds := lk.granted[txid]
+	held, holds := lk.held(txid)
 	if holds && held >= mode {
 		return false, nil // already strong enough
 	}
-	if lk.compatible(txid, mode) && (len(lk.queue) == 0 || lk.upgradeOf(txid, mode)) {
+	upgrade := holds // a holder asking for more can only be going S→X
+	if lk.compatible(txid, mode) && (len(lk.queue) == 0 || upgrade) {
 		// Grant immediately. Upgrades may jump the queue: the holder
 		// blocking behind its own lock would deadlock instead.
-		lk.granted[txid] = mode
+		lk.grant(txid, mode)
 		return !holds, nil
 	}
 	// Exact deadlock detection: refuse to wait if doing so closes a cycle
@@ -87,9 +132,9 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	if lt.wouldDeadlock(txid, lk) {
 		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrDeadlock, key, mode, txid)
 	}
-	req := &lockReq{txid: txid, mode: mode, granted: lt.s.NewEvent(fmt.Sprintf("lock:%s:%d", key, txid))}
-	if lk.upgradeOf(txid, mode) {
-		lk.queue = append([]*lockReq{req}, lk.queue...) // upgrades go first
+	req := lt.newReq(txid, key, mode)
+	if upgrade {
+		lk.queue = slices.Insert(lk.queue, 0, req) // upgrades go first
 	} else {
 		lk.queue = append(lk.queue, req)
 	}
@@ -98,18 +143,23 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	delete(lt.waiting, txid)
 	if !granted {
 		lk.removeReq(req)
+	}
+	// Granted or timed out, the request is out of the queue and nothing
+	// else refers to it. (A process killed in the wait never gets here; its
+	// request stays behind with the abandoned transaction.)
+	lt.freeReqs = append(lt.freeReqs, req)
+	if !granted {
 		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrLockTimeout, key, mode, txid)
 	}
 	return !holds, nil
 }
 
-// blockerIDs returns the transactions a new waiter on lk would wait
+// appendBlockers appends the transactions a new waiter on lk would wait
 // behind: current holders plus already-queued requests.
-func (lk *lock) blockerIDs(txid uint64) []uint64 {
-	var ids []uint64
-	for other := range lk.granted {
-		if other != txid {
-			ids = append(ids, other)
+func (lk *lock) appendBlockers(ids []uint64, txid uint64) []uint64 {
+	for _, h := range lk.holders {
+		if h.txid != txid {
+			ids = append(ids, h.txid)
 		}
 	}
 	for _, r := range lk.queue {
@@ -124,50 +174,57 @@ func (lk *lock) blockerIDs(txid uint64) []uint64 {
 // cycle. Exact and cheap: the simulation kernel is single-threaded, so the
 // graph cannot change mid-walk.
 func (lt *lockTable) wouldDeadlock(txid uint64, lk *lock) bool {
-	seen := make(map[uint64]bool)
-	var reaches func(from uint64) bool
-	reaches = func(from uint64) bool {
+	seen, dfs := lt.seen[:0], lk.appendBlockers(lt.dfs[:0], txid)
+	cycle := false
+	for len(dfs) > 0 {
+		from := dfs[len(dfs)-1]
+		dfs = dfs[:len(dfs)-1]
 		if from == txid {
-			return true
+			cycle = true
+			break
 		}
-		if seen[from] {
-			return false
+		if slices.Contains(seen, from) {
+			continue
 		}
-		seen[from] = true
-		next := lt.waiting[from]
-		if next == nil {
-			return false
-		}
-		for _, b := range next.blockerIDs(from) {
-			if reaches(b) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, b := range lk.blockerIDs(txid) {
-		if reaches(b) {
-			return true
+		seen = append(seen, from)
+		if next := lt.waiting[from]; next != nil {
+			dfs = next.appendBlockers(dfs, from)
 		}
 	}
-	return false
+	lt.seen, lt.dfs = seen, dfs // keep the grown scratch
+	return cycle
 }
 
-// upgradeOf reports whether (txid, mode) is an S→X upgrade by a current
-// holder.
-func (lk *lock) upgradeOf(txid uint64, mode LockMode) bool {
-	held, ok := lk.granted[txid]
-	return ok && mode == LockX && held == LockS
+// held returns the mode txid holds the lock in, if it holds it.
+func (lk *lock) held(txid uint64) (LockMode, bool) {
+	for _, h := range lk.holders {
+		if h.txid == txid {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// grant records txid as holding the lock in mode (raising an existing
+// grant).
+func (lk *lock) grant(txid uint64, mode LockMode) {
+	for i := range lk.holders {
+		if lk.holders[i].txid == txid {
+			lk.holders[i].mode = mode
+			return
+		}
+	}
+	lk.holders = append(lk.holders, holder{txid, mode})
 }
 
 // compatible reports whether txid may be granted mode alongside the current
 // holders (ignoring txid's own existing grant).
 func (lk *lock) compatible(txid uint64, mode LockMode) bool {
-	for other, held := range lk.granted {
-		if other == txid {
+	for _, h := range lk.holders {
+		if h.txid == txid {
 			continue
 		}
-		if mode == LockX || held == LockX {
+		if mode == LockX || h.mode == LockX {
 			return false
 		}
 	}
@@ -175,11 +232,8 @@ func (lk *lock) compatible(txid uint64, mode LockMode) bool {
 }
 
 func (lk *lock) removeReq(req *lockReq) {
-	for i, r := range lk.queue {
-		if r == req {
-			lk.queue = append(lk.queue[:i], lk.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(lk.queue, req); i >= 0 {
+		lk.queue = slices.Delete(lk.queue, i, i+1)
 	}
 }
 
@@ -193,18 +247,13 @@ func (lt *lockTable) releaseAll(txid uint64, keys []string) {
 		if lk == nil {
 			continue
 		}
-		delete(lk.granted, txid)
+		lk.holders = slices.DeleteFunc(lk.holders, func(h holder) bool { return h.txid == txid })
 		// Drop any still-queued request from this transaction.
-		for i := 0; i < len(lk.queue); {
-			if lk.queue[i].txid == txid {
-				lk.queue = append(lk.queue[:i], lk.queue[i+1:]...)
-				continue
-			}
-			i++
-		}
+		lk.queue = slices.DeleteFunc(lk.queue, func(r *lockReq) bool { return r.txid == txid })
 		lk.grantWaiters()
-		if len(lk.granted) == 0 && len(lk.queue) == 0 {
+		if len(lk.holders) == 0 && len(lk.queue) == 0 {
 			delete(lt.locks, key)
+			lt.freeLocks = append(lt.freeLocks, lk)
 		}
 	}
 }
@@ -214,15 +263,13 @@ func (lt *lockTable) releaseAll(txid uint64, keys []string) {
 func (lk *lock) grantWaiters() {
 	for len(lk.queue) > 0 {
 		head := lk.queue[0]
-		if head.granted.Fired() { // timed out but not yet removed
-			lk.queue = lk.queue[1:]
-			continue
+		if !head.granted.Fired() { // else: timed out but not yet removed
+			if !lk.compatible(head.txid, head.mode) {
+				return
+			}
+			lk.grant(head.txid, head.mode)
+			head.granted.Fire()
 		}
-		if !lk.compatible(head.txid, head.mode) {
-			return
-		}
-		lk.granted[head.txid] = head.mode
-		lk.queue = lk.queue[1:]
-		head.granted.Fire()
+		lk.queue = slices.Delete(lk.queue, 0, 1)
 	}
 }

@@ -21,29 +21,36 @@ type Tx struct {
 	id   uint64
 	done bool
 
-	locks    []string // keys held, in acquisition order
-	writes   []txWrite
-	writeIdx map[string]int // key → index in writes (latest wins)
-	began    sim.Time
-	span     obs.SpanID
+	// All three are pooled on the engine and handed back by finish, so a
+	// transaction allocates only itself. Transactions are a few dozen rows
+	// at most, so "has this key been written" is a scan of writes, not a map.
+	locks  []string  // keys held, in acquisition order
+	writes []txWrite // staged writes, one per key (latest wins)
+	vals   []byte    // the staged values, back to back
+	began  sim.Time
+	span   obs.SpanID
 }
 
+// txWrite is one staged write; its value is vals[off:off+n].
 type txWrite struct {
-	key string
-	val []byte
-	del bool
+	key    string
+	off, n int
+	del    bool
 }
+
+func (t *Tx) val(w txWrite) []byte { return t.vals[w.off : w.off+w.n] }
 
 // Begin starts a transaction on behalf of process p.
 func (e *Engine) Begin(p *sim.Proc) *Tx {
 	e.nextTxID++
 	t := &Tx{
-		e:        e,
-		p:        p,
-		id:       e.nextTxID,
-		locks:    e.getLockList(),
-		writeIdx: make(map[string]int),
-		began:    p.Now(),
+		e:      e,
+		p:      p,
+		id:     e.nextTxID,
+		locks:  e.lockLists.get(),
+		writes: e.writeLists.get(),
+		vals:   e.getBuf(),
+		began:  p.Now(),
 	}
 	if tr := e.tracer(); tr.Enabled() {
 		t.span = tr.NewSpan()
@@ -74,12 +81,12 @@ func (t *Tx) Get(key string) ([]byte, bool, error) {
 	if err := t.lock(key, LockS); err != nil {
 		return nil, false, err
 	}
-	if i, ok := t.writeIdx[key]; ok {
+	if i := t.written(key); i >= 0 {
 		w := t.writes[i]
 		if w.del {
 			return nil, false, nil
 		}
-		return append([]byte(nil), w.val...), true, nil
+		return append([]byte(nil), t.val(w)...), true, nil
 	}
 	t.e.stats.Reads.Inc()
 	return t.e.heap.get(t.p, key)
@@ -97,7 +104,9 @@ func (t *Tx) Put(key string, val []byte) error {
 	if err := t.lock(key, LockX); err != nil {
 		return err
 	}
-	t.stage(txWrite{key: key, val: append([]byte(nil), val...)})
+	off := len(t.vals)
+	t.vals = append(t.vals, val...)
+	t.stage(txWrite{key: key, off: off, n: len(val)})
 	return nil
 }
 
@@ -114,12 +123,21 @@ func (t *Tx) Delete(key string) error {
 	return nil
 }
 
+// written returns the index in writes of the staged write to key, or -1.
+func (t *Tx) written(key string) int {
+	for i := range t.writes {
+		if t.writes[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
 func (t *Tx) stage(w txWrite) {
-	if i, ok := t.writeIdx[w.key]; ok {
+	if i := t.written(w.key); i >= 0 {
 		t.writes[i] = w
 		return
 	}
-	t.writeIdx[w.key] = len(t.writes)
 	t.writes = append(t.writes, w)
 }
 
@@ -145,19 +163,19 @@ func (t *Tx) Commit() error {
 	// re-encodes every write, and it stays valid across the checkpoint
 	// retry's yield.
 	var firstLSN uint64
-	pbuf := e.getPayloadBuf()
+	pbuf := e.getBuf()
 	for i, w := range t.writes {
-		payload := updatePayload(pbuf, w.key, w.val, w.del)
+		payload := updatePayload(pbuf, w.key, t.val(w), w.del)
 		pbuf = payload
 		lsn, err := e.log.Append(t.p, wal.RecUpdate, t.id, payload)
 		if err != nil {
 			if err = e.maybeCheckpointForSpace(t.p, err); err != nil {
-				e.putPayloadBuf(pbuf)
+				e.putBuf(pbuf)
 				t.Abort()
 				return err
 			}
 			if lsn, err = e.log.Append(t.p, wal.RecUpdate, t.id, payload); err != nil {
-				e.putPayloadBuf(pbuf)
+				e.putBuf(pbuf)
 				t.Abort()
 				return fmt.Errorf("engine: log append after checkpoint: %v", err)
 			}
@@ -168,7 +186,7 @@ func (t *Tx) Commit() error {
 		}
 		e.tracer().Emit(t.p.Now().Duration(), obs.EvWalAppend, 0, t.span, int64(lsn), int64(len(payload)))
 	}
-	e.putPayloadBuf(pbuf)
+	e.putBuf(pbuf)
 	commitLSN, err := e.log.Append(t.p, wal.RecCommit, t.id, nil)
 	if err != nil {
 		delete(e.applying, t.id)
@@ -208,7 +226,7 @@ func (t *Tx) Commit() error {
 		if w.del {
 			err = e.heap.del(t.p, w.key)
 		} else {
-			err = e.heap.put(t.p, w.key, w.val)
+			err = e.heap.put(t.p, w.key, t.val(w))
 		}
 		if err != nil {
 			// The commit record is durable; the in-memory state is now
@@ -257,7 +275,10 @@ func (t *Tx) Abort() {
 
 func (t *Tx) finish() {
 	t.done = true
-	t.e.locks.releaseAll(t.id, t.locks)
-	t.e.putLockList(t.locks)
-	t.locks = nil
+	e := t.e
+	e.locks.releaseAll(t.id, t.locks)
+	e.lockLists.put(t.locks)
+	e.writeLists.put(t.writes)
+	e.putBuf(t.vals)
+	t.locks, t.writes, t.vals = nil, nil, nil
 }

@@ -1,0 +1,107 @@
+package workload
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+)
+
+// The old generators built keys and rows with fmt.Sprintf and read them back
+// with fmt.Sscanf. These tables pin the strconv codec to exactly that
+// output, so data written before and after the change is interchangeable.
+
+var codecInts = []int{0, 1, 9, 10, 99, 1000, 29999, -1, -10, -999, 1234567, -7654321, math.MaxInt32, math.MinInt32}
+
+func TestKeysMatchSprintf(t *testing.T) {
+	for _, a := range codecInts {
+		for _, b := range codecInts {
+			for _, c := range []struct{ got, want string }{
+				{kBranch(a), fmt.Sprintf("b:%d", a)},
+				{kTeller(a, b), fmt.Sprintf("t:%d:%d", a, b)},
+				{kAccount(a, b), fmt.Sprintf("a:%d:%d", a, b)},
+				{kWarehouse(a), fmt.Sprintf("w:%d", a)},
+				{kDistrict(a, b), fmt.Sprintf("d:%d:%d", a, b)},
+				{kCustomer(a, b, a), fmt.Sprintf("c:%d:%d:%d", a, b, a)},
+				{kItem(b), fmt.Sprintf("i:%d", b)},
+				{kStock(a, b), fmt.Sprintf("s:%d:%d", a, b)},
+				{kOrder(a, b, b), fmt.Sprintf("o:%d:%d:%d", a, b, b)},
+				{kOrderLine(a, b, a, b), fmt.Sprintf("ol:%d:%d:%d:%d", a, b, a, b)},
+				{key("st", a, b), fmt.Sprintf("st:%d:%d", a, b)},
+			} {
+				if c.got != c.want {
+					t.Fatalf("key %q, fmt built %q", c.got, c.want)
+				}
+			}
+		}
+	}
+	for _, id := range []uint64{0, 1, 42, 1 << 40} {
+		if got, want := kBHistory(id), fmt.Sprintf("bh:%d", id); got != want {
+			t.Fatalf("key %q, fmt built %q", got, want)
+		}
+		if got, want := kHistory(id), fmt.Sprintf("h:%d", id); got != want {
+			t.Fatalf("key %q, fmt built %q", got, want)
+		}
+	}
+}
+
+func TestRowsMatchSprintfAndParseBack(t *testing.T) {
+	x := func(n int) string { return strings.Repeat("x", n) }
+	for _, pad := range []int{0, 1, 60, 1000} {
+		for _, a := range codecInts {
+			for _, b := range codecInts {
+				for _, c := range []struct {
+					got  []byte
+					want string
+					vals []int
+				}{
+					{row(pad, a), fmt.Sprintf("%d|%s", a, x(pad)), []int{a}},
+					{row(pad, a, b), fmt.Sprintf("%d|%d|%s", a, b, x(pad)), []int{a, b}},
+					{row(pad, a, b, 0, b), fmt.Sprintf("%d|%d|0|%d|%s", a, b, b, x(pad)), []int{a, b, 0, b}},
+					{encDistrict(a, b, a, pad), fmt.Sprintf("%d|%d|%d|%s", a, b, a, x(pad)), []int{a, b, a}},
+					{itemRow(a, b, pad), fmt.Sprintf("%d|item-%d|%s", a, b, x(pad)), []int{a}},
+				} {
+					if string(c.got) != c.want {
+						t.Fatalf("row %q, fmt built %q", c.got, c.want)
+					}
+					// Parse back, and agree with what Sscanf read.
+					got := make([]int, len(c.vals))
+					ptrs := make([]*int, len(got))
+					args := make([]any, len(got))
+					old := make([]int, len(got))
+					for i := range got {
+						ptrs[i], args[i] = &got[i], &old[i]
+					}
+					if err := parseRow(c.got, ptrs...); err != nil {
+						t.Fatalf("parseRow(%q): %v", c.got, err)
+					}
+					if _, err := fmt.Sscanf(c.want, strings.Repeat("%d|", len(got)), args...); err != nil {
+						t.Fatalf("Sscanf(%q): %v", c.want, err)
+					}
+					for i := range got {
+						if got[i] != c.vals[i] || got[i] != old[i] {
+							t.Fatalf("row %q field %d: parsed %d, Sscanf %d, wrote %d", c.got, i, got[i], old[i], c.vals[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if got, want := string(row(120)), x(120); got != want {
+		t.Fatalf("stress value %q, want %q", got, want)
+	}
+}
+
+func TestParseRowRejectsMalformed(t *testing.T) {
+	for _, bad := range []string{"", "|", "x|", "-|", "12", "12x|", "1|x|"} {
+		var a, b int
+		if err := parseRow([]byte(bad), &a, &b); err == nil {
+			t.Errorf("parseRow(%q) accepted", bad)
+		}
+	}
+	// Fields before the malformed one are stored, as Sscanf did.
+	var a, b int
+	if err := parseRow([]byte("7|xxxx"), &a, &b); err == nil || a != 7 {
+		t.Fatalf("parseRow kept a=%d err=%v, want 7 and an error", a, err)
+	}
+}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -54,21 +53,21 @@ func (w *TPCB) applyDefaults() {
 // Name implements Workload.
 func (w *TPCB) Name() string { return "tpcb" }
 
-func kBranch(b int) string       { return fmt.Sprintf("b:%d", b) }
-func kTeller(b, t int) string    { return fmt.Sprintf("t:%d:%d", b, t) }
-func kAccount(b, a int) string   { return fmt.Sprintf("a:%d:%d", b, a) }
-func kBHistory(id uint64) string { return fmt.Sprintf("bh:%d", id) }
+func kBranch(b int) string       { return key("b", b) }
+func kTeller(b, t int) string    { return key("t", b, t) }
+func kAccount(b, a int) string   { return key("a", b, a) }
+func kBHistory(id uint64) string { return key("bh", int(id)) }
 
 // Load populates branches, tellers and accounts.
 func (w *TPCB) Load(p *sim.Proc, e *engine.Engine) error {
 	w.applyDefaults()
 	for _, b := range w.ownedBranches() {
 		tx := e.Begin(p)
-		if err := tx.Put(kBranch(b), []byte(fmt.Sprintf("0|%s", filler(w.RowFiller)))); err != nil {
+		if err := tx.Put(kBranch(b), row(w.RowFiller, 0)); err != nil {
 			return err
 		}
 		for t := 1; t <= w.Tellers; t++ {
-			if err := tx.Put(kTeller(b, t), []byte(fmt.Sprintf("0|%s", filler(w.RowFiller)))); err != nil {
+			if err := tx.Put(kTeller(b, t), row(w.RowFiller, 0)); err != nil {
 				return err
 			}
 		}
@@ -77,7 +76,7 @@ func (w *TPCB) Load(p *sim.Proc, e *engine.Engine) error {
 		}
 		tx = e.Begin(p)
 		for a := 1; a <= w.Accounts; a++ {
-			if err := tx.Put(kAccount(b, a), []byte(fmt.Sprintf("0|%s", filler(w.RowFiller)))); err != nil {
+			if err := tx.Put(kAccount(b, a), row(w.RowFiller, 0)); err != nil {
 				return err
 			}
 			if a%200 == 0 {
@@ -116,10 +115,10 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 			return errors.New("tpcb: row missing: " + key)
 		}
 		var bal int
-		_, _ = fmt.Sscanf(string(v), "%d|", &bal)
-		return tx.Put(key, []byte(fmt.Sprintf("%d|%s", bal+delta, filler(w.RowFiller))))
+		_ = parseRow(v, &bal)
+		return tx.Put(key, row(w.RowFiller, bal+delta))
 	}
-	for _, key := range []string{kAccount(b, a), kTeller(b, t), kBranch(b)} {
+	for _, key := range [...]string{kAccount(b, a), kTeller(b, t), kBranch(b)} {
 		if err := bump(key); err != nil {
 			tx.Abort()
 			return err
@@ -127,7 +126,7 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	w.hist++
 	hk := kBHistory(w.hist)
-	hv := []byte(fmt.Sprintf("%d|%d|%d|%d|%s", b, t, a, delta, filler(w.RowFiller)))
+	hv := row(w.RowFiller, b, t, a, delta)
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err
@@ -148,6 +147,7 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 type Stress struct {
 	ValueSize int // default 120
 	clientSeq map[int]uint64
+	value     []byte // the one value every row carries; never modified
 }
 
 // Name implements Workload.
@@ -165,9 +165,12 @@ func (w *Stress) DoAs(p *sim.Proc, e *engine.Engine, j *Journal, client int) err
 	if w.clientSeq == nil {
 		w.clientSeq = make(map[int]uint64)
 	}
+	if len(w.value) != w.ValueSize {
+		w.value = row(w.ValueSize)
+	}
 	w.clientSeq[client]++
-	k := fmt.Sprintf("st:%d:%d", client, w.clientSeq[client])
-	v := []byte(filler(w.ValueSize))
+	k := key("st", client, int(w.clientSeq[client]))
+	v := w.value
 	tx := e.Begin(p)
 	if err := tx.Put(k, v); err != nil {
 		tx.Abort()

@@ -3,7 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -63,25 +63,32 @@ func (w *TPCC) applyDefaults() {
 // Name implements Workload.
 func (w *TPCC) Name() string { return "tpcc" }
 
-func filler(n int) string { return strings.Repeat("x", n) }
-
 // Key builders.
-func kWarehouse(wid int) string              { return fmt.Sprintf("w:%d", wid) }
-func kDistrict(wid, did int) string          { return fmt.Sprintf("d:%d:%d", wid, did) }
-func kCustomer(wid, did, cid int) string     { return fmt.Sprintf("c:%d:%d:%d", wid, did, cid) }
-func kItem(iid int) string                   { return fmt.Sprintf("i:%d", iid) }
-func kStock(wid, iid int) string             { return fmt.Sprintf("s:%d:%d", wid, iid) }
-func kOrder(wid, did, oid int) string        { return fmt.Sprintf("o:%d:%d:%d", wid, did, oid) }
-func kOrderLine(wid, did, oid, l int) string { return fmt.Sprintf("ol:%d:%d:%d:%d", wid, did, oid, l) }
-func kHistory(id uint64) string              { return fmt.Sprintf("h:%d", id) }
+func kWarehouse(wid int) string              { return key("w", wid) }
+func kDistrict(wid, did int) string          { return key("d", wid, did) }
+func kCustomer(wid, did, cid int) string     { return key("c", wid, did, cid) }
+func kItem(iid int) string                   { return key("i", iid) }
+func kStock(wid, iid int) string             { return key("s", wid, iid) }
+func kOrder(wid, did, oid int) string        { return key("o", wid, did, oid) }
+func kOrderLine(wid, did, oid, l int) string { return key("ol", wid, did, oid, l) }
+func kHistory(id uint64) string              { return key("h", int(id)) }
+
+// itemRow is the one row with a text field: price|item-<id>|filler.
+func itemRow(price, id, pad int) []byte {
+	b := strconv.AppendInt(make([]byte, 0, 32+pad), int64(price), 10)
+	b = append(b, "|item-"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, '|')
+	return appendFiller(b, pad)
+}
 
 // district value: nextOID|nextDeliveryOID|ytd|filler
 func encDistrict(nextOID, nextDeliv, ytd int, pad int) []byte {
-	return []byte(fmt.Sprintf("%d|%d|%d|%s", nextOID, nextDeliv, ytd, filler(pad)))
+	return row(pad, nextOID, nextDeliv, ytd)
 }
 
 func decDistrict(v []byte) (nextOID, nextDeliv, ytd int, err error) {
-	_, err = fmt.Sscanf(string(v), "%d|%d|%d|", &nextOID, &nextDeliv, &ytd)
+	err = parseRow(v, &nextOID, &nextDeliv, &ytd)
 	return
 }
 
@@ -94,7 +101,7 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 	// Items (read-mostly).
 	tx := e.Begin(p)
 	for i := 1; i <= w.Items; i++ {
-		if err := put(tx, kItem(i), []byte(fmt.Sprintf("%d|item-%d|%s", 100+i%900, i, filler(w.RowFiller)))); err != nil {
+		if err := put(tx, kItem(i), itemRow(100+i%900, i, w.RowFiller)); err != nil {
 			return err
 		}
 		if i%200 == 0 { // bound transaction size during load
@@ -110,7 +117,7 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 
 	for _, wid := range w.ownedWarehouses() {
 		tx := e.Begin(p)
-		if err := put(tx, kWarehouse(wid), []byte(fmt.Sprintf("0|%s", filler(w.RowFiller)))); err != nil {
+		if err := put(tx, kWarehouse(wid), row(w.RowFiller, 0)); err != nil {
 			return err
 		}
 		for did := 1; did <= w.Districts; did++ {
@@ -118,7 +125,7 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 				return err
 			}
 			for cid := 1; cid <= w.Customers; cid++ {
-				if err := put(tx, kCustomer(wid, did, cid), []byte(fmt.Sprintf("0|0|%s", filler(w.RowFiller)))); err != nil {
+				if err := put(tx, kCustomer(wid, did, cid), row(w.RowFiller, 0, 0)); err != nil {
 					return err
 				}
 			}
@@ -128,7 +135,7 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 			tx = e.Begin(p)
 		}
 		for i := 1; i <= w.Items; i++ {
-			if err := put(tx, kStock(wid, i), []byte(fmt.Sprintf("%d|0|%s", 50+i%50, filler(w.RowFiller)))); err != nil {
+			if err := put(tx, kStock(wid, i), row(w.RowFiller, 50+i%50, 0)); err != nil {
 				return err
 			}
 			if i%200 == 0 {
@@ -220,7 +227,7 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 			return err
 		}
 		var price int
-		_, _ = fmt.Sscanf(string(iv), "%d|", &price)
+		_ = parseRow(iv, &price)
 		qty := 1 + r.Intn(10)
 		total += price * qty
 
@@ -234,21 +241,21 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 			return err
 		}
 		var sQty, sYtd int
-		_, _ = fmt.Sscanf(string(sv), "%d|%d|", &sQty, &sYtd)
+		_ = parseRow(sv, &sQty, &sYtd)
 		sQty -= qty
 		if sQty < 10 {
 			sQty += 91
 		}
-		if err := tx.Put(sk, []byte(fmt.Sprintf("%d|%d|%s", sQty, sYtd+qty, filler(w.RowFiller)))); err != nil {
+		if err := tx.Put(sk, row(w.RowFiller, sQty, sYtd+qty)); err != nil {
 			tx.Abort()
 			return err
 		}
-		if err := tx.Put(kOrderLine(wid, did, oid, l), []byte(fmt.Sprintf("%d|%d|%d|%s", iid, qty, price*qty, filler(w.RowFiller)))); err != nil {
+		if err := tx.Put(kOrderLine(wid, did, oid, l), row(w.RowFiller, iid, qty, price*qty)); err != nil {
 			tx.Abort()
 			return err
 		}
 	}
-	orderVal := []byte(fmt.Sprintf("%d|%d|0|%d|%s", cid, nLines, total, filler(w.RowFiller)))
+	orderVal := row(w.RowFiller, cid, nLines, 0, total)
 	if err := tx.Put(kOrder(wid, did, oid), orderVal); err != nil {
 		tx.Abort()
 		return err
@@ -280,8 +287,8 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	var wYtd int
-	_, _ = fmt.Sscanf(string(wv), "%d|", &wYtd)
-	if err := tx.Put(kWarehouse(wid), []byte(fmt.Sprintf("%d|%s", wYtd+amount, filler(w.RowFiller)))); err != nil {
+	_ = parseRow(wv, &wYtd)
+	if err := tx.Put(kWarehouse(wid), row(w.RowFiller, wYtd+amount)); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -307,14 +314,14 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	var bal, pays int
-	_, _ = fmt.Sscanf(string(cv), "%d|%d|", &bal, &pays)
-	if err := tx.Put(kCustomer(wid, did, cid), []byte(fmt.Sprintf("%d|%d|%s", bal-amount, pays+1, filler(w.RowFiller)))); err != nil {
+	_ = parseRow(cv, &bal, &pays)
+	if err := tx.Put(kCustomer(wid, did, cid), row(w.RowFiller, bal-amount, pays+1)); err != nil {
 		tx.Abort()
 		return err
 	}
 	w.hist++
 	hk := kHistory(w.hist)
-	hv := []byte(fmt.Sprintf("%d|%d|%d|%d|%s", wid, did, cid, amount, filler(w.RowFiller)))
+	hv := row(w.RowFiller, wid, did, cid, amount)
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err
@@ -351,7 +358,7 @@ func (w *TPCC) orderStatus(p *sim.Proc, e *engine.Engine) error {
 		}
 		if ok {
 			var ocid, nLines int
-			_, _ = fmt.Sscanf(string(ov), "%d|%d|", &ocid, &nLines)
+			_ = parseRow(ov, &ocid, &nLines)
 			for l := 1; l <= nLines; l++ {
 				if _, _, err := tx.Get(kOrderLine(wid, did, oid, l)); err != nil {
 					tx.Abort()
@@ -388,8 +395,8 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	var cid, nLines, delivered, total int
-	_, _ = fmt.Sscanf(string(ov), "%d|%d|%d|%d|", &cid, &nLines, &delivered, &total)
-	newOrderVal := []byte(fmt.Sprintf("%d|%d|1|%d|%s", cid, nLines, total, filler(w.RowFiller)))
+	_ = parseRow(ov, &cid, &nLines, &delivered, &total)
+	newOrderVal := row(w.RowFiller, cid, nLines, 1, total)
 	if err := tx.Put(kOrder(wid, did, oid), newOrderVal); err != nil {
 		tx.Abort()
 		return err
@@ -403,8 +410,8 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	var bal, pays int
-	_, _ = fmt.Sscanf(string(cv), "%d|%d|", &bal, &pays)
-	if err := tx.Put(kCustomer(wid, did, cid), []byte(fmt.Sprintf("%d|%d|%s", bal+total, pays, filler(w.RowFiller)))); err != nil {
+	_ = parseRow(cv, &bal, &pays)
+	if err := tx.Put(kCustomer(wid, did, cid), row(w.RowFiller, bal+total, pays)); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -448,7 +455,7 @@ func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
 			continue
 		}
 		var cid, nLines int
-		_, _ = fmt.Sscanf(string(ov), "%d|%d|", &cid, &nLines)
+		_ = parseRow(ov, &cid, &nLines)
 		for l := 1; l <= nLines && l <= 5; l++ {
 			lv, ok, err := tx.Get(kOrderLine(wid, did, oid, l))
 			if err != nil {
@@ -459,7 +466,7 @@ func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
 				continue
 			}
 			var iid int
-			_, _ = fmt.Sscanf(string(lv), "%d|", &iid)
+			_ = parseRow(lv, &iid)
 			if _, _, err := tx.Get(kStock(wid, iid)); err != nil {
 				tx.Abort()
 				return err
