@@ -148,6 +148,7 @@ func dumpRepresentativeTrace(path, flightPath string, seed int64) error {
 	if err != nil {
 		return err
 	}
+	defer dep.Close()
 	done := dep.S.NewEvent("done")
 	var runErr error
 	dep.S.Spawn(dep.Plat.Domain(), "bench", func(p *rapilog.Proc) {

@@ -103,6 +103,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	defer dep.Close()
 	if *trace {
 		dep.S.SetTrace(func(at sim.Time, format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[%12v] %s\n", at, fmt.Sprintf(format, args...))
@@ -234,6 +235,7 @@ func runSharded(cfg rapilog.Config, n int, wl string, clients int, duration, war
 	if err != nil {
 		fatalf("%v", err)
 	}
+	defer sh.Close()
 
 	// Weak scaling: per-shard workload provisioning is constant, so the
 	// fleet's data set grows with the shard count.

@@ -16,6 +16,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	defer dep.Close()
 	journal := rapilog.NewJournal()
 
 	dep.S.Spawn(dep.Plat.Domain(), "db", func(p *rapilog.Proc) {

@@ -34,6 +34,7 @@ func scenario(mode rapilog.Mode) int {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 	journal := rapilog.NewJournal()
 	w := &rapilog.Stress{}
 	crashed := dep.S.NewEvent("crashed")

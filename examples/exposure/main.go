@@ -28,6 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 
 	done := dep.S.NewEvent("done")
 	dep.S.Spawn(dep.Plat.Domain(), "db", func(p *rapilog.Proc) {

@@ -30,6 +30,7 @@ const guests = 3
 
 func main() {
 	s := sim.New(5)
+	defer s.Close()
 	machine := power.NewMachine(s, "consolidator", 8, rapilog.PSUMeasured)
 	hyper := hv.New(machine, hv.Config{})
 

@@ -24,6 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 	dep.S.SetTrace(func(at sim.Time, format string, args ...any) {
 		fmt.Printf("  [%12v] %s\n", at, fmt.Sprintf(format, args...))
 	})

@@ -20,6 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 	fmt.Printf("deployment: %s mode, safe buffer bound %d KiB\n",
 		dep.Cfg.Mode, dep.Logger.MaxBuffer()/1024)
 

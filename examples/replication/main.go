@@ -29,6 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 	// The local durability domain's last resort — the emergency dump zone —
 	// fails every write from the start. Only the standbys can save us.
 	dep.FaultyDump.AddBadRange(0, dep.DumpPart.Sectors(), false)

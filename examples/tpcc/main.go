@@ -36,6 +36,7 @@ func run(mode rapilog.Mode, clients int) (tps float64, p50, p99 time.Duration) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer dep.Close()
 	w := &rapilog.TPCC{Warehouses: 4, Districts: 10, Customers: 30, Items: 300}
 	var res rapilog.RunResult
 	done := dep.S.NewEvent("done")

@@ -135,6 +135,7 @@ func measureTPCC(cfg rig.Config, wl *workload.TPCC, clients int, warmup, dur tim
 	if err != nil {
 		return workload.RunResult{}, err
 	}
+	defer r.Close()
 	var out tpccResult
 	done := r.S.NewEvent("bench.done")
 	r.S.Spawn(r.Plat.Domain(), "bench", func(p *sim.Proc) {

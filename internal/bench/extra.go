@@ -63,6 +63,7 @@ func measureWorkload(cfg rig.Config, wl workload.Workload, clients int, warmup, 
 	if err != nil {
 		return workload.RunResult{}, err
 	}
+	defer r.Close()
 	var res workload.RunResult
 	var benchErr error
 	done := r.S.NewEvent("bench.done")
@@ -187,6 +188,7 @@ func recoveryTimeTrial(seed int64, ckptEvery, loadFor time.Duration) (redone int
 	if rerr != nil {
 		return 0, 0, 0, rerr
 	}
+	defer r.Close()
 	s := r.S
 	w := &workload.Stress{ValueSize: 200}
 	s.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {

@@ -20,6 +20,7 @@ func stressRun(cfg rig.Config, clients int, warmup, dur time.Duration, valueSize
 	if err != nil {
 		return workload.RunResult{}, nil, nil, err
 	}
+	defer r.Close() // the returned rig stays readable (stats), it just runs no more
 	var res workload.RunResult
 	var hist *metrics.Histogram
 	var benchErr error

@@ -64,6 +64,7 @@ func runE10(opts Options) (*Report, error) {
 
 func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Device, pattern string, ops int) (time.Duration, float64, float64, error) {
 	s := sim.New(seed)
+	defer s.Close()
 	m := power.NewMachine(s, "m", 2, power.PSUMeasured)
 	dev := mk(s, m.HardwareDomain())
 	m.AttachDevice(dev)

@@ -162,6 +162,7 @@ func perfSleepWake(seed int64) (PerfCase, error) {
 	var runErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		s := sim.New(seed)
+		defer s.Close()
 		n := 0
 		s.Spawn(nil, "sleeper", func(p *sim.Proc) {
 			for ; n < b.N; n++ {
@@ -196,6 +197,7 @@ func perfLoggerWrite(seed int64, absorb bool) (PerfCase, error) {
 			runErr = err
 			return
 		}
+		defer r.Close()
 		data := make([]byte, 4096)
 		blocks := r.Logger.Sectors()/8 - 1
 		n := 0
@@ -244,6 +246,7 @@ func perfCommit(seed int64, mode rig.Mode) (PerfCase, error) {
 			runErr = err
 			return
 		}
+		defer r.Close()
 		n := 0
 		r.S.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {
 			e, err := r.Boot(p)
@@ -303,6 +306,7 @@ func perfCommitQuorum(seed int64) (PerfCase, error) {
 			runErr = err
 			return
 		}
+		defer r.Close()
 		n := 0
 		r.S.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {
 			e, err := r.Boot(p)
@@ -365,6 +369,7 @@ func perfShipThroughput(seed int64) (PerfCase, error) {
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		s := sim.New(seed)
+		defer s.Close()
 		reg := obs.NewRegistry()
 		fab := netsim.New(s, netsim.Config{Seed: seed + 1, Reg: reg})
 		cfg := replica.Config{Reg: reg}
@@ -421,6 +426,7 @@ func perfShardScaling(shards, clientsPerShard int, dur, warmup time.Duration, se
 	if err != nil {
 		return PerfCase{}, err
 	}
+	defer sh.Close()
 	base := workload.TPCB{Branches: 4 * shards, Tellers: 4, Accounts: 200}
 	parts, err := workload.PartitionTPCB(base, sh.Router)
 	if err != nil {
@@ -483,6 +489,7 @@ func perfWorkload(name string, wl workload.Workload, clients int, dur, warmup ti
 	if err != nil {
 		return PerfCase{}, err
 	}
+	defer r.Close()
 	var res workload.RunResult
 	var runErr error
 	var events uint64
@@ -546,6 +553,7 @@ func perfFailoverTakeover(seed int64, quick bool) (PerfCase, error) {
 	if err != nil {
 		return PerfCase{}, err
 	}
+	defer c.Close()
 	s := c.S
 	dir := workload.NewDirectory()
 	c.OnPromote = func(gen int, name string, e *engine.Engine, dom *sim.Domain) {

@@ -92,6 +92,7 @@ func runE5(opts Options) (*Report, error) {
 				return nil, err
 			}
 			safe := core.SafeBufferSize(m, zone)
+			s.Close() // only built to be measured; its device daemons never ran
 			est := "n/a"
 			live := "n/a"
 			if safe > 0 {
@@ -146,6 +147,7 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 	if err != nil {
 		return false, err
 	}
+	defer r.Close()
 	s := r.S
 	type ackRec struct {
 		lba  int64

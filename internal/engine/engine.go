@@ -244,7 +244,9 @@ func (e *Engine) onWalDurable(lsn uint64) {
 		e.stats.DurableLatency.Observe(now.Sub(pc.start))
 		e.tracer().Emit(now.Duration(), obs.EvTxDurable, 0, pc.span, int64(pc.txid), 0)
 	}
-	e.pendingDurable = e.pendingDurable[n:]
+	// Shift rather than reslice: e.pendingDurable[n:] would walk the backing
+	// array forward and make every append past its end reallocate.
+	e.pendingDurable = e.pendingDurable[:copy(e.pendingDurable, e.pendingDurable[n:])]
 }
 
 // tracer returns the engine's tracer (nil — a no-op — when unconfigured).

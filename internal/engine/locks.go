@@ -17,6 +17,22 @@ var ErrLockTimeout = errors.New("engine: lock wait timeout")
 // the waits-for graph. The victim should retry.
 var ErrDeadlock = errors.New("engine: deadlock detected")
 
+// lockError is ErrLockTimeout or ErrDeadlock with the request that met it.
+// Contended workloads abort and retry often, so the message is formatted
+// only if someone reads it.
+type lockError struct {
+	cause error
+	key   string
+	mode  LockMode
+	txid  uint64
+}
+
+func (e *lockError) Error() string {
+	return fmt.Sprintf("%v: key %q mode %v tx %d", e.cause, e.key, e.mode, e.txid)
+}
+
+func (e *lockError) Unwrap() error { return e.cause }
+
 // LockMode is a row lock strength.
 type LockMode int
 
@@ -130,7 +146,7 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	// Exact deadlock detection: refuse to wait if doing so closes a cycle
 	// in the waits-for graph. The requester is the victim and retries.
 	if lt.wouldDeadlock(txid, lk) {
-		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrDeadlock, key, mode, txid)
+		return false, &lockError{ErrDeadlock, key, mode, txid}
 	}
 	req := lt.newReq(txid, key, mode)
 	if upgrade {
@@ -149,7 +165,7 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	// request stays behind with the abandoned transaction.)
 	lt.freeReqs = append(lt.freeReqs, req)
 	if !granted {
-		return false, fmt.Errorf("%w: key %q mode %v tx %d", ErrLockTimeout, key, mode, txid)
+		return false, &lockError{ErrLockTimeout, key, mode, txid}
 	}
 	return !holds, nil
 }

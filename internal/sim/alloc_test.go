@@ -98,3 +98,61 @@ func TestQueueHandoffAllocBound(t *testing.T) {
 		t.Fatalf("queue handoff steady state allocates %.1f per 100 handoffs, want <= 5", allocs)
 	}
 }
+
+// TestTimedWaitZeroAlloc pins a timed wait that ends by its event firing:
+// the timeout timer comes from the pool, is cancelled in park and goes
+// straight back, and the reused event keeps its waiter array.
+func TestTimedWaitZeroAlloc(t *testing.T) {
+	s := New(1)
+	ev := s.NewEvent("grant")
+	w := s.Spawn(nil, "waiter", func(p *Proc) {
+		for {
+			ev.Reset()
+			if !ev.WaitTimeout(p, time.Hour) {
+				t.Error("timed out")
+			}
+		}
+	})
+	w.SetDaemon(true)
+	f := s.Spawn(nil, "firer", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			ev.Fire()
+		}
+	})
+	f.SetDaemon(true)
+	if err := s.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("timed wait + fire allocates %.1f per RunFor(1ms) (~1000 waits), want 0", allocs)
+	}
+	if n := s.events.len(); n > 2 {
+		t.Fatalf("%d timers queued in steady state, want <= 2", n)
+	}
+}
+
+// TestSpawnAllocBound pins what a process costs to create and retire: the
+// Proc, its body closure and iter.Pull's coroutine state. The session path
+// spawns one process per operation, so this is on a commit path.
+func TestSpawnAllocBound(t *testing.T) {
+	s := New(1)
+	defer s.Close()
+	body := func(p *Proc) {}
+	spawn := func() {
+		s.Spawn(nil, "p", body)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn() // root domain, timer pool
+	if allocs := testing.AllocsPerRun(100, spawn); allocs > 13 {
+		t.Fatalf("Spawn + run to completion allocates %.1f, want <= 13", allocs)
+	}
+}

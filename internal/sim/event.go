@@ -56,11 +56,12 @@ func (e *Event) Fire() {
 		return
 	}
 	e.fired = true
-	ws := e.waiters
-	e.waiters = nil
-	for _, w := range ws {
+	// wake only schedules timers, so nothing appends while we iterate; the
+	// backing array stays for an owner that Resets and reuses the event.
+	for _, w := range e.waiters {
 		w.wake()
 	}
+	e.waiters = e.waiters[:0]
 }
 
 // Wait blocks p until the event fires.

@@ -34,19 +34,20 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic(fmt.Sprintf("sim: mutex %q: recursive lock by %s", m.name, p.name))
 	}
-	w := p.newWaiter(m, waitPlain)
-	m.queue = append(m.queue, w)
-	p.abort = func() {
-		// Killed while waiting: either still queued, or ownership was
-		// handed to us while parked — pass it on in that case.
-		if m.owner == p {
-			m.passOn()
-			return
-		}
-		m.removeWaiter(w)
-	}
+	m.queue = append(m.queue, p.newWaiter(m, waitPlain))
+	p.abort = m
 	p.park()
 	// Ownership was assigned by the unlocker before waking us.
+}
+
+// abortWait: killed while waiting — either still queued, or ownership was
+// handed to the waiter while it was parked; pass it on in that case.
+func (m *Mutex) abortWait(w waiter) {
+	if m.owner == w.p {
+		m.passOn()
+		return
+	}
+	m.removeWaiter(w)
 }
 
 // TryLock acquires the mutex if it is free, reporting success.
@@ -154,9 +155,8 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		r.avail -= n
 		return
 	}
-	w := p.newWaiter(r, waitPlain)
-	r.queue = append(r.queue, resWaiter{w: w, n: n})
-	p.abort = func() { r.removeWaiter(w) }
+	r.queue = append(r.queue, resWaiter{w: p.newWaiter(r, waitPlain), n: n})
+	p.abort = r
 	p.park()
 	// Units were debited by the releaser before waking us.
 }
@@ -203,6 +203,8 @@ func (r *Resource) grant() {
 		head.w.wake()
 	}
 }
+
+func (r *Resource) abortWait(w waiter) { r.removeWaiter(w) }
 
 func (r *Resource) removeWaiter(w waiter) {
 	for i, other := range r.queue {

@@ -21,9 +21,8 @@ func popFront[T any](s []T) []T {
 // rendezvous semantics. Queues model I/O request rings, drain work lists,
 // and client/server request channels.
 //
-// Blocked-side bookkeeping (qGetter/qPutter) is pooled per queue, and each
-// pooled object carries a prebuilt abort hook, so the steady-state blocking
-// paths allocate nothing.
+// Blocked-side bookkeeping (qGetter/qPutter) is pooled per queue and is its
+// own abort hook, so the steady-state blocking paths allocate nothing.
 type Queue[T any] struct {
 	name    string
 	cap     int
@@ -37,19 +36,30 @@ type Queue[T any] struct {
 }
 
 type qGetter[T any] struct {
+	q         *Queue[T]
 	w         waiter
 	v         T
 	ok        bool
 	delivered bool
-	abort     func() // prebuilt: dequeue + free this getter on kill
 }
 
 type qPutter[T any] struct {
+	q        *Queue[T]
 	w        waiter
 	v        T
 	accepted bool
 	closed   bool
-	abort    func() // prebuilt: dequeue + free this putter on kill
+}
+
+// abortWait: killed while blocked — leave the queue and return to the pool.
+func (g *qGetter[T]) abortWait(waiter) {
+	g.q.removeGetter(g)
+	g.q.freeGetter(g)
+}
+
+func (pu *qPutter[T]) abortWait(waiter) {
+	pu.q.removePutter(pu)
+	pu.q.freePutter(pu)
 }
 
 // NewQueue creates a queue with the given capacity (>= 0).
@@ -83,11 +93,7 @@ func (q *Queue[T]) newGetter(p *Proc) *qGetter[T] {
 		g = q.getterPool[n-1]
 		q.getterPool = q.getterPool[:n-1]
 	} else {
-		g = &qGetter[T]{}
-		g.abort = func() {
-			q.removeGetter(g)
-			q.freeGetter(g)
-		}
+		g = &qGetter[T]{q: q}
 	}
 	g.w = p.newWaiter(q, waitGet)
 	return g
@@ -107,11 +113,7 @@ func (q *Queue[T]) newPutter(p *Proc, v T) *qPutter[T] {
 		pu = q.putterPool[n-1]
 		q.putterPool = q.putterPool[:n-1]
 	} else {
-		pu = &qPutter[T]{}
-		pu.abort = func() {
-			q.removePutter(pu)
-			q.freePutter(pu)
-		}
+		pu = &qPutter[T]{q: q}
 	}
 	pu.w = p.newWaiter(q, waitPut)
 	pu.v = v
@@ -142,7 +144,7 @@ func (q *Queue[T]) Put(p *Proc, v T) error {
 	}
 	pu := q.newPutter(p, v)
 	q.putters = append(q.putters, pu)
-	p.abort = pu.abort
+	p.abort = pu
 	p.park()
 	closed := pu.closed
 	q.freePutter(pu)
@@ -192,7 +194,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	}
 	g := q.newGetter(p)
 	q.getters = append(q.getters, g)
-	p.abort = g.abort
+	p.abort = g
 	p.park()
 	v, ok = g.v, g.ok
 	q.freeGetter(g)

@@ -396,7 +396,15 @@ type Proc struct {
 	waitOn   waitTarget
 	waitMode waitMode
 	timeout  *timer
-	abort    func()
+	abort    aborter
+}
+
+// aborter is a wait registration that needs cleaning up if the process is
+// killed while parked in it: a primitive with a queue to leave, or a pooled
+// queue entry to return. An interface rather than a closure, so registering
+// it allocates nothing.
+type aborter interface {
+	abortWait(w waiter)
 }
 
 // waitTarget is a primitive a process can park on. It renders the wait for
@@ -491,7 +499,7 @@ func (w waiter) wake() {
 func (p *Proc) runAbort() {
 	if h := p.abort; h != nil {
 		p.abort = nil
-		h()
+		h.abortWait(waiter{p: p, gen: p.waitGen})
 	}
 }
 

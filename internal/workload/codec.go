@@ -34,10 +34,11 @@ func row(pad int, fields ...int) []byte {
 }
 
 func appendFiller(b []byte, n int) []byte {
-	for ; n > 0; n-- {
-		b = append(b, 'x')
+	const xs = "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
+	for ; n > len(xs); n -= len(xs) {
+		b = append(b, xs...)
 	}
-	return b
+	return append(b, xs[:n]...)
 }
 
 var errBadRow = errors.New("workload: malformed row")

@@ -126,8 +126,9 @@ func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) Run
 
 	for c := 0; c < cfg.Clients; c++ {
 		client := c
-		sess := &session{dir: dir, w: w, cfg: cfg, client: client, redirects: redirects}
-		s.Spawn(nil, fmt.Sprintf("session%d", client), func(cp *sim.Proc) {
+		name := fmt.Sprintf("session%d", client)
+		sess := &session{dir: dir, w: w, cfg: cfg, client: client, opName: name + ".op", redirects: redirects}
+		s.Spawn(nil, name, func(cp *sim.Proc) {
 			defer func() {
 				running--
 				if running == 0 {
@@ -168,6 +169,7 @@ type session struct {
 	w         Workload
 	cfg       SessionConfig
 	client    int
+	opName    string // the per-operation proxy process's name
 	redirects *metrics.Counter
 	gen       int // last generation this session talked to
 }
@@ -199,7 +201,7 @@ func (se *session) do(cp *sim.Proc) error {
 		// worker is killed so it cannot ack after the session gave up on it.
 		opDone := s.NewEvent("session.op")
 		var opErr error
-		worker := s.Spawn(ld.Dom, fmt.Sprintf("session%d.op", se.client), func(wp *sim.Proc) {
+		worker := s.Spawn(ld.Dom, se.opName, func(wp *sim.Proc) {
 			if st, ok := se.w.(*Stress); ok {
 				opErr = st.DoAs(wp, ld.Eng, se.cfg.Journal, se.client)
 			} else {
