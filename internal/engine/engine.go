@@ -184,30 +184,14 @@ type Engine struct {
 	// checkpoint-retry path re-appends the same encoding after a yield,
 	// during which another transaction may commit and must take a buffer of
 	// its own).
-	bufs       [][]byte
+	bufs       slicePool[byte]
 	lockLists  slicePool[string]  // Tx.locks backing arrays
 	writeLists slicePool[txWrite] // Tx.writes backing arrays
 }
 
-// getBuf takes an empty byte buffer from the freelist (nil when there is
-// none — appending grows it).
-func (e *Engine) getBuf() []byte {
-	if n := len(e.bufs); n > 0 {
-		b := e.bufs[n-1]
-		e.bufs = e.bufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-func (e *Engine) putBuf(b []byte) {
-	if cap(b) > 0 {
-		e.bufs = append(e.bufs, b[:0])
-	}
-}
-
-// slicePool is a freelist of slice backing arrays. put clears the slice, so
-// a pooled array keeps nothing alive.
+// slicePool is a freelist of slice backing arrays; get returns an empty
+// slice (nil when the pool is empty — appending grows it). put clears the
+// slice, so a pooled array keeps nothing alive.
 type slicePool[T any] [][]T
 
 func (sp *slicePool[T]) get() []T {

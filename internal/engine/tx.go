@@ -49,7 +49,7 @@ func (e *Engine) Begin(p *sim.Proc) *Tx {
 		id:     e.nextTxID,
 		locks:  e.lockLists.get(),
 		writes: e.writeLists.get(),
-		vals:   e.getBuf(),
+		vals:   e.bufs.get(),
 		began:  p.Now(),
 	}
 	if tr := e.tracer(); tr.Enabled() {
@@ -163,19 +163,19 @@ func (t *Tx) Commit() error {
 	// re-encodes every write, and it stays valid across the checkpoint
 	// retry's yield.
 	var firstLSN uint64
-	pbuf := e.getBuf()
+	pbuf := e.bufs.get()
 	for i, w := range t.writes {
 		payload := updatePayload(pbuf, w.key, t.val(w), w.del)
 		pbuf = payload
 		lsn, err := e.log.Append(t.p, wal.RecUpdate, t.id, payload)
 		if err != nil {
 			if err = e.maybeCheckpointForSpace(t.p, err); err != nil {
-				e.putBuf(pbuf)
+				e.bufs.put(pbuf)
 				t.Abort()
 				return err
 			}
 			if lsn, err = e.log.Append(t.p, wal.RecUpdate, t.id, payload); err != nil {
-				e.putBuf(pbuf)
+				e.bufs.put(pbuf)
 				t.Abort()
 				return fmt.Errorf("engine: log append after checkpoint: %v", err)
 			}
@@ -186,7 +186,7 @@ func (t *Tx) Commit() error {
 		}
 		e.tracer().Emit(t.p.Now().Duration(), obs.EvWalAppend, 0, t.span, int64(lsn), int64(len(payload)))
 	}
-	e.putBuf(pbuf)
+	e.bufs.put(pbuf)
 	commitLSN, err := e.log.Append(t.p, wal.RecCommit, t.id, nil)
 	if err != nil {
 		delete(e.applying, t.id)
@@ -279,6 +279,6 @@ func (t *Tx) finish() {
 	e.locks.releaseAll(t.id, t.locks)
 	e.lockLists.put(t.locks)
 	e.writeLists.put(t.writes)
-	e.putBuf(t.vals)
+	e.bufs.put(t.vals)
 	t.locks, t.writes, t.vals = nil, nil, nil
 }

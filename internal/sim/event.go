@@ -57,10 +57,12 @@ func (e *Event) Fire() {
 	}
 	e.fired = true
 	// wake only schedules timers, so nothing appends while we iterate; the
-	// backing array stays for an owner that Resets and reuses the event.
+	// (cleared) backing array stays for an owner that Resets and reuses the
+	// event.
 	for _, w := range e.waiters {
 		w.wake()
 	}
+	clear(e.waiters)
 	e.waiters = e.waiters[:0]
 }
 

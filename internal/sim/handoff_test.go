@@ -118,8 +118,8 @@ func TestRecycledTimerCannotWakeTheWrongWait(t *testing.T) {
 	}
 }
 
-// A timeout that does expire still works, and a kill during a timed wait
-// cancels the timeout too.
+// A kill during a timed wait cancels the timeout too: the dead process's
+// timer does not keep Run going until it would have expired.
 func TestKillDuringTimedWaitCancelsTimeout(t *testing.T) {
 	s := New(1)
 	dom := s.NewDomain("guest")

@@ -143,20 +143,18 @@ func (s *Sim) At(t Time, fn func()) {
 // is still parked in wait generation gen when the timer fires. This is the
 // kernel's hottest scheduling path: every sleep, event fire, signal
 // broadcast and resource grant goes through it.
-func (s *Sim) atWake(t Time, p *Proc, gen uint64) {
+func (s *Sim) atWake(t Time, p *Proc, gen uint64) *timer {
 	tm := s.newTimer(t)
 	tm.p, tm.gen, tm.kind = p, gen, tkWake
 	s.events.push(tm)
+	return tm
 }
 
 // atTimeout schedules the expiry of p's current timed wait. The timer is
 // remembered on the process so that park can cancel it when the wait
 // completes another way.
 func (s *Sim) atTimeout(d time.Duration, p *Proc, gen uint64) {
-	tm := s.newTimer(s.now.Add(d))
-	tm.p, tm.gen, tm.kind = p, gen, tkWake
-	s.events.push(tm)
-	p.timeout = tm
+	p.timeout = s.atWake(s.now.Add(d), p, gen)
 }
 
 // atStart schedules the first handoff to a freshly spawned process.
@@ -423,13 +421,11 @@ const (
 	waitPut            // Queue.Put
 )
 
-// waitingOn describes what a parked process is blocked on.
+// waitingOn describes what a parked process is blocked on. Sleep registers
+// no target: it is the kernel's hottest wait.
 func (p *Proc) waitingOn() string {
 	if p.waitOn == nil {
-		if p.parked {
-			return "sleep"
-		}
-		return ""
+		return "sleep"
 	}
 	return p.waitOn.describeWait(p.waitMode)
 }

@@ -118,7 +118,7 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		_ = parseRow(v, &bal)
 		return tx.Put(key, row(w.RowFiller, bal+delta))
 	}
-	for _, key := range [...]string{kAccount(b, a), kTeller(b, t), kBranch(b)} {
+	for _, key := range []string{kAccount(b, a), kTeller(b, t), kBranch(b)} {
 		if err := bump(key); err != nil {
 			tx.Abort()
 			return err
