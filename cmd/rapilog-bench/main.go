@@ -19,11 +19,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 )
 
 func main() {
@@ -92,19 +94,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "[total %v]\n", time.Since(start).Round(time.Millisecond))
 
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		enc := json.NewEncoder(f)
+	if err := cliflags.WriteJSON(*metricsOut, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(values); err != nil {
-			fatalf("writing %s: %v", *metricsOut, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
+		return enc.Encode(values)
+	}); err != nil {
+		fatalf("writing %v", err)
 	}
 	if *traceOut != "" || *flightOut != "" {
 		if err := dumpRepresentativeTrace(*traceOut, *flightOut, *seed); err != nil {
@@ -123,15 +118,7 @@ func runBenchJSON(path, label string, quick bool, seed int64) error {
 	if path == "auto" {
 		path = "BENCH_" + suite.Date + ".json"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := suite.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := cliflags.WriteJSON(path, suite.WriteJSON); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "[perf suite written to %s]\n", path)
@@ -172,32 +159,14 @@ func dumpRepresentativeTrace(path, flightPath string, seed int64) error {
 	if runErr != nil {
 		return runErr
 	}
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := dep.Obs.Tracer().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := cliflags.WriteJSON(path, dep.Obs.Tracer().WriteJSON); err != nil {
+		return err
 	}
-	if flightPath != "" {
-		dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
-		f, err := os.Create(flightPath)
-		if err != nil {
-			return err
-		}
-		if err := dep.Flight.Record().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+	if flightPath == "" {
+		return nil
 	}
-	return nil
+	dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
+	return cliflags.WriteJSON(flightPath, dep.Flight.Record().WriteJSON)
 }
 
 func fatalf(format string, args ...any) {

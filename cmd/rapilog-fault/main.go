@@ -21,17 +21,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
+	"repro/internal/faultinject"
 )
 
 func main() {
+	flags := cliflags.Register(flag.CommandLine, cliflags.Usage{
+		Shards:     "independent log-domain shards on one machine (power-cut only; 0/1 = unsharded)",
+		TraceOut:   "write the retained trial's causal trace dump (JSON) to this file",
+		MetricsOut: "write the retained trial's metrics snapshot (JSON) to this file",
+		FlightOut:  "arm the flight recorder and write the retained trial's frozen record (JSON) to this file",
+	})
 	var (
-		mode      = flag.String("mode", "rapilog", "native-sync | native-async | virt-sync | rapilog | rapilog-replica | rapilog-sharded")
-		shards    = flag.Int("shards", 0, "independent log-domain shards on one machine (power-cut only; 0/1 = unsharded)")
-		engine    = flag.String("engine", "pg", "engine personality: pg | my | cx")
 		fault     = flag.String("fault", "power-cut", "power-cut | guest-crash | disk-error | latency-storm | partition | replica-crash")
 		trials    = flag.Int("trials", 20, "independent trials")
 		clients   = flag.Int("clients", 4, "clients under load during injection")
@@ -42,58 +48,33 @@ func main() {
 		window    = flag.Duration("fault-window", 0, "how long a media fault lasts (disk-error, latency-storm; default 300ms)")
 		errProb   = flag.Float64("err-prob", 0, "per-request write-error probability inside a disk-error window (default 0.7)")
 		permanent = flag.Bool("permanent", false, "disk-error grows a permanent bad-sector range instead (forces degraded pass-through)")
-		// Replication (rapilog-replica mode).
-		replicas  = flag.Int("replicas", 0, "standby replicas in rapilog-replica mode (default 2)")
-		ackPolicy = flag.String("ack-policy", "local", "commit ack policy: local | quorum | remote-only")
-		quorum    = flag.Int("quorum", 0, "replicas that must hold a commit before it acks (quorum/remote-only; default 1)")
-		netLat    = flag.Duration("net-latency", 0, "fabric link latency (default 200µs)")
+		// Replication faults (rapilog-replica mode).
 		partWin   = flag.Duration("partition-window", 0, "how long a partition or replica-crash outage lasts (default fault-window)")
 		then      = flag.String("then", "", "second fault at the outage midpoint: power-cut | guest-crash (partition, replica-crash)")
 		crashReps = flag.Int("crash-replicas", 0, "standbys a replica-crash takes down (default 1)")
 		breakDump = flag.Bool("break-dump", false, "grow a bad-sector range over the whole dump zone: emergency dumps fail")
-		// Forensic artifacts (the retained trial: first violating, else last).
-		traceOut   = flag.String("trace-out", "", "write the retained trial's causal trace dump (JSON) to this file")
-		metricsOut = flag.String("metrics-out", "", "write the retained trial's metrics snapshot (JSON) to this file")
-		flightOut  = flag.String("flight-out", "", "arm the flight recorder and write the retained trial's frozen record (JSON) to this file")
 		// High-availability campaigns (3-node epoch-fenced cluster).
 		exp = flag.String("exp", "", "run a canned HA experiment instead of a single-rig campaign: a11 (leader-loss failover; honours -trials, -clients, -parallel, -seed, -quorum and the artifact flags)")
 	)
 	flag.Parse()
 
-	pers, ok := rapilog.Personalities[*engine]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "rapilog-fault: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-	if err := rapilog.ValidateQuorumFlags(*quorum, *replicas); err != nil {
+	rigCfg, err := flags.Config(*seed)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapilog-fault: %v\n", err)
 		os.Exit(2)
 	}
+	out := &output{perTrial: *perTrial, flags: flags}
 	if *exp != "" {
 		if *exp != "a11" {
 			fmt.Fprintf(os.Stderr, "rapilog-fault: unknown experiment %q for -exp (supported: a11)\n", *exp)
 			os.Exit(2)
 		}
-		runFailoverExp(*trials, *clients, *parallel, *seed, *quorum, *perTrial,
-			*traceOut, *metricsOut, *flightOut)
+		runFailoverExp(out, *trials, *clients, *parallel, *seed, flags.Quorum)
+		out.finish()
 		return
 	}
-	policy, err := rapilog.ParseAckPolicy(*ackPolicy, *quorum)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rapilog-fault: %v\n", err)
-		os.Exit(2)
-	}
-	if rapilog.Mode(*mode) == rapilog.ModeRapiLogSharded && *shards < 2 {
-		*shards = 2
-	}
-	if *shards > 1 && *mode == "rapilog" {
-		*mode = string(rapilog.ModeRapiLogSharded)
-	}
-	rigCfg := rapilog.Config{Seed: *seed, Mode: rapilog.Mode(*mode), Personality: pers,
-		Replicas: *replicas, AckPolicy: policy}
-	rigCfg.Net.Latency = *netLat
-	rigCfg.Trace = *traceOut != "" || *metricsOut != ""
-	rigCfg.Flight = *flightOut != ""
+	// The retained trial's metrics snapshot is captured with its trace.
+	rigCfg.Trace = rigCfg.Trace || flags.MetricsOut != ""
 	cfg := rapilog.CampaignConfig{
 		Rig:             rigCfg,
 		Fault:           rapilog.Fault(*fault),
@@ -107,138 +88,131 @@ func main() {
 		PartitionWindow: *partWin,
 		CrashReplicas:   *crashReps,
 		BreakDump:       *breakDump,
-		Shards:          *shards,
+		Shards:          flags.Shards,
 	}
 	if *wl == "stress" {
 		cfg.NewWorkload = func() rapilog.Workload { return &rapilog.Stress{} }
 	}
 
-	if rapilog.Mode(*mode) == rapilog.ModeRapiLogReplica {
-		n := *replicas
+	if rigCfg.Mode == rapilog.ModeRapiLogReplica {
+		n := flags.Replicas
 		if n == 0 {
 			n = 2
 		}
-		fmt.Printf("replication: %d standbys, ack policy %s\n", n, policy)
+		fmt.Printf("replication: %d standbys, ack policy %s\n", n, rigCfg.AckPolicy)
 	}
-	if *shards > 1 {
-		fmt.Printf("sharding: %d independent log domains, machine-wide plug-pull\n", *shards)
+	if flags.Shards > 1 {
+		fmt.Printf("sharding: %d independent log domains, machine-wide plug-pull\n", flags.Shards)
 	}
 	sum := rapilog.RunCampaign(cfg)
-	if *perTrial {
-		fmt.Printf("%-6s %-12s %-8s %-8s %-6s %-9s %-10s %-9s %-8s\n",
-			"trial", "seed", "acked", "lost", "torn", "degraded", "stranded", "repl_lag", "err")
-		for i, tr := range sum.Trials {
-			errStr := "-"
-			if tr.Err != nil {
-				errStr = tr.Err.Error()
-			}
-			fmt.Printf("%-6d %-12d %-8d %-8d %-6v %-9v %-10d %-9d %-8s\n",
-				i, tr.Seed, tr.Acked, tr.Missing, tr.Torn, tr.Degraded, tr.BufferedAfter, tr.ReplLagMax, errStr)
-		}
-	}
-	fmt.Println(sum)
-	if art := sum.Artifacts; art != nil {
-		fmt.Printf("artifacts: trial %d (seed %d)\n", art.Trial, art.Seed)
-		writeArtifact(*traceOut, "trace", func(f *os.File) error { return art.Trace.WriteJSON(f) })
-		if art.Metrics != nil {
-			writeArtifact(*metricsOut, "metrics", func(f *os.File) error { return art.Metrics.WriteJSON(f) })
-		}
-		if art.Flight != nil {
-			writeArtifact(*flightOut, "flight record", func(f *os.File) error { return art.Flight.WriteJSON(f) })
-		}
-	}
-	if sum.Violations > 0 || sum.Errors > 0 {
-		os.Exit(1)
-	}
+	report(out, sum, sum.Artifacts, sum.Trials,
+		fmt.Sprintf("%-6s %-12s %-8s %-8s %-6s %-9s %-10s %-9s %-8s",
+			"trial", "seed", "acked", "lost", "torn", "degraded", "stranded", "repl_lag", "err"),
+		func(i int, tr rapilog.TrialResult) string {
+			return fmt.Sprintf("%-6d %-12d %-8d %-8d %-6v %-9v %-10d %-9d %-8s",
+				i, tr.Seed, tr.Acked, tr.Missing, tr.Torn, tr.Degraded, tr.BufferedAfter, tr.ReplLagMax, errStr(tr.Err))
+		})
+	out.finish()
 }
 
 // runFailoverExp drives the A11 leader-loss campaigns: plug-pull, isolation
 // and a composed coordinator-crash+plug-pull against a fresh 3-node
 // epoch-fenced cluster per trial, auditing zero acked-quorum loss and zero
-// split-brain. Forensic artifacts retain the first bad trial across all
-// three campaigns (else the last clean one).
-func runFailoverExp(trials, clients, parallel int, seed int64, quorum int, perTrial bool,
-	traceOut, metricsOut, flightOut string) {
+// split-brain. Forensic artifacts retain the first bad campaign's capture
+// across all three (else the last clean one's).
+func runFailoverExp(out *output, trials, clients, parallel int, seed int64, quorum int) {
 	k := quorum
 	if k == 0 {
 		k = 1
 	}
-	campaigns := []struct {
-		label string
-		fault rapilog.FailoverFault
-	}{
-		{"power-cut", rapilog.FaultLeaderPowerCut},
-		{"isolation", rapilog.FaultLeaderIsolation},
-		{"coordinator+power-cut", rapilog.FaultCoordAndLeader},
-	}
 	fmt.Printf("ha: 3-node cluster, ack policy quorum(%d), %d trials per campaign\n", k, trials)
-
-	exit := 0
-	var retained *rapilog.CampaignArtifacts
-	retainedBad := false
-	for _, c := range campaigns {
+	for _, fault := range []rapilog.FailoverFault{
+		rapilog.FaultLeaderPowerCut, rapilog.FaultLeaderIsolation, rapilog.FaultCoordAndLeader,
+	} {
 		sum := rapilog.RunFailoverCampaign(rapilog.FailoverConfig{
 			Cluster: rapilog.ClusterConfig{
 				Nodes: 3,
 				Rig:   rapilog.Config{Seed: seed, AckPolicy: rapilog.AckQuorum(k)},
 			},
-			Fault:      c.fault,
+			Fault:      fault,
 			Trials:     trials,
 			Clients:    clients,
 			Parallel:   parallel,
 			SessionFor: 20 * time.Second,
 		})
-		if perTrial {
-			fmt.Printf("%-6s %-12s %-8s %-6s %-10s %-12s %-12s %-8s\n",
-				"trial", "seed", "acked", "lost", "failovers", "split-brain", "unavail", "err")
-			for i, tr := range sum.Trials {
-				errStr := "-"
-				if tr.Err != nil {
-					errStr = tr.Err.Error()
-				}
-				fmt.Printf("%-6d %-12d %-8d %-6d %-10d %-12d %-12v %-8s\n",
+		report(out, sum, sum.Artifacts, sum.Trials,
+			fmt.Sprintf("%-6s %-12s %-8s %-6s %-10s %-12s %-12s %-8s",
+				"trial", "seed", "acked", "lost", "failovers", "split-brain", "unavail", "err"),
+			func(i int, tr rapilog.FailoverTrial) string {
+				return fmt.Sprintf("%-6d %-12d %-8d %-6d %-10d %-12d %-12v %-8s",
 					i, tr.Seed, tr.Acked, tr.Missing, tr.Failovers, tr.SplitBrain,
-					tr.Unavailable.Round(time.Millisecond), errStr)
-			}
-		}
-		fmt.Println(sum)
-		bad := sum.Violations > 0 || sum.SplitBrains > 0 || sum.Incomplete > 0 || sum.Errors > 0
-		if bad {
-			exit = 1
-		}
-		if sum.Artifacts != nil && !retainedBad {
-			retained = sum.Artifacts
-			retainedBad = bad
-		}
+					tr.Unavailable.Round(time.Millisecond), errStr(tr.Err))
+			})
 	}
-	if retained != nil {
-		fmt.Printf("artifacts: trial %d (seed %d)\n", retained.Trial, retained.Seed)
-		writeArtifact(traceOut, "trace", func(f *os.File) error { return retained.Trace.WriteJSON(f) })
-		if retained.Metrics != nil {
-			writeArtifact(metricsOut, "metrics", func(f *os.File) error { return retained.Metrics.WriteJSON(f) })
-		}
-		if retained.Flight != nil {
-			writeArtifact(flightOut, "flight record", func(f *os.File) error { return retained.Flight.WriteJSON(f) })
-		}
-	}
-	os.Exit(exit)
 }
 
-// writeArtifact writes one JSON artifact to path (no-op when path is empty).
-func writeArtifact(path, what string, write func(*os.File) error) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+// output is the one path every campaign kind prints and writes through.
+type output struct {
+	perTrial bool
+	flags    *cliflags.Deployment
+	kept     faultinject.Retention // across the campaigns of one invocation
+	bad      bool
+}
+
+// campaignSummary is what report needs of either campaign kind's summary.
+type campaignSummary interface {
+	fmt.Stringer
+	Bad() bool
+	FirstErr() error
+}
+
+// report prints one campaign — a row per trial when asked, then its summary
+// line — and offers its retained capture to the invocation's.
+func report[T any](o *output, sum campaignSummary, art *rapilog.CampaignArtifacts, trials []T, header string, row func(i int, tr T) string) {
+	if o.perTrial {
+		fmt.Println(header)
+		for i, tr := range trials {
+			fmt.Println(row(i, tr))
 		}
 	}
-	if err != nil {
+	fmt.Println(sum)
+	if err := sum.FirstErr(); err != nil {
+		fmt.Fprintf(os.Stderr, "rapilog-fault: first trial error: %v\n", err)
+	}
+	o.bad = o.bad || sum.Bad()
+	o.kept.Offer(art, sum.Bad())
+}
+
+// finish writes the retained capture where the artifact flags point, and
+// exits 1 if any campaign was bad.
+func (o *output) finish() {
+	if art := o.kept.Artifacts; art != nil {
+		fmt.Printf("artifacts: trial %d (seed %d)\n", art.Trial, art.Seed)
+		writeArtifact(o.flags.TraceOut, "trace", art.Trace != nil, func(w io.Writer) error { return art.Trace.WriteJSON(w) })
+		writeArtifact(o.flags.MetricsOut, "metrics", art.Metrics != nil, func(w io.Writer) error { return art.Metrics.WriteJSON(w) })
+		writeArtifact(o.flags.FlightOut, "flight record", art.Flight != nil, func(w io.Writer) error { return art.Flight.WriteJSON(w) })
+	}
+	if o.bad {
+		os.Exit(1)
+	}
+}
+
+// writeArtifact writes one captured JSON artifact to path (no-op when the
+// flag is unset or the trial captured none).
+func writeArtifact(path, what string, captured bool, write func(io.Writer) error) {
+	if path == "" || !captured {
+		return
+	}
+	if err := cliflags.WriteJSON(path, write); err != nil {
 		fmt.Fprintf(os.Stderr, "rapilog-fault: writing %s: %v\n", what, err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s to %s\n", what, path)
+}
+
+func errStr(err error) string {
+	if err == nil {
+		return "-"
+	}
+	return err.Error()
 }

@@ -20,14 +20,18 @@ import (
 	"time"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/sim"
 )
 
 func main() {
+	flags := cliflags.Register(flag.CommandLine, cliflags.Usage{
+		Shards:     "independent log-domain shards on one machine (0/1 = unsharded; -clients is per shard)",
+		TraceOut:   "write the commit-lifecycle trace as JSON to this file (implies -commit-trace)",
+		MetricsOut: "write a metrics-registry snapshot as JSON to this file",
+		FlightOut:  "arm the flight recorder and write its record as JSON to this file (frozen at run end if nothing froze it first)",
+	})
 	var (
-		mode     = flag.String("mode", "rapilog", "native-sync | native-async | virt-sync | rapilog | rapilog-replica | rapilog-sharded")
-		shards   = flag.Int("shards", 0, "independent log-domain shards on one machine (0/1 = unsharded; -clients is per shard)")
-		engine   = flag.String("engine", "pg", "engine personality: pg | my | cx")
 		diskKind = flag.String("disk", "hdd", "hdd | ssd | mem")
 		psu      = flag.String("psu", "measured", "atx-spec | typical | measured")
 		wl       = flag.String("workload", "tpcc", "tpcc | tpcb | stress")
@@ -37,66 +41,33 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		trace    = flag.Bool("trace", false, "print kernel trace events")
 
-		replicas  = flag.Int("replicas", 0, "standby replicas in rapilog-replica mode (default 2)")
-		ackPolicy = flag.String("ack-policy", "local", "commit ack policy: local | quorum | remote-only")
-		quorum    = flag.Int("quorum", 0, "replicas that must hold a commit before it acks (quorum/remote-only; default 1)")
-		netLat    = flag.Duration("net-latency", 0, "fabric link latency (default 200µs)")
-
 		commitTrace = flag.Bool("commit-trace", false, "record commit-lifecycle trace events")
 		traceCap    = flag.Int("trace-cap", 0, "trace ring capacity (default 65536)")
-		traceOut    = flag.String("trace-out", "", "write the commit-lifecycle trace as JSON to this file (implies -commit-trace)")
-		metricsOut  = flag.String("metrics-out", "", "write a metrics-registry snapshot as JSON to this file")
-		flightOut   = flag.String("flight-out", "", "arm the flight recorder and write its record as JSON to this file (frozen at run end if nothing froze it first)")
 	)
 	flag.Parse()
-	if *traceOut != "" {
-		*commitTrace = true
-	}
 
-	pers, ok := rapilog.Personalities[*engine]
-	if !ok {
-		fatalf("unknown engine %q", *engine)
-	}
-	var psuCfg rapilog.PSUConfig
-	switch *psu {
-	case "atx-spec":
-		psuCfg = rapilog.PSUATXSpec
-	case "typical":
-		psuCfg = rapilog.PSUTypical
-	case "measured":
-		psuCfg = rapilog.PSUMeasured
-	default:
-		fatalf("unknown psu %q", *psu)
-	}
-
-	if err := rapilog.ValidateQuorumFlags(*quorum, *replicas); err != nil {
-		fatalf("%v", err)
-	}
-	policy, err := rapilog.ParseAckPolicy(*ackPolicy, *quorum)
+	cfg, err := flags.Config(*seed)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := rapilog.Config{
-		Seed:          *seed,
-		Mode:          rapilog.Mode(*mode),
-		Personality:   pers,
-		Disk:          rapilog.DiskKind(*diskKind),
-		PSU:           psuCfg,
-		Replicas:      *replicas,
-		AckPolicy:     policy,
-		Trace:         *commitTrace,
-		TraceCapacity: *traceCap,
-		Flight:        *flightOut != "",
+	switch *psu {
+	case "atx-spec":
+		cfg.PSU = rapilog.PSUATXSpec
+	case "typical":
+		cfg.PSU = rapilog.PSUTypical
+	case "measured":
+		cfg.PSU = rapilog.PSUMeasured
+	default:
+		fatalf("unknown psu %q", *psu)
 	}
-	cfg.Net.Latency = *netLat
-	if rapilog.Mode(*mode) == rapilog.ModeRapiLogSharded && *shards < 2 {
-		*shards = 2
-	}
-	if *shards > 1 {
-		if *commitTrace || *traceOut != "" || *flightOut != "" {
+	cfg.Disk = rapilog.DiskKind(*diskKind)
+	cfg.Trace = cfg.Trace || *commitTrace
+	cfg.TraceCapacity = *traceCap
+	if flags.Shards > 1 {
+		if cfg.Trace || cfg.Flight {
 			fatalf("tracing and the flight recorder are per log domain; not supported with -shards")
 		}
-		runSharded(cfg, *shards, *wl, *clients, *duration, *warmup, *metricsOut)
+		runSharded(cfg, flags.Shards, *wl, *clients, *duration, *warmup, flags.MetricsOut)
 		return
 	}
 	dep, err := rapilog.New(cfg)
@@ -144,7 +115,7 @@ func main() {
 	}
 
 	fmt.Printf("configuration:  mode=%s engine=%s disk=%s psu=%s clients=%d\n",
-		*mode, *engine, *diskKind, *psu, *clients)
+		flags.Mode, flags.Engine, *diskKind, *psu, *clients)
 	fmt.Printf("measured:       %v (after %v warmup)\n", res.Duration, *warmup)
 	fmt.Printf("throughput:     %.0f tps (%d committed, %d aborted)\n", res.TPS(), res.Committed, res.Aborted)
 	fmt.Printf("txn latency:    p50=%v p95=%v p99=%v max=%v\n",
@@ -176,7 +147,7 @@ func main() {
 	if dep.Shipper != nil {
 		reg := dep.Obs.Registry()
 		fmt.Printf("replication:    policy=%s, %d standbys, %d records shipped (%d KiB), %d resends, lag peak %d\n",
-			policy, len(dep.Standbys), reg.Counter("repl.shipped").Value(),
+			cfg.AckPolicy, len(dep.Standbys), reg.Counter("repl.shipped").Value(),
 			reg.Counter("repl.shipped_bytes").Value()/1024,
 			reg.Counter("repl.resends").Value(), reg.Gauge("repl.lag").Peak())
 		for _, pr := range dep.Shipper.Progress() {
@@ -188,7 +159,7 @@ func main() {
 		}
 	}
 
-	if *commitTrace {
+	if cfg.Trace {
 		tr := dep.Obs.Tracer()
 		fmt.Printf("\ncommit trace:   %d events (%d dropped by the ring)\n", tr.Emitted(), tr.Dropped())
 		fmt.Printf("\nstage latencies:\n%s\n", dep.Obs.Registry().Snapshot().LatencyTable())
@@ -214,16 +185,11 @@ func main() {
 			fmt.Printf("                %s at %v: %s\n", v.Invariant, v.At(), v.Detail)
 		}
 	}
-	if *traceOut != "" {
-		writeFileJSON(*traceOut, dep.Obs.Tracer().WriteJSON)
-	}
-	if *metricsOut != "" {
-		snap := dep.Obs.Registry().Snapshot()
-		writeFileJSON(*metricsOut, snap.WriteJSON)
-	}
-	if *flightOut != "" {
+	writeFileJSON(flags.TraceOut, dep.Obs.Tracer().WriteJSON)
+	writeFileJSON(flags.MetricsOut, dep.Obs.Registry().Snapshot().WriteJSON)
+	if dep.Flight != nil {
 		dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
-		writeFileJSON(*flightOut, dep.Flight.Record().WriteJSON)
+		writeFileJSON(flags.FlightOut, dep.Flight.Record().WriteJSON)
 	}
 }
 
@@ -292,7 +258,7 @@ func runSharded(cfg rapilog.Config, n int, wl string, clients int, duration, war
 	}
 
 	fmt.Printf("configuration:  mode=%s shards=%d clients=%d/shard workload=%s\n",
-		rapilog.ModeRapiLogSharded, n, clients, wl)
+		sh.Cfg.Mode, n, clients, wl)
 	fmt.Printf("measured:       %v (after %v warmup)\n", res.Total.Duration, warmup)
 	fmt.Printf("fleet:          %.0f tps (%d committed, %d aborted)\n",
 		res.Total.TPS(), res.Total.Committed, res.Total.Aborted)
@@ -312,24 +278,14 @@ func runSharded(cfg rapilog.Config, n int, wl string, clients int, duration, war
 		ack.Quantile(0.50).Round(time.Microsecond),
 		ack.Quantile(0.99).Round(time.Microsecond))
 
-	if metricsOut != "" {
-		snap := reg.Snapshot()
-		writeFileJSON(metricsOut, snap.WriteJSON)
-	}
+	writeFileJSON(metricsOut, reg.Snapshot().WriteJSON)
 }
 
-// writeFileJSON streams one JSON document into path via write.
+// writeFileJSON streams one JSON document into path (none when path is
+// empty).
 func writeFileJSON(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatalf("writing %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("%v", err)
+	if err := cliflags.WriteJSON(path, write); err != nil {
+		fatalf("writing %v", err)
 	}
 }
 

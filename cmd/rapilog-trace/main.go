@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/cmd/internal/cliflags"
 )
 
 func main() {
@@ -120,15 +121,8 @@ func analyzeFile(path, perfetto string, check bool, buckets int, policy string, 
 		ok = runCheck(dump, a, policy, quorumK)
 	}
 	if perfetto != "" && first {
-		f, err := os.Create(perfetto)
-		if err == nil {
-			err = a.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rapilog-trace: writing %s: %v\n", perfetto, err)
+		if err := cliflags.WriteJSON(perfetto, a.WriteChromeTrace); err != nil {
+			fmt.Fprintf(os.Stderr, "rapilog-trace: writing %v\n", err)
 			return false
 		}
 		fmt.Printf("wrote Perfetto trace to %s (open in ui.perfetto.dev)\n", perfetto)

@@ -122,41 +122,40 @@ func IDs() []string {
 // ticks past the finish.
 func drive(s *sim.Sim, ev *sim.Event) error { return s.RunUntilEvent(ev) }
 
-// tpccResult is one measured throughput point.
-type tpccResult struct {
-	res workload.RunResult
-	err error
-}
-
-// measureTPCC boots a deployment, loads TPC-C, and measures saturation
-// throughput with the given client count.
-func measureTPCC(cfg rig.Config, wl *workload.TPCC, clients int, warmup, dur time.Duration) (workload.RunResult, error) {
+// measureWorkload boots a deployment, loads wl, and measures saturation
+// throughput with the given client count. Besides the run result it returns
+// the engine's commit-latency histogram and the (closed, still readable) rig
+// for callers that report device or logger statistics.
+func measureWorkload(cfg rig.Config, wl workload.Workload, clients int, warmup, dur time.Duration) (workload.RunResult, *metrics.Histogram, *rig.Rig, error) {
 	r, err := rig.New(cfg)
 	if err != nil {
-		return workload.RunResult{}, err
+		return workload.RunResult{}, nil, nil, err
 	}
 	defer r.Close()
-	var out tpccResult
+	var res workload.RunResult
+	var hist *metrics.Histogram
+	var benchErr error
 	done := r.S.NewEvent("bench.done")
 	r.S.Spawn(r.Plat.Domain(), "bench", func(p *sim.Proc) {
 		defer done.Fire()
 		e, err := r.Boot(p)
 		if err != nil {
-			out.err = fmt.Errorf("boot: %w", err)
+			benchErr = fmt.Errorf("boot: %w", err)
 			return
 		}
 		if err := wl.Load(p, e); err != nil {
-			out.err = fmt.Errorf("load: %w", err)
+			benchErr = fmt.Errorf("load: %w", err)
 			return
 		}
-		out.res = workload.RunClients(p, r.Plat.Domain(), e, wl, workload.RunnerConfig{
+		res = workload.RunClients(p, r.Plat.Domain(), e, wl, workload.RunnerConfig{
 			Clients: clients, Duration: dur, Warmup: warmup,
 		})
+		hist = e.Stats().CommitLatency
 	})
 	if err := drive(r.S, done); err != nil {
-		return workload.RunResult{}, err
+		return workload.RunResult{}, nil, nil, err
 	}
-	return out.res, out.err
+	return res, hist, r, benchErr
 }
 
 // throughputSweep runs the E1/E2/E3/A2 shape: mode × client-count grid.
@@ -190,7 +189,7 @@ func throughputSweep(id, title, stands string, pers engine.Personality, diskKind
 				Disk:            diskKind,
 				CheckpointEvery: 20 * time.Second,
 			}
-			res, err := measureTPCC(cfg, wlScale(), c, warmup, dur)
+			res, _, _, err := measureWorkload(cfg, wlScale(), c, warmup, dur)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s c=%d: %w", id, mode, c, err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/rig"
+	"repro/internal/workload"
 )
 
 // runA4: dedicated vs shared log spindle. The classic deployment fix for
@@ -45,7 +46,7 @@ func runA4(opts Options) (*Report, error) {
 			DedicatedLogDisk: c.dedicated,
 			CheckpointEvery:  time.Second,
 		}
-		res, _, _, err := stressRun(cfg, clients, warmup, dur, 512)
+		res, _, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 512}, clients, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("a4 %s/dedicated=%v: %w", c.mode, c.dedicated, err)
 		}

@@ -41,7 +41,7 @@ func runA5(opts Options) (*Report, error) {
 				Mode:            mode,
 				CheckpointEvery: 20 * time.Second,
 			}
-			res, err := measureWorkload(cfg, mkWl(), c, warmup, dur)
+			res, _, _, err := measureWorkload(cfg, mkWl(), c, warmup, dur)
 			if err != nil {
 				return nil, fmt.Errorf("a5 %s c=%d: %w", mode, c, err)
 			}
@@ -55,37 +55,6 @@ func runA5(opts Options) (*Report, error) {
 		"expected shape: same ordering as E1, with even larger rapilog/native-sync ratios —",
 		"TPC-B transactions are pure commit path.")
 	return rep, nil
-}
-
-// measureWorkload is measureTPCC generalised over the Workload interface.
-func measureWorkload(cfg rig.Config, wl workload.Workload, clients int, warmup, dur time.Duration) (workload.RunResult, error) {
-	r, err := rig.New(cfg)
-	if err != nil {
-		return workload.RunResult{}, err
-	}
-	defer r.Close()
-	var res workload.RunResult
-	var benchErr error
-	done := r.S.NewEvent("bench.done")
-	r.S.Spawn(r.Plat.Domain(), "bench", func(p *sim.Proc) {
-		defer done.Fire()
-		e, err := r.Boot(p)
-		if err != nil {
-			benchErr = fmt.Errorf("boot: %w", err)
-			return
-		}
-		if err := wl.Load(p, e); err != nil {
-			benchErr = fmt.Errorf("load: %w", err)
-			return
-		}
-		res = workload.RunClients(p, r.Plat.Domain(), e, wl, workload.RunnerConfig{
-			Clients: clients, Duration: dur, Warmup: warmup,
-		})
-	})
-	if err := drive(r.S, done); err != nil {
-		return workload.RunResult{}, err
-	}
-	return res, benchErr
 }
 
 // runA6: the hardware alternatives RapiLog competes with. A battery-backed
@@ -123,7 +92,7 @@ func runA6(opts Options) (*Report, error) {
 			LogDiskKind:     c.logKind,
 			CheckpointEvery: 20 * time.Second,
 		}
-		res, _, _, err := stressRun(cfg, clients, warmup, dur, 512)
+		res, _, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 512}, clients, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("a6 %s: %w", c.label, err)
 		}

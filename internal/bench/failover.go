@@ -56,7 +56,7 @@ func runA11(opts Options) (*Report, error) {
 			SessionFor: sessionFor,
 		})
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a11 %s: %d trial errors (first: %v)", c.label, sum.Errors, firstFailoverErr(sum))
+			return nil, fmt.Errorf("a11 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}
 		p50, p99 := sum.UnavailPercentile(0.50), sum.UnavailPercentile(0.99)
 		table.AddRow(c.label,
@@ -96,14 +96,4 @@ func runA11(opts Options) (*Report, error) {
 		"dominated by full-WAL redo on the promoted node (snapshot catch-up is future work);",
 		"an isolated-then-healed leader surfaces as fence rejections, not lost data.")
 	return rep, nil
-}
-
-// firstFailoverErr returns the first trial error in a failover campaign.
-func firstFailoverErr(sum faultinject.FailoverSummary) error {
-	for _, tr := range sum.Trials {
-		if tr.Err != nil {
-			return tr.Err
-		}
-	}
-	return nil
 }

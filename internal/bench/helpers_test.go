@@ -31,15 +31,6 @@ func TestBoolTo01(t *testing.T) {
 	}
 }
 
-func TestBytesEqual(t *testing.T) {
-	if !bytesEqual([]byte{1, 2}, []byte{1, 2}) {
-		t.Fatal("equal slices")
-	}
-	if bytesEqual([]byte{1}, []byte{1, 2}) || bytesEqual([]byte{1}, []byte{2}) {
-		t.Fatal("unequal slices")
-	}
-}
-
 func TestReportRender(t *testing.T) {
 	tb := metrics.NewTable("k", "v")
 	tb.AddRow("a", "1")

@@ -9,40 +9,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// stressRun drives the commit-stress microbenchmark on a deployment and
-// returns the run result plus the engine's commit-latency histogram.
-func stressRun(cfg rig.Config, clients int, warmup, dur time.Duration, valueSize int) (workload.RunResult, *metrics.Histogram, *rig.Rig, error) {
-	r, err := rig.New(cfg)
-	if err != nil {
-		return workload.RunResult{}, nil, nil, err
-	}
-	defer r.Close() // the returned rig stays readable (stats), it just runs no more
-	var res workload.RunResult
-	var hist *metrics.Histogram
-	var benchErr error
-	done := r.S.NewEvent("bench.done")
-	r.S.Spawn(r.Plat.Domain(), "bench", func(p *sim.Proc) {
-		defer done.Fire()
-		e, err := r.Boot(p)
-		if err != nil {
-			benchErr = err
-			return
-		}
-		w := &workload.Stress{ValueSize: valueSize}
-		res = workload.RunClients(p, r.Plat.Domain(), e, w, workload.RunnerConfig{
-			Clients: clients, Duration: dur, Warmup: warmup,
-		})
-		hist = e.Stats().CommitLatency
-	})
-	if err := drive(r.S, done); err != nil {
-		return workload.RunResult{}, nil, nil, err
-	}
-	return res, hist, r, benchErr
-}
 
 // runE7: commit latency distribution under commit-stress. Shows the paper's
 // core latency effect: a sync commit costs a disk rotation, a RapiLog
@@ -60,7 +28,7 @@ func runE7(opts Options) (*Report, error) {
 
 	for _, mode := range []rig.Mode{rig.NativeSync, rig.VirtSync, rig.RapiLog, rig.NativeAsync} {
 		cfg := rig.Config{Seed: opts.Seed, Mode: mode, CheckpointEvery: 30 * time.Second}
-		res, hist, _, err := stressRun(cfg, clients, warmup, dur, 120)
+		res, hist, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 120}, clients, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("e7 %s: %w", mode, err)
 		}
@@ -109,7 +77,7 @@ func runE8(opts Options) (*Report, error) {
 			RapiLog:         core.Config{MaxBuffer: c, Unsafe: unsafe},
 			CheckpointEvery: 30 * time.Second,
 		}
-		res, _, r, err := stressRun(cfg, clients, warmup, dur, 6000)
+		res, _, r, err := measureWorkload(cfg, &workload.Stress{ValueSize: 6000}, clients, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("e8 cap=%d: %w", c, err)
 		}
@@ -171,7 +139,7 @@ func runA1(opts Options) (*Report, error) {
 				Seed: opts.Seed + int64(clients), Mode: row.mode, Personality: row.pers,
 				CheckpointEvery: 30 * time.Second,
 			}
-			res, _, _, err := stressRun(cfg, clients, warmup, dur, 120)
+			res, _, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 120}, clients, warmup, dur)
 			if err != nil {
 				return nil, fmt.Errorf("a1 %s c=%d: %w", row.label, clients, err)
 			}

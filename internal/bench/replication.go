@@ -80,7 +80,7 @@ func runA9(opts Options) (*Report, error) {
 		}
 		sum := faultinject.RunCampaign(cfg)
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a9 %s: %d trial errors (first: %v)", c.label, sum.Errors, firstErr(sum))
+			return nil, fmt.Errorf("a9 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}
 		rows = append(rows, campaignRow{label: c.label, sum: sum})
 		extras[c.label+"/repl_lag_max"] = float64(sum.MaxReplLag)
@@ -108,7 +108,7 @@ func runA9(opts Options) (*Report, error) {
 		cfg.HDD = disk.HDDConfig{} // stock disk: measure the policy, not the spindle
 		cfg.PSU = power.PSUConfig{}
 		cfg.CheckpointEvery = 30 * time.Second
-		res, hist, _, err := stressRun(cfg, 8, warmup, dur, 120)
+		res, hist, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 120}, 8, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("a9 latency %s: %w", pc.label, err)
 		}

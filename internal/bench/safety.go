@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -41,7 +42,7 @@ func runE4(opts Options) (*Report, error) {
 			Disk:            rig.DiskMem, // storage fast enough to be CPU-bound
 			CheckpointEvery: 20 * time.Second,
 		}
-		res, err := measureTPCC(cfg, wl(), clients, warmup, dur)
+		res, _, _, err := measureWorkload(cfg, wl(), clients, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("e4 %s: %w", mode, err)
 		}
@@ -185,7 +186,7 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 			defer audit.Fire()
 			for _, a := range acked {
 				got, err := r.LogPart.Read(p, a.lba, len(a.data)/r.LogPart.SectorSize())
-				if err != nil || !bytesEqual(got, a.data) {
+				if err != nil || !bytes.Equal(got, a.data) {
 					return
 				}
 			}
@@ -196,18 +197,6 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 		return false, err
 	}
 	return ok, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // campaignReport renders a fault campaign as a table row set.
@@ -250,7 +239,7 @@ func runE6(opts Options) (*Report, error) {
 		}
 		sum := faultinject.RunCampaign(cfg)
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("e6 %s: %d trial errors (first: %v)", pers.Name, sum.Errors, firstErr(sum))
+			return nil, fmt.Errorf("e6 %s: %d trial errors (first: %v)", pers.Name, sum.Errors, sum.FirstErr())
 		}
 		rows = append(rows, campaignRow{label: "rapilog/" + pers.Name, sum: sum})
 		opts.progressf("e6: %-10s %d trials, %d acked, %d lost", pers.Name, trials, sum.TotalAcked, sum.TotalLost)
@@ -281,7 +270,7 @@ func runE9(opts Options) (*Report, error) {
 		}
 		sum := faultinject.RunCampaign(cfg)
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("e9 %s: %d trial errors (first: %v)", mode, sum.Errors, firstErr(sum))
+			return nil, fmt.Errorf("e9 %s: %d trial errors (first: %v)", mode, sum.Errors, sum.FirstErr())
 		}
 		rows = append(rows, campaignRow{label: string(mode), sum: sum})
 		opts.progressf("e9: %-12s %d trials, %d acked, %d lost", mode, trials, sum.TotalAcked, sum.TotalLost)
@@ -332,7 +321,7 @@ func runA3(opts Options) (*Report, error) {
 		}
 		sum := faultinject.RunCampaign(cfg)
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a3 %s: %d trial errors (first: %v)", c.label, sum.Errors, firstErr(sum))
+			return nil, fmt.Errorf("a3 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}
 		rows = append(rows, campaignRow{label: c.label, sum: sum})
 		opts.progressf("a3: %-12s %d trials, %d acked, %d lost", c.label, trials, sum.TotalAcked, sum.TotalLost)
@@ -343,15 +332,6 @@ func runA3(opts Options) (*Report, error) {
 		"expected shape: the safe bound never loses; oversized buffers lose exactly when",
 		"the emergency dump cannot finish inside the hold-up window.")
 	return rep, nil
-}
-
-func firstErr(sum faultinject.Summary) error {
-	for _, tr := range sum.Trials {
-		if tr.Err != nil {
-			return tr.Err
-		}
-	}
-	return nil
 }
 
 // runA8: media-fault campaigns in rapilog mode. Transient write-error
@@ -385,7 +365,7 @@ func runA8(opts Options) (*Report, error) {
 		}
 		sum := faultinject.RunCampaign(cfg)
 		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a8 %s: %d trial errors (first: %v)", c.label, sum.Errors, firstErr(sum))
+			return nil, fmt.Errorf("a8 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}
 		var stranded int64
 		for _, tr := range sum.Trials {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -496,7 +497,7 @@ func TestDurabilityUnderRandomPowerCutProperty(t *testing.T) {
 		}
 		return ok
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Fatal(err)
 	}
 }

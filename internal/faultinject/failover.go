@@ -2,9 +2,7 @@ package faultinject
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -91,8 +89,8 @@ func (c *FailoverConfig) validate() error {
 	default:
 		return fmt.Errorf("faultinject: unknown failover fault %q", c.Fault)
 	}
-	if c.InjectAfterMin < 0 || c.InjectAfterMax < c.InjectAfterMin {
-		return fmt.Errorf("faultinject: bad inject window [%v, %v]", c.InjectAfterMin, c.InjectAfterMax)
+	if err := validateCampaign(c.Trials, c.Clients, c.InjectAfterMin, c.InjectAfterMax); err != nil {
+		return err
 	}
 	if c.SessionFor <= c.InjectAfterMax {
 		return fmt.Errorf("faultinject: SessionFor %v inside the inject window", c.SessionFor)
@@ -138,45 +136,34 @@ func (t FailoverTrial) Ok() bool {
 
 // FailoverSummary aggregates a failover campaign.
 type FailoverSummary struct {
-	Config      FailoverConfig
-	Trials      []FailoverTrial
-	TotalAcked  int
-	TotalLost   int
-	Violations  int // trials with loss or corruption
+	Config FailoverConfig
+	Trials []FailoverTrial
+	totals
 	SplitBrains int // trials where the single-writer invariant fired
 	Incomplete  int // trials with != 1 failover or no post-takeover commit
-	Errors      int
-	// Artifacts pins the first bad trial's forensic capture (or the last
-	// clean one's), like Summary.
-	Artifacts    *Artifacts
-	artifactsBad bool
 }
 
+// add folds the next trial, in seed order, into the aggregate.
 func (s *FailoverSummary) add(res FailoverTrial) {
-	if res.Artifacts != nil {
-		if !s.artifactsBad {
-			s.Artifacts = res.Artifacts
-			if !res.Ok() {
-				s.artifactsBad = true
-			}
-		}
-		res.Artifacts = nil
-	}
+	s.fold(len(s.Trials), verdict{
+		acked: res.Acked, missing: res.Missing, mismatched: res.Mismatched,
+		monitorViolations: res.MonitorViolations, ok: res.Ok(),
+		artifacts: res.Artifacts, err: res.Err,
+	})
+	res.Artifacts = nil
 	s.Trials = append(s.Trials, res)
-	s.TotalAcked += res.Acked
-	s.TotalLost += res.Missing
-	if res.Missing > 0 || res.Mismatched > 0 {
-		s.Violations++
-	}
 	if res.SplitBrain > 0 {
 		s.SplitBrains++
 	}
 	if res.Failovers != 1 || res.Unavailable == 0 {
 		s.Incomplete++
 	}
-	if res.Err != nil {
-		s.Errors++
-	}
+}
+
+// Bad reports whether the campaign failed: the shared conditions, a
+// split-brain, or a takeover that never completed.
+func (s FailoverSummary) Bad() bool {
+	return s.totals.Bad() || s.SplitBrains > 0 || s.Incomplete > 0
 }
 
 // UnavailPercentile returns the q-quantile (0..1) of the per-trial
@@ -204,53 +191,22 @@ func (s FailoverSummary) String() string {
 		s.UnavailPercentile(0.99).Round(time.Millisecond))
 }
 
-// RunFailoverCampaign executes cfg.Trials independent failover trials with
-// seeds base+i·7919, up to cfg.Parallel at a time; the same determinism
-// contract as RunCampaign (each trial is one sealed simulation, results
-// fold in seed order).
+// RunFailoverCampaign executes cfg.Trials independent failover trials on the
+// campaign engine's worker pool; the same determinism contract as
+// RunCampaign (each trial is one sealed simulation, results fold in seed
+// order).
 func RunFailoverCampaign(cfg FailoverConfig) FailoverSummary {
 	cfg.applyDefaults()
 	sum := FailoverSummary{Config: cfg}
 	if err := cfg.validate(); err != nil {
+		// Not a trial: nothing ran, so nothing is "incomplete".
 		sum.Trials = append(sum.Trials, FailoverTrial{Err: err})
-		sum.Errors = 1
+		sum.fold(0, verdict{err: err})
 		return sum
 	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Trials {
-		par = cfg.Trials
-	}
-	results := make([]FailoverTrial, cfg.Trials)
-	if par <= 1 {
-		for i := 0; i < cfg.Trials; i++ {
-			results[i] = RunFailoverTrial(cfg, cfg.Cluster.Rig.Seed+int64(i)*7919)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = RunFailoverTrial(cfg, cfg.Cluster.Rig.Seed+int64(i)*7919)
-				}
-			}()
-		}
-		for i := 0; i < cfg.Trials; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i := range results {
-		if results[i].Artifacts != nil {
-			results[i].Artifacts.Trial = i
-		}
-		sum.add(results[i])
+	for _, res := range runSeeded(cfg.Trials, cfg.Parallel, cfg.Cluster.Rig.Seed,
+		func(seed int64) FailoverTrial { return RunFailoverTrial(cfg, seed) }) {
+		sum.add(res)
 	}
 	return sum
 }
@@ -329,12 +285,7 @@ func RunFailoverTrial(cfg FailoverConfig, seed int64) FailoverTrial {
 	// Operator: inject at a sampled instant, wait for the takeover, rejoin
 	// the deposed node.
 	s.Spawn(nil, "operator", func(p *sim.Proc) {
-		span := cfg.InjectAfterMax - cfg.InjectAfterMin
-		delay := cfg.InjectAfterMin
-		if span > 0 {
-			delay += time.Duration(s.Rand().Int63n(int64(span)))
-		}
-		p.Sleep(delay)
+		p.Sleep(injectDelay(s, cfg.InjectAfterMin, cfg.InjectAfterMax))
 		res.Acked = j.Len()
 		injectAt = p.Now().Duration()
 		switch cfg.Fault {
@@ -389,27 +340,9 @@ func RunFailoverTrial(cfg FailoverConfig, seed int64) FailoverTrial {
 	res.ReplayBytes = c.LastReplay.Bytes
 	res.ReplayEntries = c.LastReplay.Entries
 	if c.Monitor != nil {
-		res.MonitorViolations = c.Monitor.Total()
 		res.SplitBrain = c.Monitor.Report().ByKind["single_writer_epoch"]
 	}
-	if c.Obs.Tracer().Enabled() {
-		dump := c.Obs.Tracer().Dump()
-		snap := c.Obs.Registry().Snapshot()
-		res.Artifacts = &Artifacts{Seed: seed, Trace: &dump, Metrics: &snap}
-		if c.Monitor != nil {
-			mr := c.Monitor.Report()
-			res.Artifacts.Monitor = &mr
-		}
-		if c.Flight != nil {
-			c.Flight.Freeze(s.Now().Duration(), "trial-end")
-			res.Artifacts.Flight = c.Flight.Record()
-		}
-	}
-	if runErr != nil && res.Err == nil {
-		res.Err = runErr
-	}
-	if !audited.Fired() && res.Err == nil {
-		res.Err = fmt.Errorf("trial did not complete")
-	}
+	res.Artifacts, res.MonitorViolations = captureArtifacts(seed, s.Now().Duration(), c.Obs, c.Monitor, c.Flight)
+	res.Err = settle(res.Err, runErr, audited)
 	return res
 }

@@ -18,6 +18,33 @@ func TestFailoverConfigValidation(t *testing.T) {
 	}
 }
 
+// TestFailoverSummaryCountsMonitorViolations: the failover fold used to pin
+// artifacts on !Ok() only and kept no monitor total, so an exposure-bound or
+// ack-without-evidence violation in an otherwise clean takeover neither kept
+// its trace nor failed the campaign.
+func TestFailoverSummaryCountsMonitorViolations(t *testing.T) {
+	clean := FailoverTrial{Acked: 5, Failovers: 1, Unavailable: time.Second}
+	flagged, later := clean, clean
+	flagged.MonitorViolations = 1
+	flagged.Artifacts = &Artifacts{Seed: 1}
+	later.Artifacts = &Artifacts{Seed: 2}
+	if !flagged.Ok() {
+		t.Fatal("test premise: a monitor violation alone leaves the takeover Ok()")
+	}
+	var sum FailoverSummary
+	sum.add(flagged)
+	sum.add(later)
+	if sum.MonitorViolations != 1 || !sum.Bad() {
+		t.Fatalf("monitor violation not counted: %d, bad=%v", sum.MonitorViolations, sum.Bad())
+	}
+	if sum.Artifacts == nil || sum.Artifacts.Seed != 1 || sum.Artifacts.Trial != 0 {
+		t.Fatalf("flagged trial's artifacts not pinned: %+v", sum.Artifacts)
+	}
+	if sum.Incomplete != 0 || sum.Errors != 0 || sum.Violations != 0 {
+		t.Fatalf("clean takeovers miscounted: %s", sum)
+	}
+}
+
 func failoverBase(fault FailoverFault, trials int) FailoverConfig {
 	return FailoverConfig{
 		Cluster: rig.ClusterConfig{
@@ -95,5 +122,15 @@ func TestFailoverTrialForensics(t *testing.T) {
 	}
 	if res.ReplayBytes == 0 || res.ReplayEntries == 0 {
 		t.Fatalf("promotion replayed nothing: %+v", res)
+	}
+	// Schedule-preservation golden (see golden_test.go).
+	if res.Acked != 2157 || res.Unavailable != 8839357915*time.Nanosecond || res.Redirects != 4 ||
+		res.FenceRejections != 4160 || res.ReplayBytes != 11370496 {
+		t.Fatalf("seeded trial moved: %+v", res)
+	}
+	tr, me := artifactHashes(t, res.Artifacts)
+	if tr != "14722070d32b8fc258be2fac8b43c1f331c1ea170de4a78433b265be54191503" ||
+		me != "20eef3ebdecc88e5a9ffdf73c4885be8ac3a48e56a72f01b90f9298329d1a77e" {
+		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

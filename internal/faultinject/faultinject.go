@@ -6,14 +6,14 @@ package faultinject
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rig"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -139,16 +139,11 @@ func (c *CampaignConfig) applyDefaults() {
 
 // validate rejects configurations that could never run a sane trial.
 func (c *CampaignConfig) validate() error {
-	if c.InjectAfterMin < 0 {
-		return fmt.Errorf("faultinject: negative InjectAfterMin %v", c.InjectAfterMin)
+	if err := validateCampaign(c.Trials, c.Clients, c.InjectAfterMin, c.InjectAfterMax); err != nil {
+		return err
 	}
-	if c.InjectAfterMax < c.InjectAfterMin {
-		return fmt.Errorf("faultinject: InjectAfterMax %v < InjectAfterMin %v",
-			c.InjectAfterMax, c.InjectAfterMin)
-	}
-	// applyDefaults only replaces zero values, so an explicitly negative
-	// window reaches here; downstream it would silently collapse to a
-	// zero-length Sleep and a fault that "passes" without ever firing.
+	// A negative window would silently collapse to a zero-length Sleep and a
+	// fault that "passes" without ever firing.
 	if c.FaultWindow <= 0 {
 		return fmt.Errorf("faultinject: FaultWindow %v is not a positive window", c.FaultWindow)
 	}
@@ -182,9 +177,6 @@ func (c *CampaignConfig) validate() error {
 	if c.Shards > 1 && c.Fault != PowerCut {
 		return fmt.Errorf("faultinject: sharded campaigns support %q only, not %q", PowerCut, c.Fault)
 	}
-	if c.Rig.Mode == rig.RapiLogSharded && c.Shards < 2 {
-		return fmt.Errorf("faultinject: mode %q needs Shards >= 2", rig.RapiLogSharded)
-	}
 	return nil
 }
 
@@ -216,64 +208,28 @@ type TrialResult struct {
 	Err       error
 }
 
-// Artifacts is one trial's forensic capture, written out by rapilog-fault's
-// -trace-out / -metrics-out / -flight-out flags and consumed by
-// rapilog-trace.
-type Artifacts struct {
-	Trial   int
-	Seed    int64
-	Trace   *obs.TraceDump
-	Metrics *obs.Snapshot
-	Flight  *obs.FlightRecord
-	Monitor *obs.MonitorReport
-}
-
 // Ok reports whether the trial had zero durability violations.
 func (t TrialResult) Ok() bool { return t.Err == nil && t.Missing == 0 && t.Mismatched == 0 }
 
 // Summary aggregates a campaign.
 type Summary struct {
-	Config         CampaignConfig
-	Trials         []TrialResult
-	TotalAcked     int
-	TotalLost      int
-	Violations     int // trials with any loss or corruption
-	Errors         int
+	Config CampaignConfig
+	Trials []TrialResult
+	totals
 	DegradedTrials int   // trials that ended with the logger in pass-through
 	DumpFailures   int   // emergency dumps that never reached the zone
 	MaxReplLag     int64 // worst per-trial replication lag peak
-	// MonitorViolations totals the online monitor's findings across trials.
-	MonitorViolations int
-	// Artifacts is the campaign's retained forensic capture: the first
-	// violating/erroring trial's, or — when every trial is clean — the last
-	// trial's. One capture per campaign bounds memory.
-	Artifacts    *Artifacts
-	artifactsBad bool
 }
 
-// add folds one trial into the aggregate. Loss/corruption is counted
-// independently of the error flag: a trial can both error out and lose
-// data, and hiding the loss under the error would understate Violations.
+// add folds the next trial, in seed order, into the aggregate.
 func (s *Summary) add(res TrialResult) {
-	if res.Artifacts != nil {
-		if !s.artifactsBad {
-			s.Artifacts = res.Artifacts
-			if !res.Ok() || res.MonitorViolations > 0 {
-				s.artifactsBad = true // pin the first bad trial's capture
-			}
-		}
-		res.Artifacts = nil
-	}
-	s.MonitorViolations += res.MonitorViolations
+	s.fold(len(s.Trials), verdict{
+		acked: res.Acked, missing: res.Missing, mismatched: res.Mismatched,
+		monitorViolations: res.MonitorViolations, ok: res.Ok(),
+		artifacts: res.Artifacts, err: res.Err,
+	})
+	res.Artifacts = nil
 	s.Trials = append(s.Trials, res)
-	s.TotalAcked += res.Acked
-	s.TotalLost += res.Missing
-	if res.Missing > 0 || res.Mismatched > 0 {
-		s.Violations++
-	}
-	if res.Err != nil {
-		s.Errors++
-	}
 	if res.Degraded {
 		s.DegradedTrials++
 	}
@@ -297,81 +253,89 @@ func (s Summary) String() string {
 	if s.MonitorViolations > 0 {
 		extra += fmt.Sprintf(", %d monitor violations", s.MonitorViolations)
 	}
+	mode := string(s.Config.Rig.Mode)
+	if s.Config.Shards > 1 {
+		mode += fmt.Sprintf("[%d shards]", s.Config.Shards)
+	}
 	fault := string(s.Config.Fault)
 	if s.Config.Compose != "" {
 		fault += "+" + string(s.Config.Compose)
 	}
 	return fmt.Sprintf("%s/%s: %d trials, %d acked commits, %d lost, %d violating trials, %d errors%s",
-		s.Config.Rig.Mode, fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations, s.Errors, extra)
+		mode, fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations, s.Errors, extra)
 }
 
-// RunCampaign executes cfg.Trials independent trials with seeds base+i·7919,
-// up to cfg.Parallel at a time. Every trial runs in its own simulation whose
-// schedule depends only on its seed, so the worker pool changes wall-clock
-// time and nothing else: results land in seed-indexed slots and are folded
-// in order, and the Summary is identical to what a sequential run produces.
+// RunCampaign executes cfg.Trials independent trials on the campaign
+// engine's worker pool (runSeeded), up to cfg.Parallel at a time, and folds
+// them in seed order: the Summary is identical to a sequential run's.
 func RunCampaign(cfg CampaignConfig) Summary {
 	cfg.applyDefaults()
 	sum := Summary{Config: cfg}
 	if err := cfg.validate(); err != nil {
-		sum.Trials = append(sum.Trials, TrialResult{Err: err})
-		sum.Errors = 1
+		sum.add(TrialResult{Err: err})
 		return sum
 	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > cfg.Trials {
-		par = cfg.Trials
-	}
-	results := make([]TrialResult, cfg.Trials)
-	if par <= 1 {
-		for i := 0; i < cfg.Trials; i++ {
-			results[i] = RunTrial(cfg, cfg.Rig.Seed+int64(i)*7919)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = RunTrial(cfg, cfg.Rig.Seed+int64(i)*7919)
-				}
-			}()
-		}
-		for i := 0; i < cfg.Trials; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i := range results {
-		if results[i].Artifacts != nil {
-			results[i].Artifacts.Trial = i
-		}
-		sum.add(results[i])
+	for _, res := range runSeeded(cfg.Trials, cfg.Parallel, cfg.Rig.Seed,
+		func(seed int64) TrialResult { return RunTrial(cfg, seed) }) {
+		sum.add(res)
 	}
 	return sum
 }
 
-// debugHook, when non-nil, runs inside the audit of a trial that lost
-// data. Test-only.
-var debugHook func(p *sim.Proc, r *rig.Rig, e *engine.Engine, j *workload.Journal, acked int, vr workload.VerifyResult)
+// machine is what a single-machine trial runs on: one log domain built by
+// rig.New, or cfg.Shards of them built by rig.NewSharded on one simulation,
+// one power supply and one hypervisor.
+type machine struct {
+	s    *sim.Sim
+	obs  *obs.Obs // the root bundle: every domain's instruments and the one tracer
+	doms []*rig.Rig
+	// recover restores power and replays every domain's dump zone.
+	recover func(p *sim.Proc) (shard.Recovery, error)
+}
+
+func buildMachine(cfg rig.Config, shards int) (*machine, error) {
+	if shards > 1 {
+		sh, err := rig.NewSharded(cfg, shards)
+		if err != nil {
+			return nil, err
+		}
+		return &machine{s: sh.S, obs: sh.Obs, doms: sh.Shards, recover: sh.RecoverAfterPower}, nil
+	}
+	r, err := rig.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &machine{s: r.S, obs: r.Obs, doms: []*rig.Rig{r}, recover: func(p *sim.Proc) (shard.Recovery, error) {
+		rep, err := r.RecoverAfterPower(p)
+		return shard.Recovery{Shards: []core.RecoveryReport{rep}}, err
+	}}, nil
+}
+
+// bootAll opens every domain's engine, in domain order.
+func (m *machine) bootAll(p *sim.Proc) ([]*engine.Engine, error) {
+	engines := make([]*engine.Engine, len(m.doms))
+	for i, r := range m.doms {
+		e, err := r.Boot(p)
+		if err != nil {
+			return nil, fmt.Errorf("domain %d: %w", i, err)
+		}
+		engines[i] = e
+	}
+	return engines, nil
+}
 
 // RunTrial executes one load→fault→recover→audit cycle in a fresh
-// simulation with the given seed.
+// simulation with the given seed. Every log domain of the machine gets its
+// own workload copy, journal and client pool, and its acked prefix is
+// audited against the engine that acked it; the machine-wide fault (PowerCut)
+// hits them all, every other fault acts on the one domain an unsharded
+// machine has.
 func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	cfg.applyDefaults()
 	res := TrialResult{Seed: seed}
 	if err := cfg.validate(); err != nil {
 		res.Err = err
 		return res
-	}
-	if cfg.Shards > 1 {
-		return runShardedTrial(cfg, seed)
 	}
 
 	rigCfg := cfg.Rig
@@ -384,55 +348,63 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	if cfg.BreakDump && !rigCfg.DumpFault.Enabled {
 		rigCfg.DumpFault = disk.FaultConfig{Enabled: true, Seed: seed*31 + 7}
 	}
-	r, err := rig.New(rigCfg)
+	m, err := buildMachine(rigCfg, cfg.Shards)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer r.Close()
-	if cfg.BreakDump {
-		// Every dump-zone write fails permanently; reads still succeed
-		// (returning whatever is there — zeros), so recovery sees "no dump"
-		// rather than an I/O error, exactly like a zone that silently
-		// rotted.
-		r.FaultyDump.AddBadRange(0, r.DumpPart.Sectors(), false)
+	s, r := m.s, m.doms[0]
+	defer s.Close()
+	n := len(m.doms)
+	journals := make([]*workload.Journal, n)
+	wls := make([]workload.Workload, n)
+	for i, d := range m.doms {
+		if cfg.BreakDump {
+			// Every dump-zone write fails permanently; reads still succeed
+			// (returning whatever is there — zeros), so recovery sees "no dump"
+			// rather than an I/O error, exactly like a zone that silently
+			// rotted.
+			d.FaultyDump.AddBadRange(0, d.DumpPart.Sectors(), false)
+		}
+		journals[i] = workload.NewJournal()
+		wls[i] = cfg.NewWorkload()
 	}
-	s := r.S
-	j := workload.NewJournal()
-	w := cfg.NewWorkload()
 
 	loaded := s.NewEvent("loaded")
 	audited := s.NewEvent("audited")
 
 	// Life 1: boot, load, serve until the fault kills us.
-	s.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {
-		e, err := r.Boot(p)
+	start := func(p *sim.Proc) ([]*engine.Engine, error) {
+		engines, err := m.bootAll(p)
 		if err != nil {
-			res.Err = fmt.Errorf("boot: %w", err)
-			loaded.Fire()
-			return
+			return nil, fmt.Errorf("boot: %w", err)
 		}
-		if err := w.Load(p, e); err != nil {
-			res.Err = fmt.Errorf("load: %w", err)
-			loaded.Fire()
-			return
+		for i, e := range engines {
+			if err := wls[i].Load(p, e); err != nil {
+				return nil, fmt.Errorf("load domain %d: %w", i, err)
+			}
 		}
+		return engines, nil
+	}
+	s.Spawn(nil, "boot", func(p *sim.Proc) {
+		engines, err := start(p)
+		res.Err = err
+		// The operator's inject delay and the clients draw from one generator
+		// (see injectDelay): loaded fires before any client is spawned.
 		loaded.Fire()
-		for c := 0; c < cfg.Clients; c++ {
-			client := c
-			s.Spawn(r.Plat.Domain(), fmt.Sprintf("client%d", client), func(cp *sim.Proc) {
-				for {
-					var err error
-					if st, ok := w.(*workload.Stress); ok {
-						err = st.DoAs(cp, e, j, client)
-					} else {
-						err = w.Do(cp, e, j)
+		for i, e := range engines {
+			i, e := i, e
+			for c := 0; c < cfg.Clients; c++ {
+				client := c
+				// Clients live in their domain's guest and die with it.
+				s.Spawn(m.doms[i].Plat.Domain(), fmt.Sprintf("dom%d.client%d", i, client), func(cp *sim.Proc) {
+					for {
+						if err := workload.DoAs(cp, e, wls[i], journals[i], client); err != nil {
+							cp.Sleep(time.Millisecond) // deadlock victim: retry
+						}
 					}
-					if err != nil {
-						cp.Sleep(time.Millisecond) // deadlock victim: retry
-					}
-				}
-			})
+				})
+			}
 		}
 	})
 
@@ -443,13 +415,18 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 			audited.Fire()
 			return
 		}
-		span := cfg.InjectAfterMax - cfg.InjectAfterMin
-		delay := cfg.InjectAfterMin
-		if span > 0 {
-			delay += time.Duration(s.Rand().Int63n(int64(span)))
+		p.Sleep(injectDelay(s, cfg.InjectAfterMin, cfg.InjectAfterMax))
+		// Obligations are per domain: a commit acked by domain i must be
+		// found on domain i after recovery, not anywhere else.
+		ackedPer := make([]int, n)
+		sampleAcked := func() {
+			res.Acked = 0
+			for i, j := range journals {
+				ackedPer[i] = j.Len()
+				res.Acked += ackedPer[i]
+			}
 		}
-		p.Sleep(delay)
-		res.Acked = j.Len()
+		sampleAcked()
 		powerCut := cfg.Fault == PowerCut
 		guestDown := cfg.Fault == GuestCrash
 		// composeMid fires the composed second fault at the midpoint of a
@@ -458,7 +435,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		// policy is active (under AckLocal the partition doesn't slow acks
 		// at all — which is exactly the exposure A9 demonstrates).
 		composeMid := func() {
-			res.Acked = j.Len()
+			sampleAcked()
 			switch cfg.Compose {
 			case PowerCut:
 				r.CutPower()
@@ -472,7 +449,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		case GuestCrash:
 			r.CrashOS()
 		case PowerCut:
-			r.CutPower()
+			r.CutPower() // the whole machine: every domain shares the supply
 		case DiskError:
 			if cfg.PermanentFault {
 				r.FaultyLog.AddBadRange(0, r.LogPart.Sectors(), false)
@@ -494,17 +471,14 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 			p.Sleep(w - w/2)
 			r.Fabric.Heal()
 		case ReplicaCrash:
-			n := cfg.CrashReplicas
-			if n > len(r.Standbys) {
-				n = len(r.Standbys)
-			}
-			for _, st := range r.Standbys[:n] {
+			down := r.Standbys[:min(cfg.CrashReplicas, len(r.Standbys))]
+			for _, st := range down {
 				st.Crash()
 			}
 			p.Sleep(cfg.PartitionWindow / 2)
 			composeMid()
 			p.Sleep(cfg.PartitionWindow - cfg.PartitionWindow/2)
-			for _, st := range r.Standbys[:n] {
+			for _, st := range down {
 				st.Restart()
 			}
 		}
@@ -513,22 +487,22 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		// catch-up), then recover and audit.
 		p.Sleep(3 * time.Second)
 		if powerCut {
-			rep, err := r.RecoverAfterPower(p)
+			rep, err := m.recover(p)
 			if err != nil {
 				res.Err = fmt.Errorf("power recovery: %w", err)
 				audited.Fire()
 				return
 			}
-			res.Torn = rep.Torn
-			res.HadDump = rep.HadDump
-			res.DumpRetries = rep.DumpRetries
-			res.DumpFailures = rep.DumpFailures
+			res.Torn, res.HadDump, res.DumpFailures = rep.Torn(), rep.HadDump(), rep.DumpFailures()
+			for _, dr := range rep.Shards {
+				res.DumpRetries += dr.DumpRetries
+			}
 		} else {
 			if cfg.Fault.isMediaFault() || (cfg.Fault.isReplicaFault() && !guestDown) {
 				// The machine never died: every acknowledgement up to this
 				// crash — including those made during the fault window — is
 				// an obligation the audit must see honoured.
-				res.Acked = j.Len()
+				sampleAcked()
 				r.CrashOS()
 				// The hypervisor outlives the guest; give its drainer (and,
 				// when degraded, the probe cadence) time to land the backlog
@@ -542,56 +516,34 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 			}
 			r.RebootAfterCrash()
 		}
-		s.Spawn(r.Plat.Domain(), "db2", func(p *sim.Proc) {
+		s.Spawn(nil, "audit", func(p *sim.Proc) {
 			defer audited.Fire()
-			e, err := r.Boot(p)
+			engines, err := m.bootAll(p)
 			if err != nil {
 				res.Err = fmt.Errorf("recovery boot: %w", err)
 				return
 			}
 			// Audit only what was acked before injection: acks raced with
 			// the fault are not obligations.
-			vr, err := j.VerifyFirst(p, e, res.Acked)
-			if err != nil {
-				res.Err = fmt.Errorf("audit: %w", err)
-				return
-			}
-			res.Missing = vr.Missing
-			res.Mismatched = vr.Mismatched
-			if debugHook != nil && vr.Missing > 0 {
-				debugHook(p, r, e, j, res.Acked, vr)
+			for i, e := range engines {
+				vr, err := journals[i].VerifyFirst(p, e, ackedPer[i])
+				if err != nil {
+					res.Err = fmt.Errorf("audit domain %d: %w", i, err)
+					return
+				}
+				res.Missing += vr.Missing
+				res.Mismatched += vr.Mismatched
 			}
 		})
 	})
 
 	runErr := s.RunFor(10 * time.Minute)
-	if r.Fabric != nil {
-		res.ReplLagMax = r.Obs.Registry().Gauge("repl.lag").Peak()
-	}
-	if r.Obs.Tracer().Enabled() {
-		dump := r.Obs.Tracer().Dump()
-		snap := r.Obs.Registry().Snapshot()
-		res.Artifacts = &Artifacts{Seed: seed, Trace: &dump, Metrics: &snap}
-		if r.Monitor != nil {
-			res.MonitorViolations = r.Monitor.Total()
-			mr := r.Monitor.Report()
-			res.Artifacts.Monitor = &mr
-		}
-		if r.Flight != nil {
-			// A trial that never hit a freeze trigger still yields a usable
-			// black box: seal it at trial end.
-			r.Flight.Freeze(s.Now().Duration(), "trial-end")
-			res.Artifacts.Flight = r.Flight.Record()
+	for _, d := range m.doms {
+		if d.Fabric != nil {
+			res.ReplLagMax = max(res.ReplLagMax, d.Obs.Registry().Gauge("repl.lag").Peak())
 		}
 	}
-	if runErr != nil {
-		if res.Err == nil {
-			res.Err = runErr
-		}
-		return res
-	}
-	if !audited.Fired() && res.Err == nil {
-		res.Err = fmt.Errorf("trial did not complete")
-	}
+	res.Artifacts, res.MonitorViolations = captureArtifacts(seed, s.Now().Duration(), m.obs, r.Monitor, r.Flight)
+	res.Err = settle(res.Err, runErr, audited)
 	return res
 }

@@ -56,7 +56,7 @@ func TestRapiLogSurvivesPowerCuts(t *testing.T) {
 }
 
 func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
-	cfg := quickCampaign(rig.RapiLogSharded, PowerCut, 3)
+	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
 	cfg.Shards = 2
 	sum := RunCampaign(cfg)
 	if sum.Errors > 0 {
@@ -71,7 +71,7 @@ func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
 }
 
 func TestShardedCampaignRejectsNonPowerFaults(t *testing.T) {
-	cfg := quickCampaign(rig.RapiLogSharded, GuestCrash, 1)
+	cfg := quickCampaign(rig.RapiLog, GuestCrash, 1)
 	cfg.Shards = 4
 	if res := RunTrial(cfg, 1); res.Err == nil {
 		t.Fatal("sharded guest-crash trial ran; want config error")
@@ -84,7 +84,7 @@ func TestShardedCampaignRejectsNonPowerFaults(t *testing.T) {
 }
 
 func TestShardedTrialDeterminism(t *testing.T) {
-	cfg := quickCampaign(rig.RapiLogSharded, PowerCut, 1)
+	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
 	cfg.Shards = 2
 	a := RunTrial(cfg, 99)
 	b := RunTrial(cfg, 99)
@@ -93,6 +93,25 @@ func TestShardedTrialDeterminism(t *testing.T) {
 	}
 	if a.Acked != b.Acked || a.Missing != b.Missing || a.HadDump != b.HadDump {
 		t.Fatalf("sharded trials with one seed diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestShardedTrialCapturesArtifacts: a traced sharded trial used to return
+// no capture at all (its runner had no capture code), so rapilog-fault
+// -shards N -trace-out silently wrote nothing.
+func TestShardedTrialCapturesArtifacts(t *testing.T) {
+	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
+	cfg.Shards = 2
+	cfg.Rig.Trace = true
+	res := RunTrial(cfg, 7)
+	if res.Err != nil || res.Acked == 0 {
+		t.Fatalf("trial: %+v", res)
+	}
+	if res.Artifacts == nil || res.Artifacts.Trace == nil || res.Artifacts.Metrics == nil {
+		t.Fatalf("traced sharded trial captured no artifacts: %+v", res.Artifacts)
+	}
+	if len(res.Artifacts.Trace.Events) == 0 {
+		t.Fatal("captured trace is empty")
 	}
 }
 
@@ -224,6 +243,36 @@ func TestNegativeInjectSpanIsConfigError(t *testing.T) {
 	sum := RunCampaign(cfg)
 	if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Trials[0].Err == nil {
 		t.Fatalf("RunCampaign on a negative span: %+v", sum)
+	}
+}
+
+// TestCampaignSizeIsValidated: Trials < 1 used to panic in the pool's
+// make([]T, trials), and Clients < 1 ran trials that acked nothing and
+// "passed". Both campaign kinds share the check.
+func TestCampaignSizeIsValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		trials, clients int
+	}{
+		{"negative trials", -1, 2},
+		{"negative clients", 1, -3},
+	} {
+		cfg := quickCampaign(rig.RapiLog, PowerCut, tc.trials)
+		cfg.Clients = tc.clients
+		if sum := RunCampaign(cfg); sum.Errors != 1 || len(sum.Trials) != 1 || sum.FirstErr() == nil || !sum.Bad() {
+			t.Errorf("%s: RunCampaign: %+v", tc.name, sum)
+		}
+		if res := RunTrial(cfg, 1); res.Err == nil {
+			t.Errorf("%s: RunTrial accepted it", tc.name)
+		}
+		fc := failoverBase(LeaderPowerCut, tc.trials)
+		fc.Clients = tc.clients
+		if sum := RunFailoverCampaign(fc); sum.Errors != 1 || len(sum.Trials) != 1 || sum.FirstErr() == nil || !sum.Bad() {
+			t.Errorf("%s: RunFailoverCampaign: %+v", tc.name, sum)
+		}
+		if res := RunFailoverTrial(fc, 1); res.Err == nil {
+			t.Errorf("%s: RunFailoverTrial accepted it", tc.name)
+		}
 	}
 }
 

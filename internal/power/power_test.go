@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,7 +198,7 @@ func TestHoldupSamplingProperty(t *testing.T) {
 		return h >= PSUMeasured.HoldupMin && h <= PSUMeasured.HoldupMax &&
 			!m.Powered() && dom.Dead()
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
 	}
 }

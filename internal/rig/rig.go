@@ -42,11 +42,6 @@ const (
 	// standby replicas: every buffered write is shipped to the standbys and
 	// the ack policy decides which durability domain gates the commit.
 	RapiLogReplica Mode = "rapilog-replica"
-	// RapiLogSharded partitions commits across several fully independent
-	// RapiLog instances on one machine — per-shard disks, loggers, drain
-	// daemons and dump zones behind a key-hash router. Built with
-	// NewSharded, not New.
-	RapiLogSharded Mode = "rapilog-sharded"
 )
 
 // Modes lists the paper's four evaluation configurations in evaluation
@@ -56,7 +51,7 @@ var Modes = []Mode{NativeSync, NativeAsync, VirtSync, RapiLog}
 
 // Virtualised reports whether the mode runs under the hypervisor.
 func (m Mode) Virtualised() bool {
-	return m == VirtSync || m == RapiLog || m == RapiLogReplica || m == RapiLogSharded
+	return m == VirtSync || m == RapiLog || m == RapiLogReplica
 }
 
 // Replicated reports whether the mode ships the log to standby replicas.

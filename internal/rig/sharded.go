@@ -32,23 +32,17 @@ type Sharded struct {
 
 // NewSharded builds an n-shard deployment. cfg describes one shard (disk
 // kind, PSU, RapiLog knobs, replication…) and is cloned per shard with a
-// distinct derived seed, name prefix and metrics namespace; Mode may be
-// RapiLogSharded (or empty) for plain per-shard RapiLog, or RapiLogReplica
-// to give every shard its own standby fleet.
+// distinct derived seed, name prefix and metrics namespace; Mode is the
+// per-shard mode: RapiLog (or empty), or RapiLogReplica to give every shard
+// its own standby fleet.
 func NewSharded(cfg Config, n int) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rig: sharded deployment needs at least 1 shard, got %d", n)
 	}
-	perMode := cfg.Mode
-	switch perMode {
-	case "", RapiLogSharded, RapiLog:
-		perMode = RapiLog
-	case RapiLogReplica:
-	default:
+	cfg.applyDefaults()
+	if cfg.Mode != RapiLog && cfg.Mode != RapiLogReplica {
 		return nil, fmt.Errorf("rig: mode %q cannot be sharded (no log device to partition)", cfg.Mode)
 	}
-	cfg.Mode = RapiLogSharded
-	cfg.applyDefaults()
 
 	s := sim.New(cfg.Seed)
 	o := obs.New(obs.Config{TraceEnabled: cfg.Trace || cfg.Flight, TraceCapacity: cfg.TraceCapacity})
@@ -64,7 +58,6 @@ func NewSharded(cfg Config, n int) (*Sharded, error) {
 	}
 	for i := 0; i < n; i++ {
 		scfg := cfg
-		scfg.Mode = perMode
 		scfg.namePrefix = fmt.Sprintf("shard%d.", i)
 		scfg.sharers = n
 		scfg.sharedHV = hyp

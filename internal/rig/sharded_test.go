@@ -19,7 +19,7 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Cfg.Mode != RapiLogSharded || len(sh.Shards) != n {
+	if sh.Cfg.Mode != RapiLog || len(sh.Shards) != n {
 		t.Fatalf("mode=%q shards=%d", sh.Cfg.Mode, len(sh.Shards))
 	}
 	for i, r := range sh.Shards {

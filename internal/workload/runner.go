@@ -17,6 +17,17 @@ type Workload interface {
 	Do(p *sim.Proc, e *engine.Engine, j *Journal) error
 }
 
+// DoAs runs one transaction of w on behalf of the given client. Stress
+// partitions its keys by client id so that its clients never conflict, which
+// the Workload interface has no room for: every client loop dispatches
+// through here instead of asserting the type itself.
+func DoAs(p *sim.Proc, e *engine.Engine, w Workload, j *Journal, client int) error {
+	if st, ok := w.(*Stress); ok {
+		return st.DoAs(p, e, j, client)
+	}
+	return w.Do(p, e, j)
+}
+
 // RunnerConfig parameterises a client pool run.
 type RunnerConfig struct {
 	Clients  int           // default 1
@@ -116,12 +127,7 @@ func RunClients(p *sim.Proc, dom *sim.Domain, e *engine.Engine, w Workload, cfg 
 func doWithRetry(cp *sim.Proc, e *engine.Engine, w Workload, cfg RunnerConfig, client int) error {
 	var err error
 	for attempt := 0; attempt <= cfg.Retries; attempt++ {
-		if st, ok := w.(*Stress); ok {
-			err = st.DoAs(cp, e, cfg.Journal, client)
-		} else {
-			err = w.Do(cp, e, cfg.Journal)
-		}
-		if err == nil {
+		if err = DoAs(cp, e, w, cfg.Journal, client); err == nil {
 			return nil
 		}
 		if !errors.Is(err, engine.ErrLockTimeout) && !errors.Is(err, engine.ErrDeadlock) {

@@ -202,11 +202,7 @@ func (se *session) do(cp *sim.Proc) error {
 		opDone := s.NewEvent("session.op")
 		var opErr error
 		worker := s.Spawn(ld.Dom, se.opName, func(wp *sim.Proc) {
-			if st, ok := se.w.(*Stress); ok {
-				opErr = st.DoAs(wp, ld.Eng, se.cfg.Journal, se.client)
-			} else {
-				opErr = se.w.Do(wp, ld.Eng, se.cfg.Journal)
-			}
+			opErr = DoAs(wp, ld.Eng, se.w, se.cfg.Journal, se.client)
 			opDone.Fire()
 		})
 		opDone.WaitTimeout(cp, se.cfg.OpTimeout)

@@ -63,15 +63,14 @@ type (
 // New assembles a deployment.
 func New(cfg Config) (*Deployment, error) { return rig.New(cfg) }
 
-// The four evaluation configurations, plus the replicated and sharded
-// extensions.
+// The four evaluation configurations, plus the replicated extension.
+// Sharding is not a mode: NewSharded builds N domains of either RapiLog mode.
 const (
 	ModeNativeSync     = rig.NativeSync
 	ModeNativeAsync    = rig.NativeAsync
 	ModeVirtSync       = rig.VirtSync
 	ModeRapiLog        = rig.RapiLog
 	ModeRapiLogReplica = rig.RapiLogReplica
-	ModeRapiLogSharded = rig.RapiLogSharded
 )
 
 // Modes lists the paper's four evaluation configurations in evaluation
