@@ -67,6 +67,7 @@ func (d *Deployment) Config(seed int64) (rapilog.Config, error) {
 		Seed:        seed,
 		Mode:        rapilog.Mode(d.Mode),
 		Personality: pers,
+		Shards:      d.Shards,
 		Replicas:    d.Replicas,
 		AckPolicy:   policy,
 		Trace:       d.TraceOut != "",

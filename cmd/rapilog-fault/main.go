@@ -32,7 +32,7 @@ import (
 
 func main() {
 	flags := cliflags.Register(flag.CommandLine, cliflags.Usage{
-		Shards:     "independent log-domain shards on one machine (power-cut only; 0/1 = unsharded)",
+		Shards:     "independent log-domain shards on one machine (power-cut only; 0 = unsharded)",
 		TraceOut:   "write the retained trial's causal trace dump (JSON) to this file",
 		MetricsOut: "write the retained trial's metrics snapshot (JSON) to this file",
 		FlightOut:  "arm the flight recorder and write the retained trial's frozen record (JSON) to this file",
@@ -88,7 +88,6 @@ func main() {
 		PartitionWindow: *partWin,
 		CrashReplicas:   *crashReps,
 		BreakDump:       *breakDump,
-		Shards:          flags.Shards,
 	}
 	if *wl == "stress" {
 		cfg.NewWorkload = func() rapilog.Workload { return &rapilog.Stress{} }

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	flags := cliflags.Register(flag.CommandLine, cliflags.Usage{
-		Shards:     "independent log-domain shards on one machine (0/1 = unsharded; -clients is per shard)",
+		Shards:     "independent log-domain shards on one machine (0 = unsharded; -clients is per shard)",
 		TraceOut:   "write the commit-lifecycle trace as JSON to this file (implies -commit-trace)",
 		MetricsOut: "write a metrics-registry snapshot as JSON to this file",
 		FlightOut:  "arm the flight recorder and write its record as JSON to this file (frozen at run end if nothing froze it first)",
@@ -63,13 +63,6 @@ func main() {
 	cfg.Disk = rapilog.DiskKind(*diskKind)
 	cfg.Trace = cfg.Trace || *commitTrace
 	cfg.TraceCapacity = *traceCap
-	if flags.Shards > 1 {
-		if cfg.Trace || cfg.Flight {
-			fatalf("tracing and the flight recorder are per log domain; not supported with -shards")
-		}
-		runSharded(cfg, flags.Shards, *wl, *clients, *duration, *warmup, flags.MetricsOut)
-		return
-	}
 	dep, err := rapilog.New(cfg)
 	if err != nil {
 		fatalf("%v", err)
@@ -81,89 +74,97 @@ func main() {
 		})
 	}
 
-	var workload rapilog.Workload
+	// One workload per log domain. A lone domain owns every key; a fleet
+	// hash-partitions one data set that grows with the shard count (weak
+	// scaling: per-shard provisioning is constant).
+	n := len(dep.Domains)
+	var ws []rapilog.Workload
 	switch *wl {
 	case "tpcc":
-		workload = &rapilog.TPCC{Warehouses: 4, Districts: 10, Customers: 30, Items: 400}
+		base := rapilog.TPCC{Warehouses: 4 * n, Districts: 10, Customers: 30, Items: 400}
+		ws = []rapilog.Workload{&base}
+		if n > 1 {
+			ws = workloads(rapilog.PartitionTPCC(base, dep.Router))
+		}
 	case "tpcb":
-		workload = &rapilog.TPCB{Branches: 2, Tellers: 10, Accounts: 1000}
+		base := rapilog.TPCB{Branches: 2 * n, Tellers: 10, Accounts: 1000}
+		ws = []rapilog.Workload{&base}
+		if n > 1 {
+			ws = workloads(rapilog.PartitionTPCB(base, dep.Router))
+		}
 	case "stress":
-		workload = &rapilog.Stress{}
+		for range dep.Domains {
+			ws = append(ws, &rapilog.Stress{})
+		}
 	default:
 		fatalf("unknown workload %q", *wl)
 	}
 
-	var res rapilog.RunResult
-	var eng *rapilog.Engine
+	var res rapilog.ShardedResult
+	engines := make([]*rapilog.Engine, n)
+	doms := make([]*rapilog.Domain, n)
 	done := dep.S.NewEvent("done")
-	dep.S.Spawn(dep.Plat.Domain(), "bench", func(p *rapilog.Proc) {
+	dep.S.Spawn(nil, "bench", func(p *rapilog.Proc) {
 		defer done.Fire()
-		e, err := dep.Boot(p)
-		if err != nil {
-			fatalf("boot: %v", err)
+		for i, d := range dep.Domains {
+			e, err := d.Boot(p)
+			if err != nil {
+				fatalf("boot: %v", err)
+			}
+			engines[i], doms[i] = e, d.Plat.Domain()
 		}
-		eng = e
-		if err := workload.Load(p, e); err != nil {
-			fatalf("load: %v", err)
+		for i, e := range engines {
+			if err := ws[i].Load(p, e); err != nil {
+				fatalf("load: %v", err)
+			}
 		}
-		res = rapilog.RunClients(p, dep.Plat.Domain(), e, workload, rapilog.RunnerConfig{
+		var err error
+		res, err = rapilog.RunShardedClients(p, doms, engines, ws, nil, rapilog.RunnerConfig{
 			Clients: *clients, Duration: *duration, Warmup: *warmup,
 		})
+		if err != nil {
+			fatalf("%v", err)
+		}
 	})
 	if err := dep.S.RunUntilEvent(done); err != nil {
 		fatalf("%v", err)
 	}
 
-	fmt.Printf("configuration:  mode=%s engine=%s disk=%s psu=%s clients=%d\n",
+	fmt.Printf("configuration:  mode=%s engine=%s disk=%s psu=%s clients=%d",
 		flags.Mode, flags.Engine, *diskKind, *psu, *clients)
-	fmt.Printf("measured:       %v (after %v warmup)\n", res.Duration, *warmup)
-	fmt.Printf("throughput:     %.0f tps (%d committed, %d aborted)\n", res.TPS(), res.Committed, res.Aborted)
-	fmt.Printf("txn latency:    p50=%v p95=%v p99=%v max=%v\n",
-		res.TxnLatency.Quantile(0.50).Round(time.Microsecond),
-		res.TxnLatency.Quantile(0.95).Round(time.Microsecond),
-		res.TxnLatency.Quantile(0.99).Round(time.Microsecond),
-		res.TxnLatency.Max().Round(time.Microsecond))
-	st := eng.Stats()
-	fmt.Printf("commit latency: p50=%v p99=%v\n",
-		st.CommitLatency.Quantile(0.50).Round(time.Microsecond),
-		st.CommitLatency.Quantile(0.99).Round(time.Microsecond))
-	fmt.Printf("engine:         %d commits, %d aborts, %d checkpoints\n",
-		st.Commits.Value(), st.Aborts.Value(), st.Checkpoints.Value())
-	ws := eng.Log().Stats()
-	fmt.Printf("wal:            %d appends, %d physical forces, %d piggybacked, %d blocks written\n",
-		ws.Appends.Value(), ws.Forces.Value(), ws.ForceWaits.Value(), ws.BlocksWritten.Value())
-	if dep.Logger != nil {
-		rs := dep.Logger.RapiStats()
-		fmt.Printf("rapilog:        %d writes (%d absorbed), %d no-op barriers, %d throttled,\n",
-			rs.Writes.Value(), rs.Absorbed.Value(), rs.Flushes.Value(), rs.Throttled.Value())
-		fmt.Printf("                buffer bound %d KiB, peak occupancy %d KiB, ack p99 %v\n",
-			dep.Logger.MaxBuffer()/1024, rs.Occupancy.Peak()/1024,
-			rs.AckLatency.Quantile(0.99).Round(time.Microsecond))
+	if n > 1 {
+		fmt.Printf("/shard shards=%d", n)
 	}
-	ds := dep.Disk.Stats()
-	fmt.Printf("disk:           %d reads, %d writes, %d flushes, write p99 %v\n",
-		ds.Reads.Value(), ds.Writes.Value(), ds.Flushes.Value(),
-		ds.WriteLatency.Quantile(0.99).Round(time.Microsecond))
-	if dep.Shipper != nil {
-		reg := dep.Obs.Registry()
-		fmt.Printf("replication:    policy=%s, %d standbys, %d records shipped (%d KiB), %d resends, lag peak %d\n",
-			cfg.AckPolicy, len(dep.Standbys), reg.Counter("repl.shipped").Value(),
-			reg.Counter("repl.shipped_bytes").Value()/1024,
-			reg.Counter("repl.resends").Value(), reg.Gauge("repl.lag").Peak())
-		for _, pr := range dep.Shipper.Progress() {
-			lat := reg.Histogram("repl." + pr.Name + ".ack_latency")
-			fmt.Printf("                %s: acked %d/%d, ack latency p50=%v p99=%v\n",
-				pr.Name, pr.Acked, dep.Shipper.LastSeq(),
-				lat.Quantile(0.50).Round(time.Microsecond),
-				lat.Quantile(0.99).Round(time.Microsecond))
+	fmt.Printf("\nmeasured:       %v (after %v warmup)\n", res.Total.Duration, *warmup)
+	fmt.Printf("throughput:     %.0f tps (%d committed, %d aborted)\n", res.Total.TPS(), res.Total.Committed, res.Total.Aborted)
+	fmt.Printf("txn latency:    p50=%v p95=%v p99=%v max=%v\n",
+		res.Total.TxnLatency.Quantile(0.50).Round(time.Microsecond),
+		res.Total.TxnLatency.Quantile(0.95).Round(time.Microsecond),
+		res.Total.TxnLatency.Quantile(0.99).Round(time.Microsecond),
+		res.Total.TxnLatency.Max().Round(time.Microsecond))
+	for i, d := range dep.Domains {
+		if n > 1 {
+			fmt.Printf("shard %-2d        %.0f tps (%d committed)\n", i, res.Shards[i].TPS(), res.Shards[i].Committed)
 		}
+		reportDomain(d, engines[i], cfg.AckPolicy)
+	}
+	reg := dep.Obs.Registry()
+	if n > 1 {
+		ack := rapilog.RollupHistogram(reg, n, "engine.commit.ack_latency")
+		fmt.Printf("rollup:         %d commits, %d rapilog writes, commit ack p50=%v p99=%v\n",
+			rapilog.RollupCounter(reg, n, "engine.commits"),
+			rapilog.RollupCounter(reg, n, "rapilog.writes"),
+			ack.Quantile(0.50).Round(time.Microsecond),
+			ack.Quantile(0.99).Round(time.Microsecond))
 	}
 
 	if cfg.Trace {
 		tr := dep.Obs.Tracer()
 		fmt.Printf("\ncommit trace:   %d events (%d dropped by the ring)\n", tr.Emitted(), tr.Dropped())
-		fmt.Printf("\nstage latencies:\n%s\n", dep.Obs.Registry().Snapshot().LatencyTable())
-		if dep.Logger != nil {
+		fmt.Printf("\nstage latencies:\n%s\n", reg.Snapshot().LatencyTable())
+		// Trace events do not say which domain emitted them: the exposure
+		// audit is a one-domain report.
+		if dep.Logger != nil && n == 1 {
 			rep, err := dep.AuditExposure()
 			if err != nil {
 				fatalf("%v", err)
@@ -186,99 +187,63 @@ func main() {
 		}
 	}
 	writeFileJSON(flags.TraceOut, dep.Obs.Tracer().WriteJSON)
-	writeFileJSON(flags.MetricsOut, dep.Obs.Registry().Snapshot().WriteJSON)
+	writeFileJSON(flags.MetricsOut, reg.Snapshot().WriteJSON)
 	if dep.Flight != nil {
 		dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
 		writeFileJSON(flags.FlightOut, dep.Flight.Record().WriteJSON)
 	}
 }
 
-// runSharded drives an n-shard fleet: one client pool per shard over a
-// partitioned workload, then a fleet report with per-shard throughput and
-// rolled-up RapiLog counters.
-func runSharded(cfg rapilog.Config, n int, wl string, clients int, duration, warmup time.Duration, metricsOut string) {
-	sh, err := rapilog.NewSharded(cfg, n)
+// workloads widens a Partition* result to the slice the client pools take.
+func workloads[W rapilog.Workload](parts []W, err error) []rapilog.Workload {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer sh.Close()
-
-	// Weak scaling: per-shard workload provisioning is constant, so the
-	// fleet's data set grows with the shard count.
-	ws := make([]rapilog.Workload, n)
-	switch wl {
-	case "tpcc":
-		parts, err := rapilog.PartitionTPCC(rapilog.TPCC{Warehouses: 4 * n, Districts: 10, Customers: 30, Items: 400}, sh.Router)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for i, p := range parts {
-			ws[i] = p
-		}
-	case "tpcb":
-		parts, err := rapilog.PartitionTPCB(rapilog.TPCB{Branches: 2 * n, Tellers: 10, Accounts: 1000}, sh.Router)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for i, p := range parts {
-			ws[i] = p
-		}
-	case "stress":
-		for i := range ws {
-			ws[i] = &rapilog.Stress{}
-		}
-	default:
-		fatalf("unknown workload %q", wl)
+	ws := make([]rapilog.Workload, len(parts))
+	for i, p := range parts {
+		ws[i] = p
 	}
+	return ws
+}
 
-	var res rapilog.ShardedResult
-	done := sh.S.NewEvent("done")
-	sh.S.Spawn(nil, "bench", func(p *rapilog.Proc) {
-		defer done.Fire()
-		engines, err := sh.BootAll(p)
-		if err != nil {
-			fatalf("boot: %v", err)
-		}
-		doms := make([]*rapilog.Domain, n)
-		for i, r := range sh.Shards {
-			doms[i] = r.Plat.Domain()
-			if err := ws[i].Load(p, engines[i]); err != nil {
-				fatalf("shard %d load: %v", i, err)
-			}
-		}
-		res, err = rapilog.RunShardedClients(p, doms, engines, ws, nil, rapilog.RunnerConfig{
-			Clients: clients, Duration: duration, Warmup: warmup,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-	})
-	if err := sh.S.RunUntilEvent(done); err != nil {
-		fatalf("%v", err)
+// reportDomain prints one log domain's engine, WAL, RapiLog, disk and
+// replication counters.
+func reportDomain(d *rapilog.LogDomain, eng *rapilog.Engine, policy rapilog.AckPolicy) {
+	st := eng.Stats()
+	fmt.Printf("commit latency: p50=%v p99=%v\n",
+		st.CommitLatency.Quantile(0.50).Round(time.Microsecond),
+		st.CommitLatency.Quantile(0.99).Round(time.Microsecond))
+	fmt.Printf("engine:         %d commits, %d aborts, %d checkpoints\n",
+		st.Commits.Value(), st.Aborts.Value(), st.Checkpoints.Value())
+	ws := eng.Log().Stats()
+	fmt.Printf("wal:            %d appends, %d physical forces, %d piggybacked, %d blocks written\n",
+		ws.Appends.Value(), ws.Forces.Value(), ws.ForceWaits.Value(), ws.BlocksWritten.Value())
+	if d.Logger != nil {
+		rs := d.Logger.RapiStats()
+		fmt.Printf("rapilog:        %d writes (%d absorbed), %d no-op barriers, %d throttled,\n",
+			rs.Writes.Value(), rs.Absorbed.Value(), rs.Flushes.Value(), rs.Throttled.Value())
+		fmt.Printf("                buffer bound %d KiB, peak occupancy %d KiB, ack p99 %v\n",
+			d.Logger.MaxBuffer()/1024, rs.Occupancy.Peak()/1024,
+			rs.AckLatency.Quantile(0.99).Round(time.Microsecond))
 	}
-
-	fmt.Printf("configuration:  mode=%s shards=%d clients=%d/shard workload=%s\n",
-		sh.Cfg.Mode, n, clients, wl)
-	fmt.Printf("measured:       %v (after %v warmup)\n", res.Total.Duration, warmup)
-	fmt.Printf("fleet:          %.0f tps (%d committed, %d aborted)\n",
-		res.Total.TPS(), res.Total.Committed, res.Total.Aborted)
-	fmt.Printf("txn latency:    p50=%v p95=%v p99=%v\n",
-		res.Total.TxnLatency.Quantile(0.50).Round(time.Microsecond),
-		res.Total.TxnLatency.Quantile(0.95).Round(time.Microsecond),
-		res.Total.TxnLatency.Quantile(0.99).Round(time.Microsecond))
-	for i, r := range res.Shards {
-		fmt.Printf("shard %-2d        %.0f tps (%d committed), buffer bound %d KiB\n",
-			i, r.TPS(), r.Committed, sh.Shards[i].Logger.MaxBuffer()/1024)
+	ds := d.Disk.Stats()
+	fmt.Printf("disk:           %d reads, %d writes, %d flushes, write p99 %v\n",
+		ds.Reads.Value(), ds.Writes.Value(), ds.Flushes.Value(),
+		ds.WriteLatency.Quantile(0.99).Round(time.Microsecond))
+	if d.Shipper != nil {
+		reg := d.Obs.Registry()
+		fmt.Printf("replication:    policy=%s, %d standbys, %d records shipped (%d KiB), %d resends, lag peak %d\n",
+			policy, len(d.Standbys), reg.Counter("repl.shipped").Value(),
+			reg.Counter("repl.shipped_bytes").Value()/1024,
+			reg.Counter("repl.resends").Value(), reg.Gauge("repl.lag").Peak())
+		for _, pr := range d.Shipper.Progress() {
+			lat := reg.Histogram("repl." + pr.Name + ".ack_latency")
+			fmt.Printf("                %s: acked %d/%d, ack latency p50=%v p99=%v\n",
+				pr.Name, pr.Acked, d.Shipper.LastSeq(),
+				lat.Quantile(0.50).Round(time.Microsecond),
+				lat.Quantile(0.99).Round(time.Microsecond))
+		}
 	}
-	reg := sh.Obs.Registry()
-	ack := rapilog.RollupHistogram(reg, n, "engine.commit.ack_latency")
-	fmt.Printf("rollup:         %d commits, %d rapilog writes, commit ack p50=%v p99=%v\n",
-		rapilog.RollupCounter(reg, n, "engine.commits"),
-		rapilog.RollupCounter(reg, n, "rapilog.writes"),
-		ack.Quantile(0.50).Round(time.Microsecond),
-		ack.Quantile(0.99).Round(time.Microsecond))
-
-	writeFileJSON(metricsOut, reg.Snapshot().WriteJSON)
 }
 
 // writeFileJSON streams one JSON document into path (none when path is

@@ -60,7 +60,7 @@ func main() {
 			log.Fatalf("recovery: %v", err)
 		}
 		fmt.Printf("  hypervisor firmware replayed the dump zone: %d entries, %d bytes, torn=%v\n",
-			rep.Entries, rep.Bytes, rep.Torn)
+			rep.Entries(), rep.Bytes(), rep.Torn())
 		dep.S.Spawn(dep.Plat.Domain(), "db-reborn", func(p *rapilog.Proc) {
 			e, err := dep.Boot(p)
 			if err != nil {

@@ -60,7 +60,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("power recovery: %v", err)
 		}
-		fmt.Printf("power restored; dump zone replayed %d entries (%d bytes)\n", rep.Entries, rep.Bytes)
+		fmt.Printf("power restored; dump zone replayed %d entries (%d bytes)\n", rep.Entries(), rep.Bytes())
 		dep.S.Spawn(dep.Plat.Domain(), "db-reborn", func(p *rapilog.Proc) {
 			e, err := dep.Boot(p)
 			if err != nil {

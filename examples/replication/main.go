@@ -105,7 +105,7 @@ func main() {
 			log.Fatalf("recovery: %v", err)
 		}
 		fmt.Printf("  dump replay:    %d bytes (the zone was broken: %d dump failures)\n",
-			rep.Bytes, rep.DumpFailures)
+			rep.Bytes(), rep.DumpFailures())
 		fmt.Printf("  %s\n", dep.LastReplicaReplay)
 		dep.S.Spawn(dep.Plat.Domain(), "db2", func(p *rapilog.Proc) {
 			e, err := dep.Boot(p)

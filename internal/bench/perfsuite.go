@@ -422,13 +422,13 @@ func perfShardScaling(shards, clientsPerShard int, dur, warmup time.Duration, se
 	// dump zones (2·8·~16ms of positioning overruns the ~250ms hold-up
 	// budget) — which is the rule doing its job, not a bench failure. SSDs
 	// are both the realistic scale-out hardware and well inside the budget.
-	sh, err := rig.NewSharded(rig.Config{Seed: seed, Cores: 4 * shards, Disk: rig.DiskSSD}, shards)
+	r, err := rig.New(rig.Config{Seed: seed, Cores: 4 * shards, Disk: rig.DiskSSD, Shards: shards})
 	if err != nil {
 		return PerfCase{}, err
 	}
-	defer sh.Close()
+	defer r.Close()
 	base := workload.TPCB{Branches: 4 * shards, Tellers: 4, Accounts: 200}
-	parts, err := workload.PartitionTPCB(base, sh.Router)
+	parts, err := workload.PartitionTPCB(base, r.Router)
 	if err != nil {
 		return PerfCase{}, err
 	}
@@ -436,33 +436,35 @@ func perfShardScaling(shards, clientsPerShard int, dur, warmup time.Duration, se
 	var runErr error
 	var events uint64
 	var wall time.Duration
-	done := sh.S.NewEvent("shard_scaling.done")
-	sh.S.Spawn(nil, "perf", func(p *sim.Proc) {
+	done := r.S.NewEvent("shard_scaling.done")
+	r.S.Spawn(nil, "perf", func(p *sim.Proc) {
 		defer done.Fire()
-		engines, err := sh.BootAll(p)
-		if err != nil {
-			runErr = fmt.Errorf("boot: %w", err)
-			return
-		}
+		engines := make([]*engine.Engine, shards)
 		doms := make([]*sim.Domain, shards)
 		ws := make([]workload.Workload, shards)
+		for i, d := range r.Domains {
+			e, err := d.Boot(p)
+			if err != nil {
+				runErr = fmt.Errorf("shard %d boot: %w", i, err)
+				return
+			}
+			engines[i], doms[i], ws[i] = e, d.Plat.Domain(), parts[i]
+		}
 		for i, e := range engines {
 			if err := parts[i].Load(p, e); err != nil {
 				runErr = fmt.Errorf("shard %d load: %w", i, err)
 				return
 			}
-			doms[i] = sh.Shards[i].Plat.Domain()
-			ws[i] = parts[i]
 		}
-		d0 := sh.S.Dispatched()
+		d0 := r.S.Dispatched()
 		start := time.Now()
 		res, runErr = workload.RunShardedClients(p, doms, engines, ws, nil, workload.RunnerConfig{
 			Clients: clientsPerShard, Duration: dur, Warmup: warmup,
 		})
 		wall = time.Since(start)
-		events = sh.S.Dispatched() - d0
+		events = r.S.Dispatched() - d0
 	})
-	if err := sh.S.RunUntilEvent(done); err != nil {
+	if err := r.S.RunUntilEvent(done); err != nil {
 		return PerfCase{}, err
 	}
 	if runErr != nil {
@@ -476,7 +478,7 @@ func perfShardScaling(shards, clientsPerShard int, dur, warmup time.Duration, se
 	if wall > 0 {
 		pc.EventsPerSec = float64(events) / wall.Seconds()
 	}
-	p50 := shard.RollupHistogram(sh.Obs.Registry(), shards, "engine.commit.ack_latency").Quantile(0.5)
+	p50 := shard.RollupHistogram(r.Obs.Registry(), shards, "engine.commit.ack_latency").Quantile(0.5)
 	pc.CommitP50Ns = float64(p50.Nanoseconds())
 	return pc, nil
 }

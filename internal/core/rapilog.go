@@ -915,9 +915,6 @@ type RecoveryReport struct {
 	HadDump      bool
 	DumpRetries  int
 	DumpFailures int
-	// Flight is the flight record frozen at the power loss, when the rig was
-	// running a flight recorder; nil otherwise.
-	Flight *obs.FlightRecord
 }
 
 // Dump is a parsed dump-zone image: every entry that survived intact, plus

@@ -132,15 +132,28 @@ func TestRecoveryMatchesModelProperty(t *testing.T) {
 // can land inside a transaction or a checkpoint. Keys acked before the
 // crash (per the journal discipline) must survive; the model here records
 // only commits whose Commit call returned before the kill.
+//
+// On this HDD the first ack lands at ≈ 42 ms of virtual time and a 25-commit
+// round with its ≈ 34 ms checkpoint takes ≈ 240 ms, so the crash window —
+// 0.5 s to 2.5 s — starts past the first checkpoint and spans eight more. The
+// coverage counters below fail the test if the drawn instants stop
+// exercising what this comment promises.
 func TestRecoveryUnderMidRunCrashProperty(t *testing.T) {
-	totalAcked := 0
-	prop := func(seed int64, crashMicros uint16) bool {
+	// Where life1 stood when its domain was killed.
+	const (
+		idle = iota
+		inTx
+		inCheckpoint
+	)
+	var totalAcked, afterCheckpoint, crashedInTx, crashedInCheckpoint int
+	prop := func(seed int64, crashMillis uint16) bool {
 		r := newCrashRig(seed + 1000)
 		type committed struct {
 			key string
 			val []byte
 		}
 		var acked []committed
+		at, checkpoints := idle, 0
 
 		r.s.Spawn(r.plat.Domain(), "life1", func(p *sim.Proc) {
 			e, err := Open(p, r.plat, Config{NoDaemons: true})
@@ -148,6 +161,7 @@ func TestRecoveryUnderMidRunCrashProperty(t *testing.T) {
 				return
 			}
 			for i := 0; ; i++ {
+				at = inTx
 				tx := e.Begin(p)
 				key := fmt.Sprintf("u%d", i) // unique keys: exact audit
 				val := bytes.Repeat([]byte{byte(i%250 + 1)}, 50+i%200)
@@ -158,13 +172,17 @@ func TestRecoveryUnderMidRunCrashProperty(t *testing.T) {
 				if err := tx.Commit(); err != nil {
 					continue
 				}
+				at = idle
 				acked = append(acked, committed{key, val})
 				if i%25 == 24 {
+					at = inCheckpoint
 					_ = e.Checkpoint(p)
+					at = idle
+					checkpoints++
 				}
 			}
 		})
-		crashAt := time.Duration(crashMicros%50000+1000) * time.Microsecond
+		crashAt := 500*time.Millisecond + time.Duration(crashMillis%2000)*time.Millisecond
 		r.s.After(crashAt, r.plat.Crash)
 
 		ok := true
@@ -172,6 +190,15 @@ func TestRecoveryUnderMidRunCrashProperty(t *testing.T) {
 			p.Sleep(crashAt + time.Millisecond)
 			ackedAtCrash := len(acked)
 			totalAcked += ackedAtCrash
+			if checkpoints > 0 {
+				afterCheckpoint++
+			}
+			switch at {
+			case inTx:
+				crashedInTx++
+			case inCheckpoint:
+				crashedInCheckpoint++
+			}
 			r.plat.Reboot()
 			r.s.Spawn(r.plat.Domain(), "life2", func(p *sim.Proc) {
 				e, err := Open(p, r.plat, Config{NoDaemons: true})
@@ -197,13 +224,24 @@ func TestRecoveryUnderMidRunCrashProperty(t *testing.T) {
 		}
 		return ok
 	}
-	// A pinned generator: with the default wall-clock seed roughly one run in
-	// ten drew fifteen crash instants that all fell before the first ack and
-	// tripped the vacuity check below.
-	if err := quick.Check(prop, &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(2))}); err != nil {
+	// A pinned generator, so the coverage below is a fact about this test and
+	// not a draw from the wall clock.
+	const trials = 60
+	if err := quick.Check(prop, &quick.Config{MaxCount: trials, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
 	}
-	if totalAcked == 0 {
-		t.Fatal("no trial acknowledged anything before its crash: property vacuous")
+	t.Logf("%d trials: %d acked, %d crashed after a checkpoint, %d inside a transaction, %d inside a checkpoint",
+		trials, totalAcked, afterCheckpoint, crashedInTx, crashedInCheckpoint)
+	if totalAcked < 25*trials {
+		t.Fatalf("%d commits acked before %d crashes, want at least a checkpoint interval (25) each: property near-vacuous", totalAcked, trials)
+	}
+	if afterCheckpoint < trials {
+		t.Fatalf("only %d of %d crashes came after a checkpoint: recovery from a checkpointed log is not covered", afterCheckpoint, trials)
+	}
+	if crashedInTx == 0 {
+		t.Fatal("no crash landed inside a transaction")
+	}
+	if crashedInCheckpoint == 0 {
+		t.Fatal("no crash landed inside a checkpoint")
 	}
 }

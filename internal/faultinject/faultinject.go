@@ -8,12 +8,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/rig"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -54,6 +51,10 @@ func (f Fault) isReplicaFault() bool { return f == Partition || f == ReplicaCras
 
 // CampaignConfig parameterises a fault-injection campaign.
 type CampaignConfig struct {
+	// Rig is the machine every trial is built on. With Rig.Shards > 1 each
+	// log domain gets its own workload copy, journal and client pool, the
+	// fault hits the whole machine, and recovery runs per domain in parallel
+	// — PowerCut only, the one fault that is machine-wide by nature.
 	Rig     rig.Config
 	Fault   Fault
 	Trials  int // default 20
@@ -95,12 +96,6 @@ type CampaignConfig struct {
 	// This is the "local durability domain is gone" half of the A9
 	// double-fault; only a remote policy survives it with data buffered.
 	BreakDump bool
-	// Shards, when > 1, runs every trial against a sharded deployment
-	// (rig.NewSharded): each shard gets its own workload copy, journal and
-	// client pool, the fault hits the whole machine, and recovery runs
-	// per-shard in parallel. PowerCut only — the plug-pull is the one fault
-	// that is machine-wide by nature.
-	Shards int
 	// Workload factory; default: a small TPC-C.
 	NewWorkload func() workload.Workload
 }
@@ -171,10 +166,7 @@ func (c *CampaignConfig) validate() error {
 	default:
 		return fmt.Errorf("faultinject: Compose must be %q or %q, got %q", PowerCut, GuestCrash, c.Compose)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("faultinject: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 && c.Fault != PowerCut {
+	if c.Rig.Shards > 1 && c.Fault != PowerCut {
 		return fmt.Errorf("faultinject: sharded campaigns support %q only, not %q", PowerCut, c.Fault)
 	}
 	return nil
@@ -254,8 +246,8 @@ func (s Summary) String() string {
 		extra += fmt.Sprintf(", %d monitor violations", s.MonitorViolations)
 	}
 	mode := string(s.Config.Rig.Mode)
-	if s.Config.Shards > 1 {
-		mode += fmt.Sprintf("[%d shards]", s.Config.Shards)
+	if s.Config.Rig.Shards > 1 {
+		mode += fmt.Sprintf("[%d shards]", s.Config.Rig.Shards)
 	}
 	fault := string(s.Config.Fault)
 	if s.Config.Compose != "" {
@@ -282,48 +274,6 @@ func RunCampaign(cfg CampaignConfig) Summary {
 	return sum
 }
 
-// machine is what a single-machine trial runs on: one log domain built by
-// rig.New, or cfg.Shards of them built by rig.NewSharded on one simulation,
-// one power supply and one hypervisor.
-type machine struct {
-	s    *sim.Sim
-	obs  *obs.Obs // the root bundle: every domain's instruments and the one tracer
-	doms []*rig.Rig
-	// recover restores power and replays every domain's dump zone.
-	recover func(p *sim.Proc) (shard.Recovery, error)
-}
-
-func buildMachine(cfg rig.Config, shards int) (*machine, error) {
-	if shards > 1 {
-		sh, err := rig.NewSharded(cfg, shards)
-		if err != nil {
-			return nil, err
-		}
-		return &machine{s: sh.S, obs: sh.Obs, doms: sh.Shards, recover: sh.RecoverAfterPower}, nil
-	}
-	r, err := rig.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &machine{s: r.S, obs: r.Obs, doms: []*rig.Rig{r}, recover: func(p *sim.Proc) (shard.Recovery, error) {
-		rep, err := r.RecoverAfterPower(p)
-		return shard.Recovery{Shards: []core.RecoveryReport{rep}}, err
-	}}, nil
-}
-
-// bootAll opens every domain's engine, in domain order.
-func (m *machine) bootAll(p *sim.Proc) ([]*engine.Engine, error) {
-	engines := make([]*engine.Engine, len(m.doms))
-	for i, r := range m.doms {
-		e, err := r.Boot(p)
-		if err != nil {
-			return nil, fmt.Errorf("domain %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	return engines, nil
-}
-
 // RunTrial executes one load→fault→recover→audit cycle in a fresh
 // simulation with the given seed. Every log domain of the machine gets its
 // own workload copy, journal and client pool, and its acked prefix is
@@ -348,17 +298,16 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	if cfg.BreakDump && !rigCfg.DumpFault.Enabled {
 		rigCfg.DumpFault = disk.FaultConfig{Enabled: true, Seed: seed*31 + 7}
 	}
-	m, err := buildMachine(rigCfg, cfg.Shards)
+	r, err := rig.New(rigCfg)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	s, r := m.s, m.doms[0]
-	defer s.Close()
-	n := len(m.doms)
+	defer r.Close()
+	s, n := r.S, len(r.Domains)
 	journals := make([]*workload.Journal, n)
 	wls := make([]workload.Workload, n)
-	for i, d := range m.doms {
+	for i, d := range r.Domains {
 		if cfg.BreakDump {
 			// Every dump-zone write fails permanently; reads still succeed
 			// (returning whatever is there — zeros), so recovery sees "no dump"
@@ -373,9 +322,21 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	loaded := s.NewEvent("loaded")
 	audited := s.NewEvent("audited")
 
+	// boot opens every domain's engine, in domain order.
+	boot := func(p *sim.Proc) ([]*engine.Engine, error) {
+		engines := make([]*engine.Engine, n)
+		for i, d := range r.Domains {
+			e, err := d.Boot(p)
+			if err != nil {
+				return nil, fmt.Errorf("domain %d: %w", i, err)
+			}
+			engines[i] = e
+		}
+		return engines, nil
+	}
 	// Life 1: boot, load, serve until the fault kills us.
 	start := func(p *sim.Proc) ([]*engine.Engine, error) {
-		engines, err := m.bootAll(p)
+		engines, err := boot(p)
 		if err != nil {
 			return nil, fmt.Errorf("boot: %w", err)
 		}
@@ -397,7 +358,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 			for c := 0; c < cfg.Clients; c++ {
 				client := c
 				// Clients live in their domain's guest and die with it.
-				s.Spawn(m.doms[i].Plat.Domain(), fmt.Sprintf("dom%d.client%d", i, client), func(cp *sim.Proc) {
+				s.Spawn(r.Domains[i].Plat.Domain(), fmt.Sprintf("dom%d.client%d", i, client), func(cp *sim.Proc) {
 					for {
 						if err := workload.DoAs(cp, e, wls[i], journals[i], client); err != nil {
 							cp.Sleep(time.Millisecond) // deadlock victim: retry
@@ -487,7 +448,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		// catch-up), then recover and audit.
 		p.Sleep(3 * time.Second)
 		if powerCut {
-			rep, err := m.recover(p)
+			rep, err := r.RecoverAfterPower(p)
 			if err != nil {
 				res.Err = fmt.Errorf("power recovery: %w", err)
 				audited.Fire()
@@ -518,7 +479,7 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 		}
 		s.Spawn(nil, "audit", func(p *sim.Proc) {
 			defer audited.Fire()
-			engines, err := m.bootAll(p)
+			engines, err := boot(p)
 			if err != nil {
 				res.Err = fmt.Errorf("recovery boot: %w", err)
 				return
@@ -538,12 +499,12 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	})
 
 	runErr := s.RunFor(10 * time.Minute)
-	for _, d := range m.doms {
+	for _, d := range r.Domains {
 		if d.Fabric != nil {
 			res.ReplLagMax = max(res.ReplLagMax, d.Obs.Registry().Gauge("repl.lag").Peak())
 		}
 	}
-	res.Artifacts, res.MonitorViolations = captureArtifacts(seed, s.Now().Duration(), m.obs, r.Monitor, r.Flight)
+	res.Artifacts, res.MonitorViolations = captureArtifacts(seed, s.Now().Duration(), r.Obs, r.Monitor, r.Flight)
 	res.Err = settle(res.Err, runErr, audited)
 	return res
 }

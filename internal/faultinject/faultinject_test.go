@@ -57,7 +57,7 @@ func TestRapiLogSurvivesPowerCuts(t *testing.T) {
 
 func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
-	cfg.Shards = 2
+	cfg.Rig.Shards = 2
 	sum := RunCampaign(cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
@@ -72,12 +72,12 @@ func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
 
 func TestShardedCampaignRejectsNonPowerFaults(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, GuestCrash, 1)
-	cfg.Shards = 4
+	cfg.Rig.Shards = 4
 	if res := RunTrial(cfg, 1); res.Err == nil {
 		t.Fatal("sharded guest-crash trial ran; want config error")
 	}
 	cfg.Fault = PowerCut
-	cfg.Shards = -2
+	cfg.Rig.Shards = -2
 	if res := RunTrial(cfg, 1); res.Err == nil {
 		t.Fatal("negative shard count accepted")
 	}
@@ -85,7 +85,7 @@ func TestShardedCampaignRejectsNonPowerFaults(t *testing.T) {
 
 func TestShardedTrialDeterminism(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
-	cfg.Shards = 2
+	cfg.Rig.Shards = 2
 	a := RunTrial(cfg, 99)
 	b := RunTrial(cfg, 99)
 	if a.Err != nil || b.Err != nil {
@@ -101,7 +101,7 @@ func TestShardedTrialDeterminism(t *testing.T) {
 // -shards N -trace-out silently wrote nothing.
 func TestShardedTrialCapturesArtifacts(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
-	cfg.Shards = 2
+	cfg.Rig.Shards = 2
 	cfg.Rig.Trace = true
 	res := RunTrial(cfg, 7)
 	if res.Err != nil || res.Acked == 0 {

@@ -71,7 +71,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 
 func TestGoldenShardedPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
-	cfg.Shards = 3
+	cfg.Rig.Shards = 3
 	res := RunTrial(cfg, 42)
 	if res.Err != nil || res.Acked != 7688 || res.Missing != 0 || !res.HadDump || res.DumpRetries != 0 {
 		t.Fatalf("trial moved: %+v", res)

@@ -144,7 +144,8 @@ func New(s *sim.Sim, fab *netsim.Fabric, cl Cluster, cfg Config) *Coordinator {
 // Failovers returns how many takeovers completed.
 func (co *Coordinator) Failovers() int { return co.failovers }
 
-// LastErr returns the most recent promotion error (nil when clean).
+// LastErr returns why the most recent takeover has not completed — a census
+// still short of its quorum, a failed promotion — and nil once one has.
 func (co *Coordinator) LastErr() error { return co.lastErr }
 
 // Crash kills the coordinator — detector and any in-flight takeover die.
@@ -225,6 +226,11 @@ func (co *Coordinator) failover(p *sim.Proc) {
 				states[sr.From] = sr
 			}
 		}, func() bool { return len(states) >= need })
+		if len(states) < need {
+			// Not an error the takeover gives up on — but the reason a stuck
+			// one is stuck.
+			co.lastErr = fmt.Errorf("ha: census short of quorum: %d of the %d stores needed answered", len(states), need)
+		}
 	}
 
 	// Election: highest (epoch, seq) wins; ties break on name so every
@@ -288,6 +294,7 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	}
 	co.promoteB.Add(bytes)
 	co.failovers++
+	co.lastErr = nil
 	co.tr.Emit(p.Now().Duration(), obs.EvPromote, 0, span, co.tr.Label(winner), bytes)
 	co.s.Tracef("ha: promoted %s at epoch %d (%d bytes replayed)", winner, epoch, bytes)
 }

@@ -1,0 +1,304 @@
+package replica
+
+import (
+	"sort"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// Standby is one remote replica: a receiver in its own crash domain that
+// applies the record stream in order and holds the applied log durably
+// (its store survives its own crashes; only the receiver process dies).
+type Standby struct {
+	s    *sim.Sim
+	fab  *netsim.Fabric
+	name string
+	cfg  Config
+	dom  *sim.Domain
+	ep   *netsim.Endpoint
+
+	alive   bool
+	fenced  int                       // lowest epoch still accepted; below it everything is rejected
+	applied map[int]uint64            // per-epoch contiguous applied prefix
+	seen    map[int]uint64            // per-epoch highest seq ever received
+	ooo     map[int]map[uint64]Record // buffered out-of-order arrivals
+	log     []Record                  // applied records, in apply order
+	arena   []byte                    // append-only copy space for kept payloads
+
+	// The receiver's per-wake-up batch, reset and reused: the epochs touched,
+	// who shipped each (the ack target), and the records applied.
+	batchEpochs  []int
+	batchAckTo   map[int]string
+	batchApplied int
+
+	appliedC *metrics.Counter
+	dupC     *metrics.Counter
+	oooC     *metrics.Counter
+	fenceRej *metrics.Counter
+
+	tr      *obs.Tracer
+	labelID int64
+}
+
+// NewStandby creates a standby replica and starts its receiver. The domain
+// is created directly on the simulation — deliberately outside the
+// machine's crash domains, because the standby models a different machine.
+func NewStandby(s *sim.Sim, fab *netsim.Fabric, name string, cfg Config) *Standby {
+	cfg.applyDefaults()
+	reg := cfg.Reg
+	st := &Standby{
+		s:          s,
+		fab:        fab,
+		name:       name,
+		cfg:        cfg,
+		dom:        s.NewDomain("replica." + name),
+		ep:         fab.Endpoint(name),
+		alive:      true,
+		applied:    make(map[int]uint64),
+		seen:       make(map[int]uint64),
+		ooo:        make(map[int]map[uint64]Record),
+		batchAckTo: make(map[int]string),
+		appliedC:   reg.Counter("repl." + name + ".applied"),
+		dupC:       reg.Counter("repl." + name + ".dups"),
+		oooC:       reg.Counter("repl." + name + ".out_of_order"),
+		fenceRej:   reg.Counter("ha.fence_rejections"),
+		tr:         cfg.Trace,
+		labelID:    cfg.Trace.Label(name),
+	}
+	st.spawnReceiver()
+	return st
+}
+
+// Name returns the standby's fabric endpoint name.
+func (st *Standby) Name() string { return st.name }
+
+// Alive reports whether the standby is up (its receiver running).
+func (st *Standby) Alive() bool { return st.alive }
+
+// AppliedSeq returns the contiguous applied prefix for an epoch.
+func (st *Standby) AppliedSeq(epoch int) uint64 { return st.applied[epoch] }
+
+// Records returns the standby's applied log (live; callers must not
+// mutate). Records survive crashes — the store is durable, the process is
+// not.
+func (st *Standby) Records() []Record { return st.log }
+
+// Epochs returns the epochs this standby holds records for, ascending.
+func (st *Standby) Epochs() []int {
+	out := make([]int, 0, len(st.applied))
+	for e := range st.applied {
+		out = append(out, e)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Crash kills the standby: its receiver dies, its network port goes down
+// (in-flight packets to it are lost), but its applied log — durable
+// storage — survives for Restart and for recovery.
+func (st *Standby) Crash() {
+	if !st.alive {
+		return
+	}
+	st.alive = false
+	st.fab.Isolate(st.name)
+	st.dom.Kill()
+	st.s.Tracef("replica %s: crashed (%d records held)", st.name, len(st.log))
+}
+
+// Restart brings a crashed standby back: the NIC queue that died with the
+// node is discarded, the port comes back up, and a fresh receiver resumes
+// from the durable applied state. Catch-up is the shipper's retransmit
+// protocol doing its job.
+func (st *Standby) Restart() {
+	if st.alive {
+		return
+	}
+	st.alive = true
+	for {
+		m, ok := st.ep.TryRecv()
+		if !ok {
+			break
+		}
+		// The NIC queue dies with the node — but a discarded frame is still
+		// a reference the shipper's pool is waiting on.
+		if rc, ok := m.Payload.(netsim.Refcounted); ok {
+			rc.Release()
+		}
+	}
+	st.fab.Restore(st.name)
+	st.dom.Revive()
+	st.spawnReceiver()
+	st.s.Tracef("replica %s: restarted at %v", st.name, st.s.Now())
+}
+
+func (st *Standby) spawnReceiver() {
+	st.s.Spawn(st.dom, "replica."+st.name, func(p *sim.Proc) {
+		p.SetDaemon(true)
+		for {
+			m := st.ep.Recv(p)
+			st.batchEpochs, st.batchApplied = st.batchEpochs[:0], 0
+			clear(st.batchAckTo)
+			st.handle(m)
+			for {
+				m2, ok := st.ep.TryRecv()
+				if !ok {
+					break
+				}
+				st.handle(m2)
+			}
+			if st.batchApplied > 0 && st.cfg.ApplyDelay > 0 {
+				p.Sleep(time.Duration(st.batchApplied) * st.cfg.ApplyDelay)
+			}
+			// One cumulative ack per epoch touched in this batch, addressed
+			// to whichever shipper carried that epoch's frames: a standby
+			// outlives leaders, so the ack target is the stream's sender,
+			// not a fixed endpoint.
+			sort.Ints(st.batchEpochs)
+			for _, e := range st.batchEpochs {
+				to := st.batchAckTo[e]
+				if to == "" {
+					to = st.cfg.PrimaryName
+				}
+				st.ep.Send(to, ackBytes, ackMsg{
+					Epoch: e, Seq: st.applied[e], Seen: st.maxSeen(e), From: st.name,
+				})
+			}
+		}
+	})
+}
+
+// handle dispatches one inbound message: a frame is applied record by
+// record in one pass and then released back to its shipper's pool; a bare
+// Record (older senders, tests) takes the same per-record path. Either way
+// the batch accounting in the receiver yields ONE cumulative ack per epoch
+// per wakeup — the ack-coalescing half of frame shipping.
+func (st *Standby) handle(m netsim.Message) {
+	switch pl := m.Payload.(type) {
+	case *frame:
+		for i := range pl.recs {
+			st.handleRec(pl.recs[i], m.From)
+		}
+		pl.Release()
+	case Record:
+		st.handleRec(pl, m.From)
+	case FenceMsg:
+		// Fencing is monotone: the fence only ever rises. The ack always
+		// reports the current fence so a duplicate or stale fence still
+		// completes the coordinator's wait.
+		if pl.Epoch > st.fenced {
+			st.fenced = pl.Epoch
+			st.s.Tracef("replica %s: fenced at epoch %d", st.name, pl.Epoch)
+		}
+		st.ep.Send(pl.From, fenceMsgBytes, FenceAck{Epoch: st.fenced, From: st.name})
+	case StateReq:
+		st.ep.Send(pl.From, fenceMsgBytes, st.stateResp())
+	}
+}
+
+// stateResp snapshots the standby's election evidence. The applied map is
+// copied: the response crosses the fabric by reference.
+func (st *Standby) stateResp() StateResp {
+	ap := make(map[int]uint64, len(st.applied))
+	for e, seq := range st.applied {
+		ap[e] = seq
+	}
+	return StateResp{From: st.name, Applied: ap, Fenced: st.fenced}
+}
+
+// Fenced returns the standby's current fence epoch.
+func (st *Standby) Fenced() int { return st.fenced }
+
+// copyData copies a wire payload into the standby's append-only arena.
+// Anything the standby keeps — applied log entries and the out-of-order
+// stash alike — must be its own copy: the shipper's pooled buffers are
+// recycled once every reference dies, while a duplicate frame may still
+// deliver long after. Chunked growth amortises the copies to zero
+// allocations per record at steady state.
+func (st *Standby) copyData(d []byte) []byte {
+	const chunk = 256 << 10
+	if len(d) > cap(st.arena)-len(st.arena) {
+		sz := chunk
+		if len(d) > sz {
+			sz = len(d)
+		}
+		st.arena = make([]byte, 0, sz)
+	}
+	n := len(st.arena)
+	st.arena = append(st.arena, d...)
+	return st.arena[n : n+len(d) : n+len(d)]
+}
+
+// handleRec processes one inbound record: apply in order, buffer ahead-of-
+// order arrivals, re-acknowledge duplicates.
+func (st *Standby) handleRec(rec Record, from string) {
+	e := rec.Epoch
+	if e < st.fenced {
+		// A deposed shipper's stream: reject without applying or acking, so
+		// the stale epoch can never gather quorum evidence after promotion.
+		st.fenceRej.Inc()
+		return
+	}
+	touched := false
+	for _, seen := range st.batchEpochs {
+		if seen == e {
+			touched = true
+			break
+		}
+	}
+	if !touched {
+		st.batchEpochs = append(st.batchEpochs, e)
+	}
+	st.batchAckTo[e] = from
+	if rec.Seq > st.seen[e] {
+		st.seen[e] = rec.Seq
+	}
+	switch ap := st.applied[e]; {
+	case rec.Seq <= ap:
+		st.dupC.Inc() // duplicate or already-covered resend: just re-ack
+	case rec.Seq == ap+1:
+		rec.Data, rec.buf = st.copyData(rec.Data), nil
+		st.apply(rec)
+		st.batchApplied++
+		for {
+			nxt, ok := st.ooo[e][st.applied[e]+1]
+			if !ok {
+				break
+			}
+			delete(st.ooo[e], st.applied[e]+1)
+			st.apply(nxt)
+			st.batchApplied++
+		}
+	default:
+		if st.ooo[e] == nil {
+			st.ooo[e] = make(map[uint64]Record)
+		}
+		if _, dup := st.ooo[e][rec.Seq]; !dup {
+			rec.Data, rec.buf = st.copyData(rec.Data), nil
+			st.ooo[e][rec.Seq] = rec
+			st.oooC.Inc()
+		}
+	}
+}
+
+func (st *Standby) apply(rec Record) {
+	st.applied[rec.Epoch] = rec.Seq
+	st.log = append(st.log, rec)
+	st.appliedC.Inc()
+	st.tr.Emit(st.s.Now().Duration(), obs.EvReplicaApply, 0, rec.Span, int64(rec.Seq), st.labelID)
+}
+
+// maxSeen returns the highest sequence this standby has received for an
+// epoch — applied prefix or anything that ever arrived ahead of it. Tracked
+// incrementally: the receiver acks often, and scanning the out-of-order
+// stash per ack is quadratic in the backlog a partition leaves behind.
+func (st *Standby) maxSeen(epoch int) uint64 {
+	if m := st.seen[epoch]; m > st.applied[epoch] {
+		return m
+	}
+	return st.applied[epoch]
+}

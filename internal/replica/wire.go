@@ -1,0 +1,133 @@
+package replica
+
+import "repro/internal/obs"
+
+// Wire-size model: per-record framing (epoch, seq, lba, length, CRC), the
+// per-frame header (epoch, record count, frame CRC), and the fixed size of
+// a cumulative ack.
+const (
+	recordOverhead = 32
+	frameOverhead  = 16
+	ackBytes       = 24
+)
+
+// Record is one shipped log write: a copy of the payload plus where it
+// belongs on the log partition. Records double as the wire format. Span is
+// the ship's trace context riding the wire (zero when tracing is off) —
+// the analogue of a traceparent header — so standby-side events parent
+// under the primary-side ship span.
+type Record struct {
+	Epoch int
+	Seq   uint64
+	Lba   int64
+	Data  []byte
+	Span  obs.SpanID
+
+	// buf is the pooled backing array behind Data on the primary side. It
+	// is nil for records built by tests, for standby-held copies, and in
+	// recovery replay — the wire format and Recover are unaffected.
+	buf *payloadBuf
+}
+
+// payloadBuf is a pooled, refcounted backing array for a shipped record's
+// payload. The retained stream holds one reference; every frame carrying a
+// copy of the record holds one more. The buffer returns to its size-class
+// pool only when the last reference dies — which is what makes recycling
+// safe under the fabric's delivery-by-reference contract: no frame still in
+// flight can ever observe a recycled buffer.
+type payloadBuf struct {
+	data []byte
+	refs int
+}
+
+// frame is one wire-level batch of records bound for a replica link: the
+// shipper issues one Fabric send per frame instead of one per record, and a
+// standby applies the whole frame in one pass and answers with one
+// cumulative ack. Frames are pooled and refcounted (netsim.Refcounted): a
+// fresh frame starts with one reference per replica it is broadcast to —
+// the fabric releases dropped copies, receivers release on delivery — and
+// returns to its shipper's pool when the last reference dies.
+type frame struct {
+	epoch int
+	recs  []Record
+	span  obs.SpanID
+	refs  int
+	sh    *Shipper
+}
+
+// Retain and Release implement netsim.Refcounted (the fabric retains
+// duplicated deliveries and releases dropped ones).
+func (f *frame) Retain() { f.refs++ }
+
+func (f *frame) Release() {
+	f.refs--
+	if f.refs == 0 {
+		f.sh.putFrame(f)
+	}
+}
+
+// OwnershipSum implements netsim.Checksummer: an FNV-1a digest over the
+// frame header and every record's identity and payload bytes, so the
+// ownership check catches a pooled buffer recycled while the frame was
+// still in flight.
+func (f *frame) OwnershipSum() uint32 {
+	h := uint32(2166136261)
+	mix64 := func(v uint64) {
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ uint32(v>>i&0xff)) * 16777619
+		}
+	}
+	mix64(uint64(f.epoch))
+	mix64(uint64(f.span))
+	mix64(uint64(len(f.recs)))
+	for i := range f.recs {
+		r := &f.recs[i]
+		mix64(r.Seq)
+		mix64(uint64(r.Lba))
+		for _, b := range r.Data {
+			h = (h ^ uint32(b)) * 16777619
+		}
+	}
+	return h
+}
+
+// ackMsg is a standby's cumulative acknowledgement for one epoch.
+type ackMsg struct {
+	Epoch int
+	Seq   uint64 // everything ≤ Seq is durably applied
+	Seen  uint64 // highest seq received (Seen > Seq ⇒ a hole the shipper should refill)
+	From  string
+}
+
+// FenceMsg raises a recipient's fence to Epoch: from its arrival onward,
+// records and acks carrying an epoch below the fence are rejected. The HA
+// coordinator broadcasts it before promoting a standby, so a deposed
+// primary's stream can never commit into a fenced cluster.
+type FenceMsg struct {
+	Epoch int
+	From  string // endpoint to send the FenceAck back to
+}
+
+// FenceAck confirms a standby's fence is at least Epoch.
+type FenceAck struct {
+	Epoch int
+	From  string
+}
+
+// StateReq asks a standby for its replication state (election evidence).
+type StateReq struct {
+	From string // endpoint to send the StateResp back to
+}
+
+// StateResp reports a standby's per-epoch contiguous applied prefixes and
+// its current fence. Applied is a copy: the payload crosses the fabric by
+// reference and must not alias the standby's live map.
+type StateResp struct {
+	From    string
+	Applied map[int]uint64
+	Fenced  int
+}
+
+// fenceMsgBytes is the wire size of fence/state-query control messages —
+// small fixed-format datagrams like acks.
+const fenceMsgBytes = ackBytes

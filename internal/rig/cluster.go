@@ -9,7 +9,6 @@ import (
 	"repro/internal/ha"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/sim"
 )
@@ -101,6 +100,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("rig: cluster needs at least 2 nodes, got %d", cfg.Nodes)
 	}
+	if cfg.Rig.Shards != 0 {
+		return nil, fmt.Errorf("rig: cluster nodes with sharded log domains are not supported yet (Shards = %d)", cfg.Rig.Shards)
+	}
 	if k := cfg.Rig.AckPolicy.K; k > cfg.Nodes-1 {
 		return nil, fmt.Errorf("rig: ack policy %v needs %d standby stores, have %d", cfg.Rig.AckPolicy, k, cfg.Nodes-1)
 	}
@@ -124,23 +126,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// Node 0 leads first. Its own store is crashed while it leads: a
 	// leader does not replicate to itself, and a store that kept acking
 	// its own stream would let a one-node "quorum" survive the machine.
-	r, err := c.buildNodeRig(0, 0)
+	r, err := c.buildNode(0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.assemblePlatform(); err != nil {
+	if err := c.lead(0, r); err != nil {
 		return nil, err
 	}
-	c.nodes[0].rig = r
-	c.leader = 0
-	c.epoch = r.epoch
 	c.nodes[0].store.Crash()
-	c.spawnAgent(r, c.nodes[0].name)
 
 	// One monitor for the whole cluster, armed off the initial leader's
-	// rig (node rigs are built with deferPlatform, so none of them arms
-	// its own observer): every node's events flow through the shared
-	// tracer into the same invariant state.
+	// machine (promoted nodes never arm their own): every node's events
+	// flow through the shared tracer into the same invariant state.
 	r.setupVerification()
 	c.Monitor, c.Flight = r.Monitor, r.Flight
 
@@ -155,23 +152,31 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // fabric and the coordinator go with it.
 func (c *Cluster) Close() { c.S.Close() }
 
-// buildNodeRig assembles the storage half of a node's deployment (machine,
-// disks, partitions) on the shared substrate, deferring the platform so
-// promotion can replay the replicated prefix into the log partition first.
-func (c *Cluster) buildNodeRig(idx, startEpoch int) (*Rig, error) {
+// buildNode assembles a node's machine and the storage half of its log
+// domain on the cluster's simulation, fabric and peer stores. The platform
+// comes with lead, so promotion can replay the replicated prefix into the
+// log partition first.
+func (c *Cluster) buildNode(idx, startEpoch int) (*Rig, error) {
 	name := c.nodes[idx].name
-	ncfg := c.Cfg.Rig
-	ncfg.namePrefix = name + "."
-	ncfg.primaryName = name
-	ncfg.extFabric = c.Fabric
-	ncfg.extStandbys = c.peerStoresOf(idx)
-	ncfg.Replicas = len(ncfg.extStandbys)
-	ncfg.startEpoch = startEpoch
-	ncfg.deferPlatform = true
-	m := power.NewMachine(c.S, name+".machine", ncfg.Cores, ncfg.PSU)
-	no := c.Obs.Sub(name)
-	m.SetObs(no)
-	return newOnSubstrate(ncfg, c.S, m, no)
+	r := newMachine(c.Cfg.Rig, c.S, name+".machine", c.Obs.Sub(name))
+	_, err := r.newLogDomain(r.Obs, site{
+		prefix: name + ".", sharers: 1, endpoint: name,
+		fabric: c.Fabric, stores: c.peerStoresOf(idx), epoch: startEpoch,
+	})
+	return r, err
+}
+
+// lead starts node idx's logger, shipper and guest on the log partition as
+// it stands, and makes the node the leader.
+func (c *Cluster) lead(idx int, r *Rig) error {
+	if err := r.assemblePlatform(); err != nil {
+		return err
+	}
+	c.nodes[idx].rig = r
+	c.leader = idx
+	c.epoch = r.epoch
+	c.spawnAgent(r, c.nodes[idx].name)
+	return nil
 }
 
 // spawnAgent starts the leader's heartbeat responder in its hypervisor
@@ -274,7 +279,7 @@ func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, er
 		return 0, fmt.Errorf("rig: promote: unknown store %q", winnerStore)
 	}
 	node := c.nodes[idx]
-	r, err := c.buildNodeRig(idx, epoch-1)
+	r, err := c.buildNode(idx, epoch-1)
 	if err != nil {
 		return 0, err
 	}
@@ -295,13 +300,9 @@ func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, er
 	}
 	c.LastReplay = rr
 
-	if err := r.assemblePlatform(); err != nil {
+	if err := c.lead(idx, r); err != nil {
 		return rr.Bytes, err
 	}
-	node.rig = r
-	c.leader = idx
-	c.epoch = r.epoch
-	c.spawnAgent(r, node.name)
 
 	// Boot in the guest domain, like any other first boot; the
 	// coordinator waits so a takeover is not "done" until the engine

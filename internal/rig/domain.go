@@ -1,0 +1,410 @@
+package rig
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/engine"
+	"repro/internal/hv"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/replica"
+	"repro/internal/shard"
+	"repro/internal/sim"
+)
+
+// site says where a log domain lives: everything about it that the topology
+// around it decides, not the deployment Config.
+type site struct {
+	// prefix names the domain's guest among the machine's ("" on the paper's
+	// machine, "shard<i>." on a sharded one, "node<i>." in a cluster).
+	prefix string
+	// seedOffset is added to Config.Seed and NetSeed wherever the domain
+	// derives a private fault generator.
+	seedOffset int64
+	// sharers is how many log domains dump into the machine's one hold-up
+	// window; it feeds the N-aware buffer sizing rule.
+	sharers int
+	// endpoint is the shipper's name on the replication fabric.
+	endpoint string
+	// fabric and stores graft the domain onto a cluster's shared fabric and
+	// peer stores; a nil fabric means "build a private fleet".
+	fabric *netsim.Fabric
+	stores []*replica.Standby
+	// epoch is the replication epoch the domain starts after: a promoted
+	// node continues the cluster's monotone sequence.
+	epoch int
+}
+
+// LogDomain is one independent commit stream on a machine: its disks and
+// partitions, the guest its DBMS runs in, and — in the RapiLog modes — its
+// logger, dump zone and replication fleet.
+type LogDomain struct {
+	m  *Rig
+	at site
+
+	Disk     disk.Device
+	LogPart  *disk.Partition
+	DumpPart *disk.Partition
+	DataPart *disk.Partition
+	// LogDev is what the platform's log path actually consumes: LogPart,
+	// wrapped by FaultyLog when Config.LogFault is enabled.
+	LogDev    disk.Device
+	FaultyLog *disk.Faulty // nil unless Config.LogFault.Enabled
+	// DumpDev is what the emergency dump actually writes to (and Recover
+	// reads from): DumpPart, wrapped by FaultyDump when Config.DumpFault
+	// is enabled.
+	DumpDev    disk.Device
+	FaultyDump *disk.Faulty // nil unless Config.DumpFault.Enabled
+	Plat       hv.Platform
+	Logger     *core.Logger // nil unless Mode is RapiLog or RapiLogReplica
+	// Obs is the view this domain's instruments register under: the
+	// machine's root bundle, or its "shard.<i>" sub-view.
+	Obs *obs.Obs
+
+	// Replication state (Mode == RapiLogReplica only). The fabric and the
+	// standbys model remote machines: they are built once and survive the
+	// primary's power cycles; the shipper belongs to the primary's
+	// hypervisor and is rebuilt — under a new epoch — with each logger.
+	Fabric            *netsim.Fabric
+	Standbys          []*replica.Standby
+	Shipper           *replica.Shipper
+	epoch             int
+	LastReplicaReplay replica.RecoverReport
+}
+
+// newLogDomain builds a log domain's storage — disks, partitions, fault
+// wrappers and, when replicated, its fleet — on machine r, registering its
+// instruments on o, and appends it to r.Domains. The platform on top is
+// assemblePlatform's: a promoted cluster node replays the replicated prefix
+// into the log partition in between.
+func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
+	cfg, s, m := r.Cfg, r.S, r.Machine
+	seed := cfg.Seed + at.seedOffset
+	mkDisk := func(name string, kind DiskKind) (disk.Device, error) {
+		switch kind {
+		case DiskHDD:
+			hc := cfg.HDD
+			if hc.Name == "" {
+				hc.Name = name
+			}
+			hc.Reg = o.Registry()
+			return disk.NewHDD(s, m.HardwareDomain(), hc), nil
+		case DiskSSD:
+			sc := cfg.SSD
+			if sc.Name == "" {
+				sc.Name = name
+			}
+			sc.Reg = o.Registry()
+			return disk.NewSSD(s, m.HardwareDomain(), sc), nil
+		case DiskMem:
+			return disk.NewMem(s, disk.MemConfig{Name: name, Persistent: true, Capacity: 1 << 22, Reg: o.Registry()}), nil
+		default:
+			return nil, fmt.Errorf("rig: unknown disk kind %q", kind)
+		}
+	}
+	dev, err := mkDisk("disk0", cfg.Disk)
+	if err != nil {
+		return nil, err
+	}
+	m.AttachDevice(dev)
+	logDev := dev
+	dataStart := cfg.LogSectors + cfg.DumpSectors
+	if cfg.DedicatedLogDisk || (cfg.LogDiskKind != "" && cfg.LogDiskKind != cfg.Disk) {
+		logKind := cfg.Disk
+		if cfg.LogDiskKind != "" {
+			logKind = cfg.LogDiskKind
+		}
+		logDev, err = mkDisk("disk1-log", logKind)
+		if err != nil {
+			return nil, err
+		}
+		m.AttachDevice(logDev)
+		dataStart = 0
+	}
+
+	logPart, err := disk.NewPartition(logDev, "log", 0, cfg.LogSectors)
+	if err != nil {
+		return nil, err
+	}
+	dumpPart, err := disk.NewPartition(logDev, "dump", cfg.LogSectors, cfg.DumpSectors)
+	if err != nil {
+		return nil, err
+	}
+	dataPart, err := disk.NewPartition(dev, "data", dataStart, dev.Sectors()-dataStart)
+	if err != nil {
+		return nil, err
+	}
+
+	d := &LogDomain{
+		m: r, at: at, Disk: dev,
+		LogPart: logPart, DumpPart: dumpPart, DataPart: dataPart,
+		Obs: o, epoch: at.epoch,
+	}
+	d.LogDev = logPart
+	if cfg.LogFault.Enabled {
+		fc := cfg.LogFault
+		fc.Reg = o.Registry()
+		if fc.Seed == 0 {
+			fc.Seed = seed + 1
+		}
+		d.FaultyLog = disk.NewFaulty(logPart, fc)
+		d.LogDev = d.FaultyLog
+	}
+	d.DumpDev = dumpPart
+	if cfg.DumpFault.Enabled {
+		fc := cfg.DumpFault
+		fc.Reg = o.Registry()
+		if fc.Seed == 0 {
+			fc.Seed = seed + 3
+		}
+		d.FaultyDump = disk.NewFaulty(dumpPart, fc)
+		d.DumpDev = d.FaultyDump
+	}
+	if cfg.Mode.Replicated() {
+		if k := cfg.AckPolicy.K; k > cfg.Replicas {
+			return nil, fmt.Errorf("rig: ack policy %v needs %d replicas, have %d", cfg.AckPolicy, k, cfg.Replicas)
+		}
+		if at.fabric != nil {
+			// A cluster node ships to the cluster's shared peer stores over
+			// the shared fabric; it owns neither.
+			d.Fabric = at.fabric
+			d.Standbys = at.stores
+		} else {
+			d.Fabric = netsim.New(s, netsim.Config{Seed: cfg.NetSeed + at.seedOffset, Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
+			rc := cfg.Replica
+			rc.PrimaryName = at.endpoint
+			rc.Reg = o.Registry()
+			rc.SectorSize = d.LogDev.SectorSize()
+			rc.Trace = o.Tracer()
+			for i := 0; i < cfg.Replicas; i++ {
+				// Endpoint names are scoped to this domain's private fabric, so no
+				// prefix is needed for uniqueness — just for trace readability.
+				d.Standbys = append(d.Standbys, replica.NewStandby(s, d.Fabric, fmt.Sprintf("standby%d", i), rc))
+			}
+		}
+	}
+	r.Domains = append(r.Domains, d)
+	r.LogDomain, r.Router = r.Domains[0], shard.NewRouter(len(r.Domains))
+	return d, nil
+}
+
+// assemblePlatform builds (or rebuilds, after a power cycle) the domain's
+// platform layer: RapiLog device + guest under the machine's hypervisor, or
+// the native OS domain.
+func (d *LogDomain) assemblePlatform() error {
+	cfg, m, hyp := d.m.Cfg, d.m.Machine, d.m.HV
+	switch cfg.Mode {
+	case NativeSync, NativeAsync:
+		if d.Plat == nil {
+			d.Plat = hv.NewNative(m, d.LogDev, d.DataPart)
+		}
+		return nil
+	case VirtSync:
+		if d.Plat == nil {
+			d.Plat = hyp.NewGuest(d.at.prefix+"db", d.LogDev, d.DataPart)
+		}
+		return nil
+	case RapiLog, RapiLogReplica:
+		rlCfg := cfg.RapiLog
+		rlCfg.Obs = d.Obs
+		if d.at.sharers > 1 && rlCfg.MaxBuffer == 0 {
+			// N shards dump concurrently into the same hold-up window: size
+			// each buffer by the shared budget, not the whole one. (Metric
+			// names stay identical across shards — "rapilog.*" under each
+			// shard's Obs view — so fleet roll-ups can match by suffix.)
+			shared := core.SafeBufferSizeShared(m, d.DumpPart, d.at.sharers)
+			if shared <= 0 {
+				return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", d.at.sharers)
+			}
+			rlCfg.MaxBuffer = shared
+		}
+		if cfg.Mode.Replicated() {
+			// A new power epoch gets a new shipper: the stream restarts at
+			// seq 1 under the next epoch number and the standbys keep both
+			// (recovery replays epochs in order). The ack/probe daemons run
+			// in the hypervisor domain, dying with the machine like the
+			// drain does.
+			d.epoch++
+			names := make([]string, len(d.Standbys))
+			for i, st := range d.Standbys {
+				names[i] = st.Name()
+			}
+			rc := cfg.Replica
+			rc.PrimaryName = d.at.endpoint
+			rc.Reg = d.Obs.Registry()
+			rc.SectorSize = d.LogDev.SectorSize()
+			rc.Trace = d.Obs.Tracer()
+			if cfg.AckPolicy.Remote() {
+				rc.TraceQuorumK = cfg.AckPolicy.K
+			} else {
+				// No quorum barrier on the ack path, but the trace still
+				// marks first-copy coverage so lag is visible.
+				rc.TraceQuorumK = 1
+			}
+			d.Shipper = replica.NewShipper(d.m.S, d.Fabric, hyp.Domain(), d.epoch, names, rc)
+			rlCfg.Replicator = d.Shipper
+			rlCfg.Policy = cfg.AckPolicy
+		}
+		logger, err := core.NewLogger(m, hyp.Domain(), d.LogDev, d.DumpDev, rlCfg)
+		if err != nil {
+			return err
+		}
+		d.Logger = logger
+		if d.Plat == nil {
+			d.Plat = hyp.NewGuest(d.at.prefix+"db", logger, d.DataPart)
+		} else if g, ok := d.Plat.(*hv.Guest); ok {
+			g.SetLogBacking(logger)
+		}
+		return nil
+	default:
+		return fmt.Errorf("rig: unknown mode %q", cfg.Mode)
+	}
+}
+
+// EngineConfig returns the engine configuration the machine's mode implies.
+func (d *LogDomain) EngineConfig() engine.Config {
+	return engine.Config{
+		Personality:     d.m.Cfg.Personality,
+		CommitMode:      d.m.Cfg.Mode.CommitMode(),
+		CheckpointEvery: d.m.Cfg.CheckpointEvery,
+		LockTimeout:     d.m.Cfg.LockTimeout,
+		NoDaemons:       d.m.Cfg.NoDaemons,
+		Obs:             d.Obs,
+	}
+}
+
+// SafeBound returns the provable exposure limit for this domain: the lesser
+// of the configured buffer bound and SafeBufferSize — the N-sharer variant on
+// a sharded machine, since all N dumps share the hold-up window. Zero outside
+// RapiLog mode (nothing is ever exposed).
+func (d *LogDomain) SafeBound() int64 {
+	if d.Logger == nil {
+		return 0
+	}
+	bound := d.Logger.MaxBuffer()
+	if safe := core.SafeBufferSizeShared(d.m.Machine, d.DumpPart, d.at.sharers); safe < bound {
+		bound = safe
+	}
+	return bound
+}
+
+// Boot opens the engine (running recovery if the devices hold prior state).
+// In RapiLog mode the dump-zone replay — hypervisor firmware work — has
+// already happened if RecoverAfterPower was used; first boots find nothing
+// to replay.
+func (d *LogDomain) Boot(p *sim.Proc) (*engine.Engine, error) {
+	return engine.Open(p, d.Plat, d.EngineConfig())
+}
+
+// CrashOS kills the software stack the DBMS runs on: the guest VM in
+// virtualised modes (the hypervisor survives), or the whole OS natively.
+func (d *LogDomain) CrashOS() { d.Plat.Crash() }
+
+// RebootAfterCrash revives the platform domain so Boot can run recovery.
+// In RapiLog mode the hypervisor — and the logger's buffered data — were
+// never lost; the same logger keeps serving the rebooted guest.
+func (d *LogDomain) RebootAfterCrash() { d.Plat.Reboot() }
+
+// recover is the per-domain half of RecoverAfterPower: with power already
+// restored and the hypervisor rebooted, it replays this domain's dump zone
+// (and replica stream, when the policy calls for it) and rebuilds its
+// platform.
+func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
+	var rep core.RecoveryReport
+	d.Plat.Reboot()
+	if d.m.Cfg.Mode == RapiLog || d.m.Cfg.Mode.Replicated() {
+		var err error
+		if d.m.Cfg.Mode.Replicated() {
+			rep, err = d.replicatedRecover(p)
+		} else {
+			rep, err = core.Recover(p, d.LogDev, d.DumpDev)
+		}
+		if err != nil {
+			return rep, err
+		}
+		// Carry the dying epoch's dump-path counters into the report before
+		// the logger is rebuilt: HadDump=false plus DumpFailures>0 is how an
+		// audit tells "the dump write failed" from "nothing was buffered".
+		if d.Logger != nil {
+			st := d.Logger.RapiStats()
+			rep.DumpRetries = int(st.DumpRetries.Value())
+			rep.DumpFailures = int(st.DumpFailures.Value())
+		}
+		// A fresh logger for the new power epoch.
+		if err := d.assemblePlatform(); err != nil {
+			return rep, err
+		}
+	}
+	return rep, nil
+}
+
+// replicatedRecover merges the two durability domains at boot. The local
+// domain — drained sectors on the log partition plus the dump zone's
+// snapshot of what was still buffered — is authoritative wherever it is
+// complete: it holds the newest version of every sector, while a standby
+// that lagged (a partition, a crash) holds stale images of sectors the
+// drain has since rewritten, and folding those over the log would roll
+// acked, locally durable commits back to pre-partition contents. Replica
+// records are therefore replayed only when the ack policy actually makes
+// the standbys the durability domain for bytes the local domain lost:
+//
+//   - AckRemoteOnly: always. The dump is disabled by design, so the
+//     standbys are the only copy of everything still buffered at the cut.
+//   - AckQuorum: only when the dump cannot account for the buffer — a torn
+//     image, a failed dump write, an unreadable zone. Any rollback this
+//     replay inflicts is bounded to unacknowledged writes: a commit was
+//     acked only after k standbys held its bytes, so the surviving
+//     standbys' prefixes cover every acked sector state.
+//   - AckLocal: never. Acks are not gated on the standbys, so a lagging
+//     standby can sit arbitrarily far behind the ack frontier and there is
+//     no per-sector version metadata to merge against; replaying could
+//     only trade acked local durability for stale remote bytes. (The
+//     stream still feeds lag reporting and warm standbys under AckLocal —
+//     it just is not a recovery source.)
+//
+// When both sources replay, replica records land first and the dump's
+// intact entries second: the dump snapshotted the newest buffered version
+// of everything it covers, so it must win on overlap.
+func (d *LogDomain) replicatedRecover(p *sim.Proc) (core.RecoveryReport, error) {
+	d.LastReplicaReplay = replica.RecoverReport{}
+	dump, derr := core.ReadDump(p, d.DumpDev)
+	rep := core.RecoveryReport{HadDump: dump.HadDump, Torn: dump.Torn}
+
+	dumpFailed := false
+	if d.Logger != nil {
+		dumpFailed = d.Logger.RapiStats().DumpFailures.Value() > 0
+	}
+	// The local domain is complete when the dump image accounts for the
+	// whole buffer — or when there was provably nothing buffered to dump.
+	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && !dumpFailed))
+	needReplica := false
+	switch d.m.Cfg.AckPolicy.Kind {
+	case core.AckKindRemoteOnly:
+		needReplica = true
+	case core.AckKindQuorum:
+		needReplica = !localComplete
+	}
+	if derr != nil && !needReplica {
+		return rep, derr
+	}
+	if needReplica {
+		rr, err := replica.Recover(p, d.Standbys, d.LogDev)
+		if err != nil {
+			return rep, err
+		}
+		d.LastReplicaReplay = rr
+	}
+	if derr == nil && dump.HadDump {
+		var err error
+		rep.Entries, rep.Bytes, err = dump.Replay(p, d.LogDev)
+		if err != nil {
+			return rep, err
+		}
+		if err := core.InvalidateDump(p, d.DumpDev); err != nil {
+			return rep, err
+		}
+	}
+	return rep, nil
+}

@@ -12,6 +12,14 @@
 //	              (the virtualisation-overhead baseline)
 //	rapilog       DBMS in a VM, log partition interposed by RapiLog
 //	              (fast and safe — the paper's contribution)
+//
+// There is one topology. A Rig is a machine — simulation, power supply,
+// hypervisor, observability — carrying 1..N LogDomains (Config.Shards), each
+// an independent commit stream with its own disks, guest, logger and
+// replication fleet; New is the only machine constructor. A Cluster is N such
+// machines on one simulation and one fabric, one of them leading. Every log
+// domain anywhere is built by the same two steps — newLogDomain (storage),
+// then assemblePlatform — and told where it lives by an explicit site.
 package rig
 
 import (
@@ -26,6 +34,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replica"
+	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -115,7 +124,16 @@ type Config struct {
 	// fault the replication campaigns compose with power loss to show what
 	// a remote durability domain buys when the local one fails.
 	DumpFault disk.FaultConfig
-	// Replication (Mode == RapiLogReplica only).
+	// Shards splits the machine into that many fully independent log domains
+	// — each with its own disks, log partition, dump zone, guest, logger and
+	// (when replicated) fabric + standby fleet — behind a key-hash Router.
+	// They share the simulation, the power supply (so each buffer is sized
+	// by the N-sharer hold-up budget) and the one hypervisor. 0 is the
+	// paper's machine: one domain, no name prefix. Needs a mode with a log
+	// device (RapiLog or RapiLogReplica).
+	Shards int
+	// Replication (Mode == RapiLogReplica only). Every log domain gets its
+	// own fleet.
 	Replicas  int            // standby count; default 2
 	AckPolicy core.AckPolicy // default AckLocal
 	Net       netsim.LinkConfig
@@ -138,36 +156,6 @@ type Config struct {
 	// FlightSnapEvery overrides the recorder's metric-snapshot cadence
 	// (default 250ms of virtual time).
 	FlightSnapEvery time.Duration
-
-	// Sharded-deployment plumbing, set only by NewSharded: namePrefix
-	// distinguishes this shard's disks, guests and procs on the shared
-	// machine; sharers is the shard count feeding the N-aware sizing rule;
-	// sharedHV is the one hypervisor every shard's guest runs under.
-	namePrefix string
-	sharers    int
-	sharedHV   *hv.Hypervisor
-
-	// HA-cluster plumbing, set only by NewCluster and Cluster promotion:
-	// primaryName gives this node's shipper its own fabric endpoint (the
-	// node name, not the global "primary"); extFabric/extStandbys graft the
-	// rig onto the cluster's shared fabric and peer stores instead of
-	// building a private fleet; startEpoch makes a promoted rig continue
-	// the cluster's monotone epoch sequence; deferPlatform leaves platform
-	// assembly (and monitor arming) to the cluster, which must replay the
-	// winner's prefix into the log partition before the logger exists.
-	primaryName   string
-	extFabric     *netsim.Fabric
-	extStandbys   []*replica.Standby
-	startEpoch    int
-	deferPlatform bool
-}
-
-// primary returns the fabric endpoint this rig's shipper answers on.
-func (c *Config) primary() string {
-	if c.primaryName != "" {
-		return c.primaryName
-	}
-	return PrimaryEndpoint
 }
 
 func (c *Config) applyDefaults() {
@@ -207,38 +195,41 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Rig is an assembled deployment.
-type Rig struct {
-	Cfg      Config
-	S        *sim.Sim
-	Machine  *power.Machine
-	Disk     disk.Device
-	LogPart  *disk.Partition
-	DumpPart *disk.Partition
-	DataPart *disk.Partition
-	// LogDev is what the platform's log path actually consumes: LogPart,
-	// wrapped by FaultyLog when Config.LogFault is enabled.
-	LogDev    disk.Device
-	FaultyLog *disk.Faulty // nil unless Config.LogFault.Enabled
-	// DumpDev is what the emergency dump actually writes to (and Recover
-	// reads from): DumpPart, wrapped by FaultyDump when Config.DumpFault
-	// is enabled.
-	DumpDev    disk.Device
-	FaultyDump *disk.Faulty   // nil unless Config.DumpFault.Enabled
-	HV         *hv.Hypervisor // nil in native modes
-	Plat       hv.Platform
-	Logger     *core.Logger // nil unless Mode is RapiLog or RapiLogReplica
-	Obs        *obs.Obs     // shared by every layer of the deployment
+// validate rejects configurations no machine can be built from.
+func (c *Config) validate() error {
+	if c.Shards < 0 {
+		return fmt.Errorf("rig: negative shard count %d", c.Shards)
+	}
+	if c.Shards > 0 && c.Mode != RapiLog && c.Mode != RapiLogReplica {
+		return fmt.Errorf("rig: mode %q cannot be sharded (no log device to partition)", c.Mode)
+	}
+	// The tracer has one observer slot, which cannot feed N per-domain
+	// monitors: a sharded machine runs without the online monitor, and the
+	// flight recorder is nothing without it.
+	if c.Shards > 1 && c.Flight {
+		return fmt.Errorf("rig: Flight is not supported with Shards > 1 (%d): the online monitor is not armed on a sharded machine, so the recorder would have nothing to record", c.Shards)
+	}
+	return nil
+}
 
-	// Replication state (Mode == RapiLogReplica only). The fabric and the
-	// standbys model remote machines: they are built once and survive the
-	// primary's power cycles; the shipper belongs to the primary's
-	// hypervisor and is rebuilt — under a new epoch — with each logger.
-	Fabric            *netsim.Fabric
-	Standbys          []*replica.Standby
-	Shipper           *replica.Shipper
-	epoch             int
-	LastReplicaReplay replica.RecoverReport
+// Rig is one assembled machine: the simulation, the power supply, the one
+// hypervisor, the root observability bundle with its monitor and flight
+// recorder, and 1..N log domains behind a key-hash router. The first domain
+// is embedded, so on the paper's one-domain machine r.Plat, r.Logger, r.Boot
+// and friends read as they always did.
+type Rig struct {
+	Cfg     Config
+	S       *sim.Sim
+	Machine *power.Machine
+	HV      *hv.Hypervisor // nil in native modes
+	// Obs is the machine's root bundle, shared by every layer; domain i of a
+	// sharded machine registers its instruments under "shard.<i>.*".
+	Obs *obs.Obs
+
+	// Router maps a transaction key to the domain that owns it.
+	Router     *shard.Router
+	Domains    []*LogDomain
+	*LogDomain // Domains[0]
 
 	// Runtime verification (Config.Flight, or Config.Trace for Monitor
 	// alone). The monitor re-checks the safety invariants online against the
@@ -248,144 +239,60 @@ type Rig struct {
 	Flight  *obs.FlightRecorder
 }
 
-// New builds a deployment. In RapiLog mode the hypervisor and the RapiLog
-// device are created as part of "platform firmware" — before any guest
-// runs, as on the real system.
+// New builds a machine. In the virtualised modes the hypervisor and the
+// RapiLog devices are created as part of "platform firmware" — before any
+// guest runs, as on the real system.
 func New(cfg Config) (*Rig, error) {
 	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	s := sim.New(cfg.Seed)
 	o := obs.New(obs.Config{TraceEnabled: cfg.Trace || cfg.Flight, TraceCapacity: cfg.TraceCapacity})
-	m := power.NewMachine(s, "machine", cfg.Cores, cfg.PSU)
-	m.SetObs(o)
-	return newOnSubstrate(cfg, s, m, o)
-}
-
-// Close ends the deployment's simulation and releases every process it
-// still holds (sim.Sim.Close). Call it when the run is over and its results
-// have been read; a rig built by NewSharded or NewCluster is closed through
-// its owner.
-func (r *Rig) Close() { r.S.Close() }
-
-// newOnSubstrate builds a deployment's storage and platform stack on an
-// existing simulation/machine/observability substrate. New calls it with a
-// substrate of its own; NewSharded calls it once per shard with the shared
-// machine, a per-shard Obs view (metrics land under "shard.<i>.*"), and a
-// per-shard name prefix so every shard gets its own disks, partitions,
-// dump zone, guest and (in replicated modes) fabric + standby fleet.
-func newOnSubstrate(cfg Config, s *sim.Sim, m *power.Machine, o *obs.Obs) (*Rig, error) {
-	mkDisk := func(name string, kind DiskKind) (disk.Device, error) {
-		switch kind {
-		case DiskHDD:
-			hc := cfg.HDD
-			if hc.Name == "" {
-				hc.Name = name
-			}
-			hc.Reg = o.Registry()
-			return disk.NewHDD(s, m.HardwareDomain(), hc), nil
-		case DiskSSD:
-			sc := cfg.SSD
-			if sc.Name == "" {
-				sc.Name = name
-			}
-			sc.Reg = o.Registry()
-			return disk.NewSSD(s, m.HardwareDomain(), sc), nil
-		case DiskMem:
-			return disk.NewMem(s, disk.MemConfig{Name: name, Persistent: true, Capacity: 1 << 22, Reg: o.Registry()}), nil
-		default:
-			return nil, fmt.Errorf("rig: unknown disk kind %q", kind)
+	r := newMachine(cfg, s, "machine", o)
+	for i := 0; i < max(cfg.Shards, 1); i++ {
+		do, at := o, site{sharers: 1, endpoint: PrimaryEndpoint}
+		if cfg.Shards > 0 {
+			do = o.Sub(shard.Prefix(i))
+			at.prefix, at.sharers = fmt.Sprintf("shard%d.", i), cfg.Shards
+			// Decorrelate the derived fault and fabric seeds: two shards with
+			// the same media-fault schedule would make "independent domains"
+			// fail together.
+			at.seedOffset = int64(i+1) * 7919
 		}
-	}
-	dev, err := mkDisk("disk0", cfg.Disk)
-	if err != nil {
-		return nil, err
-	}
-	m.AttachDevice(dev)
-	logDev := dev
-	dataStart := cfg.LogSectors + cfg.DumpSectors
-	if cfg.DedicatedLogDisk || (cfg.LogDiskKind != "" && cfg.LogDiskKind != cfg.Disk) {
-		logKind := cfg.Disk
-		if cfg.LogDiskKind != "" {
-			logKind = cfg.LogDiskKind
+		d, err := r.newLogDomain(do, at)
+		if err == nil {
+			err = d.assemblePlatform()
 		}
-		logDev, err = mkDisk("disk1-log", logKind)
 		if err != nil {
+			r.Close() // earlier domains have already spawned their daemons
 			return nil, err
 		}
-		m.AttachDevice(logDev)
-		dataStart = 0
-	}
-
-	logPart, err := disk.NewPartition(logDev, "log", 0, cfg.LogSectors)
-	if err != nil {
-		return nil, err
-	}
-	dumpPart, err := disk.NewPartition(logDev, "dump", cfg.LogSectors, cfg.DumpSectors)
-	if err != nil {
-		return nil, err
-	}
-	dataPart, err := disk.NewPartition(dev, "data", dataStart, dev.Sectors()-dataStart)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Rig{
-		Cfg: cfg, S: s, Machine: m, Disk: dev,
-		LogPart: logPart, DumpPart: dumpPart, DataPart: dataPart,
-		Obs: o,
-	}
-	r.LogDev = logPart
-	if cfg.LogFault.Enabled {
-		fc := cfg.LogFault
-		fc.Reg = o.Registry()
-		if fc.Seed == 0 {
-			fc.Seed = cfg.Seed + 1
-		}
-		r.FaultyLog = disk.NewFaulty(logPart, fc)
-		r.LogDev = r.FaultyLog
-	}
-	r.DumpDev = dumpPart
-	if cfg.DumpFault.Enabled {
-		fc := cfg.DumpFault
-		fc.Reg = o.Registry()
-		if fc.Seed == 0 {
-			fc.Seed = cfg.Seed + 3
-		}
-		r.FaultyDump = disk.NewFaulty(dumpPart, fc)
-		r.DumpDev = r.FaultyDump
-	}
-	if cfg.Mode.Replicated() {
-		if k := cfg.AckPolicy.K; k > cfg.Replicas {
-			return nil, fmt.Errorf("rig: ack policy %v needs %d replicas, have %d", cfg.AckPolicy, k, cfg.Replicas)
-		}
-		if cfg.extFabric != nil {
-			// A cluster node rig ships to the cluster's shared peer stores
-			// over the shared fabric; it owns neither.
-			r.Fabric = cfg.extFabric
-			r.Standbys = cfg.extStandbys
-		} else {
-			r.Fabric = netsim.New(s, netsim.Config{Seed: cfg.NetSeed, Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
-			rc := cfg.Replica
-			rc.PrimaryName = cfg.primary()
-			rc.Reg = o.Registry()
-			rc.SectorSize = r.LogDev.SectorSize()
-			rc.Trace = o.Tracer()
-			for i := 0; i < cfg.Replicas; i++ {
-				// Endpoint names are scoped to this rig's private fabric, so no
-				// prefix is needed for uniqueness — just for trace readability.
-				r.Standbys = append(r.Standbys, replica.NewStandby(s, r.Fabric, fmt.Sprintf("standby%d", i), rc))
-			}
-		}
-	}
-	r.epoch = cfg.startEpoch
-	if cfg.deferPlatform {
-		return r, nil
-	}
-	if err := r.assemblePlatform(); err != nil {
-		return nil, err
 	}
 	r.setupVerification()
 	return r, nil
 }
+
+// newMachine builds the part of a deployment there is one of per machine:
+// the power supply and, in the virtualised modes, the hypervisor every log
+// domain's guest runs under. A cluster calls it once per node, on the
+// cluster's simulation and a per-node view of its Obs.
+func newMachine(cfg Config, s *sim.Sim, name string, o *obs.Obs) *Rig {
+	m := power.NewMachine(s, name, cfg.Cores, cfg.PSU)
+	m.SetObs(o)
+	r := &Rig{Cfg: cfg, S: s, Machine: m, Obs: o}
+	if cfg.Mode.Virtualised() {
+		hvCfg := cfg.HV
+		hvCfg.Obs = o
+		r.HV = hv.New(m, hvCfg)
+	}
+	return r
+}
+
+// Close ends the machine's simulation and releases every process it still
+// holds (sim.Sim.Close). Call it when the run is over and its results have
+// been read; a cluster node's rig is closed through the Cluster.
+func (r *Rig) Close() { r.S.Close() }
 
 // setupVerification arms the online invariant monitor (whenever tracing is
 // on) and the flight recorder (Config.Flight): the monitor consumes every
@@ -396,10 +303,10 @@ func (r *Rig) setupVerification() {
 	if !tr.Enabled() {
 		return
 	}
-	// Shards share one tracer, whose single observer slot can't feed N
-	// per-shard monitors; sharded deployments check the safety invariant
-	// per shard through SafeBound + dump accounting instead.
-	if r.Cfg.sharers > 1 {
+	// Domains share one tracer, whose single observer slot can't feed N
+	// per-domain monitors; sharded machines check the safety invariant per
+	// domain through SafeBound + dump accounting instead.
+	if len(r.Domains) > 1 {
 		return
 	}
 	mc := obs.MonitorConfig{
@@ -466,270 +373,66 @@ func (r *Rig) setupVerification() {
 	})
 }
 
-// assemblePlatform builds (or rebuilds, after a power cycle) the platform
-// layer: hypervisor + RapiLog device + guest, or the native OS domain.
-func (r *Rig) assemblePlatform() error {
-	cfg := r.Cfg
-	switch cfg.Mode {
-	case NativeSync, NativeAsync:
-		if r.Plat == nil {
-			r.Plat = hv.NewNative(r.Machine, r.LogDev, r.DataPart)
-		}
-		return nil
-	case VirtSync:
-		if r.HV == nil {
-			hvCfg := cfg.HV
-			hvCfg.Obs = r.Obs
-			r.HV = hv.New(r.Machine, hvCfg)
-		}
-		if r.Plat == nil {
-			r.Plat = r.HV.NewGuest(cfg.namePrefix+"db", r.LogDev, r.DataPart)
-		}
-		return nil
-	case RapiLog, RapiLogReplica:
-		if r.HV == nil {
-			// A sharded deployment runs every shard's guest under the one
-			// hypervisor the machine actually has; standalone rigs build
-			// their own.
-			r.HV = cfg.sharedHV
-		}
-		if r.HV == nil {
-			hvCfg := cfg.HV
-			hvCfg.Obs = r.Obs
-			r.HV = hv.New(r.Machine, hvCfg)
-		}
-		rlCfg := cfg.RapiLog
-		rlCfg.Obs = r.Obs
-		if cfg.sharers > 1 && rlCfg.MaxBuffer == 0 {
-			// N shards dump concurrently into the same hold-up window: size
-			// each buffer by the shared budget, not the whole one. (Metric
-			// names stay identical across shards — "rapilog.*" under each
-			// shard's Obs view — so fleet roll-ups can match by suffix.)
-			shared := core.SafeBufferSizeShared(r.Machine, r.DumpPart, cfg.sharers)
-			if shared <= 0 {
-				return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", cfg.sharers)
-			}
-			rlCfg.MaxBuffer = shared
-		}
-		if cfg.Mode.Replicated() {
-			// A new power epoch gets a new shipper: the stream restarts at
-			// seq 1 under the next epoch number and the standbys keep both
-			// (recovery replays epochs in order). The ack/probe daemons run
-			// in the hypervisor domain, dying with the machine like the
-			// drain does.
-			r.epoch++
-			names := make([]string, len(r.Standbys))
-			for i, st := range r.Standbys {
-				names[i] = st.Name()
-			}
-			rc := cfg.Replica
-			rc.PrimaryName = cfg.primary()
-			rc.Reg = r.Obs.Registry()
-			rc.SectorSize = r.LogDev.SectorSize()
-			rc.Trace = r.Obs.Tracer()
-			if cfg.AckPolicy.Remote() {
-				rc.TraceQuorumK = cfg.AckPolicy.K
-			} else {
-				// No quorum barrier on the ack path, but the trace still
-				// marks first-copy coverage so lag is visible.
-				rc.TraceQuorumK = 1
-			}
-			r.Shipper = replica.NewShipper(r.S, r.Fabric, r.HV.Domain(), r.epoch, names, rc)
-			rlCfg.Replicator = r.Shipper
-			rlCfg.Policy = cfg.AckPolicy
-		}
-		logger, err := core.NewLogger(r.Machine, r.HV.Domain(), r.LogDev, r.DumpDev, rlCfg)
-		if err != nil {
-			return err
-		}
-		r.Logger = logger
-		if r.Plat == nil {
-			r.Plat = r.HV.NewGuest(cfg.namePrefix+"db", logger, r.DataPart)
-		} else if g, ok := r.Plat.(*hv.Guest); ok {
-			g.SetLogBacking(logger)
-		}
-		return nil
-	default:
-		return fmt.Errorf("rig: unknown mode %q", cfg.Mode)
-	}
-}
-
-// EngineConfig returns the engine configuration the rig's mode implies.
-func (r *Rig) EngineConfig() engine.Config {
-	return engine.Config{
-		Personality:     r.Cfg.Personality,
-		CommitMode:      r.Cfg.Mode.CommitMode(),
-		CheckpointEvery: r.Cfg.CheckpointEvery,
-		LockTimeout:     r.Cfg.LockTimeout,
-		NoDaemons:       r.Cfg.NoDaemons,
-		Obs:             r.Obs,
-	}
-}
-
-// SafeBound returns the provable exposure limit for this deployment: the
-// lesser of the configured buffer bound and SafeBufferSize — the N-sharer
-// variant when this rig is one shard of a sharded deployment, since all N
-// dumps share the hold-up window. Zero outside RapiLog mode (nothing is
-// ever exposed).
-func (r *Rig) SafeBound() int64 {
-	if r.Logger == nil {
-		return 0
-	}
-	sharers := r.Cfg.sharers
-	if sharers < 1 {
-		sharers = 1
-	}
-	bound := r.Logger.MaxBuffer()
-	if safe := core.SafeBufferSizeShared(r.Machine, r.DumpPart, sharers); safe < bound {
-		bound = safe
-	}
-	return bound
-}
-
-// AuditExposure replays the rig's trace into the durability-exposure report:
-// the time-series of acknowledged-but-undrained bytes, per-write ack→durable
-// latency, and the peak-vs-bound verdict. Requires Config.Trace.
+// AuditExposure replays the machine's trace into the durability-exposure
+// report: the time-series of acknowledged-but-undrained bytes, per-write
+// ack→durable latency, and the peak-vs-bound verdict. Requires Config.Trace
+// and a single log domain (trace events do not say which domain emitted
+// them).
 func (r *Rig) AuditExposure() (obs.ExposureReport, error) {
 	tr := r.Obs.Tracer()
 	if !tr.Enabled() {
 		return obs.ExposureReport{}, fmt.Errorf("rig: exposure audit needs tracing (set Config.Trace)")
 	}
+	if len(r.Domains) > 1 {
+		return obs.ExposureReport{}, fmt.Errorf("rig: exposure audit needs a single log domain, have %d", len(r.Domains))
+	}
 	return obs.AuditExposure(tr.Events(), r.SafeBound(), tr.Dropped() > 0), nil
 }
 
-// Boot opens the engine (running recovery if the devices hold prior state).
-// In RapiLog mode the dump-zone replay — hypervisor firmware work — has
-// already happened if RecoverAfterPower was used; first boots find nothing
-// to replay.
-func (r *Rig) Boot(p *sim.Proc) (*engine.Engine, error) {
-	return engine.Open(p, r.Plat, r.EngineConfig())
-}
-
-// CrashOS kills the software stack the DBMS runs on: the guest VM in
-// virtualised modes (the hypervisor survives), or the whole OS natively.
-func (r *Rig) CrashOS() { r.Plat.Crash() }
-
-// RebootAfterCrash revives the platform domain so Boot can run recovery.
-// In RapiLog mode the hypervisor — and the logger's buffered data — were
-// never lost; the same logger keeps serving the rebooted guest.
-func (r *Rig) RebootAfterCrash() { r.Plat.Reboot() }
-
-// CutPower starts a mains-loss event (the plug-pull). Returns the sampled
-// hold-up. Everything on the machine dies when the window closes.
+// CutPower starts a mains-loss event (the plug-pull) for the whole machine:
+// every domain's power-fail handler fires and dumps to its own spindle
+// inside the one shared hold-up window. Returns the sampled hold-up.
+// Everything on the machine dies when the window closes.
 func (r *Rig) CutPower() time.Duration { return r.Machine.CutPower() }
 
-// RecoverAfterPower restores power and rebuilds the platform stack,
-// replaying the RapiLog dump zone into the log partition before the guest
-// boots — exactly the order the real system recovers in. Call Boot next.
-func (r *Rig) RecoverAfterPower(p *sim.Proc) (core.RecoveryReport, error) {
+// RecoverAfterPower restores power, reboots the hypervisor once, and
+// rebuilds every domain's platform stack, replaying its RapiLog dump zone
+// into its log partition before the guest boots — exactly the order the
+// real system recovers in. With more than one domain the replays run in
+// parallel — each touches only its own spindle, so the machine recovers in
+// roughly the time of its slowest domain rather than the sum. Returns one
+// report section per domain. Call Boot next.
+func (r *Rig) RecoverAfterPower(p *sim.Proc) (shard.Recovery, error) {
 	r.Machine.RestorePower()
 	if r.HV != nil {
 		r.HV.Reboot()
 	}
-	return r.recoverLogDomain(p)
-}
-
-// recoverLogDomain is the per-log-domain half of RecoverAfterPower: with
-// power already restored and the hypervisor rebooted, it replays this rig's
-// dump zone (and replica stream, when the policy calls for it) and rebuilds
-// its platform. A sharded deployment runs it once per shard, in parallel —
-// each shard's replay touches only that shard's spindle.
-func (r *Rig) recoverLogDomain(p *sim.Proc) (core.RecoveryReport, error) {
-	var rep core.RecoveryReport
-	r.Plat.Reboot()
-	if r.Cfg.Mode == RapiLog || r.Cfg.Mode.Replicated() {
-		var err error
-		if r.Cfg.Mode.Replicated() {
-			rep, err = r.replicatedRecover(p)
-		} else {
-			rep, err = core.Recover(p, r.LogDev, r.DumpDev)
+	n := len(r.Domains)
+	rep := shard.Recovery{Shards: make([]core.RecoveryReport, n)}
+	errs := make([]error, n)
+	if n == 1 {
+		rep.Shards[0], errs[0] = r.recover(p)
+	} else {
+		remaining := n
+		done := r.S.NewSignal("sharded.recover.done")
+		for i, d := range r.Domains {
+			i, d := i, d
+			r.S.Spawn(nil, fmt.Sprintf("shard%d.recover", i), func(pp *sim.Proc) {
+				rep.Shards[i], errs[i] = d.recover(pp)
+				remaining--
+				done.Broadcast()
+			})
 		}
-		if err != nil {
-			return rep, err
-		}
-		// Carry the dying epoch's dump-path counters into the report before
-		// the logger is rebuilt: HadDump=false plus DumpFailures>0 is how an
-		// audit tells "the dump write failed" from "nothing was buffered".
-		if r.Logger != nil {
-			st := r.Logger.RapiStats()
-			rep.DumpRetries = int(st.DumpRetries.Value())
-			rep.DumpFailures = int(st.DumpFailures.Value())
-		}
-		// A fresh logger for the new power epoch.
-		if err := r.assemblePlatform(); err != nil {
-			return rep, err
+		for remaining > 0 {
+			done.Wait(p)
 		}
 	}
 	// The flight recorder froze when DC died; hand the black box to the
 	// caller alongside the replay summary.
 	rep.Flight = r.Flight.Record()
-	return rep, nil
-}
-
-// replicatedRecover merges the two durability domains at boot. The local
-// domain — drained sectors on the log partition plus the dump zone's
-// snapshot of what was still buffered — is authoritative wherever it is
-// complete: it holds the newest version of every sector, while a standby
-// that lagged (a partition, a crash) holds stale images of sectors the
-// drain has since rewritten, and folding those over the log would roll
-// acked, locally durable commits back to pre-partition contents. Replica
-// records are therefore replayed only when the ack policy actually makes
-// the standbys the durability domain for bytes the local domain lost:
-//
-//   - AckRemoteOnly: always. The dump is disabled by design, so the
-//     standbys are the only copy of everything still buffered at the cut.
-//   - AckQuorum: only when the dump cannot account for the buffer — a torn
-//     image, a failed dump write, an unreadable zone. Any rollback this
-//     replay inflicts is bounded to unacknowledged writes: a commit was
-//     acked only after k standbys held its bytes, so the surviving
-//     standbys' prefixes cover every acked sector state.
-//   - AckLocal: never. Acks are not gated on the standbys, so a lagging
-//     standby can sit arbitrarily far behind the ack frontier and there is
-//     no per-sector version metadata to merge against; replaying could
-//     only trade acked local durability for stale remote bytes. (The
-//     stream still feeds lag reporting and warm standbys under AckLocal —
-//     it just is not a recovery source.)
-//
-// When both sources replay, replica records land first and the dump's
-// intact entries second: the dump snapshotted the newest buffered version
-// of everything it covers, so it must win on overlap.
-func (r *Rig) replicatedRecover(p *sim.Proc) (core.RecoveryReport, error) {
-	r.LastReplicaReplay = replica.RecoverReport{}
-	d, derr := core.ReadDump(p, r.DumpDev)
-	rep := core.RecoveryReport{HadDump: d.HadDump, Torn: d.Torn}
-
-	dumpFailed := false
-	if r.Logger != nil {
-		dumpFailed = r.Logger.RapiStats().DumpFailures.Value() > 0
-	}
-	// The local domain is complete when the dump image accounts for the
-	// whole buffer — or when there was provably nothing buffered to dump.
-	localComplete := derr == nil && (d.Complete() || (!d.HadDump && !dumpFailed))
-	needReplica := false
-	switch r.Cfg.AckPolicy.Kind {
-	case core.AckKindRemoteOnly:
-		needReplica = true
-	case core.AckKindQuorum:
-		needReplica = !localComplete
-	}
-	if derr != nil && !needReplica {
-		return rep, derr
-	}
-	if needReplica {
-		rr, err := replica.Recover(p, r.Standbys, r.LogDev)
+	for i, err := range errs {
 		if err != nil {
-			return rep, err
-		}
-		r.LastReplicaReplay = rr
-	}
-	if derr == nil && d.HadDump {
-		var err error
-		rep.Entries, rep.Bytes, err = d.Replay(p, r.LogDev)
-		if err != nil {
-			return rep, err
-		}
-		if err := core.InvalidateDump(p, r.DumpDev); err != nil {
-			return rep, err
+			return rep, fmt.Errorf("rig: log domain %d recovery: %w", i, err)
 		}
 	}
 	return rep, nil

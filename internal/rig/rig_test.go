@@ -2,6 +2,7 @@ package rig
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,6 +238,28 @@ func TestUnknownConfigsRejected(t *testing.T) {
 	}
 	if _, err := New(Config{Disk: "tape"}); err == nil {
 		t.Fatal("bogus disk accepted")
+	}
+	if _, err := New(Config{Shards: -1}); err == nil {
+		t.Fatal("negative shard count accepted")
+	}
+	if _, err := New(Config{Mode: NativeSync, Shards: 2}); err == nil {
+		t.Fatal("sharded a mode without a log device")
+	}
+	// A sharded machine arms no online monitor (the tracer has one observer
+	// slot), so a flight recorder on it would silently record nothing.
+	_, err := New(Config{Shards: 2, Flight: true})
+	if err == nil || !strings.Contains(err.Error(), "Flight") || !strings.Contains(err.Error(), "monitor is not armed") {
+		t.Fatalf("Shards: 2 + Flight: err = %v, want a config error naming the combination", err)
+	}
+	for _, ok := range []Config{{Shards: 1, Flight: true}, {Shards: 2, Trace: true}} {
+		r, err := New(ok)
+		if err != nil {
+			t.Fatalf("%+v rejected: %v", ok, err)
+		}
+		if armed := r.Monitor != nil; armed != (ok.Shards == 1) {
+			t.Fatalf("Shards: %d: monitor armed = %v", ok.Shards, armed)
+		}
+		r.Close()
 	}
 }
 

@@ -2,40 +2,53 @@ package rig
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// bootAll opens every domain's engine, in domain order.
+func bootAll(p *sim.Proc, r *Rig) ([]*engine.Engine, error) {
+	engines := make([]*engine.Engine, len(r.Domains))
+	for i, d := range r.Domains {
+		e, err := d.Boot(p)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d boot: %w", i, err)
+		}
+		engines[i] = e
+	}
+	return engines, nil
+}
 
 // TestShardedBootCommitAndMetrics is the scale-out smoke: every shard
 // boots, commits independently, and reports its instruments under its own
 // "shard.<i>.*" namespace with a working fleet roll-up.
 func TestShardedBootCommitAndMetrics(t *testing.T) {
 	const n = 2
-	sh, err := NewSharded(Config{Seed: 11, NoDaemons: true}, n)
+	sh, err := New(Config{Seed: 11, NoDaemons: true, Shards: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Cfg.Mode != RapiLog || len(sh.Shards) != n {
-		t.Fatalf("mode=%q shards=%d", sh.Cfg.Mode, len(sh.Shards))
+	defer sh.Close()
+	if sh.Cfg.Mode != RapiLog || len(sh.Domains) != n || sh.LogDomain != sh.Domains[0] || sh.Router.Shards() != n {
+		t.Fatalf("mode=%q domains=%d router=%d", sh.Cfg.Mode, len(sh.Domains), sh.Router.Shards())
 	}
-	for i, r := range sh.Shards {
-		if r.Logger == nil {
+	for i, d := range sh.Domains {
+		if d.Logger == nil {
 			t.Fatalf("shard %d has no logger", i)
 		}
-		if r.HV != sh.HV {
-			t.Fatalf("shard %d runs under its own hypervisor, want the shared one", i)
-		}
-		if r.Logger.MaxBuffer() > sh.SafeBound(i) {
-			t.Fatalf("shard %d buffer %d exceeds its N-aware bound %d", i, r.Logger.MaxBuffer(), sh.SafeBound(i))
+		if d.Logger.MaxBuffer() > d.SafeBound() {
+			t.Fatalf("shard %d buffer %d exceeds its N-aware bound %d", i, d.Logger.MaxBuffer(), d.SafeBound())
 		}
 	}
 	journals := [n]*workload.Journal{workload.NewJournal(), workload.NewJournal()}
 	sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-		engines, err := sh.BootAll(p)
+		engines, err := bootAll(p, sh)
 		if err != nil {
 			t.Errorf("boot: %v", err)
 			return
@@ -67,6 +80,16 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 	if got := shard.RollupCounter(reg, n, "engine.commits"); got < 20 {
 		t.Fatalf("fleet commits roll-up = %d, want >= 20", got)
 	}
+	// One machine, one hypervisor: every shard's guest exits into the root
+	// bundle's counter, and no shard has a hypervisor of its own.
+	if reg.Counter("hv.exits").Value() == 0 {
+		t.Fatal("the machine's hypervisor counted no VM exits")
+	}
+	for _, name := range reg.Names() {
+		if strings.HasSuffix(name, ".hv.exits") {
+			t.Fatalf("per-shard hypervisor instrument %q, want the shared one only", name)
+		}
+	}
 }
 
 // TestShardedPowerCutZeroAckedLoss is the sharded plug-pull property: with
@@ -77,16 +100,17 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			sh, err := NewSharded(Config{Seed: 70 + int64(n), NoDaemons: true}, n)
+			sh, err := New(Config{Seed: 70 + int64(n), NoDaemons: true, Shards: n})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer sh.Close()
 			journals := make([]*workload.Journal, n)
 			for i := range journals {
 				journals[i] = workload.NewJournal()
 			}
 			sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-				engines, err := sh.BootAll(p)
+				engines, err := bootAll(p, sh)
 				if err != nil {
 					t.Errorf("boot: %v", err)
 					return
@@ -95,7 +119,7 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 					i, e := i, e
 					// Writers live in their shard's guest domain: they die
 					// with the power, mid-transaction or not.
-					sh.S.Spawn(sh.Shards[i].Plat.Domain(), fmt.Sprintf("shard%d.writer", i), func(wp *sim.Proc) {
+					sh.S.Spawn(sh.Domains[i].Plat.Domain(), fmt.Sprintf("shard%d.writer", i), func(wp *sim.Proc) {
 						w := &workload.Stress{}
 						for {
 							if err := w.Do(wp, e, journals[i]); err != nil {
@@ -119,11 +143,11 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 					t.Errorf("merged report has %d sections, want %d", len(rep.Shards), n)
 				}
 				for i, sr := range rep.Shards {
-					if bound := sh.SafeBound(i); sr.Bytes > bound {
+					if bound := sh.Domains[i].SafeBound(); sr.Bytes > bound {
 						t.Errorf("shard %d dumped %d bytes, exceeds its hold-up share %d", i, sr.Bytes, bound)
 					}
 				}
-				engines, err := sh.BootAll(p)
+				engines, err := bootAll(p, sh)
 				if err != nil {
 					t.Errorf("reboot: %v", err)
 					return
@@ -160,10 +184,11 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 // across shards and checks the partition is total and disjoint.
 func TestShardedPartitionedWorkloadRouting(t *testing.T) {
 	const n = 2
-	sh, err := NewSharded(Config{Seed: 13, NoDaemons: true}, n)
+	sh, err := New(Config{Seed: 13, NoDaemons: true, Shards: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sh.Close()
 	base := workload.TPCB{Branches: 8, Tellers: 2, Accounts: 50}
 	parts, err := workload.PartitionTPCB(base, sh.Router)
 	if err != nil {
@@ -189,7 +214,7 @@ func TestShardedPartitionedWorkloadRouting(t *testing.T) {
 
 	var res workload.ShardedResult
 	sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-		engines, err := sh.BootAll(p)
+		engines, err := bootAll(p, sh)
 		if err != nil {
 			t.Errorf("boot: %v", err)
 			return
@@ -197,7 +222,7 @@ func TestShardedPartitionedWorkloadRouting(t *testing.T) {
 		doms := make([]*sim.Domain, n)
 		ws := make([]workload.Workload, n)
 		for i := range engines {
-			doms[i] = sh.Shards[i].Plat.Domain()
+			doms[i] = sh.Domains[i].Plat.Domain()
 			ws[i] = parts[i]
 			if err := parts[i].Load(p, engines[i]); err != nil {
 				t.Errorf("shard %d load: %v", i, err)

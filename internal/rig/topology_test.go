@@ -1,0 +1,108 @@
+package rig
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// TestTopologyNames builds the three shapes the one constructor assembles —
+// the paper's machine, a 3-shard machine, a 3-node cluster — and pins the
+// guest, machine, disk, endpoint and metric names each gives its parts. The
+// schedule goldens in internal/faultinject hash these names into a SHA; this
+// is the readable failure.
+func TestTopologyNames(t *testing.T) {
+	replicated := Config{Seed: 1, Mode: RapiLogReplica, AckPolicy: core.AckQuorum(1)}
+	sharded := replicated
+	sharded.Shards = 3
+	cluster, err := NewCluster(ClusterConfig{Nodes: 3, Rig: Config{Seed: 1, AckPolicy: core.AckQuorum(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cases := []struct {
+		name    string
+		cfg     *Config // nil: the cluster's leader node
+		domains int
+		machine string
+		guests  []string
+		stores  []string // domain 0's standbys
+		primary string   // domain 0's shipper endpoint
+		metrics []string
+		absent  []string
+	}{
+		{
+			name: "Shards: 0", cfg: &replicated, domains: 1, machine: "machine",
+			guests: []string{"guest:db"}, stores: []string{"standby0", "standby1"}, primary: "primary",
+			metrics: []string{"rapilog.writes", "hv.exits", "disk0.writes", "repl.standby0.applied"},
+			absent:  []string{"shard.0.rapilog.writes"},
+		},
+		{
+			name: "Shards: 3", cfg: &sharded, domains: 3, machine: "machine",
+			guests: []string{"guest:shard0.db", "guest:shard1.db", "guest:shard2.db"},
+			stores: []string{"standby0", "standby1"}, primary: "primary",
+			metrics: []string{"shard.1.rapilog.writes", "shard.2.disk0.writes", "shard.0.repl.standby1.applied", "hv.exits"},
+			absent:  []string{"rapilog.writes", "shard.1.hv.exits", "shard.3.rapilog.writes"},
+		},
+		{
+			name: "3-node cluster", domains: 1, machine: "node0.machine",
+			guests: []string{"guest:node0.db"}, stores: []string{"node1.log", "node2.log"}, primary: "node0",
+			metrics: []string{"node0.rapilog.writes", "node0.hv.exits", "repl.node1.log.applied"},
+			absent:  []string{"rapilog.writes", "node1.rapilog.writes"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, names := cluster.LeaderRig(), cluster.Obs.Registry().Names()
+			if tc.cfg != nil {
+				var err error
+				if r, err = New(*tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				names = r.Obs.Registry().Names()
+			}
+			if len(r.Domains) != tc.domains || r.LogDomain != r.Domains[0] || r.Router.Shards() != tc.domains {
+				t.Fatalf("%d domains (router over %d), want %d with Domains[0] embedded", len(r.Domains), r.Router.Shards(), tc.domains)
+			}
+			if got := r.Machine.Name(); got != tc.machine {
+				t.Errorf("machine %q, want %q", got, tc.machine)
+			}
+			for i, d := range r.Domains {
+				if got := d.Plat.Name(); got != tc.guests[i] {
+					t.Errorf("domain %d guest %q, want %q", i, got, tc.guests[i])
+				}
+				if got := d.Disk.Name(); got != "disk0" {
+					t.Errorf("domain %d disk %q, want disk0 (domains are told apart by registry view, not device name)", i, got)
+				}
+			}
+			var stores []string
+			for _, st := range r.Standbys {
+				stores = append(stores, st.Name())
+			}
+			if !slices.Equal(stores, tc.stores) {
+				t.Errorf("standby endpoints %v, want %v", stores, tc.stores)
+			}
+			if got := r.at.endpoint; got != tc.primary {
+				t.Errorf("shipper endpoint %q, want %q", got, tc.primary)
+			}
+			for _, m := range tc.metrics {
+				if !slices.Contains(names, m) {
+					t.Errorf("metric %q not registered", m)
+				}
+			}
+			for _, m := range tc.absent {
+				if slices.Contains(names, m) {
+					t.Errorf("metric %q registered, want it absent", m)
+				}
+			}
+		})
+	}
+	if got, want := cluster.LeaderAgent(), "node0.ha"; got != want {
+		t.Errorf("leader heartbeat agent %q, want %q", got, want)
+	}
+	if got, want := cluster.AllStores(), []string{"node0.log", "node1.log", "node2.log"}; !slices.Equal(got, want) {
+		t.Errorf("cluster stores %v, want %v", got, want)
+	}
+}

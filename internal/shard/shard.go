@@ -51,10 +51,13 @@ func (r *Router) ShardFor(key string) int {
 	return int(h.Sum64() % uint64(r.n))
 }
 
-// Recovery is the merged report of a parallel per-shard recovery: one
-// section per shard, in shard order, plus fleet-wide totals.
+// Recovery is a machine's power-recovery report: one section per log domain
+// (one on an unsharded machine), in domain order, plus machine-wide totals.
 type Recovery struct {
 	Shards []core.RecoveryReport
+	// Flight is the flight record frozen at the power loss, when the machine
+	// was running a flight recorder; nil otherwise.
+	Flight *obs.FlightRecord
 }
 
 // Entries returns the total dump entries replayed across all shards.

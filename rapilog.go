@@ -16,10 +16,11 @@
 //	})
 //	dep.S.Run()
 //
-// A Deployment is one simulated machine: PSU, disk (HDD/SSD/RAM), optional
-// dependable hypervisor, RapiLog log device, and a transactional storage
-// engine. Everything runs on a deterministic virtual clock; power cuts and
-// OS crashes are first-class operations, which is how the durability
+// A Deployment is one simulated machine: PSU, optional dependable
+// hypervisor, and one log domain — or Config.Shards of them — each with its
+// disk (HDD/SSD/RAM), RapiLog log device and transactional storage engine.
+// Everything runs on a deterministic virtual clock; power cuts and OS
+// crashes are first-class operations, which is how the durability
 // experiments audit the system.
 //
 // See the examples/ directory for complete programs, DESIGN.md for the
@@ -36,10 +37,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/replica"
 	"repro/internal/rig"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -54,6 +53,9 @@ type (
 	// Deployment is an assembled simulated machine + platform + engine
 	// stack.
 	Deployment = rig.Rig
+	// LogDomain is one independent commit stream of a Deployment: disks,
+	// guest, logger and replication fleet (Deployment.Domains).
+	LogDomain = rig.LogDomain
 	// Mode selects one of the four evaluation configurations.
 	Mode = rig.Mode
 	// DiskKind selects the storage model.
@@ -63,12 +65,12 @@ type (
 // New assembles a deployment.
 func New(cfg Config) (*Deployment, error) { return rig.New(cfg) }
 
-// The four evaluation configurations, plus the replicated extension.
-// Sharding is not a mode: NewSharded builds N domains of either RapiLog mode.
+// Evaluation configurations, plus the replicated extension. Sharding is not
+// a mode: Config.Shards splits a machine of either RapiLog mode into N log
+// domains.
 const (
 	ModeNativeSync     = rig.NativeSync
 	ModeNativeAsync    = rig.NativeAsync
-	ModeVirtSync       = rig.VirtSync
 	ModeRapiLog        = rig.RapiLog
 	ModeRapiLogReplica = rig.RapiLogReplica
 )
@@ -78,93 +80,38 @@ const (
 // iterate Modes reproduce the paper's four-column figures.
 var Modes = rig.Modes
 
-// Storage models.
-const (
-	DiskHDD = rig.DiskHDD
-	DiskSSD = rig.DiskSSD
-	DiskMem = rig.DiskMem
-)
-
 // Simulation kernel.
 type (
-	// Sim is the deterministic discrete-event simulation a deployment
-	// runs on.
-	Sim = sim.Sim
 	// Proc is a simulated process; all blocking operations take one.
 	Proc = sim.Proc
 	// Domain is a crash boundary.
 	Domain = sim.Domain
-	// Event is a one-shot broadcast condition.
-	Event = sim.Event
 )
 
-// Database engine.
-type (
-	// Engine is the transactional storage engine.
-	Engine = engine.Engine
-	// Tx is a transaction handle.
-	Tx = engine.Tx
-	// Personality is an engine parameter preset (PG/MY/CX-like).
-	Personality = engine.Personality
-	// EngineConfig is the engine's full configuration.
-	EngineConfig = engine.Config
-)
+// Engine is the transactional storage engine.
+type Engine = engine.Engine
 
 // Engine personalities used in the evaluation.
 var (
 	PGLike = engine.PGLike
-	MYLike = engine.MYLike
-	CXLike = engine.CXLike
 	// Personalities maps personality names to presets.
 	Personalities = engine.Personalities
 )
-
-// PSU profiles (hold-up windows) used in the evaluation.
-type PSUConfig = power.PSUConfig
 
 // PSU profiles.
 var (
 	PSUATXSpec  = power.PSUATXSpec
 	PSUTypical  = power.PSUTypical
 	PSUMeasured = power.PSUMeasured
-	PSUWithUPS  = power.PSUWithUPS
 )
 
-// RapiLog device (the paper's contribution).
-type (
-	// Logger is the RapiLog buffered log device.
-	Logger = core.Logger
-	// LoggerConfig tunes the buffer bound and drain.
-	LoggerConfig = core.Config
-	// RecoveryReport summarises a dump-zone replay.
-	RecoveryReport = core.RecoveryReport
-)
-
-// Replicated durability domain: acknowledgement policies, the simulated
-// network fabric, and the log-shipping replication layer behind
+// AckPolicy selects when a commit is acknowledged — local buffer, quorum of
+// standbys, or remote-only — in the replicated durability domain behind
 // ModeRapiLogReplica.
-type (
-	// AckPolicy selects when a commit is acknowledged: local buffer,
-	// quorum of standbys, or remote-only.
-	AckPolicy = core.AckPolicy
-	// LinkConfig parameterises the simulated fabric's links.
-	LinkConfig = netsim.LinkConfig
-	// Fabric is the deterministic simulated network.
-	Fabric = netsim.Fabric
-	// Shipper streams log writes from the primary to the standbys.
-	Shipper = replica.Shipper
-	// Standby is one remote replica of the log stream.
-	Standby = replica.Standby
-	// ReplicaRecoverReport summarises a standby-stream replay.
-	ReplicaRecoverReport = replica.RecoverReport
-)
+type AckPolicy = core.AckPolicy
 
-// Acknowledgement policies.
-var (
-	AckLocal      = core.AckLocal
-	AckQuorum     = core.AckQuorum
-	AckRemoteOnly = core.AckRemoteOnly
-)
+// AckQuorum acknowledges a commit once k standbys hold it.
+var AckQuorum = core.AckQuorum
 
 // PrimaryEndpoint is the primary's name on the replication fabric (for
 // Fabric.Isolate in partition experiments).
@@ -182,16 +129,6 @@ func SafeBufferSize(m *power.Machine, dumpZone disk.Device) int64 {
 	return core.SafeBufferSize(m, dumpZone)
 }
 
-// Device models.
-type (
-	// Device is the block-device interface all storage models implement.
-	Device = disk.Device
-	// HDDConfig parameterises the rotating-disk model.
-	HDDConfig = disk.HDDConfig
-	// SSDConfig parameterises the flash model.
-	SSDConfig = disk.SSDConfig
-)
-
 // Workloads and the durability journal.
 type (
 	// Workload is a benchmark driver.
@@ -208,8 +145,6 @@ type (
 	RunnerConfig = workload.RunnerConfig
 	// RunResult summarises a client pool run.
 	RunResult = workload.RunResult
-	// VerifyResult summarises a durability audit.
-	VerifyResult = workload.VerifyResult
 )
 
 // NewJournal creates an empty durability journal.
@@ -220,30 +155,16 @@ func RunClients(p *Proc, dom *Domain, e *Engine, w Workload, cfg RunnerConfig) R
 	return workload.RunClients(p, dom, e, w, cfg)
 }
 
-// Sharded scale-out: N fully independent log domains on one machine behind
-// a hash router, with per-shard emergency dumps sized against the shared
-// PSU hold-up budget and parallel per-shard recovery.
+// Sharded scale-out (Config.Shards): N fully independent log domains on one
+// machine behind a hash router (Deployment.Router), with per-shard emergency
+// dumps sized against the shared PSU hold-up budget and parallel per-shard
+// recovery.
 type (
-	// ShardedDeployment is a fleet of independent RapiLog shards sharing
-	// one machine, PSU and hypervisor.
-	ShardedDeployment = rig.Sharded
 	// ShardRouter hash-partitions transaction keys across shards.
 	ShardRouter = shard.Router
-	// ShardedRecovery is a fleet recovery report with per-shard sections.
-	ShardedRecovery = shard.Recovery
 	// ShardedResult aggregates per-shard client-pool runs.
 	ShardedResult = workload.ShardedResult
 )
-
-// NewSharded assembles an n-shard fleet from a base configuration.
-func NewSharded(cfg Config, n int) (*ShardedDeployment, error) { return rig.NewSharded(cfg, n) }
-
-// NewShardRouter creates a hash router over n shards.
-func NewShardRouter(n int) *ShardRouter { return shard.NewRouter(n) }
-
-// ShardPrefix is the metrics-registry prefix for shard i ("shard.<i>");
-// every shard-local instrument lands under it with an identical suffix.
-func ShardPrefix(i int) string { return shard.Prefix(i) }
 
 // RollupCounter sums a counter ("rapilog.writes", say) across all n shards.
 func RollupCounter(reg *MetricsRegistry, n int, name string) int64 {
@@ -277,10 +198,6 @@ func RunShardedClients(p *Proc, doms []*Domain, engines []*Engine, ws []Workload
 // and the durability-exposure audit. Enable tracing with Config.Trace; a
 // deployment's bundle is at Deployment.Obs.
 type (
-	// Obs bundles a deployment's tracer and metrics registry.
-	Obs = obs.Obs
-	// Tracer records typed commit-lifecycle events into a ring buffer.
-	Tracer = obs.Tracer
 	// TraceEvent is one typed trace record.
 	TraceEvent = obs.Event
 	// MetricsRegistry owns every instrument in a deployment by name.
@@ -288,16 +205,7 @@ type (
 	// Histogram is the fixed-bucket latency/size distribution every
 	// instrumented stage records into.
 	Histogram = metrics.Histogram
-	// MetricsSnapshot is a JSON-serialisable copy of every instrument.
-	MetricsSnapshot = obs.Snapshot
-	// ExposureReport is the durability-exposure audit's result.
-	ExposureReport = obs.ExposureReport
 )
-
-// AuditExposure replays trace events into an exposure report against bound.
-func AuditExposure(events []TraceEvent, bound int64, truncated bool) ExposureReport {
-	return obs.AuditExposure(events, bound, truncated)
-}
 
 // Runtime verification: causal trace dumps, the crash flight recorder, the
 // online invariant monitor, and the offline trace analyzer behind
@@ -310,16 +218,11 @@ type (
 	// FlightRecord is a frozen post-mortem: recent events, trailing metric
 	// snapshots, final registry state, and the monitor's verdict.
 	FlightRecord = obs.FlightRecord
-	// Monitor re-checks the safety invariants online against the live
-	// event stream (Deployment.Monitor).
-	Monitor = obs.Monitor
 	// MonitorConfig parameterises a Monitor (bound, policy, quorum size,
 	// retention limits).
 	MonitorConfig = obs.MonitorConfig
 	// MonitorReport summarises a monitor's findings.
 	MonitorReport = obs.MonitorReport
-	// MonitorViolation is one detected invariant breach.
-	MonitorViolation = obs.Violation
 	// TraceAnalysis is the offline analyzer's result: per-stage latency
 	// histograms, causal-chain completeness, the commit critical path, and
 	// the fault/repair timeline.
@@ -364,29 +267,9 @@ type (
 	TrialResult = faultinject.TrialResult
 )
 
-// Fault kinds.
-const (
-	FaultGuestCrash   = faultinject.GuestCrash
-	FaultPowerCut     = faultinject.PowerCut
-	FaultDiskError    = faultinject.DiskError
-	FaultLatencyStorm = faultinject.LatencyStorm
-	FaultPartition    = faultinject.Partition
-	FaultReplicaCrash = faultinject.ReplicaCrash
-)
-
-// Media-fault modelling.
-type (
-	// FaultConfig parameterises a fault-injecting device wrapper.
-	FaultConfig = disk.FaultConfig
-	// FaultyDevice injects seeded transient errors, grown bad-sector
-	// ranges, and latency spikes in front of any Device.
-	FaultyDevice = disk.Faulty
-)
-
-// NewFaultyDevice wraps a device in the media-fault injection layer.
-func NewFaultyDevice(inner Device, cfg FaultConfig) *FaultyDevice {
-	return disk.NewFaulty(inner, cfg)
-}
+// FaultPowerCut pulls the plug: the PSU hold-up race decides what survives.
+// (Other kinds are written as Fault("guest-crash") and so on, as the CLI does.)
+const FaultPowerCut = faultinject.PowerCut
 
 // RunCampaign executes a fault-injection campaign.
 func RunCampaign(cfg CampaignConfig) CampaignSummary { return faultinject.RunCampaign(cfg) }
@@ -443,14 +326,9 @@ var Experiments = bench.All
 // ExperimentByID returns the experiment with the given id, or nil.
 func ExperimentByID(id string) *Experiment { return bench.ByID(id) }
 
-// Performance trajectory (the hot-path perf suite behind `rapilog-bench
-// -bench-json`).
-type (
-	// PerfSuite is one serialised run of the hot-path benchmark suite.
-	PerfSuite = bench.PerfSuite
-	// PerfCase is one measured case within a PerfSuite.
-	PerfCase = bench.PerfCase
-)
+// PerfSuite is one serialised run of the hot-path benchmark suite behind
+// `rapilog-bench -bench-json`.
+type PerfSuite = bench.PerfSuite
 
 // RunPerfSuite executes the fixed hot-path benchmark suite.
 func RunPerfSuite(label string, quick bool, seed int64, progress io.Writer) (*PerfSuite, error) {
