@@ -155,7 +155,9 @@ func microResult(res testing.BenchmarkResult, events uint64, wall time.Duration)
 }
 
 // perfSleepWake measures the kernel's cheapest blocking round trip: one
-// timer schedule, one park, one wake.
+// timer schedule, one park, one wake. Two sleepers half a period apart, so
+// that each always finds the other due first — one alone would wake in place
+// and never park.
 func perfSleepWake(seed int64) (PerfCase, error) {
 	var events uint64
 	var wall time.Duration
@@ -164,11 +166,15 @@ func perfSleepWake(seed int64) (PerfCase, error) {
 		s := sim.New(seed)
 		defer s.Close()
 		n := 0
-		s.Spawn(nil, "sleeper", func(p *sim.Proc) {
-			for ; n < b.N; n++ {
-				p.Sleep(time.Microsecond)
-			}
-		})
+		for _, offset := range []time.Duration{0, time.Microsecond / 2} {
+			offset := offset
+			s.Spawn(nil, "sleeper", func(p *sim.Proc) {
+				p.Sleep(offset)
+				for ; n < b.N; n++ {
+					p.Sleep(time.Microsecond)
+				}
+			})
+		}
 		d0 := s.Dispatched()
 		start := time.Now()
 		b.ReportAllocs()

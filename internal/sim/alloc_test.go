@@ -14,26 +14,38 @@ import (
 // TestSleepWakeZeroAlloc pins the kernel's hottest cycle — schedule a
 // timer, park, wake, dispatch — at zero allocations per event in steady
 // state (pooled timers, value waiters, no closures, no formatted wait
-// descriptions).
+// descriptions). Two sleepers half a period apart always have the other's
+// wake-up due first, so every sleep goes through the heap; one alone takes
+// every sleep in place (selfWake).
 func TestSleepWakeZeroAlloc(t *testing.T) {
-	s := New(1)
-	p := s.Spawn(nil, "sleeper", func(p *Proc) {
-		for {
-			p.Sleep(time.Microsecond)
+	for _, sleepers := range []int{2, 1} {
+		s := New(1)
+		for i := 0; i < sleepers; i++ {
+			i := i
+			s.Spawn(nil, "sleeper", func(p *Proc) {
+				p.Sleep(time.Duration(i) * time.Microsecond / 2)
+				for {
+					p.Sleep(time.Microsecond)
+				}
+			}).SetDaemon(true)
 		}
-	})
-	p.SetDaemon(true)
-	// Warm the timer pool and the heap's backing array.
-	if err := s.RunFor(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+		// Warm the timer pool and the heap's backing array.
 		if err := s.RunFor(time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("sleep/wake steady state allocates %.1f per RunFor(1ms) (~1000 events), want 0", allocs)
+		inPlace := s.selfWakes
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := s.RunFor(time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%d sleepers: sleep/wake steady state allocates %.1f per RunFor(1ms) (~1000 events each), want 0", sleepers, allocs)
+		}
+		if took := s.selfWakes > inPlace; took != (sleepers == 1) {
+			t.Fatalf("%d sleepers: %d sleeps woke in place, want none unless there is one sleeper", sleepers, s.selfWakes-inPlace)
+		}
+		s.Close()
 	}
 }
 

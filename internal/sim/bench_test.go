@@ -20,20 +20,34 @@ func BenchmarkTimerDispatch(b *testing.B) {
 	}
 }
 
+// One sleeper alone wakes in place (selfWake); two of them half a period
+// apart each find the other due first and go through the heap and the
+// scheduler — the full park/dispatch/resume cycle.
 func BenchmarkProcSleepWake(b *testing.B) {
-	s := New(1)
-	n := 0
-	s.Spawn(nil, "sleeper", func(p *Proc) {
-		for ; n < b.N; n++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if n != b.N {
-		b.Fatalf("%d/%d", n, b.N)
+	for _, c := range []struct {
+		name     string
+		sleepers int
+	}{{"alone", 1}, {"interleaved", 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(1)
+			n := 0
+			for i := 0; i < c.sleepers; i++ {
+				i := i
+				s.Spawn(nil, "sleeper", func(p *Proc) {
+					p.Sleep(time.Duration(i) * time.Microsecond / 2)
+					for ; n < b.N; n++ {
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if n < b.N {
+				b.Fatalf("%d/%d", n, b.N)
+			}
+		})
 	}
 }
 

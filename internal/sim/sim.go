@@ -74,15 +74,30 @@ type Sim struct {
 	traceFn func(t Time, format string, args ...any)
 	nextDom int
 	root    *Domain
+
+	// What the run loop in progress will still dispatch, which Sleep's fast
+	// path (selfWake) must not overrun: nothing later than horizon, nothing
+	// at all once until has fired. Outside Run, RunUntil and RunUntilEvent
+	// the horizon is notRunning, so a caller driving Step by hand gets one
+	// event per call.
+	horizon   Time
+	until     *Event
+	selfWakes uint64 // events selfWake dispatched; the equivalence tests read it
 }
+
+const (
+	forever    Time = 1<<63 - 1
+	notRunning Time = -1
+)
 
 // New creates a simulation with the given random seed. The seed fully
 // determines the behaviour of s.Rand(); the kernel itself introduces no
 // nondeterminism.
 func New(seed int64) *Sim {
 	return &Sim{
-		rng:   rand.New(rand.NewSource(seed)),
-		procs: make(map[int]*Proc),
+		rng:     rand.New(rand.NewSource(seed)),
+		procs:   make(map[int]*Proc),
+		horizon: notRunning,
 	}
 }
 
@@ -212,7 +227,8 @@ func (s *Sim) rootDomain() *Domain {
 }
 
 // Step executes the next pending event. It reports false when no events
-// remain.
+// remain. Called by hand it dispatches exactly one event; under a run loop
+// the process it resumes may take further sleeps in place (see selfWake).
 func (s *Sim) Step() (bool, error) {
 	if s.fatal != nil {
 		return false, s.fatal
@@ -264,18 +280,13 @@ func (s *Sim) Step() (bool, error) {
 // Run executes events until none remain. It returns an error if a process
 // panicked or if live processes remain blocked with no pending events
 // (a simulation deadlock).
-func (s *Sim) Run() error {
-	return s.run(func() bool { return true })
-}
+func (s *Sim) Run() error { return s.run(forever) }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // Processes blocked at the cutoff remain blocked; call RunUntil again (or
 // Run) to continue.
 func (s *Sim) RunUntil(t Time) error {
-	err := s.run(func() bool {
-		next := s.events.peek()
-		return next != nil && next.t <= t
-	})
+	err := s.run(t)
 	if err == nil && s.now < t {
 		s.now = t
 	}
@@ -289,6 +300,8 @@ func (s *Sim) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
 // event queue drains first (the event can never fire) or a process fails.
 // Unlike RunFor, it does not execute idle ticks past the completion point.
 func (s *Sim) RunUntilEvent(ev *Event) error {
+	s.horizon, s.until = forever, ev
+	defer func() { s.horizon, s.until = notRunning, nil }()
 	for !ev.Fired() {
 		ok, err := s.Step()
 		if err != nil {
@@ -301,20 +314,22 @@ func (s *Sim) RunUntilEvent(ev *Event) error {
 	return nil
 }
 
-func (s *Sim) run(cont func() bool) error {
+// run executes events with timestamps <= horizon.
+func (s *Sim) run(horizon Time) error {
 	if s.inRun {
 		panic("sim: Run called re-entrantly (from inside a process)")
 	}
-	s.inRun = true
-	defer func() { s.inRun = false }()
+	s.inRun, s.horizon = true, horizon
+	defer func() { s.inRun, s.horizon = false, notRunning }()
 	for {
 		if s.fatal != nil {
 			return s.fatal
 		}
-		if s.events.peek() == nil {
+		next := s.events.peek()
+		if next == nil {
 			break
 		}
-		if !cont() {
+		if next.t > horizon {
 			return nil
 		}
 		if _, err := s.Step(); err != nil {
@@ -509,8 +524,40 @@ func (p *Proc) Sleep(d time.Duration) {
 	// Inlined wait: no waiter value, no closure, no formatted description —
 	// sleep is the kernel's hottest blocking call.
 	p.waitGen++
-	p.sim.atWake(p.sim.now.Add(d), p, p.waitGen)
+	s := p.sim
+	t := s.now.Add(d)
+	if s.selfWake(p, t) {
+		return
+	}
+	s.atWake(t, p, p.waitGen)
 	p.park()
+}
+
+// selfWake is Sleep's fast path. When the wake-up a sleeping process is
+// about to queue would be the very next event the run loop dispatches —
+// nothing else is due at or before t (an event already queued for t goes
+// first, it has the smaller sequence number), and the loop would not stop
+// before it — then queueing it, switching to the scheduler, popping it and
+// switching back changes nothing but the clock and the event count. selfWake
+// makes exactly those changes in place and reports true; the process never
+// leaves the CPU. On a commit-bound run two sleeps in five qualify (modelled
+// CPU time with no other client due first), each saving a heap push and pop
+// and two coroutine switches.
+//
+// The schedule is the one the slow path produces, to the event: same clock,
+// same Dispatched, same sequence numbers for every later timer.
+func (s *Sim) selfWake(p *Proc, t Time) bool {
+	if t > s.horizon || p.killed || (s.until != nil && s.until.fired) {
+		return false
+	}
+	if next := s.events.peek(); next != nil && next.t <= t {
+		return false
+	}
+	s.seq++
+	s.now = t
+	s.dispatched++
+	s.selfWakes++
+	return true
 }
 
 // Yield lets every other runnable process and same-time event run before
