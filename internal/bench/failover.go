@@ -32,7 +32,7 @@ func runA11(opts Options) (*Report, error) {
 
 	cases := []struct {
 		label string
-		fault faultinject.FailoverFault
+		fault faultinject.Fault
 	}{
 		{"power-cut", faultinject.LeaderPowerCut},
 		{"isolation", faultinject.LeaderIsolation},
@@ -45,11 +45,8 @@ func runA11(opts Options) (*Report, error) {
 		"this reproduction's HA extension (leader takeover over the replicated durability domain)", table)
 
 	for _, c := range cases {
-		sum := faultinject.RunFailoverCampaign(faultinject.FailoverConfig{
-			Cluster: rig.ClusterConfig{
-				Nodes: 3,
-				Rig:   rig.Config{Seed: opts.Seed, AckPolicy: core.AckQuorum(1)},
-			},
+		sum := faultinject.RunCampaign(faultinject.CampaignConfig{
+			Rig:        rig.Config{Seed: opts.Seed, AckPolicy: core.AckQuorum(1)},
 			Fault:      c.fault,
 			Trials:     trials,
 			Clients:    4,

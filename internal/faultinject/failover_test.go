@@ -8,22 +8,12 @@ import (
 	"repro/internal/rig"
 )
 
-func TestFailoverConfigValidation(t *testing.T) {
-	if sum := RunFailoverCampaign(FailoverConfig{Fault: "no-such-fault", Trials: 1}); sum.Errors != 1 {
-		t.Fatalf("unknown fault accepted: %+v", sum)
-	}
-	bad := FailoverConfig{Fault: LeaderPowerCut, Trials: 1, SessionFor: time.Second, InjectAfterMax: 2 * time.Second}
-	if sum := RunFailoverCampaign(bad); sum.Errors != 1 {
-		t.Fatal("session window inside inject window accepted")
-	}
-}
-
 // TestFailoverSummaryCountsMonitorViolations: the failover fold used to pin
 // artifacts on !Ok() only and kept no monitor total, so an exposure-bound or
 // ack-without-evidence violation in an otherwise clean takeover neither kept
 // its trace nor failed the campaign.
 func TestFailoverSummaryCountsMonitorViolations(t *testing.T) {
-	clean := FailoverTrial{Acked: 5, Failovers: 1, Unavailable: time.Second}
+	clean := TrialResult{Fault: LeaderPowerCut, Acked: 5, Failovers: 1, Unavailable: time.Second}
 	flagged, later := clean, clean
 	flagged.MonitorViolations = 1
 	flagged.Artifacts = &Artifacts{Seed: 1}
@@ -31,7 +21,7 @@ func TestFailoverSummaryCountsMonitorViolations(t *testing.T) {
 	if !flagged.Ok() {
 		t.Fatal("test premise: a monitor violation alone leaves the takeover Ok()")
 	}
-	var sum FailoverSummary
+	var sum Summary
 	sum.add(flagged)
 	sum.add(later)
 	if sum.MonitorViolations != 1 || !sum.Bad() {
@@ -45,12 +35,9 @@ func TestFailoverSummaryCountsMonitorViolations(t *testing.T) {
 	}
 }
 
-func failoverBase(fault FailoverFault, trials int) FailoverConfig {
-	return FailoverConfig{
-		Cluster: rig.ClusterConfig{
-			Nodes: 3,
-			Rig:   rig.Config{Seed: 1234, AckPolicy: core.AckQuorum(1)},
-		},
+func failoverBase(fault Fault, trials int) CampaignConfig {
+	return CampaignConfig{
+		Rig:        rig.Config{Seed: 1234, AckPolicy: core.AckQuorum(1)},
 		Fault:      fault,
 		Trials:     trials,
 		Clients:    4,
@@ -60,7 +47,7 @@ func failoverBase(fault FailoverFault, trials int) FailoverConfig {
 
 // requireClean asserts a campaign's acceptance criteria: zero acked-quorum
 // loss, zero split-brain, every trial a single complete takeover.
-func requireClean(t *testing.T, sum FailoverSummary) {
+func requireClean(t *testing.T, sum Summary) {
 	t.Helper()
 	t.Log(sum.String())
 	if sum.Errors > 0 {
@@ -88,23 +75,21 @@ func requireClean(t *testing.T, sum FailoverSummary) {
 }
 
 func TestFailoverCampaignPowerCut(t *testing.T) {
-	requireClean(t, RunFailoverCampaign(failoverBase(LeaderPowerCut, 2)))
+	requireClean(t, RunCampaign(failoverBase(LeaderPowerCut, 2)))
 }
 
 func TestFailoverCampaignIsolation(t *testing.T) {
-	requireClean(t, RunFailoverCampaign(failoverBase(LeaderIsolation, 2)))
+	requireClean(t, RunCampaign(failoverBase(LeaderIsolation, 2)))
 }
 
 func TestFailoverCampaignComposed(t *testing.T) {
-	requireClean(t, RunFailoverCampaign(failoverBase(CoordAndLeader, 2)))
+	requireClean(t, RunCampaign(failoverBase(CoordAndLeader, 2)))
 }
 
 // TestFailoverTrialForensics checks that a traced trial captures the full
 // artifact set and the ha.* counters move.
 func TestFailoverTrialForensics(t *testing.T) {
-	cfg := failoverBase(LeaderIsolation, 1)
-	cfg.applyDefaults()
-	res := RunFailoverTrial(cfg, 77)
+	res := RunTrial(failoverBase(LeaderIsolation, 1), 77)
 	if !res.Ok() {
 		t.Fatalf("trial not clean: %+v err=%v", res, res.Err)
 	}

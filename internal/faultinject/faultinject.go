@@ -1,11 +1,13 @@
 // Package faultinject runs the paper's destructive experiments: repeated
-// guest crashes and plug-pulls under load, each followed by recovery and a
-// durability audit against the client-side journal. One campaign = many
-// independent trials, each in its own deterministic simulation.
+// guest crashes, plug-pulls and leader losses under load, each followed by
+// recovery and a durability audit against the client-side journal. One
+// campaign = many independent trials, each in its own deterministic
+// simulation; the fault decides the topology a trial is built on.
 package faultinject
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/disk"
@@ -40,6 +42,17 @@ const (
 	// then restarts them (rapilog-replica mode only). Composable like
 	// Partition.
 	ReplicaCrash Fault = "replica-crash"
+	// LeaderPowerCut pulls the plug of a cluster's leader machine: heartbeat
+	// agent, shipper and guest all die at once.
+	LeaderPowerCut Fault = "leader-power-cut"
+	// LeaderIsolation partitions a healthy leader from the fabric: it keeps
+	// running — and keeps trying to commit — but its acks and heartbeats go
+	// nowhere. The classic split-brain setup.
+	LeaderIsolation Fault = "leader-isolation"
+	// CoordAndLeader composes a coordinator crash with a leader power cut:
+	// nobody is watching when the leader dies, and the takeover must happen
+	// after the coordinator itself restarts.
+	CoordAndLeader Fault = "coordinator+leader"
 )
 
 // isMediaFault reports whether f injects through the disk.Faulty wrapper
@@ -49,21 +62,34 @@ func (f Fault) isMediaFault() bool { return f == DiskError || f == LatencyStorm 
 // isReplicaFault reports whether f injects into the replication fabric.
 func (f Fault) isReplicaFault() bool { return f == Partition || f == ReplicaCrash }
 
+// isLeaderFault reports whether f takes a cluster's leader away: the trial
+// then runs on rig.NewCluster with failover-aware sessions (clusterTrial)
+// instead of on one machine with guest-resident clients (machineTrial).
+func (f Fault) isLeaderFault() bool {
+	return f == LeaderPowerCut || f == LeaderIsolation || f == CoordAndLeader
+}
+
 // CampaignConfig parameterises a fault-injection campaign.
 type CampaignConfig struct {
 	// Rig is the machine every trial is built on. With Rig.Shards > 1 each
 	// log domain gets its own workload copy, journal and client pool, the
 	// fault hits the whole machine, and recovery runs per domain in parallel
-	// — PowerCut only, the one fault that is machine-wide by nature.
+	// — PowerCut only, the one fault that is machine-wide by nature. A leader
+	// fault builds a cluster of Rig.Replicas + 1 such machines (default 3);
+	// rig.NewCluster forces a remote ack policy and tracing on them.
 	Rig     rig.Config
 	Fault   Fault
 	Trials  int // default 20
 	Clients int // default 4
 	// InjectAfterMin/Max bound the virtual time between workload start and
 	// fault injection; the exact instant is sampled per trial. Defaults
-	// 200ms..2s.
+	// 200ms..2s, and 500ms..1.5s for a leader fault.
 	InjectAfterMin time.Duration
 	InjectAfterMax time.Duration
+	// SessionFor is how long a leader-fault trial's session pool runs; it
+	// must outlast the takeover (which is dominated by WAL redo on the
+	// promoted node). Default 60s.
+	SessionFor time.Duration
 	// FaultWindow is how long an injected media fault lasts (DiskError,
 	// LatencyStorm); default 300ms.
 	FaultWindow time.Duration
@@ -96,11 +122,18 @@ type CampaignConfig struct {
 	// This is the "local durability domain is gone" half of the A9
 	// double-fault; only a remote policy survives it with data buffered.
 	BreakDump bool
-	// Workload factory; default: a small TPC-C.
+	// Workload factory; default: a small TPC-C, and 1000-byte stress inserts
+	// for a leader fault (the value size scales the promotion replay, and so
+	// the takeover's redo time).
 	NewWorkload func() workload.Workload
 }
 
+// coordOutage is how long the coordinator stays down after the leader dies
+// in the composed CoordAndLeader fault.
+const coordOutage = 500 * time.Millisecond
+
 func (c *CampaignConfig) applyDefaults() {
+	leader := c.Fault.isLeaderFault()
 	if c.Trials == 0 {
 		c.Trials = 20
 	}
@@ -109,9 +142,18 @@ func (c *CampaignConfig) applyDefaults() {
 	}
 	if c.InjectAfterMin == 0 {
 		c.InjectAfterMin = 200 * time.Millisecond
+		if leader {
+			c.InjectAfterMin = 500 * time.Millisecond
+		}
 	}
 	if c.InjectAfterMax == 0 {
 		c.InjectAfterMax = 2 * time.Second
+		if leader {
+			c.InjectAfterMax = 1500 * time.Millisecond
+		}
+	}
+	if c.SessionFor == 0 {
+		c.SessionFor = 60 * time.Second
 	}
 	if c.FaultWindow == 0 {
 		c.FaultWindow = 300 * time.Millisecond
@@ -125,17 +167,34 @@ func (c *CampaignConfig) applyDefaults() {
 	if c.CrashReplicas == 0 {
 		c.CrashReplicas = 1
 	}
+	if c.Rig.Replicas == 0 && (leader || c.Rig.Mode.Replicated()) {
+		c.Rig.Replicas = 2 // rig's own default, pinned here so validate can count standbys
+	}
 	if c.NewWorkload == nil {
 		c.NewWorkload = func() workload.Workload {
+			if leader {
+				return &workload.Stress{ValueSize: 1000}
+			}
 			return &workload.TPCC{Warehouses: 1, Districts: 4, Customers: 20, Items: 200}
 		}
 	}
 }
 
-// validate rejects configurations that could never run a sane trial.
+// validate rejects configurations that could never run a sane trial. It runs
+// after applyDefaults, which only replaces zero values: an explicitly
+// negative size or window reaches here.
 func (c *CampaignConfig) validate() error {
-	if err := validateCampaign(c.Trials, c.Clients, c.InjectAfterMin, c.InjectAfterMax); err != nil {
-		return err
+	if c.Trials < 1 {
+		return fmt.Errorf("faultinject: Trials %d: a campaign needs at least one trial", c.Trials)
+	}
+	if c.Clients < 1 {
+		return fmt.Errorf("faultinject: Clients %d: a trial needs at least one client", c.Clients)
+	}
+	if c.InjectAfterMin < 0 {
+		return fmt.Errorf("faultinject: negative InjectAfterMin %v", c.InjectAfterMin)
+	}
+	if c.InjectAfterMax < c.InjectAfterMin {
+		return fmt.Errorf("faultinject: InjectAfterMax %v < InjectAfterMin %v", c.InjectAfterMax, c.InjectAfterMin)
 	}
 	// A negative window would silently collapse to a zero-length Sleep and a
 	// fault that "passes" without ever firing.
@@ -148,11 +207,29 @@ func (c *CampaignConfig) validate() error {
 	if c.MediaErrProb < 0 || c.MediaErrProb > 1 {
 		return fmt.Errorf("faultinject: MediaErrProb %v outside [0, 1]", c.MediaErrProb)
 	}
-	switch c.Fault {
-	case GuestCrash, PowerCut, DiskError, LatencyStorm:
-	case Partition, ReplicaCrash:
+	if c.CrashReplicas < 1 {
+		return fmt.Errorf("faultinject: CrashReplicas %d: a replica crash takes down at least one standby", c.CrashReplicas)
+	}
+	// Fault × topology: what each fault needs of the deployment it hits.
+	switch {
+	case c.Fault == GuestCrash, c.Fault == PowerCut, c.Fault.isMediaFault():
+	case c.Fault.isReplicaFault():
 		if !c.Rig.Mode.Replicated() {
 			return fmt.Errorf("faultinject: fault %q needs mode %q", c.Fault, rig.RapiLogReplica)
+		}
+		if c.Fault == ReplicaCrash && c.CrashReplicas > c.Rig.Replicas {
+			return fmt.Errorf("faultinject: CrashReplicas %d exceeds the %d standbys (Rig.Replicas)", c.CrashReplicas, c.Rig.Replicas)
+		}
+	case c.Fault.isLeaderFault():
+		if c.Rig.Shards != 0 {
+			return fmt.Errorf("faultinject: fault %q needs a cluster, whose nodes cannot be sharded yet (Rig.Shards = %d)", c.Fault, c.Rig.Shards)
+		}
+		if c.Rig.AckPolicy.K > c.Rig.Replicas {
+			return fmt.Errorf("faultinject: ack policy %v needs %d standby stores, a %d-node cluster has %d (Rig.Replicas)",
+				c.Rig.AckPolicy, c.Rig.AckPolicy.K, c.Rig.Replicas+1, c.Rig.Replicas)
+		}
+		if c.SessionFor <= c.InjectAfterMax {
+			return fmt.Errorf("faultinject: SessionFor %v inside the inject window", c.SessionFor)
 		}
 	default:
 		return fmt.Errorf("faultinject: unknown fault %q", c.Fault)
@@ -175,8 +252,9 @@ func (c *CampaignConfig) validate() error {
 // TrialResult is one trial's outcome.
 type TrialResult struct {
 	Seed       int64
-	Acked      int // transactions acknowledged before the fault
-	Missing    int // acked transactions absent after recovery
+	Fault      Fault // what was injected; empty when the config was rejected
+	Acked      int   // transactions acknowledged before the fault
+	Missing    int   // acked transactions absent after recovery
 	Mismatched int
 	Torn       bool // RapiLog dump ended mid-entry (unsafe sizing only)
 	HadDump    bool // a valid dump header was found at recovery
@@ -189,6 +267,24 @@ type TrialResult struct {
 	// Replica-mode trials: the replication stream's peak unacked depth
 	// (records shipped but not yet held by every standby).
 	ReplLagMax int64
+	// Leader-fault trials. Missing/Mismatched then audit every acked op —
+	// before or after the takeover — against the final leader's engine.
+	// Failovers is how many takeovers the coordinator completed; exactly one
+	// is clean.
+	Failovers int
+	// Unavailable is the client-visible outage: first committed op of
+	// generation 2 minus the injection instant. Zero means no session ever
+	// committed against the promoted leader.
+	Unavailable time.Duration
+	// Redirects and FenceRejections are the trial's ha.* counter readings;
+	// ReplayBytes/Entries summarise the promotion's prefix replay.
+	Redirects       int64
+	FenceRejections int64
+	ReplayBytes     int64
+	ReplayEntries   int
+	// SplitBrain counts single_writer_epoch monitor violations: >0 means two
+	// shippers were acked inside one epoch.
+	SplitBrain int
 	// MonitorViolations is the online invariant monitor's verdict for the
 	// trial (zero unless the rig ran with tracing enabled).
 	MonitorViolations int
@@ -200,39 +296,116 @@ type TrialResult struct {
 	Err       error
 }
 
-// Ok reports whether the trial had zero durability violations.
-func (t TrialResult) Ok() bool { return t.Err == nil && t.Missing == 0 && t.Mismatched == 0 }
+// Incomplete reports a leader-fault trial that did not end in exactly one
+// takeover with a session served by the promoted leader.
+func (t TrialResult) Incomplete() bool {
+	return t.Fault.isLeaderFault() && (t.Failovers != 1 || t.Unavailable == 0)
+}
+
+// Ok reports whether the trial had zero durability violations: no loss, no
+// corruption, no split-brain and, after a leader fault, a clean takeover.
+func (t TrialResult) Ok() bool {
+	return t.Err == nil && t.Missing == 0 && t.Mismatched == 0 && t.SplitBrain == 0 && !t.Incomplete()
+}
 
 // Summary aggregates a campaign.
 type Summary struct {
-	Config CampaignConfig
-	Trials []TrialResult
-	totals
-	DegradedTrials int   // trials that ended with the logger in pass-through
-	DumpFailures   int   // emergency dumps that never reached the zone
-	MaxReplLag     int64 // worst per-trial replication lag peak
+	Config     CampaignConfig
+	Trials     []TrialResult
+	TotalAcked int
+	TotalLost  int
+	Violations int // trials with any loss or corruption
+	Errors     int
+	firstErr   error
+	// MonitorViolations totals the online monitor's findings across trials.
+	MonitorViolations int
+	DegradedTrials    int   // trials that ended with the logger in pass-through
+	DumpFailures      int   // emergency dumps that never reached the zone
+	MaxReplLag        int64 // worst per-trial replication lag peak
+	SplitBrains       int   // trials where the single-writer invariant fired
+	Incomplete        int   // leader-fault trials with != 1 failover or no post-takeover commit
+	// Artifacts is the campaign's forensic capture: the first violating,
+	// erroring, incomplete or monitor-flagged trial's or, while every trial
+	// is clean, the last trial's — a long campaign holds one capture in
+	// memory, not one per trial.
+	Artifacts *Artifacts
+	pinned    bool // Artifacts is a bad trial's and stays
 }
 
-// add folds the next trial, in seed order, into the aggregate.
+// add folds the next trial, in seed order, into the aggregate. Loss and
+// corruption are counted independently of the error flag: a trial can both
+// error out and lose data, and hiding the loss under the error would
+// understate Violations.
 func (s *Summary) add(res TrialResult) {
-	s.fold(len(s.Trials), verdict{
-		acked: res.Acked, missing: res.Missing, mismatched: res.Mismatched,
-		monitorViolations: res.MonitorViolations, ok: res.Ok(),
-		artifacts: res.Artifacts, err: res.Err,
-	})
+	if a := res.Artifacts; a != nil && !s.pinned {
+		a.Trial = len(s.Trials)
+		s.Artifacts, s.pinned = a, !res.Ok() || res.MonitorViolations > 0
+	}
 	res.Artifacts = nil
 	s.Trials = append(s.Trials, res)
+	s.TotalAcked += res.Acked
+	s.TotalLost += res.Missing
+	if res.Missing > 0 || res.Mismatched > 0 {
+		s.Violations++
+	}
+	if res.Err != nil {
+		s.Errors++
+		if s.firstErr == nil {
+			s.firstErr = res.Err
+		}
+	}
+	s.MonitorViolations += res.MonitorViolations
 	if res.Degraded {
 		s.DegradedTrials++
 	}
 	s.DumpFailures += res.DumpFailures
-	if res.ReplLagMax > s.MaxReplLag {
-		s.MaxReplLag = res.ReplLagMax
+	s.MaxReplLag = max(s.MaxReplLag, res.ReplLagMax)
+	if res.SplitBrain > 0 {
+		s.SplitBrains++
+	}
+	if res.Incomplete() {
+		s.Incomplete++
 	}
 }
 
+// FirstErr returns the first erroring trial's error in seed order, nil when
+// Errors is zero.
+func (s Summary) FirstErr() error { return s.firstErr }
+
+// Bad reports whether the campaign failed: an acked commit was lost or
+// corrupted, a trial errored, the online monitor flagged an invariant
+// (split-brain among them), or a takeover never completed.
+func (s Summary) Bad() bool {
+	return s.Violations > 0 || s.Errors > 0 || s.MonitorViolations > 0 || s.SplitBrains > 0 || s.Incomplete > 0
+}
+
+// UnavailPercentile returns the q-quantile (0..1) of the per-trial
+// unavailability windows, over trials that completed a takeover.
+func (s Summary) UnavailPercentile(q float64) time.Duration {
+	var ds []time.Duration
+	for _, t := range s.Trials {
+		if t.Unavailable > 0 {
+			ds = append(ds, t.Unavailable)
+		}
+	}
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	return ds[int(q*float64(len(ds)-1))]
+}
+
 func (s Summary) String() string {
+	topo := string(s.Config.Rig.Mode)
 	extra := ""
+	switch {
+	case s.Config.Fault.isLeaderFault():
+		topo = fmt.Sprintf("cluster[%d nodes]", s.Config.Rig.Replicas+1)
+		extra = fmt.Sprintf(", %d split-brain, %d incomplete, unavailability p50 %v p99 %v", s.SplitBrains, s.Incomplete,
+			s.UnavailPercentile(0.50).Round(time.Millisecond), s.UnavailPercentile(0.99).Round(time.Millisecond))
+	case s.Config.Rig.Shards > 1:
+		topo += fmt.Sprintf("[%d shards]", s.Config.Rig.Shards)
+	}
 	if s.DegradedTrials > 0 {
 		extra += fmt.Sprintf(", %d degraded", s.DegradedTrials)
 	}
@@ -245,16 +418,12 @@ func (s Summary) String() string {
 	if s.MonitorViolations > 0 {
 		extra += fmt.Sprintf(", %d monitor violations", s.MonitorViolations)
 	}
-	mode := string(s.Config.Rig.Mode)
-	if s.Config.Rig.Shards > 1 {
-		mode += fmt.Sprintf("[%d shards]", s.Config.Rig.Shards)
-	}
 	fault := string(s.Config.Fault)
 	if s.Config.Compose != "" {
 		fault += "+" + string(s.Config.Compose)
 	}
 	return fmt.Sprintf("%s/%s: %d trials, %d acked commits, %d lost, %d violating trials, %d errors%s",
-		mode, fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations, s.Errors, extra)
+		topo, fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations, s.Errors, extra)
 }
 
 // RunCampaign executes cfg.Trials independent trials on the campaign
@@ -267,41 +436,52 @@ func RunCampaign(cfg CampaignConfig) Summary {
 		sum.add(TrialResult{Err: err})
 		return sum
 	}
-	for _, res := range runSeeded(cfg.Trials, cfg.Parallel, cfg.Rig.Seed,
-		func(seed int64) TrialResult { return RunTrial(cfg, seed) }) {
+	for _, res := range runSeeded(cfg) {
 		sum.add(res)
 	}
 	return sum
 }
 
 // RunTrial executes one load→fault→recover→audit cycle in a fresh
-// simulation with the given seed. Every log domain of the machine gets its
+// simulation with the given seed, on the topology the fault calls for: a
+// cluster for a leader fault (clusterTrial), one machine for every other
+// (machineTrial). The two bodies are different programs — guest-resident
+// clients audited on the acked-before-injection prefix, against sessions
+// outside every crash domain audited on the final leader — and everything
+// around them is shared.
+func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return TrialResult{Seed: seed, Err: err}
+	}
+	cfg.Rig.Seed = seed
+	cfg.Rig.NoDaemons = false
+	res := TrialResult{Seed: seed, Fault: cfg.Fault}
+	if cfg.Fault.isLeaderFault() {
+		clusterTrial(cfg, &res)
+	} else {
+		machineTrial(cfg, &res)
+	}
+	return res
+}
+
+// machineTrial is the trial body on one machine. Every log domain gets its
 // own workload copy, journal and client pool, and its acked prefix is
 // audited against the engine that acked it; the machine-wide fault (PowerCut)
 // hits them all, every other fault acts on the one domain an unsharded
 // machine has.
-func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
-	cfg.applyDefaults()
-	res := TrialResult{Seed: seed}
-	if err := cfg.validate(); err != nil {
-		res.Err = err
-		return res
-	}
-
-	rigCfg := cfg.Rig
-	rigCfg.Seed = seed
-	rigCfg.NoDaemons = false
-	if cfg.Fault.isMediaFault() && !rigCfg.LogFault.Enabled {
+func machineTrial(cfg CampaignConfig, res *TrialResult) {
+	if cfg.Fault.isMediaFault() && !cfg.Rig.LogFault.Enabled {
 		// The fault layer starts quiet; the operator opens the window.
-		rigCfg.LogFault = disk.FaultConfig{Enabled: true, Seed: seed * 31}
+		cfg.Rig.LogFault = disk.FaultConfig{Enabled: true, Seed: res.Seed * 31}
 	}
-	if cfg.BreakDump && !rigCfg.DumpFault.Enabled {
-		rigCfg.DumpFault = disk.FaultConfig{Enabled: true, Seed: seed*31 + 7}
+	if cfg.BreakDump && !cfg.Rig.DumpFault.Enabled {
+		cfg.Rig.DumpFault = disk.FaultConfig{Enabled: true, Seed: res.Seed*31 + 7}
 	}
-	r, err := rig.New(rigCfg)
+	r, err := rig.New(cfg.Rig)
 	if err != nil {
 		res.Err = err
-		return res
+		return
 	}
 	defer r.Close()
 	s, n := r.S, len(r.Domains)
@@ -504,7 +684,5 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 			res.ReplLagMax = max(res.ReplLagMax, d.Obs.Registry().Gauge("repl.lag").Peak())
 		}
 	}
-	res.Artifacts, res.MonitorViolations = captureArtifacts(seed, s.Now().Duration(), r.Obs, r.Monitor, r.Flight)
-	res.Err = settle(res.Err, runErr, audited)
-	return res
+	res.finish(s, runErr, audited, r.Obs, r.Monitor, r.Flight)
 }

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,7 +249,7 @@ func TestNegativeInjectSpanIsConfigError(t *testing.T) {
 
 // TestCampaignSizeIsValidated: Trials < 1 used to panic in the pool's
 // make([]T, trials), and Clients < 1 ran trials that acked nothing and
-// "passed". Both campaign kinds share the check.
+// "passed".
 func TestCampaignSizeIsValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -265,14 +266,54 @@ func TestCampaignSizeIsValidated(t *testing.T) {
 		if res := RunTrial(cfg, 1); res.Err == nil {
 			t.Errorf("%s: RunTrial accepted it", tc.name)
 		}
-		fc := failoverBase(LeaderPowerCut, tc.trials)
-		fc.Clients = tc.clients
-		if sum := RunFailoverCampaign(fc); sum.Errors != 1 || len(sum.Trials) != 1 || sum.FirstErr() == nil || !sum.Bad() {
-			t.Errorf("%s: RunFailoverCampaign: %+v", tc.name, sum)
+	}
+}
+
+// TestConfigValidation is the fault × topology table: every row is a config
+// no trial can run on, and must come back as a plain config error — naming
+// the offending field — from both entry points, with nothing built.
+// CrashReplicas -1 used to panic the operator process with a slice bound, and
+// a value above Rig.Replicas was silently clamped.
+func TestConfigValidation(t *testing.T) {
+	replicaCrash := func(n int) CampaignConfig {
+		cfg := quickCampaign(rig.RapiLogReplica, ReplicaCrash, 1)
+		cfg.CrashReplicas = n
+		return cfg
+	}
+	leader := func(mut func(*CampaignConfig)) CampaignConfig {
+		cfg := failoverBase(LeaderPowerCut, 1)
+		mut(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+		want string // substring of the error
+	}{
+		{"unknown fault", quickCampaign(rig.RapiLog, "no-such-fault", 1), "unknown fault"},
+		{"negative crash-replicas", replicaCrash(-1), "CrashReplicas -1"},
+		{"more crash-replicas than standbys", replicaCrash(3), "CrashReplicas 3 exceeds the 2 standbys"},
+		{"leader fault, negative trials", leader(func(c *CampaignConfig) { c.Trials = -1 }), "Trials -1"},
+		{"leader fault, negative clients", leader(func(c *CampaignConfig) { c.Clients = -3 }), "Clients -3"},
+		{"leader fault on a sharded machine", leader(func(c *CampaignConfig) { c.Rig.Shards = 2 }), "Rig.Shards = 2"},
+		{"leader fault, quorum larger than the cluster", leader(func(c *CampaignConfig) { c.Rig.AckPolicy = core.AckQuorum(3) }), "needs 3 standby stores"},
+		{"leader fault composed", leader(func(c *CampaignConfig) { c.Compose = PowerCut }), "Compose only applies to replica faults"},
+		{"sessions end inside the inject window", leader(func(c *CampaignConfig) {
+			c.SessionFor, c.InjectAfterMax = time.Second, 2*time.Second
+		}), "SessionFor 1s inside the inject window"},
+	} {
+		sum := RunCampaign(tc.cfg)
+		if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Incomplete != 0 || !sum.Bad() ||
+			sum.FirstErr() == nil || !strings.Contains(sum.FirstErr().Error(), tc.want) {
+			t.Errorf("%s: RunCampaign: %v (first error %v), want a config error with %q", tc.name, sum, sum.FirstErr(), tc.want)
 		}
-		if res := RunFailoverTrial(fc, 1); res.Err == nil {
-			t.Errorf("%s: RunFailoverTrial accepted it", tc.name)
+		if res := RunTrial(tc.cfg, 1); res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) {
+			t.Errorf("%s: RunTrial: err %v, want a config error with %q", tc.name, res.Err, tc.want)
 		}
+	}
+	// The largest legal outage still runs: every standby down, none clamped.
+	if res := RunTrial(replicaCrash(2), 1); res.Err != nil || res.Acked == 0 {
+		t.Errorf("CrashReplicas == Replicas: %+v", res)
 	}
 }
 

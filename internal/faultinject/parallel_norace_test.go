@@ -12,18 +12,18 @@ import (
 // not finish in 20 minutes and grow past 16 GB (measured on
 // TestFailoverCampaignPowerCut before this test existed; cause not isolated,
 // see ROADMAP item 1). The pool's synchronisation is race-tested by
-// TestParallelCampaignDeterminism: both campaign kinds run on the one
+// TestParallelCampaignDeterminism: every topology runs on the one
 // runSeeded.
 
 // TestParallelCampaignDeterminismFailover is TestParallelCampaignDeterminism's
-// property for the failover campaigns: two cluster trials run 2-wide must
+// property for the cluster topology: two leader-fault trials run 2-wide must
 // equal the sequential run, retained artifacts included.
 func TestParallelCampaignDeterminismFailover(t *testing.T) {
-	mk := func(par int) FailoverSummary {
+	mk := func(par int) Summary {
 		cfg := failoverBase(LeaderPowerCut, 2)
-		cfg.SessionFor = 20 * time.Second // as rapilog-fault -exp a11 runs it
+		cfg.SessionFor = 20 * time.Second // as rapilog-bench -exp a11 runs it
 		cfg.Parallel = par
-		return RunFailoverCampaign(cfg)
+		return RunCampaign(cfg)
 	}
 	seq, par := mk(1), mk(2)
 	if !reflect.DeepEqual(seq.Trials, par.Trials) {

@@ -1,0 +1,42 @@
+//go:build !race
+
+package obs
+
+import (
+	"testing"
+	"time"
+)
+
+// TestAnalyzeAllocsPerCommit pins the analyzer's allocations per traced
+// commit. The covering-force lookup used to rebuild the running-max envelope
+// over every force for every acked transaction — a third allocation per commit where two
+// are needed (the transaction, the force), and that one O(commits) long:
+// rapilog-trace took 4× longer per doubling of the trace.
+func TestAnalyzeAllocsPerCommit(t *testing.T) {
+	const commits = 2000
+	tr := NewTracer(8 * commits)
+	for i := 0; i < commits; i++ {
+		at := time.Duration(i) * time.Millisecond
+		tx, force, lsn := tr.NewSpan(), tr.NewSpan(), int64(100*(i+1))
+		tr.Emit(at, EvTxBegin, tx, 0, 0, 0)
+		tr.Emit(at+1, EvWalAppend, 0, tx, lsn, 64)
+		tr.Emit(at+2, EvLogSubmit, force, 0, lsn, 0)
+		tr.Emit(at+3, EvLogComplete, 0, force, lsn, 0)
+		tr.Emit(at+4, EvTxAck, 0, tx, 0, 0)
+	}
+	dump := tr.Dump()
+	var a *Analysis
+	perCommit := testing.AllocsPerRun(5, func() {
+		var err error
+		if a, err = Analyze(dump, 0); err != nil {
+			t.Fatal(err)
+		}
+	}) / commits
+	if a.Chains.Commits != commits || a.Chains.Complete != commits {
+		t.Fatalf("synthetic trace did not analyze as %d complete chains: %+v", commits, a.Chains)
+	}
+	t.Logf("%.2f allocs per commit", perCommit)
+	if perCommit > 2.5 {
+		t.Fatalf("Analyze allocates %.2f times per commit, want ≤ 2.5", perCommit)
+	}
+}

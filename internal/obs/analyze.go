@@ -128,7 +128,8 @@ type Analysis struct {
 
 	events  []Event
 	txs     []*txInfo
-	forces  []*forceInfo
+	forces  []*forceInfo           // completed, in completion order
+	cover   flushCover[*forceInfo] // the earliest completed force covering an LSN
 	ships   map[SpanID]*shipInfo
 	entries map[SpanID]*entryInfo
 }
@@ -197,6 +198,7 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 			if f, ok := forceBySpan[e.Parent]; ok && !f.done {
 				f.done, f.complete, f.flushed = true, e.At, e.Arg1
 				a.forces = append(a.forces, f)
+				a.cover.add(f.flushed, f)
 				stForce.Observe(f.complete - f.submit)
 			}
 		case EvHvAck:
@@ -274,23 +276,35 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 	return a, nil
 }
 
-// coveringForce returns the earliest completed force whose flushed LSN
-// covers lsn. Individual flush values can dip across a power cycle, so the
-// search runs over the running-maximum envelope.
-func (a *Analysis) coveringForce(lsn int64) *forceInfo {
-	env := make([]int64, len(a.forces))
-	hi := int64(0)
-	for i, f := range a.forces {
-		if f.flushed > hi {
-			hi = f.flushed
-		}
-		env[i] = hi
+// flushCover indexes an append-only history of flushed LSNs by the question
+// the analyzer and the monitor both ask of it: which flush was the first to
+// cover a given LSN? Individual flush values can dip across a power cycle, so
+// it keeps their running maximum — a monotone envelope, searched in O(log n)
+// — and hands back what the asker attached to that flush.
+type flushCover[T any] struct {
+	pts []coverPoint[T]
+}
+
+type coverPoint[T any] struct {
+	env int64 // highest LSN flushed so far
+	v   T
+}
+
+// add appends the next flush.
+func (c *flushCover[T]) add(lsn int64, v T) {
+	if n := len(c.pts); n > 0 && c.pts[n-1].env > lsn {
+		lsn = c.pts[n-1].env
 	}
-	i := sort.Search(len(env), func(i int) bool { return env[i] >= lsn })
-	if i == len(a.forces) {
-		return nil
+	c.pts = append(c.pts, coverPoint[T]{lsn, v})
+}
+
+// first returns what was attached to the earliest flush covering lsn.
+func (c *flushCover[T]) first(lsn int64) (v T, ok bool) {
+	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].env >= lsn })
+	if i == len(c.pts) {
+		return v, false
 	}
-	return a.forces[i]
+	return c.pts[i].v, true
 }
 
 func (a *Analysis) assessChains() {
@@ -299,8 +313,8 @@ func (a *Analysis) assessChains() {
 			continue // read-only, or the window clipped the chain
 		}
 		a.Chains.Commits++
-		f := a.coveringForce(tx.lsn)
-		if f == nil {
+		f, covered := a.cover.first(tx.lsn)
+		if !covered {
 			a.Chains.Incomplete["no covering force"]++
 			continue
 		}

@@ -120,14 +120,6 @@ func (r MonitorReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// flushPoint pairs a flushed LSN with the highest replication sequence the
-// covering force shipped; used to translate "commit LSN covered" into
-// "quorum sequence required".
-type flushPoint struct {
-	lsn int64
-	seq uint64
-}
-
 // Monitor re-checks the system's safety invariants online, consuming the
 // trace event stream (install it as the tracer's observer, or replay a
 // recorded trace through Consume). It never mutates the system: violations
@@ -150,10 +142,15 @@ type Monitor struct {
 	txLSN       map[SpanID]int64  // tx span → max appended commit LSN
 	entryForce  map[SpanID]SpanID // entry span → force span
 	forceMaxSeq map[SpanID]uint64 // force span → highest shipped seq
-	flushes     []flushPoint      // monotone (lsn, seq) flush history
-	flushedLSN  int64
-	quorumHi    uint64
-	acked       int
+	// The flush history translates "commit LSN covered" into "quorum
+	// sequence required": each flush carries shippedHi as it stood, the
+	// highest replication sequence shipped by that flush or any before it
+	// (so LSN and sequence are jointly monotone).
+	flushes    flushCover[uint64]
+	shippedHi  uint64
+	flushedLSN int64
+	quorumHi   uint64
+	acked      int
 
 	// Ack-monotonicity tracking (InvAckMonotone).
 	repAck map[int64]uint64 // replica label id → highest acked seq
@@ -264,11 +261,8 @@ func (m *Monitor) Consume(e Event) {
 		if e.Arg1 > m.flushedLSN {
 			m.flushedLSN = e.Arg1
 		}
-		seq := m.forceMaxSeq[e.Parent]
-		if n := len(m.flushes); n > 0 && m.flushes[n-1].seq > seq {
-			seq = m.flushes[n-1].seq // keep (lsn, seq) jointly monotone
-		}
-		m.flushes = append(m.flushes, flushPoint{lsn: e.Arg1, seq: seq})
+		m.shippedHi = max(m.shippedHi, m.forceMaxSeq[e.Parent])
+		m.flushes.add(e.Arg1, m.shippedHi)
 		delete(m.forceMaxSeq, e.Parent)
 
 	case EvShip:
@@ -312,7 +306,7 @@ func (m *Monitor) Consume(e Event) {
 		// seq-indexed fact is stale.
 		m.repAck = make(map[int64]uint64)
 		m.quorumHi = 0
-		m.flushes = nil
+		m.flushes, m.shippedHi = flushCover[uint64]{}, 0
 		m.forceMaxSeq = make(map[SpanID]uint64)
 
 	case EvPowerRestore:
@@ -358,15 +352,8 @@ func (m *Monitor) checkAckEvidence(e Event) {
 	}
 	// Quorum evidence: the first flush covering the commit LSN fixes which
 	// replication sequence must have met quorum.
-	var need uint64
-	found := false
-	for _, fp := range m.flushes {
-		if fp.lsn >= lsn {
-			need, found = fp.seq, true
-			break
-		}
-	}
-	if !found {
+	need, ok := m.flushes.first(lsn)
+	if !ok {
 		m.violate(InvAckEvidence, e.At,
 			fmt.Sprintf("tx acked at lsn %d with no covering flush record", lsn))
 		return

@@ -332,3 +332,29 @@ func TestMonitorDetectsSplitBrainEpoch(t *testing.T) {
 		t.Fatalf("monotone epochs flagged: %+v", rep)
 	}
 }
+
+// TestFlushCoverFindsFirstCoveringFlush: the envelope search must agree with
+// the scan it replaced — the first flush at or past the LSN — when flush
+// values dip (a power cycle restarts the WAL's flushed LSN).
+func TestFlushCoverFindsFirstCoveringFlush(t *testing.T) {
+	flushes := []int64{10, 30, 20, 5, 40, 40, 35, 60}
+	var c flushCover[int]
+	if _, ok := c.first(1); ok {
+		t.Error("an empty history covers lsn 1")
+	}
+	for i, lsn := range flushes {
+		c.add(lsn, i)
+	}
+	for lsn := int64(1); lsn <= 61; lsn++ {
+		want := -1
+		for i, f := range flushes {
+			if f >= lsn {
+				want = i
+				break
+			}
+		}
+		if got, ok := c.first(lsn); ok != (want >= 0) || (ok && got != want) {
+			t.Errorf("first(%d) = %d, %v; want flush %d", lsn, got, ok, want)
+		}
+	}
+}

@@ -17,10 +17,12 @@
 package pagestore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/metrics"
@@ -110,7 +112,11 @@ type Store struct {
 	pageBase int64 // first page-frame sector
 	numPages int64
 	pool     map[int64]*Page
-	clock    uint64
+	// clean counts the pooled pages that are not dirty — the only eviction
+	// candidates. Under no-steal with rare checkpoints it is usually zero, and
+	// maybeEvict must not walk the pool to find that out.
+	clean int
+	clock uint64
 	stats    *Stats
 	// maxWritten is the highest page id ever written to the device (−1 if
 	// none): pages above it are known fresh and are materialised as zero
@@ -199,8 +205,7 @@ func (st *Store) Get(p *sim.Proc, id int64) (*Page, error) {
 	if id > st.maxWritten {
 		// Known-fresh page: no device read, and no park — insert directly.
 		pg := &Page{ID: id, data: make([]byte, st.UsableSize()), tick: st.clock}
-		st.maybeEvict()
-		st.pool[id] = pg
+		st.insert(pg)
 		return pg, nil
 	}
 	raw, err := st.dev.Read(p, st.pageLBA(id), st.pageSec)
@@ -217,10 +222,16 @@ func (st *Store) Get(p *sim.Proc, id int64) (*Page, error) {
 		existing.tick = st.clock
 		return existing, nil
 	}
-	st.maybeEvict()
 	pg.tick = st.clock
-	st.pool[id] = pg
+	st.insert(pg)
 	return pg, nil
+}
+
+// insert adds a freshly read (clean) page to the pool, making room first.
+func (st *Store) insert(pg *Page) {
+	st.maybeEvict()
+	st.pool[pg.ID] = pg
+	st.clean++
 }
 
 // decode validates and unwraps a raw page image. All-zero images are fresh,
@@ -271,22 +282,24 @@ func (st *Store) encode(pg *Page) []byte {
 }
 
 // maybeEvict drops the least-recently-used clean pages while the pool is
-// over its soft bound. Dirty pages are never evicted (no-steal).
+// over its soft bound. Dirty pages are never evicted (no-steal): with no
+// clean page left the pool grows until a checkpoint.
 func (st *Store) maybeEvict() {
-	for len(st.pool) >= st.cfg.PoolPages {
+	for len(st.pool) >= st.cfg.PoolPages && st.clean > 0 {
 		var victim *Page
 		for _, pg := range st.pool {
 			if pg.dirty {
 				continue
 			}
-			if victim == nil || pg.tick < victim.tick {
+			// A Get that parked on its device read stamps the clock value
+			// another page already holds; the page id breaks the tie, map
+			// order must not.
+			if victim == nil || pg.tick < victim.tick || (pg.tick == victim.tick && pg.ID < victim.ID) {
 				victim = pg
 			}
 		}
-		if victim == nil {
-			return // everything dirty: the pool grows until a checkpoint
-		}
 		delete(st.pool, victim.ID)
+		st.clean--
 		st.stats.Evictions.Inc()
 	}
 }
@@ -295,7 +308,10 @@ func (st *Store) maybeEvict() {
 // same non-blocking section as the mutation it covers.
 func (st *Store) MarkDirty(id int64) {
 	if pg, ok := st.pool[id]; ok {
-		pg.dirty = true
+		if !pg.dirty {
+			pg.dirty = true
+			st.clean--
+		}
 		pg.ver++
 	}
 }
@@ -313,11 +329,7 @@ func (st *Store) Checkpoint(p *sim.Proc) error {
 		}
 	}
 	// Deterministic order (map iteration is not).
-	for i := 1; i < len(dirty); i++ {
-		for j := i; j > 0 && dirty[j].ID < dirty[j-1].ID; j-- {
-			dirty[j], dirty[j-1] = dirty[j-1], dirty[j]
-		}
-	}
+	slices.SortFunc(dirty, func(a, b *Page) int { return cmp.Compare(a.ID, b.ID) })
 	// Snapshot each page's version: a page modified while its batch is in
 	// flight stays dirty for the next checkpoint — clearing it would let
 	// eviction resurrect the stale on-disk copy.
@@ -334,8 +346,11 @@ func (st *Store) Checkpoint(p *sim.Proc) error {
 			return err
 		}
 		for i := start; i < end; i++ {
-			if dirty[i].ver == vers[i] {
-				dirty[i].dirty = false
+			// Still pooled: DropCaches may have emptied the pool while the
+			// batch was in flight.
+			if pg := dirty[i]; pg.ver == vers[i] && st.pool[pg.ID] == pg {
+				pg.dirty = false
+				st.clean++
 			}
 		}
 	}
@@ -474,4 +489,5 @@ func (st *Store) ReadControl(p *sim.Proc) ([]byte, error) {
 // crash, where that is the point.
 func (st *Store) DropCaches() {
 	st.pool = make(map[int64]*Page)
+	st.clean = 0
 }

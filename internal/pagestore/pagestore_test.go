@@ -142,6 +142,83 @@ func TestDirtyPagesNeverEvicted(t *testing.T) {
 	}
 }
 
+// TestAllDirtyPoolGrowsWithoutEvicting: with every pooled page dirty (the
+// no-steal steady state between rare checkpoints) an insert past PoolPages
+// has nothing to evict — the pool grows, and the clean-page count that lets
+// maybeEvict know so without walking the pool stays exact through inserts,
+// re-dirtying, a checkpoint, a page re-dirtied while its batch is in flight,
+// evictions and a pool reset.
+func TestAllDirtyPoolGrowsWithoutEvicting(t *testing.T) {
+	s, _, st := memStore(t, 1, Config{PoolPages: 4})
+	check := func(when string, pool, dirty int) {
+		t.Helper()
+		if len(st.pool) != pool || st.DirtyPages() != dirty || st.clean != pool-dirty {
+			t.Errorf("%s: %d pooled, %d dirty, clean count %d; want %d pooled, %d dirty, clean %d",
+				when, len(st.pool), st.DirtyPages(), st.clean, pool, dirty, pool-dirty)
+		}
+	}
+	dirtyPage := func(p *sim.Proc, id int64) {
+		if _, err := st.Get(p, id); err != nil {
+			t.Errorf("get %d: %v", id, err)
+		}
+		st.MarkDirty(id)
+	}
+	s.Spawn(nil, "t", func(p *sim.Proc) {
+		for id := int64(0); id < 12; id++ {
+			dirtyPage(p, id)
+			st.MarkDirty(id) // dirtying twice is counted once
+		}
+		check("all dirty", 12, 12)
+		if n := st.Stats().Evictions.Value(); n != 0 {
+			t.Errorf("%d evictions with nothing clean to evict", n)
+		}
+		// A page re-dirtied while the checkpoint writes stays dirty.
+		s.Spawn(nil, "writer", func(*sim.Proc) {
+			if st.Stats().Writes.Value() != 0 || st.Stats().Checkpoints.Value() != 0 {
+				t.Error("writer did not run inside the checkpoint's first device write")
+			}
+			st.MarkDirty(3)
+		})
+		if err := st.Checkpoint(p); err != nil {
+			t.Errorf("checkpoint: %v", err)
+		}
+		check("after checkpoint", 12, 1)
+		// 11 clean pages over a bound of 4: the next insert evicts down to 3.
+		dirtyPage(p, 20)
+		check("after evicting insert", 4, 2)
+		if n := st.Stats().Evictions.Value(); n != 9 {
+			t.Errorf("evictions = %d, want 9", n)
+		}
+		if _, ok := st.pool[3]; !ok {
+			t.Error("dirty page 3 was evicted")
+		}
+		st.DropCaches()
+		check("after pool reset", 0, 0)
+		dirtyPage(p, 5)
+		check("after reset and insert", 1, 1)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvictionBreaksTickTiesByPageID: a Get that parked on its device read
+// stamps a clock value another page already holds, and the victim among
+// equals used to be whichever the map iterated first — a same-seed,
+// different-run hole.
+func TestEvictionBreaksTickTiesByPageID(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		_, _, st := memStore(t, 1, Config{PoolPages: 8})
+		for id := int64(8); id > 0; id-- {
+			st.insert(&Page{ID: id, tick: 7})
+		}
+		st.maybeEvict()
+		if _, ok := st.pool[1]; ok || len(st.pool) != 7 {
+			t.Fatalf("run %d: evicted something other than the lowest id among equal ticks", run)
+		}
+	}
+}
+
 func TestControlBlockRoundTrip(t *testing.T) {
 	s, dev, st := memStore(t, 1, Config{})
 	blob := []byte("checkpointLSN=12345;endLSN=99")

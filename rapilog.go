@@ -268,41 +268,13 @@ type (
 )
 
 // FaultPowerCut pulls the plug: the PSU hold-up race decides what survives.
-// (Other kinds are written as Fault("guest-crash") and so on, as the CLI does.)
+// (Other kinds are written as Fault("guest-crash"), Fault("leader-power-cut")
+// and so on, as the CLI does; a leader fault runs its trials on a cluster of
+// CampaignConfig.Rig machines.)
 const FaultPowerCut = faultinject.PowerCut
 
 // RunCampaign executes a fault-injection campaign.
 func RunCampaign(cfg CampaignConfig) CampaignSummary { return faultinject.RunCampaign(cfg) }
-
-// High availability (epoch-fenced leader takeover over the replicated
-// durability domain).
-type (
-	// ClusterConfig parameterises a symmetric HA cluster: N nodes, one
-	// leader, always-on per-node stores, and a failure-detecting promotion
-	// coordinator.
-	ClusterConfig = rig.ClusterConfig
-	// FailoverFault is the leader-loss failure a failover trial injects.
-	FailoverFault = faultinject.FailoverFault
-	// FailoverConfig parameterises a failover campaign.
-	FailoverConfig = faultinject.FailoverConfig
-	// FailoverSummary aggregates a failover campaign's trials.
-	FailoverSummary = faultinject.FailoverSummary
-	// FailoverTrial is one leader-loss trial's outcome.
-	FailoverTrial = faultinject.FailoverTrial
-)
-
-// Failover fault kinds.
-const (
-	FaultLeaderPowerCut  = faultinject.LeaderPowerCut
-	FaultLeaderIsolation = faultinject.LeaderIsolation
-	FaultCoordAndLeader  = faultinject.CoordAndLeader
-)
-
-// RunFailoverCampaign executes a leader-loss failover campaign: repeated
-// load→takeover→audit trials against a fresh HA cluster each.
-func RunFailoverCampaign(cfg FailoverConfig) FailoverSummary {
-	return faultinject.RunFailoverCampaign(cfg)
-}
 
 // ValidateQuorumFlags vets raw -quorum/-replicas CLI values before any
 // deployment is constructed (replicas == 0 means the mode default).
