@@ -4,13 +4,11 @@ package rapilog
 // Each iteration executes the experiment in quick mode and reports its
 // headline values as custom metrics, so `go test -bench=.` regenerates a
 // compact version of the whole evaluation. Run the full-size sweeps with
-// cmd/rapilog-bench.
+// cmd/rapilog-bench; the hot-path micro-benchmarks (kernel hand-off, a
+// buffered log write, a commit per mode) are rapilog-bench -bench-json's
+// perf suite, whose trajectory is committed as BENCH_*.json.
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 func runExperimentBench(b *testing.B, id string, metric func(rep *ExperimentReport) map[string]float64) {
 	b.Helper()
@@ -129,83 +127,6 @@ func BenchmarkA3UnsafeSizing(b *testing.B) {
 			"unsafe_lost": rep.Values["8MiB-unsafe/lost"] + rep.Values["32MiB-unsafe/lost"],
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Component micro-benchmarks: raw cost of the hot paths (real time, not
-// virtual): kernel event dispatch, a buffered log write, a sync commit.
-// ---------------------------------------------------------------------------
-
-// BenchmarkLoggerAck measures the simulation cost of one RapiLog buffered
-// write (the fast path every commit takes).
-func BenchmarkLoggerAck(b *testing.B) {
-	dep, err := New(Config{Seed: 1, Mode: ModeRapiLog, NoDaemons: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 4096)
-	blocks := dep.Logger.Sectors()/8 - 1 // stay inside the log partition at any b.N
-	n := 0
-	dep.S.Spawn(dep.Plat.Domain(), "w", func(p *Proc) {
-		for ; n < b.N; n++ {
-			if err := dep.Logger.Write(p, int64(n)%blocks*8, data, false); err != nil {
-				b.Errorf("write: %v", err)
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := dep.S.RunFor(24 * time.Hour); err != nil {
-		b.Fatal(err)
-	}
-	if n != b.N {
-		b.Fatalf("completed %d/%d", n, b.N)
-	}
-}
-
-// BenchmarkCommitRapiLog measures a full engine commit through the RapiLog
-// path (WAL append + no-op force + apply).
-func BenchmarkCommitRapiLog(b *testing.B) {
-	benchmarkCommit(b, ModeRapiLog)
-}
-
-// BenchmarkCommitNativeSync measures a full engine commit with a real
-// synchronous force to the HDD — the baseline RapiLog removes.
-func BenchmarkCommitNativeSync(b *testing.B) {
-	benchmarkCommit(b, ModeNativeSync)
-}
-
-func benchmarkCommit(b *testing.B, mode Mode) {
-	dep, err := New(Config{Seed: 1, Mode: mode, NoDaemons: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 0
-	dep.S.Spawn(dep.Plat.Domain(), "db", func(p *Proc) {
-		e, err := dep.Boot(p)
-		if err != nil {
-			b.Errorf("boot: %v", err)
-			return
-		}
-		for ; n < b.N; n++ {
-			tx := e.Begin(p)
-			if err := tx.Put(fmt.Sprintf("k%d", n), []byte("v")); err != nil {
-				b.Errorf("put: %v", err)
-				return
-			}
-			if err := tx.Commit(); err != nil {
-				b.Errorf("commit: %v", err)
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := dep.S.RunFor(1000 * time.Hour); err != nil {
-		b.Fatal(err)
-	}
-	if n != b.N {
-		b.Fatalf("completed %d/%d", n, b.N)
-	}
 }
 
 // BenchmarkA5 regenerates the TPC-B sweep.

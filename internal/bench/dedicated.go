@@ -27,31 +27,31 @@ func runA4(opts Options) (*Report, error) {
 		"this reproduction's ablation of the hardware-replacement claim", table)
 
 	type cse struct {
-		mode      rig.Mode
-		dedicated bool
+		mode    rig.Mode
+		logDisk rig.DiskKind // "" shares the data disk's spindle
 	}
 	for _, c := range []cse{
-		{rig.NativeSync, false},
-		{rig.NativeSync, true},
-		{rig.RapiLog, false},
-		{rig.RapiLog, true},
+		{rig.NativeSync, ""},
+		{rig.NativeSync, rig.DiskHDD},
+		{rig.RapiLog, ""},
+		{rig.RapiLog, rig.DiskHDD},
 	} {
 		// Commit-stress with aggressive checkpoints isolates exactly the
 		// contention a dedicated log spindle removes: the disk arm torn
 		// between synchronous log forces (or the RapiLog drain) and
 		// checkpoint page writes.
 		cfg := rig.Config{
-			Seed:             opts.Seed,
-			Mode:             c.mode,
-			DedicatedLogDisk: c.dedicated,
-			CheckpointEvery:  time.Second,
+			Seed:            opts.Seed,
+			Mode:            c.mode,
+			LogDiskKind:     c.logDisk,
+			CheckpointEvery: time.Second,
 		}
 		res, _, _, err := measureWorkload(cfg, &workload.Stress{ValueSize: 512}, clients, warmup, dur)
 		if err != nil {
-			return nil, fmt.Errorf("a4 %s/dedicated=%v: %w", c.mode, c.dedicated, err)
+			return nil, fmt.Errorf("a4 %s/log disk %q: %w", c.mode, c.logDisk, err)
 		}
 		diskLabel := "shared"
-		if c.dedicated {
+		if c.logDisk != "" {
 			diskLabel = "dedicated"
 		}
 		key := fmt.Sprintf("%s/%s", c.mode, diskLabel)

@@ -101,9 +101,11 @@ func RunPerfSuite(label string, quick bool, seed int64, progress io.Writer) (*Pe
 		{"sim_sleep_wake", func() (PerfCase, error) { return perfSleepWake(seed) }},
 		{"logger_write_4k", func() (PerfCase, error) { return perfLoggerWrite(seed, false) }},
 		{"logger_write_absorb", func() (PerfCase, error) { return perfLoggerWrite(seed, true) }},
-		{"commit_rapilog", func() (PerfCase, error) { return perfCommit(seed, rig.RapiLog) }},
-		{"commit_native_sync", func() (PerfCase, error) { return perfCommit(seed, rig.NativeSync) }},
-		{"commit_quorum1", func() (PerfCase, error) { return perfCommitQuorum(seed) }},
+		{"commit_rapilog", func() (PerfCase, error) { return perfCommit(seed, rig.Config{Mode: rig.RapiLog}) }},
+		{"commit_native_sync", func() (PerfCase, error) { return perfCommit(seed, rig.Config{Mode: rig.NativeSync}) }},
+		{"commit_quorum1", func() (PerfCase, error) {
+			return perfCommit(seed, rig.Config{Mode: rig.RapiLogReplica, AckPolicy: core.AckQuorum(1)})
+		}},
 		{"ship_throughput", func() (PerfCase, error) { return perfShipThroughput(seed) }},
 		{"tpcb_c8", func() (PerfCase, error) {
 			return perfWorkload("tpcb_c8", &workload.TPCB{}, 8, dur, warmup, seed)
@@ -137,9 +139,32 @@ func RunPerfSuite(label string, quick bool, seed int64, progress io.Writer) (*Pe
 	return suite, nil
 }
 
-// microResult converts a testing.BenchmarkResult plus the sim-event counts
-// the closure captured into a PerfCase.
-func microResult(res testing.BenchmarkResult, events uint64, wall time.Duration) PerfCase {
+// timedRun is the measured section of a testing.Benchmark case: the kernel
+// events run dispatched on s, and the wall time it took, from the last b.N
+// the benchmark settled on.
+type timedRun struct {
+	events uint64
+	wall   time.Duration
+}
+
+// measure runs the simulation — already loaded with the processes that
+// perform b.N operations — under the benchmark's timer.
+func (t *timedRun) measure(b *testing.B, s *sim.Sim, run func() error) error {
+	d0 := s.Dispatched()
+	start := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := run(); err != nil {
+		return err
+	}
+	t.wall = time.Since(start)
+	t.events = s.Dispatched() - d0
+	return nil
+}
+
+// result converts the testing.BenchmarkResult plus the measured section's
+// sim-event counts into a PerfCase.
+func (t *timedRun) result(res testing.BenchmarkResult) PerfCase {
 	pc := PerfCase{
 		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 		AllocsPerOp: float64(res.MemAllocs) / float64(res.N),
@@ -148,8 +173,8 @@ func microResult(res testing.BenchmarkResult, events uint64, wall time.Duration)
 	if pc.NsPerOp > 0 {
 		pc.OpsPerSec = 1e9 / pc.NsPerOp
 	}
-	if wall > 0 {
-		pc.EventsPerSec = float64(events) / wall.Seconds()
+	if t.wall > 0 {
+		pc.EventsPerSec = float64(t.events) / t.wall.Seconds()
 	}
 	return pc
 }
@@ -159,8 +184,7 @@ func microResult(res testing.BenchmarkResult, events uint64, wall time.Duration)
 // that each always finds the other due first — one alone would wake in place
 // and never park.
 func perfSleepWake(seed int64) (PerfCase, error) {
-	var events uint64
-	var wall time.Duration
+	var t timedRun
 	var runErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		s := sim.New(seed)
@@ -175,18 +199,11 @@ func perfSleepWake(seed int64) (PerfCase, error) {
 				}
 			})
 		}
-		d0 := s.Dispatched()
-		start := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := s.Run(); err != nil {
+		if err := t.measure(b, s, s.Run); err != nil {
 			runErr = err
-			return
 		}
-		wall = time.Since(start)
-		events = s.Dispatched() - d0
 	})
-	return microResult(res, events, wall), runErr
+	return t.result(res), runErr
 }
 
 // perfLoggerWrite measures one RapiLog buffered write — the fast path every
@@ -194,8 +211,7 @@ func perfSleepWake(seed int64) (PerfCase, error) {
 // the in-place absorption path; otherwise writes walk distinct blocks
 // (fresh-entry path).
 func perfLoggerWrite(seed int64, absorb bool) (PerfCase, error) {
-	var events uint64
-	var wall time.Duration
+	var t timedRun
 	var runErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		r, err := rig.New(rig.Config{Seed: seed, Mode: rig.RapiLog, NoDaemons: true})
@@ -219,85 +235,27 @@ func perfLoggerWrite(seed int64, absorb bool) (PerfCase, error) {
 				}
 			}
 		})
-		d0 := r.S.Dispatched()
-		start := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := r.S.RunFor(1000 * time.Hour); err != nil {
+		if err := t.measure(b, r.S, func() error { return r.S.RunFor(1000 * time.Hour) }); err != nil {
 			runErr = err
 			return
 		}
-		wall = time.Since(start)
-		events = r.S.Dispatched() - d0
 		if n != b.N {
 			runErr = fmt.Errorf("completed %d/%d writes", n, b.N)
 		}
 	})
-	return microResult(res, events, wall), runErr
+	return t.result(res), runErr
 }
 
 // perfCommit measures a full engine commit (WAL append + force + apply)
-// through the given mode's log path.
-func perfCommit(seed int64, mode rig.Mode) (PerfCase, error) {
-	var events uint64
-	var wall time.Duration
-	var runErr error
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%04d", i)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		r, err := rig.New(rig.Config{Seed: seed, Mode: mode, NoDaemons: true})
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer r.Close()
-		n := 0
-		r.S.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {
-			e, err := r.Boot(p)
-			if err != nil {
-				runErr = err
-				return
-			}
-			for ; n < b.N; n++ {
-				tx := e.Begin(p)
-				if err := tx.Put(keys[n%len(keys)], []byte("v")); err != nil {
-					runErr = err
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					runErr = err
-					return
-				}
-			}
-		})
-		d0 := r.S.Dispatched()
-		start := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := r.S.RunFor(10000 * time.Hour); err != nil {
-			runErr = err
-			return
-		}
-		wall = time.Since(start)
-		events = r.S.Dispatched() - d0
-		if runErr == nil && n != b.N {
-			runErr = fmt.Errorf("completed %d/%d commits", n, b.N)
-		}
-	})
-	return microResult(res, events, wall), runErr
-}
-
-// perfCommitQuorum measures a full engine commit through the replicated
-// rig with AckQuorum(1): WAL append + force into the RapiLog buffer, plus
-// the quorum ack barrier (ship to 2 standbys, wait for the first cumulative
-// ack). Alongside ns/op it reports the quorum-wait p50 and how many fabric
-// messages (records + acks, both directions) each shipped record cost —
-// the figure frame batching exists to shrink.
-func perfCommitQuorum(seed int64) (PerfCase, error) {
-	var events uint64
-	var wall time.Duration
+// through cfg's log path. On the replicated rig the commit includes the
+// quorum ack barrier (ship to the standbys, wait for the policy's cumulative
+// acks), and alongside ns/op the case reports the quorum-wait p50 and how
+// many fabric messages (records + acks, both directions) each shipped record
+// cost — the figure frame batching exists to shrink. Both read zero, and are
+// omitted, on an unreplicated one.
+func perfCommit(seed int64, cfg rig.Config) (PerfCase, error) {
+	cfg.Seed, cfg.NoDaemons = seed, true
+	var t timedRun
 	var runErr error
 	var quorumP50 time.Duration
 	var netMsgs, shipped int64
@@ -306,8 +264,7 @@ func perfCommitQuorum(seed int64) (PerfCase, error) {
 		keys[i] = fmt.Sprintf("k%04d", i)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		r, err := rig.New(rig.Config{Seed: seed, Mode: rig.RapiLogReplica, NoDaemons: true,
-			AckPolicy: core.AckQuorum(1)})
+		r, err := rig.New(cfg)
 		if err != nil {
 			runErr = err
 			return
@@ -332,16 +289,10 @@ func perfCommitQuorum(seed int64) (PerfCase, error) {
 				}
 			}
 		})
-		d0 := r.S.Dispatched()
-		start := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := r.S.RunFor(10000 * time.Hour); err != nil {
+		if err := t.measure(b, r.S, func() error { return r.S.RunFor(10000 * time.Hour) }); err != nil {
 			runErr = err
 			return
 		}
-		wall = time.Since(start)
-		events = r.S.Dispatched() - d0
 		if runErr == nil && n != b.N {
 			runErr = fmt.Errorf("completed %d/%d commits", n, b.N)
 		}
@@ -350,7 +301,7 @@ func perfCommitQuorum(seed int64) (PerfCase, error) {
 		netMsgs = reg.Counter("net.sent").Value()
 		shipped = reg.Counter("repl.shipped").Value()
 	})
-	pc := microResult(res, events, wall)
+	pc := t.result(res)
 	pc.QuorumP50Ns = float64(quorumP50.Nanoseconds())
 	if shipped > 0 {
 		pc.NetMsgsPerRecord = float64(netMsgs) / float64(shipped)
@@ -365,8 +316,7 @@ func perfCommitQuorum(seed int64) (PerfCase, error) {
 // per shipped record; net_msgs_per_record counts every fabric message the
 // stream cost (records and acks) per record.
 func perfShipThroughput(seed int64) (PerfCase, error) {
-	var events uint64
-	var wall time.Duration
+	var t timedRun
 	var runErr error
 	var netMsgs int64
 	data := make([]byte, 512)
@@ -396,22 +346,16 @@ func perfShipThroughput(seed int64) (PerfCase, error) {
 				sh.WaitQuorum(p, last, 1)
 			}
 		})
-		d0 := s.Dispatched()
-		start := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := s.RunFor(10000 * time.Hour); err != nil {
+		if err := t.measure(b, s, func() error { return s.RunFor(10000 * time.Hour) }); err != nil {
 			runErr = err
 			return
 		}
-		wall = time.Since(start)
-		events = s.Dispatched() - d0
 		if runErr == nil && n != b.N {
 			runErr = fmt.Errorf("shipped %d/%d records", n, b.N)
 		}
 		netMsgs = reg.Counter("net.sent").Value()
 	})
-	pc := microResult(res, events, wall)
+	pc := t.result(res)
 	if res.N > 0 {
 		pc.NetMsgsPerRecord = float64(netMsgs) / float64(res.N)
 	}

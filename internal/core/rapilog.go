@@ -45,6 +45,27 @@ var (
 	ErrZoneSmall = errors.New("rapilog: dump zone smaller than the buffer bound")
 )
 
+// Calibration constants of the buffered-write path and its drain: no
+// experiment, campaign or test varies them, so they are not Config fields.
+const (
+	// drainBatch is the max entries coalesced per drain round.
+	drainBatch = 64
+	// copyBandwidth models the hypervisor's buffer copy, bytes/s (5 GB/s).
+	copyBandwidth = 5e9
+	// ackOverhead is the fixed cost of the buffered-write path (request
+	// validation, bookkeeping).
+	ackOverhead = 2 * time.Microsecond
+	// drainRetryCap caps the exponential backoff between attempts of one
+	// backing write (DrainRetryBase, ·2, ·4, … capped).
+	drainRetryCap = 256 * time.Millisecond
+)
+
+// ackCost is the guest-visible cost of buffering n bytes: the fixed overhead
+// plus the memory copy.
+func ackCost(n int) time.Duration {
+	return ackOverhead + time.Duration(float64(n)/copyBandwidth*float64(time.Second))
+}
+
 // errHalted distinguishes "the machine is dying" from media faults inside
 // the drain machinery: it is never retried and never degrades the device —
 // the emergency dump owns whatever remains.
@@ -90,21 +111,12 @@ type Config struct {
 	// Unsafe skips the MaxBuffer ≤ SafeBufferSize check. Used by ablation
 	// A3 to demonstrate exactly why the bound matters.
 	Unsafe bool
-	// DrainBatch is the max entries coalesced per drain round; default 64.
-	DrainBatch int
-	// CopyBandwidth models the hypervisor's buffer copy, bytes/s; default
-	// 5 GB/s.
-	CopyBandwidth float64
-	// AckOverhead is the fixed cost of the buffered-write path (request
-	// validation, bookkeeping); default 2µs.
-	AckOverhead time.Duration
 	// DrainRetryLimit bounds how many times one backing write is attempted
 	// before the Logger gives up on the drain and degrades; default 6.
 	DrainRetryLimit int
-	// DrainRetryBase/DrainRetryCap shape the exponential backoff between
-	// attempts (base, base·2, base·4, … capped); defaults 2ms / 256ms.
+	// DrainRetryBase starts the exponential backoff between attempts (base,
+	// base·2, base·4, … capped at drainRetryCap); default 2ms.
 	DrainRetryBase time.Duration
-	DrainRetryCap  time.Duration
 	// DrainProbeEvery is how often a degraded Logger re-tries its stranded
 	// batch, hoping the fault cleared; default 1s.
 	DrainProbeEvery time.Duration
@@ -124,23 +136,11 @@ func (c *Config) applyDefaults() {
 	if c.Name == "" {
 		c.Name = "rapilog"
 	}
-	if c.DrainBatch == 0 {
-		c.DrainBatch = 64
-	}
-	if c.CopyBandwidth == 0 {
-		c.CopyBandwidth = 5e9
-	}
-	if c.AckOverhead == 0 {
-		c.AckOverhead = 2 * time.Microsecond
-	}
 	if c.DrainRetryLimit == 0 {
 		c.DrainRetryLimit = 6
 	}
 	if c.DrainRetryBase == 0 {
 		c.DrainRetryBase = 2 * time.Millisecond
-	}
-	if c.DrainRetryCap == 0 {
-		c.DrainRetryCap = 256 * time.Millisecond
 	}
 	if c.DrainProbeEvery == 0 {
 		c.DrainProbeEvery = time.Second
@@ -234,6 +234,12 @@ type Logger struct {
 	never     *sim.Event  // parked on by writers after emergency starts
 	ioBusy    bool        // a logger-initiated backing write is in flight
 	ioSig     *sim.Signal // broadcast when ioBusy clears
+
+	// This logger's own emergency-dump outcome. Stats' DumpRetries and
+	// DumpFailures count the same events, but the registry hands every
+	// rebuilt logger the same counters: they are the machine's lifetime
+	// totals, and recovery must judge one power epoch.
+	dumpRetries, dumpFailures int
 
 	entryPool []*entry         // retired entry headers, reused by Write
 	bufPool   map[int][][]byte // retired payload buffers by size class (exact length)
@@ -393,6 +399,15 @@ func (l *Logger) RapiStats() *Stats { return l.stats }
 // tracer returns the Logger's tracer (nil — a no-op — when unconfigured).
 func (l *Logger) tracer() *obs.Tracer { return l.cfg.Obs.Tracer() }
 
+// DumpOutcome reports how this logger's emergency dump went: writes retried
+// inside the hold-up window, and dumps that never made it to the zone. A
+// logger lives for one power epoch, so after a power loss this is the dying
+// epoch's outcome — failures > 0 with no dump image on the zone means "the
+// dump write failed", not "nothing was buffered".
+func (l *Logger) DumpOutcome() (retries, failures int) {
+	return l.dumpRetries, l.dumpFailures
+}
+
 // MaxBuffer returns the configured buffer bound in bytes.
 func (l *Logger) MaxBuffer() int64 { return l.cfg.MaxBuffer }
 
@@ -425,10 +440,10 @@ func (l *Logger) Sectors() int64 { return l.backing.Sectors() }
 
 // SeqWriteBandwidth implements disk.Device: the guest-visible write
 // bandwidth is the copy bandwidth, not the disk's.
-func (l *Logger) SeqWriteBandwidth() float64 { return l.cfg.CopyBandwidth }
+func (l *Logger) SeqWriteBandwidth() float64 { return copyBandwidth }
 
 // WorstCaseAccess implements disk.Device.
-func (l *Logger) WorstCaseAccess() time.Duration { return l.cfg.AckOverhead }
+func (l *Logger) WorstCaseAccess() time.Duration { return ackOverhead }
 
 // Stats implements disk.Device (the backing device's counters).
 func (l *Logger) Stats() *disk.Stats { return l.backing.Stats() }
@@ -474,7 +489,7 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		// replicas must see the new bytes too — their copy of the old
 		// version is now a stale shadow of what will reach the disk.
 		seq := l.ship(lba, data, e.span)
-		p.Sleep(l.cfg.AckOverhead + time.Duration(float64(len(data))/l.cfg.CopyBandwidth*float64(time.Second)))
+		p.Sleep(ackCost(len(data)))
 		l.waitPolicy(p, seq)
 		l.stats.Writes.Inc()
 		l.stats.AckLatency.Observe(p.Now().Sub(start))
@@ -516,7 +531,7 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 
 	// The guest-visible cost: fixed overhead plus the memory copy — plus,
 	// under a quorum policy, the replication round trip.
-	p.Sleep(l.cfg.AckOverhead + time.Duration(float64(len(data))/l.cfg.CopyBandwidth*float64(time.Second)))
+	p.Sleep(ackCost(len(data)))
 	l.waitPolicy(p, seq)
 	l.stats.Writes.Inc()
 	l.stats.AckLatency.Observe(p.Now().Sub(start))
@@ -612,8 +627,8 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 		if l.emergency {
 			return errHalted
 		}
-		if delay *= 2; delay > l.cfg.DrainRetryCap {
-			delay = l.cfg.DrainRetryCap
+		if delay *= 2; delay > drainRetryCap {
+			delay = drainRetryCap
 		}
 	}
 }
@@ -709,8 +724,8 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 // (writes are idempotent — a later round simply re-lands the same sectors).
 func (l *Logger) drainRound(p *sim.Proc) error {
 	batch := len(l.pending)
-	if batch > l.cfg.DrainBatch {
-		batch = l.cfg.DrainBatch
+	if batch > drainBatch {
+		batch = drainBatch
 	}
 	l.draining = batch
 	// Entries entering the drain can no longer be absorbed into.
@@ -892,10 +907,12 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 			break
 		}
 		if !disk.IsTransient(err) || attempt >= maxDumpAttempts {
+			l.dumpFailures++
 			l.stats.DumpFailures.Inc()
 			l.s.Tracef("%s: emergency dump failed after %d attempts: %v", l.cfg.Name, attempt, err)
 			return
 		}
+		l.dumpRetries++
 		l.stats.DumpRetries.Inc()
 		p.Sleep(dumpRetryDelay)
 	}
@@ -905,9 +922,9 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 }
 
 // RecoveryReport summarises what Recover replayed. DumpRetries and
-// DumpFailures come from the previous power epoch's logger (the rig fills
-// them in): HadDump=false with DumpFailures>0 means the dump write itself
-// failed, distinct from Torn — the dump losing the hold-up race.
+// DumpFailures are the previous power epoch's Logger.DumpOutcome (the rig
+// fills them in): HadDump=false with DumpFailures>0 means the dump write
+// itself failed, distinct from Torn — the dump losing the hold-up race.
 type RecoveryReport struct {
 	Entries      int
 	Bytes        int64
@@ -938,9 +955,8 @@ type DumpEntry struct {
 // at the power-fail interrupt: a valid header with no tear. A machine that
 // had nothing buffered writes no dump at all — that case is HadDump=false
 // and the buffer was trivially covered, but only the dying logger's
-// DumpFailures counter can tell it apart from "the dump write itself
-// failed"; callers deciding whether local recovery is complete must consult
-// both.
+// DumpOutcome can tell it apart from "the dump write itself failed"; callers
+// deciding whether local recovery is complete must consult both.
 func (d Dump) Complete() bool { return d.HadDump && !d.Torn }
 
 // ReadDump parses the dump zone without modifying anything. A zone with no

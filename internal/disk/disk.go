@@ -113,8 +113,11 @@ func newStats(reg *obs.Registry, name string) *Stats {
 	}
 }
 
+// sectorSize is the sector size, in bytes, of every modelled device.
+const sectorSize = 512
+
 // checkRange validates an access against a device extent.
-func checkRange(lba int64, nsec int, sectors int64, sectorSize, dataLen int) error {
+func checkRange(lba int64, nsec int, sectors int64, dataLen int) error {
 	if dataLen >= 0 && dataLen%sectorSize != 0 {
 		return ErrMisaligned
 	}
@@ -127,34 +130,33 @@ func checkRange(lba int64, nsec int, sectors int64, sectorSize, dataLen int) err
 // media is sparse sector storage representing the platter/flash array.
 // Contents survive power failure.
 type media struct {
-	sectorSize int
-	sectors    map[int64][]byte
+	sectors map[int64][]byte
 }
 
-func newMedia(sectorSize int) *media {
-	return &media{sectorSize: sectorSize, sectors: make(map[int64][]byte)}
+func newMedia() *media {
+	return &media{sectors: make(map[int64][]byte)}
 }
 
 // writeSectors persists data (len multiple of sectorSize) starting at lba.
 // Rewrites copy into the existing sector buffer in place — readSectors
 // copies out, so no returned read aliases the stored buffers.
 func (m *media) writeSectors(lba int64, data []byte) {
-	for off := 0; off < len(data); off += m.sectorSize {
-		sec, ok := m.sectors[lba+int64(off/m.sectorSize)]
+	for off := 0; off < len(data); off += sectorSize {
+		sec, ok := m.sectors[lba+int64(off/sectorSize)]
 		if !ok {
-			sec = make([]byte, m.sectorSize)
-			m.sectors[lba+int64(off/m.sectorSize)] = sec
+			sec = make([]byte, sectorSize)
+			m.sectors[lba+int64(off/sectorSize)] = sec
 		}
-		copy(sec, data[off:off+m.sectorSize])
+		copy(sec, data[off:off+sectorSize])
 	}
 }
 
 // readSectors returns nsec sectors from lba; unwritten sectors read as zero.
 func (m *media) readSectors(lba int64, nsec int) []byte {
-	out := make([]byte, nsec*m.sectorSize)
+	out := make([]byte, nsec*sectorSize)
 	for i := 0; i < nsec; i++ {
 		if sec, ok := m.sectors[lba+int64(i)]; ok {
-			copy(out[i*m.sectorSize:], sec)
+			copy(out[i*sectorSize:], sec)
 		}
 	}
 	return out
@@ -195,7 +197,7 @@ func (pt *Partition) Parent() Device { return pt.parent }
 
 // Read implements Device.
 func (pt *Partition) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
-	if err := checkRange(lba, nsec, pt.count, pt.SectorSize(), -1); err != nil {
+	if err := checkRange(lba, nsec, pt.count, -1); err != nil {
 		return nil, err
 	}
 	return pt.parent.Read(p, pt.start+lba, nsec)
@@ -203,7 +205,7 @@ func (pt *Partition) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 
 // Write implements Device.
 func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
-	if err := checkRange(lba, len(data)/pt.SectorSize(), pt.count, pt.SectorSize(), len(data)); err != nil {
+	if err := checkRange(lba, len(data)/sectorSize, pt.count, len(data)); err != nil {
 		return err
 	}
 	return pt.parent.Write(p, pt.start+lba, data, fua)

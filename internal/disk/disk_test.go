@@ -268,14 +268,14 @@ func TestHDDSeekMonotoneProperty(t *testing.T) {
 	s := sim.New(1)
 	d := NewHDD(s, s.NewDomain("hw"), HDDConfig{})
 	prop := func(a, b uint16) bool {
-		ca := int(a) % d.cfg.Cylinders
-		cb := int(b) % d.cfg.Cylinders
+		ca := int(a) % hddCylinders
+		cb := int(b) % hddCylinders
 		st := d.seekTime(0, ca)
 		su := d.seekTime(0, cb)
 		if ca == 0 && st != 0 {
 			return false
 		}
-		if ca > 0 && (st < d.cfg.SeekMin || st > d.cfg.SeekMax) {
+		if ca > 0 && (st < hddSeekMin || st > hddSeekMax) {
 			return false
 		}
 		if ca <= cb {
@@ -341,8 +341,8 @@ func TestSSDRoundTripAndLatency(t *testing.T) {
 	if !bytes.Equal(got, fill(4096, 0x3C)) {
 		t.Fatal("ssd round trip mismatch")
 	}
-	if wLat < d.cfg.ProgramLatency || wLat > 5*d.cfg.ProgramLatency {
-		t.Fatalf("page write latency %v, want ~%v", wLat, d.cfg.ProgramLatency)
+	if wLat < ssdProgramLatency || wLat > 5*ssdProgramLatency {
+		t.Fatalf("page write latency %v, want ~%v", wLat, ssdProgramLatency)
 	}
 }
 

@@ -27,8 +27,6 @@ type FaultConfig struct {
 	// Enabled gates wrapping at the rig level: a zero FaultConfig means
 	// "no fault layer at all", not "a fault layer that never fires".
 	Enabled bool
-	// Name labels the wrapper's counters; default "<inner>.flt".
-	Name string
 	// Seed drives the fault decisions. Independent of the simulation seed.
 	Seed int64
 	// ReadErrProb/WriteErrProb are per-request transient error probabilities.
@@ -58,6 +56,7 @@ type badRange struct {
 // when the controller rejects the transfer.
 type Faulty struct {
 	inner Device
+	name  string // "<inner>.flt"; labels the wrapper's counters
 	cfg   FaultConfig
 	rng   *rand.Rand
 	bad   []badRange
@@ -71,20 +70,19 @@ type Faulty struct {
 
 // NewFaulty wraps inner with the fault model described by cfg.
 func NewFaulty(inner Device, cfg FaultConfig) *Faulty {
-	if cfg.Name == "" {
-		cfg.Name = inner.Name() + ".flt"
-	}
+	name := inner.Name() + ".flt"
 	if cfg.SpikeDelay == 0 {
 		cfg.SpikeDelay = 10 * time.Millisecond
 	}
 	return &Faulty{
 		inner:     inner,
+		name:      name,
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		injReads:  cfg.Reg.Counter(cfg.Name + ".inject_read_errors"),
-		injWrites: cfg.Reg.Counter(cfg.Name + ".inject_write_errors"),
-		injSpikes: cfg.Reg.Counter(cfg.Name + ".inject_latency_spikes"),
-		injBad:    cfg.Reg.Counter(cfg.Name + ".inject_bad_range_errors"),
+		injReads:  cfg.Reg.Counter(name + ".inject_read_errors"),
+		injWrites: cfg.Reg.Counter(name + ".inject_write_errors"),
+		injSpikes: cfg.Reg.Counter(name + ".inject_latency_spikes"),
+		injBad:    cfg.Reg.Counter(name + ".inject_bad_range_errors"),
 	}
 }
 
@@ -92,14 +90,6 @@ func NewFaulty(inner Device, cfg FaultConfig) *Faulty {
 // the campaign's fault window open/close switch.
 func (f *Faulty) SetErrorProbs(readP, writeP float64) {
 	f.cfg.ReadErrProb, f.cfg.WriteErrProb = readP, writeP
-}
-
-// SetSpike changes the latency-spike probability and delay at runtime.
-func (f *Faulty) SetSpike(prob float64, delay time.Duration) {
-	f.cfg.SpikeProb = prob
-	if delay > 0 {
-		f.cfg.SpikeDelay = delay
-	}
 }
 
 // SetStorm turns the latency storm on or off: while on, every request pays
@@ -162,7 +152,7 @@ func (f *Faulty) maybeFault(p *sim.Proc, op string, lba int64, nsec int, write b
 }
 
 // Name implements Device.
-func (f *Faulty) Name() string { return f.cfg.Name }
+func (f *Faulty) Name() string { return f.name }
 
 // SectorSize implements Device.
 func (f *Faulty) SectorSize() int { return f.inner.SectorSize() }

@@ -10,40 +10,36 @@ import (
 	"repro/internal/sim"
 )
 
+// Calibration constants of the rotating-disk model: the drive's geometry,
+// its seek curve and its host interface. Experiments vary the spindle (RPM,
+// SectorsPerTrack) and the cache, never these.
+const (
+	hddCylinders    = 8192
+	hddHeads        = 4                      // tracks per cylinder
+	hddSeekMin      = 500 * time.Microsecond // track-to-track
+	hddSeekMax      = 8 * time.Millisecond   // full stroke
+	hddBusBandwidth = 300e6                  // bytes/s host<->drive
+)
+
 // HDDConfig parameterises the rotating-disk model.
 type HDDConfig struct {
 	Name string
 	// Reg, when set, registers the device's instruments centrally.
 	Reg             *obs.Registry
-	SectorSize      int           // bytes; default 512
-	Cylinders       int           // default 8192
-	Heads           int           // tracks per cylinder; default 4
-	SectorsPerTrack int           // default 500
-	RPM             int           // default 7200
-	SeekMin         time.Duration // track-to-track; default 500µs
-	SeekMax         time.Duration // full stroke; default 8ms
+	SectorsPerTrack int // default 500
+	RPM             int // default 7200
 	// WriteCache enables the volatile on-drive cache: non-FUA writes are
 	// absorbed at bus speed and drained to media in the background. The
 	// cache is lost on power failure — this is the unsafe fast path real
 	// drives ship with and databases must defeat with FUA/flush.
 	WriteCache   bool
-	CacheSectors int     // cache capacity; default 16384 (8 MiB at 512 B)
-	ChunkSectors int     // media commit granularity; default 8 (4 KiB)
-	BusBandwidth float64 // bytes/s host<->drive; default 300 MB/s
+	CacheSectors int // cache capacity; default 16384 (8 MiB at 512 B)
+	ChunkSectors int // media commit granularity; default 8 (4 KiB)
 }
 
 func (c *HDDConfig) applyDefaults() {
 	if c.Name == "" {
 		c.Name = "hdd"
-	}
-	if c.SectorSize == 0 {
-		c.SectorSize = 512
-	}
-	if c.Cylinders == 0 {
-		c.Cylinders = 8192
-	}
-	if c.Heads == 0 {
-		c.Heads = 4
 	}
 	if c.SectorsPerTrack == 0 {
 		c.SectorsPerTrack = 500
@@ -51,20 +47,11 @@ func (c *HDDConfig) applyDefaults() {
 	if c.RPM == 0 {
 		c.RPM = 7200
 	}
-	if c.SeekMin == 0 {
-		c.SeekMin = 500 * time.Microsecond
-	}
-	if c.SeekMax == 0 {
-		c.SeekMax = 8 * time.Millisecond
-	}
 	if c.CacheSectors == 0 {
 		c.CacheSectors = 16384
 	}
 	if c.ChunkSectors == 0 {
 		c.ChunkSectors = 8
-	}
-	if c.BusBandwidth == 0 {
-		c.BusBandwidth = 300e6
 	}
 }
 
@@ -107,7 +94,7 @@ func NewHDD(s *sim.Sim, dom *sim.Domain, cfg HDDConfig) *HDD {
 	d := &HDD{
 		cfg:       cfg,
 		s:         s,
-		med:       newMedia(cfg.SectorSize),
+		med:       newMedia(),
 		stats:     newStats(cfg.Reg, cfg.Name),
 		powered:   true,
 		arm:       s.NewMutex(cfg.Name + ".arm"),
@@ -132,11 +119,11 @@ func (d *HDD) resetCache() {
 func (d *HDD) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *HDD) SectorSize() int { return d.cfg.SectorSize }
+func (d *HDD) SectorSize() int { return sectorSize }
 
 // Sectors implements Device.
 func (d *HDD) Sectors() int64 {
-	return int64(d.cfg.Cylinders) * int64(d.cfg.Heads) * int64(d.cfg.SectorsPerTrack)
+	return hddCylinders * d.sectorsPerCyl()
 }
 
 // Stats implements Device.
@@ -144,21 +131,18 @@ func (d *HDD) Stats() *Stats { return d.stats }
 
 // SeqWriteBandwidth implements Device: one track per rotation.
 func (d *HDD) SeqWriteBandwidth() float64 {
-	trackBytes := float64(d.cfg.SectorsPerTrack * d.cfg.SectorSize)
+	trackBytes := float64(d.cfg.SectorsPerTrack * sectorSize)
 	return trackBytes / d.rotPeriod.Seconds()
 }
 
 // WorstCaseAccess implements Device: full-stroke seek plus one rotation.
-func (d *HDD) WorstCaseAccess() time.Duration { return d.cfg.SeekMax + d.rotPeriod }
-
-// RotationPeriod returns the platter's rotation period.
-func (d *HDD) RotationPeriod() time.Duration { return d.rotPeriod }
+func (d *HDD) WorstCaseAccess() time.Duration { return hddSeekMax + d.rotPeriod }
 
 // CacheDirtySectors returns the number of sectors waiting in the volatile
 // cache.
 func (d *HDD) CacheDirtySectors() int { return len(d.cache) }
 
-func (d *HDD) sectorsPerCyl() int64 { return int64(d.cfg.Heads) * int64(d.cfg.SectorsPerTrack) }
+func (d *HDD) sectorsPerCyl() int64 { return hddHeads * int64(d.cfg.SectorsPerTrack) }
 
 func (d *HDD) cylOf(lba int64) int { return int(lba / d.sectorsPerCyl()) }
 
@@ -168,8 +152,8 @@ func (d *HDD) seekTime(from, to int) time.Duration {
 		return 0
 	}
 	dist := math.Abs(float64(to - from))
-	frac := math.Sqrt(dist / float64(d.cfg.Cylinders-1))
-	return d.cfg.SeekMin + time.Duration(frac*float64(d.cfg.SeekMax-d.cfg.SeekMin))
+	frac := math.Sqrt(dist / float64(hddCylinders-1))
+	return hddSeekMin + time.Duration(frac*float64(hddSeekMax-hddSeekMin))
 }
 
 // rotationalDelay returns the wait for the target in-track sector to pass
@@ -207,7 +191,7 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 
 	var out []byte
 	if data == nil {
-		out = make([]byte, 0, nsec*d.cfg.SectorSize)
+		out = make([]byte, 0, nsec*sectorSize)
 	}
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {
@@ -220,12 +204,12 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 		start := lba + int64(off)
 		// Crossing into a new cylinder costs a track-to-track seek.
 		if cyl := d.cylOf(start); cyl != d.curCyl {
-			p.Sleep(d.cfg.SeekMin)
+			p.Sleep(hddSeekMin)
 			d.curCyl = cyl
 		}
 		p.Sleep(time.Duration(chunk) * d.perSector)
 		if data != nil {
-			d.med.writeSectors(start, data[off*d.cfg.SectorSize:(off+chunk)*d.cfg.SectorSize])
+			d.med.writeSectors(start, data[off*sectorSize:(off+chunk)*sectorSize])
 			d.stats.SectorsWritten.Add(int64(chunk))
 		} else {
 			out = append(out, d.med.readSectors(start, chunk)...)
@@ -242,7 +226,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	if !d.powered {
 		return nil, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, -1); err != nil {
+	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
 		return nil, err
 	}
 	start := p.Now()
@@ -261,7 +245,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	var out []byte
 	if allCached && nsec > 0 {
 		p.Sleep(d.busTime(nsec))
-		out = make([]byte, 0, nsec*d.cfg.SectorSize)
+		out = make([]byte, 0, nsec*sectorSize)
 		for i := 0; i < nsec; i++ {
 			out = append(out, d.cache[lba+int64(i)].data...)
 		}
@@ -274,7 +258,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		// Overlay any sectors that are newer in the cache.
 		for i := 0; i < nsec; i++ {
 			if e, ok := d.cache[lba+int64(i)]; ok {
-				copy(out[i*d.cfg.SectorSize:], e.data)
+				copy(out[i*sectorSize:], e.data)
 			}
 		}
 	}
@@ -283,8 +267,8 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 }
 
 func (d *HDD) busTime(nsec int) time.Duration {
-	bytes := float64(nsec * d.cfg.SectorSize)
-	return 10*time.Microsecond + time.Duration(bytes/d.cfg.BusBandwidth*float64(time.Second))
+	bytes := float64(nsec * sectorSize)
+	return 10*time.Microsecond + time.Duration(bytes/hddBusBandwidth*float64(time.Second))
 }
 
 // Write implements Device.
@@ -292,8 +276,8 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / d.cfg.SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, len(data)); err != nil {
+	nsec := len(data) / sectorSize
+	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}
 	start := p.Now()
@@ -322,8 +306,8 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		}
 		d.cacheGen++
 		for i := 0; i < nsec; i++ {
-			sec := make([]byte, d.cfg.SectorSize)
-			copy(sec, data[i*d.cfg.SectorSize:(i+1)*d.cfg.SectorSize])
+			sec := make([]byte, sectorSize)
+			copy(sec, data[i*sectorSize:(i+1)*sectorSize])
 			d.cache[lba+int64(i)] = &cacheEntry{data: sec, gen: d.cacheGen}
 		}
 		p.Sleep(d.busTime(nsec))
@@ -388,7 +372,7 @@ func (d *HDD) spawnDrainer(dom *sim.Domain) {
 			if len(lbas) == 0 {
 				continue
 			}
-			data := make([]byte, 0, len(lbas)*d.cfg.SectorSize)
+			data := make([]byte, 0, len(lbas)*sectorSize)
 			for _, lba := range lbas {
 				data = append(data, snap[lba].data...)
 			}
@@ -471,5 +455,5 @@ func (d *HDD) PowerOn(dom *sim.Domain) {
 // String describes the drive.
 func (d *HDD) String() string {
 	return fmt.Sprintf("%s: %d RPM, %.1f MB/s seq, %s..%s seek, cache=%v",
-		d.cfg.Name, d.cfg.RPM, d.SeqWriteBandwidth()/1e6, d.cfg.SeekMin, d.cfg.SeekMax, d.cfg.WriteCache)
+		d.cfg.Name, d.cfg.RPM, d.SeqWriteBandwidth()/1e6, hddSeekMin, hddSeekMax, d.cfg.WriteCache)
 }

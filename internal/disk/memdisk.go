@@ -7,17 +7,20 @@ import (
 	"repro/internal/sim"
 )
 
+// Calibration constants of the memory-backed device.
+const (
+	// memLatency is the fixed per-request service time.
+	memLatency = 5 * time.Microsecond
+	// memBandwidth in bytes/s (2 GB/s).
+	memBandwidth = 2e9
+)
+
 // MemConfig parameterises the memory-backed device.
 type MemConfig struct {
 	Name string
 	// Reg, when set, registers the device's instruments centrally.
-	Reg        *obs.Registry
-	SectorSize int   // default 512
-	Capacity   int64 // sectors; default 2^20
-	// Latency is the fixed per-request service time; default 5µs.
-	Latency time.Duration
-	// Bandwidth in bytes/s; default 2 GB/s.
-	Bandwidth float64
+	Reg      *obs.Registry
+	Capacity int64 // sectors; default 2^20
 	// Persistent selects NVRAM semantics (contents survive power failure);
 	// false models a plain RAM disk that loses everything.
 	Persistent bool
@@ -27,17 +30,8 @@ func (c *MemConfig) applyDefaults() {
 	if c.Name == "" {
 		c.Name = "mem"
 	}
-	if c.SectorSize == 0 {
-		c.SectorSize = 512
-	}
 	if c.Capacity == 0 {
 		c.Capacity = 1 << 20
-	}
-	if c.Latency == 0 {
-		c.Latency = 5 * time.Microsecond
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 2e9
 	}
 }
 
@@ -55,14 +49,14 @@ type Mem struct {
 // NewMem creates a powered-on memory device.
 func NewMem(s *sim.Sim, cfg MemConfig) *Mem {
 	cfg.applyDefaults()
-	return &Mem{cfg: cfg, s: s, med: newMedia(cfg.SectorSize), stats: newStats(cfg.Reg, cfg.Name), powered: true}
+	return &Mem{cfg: cfg, s: s, med: newMedia(), stats: newStats(cfg.Reg, cfg.Name), powered: true}
 }
 
 // Name implements Device.
 func (d *Mem) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *Mem) SectorSize() int { return d.cfg.SectorSize }
+func (d *Mem) SectorSize() int { return sectorSize }
 
 // Sectors implements Device.
 func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
@@ -71,14 +65,14 @@ func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
 func (d *Mem) Stats() *Stats { return d.stats }
 
 // SeqWriteBandwidth implements Device.
-func (d *Mem) SeqWriteBandwidth() float64 { return d.cfg.Bandwidth }
+func (d *Mem) SeqWriteBandwidth() float64 { return memBandwidth }
 
 // WorstCaseAccess implements Device.
-func (d *Mem) WorstCaseAccess() time.Duration { return d.cfg.Latency }
+func (d *Mem) WorstCaseAccess() time.Duration { return memLatency }
 
 func (d *Mem) xferTime(nsec int) time.Duration {
-	bytes := float64(nsec * d.cfg.SectorSize)
-	return d.cfg.Latency + time.Duration(bytes/d.cfg.Bandwidth*float64(time.Second))
+	bytes := float64(nsec * sectorSize)
+	return memLatency + time.Duration(bytes/memBandwidth*float64(time.Second))
 }
 
 // Read implements Device.
@@ -86,7 +80,7 @@ func (d *Mem) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	if !d.powered {
 		return nil, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, -1); err != nil {
+	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
 		return nil, err
 	}
 	start := p.Now()
@@ -103,8 +97,8 @@ func (d *Mem) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / d.cfg.SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, len(data)); err != nil {
+	nsec := len(data) / sectorSize
+	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}
 	start := p.Now()
@@ -129,7 +123,7 @@ func (d *Mem) Flush(p *sim.Proc) error {
 func (d *Mem) PowerFail() {
 	d.powered = false
 	if !d.cfg.Persistent {
-		d.med = newMedia(d.cfg.SectorSize)
+		d.med = newMedia()
 	}
 }
 

@@ -8,59 +8,34 @@ import (
 	"repro/internal/sim"
 )
 
+// Calibration constants of the flash-device model (2013-era MLC SATA
+// flash). A2 and E10 compare this one device against the HDD; nothing varies
+// the device itself.
+const (
+	ssdCapacity = 1 << 22 // sectors (2 GiB at 512 B)
+	// ssdPageSectors is the program/read unit (4 KiB pages).
+	ssdPageSectors = 8
+	// ssdReadLatency / ssdProgramLatency are per-page.
+	ssdReadLatency    = 60 * time.Microsecond
+	ssdProgramLatency = 250 * time.Microsecond
+	// ssdChannels bounds internal parallelism.
+	ssdChannels = 4
+	// ssdBandwidth caps the bus in bytes/s (250 MB/s).
+	ssdBandwidth = 250e6
+	// ssdBufferPages is the volatile write buffer's capacity.
+	ssdBufferPages = 256
+)
+
 // SSDConfig parameterises the flash-device model.
 type SSDConfig struct {
-	Name string
+	Name string // default "ssd"
 	// Reg, when set, registers the device's instruments centrally.
-	Reg        *obs.Registry
-	SectorSize int   // default 512
-	Capacity   int64 // sectors; default 2^22 (2 GiB at 512 B)
-	// PageSectors is the program/read unit; default 8 (4 KiB pages).
-	PageSectors int
-	// ReadLatency / ProgramLatency are per-page; defaults 60µs / 250µs
-	// (2013-era MLC SATA flash).
-	ReadLatency    time.Duration
-	ProgramLatency time.Duration
-	// Channels bounds internal parallelism; default 4.
-	Channels int
-	// Bandwidth caps the bus in bytes/s; default 250 MB/s.
-	Bandwidth float64
+	Reg *obs.Registry
 	// VolatileBuffer, if set, makes non-FUA writes complete after only the
 	// bus transfer, with the page program happening in the background —
 	// contents are lost on power failure. Off by default ("enterprise"
 	// flash with power-loss capacitors).
 	VolatileBuffer bool
-	BufferPages    int // default 256
-}
-
-func (c *SSDConfig) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "ssd"
-	}
-	if c.SectorSize == 0 {
-		c.SectorSize = 512
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 1 << 22
-	}
-	if c.PageSectors == 0 {
-		c.PageSectors = 8
-	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 60 * time.Microsecond
-	}
-	if c.ProgramLatency == 0 {
-		c.ProgramLatency = 250 * time.Microsecond
-	}
-	if c.Channels == 0 {
-		c.Channels = 4
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 250e6
-	}
-	if c.BufferPages == 0 {
-		c.BufferPages = 256
-	}
 }
 
 // SSD models a flash device: per-page program/read latency, channel
@@ -86,14 +61,16 @@ type SSD struct {
 // NewSSD creates a powered-on SSD; background buffer drain (if enabled)
 // runs in dom.
 func NewSSD(s *sim.Sim, dom *sim.Domain, cfg SSDConfig) *SSD {
-	cfg.applyDefaults()
+	if cfg.Name == "" {
+		cfg.Name = "ssd"
+	}
 	d := &SSD{
 		cfg:      cfg,
 		s:        s,
-		med:      newMedia(cfg.SectorSize),
+		med:      newMedia(),
 		stats:    newStats(cfg.Reg, cfg.Name),
 		powered:  true,
-		channels: s.NewResource(cfg.Name+".chan", int64(cfg.Channels)),
+		channels: s.NewResource(cfg.Name+".chan", ssdChannels),
 	}
 	d.resetBuffer()
 	if cfg.VolatileBuffer {
@@ -104,7 +81,7 @@ func NewSSD(s *sim.Sim, dom *sim.Domain, cfg SSDConfig) *SSD {
 
 func (d *SSD) resetBuffer() {
 	d.buf = make(map[int64]*cacheEntry)
-	d.bufSpace = d.s.NewResource(d.cfg.Name+".buf", int64(d.cfg.BufferPages))
+	d.bufSpace = d.s.NewResource(d.cfg.Name+".buf", ssdBufferPages)
 	d.dirtySig = d.s.NewSignal(d.cfg.Name + ".dirty")
 	d.drainSig = d.s.NewSignal(d.cfg.Name + ".drained")
 }
@@ -113,10 +90,10 @@ func (d *SSD) resetBuffer() {
 func (d *SSD) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *SSD) SectorSize() int { return d.cfg.SectorSize }
+func (d *SSD) SectorSize() int { return sectorSize }
 
 // Sectors implements Device.
-func (d *SSD) Sectors() int64 { return d.cfg.Capacity }
+func (d *SSD) Sectors() int64 { return ssdCapacity }
 
 // Stats implements Device.
 func (d *SSD) Stats() *Stats { return d.stats }
@@ -124,19 +101,19 @@ func (d *SSD) Stats() *Stats { return d.stats }
 // SeqWriteBandwidth implements Device: channel-parallel page programs,
 // capped by the bus.
 func (d *SSD) SeqWriteBandwidth() float64 {
-	pageBytes := float64(d.cfg.PageSectors * d.cfg.SectorSize)
-	perChannel := pageBytes / d.cfg.ProgramLatency.Seconds()
-	bw := perChannel * float64(d.cfg.Channels)
-	if bw > d.cfg.Bandwidth {
-		return d.cfg.Bandwidth
+	pageBytes := float64(ssdPageSectors * sectorSize)
+	perChannel := pageBytes / ssdProgramLatency.Seconds()
+	bw := perChannel * float64(ssdChannels)
+	if bw > ssdBandwidth {
+		return ssdBandwidth
 	}
 	return bw
 }
 
 // WorstCaseAccess implements Device.
-func (d *SSD) WorstCaseAccess() time.Duration { return d.cfg.ProgramLatency }
+func (d *SSD) WorstCaseAccess() time.Duration { return ssdProgramLatency }
 
-func (d *SSD) pageOf(lba int64) int64 { return lba / int64(d.cfg.PageSectors) }
+func (d *SSD) pageOf(lba int64) int64 { return lba / ssdPageSectors }
 
 func (d *SSD) pages(lba int64, nsec int) int {
 	if nsec == 0 {
@@ -148,8 +125,8 @@ func (d *SSD) pages(lba int64, nsec int) int {
 }
 
 func (d *SSD) busTime(nsec int) time.Duration {
-	bytes := float64(nsec * d.cfg.SectorSize)
-	return 8*time.Microsecond + time.Duration(bytes/d.cfg.Bandwidth*float64(time.Second))
+	bytes := float64(nsec * sectorSize)
+	return 8*time.Microsecond + time.Duration(bytes/ssdBandwidth*float64(time.Second))
 }
 
 // Read implements Device.
@@ -157,7 +134,7 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	if !d.powered {
 		return nil, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, -1); err != nil {
+	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
 		return nil, err
 	}
 	start := p.Now()
@@ -165,15 +142,15 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	d.channels.Acquire(p, 1)
 	func() {
 		defer d.channels.Release(1)
-		p.Sleep(time.Duration(d.pages(lba, nsec))*d.cfg.ReadLatency + d.busTime(nsec))
+		p.Sleep(time.Duration(d.pages(lba, nsec))*ssdReadLatency + d.busTime(nsec))
 	}()
 	out := d.med.readSectors(lba, nsec)
 	// Overlay buffered pages.
 	for i := 0; i < nsec; i++ {
 		page := d.pageOf(lba + int64(i))
 		if e, ok := d.buf[page]; ok {
-			off := (lba + int64(i)) - page*int64(d.cfg.PageSectors)
-			copy(out[i*d.cfg.SectorSize:(i+1)*d.cfg.SectorSize], e.data[off*int64(d.cfg.SectorSize):])
+			off := (lba + int64(i)) - page*ssdPageSectors
+			copy(out[i*sectorSize:(i+1)*sectorSize], e.data[off*sectorSize:])
 		}
 	}
 	d.stats.SectorsRead.Add(int64(nsec))
@@ -186,14 +163,14 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / d.cfg.SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), d.cfg.SectorSize, len(data)); err != nil {
+	nsec := len(data) / sectorSize
+	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}
 	start := p.Now()
 	d.stats.Writes.Inc()
 
-	if d.cfg.VolatileBuffer && !fua && d.pages(lba, nsec) <= d.cfg.BufferPages {
+	if d.cfg.VolatileBuffer && !fua && d.pages(lba, nsec) <= ssdBufferPages {
 		d.writeToBuffer(p, lba, data, nsec)
 		d.stats.CacheHits.Inc()
 		d.stats.WriteLatency.Observe(p.Now().Sub(start))
@@ -227,21 +204,19 @@ func (d *SSD) writeToBuffer(p *sim.Proc, lba int64, data []byte, nsec int) {
 		d.drainSig.Wait(p)
 	}
 	d.bufGen++
-	ps := int64(d.cfg.PageSectors)
-	ss := int64(d.cfg.SectorSize)
 	for pg := firstPage; pg <= lastPage; pg++ {
 		e, ok := d.buf[pg]
 		if !ok {
-			e = &cacheEntry{data: d.med.readSectors(pg*ps, int(ps))}
+			e = &cacheEntry{data: d.med.readSectors(pg*ssdPageSectors, ssdPageSectors)}
 			d.buf[pg] = e
 		}
 		e.gen = d.bufGen
 		// Copy the overlapping sectors of this write into the page image.
-		pageStart := pg * ps
+		pageStart := pg * ssdPageSectors
 		for i := 0; i < nsec; i++ {
 			sec := lba + int64(i)
-			if sec >= pageStart && sec < pageStart+ps {
-				copy(e.data[(sec-pageStart)*ss:], data[int64(i)*ss:(int64(i)+1)*ss])
+			if sec >= pageStart && sec < pageStart+ssdPageSectors {
+				copy(e.data[(sec-pageStart)*sectorSize:], data[int64(i)*sectorSize:(int64(i)+1)*sectorSize])
 			}
 		}
 	}
@@ -265,7 +240,6 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 	d.channels.Acquire(p, 1)
 	defer d.channels.Release(1)
 	p.Sleep(d.busTime(nsec))
-	ss := d.cfg.SectorSize
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {
 			return // power died mid-program: the prefix is all there is
@@ -274,19 +248,19 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 		// chunk may be a partial page (unaligned start).
 		group := 0
 		start := off
-		for ch := 0; ch < d.cfg.Channels && off < nsec; ch++ {
-			chunk := d.cfg.PageSectors - int((lba+int64(off))%int64(d.cfg.PageSectors))
+		for ch := 0; ch < ssdChannels && off < nsec; ch++ {
+			chunk := ssdPageSectors - int((lba+int64(off))%ssdPageSectors)
 			if off+chunk > nsec {
 				chunk = nsec - off
 			}
 			off += chunk
 			group += chunk
 		}
-		p.Sleep(d.cfg.ProgramLatency)
+		p.Sleep(ssdProgramLatency)
 		if !d.powered || d.epoch != epoch {
 			return
 		}
-		d.med.writeSectors(lba+int64(start), data[start*ss:(start+group)*ss])
+		d.med.writeSectors(lba+int64(start), data[start*sectorSize:(start+group)*sectorSize])
 		d.stats.SectorsWritten.Add(int64(group))
 	}
 	done = true
@@ -312,7 +286,6 @@ func (d *SSD) spawnDrainer(dom *sim.Domain) {
 	epoch := d.epoch
 	d.s.Spawn(dom, d.cfg.Name+".drain", func(p *sim.Proc) {
 		p.SetDaemon(true)
-		ps := int64(d.cfg.PageSectors)
 		for {
 			if d.epoch != epoch {
 				return
@@ -332,7 +305,7 @@ func (d *SSD) spawnDrainer(dom *sim.Domain) {
 			snapGen := e.gen
 			snap := make([]byte, len(e.data))
 			copy(snap, e.data)
-			d.programPages(p, page*ps, snap, int(ps))
+			d.programPages(p, page*ssdPageSectors, snap, ssdPageSectors)
 			if cur, ok := d.buf[page]; ok && cur.gen == snapGen {
 				delete(d.buf, page)
 				d.bufSpace.Release(1)
@@ -358,7 +331,7 @@ func (d *SSD) PowerOn(dom *sim.Domain) {
 		return
 	}
 	d.powered = true
-	d.channels = d.s.NewResource(d.cfg.Name+".chan", int64(d.cfg.Channels))
+	d.channels = d.s.NewResource(d.cfg.Name+".chan", ssdChannels)
 	d.resetBuffer()
 	if d.cfg.VolatileBuffer {
 		d.spawnDrainer(dom)
@@ -368,5 +341,5 @@ func (d *SSD) PowerOn(dom *sim.Domain) {
 // String describes the device.
 func (d *SSD) String() string {
 	return fmt.Sprintf("%s: %.0f MB/s seq, %s program, %d channels, volatile-buffer=%v",
-		d.cfg.Name, d.SeqWriteBandwidth()/1e6, d.cfg.ProgramLatency, d.cfg.Channels, d.cfg.VolatileBuffer)
+		d.cfg.Name, d.SeqWriteBandwidth()/1e6, ssdProgramLatency, ssdChannels, d.cfg.VolatileBuffer)
 }

@@ -93,11 +93,13 @@ var Personalities = map[string]Personality{
 	"cx": CXLike,
 }
 
+// walWriterEvery is the async-mode background force period.
+const walWriterEvery = 10 * time.Millisecond
+
 // Config parameterises an Engine.
 type Config struct {
 	Personality
 	CommitMode      CommitMode
-	WalWriterEvery  time.Duration // async-mode background force period; default 10ms
 	CheckpointEvery time.Duration // background checkpoint period; default 10s
 	LockTimeout     time.Duration // deadlock bound; default 200ms
 	// NoDaemons disables the background WAL writer and checkpointer;
@@ -111,9 +113,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Name == "" {
 		c.Personality = PGLike
-	}
-	if c.WalWriterEvery == 0 {
-		c.WalWriterEvery = 10 * time.Millisecond
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 10 * time.Second
@@ -465,7 +464,7 @@ func (e *Engine) spawnDaemons() {
 		e.s.Spawn(dom, e.cfg.Name+".walwriter", func(p *sim.Proc) {
 			p.SetDaemon(true)
 			for {
-				p.Sleep(e.cfg.WalWriterEvery)
+				p.Sleep(walWriterEvery)
 				_ = e.log.Force(p, e.log.AppendedLSN())
 			}
 		})

@@ -63,10 +63,11 @@ type Cluster interface {
 	Promote(p *sim.Proc, winnerStore string, epoch int) (int64, error)
 }
 
+// coordName is the coordinator's fabric endpoint (and crash domain).
+const coordName = "ha.coord"
+
 // Config parameterises the coordinator.
 type Config struct {
-	// Name is the coordinator's fabric endpoint; default "ha.coord".
-	Name string
 	// HeartbeatEvery is the ping cadence; default 20ms.
 	HeartbeatEvery time.Duration
 	// FailAfter is how long the leader may stay silent before a takeover
@@ -80,9 +81,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "ha.coord"
-	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 20 * time.Millisecond
 	}
@@ -133,7 +131,7 @@ func New(s *sim.Sim, fab *netsim.Fabric, cl Cluster, cfg Config) *Coordinator {
 	cfg.applyDefaults()
 	co := &Coordinator{
 		s: s, fab: fab, cl: cl, cfg: cfg, tr: cfg.Trace,
-		ep:        fab.Endpoint(cfg.Name),
+		ep:        fab.Endpoint(coordName),
 		elections: cfg.Reg.Counter("ha.elections"),
 		promoteB:  cfg.Reg.Counter("ha.promote_replay_bytes"),
 	}
@@ -154,7 +152,7 @@ func (co *Coordinator) Crash() {
 	if co.dom != nil {
 		co.dom.Kill()
 	}
-	co.fab.Isolate(co.cfg.Name)
+	co.fab.Isolate(coordName)
 	co.s.Tracef("ha: coordinator crashed")
 }
 
@@ -167,14 +165,14 @@ func (co *Coordinator) Restart() {
 			break
 		}
 	}
-	co.fab.Restore(co.cfg.Name)
+	co.fab.Restore(coordName)
 	co.start()
 	co.s.Tracef("ha: coordinator restarted")
 }
 
 func (co *Coordinator) start() {
-	co.dom = co.s.NewDomain(co.cfg.Name)
-	co.s.Spawn(co.dom, co.cfg.Name, co.run)
+	co.dom = co.s.NewDomain(coordName)
+	co.s.Spawn(co.dom, coordName, co.run)
 }
 
 func (co *Coordinator) run(p *sim.Proc) {
@@ -196,7 +194,7 @@ func (co *Coordinator) run(p *sim.Proc) {
 			}
 		}
 		seq++
-		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: co.cfg.Name})
+		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: coordName})
 		if p.Now().Sub(lastPong) > co.cfg.FailAfter {
 			co.failover(p)
 			lastPong = p.Now()
@@ -218,7 +216,7 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for len(states) < need {
 		for _, pn := range peers {
 			if _, ok := states[pn]; !ok {
-				co.ep.Send(pn, MsgBytes, replica.StateReq{From: co.cfg.Name})
+				co.ep.Send(pn, MsgBytes, replica.StateReq{From: coordName})
 			}
 		}
 		co.collect(p, func(payload any) {
@@ -274,10 +272,10 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for !acks[winner] || len(acks) < need {
 		for _, pn := range co.cl.AllStores() {
 			if !acks[pn] {
-				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: co.cfg.Name})
+				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
 			}
 		}
-		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: co.cfg.Name})
+		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
 		co.collect(p, func(payload any) {
 			if fa, ok := payload.(replica.FenceAck); ok && fa.Epoch >= epoch && peerSet[fa.From] {
 				acks[fa.From] = true
@@ -320,7 +318,7 @@ func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
 // loop for the coordinator's inbox.
 func (co *Coordinator) FenceNode(p *sim.Proc, store string) {
 	epoch := co.cl.MaxEpoch()
-	name := co.cfg.Name + ".rejoin"
+	name := coordName + ".rejoin"
 	ep := co.fab.Endpoint(name)
 	for {
 		ep.Send(store, MsgBytes, replica.FenceMsg{Epoch: epoch, From: name})

@@ -91,8 +91,7 @@ type Config struct {
 	// reorder). A fabric never touches the simulation's generator, so
 	// enabling network faults does not perturb any other component.
 	Seed int64
-	// Link is the default config applied to every directed link; per-link
-	// overrides via SetLink.
+	// Link is the config of every directed link.
 	Link LinkConfig
 	// Reg, when set, registers the fabric's instruments centrally.
 	Reg *obs.Registry
@@ -120,10 +119,9 @@ type Message struct {
 
 type linkKey struct{ from, to string }
 
-// link carries per-directed-link state: the config and the time the link's
-// transmitter frees up (bandwidth serialisation).
+// link carries per-directed-link state: the time the link's transmitter
+// frees up (bandwidth serialisation).
 type link struct {
-	cfg       LinkConfig
 	busyUntil sim.Time
 }
 
@@ -153,8 +151,7 @@ type Fabric struct {
 	nodeIDs  map[string]int64 // endpoint name → interned trace label
 }
 
-// New creates a fabric. The default link config applies to every pair of
-// endpoints until overridden with SetLink.
+// New creates a fabric. The link config applies to every pair of endpoints.
 func New(s *sim.Sim, cfg Config) *Fabric {
 	cfg.Link.applyDefaults()
 	cfg.CheckOwnership = cfg.CheckOwnership || defaultCheckOwnership
@@ -193,19 +190,12 @@ func (f *Fabric) Endpoint(name string) *Endpoint {
 	return ep
 }
 
-// SetLink overrides the link config for both directions between a and b.
-func (f *Fabric) SetLink(a, b string, cfg LinkConfig) {
-	cfg.applyDefaults()
-	f.link(a, b).cfg = cfg
-	f.link(b, a).cfg = cfg
-}
-
 func (f *Fabric) link(from, to string) *link {
 	k := linkKey{from, to}
 	if l, ok := f.links[k]; ok {
 		return l
 	}
-	l := &link{cfg: f.cfg.Link}
+	l := &link{}
 	f.links[k] = l
 	return l
 }
@@ -289,7 +279,7 @@ func (f *Fabric) SendCtx(from, to string, size int, payload any, cause obs.SpanI
 		return
 	}
 	lk := f.link(from, to)
-	if lk.cfg.DropProb > 0 && f.rng.Float64() < lk.cfg.DropProb {
+	if f.cfg.Link.DropProb > 0 && f.rng.Float64() < f.cfg.Link.DropProb {
 		f.stats.Dropped.Inc()
 		f.trace(obs.EvNetDrop, cause, size, to)
 		release(payload)
@@ -297,7 +287,7 @@ func (f *Fabric) SendCtx(from, to string, size int, payload any, cause obs.SpanI
 	}
 	f.trace(obs.EvNetSend, cause, size, to)
 	f.deliver(lk, from, to, size, payload, false, cause)
-	if lk.cfg.DupProb > 0 && f.rng.Float64() < lk.cfg.DupProb {
+	if f.cfg.Link.DupProb > 0 && f.rng.Float64() < f.cfg.Link.DupProb {
 		f.stats.Duplicated.Inc()
 		f.trace(obs.EvNetDup, cause, size, to)
 		if rc, ok := payload.(Refcounted); ok {
@@ -311,19 +301,19 @@ func (f *Fabric) SendCtx(from, to string, size int, payload any, cause obs.SpanI
 // transmitter, add propagation latency and jitter, optionally hold the
 // message back so later sends overtake it.
 func (f *Fabric) deliver(lk *link, from, to string, size int, payload any, dup bool, cause obs.SpanID) {
-	xfer := time.Duration(float64(size) / lk.cfg.Bandwidth * float64(time.Second))
+	xfer := time.Duration(float64(size) / f.cfg.Link.Bandwidth * float64(time.Second))
 	start := f.s.Now()
 	if lk.busyUntil > start {
 		start = lk.busyUntil
 	}
 	lk.busyUntil = start.Add(xfer)
-	delay := start.Sub(f.s.Now()) + xfer + lk.cfg.Latency
-	if lk.cfg.Jitter > 0 {
-		delay += time.Duration(f.rng.Int63n(int64(lk.cfg.Jitter)))
+	delay := start.Sub(f.s.Now()) + xfer + f.cfg.Link.Latency
+	if f.cfg.Link.Jitter > 0 {
+		delay += time.Duration(f.rng.Int63n(int64(f.cfg.Link.Jitter)))
 	}
-	if !dup && lk.cfg.ReorderProb > 0 && f.rng.Float64() < lk.cfg.ReorderProb {
+	if !dup && f.cfg.Link.ReorderProb > 0 && f.rng.Float64() < f.cfg.Link.ReorderProb {
 		f.stats.Reordered.Inc()
-		delay += lk.cfg.ReorderDelay
+		delay += f.cfg.Link.ReorderDelay
 	}
 	m := Message{From: from, To: to, Size: size, Payload: payload, SentAt: f.s.Now()}
 	var sentSum uint32

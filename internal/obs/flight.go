@@ -7,14 +7,15 @@ import (
 	"time"
 )
 
+// FlightSnapEvery is the flight recorder's metric-snapshot cadence in
+// virtual time: whoever owns the recorder calls Snap this often.
+const FlightSnapEvery = 250 * time.Millisecond
+
 // FlightConfig parameterises a FlightRecorder.
 type FlightConfig struct {
 	// EventWindow is how many recent trace events a frozen record keeps
 	// (default 4096).
 	EventWindow int
-	// SnapEvery is the metric-snapshot cadence in virtual time
-	// (default 250ms).
-	SnapEvery time.Duration
 	// SnapWindow is how many periodic snapshots the ring keeps
 	// (default 16).
 	SnapWindow int
@@ -78,17 +79,11 @@ func NewFlightRecorder(o *Obs, mon *Monitor, cfg FlightConfig) *FlightRecorder {
 	if cfg.EventWindow <= 0 {
 		cfg.EventWindow = 4096
 	}
-	if cfg.SnapEvery <= 0 {
-		cfg.SnapEvery = 250 * time.Millisecond
-	}
 	if cfg.SnapWindow <= 0 {
 		cfg.SnapWindow = 16
 	}
 	return &FlightRecorder{o: o, mon: mon, cfg: cfg, snaps: make([]FlightSnap, cfg.SnapWindow)}
 }
-
-// SnapEvery returns the configured snapshot cadence.
-func (f *FlightRecorder) SnapEvery() time.Duration { return f.cfg.SnapEvery }
 
 // Frozen reports whether the recorder already holds a record.
 func (f *FlightRecorder) Frozen() bool { return f != nil && f.frozen != nil }

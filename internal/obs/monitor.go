@@ -90,9 +90,10 @@ type MonitorConfig struct {
 	Reg *Registry
 	// Trace, when set, receives an EvViolation trace mark per violation.
 	Trace *Tracer
-	// MaxSamples bounds the retained violation details (default 32).
-	MaxSamples int
 }
+
+// maxSamples bounds the retained violation details.
+const maxSamples = 32
 
 // Violation is one detected invariant breach.
 type Violation struct {
@@ -173,9 +174,6 @@ type Monitor struct {
 // NewMonitor creates a monitor. Wire it to a live tracer with
 // tracer.SetObserver(monitor.Consume) or feed it a recorded stream.
 func NewMonitor(cfg MonitorConfig) *Monitor {
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 32
-	}
 	m := &Monitor{
 		cfg:         cfg,
 		outstanding: make(map[SpanID]int64),
@@ -203,7 +201,7 @@ func (m *Monitor) violate(inv Invariant, at time.Duration, detail string) {
 		m.perInv[inv].Inc()
 	}
 	v := Violation{Invariant: inv.String(), AtNs: int64(at), Detail: detail}
-	if len(m.samples) < m.cfg.MaxSamples {
+	if len(m.samples) < maxSamples {
 		m.samples = append(m.samples, v)
 	}
 	// Safe from inside an observer callback: nested Emits are recorded but

@@ -160,12 +160,9 @@ func (m *Machine) AttachDevice(d disk.Device) {
 	m.devices = append(m.devices, d)
 }
 
-// SetPowerFailHandler installs the power-fail interrupt handler, replacing
-// any previous ones. The handler process races the hold-up deadline.
-func (m *Machine) SetPowerFailHandler(h Handler) { m.handlers = []Handler{h} }
-
-// AddPowerFailHandler registers an additional power-fail handler; each
-// handler runs as its own process when the interrupt fires. Consolidated
+// AddPowerFailHandler registers a power-fail interrupt handler; each
+// handler runs as its own process when the interrupt fires, racing the
+// hold-up deadline. Consolidated
 // deployments (several RapiLog instances on one machine) register one per
 // instance — and must each dump to their own spindle, or their shared
 // bandwidth invalidates the individual sizing rules.

@@ -54,7 +54,7 @@ func TestCutPowerKillsDomainsAtDeadline(t *testing.T) {
 func TestInterruptDeliveredWithinLatency(t *testing.T) {
 	s, m, _ := testMachine(1, PSUTypical)
 	var interruptAt sim.Time = -1
-	m.SetPowerFailHandler(func(p *sim.Proc) { interruptAt = p.Now() })
+	m.AddPowerFailHandler(func(p *sim.Proc) { interruptAt = p.Now() })
 	s.After(5*time.Millisecond, func() { m.CutPower() })
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestInterruptDeliveredWithinLatency(t *testing.T) {
 func TestHandlerRacesDeadline(t *testing.T) {
 	s, m, _ := testMachine(2, PSUConfig{Name: "tight", HoldupMin: 5 * time.Millisecond, HoldupMax: 5 * time.Millisecond, InterruptLatency: 100 * time.Microsecond})
 	var progress time.Duration
-	m.SetPowerFailHandler(func(p *sim.Proc) {
+	m.AddPowerFailHandler(func(p *sim.Proc) {
 		for {
 			p.Sleep(time.Millisecond)
 			progress += time.Millisecond
@@ -87,7 +87,7 @@ func TestHandlerRacesDeadline(t *testing.T) {
 func TestDeviceLosesCacheAtDeadlineNotBefore(t *testing.T) {
 	s, m, d := testMachine(3, PSUTypical)
 	var duringHoldup, afterRestore int
-	m.SetPowerFailHandler(func(p *sim.Proc) {
+	m.AddPowerFailHandler(func(p *sim.Proc) {
 		duringHoldup = d.CacheDirtySectors() // rails still up: cache intact
 	})
 	s.Spawn(m.NewDomain("sw"), "writer", func(p *sim.Proc) {
@@ -213,20 +213,6 @@ func TestMultipleHandlersAllFire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 {
-		t.Fatalf("handlers fired: %v", fired)
-	}
-}
-
-func TestSetHandlerReplacesAll(t *testing.T) {
-	s, m, _ := testMachine(8, PSUTypical)
-	var fired []string
-	m.AddPowerFailHandler(func(p *sim.Proc) { fired = append(fired, "old") })
-	m.SetPowerFailHandler(func(p *sim.Proc) { fired = append(fired, "new") })
-	s.After(time.Millisecond, func() { m.CutPower() })
-	if err := s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != "new" {
 		t.Fatalf("handlers fired: %v", fired)
 	}
 }

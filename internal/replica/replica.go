@@ -43,32 +43,42 @@ import (
 	"repro/internal/obs"
 )
 
+// The shipping protocol's timing and framing constants. No experiment,
+// campaign or test varies them; what tests do vary (the retention bound and
+// the eviction threshold) stays on Config.
+const (
+	// RetransmitEvery is the silent-replica probe interval: a replica whose
+	// acks have stalled for this long gets its oldest unacknowledged window
+	// resent.
+	RetransmitEvery = 10 * time.Millisecond
+	// holeResendMin rate-limits hole-triggered retransmissions per replica
+	// (an ack reporting seen > acked means a gap lost on the wire): about
+	// two RTTs on the default link.
+	holeResendMin = 2 * time.Millisecond
+	// maxResendRecords bounds records resent to one replica per repair round.
+	maxResendRecords = 128
+	// maxFrameRecords caps how many pending records are coalesced into one
+	// wire frame. A flush fires synchronously the moment the cap is reached,
+	// so a single non-yielding producer still frames.
+	maxFrameRecords = 64
+	// maxFrameBytes caps a frame's payload bytes. A single record larger
+	// than the cap still ships — alone in its own frame.
+	maxFrameBytes = 256 << 10
+	// applyDelay is the standby-side cost of processing one record
+	// (validate, append to its durable log).
+	applyDelay = 2 * time.Microsecond
+
+	// DefaultRetainLimit and DefaultDeadAfter are what a zero
+	// Config.RetainLimit / Config.DeadAfter select.
+	DefaultRetainLimit = 64 << 20
+	DefaultDeadAfter   = 500 * time.Millisecond
+)
+
 // Config tunes the shipping protocol. The same Config parameterises the
 // Shipper and every Standby so both sides agree on names.
 type Config struct {
 	// PrimaryName is the shipper's endpoint on the fabric; default "primary".
 	PrimaryName string
-	// RetransmitEvery is the silent-replica probe interval: a replica whose
-	// acks have stalled for this long gets its oldest unacknowledged window
-	// resent. Default 10ms.
-	RetransmitEvery time.Duration
-	// HoleResendMin rate-limits hole-triggered retransmissions per replica
-	// (an ack reporting seen > acked means a gap lost on the wire). Default
-	// 2ms — about two RTTs on the default link.
-	HoleResendMin time.Duration
-	// ResendWindow bounds records resent to one replica per repair round;
-	// default 128.
-	ResendWindow int
-	// MaxFrameRecords caps how many pending records are coalesced into one
-	// wire frame; default 64. A flush fires synchronously the moment the
-	// cap is reached, so a single non-yielding producer still frames.
-	MaxFrameRecords int
-	// MaxFrameBytes caps a frame's payload bytes; default 256 KiB. A single
-	// record larger than the cap still ships — alone in its own frame.
-	MaxFrameBytes int
-	// ApplyDelay is the standby-side cost of processing one record
-	// (validate, append to its durable log); default 2µs.
-	ApplyDelay time.Duration
 	// SectorSize is the log device's sector granularity. Shipped records are
 	// sector images — recovery folds them back onto sector boundaries — so
 	// Ship panics on a payload that is not a whole number of sectors: that
@@ -83,10 +93,11 @@ type Config struct {
 	// retained bytes exceed RetainLimit and a standby's ack has not advanced
 	// for DeadAfter, that standby is evicted: retention is trimmed past it,
 	// and it is lost for the epoch — it re-syncs naturally at the next
-	// epoch, when the stream restarts from seq 1. Default 64 MiB.
+	// epoch, when the stream restarts from seq 1. Default DefaultRetainLimit
+	// (64 MiB).
 	RetainLimit int64
 	// DeadAfter is the ack-stall threshold for eviction; it only applies
-	// while retention exceeds RetainLimit. Default 500ms.
+	// while retention exceeds RetainLimit. Default DefaultDeadAfter (500ms).
 	DeadAfter time.Duration
 	// Reg, when set, registers the subsystem's instruments centrally.
 	Reg *obs.Registry
@@ -106,31 +117,13 @@ func (c *Config) applyDefaults() {
 	if c.PrimaryName == "" {
 		c.PrimaryName = "primary"
 	}
-	if c.RetransmitEvery == 0 {
-		c.RetransmitEvery = 10 * time.Millisecond
-	}
-	if c.HoleResendMin == 0 {
-		c.HoleResendMin = 2 * time.Millisecond
-	}
-	if c.ResendWindow == 0 {
-		c.ResendWindow = 128
-	}
-	if c.MaxFrameRecords == 0 {
-		c.MaxFrameRecords = 64
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = 256 << 10
-	}
-	if c.ApplyDelay == 0 {
-		c.ApplyDelay = 2 * time.Microsecond
-	}
 	if c.SectorSize == 0 {
 		c.SectorSize = 512
 	}
 	if c.RetainLimit == 0 {
-		c.RetainLimit = 64 << 20
+		c.RetainLimit = DefaultRetainLimit
 	}
 	if c.DeadAfter == 0 {
-		c.DeadAfter = 500 * time.Millisecond
+		c.DeadAfter = DefaultDeadAfter
 	}
 }

@@ -269,7 +269,7 @@ func (sh *Shipper) Ship(lba int64, data []byte) uint64 {
 	pb.refs++
 	sh.pending = append(sh.pending, rec)
 	sh.pendingBytes += len(data)
-	if len(sh.pending) >= sh.cfg.MaxFrameRecords || sh.pendingBytes >= sh.cfg.MaxFrameBytes {
+	if len(sh.pending) >= maxFrameRecords || sh.pendingBytes >= maxFrameBytes {
 		sh.flushPending()
 	} else if len(sh.pending) == 1 {
 		sh.flushSig.Broadcast()
@@ -308,8 +308,8 @@ func (sh *Shipper) flushLoop(p *sim.Proc) {
 func (sh *Shipper) flushPending() {
 	for len(sh.pending) > 0 {
 		cut, bytes := 0, 0
-		for cut < len(sh.pending) && cut < sh.cfg.MaxFrameRecords {
-			if cut > 0 && bytes+len(sh.pending[cut].Data) > sh.cfg.MaxFrameBytes {
+		for cut < len(sh.pending) && cut < maxFrameRecords {
+			if cut > 0 && bytes+len(sh.pending[cut].Data) > maxFrameBytes {
 				break
 			}
 			bytes += len(sh.pending[cut].Data)
@@ -617,7 +617,7 @@ func (sh *Shipper) ackLoop(p *sim.Proc) {
 		// window right away instead of waiting out the probe interval. A
 		// lost replica's gap starts before the retained stream — there is
 		// nothing to refill it with.
-		if !r.lost && am.Seen > am.Seq && r.ack < sh.next-1 && now.Sub(r.lastFill) >= sh.cfg.HoleResendMin {
+		if !r.lost && am.Seen > am.Seq && r.ack < sh.next-1 && now.Sub(r.lastFill) >= holeResendMin {
 			r.lastFill = now
 			sh.resendWindow(r)
 		}
@@ -659,14 +659,14 @@ func (sh *Shipper) probeLoop(p *sim.Proc) {
 			sh.workSig.Wait(p)
 			continue
 		}
-		p.Sleep(sh.cfg.RetransmitEvery)
+		p.Sleep(RetransmitEvery)
 		now := sh.s.Now()
 		sh.reapStalled(now)
 		for _, r := range sh.reps {
 			if r.lost || r.ack >= sh.next-1 {
 				continue
 			}
-			if now.Sub(r.lastHeard) < sh.cfg.RetransmitEvery {
+			if now.Sub(r.lastHeard) < RetransmitEvery {
 				continue // acks are flowing; hole repair owns the fast path
 			}
 			sh.resendWindow(r)
@@ -699,15 +699,15 @@ func (sh *Shipper) resendWindow(r *repState) {
 	if lo < sh.base {
 		lo = sh.base
 	}
-	if r.fillHi >= lo && now.Sub(r.progressAt) < sh.cfg.RetransmitEvery {
+	if r.fillHi >= lo && now.Sub(r.progressAt) < RetransmitEvery {
 		lo = r.fillHi + 1
 	}
 	hi := sh.next - 1
-	if maxAhead := uint64(sh.cfg.ResendWindow) * 8; hi > r.ack+maxAhead {
-		hi = r.ack + maxAhead
+	if maxAhead := r.ack + maxResendRecords*8; hi > maxAhead {
+		hi = maxAhead
 	}
-	if span := uint64(sh.cfg.ResendWindow); hi >= lo && hi-lo+1 > span {
-		hi = lo + span - 1
+	if hi >= lo && hi-lo+1 > maxResendRecords {
+		hi = lo + maxResendRecords - 1
 	}
 	if hi < lo {
 		return
@@ -722,9 +722,9 @@ func (sh *Shipper) resendWindow(r *repState) {
 		f := sh.getFrame()
 		f.epoch = sh.epoch
 		bytes := 0
-		for seq <= hi && len(f.recs) < sh.cfg.MaxFrameRecords {
+		for seq <= hi && len(f.recs) < maxFrameRecords {
 			rec := sh.retained[int(seq-sh.base)].rec
-			if len(f.recs) > 0 && bytes+len(rec.Data) > sh.cfg.MaxFrameBytes {
+			if len(f.recs) > 0 && bytes+len(rec.Data) > maxFrameBytes {
 				break
 			}
 			if rec.buf != nil {

@@ -151,8 +151,8 @@ func (st *Standby) spawnReceiver() {
 				}
 				st.handle(m2)
 			}
-			if st.batchApplied > 0 && st.cfg.ApplyDelay > 0 {
-				p.Sleep(time.Duration(st.batchApplied) * st.cfg.ApplyDelay)
+			if st.batchApplied > 0 {
+				p.Sleep(time.Duration(st.batchApplied) * applyDelay)
 			}
 			// One cumulative ack per epoch touched in this batch, addressed
 			// to whichever shipper carried that epoch's frames: a standby

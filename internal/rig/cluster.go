@@ -110,11 +110,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	s := sim.New(cfg.Rig.Seed)
 	o := obs.New(obs.Config{TraceEnabled: true, TraceCapacity: cfg.Rig.TraceCapacity})
 	c := &Cluster{Cfg: cfg, S: s, Obs: o, generation: 1}
-	c.Fabric = netsim.New(s, netsim.Config{Seed: cfg.Rig.NetSeed, Link: cfg.Rig.Net, Reg: o.Registry(), Trace: o.Tracer()})
+	c.Fabric = netsim.New(s, netsim.Config{Seed: cfg.Rig.Seed + fabricSeedOffset, Link: cfg.Rig.Net, Reg: o.Registry(), Trace: o.Tracer()})
 
-	rc := cfg.Rig.Replica
-	rc.Reg = o.Registry()
-	rc.Trace = o.Tracer()
+	rc := replica.Config{Reg: o.Registry(), Trace: o.Tracer()}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
 		c.nodes = append(c.nodes, &clusterNode{

@@ -20,8 +20,8 @@ type site struct {
 	// prefix names the domain's guest among the machine's ("" on the paper's
 	// machine, "shard<i>." on a sharded one, "node<i>." in a cluster).
 	prefix string
-	// seedOffset is added to Config.Seed and NetSeed wherever the domain
-	// derives a private fault generator.
+	// seedOffset is added to Config.Seed wherever the domain derives a
+	// private fault generator.
 	seedOffset int64
 	// sharers is how many log domains dump into the machine's one hold-up
 	// window; it feeds the N-aware buffer sizing rule.
@@ -92,12 +92,7 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 			hc.Reg = o.Registry()
 			return disk.NewHDD(s, m.HardwareDomain(), hc), nil
 		case DiskSSD:
-			sc := cfg.SSD
-			if sc.Name == "" {
-				sc.Name = name
-			}
-			sc.Reg = o.Registry()
-			return disk.NewSSD(s, m.HardwareDomain(), sc), nil
+			return disk.NewSSD(s, m.HardwareDomain(), disk.SSDConfig{Name: name, Reg: o.Registry()}), nil
 		case DiskMem:
 			return disk.NewMem(s, disk.MemConfig{Name: name, Persistent: true, Capacity: 1 << 22, Reg: o.Registry()}), nil
 		default:
@@ -110,13 +105,9 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 	}
 	m.AttachDevice(dev)
 	logDev := dev
-	dataStart := cfg.LogSectors + cfg.DumpSectors
-	if cfg.DedicatedLogDisk || (cfg.LogDiskKind != "" && cfg.LogDiskKind != cfg.Disk) {
-		logKind := cfg.Disk
-		if cfg.LogDiskKind != "" {
-			logKind = cfg.LogDiskKind
-		}
-		logDev, err = mkDisk("disk1-log", logKind)
+	dataStart := int64(logSectors + dumpSectors)
+	if cfg.LogDiskKind != "" {
+		logDev, err = mkDisk("disk1-log", cfg.LogDiskKind)
 		if err != nil {
 			return nil, err
 		}
@@ -124,11 +115,11 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 		dataStart = 0
 	}
 
-	logPart, err := disk.NewPartition(logDev, "log", 0, cfg.LogSectors)
+	logPart, err := disk.NewPartition(logDev, "log", 0, logSectors)
 	if err != nil {
 		return nil, err
 	}
-	dumpPart, err := disk.NewPartition(logDev, "dump", cfg.LogSectors, cfg.DumpSectors)
+	dumpPart, err := disk.NewPartition(logDev, "dump", logSectors, dumpSectors)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +163,8 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 			d.Fabric = at.fabric
 			d.Standbys = at.stores
 		} else {
-			d.Fabric = netsim.New(s, netsim.Config{Seed: cfg.NetSeed + at.seedOffset, Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
-			rc := cfg.Replica
-			rc.PrimaryName = at.endpoint
-			rc.Reg = o.Registry()
-			rc.SectorSize = d.LogDev.SectorSize()
-			rc.Trace = o.Tracer()
+			d.Fabric = netsim.New(s, netsim.Config{Seed: seed + fabricSeedOffset, Link: cfg.Net, Reg: o.Registry(), Trace: o.Tracer()})
+			rc := d.replicaConfig()
 			for i := 0; i < cfg.Replicas; i++ {
 				// Endpoint names are scoped to this domain's private fabric, so no
 				// prefix is needed for uniqueness — just for trace readability.
@@ -188,6 +175,17 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 	r.Domains = append(r.Domains, d)
 	r.LogDomain, r.Router = r.Domains[0], shard.NewRouter(len(r.Domains))
 	return d, nil
+}
+
+// replicaConfig is the protocol configuration the domain's shipper and its
+// private standbys share.
+func (d *LogDomain) replicaConfig() replica.Config {
+	return replica.Config{
+		PrimaryName: d.at.endpoint,
+		SectorSize:  d.LogDev.SectorSize(),
+		Reg:         d.Obs.Registry(),
+		Trace:       d.Obs.Tracer(),
+	}
 }
 
 // assemblePlatform builds (or rebuilds, after a power cycle) the domain's
@@ -231,11 +229,7 @@ func (d *LogDomain) assemblePlatform() error {
 			for i, st := range d.Standbys {
 				names[i] = st.Name()
 			}
-			rc := cfg.Replica
-			rc.PrimaryName = d.at.endpoint
-			rc.Reg = d.Obs.Registry()
-			rc.SectorSize = d.LogDev.SectorSize()
-			rc.Trace = d.Obs.Tracer()
+			rc := d.replicaConfig()
 			if cfg.AckPolicy.Remote() {
 				rc.TraceQuorumK = cfg.AckPolicy.K
 			} else {
@@ -269,7 +263,6 @@ func (d *LogDomain) EngineConfig() engine.Config {
 		Personality:     d.m.Cfg.Personality,
 		CommitMode:      d.m.Cfg.Mode.CommitMode(),
 		CheckpointEvery: d.m.Cfg.CheckpointEvery,
-		LockTimeout:     d.m.Cfg.LockTimeout,
 		NoDaemons:       d.m.Cfg.NoDaemons,
 		Obs:             d.Obs,
 	}
@@ -308,47 +301,18 @@ func (d *LogDomain) CrashOS() { d.Plat.Crash() }
 func (d *LogDomain) RebootAfterCrash() { d.Plat.Reboot() }
 
 // recover is the per-domain half of RecoverAfterPower: with power already
-// restored and the hypervisor rebooted, it replays this domain's dump zone
-// (and replica stream, when the policy calls for it) and rebuilds its
-// platform.
-func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
-	var rep core.RecoveryReport
-	d.Plat.Reboot()
-	if d.m.Cfg.Mode == RapiLog || d.m.Cfg.Mode.Replicated() {
-		var err error
-		if d.m.Cfg.Mode.Replicated() {
-			rep, err = d.replicatedRecover(p)
-		} else {
-			rep, err = core.Recover(p, d.LogDev, d.DumpDev)
-		}
-		if err != nil {
-			return rep, err
-		}
-		// Carry the dying epoch's dump-path counters into the report before
-		// the logger is rebuilt: HadDump=false plus DumpFailures>0 is how an
-		// audit tells "the dump write failed" from "nothing was buffered".
-		if d.Logger != nil {
-			st := d.Logger.RapiStats()
-			rep.DumpRetries = int(st.DumpRetries.Value())
-			rep.DumpFailures = int(st.DumpFailures.Value())
-		}
-		// A fresh logger for the new power epoch.
-		if err := d.assemblePlatform(); err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// replicatedRecover merges the two durability domains at boot. The local
-// domain — drained sectors on the log partition plus the dump zone's
-// snapshot of what was still buffered — is authoritative wherever it is
-// complete: it holds the newest version of every sector, while a standby
+// restored and the hypervisor rebooted, it merges the domain's durability
+// domains into the log partition and rebuilds its platform.
+//
+// The local domain — drained sectors on the log partition plus the dump
+// zone's snapshot of what was still buffered — is authoritative wherever it
+// is complete: it holds the newest version of every sector, while a standby
 // that lagged (a partition, a crash) holds stale images of sectors the
 // drain has since rewritten, and folding those over the log would roll
 // acked, locally durable commits back to pre-partition contents. Replica
-// records are therefore replayed only when the ack policy actually makes
-// the standbys the durability domain for bytes the local domain lost:
+// records are therefore replayed only on a replicated machine whose ack
+// policy actually makes the standbys the durability domain for bytes the
+// local domain lost:
 //
 //   - AckRemoteOnly: always. The dump is disabled by design, so the
 //     standbys are the only copy of everything still buffered at the cut.
@@ -366,25 +330,33 @@ func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
 //
 // When both sources replay, replica records land first and the dump's
 // intact entries second: the dump snapshotted the newest buffered version
-// of everything it covers, so it must win on overlap.
-func (d *LogDomain) replicatedRecover(p *sim.Proc) (core.RecoveryReport, error) {
+// of everything it covers, so it must win on overlap. With nothing to take
+// from replicas — every unreplicated RapiLog machine — this is exactly
+// core.Recover.
+func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
+	d.Plat.Reboot()
+	if d.Logger == nil {
+		return core.RecoveryReport{}, nil // no RapiLog device: nothing to replay
+	}
 	d.LastReplicaReplay = replica.RecoverReport{}
 	dump, derr := core.ReadDump(p, d.DumpDev)
 	rep := core.RecoveryReport{HadDump: dump.HadDump, Torn: dump.Torn}
+	// The dying epoch's dump outcome, asked of its logger before the logger
+	// is rebuilt: HadDump=false plus DumpFailures>0 is how an audit tells
+	// "the dump write failed" from "nothing was buffered".
+	rep.DumpRetries, rep.DumpFailures = d.Logger.DumpOutcome()
 
-	dumpFailed := false
-	if d.Logger != nil {
-		dumpFailed = d.Logger.RapiStats().DumpFailures.Value() > 0
-	}
 	// The local domain is complete when the dump image accounts for the
 	// whole buffer — or when there was provably nothing buffered to dump.
-	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && !dumpFailed))
+	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && rep.DumpFailures == 0))
 	needReplica := false
-	switch d.m.Cfg.AckPolicy.Kind {
-	case core.AckKindRemoteOnly:
-		needReplica = true
-	case core.AckKindQuorum:
-		needReplica = !localComplete
+	if d.m.Cfg.Mode.Replicated() {
+		switch d.m.Cfg.AckPolicy.Kind {
+		case core.AckKindRemoteOnly:
+			needReplica = true
+		case core.AckKindQuorum:
+			needReplica = !localComplete
+		}
 	}
 	if derr != nil && !needReplica {
 		return rep, derr
@@ -406,5 +378,6 @@ func (d *LogDomain) replicatedRecover(p *sim.Proc) (core.RecoveryReport, error) 
 			return rep, err
 		}
 	}
-	return rep, nil
+	// A fresh logger for the new power epoch.
+	return rep, d.assemblePlatform()
 }

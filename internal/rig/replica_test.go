@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/workload"
-
+	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestReplicaModeProperties(t *testing.T) {
@@ -89,5 +89,100 @@ func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
 		if st.AppliedSeq(1) == 0 {
 			t.Fatalf("%s never applied anything from epoch 1", st.Name())
 		}
+	}
+}
+
+// TestDumpOutcomeIsPerPowerEpoch: recovery must judge the dump of the epoch
+// that just died, not the machine's lifetime counters. Cycle 1 loses power
+// with the dump zone broken, so the quorum policy replays from the standbys;
+// cycle 2, on a repaired zone with nothing left buffered, must report a clean
+// dump path and take nothing from the standbys — a stale failure count used to
+// replay two epochs of replica records over a locally complete log.
+func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
+	r, err := New(Config{
+		Seed: 5, Mode: RapiLogReplica, AckPolicy: core.AckQuorum(1), NoDaemons: true,
+		DumpFault: disk.FaultConfig{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	j := workload.NewJournal()
+	w := &workload.Stress{}
+	// epoch boots the engine, commits n operations, optionally waits for the
+	// drain to empty the buffer, and pulls the plug.
+	epoch := func(n int, drain bool, cut *sim.Event) {
+		r.S.Spawn(r.Plat.Domain(), "db", func(p *sim.Proc) {
+			e, err := r.Boot(p)
+			if err != nil {
+				t.Errorf("boot: %v", err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				if err := w.Do(p, e, j); err != nil {
+					t.Errorf("op %d: %v", i, err)
+					return
+				}
+			}
+			for drain && r.Logger.BufferedBytes() > 0 {
+				p.Sleep(10 * time.Millisecond)
+			}
+			r.CutPower()
+			cut.Fire()
+			p.Sleep(time.Hour)
+		})
+	}
+	var res workload.VerifyResult
+	verified := false
+	r.S.Spawn(nil, "op", func(p *sim.Proc) {
+		r.FaultyDump.AddBadRange(0, r.DumpPart.Sectors(), false)
+		cut := r.S.NewEvent("cut1")
+		epoch(30, false, cut)
+		cut.Wait(p)
+		p.Sleep(5 * time.Second)
+		rep, err := r.RecoverAfterPower(p)
+		if err != nil {
+			t.Errorf("cycle 1 recovery: %v", err)
+			return
+		}
+		if rep.Shards[0].DumpFailures != 1 || r.LastReplicaReplay.Entries == 0 {
+			t.Errorf("cycle 1 did not take the failed-dump path: %+v, replica replay %+v", rep.Shards[0], r.LastReplicaReplay)
+			return
+		}
+
+		r.FaultyDump.ClearBadRanges() // the drive was swapped
+		cut = r.S.NewEvent("cut2")
+		epoch(10, true, cut)
+		cut.Wait(p)
+		p.Sleep(5 * time.Second)
+		rep, err = r.RecoverAfterPower(p)
+		if err != nil {
+			t.Errorf("cycle 2 recovery: %v", err)
+			return
+		}
+		if got := rep.Shards[0]; got.DumpFailures != 0 || got.DumpRetries != 0 {
+			t.Errorf("cycle 2 reports cycle 1's dump outcome: %+v", got)
+		}
+		if rr := r.LastReplicaReplay; rr.Entries != 0 || rr.Bytes != 0 {
+			t.Errorf("cycle 2 replayed replica records over a locally complete log: %+v", rr)
+		}
+
+		r.S.Spawn(r.Plat.Domain(), "db3", func(p *sim.Proc) {
+			e, err := r.Boot(p)
+			if err != nil {
+				t.Errorf("final boot: %v", err)
+				return
+			}
+			if res, err = j.Verify(p, e); err != nil {
+				t.Errorf("verify: %v", err)
+			}
+			verified = true
+		})
+	})
+	if err := r.S.RunFor(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if !verified || j.Len() != 40 || !res.Ok() {
+		t.Fatalf("verified=%v acked=%d/40 %v", verified, j.Len(), res)
 	}
 }

@@ -87,6 +87,17 @@ const (
 	DiskMem DiskKind = "mem"
 )
 
+// Partition sizes in sectors (512 B): the data partition gets the rest of
+// the disk.
+const (
+	logSectors  = 262144 // 128 MiB
+	dumpSectors = 131072 // 64 MiB
+)
+
+// fabricSeedOffset is added to the seed for the replication fabric's private
+// fault generator (the log and dump fault layers take +1 and +3).
+const fabricSeedOffset = 2
+
 // Config parameterises a deployment.
 type Config struct {
 	Seed        int64
@@ -94,26 +105,17 @@ type Config struct {
 	Personality engine.Personality // default engine.PGLike
 	Disk        DiskKind           // default DiskHDD
 	HDD         disk.HDDConfig     // overrides for DiskHDD
-	SSD         disk.SSDConfig     // overrides for DiskSSD
 	PSU         power.PSUConfig    // default power.PSUMeasured
 	Cores       int                // default 4
-	HV          hv.Config
 	RapiLog     core.Config
 	// Engine knobs.
 	CheckpointEvery time.Duration
-	LockTimeout     time.Duration
 	NoDaemons       bool
-	// Partition sizes in sectors (512 B). Defaults: log 128 MiB, dump
-	// 64 MiB, data the remainder.
-	LogSectors  int64
-	DumpSectors int64
-	// DedicatedLogDisk puts the log and dump partitions on their own
-	// spindle (of the same kind), removing arm contention with data
-	// traffic — the classic deployment the paper's testbed used.
-	DedicatedLogDisk bool
-	// LogDiskKind, if set, gives the (implicitly dedicated) log device a
-	// different storage model than the data disk — e.g. DiskMem for the
-	// battery-backed NVRAM log the paper positions RapiLog against.
+	// LogDiskKind, if set, puts the log and dump partitions on a dedicated
+	// device of that kind, removing arm contention with data traffic: the
+	// same kind as Disk is the classic second spindle the paper's testbed
+	// used, DiskMem the battery-backed NVRAM log the paper positions RapiLog
+	// against.
 	LogDiskKind DiskKind
 	// LogFault, when Enabled, wraps the log partition in a disk.Faulty so
 	// campaigns and operators can inject media faults — transient I/O
@@ -137,9 +139,6 @@ type Config struct {
 	Replicas  int            // standby count; default 2
 	AckPolicy core.AckPolicy // default AckLocal
 	Net       netsim.LinkConfig
-	// NetSeed drives the fabric's private fault generator; default Seed+2.
-	NetSeed int64
-	Replica replica.Config
 	// Trace enables commit-lifecycle tracing; TraceCapacity sizes the event
 	// ring (default 1<<16). Metrics are always registered centrally on the
 	// rig's Obs bundle; only the tracer is gated, keeping the default rig
@@ -153,9 +152,6 @@ type Config struct {
 	// post-mortem FlightRecord (Rig.Flight, and RecoveryReport.Flight after
 	// RecoverAfterPower).
 	Flight bool
-	// FlightSnapEvery overrides the recorder's metric-snapshot cadence
-	// (default 250ms of virtual time).
-	FlightSnapEvery time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -174,18 +170,9 @@ func (c *Config) applyDefaults() {
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.LogSectors == 0 {
-		c.LogSectors = 262144 // 128 MiB
-	}
-	if c.DumpSectors == 0 {
-		c.DumpSectors = 131072 // 64 MiB
-	}
 	if c.Mode.Replicated() {
 		if c.Replicas == 0 {
 			c.Replicas = 2
-		}
-		if c.NetSeed == 0 {
-			c.NetSeed = c.Seed + 2
 		}
 		// Mirror core's default so the rig's monitor and quorum tracing
 		// agree with the logger about the effective quorum size.
@@ -282,9 +269,7 @@ func newMachine(cfg Config, s *sim.Sim, name string, o *obs.Obs) *Rig {
 	m.SetObs(o)
 	r := &Rig{Cfg: cfg, S: s, Machine: m, Obs: o}
 	if cfg.Mode.Virtualised() {
-		hvCfg := cfg.HV
-		hvCfg.Obs = o
-		r.HV = hv.New(m, hvCfg)
+		r.HV = hv.New(m, hv.Config{Obs: o})
 	}
 	return r
 }
@@ -326,28 +311,17 @@ func (r *Rig) setupVerification() {
 		}
 	}
 	if r.Cfg.Mode.Replicated() {
-		rc := r.Cfg.Replica
-		mc.RetainLimit = rc.RetainLimit
-		if mc.RetainLimit == 0 {
-			mc.RetainLimit = 64 << 20 // replica.Config's own default
-		}
-		dead, probe := rc.DeadAfter, rc.RetransmitEvery
-		if dead == 0 {
-			dead = 500 * time.Millisecond
-		}
-		if probe == 0 {
-			probe = 10 * time.Millisecond
-		}
+		mc.RetainLimit = replica.DefaultRetainLimit
 		// Eviction legitimately takes an ack-stall window plus a couple of
 		// probe rounds; only beyond that is high retention a violation.
-		mc.RetainGrace = dead + 2*probe
+		mc.RetainGrace = replica.DefaultDeadAfter + 2*replica.RetransmitEvery
 	}
 	r.Monitor = obs.NewMonitor(mc)
 	if !r.Cfg.Flight {
 		tr.SetObserver(r.Monitor.Consume)
 		return
 	}
-	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor, obs.FlightConfig{SnapEvery: r.Cfg.FlightSnapEvery})
+	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor, obs.FlightConfig{})
 	fl := r.Flight
 	r.Monitor.OnViolation = func(v obs.Violation) {
 		fl.Freeze(v.At(), "invariant:"+v.Invariant)
@@ -367,7 +341,7 @@ func (r *Rig) setupVerification() {
 	r.S.Spawn(nil, "flight.snap", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		for !fl.Frozen() {
-			p.Sleep(fl.SnapEvery())
+			p.Sleep(obs.FlightSnapEvery)
 			fl.Snap(p.Now().Duration())
 		}
 	})

@@ -263,13 +263,28 @@ func TestUnknownConfigsRejected(t *testing.T) {
 	}
 }
 
+// TestDedicatedLogDiskSeparatesDevices: a set LogDiskKind is a dedicated log
+// device of that kind — including the same kind as Disk, the classic second
+// spindle.
 func TestDedicatedLogDiskSeparatesDevices(t *testing.T) {
-	r, err := New(Config{Seed: 5, Mode: RapiLog, DedicatedLogDisk: true})
+	for name, cfg := range map[string]Config{
+		"default+hdd": {LogDiskKind: DiskHDD}, // Disk defaults to DiskHDD
+		"ssd+ssd":     {Disk: DiskSSD, LogDiskKind: DiskSSD},
+		"hdd+mem":     {Disk: DiskHDD, LogDiskKind: DiskMem},
+	} {
+		cfg.Seed, cfg.Mode = 5, RapiLog
+		t.Run(name, func(t *testing.T) { testDedicatedLogDisk(t, cfg) })
+	}
+}
+
+func testDedicatedLogDisk(t *testing.T, cfg Config) {
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	if r.LogPart.Parent() == r.DataPart.Parent() {
-		t.Fatal("log and data share a spindle despite DedicatedLogDisk")
+		t.Fatal("log and data share a device despite LogDiskKind")
 	}
 	if r.LogPart.Parent() != r.DumpPart.Parent() {
 		t.Fatal("log and dump zone must share the dedicated spindle")

@@ -20,9 +20,6 @@ func (s *Sim) NewMutex(name string) *Mutex {
 
 func (m *Mutex) describeWait(waitMode) string { return "mutex:" + m.name }
 
-// Locked reports whether the mutex is held.
-func (m *Mutex) Locked() bool { return m.locked }
-
 // Lock acquires the mutex, blocking p in FIFO order.
 func (m *Mutex) Lock(p *Proc) {
 	p.checkKilled()
@@ -68,14 +65,6 @@ func (m *Mutex) Unlock(p *Proc) {
 		panic(fmt.Sprintf("sim: mutex %q: unlock by non-owner %s", m.name, p.name))
 	}
 	m.passOn()
-}
-
-// ForceUnlock releases the mutex regardless of owner. It exists for crash
-// cleanup paths that reclaim primitives owned by killed processes.
-func (m *Mutex) ForceUnlock() {
-	if m.locked {
-		m.passOn()
-	}
 }
 
 func (m *Mutex) passOn() {

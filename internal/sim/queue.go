@@ -80,12 +80,6 @@ func (q *Queue[T]) describeWait(m waitMode) string {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.cap }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // newGetter takes a getter from the pool with its waiter registered.
 func (q *Queue[T]) newGetter(p *Proc) *qGetter[T] {
 	var g *qGetter[T]

@@ -380,10 +380,6 @@ func (e *DeadlockError) Error() string {
 // finished.
 func (s *Sim) LiveProcs() int { return len(s.procs) }
 
-// Running returns the currently executing process, or nil when the
-// scheduler itself is running.
-func (s *Sim) Running() *Proc { return s.running }
-
 // ---------------------------------------------------------------------------
 // Proc
 // ---------------------------------------------------------------------------
@@ -468,9 +464,6 @@ func (p *Proc) Now() Time { return p.sim.now }
 
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.done }
-
-// Killed reports whether the process's domain has been killed.
-func (p *Proc) Killed() bool { return p.killed }
 
 // checkKilled unwinds the process if its domain has died while it was
 // running (e.g. it killed its own domain, or Kill was called from scheduler

@@ -82,6 +82,15 @@ const (
 	recHdrLen   = 28 // len(4) lsn(8) txid(8) magic(2) type(1) pad(1) crc(4)
 )
 
+const (
+	// forceRetryLimit bounds attempts per block write when the device
+	// reports a transient media error (disk.IsTransient).
+	forceRetryLimit = 3
+	// forceRetryBase is the backoff before the first retry, doubling per
+	// attempt.
+	forceRetryBase = time.Millisecond
+)
+
 // Config parameterises a Log.
 type Config struct {
 	// BlockSize is the log page size; default 4096. Must be a multiple of
@@ -90,12 +99,6 @@ type Config struct {
 	// CommitDelay is slept before each physical force to widen the group
 	// commit window (PostgreSQL's commit_delay). Default 0.
 	CommitDelay time.Duration
-	// ForceRetryLimit bounds attempts per block write when the device
-	// reports a transient media error (disk.IsTransient); default 3.
-	ForceRetryLimit int
-	// ForceRetryBase is the backoff before the first retry, doubling per
-	// attempt; default 1ms.
-	ForceRetryBase time.Duration
 	// Obs, when set, registers the log's instruments centrally and traces
 	// physical force rounds (log_submit/log_complete events).
 	Obs *obs.Obs
@@ -104,12 +107,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.BlockSize == 0 {
 		c.BlockSize = 4096
-	}
-	if c.ForceRetryLimit == 0 {
-		c.ForceRetryLimit = 3
-	}
-	if c.ForceRetryBase == 0 {
-		c.ForceRetryBase = time.Millisecond
 	}
 }
 
@@ -458,13 +455,13 @@ func (l *Log) physicalForce(p *sim.Proc) error {
 // reaches the committer, which classifies it for its client. The %w chain
 // preserves the disk sentinel the whole way up.
 func (l *Log) writeBlock(p *sim.Proc, seq uint64, data []byte) error {
-	delay := l.cfg.ForceRetryBase
+	delay := forceRetryBase
 	for attempt := 1; ; attempt++ {
 		err := l.dev.Write(p, l.blockLBA(seq), data, true)
 		if err == nil {
 			return nil
 		}
-		if !disk.IsTransient(err) || attempt >= l.cfg.ForceRetryLimit {
+		if !disk.IsTransient(err) || attempt >= forceRetryLimit {
 			l.stats.ForceErrors.Inc()
 			return err
 		}

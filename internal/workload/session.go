@@ -67,20 +67,25 @@ func (d *Directory) noteSuccess(gen int, at time.Duration) {
 	}
 }
 
-// SessionConfig parameterises a failover-aware client pool.
+// How a session rides out a leader change. The failover campaigns measure
+// the takeover window these produce; none of them varies it.
+const (
+	// sessionOpTimeout bounds one attempt against the current leader before
+	// the session abandons it and re-consults the directory.
+	sessionOpTimeout = 150 * time.Millisecond
+	// sessionMaxAttempts bounds attempts (timeouts, redirects, retries) per
+	// operation before it counts as aborted.
+	sessionMaxAttempts = 60
+	// sessionRetryBackoff is the pause between attempts while the cluster
+	// has no reachable leader.
+	sessionRetryBackoff = 20 * time.Millisecond
+)
+
+// SessionConfig parameterises a failover-aware client pool. Every operation
+// counts: there is no warm-up.
 type SessionConfig struct {
 	Clients  int           // default 1
 	Duration time.Duration // virtual time; default 10s
-	Warmup   time.Duration // excluded from stats; default 0
-	// OpTimeout bounds one attempt against the current leader before the
-	// session abandons it and re-consults the directory; default 150ms.
-	OpTimeout time.Duration
-	// MaxAttempts bounds attempts (timeouts, redirects, retries) per
-	// operation before it counts as aborted; default 60.
-	MaxAttempts int
-	// RetryBackoff is the pause between attempts while the cluster has no
-	// reachable leader; default 20ms.
-	RetryBackoff time.Duration
 	// Journal, if non-nil, records acked obligations for the audit.
 	Journal *Journal
 	// Reg hosts the ha.redirects counter; Trace carries EvRedirect marks.
@@ -94,15 +99,6 @@ func (c *SessionConfig) applyDefaults() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.OpTimeout == 0 {
-		c.OpTimeout = 150 * time.Millisecond
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 60
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 20 * time.Millisecond
 	}
 }
 
@@ -119,8 +115,8 @@ func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) Run
 	s := p.Sim()
 	res := RunResult{TxnLatency: metrics.NewHistogram(w.Name() + ".session.txn")}
 	redirects := cfg.Reg.Counter("ha.redirects")
-	measureStart := s.Now().Add(cfg.Warmup)
-	deadline := measureStart.Add(cfg.Duration)
+	begin := s.Now()
+	deadline := begin.Add(cfg.Duration)
 	done := s.NewEvent(w.Name() + ".sessions.done")
 	running := cfg.Clients
 
@@ -137,29 +133,21 @@ func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) Run
 			}()
 			for cp.Now() < deadline {
 				start := cp.Now()
-				err := sess.do(cp)
-				measured := start >= measureStart
-				if err != nil {
-					if measured {
-						res.Aborted++
-					}
+				if err := sess.do(cp); err != nil {
+					res.Aborted++
 					continue
 				}
-				if measured {
-					res.Committed++
-					res.TxnLatency.Observe(cp.Now().Sub(start))
-				}
+				res.Committed++
+				res.TxnLatency.Observe(cp.Now().Sub(start))
 			}
 		})
 	}
-	done.WaitTimeout(p, cfg.Warmup+cfg.Duration+time.Minute)
+	done.WaitTimeout(p, cfg.Duration+time.Minute)
 	end := s.Now()
 	if end > deadline {
 		end = deadline
 	}
-	if end > measureStart {
-		res.Duration = end.Sub(measureStart)
-	}
+	res.Duration = end.Sub(begin)
 	return res
 }
 
@@ -174,17 +162,17 @@ type session struct {
 	gen       int // last generation this session talked to
 }
 
-// do runs one operation to completion or MaxAttempts.
+// do runs one operation to completion or sessionMaxAttempts.
 func (se *session) do(cp *sim.Proc) error {
 	s := cp.Sim()
 	var lastErr error
-	for attempt := 0; attempt < se.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < sessionMaxAttempts; attempt++ {
 		ld := se.dir.Leader()
 		if ld.Eng == nil || ld.Dom == nil || ld.Dom.Dead() {
 			// No reachable leader: the unavailability window as a client
 			// experiences it. Back off and re-consult the directory.
 			lastErr = fmt.Errorf("session: no reachable leader (gen %d)", ld.Gen)
-			cp.Sleep(se.cfg.RetryBackoff)
+			cp.Sleep(sessionRetryBackoff)
 			continue
 		}
 		if ld.Gen != se.gen {
@@ -205,11 +193,11 @@ func (se *session) do(cp *sim.Proc) error {
 			opErr = DoAs(wp, ld.Eng, se.w, se.cfg.Journal, se.client)
 			opDone.Fire()
 		})
-		opDone.WaitTimeout(cp, se.cfg.OpTimeout)
+		opDone.WaitTimeout(cp, sessionOpTimeout)
 		if !opDone.Fired() {
 			worker.Kill()
 			lastErr = fmt.Errorf("session: op timeout against %s (gen %d)", ld.Name, ld.Gen)
-			cp.Sleep(se.cfg.RetryBackoff)
+			cp.Sleep(sessionRetryBackoff)
 			continue
 		}
 		if opErr == nil {
@@ -224,7 +212,7 @@ func (se *session) do(cp *sim.Proc) error {
 		}
 		// Anything else — the engine died under us, I/O failed — is worth
 		// a directory re-read after a backoff.
-		cp.Sleep(se.cfg.RetryBackoff)
+		cp.Sleep(sessionRetryBackoff)
 	}
 	return lastErr
 }

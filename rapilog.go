@@ -47,8 +47,12 @@ import (
 
 // Deployment assembly.
 type (
-	// Config parameterises a deployment (mode, disk, PSU, engine
-	// personality, RapiLog buffer policy).
+	// Config parameterises a deployment with what some experiment, campaign
+	// or test varies: mode, engine personality, disk kind, log-device
+	// placement (LogDiskKind), PSU, cores, the RapiLog buffer policy, fault
+	// wrappers, replication policy and link, sharding, tracing. What the
+	// device models and protocols are calibrated to is not configurable:
+	// those are package constants (DESIGN.md §2).
 	Config = rig.Config
 	// Deployment is an assembled simulated machine + platform + engine
 	// stack.
@@ -227,8 +231,6 @@ type (
 	// histograms, causal-chain completeness, the commit critical path, and
 	// the fault/repair timeline.
 	TraceAnalysis = obs.Analysis
-	// CampaignArtifacts is a fault campaign's retained forensic capture.
-	CampaignArtifacts = faultinject.Artifacts
 )
 
 // Monitor policy kinds (obs mirrors core's ack-policy kinds so traces can
