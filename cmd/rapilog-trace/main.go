@@ -195,10 +195,8 @@ func runCheck(dump rapilog.TraceDump, a *rapilog.TraceAnalysis, policy string, q
 		}
 	case "local":
 		cfg.Policy = rapilog.PolicyLocal
-	case "quorum":
+	case "quorum", "remote-only", "remote":
 		cfg.Policy = rapilog.PolicyQuorum
-	case "remote-only", "remote":
-		cfg.Policy = rapilog.PolicyRemoteOnly
 	default:
 		fmt.Fprintf(os.Stderr, "rapilog-trace: unknown -check-policy %q\n", policy)
 		return false

@@ -36,7 +36,7 @@ func runE10(opts Options) (*Report, error) {
 			return disk.NewHDD(s, hw, disk.HDDConfig{Name: "hddc", WriteCache: true})
 		}},
 		{"ssd", func(s *sim.Sim, hw *sim.Domain) disk.Device {
-			return disk.NewSSD(s, hw, disk.SSDConfig{})
+			return disk.NewSSD(s, disk.SSDConfig{})
 		}},
 	}
 	patterns := []string{"rand-sync-4k", "seq-sync-4k", "seq-stream-256k"}

@@ -86,7 +86,7 @@ func runE5(opts Options) (*Report, error) {
 			case rig.DiskHDD:
 				dev = disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 			case rig.DiskSSD:
-				dev = disk.NewSSD(s, m.HardwareDomain(), disk.SSDConfig{})
+				dev = disk.NewSSD(s, disk.SSDConfig{})
 			}
 			zone, err := disk.NewPartition(dev, "dump", 0, 131072)
 			if err != nil {

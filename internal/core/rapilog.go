@@ -48,6 +48,10 @@ var (
 // Calibration constants of the buffered-write path and its drain: no
 // experiment, campaign or test varies them, so they are not Config fields.
 const (
+	// deviceName names the log device, its instruments ("rapilog.writes")
+	// and its processes; a sharded machine tells its loggers apart by
+	// registry prefix, not by name.
+	deviceName = "rapilog"
 	// drainBatch is the max entries coalesced per drain round.
 	drainBatch = 64
 	// copyBandwidth models the hypervisor's buffer copy, bytes/s (5 GB/s).
@@ -104,7 +108,6 @@ func (s State) String() string {
 
 // Config parameterises a Logger.
 type Config struct {
-	Name string
 	// MaxBuffer bounds buffered-but-not-yet-on-disk bytes. Zero selects
 	// SafeBufferSize for the machine's PSU and the dump device.
 	MaxBuffer int64
@@ -133,9 +136,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "rapilog"
-	}
 	if c.DrainRetryLimit == 0 {
 		c.DrainRetryLimit = 6
 	}
@@ -226,14 +226,15 @@ type Logger struct {
 	buffered  int64            // bytes buffered; bounded by cfg.MaxBuffer
 	spaceSig  *sim.Signal      // broadcast when buffered shrinks or the mode changes
 	pending   []*entry         // FIFO, including the batch being drained
-	draining  int              // entries at the head currently being drained
 	absorb    map[int64]*entry // pending (not draining) entries by lba, for write absorption
 	dirtySig  *sim.Signal
 	degraded  bool
 	emergency bool
-	never     *sim.Event  // parked on by writers after emergency starts
-	ioBusy    bool        // a logger-initiated backing write is in flight
-	ioSig     *sim.Signal // broadcast when ioBusy clears
+	never     *sim.Event // parked on by writers after emergency starts
+	// io (one unit) serialises logger-initiated backing writes: the degraded
+	// pass-through path and the probe drain must not interleave, or a stale
+	// coalesced batch could land after (and over) a newer synchronous write.
+	io *sim.Resource
 
 	// This logger's own emergency-dump outcome. Stats' DumpRetries and
 	// DumpFailures count the same events, but the registry hands every
@@ -339,13 +340,13 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 		s:        s,
 		backing:  backing,
 		dump:     dumpZone,
-		stats:    newStats(cfg.Obs.Registry(), cfg.Name),
+		stats:    newStats(cfg.Obs.Registry(), deviceName),
 		absorb:   make(map[int64]*entry),
 		bufPool:  make(map[int][][]byte),
-		dirtySig: s.NewSignal(cfg.Name + ".dirty"),
-		spaceSig: s.NewSignal(cfg.Name + ".space"),
-		ioSig:    s.NewSignal(cfg.Name + ".io"),
-		never:    s.NewEvent(cfg.Name + ".halted"),
+		dirtySig: s.NewSignal(deviceName + ".dirty"),
+		spaceSig: s.NewSignal(deviceName + ".space"),
+		io:       s.NewResource(deviceName+".io", 1),
+		never:    s.NewEvent(deviceName + ".halted"),
 	}
 	// The registry hands back the same instruments across logger rebuilds
 	// (a new power epoch reuses the names); the point-in-time gauges must
@@ -430,7 +431,7 @@ func (l *Logger) State() State {
 func (l *Logger) IsDegraded() bool { return l.degraded }
 
 // Name implements disk.Device.
-func (l *Logger) Name() string { return l.cfg.Name }
+func (l *Logger) Name() string { return deviceName }
 
 // SectorSize implements disk.Device.
 func (l *Logger) SectorSize() int { return l.backing.SectorSize() }
@@ -551,9 +552,7 @@ func (l *Logger) passthroughWrite(p *sim.Proc, lba int64, data []byte) error {
 	// write below is synchronously durable on local media before the ack.
 	l.ship(lba, data, 0)
 	l.patchPending(lba, data)
-	l.acquireIO(p)
 	err := l.writeBackingRetry(p, lba, data)
-	l.releaseIO()
 	if errors.Is(err, errHalted) {
 		l.never.Wait(p)
 	}
@@ -588,27 +587,17 @@ func (l *Logger) patchPending(lba int64, data []byte) {
 	}
 }
 
-// acquireIO serialises logger-initiated backing writes: the degraded
-// pass-through path and the probe drain must not interleave, or a stale
-// coalesced batch could land after (and over) a newer synchronous write.
-func (l *Logger) acquireIO(p *sim.Proc) {
-	for l.ioBusy {
-		l.ioSig.Wait(p)
-	}
-	l.ioBusy = true
-}
-
-func (l *Logger) releaseIO() {
-	l.ioBusy = false
-	l.ioSig.Broadcast()
-}
-
-// writeBackingRetry writes one FUA request to the backing device, riding
-// out transient media errors with bounded exponential backoff on virtual
-// time. It returns nil on success, errHalted when the machine is dying
-// (power loss or the emergency already declared), or the final classified
-// error once the retry budget is spent.
+// writeBackingRetry writes one FUA request to the backing device under the
+// logger's I/O lock, riding out transient media errors with bounded
+// exponential backoff on virtual time. It returns nil on success, errHalted
+// when the machine is dying (power loss or the emergency already declared),
+// or the final classified error once the retry budget is spent. The lock is
+// released as the caller unwinds too: a guest killed inside its pass-through
+// write leaves an unacknowledged write that may still have landed, never a
+// held lock in front of the drainer.
 func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
+	l.io.Acquire(p, 1)
+	defer l.io.Release(1)
 	delay := l.cfg.DrainRetryBase
 	for attempt := 1; ; attempt++ {
 		err := l.backing.Write(p, lba, data, true)
@@ -687,7 +676,7 @@ func (l *Logger) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 // at a gentle cadence, and restores buffered service the moment the
 // backlog finally lands.
 func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
-	l.s.Spawn(hvDom, l.cfg.Name+".drain", func(p *sim.Proc) {
+	l.s.Spawn(hvDom, deviceName+".drain", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		for {
 			if l.emergency {
@@ -727,7 +716,6 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 	if batch > drainBatch {
 		batch = drainBatch
 	}
-	l.draining = batch
 	// Entries entering the drain can no longer be absorbed into.
 	batchBytes := int64(0)
 	for _, e := range l.pending[:batch] {
@@ -752,18 +740,13 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 			j++
 		}
 		l.scratch = data[:0]
-		l.acquireIO(p)
-		err := l.writeBackingRetry(p, l.pending[i].lba, data)
-		l.releaseIO()
-		if err != nil {
-			l.draining = 0
+		if err := l.writeBackingRetry(p, l.pending[i].lba, data); err != nil {
 			return err
 		}
 		if l.emergency {
 			// The power-fail interrupt fired during the write and
 			// snapshotted pending — the dump owns those buffers now;
 			// retiring them here would recycle live memory.
-			l.draining = 0
 			return errHalted
 		}
 		for _, e := range l.pending[i:j] {
@@ -784,7 +767,6 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 		l.pending[k] = nil
 	}
 	l.pending = l.pending[:rest]
-	l.draining = 0
 	l.buffered -= drained
 	l.stats.Occupancy.Add(-drained)
 	l.stats.DrainRounds.Inc()
@@ -803,7 +785,7 @@ func (l *Logger) degrade(p *sim.Proc, cause error) {
 	l.stats.Degraded.Set(1)
 	l.tracer().Emit(p.Now().Duration(), obs.EvDegraded, 0, 0, int64(len(l.pending)), l.buffered)
 	l.s.Tracef("%s: degraded to pass-through after retries exhausted (%d entries, %d bytes stranded): %v",
-		l.cfg.Name, len(l.pending), l.buffered, cause)
+		deviceName, len(l.pending), l.buffered, cause)
 	// Throttled writers must not wait for space that will never free at
 	// buffered speed; wake them into the pass-through path.
 	l.spaceSig.Broadcast()
@@ -816,7 +798,7 @@ func (l *Logger) restore(p *sim.Proc) {
 	l.stats.Restores.Inc()
 	l.stats.Degraded.Set(0)
 	l.tracer().Emit(p.Now().Duration(), obs.EvRestored, 0, 0, 0, 0)
-	l.s.Tracef("%s: backlog drained, restored to buffered operation", l.cfg.Name)
+	l.s.Tracef("%s: backlog drained, restored to buffered operation", deviceName)
 	l.spaceSig.Broadcast()
 }
 
@@ -853,12 +835,12 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		// already held by K standbys, and boot-time recovery replays from
 		// them. Writing a dump here would just burn hold-up budget.
 		l.s.Tracef("%s: emergency flush: remote-only policy, dump skipped (%d entries held by replicas)",
-			l.cfg.Name, len(snapshot))
+			deviceName, len(snapshot))
 		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
 		return
 	}
 	if len(snapshot) == 0 {
-		l.s.Tracef("%s: emergency flush: buffer empty", l.cfg.Name)
+		l.s.Tracef("%s: emergency flush: buffer empty", deviceName)
 		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
 		return
 	}
@@ -892,7 +874,7 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		off += entHeadLen
 		off += copy(image[off:], e.data)
 	}
-	l.s.Tracef("%s: emergency flush: dumping %d entries (%d bytes)", l.cfg.Name, len(snapshot), payloadLen)
+	l.s.Tracef("%s: emergency flush: dumping %d entries (%d bytes)", deviceName, len(snapshot), payloadLen)
 	// Retry transient dump-zone errors within the remaining hold-up budget:
 	// the retry delay is tiny against the milliseconds the budget holds,
 	// and the race is physical anyway — DC loss kills this process
@@ -909,7 +891,7 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		if !disk.IsTransient(err) || attempt >= maxDumpAttempts {
 			l.dumpFailures++
 			l.stats.DumpFailures.Inc()
-			l.s.Tracef("%s: emergency dump failed after %d attempts: %v", l.cfg.Name, attempt, err)
+			l.s.Tracef("%s: emergency dump failed after %d attempts: %v", deviceName, attempt, err)
 			return
 		}
 		l.dumpRetries++
@@ -918,7 +900,7 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 	}
 	l.stats.DumpedBytes.Add(int64(payloadLen))
 	l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, int64(len(snapshot)), int64(payloadLen))
-	l.s.Tracef("%s: emergency flush complete at %v", l.cfg.Name, p.Now())
+	l.s.Tracef("%s: emergency flush complete at %v", deviceName, p.Now())
 }
 
 // RecoveryReport summarises what Recover replayed. DumpRetries and

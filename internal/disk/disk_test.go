@@ -324,7 +324,7 @@ func TestHDDCacheBoundProperty(t *testing.T) {
 
 func TestSSDRoundTripAndLatency(t *testing.T) {
 	s := sim.New(1)
-	d := NewSSD(s, s.NewDomain("hw"), SSDConfig{})
+	d := NewSSD(s, SSDConfig{})
 	var got []byte
 	var wLat time.Duration
 	s.Spawn(nil, "io", func(p *sim.Proc) {
@@ -343,43 +343,6 @@ func TestSSDRoundTripAndLatency(t *testing.T) {
 	}
 	if wLat < ssdProgramLatency || wLat > 5*ssdProgramLatency {
 		t.Fatalf("page write latency %v, want ~%v", wLat, ssdProgramLatency)
-	}
-}
-
-func TestSSDVolatileBufferLostOnPowerFail(t *testing.T) {
-	s := sim.New(1)
-	hw := s.NewDomain("hw")
-	hw2 := s.NewDomain("hw2")
-	d := NewSSD(s, hw, SSDConfig{VolatileBuffer: true})
-	var got []byte
-	s.Spawn(nil, "io", func(p *sim.Proc) {
-		_ = d.Write(p, 0, fill(4096, 0x77), false)
-		d.PowerFail()
-		d.PowerOn(hw2)
-		got, _ = d.Read(p, 0, 8)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, 4096)) {
-		t.Fatal("volatile SSD buffer survived power failure")
-	}
-}
-
-func TestSSDBufferedReadCoherence(t *testing.T) {
-	s := sim.New(1)
-	d := NewSSD(s, s.NewDomain("hw"), SSDConfig{VolatileBuffer: true})
-	var got []byte
-	s.Spawn(nil, "io", func(p *sim.Proc) {
-		_ = d.Write(p, 3, fill(512, 0x99), false) // partial page, buffered
-		got, _ = d.Read(p, 3, 1)
-		_ = d.Flush(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fill(512, 0x99)) {
-		t.Fatal("read did not observe buffered write")
 	}
 }
 

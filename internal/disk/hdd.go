@@ -67,7 +67,7 @@ type HDD struct {
 	stats   *Stats
 	powered bool
 
-	arm       *sim.Mutex // serialises head usage
+	arm       *sim.Resource // one unit: serialises head usage
 	curCyl    int
 	rotPeriod time.Duration
 	perSector time.Duration
@@ -97,7 +97,7 @@ func NewHDD(s *sim.Sim, dom *sim.Domain, cfg HDDConfig) *HDD {
 		med:       newMedia(),
 		stats:     newStats(cfg.Reg, cfg.Name),
 		powered:   true,
-		arm:       s.NewMutex(cfg.Name + ".arm"),
+		arm:       s.NewResource(cfg.Name+".arm", 1),
 		rotPeriod: time.Duration(float64(time.Minute) / float64(cfg.RPM)),
 	}
 	d.perSector = d.rotPeriod / time.Duration(cfg.SectorsPerTrack)
@@ -168,11 +168,13 @@ func (d *HDD) rotationalDelay(lba int64) time.Duration {
 	return time.Duration(frac * float64(d.rotPeriod))
 }
 
-// mechanicalIO performs a media access with the arm held: position, then
+// mechanicalIO takes the arm and performs a media access: position, then
 // stream chunk by chunk, committing each chunk (for writes) as it passes
-// under the head. A kill mid-stream leaves the committed prefix: a torn
-// write.
+// under the head. A kill mid-stream leaves the committed prefix — a torn
+// write — and frees the arm.
 func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte {
+	d.arm.Acquire(p, 1)
+	defer d.arm.Release(1)
 	epoch := d.epoch
 	done := false
 	if data != nil {
@@ -250,11 +252,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 			out = append(out, d.cache[lba+int64(i)].data...)
 		}
 	} else {
-		d.arm.Lock(p)
-		func() {
-			defer d.arm.Unlock(p)
-			out = d.mechanicalIO(p, lba, nsec, nil)
-		}()
+		out = d.mechanicalIO(p, lba, nsec, nil)
 		// Overlay any sectors that are newer in the cache.
 		for i := 0; i < nsec; i++ {
 			if e, ok := d.cache[lba+int64(i)]; ok {
@@ -329,11 +327,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		}
 		d.cacheSpace.Release(released)
 	}
-	d.arm.Lock(p)
-	func() {
-		defer d.arm.Unlock(p)
-		d.mechanicalIO(p, lba, nsec, data)
-	}()
+	d.mechanicalIO(p, lba, nsec, data)
 	d.stats.WriteLatency.Observe(p.Now().Sub(start))
 	return nil
 }
@@ -376,11 +370,7 @@ func (d *HDD) spawnDrainer(dom *sim.Domain) {
 			for _, lba := range lbas {
 				data = append(data, snap[lba].data...)
 			}
-			d.arm.Lock(p)
-			func() {
-				defer d.arm.Unlock(p)
-				d.mechanicalIO(p, lbas[0], len(lbas), data)
-			}()
+			d.mechanicalIO(p, lbas[0], len(lbas), data)
 			// Retire sectors not rewritten while we were draining.
 			released := int64(0)
 			for _, lba := range lbas {

@@ -22,8 +22,6 @@ const (
 	ssdChannels = 4
 	// ssdBandwidth caps the bus in bytes/s (250 MB/s).
 	ssdBandwidth = 250e6
-	// ssdBufferPages is the volatile write buffer's capacity.
-	ssdBufferPages = 256
 )
 
 // SSDConfig parameterises the flash-device model.
@@ -31,17 +29,13 @@ type SSDConfig struct {
 	Name string // default "ssd"
 	// Reg, when set, registers the device's instruments centrally.
 	Reg *obs.Registry
-	// VolatileBuffer, if set, makes non-FUA writes complete after only the
-	// bus transfer, with the page program happening in the background —
-	// contents are lost on power failure. Off by default ("enterprise"
-	// flash with power-loss capacitors).
-	VolatileBuffer bool
 }
 
-// SSD models a flash device: per-page program/read latency, channel
-// parallelism, and an optional volatile write buffer. There is no seek or
-// rotation; the RapiLog gains shrink on flash but the buffer-ack path is
-// still faster than a page program, so the effect survives (ablation A2).
+// SSD models a flash device with power-loss capacitors ("enterprise"
+// flash): per-page program/read latency and channel parallelism, nothing
+// volatile. There is no seek or rotation; the RapiLog gains shrink on flash
+// but the buffer-ack path is still faster than a page program, so the effect
+// survives (ablation A2).
 type SSD struct {
 	cfg      SSDConfig
 	s        *sim.Sim
@@ -49,22 +43,15 @@ type SSD struct {
 	stats    *Stats
 	powered  bool
 	channels *sim.Resource
-
-	buf      map[int64]*cacheEntry // volatile buffer, by page index
-	bufGen   uint64
-	epoch    int // bumped on power failure; stale drainers retire
-	bufSpace *sim.Resource
-	dirtySig *sim.Signal
-	drainSig *sim.Signal
+	epoch    int // bumped on power failure; a program in flight stops at its prefix
 }
 
-// NewSSD creates a powered-on SSD; background buffer drain (if enabled)
-// runs in dom.
-func NewSSD(s *sim.Sim, dom *sim.Domain, cfg SSDConfig) *SSD {
+// NewSSD creates a powered-on SSD.
+func NewSSD(s *sim.Sim, cfg SSDConfig) *SSD {
 	if cfg.Name == "" {
 		cfg.Name = "ssd"
 	}
-	d := &SSD{
+	return &SSD{
 		cfg:      cfg,
 		s:        s,
 		med:      newMedia(),
@@ -72,18 +59,6 @@ func NewSSD(s *sim.Sim, dom *sim.Domain, cfg SSDConfig) *SSD {
 		powered:  true,
 		channels: s.NewResource(cfg.Name+".chan", ssdChannels),
 	}
-	d.resetBuffer()
-	if cfg.VolatileBuffer {
-		d.spawnDrainer(dom)
-	}
-	return d
-}
-
-func (d *SSD) resetBuffer() {
-	d.buf = make(map[int64]*cacheEntry)
-	d.bufSpace = d.s.NewResource(d.cfg.Name+".buf", ssdBufferPages)
-	d.dirtySig = d.s.NewSignal(d.cfg.Name + ".dirty")
-	d.drainSig = d.s.NewSignal(d.cfg.Name + ".drained")
 }
 
 // Name implements Device.
@@ -145,14 +120,6 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		p.Sleep(time.Duration(d.pages(lba, nsec))*ssdReadLatency + d.busTime(nsec))
 	}()
 	out := d.med.readSectors(lba, nsec)
-	// Overlay buffered pages.
-	for i := 0; i < nsec; i++ {
-		page := d.pageOf(lba + int64(i))
-		if e, ok := d.buf[page]; ok {
-			off := (lba + int64(i)) - page*ssdPageSectors
-			copy(out[i*sectorSize:(i+1)*sectorSize], e.data[off*sectorSize:])
-		}
-	}
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
 	return out, nil
@@ -169,59 +136,9 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	}
 	start := p.Now()
 	d.stats.Writes.Inc()
-
-	if d.cfg.VolatileBuffer && !fua && d.pages(lba, nsec) <= ssdBufferPages {
-		d.writeToBuffer(p, lba, data, nsec)
-		d.stats.CacheHits.Inc()
-		d.stats.WriteLatency.Observe(p.Now().Sub(start))
-		return nil
-	}
-
 	d.programPages(p, lba, data, nsec)
 	d.stats.WriteLatency.Observe(p.Now().Sub(start))
 	return nil
-}
-
-// writeToBuffer absorbs a write into the volatile buffer at bus speed,
-// read-modify-writing partial pages from media.
-func (d *SSD) writeToBuffer(p *sim.Proc, lba int64, data []byte, nsec int) {
-	firstPage := d.pageOf(lba)
-	lastPage := d.pageOf(lba + int64(nsec) - 1)
-	// Atomic count-and-claim: blocking between the count and the claim
-	// would let the drainer retire overlapping pages and skew the
-	// accounting (see the HDD cache for the same pattern).
-	for {
-		newPages := int64(0)
-		for pg := firstPage; pg <= lastPage; pg++ {
-			if _, ok := d.buf[pg]; !ok {
-				newPages++
-			}
-		}
-		if d.bufSpace.TryAcquire(p, newPages) {
-			break
-		}
-		d.dirtySig.Broadcast()
-		d.drainSig.Wait(p)
-	}
-	d.bufGen++
-	for pg := firstPage; pg <= lastPage; pg++ {
-		e, ok := d.buf[pg]
-		if !ok {
-			e = &cacheEntry{data: d.med.readSectors(pg*ssdPageSectors, ssdPageSectors)}
-			d.buf[pg] = e
-		}
-		e.gen = d.bufGen
-		// Copy the overlapping sectors of this write into the page image.
-		pageStart := pg * ssdPageSectors
-		for i := 0; i < nsec; i++ {
-			sec := lba + int64(i)
-			if sec >= pageStart && sec < pageStart+ssdPageSectors {
-				copy(e.data[(sec-pageStart)*sectorSize:], data[int64(i)*sectorSize:(int64(i)+1)*sectorSize])
-			}
-		}
-	}
-	p.Sleep(d.busTime(nsec))
-	d.dirtySig.Broadcast()
 }
 
 // programPages streams data to flash. Large requests stripe across the
@@ -266,80 +183,33 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 	done = true
 }
 
-// Flush implements Device.
+// Flush implements Device: nothing is volatile, so there is nothing to wait
+// for.
 func (d *SSD) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower
 	}
 	d.stats.Flushes.Inc()
-	if !d.cfg.VolatileBuffer {
-		return nil
-	}
-	d.dirtySig.Broadcast()
-	for len(d.buf) > 0 {
-		d.drainSig.Wait(p)
-	}
 	return nil
-}
-
-func (d *SSD) spawnDrainer(dom *sim.Domain) {
-	epoch := d.epoch
-	d.s.Spawn(dom, d.cfg.Name+".drain", func(p *sim.Proc) {
-		p.SetDaemon(true)
-		for {
-			if d.epoch != epoch {
-				return
-			}
-			if len(d.buf) == 0 {
-				d.dirtySig.Wait(p)
-				continue
-			}
-			// Drain the lowest-indexed buffered page.
-			var page int64 = -1
-			for pg := range d.buf {
-				if page < 0 || pg < page {
-					page = pg
-				}
-			}
-			e := d.buf[page]
-			snapGen := e.gen
-			snap := make([]byte, len(e.data))
-			copy(snap, e.data)
-			d.programPages(p, page*ssdPageSectors, snap, ssdPageSectors)
-			if cur, ok := d.buf[page]; ok && cur.gen == snapGen {
-				delete(d.buf, page)
-				d.bufSpace.Release(1)
-			}
-			d.drainSig.Broadcast()
-		}
-	})
 }
 
 // PowerFail implements PowerAware.
 func (d *SSD) PowerFail() {
 	d.powered = false
-	if n := len(d.buf); n > 0 {
-		d.s.Tracef("%s: power fail: %d buffered pages lost", d.cfg.Name, n)
-	}
-	d.buf = nil
 	d.epoch++
 }
 
 // PowerOn implements PowerAware.
-func (d *SSD) PowerOn(dom *sim.Domain) {
+func (d *SSD) PowerOn(*sim.Domain) {
 	if d.powered {
 		return
 	}
 	d.powered = true
 	d.channels = d.s.NewResource(d.cfg.Name+".chan", ssdChannels)
-	d.resetBuffer()
-	if d.cfg.VolatileBuffer {
-		d.spawnDrainer(dom)
-	}
 }
 
 // String describes the device.
 func (d *SSD) String() string {
-	return fmt.Sprintf("%s: %.0f MB/s seq, %s program, %d channels, volatile-buffer=%v",
-		d.cfg.Name, d.SeqWriteBandwidth()/1e6, ssdProgramLatency, ssdChannels, d.cfg.VolatileBuffer)
+	return fmt.Sprintf("%s: %.0f MB/s seq, %s program, %d channels",
+		d.cfg.Name, d.SeqWriteBandwidth()/1e6, ssdProgramLatency, ssdChannels)
 }

@@ -60,9 +60,6 @@ func (e *Engine) Begin(p *sim.Proc) *Tx {
 	return t
 }
 
-// ID returns the transaction id.
-func (t *Tx) ID() uint64 { return t.id }
-
 func (t *Tx) lock(key string, mode LockMode) error {
 	fresh, err := t.e.locks.acquire(t.p, t.id, key, mode)
 	if fresh {

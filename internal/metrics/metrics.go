@@ -1,6 +1,6 @@
 // Package metrics provides the measurement plumbing shared by the RapiLog
-// simulation: latency histograms with percentile queries, counters, and
-// windowed throughput series. All values are plain numbers over virtual
+// simulation: latency histograms with percentile queries, counters and
+// gauges. All values are plain numbers over virtual
 // time; nothing here is concurrency-safe because the simulation kernel runs
 // one process at a time.
 package metrics
@@ -256,47 +256,6 @@ func (g *Gauge) Value() int64 { return g.value }
 
 // Peak returns the high-water mark.
 func (g *Gauge) Peak() int64 { return g.peak }
-
-// Series accumulates (time, value) points, e.g. throughput per window.
-type Series struct {
-	name   string
-	points []Point
-}
-
-// Point is one sample in a Series.
-type Point struct {
-	At    time.Duration // virtual time since simulation start
-	Value float64
-}
-
-// NewSeries creates an empty series.
-func NewSeries(name string) *Series { return &Series{name: name} }
-
-// Name returns the series' name.
-func (s *Series) Name() string { return s.name }
-
-// Append adds a point. Points must be appended in time order.
-func (s *Series) Append(at time.Duration, v float64) {
-	if n := len(s.points); n > 0 && at < s.points[n-1].At {
-		panic("metrics: Series.Append out of order")
-	}
-	s.points = append(s.points, Point{At: at, Value: v})
-}
-
-// Points returns the accumulated points (not a copy).
-func (s *Series) Points() []Point { return s.points }
-
-// Mean returns the mean of the point values, or zero if empty.
-func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.points))
-}
 
 // Table formats aligned columnar output for experiment reports. Columns are
 // right-aligned except the first.

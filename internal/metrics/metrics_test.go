@@ -162,17 +162,6 @@ func TestBucketRoundTripRelativeError(t *testing.T) {
 	}
 }
 
-func TestSeriesAppendOutOfOrderPanics(t *testing.T) {
-	s := NewSeries("oo")
-	s.Append(5*time.Second, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on out-of-order Append")
-		}
-	}()
-	s.Append(4*time.Second, 2)
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter("txns")
 	c.Inc()
@@ -215,27 +204,6 @@ func TestGaugePeak(t *testing.T) {
 	g.Set(100)
 	if g.Peak() != 100 {
 		t.Fatalf("Peak after Set = %d", g.Peak())
-	}
-}
-
-func TestSeriesOrderEnforced(t *testing.T) {
-	s := NewSeries("tps")
-	s.Append(time.Second, 100)
-	s.Append(2*time.Second, 200)
-	if got := s.Mean(); got != 150 {
-		t.Fatalf("Mean = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on out-of-order Append")
-		}
-	}()
-	s.Append(time.Second, 50)
-}
-
-func TestSeriesEmptyMean(t *testing.T) {
-	if NewSeries("e").Mean() != 0 {
-		t.Fatal("empty series mean nonzero")
 	}
 }
 

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -510,10 +512,22 @@ const (
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
+// sortedKeys returns m's keys in ascending order, so that an export ranging
+// over a map is a function of the trace and not of Go's map iteration.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // WriteChromeTrace emits the analysis as Chrome trace-event JSON, loadable
 // in Perfetto / chrome://tracing: spans for transactions, forces, buffered
 // entries and ship→quorum windows; instants for faults, repairs and
-// violations; one process row per replica.
+// violations; one process row per replica. The same trace always gives the
+// same bytes: rows go out in label-name order, spans in span-id order.
 func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 	var evs []chromeEvent
 	meta := func(pid int64, name string) {
@@ -533,8 +547,8 @@ func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 		tmeta(chromePidPrimary, tn.tid, tn.name)
 	}
 	replicaPid := func(label int64) int64 { return 100 + label }
-	for n, id := range a.Labels {
-		meta(replicaPid(id), n)
+	for _, n := range sortedKeys(a.Labels) {
+		meta(replicaPid(a.Labels[n]), n)
 	}
 
 	for _, tx := range a.txs {
@@ -550,14 +564,16 @@ func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 			Ts: us(f.submit), Dur: us(f.complete - f.submit),
 			Pid: chromePidPrimary, Tid: chromeTidWal})
 	}
-	for _, en := range a.entries {
+	for _, span := range sortedKeys(a.entries) {
+		en := a.entries[span]
 		if !en.hasDur {
 			continue
 		}
 		evs = append(evs, chromeEvent{Name: "buffered", Ph: "X", Ts: us(en.hvAck),
 			Dur: us(en.durable - en.hvAck), Pid: chromePidPrimary, Tid: chromeTidBuf})
 	}
-	for _, sh := range a.ships {
+	for _, span := range sortedKeys(a.ships) {
+		sh := a.ships[span]
 		end, name := sh.at, fmt.Sprintf("ship#%d", sh.seq)
 		if sh.hasQ {
 			end = sh.quorumAt
@@ -571,9 +587,9 @@ func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 		}
 		evs = append(evs, chromeEvent{Name: name, Ph: "X", Ts: us(sh.at),
 			Dur: us(end - sh.at), Pid: chromePidPrimary, Tid: chromeTidShip})
-		for rep, at := range sh.applies {
+		for _, rep := range sortedKeys(sh.applies) {
 			evs = append(evs, chromeEvent{Name: fmt.Sprintf("apply#%d", sh.seq), Ph: "i",
-				Ts: us(at), Pid: replicaPid(rep), Tid: 1, S: "t"})
+				Ts: us(sh.applies[rep]), Pid: replicaPid(rep), Tid: 1, S: "t"})
 		}
 	}
 	for _, e := range a.events {

@@ -130,13 +130,3 @@ func AuditExposure(events []Event, bound int64, truncated bool) ExposureReport {
 	}
 	return rep
 }
-
-// ExposureSeries converts the report's points into a registry-style series
-// named "rapilog.exposure_bytes" (useful for export alongside metrics).
-func (r ExposureReport) ExposureSeries() *metrics.Series {
-	s := metrics.NewSeries("rapilog.exposure_bytes")
-	for _, p := range r.Points {
-		s.Append(p.At, float64(p.Bytes))
-	}
-	return s
-}

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -17,7 +15,6 @@ type Snapshot struct {
 	Counters   map[string]int64         `json:"counters"`
 	Gauges     map[string]GaugeSnap     `json:"gauges"`
 	Histograms map[string]HistogramSnap `json:"histograms"`
-	Series     map[string][]SeriesPoint `json:"series,omitempty"`
 }
 
 // GaugeSnap is a gauge's level and high-water mark. PeakDelta is only
@@ -42,12 +39,6 @@ type HistogramSnap struct {
 	MaxNs  int64  `json:"max_ns"`
 }
 
-// SeriesPoint is one sample of a series.
-type SeriesPoint struct {
-	AtNs  int64   `json:"at_ns"`
-	Value float64 `json:"value"`
-}
-
 func snapHistogram(h *metrics.Histogram) HistogramSnap {
 	return HistogramSnap{
 		Count:  h.Count(),
@@ -68,7 +59,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]GaugeSnap),
 		Histograms: make(map[string]HistogramSnap),
-		Series:     make(map[string][]SeriesPoint),
 	}
 	if r == nil {
 		return snap
@@ -81,14 +71,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		snap.Histograms[name] = snapHistogram(h)
-	}
-	for name, s := range r.series {
-		pts := s.Points()
-		out := make([]SeriesPoint, len(pts))
-		for i, p := range pts {
-			out[i] = SeriesPoint{AtNs: int64(p.At), Value: p.Value}
-		}
-		snap.Series[name] = out
 	}
 	return snap
 }
@@ -103,8 +85,7 @@ func (r *Registry) Snapshot() Snapshot {
 // during the interval. Histograms report the interval's Count/Sum and
 // the Mean recomputed from those deltas; the order statistics (min,
 // quantiles, max) are whole-run properties with no subtractive form and
-// are zeroed. Series are omitted — they are already time-indexed.
-// Instruments absent from prev (registered mid-interval) diff against
+// are zeroed. Instruments absent from prev (registered mid-interval) diff against
 // zero.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d := Snapshot{
@@ -134,59 +115,8 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	return d
 }
 
-// MarshalJSON emits every section with its keys in sorted order, written
-// explicitly rather than left to the encoder, so snapshot artifacts are
-// byte-stable across runs with the same seed regardless of map iteration
-// or encoder internals.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	writeSection := func(name string, keys []string, value func(string) any) error {
-		if b.Len() > 1 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q:{", name)
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			v, err := json.Marshal(value(k))
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&b, "%q:%s", k, v)
-		}
-		b.WriteByte('}')
-		return nil
-	}
-	if err := writeSection("counters", mapKeys(s.Counters), func(k string) any { return s.Counters[k] }); err != nil {
-		return nil, err
-	}
-	if err := writeSection("gauges", mapKeys(s.Gauges), func(k string) any { return s.Gauges[k] }); err != nil {
-		return nil, err
-	}
-	if err := writeSection("histograms", mapKeys(s.Histograms), func(k string) any { return s.Histograms[k] }); err != nil {
-		return nil, err
-	}
-	if len(s.Series) > 0 {
-		if err := writeSection("series", mapKeys(s.Series), func(k string) any { return s.Series[k] }); err != nil {
-			return nil, err
-		}
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
-}
-
-func mapKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// WriteJSON writes the snapshot as indented JSON.
+// WriteJSON writes the snapshot as indented JSON. encoding/json emits map
+// keys sorted, so the artifact is byte-stable across same-seed runs.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -198,15 +128,10 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // the JSON export, used in run reports.
 func (s Snapshot) LatencyTable() *metrics.Table {
 	table := metrics.NewTable("stage", "n", "mean", "p50", "p95", "p99", "max")
-	names := make([]string, 0, len(s.Histograms))
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	rd := func(ns int64) string {
 		return time.Duration(ns).Round(time.Microsecond).String()
 	}
-	for _, n := range names {
+	for _, n := range sortedKeys(s.Histograms) {
 		h := s.Histograms[n]
 		if h.Count == 0 {
 			continue

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/metrics"
@@ -62,11 +60,10 @@ type PolicyKind int
 const (
 	// PolicyLocal acks on local buffer/flush evidence alone.
 	PolicyLocal PolicyKind = iota
-	// PolicyQuorum additionally requires EvQuorumMet for shipped records.
+	// PolicyQuorum additionally requires EvQuorumMet, from at least QuorumK
+	// standbys, for shipped records. A remote-only deployment is this policy
+	// with the exposure Bound its owner chooses.
 	PolicyQuorum
-	// PolicyRemoteOnly requires quorum evidence but no local-exposure
-	// claim beyond the flush the device reports anyway.
-	PolicyRemoteOnly
 )
 
 // MonitorConfig parameterises a Monitor.
@@ -76,7 +73,9 @@ type MonitorConfig struct {
 	Bound int64
 	// Policy is the ack policy whose evidence InvAckEvidence demands.
 	Policy PolicyKind
-	// QuorumK is the quorum size for PolicyQuorum/PolicyRemoteOnly.
+	// QuorumK is the quorum size PolicyQuorum demands: an EvQuorumMet
+	// mark counts as evidence only if the k it claims (Arg2) is at least
+	// this.
 	QuorumK int
 	// RetainLimit is the shipper's retention bound in bytes; zero disables
 	// the retention check.
@@ -112,13 +111,6 @@ type MonitorReport struct {
 	Total      int            `json:"total_violations"`
 	ByKind     map[string]int `json:"by_invariant,omitempty"`
 	Samples    []Violation    `json:"samples,omitempty"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r MonitorReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Monitor re-checks the system's safety invariants online, consuming the
@@ -273,7 +265,7 @@ func (m *Monitor) Consume(e Event) {
 		}
 
 	case EvQuorumMet:
-		if uint64(e.Arg1) > m.quorumHi {
+		if e.Arg2 >= int64(m.cfg.QuorumK) && uint64(e.Arg1) > m.quorumHi {
 			m.quorumHi = uint64(e.Arg1)
 		}
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -100,6 +101,12 @@ func TestMonitorDetectsAckWithoutQuorumEvidence(t *testing.T) {
 	rep := RunMonitor(events, MonitorConfig{Policy: PolicyQuorum, QuorumK: 1})
 	if rep.ByKind[InvAckEvidence.String()] != 1 {
 		t.Fatalf("quorum-free ack not flagged: %+v", rep)
+	}
+	// So is the clean stream against a stricter policy than its marks
+	// claim: one standby's copy is not a quorum of two.
+	rep = RunMonitor(cleanQuorumStream(), MonitorConfig{Policy: PolicyQuorum, QuorumK: 2})
+	if rep.ByKind[InvAckEvidence.String()] != 1 {
+		t.Fatalf("k=1 quorum mark accepted as evidence for K=2: %+v", rep)
 	}
 }
 
@@ -281,13 +288,13 @@ func TestSnapshotMarshalIsByteStable(t *testing.T) {
 		reg.Histogram("h." + n).Observe(time.Millisecond)
 	}
 	snap := reg.Snapshot()
-	a, err := snap.MarshalJSON()
+	a, err := json.Marshal(snap)
 	if err != nil {
-		t.Fatalf("MarshalJSON: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
-	b, err := snap.MarshalJSON()
+	b, err := json.Marshal(snap)
 	if err != nil {
-		t.Fatalf("MarshalJSON: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("successive marshals differ:\n%s\n%s", a, b)
@@ -300,9 +307,9 @@ func TestSnapshotMarshalIsByteStable(t *testing.T) {
 		reg2.Gauge("g." + n).Set(5)
 		reg2.Histogram("h." + n).Observe(time.Millisecond)
 	}
-	c, err := reg2.Snapshot().MarshalJSON()
+	c, err := json.Marshal(reg2.Snapshot())
 	if err != nil {
-		t.Fatalf("MarshalJSON: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
 	if !bytes.Equal(a, c) {
 		t.Fatalf("registration order changed the bytes:\n%s\n%s", a, c)

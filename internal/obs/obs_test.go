@@ -78,11 +78,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("same name must return the same gauge")
 	}
-	if r.Series("s") != r.Series("s") {
-		t.Fatal("same name must return the same series")
-	}
 	names := r.Names()
-	want := []string{"a", "g", "h", "s"}
+	want := []string{"a", "g", "h"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}
@@ -100,7 +97,6 @@ func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
 	h := r.Histogram("engine.commit.ack_latency")
 	h.Observe(50 * time.Microsecond)
 	h.Observe(70 * time.Microsecond)
-	r.Series("exposure").Append(time.Millisecond, 128)
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -119,9 +115,6 @@ func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
 	hs := decoded.Histograms["engine.commit.ack_latency"]
 	if hs.Count != 2 || hs.MaxNs < hs.P50Ns {
 		t.Fatalf("histogram snap = %+v", hs)
-	}
-	if len(decoded.Series["exposure"]) != 1 || decoded.Series["exposure"][0].Value != 128 {
-		t.Fatalf("series = %v", decoded.Series)
 	}
 }
 
@@ -210,15 +203,6 @@ func TestAuditExposureViolationAndOutstanding(t *testing.T) {
 	}
 }
 
-func TestExposureSeries(t *testing.T) {
-	rep := ExposureReport{Points: []ExposurePoint{{At: 1, Bytes: 10}, {At: 2, Bytes: 0}}}
-	s := rep.ExposureSeries()
-	pts := s.Points()
-	if len(pts) != 2 || pts[0].Value != 10 || pts[1].Value != 0 {
-		t.Fatalf("series points = %v", pts)
-	}
-}
-
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("drained")
@@ -256,8 +240,5 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 	if dh.MinNs != 0 || dh.P99Ns != 0 || dh.MaxNs != 0 {
 		t.Fatal("order statistics must be zeroed in a diff — they have no subtractive form")
-	}
-	if d.Series != nil {
-		t.Fatal("diff must omit series")
 	}
 }

@@ -7,20 +7,19 @@ import (
 )
 
 // Registry is the central owner of a deployment's instruments. Every layer
-// registers its histograms, counters, gauges and series here by
+// registers its histograms, counters and gauges here by
 // hierarchical name — `<instance>.<metric>`, e.g. "engine.commits",
 // "wal.force_latency", "rapilog.ack_latency", "disk0.writes" — instead of
 // holding ad-hoc locals, so one Snapshot call captures the whole stack.
 //
 // Methods are get-or-create: asking twice for the same name returns the
 // same instrument, which is how a rebooted engine keeps accumulating into
-// the same series. A nil *Registry creates unregistered instruments, so
+// the same instruments. A nil *Registry creates unregistered instruments, so
 // code paths built without an Obs bundle keep working unchanged.
 type Registry struct {
 	counters map[string]*metrics.Counter
 	hists    map[string]*metrics.Histogram
 	gauges   map[string]*metrics.Gauge
-	series   map[string]*metrics.Series
 	// prefix is prepended to every name registered through this view; the
 	// root registry's prefix is empty. See Sub.
 	prefix string
@@ -32,7 +31,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*metrics.Counter),
 		hists:    make(map[string]*metrics.Histogram),
 		gauges:   make(map[string]*metrics.Gauge),
-		series:   make(map[string]*metrics.Series),
 	}
 }
 
@@ -49,7 +47,6 @@ func (r *Registry) Sub(prefix string) *Registry {
 		counters: r.counters,
 		hists:    r.hists,
 		gauges:   r.gauges,
-		series:   r.series,
 		prefix:   r.prefix + prefix + ".",
 	}
 }
@@ -99,21 +96,6 @@ func (r *Registry) Gauge(name string) *metrics.Gauge {
 	return g
 }
 
-// Series returns the registered series with the given name, creating it if
-// needed.
-func (r *Registry) Series(name string) *metrics.Series {
-	if r == nil {
-		return metrics.NewSeries(name)
-	}
-	name = r.prefix + name
-	if s, ok := r.series[name]; ok {
-		return s
-	}
-	s := metrics.NewSeries(name)
-	r.series[name] = s
-	return s
-}
-
 // Names returns every registered instrument name, sorted.
 func (r *Registry) Names() []string {
 	if r == nil {
@@ -127,9 +109,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.series {
 		names = append(names, n)
 	}
 	sort.Strings(names)

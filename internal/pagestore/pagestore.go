@@ -117,7 +117,7 @@ type Store struct {
 	// maybeEvict must not walk the pool to find that out.
 	clean int
 	clock uint64
-	stats    *Stats
+	stats *Stats
 	// maxWritten is the highest page id ever written to the device (−1 if
 	// none): pages above it are known fresh and are materialised as zero
 	// pages without a device read, like a real engine extending its file.
@@ -168,9 +168,6 @@ func (st *Store) Stats() *Stats { return st.stats }
 
 // NumPages returns the page capacity of the partition.
 func (st *Store) NumPages() int64 { return st.numPages }
-
-// PageSize returns the configured page size.
-func (st *Store) PageSize() int { return st.cfg.PageSize }
 
 // UsableSize returns the bytes available to the engine per page.
 func (st *Store) UsableSize() int { return st.cfg.PageSize - pageHdrLen }

@@ -112,12 +112,6 @@ func (m *Machine) Sim() *sim.Sim { return m.s }
 // Name returns the machine name.
 func (m *Machine) Name() string { return m.name }
 
-// PSU returns the PSU profile.
-func (m *Machine) PSU() PSUConfig { return m.psu }
-
-// Cores returns the CPU core count.
-func (m *Machine) Cores() int { return m.cores }
-
 // CPU returns the core pool. Callers model computation by acquiring a core
 // and sleeping for the burst length. The pool is recreated on power
 // restore; re-fetch it after a reboot.

@@ -92,7 +92,7 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 			hc.Reg = o.Registry()
 			return disk.NewHDD(s, m.HardwareDomain(), hc), nil
 		case DiskSSD:
-			return disk.NewSSD(s, m.HardwareDomain(), disk.SSDConfig{Name: name, Reg: o.Registry()}), nil
+			return disk.NewSSD(s, disk.SSDConfig{Name: name, Reg: o.Registry()}), nil
 		case DiskMem:
 			return disk.NewMem(s, disk.MemConfig{Name: name, Persistent: true, Capacity: 1 << 22, Reg: o.Registry()}), nil
 		default:

@@ -299,16 +299,13 @@ func (r *Rig) setupVerification() {
 		Reg:   r.Obs.Registry(),
 		Trace: tr,
 	}
-	switch r.Cfg.AckPolicy.Kind {
-	case core.AckKindQuorum:
+	if r.Cfg.AckPolicy.Remote() {
 		mc.Policy, mc.QuorumK = obs.PolicyQuorum, r.Cfg.AckPolicy.K
-	case core.AckKindRemoteOnly:
-		mc.Policy, mc.QuorumK = obs.PolicyRemoteOnly, r.Cfg.AckPolicy.K
+	}
+	if r.Cfg.AckPolicy.Kind == core.AckKindRemoteOnly && r.Logger != nil {
 		// The emergency dump is disabled by design, so exposure is bounded
 		// by the configured buffer alone, not the dumpable window.
-		if r.Logger != nil {
-			mc.Bound = r.Logger.MaxBuffer()
-		}
+		mc.Bound = r.Logger.MaxBuffer()
 	}
 	if r.Cfg.Mode.Replicated() {
 		mc.RetainLimit = replica.DefaultRetainLimit

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -114,6 +115,22 @@ func TestReplicatedCausalChainProperty(t *testing.T) {
 	}
 	if a.Critical.QuorumBarrier.Count() == 0 {
 		t.Fatalf("critical path has no quorum-barrier samples")
+	}
+	// The Perfetto export is a function of the trace: analysed and written
+	// twice, it is the same bytes (it used to follow map iteration order).
+	var first, second bytes.Buffer
+	if err := a.WriteChromeTrace(&first); err != nil {
+		t.Fatal(err)
+	}
+	again, err := obs.Analyze(r.Obs.Tracer().Dump(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := again.WriteChromeTrace(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two Chrome-trace exports of one trace differ (%d and %d bytes)", first.Len(), second.Len())
 	}
 	if r.Monitor == nil {
 		t.Fatalf("traced rig has no monitor")

@@ -80,16 +80,16 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	}
 }
 
-func BenchmarkMutexHandoff(b *testing.B) {
+func BenchmarkResourceHandoff(b *testing.B) {
 	s := New(1)
-	m := s.NewMutex("m")
+	m := s.NewResource("m", 1)
 	for w := 0; w < 2; w++ {
 		iters := b.N / 2
 		s.Spawn(nil, "w", func(p *Proc) {
 			for i := 0; i < iters; i++ {
-				m.Lock(p)
+				m.Acquire(p, 1)
 				p.Yield()
-				m.Unlock(p)
+				m.Release(1)
 			}
 		})
 	}

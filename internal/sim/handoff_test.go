@@ -220,11 +220,11 @@ func TestDeadlockReportDescribesLazyWaits(t *testing.T) {
 	s := New(1)
 	ev := s.NewEvent("never")
 	q := NewQueue[int](s, "ring", 0)
-	m := s.NewMutex("mu")
+	m := s.NewResource("mu", 1)
 	s.Spawn(nil, "a", func(p *Proc) { ev.Wait(p) })
 	s.Spawn(nil, "b", func(p *Proc) { q.Get(p) })
-	s.Spawn(nil, "c", func(p *Proc) { m.Lock(p) }) // exits holding mu
-	s.Spawn(nil, "d", func(p *Proc) { m.Lock(p) })
+	s.Spawn(nil, "c", func(p *Proc) { m.Acquire(p, 1) }) // exits holding mu
+	s.Spawn(nil, "d", func(p *Proc) { m.Acquire(p, 1) })
 	err := s.Run()
 	defer s.Close()
 	de, ok := err.(*DeadlockError)
@@ -232,7 +232,7 @@ func TestDeadlockReportDescribesLazyWaits(t *testing.T) {
 		t.Fatalf("Run returned %v, want a deadlock", err)
 	}
 	got := strings.Join(de.Procs, " ")
-	for _, want := range []string{"a(1) waiting on event:never", "b(2) waiting on queue:ring(get)", "d(4) waiting on mutex:mu"} {
+	for _, want := range []string{"a(1) waiting on event:never", "b(2) waiting on queue:ring(get)", "d(4) waiting on resource:mu"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("deadlock report %q lacks %q", got, want)
 		}

@@ -119,71 +119,61 @@ func TestReviveAllowsRespawn(t *testing.T) {
 	}
 }
 
-func TestKillReleasesMutexViaAbortHook(t *testing.T) {
-	s := New(1)
-	guest := s.NewDomain("guest")
-	m := s.NewMutex("shared")
-	var survivorGotLock bool
-	// Guest proc queues for the mutex, then is killed while waiting.
-	s.Spawn(nil, "holder", func(p *Proc) {
-		m.Lock(p)
-		p.Sleep(ms(10))
-		m.Unlock(p)
-	})
-	s.Spawn(guest, "doomed", func(p *Proc) {
-		p.Sleep(ms(1))
-		m.Lock(p) // queued behind holder; killed at 5ms
-		m.Unlock(p)
-	})
-	s.Spawn(nil, "survivor", func(p *Proc) {
-		p.Sleep(ms(2))
-		m.Lock(p) // queued behind doomed
-		survivorGotLock = true
-		m.Unlock(p)
-	})
-	s.After(ms(5), guest.Kill)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !survivorGotLock {
-		t.Fatal("survivor never acquired mutex after queued waiter was killed")
-	}
+// A Resource(1) is the kernel's mutex. At t=5ms the holder's release hands
+// the unit to doomed — debited, wake scheduled — and the watcher (spawned
+// last, so its same-instant wake runs after the holder's) kills doomed's
+// domain before doomed resumes: the grant must come back and pass on.
+func TestKillOwnerWithHandedOffMutexPassesOn(t *testing.T) {
+	killGrantedHead(t, 1, 1)
 }
 
-func TestKillOwnerWithHandedOffMutexPassesOn(t *testing.T) {
+// The same with units to spare: the killed head had been granted both units;
+// two one-unit survivors behind it must both get theirs.
+func TestKillGrantedTwoUnitWaiterReturnsBoth(t *testing.T) {
+	killGrantedHead(t, 2, 2)
+}
+
+// killGrantedHead holds all of a capacity-unit resource, queues a doomed
+// guest process asking for all of it with survivors one-unit requests behind
+// it, and kills the guest in the instant the holder's release grants it.
+func killGrantedHead(t *testing.T, capacity int64, survivors int) {
+	t.Helper()
 	s := New(1)
 	guest := s.NewDomain("guest")
-	m := s.NewMutex("shared")
-	var survivorGotLock bool
+	r := s.NewResource("shared", capacity)
+	ran := 0
 	s.Spawn(nil, "holder", func(p *Proc) {
-		m.Lock(p)
+		r.Acquire(p, capacity)
 		p.Sleep(ms(5))
-		m.Unlock(p) // hands ownership to doomed, which is killed at same instant
+		r.Release(capacity)
 	})
 	s.Spawn(guest, "doomed", func(p *Proc) {
 		p.Sleep(ms(1))
-		m.Lock(p)
-		m.Unlock(p)
+		r.Acquire(p, capacity)
+		defer r.Release(capacity)
+		t.Error("doomed ran with the grant it was killed holding")
 	})
-	s.Spawn(nil, "survivor", func(p *Proc) {
-		p.Sleep(ms(2))
-		m.Lock(p)
-		survivorGotLock = true
-		m.Unlock(p)
-	})
-	// The watcher's wake event is scheduled after the holder's (both at t=0,
-	// FIFO by seq), so at t=5ms the unlock's hand-off to doomed happens
-	// first, then the kill — exercising the "ownership already handed to a
-	// killed, not-yet-resumed waiter" path.
+	for i := 0; i < survivors; i++ {
+		s.Spawn(nil, fmt.Sprintf("survivor%d", i), func(p *Proc) {
+			p.Sleep(ms(2))
+			r.Acquire(p, 1)
+			defer r.Release(1)
+			ran++
+		})
+	}
 	s.Spawn(nil, "watcher", func(p *Proc) {
 		p.Sleep(ms(5))
+		if r.Available() != 0 || r.Waiters() != survivors {
+			t.Errorf("at the kill: available %d, %d waiters; want the grant made and %d still queued",
+				r.Available(), r.Waiters(), survivors)
+		}
 		guest.Kill()
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !survivorGotLock {
-		t.Fatal("mutex lost when its handed-off owner was killed")
+	err := s.Run()
+	defer s.Close()
+	if ran != survivors || r.Available() != capacity {
+		t.Fatalf("grant lost with its killed, not-yet-resumed waiter: %d of %d survivors ran, available %d of %d (Run: %v)",
+			ran, survivors, r.Available(), capacity, err)
 	}
 }
 

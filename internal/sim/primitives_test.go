@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestEventBroadcastWakesAll(t *testing.T) {
@@ -140,93 +139,6 @@ func TestSignalWaitTimeout(t *testing.T) {
 	}
 	if !first || second {
 		t.Fatalf("first=%v second=%v, want true,false", first, second)
-	}
-}
-
-func TestMutexMutualExclusion(t *testing.T) {
-	s := New(1)
-	m := s.NewMutex("m")
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 5; i++ {
-		s.Spawn(nil, fmt.Sprintf("p%d", i), func(p *Proc) {
-			m.Lock(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(ms(2))
-			inside--
-			m.Unlock(p)
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d", maxInside)
-	}
-}
-
-func TestMutexFIFOHandoff(t *testing.T) {
-	s := New(1)
-	m := s.NewMutex("m")
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		s.Spawn(nil, fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Microsecond) // stagger arrivals
-			m.Lock(p)
-			order = append(order, i)
-			p.Sleep(ms(1))
-			m.Unlock(p)
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("acquisition order %v not FIFO", order)
-		}
-	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	s := New(1)
-	m := s.NewMutex("m")
-	var got1, got2 bool
-	s.Spawn(nil, "a", func(p *Proc) {
-		got1 = m.TryLock(p)
-		p.Sleep(ms(2))
-		m.Unlock(p)
-	})
-	s.Spawn(nil, "b", func(p *Proc) {
-		p.Sleep(ms(1))
-		got2 = m.TryLock(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !got1 || got2 {
-		t.Fatalf("got1=%v got2=%v, want true,false", got1, got2)
-	}
-}
-
-func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
-	s := New(1)
-	m := s.NewMutex("m")
-	s.Spawn(nil, "a", func(p *Proc) {
-		m.Lock(p)
-		p.Sleep(ms(5))
-		m.Unlock(p)
-	})
-	s.Spawn(nil, "b", func(p *Proc) {
-		p.Sleep(ms(1))
-		m.Unlock(p) // not the owner → proc panic → Run error
-	})
-	if err := s.Run(); err == nil {
-		t.Fatal("want error from non-owner unlock")
 	}
 }
 

@@ -2,100 +2,19 @@ package sim
 
 import "fmt"
 
-// Mutex is a FIFO, hand-off mutual-exclusion lock on virtual time. Unlock
-// passes ownership directly to the longest-waiting process (no barging), so
-// waiters cannot starve. If a waiting process is killed it is removed from
-// the queue; if ownership had already been handed to it, ownership passes on.
-type Mutex struct {
-	name   string
-	locked bool
-	owner  *Proc
-	queue  []waiter
-}
-
-// NewMutex creates an unlocked mutex.
-func (s *Sim) NewMutex(name string) *Mutex {
-	return &Mutex{name: name}
-}
-
-func (m *Mutex) describeWait(waitMode) string { return "mutex:" + m.name }
-
-// Lock acquires the mutex, blocking p in FIFO order.
-func (m *Mutex) Lock(p *Proc) {
-	p.checkKilled()
-	if !m.locked {
-		m.locked = true
-		m.owner = p
-		return
-	}
-	if m.owner == p {
-		panic(fmt.Sprintf("sim: mutex %q: recursive lock by %s", m.name, p.name))
-	}
-	m.queue = append(m.queue, p.newWaiter(m, waitPlain))
-	p.abort = m
-	p.park()
-	// Ownership was assigned by the unlocker before waking us.
-}
-
-// abortWait: killed while waiting — either still queued, or ownership was
-// handed to the waiter while it was parked; pass it on in that case.
-func (m *Mutex) abortWait(w waiter) {
-	if m.owner == w.p {
-		m.passOn()
-		return
-	}
-	m.removeWaiter(w)
-}
-
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock(p *Proc) bool {
-	p.checkKilled()
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	m.owner = p
-	return true
-}
-
-// Unlock releases the mutex, handing it to the next waiter if any. It
-// panics if p is not the owner.
-func (m *Mutex) Unlock(p *Proc) {
-	if !m.locked || m.owner != p {
-		panic(fmt.Sprintf("sim: mutex %q: unlock by non-owner %s", m.name, p.name))
-	}
-	m.passOn()
-}
-
-func (m *Mutex) passOn() {
-	for len(m.queue) > 0 {
-		next := m.queue[0]
-		m.queue = popFront(m.queue)
-		if next.p.done || next.p.killed {
-			continue
-		}
-		m.owner = next.p
-		next.wake()
-		return
-	}
-	m.locked = false
-	m.owner = nil
-}
-
-func (m *Mutex) removeWaiter(w waiter) {
-	for i, other := range m.queue {
-		if other == w {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			return
-		}
-	}
-}
-
 // Resource is a FIFO counting semaphore: a pool of capacity units that
 // processes acquire and release. Grants are strictly in arrival order (a
-// large request at the head blocks smaller ones behind it), which makes
-// waiting starvation-free. It models CPUs, disk queue slots, and the
-// RapiLog buffer budget.
+// large request at the head blocks smaller ones behind it) and handed over
+// directly by the releaser (no barging), which makes waiting
+// starvation-free. It is the kernel's only lock: it models CPU cores, flash
+// channels and disk cache space, and with capacity 1 it is the mutex around
+// the HDD arm and the RapiLog logger's backing writes.
+//
+// The kill rule: a grant not yet resumed is returned. A waiter killed while
+// queued simply leaves; one killed after the releaser debited its units and
+// woke it, but before it ran again, gives them back and the grant passes
+// on. Units a process holds when it dies are its own to release — pair
+// Acquire with a deferred Release.
 type Resource struct {
 	name     string
 	capacity int64
@@ -117,9 +36,6 @@ func (s *Sim) NewResource(name string, capacity int64) *Resource {
 }
 
 func (r *Resource) describeWait(waitMode) string { return "resource:" + r.name }
-
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
 
 // Available returns the units currently free.
 func (r *Resource) Available() int64 { return r.avail }
@@ -147,7 +63,9 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	r.queue = append(r.queue, resWaiter{w: p.newWaiter(r, waitPlain), n: n})
 	p.abort = r
 	p.park()
-	// Units were debited by the releaser before waking us.
+	// Units were debited by the releaser before waking us; resumed, they
+	// are ours.
+	p.granted = 0
 }
 
 // TryAcquire takes n units if immediately available (and no earlier waiter
@@ -189,13 +107,19 @@ func (r *Resource) grant() {
 		}
 		r.avail -= head.n
 		r.queue = popFront(r.queue)
+		head.w.p.granted = head.n
 		head.w.wake()
 	}
 }
 
-func (r *Resource) abortWait(w waiter) { r.removeWaiter(w) }
-
-func (r *Resource) removeWaiter(w waiter) {
+// abortWait: killed while waiting — either already granted (see the kill
+// rule above) or still queued.
+func (r *Resource) abortWait(w waiter) {
+	if n := w.p.granted; n > 0 {
+		w.p.granted = 0
+		r.Release(n)
+		return
+	}
 	for i, other := range r.queue {
 		if other.w == w {
 			r.queue = append(r.queue[:i], r.queue[i+1:]...)

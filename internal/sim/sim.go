@@ -406,6 +406,7 @@ type Proc struct {
 	waitMode waitMode
 	timeout  *timer
 	abort    aborter
+	granted  int64 // units a Resource debited for this wait; owned once resumed
 }
 
 // aborter is a wait registration that needs cleaning up if the process is
@@ -449,9 +450,6 @@ func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 
 // Name returns the process name given to Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the kernel-assigned process id.
-func (p *Proc) ID() int { return p.id }
 
 // Domain returns the domain the process belongs to.
 func (p *Proc) Domain() *Domain { return p.domain }

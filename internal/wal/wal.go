@@ -252,9 +252,6 @@ func (l *Log) AppendedLSN() uint64 { return l.appendedLSN }
 // FlushedLSN returns the durability horizon.
 func (l *Log) FlushedLSN() uint64 { return l.flushedLSN }
 
-// Capacity returns the log's circular capacity in bytes.
-func (l *Log) Capacity() uint64 { return l.nBlocks * uint64(l.cfg.BlockSize) }
-
 // SetOldestNeeded moves the wrap barrier forward; blocks below it may be
 // overwritten. The engine calls this after each checkpoint.
 func (l *Log) SetOldestNeeded(lsn uint64) {

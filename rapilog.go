@@ -236,9 +236,8 @@ type (
 // Monitor policy kinds (obs mirrors core's ack-policy kinds so traces can
 // be re-verified without the core package).
 const (
-	PolicyLocal      = obs.PolicyLocal
-	PolicyQuorum     = obs.PolicyQuorum
-	PolicyRemoteOnly = obs.PolicyRemoteOnly
+	PolicyLocal  = obs.PolicyLocal
+	PolicyQuorum = obs.PolicyQuorum
 )
 
 // ReadTraceDump parses a dump written by -trace-out.
@@ -265,8 +264,6 @@ type (
 	CampaignConfig = faultinject.CampaignConfig
 	// CampaignSummary aggregates a campaign's trials.
 	CampaignSummary = faultinject.Summary
-	// TrialResult is one trial's outcome.
-	TrialResult = faultinject.TrialResult
 )
 
 // FaultPowerCut pulls the plug: the PSU hold-up race decides what survives.
