@@ -46,6 +46,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkMeasurement(*clients, *duration, *warmup); err != nil {
+		fatalf("%v", err)
+	}
 	cfg, err := flags.Config(*seed)
 	if err != nil {
 		fatalf("%v", err)
@@ -192,6 +195,21 @@ func main() {
 		dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
 		writeFileJSON(flags.FlightOut, dep.Flight.Record().WriteJSON)
 	}
+}
+
+// checkMeasurement rejects a run that would measure nothing — nobody
+// committing, or no interval to commit in — and still print a report: "0 tps"
+// with exit status 0 reads as a result.
+func checkMeasurement(clients int, duration, warmup time.Duration) error {
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: a run needs at least one client", clients)
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: the measured interval must be positive", duration)
+	case warmup < 0:
+		return fmt.Errorf("-warmup %v: the warmup cannot be negative", warmup)
+	}
+	return nil
 }
 
 // workloads widens a Partition* result to the slice the client pools take.

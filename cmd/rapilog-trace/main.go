@@ -1,5 +1,5 @@
 // Command rapilog-trace is the forensic analyzer for RapiLog trace dumps
-// and flight records (the JSON written by rapilog-sim/-fault/-bench's
+// and flight records (the JSON written by rapilog-sim's and rapilog-fault's
 // -trace-out and -flight-out flags). It reconstructs each commit's causal
 // chain — tx_begin → covering WAL force → (ship → apply → ack)×k →
 // quorum_met — and reports per-stage latency percentiles, the commit
@@ -172,6 +172,11 @@ func loadInput(path string) (rapilog.TraceDump, *rapilog.FlightRecord, error) {
 	}
 }
 
+// boundUnchecked qualifies every -check verdict: a dump does not carry the
+// exposure bound its machine was built with, so the monitor runs with Bound 0
+// and "exposure ≤ bound" is the one invariant it cannot re-verify offline.
+const boundUnchecked = "exposure bound not in the dump: not checked"
+
 // runCheck re-verifies the trace offline: events must decode, time must not
 // run backwards, and the invariant monitor must find nothing.
 func runCheck(dump rapilog.TraceDump, a *rapilog.TraceAnalysis, policy string, quorumK int) bool {
@@ -209,11 +214,11 @@ func runCheck(dump rapilog.TraceDump, a *rapilog.TraceAnalysis, policy string, q
 	}
 	rep := rapilog.RunMonitor(events, cfg)
 	if rep.Total == 0 {
-		fmt.Printf("check:          ok — %d events, %d acked txs, 0 violations\n",
-			rep.EventsSeen, rep.TxAcked)
+		fmt.Printf("check:          ok — %d events, %d acked txs, 0 violations (%s)\n",
+			rep.EventsSeen, rep.TxAcked, boundUnchecked)
 		return true
 	}
-	fmt.Printf("check:          FAIL — %d invariant violations\n", rep.Total)
+	fmt.Printf("check:          FAIL — %d invariant violations (%s)\n", rep.Total, boundUnchecked)
 	printViolations(&rep)
 	return false
 }

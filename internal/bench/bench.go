@@ -21,7 +21,7 @@ import (
 
 // Options tune an experiment run.
 type Options struct {
-	// Quick shrinks sweeps and durations for tests and testing.B.
+	// Quick shrinks sweeps and durations (tests, rapilog-bench -quick).
 	Quick bool
 	// Seed is the base deterministic seed; default 1.
 	Seed int64
@@ -96,6 +96,7 @@ var All = []Experiment{
 	{"a7", "recovery time vs checkpoint age", runA7},
 	{"a8", "media faults under load: retry, degrade, lose nothing", runA8},
 	{"a9", "replicated durability: quorum acks under partition + power-fail", runA9},
+	{"a10", "sharded scale-out: N log domains, one hold-up window", runA10},
 	{"a11", "high availability: epoch-fenced standby promotion", runA11},
 }
 

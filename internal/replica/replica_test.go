@@ -424,9 +424,9 @@ func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
 			h.sh.Ship(int64(i*8), payload(i, 512))
 			p.Sleep(100 * time.Microsecond)
 		}
-		p.Sleep(20 * time.Millisecond) // acks settle; retained drains
+		p.Sleep(20 * time.Millisecond)        // acks settle; retained drains
 		h.fab.Isolate("standby0", "standby1") // the whole fleet goes dark
-		for i := 50; i < 350; i++ { // 150 KB unacked: well past RetainLimit
+		for i := 50; i < 350; i++ {           // 150 KB unacked: well past RetainLimit
 			h.sh.Ship(int64(i*8), payload(i, 512))
 			p.Sleep(100 * time.Microsecond)
 		}

@@ -296,12 +296,3 @@ var Experiments = bench.All
 
 // ExperimentByID returns the experiment with the given id, or nil.
 func ExperimentByID(id string) *Experiment { return bench.ByID(id) }
-
-// PerfSuite is one serialised run of the hot-path benchmark suite behind
-// `rapilog-bench -bench-json`.
-type PerfSuite = bench.PerfSuite
-
-// RunPerfSuite executes the fixed hot-path benchmark suite.
-func RunPerfSuite(label string, quick bool, seed int64, progress io.Writer) (*PerfSuite, error) {
-	return bench.RunPerfSuite(label, quick, seed, progress)
-}

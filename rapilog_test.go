@@ -2,6 +2,10 @@ package rapilog
 
 import (
 	"fmt"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -66,8 +70,8 @@ func TestQuickstart(t *testing.T) {
 }
 
 func TestFacadeSurface(t *testing.T) {
-	if len(Modes) != 4 || len(Experiments) != 20 {
-		t.Fatalf("facade lists: %d modes, %d experiments", len(Modes), len(Experiments))
+	if len(Modes) != 4 {
+		t.Fatalf("facade lists %d modes", len(Modes))
 	}
 	for _, m := range Modes {
 		if m == ModeRapiLogReplica {
@@ -82,6 +86,33 @@ func TestFacadeSurface(t *testing.T) {
 	}
 	if PSUMeasured.HoldupMin <= PSUTypical.HoldupMin {
 		t.Fatal("PSU profiles out of order")
+	}
+}
+
+// TestExperimentsMatchDocs: the registry, EXPERIMENTS.md and the archived
+// full-size output name the same experiments. Derived from the three, not
+// counted, so an experiment with a write-up and no runner (or a runner with
+// no archived table) fails here instead of going unnoticed.
+func TestExperimentsMatchDocs(t *testing.T) {
+	var want []string
+	for _, exp := range Experiments {
+		want = append(want, exp.ID)
+	}
+	slices.Sort(want)
+	heading := regexp.MustCompile(`(?m)^## ([EeAa]\d+) — `)
+	for _, file := range []string{"EXPERIMENTS.md", "results_full.txt"} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, m := range heading.FindAllSubmatch(raw, -1) {
+			got = append(got, strings.ToLower(string(m[1])))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s has sections\n  %v\nthe registry runs\n  %v", file, got, want)
+		}
 	}
 }
 
