@@ -1,0 +1,180 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/obs"
+)
+
+// tracedRun drives commits through a traced deployment and returns it once
+// the drain and the standbys have settled.
+func tracedRun(t *testing.T, cfg rapilog.Config, commits int) *rapilog.Deployment {
+	t.Helper()
+	cfg.NoDaemons, cfg.Trace, cfg.TraceCapacity = true, true, 1<<20
+	dep, err := rapilog.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dep.Close)
+	dep.S.Spawn(dep.Plat.Domain(), "db", func(p *rapilog.Proc) {
+		e, err := dep.Boot(p)
+		if err != nil {
+			t.Errorf("boot: %v", err)
+			return
+		}
+		for i := 0; i < commits; i++ {
+			tx := e.Begin(p)
+			_ = tx.Put(fmt.Sprintf("k%d", i), make([]byte, 256))
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit %d: %v", i, err)
+				return
+			}
+		}
+		p.Sleep(500 * time.Millisecond)
+	})
+	if err := dep.S.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if n := dep.Monitor.Total(); n != 0 {
+		t.Fatalf("the run itself violated its contract: %+v", dep.Monitor.Report())
+	}
+	return dep
+}
+
+// artifact writes what write produces to a file in the test's temp dir.
+func artifact(t *testing.T, name string, write func(io.Writer) error) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// check runs rapilog-trace -check on path and returns its verdict and report.
+func check(path string) (bool, string) {
+	var out bytes.Buffer
+	ok := analyzeFile(&out, path, "", true, 0, true)
+	return ok, out.String()
+}
+
+// A correct AckLocal replicated run still traces the shipper's first-copy
+// (k=1) quorum marks. Read as evidence of a quorum policy, they turned every
+// local ack into an ack without evidence; the contract says acks were local.
+func TestCheckAckLocalReplicatedRun(t *testing.T) {
+	policy, _ := rapilog.ParseAckPolicy("local", 0)
+	dep := tracedRun(t, rapilog.Config{Seed: 1, Mode: rapilog.ModeRapiLogReplica, Replicas: 2, AckPolicy: policy}, 100)
+	dump := dep.Obs.Tracer().Dump()
+	marks := 0
+	for _, e := range dump.Events {
+		if e.Kind == "quorum_met" {
+			marks++
+		}
+	}
+	if marks == 0 {
+		t.Fatal("test premise broken: a local-ack replicated run traced no quorum marks")
+	}
+	ok, out := check(artifact(t, "trace.json", dump.WriteJSON))
+	if !ok || !strings.Contains(out, "check:          ok") || !strings.Contains(out, "local acks") {
+		t.Fatalf("a correct AckLocal run failed -check:\n%s", out)
+	}
+}
+
+// A quorum=2 run whose marks claim only one standby's copy is an ack without
+// evidence, whatever the marks say about themselves.
+func TestCheckQuorumContractRejectsWeakerMarks(t *testing.T) {
+	dep := tracedRun(t, rapilog.Config{Seed: 2, Mode: rapilog.ModeRapiLogReplica, Replicas: 2, AckPolicy: rapilog.AckQuorum(2)}, 100)
+	dump := dep.Obs.Tracer().Dump()
+	if ok, out := check(artifact(t, "trace.json", dump.WriteJSON)); !ok {
+		t.Fatalf("the untouched quorum=2 trace failed -check:\n%s", out)
+	}
+	for i := range dump.Events {
+		if dump.Events[i].Kind == "quorum_met" {
+			dump.Events[i].Arg2 = 1
+		}
+	}
+	ok, out := check(artifact(t, "weak.json", dump.WriteJSON))
+	if ok || !strings.Contains(out, "ack_without_evidence") {
+		t.Fatalf("k=1 marks passed a quorum=2 contract:\n%s", out)
+	}
+}
+
+// The exposure bound is the paper's own invariant; -check re-verifies it
+// from the contract's bound.
+func TestCheckExposureOverBound(t *testing.T) {
+	tr := obs.NewTracer(16)
+	obs.NewMonitor(obs.MonitorConfig{Bound: 1000, Trace: tr}) // stamps the contract, observes nothing
+	tr.Emit(time.Millisecond, obs.EvHvAck, tr.NewSpan(), 0, 0, 800)
+	tr.Emit(2*time.Millisecond, obs.EvHvAck, tr.NewSpan(), 0, 8, 800)
+	ok, out := check(artifact(t, "trace.json", tr.WriteJSON))
+	if ok || !strings.Contains(out, "exposure_bound") {
+		t.Fatalf("1600 B buffered against a 1000 B bound passed -check:\n%s", out)
+	}
+}
+
+// A sharded machine arms no monitor, so its artifacts carry no contract:
+// the analysis runs, -check refuses with the reason and never says "ok".
+func TestCheckRefusesArtifactWithoutContract(t *testing.T) {
+	dep, err := rapilog.New(rapilog.Config{Seed: 3, Shards: 2, Trace: true, NoDaemons: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	dump := dep.Obs.Tracer().Dump()
+	if dump.Contract != nil {
+		t.Fatalf("sharded machine dumped a contract: %+v", dump.Contract)
+	}
+	path := artifact(t, "trace.json", dump.WriteJSON)
+	if !analyzeFile(io.Discard, path, "", false, 0, true) {
+		t.Fatal("a contract-less artifact failed plain analysis")
+	}
+	ok, out := check(path)
+	if ok || !strings.Contains(out, "carries no contract") || strings.Contains(out, "check:          ok") {
+		t.Fatalf("contract-less artifact not refused:\n%s", out)
+	}
+}
+
+// A flight record is a trace dump plus the freeze: one reader loads both and
+// -check verifies either against the contract.
+func TestOneReaderLoadsFlightRecordsAndTraceDumps(t *testing.T) {
+	dep := tracedRun(t, rapilog.Config{Seed: 4, Mode: rapilog.ModeRapiLog, Flight: true}, 50)
+	dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
+	rec := dep.Flight.Record()
+	if rec.Contract == nil {
+		t.Fatal("flight record carries no contract")
+	}
+	ok, out := check(artifact(t, "flight.json", rec.WriteJSON))
+	if !ok || !strings.Contains(out, `frozen "run-end"`) {
+		t.Fatalf("flight record:\n%s", out)
+	}
+	ok, out = check(artifact(t, "trace.json", dep.Obs.Tracer().WriteJSON))
+	if !ok || strings.Contains(out, "flight record:") {
+		t.Fatalf("trace dump:\n%s", out)
+	}
+}
+
+// A metrics snapshot is neither a dump nor a record: refused, not analysed
+// as an empty trace.
+func TestMetricsSnapshotIsRejected(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("engine.commits").Add(3)
+	path := artifact(t, "metrics.json", reg.Snapshot().WriteJSON)
+	if analyzeFile(io.Discard, path, "", false, 0, true) {
+		t.Fatal("a metrics snapshot was analysed as a trace")
+	}
+}

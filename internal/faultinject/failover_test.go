@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rig"
 )
 
@@ -113,8 +114,11 @@ func TestFailoverTrialForensics(t *testing.T) {
 		res.FenceRejections != 4160 || res.ReplayBytes != 11370496 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
+	requireContract(t, res.Artifacts, obs.MonitorConfig{
+		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
+	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "14722070d32b8fc258be2fac8b43c1f331c1ea170de4a78433b265be54191503" ||
+	if tr != "3ed8aeb29f03dc6f6b9d7d106781da50790d37d126a3fa2b460574b0fb2ce462" ||
 		me != "20eef3ebdecc88e5a9ffdf73c4885be8ac3a48e56a72f01b90f9298329d1a77e" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}

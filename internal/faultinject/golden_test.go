@@ -4,38 +4,66 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rig"
 	"repro/internal/workload"
 )
 
-// artifactHashes returns the SHA-256 of a capture's trace and metrics JSON.
+// artifactHashes returns the SHA-256 of a capture's decoded schedule —
+// Emitted, Dropped, the label table and every event — and of its metrics
+// JSON. The schedule is hashed field by field, not as the dump's JSON, so a
+// golden pins what the trial did and not how an artifact is laid out.
 func artifactHashes(t *testing.T, a *Artifacts) (trace, metrics string) {
 	t.Helper()
 	if a == nil || a.Trace == nil || a.Metrics == nil {
 		t.Fatalf("traced trial captured no trace/metrics: %+v", a)
 	}
-	var b bytes.Buffer
-	if err := a.Trace.WriteJSON(&b); err != nil {
+	events, err := a.Trace.DecodedEvents()
+	if err != nil {
 		t.Fatal(err)
 	}
-	trace = fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
-	b.Reset()
+	h := sha256.New()
+	fmt.Fprintf(h, "emitted %d dropped %d\n", a.Trace.Emitted, a.Trace.Dropped)
+	names := make([]string, 0, len(a.Trace.Labels))
+	for n := range a.Trace.Labels {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(h, "label %q %d\n", n, a.Trace.Labels[n])
+	}
+	for _, e := range events {
+		fmt.Fprintf(h, "%d %s %d %d %d %d\n", int64(e.At), e.Kind, e.Span, e.Parent, e.Arg1, e.Arg2)
+	}
+	var b bytes.Buffer
 	if err := a.Metrics.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	return trace, fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+	return fmt.Sprintf("%x", h.Sum(nil)), fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+}
+
+// requireContract fails t unless the capture's trace carries want as its
+// contract.
+func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
+	t.Helper()
+	if c := a.Trace.Contract; c == nil || *c != want {
+		t.Fatalf("contract = %+v, want %+v", c, want)
+	}
 }
 
 // The schedule-preservation goldens: one seeded trial per topology, captured
 // before the three trial runners and two campaign loops were folded into one
 // engine. A refactor of the harness must not move one event of a seeded
-// trial, so these pin outcomes and the full trace + metrics JSON; a change
-// that is meant to move the schedule (a new draw from the simulation's
-// generator, a reordered spawn) re-captures them and says why. The failover
-// golden rides on TestFailoverTrialForensics, which runs that trial anyway.
+// trial, so these pin outcomes, the trace's contract, its decoded schedule
+// and the metrics JSON; a change that is meant to move the schedule (a new
+// draw from the simulation's generator, a reordered spawn) re-captures them
+// and says why. The failover golden rides on TestFailoverTrialForensics,
+// which runs that trial anyway.
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -44,8 +72,9 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	if res.Err != nil || res.Acked != 3004 || res.Missing != 0 || !res.HadDump {
 		t.Fatalf("trial moved: %+v", res)
 	}
+	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "c58d5b0977dce4287b4e5a22746bd086da14cb6da50631941740ac6af9949efc" ||
+	if tr != "ba797b644c811fd09fd1843c681146e05459eb65a3d2decfae53a41f3fcc5655" ||
 		me != "9f126881bdd9b64fb19f33aa22dc8cbab3a138da2452f02294170bb9dab389db" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
@@ -62,8 +91,11 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	if res.Err != nil || res.Acked != 466 || res.Missing != 0 || res.ReplLagMax != 2 {
 		t.Fatalf("trial moved: %+v", res)
 	}
+	requireContract(t, res.Artifacts, obs.MonitorConfig{
+		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
+	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "be1d37655a5b4400d1468cdcd40a0a77a7d2b38d10f1011b6146aa3bd8818512" ||
+	if tr != "5944274889ea009978f44a114b889d75d0d21c6800d95986bc2650f260e1f7a1" ||
 		me != "635ade81b88583cf064cee674e6cf15023507a8649f3ddb21f3d836966264045" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}

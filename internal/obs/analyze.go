@@ -119,8 +119,8 @@ type Analysis struct {
 	Events  int
 	Dropped int
 	Labels  map[string]int64
-	// QuorumK is the largest quorum size seen in EvQuorumMet events (zero
-	// for unreplicated traces).
+	// QuorumK is the quorum an ack needed under the dump's contract (zero
+	// for local acks, or when the dump carries no contract).
 	QuorumK  int
 	Chains   ChainStats
 	Critical CriticalPath
@@ -264,14 +264,14 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 				sh.hasQ, sh.quorumAt, sh.quorumK = true, e.At, int(e.Arg2)
 				stQuorum.Observe(e.At - sh.at)
 			}
-			if int(e.Arg2) > a.QuorumK {
-				a.QuorumK = int(e.Arg2)
-			}
 		case EvEpoch:
 			epoch = e.Arg1
 		}
 	}
 
+	if d.Contract != nil {
+		a.QuorumK = d.Contract.QuorumK
+	}
 	a.assessChains()
 	a.Stages = []*metrics.Histogram{stCommit, stForce, stBuffer, stNet, stFirstAck, stQuorum}
 	a.buildTimeline(buckets)

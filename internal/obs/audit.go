@@ -17,8 +17,8 @@ type ExposurePoint struct {
 // ExposureReport is the durability-exposure audit: the quantitative side
 // of RapiLog's safety argument, derived entirely from trace events.
 type ExposureReport struct {
-	// Bound is the limit exposure was audited against (the lesser of the
-	// configured MaxBuffer and the provable SafeBufferSize).
+	// Bound is the limit exposure was audited against: the machine's
+	// contract bound (MonitorConfig.Bound), the same one its monitor checks.
 	Bound int64
 	// PeakBytes is the maximum acknowledged-but-undrained bytes observed,
 	// and PeakAt when it occurred.
@@ -28,9 +28,9 @@ type ExposureReport struct {
 	AckedBytes   int64
 	DurableBytes int64
 	DumpedBytes  int64
-	// OutstandingBytes were acknowledged but neither drained nor dumped by
-	// the end of the trace — lost if the trace ends at a power cut, merely
-	// in flight otherwise.
+	// OutstandingBytes were acknowledged but neither drained nor dumped:
+	// lost when a power restore found them undumped, or when the trace ends
+	// at a power cut; merely in flight when it ends otherwise.
 	OutstandingBytes int64
 	// AckToDurable is the per-write latency from hypervisor ack to
 	// durable-on-disk (drain) or safe-in-dump-zone (emergency dump) —
@@ -70,62 +70,86 @@ type ackInfo struct {
 	bytes int64
 }
 
+// exposureLedger is the one exposure rule the online monitor and the offline
+// audit both apply. Exposure begins at EvHvAck and ends for that entry at its
+// EvDurable; EvDumpDone ends it for everything still buffered (the dump image
+// holds it), and so does EvPowerRestore (what no dump saved did not survive
+// the reboot). EvHvAbsorb is neutral: it supersedes an equal-length buffered
+// entry in place without growing the buffer.
+type exposureLedger struct {
+	bytes       int64
+	outstanding map[SpanID]ackInfo // entry span → ack time and bytes
+}
+
+// apply folds e into the ledger and, when end is set, calls it once for each
+// entry whose exposure e ends.
+func (l *exposureLedger) apply(e Event, end func(ackInfo)) {
+	switch e.Kind {
+	case EvHvAck:
+		l.outstanding[e.Span] = ackInfo{at: e.At, bytes: e.Arg2}
+		l.bytes += e.Arg2
+	case EvDurable:
+		if info, ok := l.outstanding[e.Parent]; ok {
+			delete(l.outstanding, e.Parent)
+			l.bytes -= info.bytes
+			if end != nil {
+				end(info)
+			}
+		}
+	case EvDumpDone, EvPowerRestore:
+		if end != nil {
+			for _, info := range l.outstanding {
+				end(info)
+			}
+		}
+		clear(l.outstanding)
+		l.bytes = 0
+	}
+}
+
 // AuditExposure replays trace events into the acknowledged-but-undrained
-// byte count over time and checks its peak against bound. Exposure begins
-// at EvHvAck, ends at EvDurable for the same span, and collapses to zero
-// at EvDumpDone (everything still buffered is then safe in the dump zone).
+// byte count over time, by the rule the online monitor applies
+// (exposureLedger), and checks its peak against bound.
 func AuditExposure(events []Event, bound int64, truncated bool) ExposureReport {
 	rep := ExposureReport{
 		Bound:          bound,
 		AckToDurable:   metrics.NewHistogram("rapilog.ack_to_durable"),
 		TruncatedTrace: truncated,
 	}
-	outstanding := make(map[SpanID]ackInfo)
-	var exposure int64
-	record := func(at time.Duration) {
-		if n := len(rep.Points); n > 0 && rep.Points[n-1].Bytes == exposure {
-			return
-		}
-		rep.Points = append(rep.Points, ExposurePoint{At: at, Bytes: exposure})
-		if exposure > rep.PeakBytes {
-			rep.PeakBytes = exposure
-			rep.PeakAt = at
-		}
-	}
+	led := exposureLedger{outstanding: make(map[SpanID]ackInfo)}
 	for _, e := range events {
+		before := led.bytes
+		led.apply(e, func(info ackInfo) {
+			switch e.Kind {
+			case EvDurable:
+				rep.DurableBytes += info.bytes
+			case EvDumpDone:
+				rep.DumpedBytes += info.bytes
+			case EvPowerRestore:
+				rep.OutstandingBytes += info.bytes // no dump saved it
+				return
+			}
+			rep.AckToDurable.Observe(e.At - info.at)
+		})
 		switch e.Kind {
 		case EvHvAck:
-			outstanding[e.Span] = ackInfo{at: e.At, bytes: e.Arg2}
-			exposure += e.Arg2
 			rep.AckedBytes += e.Arg2
 			rep.Writes++
-			record(e.At)
 		case EvHvAbsorb:
 			rep.Absorbed++
 		case EvDrainStart:
 			rep.DrainRounds++
-		case EvDurable:
-			if info, ok := outstanding[e.Parent]; ok {
-				delete(outstanding, e.Parent)
-				exposure -= info.bytes
-				rep.DurableBytes += info.bytes
-				rep.AckToDurable.Observe(e.At - info.at)
-				record(e.At)
-			}
 		case EvDumpDone:
-			// Everything still buffered reached the dump zone in one burst:
-			// its exposure window closes here.
 			rep.Dumps++
-			for span, info := range outstanding {
-				delete(outstanding, span)
-				exposure -= info.bytes
-				rep.DumpedBytes += info.bytes
-				rep.AckToDurable.Observe(e.At - info.at)
+		}
+		if led.bytes != before {
+			rep.Points = append(rep.Points, ExposurePoint{At: e.At, Bytes: led.bytes})
+			if led.bytes > rep.PeakBytes {
+				rep.PeakBytes, rep.PeakAt = led.bytes, e.At
 			}
-			record(e.At)
 		}
 	}
-	for _, info := range outstanding {
+	for _, info := range led.outstanding {
 		rep.OutstandingBytes += info.bytes
 	}
 	return rep

@@ -177,35 +177,41 @@ func (w WireEvent) Decode() (Event, error) {
 }
 
 // TraceDump is a self-contained, JSON-serialisable copy of a tracer's
-// retained events plus the label table needed to resolve endpoint and
-// replica ids in event args.
+// retained events, the label table needed to resolve endpoint and replica
+// ids in event args, and the contract the run was checked against — nil when
+// no monitor was armed (a sharded machine arms none).
 type TraceDump struct {
-	Emitted int              `json:"emitted"`
-	Dropped int              `json:"dropped"`
-	Labels  map[string]int64 `json:"labels,omitempty"`
-	Events  []WireEvent      `json:"events"`
+	Contract *MonitorConfig   `json:"contract,omitempty"`
+	Emitted  int              `json:"emitted"`
+	Dropped  int              `json:"dropped"`
+	Labels   map[string]int64 `json:"labels,omitempty"`
+	Events   []WireEvent      `json:"events"`
 }
 
-// Dump captures the tracer's retained events and label table.
-func (t *Tracer) Dump() TraceDump {
-	events := t.Events()
-	d := TraceDump{
-		Emitted: t.Emitted(), Dropped: t.Dropped(),
-		Labels: t.Labels(),
-		Events: make([]WireEvent, len(events)),
+// Dump captures the tracer's retained events, label table and contract.
+func (t *Tracer) Dump() TraceDump { return t.dumpLast(t.Emitted()) }
+
+// dumpLast is Dump keeping only the newest n retained events; the rest count
+// as dropped.
+func (t *Tracer) dumpLast(n int) TraceDump {
+	if t == nil {
+		return TraceDump{Events: []WireEvent{}}
 	}
-	for i, e := range events {
-		d.Events[i] = e.ToWire()
+	n = min(n, t.Emitted()-t.Dropped())
+	d := TraceDump{
+		Contract: t.contract,
+		Emitted:  t.Emitted(), Dropped: t.Emitted() - n,
+		Labels: t.Labels(),
+		Events: make([]WireEvent, n),
+	}
+	for i := range d.Events {
+		d.Events[i] = t.buf[(t.n-uint64(n-i))%uint64(len(t.buf))].ToWire()
 	}
 	return d
 }
 
-// WriteJSON writes the dump as indented JSON.
-func (d TraceDump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+// WriteJSON writes the dump as compact JSON.
+func (d TraceDump) WriteJSON(w io.Writer) error { return json.NewEncoder(w).Encode(d) }
 
 // DecodedEvents converts the wire events back to in-memory form, failing
 // on the first malformed event.
@@ -221,27 +227,7 @@ func (d TraceDump) DecodedEvents() ([]Event, error) {
 	return out, nil
 }
 
-// LabelName resolves a label id back to its name ("?" when absent or the
-// id is zero).
-func (d TraceDump) LabelName(id int64) string {
-	for n, v := range d.Labels {
-		if v == id {
-			return n
-		}
-	}
-	return "?"
-}
-
-// ReadTraceDump parses a trace dump previously written by WriteJSON.
-func ReadTraceDump(r io.Reader) (TraceDump, error) {
-	var d TraceDump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return TraceDump{}, fmt.Errorf("obs: parsing trace dump: %w", err)
-	}
-	return d, nil
-}
-
-// WriteJSON dumps the retained trace as indented JSON.
+// WriteJSON dumps the retained trace as compact JSON.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	return t.Dump().WriteJSON(w)
 }

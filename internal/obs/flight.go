@@ -27,34 +27,32 @@ type FlightSnap struct {
 	Snap Snapshot `json:"snap"`
 }
 
-// FlightRecord is a frozen, self-contained post-mortem: the reason and
-// time of the freeze, the most recent trace events, the trailing metric
-// snapshots, the registry state at the instant of the freeze, and (when a
-// monitor is attached) its verdict. It is what a flight-data recorder's
-// recovered box would hold.
+// FlightRecord is a frozen, self-contained post-mortem: a TraceDump of the
+// most recent events (Dropped counts ring loss plus the window trim) with the
+// reason and time of the freeze, the trailing metric snapshots, the registry
+// state at the instant of the freeze, and (when a monitor is attached) its
+// verdict. It is what a flight-data recorder's recovered box would hold.
 type FlightRecord struct {
-	Reason          string           `json:"reason"`
-	AtNs            int64            `json:"at_ns"`
-	Labels          map[string]int64 `json:"labels,omitempty"`
-	Events          []WireEvent      `json:"events"`
-	TruncatedEvents int              `json:"truncated_events"`
-	Snapshots       []FlightSnap     `json:"snapshots,omitempty"`
-	Final           Snapshot         `json:"final"`
-	Monitor         *MonitorReport   `json:"monitor,omitempty"`
+	TraceDump
+	Reason    string         `json:"reason"`
+	AtNs      int64          `json:"at_ns"`
+	Snapshots []FlightSnap   `json:"snapshots,omitempty"`
+	Final     Snapshot       `json:"final"`
+	Monitor   *MonitorReport `json:"monitor,omitempty"`
 }
 
-// WriteJSON writes the record as indented JSON.
-func (r *FlightRecord) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+// WriteJSON writes the record as compact JSON.
+func (r *FlightRecord) WriteJSON(w io.Writer) error { return json.NewEncoder(w).Encode(r) }
 
-// ReadFlightRecord parses a record previously written by WriteJSON.
+// ReadFlightRecord parses a flight record or, since a record is a TraceDump
+// plus the freeze, a trace dump (Reason empty). Any other JSON document — a
+// metrics snapshot, say — is refused by its unknown fields.
 func ReadFlightRecord(r io.Reader) (*FlightRecord, error) {
 	var rec FlightRecord
-	if err := json.NewDecoder(r).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("obs: parsing flight record: %w", err)
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return nil, fmt.Errorf("obs: parsing trace dump or flight record: %w", err)
 	}
 	return &rec, nil
 }
@@ -103,23 +101,11 @@ func (f *FlightRecorder) Freeze(at time.Duration, reason string) {
 	if f == nil || f.frozen != nil {
 		return
 	}
-	tr := f.o.Tracer()
-	events := tr.Events()
-	truncated := tr.Dropped()
-	if len(events) > f.cfg.EventWindow {
-		truncated += len(events) - f.cfg.EventWindow
-		events = events[len(events)-f.cfg.EventWindow:]
-	}
 	rec := &FlightRecord{
-		Reason:          reason,
-		AtNs:            int64(at),
-		Labels:          tr.Labels(),
-		Events:          make([]WireEvent, len(events)),
-		TruncatedEvents: truncated,
-		Final:           f.o.Registry().Snapshot(),
-	}
-	for i, e := range events {
-		rec.Events[i] = e.ToWire()
+		TraceDump: f.o.Tracer().dumpLast(f.cfg.EventWindow),
+		Reason:    reason,
+		AtNs:      int64(at),
+		Final:     f.o.Registry().Snapshot(),
 	}
 	// Oldest-first snapshot ring.
 	n := f.nsnaps

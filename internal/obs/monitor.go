@@ -14,13 +14,13 @@ import (
 type Invariant int
 
 const (
-	// InvExposure: acknowledged-but-undrained bytes must stay within
-	// min(MaxBuffer, SafeBufferSize) — the provably dumpable bound.
+	// InvExposure: acknowledged-but-undrained bytes must stay within the
+	// contract's Bound — the provably dumpable min(MaxBuffer,
+	// SafeBufferSize), or the configured buffer under remote-only acks.
 	InvExposure Invariant = iota
 	// InvAckEvidence: no EvTxAck may precede its policy's durability
-	// evidence — local flush covering the commit LSN, plus (for quorum /
-	// remote policies) EvQuorumMet for every record the covering force
-	// shipped.
+	// evidence — local flush covering the commit LSN, plus (QuorumK ≥ 1)
+	// EvQuorumMet for every record the covering force shipped.
 	InvAckEvidence
 	// InvRetention: the shipper's retained (unacked) bytes must return
 	// under RetainLimit within the eviction grace window.
@@ -53,42 +53,32 @@ func (i Invariant) String() string {
 	return "unknown"
 }
 
-// PolicyKind mirrors the core ack-policy kinds without importing core (obs
-// sits below every other layer).
-type PolicyKind int
-
-const (
-	// PolicyLocal acks on local buffer/flush evidence alone.
-	PolicyLocal PolicyKind = iota
-	// PolicyQuorum additionally requires EvQuorumMet, from at least QuorumK
-	// standbys, for shipped records. A remote-only deployment is this policy
-	// with the exposure Bound its owner chooses.
-	PolicyQuorum
-)
-
-// MonitorConfig parameterises a Monitor.
+// MonitorConfig parameterises a Monitor. Its data fields are the contract a
+// run is checked against: a monitor armed on a tracer stamps them on it, so
+// every dump of that tracer carries them and can be re-checked offline.
 type MonitorConfig struct {
 	// Bound is the exposure limit in bytes; zero disables the exposure
-	// check (e.g. offline analysis of a trace with unknown sizing).
-	Bound int64
-	// Policy is the ack policy whose evidence InvAckEvidence demands.
-	Policy PolicyKind
-	// QuorumK is the quorum size PolicyQuorum demands: an EvQuorumMet
-	// mark counts as evidence only if the k it claims (Arg2) is at least
-	// this.
-	QuorumK int
+	// check (a machine with no RapiLog buffer exposes nothing).
+	Bound int64 `json:"bound"`
+	// QuorumK is the ack policy whose evidence InvAckEvidence demands: zero
+	// acks on local flush evidence alone; K ≥ 1 additionally requires an
+	// EvQuorumMet for every shipped record whose claimed k (Arg2) is at
+	// least K. A remote-only deployment is a quorum policy with the exposure
+	// Bound its owner chooses.
+	QuorumK int `json:"quorum_k"`
 	// RetainLimit is the shipper's retention bound in bytes; zero disables
 	// the retention check.
-	RetainLimit int64
+	RetainLimit int64 `json:"retain_limit"`
 	// RetainGrace is how long retention may sit above RetainLimit before
 	// the monitor calls it a violation — eviction of a dead replica
 	// legitimately takes a probe round-trip plus DeadAfter.
-	RetainGrace time.Duration
+	RetainGrace time.Duration `json:"retain_grace_ns"`
 	// Reg, when set, receives violation counters and provides the
 	// retention gauge ("repl.retained_bytes") the retention check reads.
-	Reg *Registry
-	// Trace, when set, receives an EvViolation trace mark per violation.
-	Trace *Tracer
+	Reg *Registry `json:"-"`
+	// Trace, when set, receives an EvViolation trace mark per violation and
+	// carries the contract in its dumps.
+	Trace *Tracer `json:"-"`
 }
 
 // maxSamples bounds the retained violation details.
@@ -127,9 +117,8 @@ type Monitor struct {
 	events int
 
 	// Exposure tracking (InvExposure).
-	exposure     int64
-	outstanding  map[SpanID]int64 // entry span → buffered bytes
-	exposureOver bool             // above bound; fire once per episode
+	exposure     exposureLedger
+	exposureOver bool // above bound; fire once per episode
 
 	// Ack-evidence tracking (InvAckEvidence).
 	txLSN       map[SpanID]int64  // tx span → max appended commit LSN
@@ -163,12 +152,18 @@ type Monitor struct {
 	perInv  [invCount]*metrics.Counter
 }
 
-// NewMonitor creates a monitor. Wire it to a live tracer with
-// tracer.SetObserver(monitor.Consume) or feed it a recorded stream.
+// NewMonitor creates a monitor and stamps its contract on cfg.Trace. Wire it
+// to a live tracer with tracer.SetObserver(monitor.Consume) or feed it a
+// recorded stream.
 func NewMonitor(cfg MonitorConfig) *Monitor {
+	if cfg.Trace != nil {
+		contract := cfg
+		contract.Reg, contract.Trace = nil, nil
+		cfg.Trace.contract = &contract
+	}
 	m := &Monitor{
 		cfg:         cfg,
-		outstanding: make(map[SpanID]int64),
+		exposure:    exposureLedger{outstanding: make(map[SpanID]ackInfo)},
 		txLSN:       make(map[SpanID]int64),
 		entryForce:  make(map[SpanID]SpanID),
 		forceMaxSeq: make(map[SpanID]uint64),
@@ -210,6 +205,7 @@ func (m *Monitor) Consume(e Event) {
 		return
 	}
 	m.events++
+	m.exposure.apply(e, nil)
 	switch e.Kind {
 	case EvTxBegin:
 		m.txLSN[e.Span] = 0
@@ -220,31 +216,17 @@ func (m *Monitor) Consume(e Event) {
 		}
 
 	case EvHvAck:
-		m.outstanding[e.Span] = e.Arg2
-		m.exposure += e.Arg2
 		if e.Parent != 0 {
 			m.entryForce[e.Span] = e.Parent
 		}
 		m.checkExposure(e.At)
 
-	case EvHvAbsorb:
-		// Absorption supersedes an equal-length buffered entry in place:
-		// the device acks another guest write without growing the buffer,
-		// so exposure is unchanged.
-
 	case EvDurable:
-		if b, ok := m.outstanding[e.Parent]; ok {
-			m.exposure -= b
-			delete(m.outstanding, e.Parent)
-		}
-		if m.exposure <= m.cfg.Bound {
+		if m.exposure.bytes <= m.cfg.Bound {
 			m.exposureOver = false
 		}
 
 	case EvDumpDone:
-		// The dump image holds everything still buffered: exposure ends.
-		m.exposure = 0
-		m.outstanding = make(map[SpanID]int64)
 		m.exposureOver = false
 
 	case EvLogComplete:
@@ -302,8 +284,6 @@ func (m *Monitor) Consume(e Event) {
 	case EvPowerRestore:
 		// The machine rebooted: volatile state (buffer, in-flight txs,
 		// WAL force pipeline) did not survive.
-		m.exposure = 0
-		m.outstanding = make(map[SpanID]int64)
 		m.exposureOver = false
 		m.txLSN = make(map[SpanID]int64)
 		m.entryForce = make(map[SpanID]SpanID)
@@ -315,13 +295,13 @@ func (m *Monitor) Consume(e Event) {
 }
 
 func (m *Monitor) checkExposure(at time.Duration) {
-	if m.cfg.Bound <= 0 || m.exposure <= m.cfg.Bound {
+	if m.cfg.Bound <= 0 || m.exposure.bytes <= m.cfg.Bound {
 		return
 	}
 	if !m.exposureOver {
 		m.exposureOver = true
 		m.violate(InvExposure, at,
-			fmt.Sprintf("buffered %d bytes exceeds bound %d", m.exposure, m.cfg.Bound))
+			fmt.Sprintf("buffered %d bytes exceeds bound %d", m.exposure.bytes, m.cfg.Bound))
 	}
 }
 
@@ -337,7 +317,7 @@ func (m *Monitor) checkAckEvidence(e Event) {
 			fmt.Sprintf("tx acked at lsn %d but flushed lsn is %d", lsn, m.flushedLSN))
 		return
 	}
-	if m.cfg.Policy == PolicyLocal {
+	if m.cfg.QuorumK == 0 {
 		return
 	}
 	// Quorum evidence: the first flush covering the commit LSN fixes which
@@ -409,8 +389,8 @@ func (m *Monitor) Report() MonitorReport {
 }
 
 // RunMonitor replays a recorded event stream through a fresh monitor —
-// the offline form used by rapilog-trace to re-verify a trace after the
-// fact. The retention check is skipped unless cfg.Reg carries the gauge.
+// the offline form rapilog-trace -check runs on an artifact's contract. The
+// retention check is skipped unless cfg.Reg carries the live gauge.
 func RunMonitor(events []Event, cfg MonitorConfig) MonitorReport {
 	m := NewMonitor(cfg)
 	for _, e := range events {

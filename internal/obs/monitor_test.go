@@ -32,7 +32,7 @@ func cleanQuorumStream() []Event {
 
 func TestMonitorCleanQuorumStream(t *testing.T) {
 	rep := RunMonitor(cleanQuorumStream(), MonitorConfig{
-		Bound: 4096, Policy: PolicyQuorum, QuorumK: 1,
+		Bound: 4096, QuorumK: 1,
 	})
 	if rep.Total != 0 {
 		t.Fatalf("clean stream flagged: %+v", rep)
@@ -79,7 +79,7 @@ func TestMonitorDetectsAckBeforeLocalFlush(t *testing.T) {
 		}
 		events = append(events, e)
 	}
-	rep := RunMonitor(events, MonitorConfig{Policy: PolicyLocal})
+	rep := RunMonitor(events, MonitorConfig{})
 	if rep.ByKind[InvAckEvidence.String()] != 1 {
 		t.Fatalf("missing-flush ack not flagged: %+v", rep)
 	}
@@ -94,17 +94,17 @@ func TestMonitorDetectsAckWithoutQuorumEvidence(t *testing.T) {
 		events = append(events, e)
 	}
 	// Under the local policy this stream is fine...
-	if rep := RunMonitor(events, MonitorConfig{Policy: PolicyLocal}); rep.Total != 0 {
+	if rep := RunMonitor(events, MonitorConfig{}); rep.Total != 0 {
 		t.Fatalf("local policy flagged quorum-free stream: %+v", rep)
 	}
 	// ...under a quorum policy it is an ack without evidence.
-	rep := RunMonitor(events, MonitorConfig{Policy: PolicyQuorum, QuorumK: 1})
+	rep := RunMonitor(events, MonitorConfig{QuorumK: 1})
 	if rep.ByKind[InvAckEvidence.String()] != 1 {
 		t.Fatalf("quorum-free ack not flagged: %+v", rep)
 	}
 	// So is the clean stream against a stricter policy than its marks
 	// claim: one standby's copy is not a quorum of two.
-	rep = RunMonitor(cleanQuorumStream(), MonitorConfig{Policy: PolicyQuorum, QuorumK: 2})
+	rep = RunMonitor(cleanQuorumStream(), MonitorConfig{QuorumK: 2})
 	if rep.ByKind[InvAckEvidence.String()] != 1 {
 		t.Fatalf("k=1 quorum mark accepted as evidence for K=2: %+v", rep)
 	}
@@ -211,8 +211,11 @@ func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
 	if len(rec.Events) != 8 {
 		t.Fatalf("kept %d events, want the 8-event window", len(rec.Events))
 	}
-	if rec.TruncatedEvents != emitted-8 {
-		t.Fatalf("TruncatedEvents = %d, want %d", rec.TruncatedEvents, emitted-8)
+	if rec.Emitted != emitted || rec.Dropped != emitted-8 {
+		t.Fatalf("Emitted, Dropped = %d, %d, want %d, %d", rec.Emitted, rec.Dropped, emitted, emitted-8)
+	}
+	if rec.Contract == nil || rec.Contract.Bound != 100 {
+		t.Fatalf("contract = %+v, want the armed monitor's bound 100", rec.Contract)
 	}
 	if len(rec.Snapshots) != 4 {
 		t.Fatalf("kept %d snapshots, want the 4-snap ring", len(rec.Snapshots))
@@ -233,7 +236,7 @@ func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
 		t.Fatalf("ReadFlightRecord: %v", err)
 	}
 	if back.Reason != rec.Reason || back.AtNs != rec.AtNs ||
-		len(back.Events) != len(rec.Events) || back.TruncatedEvents != rec.TruncatedEvents {
+		len(back.Events) != len(rec.Events) || back.Dropped != rec.Dropped || *back.Contract != *rec.Contract {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", back, rec)
 	}
 	if back.Labels["standby0"] != rec.Labels["standby0"] {
@@ -258,9 +261,12 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	back, err := ReadTraceDump(&buf)
+	back, err := ReadFlightRecord(&buf)
 	if err != nil {
-		t.Fatalf("ReadTraceDump: %v", err)
+		t.Fatalf("ReadFlightRecord: %v", err)
+	}
+	if back.Reason != "" || back.Contract != nil {
+		t.Fatalf("a bare tracer's dump read back as %+v", back)
 	}
 	events, err := back.DecodedEvents()
 	if err != nil {
@@ -275,8 +281,8 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: %+v != %+v", i, events[i], want[i])
 		}
 	}
-	if back.LabelName(lbl) != "standby0" {
-		t.Fatalf("LabelName(%d) = %q", lbl, back.LabelName(lbl))
+	if back.Labels["standby0"] != lbl {
+		t.Fatalf("labels = %v, want standby0 = %d", back.Labels, lbl)
 	}
 }
 

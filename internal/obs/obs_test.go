@@ -203,6 +203,28 @@ func TestAuditExposureViolationAndOutstanding(t *testing.T) {
 	}
 }
 
+// A power restore ends exposure in the audit as it does in the monitor: what
+// no dump saved is lost, not still at risk, and must not stack under the
+// writes the rebooted machine acks next.
+func TestExposureEndsAtPowerRestore(t *testing.T) {
+	events := []Event{
+		{At: 1, Kind: EvHvAck, Span: 1, Arg2: 1000},
+		{At: 2, Kind: EvPowerFail},
+		{At: 3, Kind: EvPowerRestore}, // no dump_done: the dump failed or was disabled
+		{At: 4, Kind: EvHvAck, Span: 2, Arg2: 800},
+	}
+	rep := AuditExposure(events, 1500, false)
+	if rep.Violated() || rep.PeakBytes != 1000 {
+		t.Fatalf("restore did not end exposure: %s", rep.Verdict())
+	}
+	if rep.OutstandingBytes != 1800 || rep.DumpedBytes != 0 || rep.AckToDurable.Count() != 0 {
+		t.Fatalf("lost and in-flight bytes misfiled: %s", rep.Verdict())
+	}
+	if mr := RunMonitor(events, MonitorConfig{Bound: 1500}); mr.Total != 0 {
+		t.Fatalf("monitor disagrees with the audit: %+v", mr)
+	}
+}
+
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("drained")

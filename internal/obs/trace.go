@@ -237,6 +237,10 @@ type Tracer struct {
 	labels   map[string]int64
 	labelSeq int64
 
+	// contract is what the monitor armed on this tracer checks (NewMonitor
+	// stamps it); every Dump carries it. Nil when no monitor is armed.
+	contract *MonitorConfig
+
 	observer  func(Event)
 	notifying bool
 }

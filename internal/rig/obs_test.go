@@ -103,6 +103,33 @@ func TestExposureAuditFlagsUnsafeConfig(t *testing.T) {
 	}
 }
 
+// Under remote-only acks the exposure bound is the configured buffer, not the
+// dumpable window. The audit must judge exposure by the bound the monitor
+// checks — the one the trace's contract carries — or the two disagree on the
+// same run whenever the buffer is larger than SafeBufferSize.
+func TestExposureAuditUsesTheMonitorsBound(t *testing.T) {
+	r, err := New(Config{
+		Seed: 5, Mode: RapiLogReplica, Replicas: 2, AckPolicy: core.AckRemoteOnly(1),
+		NoDaemons: true, Trace: true,
+		RapiLog: core.Config{MaxBuffer: 8 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Logger.MaxBuffer() <= r.SafeBound() {
+		t.Fatalf("test premise broken: buffer %d not above the safe bound %d", r.Logger.MaxBuffer(), r.SafeBound())
+	}
+	rep, err := r.AuditExposure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.Obs.Tracer().Dump().Contract
+	if c == nil || rep.Bound != c.Bound || c.Bound != r.Logger.MaxBuffer() {
+		t.Fatalf("audit bound %d, monitor contract %+v, buffer %d: want all equal", rep.Bound, c, r.Logger.MaxBuffer())
+	}
+}
+
 // The audit refuses to run without a trace rather than reporting a vacuous
 // zero-exposure pass.
 func TestExposureAuditRequiresTracing(t *testing.T) {

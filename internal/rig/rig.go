@@ -294,25 +294,8 @@ func (r *Rig) setupVerification() {
 	if len(r.Domains) > 1 {
 		return
 	}
-	mc := obs.MonitorConfig{
-		Bound: r.SafeBound(),
-		Reg:   r.Obs.Registry(),
-		Trace: tr,
-	}
-	if r.Cfg.AckPolicy.Remote() {
-		mc.Policy, mc.QuorumK = obs.PolicyQuorum, r.Cfg.AckPolicy.K
-	}
-	if r.Cfg.AckPolicy.Kind == core.AckKindRemoteOnly && r.Logger != nil {
-		// The emergency dump is disabled by design, so exposure is bounded
-		// by the configured buffer alone, not the dumpable window.
-		mc.Bound = r.Logger.MaxBuffer()
-	}
-	if r.Cfg.Mode.Replicated() {
-		mc.RetainLimit = replica.DefaultRetainLimit
-		// Eviction legitimately takes an ack-stall window plus a couple of
-		// probe rounds; only beyond that is high retention a violation.
-		mc.RetainGrace = replica.DefaultDeadAfter + 2*replica.RetransmitEvery
-	}
+	mc := r.contract()
+	mc.Reg, mc.Trace = r.Obs.Registry(), tr
 	r.Monitor = obs.NewMonitor(mc)
 	if !r.Cfg.Flight {
 		tr.SetObserver(r.Monitor.Consume)
@@ -344,11 +327,33 @@ func (r *Rig) setupVerification() {
 	})
 }
 
+// contract is what a one-domain machine's run is checked against, online by
+// its monitor and offline from its artifacts: the exposure bound, the quorum
+// an ack needs (0 = local acks) and the shipper's retention limit.
+func (r *Rig) contract() obs.MonitorConfig {
+	c := obs.MonitorConfig{Bound: r.SafeBound()}
+	if r.Cfg.AckPolicy.Remote() {
+		c.QuorumK = r.Cfg.AckPolicy.K
+	}
+	if r.Cfg.AckPolicy.Kind == core.AckKindRemoteOnly && r.Logger != nil {
+		// The emergency dump is disabled by design, so exposure is bounded
+		// by the configured buffer alone, not the dumpable window.
+		c.Bound = r.Logger.MaxBuffer()
+	}
+	if r.Cfg.Mode.Replicated() {
+		c.RetainLimit = replica.DefaultRetainLimit
+		// Eviction legitimately takes an ack-stall window plus a couple of
+		// probe rounds; only beyond that is high retention a violation.
+		c.RetainGrace = replica.DefaultDeadAfter + 2*replica.RetransmitEvery
+	}
+	return c
+}
+
 // AuditExposure replays the machine's trace into the durability-exposure
 // report: the time-series of acknowledged-but-undrained bytes, per-write
-// ack→durable latency, and the peak-vs-bound verdict. Requires Config.Trace
-// and a single log domain (trace events do not say which domain emitted
-// them).
+// ack→durable latency, and the verdict against the contract's bound — the
+// one the monitor checks. Requires Config.Trace and a single log domain
+// (trace events do not say which domain emitted them).
 func (r *Rig) AuditExposure() (obs.ExposureReport, error) {
 	tr := r.Obs.Tracer()
 	if !tr.Enabled() {
@@ -357,7 +362,7 @@ func (r *Rig) AuditExposure() (obs.ExposureReport, error) {
 	if len(r.Domains) > 1 {
 		return obs.ExposureReport{}, fmt.Errorf("rig: exposure audit needs a single log domain, have %d", len(r.Domains))
 	}
-	return obs.AuditExposure(tr.Events(), r.SafeBound(), tr.Dropped() > 0), nil
+	return obs.AuditExposure(tr.Events(), r.contract().Bound, tr.Dropped() > 0), nil
 }
 
 // CutPower starts a mains-loss event (the plug-pull) for the whole machine:

@@ -153,9 +153,7 @@ func TestMonitorFlagsLocalAcksUnderQuorumPolicy(t *testing.T) {
 	if n := r.Monitor.Total(); n != 0 {
 		t.Fatalf("local-policy run violated its own policy: %+v", r.Monitor.Report())
 	}
-	rep := obs.RunMonitor(r.Obs.Tracer().Events(), obs.MonitorConfig{
-		Policy: obs.PolicyQuorum, QuorumK: 2,
-	})
+	rep := obs.RunMonitor(r.Obs.Tracer().Events(), obs.MonitorConfig{QuorumK: 2})
 	if rep.ByKind[obs.InvAckEvidence.String()] == 0 {
 		t.Fatalf("no ack_without_evidence findings replaying local acks under a quorum policy: %+v", rep)
 	}

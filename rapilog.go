@@ -216,14 +216,17 @@ type (
 // rapilog-trace. Enable with Config.Trace (tracing + monitor) or
 // Config.Flight (adds the flight recorder).
 type (
-	// TraceDump is a serialisable copy of the tracer's event ring plus its
-	// label table — what -trace-out writes and rapilog-trace reads.
+	// TraceDump is a serialisable copy of the tracer's event ring, its label
+	// table and the contract the run was checked against — what -trace-out
+	// writes and rapilog-trace reads.
 	TraceDump = obs.TraceDump
-	// FlightRecord is a frozen post-mortem: recent events, trailing metric
-	// snapshots, final registry state, and the monitor's verdict.
+	// FlightRecord is a frozen post-mortem: a TraceDump of the recent events
+	// plus the freeze's reason and time, trailing metric snapshots, final
+	// registry state, and the monitor's verdict.
 	FlightRecord = obs.FlightRecord
-	// MonitorConfig parameterises a Monitor (bound, policy, quorum size,
-	// retention limits).
+	// MonitorConfig parameterises a Monitor; its data fields are the
+	// contract (exposure bound, quorum size with 0 for local acks, retention
+	// limits) a dump carries.
 	MonitorConfig = obs.MonitorConfig
 	// MonitorReport summarises a monitor's findings.
 	MonitorReport = obs.MonitorReport
@@ -233,17 +236,8 @@ type (
 	TraceAnalysis = obs.Analysis
 )
 
-// Monitor policy kinds (obs mirrors core's ack-policy kinds so traces can
-// be re-verified without the core package).
-const (
-	PolicyLocal  = obs.PolicyLocal
-	PolicyQuorum = obs.PolicyQuorum
-)
-
-// ReadTraceDump parses a dump written by -trace-out.
-func ReadTraceDump(r io.Reader) (TraceDump, error) { return obs.ReadTraceDump(r) }
-
-// ReadFlightRecord parses a record written by -flight-out.
+// ReadFlightRecord parses a record written by -flight-out, or a dump written
+// by -trace-out (a flight record with no freeze: Reason is empty).
 func ReadFlightRecord(r io.Reader) (*FlightRecord, error) { return obs.ReadFlightRecord(r) }
 
 // AnalyzeTrace runs the offline analyzer over a trace dump. buckets sizes
@@ -251,7 +245,8 @@ func ReadFlightRecord(r io.Reader) (*FlightRecord, error) { return obs.ReadFligh
 func AnalyzeTrace(d TraceDump, buckets int) (*TraceAnalysis, error) { return obs.Analyze(d, buckets) }
 
 // RunMonitor replays a recorded event stream through a fresh monitor — the
-// offline re-verification rapilog-trace -check performs.
+// offline re-verification rapilog-trace -check performs on a dump's
+// contract.
 func RunMonitor(events []TraceEvent, cfg MonitorConfig) MonitorReport {
 	return obs.RunMonitor(events, cfg)
 }
