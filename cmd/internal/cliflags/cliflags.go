@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro"
@@ -35,10 +36,14 @@ type Usage struct {
 // Register declares the shared flags on fs.
 func Register(fs *flag.FlagSet, u Usage) *Deployment {
 	d := &Deployment{}
-	fs.StringVar(&d.Mode, "mode", "rapilog", "native-sync | native-async | virt-sync | rapilog | rapilog-replica")
+	modes := make([]string, len(rapilog.Modes))
+	for i, m := range rapilog.Modes {
+		modes[i] = string(m)
+	}
+	fs.StringVar(&d.Mode, "mode", "rapilog", strings.Join(modes, " | "))
 	fs.IntVar(&d.Shards, "shards", 0, u.Shards)
 	fs.StringVar(&d.Engine, "engine", "pg", "engine personality: pg | my | cx")
-	fs.IntVar(&d.Replicas, "replicas", 0, "standby replicas in rapilog-replica mode (default 2)")
+	fs.IntVar(&d.Replicas, "replicas", 0, "standby replicas the log is shipped to (0 = none; a quorum or remote-only -ack-policy defaults it to 2)")
 	fs.StringVar(&d.AckPolicy, "ack-policy", "local", "commit ack policy: local | quorum | remote-only")
 	fs.IntVar(&d.Quorum, "quorum", 0, "replicas that must hold a commit before it acks (quorum/remote-only; default 1)")
 	fs.DurationVar(&d.NetLatency, "net-latency", 0, "fabric link latency (default 200µs)")
@@ -48,16 +53,15 @@ func Register(fs *flag.FlagSet, u Usage) *Deployment {
 	return d
 }
 
-// Config validates the flags and builds the deployment they describe. Trace
-// and Flight follow -trace-out and -flight-out; callers with further reasons
-// to trace OR them in.
+// Config validates the flags and builds the deployment they describe,
+// resolved (rapilog.Config.Normalize): what it reports — the standby count a
+// quorum policy implies, say — is what the machine runs. Trace and Flight
+// follow -trace-out and -flight-out; callers with further reasons to trace
+// OR them in.
 func (d *Deployment) Config(seed int64) (rapilog.Config, error) {
 	pers, ok := rapilog.Personalities[d.Engine]
 	if !ok {
 		return rapilog.Config{}, fmt.Errorf("unknown engine %q", d.Engine)
-	}
-	if err := rapilog.ValidateQuorumFlags(d.Quorum, d.Replicas); err != nil {
-		return rapilog.Config{}, err
 	}
 	policy, err := rapilog.ParseAckPolicy(d.AckPolicy, d.Quorum)
 	if err != nil {
@@ -74,7 +78,8 @@ func (d *Deployment) Config(seed int64) (rapilog.Config, error) {
 		Flight:      d.FlightOut != "",
 	}
 	cfg.Net.Latency = d.NetLatency
-	return cfg, nil
+	err = cfg.Normalize()
+	return cfg, err
 }
 
 // WriteJSON streams one JSON document into path via write; an empty path

@@ -12,8 +12,8 @@
 //	rapilog-fault -mode rapilog -fault disk-error -trials 50 -err-prob 0.9
 //	rapilog-fault -mode rapilog -fault disk-error -permanent -trials 5
 //	rapilog-fault -mode rapilog -fault latency-storm -fault-window 500ms
-//	rapilog-fault -mode rapilog-replica -fault partition -then power-cut \
-//	    -break-dump -ack-policy quorum -quorum 1 -replicas 2 -trials 10
+//	rapilog-fault -fault partition -then power-cut -break-dump \
+//	    -ack-policy quorum -quorum 1 -trials 10
 //	rapilog-fault -shards 4 -fault power-cut -trials 50
 //	rapilog-fault -fault leader-isolation -trials 5 -parallel 3 -trace-out trace.json
 package main
@@ -48,7 +48,7 @@ func main() {
 		window    = flag.Duration("fault-window", 0, "how long a media fault lasts (disk-error, latency-storm; default 300ms)")
 		errProb   = flag.Float64("err-prob", 0, "per-request write-error probability inside a disk-error window (default 0.7)")
 		permanent = flag.Bool("permanent", false, "disk-error grows a permanent bad-sector range instead (forces degraded pass-through)")
-		// Replication faults (rapilog-replica mode).
+		// Replication faults (a machine with standbys).
 		partWin   = flag.Duration("partition-window", 0, "how long a partition or replica-crash outage lasts (default fault-window)")
 		then      = flag.String("then", "", "second fault at the outage midpoint: power-cut | guest-crash (partition, replica-crash)")
 		crashReps = flag.Int("crash-replicas", 0, "standbys a replica-crash takes down (default 1)")
@@ -85,17 +85,15 @@ func main() {
 		cfg.NewWorkload = func() rapilog.Workload { return &rapilog.Stress{} }
 	}
 
-	if rigCfg.Mode == rapilog.ModeRapiLogReplica {
-		n := flags.Replicas
-		if n == 0 {
-			n = 2
-		}
-		fmt.Printf("replication: %d standbys, ack policy %s\n", n, rigCfg.AckPolicy)
+	// The campaign resolves its Rig the way its trials build it (for a leader
+	// fault, a cluster's node template), so the header reports what ran.
+	sum := rapilog.RunCampaign(cfg)
+	if rc := sum.Config.Rig; rc.Replicas > 0 {
+		fmt.Printf("replication: %d standbys, ack policy %s\n", rc.Replicas, rc.AckPolicy)
 	}
 	if flags.Shards > 1 {
 		fmt.Printf("sharding: %d independent log domains, machine-wide plug-pull\n", flags.Shards)
 	}
-	sum := rapilog.RunCampaign(cfg)
 	if *perTrial {
 		const row = "%-6v %-12v %-8v %-6v %-6v %-9v %-9v %-9v %-10v %-12v %-9v %s\n"
 		fmt.Printf(row, "trial", "seed", "acked", "lost", "torn", "degraded", "stranded", "repl_lag", "failovers", "split-brain", "unavail", "err")

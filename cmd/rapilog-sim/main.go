@@ -8,7 +8,7 @@
 //	rapilog-sim -mode rapilog -engine pg -disk hdd -clients 8 -duration 10s
 //	rapilog-sim -mode native-sync -workload tpcb -trace
 //	rapilog-sim -commit-trace -trace-out trace.json -metrics-out metrics.json
-//	rapilog-sim -mode rapilog-replica -ack-policy quorum -quorum 1 -replicas 2
+//	rapilog-sim -ack-policy quorum -quorum 1 -replicas 2
 //	rapilog-sim -shards 4 -workload tpcb -clients 4
 package main
 
@@ -21,7 +21,6 @@ import (
 
 	"repro"
 	"repro/cmd/internal/cliflags"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -72,7 +71,7 @@ func main() {
 	}
 	defer dep.Close()
 	if *trace {
-		dep.S.SetTrace(func(at sim.Time, format string, args ...any) {
+		dep.S.SetTrace(func(at rapilog.Time, format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[%12v] %s\n", at, fmt.Sprintf(format, args...))
 		})
 	}

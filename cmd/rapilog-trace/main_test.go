@@ -78,7 +78,7 @@ func check(path string) (bool, string) {
 // local ack into an ack without evidence; the contract says acks were local.
 func TestCheckAckLocalReplicatedRun(t *testing.T) {
 	policy, _ := rapilog.ParseAckPolicy("local", 0)
-	dep := tracedRun(t, rapilog.Config{Seed: 1, Mode: rapilog.ModeRapiLogReplica, Replicas: 2, AckPolicy: policy}, 100)
+	dep := tracedRun(t, rapilog.Config{Seed: 1, Replicas: 2, AckPolicy: policy}, 100)
 	dump := dep.Obs.Tracer().Dump()
 	marks := 0
 	for _, e := range dump.Events {
@@ -98,7 +98,7 @@ func TestCheckAckLocalReplicatedRun(t *testing.T) {
 // A quorum=2 run whose marks claim only one standby's copy is an ack without
 // evidence, whatever the marks say about themselves.
 func TestCheckQuorumContractRejectsWeakerMarks(t *testing.T) {
-	dep := tracedRun(t, rapilog.Config{Seed: 2, Mode: rapilog.ModeRapiLogReplica, Replicas: 2, AckPolicy: rapilog.AckQuorum(2)}, 100)
+	dep := tracedRun(t, rapilog.Config{Seed: 2, Replicas: 2, AckPolicy: rapilog.AckQuorum(2)}, 100)
 	dump := dep.Obs.Tracer().Dump()
 	if ok, out := check(artifact(t, "trace.json", dump.WriteJSON)); !ok {
 		t.Fatalf("the untouched quorum=2 trace failed -check:\n%s", out)

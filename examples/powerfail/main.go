@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -25,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer dep.Close()
-	dep.S.SetTrace(func(at sim.Time, format string, args ...any) {
+	dep.S.SetTrace(func(at rapilog.Time, format string, args ...any) {
 		fmt.Printf("  [%12v] %s\n", at, fmt.Sprintf(format, args...))
 	})
 	fmt.Printf("PSU %q guarantees %v of ride-through; the safe buffer bound is %d KiB\n\n",

@@ -20,7 +20,7 @@ import (
 func main() {
 	cfg := rapilog.Config{
 		Seed:      7,
-		Mode:      rapilog.ModeRapiLogReplica,
+		Mode:      rapilog.ModeRapiLog,
 		Replicas:  2,
 		AckPolicy: rapilog.AckQuorum(1),
 	}

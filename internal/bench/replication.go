@@ -39,7 +39,7 @@ func runA9(opts Options) (*Report, error) {
 	baseRig := func(policy core.AckPolicy) rig.Config {
 		return rig.Config{
 			Seed:      opts.Seed,
-			Mode:      rig.RapiLogReplica,
+			Mode:      rig.RapiLog,
 			Replicas:  2,
 			AckPolicy: policy,
 			PSU:       power.PSUMeasured,

@@ -47,10 +47,14 @@ func AckQuorum(k int) AckPolicy { return AckPolicy{Kind: AckKindQuorum, K: k} }
 func AckRemoteOnly(k int) AckPolicy { return AckPolicy{Kind: AckKindRemoteOnly, K: k} }
 
 // ParseAckPolicy maps a CLI-style policy name ("local", "quorum",
-// "remote-only") and replica count to a policy.
+// "remote-only") and the -quorum value k to a policy. A local policy waits
+// for no standby, so a nonzero k there is a usage error, not a value to drop.
 func ParseAckPolicy(kind string, k int) (AckPolicy, error) {
 	switch kind {
 	case "", "local":
+		if k != 0 {
+			return AckPolicy{}, fmt.Errorf("rapilog: -quorum %d needs a remote -ack-policy (quorum|remote-only): local acks wait for no standby", k)
+		}
 		return AckLocal(), nil
 	case "quorum":
 		return AckQuorum(k), nil
@@ -76,31 +80,6 @@ func (a AckPolicy) String() string {
 
 // Remote reports whether the policy involves replicas at all.
 func (a AckPolicy) Remote() bool { return a.Kind != AckKindLocal }
-
-// DefaultReplicas is the standby count a replicated deployment gets when
-// none is configured.
-const DefaultReplicas = 2
-
-// ValidateQuorumFlags vets raw -quorum/-replicas CLI values before any
-// deployment is constructed, so an unsatisfiable configuration fails with a
-// usage error instead of a deep rig-construction failure. replicas == 0
-// means the deployment default (DefaultReplicas).
-func ValidateQuorumFlags(quorum, replicas int) error {
-	if quorum < 0 {
-		return fmt.Errorf("rapilog: -quorum %d: a commit cannot wait for a negative number of replicas", quorum)
-	}
-	if replicas < 0 {
-		return fmt.Errorf("rapilog: -replicas %d: the standby count cannot be negative", replicas)
-	}
-	n := replicas
-	if n == 0 {
-		n = DefaultReplicas
-	}
-	if quorum > n {
-		return fmt.Errorf("rapilog: -quorum %d exceeds the %d configured standbys: such a commit could never be acknowledged (lower -quorum or raise -replicas)", quorum, n)
-	}
-	return nil
-}
 
 // Replicator is the Logger's hook into log shipping. The Logger calls Ship
 // for every byte it intends to make durable — buffered inserts, absorbed

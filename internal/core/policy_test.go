@@ -184,7 +184,7 @@ func TestParseAckPolicy(t *testing.T) {
 		want string
 	}{
 		{"local", 0, "local"},
-		{"", 3, "local"},
+		{"", 0, "local"},
 		{"quorum", 2, "quorum(2)"},
 		{"remote-only", 1, "remote-only(1)"},
 		{"remote", 2, "remote-only(2)"},
@@ -200,6 +200,12 @@ func TestParseAckPolicy(t *testing.T) {
 	}
 	if _, err := ParseAckPolicy("bogus", 1); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+	// A -quorum under local acks used to be accepted and ignored.
+	for _, kind := range []string{"", "local"} {
+		if _, err := ParseAckPolicy(kind, 2); err == nil || !strings.Contains(err.Error(), "-quorum 2") {
+			t.Fatalf("ParseAckPolicy(%q, 2) = %v, want an error naming -quorum", kind, err)
+		}
 	}
 }
 
@@ -234,38 +240,5 @@ func TestQuorumPolicyRejectsOverlargeK(t *testing.T) {
 	}
 	if _, err := NewLogger(m, hv, logPart, dump, Config{Policy: AckQuorum(1), Replicator: fr}); err != nil {
 		t.Fatalf("k within the replica set rejected: %v", err)
-	}
-}
-
-// TestValidateQuorumFlags: CLI quorum/replica combinations are vetted
-// before any deployment is constructed — an unsatisfiable quorum or a
-// negative count must fail as a usage error, not a deep rig failure.
-func TestValidateQuorumFlags(t *testing.T) {
-	cases := []struct {
-		quorum, replicas int
-		wantErr          string // substring; "" means accepted
-	}{
-		{0, 0, ""},
-		{1, 0, ""}, // default replica pool of 2
-		{2, 0, ""},
-		{2, 2, ""},
-		{3, 3, ""},
-		{-1, 0, "negative"},
-		{0, -2, "negative"},
-		{3, 0, "exceeds"}, // over the default pool
-		{3, 2, "exceeds"},
-	}
-	for _, c := range cases {
-		err := ValidateQuorumFlags(c.quorum, c.replicas)
-		if c.wantErr == "" {
-			if err != nil {
-				t.Fatalf("ValidateQuorumFlags(%d, %d): %v", c.quorum, c.replicas, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Fatalf("ValidateQuorumFlags(%d, %d) = %v, want error containing %q",
-				c.quorum, c.replicas, err, c.wantErr)
-		}
 	}
 }

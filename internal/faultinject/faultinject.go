@@ -35,11 +35,11 @@ const (
 	// nothing fails, everything is late.
 	LatencyStorm Fault = "latency-storm"
 	// Partition isolates the primary from every standby for
-	// PartitionWindow, then heals (rapilog-replica mode only). Composable
-	// with PowerCut/GuestCrash via Compose.
+	// PartitionWindow, then heals (a replicated machine only: Rig.Replicas
+	// > 0). Composable with PowerCut/GuestCrash via Compose.
 	Partition Fault = "partition"
 	// ReplicaCrash crashes CrashReplicas standbys for PartitionWindow,
-	// then restarts them (rapilog-replica mode only). Composable like
+	// then restarts them (a replicated machine only). Composable like
 	// Partition.
 	ReplicaCrash Fault = "replica-crash"
 	// LeaderPowerCut pulls the plug of a cluster's leader machine: heartbeat
@@ -75,8 +75,9 @@ type CampaignConfig struct {
 	// log domain gets its own workload copy, journal and client pool, the
 	// fault hits the whole machine, and recovery runs per domain in parallel
 	// — PowerCut only, the one fault that is machine-wide by nature. A leader
-	// fault builds a cluster of Rig.Replicas + 1 such machines (default 3);
-	// rig.NewCluster forces a remote ack policy and tracing on them.
+	// fault builds a cluster of Rig.Replicas + 1 such machines (default 3),
+	// resolved by rig.ClusterConfig.Normalize: it forces a remote ack policy
+	// and tracing on them.
 	Rig     rig.Config
 	Fault   Fault
 	Trials  int // default 20
@@ -167,9 +168,6 @@ func (c *CampaignConfig) applyDefaults() {
 	if c.CrashReplicas == 0 {
 		c.CrashReplicas = 1
 	}
-	if c.Rig.Replicas == 0 && (leader || c.Rig.Mode.Replicated()) {
-		c.Rig.Replicas = 2 // rig's own default, pinned here so validate can count standbys
-	}
 	if c.NewWorkload == nil {
 		c.NewWorkload = func() workload.Workload {
 			if leader {
@@ -182,7 +180,8 @@ func (c *CampaignConfig) applyDefaults() {
 
 // validate rejects configurations that could never run a sane trial. It runs
 // after applyDefaults, which only replaces zero values: an explicitly
-// negative size or window reaches here.
+// negative size or window reaches here. It resolves Rig in place as the
+// trial's rig.New or rig.NewCluster will: the Summary reports what ran.
 func (c *CampaignConfig) validate() error {
 	if c.Trials < 1 {
 		return fmt.Errorf("faultinject: Trials %d: a campaign needs at least one trial", c.Trials)
@@ -210,23 +209,29 @@ func (c *CampaignConfig) validate() error {
 	if c.CrashReplicas < 1 {
 		return fmt.Errorf("faultinject: CrashReplicas %d: a replica crash takes down at least one standby", c.CrashReplicas)
 	}
+	if err := c.Rig.Normalize(); err != nil {
+		return err
+	}
 	// Fault × topology: what each fault needs of the deployment it hits.
 	switch {
 	case c.Fault == GuestCrash, c.Fault == PowerCut, c.Fault.isMediaFault():
 	case c.Fault.isReplicaFault():
-		if !c.Rig.Mode.Replicated() {
-			return fmt.Errorf("faultinject: fault %q needs mode %q", c.Fault, rig.RapiLogReplica)
+		if c.Rig.Replicas == 0 {
+			return fmt.Errorf("faultinject: fault %q needs standbys (Rig.Replicas, or a remote Rig.AckPolicy)", c.Fault)
 		}
 		if c.Fault == ReplicaCrash && c.CrashReplicas > c.Rig.Replicas {
 			return fmt.Errorf("faultinject: CrashReplicas %d exceeds the %d standbys (Rig.Replicas)", c.CrashReplicas, c.Rig.Replicas)
 		}
 	case c.Fault.isLeaderFault():
-		if c.Rig.Shards != 0 {
-			return fmt.Errorf("faultinject: fault %q needs a cluster, whose nodes cannot be sharded yet (Rig.Shards = %d)", c.Fault, c.Rig.Shards)
+		// The trial's cluster: Rig.Replicas + 1 nodes, or its default count.
+		cc := rig.ClusterConfig{Rig: c.Rig}
+		if c.Rig.Replicas > 0 {
+			cc.Nodes = c.Rig.Replicas + 1
 		}
-		if c.Rig.AckPolicy.K > c.Rig.Replicas {
-			return fmt.Errorf("faultinject: ack policy %v needs %d standby stores, a %d-node cluster has %d (Rig.Replicas)",
-				c.Rig.AckPolicy, c.Rig.AckPolicy.K, c.Rig.Replicas+1, c.Rig.Replicas)
+		err := cc.Normalize()
+		c.Rig = cc.Rig
+		if err != nil {
+			return err
 		}
 		if c.SessionFor <= c.InjectAfterMax {
 			return fmt.Errorf("faultinject: SessionFor %v inside the inject window", c.SessionFor)
@@ -264,7 +269,7 @@ type TrialResult struct {
 	// Power-cut trials: the dying epoch's dump-path counters.
 	DumpRetries  int
 	DumpFailures int
-	// Replica-mode trials: the replication stream's peak unacked depth
+	// Replicated-machine trials: the replication stream's peak unacked depth
 	// (records shipped but not yet held by every standby).
 	ReplLagMax int64
 	// Leader-fault trials. Missing/Mismatched then audit every acked op —
@@ -396,15 +401,19 @@ func (s Summary) UnavailPercentile(q float64) time.Duration {
 }
 
 func (s Summary) String() string {
-	topo := string(s.Config.Rig.Mode)
+	rc := s.Config.Rig
+	topo := string(rc.Mode)
 	extra := ""
-	switch {
-	case s.Config.Fault.isLeaderFault():
-		topo = fmt.Sprintf("cluster[%d nodes]", s.Config.Rig.Replicas+1)
+	if rc.Shards > 1 {
+		topo += fmt.Sprintf("[%d shards]", rc.Shards)
+	}
+	if rc.Replicas > 0 {
+		topo += fmt.Sprintf("[%d standbys]", rc.Replicas)
+	}
+	if s.Config.Fault.isLeaderFault() {
+		topo = fmt.Sprintf("cluster[%d nodes]", rc.Replicas+1)
 		extra = fmt.Sprintf(", %d split-brain, %d incomplete, unavailability p50 %v p99 %v", s.SplitBrains, s.Incomplete,
 			s.UnavailPercentile(0.50).Round(time.Millisecond), s.UnavailPercentile(0.99).Round(time.Millisecond))
-	case s.Config.Rig.Shards > 1:
-		topo += fmt.Sprintf("[%d shards]", s.Config.Rig.Shards)
 	}
 	if s.DegradedTrials > 0 {
 		extra += fmt.Sprintf(", %d degraded", s.DegradedTrials)
@@ -431,8 +440,9 @@ func (s Summary) String() string {
 // them in seed order: the Summary is identical to a sequential run's.
 func RunCampaign(cfg CampaignConfig) Summary {
 	cfg.applyDefaults()
+	err := cfg.validate()
 	sum := Summary{Config: cfg}
-	if err := cfg.validate(); err != nil {
+	if err != nil {
 		sum.add(TrialResult{Err: err})
 		return sum
 	}

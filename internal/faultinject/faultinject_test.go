@@ -206,8 +206,19 @@ func TestTrialDeterminism(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	sum := RunCampaign(quickCampaign(rig.RapiLog, GuestCrash, 1))
-	if sum.String() == "" {
-		t.Fatal("empty summary")
+	if !strings.HasPrefix(sum.String(), "rapilog/guest-crash: 1 trials") {
+		t.Fatalf("summary %q", sum)
+	}
+	// The label reads the resolved config: a quorum policy is a machine with
+	// the default two standbys, whatever the caller spelled.
+	cfg := quickCampaign(rig.RapiLog, Partition, 1)
+	cfg.Rig.AckPolicy = core.AckQuorum(1)
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := (Summary{Config: cfg}).String(); !strings.HasPrefix(got, "rapilog[2 standbys]/partition: ") {
+		t.Fatalf("replicated summary %q", got)
 	}
 }
 
@@ -276,7 +287,8 @@ func TestCampaignSizeIsValidated(t *testing.T) {
 // a value above Rig.Replicas was silently clamped.
 func TestConfigValidation(t *testing.T) {
 	replicaCrash := func(n int) CampaignConfig {
-		cfg := quickCampaign(rig.RapiLogReplica, ReplicaCrash, 1)
+		cfg := quickCampaign(rig.RapiLog, ReplicaCrash, 1)
+		cfg.Rig.Replicas = 2
 		cfg.CrashReplicas = n
 		return cfg
 	}
@@ -296,7 +308,9 @@ func TestConfigValidation(t *testing.T) {
 		{"leader fault, negative trials", leader(func(c *CampaignConfig) { c.Trials = -1 }), "Trials -1"},
 		{"leader fault, negative clients", leader(func(c *CampaignConfig) { c.Clients = -3 }), "Clients -3"},
 		{"leader fault on a sharded machine", leader(func(c *CampaignConfig) { c.Rig.Shards = 2 }), "Rig.Shards = 2"},
-		{"leader fault, quorum larger than the cluster", leader(func(c *CampaignConfig) { c.Rig.AckPolicy = core.AckQuorum(3) }), "needs 3 standby stores"},
+		{"leader fault, quorum larger than the cluster", leader(func(c *CampaignConfig) { c.Rig.AckPolicy = core.AckQuorum(3) }), "AckPolicy.K 3 exceeds Replicas 2"},
+		{"leader fault, negative replicas", leader(func(c *CampaignConfig) { c.Rig.Replicas = -1 }), "Replicas -1"},
+		{"replica fault, no standbys", quickCampaign(rig.RapiLog, Partition, 1), "needs standbys"},
 		{"leader fault composed", leader(func(c *CampaignConfig) { c.Compose = PowerCut }), "Compose only applies to replica faults"},
 		{"sessions end inside the inject window", leader(func(c *CampaignConfig) {
 			c.SessionFor, c.InjectAfterMax = time.Second, 2*time.Second
@@ -333,7 +347,8 @@ func TestNegativeWindowsAreConfigErrors(t *testing.T) {
 		t.Fatalf("RunCampaign on a negative FaultWindow: %+v", sum)
 	}
 
-	part := quickCampaign(rig.RapiLogReplica, Partition, 1)
+	part := quickCampaign(rig.RapiLog, Partition, 1)
+	part.Rig.Replicas = 2
 	part.PartitionWindow = -time.Second
 	if res := RunTrial(part, 1); res.Err == nil {
 		t.Fatal("RunTrial accepted a negative PartitionWindow")

@@ -81,7 +81,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 }
 
 func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
-	cfg := quickCampaign(rig.RapiLogReplica, Partition, 1)
+	cfg := quickCampaign(rig.RapiLog, Partition, 1)
 	cfg.Compose = PowerCut
 	cfg.Rig.Replicas = 2
 	cfg.Rig.AckPolicy = core.AckQuorum(1)

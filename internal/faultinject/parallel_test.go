@@ -22,7 +22,7 @@ func TestParallelCampaignDeterminism(t *testing.T) {
 		return RunCampaign(CampaignConfig{
 			Rig: rig.Config{
 				Seed:      99,
-				Mode:      rig.RapiLogReplica,
+				Mode:      rig.RapiLog,
 				Replicas:  2,
 				AckPolicy: core.AckQuorum(1),
 				Trace:     true,

@@ -21,7 +21,7 @@ func doubleFaultCampaign(policy core.AckPolicy, trials int) CampaignConfig {
 	return CampaignConfig{
 		Rig: rig.Config{
 			Seed:      42,
-			Mode:      rig.RapiLogReplica,
+			Mode:      rig.RapiLog,
 			Replicas:  2,
 			AckPolicy: policy,
 			PSU:       power.PSUMeasured,
@@ -129,14 +129,23 @@ func TestWorkingDumpSurvivesPartitionPlusPowerFail(t *testing.T) {
 func TestReplicaFaultValidation(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, Partition, 1)
 	if err := cfg.validate(); err == nil {
-		t.Fatal("partition fault accepted outside rapilog-replica mode")
+		t.Fatal("partition fault accepted on a machine with no standbys")
 	}
-	cfg = quickCampaign(rig.RapiLogReplica, PowerCut, 1)
+	// A quorum policy cannot mean anything but standbys: it is a replicated
+	// machine with the default two, not a request for a mode.
+	cfg.Rig.AckPolicy = core.AckQuorum(1)
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil || cfg.Rig.Replicas != 2 {
+		t.Fatalf("partition fault under a quorum policy: %v, %d standbys", err, cfg.Rig.Replicas)
+	}
+	cfg = quickCampaign(rig.RapiLog, PowerCut, 1)
+	cfg.Rig.Replicas = 2
 	cfg.Compose = GuestCrash
 	if err := cfg.validate(); err == nil {
 		t.Fatal("Compose accepted on a non-replica fault")
 	}
-	cfg = quickCampaign(rig.RapiLogReplica, Partition, 1)
+	cfg = quickCampaign(rig.RapiLog, Partition, 1)
+	cfg.Rig.Replicas = 2
 	cfg.Compose = DiskError
 	if err := cfg.validate(); err == nil {
 		t.Fatal("non-crash Compose accepted")

@@ -19,22 +19,24 @@ import (
 type ClusterConfig struct {
 	// Nodes is the machine count; default 3 (leader + 2 standby stores).
 	Nodes int
-	// Rig is the per-node deployment template. Mode is forced to
-	// RapiLogReplica, Replicas to Nodes-1, and tracing on (the online
-	// monitor is the split-brain detector). An AckLocal policy is forced
-	// up to AckQuorum(1): a local-ack cluster has no safe takeover, since
-	// no census quorum intersects an empty ack quorum.
+	// Rig is the per-node deployment template. Replicas is forced to
+	// Nodes-1, and tracing on (the online monitor is the split-brain
+	// detector). An AckLocal policy is forced up to AckQuorum(1): a local-ack
+	// cluster has no safe takeover, since no census quorum intersects an
+	// empty ack quorum.
 	Rig Config
 	// HA parameterises the coordinator (heartbeat cadence, failure
 	// detection window, round timeouts).
 	HA ha.Config
 }
 
-func (c *ClusterConfig) applyDefaults() {
+// Normalize resolves the cluster config in place, as Config.Normalize does a
+// machine's: the cluster's own defaults, what it forces on every node and
+// its own checks, then the node template's Config.Normalize. Idempotent.
+func (c *ClusterConfig) Normalize() error {
 	if c.Nodes == 0 {
 		c.Nodes = 3
 	}
-	c.Rig.Mode = RapiLogReplica
 	c.Rig.Replicas = c.Nodes - 1
 	c.Rig.Trace = true
 	c.Rig.Flight = true
@@ -49,6 +51,13 @@ func (c *ClusterConfig) applyDefaults() {
 		// cluster mode pins checkpoints far past any trial horizon.
 		c.Rig.CheckpointEvery = 24 * time.Hour
 	}
+	switch {
+	case c.Nodes < 2:
+		return fmt.Errorf("rig: cluster needs at least 2 nodes, got %d", c.Nodes)
+	case c.Rig.Shards != 0:
+		return fmt.Errorf("rig: cluster nodes with sharded log domains are not supported yet (Rig.Shards = %d)", c.Rig.Shards)
+	}
+	return c.Rig.Normalize()
 }
 
 // clusterNode is one machine's slot in the cluster: its store is the
@@ -95,16 +104,8 @@ type Cluster struct {
 // NewCluster builds the fabric, the per-node standby stores, the initial
 // leader's full rig on node 0, and the coordinator.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	cfg.applyDefaults()
-	cfg.Rig.applyDefaults()
-	if cfg.Nodes < 2 {
-		return nil, fmt.Errorf("rig: cluster needs at least 2 nodes, got %d", cfg.Nodes)
-	}
-	if cfg.Rig.Shards != 0 {
-		return nil, fmt.Errorf("rig: cluster nodes with sharded log domains are not supported yet (Shards = %d)", cfg.Rig.Shards)
-	}
-	if k := cfg.Rig.AckPolicy.K; k > cfg.Nodes-1 {
-		return nil, fmt.Errorf("rig: ack policy %v needs %d standby stores, have %d", cfg.Rig.AckPolicy, k, cfg.Nodes-1)
+	if err := cfg.Normalize(); err != nil {
+		return nil, err
 	}
 
 	s := sim.New(cfg.Rig.Seed)

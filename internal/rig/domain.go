@@ -38,7 +38,7 @@ type site struct {
 }
 
 // LogDomain is one independent commit stream on a machine: its disks and
-// partitions, the guest its DBMS runs in, and — in the RapiLog modes — its
+// partitions, the guest its DBMS runs in, and — in RapiLog mode — its
 // logger, dump zone and replication fleet.
 type LogDomain struct {
 	m  *Rig
@@ -58,12 +58,12 @@ type LogDomain struct {
 	DumpDev    disk.Device
 	FaultyDump *disk.Faulty // nil unless Config.DumpFault.Enabled
 	Plat       hv.Platform
-	Logger     *core.Logger // nil unless Mode is RapiLog or RapiLogReplica
+	Logger     *core.Logger // nil unless Mode is RapiLog
 	// Obs is the view this domain's instruments register under: the
 	// machine's root bundle, or its "shard.<i>" sub-view.
 	Obs *obs.Obs
 
-	// Replication state (Mode == RapiLogReplica only). The fabric and the
+	// Replication state (Config.Replicas > 0 only). The fabric and the
 	// standbys model remote machines: they are built once and survive the
 	// primary's power cycles; the shipper belongs to the primary's
 	// hypervisor and is rebuilt — under a new epoch — with each logger.
@@ -153,10 +153,7 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 		d.FaultyDump = disk.NewFaulty(dumpPart, fc)
 		d.DumpDev = d.FaultyDump
 	}
-	if cfg.Mode.Replicated() {
-		if k := cfg.AckPolicy.K; k > cfg.Replicas {
-			return nil, fmt.Errorf("rig: ack policy %v needs %d replicas, have %d", cfg.AckPolicy, k, cfg.Replicas)
-		}
+	if cfg.Replicas > 0 {
 		if at.fabric != nil {
 			// A cluster node ships to the cluster's shared peer stores over
 			// the shared fabric; it owns neither.
@@ -204,57 +201,53 @@ func (d *LogDomain) assemblePlatform() error {
 			d.Plat = hyp.NewGuest(d.at.prefix+"db", d.LogDev, d.DataPart)
 		}
 		return nil
-	case RapiLog, RapiLogReplica:
-		rlCfg := cfg.RapiLog
-		rlCfg.Obs = d.Obs
-		if d.at.sharers > 1 && rlCfg.MaxBuffer == 0 {
-			// N shards dump concurrently into the same hold-up window: size
-			// each buffer by the shared budget, not the whole one. (Metric
-			// names stay identical across shards — "rapilog.*" under each
-			// shard's Obs view — so fleet roll-ups can match by suffix.)
-			shared := core.SafeBufferSizeShared(m, d.DumpPart, d.at.sharers)
-			if shared <= 0 {
-				return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", d.at.sharers)
-			}
-			rlCfg.MaxBuffer = shared
-		}
-		if cfg.Mode.Replicated() {
-			// A new power epoch gets a new shipper: the stream restarts at
-			// seq 1 under the next epoch number and the standbys keep both
-			// (recovery replays epochs in order). The ack/probe daemons run
-			// in the hypervisor domain, dying with the machine like the
-			// drain does.
-			d.epoch++
-			names := make([]string, len(d.Standbys))
-			for i, st := range d.Standbys {
-				names[i] = st.Name()
-			}
-			rc := d.replicaConfig()
-			if cfg.AckPolicy.Remote() {
-				rc.TraceQuorumK = cfg.AckPolicy.K
-			} else {
-				// No quorum barrier on the ack path, but the trace still
-				// marks first-copy coverage so lag is visible.
-				rc.TraceQuorumK = 1
-			}
-			d.Shipper = replica.NewShipper(d.m.S, d.Fabric, hyp.Domain(), d.epoch, names, rc)
-			rlCfg.Replicator = d.Shipper
-			rlCfg.Policy = cfg.AckPolicy
-		}
-		logger, err := core.NewLogger(m, hyp.Domain(), d.LogDev, d.DumpDev, rlCfg)
-		if err != nil {
-			return err
-		}
-		d.Logger = logger
-		if d.Plat == nil {
-			d.Plat = hyp.NewGuest(d.at.prefix+"db", logger, d.DataPart)
-		} else if g, ok := d.Plat.(*hv.Guest); ok {
-			g.SetLogBacking(logger)
-		}
-		return nil
-	default:
-		return fmt.Errorf("rig: unknown mode %q", cfg.Mode)
 	}
+	// RapiLog, the one mode Normalize leaves.
+	rlCfg := cfg.RapiLog
+	rlCfg.Obs = d.Obs
+	if d.at.sharers > 1 && rlCfg.MaxBuffer == 0 {
+		// N shards dump concurrently into the same hold-up window: size each
+		// buffer by the shared budget, not the whole one. (Metric names stay
+		// identical across shards — "rapilog.*" under each shard's Obs view —
+		// so fleet roll-ups can match by suffix.)
+		shared := core.SafeBufferSizeShared(m, d.DumpPart, d.at.sharers)
+		if shared <= 0 {
+			return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", d.at.sharers)
+		}
+		rlCfg.MaxBuffer = shared
+	}
+	if cfg.Replicas > 0 {
+		// A new power epoch gets a new shipper: the stream restarts at seq 1
+		// under the next epoch number and the standbys keep both (recovery
+		// replays epochs in order). The ack/probe daemons run in the
+		// hypervisor domain, dying with the machine like the drain does.
+		d.epoch++
+		names := make([]string, len(d.Standbys))
+		for i, st := range d.Standbys {
+			names[i] = st.Name()
+		}
+		rc := d.replicaConfig()
+		// Local acks wait on no quorum, but the trace still marks first-copy
+		// coverage so lag is visible.
+		rc.TraceQuorumK = 1
+		if cfg.AckPolicy.Remote() {
+			rc.TraceQuorumK = cfg.AckPolicy.K
+		}
+		d.Shipper = replica.NewShipper(d.m.S, d.Fabric, hyp.Domain(), d.epoch, names, rc)
+		rlCfg.Replicator = d.Shipper
+		rlCfg.Policy = cfg.AckPolicy
+	}
+	logger, err := core.NewLogger(m, hyp.Domain(), d.LogDev, d.DumpDev, rlCfg)
+	if err != nil {
+		return err
+	}
+	d.Logger = logger
+	if d.Plat == nil {
+		d.Plat = hyp.NewGuest(d.at.prefix+"db", logger, d.DataPart)
+	} else if g, ok := d.Plat.(*hv.Guest); ok {
+		g.SetLogBacking(logger)
+	}
+	return nil
 }
 
 // EngineConfig returns the engine configuration the machine's mode implies.
@@ -310,9 +303,9 @@ func (d *LogDomain) RebootAfterCrash() { d.Plat.Reboot() }
 // that lagged (a partition, a crash) holds stale images of sectors the
 // drain has since rewritten, and folding those over the log would roll
 // acked, locally durable commits back to pre-partition contents. Replica
-// records are therefore replayed only on a replicated machine whose ack
-// policy actually makes the standbys the durability domain for bytes the
-// local domain lost:
+// records are therefore replayed only when the ack policy makes the standbys
+// the durability domain for bytes the local domain lost (a remote policy
+// always has standbys: Config.Normalize):
 //
 //   - AckRemoteOnly: always. The dump is disabled by design, so the
 //     standbys are the only copy of everything still buffered at the cut.
@@ -350,13 +343,11 @@ func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
 	// whole buffer — or when there was provably nothing buffered to dump.
 	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && rep.DumpFailures == 0))
 	needReplica := false
-	if d.m.Cfg.Mode.Replicated() {
-		switch d.m.Cfg.AckPolicy.Kind {
-		case core.AckKindRemoteOnly:
-			needReplica = true
-		case core.AckKindQuorum:
-			needReplica = !localComplete
-		}
+	switch d.m.Cfg.AckPolicy.Kind {
+	case core.AckKindRemoteOnly:
+		needReplica = true
+	case core.AckKindQuorum:
+		needReplica = !localComplete
 	}
 	if derr != nil && !needReplica {
 		return rep, derr

@@ -109,7 +109,7 @@ func TestExposureAuditFlagsUnsafeConfig(t *testing.T) {
 // same run whenever the buffer is larger than SafeBufferSize.
 func TestExposureAuditUsesTheMonitorsBound(t *testing.T) {
 	r, err := New(Config{
-		Seed: 5, Mode: RapiLogReplica, Replicas: 2, AckPolicy: core.AckRemoteOnly(1),
+		Seed: 5, Replicas: 2, AckPolicy: core.AckRemoteOnly(1),
 		NoDaemons: true, Trace: true,
 		RapiLog: core.Config{MaxBuffer: 8 << 20},
 	})

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,25 +11,47 @@ import (
 	"repro/internal/workload"
 )
 
+// TestReplicaModeProperties: replication is the standby count Normalize
+// resolves, not a mode. A remote ack policy defaults it to 2 and K to 1, an
+// explicit count is built as given under any policy, and the monitor's
+// contract checks the K the logger enforces. The AckQuorum(1) row once built
+// no standbys at all yet stamped a "quorum k=1" contract on its run.
 func TestReplicaModeProperties(t *testing.T) {
-	if !RapiLogReplica.Virtualised() {
-		t.Fatal("rapilog-replica must be virtualised")
-	}
-	if !RapiLogReplica.Replicated() || RapiLog.Replicated() {
-		t.Fatal("Replicated() wrong")
-	}
-	for _, m := range Modes {
-		if m == RapiLogReplica {
-			t.Fatal("RapiLogReplica must not join the paper's four-mode sweep")
+	for _, tc := range []struct {
+		cfg         Config
+		standbys, k int
+	}{
+		{Config{}, 0, 0},
+		{Config{AckPolicy: core.AckQuorum(1)}, 2, 1},
+		{Config{AckPolicy: core.AckQuorum(0)}, 2, 1},
+		{Config{AckPolicy: core.AckQuorum(2)}, 2, 2},
+		{Config{AckPolicy: core.AckRemoteOnly(1)}, 2, 1},
+		{Config{Replicas: 3}, 3, 0},
+		{Config{Replicas: 2, AckPolicy: core.AckQuorum(2)}, 2, 2},
+		{Config{Replicas: 3, AckPolicy: core.AckQuorum(3)}, 3, 3},
+	} {
+		tc.cfg.Seed, tc.cfg.NoDaemons, tc.cfg.Trace = 1, true, true
+		r, err := New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
 		}
-	}
-	if _, err := New(Config{Seed: 1, Mode: RapiLogReplica, Replicas: 1, AckPolicy: core.AckQuorum(2), NoDaemons: true}); err == nil {
-		t.Fatal("quorum larger than replica set accepted")
+		if len(r.Standbys) != tc.standbys || r.Cfg.Replicas != tc.standbys || (r.Shipper != nil) != (tc.standbys > 0) {
+			t.Errorf("%v/%d replicas: built %d standbys, Replicas %d, shipper %v; want %d",
+				tc.cfg.AckPolicy, tc.cfg.Replicas, len(r.Standbys), r.Cfg.Replicas, r.Shipper != nil, tc.standbys)
+		}
+		if got := r.contract().QuorumK; got != tc.k || (tc.k > 0 && r.Cfg.AckPolicy.K != tc.k) {
+			t.Errorf("%v: contract QuorumK %d, logger's K %d; want %d", tc.cfg.AckPolicy, got, r.Cfg.AckPolicy.K, tc.k)
+		}
+		again := r.Cfg
+		if err := again.Normalize(); err != nil || !reflect.DeepEqual(again, r.Cfg) {
+			t.Errorf("%v: Normalize is not idempotent: %v, %+v -> %+v", tc.cfg.AckPolicy, err, r.Cfg, again)
+		}
+		r.Close()
 	}
 }
 
 func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
-	r, err := New(Config{Seed: 5, Mode: RapiLogReplica, AckPolicy: core.AckQuorum(1), NoDaemons: true})
+	r, err := New(Config{Seed: 5, AckPolicy: core.AckQuorum(1), NoDaemons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +100,10 @@ func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
 	if j.Len() != 30 {
 		t.Fatalf("acked %d/30 before power cut", j.Len())
 	}
+	// The quorum was enforced, not just named: every ack waited on it.
+	if n := r.Logger.RapiStats().QuorumWait.Count(); n < 30 {
+		t.Fatalf("logger waited on the quorum %d times for 30 acked commits", n)
+	}
 	if !res.Ok() {
 		t.Fatalf("durability violated: %v", res)
 	}
@@ -100,7 +127,7 @@ func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
 // replay two epochs of replica records over a locally complete log.
 func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
 	r, err := New(Config{
-		Seed: 5, Mode: RapiLogReplica, AckPolicy: core.AckQuorum(1), NoDaemons: true,
+		Seed: 5, AckPolicy: core.AckQuorum(1), NoDaemons: true,
 		DumpFault: disk.FaultConfig{Enabled: true},
 	})
 	if err != nil {

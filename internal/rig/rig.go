@@ -24,6 +24,7 @@ package rig
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -41,30 +42,24 @@ import (
 // Mode selects the deployment configuration.
 type Mode string
 
-// The four evaluation configurations.
+// The four evaluation configurations. Replication is not a mode: a RapiLog
+// machine with Config.Replicas > 0 ships its log to that many standbys.
 const (
 	NativeSync  Mode = "native-sync"
 	NativeAsync Mode = "native-async"
 	VirtSync    Mode = "virt-sync"
 	RapiLog     Mode = "rapilog"
-	// RapiLogReplica extends RapiLog with a simulated network fabric and N
-	// standby replicas: every buffered write is shipped to the standbys and
-	// the ack policy decides which durability domain gates the commit.
-	RapiLogReplica Mode = "rapilog-replica"
+	// Deprecated: a replicated machine is RapiLog with Replicas > 0 or a
+	// remote AckPolicy. benchmark/steady.go is the last caller (ROADMAP item 4).
+	RapiLogReplica Mode = RapiLog
 )
 
 // Modes lists the paper's four evaluation configurations in evaluation
-// order. RapiLogReplica is the replication extension, not part of the
-// original comparison sweep.
+// order: every mode there is.
 var Modes = []Mode{NativeSync, NativeAsync, VirtSync, RapiLog}
 
 // Virtualised reports whether the mode runs under the hypervisor.
-func (m Mode) Virtualised() bool {
-	return m == VirtSync || m == RapiLog || m == RapiLogReplica
-}
-
-// Replicated reports whether the mode ships the log to standby replicas.
-func (m Mode) Replicated() bool { return m == RapiLogReplica }
+func (m Mode) Virtualised() bool { return m == VirtSync || m == RapiLog }
 
 // PrimaryEndpoint is the primary machine's name on the replication fabric.
 const PrimaryEndpoint = "primary"
@@ -131,12 +126,14 @@ type Config struct {
 	// (when replicated) fabric + standby fleet — behind a key-hash Router.
 	// They share the simulation, the power supply (so each buffer is sized
 	// by the N-sharer hold-up budget) and the one hypervisor. 0 is the
-	// paper's machine: one domain, no name prefix. Needs a mode with a log
-	// device (RapiLog or RapiLogReplica).
+	// paper's machine: one domain, no name prefix. RapiLog mode only: the
+	// other modes have no log device to partition.
 	Shards int
-	// Replication (Mode == RapiLogReplica only). Every log domain gets its
-	// own fleet.
-	Replicas  int            // standby count; default 2
+	// Replicas is the standby count, and replication is nothing else: with
+	// Replicas > 0 every log domain of a RapiLog machine ships its log to its
+	// own fleet of that many. A remote AckPolicy (quorum, remote-only)
+	// defaults it to 2; see Normalize.
+	Replicas  int
 	AckPolicy core.AckPolicy // default AckLocal
 	Net       netsim.LinkConfig
 	// Trace enables commit-lifecycle tracing; TraceCapacity sizes the event
@@ -154,7 +151,15 @@ type Config struct {
 	Flight bool
 }
 
-func (c *Config) applyDefaults() {
+// defaultReplicas is the standby count a remote ack policy gets when
+// Replicas is unset.
+const defaultReplicas = 2
+
+// Normalize resolves the config in place — defaults, then a check naming the
+// field of what no machine can be built from — and is idempotent. It is the
+// one place replication is decided: a remote AckPolicy gets Replicas 2 and K
+// 1 unless set, K ≤ Replicas, and Replicas > 0 is what "replicated" means.
+func (c *Config) Normalize() error {
 	if c.Mode == "" {
 		c.Mode = RapiLog
 	}
@@ -170,30 +175,35 @@ func (c *Config) applyDefaults() {
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.Mode.Replicated() {
+	if c.AckPolicy.Remote() {
 		if c.Replicas == 0 {
-			c.Replicas = 2
+			c.Replicas = defaultReplicas
 		}
-		// Mirror core's default so the rig's monitor and quorum tracing
-		// agree with the logger about the effective quorum size.
-		if c.AckPolicy.Remote() && c.AckPolicy.K == 0 {
+		// Core's own default, resolved here so the monitor's contract and
+		// the trace quorum agree with the logger about K.
+		if c.AckPolicy.K == 0 {
 			c.AckPolicy.K = 1
 		}
 	}
-}
-
-// validate rejects configurations no machine can be built from.
-func (c *Config) validate() error {
-	if c.Shards < 0 {
+	switch {
+	case !slices.Contains(Modes, c.Mode):
+		return fmt.Errorf("rig: unknown mode %q (one of %v)", c.Mode, Modes)
+	case c.Replicas < 0:
+		return fmt.Errorf("rig: Replicas %d: the standby count cannot be negative", c.Replicas)
+	case c.AckPolicy.K < 0:
+		return fmt.Errorf("rig: AckPolicy.K %d: a commit cannot wait for a negative number of standbys", c.AckPolicy.K)
+	case c.AckPolicy.K > c.Replicas:
+		return fmt.Errorf("rig: AckPolicy.K %d exceeds Replicas %d: a %v commit could never be acknowledged", c.AckPolicy.K, c.Replicas, c.AckPolicy)
+	case c.Replicas > 0 && c.Mode != RapiLog:
+		return fmt.Errorf("rig: mode %q cannot replicate (Replicas %d): only %q has a log device to ship", c.Mode, c.Replicas, RapiLog)
+	case c.Shards < 0:
 		return fmt.Errorf("rig: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 0 && c.Mode != RapiLog && c.Mode != RapiLogReplica {
+	case c.Shards > 0 && c.Mode != RapiLog:
 		return fmt.Errorf("rig: mode %q cannot be sharded (no log device to partition)", c.Mode)
-	}
-	// The tracer has one observer slot, which cannot feed N per-domain
-	// monitors: a sharded machine runs without the online monitor, and the
-	// flight recorder is nothing without it.
-	if c.Shards > 1 && c.Flight {
+	case c.Shards > 1 && c.Flight:
+		// The tracer has one observer slot, which cannot feed N per-domain
+		// monitors: a sharded machine runs without the online monitor, and
+		// the flight recorder is nothing without it.
 		return fmt.Errorf("rig: Flight is not supported with Shards > 1 (%d): the online monitor is not armed on a sharded machine, so the recorder would have nothing to record", c.Shards)
 	}
 	return nil
@@ -230,8 +240,7 @@ type Rig struct {
 // RapiLog devices are created as part of "platform firmware" — before any
 // guest runs, as on the real system.
 func New(cfg Config) (*Rig, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
 	s := sim.New(cfg.Seed)
@@ -340,7 +349,7 @@ func (r *Rig) contract() obs.MonitorConfig {
 		// by the configured buffer alone, not the dumpable window.
 		c.Bound = r.Logger.MaxBuffer()
 	}
-	if r.Cfg.Mode.Replicated() {
+	if r.Cfg.Replicas > 0 {
 		c.RetainLimit = replica.DefaultRetainLimit
 		// Eviction legitimately takes an ack-stall window plus a couple of
 		// probe rounds; only beyond that is high retention a violation.

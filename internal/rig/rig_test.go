@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -232,24 +233,38 @@ func TestNativeAsyncIsUnsafeUnderCrash(t *testing.T) {
 	}
 }
 
+// TestUnknownConfigsRejected is the config table: every row is a machine no
+// one can build, rejected by name before anything is built. The standby rows
+// are what the CLI's -quorum/-replicas pre-check used to hold: K over the
+// default pool of 2 or over an explicit count, a negative K or count, and
+// replication on a mode with no log device to ship.
 func TestUnknownConfigsRejected(t *testing.T) {
-	if _, err := New(Config{Mode: "bogus"}); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if _, err := New(Config{Disk: "tape"}); err == nil {
-		t.Fatal("bogus disk accepted")
-	}
-	if _, err := New(Config{Shards: -1}); err == nil {
-		t.Fatal("negative shard count accepted")
-	}
-	if _, err := New(Config{Mode: NativeSync, Shards: 2}); err == nil {
-		t.Fatal("sharded a mode without a log device")
-	}
-	// A sharded machine arms no online monitor (the tracer has one observer
-	// slot), so a flight recorder on it would silently record nothing.
-	_, err := New(Config{Shards: 2, Flight: true})
-	if err == nil || !strings.Contains(err.Error(), "Flight") || !strings.Contains(err.Error(), "monitor is not armed") {
-		t.Fatalf("Shards: 2 + Flight: err = %v, want a config error naming the combination", err)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Mode: "bogus"}, "unknown mode"},
+		{Config{Disk: "tape"}, "unknown disk kind"},
+		{Config{Shards: -1}, "negative shard count"},
+		{Config{Mode: NativeSync, Shards: 2}, "cannot be sharded"},
+		// A sharded machine arms no online monitor (the tracer has one
+		// observer slot), so a flight recorder on it would record nothing.
+		{Config{Shards: 2, Flight: true}, "Flight is not supported with Shards > 1 (2): the online monitor is not armed"},
+		{Config{Replicas: -2}, "Replicas -2"},
+		{Config{AckPolicy: core.AckQuorum(-1)}, "AckPolicy.K -1"},
+		{Config{AckPolicy: core.AckQuorum(3)}, "AckPolicy.K 3 exceeds Replicas 2"},
+		{Config{Replicas: 2, AckPolicy: core.AckQuorum(3)}, "AckPolicy.K 3 exceeds Replicas 2"},
+		{Config{Replicas: 1, AckPolicy: core.AckRemoteOnly(2)}, "AckPolicy.K 2 exceeds Replicas 1"},
+		{Config{Mode: VirtSync, Replicas: 2}, `mode "virt-sync" cannot replicate`},
+		{Config{Mode: NativeSync, AckPolicy: core.AckQuorum(1)}, `mode "native-sync" cannot replicate`},
+	} {
+		if r, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if r != nil {
+				r.Close()
+			}
+			t.Errorf("mode %q, %d replicas, %v, %d shards: err = %v, want a config error with %q",
+				tc.cfg.Mode, tc.cfg.Replicas, tc.cfg.AckPolicy, tc.cfg.Shards, err, tc.want)
+		}
 	}
 	for _, ok := range []Config{{Shards: 1, Flight: true}, {Shards: 2, Trace: true}} {
 		r, err := New(ok)

@@ -13,7 +13,7 @@ import (
 // schedule goldens in internal/faultinject hash these names into a SHA; this
 // is the readable failure.
 func TestTopologyNames(t *testing.T) {
-	replicated := Config{Seed: 1, Mode: RapiLogReplica, AckPolicy: core.AckQuorum(1)}
+	replicated := Config{Seed: 1, AckPolicy: core.AckQuorum(1)}
 	sharded := replicated
 	sharded.Shards = 3
 	cluster, err := NewCluster(ClusterConfig{Nodes: 3, Rig: Config{Seed: 1, AckPolicy: core.AckQuorum(1)}})

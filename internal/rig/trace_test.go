@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// runReplicatedTraced drives commits through a traced rapilog-replica rig
-// and returns it after the shipper has settled.
+// runReplicatedTraced drives commits through a traced replicated rig and
+// returns it after the shipper has settled.
 func runReplicatedTraced(t *testing.T, cfg Config, commits int) *Rig {
 	t.Helper()
 	r, err := New(cfg)
@@ -48,7 +48,7 @@ func runReplicatedTraced(t *testing.T, cfg Config, commits int) *Rig {
 // monitor must agree that nothing was violated.
 func TestReplicatedCausalChainProperty(t *testing.T) {
 	r := runReplicatedTraced(t, Config{
-		Seed: 11, Mode: RapiLogReplica, Replicas: 2, AckPolicy: core.AckQuorum(2),
+		Seed: 11, Replicas: 2, AckPolicy: core.AckQuorum(2),
 		NoDaemons: true, Trace: true, Flight: true, TraceCapacity: 1 << 20,
 	}, 200)
 
@@ -146,7 +146,7 @@ func TestReplicatedCausalChainProperty(t *testing.T) {
 // to catch.
 func TestMonitorFlagsLocalAcksUnderQuorumPolicy(t *testing.T) {
 	r := runReplicatedTraced(t, Config{
-		Seed: 12, Mode: RapiLogReplica, Replicas: 2, AckPolicy: core.AckLocal(),
+		Seed: 12, Replicas: 2, AckPolicy: core.AckLocal(),
 		NoDaemons: true, Trace: true, TraceCapacity: 1 << 20,
 	}, 100)
 

@@ -50,9 +50,10 @@ type (
 	// Config parameterises a deployment with what some experiment, campaign
 	// or test varies: mode, engine personality, disk kind, log-device
 	// placement (LogDiskKind), PSU, cores, the RapiLog buffer policy, fault
-	// wrappers, replication policy and link, sharding, tracing. What the
-	// device models and protocols are calibrated to is not configurable:
-	// those are package constants (DESIGN.md §2).
+	// wrappers, replication (standby count, ack policy, link), sharding,
+	// tracing. What the device models and protocols are calibrated to is not
+	// configurable: those are package constants (DESIGN.md §2).
+	// Config.Normalize resolves the defaults New would apply.
 	Config = rig.Config
 	// Deployment is an assembled simulated machine + platform + engine
 	// stack.
@@ -69,19 +70,17 @@ type (
 // New assembles a deployment.
 func New(cfg Config) (*Deployment, error) { return rig.New(cfg) }
 
-// Evaluation configurations, plus the replicated extension. Sharding is not
-// a mode: Config.Shards splits a machine of either RapiLog mode into N log
-// domains.
+// Evaluation configurations. Neither replication nor sharding is a mode: a
+// ModeRapiLog machine replicates with Config.Replicas > 0 (or a remote
+// AckPolicy) and splits into N log domains with Config.Shards.
 const (
-	ModeNativeSync     = rig.NativeSync
-	ModeNativeAsync    = rig.NativeAsync
-	ModeRapiLog        = rig.RapiLog
-	ModeRapiLogReplica = rig.RapiLogReplica
+	ModeNativeSync  = rig.NativeSync
+	ModeNativeAsync = rig.NativeAsync
+	ModeRapiLog     = rig.RapiLog
 )
 
 // Modes lists the paper's four evaluation configurations in evaluation
-// order. ModeRapiLogReplica is deliberately absent: the sweeps that
-// iterate Modes reproduce the paper's four-column figures.
+// order: every mode there is.
 var Modes = rig.Modes
 
 // Simulation kernel.
@@ -90,6 +89,9 @@ type (
 	Proc = sim.Proc
 	// Domain is a crash boundary.
 	Domain = sim.Domain
+	// Time is an instant on the virtual clock (Deployment.S.SetTrace hands
+	// one to its callback).
+	Time = sim.Time
 )
 
 // Engine is the transactional storage engine.
@@ -110,8 +112,8 @@ var (
 )
 
 // AckPolicy selects when a commit is acknowledged — local buffer, quorum of
-// standbys, or remote-only — in the replicated durability domain behind
-// ModeRapiLogReplica.
+// standbys, or remote-only. A remote policy gives the machine standbys
+// (Config.Replicas, default 2).
 type AckPolicy = core.AckPolicy
 
 // AckQuorum acknowledges a commit once k standbys hold it.
@@ -269,12 +271,6 @@ const FaultPowerCut = faultinject.PowerCut
 
 // RunCampaign executes a fault-injection campaign.
 func RunCampaign(cfg CampaignConfig) CampaignSummary { return faultinject.RunCampaign(cfg) }
-
-// ValidateQuorumFlags vets raw -quorum/-replicas CLI values before any
-// deployment is constructed (replicas == 0 means the mode default).
-func ValidateQuorumFlags(quorum, replicas int) error {
-	return core.ValidateQuorumFlags(quorum, replicas)
-}
 
 // Experiments (the paper's tables and figures).
 type (

@@ -73,11 +73,6 @@ func TestFacadeSurface(t *testing.T) {
 	if len(Modes) != 4 {
 		t.Fatalf("facade lists %d modes", len(Modes))
 	}
-	for _, m := range Modes {
-		if m == ModeRapiLogReplica {
-			t.Fatal("the replicated extension must not join the paper's four-mode sweep")
-		}
-	}
 	if ExperimentByID("e1") == nil || ExperimentByID("nope") != nil {
 		t.Fatal("ExperimentByID broken")
 	}
