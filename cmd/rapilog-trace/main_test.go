@@ -114,6 +114,51 @@ func TestCheckQuorumContractRejectsWeakerMarks(t *testing.T) {
 	}
 }
 
+// A rewrite of a still-buffered block is absorbed in place, and it ships like
+// any write: a quorum ack must wait for the absorbed record's quorum_met too.
+// Moving each of those marks past the next tx_ack must fail -check.
+func TestCheckQuorumCoversAbsorbedWrites(t *testing.T) {
+	dep := tracedRun(t, rapilog.Config{Seed: 5, Replicas: 2, AckPolicy: rapilog.AckQuorum(1)}, 100)
+	dump := dep.Obs.Tracer().Dump()
+	if ok, out := check(artifact(t, "trace.json", dump.WriteJSON)); !ok {
+		t.Fatalf("the untouched quorum trace failed -check:\n%s", out)
+	}
+	absorbed := make(map[uint64]bool) // absorb spans, then their ship spans
+	var late []obs.WireEvent
+	kept := dump.Events[:0:0]
+	for _, e := range dump.Events {
+		switch {
+		case e.Kind == "hv_absorb":
+			absorbed[e.Span] = true
+		case e.Kind == "ship" && absorbed[e.Parent]:
+			absorbed[e.Span] = true
+		case e.Kind == "quorum_met" && absorbed[e.Parent]:
+			late = append(late, e)
+			continue
+		case e.Kind == "tx_ack":
+			kept = append(kept, e)
+			for _, q := range late {
+				q.AtNs = e.AtNs
+				kept = append(kept, q)
+			}
+			late = late[:0]
+			continue
+		}
+		kept = append(kept, e)
+	}
+	if len(kept) != len(dump.Events) {
+		t.Fatalf("test premise broken: %d absorbed records' quorum marks never followed by an ack", len(late))
+	}
+	if len(absorbed) == 0 {
+		t.Fatal("test premise broken: no write was absorbed")
+	}
+	dump.Events = kept
+	ok, out := check(artifact(t, "late.json", dump.WriteJSON))
+	if ok || !strings.Contains(out, "ack_without_evidence") {
+		t.Fatalf("acks ahead of their absorbed records' quorum passed -check:\n%s", out)
+	}
+}
+
 // The exposure bound is the paper's own invariant; -check re-verifies it
 // from the contract's bound.
 func TestCheckExposureOverBound(t *testing.T) {

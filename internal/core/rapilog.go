@@ -458,7 +458,7 @@ func (l *Logger) Stats() *disk.Stats { return l.backing.Stats() }
 func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	// The caller one layer up (the WAL's physical force) may have parked a
 	// span in the tracer's cause slot; adopt it as this write's causal
-	// parent so a commit's trace links tx → force → hv_ack → ship.
+	// parent so a commit's trace links tx → force → hv_ack/hv_absorb → ship.
 	cause := l.tracer().TakeCause()
 	if l.emergency {
 		l.never.Wait(p) // parks until the machine dies
@@ -485,11 +485,14 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if e, ok := l.absorb[lba]; ok && len(e.data) == len(data) {
 		copy(e.data, data)
 		l.stats.Absorbed.Inc()
-		l.tracer().Emit(p.Now().Duration(), obs.EvHvAbsorb, 0, e.span, lba, int64(len(data)))
+		// The rewrite is a write of the force that issued it, not of the one
+		// that buffered the entry: it gets its own span under that force.
+		span := l.tracer().NewSpan()
+		l.tracer().Emit(p.Now().Duration(), obs.EvHvAbsorb, span, cause, lba, int64(len(data)))
 		// An absorbed rewrite mutates the buffered entry in place, so the
 		// replicas must see the new bytes too — their copy of the old
 		// version is now a stale shadow of what will reach the disk.
-		seq := l.ship(lba, data, e.span)
+		seq := l.ship(lba, data, span)
 		p.Sleep(ackCost(len(data)))
 		l.waitPolicy(p, seq)
 		l.stats.Writes.Inc()

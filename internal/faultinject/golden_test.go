@@ -74,7 +74,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "ba797b644c811fd09fd1843c681146e05459eb65a3d2decfae53a41f3fcc5655" ||
+	if tr != "47645cd3474a4e1c08fb751ac3cdc819dde85acb7f1c9072fb794da36becc166" ||
 		me != "9f126881bdd9b64fb19f33aa22dc8cbab3a138da2452f02294170bb9dab389db" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
@@ -95,7 +95,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "5944274889ea009978f44a114b889d75d0d21c6800d95986bc2650f260e1f7a1" ||
+	if tr != "c3946f68a13ea4162c8a350d7d3c9df860ecf926538bb7df783268adbcc5466c" ||
 		me != "635ade81b88583cf064cee674e6cf15023507a8649f3ddb21f3d836966264045" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}

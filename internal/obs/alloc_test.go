@@ -8,10 +8,10 @@ import (
 )
 
 // TestAnalyzeAllocsPerCommit pins the analyzer's allocations per traced
-// commit. The covering-force lookup used to rebuild the running-max envelope
-// over every force for every acked transaction — a third allocation per commit where two
-// are needed (the transaction, the force), and that one O(commits) long:
-// rapilog-trace took 4× longer per doubling of the trace.
+// commit: two are needed (the transaction, the force). A covering-force
+// lookup that allocates per acked transaction — one once rebuilt a history
+// of every force, O(commits) long — made rapilog-trace 4× slower per
+// doubling of the trace.
 func TestAnalyzeAllocsPerCommit(t *testing.T) {
 	const commits = 2000
 	tr := NewTracer(8 * commits)

@@ -6,22 +6,22 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
 )
 
 // ChainStats summarises causal-chain completeness: of the acked commits
-// the trace window fully observed, how many can be walked end to end —
-// tx_begin → covering force → (ship → apply → ack)×k → quorum_met.
+// the trace window fully observed, how many were acked on their policy's
+// evidence — tx_begin → covering force → its writes' ships → quorum_met —
+// judged by the rule the online monitor applies (ackLedger).
 type ChainStats struct {
 	// Commits is the number of assessable acked commits (tx_begin and
 	// tx_ack both retained, at least one WAL append).
 	Commits int
-	// Complete is how many of those have a complete causal chain.
+	// Complete is how many of those had their evidence when acked.
 	Complete int
-	// Incomplete counts the failing commits by first missing link.
+	// Incomplete counts the failing commits by the evidence they lacked.
 	Incomplete map[string]int
 }
 
@@ -43,7 +43,7 @@ type CriticalPath struct {
 	PreForce      *metrics.Histogram // tx_begin → covering log_submit
 	Force         *metrics.Histogram // log_submit → log_complete (covering)
 	LocalForce    *metrics.Histogram // force minus quorum barrier
-	QuorumBarrier *metrics.Histogram // Σ max(0, quorum_met − hv_ack) per record
+	QuorumBarrier *metrics.Histogram // Σ max(0, quorum_met − write) over the force's writes; 0 under local acks
 	PostForce     *metrics.Histogram // log_complete → tx_ack
 }
 
@@ -71,27 +71,24 @@ func (b TimelineBucket) empty() bool {
 }
 
 type shipInfo struct {
-	span     SpanID
 	seq      int64
-	epoch    int64
 	at       time.Duration
 	applies  map[int64]time.Duration // replica label → first apply
 	acks     map[int64]time.Duration // replica label → first learned ack
 	quorumAt time.Duration
 	hasQ     bool
-	quorumK  int
 }
 
+// entryInfo is one write of a force: an hv_ack (a buffer entry, which a
+// durable event retires) or an hv_absorb.
 type entryInfo struct {
-	span    SpanID
-	hvAck   time.Duration
+	at      time.Duration
 	durable time.Duration
 	hasDur  bool
 	ship    *shipInfo
 }
 
 type forceInfo struct {
-	span     SpanID
 	submit   time.Duration
 	complete time.Duration
 	flushed  int64
@@ -100,11 +97,11 @@ type forceInfo struct {
 }
 
 type txInfo struct {
-	span  SpanID
-	begin time.Duration
-	ack   time.Duration
-	lsn   int64
-	acked bool
+	begin   time.Duration
+	ack     time.Duration
+	acked   bool
+	verdict ackVerdict
+	force   *forceInfo // the covering force, when the window holds it
 }
 
 type epochSeq struct {
@@ -130,8 +127,7 @@ type Analysis struct {
 
 	events  []Event
 	txs     []*txInfo
-	forces  []*forceInfo           // completed, in completion order
-	cover   flushCover[*forceInfo] // the earliest completed force covering an LSN
+	forces  []*forceInfo // completed, in completion order
 	ships   map[SpanID]*shipInfo
 	entries map[SpanID]*entryInfo
 }
@@ -176,35 +172,35 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 	shipByES := make(map[epochSeq]*shipInfo)
 	netSent := make(map[[2]int64]time.Duration) // (cause span, dst label) → send time
 	epoch := int64(1)
+	if d.Contract != nil {
+		a.QuorumK = d.Contract.QuorumK
+	}
+	evidence := newAckLedger(a.QuorumK)
 
 	for i := range events {
 		e := &events[i]
+		evidence.apply(*e)
 		switch e.Kind {
 		case EvTxBegin:
-			tx := &txInfo{span: e.Span, begin: e.At}
+			tx := &txInfo{begin: e.At}
 			txBySpan[e.Span] = tx
 			a.txs = append(a.txs, tx)
-		case EvWalAppend:
-			if tx, ok := txBySpan[e.Parent]; ok && e.Arg1 > tx.lsn {
-				tx.lsn = e.Arg1
-			}
 		case EvTxAck:
+			v := evidence.judge(*e)
 			if tx, ok := txBySpan[e.Parent]; ok && !tx.acked {
-				tx.acked, tx.ack = true, e.At
+				tx.acked, tx.ack, tx.verdict, tx.force = true, e.At, v, forceBySpan[v.force]
 				stCommit.Observe(e.At - tx.begin)
 			}
 		case EvLogSubmit:
-			f := &forceInfo{span: e.Span, submit: e.At}
-			forceBySpan[e.Span] = f
+			forceBySpan[e.Span] = &forceInfo{submit: e.At}
 		case EvLogComplete:
 			if f, ok := forceBySpan[e.Parent]; ok && !f.done {
 				f.done, f.complete, f.flushed = true, e.At, e.Arg1
 				a.forces = append(a.forces, f)
-				a.cover.add(f.flushed, f)
 				stForce.Observe(f.complete - f.submit)
 			}
-		case EvHvAck:
-			en := &entryInfo{span: e.Span, hvAck: e.At}
+		case EvHvAck, EvHvAbsorb:
+			en := &entryInfo{at: e.At}
 			a.entries[e.Span] = en
 			if f, ok := forceBySpan[e.Parent]; ok {
 				f.entries = append(f.entries, en)
@@ -212,11 +208,11 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 		case EvDurable:
 			if en, ok := a.entries[e.Parent]; ok && !en.hasDur {
 				en.hasDur, en.durable = true, e.At
-				stBuffer.Observe(e.At - en.hvAck)
+				stBuffer.Observe(e.At - en.at)
 			}
 		case EvShip:
 			sh := &shipInfo{
-				span: e.Span, seq: e.Arg1, epoch: epoch, at: e.At,
+				seq: e.Arg1, at: e.At,
 				applies: make(map[int64]time.Duration),
 				acks:    make(map[int64]time.Duration),
 			}
@@ -261,7 +257,7 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 				sh, ok = shipByES[epochSeq{epoch, e.Arg1}]
 			}
 			if ok && !sh.hasQ {
-				sh.hasQ, sh.quorumAt, sh.quorumK = true, e.At, int(e.Arg2)
+				sh.hasQ, sh.quorumAt = true, e.At
 				stQuorum.Observe(e.At - sh.at)
 			}
 		case EvEpoch:
@@ -269,115 +265,45 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 		}
 	}
 
-	if d.Contract != nil {
-		a.QuorumK = d.Contract.QuorumK
-	}
 	a.assessChains()
 	a.Stages = []*metrics.Histogram{stCommit, stForce, stBuffer, stNet, stFirstAck, stQuorum}
 	a.buildTimeline(buckets)
 	return a, nil
 }
 
-// flushCover indexes an append-only history of flushed LSNs by the question
-// the analyzer and the monitor both ask of it: which flush was the first to
-// cover a given LSN? Individual flush values can dip across a power cycle, so
-// it keeps their running maximum — a monotone envelope, searched in O(log n)
-// — and hands back what the asker attached to that flush.
-type flushCover[T any] struct {
-	pts []coverPoint[T]
-}
-
-type coverPoint[T any] struct {
-	env int64 // highest LSN flushed so far
-	v   T
-}
-
-// add appends the next flush.
-func (c *flushCover[T]) add(lsn int64, v T) {
-	if n := len(c.pts); n > 0 && c.pts[n-1].env > lsn {
-		lsn = c.pts[n-1].env
-	}
-	c.pts = append(c.pts, coverPoint[T]{lsn, v})
-}
-
-// first returns what was attached to the earliest flush covering lsn.
-func (c *flushCover[T]) first(lsn int64) (v T, ok bool) {
-	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].env >= lsn })
-	if i == len(c.pts) {
-		return v, false
-	}
-	return c.pts[i].v, true
-}
-
+// assessChains counts the ledger's verdicts and decomposes each commit with a
+// covering force into its critical path.
 func (a *Analysis) assessChains() {
 	for _, tx := range a.txs {
-		if !tx.acked || tx.lsn == 0 {
+		if !tx.acked || tx.verdict.lsn == 0 {
 			continue // read-only, or the window clipped the chain
 		}
 		a.Chains.Commits++
-		f, covered := a.cover.first(tx.lsn)
-		if !covered {
-			a.Chains.Incomplete["no covering force"]++
+		if tx.verdict.missing == "" {
+			a.Chains.Complete++
+		} else {
+			a.Chains.Incomplete[tx.verdict.missing]++
+		}
+		f := tx.force
+		if f == nil {
 			continue
 		}
-		if f.complete > tx.ack {
-			a.Chains.Incomplete["async (acked before local flush)"]++
-			continue
-		}
-
-		total := tx.ack - tx.begin
 		force := f.complete - f.submit
-		pre := f.submit - tx.begin
-		if pre < 0 {
-			pre = 0
-		}
 		var quorum time.Duration
-		ok := true
-		reason := ""
 		for _, en := range f.entries {
-			if en.ship == nil {
-				if a.QuorumK > 0 {
-					ok, reason = false, "record never shipped"
-				}
-				continue
-			}
-			sh := en.ship
-			if sh.hasQ {
-				if d := sh.quorumAt - en.hvAck; d > 0 {
-					quorum += d
-				}
-			} else if a.QuorumK > 0 {
-				ok, reason = false, "no quorum_met for shipped record"
-			}
-			if a.QuorumK > 0 && ok {
-				n := 0
-				for rep := range sh.acks {
-					if _, applied := sh.applies[rep]; applied {
-						n++
-					}
-				}
-				if n < a.QuorumK {
-					ok, reason = false, fmt.Sprintf("fewer than %d replicas with apply+ack", a.QuorumK)
-				}
+			// A local-ack force waits for no quorum, however soon one forms.
+			if sh := en.ship; a.QuorumK > 0 && sh != nil && sh.hasQ && sh.quorumAt > en.at {
+				quorum += sh.quorumAt - en.at
 			}
 		}
-		if quorum > force {
-			quorum = force
-		}
-
+		quorum = min(quorum, force)
 		a.Critical.Commits++
-		a.Critical.Total.Observe(total)
-		a.Critical.PreForce.Observe(pre)
+		a.Critical.Total.Observe(tx.ack - tx.begin)
+		a.Critical.PreForce.Observe(max(f.submit-tx.begin, 0))
 		a.Critical.Force.Observe(force)
 		a.Critical.LocalForce.Observe(force - quorum)
 		a.Critical.QuorumBarrier.Observe(quorum)
 		a.Critical.PostForce.Observe(tx.ack - f.complete)
-
-		if ok {
-			a.Chains.Complete++
-		} else {
-			a.Chains.Incomplete[reason]++
-		}
 	}
 }
 
@@ -557,7 +483,7 @@ func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 		}
 		evs = append(evs, chromeEvent{Name: "tx", Ph: "X", Ts: us(tx.begin),
 			Dur: us(tx.ack - tx.begin), Pid: chromePidPrimary, Tid: chromeTidTx,
-			Args: map[string]any{"lsn": tx.lsn}})
+			Args: map[string]any{"lsn": tx.verdict.lsn}})
 	}
 	for _, f := range a.forces {
 		evs = append(evs, chromeEvent{Name: fmt.Sprintf("force→%d", f.flushed), Ph: "X",
@@ -569,8 +495,8 @@ func (a *Analysis) WriteChromeTrace(w io.Writer) error {
 		if !en.hasDur {
 			continue
 		}
-		evs = append(evs, chromeEvent{Name: "buffered", Ph: "X", Ts: us(en.hvAck),
-			Dur: us(en.durable - en.hvAck), Pid: chromePidPrimary, Tid: chromeTidBuf})
+		evs = append(evs, chromeEvent{Name: "buffered", Ph: "X", Ts: us(en.at),
+			Dur: us(en.durable - en.at), Pid: chromePidPrimary, Tid: chromeTidBuf})
 	}
 	for _, span := range sortedKeys(a.ships) {
 		sh := a.ships[span]

@@ -154,3 +154,147 @@ func AuditExposure(events []Event, bound int64, truncated bool) ExposureReport {
 	}
 	return rep
 }
+
+// ackLedger is the one ack-evidence rule — invariant 2, acked ⊆ durable under
+// the contract's policy — that the online monitor and the offline analyzer
+// both apply, in stream order. A tx_ack is evidenced when, as it is emitted,
+// a completed force has covered the transaction's commit LSN (its highest
+// wal_append) and, under a quorum policy (quorumK ≥ 1), a quorum_met claiming
+// k ≥ quorumK has been seen for the highest sequence shipped by that force or
+// any force completed before it. A force's writes are its hv_ack and
+// hv_absorb events — an absorbed rewrite ships new bytes under the force that
+// issued it — and a write's sequence is its ship's. Work leaves the ledger as
+// it completes: a write with its force at log_complete, a transaction at its
+// tx_ack.
+type ackLedger struct {
+	quorumK   int
+	txs       map[SpanID]txCover // tx span → commit LSN and its first cover
+	uncovered []SpanID           // txs whose LSN no force has covered yet
+	writes    []write            // the writes of forces not yet complete
+	shippedHi uint64             // highest seq shipped by a completed force
+	quorumHi  uint64             // highest seq with a quorum_met of k ≥ quorumK
+	acked     int
+}
+
+// write is an hv_ack or hv_absorb, the force that issued it and, once it has
+// shipped, its sequence. Few forces are in flight at once, so a slice serves,
+// and it keeps the monitor, which runs on the writer's own stack, out of the
+// map code there.
+type write struct {
+	span, force SpanID
+	seq         uint64
+}
+
+// txCover is a transaction's commit LSN and the first force that covered it.
+type txCover struct {
+	lsn     int64
+	covered bool
+	force   SpanID
+	need    uint64 // shippedHi as that force completed: the quorum the ack needs
+}
+
+// ackVerdict is the ledger's judgement of one tx_ack.
+type ackVerdict struct {
+	lsn     int64  // the commit LSN; zero when the tx wrote nothing the ledger saw
+	force   SpanID // the covering force, once one had completed
+	missing string // the evidence the ack lacked; empty when it had it
+	detail  string // missing, with the numbers behind it
+}
+
+// The evidence an ack can lack: the monitor's violations and the analyzer's
+// incomplete chains are both counted under these.
+const (
+	missingFlush  = "acked before a covering flush"
+	missingQuorum = "acked before quorum_met for its force's records"
+)
+
+func newAckLedger(quorumK int) ackLedger {
+	return ackLedger{
+		quorumK: quorumK,
+		txs:     make(map[SpanID]txCover),
+	}
+}
+
+// apply folds e into the ledger; a tx_ack goes to judge instead.
+func (l *ackLedger) apply(e Event) {
+	switch e.Kind {
+	case EvWalAppend:
+		if c, ok := l.txs[e.Parent]; e.Arg1 > c.lsn {
+			if !ok || c.covered {
+				l.uncovered = append(l.uncovered, e.Parent)
+			}
+			l.txs[e.Parent] = txCover{lsn: e.Arg1}
+		}
+	case EvHvAck, EvHvAbsorb:
+		// Only a quorum policy reads shipped sequences.
+		if l.quorumK > 0 && e.Parent != 0 {
+			l.writes = append(l.writes, write{span: e.Span, force: e.Parent})
+		}
+	case EvShip:
+		for i := len(l.writes) - 1; i >= 0; i-- {
+			if l.writes[i].span == e.Parent {
+				l.writes[i].seq = uint64(e.Arg1)
+				break
+			}
+		}
+	case EvLogComplete:
+		kept := l.writes[:0]
+		for _, w := range l.writes {
+			if w.force == e.Parent {
+				l.shippedHi = max(l.shippedHi, w.seq)
+			} else {
+				kept = append(kept, w)
+			}
+		}
+		l.writes = kept
+		open := l.uncovered[:0]
+		for _, tx := range l.uncovered {
+			switch c, ok := l.txs[tx]; {
+			case !ok: // acked before a cover
+			case c.lsn <= e.Arg1:
+				l.txs[tx] = txCover{lsn: c.lsn, covered: true, force: e.Parent, need: l.shippedHi}
+			default:
+				open = append(open, tx)
+			}
+		}
+		l.uncovered = open
+	case EvQuorumMet:
+		if e.Arg2 >= int64(l.quorumK) {
+			l.quorumHi = max(l.quorumHi, uint64(e.Arg1))
+		}
+	case EvPowerRestore, EvEpoch:
+		// A reboot ends every transaction and write in flight. A new shipper
+		// stream restarts sequence numbers, so no cover already granted —
+		// each names the sequence it waits for — and no mark counts.
+		if e.Kind == EvPowerRestore {
+			clear(l.txs)
+		}
+		l.uncovered = l.uncovered[:0]
+		for tx, c := range l.txs {
+			l.txs[tx] = txCover{lsn: c.lsn}
+			l.uncovered = append(l.uncovered, tx)
+		}
+		l.writes, l.shippedHi, l.quorumHi = l.writes[:0], 0, 0
+	}
+}
+
+// judge decides whether a tx_ack had its policy's evidence. It is the only
+// place that does.
+func (l *ackLedger) judge(e Event) ackVerdict {
+	l.acked++
+	c, ok := l.txs[e.Parent]
+	if !ok {
+		return ackVerdict{} // read-only, or its records preceded the window
+	}
+	delete(l.txs, e.Parent)
+	v := ackVerdict{lsn: c.lsn, force: c.force}
+	switch {
+	case !c.covered:
+		v.missing = missingFlush
+		v.detail = fmt.Sprintf("%s: commit lsn %d", missingFlush, c.lsn)
+	case l.quorumK > 0 && l.quorumHi < c.need:
+		v.missing = missingQuorum
+		v.detail = fmt.Sprintf("%s: commit lsn %d needs seq %d, quorum high is %d", missingQuorum, c.lsn, c.need, l.quorumHi)
+	}
+	return v
+}

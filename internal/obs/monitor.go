@@ -20,7 +20,7 @@ const (
 	InvExposure Invariant = iota
 	// InvAckEvidence: no EvTxAck may precede its policy's durability
 	// evidence — local flush covering the commit LSN, plus (QuorumK ≥ 1)
-	// EvQuorumMet for every record the covering force shipped.
+	// EvQuorumMet for every record the covering force shipped (ackLedger).
 	InvAckEvidence
 	// InvRetention: the shipper's retained (unacked) bytes must return
 	// under RetainLimit within the eviction grace window.
@@ -120,19 +120,7 @@ type Monitor struct {
 	exposure     exposureLedger
 	exposureOver bool // above bound; fire once per episode
 
-	// Ack-evidence tracking (InvAckEvidence).
-	txLSN       map[SpanID]int64  // tx span → max appended commit LSN
-	entryForce  map[SpanID]SpanID // entry span → force span
-	forceMaxSeq map[SpanID]uint64 // force span → highest shipped seq
-	// The flush history translates "commit LSN covered" into "quorum
-	// sequence required": each flush carries shippedHi as it stood, the
-	// highest replication sequence shipped by that flush or any before it
-	// (so LSN and sequence are jointly monotone).
-	flushes    flushCover[uint64]
-	shippedHi  uint64
-	flushedLSN int64
-	quorumHi   uint64
-	acked      int
+	evidence ackLedger // InvAckEvidence
 
 	// Ack-monotonicity tracking (InvAckMonotone).
 	repAck map[int64]uint64 // replica label id → highest acked seq
@@ -162,12 +150,10 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		cfg.Trace.contract = &contract
 	}
 	m := &Monitor{
-		cfg:         cfg,
-		exposure:    exposureLedger{outstanding: make(map[SpanID]ackInfo)},
-		txLSN:       make(map[SpanID]int64),
-		entryForce:  make(map[SpanID]SpanID),
-		forceMaxSeq: make(map[SpanID]uint64),
-		repAck:      make(map[int64]uint64),
+		cfg:      cfg,
+		exposure: exposureLedger{outstanding: make(map[SpanID]ackInfo)},
+		evidence: newAckLedger(cfg.QuorumK),
+		repAck:   make(map[int64]uint64),
 	}
 	if cfg.Reg != nil {
 		m.total = cfg.Reg.Counter("monitor.violations")
@@ -206,19 +192,9 @@ func (m *Monitor) Consume(e Event) {
 	}
 	m.events++
 	m.exposure.apply(e, nil)
+	m.evidence.apply(e)
 	switch e.Kind {
-	case EvTxBegin:
-		m.txLSN[e.Span] = 0
-
-	case EvWalAppend:
-		if lsn, ok := m.txLSN[e.Parent]; ok && e.Arg1 > lsn {
-			m.txLSN[e.Parent] = e.Arg1
-		}
-
 	case EvHvAck:
-		if e.Parent != 0 {
-			m.entryForce[e.Span] = e.Parent
-		}
 		m.checkExposure(e.At)
 
 	case EvDurable:
@@ -229,30 +205,10 @@ func (m *Monitor) Consume(e Event) {
 	case EvDumpDone:
 		m.exposureOver = false
 
-	case EvLogComplete:
-		if e.Arg1 > m.flushedLSN {
-			m.flushedLSN = e.Arg1
-		}
-		m.shippedHi = max(m.shippedHi, m.forceMaxSeq[e.Parent])
-		m.flushes.add(e.Arg1, m.shippedHi)
-		delete(m.forceMaxSeq, e.Parent)
-
-	case EvShip:
-		if e.Parent != 0 {
-			if f, ok := m.entryForce[e.Parent]; ok {
-				if uint64(e.Arg1) > m.forceMaxSeq[f] {
-					m.forceMaxSeq[f] = uint64(e.Arg1)
-				}
-			}
-		}
-
-	case EvQuorumMet:
-		if e.Arg2 >= int64(m.cfg.QuorumK) && uint64(e.Arg1) > m.quorumHi {
-			m.quorumHi = uint64(e.Arg1)
-		}
-
 	case EvTxAck:
-		m.checkAckEvidence(e)
+		if v := m.evidence.judge(e); v.missing != "" {
+			m.violate(InvAckEvidence, e.At, v.detail)
+		}
 
 	case EvReplicaAck:
 		prev := m.repAck[e.Arg2]
@@ -274,20 +230,12 @@ func (m *Monitor) Consume(e Event) {
 		} else {
 			m.lastEpoch = e.Arg1
 		}
-		// A new shipper stream: sequence numbers restart, so every
-		// seq-indexed fact is stale.
-		m.repAck = make(map[int64]uint64)
-		m.quorumHi = 0
-		m.flushes, m.shippedHi = flushCover[uint64]{}, 0
-		m.forceMaxSeq = make(map[SpanID]uint64)
+		// A new shipper stream: sequence numbers restart.
+		clear(m.repAck)
 
 	case EvPowerRestore:
-		// The machine rebooted: volatile state (buffer, in-flight txs,
-		// WAL force pipeline) did not survive.
+		// The machine rebooted: volatile state did not survive.
 		m.exposureOver = false
-		m.txLSN = make(map[SpanID]int64)
-		m.entryForce = make(map[SpanID]SpanID)
-		m.forceMaxSeq = make(map[SpanID]uint64)
 		m.retainOver = false
 		m.retainFired = false
 	}
@@ -302,35 +250,6 @@ func (m *Monitor) checkExposure(at time.Duration) {
 		m.exposureOver = true
 		m.violate(InvExposure, at,
 			fmt.Sprintf("buffered %d bytes exceeds bound %d", m.exposure.bytes, m.cfg.Bound))
-	}
-}
-
-func (m *Monitor) checkAckEvidence(e Event) {
-	lsn, ok := m.txLSN[e.Parent]
-	delete(m.txLSN, e.Parent)
-	m.acked++
-	if !ok || lsn == 0 {
-		return // read-only or untracked commit: nothing to evidence
-	}
-	if m.flushedLSN < lsn {
-		m.violate(InvAckEvidence, e.At,
-			fmt.Sprintf("tx acked at lsn %d but flushed lsn is %d", lsn, m.flushedLSN))
-		return
-	}
-	if m.cfg.QuorumK == 0 {
-		return
-	}
-	// Quorum evidence: the first flush covering the commit LSN fixes which
-	// replication sequence must have met quorum.
-	need, ok := m.flushes.first(lsn)
-	if !ok {
-		m.violate(InvAckEvidence, e.At,
-			fmt.Sprintf("tx acked at lsn %d with no covering flush record", lsn))
-		return
-	}
-	if m.quorumHi < need {
-		m.violate(InvAckEvidence, e.At,
-			fmt.Sprintf("tx acked at lsn %d needing quorum through seq %d, quorum high is %d", lsn, need, m.quorumHi))
 	}
 }
 
@@ -375,7 +294,7 @@ func (m *Monitor) Report() MonitorReport {
 	if m == nil {
 		return MonitorReport{}
 	}
-	rep := MonitorReport{EventsSeen: m.events, TxAcked: m.acked, Total: m.Total()}
+	rep := MonitorReport{EventsSeen: m.events, TxAcked: m.evidence.acked, Total: m.Total()}
 	if rep.Total > 0 {
 		rep.ByKind = make(map[string]int)
 		for i := Invariant(0); i < invCount; i++ {

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -346,28 +349,99 @@ func TestMonitorDetectsSplitBrainEpoch(t *testing.T) {
 	}
 }
 
-// TestFlushCoverFindsFirstCoveringFlush: the envelope search must agree with
-// the scan it replaced — the first flush at or past the LSN — when flush
-// values dip (a power cycle restarts the WAL's flushed LSN).
+// TestFlushCoverFindsFirstCoveringFlush: a transaction's covering force is the
+// first flush at or past its commit LSN, also when flush values dip; with none
+// it was acked before a covering flush.
 func TestFlushCoverFindsFirstCoveringFlush(t *testing.T) {
 	flushes := []int64{10, 30, 20, 5, 40, 40, 35, 60}
-	var c flushCover[int]
-	if _, ok := c.first(1); ok {
-		t.Error("an empty history covers lsn 1")
+	l := newAckLedger(0)
+	for lsn := int64(1); lsn <= 61; lsn++ {
+		l.apply(ev(0, EvWalAppend, 0, SpanID(lsn), lsn, 0)) // tx span = its lsn
 	}
 	for i, lsn := range flushes {
-		c.add(lsn, i)
+		l.apply(ev(0, EvLogComplete, 0, SpanID(100+i), lsn, 0))
 	}
 	for lsn := int64(1); lsn <= 61; lsn++ {
-		want := -1
+		var want SpanID
 		for i, f := range flushes {
 			if f >= lsn {
-				want = i
+				want = SpanID(100 + i)
 				break
 			}
 		}
-		if got, ok := c.first(lsn); ok != (want >= 0) || (ok && got != want) {
-			t.Errorf("first(%d) = %d, %v; want flush %d", lsn, got, ok, want)
+		v := l.judge(ev(0, EvTxAck, 0, SpanID(lsn), 0, 0))
+		if v.force != want || (v.missing == "") != (want != 0) {
+			t.Errorf("lsn %d: covered by force %d (%q), want force %d", lsn, v.force, v.missing, want)
 		}
+	}
+	if len(l.txs) != 0 {
+		t.Errorf("%d acked transactions left in the ledger", len(l.txs))
+	}
+}
+
+// absorbedQuorumStream is two quorum commits on one log block: the first
+// buffers it (hv_ack), the second's force rewrites it in place (hv_absorb).
+// The absorbed record's quorum_met is at lateQuorum.
+func absorbedQuorumStream(lateQuorum time.Duration) []Event {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	return []Event{
+		ev(ms(1), EvTxBegin, 1, 0, 0, 0),
+		ev(ms(1), EvWalAppend, 0, 1, 100, 64),
+		ev(ms(2), EvLogSubmit, 10, 0, 100, 512),
+		ev(ms(2), EvHvAck, 2, 10, 7, 512),
+		ev(ms(2), EvShip, 3, 2, 1, 512),
+		ev(ms(3), EvQuorumMet, 0, 3, 1, 1),
+		ev(ms(3), EvLogComplete, 0, 10, 100, 0),
+		ev(ms(3), EvTxAck, 0, 1, 0, 0),
+
+		ev(ms(4), EvTxBegin, 4, 0, 0, 0),
+		ev(ms(4), EvWalAppend, 0, 4, 200, 64),
+		ev(ms(5), EvLogSubmit, 11, 0, 200, 512),
+		ev(ms(5), EvHvAbsorb, 5, 11, 7, 512), // the force's only write
+		ev(ms(5), EvShip, 6, 5, 2, 512),
+		ev(lateQuorum, EvQuorumMet, 0, 6, 2, 1),
+		ev(ms(6), EvLogComplete, 0, 11, 200, 0),
+		ev(ms(6), EvTxAck, 0, 4, 0, 0),
+	}
+}
+
+// An absorbed rewrite is a write of its force like any other: a quorum ack
+// that does not wait for its record's quorum_met is an ack without evidence,
+// online and offline, under the same reason.
+func TestAbsorbedWriteNeedsItsQuorum(t *testing.T) {
+	run := func(events []Event) (MonitorReport, *Analysis) {
+		t.Helper()
+		slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+		tr := NewTracer(64)
+		m := NewMonitor(MonitorConfig{QuorumK: 1, Trace: tr})
+		tr.SetObserver(m.Consume)
+		for _, e := range events {
+			tr.Emit(e.At, e.Kind, e.Span, e.Parent, e.Arg1, e.Arg2)
+		}
+		a, err := Analyze(tr.Dump(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Report(), a
+	}
+
+	rep, a := run(absorbedQuorumStream(5500 * time.Microsecond))
+	if rep.Total != 0 || a.Chains.Commits != 2 || a.Chains.Complete != 2 {
+		t.Fatalf("quorum met before the force completed: monitor %+v, chains %+v", rep, a.Chains)
+	}
+	// 1 ms waited by the buffered write, 0.5 ms by the absorbed one.
+	if got := a.Critical.QuorumBarrier.Sum(); got != 1500*time.Microsecond {
+		t.Fatalf("critical path's quorum barrier totals %v, want 1.5ms", got)
+	}
+
+	rep, a = run(absorbedQuorumStream(7 * time.Millisecond))
+	if rep.ByKind[InvAckEvidence.String()] != 1 || rep.Total != 1 {
+		t.Fatalf("ack before the absorbed record's quorum not flagged: %+v", rep)
+	}
+	if a.Chains.Complete != 1 || a.Chains.Incomplete[missingQuorum] != 1 {
+		t.Fatalf("chains %+v, want the second commit incomplete as %q", a.Chains, missingQuorum)
+	}
+	if d := rep.Samples[0].Detail; !strings.HasPrefix(d, missingQuorum) {
+		t.Fatalf("violation %q is not reported under the analyzer's reason %q", d, missingQuorum)
 	}
 }

@@ -29,10 +29,12 @@ const (
 	EvTxDurable
 	// EvHvAck: the RapiLog device copied a write into hypervisor memory
 	// and acknowledged it — exposure begins. Span = buffer-entry span,
-	// Arg1 = lba, Arg2 = bytes.
+	// Parent = force span, Arg1 = lba, Arg2 = bytes.
 	EvHvAck
-	// EvHvAbsorb: a write was absorbed into an existing buffered entry.
-	// Parent = that entry's span, Arg1 = lba, Arg2 = bytes.
+	// EvHvAbsorb: a write was absorbed into an existing buffered entry,
+	// superseding its bytes in place (exposure is unchanged). It is a write
+	// of the force that issued it, like an EvHvAck: Span = this write's own
+	// span, Parent = force span, Arg1 = lba, Arg2 = bytes.
 	EvHvAbsorb
 	// EvHvThrottle: a writer had to wait for buffer space (the bound at
 	// work). Arg2 = bytes requested.
@@ -66,10 +68,12 @@ const (
 	// EvRestored: the stranded buffer finally drained; the device returned
 	// to buffered operation.
 	EvRestored
-	// EvShip: the shipper framed a buffered log write into a replication
-	// record and sent it to every standby. Span = ship span, Parent = the
-	// buffer-entry span (EvHvAck/EvHvAbsorb) the record carries,
-	// Arg1 = stream sequence number, Arg2 = payload bytes.
+	// EvShip: the shipper framed a log write into a replication record and
+	// queued it for every standby. Span = ship span, Parent = the span of
+	// the write it carries (its EvHvAck or EvHvAbsorb; zero for a degraded
+	// pass-through write), Arg1 = stream sequence number, Arg2 = payload
+	// bytes. The record's sequence is what a quorum policy makes that
+	// write's force wait for.
 	EvShip
 	// EvFrame: the shipper coalesced pending records into one wire frame
 	// and transmitted it (one fabric message per replica instead of one
