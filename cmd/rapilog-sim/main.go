@@ -164,9 +164,7 @@ func main() {
 		tr := dep.Obs.Tracer()
 		fmt.Printf("\ncommit trace:   %d events (%d dropped by the ring)\n", tr.Emitted(), tr.Dropped())
 		fmt.Printf("\nstage latencies:\n%s\n", reg.Snapshot().LatencyTable())
-		// Trace events do not say which domain emitted them: the exposure
-		// audit is a one-domain report.
-		if dep.Logger != nil && n == 1 {
+		if dep.Logger != nil {
 			rep, err := dep.AuditExposure()
 			if err != nil {
 				fatalf("%v", err)

@@ -9,9 +9,10 @@
 //
 // An artifact carries its contract: the exposure bound, the quorum an ack
 // needed (0 = local acks) and the retention limit its run was checked
-// against online. -check re-verifies the events against that contract and
-// exits 1 on any violation, on a malformed trace, or on an artifact with no
-// contract (a sharded machine arms no monitor, so it records none).
+// against online, by every log domain of the machine. -check re-verifies the
+// events against that contract, each domain on its own events (a sharded
+// machine's events name their shard), and exits 1 on any violation, on a
+// malformed trace, or on an artifact with no contract.
 //
 // Usage:
 //
@@ -155,7 +156,7 @@ func describe(c *rapilog.MonitorConfig) string {
 // monitor must find nothing.
 func runCheck(w io.Writer, dump rapilog.TraceDump) bool {
 	if dump.Contract == nil {
-		fmt.Fprintln(w, "check:          FAIL — the artifact carries no contract (no monitor was armed on its run: a sharded machine arms none), so there is nothing to check it against")
+		fmt.Fprintln(w, "check:          FAIL — the artifact carries no contract (no monitor was armed on its run), so there is nothing to check it against")
 		return false
 	}
 	events, err := dump.DecodedEvents()

@@ -38,7 +38,11 @@ func artifactHashes(t *testing.T, a *Artifacts) (trace, metrics string) {
 		fmt.Fprintf(h, "label %q %d\n", n, a.Trace.Labels[n])
 	}
 	for _, e := range events {
-		fmt.Fprintf(h, "%d %s %d %d %d %d\n", int64(e.At), e.Kind, e.Span, e.Parent, e.Arg1, e.Arg2)
+		fmt.Fprintf(h, "%d %s %d %d %d %d", int64(e.At), e.Kind, e.Span, e.Parent, e.Arg1, e.Arg2)
+		if e.Dom != 0 {
+			fmt.Fprintf(h, " dom %d", e.Dom)
+		}
+		fmt.Fprintln(h)
 	}
 	var b bytes.Buffer
 	if err := a.Metrics.WriteJSON(&b); err != nil {
@@ -101,11 +105,24 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	}
 }
 
+// The sharded trial runs traced, monitored and flight-recorded since its
+// events name their shard; its outcome is the untraced one, so observing a
+// sharded machine stays passive.
 func TestGoldenShardedPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
 	cfg.Rig.Shards = 3
+	cfg.Rig.Trace, cfg.Rig.Flight = true, true
 	res := RunTrial(cfg, 42)
 	if res.Err != nil || res.Acked != 7688 || res.Missing != 0 || !res.HadDump || res.DumpRetries != 0 {
 		t.Fatalf("trial moved: %+v", res)
+	}
+	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 4201113})
+	if f := res.Artifacts.Flight; res.MonitorViolations != 0 || f == nil || f.Reason != "power-dc-loss" {
+		t.Fatalf("monitor found %d violations, flight record %+v", res.MonitorViolations, f)
+	}
+	tr, me := artifactHashes(t, res.Artifacts)
+	if tr != "a626b899d37b0ba9b4293131c0db31a282f92e53f60b66cba19edb61facf0052" ||
+		me != "d0b363cd8f080981121c6e6c075a9f52bcaf39000a6f99a88865b57b5752bd89" {
+		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

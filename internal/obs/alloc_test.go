@@ -7,6 +7,27 @@ import (
 	"time"
 )
 
+// TestShardEmitAllocs pins an Emit through a shard's tracer view, with the
+// monitor observing, at zero allocations: the view stamps a byte and the
+// monitor routes the event to its domain's state without allocating.
+func TestShardEmitAllocs(t *testing.T) {
+	o := New(Config{TraceEnabled: true, TraceCapacity: 1 << 10})
+	tr := o.Tracer()
+	tr.SetObserver(NewMonitor(MonitorConfig{Bound: 1 << 20, Reg: o.Registry(), Trace: tr}).Consume)
+	view := o.Shard(3).Tracer()
+	var at time.Duration
+	perEvent := testing.AllocsPerRun(1000, func() {
+		at++
+		view.Emit(at, EvHvThrottle, 0, 0, 7, 512)
+	})
+	if tr.Events()[0].Dom != 4 {
+		t.Fatalf("shard 3's event names domain %d, want 4", tr.Events()[0].Dom)
+	}
+	if perEvent != 0 {
+		t.Fatalf("Emit through a shard view allocates %.2f times per event, want 0", perEvent)
+	}
+}
+
 // TestAnalyzeAllocsPerCommit pins the analyzer's allocations per traced
 // commit: two are needed (the transaction, the force). A covering-force
 // lookup that allocates per acked transaction — one once rebuilt a history

@@ -169,24 +169,38 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 
 	txBySpan := make(map[SpanID]*txInfo)
 	forceBySpan := make(map[SpanID]*forceInfo)
-	shipByES := make(map[epochSeq]*shipInfo)
 	netSent := make(map[[2]int64]time.Duration) // (cause span, dst label) → send time
-	epoch := int64(1)
 	if d.Contract != nil {
 		a.QuorumK = d.Contract.QuorumK
 	}
-	evidence := newAckLedger(a.QuorumK)
+	// Spans are unique machine-wide; evidence, epochs and sequence numbers
+	// are per log domain.
+	type domain struct {
+		evidence ackLedger
+		epoch    int64
+		shipByES map[epochSeq]*shipInfo
+	}
+	doms := domains[domain]{fresh: func(uint8) *domain {
+		return &domain{evidence: newAckLedger(a.QuorumK), epoch: 1, shipByES: make(map[epochSeq]*shipInfo)}
+	}}
 
 	for i := range events {
 		e := &events[i]
-		evidence.apply(*e)
+		routed := doms.route(e.Dom)
+		for _, st := range routed {
+			st.evidence.apply(*e)
+			if e.Kind == EvEpoch {
+				st.epoch = e.Arg1
+			}
+		}
+		dom := routed[0]
 		switch e.Kind {
 		case EvTxBegin:
 			tx := &txInfo{begin: e.At}
 			txBySpan[e.Span] = tx
 			a.txs = append(a.txs, tx)
 		case EvTxAck:
-			v := evidence.judge(*e)
+			v := dom.evidence.judge(*e)
 			if tx, ok := txBySpan[e.Parent]; ok && !tx.acked {
 				tx.acked, tx.ack, tx.verdict, tx.force = true, e.At, v, forceBySpan[v.force]
 				stCommit.Observe(e.At - tx.begin)
@@ -217,7 +231,7 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 				acks:    make(map[int64]time.Duration),
 			}
 			a.ships[e.Span] = sh
-			shipByES[epochSeq{epoch, e.Arg1}] = sh
+			dom.shipByES[epochSeq{dom.epoch, e.Arg1}] = sh
 			if en, ok := a.entries[e.Parent]; ok {
 				en.ship = sh
 			}
@@ -254,14 +268,12 @@ func Analyze(d TraceDump, buckets int) (*Analysis, error) {
 		case EvQuorumMet:
 			sh, ok := a.ships[e.Parent]
 			if !ok {
-				sh, ok = shipByES[epochSeq{epoch, e.Arg1}]
+				sh, ok = dom.shipByES[epochSeq{dom.epoch, e.Arg1}]
 			}
 			if ok && !sh.hasQ {
 				sh.hasQ, sh.quorumAt = true, e.At
 				stQuorum.Observe(e.At - sh.at)
 			}
-		case EvEpoch:
-			epoch = e.Arg1
 		}
 	}
 

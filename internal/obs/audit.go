@@ -20,8 +20,8 @@ type ExposureReport struct {
 	// Bound is the limit exposure was audited against: the machine's
 	// contract bound (MonitorConfig.Bound), the same one its monitor checks.
 	Bound int64
-	// PeakBytes is the maximum acknowledged-but-undrained bytes observed,
-	// and PeakAt when it occurred.
+	// PeakBytes is the maximum acknowledged-but-undrained bytes one log
+	// domain held (the bound is per domain), and PeakAt when it occurred.
 	PeakBytes int64
 	PeakAt    time.Duration
 	// AckedBytes / DurableBytes / DumpedBytes total the lifecycle flows.
@@ -41,7 +41,7 @@ type ExposureReport struct {
 	Absorbed    int
 	DrainRounds int
 	Dumps       int
-	// Points is the full exposure time-series.
+	// Points is the full exposure time-series, summed over the domains.
 	Points []ExposurePoint
 	// TruncatedTrace records that the ring buffer overwrote events; the
 	// audit may then under- or over-state exposure.
@@ -63,6 +63,26 @@ func (r ExposureReport) Verdict() string {
 	}
 	return fmt.Sprintf("exposure %s: peak %d B at %v vs bound %d B (acked %d B, durable %d B, dumped %d B, outstanding %d B)%s",
 		status, r.PeakBytes, r.PeakAt, r.Bound, r.AckedBytes, r.DurableBytes, r.DumpedBytes, r.OutstandingBytes, note)
+}
+
+// domains is the one routing rule the monitor, the exposure audit and the
+// analyzer apply to their per-log-domain state: an event updates only its own
+// domain's (Event.Dom), and a domain-0 event — the machine's own, a power
+// event say — updates every domain's. An unsharded machine is domain 0 alone.
+type domains[T any] struct {
+	all   []*T // by domain, up to the highest seen
+	fresh func(dom uint8) *T
+}
+
+// route returns the states an event of domain dom updates, its own first.
+func (d *domains[T]) route(dom uint8) []*T {
+	for int(dom) >= len(d.all) {
+		d.all = append(d.all, d.fresh(uint8(len(d.all))))
+	}
+	if dom == 0 {
+		return d.all
+	}
+	return d.all[dom : dom+1]
 }
 
 type ackInfo struct {
@@ -109,28 +129,38 @@ func (l *exposureLedger) apply(e Event, end func(ackInfo)) {
 
 // AuditExposure replays trace events into the acknowledged-but-undrained
 // byte count over time, by the rule the online monitor applies
-// (exposureLedger), and checks its peak against bound.
+// (exposureLedger, per log domain), and checks its peak against bound.
 func AuditExposure(events []Event, bound int64, truncated bool) ExposureReport {
 	rep := ExposureReport{
 		Bound:          bound,
 		AckToDurable:   metrics.NewHistogram("rapilog.ack_to_durable"),
 		TruncatedTrace: truncated,
 	}
-	led := exposureLedger{outstanding: make(map[SpanID]ackInfo)}
+	leds := domains[exposureLedger]{fresh: func(uint8) *exposureLedger {
+		return &exposureLedger{outstanding: make(map[SpanID]ackInfo)}
+	}}
+	var total int64
 	for _, e := range events {
-		before := led.bytes
-		led.apply(e, func(info ackInfo) {
-			switch e.Kind {
-			case EvDurable:
-				rep.DurableBytes += info.bytes
-			case EvDumpDone:
-				rep.DumpedBytes += info.bytes
-			case EvPowerRestore:
-				rep.OutstandingBytes += info.bytes // no dump saved it
-				return
+		before := total
+		for _, led := range leds.route(e.Dom) {
+			total -= led.bytes
+			led.apply(e, func(info ackInfo) {
+				switch e.Kind {
+				case EvDurable:
+					rep.DurableBytes += info.bytes
+				case EvDumpDone:
+					rep.DumpedBytes += info.bytes
+				case EvPowerRestore:
+					rep.OutstandingBytes += info.bytes // no dump saved it
+					return
+				}
+				rep.AckToDurable.Observe(e.At - info.at)
+			})
+			total += led.bytes
+			if led.bytes > rep.PeakBytes {
+				rep.PeakBytes, rep.PeakAt = led.bytes, e.At
 			}
-			rep.AckToDurable.Observe(e.At - info.at)
-		})
+		}
 		switch e.Kind {
 		case EvHvAck:
 			rep.AckedBytes += e.Arg2
@@ -142,15 +172,14 @@ func AuditExposure(events []Event, bound int64, truncated bool) ExposureReport {
 		case EvDumpDone:
 			rep.Dumps++
 		}
-		if led.bytes != before {
-			rep.Points = append(rep.Points, ExposurePoint{At: e.At, Bytes: led.bytes})
-			if led.bytes > rep.PeakBytes {
-				rep.PeakBytes, rep.PeakAt = led.bytes, e.At
-			}
+		if total != before {
+			rep.Points = append(rep.Points, ExposurePoint{At: e.At, Bytes: total})
 		}
 	}
-	for _, info := range led.outstanding {
-		rep.OutstandingBytes += info.bytes
+	for _, led := range leds.all {
+		for _, info := range led.outstanding {
+			rep.OutstandingBytes += info.bytes
+		}
 	}
 	return rep
 }
@@ -173,7 +202,6 @@ type ackLedger struct {
 	writes    []write            // the writes of forces not yet complete
 	shippedHi uint64             // highest seq shipped by a completed force
 	quorumHi  uint64             // highest seq with a quorum_met of k ≥ quorumK
-	acked     int
 }
 
 // write is an hv_ack or hv_absorb, the force that issued it and, once it has
@@ -281,7 +309,6 @@ func (l *ackLedger) apply(e Event) {
 // judge decides whether a tx_ack had its policy's evidence. It is the only
 // place that does.
 func (l *ackLedger) judge(e Event) ackVerdict {
-	l.acked++
 	c, ok := l.txs[e.Parent]
 	if !ok {
 		return ackVerdict{} // read-only, or its records preceded the window

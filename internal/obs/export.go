@@ -146,6 +146,7 @@ func (s Snapshot) LatencyTable() *metrics.Table {
 type WireEvent struct {
 	AtNs   int64  `json:"at_ns"`
 	Kind   string `json:"kind"`
+	Dom    uint8  `json:"dom,omitempty"`
 	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
 	Arg1   int64  `json:"arg1,omitempty"`
@@ -155,7 +156,7 @@ type WireEvent struct {
 // ToWire converts an in-memory event to its wire form.
 func (e Event) ToWire() WireEvent {
 	return WireEvent{
-		AtNs: int64(e.At), Kind: e.Kind.String(),
+		AtNs: int64(e.At), Kind: e.Kind.String(), Dom: e.Dom,
 		Span: uint64(e.Span), Parent: uint64(e.Parent),
 		Arg1: e.Arg1, Arg2: e.Arg2,
 	}
@@ -170,7 +171,7 @@ func (w WireEvent) Decode() (Event, error) {
 		return Event{}, fmt.Errorf("obs: unknown event kind %q", w.Kind)
 	}
 	return Event{
-		At: time.Duration(w.AtNs), Kind: k,
+		At: time.Duration(w.AtNs), Kind: k, Dom: w.Dom,
 		Span: SpanID(w.Span), Parent: SpanID(w.Parent),
 		Arg1: w.Arg1, Arg2: w.Arg2,
 	}, nil
@@ -179,7 +180,7 @@ func (w WireEvent) Decode() (Event, error) {
 // TraceDump is a self-contained, JSON-serialisable copy of a tracer's
 // retained events, the label table needed to resolve endpoint and replica
 // ids in event args, and the contract the run was checked against — nil when
-// no monitor was armed (a sharded machine arms none).
+// no monitor was armed.
 type TraceDump struct {
 	Contract *MonitorConfig   `json:"contract,omitempty"`
 	Emitted  int              `json:"emitted"`

@@ -73,8 +73,9 @@ type MonitorConfig struct {
 	// the monitor calls it a violation — eviction of a dead replica
 	// legitimately takes a probe round-trip plus DeadAfter.
 	RetainGrace time.Duration `json:"retain_grace_ns"`
-	// Reg, when set, receives violation counters and provides the
-	// retention gauge ("repl.retained_bytes") the retention check reads.
+	// Reg, when set, receives violation counters and provides each domain's
+	// retention gauge ("repl.retained_bytes", under ShardPrefix for a shard)
+	// the retention check reads.
 	Reg *Registry `json:"-"`
 	// Trace, when set, receives an EvViolation trace mark per violation and
 	// carries the contract in its dumps.
@@ -107,14 +108,27 @@ type MonitorReport struct {
 // trace event stream (install it as the tracer's observer, or replay a
 // recorded trace through Consume). It never mutates the system: violations
 // become counters, trace marks, samples, and an OnViolation callback — the
-// flight recorder's freeze trigger.
+// flight recorder's freeze trigger. Each log domain is judged on its own
+// (domains); a violation in shard i says so in its Detail.
 type Monitor struct {
 	cfg MonitorConfig
 
 	// OnViolation, when set, is invoked on every detected violation.
 	OnViolation func(Violation)
 
-	events int
+	events, acked int
+	doms          domains[monitorDomain]
+
+	counts  [invCount]int
+	samples []Violation
+	total   *metrics.Counter
+	perInv  [invCount]*metrics.Counter
+}
+
+// monitorDomain is one log domain's invariant state; every domain is checked
+// against the one contract.
+type monitorDomain struct {
+	dom uint8
 
 	// Exposure tracking (InvExposure).
 	exposure     exposureLedger
@@ -128,16 +142,12 @@ type Monitor struct {
 	// Single-writer tracking (InvSingleWriter).
 	lastEpoch int64
 
-	// Retention tracking (InvRetention).
+	// Retention tracking (InvRetention): the domain's own shipper gauge, nil
+	// without a RetainLimit or a shipper.
 	retainGauge *metrics.Gauge
 	retainOver  bool
 	retainSince time.Duration
 	retainFired bool
-
-	counts  [invCount]int
-	samples []Violation
-	total   *metrics.Counter
-	perInv  [invCount]*metrics.Counter
 }
 
 // NewMonitor creates a monitor and stamps its contract on cfg.Trace. Wire it
@@ -149,25 +159,36 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		contract.Reg, contract.Trace = nil, nil
 		cfg.Trace.contract = &contract
 	}
-	m := &Monitor{
-		cfg:      cfg,
-		exposure: exposureLedger{outstanding: make(map[SpanID]ackInfo)},
-		evidence: newAckLedger(cfg.QuorumK),
-		repAck:   make(map[int64]uint64),
-	}
+	m := &Monitor{cfg: cfg}
 	if cfg.Reg != nil {
 		m.total = cfg.Reg.Counter("monitor.violations")
 		for i := Invariant(0); i < invCount; i++ {
 			m.perInv[i] = cfg.Reg.Counter("monitor.violations." + i.String())
 		}
-		if cfg.RetainLimit > 0 {
-			m.retainGauge = cfg.Reg.Gauge("repl.retained_bytes")
+	}
+	m.doms.fresh = func(dom uint8) *monitorDomain {
+		d := &monitorDomain{
+			dom:      dom,
+			exposure: exposureLedger{outstanding: make(map[SpanID]ackInfo)},
+			evidence: newAckLedger(cfg.QuorumK),
+			repAck:   make(map[int64]uint64),
 		}
+		if reg := cfg.Reg; reg != nil && cfg.RetainLimit > 0 {
+			if dom > 0 {
+				reg = reg.Sub(ShardPrefix(int(dom) - 1))
+			}
+			// Looked up, not registered: a domain with no shipper retains nothing.
+			d.retainGauge = reg.gauges[reg.prefix+"repl.retained_bytes"]
+		}
+		return d
 	}
 	return m
 }
 
-func (m *Monitor) violate(inv Invariant, at time.Duration, detail string) {
+func (m *Monitor) violate(d *monitorDomain, inv Invariant, at time.Duration, detail string) {
+	if d.dom > 0 {
+		detail = fmt.Sprintf("shard %d: %s", d.dom-1, detail)
+	}
 	m.counts[inv]++
 	if m.total != nil {
 		m.total.Inc()
@@ -185,95 +206,90 @@ func (m *Monitor) violate(inv Invariant, at time.Duration, detail string) {
 	}
 }
 
-// Consume feeds one event through every invariant check.
+// violatef is violate with the detail formatted here, not in Consume: Consume
+// runs on the emitting process's stack, and formatting temporaries in its
+// frame are enough to make short-lived processes grow (copy) their stacks.
+func (m *Monitor) violatef(d *monitorDomain, inv Invariant, at time.Duration, format string, args ...int64) {
+	a := make([]any, len(args))
+	for i, v := range args {
+		a[i] = v
+	}
+	m.violate(d, inv, at, fmt.Sprintf(format, a...))
+}
+
+// Consume feeds one event through every invariant check of the domains it
+// updates, the time-dependent retention check included.
 func (m *Monitor) Consume(e Event) {
 	if m == nil {
 		return
 	}
 	m.events++
-	m.exposure.apply(e, nil)
-	m.evidence.apply(e)
-	switch e.Kind {
-	case EvHvAck:
-		m.checkExposure(e.At)
+	for _, d := range m.doms.route(e.Dom) {
+		d.exposure.apply(e, nil)
+		d.evidence.apply(e)
+		switch e.Kind {
+		case EvHvAck:
+			if m.cfg.Bound > 0 && d.exposure.bytes > m.cfg.Bound && !d.exposureOver {
+				d.exposureOver = true
+				m.violatef(d, InvExposure, e.At, "buffered %d bytes exceeds bound %d", d.exposure.bytes, m.cfg.Bound)
+			}
 
-	case EvDurable:
-		if m.exposure.bytes <= m.cfg.Bound {
-			m.exposureOver = false
+		case EvDurable:
+			if d.exposure.bytes <= m.cfg.Bound {
+				d.exposureOver = false
+			}
+
+		case EvDumpDone:
+			d.exposureOver = false
+
+		case EvTxAck:
+			m.acked++
+			if v := d.evidence.judge(e); v.missing != "" {
+				m.violate(d, InvAckEvidence, e.At, v.detail)
+			}
+
+		case EvReplicaAck:
+			prev := d.repAck[e.Arg2]
+			if uint64(e.Arg1) < prev {
+				m.violatef(d, InvAckMonotone, e.At, "replica %d acked seq %d after seq %d", e.Arg2, e.Arg1, int64(prev))
+			} else {
+				d.repAck[e.Arg2] = uint64(e.Arg1)
+			}
+
+		case EvEpoch:
+			// Single-writer-per-epoch: a shipper starting at an epoch at or
+			// below one already seen means two streams could gather quorum
+			// evidence concurrently — the split-brain the fencing protocol
+			// exists to prevent.
+			if e.Arg1 <= d.lastEpoch {
+				m.violatef(d, InvSingleWriter, e.At, "shipper epoch %d began after epoch %d", e.Arg1, d.lastEpoch)
+			} else {
+				d.lastEpoch = e.Arg1
+			}
+			// A new shipper stream: sequence numbers restart.
+			clear(d.repAck)
+
+		case EvPowerRestore:
+			// The machine rebooted: volatile state did not survive.
+			d.exposureOver = false
+			d.retainOver = false
+			d.retainFired = false
 		}
 
-	case EvDumpDone:
-		m.exposureOver = false
-
-	case EvTxAck:
-		if v := m.evidence.judge(e); v.missing != "" {
-			m.violate(InvAckEvidence, e.At, v.detail)
+		// Retention is time-dependent: every event the domain sees re-checks it.
+		if d.retainGauge == nil {
+			continue
 		}
-
-	case EvReplicaAck:
-		prev := m.repAck[e.Arg2]
-		if uint64(e.Arg1) < prev {
-			m.violate(InvAckMonotone, e.At,
-				fmt.Sprintf("replica %d acked seq %d after seq %d", e.Arg2, e.Arg1, prev))
-		} else {
-			m.repAck[e.Arg2] = uint64(e.Arg1)
+		switch v := d.retainGauge.Value(); {
+		case v <= m.cfg.RetainLimit:
+			d.retainOver, d.retainFired = false, false
+		case !d.retainOver:
+			d.retainOver, d.retainSince = true, e.At
+		case !d.retainFired && e.At-d.retainSince > m.cfg.RetainGrace:
+			d.retainFired = true
+			m.violatef(d, InvRetention, e.At, "retained %d bytes above limit %d for %d ms",
+				v, m.cfg.RetainLimit, int64((e.At-d.retainSince)/time.Millisecond))
 		}
-
-	case EvEpoch:
-		// Single-writer-per-epoch: a shipper starting at an epoch at or
-		// below one already seen means two streams could gather quorum
-		// evidence concurrently — the split-brain the fencing protocol
-		// exists to prevent.
-		if e.Arg1 <= m.lastEpoch {
-			m.violate(InvSingleWriter, e.At,
-				fmt.Sprintf("shipper epoch %d began after epoch %d", e.Arg1, m.lastEpoch))
-		} else {
-			m.lastEpoch = e.Arg1
-		}
-		// A new shipper stream: sequence numbers restart.
-		clear(m.repAck)
-
-	case EvPowerRestore:
-		// The machine rebooted: volatile state did not survive.
-		m.exposureOver = false
-		m.retainOver = false
-		m.retainFired = false
-	}
-	m.Tick(e.At)
-}
-
-func (m *Monitor) checkExposure(at time.Duration) {
-	if m.cfg.Bound <= 0 || m.exposure.bytes <= m.cfg.Bound {
-		return
-	}
-	if !m.exposureOver {
-		m.exposureOver = true
-		m.violate(InvExposure, at,
-			fmt.Sprintf("buffered %d bytes exceeds bound %d", m.exposure.bytes, m.cfg.Bound))
-	}
-}
-
-// Tick re-checks the time-dependent retention invariant; Consume calls it
-// on every event, and callers may call it directly on idle streams.
-func (m *Monitor) Tick(at time.Duration) {
-	if m == nil || m.cfg.RetainLimit <= 0 || m.retainGauge == nil {
-		return
-	}
-	v := m.retainGauge.Value()
-	if v <= m.cfg.RetainLimit {
-		m.retainOver = false
-		m.retainFired = false
-		return
-	}
-	if !m.retainOver {
-		m.retainOver = true
-		m.retainSince = at
-		return
-	}
-	if !m.retainFired && at-m.retainSince > m.cfg.RetainGrace {
-		m.retainFired = true
-		m.violate(InvRetention, at,
-			fmt.Sprintf("retained %d bytes above limit %d for %v", v, m.cfg.RetainLimit, at-m.retainSince))
 	}
 }
 
@@ -294,7 +310,7 @@ func (m *Monitor) Report() MonitorReport {
 	if m == nil {
 		return MonitorReport{}
 	}
-	rep := MonitorReport{EventsSeen: m.events, TxAcked: m.evidence.acked, Total: m.Total()}
+	rep := MonitorReport{EventsSeen: m.events, TxAcked: m.acked, Total: m.Total()}
 	if rep.Total > 0 {
 		rep.ByKind = make(map[string]int)
 		for i := Invariant(0); i < invCount; i++ {

@@ -130,26 +130,28 @@ func TestMonitorDetectsRetentionOverGrace(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("repl.retained_bytes")
 	m := NewMonitor(MonitorConfig{RetainLimit: 100, RetainGrace: 10 * time.Millisecond, Reg: reg})
+	// Any event re-checks retention; a throttle mark touches nothing else.
+	tick := func(at time.Duration) { m.Consume(ev(at, EvHvThrottle, 0, 0, 0, 0)) }
 
 	g.Set(500)
-	m.Tick(1 * time.Millisecond) // episode starts
-	m.Tick(5 * time.Millisecond) // within grace
+	tick(1 * time.Millisecond) // episode starts
+	tick(5 * time.Millisecond) // within grace
 	if m.Total() != 0 {
 		t.Fatalf("retention flagged inside the grace window")
 	}
-	m.Tick(20 * time.Millisecond)
+	tick(20 * time.Millisecond)
 	if m.Total() != 1 {
 		t.Fatalf("Total = %d after grace expiry, want 1", m.Total())
 	}
-	m.Tick(30 * time.Millisecond) // fire-once per episode
+	tick(30 * time.Millisecond) // fire-once per episode
 	if m.Total() != 1 {
 		t.Fatalf("retention episode re-fired")
 	}
 	g.Set(50)
-	m.Tick(40 * time.Millisecond) // recovered
+	tick(40 * time.Millisecond) // recovered
 	g.Set(500)
-	m.Tick(41 * time.Millisecond)
-	m.Tick(60 * time.Millisecond) // new episode, new violation
+	tick(41 * time.Millisecond)
+	tick(60 * time.Millisecond) // new episode, new violation
 	if m.Total() != 2 {
 		t.Fatalf("Total = %d after second episode, want 2", m.Total())
 	}
@@ -347,6 +349,80 @@ func TestMonitorDetectsSplitBrainEpoch(t *testing.T) {
 	if rep := RunMonitor(clean, MonitorConfig{}); rep.Total != 0 {
 		t.Fatalf("monotone epochs flagged: %+v", rep)
 	}
+}
+
+// TestRoutingCarriesTheVerdict: four cross-domain hazards on a sharded
+// machine, judged right only because each event names its log domain. With
+// every domain zeroed — one machine-wide state, as before events named one —
+// the same streams are misjudged both ways: two violations missed, two
+// invented. The machine's own events (domain 0) reach every domain.
+func TestRoutingCarriesTheVerdict(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	in := func(dom uint8, e Event) Event { e.Dom = dom; return e }
+	for _, tc := range []struct {
+		name          string
+		events        []Event
+		right, zeroed string // the invariant flagged, "" for none
+	}{
+		{"another domain's force covers nothing", []Event{
+			in(1, ev(ms(1), EvTxBegin, 1, 0, 0, 0)),
+			in(1, ev(ms(2), EvWalAppend, 0, 1, 100, 64)),
+			in(2, ev(ms(3), EvLogComplete, 0, 20, 200, 0)),
+			in(1, ev(ms(4), EvTxAck, 0, 1, 0, 0)),
+		}, InvAckEvidence.String(), ""},
+		{"another domain's dump saves nothing", []Event{
+			in(1, ev(ms(1), EvHvAck, 2, 0, 0, 800)),
+			in(2, ev(ms(2), EvDumpDone, 0, 9, 0, 0)),
+			in(1, ev(ms(3), EvHvAck, 3, 0, 8, 800)),
+		}, InvExposure.String(), ""},
+		{"two shards' standby0 ack their own streams", []Event{
+			in(1, ev(ms(1), EvReplicaAck, 0, 3, 5, 1)),
+			in(2, ev(ms(2), EvReplicaAck, 0, 4, 3, 1)),
+		}, "", InvAckMonotone.String()},
+		{"a second shard starts at epoch 1", []Event{
+			in(1, ev(ms(1), EvEpoch, 0, 0, 1, 2)),
+			in(2, ev(ms(2), EvEpoch, 0, 0, 1, 2)),
+		}, "", InvSingleWriter.String()},
+		{"the machine's power restore ends every shard's exposure", []Event{
+			in(1, ev(ms(1), EvHvAck, 2, 0, 0, 800)),
+			in(0, ev(ms(2), EvPowerRestore, 0, 0, 0, 0)),
+			in(1, ev(ms(3), EvHvAck, 3, 0, 8, 800)),
+		}, "", ""},
+	} {
+		zeroed := slices.Clone(tc.events)
+		for i := range zeroed {
+			zeroed[i].Dom = 0
+		}
+		for _, run := range []struct {
+			events []Event
+			want   string
+		}{{tc.events, tc.right}, {zeroed, tc.zeroed}} {
+			rep := RunMonitor(run.events, MonitorConfig{Bound: 1000})
+			if got := rep.ByKind[run.want]; rep.Total != got || (run.want != "") != (got == 1) {
+				t.Errorf("%s, domains %v: %+v, want only %q", tc.name, run.events[0].Dom, rep, run.want)
+			}
+		}
+		// The audit and the analyzer route by the same rule.
+		if tc.right == InvExposure.String() &&
+			(!AuditExposure(tc.events, 1000, false).Violated() || AuditExposure(zeroed, 1000, false).Violated()) {
+			t.Errorf("%s: the exposure audit does not route by domain", tc.name)
+		}
+		if tc.right == InvAckEvidence.String() {
+			a, _ := Analyze(TraceDump{Events: wire(tc.events)}, 0)
+			z, _ := Analyze(TraceDump{Events: wire(zeroed)}, 0)
+			if a.Chains.Incomplete[missingFlush] != 1 || z.Chains.Complete != 1 {
+				t.Errorf("%s: the analyzer does not route by domain: %+v vs zeroed %+v", tc.name, a.Chains, z.Chains)
+			}
+		}
+	}
+}
+
+func wire(events []Event) []WireEvent {
+	out := make([]WireEvent, len(events))
+	for i, e := range events {
+		out[i] = e.ToWire()
+	}
+	return out
 }
 
 // TestFlushCoverFindsFirstCoveringFlush: a transaction's covering force is the

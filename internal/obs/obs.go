@@ -21,6 +21,8 @@
 // observability is off.
 package obs
 
+import "fmt"
+
 // Config parameterises an Obs bundle.
 type Config struct {
 	// TraceEnabled turns the commit-lifecycle tracer on. Off by default:
@@ -71,12 +73,25 @@ func (o *Obs) Registry() *Registry {
 }
 
 // Sub returns a bundle whose registry prefixes every instrument name with
-// prefix (see Registry.Sub) while sharing the tracer. Sharded deployments
-// hand each shard Sub("shard.<i>") so one snapshot of the root registry
-// carries every shard's instruments under distinct names.
+// prefix (see Registry.Sub) while sharing the tracer, domain included: a
+// cluster node is a view of one replicated log, not a domain of its own.
 func (o *Obs) Sub(prefix string) *Obs {
 	if o == nil {
 		return nil
 	}
 	return &Obs{trace: o.trace, reg: o.reg.Sub(prefix)}
+}
+
+// ShardPrefix is the name shard i's instruments live under ("shard.<i>").
+func ShardPrefix(i int) string { return fmt.Sprintf("shard.%d", i) }
+
+// Shard returns shard i's view of the bundle: Sub(ShardPrefix(i)), so one
+// snapshot of the root registry carries every shard's instruments under
+// distinct names, and a tracer that stamps log domain i+1 on its events.
+func (o *Obs) Shard(i int) *Obs {
+	v := o.Sub(ShardPrefix(i))
+	if v != nil && v.trace != nil {
+		v.trace = &Tracer{ring: v.trace.ring, dom: uint8(i + 1)}
+	}
+	return v
 }

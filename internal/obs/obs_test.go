@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNilObsAccessorsAreSafe(t *testing.T) {
@@ -56,6 +57,47 @@ func TestTracerRingWrapsAndKeepsOrder(t *testing.T) {
 		if e.Arg1 != int64(3+i) {
 			t.Fatalf("event %d has Arg1 %d; want %d (oldest-first order)", i, e.Arg1, 3+i)
 		}
+	}
+}
+
+// A shard's view stamps its log domain on every event it emits, in Kind's
+// padding, and shares everything else: the ring, span ids, labels, and the
+// registry under the shard's prefix. The domain survives the wire; an
+// unsharded event's wire form is what it was before domains existed.
+func TestShardViewStampsItsDomain(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 48 {
+		t.Fatalf("Event is %d bytes, want 48", n)
+	}
+	o := New(Config{TraceEnabled: true, TraceCapacity: 8})
+	sh := o.Shard(1)
+	sh.Registry().Counter("engine.commits").Inc()
+	if o.Registry().Counter("shard.1.engine.commits").Value() != 1 {
+		t.Fatalf("shard view registered %v, want shard.1.engine.commits", o.Registry().Names())
+	}
+	o.Tracer().Emit(1, EvPowerFail, o.Tracer().NewSpan(), 0, 0, 0)
+	sh.Tracer().Emit(2, EvTxBegin, sh.Tracer().NewSpan(), 0, 0, 0)
+	sh.Tracer().Label("standby0")
+	events := o.Tracer().Events()
+	if len(events) != 2 || events[0].Dom != 0 || events[1].Dom != 2 || events[1].Span != 2 {
+		t.Fatalf("events %+v: want domains 0 and 2 in one ring, spans 1 and 2", events)
+	}
+	if o.Tracer().Labels()["standby0"] != 1 {
+		t.Fatal("a shard's label is not in the machine's table")
+	}
+	var buf bytes.Buffer
+	if err := o.Tracer().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"dom":`)); n != 1 {
+		t.Fatalf("%d events carry a dom key, want only the shard's: %s", n, buf.Bytes())
+	}
+	var d TraceDump
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatal(err)
+	}
+	back, err := d.DecodedEvents()
+	if err != nil || len(back) != 2 || back[0] != events[0] || back[1] != events[1] {
+		t.Fatalf("round trip %+v (%v), want %+v", back, err, events)
 	}
 }
 

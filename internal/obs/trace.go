@@ -215,8 +215,12 @@ type SpanID uint64
 // Event is one typed trace record. Events are plain values in a
 // preallocated ring: emitting one allocates nothing.
 type Event struct {
-	At     time.Duration // virtual time since simulation start
-	Kind   Kind
+	At   time.Duration // virtual time since simulation start
+	Kind Kind
+	// Dom is the log domain that emitted the event: 0 is the machine itself
+	// (power events) and the only domain of an unsharded machine, i+1 is
+	// shard i (Obs.Shard). It sits in Kind's padding.
+	Dom    uint8
 	Span   SpanID
 	Parent SpanID
 	Arg1   int64
@@ -225,8 +229,15 @@ type Event struct {
 
 // Tracer records Events into a fixed-capacity ring buffer. A nil Tracer is
 // the disabled state: Emit and NewSpan are single-branch no-ops, which is
-// what keeps the instrumented hot paths free when tracing is off.
+// what keeps the instrumented hot paths free when tracing is off. A shard's
+// Tracer is a view of the machine's: it shares the ring, span ids, cause
+// slot, labels, contract and observer, and stamps its own domain.
 type Tracer struct {
+	*ring
+	dom uint8
+}
+
+type ring struct {
 	buf      []Event
 	n        uint64 // total events emitted (ring head = n % len(buf))
 	nextSpan uint64
@@ -254,7 +265,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{ring: &ring{buf: make([]Event, capacity)}}
 }
 
 // SetCause plants the implicit causal context consumed by the next
@@ -342,7 +353,7 @@ func (t *Tracer) Emit(at time.Duration, kind Kind, span, parent SpanID, arg1, ar
 	if t == nil {
 		return
 	}
-	e := Event{At: at, Kind: kind, Span: span, Parent: parent, Arg1: arg1, Arg2: arg2}
+	e := Event{At: at, Kind: kind, Dom: t.dom, Span: span, Parent: parent, Arg1: arg1, Arg2: arg2}
 	t.buf[t.n%uint64(len(t.buf))] = e
 	t.n++
 	if t.observer != nil && !t.notifying {

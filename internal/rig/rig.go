@@ -24,6 +24,7 @@ package rig
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -200,11 +201,8 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("rig: negative shard count %d", c.Shards)
 	case c.Shards > 0 && c.Mode != RapiLog:
 		return fmt.Errorf("rig: mode %q cannot be sharded (no log device to partition)", c.Mode)
-	case c.Shards > 1 && c.Flight:
-		// The tracer has one observer slot, which cannot feed N per-domain
-		// monitors: a sharded machine runs without the online monitor, and
-		// the flight recorder is nothing without it.
-		return fmt.Errorf("rig: Flight is not supported with Shards > 1 (%d): the online monitor is not armed on a sharded machine, so the recorder would have nothing to record", c.Shards)
+	case c.Shards > math.MaxUint8:
+		return fmt.Errorf("rig: Shards %d: a trace event names one of at most %d shards", c.Shards, math.MaxUint8)
 	}
 	return nil
 }
@@ -249,7 +247,7 @@ func New(cfg Config) (*Rig, error) {
 	for i := 0; i < max(cfg.Shards, 1); i++ {
 		do, at := o, site{sharers: 1, endpoint: PrimaryEndpoint}
 		if cfg.Shards > 0 {
-			do = o.Sub(shard.Prefix(i))
+			do = o.Shard(i)
 			at.prefix, at.sharers = fmt.Sprintf("shard%d.", i), cfg.Shards
 			// Decorrelate the derived fault and fabric seeds: two shards with
 			// the same media-fault schedule would make "independent domains"
@@ -290,17 +288,12 @@ func (r *Rig) Close() { r.S.Close() }
 
 // setupVerification arms the online invariant monitor (whenever tracing is
 // on) and the flight recorder (Config.Flight): the monitor consumes every
-// trace event as the tracer's observer, and the recorder freezes at the
-// first power loss, degrade entry, or invariant violation.
+// trace event as the tracer's observer, judging each log domain by its own
+// events, and the recorder freezes at the first power loss, degrade entry,
+// or invariant violation.
 func (r *Rig) setupVerification() {
 	tr := r.Obs.Tracer()
 	if !tr.Enabled() {
-		return
-	}
-	// Domains share one tracer, whose single observer slot can't feed N
-	// per-domain monitors; sharded machines check the safety invariant per
-	// domain through SafeBound + dump accounting instead.
-	if len(r.Domains) > 1 {
 		return
 	}
 	mc := r.contract()
@@ -336,9 +329,10 @@ func (r *Rig) setupVerification() {
 	})
 }
 
-// contract is what a one-domain machine's run is checked against, online by
-// its monitor and offline from its artifacts: the exposure bound, the quorum
-// an ack needs (0 = local acks) and the shipper's retention limit.
+// contract is what each log domain of the machine is checked against, online
+// by its monitor and offline from its artifacts: the exposure bound, the
+// quorum an ack needs (0 = local acks) and the shipper's retention limit.
+// Every domain is built from the one Config, so the first domain's serves.
 func (r *Rig) contract() obs.MonitorConfig {
 	c := obs.MonitorConfig{Bound: r.SafeBound()}
 	if r.Cfg.AckPolicy.Remote() {
@@ -361,15 +355,11 @@ func (r *Rig) contract() obs.MonitorConfig {
 // AuditExposure replays the machine's trace into the durability-exposure
 // report: the time-series of acknowledged-but-undrained bytes, per-write
 // ack→durable latency, and the verdict against the contract's bound — the
-// one the monitor checks. Requires Config.Trace and a single log domain
-// (trace events do not say which domain emitted them).
+// one the monitor checks, per log domain. Requires Config.Trace.
 func (r *Rig) AuditExposure() (obs.ExposureReport, error) {
 	tr := r.Obs.Tracer()
 	if !tr.Enabled() {
 		return obs.ExposureReport{}, fmt.Errorf("rig: exposure audit needs tracing (set Config.Trace)")
-	}
-	if len(r.Domains) > 1 {
-		return obs.ExposureReport{}, fmt.Errorf("rig: exposure audit needs a single log domain, have %d", len(r.Domains))
 	}
 	return obs.AuditExposure(tr.Events(), r.contract().Bound, tr.Dropped() > 0), nil
 }

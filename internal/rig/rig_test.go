@@ -247,9 +247,8 @@ func TestUnknownConfigsRejected(t *testing.T) {
 		{Config{Disk: "tape"}, "unknown disk kind"},
 		{Config{Shards: -1}, "negative shard count"},
 		{Config{Mode: NativeSync, Shards: 2}, "cannot be sharded"},
-		// A sharded machine arms no online monitor (the tracer has one
-		// observer slot), so a flight recorder on it would record nothing.
-		{Config{Shards: 2, Flight: true}, "Flight is not supported with Shards > 1 (2): the online monitor is not armed"},
+		// A trace event names its log domain in one byte.
+		{Config{Shards: 256}, "Shards 256"},
 		{Config{Replicas: -2}, "Replicas -2"},
 		{Config{AckPolicy: core.AckQuorum(-1)}, "AckPolicy.K -1"},
 		{Config{AckPolicy: core.AckQuorum(3)}, "AckPolicy.K 3 exceeds Replicas 2"},
@@ -266,13 +265,14 @@ func TestUnknownConfigsRejected(t *testing.T) {
 				tc.cfg.Mode, tc.cfg.Replicas, tc.cfg.AckPolicy, tc.cfg.Shards, err, tc.want)
 		}
 	}
-	for _, ok := range []Config{{Shards: 1, Flight: true}, {Shards: 2, Trace: true}} {
+	// A sharded machine is verified like any other.
+	for _, ok := range []Config{{Shards: 1, Flight: true}, {Shards: 2, Trace: true}, {Shards: 2, Flight: true}} {
 		r, err := New(ok)
 		if err != nil {
 			t.Fatalf("%+v rejected: %v", ok, err)
 		}
-		if armed := r.Monitor != nil; armed != (ok.Shards == 1) {
-			t.Fatalf("Shards: %d: monitor armed = %v", ok.Shards, armed)
+		if r.Monitor == nil || (r.Flight != nil) != ok.Flight {
+			t.Fatalf("Shards: %d, Flight: %v: monitor %v, recorder %v", ok.Shards, ok.Flight, r.Monitor, r.Flight)
 		}
 		r.Close()
 	}

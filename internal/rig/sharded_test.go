@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -73,7 +75,7 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 	}
 	reg := sh.Obs.Registry()
 	for i := 0; i < n; i++ {
-		if got := reg.Counter(shard.Prefix(i) + ".engine.commits").Value(); got < 10 {
+		if got := reg.Counter(obs.ShardPrefix(i) + ".engine.commits").Value(); got < 10 {
 			t.Fatalf("shard %d engine.commits = %d, want >= 10", i, got)
 		}
 	}
@@ -96,15 +98,22 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 // every shard committing at the moment of a machine-wide mains loss, no
 // acknowledged commit may be lost, and each shard's emergency dump must fit
 // inside that shard's share of the hold-up budget (its N-aware SafeBound).
+// The replicated machine is verified like any other: its monitor judges each
+// shard on its own events and finds nothing, its flight recorder freezes at
+// DC loss, and a violation says which shard it happened in.
 func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			sh, err := New(Config{Seed: 70 + int64(n), NoDaemons: true, Shards: n})
+			sh, err := New(Config{Seed: 70 + int64(n), NoDaemons: true, Shards: n,
+				Replicas: 2, AckPolicy: core.AckQuorum(1), Flight: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sh.Close()
+			if sh.Monitor == nil || sh.Flight == nil {
+				t.Fatal("a sharded machine armed no monitor or flight recorder")
+			}
 			journals := make([]*workload.Journal, n)
 			for i := range journals {
 				journals[i] = workload.NewJournal()
@@ -142,6 +151,11 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 				if len(rep.Shards) != n {
 					t.Errorf("merged report has %d sections, want %d", len(rep.Shards), n)
 				}
+				if f := rep.Flight; f == nil || f.Reason != "power-dc-loss" {
+					t.Errorf("flight record not frozen at power-dc-loss")
+				} else if f.Monitor == nil || f.Monitor.Total != 0 {
+					t.Errorf("flight record's monitor verdict: %+v", f.Monitor)
+				}
 				for i, sr := range rep.Shards {
 					if bound := sh.Domains[i].SafeBound(); sr.Bytes > bound {
 						t.Errorf("shard %d dumped %d bytes, exceeds its hold-up share %d", i, sr.Bytes, bound)
@@ -175,6 +189,23 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 			}
 			if verified != n {
 				t.Fatalf("verified %d/%d shards", verified, n)
+			}
+			if rep := sh.Monitor.Report(); rep.Total != 0 || rep.TxAcked == 0 {
+				t.Fatalf("monitor on a clean sharded run: %+v", rep)
+			}
+			// Against a quorum of two, every ack lacks evidence, and each
+			// violation names the shard that acked.
+			rep := obs.RunMonitor(sh.Obs.Tracer().Events(), obs.MonitorConfig{QuorumK: 2})
+			seen := map[string]bool{}
+			for _, v := range rep.Samples {
+				shard, _, ok := strings.Cut(v.Detail, ": ")
+				if !ok || !strings.HasPrefix(shard, "shard ") {
+					t.Fatalf("violation %q does not name its shard", v.Detail)
+				}
+				seen[shard] = true
+			}
+			if rep.Total == 0 || len(seen) != n {
+				t.Fatalf("stricter replay: %d violations naming %v, want all %d shards", rep.Total, seen, n)
 			}
 		})
 	}

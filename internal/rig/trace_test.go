@@ -185,8 +185,13 @@ func TestAckLedgerHoldsOnlyInFlightWork(t *testing.T) {
 	if rep := r.Monitor.Report(); rep.Total != 0 || rep.TxAcked < int(committed) {
 		t.Fatalf("monitor on a clean run: %+v", rep)
 	}
-	// The ledger is unexported; its collections are read by reflection.
-	ledger := reflect.ValueOf(r.Monitor).Elem().FieldByName("evidence")
+	// The ledgers are unexported, one per log domain; their collections are
+	// read by reflection.
+	doms := reflect.ValueOf(r.Monitor).Elem().FieldByName("doms").FieldByName("all")
+	if doms.Kind() != reflect.Slice || doms.Len() != 1 {
+		t.Fatalf("obs.Monitor has no per-domain state doms.all, or not one domain: %v", doms)
+	}
+	ledger := doms.Index(0).Elem().FieldByName("evidence")
 	for _, held := range []string{"txs", "uncovered", "writes"} {
 		m := ledger.FieldByName(held)
 		if k := m.Kind(); k != reflect.Map && k != reflect.Slice {

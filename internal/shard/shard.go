@@ -9,7 +9,7 @@
 // the key-hash Router deciding which shard owns a transaction, the merged
 // recovery report a parallel per-shard recovery folds into, and the metric
 // roll-up helpers that aggregate per-shard instruments ("shard.<i>.*", see
-// obs.Obs.Sub) into fleet-wide totals.
+// obs.Obs.Shard) into fleet-wide totals.
 package shard
 
 import (
@@ -21,10 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// Prefix returns the observability prefix shard i's instruments live under
-// ("shard.<i>"), the argument a sharded deployment passes to obs.Obs.Sub.
-func Prefix(i int) string { return fmt.Sprintf("shard.%d", i) }
 
 // Router deterministically maps transaction keys to shards by FNV-1a hash.
 // The mapping is pure data — no state beyond the shard count — so drivers,
@@ -129,17 +125,7 @@ func (m Recovery) String() string {
 func RollupCounter(reg *obs.Registry, n int, name string) int64 {
 	var total int64
 	for i := 0; i < n; i++ {
-		total += reg.Counter(Prefix(i) + "." + name).Value()
-	}
-	return total
-}
-
-// RollupGauge sums the current levels of the gauge named "shard.<i>.<name>"
-// over n shards — e.g. total acked-but-undrained bytes across the fleet.
-func RollupGauge(reg *obs.Registry, n int, name string) int64 {
-	var total int64
-	for i := 0; i < n; i++ {
-		total += reg.Gauge(Prefix(i) + "." + name).Value()
+		total += reg.Counter(obs.ShardPrefix(i) + "." + name).Value()
 	}
 	return total
 }
@@ -150,7 +136,7 @@ func RollupGauge(reg *obs.Registry, n int, name string) int64 {
 func RollupHistogram(reg *obs.Registry, n int, name string) *metrics.Histogram {
 	out := metrics.NewHistogram(name)
 	for i := 0; i < n; i++ {
-		out.Merge(reg.Histogram(Prefix(i) + "." + name))
+		out.Merge(reg.Histogram(obs.ShardPrefix(i) + "." + name))
 	}
 	return out
 }
