@@ -76,10 +76,6 @@ func main() {
 		PartitionWindow: *partWin,
 		CrashReplicas:   *crashReps,
 		BreakDump:       *breakDump,
-		// Leader faults, as A11 runs them: the takeover is redo-bound by the
-		// ≤ 1.5 s acked before injection and completes well inside 20 s; the
-		// engine's cautious 60 s default triples a trial's cost.
-		SessionFor: 20 * time.Second,
 	}
 	if *wl == "stress" {
 		cfg.NewWorkload = func() rapilog.Workload { return &rapilog.Stress{} }

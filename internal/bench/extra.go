@@ -108,7 +108,7 @@ func runA6(opts Options) (*Report, error) {
 }
 
 // runA7: recovery time vs checkpoint age. The cost RapiLog does NOT add:
-// its dump replay is tiny next to the engine's own WAL redo, whose length
+// its dump replay is tiny next to the engine's own recovery, whose WAL scan
 // the checkpoint interval governs.
 func runA7(opts Options) (*Report, error) {
 	opts.applyDefaults()
@@ -137,9 +137,10 @@ func runA7(opts Options) (*Report, error) {
 		opts.progressf("a7: ckpt=%-8s redone=%-6d redo=%v", label, redone, redoTime.Round(time.Millisecond))
 	}
 	rep.Notes = append(rep.Notes,
-		"measured shape: engine recovery (index rebuild + WAL redo, dominated by data-page",
-		"reads) scales with database size and checkpoint age; the RapiLog dump replay is",
-		"milliseconds regardless — buffering adds nothing material to recovery time.")
+		"measured shape: engine recovery is the WAL scan, streamed off the disk, plus the index",
+		"rebuild's data-page reads once checkpoints have flushed pages (redo itself costs no",
+		"virtual time), so it tracks checkpoint age; the RapiLog dump replay is milliseconds",
+		"regardless — buffering adds nothing material to recovery time.")
 	return rep, nil
 }
 

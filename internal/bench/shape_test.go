@@ -291,6 +291,12 @@ func TestShapeA7RecoveryCost(t *testing.T) {
 		t.Errorf("checkpointing did not reduce redo work: never=%.0f 5s=%.0f 1s=%.0f",
 			never, v(t, rep, "5s/redone"), v(t, rep, "1s/redone"))
 	}
+	// Recovery streams the log and writes a checkpoint's runs whole, so the
+	// never row recovers in 0.61 s; reading the log a block at a time, twice,
+	// costs 26.2 s. A lock on the virtual clock, not a host timing.
+	if ms := v(t, rep, "never/redo_ms"); ms >= 2000 {
+		t.Errorf("ckpt=never engine recovery %.0f ms: recovery I/O is not streaming", ms)
+	}
 }
 
 func TestShapeA8MediaFaults(t *testing.T) {
@@ -402,9 +408,12 @@ func TestShapeA11Failover(t *testing.T) {
 		if inc := v(t, rep, label+"/incomplete"); inc != 0 {
 			t.Errorf("%s: %.0f trials without a single clean takeover", label, inc)
 		}
-		// A takeover that cost no downtime would mean the fault never bit.
-		if v(t, rep, label+"/unavail_p50_ms") == 0 {
-			t.Errorf("%s: zero unavailability window", label)
+		// A takeover that cost no downtime would mean the fault never bit;
+		// one that costs seconds has the promoted node's recovery reading
+		// its log a block at a time again (≈ 6 s here, 12 s at full size,
+		// on the virtual clock).
+		if p50 := v(t, rep, label+"/unavail_p50_ms"); p50 == 0 || p50 >= 2000 {
+			t.Errorf("%s: unavailability p50 %.0f ms, want a nonzero window under 2 s", label, p50)
 		}
 		// Clients must have followed the promotion, not reconnected by luck.
 		if v(t, rep, label+"/redirects") == 0 {

@@ -88,8 +88,9 @@ type CampaignConfig struct {
 	InjectAfterMin time.Duration
 	InjectAfterMax time.Duration
 	// SessionFor is how long a leader-fault trial's session pool runs; it
-	// must outlast the takeover (which is dominated by WAL redo on the
-	// promoted node). Default 60s.
+	// must outlast injection plus the takeover (about a second: failure
+	// detection, then the promoted node's recovery streaming its log).
+	// Default 10s.
 	SessionFor time.Duration
 	// FaultWindow is how long an injected media fault lasts (DiskError,
 	// LatencyStorm); default 300ms.
@@ -125,7 +126,7 @@ type CampaignConfig struct {
 	BreakDump bool
 	// Workload factory; default: a small TPC-C, and 1000-byte stress inserts
 	// for a leader fault (the value size scales the promotion replay, and so
-	// the takeover's redo time).
+	// the log the promoted node recovers from).
 	NewWorkload func() workload.Workload
 }
 
@@ -154,7 +155,7 @@ func (c *CampaignConfig) applyDefaults() {
 		}
 	}
 	if c.SessionFor == 0 {
-		c.SessionFor = 60 * time.Second
+		c.SessionFor = 10 * time.Second
 	}
 	if c.FaultWindow == 0 {
 		c.FaultWindow = 300 * time.Millisecond

@@ -68,6 +68,12 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 // draw from the simulation's generator, a reordered spawn) re-captures them
 // and says why. The failover golden rides on TestFailoverTrialForensics,
 // which runs that trial anyway.
+//
+// All four were re-captured once when recovery began streaming its I/O (the
+// log scan in doubling extents, a checkpoint's in-place writes one request
+// per run of consecutive pages): every outcome is unchanged but the
+// failover trial's takeover, and each trace's events before the fault are
+// the same (At, Kind, Arg1, Arg2) as before; only recovery's I/O moved.
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -78,8 +84,8 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "47645cd3474a4e1c08fb751ac3cdc819dde85acb7f1c9072fb794da36becc166" ||
-		me != "9f126881bdd9b64fb19f33aa22dc8cbab3a138da2452f02294170bb9dab389db" {
+	if tr != "72e0b620e600f5b238d036c32a07e99b9c3e969234e2c59032177c48e56aedd7" ||
+		me != "e99a5fc954f8dafe642e977cd49068a4e24d85f64436e49484b06e547c86dcb7" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -99,8 +105,8 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "c3946f68a13ea4162c8a350d7d3c9df860ecf926538bb7df783268adbcc5466c" ||
-		me != "635ade81b88583cf064cee674e6cf15023507a8649f3ddb21f3d836966264045" {
+	if tr != "2b23d9b2bc8e673a030e03319b4800d6d363ea5aebe9dff282bea92c4d538d00" ||
+		me != "539885f72e56ddd7b9b97c1c2e31892de1980396028fefaf2bd0029a2ab4de6e" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -121,8 +127,8 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 		t.Fatalf("monitor found %d violations, flight record %+v", res.MonitorViolations, f)
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "a626b899d37b0ba9b4293131c0db31a282f92e53f60b66cba19edb61facf0052" ||
-		me != "d0b363cd8f080981121c6e6c075a9f52bcaf39000a6f99a88865b57b5752bd89" {
+	if tr != "5ca3fea71acb5c86c3edd6d3ca4eed2453448c9dc8da045633e8eee6d11e1ead" ||
+		me != "d30b58313ba3f2399be8affdc7204cb53bd8e94af81c23af480bf4249fde9570" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

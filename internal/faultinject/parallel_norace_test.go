@@ -5,7 +5,6 @@ package faultinject
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // Not under the race detector: with -race two cluster trials side by side do
@@ -21,7 +20,6 @@ import (
 func TestParallelCampaignDeterminismFailover(t *testing.T) {
 	mk := func(par int) Summary {
 		cfg := failoverBase(LeaderPowerCut, 2)
-		cfg.SessionFor = 20 * time.Second // as rapilog-bench -exp a11 runs it
 		cfg.Parallel = par
 		return RunCampaign(cfg)
 	}

@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -259,72 +260,100 @@ func TestControlBlockTooLarge(t *testing.T) {
 }
 
 func TestDoubleWriteProtectsTornCheckpoint(t *testing.T) {
-	// Checkpoint to an HDD; cut power mid-in-place-write. The torn page
-	// must be restored from the double-write area at boot.
-	s := sim.New(3)
-	m := power.NewMachine(s, "m0", 2, power.PSUConfig{
-		Name: "instant", HoldupMin: time.Microsecond, HoldupMax: time.Microsecond,
-		InterruptLatency: time.Microsecond,
-	})
-	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{ChunkSectors: 1})
-	m.AttachDevice(hdd)
-	part, _ := disk.NewPartition(hdd, "data", 0, 1<<17)
-	st, err := Open(s, part, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := m.NewDomain("db")
-	content := bytes.Repeat([]byte{0xCD}, 128)
-	s.Spawn(dom, "w", func(p *sim.Proc) {
-		// Seed page 3 with old content, checkpoint fully.
-		pg, _ := st.Get(p, 3)
-		copy(pg.Data(), bytes.Repeat([]byte{0xAB}, 128))
-		st.MarkDirty(3)
-		if err := st.Checkpoint(p); err != nil {
-			t.Errorf("checkpoint 1: %v", err)
-		}
-		// New content; power dies during the second checkpoint's in-place
-		// phase (after the DW copy and summary are durable).
-		pg, _ = st.Get(p, 3)
-		copy(pg.Data(), content)
-		st.MarkDirty(3)
-		// The DW write is sequential near sector 8; the in-place write of
-		// page 3 is further out. Cut power while in-place is underway.
-		s.After(34*time.Millisecond, func() { m.CutPower() })
-		_ = st.Checkpoint(p)
-	})
-	if err := s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Boot: restore double writes, then the page must be readable and
-	// hold either old or new content in full — never a torn mix.
-	m.RestorePower()
-	boot := s.NewDomain("boot")
-	var got []byte
-	s.Spawn(boot, "recover", func(p *sim.Proc) {
-		part2, _ := disk.NewPartition(hdd, "data2", 0, 1<<17)
-		st2, err := Open(s, part2, Config{})
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if _, err := st2.RecoverDoubleWrite(p); err != nil {
-			t.Errorf("dw recover: %v", err)
-			return
-		}
-		pg, err := st2.Get(p, 3)
-		if err != nil {
-			t.Errorf("page unreadable after DW recovery: %v", err)
-			return
-		}
-		got = append([]byte(nil), pg.Data()[:128]...)
-	})
-	if err := s.RunFor(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	old := bytes.Repeat([]byte{0xAB}, 128)
-	if !bytes.Equal(got, content) && !bytes.Equal(got, old) {
-		t.Fatalf("page holds a torn mix after recovery: % x ...", got[:8])
+	// Checkpoint K consecutive pages to an HDD; cut power in the middle of
+	// the second checkpoint's in-place write, which is one request for the
+	// whole run. Every page must be restored from the double-write area at
+	// boot.
+	for _, k := range []int64{1, 8} {
+		t.Run(fmt.Sprintf("pages=%d", k), func(t *testing.T) {
+			s := sim.New(3)
+			m := power.NewMachine(s, "m0", 2, power.PSUConfig{
+				Name: "instant", HoldupMin: time.Microsecond, HoldupMax: time.Microsecond,
+				InterruptLatency: time.Microsecond,
+			})
+			hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{ChunkSectors: 1})
+			m.AttachDevice(hdd)
+			part, _ := disk.NewPartition(hdd, "data", 0, 1<<17)
+			st, err := Open(s, part, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dom := m.NewDomain("db")
+			old, content := bytes.Repeat([]byte{0xAB}, 128), bytes.Repeat([]byte{0xCD}, 128)
+			fill := func(p *sim.Proc, b []byte) {
+				for id := int64(3); id < 3+k; id++ {
+					pg, _ := st.Get(p, id)
+					copy(pg.Data(), b)
+					st.MarkDirty(id)
+				}
+			}
+			s.Spawn(dom, "w", func(p *sim.Proc) {
+				// Seed the pages with old content, checkpoint fully: the
+				// double-write blob, the summary, the run, the summary retire.
+				fill(p, old)
+				w0 := hdd.Stats().Writes.Value()
+				if err := st.Checkpoint(p); err != nil {
+					t.Errorf("checkpoint 1: %v", err)
+				}
+				if n := hdd.Stats().Writes.Value() - w0; n != 4 {
+					t.Errorf("clean checkpoint of one run issued %d device writes, want 4", n)
+				}
+				// New content; power dies halfway through the run's sectors,
+				// after the double-write copy and summary are durable.
+				fill(p, content)
+				pageSec := int64(8192 / 512)
+				mid := hdd.Stats().SectorsWritten.Value() + k*pageSec + 1 + k*pageSec/2
+				s.Spawn(nil, "cut", func(cp *sim.Proc) {
+					for hdd.Stats().SectorsWritten.Value() < mid {
+						cp.Sleep(5 * time.Microsecond)
+					}
+					m.CutPower()
+				})
+				_ = st.Checkpoint(p)
+			})
+			if err := s.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if n := hdd.Stats().TornWrites.Value(); n != 1 {
+				t.Fatalf("%d torn writes, want the in-place run torn", n)
+			}
+			// Boot: restore double writes, then every page must be readable
+			// and hold either old or new content in full — never a torn mix.
+			m.RestorePower()
+			boot := s.NewDomain("boot")
+			var got [][]byte
+			s.Spawn(boot, "recover", func(p *sim.Proc) {
+				part2, _ := disk.NewPartition(hdd, "data2", 0, 1<<17)
+				st2, err := Open(s, part2, Config{})
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				if n, err := st2.RecoverDoubleWrite(p); err != nil || int64(n) != k {
+					t.Errorf("dw recover restored %d pages (%v), want %d", n, err, k)
+					return
+				}
+				for id := int64(3); id < 3+k; id++ {
+					pg, err := st2.Get(p, id)
+					if err != nil {
+						t.Errorf("page %d unreadable after DW recovery: %v", id, err)
+						return
+					}
+					got = append(got, append([]byte(nil), pg.Data()[:128]...))
+				}
+			})
+			if err := s.RunFor(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(got)) != k {
+				t.Fatalf("read back %d of %d pages", len(got), k)
+			}
+			for i, b := range got {
+				if !bytes.Equal(b, content) && !bytes.Equal(b, old) {
+					t.Fatalf("page %d holds a torn mix after recovery: % x ...", 3+i, b[:8])
+				}
+			}
+		})
 	}
 }
 

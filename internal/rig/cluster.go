@@ -48,7 +48,9 @@ func (c *ClusterConfig) Normalize() error {
 		// alone; a checkpoint that let the WAL recycle would leave the
 		// stream unable to reproduce pre-checkpoint history on a fresh
 		// machine. Until snapshot-based catch-up ships (see ROADMAP),
-		// cluster mode pins checkpoints far past any trial horizon.
+		// cluster mode pins checkpoints far past any trial horizon, and a
+		// promoted node recovers from the whole log, read at streaming
+		// bandwidth.
 		c.Rig.CheckpointEvery = 24 * time.Hour
 	}
 	switch {
@@ -265,8 +267,9 @@ func (c *Cluster) Quorum() int { return len(c.nodes) - 1 - c.Cfg.Rig.AckPolicy.K
 // Promote implements ha.Cluster: build a fresh machine stack on the
 // winner, replay the replicated prefix into its log partition, start the
 // logger + shipper at the fenced epoch, boot the engine (full-WAL
-// recovery against an empty data partition), and publish the new
-// generation.
+// recovery against an empty data partition: one streamed scan of the
+// log, then a checkpoint writing each run of pages in one request), and
+// publish the new generation.
 func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, error) {
 	idx := -1
 	for i, n := range c.nodes {

@@ -477,75 +477,92 @@ type ScanResult struct {
 	Torn    bool   // the tail ended mid-record (power cut during a force)
 }
 
+// scanExtentMax caps one Scan request, in blocks. Extents double from one
+// block up to it: an empty log costs a single one-block read, and a long one
+// streams at track bandwidth instead of paying a rotation per block.
+const scanExtentMax = 256
+
 // Scan reads records from fromLSN to the log's tail, stopping at the first
 // invalid record (torn tail, old generation, or never-written space).
+//
+// The log is read in extents of 1, 2, 4, … blocks up to scanExtentMax, each
+// one request that never crosses the circular wrap. A block's successor is
+// judged from the extent in memory; only the last block of an extent waits
+// for the next request to be judged.
 func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
 	cfg.applyDefaults()
 	var res ScanResult
-	sectorsPer := cfg.BlockSize / dev.SectorSize()
+	bs := cfg.BlockSize
+	sectorsPer := bs / dev.SectorSize()
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
-	seq := fromLSN / uint64(cfg.BlockSize)
-	off := int(fromLSN % uint64(cfg.BlockSize))
+	seq := fromLSN / uint64(bs)
+	off := int(fromLSN % uint64(bs))
 	if off < blockHdrLen {
 		off = blockHdrLen
 	}
-	res.EndLSN = seq*uint64(cfg.BlockSize) + uint64(off)
+	res.EndLSN = seq*uint64(bs) + uint64(off)
 
-	for {
-		lba := int64(seq%nBlocks) * int64(sectorsPer)
-		data, err := dev.Read(p, lba, sectorsPer)
+	blockTorn := false // the last block scanned ended in a torn record
+	for extent := uint64(1); ; extent = min(2*extent, scanExtentMax) {
+		n := min(extent, nBlocks-seq%nBlocks)
+		data, err := dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), int(n)*sectorsPer)
 		if err != nil {
 			return res, err
 		}
-		if binary.LittleEndian.Uint32(data[0:4]) != blockMagic ||
-			crc32.ChecksumIEEE(data[:12]) != binary.LittleEndian.Uint32(data[12:16]) ||
-			binary.LittleEndian.Uint64(data[4:12]) != seq {
-			return res, nil // end of this generation
-		}
-		blockTorn := false
-		for off+recHdrLen <= cfg.BlockSize {
-			lsn := seq*uint64(cfg.BlockSize) + uint64(off)
-			h := data[off:]
-			recLen := int(binary.LittleEndian.Uint32(h[0:4]))
-			if recLen < recHdrLen || off+recLen > cfg.BlockSize ||
-				binary.LittleEndian.Uint16(h[20:22]) != recMagic ||
-				binary.LittleEndian.Uint64(h[4:12]) != lsn {
-				blockTorn = off+recHdrLen <= cfg.BlockSize && recLen != 0
-				break
+		for i := 0; i < int(n); i, seq = i+1, seq+1 {
+			block := data[i*bs : (i+1)*bs]
+			if !blockValid(block, seq) {
+				// End of this generation. After a torn block, a bad successor
+				// confirms the tear: with ordered writes, no later complete
+				// force can have superseded it.
+				res.Torn = blockTorn
+				return res, nil
 			}
-			payload := data[off+recHdrLen : off+recLen]
-			crc := crc32.Update(0, crc32.IEEETable, h[:24])
-			crc = crc32.Update(crc, crc32.IEEETable, payload)
-			if crc != binary.LittleEndian.Uint32(h[24:28]) {
-				blockTorn = true
-				break
-			}
-			res.Records = append(res.Records, Record{
-				LSN:     lsn,
-				TxID:    binary.LittleEndian.Uint64(h[12:20]),
-				Type:    RecType(h[22]),
-				Payload: append([]byte(nil), payload...),
-			})
-			off += recLen
-			res.EndLSN = seq*uint64(cfg.BlockSize) + uint64(off)
+			// A valid block; if it is a successor, the gap before it was
+			// only padding.
+			res.EndLSN = seq*uint64(bs) + uint64(off)
+			blockTorn = scanBlock(block, seq, off, &res)
+			off = blockHdrLen
 		}
-		// Try the next block: if it is valid, the gap was only padding (or
-		// a tear that a later complete force superseded — impossible with
-		// ordered writes, so a bad next block confirms the tear).
-		nextSeq := seq + 1
-		nextLBA := int64(nextSeq%nBlocks) * int64(sectorsPer)
-		next, err := dev.Read(p, nextLBA, sectorsPer)
-		if err != nil {
-			return res, err
-		}
-		if binary.LittleEndian.Uint32(next[0:4]) != blockMagic ||
-			crc32.ChecksumIEEE(next[:12]) != binary.LittleEndian.Uint32(next[12:16]) ||
-			binary.LittleEndian.Uint64(next[4:12]) != nextSeq {
-			res.Torn = blockTorn
-			return res, nil
-		}
-		seq = nextSeq
-		off = blockHdrLen
-		res.EndLSN = seq*uint64(cfg.BlockSize) + uint64(off)
 	}
+}
+
+// blockValid reports whether data holds the header of block seq of the
+// current generation.
+func blockValid(data []byte, seq uint64) bool {
+	return binary.LittleEndian.Uint32(data[0:4]) == blockMagic &&
+		crc32.ChecksumIEEE(data[:12]) == binary.LittleEndian.Uint32(data[12:16]) &&
+		binary.LittleEndian.Uint64(data[4:12]) == seq
+}
+
+// scanBlock appends the valid records of block seq from byte off on to res,
+// advancing res.EndLSN past each, and reports whether the block ended in a
+// torn record rather than in never-written space.
+func scanBlock(data []byte, seq uint64, off int, res *ScanResult) (torn bool) {
+	bs := len(data)
+	for off+recHdrLen <= bs {
+		lsn := seq*uint64(bs) + uint64(off)
+		h := data[off:]
+		recLen := int(binary.LittleEndian.Uint32(h[0:4]))
+		if recLen < recHdrLen || off+recLen > bs ||
+			binary.LittleEndian.Uint16(h[20:22]) != recMagic ||
+			binary.LittleEndian.Uint64(h[4:12]) != lsn {
+			return recLen != 0
+		}
+		payload := data[off+recHdrLen : off+recLen]
+		crc := crc32.Update(0, crc32.IEEETable, h[:24])
+		crc = crc32.Update(crc, crc32.IEEETable, payload)
+		if crc != binary.LittleEndian.Uint32(h[24:28]) {
+			return true
+		}
+		res.Records = append(res.Records, Record{
+			LSN:     lsn,
+			TxID:    binary.LittleEndian.Uint64(h[12:20]),
+			Type:    RecType(h[22]),
+			Payload: append([]byte(nil), payload...),
+		})
+		off += recLen
+		res.EndLSN = seq*uint64(bs) + uint64(off)
+	}
+	return false
 }

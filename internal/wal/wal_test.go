@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -224,14 +225,17 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reboot: scan what survived.
-	var res ScanResult
+	var res, ref ScanResult
 	s2 := sim.New(4)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = Scan(p, s2AttachMedia(s2, hdd, m), Config{}, FirstLSN(Config{}))
+		dev := s2AttachMedia(s2, hdd, m)
+		res, _ = Scan(p, dev, Config{}, FirstLSN(Config{}))
+		ref, _ = scanPerBlock(p, dev, Config{}, FirstLSN(Config{}))
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}
+	requireSameScan(t, res, ref)
 	if len(res.Records) < forcedBefore {
 		t.Fatalf("scan lost fully-forced records: %d < %d", len(res.Records), forcedBefore)
 	}
@@ -254,48 +258,194 @@ func s2AttachMedia(s2 *sim.Sim, hdd *disk.HDD, m *power.Machine) disk.Device {
 	return part
 }
 
-func TestScanRejectsStaleGenerationAfterWrap(t *testing.T) {
-	// Fill a tiny log more than once around; scan must return only the
-	// current generation.
-	s := sim.New(5)
-	dev := disk.NewMem(s, disk.MemConfig{Name: "log", Persistent: true, Capacity: 64}) // 8 blocks
-	l, err := New(s, dev, Config{})
-	if err != nil {
-		t.Fatal(err)
+// scanPerBlock is the reference reader Scan must agree with: one device
+// read per block, and a second read of each block's successor to judge it.
+func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
+	cfg.applyDefaults()
+	var res ScanResult
+	bs := uint64(cfg.BlockSize)
+	sectorsPer := cfg.BlockSize / dev.SectorSize()
+	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
+	read := func(seq uint64) ([]byte, error) {
+		return dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), sectorsPer)
 	}
-	var appended int
-	s.Spawn(nil, "w", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
-				t.Errorf("append %d: %v", i, err)
-				return
-			}
-			appended++
-			// Continuously advance the checkpoint horizon so wrap is legal.
-			l.SetOldestNeeded(l.AppendedLSN())
-			_ = l.Force(p, l.AppendedLSN())
+	seq, off := fromLSN/bs, max(int(fromLSN%bs), blockHdrLen)
+	res.EndLSN = seq*bs + uint64(off)
+	data, err := read(seq)
+	if err != nil || !blockValid(data, seq) {
+		return res, err
+	}
+	for {
+		torn := scanBlock(data, seq, off, &res)
+		next, err := read(seq + 1)
+		if err != nil {
+			return res, err
+		}
+		if !blockValid(next, seq+1) {
+			res.Torn = torn
+			return res, nil
+		}
+		data, seq, off = next, seq+1, blockHdrLen
+		res.EndLSN = seq*bs + uint64(off)
+	}
+}
+
+// requireSameScan fails t unless got and want found the same records, end
+// and tear.
+func requireSameScan(t *testing.T, got, want ScanResult) {
+	t.Helper()
+	if got.EndLSN != want.EndLSN || got.Torn != want.Torn || len(got.Records) != len(want.Records) {
+		t.Fatalf("scan found %d records to LSN %d (torn %v), reference %d to LSN %d (torn %v)",
+			len(got.Records), got.EndLSN, got.Torn, len(want.Records), want.EndLSN, want.Torn)
+	}
+	for i, r := range got.Records {
+		w := want.Records[i]
+		if r.LSN != w.LSN || r.TxID != w.TxID || r.Type != w.Type || !bytes.Equal(r.Payload, w.Payload) {
+			t.Fatalf("record %d: %+v, reference %+v", i, r, w)
+		}
+	}
+}
+
+// scanBoth scans dev from fromLSN with Scan and then with the reference
+// reader, on s, and returns Scan's result, device reads and sectors read.
+func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, fromLSN uint64) (res ScanResult, reads, sectors int64) {
+	t.Helper()
+	var want ScanResult
+	s.Spawn(nil, "r", func(p *sim.Proc) {
+		st := dev.Stats()
+		r0, s0 := st.Reads.Value(), st.SectorsRead.Value()
+		var err error
+		if res, err = Scan(p, dev, Config{}, fromLSN); err != nil {
+			t.Errorf("scan: %v", err)
+		}
+		reads, sectors = st.Reads.Value()-r0, st.SectorsRead.Value()-s0
+		if want, err = scanPerBlock(p, dev, Config{}, fromLSN); err != nil {
+			t.Errorf("reference scan: %v", err)
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Scan from the oldest surviving block boundary.
-	startSeq := (l.AppendedLSN()/uint64(4096) + 1) - 8 + 1
-	var res ScanResult
-	s2 := sim.New(6)
-	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = Scan(p, dev, Config{}, startSeq*4096)
+	requireSameScan(t, res, want)
+	return res, reads, sectors
+}
+
+// TestScanStreamsInDoublingExtents: on a rotating disk, where every request
+// costs a rotation, a log of N forced blocks is read in ⌈log₂N⌉ + 2 requests
+// at most — it took 2N, each block read once and then again as its
+// predecessor's successor — and an empty log still costs one one-block read,
+// the boot I/O every steady-state schedule starts with.
+func TestScanStreamsInDoublingExtents(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 201, 300} {
+		t.Run(fmt.Sprintf("blocks=%d", n), func(t *testing.T) {
+			s := sim.New(int64(n))
+			hdd := disk.NewHDD(s, s.NewDomain("hw"), disk.HDDConfig{})
+			dev, _ := disk.NewPartition(hdd, "log", 0, 65536)
+			l, err := New(s, dev, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > 0 {
+				s.Spawn(nil, "w", func(p *sim.Proc) {
+					// Four 928-byte records fill a block; stop in block n-1.
+					for i := 0; l.AppendedLSN() < uint64(n-1)*4096+2000; i++ {
+						if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
+							t.Errorf("append: %v", err)
+							return
+						}
+					}
+					if err := l.Force(p, l.AppendedLSN()); err != nil {
+						t.Errorf("force: %v", err)
+					}
+				})
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, reads, sectors := scanBoth(t, s, dev, FirstLSN(Config{}))
+			if n == 0 {
+				if reads != 1 || sectors != 4096/512 || len(res.Records) != 0 {
+					t.Fatalf("empty log: %d reads of %d sectors found %d records, want one read of one block",
+						reads, sectors, len(res.Records))
+				}
+				return
+			}
+			if res.EndLSN != l.AppendedLSN() || res.Torn {
+				t.Fatalf("scan ended at LSN %d (torn %v), log at %d", res.EndLSN, res.Torn, l.AppendedLSN())
+			}
+			if limit := int64(bits.Len(uint(n-1))) + 2; reads > limit {
+				t.Fatalf("%d device reads for %d blocks, want at most ⌈log₂N⌉+2 = %d", reads, n, limit)
+			}
+		})
+	}
+}
+
+// TestScanFlagsTornRecord: a record with a garbled sector ends the log at
+// the record before it and flags the tear. The torn block 2 ends Scan's
+// second extent (blocks 1–2), so the tear is confirmed by a successor that
+// the next request reads.
+func TestScanFlagsTornRecord(t *testing.T) {
+	s, dev, l := memLog(t, 15, Config{})
+	s.Spawn(nil, "w", func(p *sim.Proc) {
+		var lsn uint64
+		for i := 0; i < 11; i++ { // blocks 0 and 1 full, three records in block 2
+			lsn, _ = l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900))
+		}
+		_ = l.Force(p, l.AppendedLSN())
+		// Garble the sector where block 2's second record ends.
+		_ = dev.Write(p, int64(lsn-1)/512, bytes.Repeat([]byte{0xEE}, 512), true)
 	})
-	if err := s2.Run(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) == 0 {
-		t.Fatal("scan found nothing after wrap")
+	res, _, _ := scanBoth(t, s, dev, FirstLSN(Config{}))
+	if !res.Torn || len(res.Records) != 9 || res.EndLSN != 2*4096+16+928 {
+		t.Fatalf("scan found %d records to LSN %d (torn %v), want 9 to LSN %d, torn",
+			len(res.Records), res.EndLSN, res.Torn, 2*4096+16+928)
 	}
-	for _, r := range res.Records {
-		if r.LSN < startSeq*4096 {
-			t.Fatalf("scan returned pre-wrap record at LSN %d", r.LSN)
-		}
+}
+
+func TestScanRejectsStaleGenerationAfterWrap(t *testing.T) {
+	// Fill a tiny log more than once around; scan must return only the
+	// current generation, and the same records as the reference reader —
+	// wherever the circular wrap falls among Scan's extents.
+	for _, appends := range []int{40, 61} {
+		t.Run(fmt.Sprintf("appends=%d", appends), func(t *testing.T) {
+			s := sim.New(5)
+			dev := disk.NewMem(s, disk.MemConfig{Name: "log", Persistent: true, Capacity: 64}) // 8 blocks
+			l, err := New(s, dev, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Spawn(nil, "w", func(p *sim.Proc) {
+				for i := 0; i < appends; i++ {
+					if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
+						t.Errorf("append %d: %v", i, err)
+						return
+					}
+					// Continuously advance the checkpoint horizon so wrap is legal.
+					l.SetOldestNeeded(l.AppendedLSN())
+					_ = l.Force(p, l.AppendedLSN())
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// Scan from the oldest surviving block boundary.
+			startSeq := (l.AppendedLSN()/uint64(4096) + 1) - 8 + 1
+			res, _, _ := scanBoth(t, s, dev, startSeq*4096)
+			if len(res.Records) == 0 {
+				t.Fatal("scan found nothing after wrap")
+			}
+			for _, r := range res.Records {
+				if r.LSN < startSeq*4096 {
+					t.Fatalf("scan returned pre-wrap record at LSN %d", r.LSN)
+				}
+			}
+			if res.EndLSN != l.AppendedLSN() {
+				t.Fatalf("scan ended at LSN %d, log at %d", res.EndLSN, l.AppendedLSN())
+			}
+		})
 	}
 }
 
