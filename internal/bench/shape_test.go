@@ -291,11 +291,16 @@ func TestShapeA7RecoveryCost(t *testing.T) {
 		t.Errorf("checkpointing did not reduce redo work: never=%.0f 5s=%.0f 1s=%.0f",
 			never, v(t, rep, "5s/redone"), v(t, rep, "1s/redone"))
 	}
-	// Recovery streams the log and writes a checkpoint's runs whole, so the
-	// never row recovers in 0.61 s; reading the log a block at a time, twice,
-	// costs 26.2 s. A lock on the virtual clock, not a host timing.
+	// Recovery streams the log, so the never row recovers in 0.60 s; reading
+	// the log a block at a time, twice, costs 26.2 s. With fresh checkpoints
+	// recovery is mostly the index rebuild, which streams the data pages in
+	// 26 ms; reading them a page at a time costs 59 ms. Locks on the virtual
+	// clock, not host timings.
 	if ms := v(t, rep, "never/redo_ms"); ms >= 2000 {
-		t.Errorf("ckpt=never engine recovery %.0f ms: recovery I/O is not streaming", ms)
+		t.Errorf("ckpt=never engine recovery %.0f ms: the log scan is not streaming", ms)
+	}
+	if ms := v(t, rep, "1s/redo_ms"); ms >= 40 {
+		t.Errorf("ckpt=1s engine recovery %.0f ms: the index rebuild is not streaming", ms)
 	}
 }
 
@@ -391,6 +396,9 @@ func TestShapeA10(t *testing.T) {
 	}
 }
 
+// a11UnavailBound is each A11 campaign's unavailability p50 bound, in ms.
+var a11UnavailBound = map[string]float64{"power-cut": 800, "isolation": 600, "coordinator+power-cut": 950}
+
 func TestShapeA11Failover(t *testing.T) {
 	rep := runExp(t, "a11")
 	for _, label := range []string{"power-cut", "isolation", "coordinator+power-cut"} {
@@ -408,12 +416,14 @@ func TestShapeA11Failover(t *testing.T) {
 		if inc := v(t, rep, label+"/incomplete"); inc != 0 {
 			t.Errorf("%s: %.0f trials without a single clean takeover", label, inc)
 		}
-		// A takeover that cost no downtime would mean the fault never bit;
-		// one that costs seconds has the promoted node's recovery reading
-		// its log a block at a time again (≈ 6 s here, 12 s at full size,
-		// on the virtual clock).
-		if p50 := v(t, rep, label+"/unavail_p50_ms"); p50 == 0 || p50 >= 2000 {
-			t.Errorf("%s: unavailability p50 %.0f ms, want a nonzero window under 2 s", label, p50)
+		// A takeover that cost no downtime would mean the fault never bit.
+		// The bound is each campaign's window with the promoted engine
+		// serving before its post-redo checkpoint (731, 511 and 851 ms here,
+		// on the virtual clock), plus margin; folding on the boot path costs
+		// 160–170 ms more per campaign, and reading the log a block at a time
+		// costs seconds.
+		if p50 := v(t, rep, label+"/unavail_p50_ms"); p50 == 0 || p50 >= a11UnavailBound[label] {
+			t.Errorf("%s: unavailability p50 %.0f ms, want a nonzero window under %.0f ms", label, p50, a11UnavailBound[label])
 		}
 		// Clients must have followed the promotion, not reconnected by luck.
 		if v(t, rep, label+"/redirects") == 0 {

@@ -17,7 +17,9 @@
 //   - Recovery restores interrupted page writes, rebuilds the in-memory
 //     index from the heap, then replays committed transactions found in
 //     the WAL after the checkpoint horizon. Updates are whole-row puts, so
-//     replay is idempotent.
+//     replay is idempotent. The engine serves as soon as redo is in the
+//     pool; the checkpoint that folds the redone pages, which only bounds
+//     the next recovery, is the checkpointer's first round.
 //
 // Engine personalities (PG-, MY-, CX-like) vary the commit batching window
 // and CPU cost per operation — the parameters that shape the paper's
@@ -268,8 +270,10 @@ func parseUpdatePayload(payload []byte) (key string, val []byte, del bool, err e
 	return string(payload[3 : 3+kl]), payload[3+kl:], del, nil
 }
 
-// Open boots an engine on plat: double-write restore, index rebuild, WAL
-// redo, then normal service. It must run in the platform's domain.
+// Open boots an engine on plat: double-write restore, index rebuild and WAL
+// redo, and returns it serving. After a redo the fold into a checkpoint
+// runs in the background (see step 6). It must run in the platform's
+// domain.
 func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 	cfg.applyDefaults()
 	s := plat.Sim()
@@ -326,6 +330,7 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	updates := make(map[uint64][]wal.Record)
+	redone := 0
 	for _, rec := range scan.Records {
 		switch rec.Type {
 		case wal.RecUpdate:
@@ -345,6 +350,7 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 				}
 			}
 			delete(updates, rec.TxID)
+			redone++
 			e.stats.RedoneTxns.Inc()
 		case wal.RecAbort:
 			delete(updates, rec.TxID)
@@ -354,19 +360,27 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// 5. Resume the log at its tail and fold recovered state into a fresh
-	// checkpoint so the next crash recovers from here.
-	e.log, err = wal.OpenAt(p, s, plat.LogDisk(), walCfg, scan.EndLSN)
+	// 5. Resume the log at its tail. The records from the old horizon on
+	// stay needed until a checkpoint folds the redone pages.
+	e.log, err = wal.OpenAt(p, s, plat.LogDisk(), walCfg, startLSN, scan.EndLSN)
 	if err != nil {
 		return nil, err
 	}
 	e.log.SetOnDurable(e.onWalDurable)
-	if err := e.Checkpoint(p); err != nil {
-		return nil, err
-	}
 
+	// 6. Fold the recovered state into a checkpoint, so the next crash
+	// recovers from here. The fold only bounds that next recovery, so after
+	// a redo the checkpointer runs it as its first round while the engine
+	// serves. A boot that redid nothing folds inline (two control-block
+	// writes, no pages), and so does an engine without daemons.
+	deferFold := redone > 0 && !cfg.NoDaemons
+	if !deferFold {
+		if err := e.Checkpoint(p); err != nil {
+			return nil, err
+		}
+	}
 	if !cfg.NoDaemons {
-		e.spawnDaemons()
+		e.spawnDaemons(deferFold)
 	}
 	return e, nil
 }
@@ -457,8 +471,9 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 }
 
 // spawnDaemons starts the background WAL writer (async mode) and the
-// periodic checkpointer in the platform's domain.
-func (e *Engine) spawnDaemons() {
+// periodic checkpointer in the platform's domain. With fold set, the
+// checkpointer's first round runs at once: it folds what recovery redid.
+func (e *Engine) spawnDaemons(fold bool) {
 	dom := e.plat.Domain()
 	if e.cfg.CommitMode == CommitAsync {
 		e.s.Spawn(dom, e.cfg.Name+".walwriter", func(p *sim.Proc) {
@@ -471,6 +486,9 @@ func (e *Engine) spawnDaemons() {
 	}
 	e.s.Spawn(dom, e.cfg.Name+".checkpointer", func(p *sim.Proc) {
 		p.SetDaemon(true)
+		if fold {
+			_ = e.Checkpoint(p)
+		}
 		for {
 			p.Sleep(e.cfg.CheckpointEvery)
 			_ = e.Checkpoint(p)

@@ -157,43 +157,54 @@ func (h *heap) del(p *sim.Proc, key string) error {
 	return nil
 }
 
+// rebuildExtentMax caps one rebuild request, in pages. Extents double from
+// one page up to it, as wal.Scan's do: a one-page heap costs a single
+// one-page read, and a large one streams instead of paying a rotation per
+// page.
+const rebuildExtentMax = 256
+
 // rebuild scans pages [0, nextPage) and reconstructs the index and insert
-// cursor. Used at recovery, before WAL redo.
+// cursor. Used at recovery, before WAL redo. Pages are read in extents of 1,
+// 2, 4, … pages up to rebuildExtentMax, one request each.
 func (h *heap) rebuild(p *sim.Proc, nextPage int64) error {
 	h.index = make(map[string]rowLoc)
 	h.nextPage = nextPage
 	h.insertPage = 0
-	lastNonEmpty := int64(0)
-	for id := int64(0); id < nextPage; id++ {
-		pg, err := h.store.Get(p, id)
-		if err != nil {
-			return fmt.Errorf("engine: rebuilding index at page %d: %v", id, err)
+	for id, extent := int64(0), int64(1); id < nextPage; extent = min(2*extent, rebuildExtentMax) {
+		n := min(extent, nextPage-id)
+		if err := h.store.ReadRun(p, id, int(n), h.indexPage); err != nil {
+			return fmt.Errorf("engine: rebuilding index from page %d: %v", id, err)
 		}
-		data := pg.Data()
-		u := used(data)
-		if u > len(data) {
-			return fmt.Errorf("engine: page %d used=%d exceeds capacity", id, u)
-		}
-		off := pageUsedHdr
-		for off+recFixedHdr <= u {
-			keyLen := int(binary.LittleEndian.Uint16(data[off : off+2]))
-			valCap := int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
-			size := recSize(keyLen, valCap)
-			if off+size > u {
-				return fmt.Errorf("engine: page %d record at %d overruns used area", id, off)
-			}
-			if data[off+6]&flagTombstone == 0 {
-				key := string(data[off+recFixedHdr : off+recFixedHdr+keyLen])
-				h.index[key] = rowLoc{pageID: id, off: int32(off)}
-			}
-			off += size
-		}
-		if u > pageUsedHdr {
-			lastNonEmpty = id
-		}
+		id += n
 	}
-	if nextPage > 0 {
-		h.insertPage = lastNonEmpty
+	return nil
+}
+
+// indexPage adds pg's live records to the index and moves the insert cursor
+// to pg if it holds any record. rebuild visits pages in id order, so the
+// cursor ends on the last non-empty page.
+func (h *heap) indexPage(pg *pagestore.Page) error {
+	data := pg.Data()
+	u := used(data)
+	if u > len(data) {
+		return fmt.Errorf("engine: page %d used=%d exceeds capacity", pg.ID, u)
+	}
+	off := pageUsedHdr
+	for off+recFixedHdr <= u {
+		keyLen := int(binary.LittleEndian.Uint16(data[off : off+2]))
+		valCap := int(binary.LittleEndian.Uint16(data[off+2 : off+4]))
+		size := recSize(keyLen, valCap)
+		if off+size > u {
+			return fmt.Errorf("engine: page %d record at %d overruns used area", pg.ID, off)
+		}
+		if data[off+6]&flagTombstone == 0 {
+			key := string(data[off+recFixedHdr : off+recFixedHdr+keyLen])
+			h.index[key] = rowLoc{pageID: pg.ID, off: int32(off)}
+		}
+		off += size
+	}
+	if u > pageUsedHdr {
+		h.insertPage = pg.ID
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -173,6 +174,105 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rebuildPerPage is the reference reader: the index rebuild as one Get, and
+// so one device request, per page.
+func rebuildPerPage(p *sim.Proc, st *pagestore.Store, nextPage int64) (*heap, error) {
+	h := newHeap(st)
+	h.nextPage = nextPage
+	for id := int64(0); id < nextPage; id++ {
+		pg, err := st.Get(p, id)
+		if err != nil {
+			return nil, err
+		}
+		if err := h.indexPage(pg); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// TestRebuildStreamsInDoublingExtents: on a rotating disk, where every
+// request costs a rotation, an index rebuild over N checkpointed pages reads
+// them in ⌈log₂N⌉ + 2 requests at most — it took N, one per page — and
+// builds the index and insert cursor the per-page reference reader builds.
+// A one-page heap, the rebuild every steady-state reboot does, still costs
+// one one-page read.
+func TestRebuildStreamsInDoublingExtents(t *testing.T) {
+	for _, n := range []int64{1, 2, 5, 40, 300} {
+		t.Run(fmt.Sprintf("pages=%d", n), func(t *testing.T) {
+			s := sim.New(n)
+			hdd := disk.NewHDD(s, s.NewDomain("hw"), disk.HDDConfig{})
+			dev, _ := disk.NewPartition(hdd, "data", 0, 1<<19)
+			open := func() *pagestore.Store {
+				st, err := pagestore.Open(s, dev, pagestore.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			st := open()
+			st.SetWrittenThrough(-1)
+			h := newHeap(st)
+			var got, want *heap
+			var reads, sectors int64
+			s.Spawn(nil, "t", func(p *sim.Proc) {
+				// Six 1 000-byte rows to a page; tombstone every seventh row.
+				for i := 0; i < 3 || h.insertPage < n-1; i++ {
+					key := fmt.Sprintf("k%04d", i)
+					if err := h.put(p, key, bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
+						t.Errorf("put: %v", err)
+						return
+					}
+					if i%7 == 3 {
+						_ = h.del(p, key)
+					}
+				}
+				if err := st.Checkpoint(p); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+				// Cold restarts: a fresh store per reader, as recovery has.
+				cold := open()
+				cold.SetWrittenThrough(n - 1)
+				r0, s0 := hdd.Stats().Reads.Value(), hdd.Stats().SectorsRead.Value()
+				got = newHeap(cold)
+				if err := got.rebuild(p, n); err != nil {
+					t.Errorf("rebuild: %v", err)
+					return
+				}
+				reads, sectors = hdd.Stats().Reads.Value()-r0, hdd.Stats().SectorsRead.Value()-s0
+				ref := open()
+				ref.SetWrittenThrough(n - 1)
+				var err error
+				if want, err = rebuildPerPage(p, ref, n); err != nil {
+					t.Errorf("reference rebuild: %v", err)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got == nil || want == nil || len(want.index) == 0 {
+				t.Fatal("a rebuild did not finish, or found nothing")
+			}
+			if len(got.index) != len(want.index) || got.insertPage != want.insertPage || got.insertPage != n-1 {
+				t.Fatalf("rebuild indexed %d rows with the cursor on page %d; reference %d rows, page %d (heap of %d pages)",
+					len(got.index), got.insertPage, len(want.index), want.insertPage, n)
+			}
+			for key, loc := range want.index {
+				if got.index[key] != loc {
+					t.Fatalf("row %s at %+v, reference %+v", key, got.index[key], loc)
+				}
+			}
+			if pageSec := int64(8192 / 512); n == 1 && (reads != 1 || sectors != pageSec) {
+				t.Fatalf("one-page heap: %d reads of %d sectors, want one read of one page", reads, sectors)
+			}
+			if limit := int64(bits.Len(uint(n-1))) + 2; reads > limit {
+				t.Fatalf("%d device reads for %d pages, want at most ⌈log₂N⌉+2 = %d", reads, n, limit)
+			}
+		})
 	}
 }
 

@@ -109,20 +109,20 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("promotion replayed nothing: %+v", res)
 	}
 	// Schedule-preservation golden (see golden_test.go). Re-captured when
-	// recovery began streaming its log scan and checkpoint writes: the
-	// takeover shrank from 8.84 s to 0.849 s, so the isolated leader has less
-	// of its deposed epoch to retransmit into the fence once healed (4 160
+	// the promoted engine began serving before its post-redo checkpoint: the
+	// takeover shrank from 849 ms to 509 ms, so the isolated leader has less
+	// of its deposed epoch to retransmit into the fence once healed (396
 	// rejections before).
-	if res.Acked != 2157 || res.Unavailable != 849388700*time.Nanosecond || res.Redirects != 4 ||
-		res.FenceRejections != 396 || res.ReplayBytes != 11370496 {
+	if res.Acked != 2157 || res.Unavailable != 509405152*time.Nanosecond || res.Redirects != 4 ||
+		res.FenceRejections != 240 || res.ReplayBytes != 11370496 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "abb4724ed004b9909a9e219ec28d8319230d6227d57a7060e09aad42ee5a925d" ||
-		me != "7cfaab471f6f0a92b269080770d248f1b03a658f5744ec96b176bd9d8b9701a0" {
+	if tr != "e5288dcf386d42d830d130cff067d1c2dc11815d83330636584f6ad1ea862afe" ||
+		me != "1d135dc67b23b261e0f46fe42a05e9a68da7d2755a55d9aa43afd99429def71f" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -262,8 +262,10 @@ type TrialResult struct {
 	Acked      int   // transactions acknowledged before the fault
 	Missing    int   // acked transactions absent after recovery
 	Mismatched int
-	Torn       bool // RapiLog dump ended mid-entry (unsafe sizing only)
-	HadDump    bool // a valid dump header was found at recovery
+	// Torn: the RapiLog dump ended mid-entry. Unsafe sizing tears dumps, and
+	// so, on a slow disk, can the safe bound (ROADMAP item 7).
+	Torn    bool
+	HadDump bool // a valid dump header was found at recovery
 	// Media-fault trials (RapiLog mode).
 	Degraded      bool  // the logger was in pass-through at audit time
 	BufferedAfter int64 // bytes still stranded after the settle window

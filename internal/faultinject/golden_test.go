@@ -69,11 +69,12 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 // and says why. The failover golden rides on TestFailoverTrialForensics,
 // which runs that trial anyway.
 //
-// All four were re-captured once when recovery began streaming its I/O (the
-// log scan in doubling extents, a checkpoint's in-place writes one request
-// per run of consecutive pages): every outcome is unchanged but the
-// failover trial's takeover, and each trace's events before the fault are
-// the same (At, Kind, Arg1, Arg2) as before; only recovery's I/O moved.
+// All four were last re-captured when a recovered engine began serving
+// before the checkpoint that folds its redone pages: every outcome is
+// unchanged but the failover trial's takeover, and each trace's events
+// before the fault are the same (At, Kind, Arg1, Arg2) as before; only what
+// follows recovery moved. The metrics of the two unsharded machine trials
+// did not move at all.
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -84,7 +85,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "72e0b620e600f5b238d036c32a07e99b9c3e969234e2c59032177c48e56aedd7" ||
+	if tr != "1617d15f408c4a4101f904fbef311845cf61b2f95eccc0d26a97e40ac85b4d1c" ||
 		me != "e99a5fc954f8dafe642e977cd49068a4e24d85f64436e49484b06e547c86dcb7" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
@@ -105,7 +106,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "2b23d9b2bc8e673a030e03319b4800d6d363ea5aebe9dff282bea92c4d538d00" ||
+	if tr != "41e58c5fe9e44e7b409841536b69bb32a288054b48562ae0c71157e59f3231ab" ||
 		me != "539885f72e56ddd7b9b97c1c2e31892de1980396028fefaf2bd0029a2ab4de6e" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
@@ -127,8 +128,8 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 		t.Fatalf("monitor found %d violations, flight record %+v", res.MonitorViolations, f)
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "5ca3fea71acb5c86c3edd6d3ca4eed2453448c9dc8da045633e8eee6d11e1ead" ||
-		me != "d30b58313ba3f2399be8affdc7204cb53bd8e94af81c23af480bf4249fde9570" {
+	if tr != "363e867bd41dfdd2d6682ad70123e87f9b83f12cbb5edf0cfb30905fe1e52d06" ||
+		me != "5f1e0eaf52725abc74a81b19524b1980bf64f1476b321e0bd43fd726b9840b76" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -224,6 +224,58 @@ func (st *Store) Get(p *sim.Proc, id int64) (*Page, error) {
 	return pg, nil
 }
 
+// ReadRun visits pages [first, first+n) in id order, as n calls of Get
+// would, but reads every written page the pool lacks in one device request.
+// fn must not block: a page stays valid only until the next
+// potentially-blocking call (see Page).
+func (st *Store) ReadRun(p *sim.Proc, first int64, n int, fn func(*Page) error) error {
+	last := first + int64(n) - 1
+	if first < 0 || last >= st.numPages {
+		return fmt.Errorf("%w: pages %d..%d of %d", ErrNoSpace, first, last, st.numPages)
+	}
+	// The request spans the written pages the pool lacks; any other page
+	// takes one of Get's paths, none of which reads.
+	lo, hi := last+1, first-1
+	for id := first; id <= min(last, st.maxWritten); id++ {
+		if _, ok := st.pool[id]; !ok {
+			lo, hi = min(lo, id), id
+		}
+	}
+	var raw []byte
+	if lo <= hi {
+		var err error
+		if raw, err = st.dev.Read(p, st.pageLBA(lo), int(hi-lo+1)*st.pageSec); err != nil {
+			return err
+		}
+	}
+	ps := int64(st.cfg.PageSize)
+	for id := first; id <= last; id++ {
+		pg, ok := st.pool[id]
+		if ok || id < lo || id > hi {
+			// Pooled (perhaps loaded by someone else during the read), known
+			// fresh, or pooled at the request and evicted since.
+			var err error
+			if pg, err = st.Get(p, id); err != nil {
+				return err
+			}
+		} else {
+			st.clock++
+			st.stats.Misses.Inc()
+			st.stats.Reads.Inc()
+			var err error
+			if pg, err = st.decode(id, raw[(id-lo)*ps:(id-lo+1)*ps]); err != nil {
+				return err
+			}
+			pg.tick = st.clock
+			st.insert(pg)
+		}
+		if err := fn(pg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // insert adds a freshly read (clean) page to the pool, making room first.
 func (st *Store) insert(pg *Page) {
 	st.maybeEvict()
@@ -383,29 +435,44 @@ func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
 	if err := st.dev.Write(p, dwHdrSector, sum, true); err != nil {
 		return err
 	}
-	// 3. Write the pages in place, one request per run of consecutive page
-	// ids: a run is contiguous on the device and in the blob alike. A power
-	// cut that tears a run leaves pages that the double-write copies
-	// restore, exactly as for a single torn page.
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].ID == batch[j-1].ID+1 {
-			j++
-		}
-		if err := st.dev.Write(p, st.pageLBA(batch[i].ID), blob[i*ps:j*ps], true); err != nil {
-			return err
-		}
-		st.stats.Writes.Add(int64(j - i))
-		st.maxWritten = max(st.maxWritten, batch[j-1].ID)
-		i = j
+	// 3. Write the pages in place. A power cut that tears a run leaves pages
+	// that the double-write copies restore, exactly as for a single torn page.
+	ids := make([]int64, len(batch))
+	for i, pg := range batch {
+		ids[i] = pg.ID
+	}
+	n, err := st.writeRuns(p, ids, blob)
+	st.stats.Writes.Add(int64(n))
+	if err != nil {
+		return err
 	}
 	// 4. Retire the summary.
 	return st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
 }
 
+// writeRuns writes blob's page images (page ids[i] at blob[i·PageSize:])
+// in place, one FUA request per run of consecutive ids: a run is contiguous
+// on the device and in the blob alike. It returns the pages written.
+func (st *Store) writeRuns(p *sim.Proc, ids []int64, blob []byte) (int, error) {
+	ps := st.cfg.PageSize
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		if err := st.dev.Write(p, st.pageLBA(ids[i]), blob[i*ps:j*ps], true); err != nil {
+			return i, err
+		}
+		st.maxWritten = max(st.maxWritten, ids[j-1])
+		i = j
+	}
+	return len(ids), nil
+}
+
 // RecoverDoubleWrite runs at boot: if the double-write summary is valid, a
 // crash interrupted step 3 of a checkpoint batch; restore every slot page
-// in place. Returns the number of pages restored.
+// in place. The slots are read in one request and written back in runs, as
+// the checkpoint wrote them. Returns the number of pages restored.
 func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 	sum, err := st.dev.Read(p, dwHdrSector, dwSlotBase-dwHdrSector)
 	if err != nil {
@@ -423,25 +490,23 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 		// in-place pages were never touched. Nothing to do.
 		return 0, st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
 	}
-	restored := 0
-	for i := 0; i < count; i++ {
-		id := int64(binary.LittleEndian.Uint64(sum[8+i*8:]))
-		img, err := st.dev.Read(p, dwSlotBase+int64(i*st.pageSec), st.pageSec)
-		if err != nil {
-			return restored, err
-		}
-		if _, err := st.decode(id, img); err != nil {
-			return restored, fmt.Errorf("pagestore: double-write slot %d corrupt: %v", i, err)
-		}
-		if err := st.dev.Write(p, st.pageLBA(id), img, true); err != nil {
-			return restored, err
-		}
-		if id > st.maxWritten {
-			st.maxWritten = id
-		}
-		restored++
+	blob, err := st.dev.Read(p, dwSlotBase, count*st.pageSec)
+	if err != nil {
+		return 0, err
 	}
+	ps := st.cfg.PageSize
+	ids := make([]int64, count)
+	for i := range ids {
+		ids[i] = int64(binary.LittleEndian.Uint64(sum[8+i*8:]))
+		if _, err := st.decode(ids[i], blob[i*ps:(i+1)*ps]); err != nil {
+			return 0, fmt.Errorf("pagestore: double-write slot %d corrupt: %v", i, err)
+		}
+	}
+	restored, err := st.writeRuns(p, ids, blob)
 	st.stats.DWRestores.Add(int64(restored))
+	if err != nil {
+		return restored, err
+	}
 	return restored, st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
 }
 

@@ -357,6 +357,100 @@ func TestDoubleWriteProtectsTornCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverDoubleWriteStreamsTheSlots: a checkpoint of seven pages in
+// three runs (3–6, 10–11, 20) loses power halfway through the second run.
+// Boot restores every page from the double-write copies with one read of
+// the summary and one of all seven slots, then one write per run and one to
+// retire the summary — it took a read and a write per slot — and leaves
+// each page holding the checkpoint's image, the untouched neighbours theirs.
+func TestRecoverDoubleWriteStreamsTheSlots(t *testing.T) {
+	s := sim.New(4)
+	m := power.NewMachine(s, "m0", 2, power.PSUConfig{
+		Name: "instant", HoldupMin: time.Microsecond, HoldupMax: time.Microsecond,
+		InterruptLatency: time.Microsecond,
+	})
+	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{ChunkSectors: 1})
+	m.AttachDevice(hdd)
+	part, _ := disk.NewPartition(hdd, "data", 0, 1<<17)
+	st, err := Open(s, part, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int64{3, 4, 5, 6, 10, 11, 20}
+	old, content := bytes.Repeat([]byte{0xAB}, 128), bytes.Repeat([]byte{0xCD}, 128)
+	fill := func(p *sim.Proc, b []byte, ids ...int64) {
+		for _, id := range ids {
+			pg, _ := st.Get(p, id)
+			copy(pg.Data(), b)
+			st.MarkDirty(id)
+		}
+	}
+	s.Spawn(m.NewDomain("db"), "w", func(p *sim.Proc) {
+		fill(p, old, append(ids, 7)...)
+		if err := st.Checkpoint(p); err != nil {
+			t.Errorf("checkpoint 1: %v", err)
+		}
+		fill(p, content, ids...)
+		// The blob, the summary and the first run are durable; half the
+		// second run is.
+		pageSec := int64(8192 / 512)
+		mid := hdd.Stats().SectorsWritten.Value() + 7*pageSec + 1 + 4*pageSec + pageSec
+		s.Spawn(nil, "cut", func(cp *sim.Proc) {
+			for hdd.Stats().SectorsWritten.Value() < mid {
+				cp.Sleep(5 * time.Microsecond)
+			}
+			m.CutPower()
+		})
+		_ = st.Checkpoint(p)
+	})
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := hdd.Stats().TornWrites.Value(); n != 1 {
+		t.Fatalf("%d torn writes, want the second run torn", n)
+	}
+	m.RestorePower()
+	var restored int
+	var reads, writes int64
+	got := make(map[int64][]byte)
+	s.Spawn(s.NewDomain("boot"), "recover", func(p *sim.Proc) {
+		st2, err := Open(s, part, Config{})
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		r0, w0 := hdd.Stats().Reads.Value(), hdd.Stats().Writes.Value()
+		if restored, err = st2.RecoverDoubleWrite(p); err != nil {
+			t.Errorf("dw recover: %v", err)
+			return
+		}
+		reads, writes = hdd.Stats().Reads.Value()-r0, hdd.Stats().Writes.Value()-w0
+		for _, id := range append(ids, 7) {
+			pg, err := st2.Get(p, id)
+			if err != nil {
+				t.Errorf("page %d unreadable after DW recovery: %v", id, err)
+				return
+			}
+			got[id] = pg.Data()[:128]
+		}
+	})
+	if err := s.RunFor(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if restored != len(ids) || reads != 2 || writes != 4 {
+		t.Fatalf("restored %d pages in %d reads and %d writes; want %d pages in 2 reads (summary, slots) and 4 writes (3 runs, retire)",
+			restored, reads, writes, len(ids))
+	}
+	for _, id := range ids {
+		if !bytes.Equal(got[id], content) {
+			t.Fatalf("page %d does not hold its double-write image after recovery: % x ...", id, got[id][:8])
+		}
+	}
+	if !bytes.Equal(got[7], old) {
+		t.Fatalf("page 7, outside the checkpoint, changed: % x ...", got[7][:8])
+	}
+}
+
 func TestRecoverDoubleWriteNoopWhenClean(t *testing.T) {
 	s, _, st := memStore(t, 4, Config{})
 	s.Spawn(nil, "t", func(p *sim.Proc) {

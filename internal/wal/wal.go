@@ -209,8 +209,10 @@ func New(s *sim.Sim, dev disk.Device, cfg Config) (*Log, error) {
 }
 
 // OpenAt resumes appending at endLSN (the value Scan reported), reloading
-// the partial tail block from the device.
-func OpenAt(p *sim.Proc, s *sim.Sim, dev disk.Device, cfg Config, endLSN uint64) (*Log, error) {
+// the partial tail block from the device. fromLSN is where that Scan
+// started: the records from it on stay needed, and the wrap barrier holds
+// there until the caller's next SetOldestNeeded.
+func OpenAt(p *sim.Proc, s *sim.Sim, dev disk.Device, cfg Config, fromLSN, endLSN uint64) (*Log, error) {
 	l, err := New(s, dev, cfg)
 	if err != nil {
 		return nil, err
@@ -234,7 +236,7 @@ func OpenAt(p *sim.Proc, s *sim.Sim, dev disk.Device, cfg Config, endLSN uint64)
 	}
 	l.appendedLSN = l.lsn()
 	l.flushedLSN = l.appendedLSN
-	l.oldestNeeded = l.appendedLSN
+	l.oldestNeeded = min(fromLSN, l.appendedLSN)
 	return l, nil
 }
 

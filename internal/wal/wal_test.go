@@ -496,7 +496,7 @@ func TestOpenAtResumesTail(t *testing.T) {
 			return
 		}
 		endLSN = res.EndLSN
-		l2, err := OpenAt(p, s2, dev, Config{}, endLSN)
+		l2, err := OpenAt(p, s2, dev, Config{}, FirstLSN(Config{}), endLSN)
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -517,6 +517,60 @@ func TestOpenAtResumesTail(t *testing.T) {
 	}
 	if total != 6 {
 		t.Fatalf("after resume, scan found %d records, want 6", total)
+	}
+}
+
+// TestOpenAtHoldsTheScannedRecords: a log reopened after recovery keeps the
+// records its scan replayed until a checkpoint releases them. On a 4-block
+// log whose first two blocks hold them, the resumed writer fills blocks 2
+// and 3 and is then refused, rather than wrapping onto block 0; a rescan
+// from the same start finds every record.
+func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
+	s := sim.New(10)
+	dev := disk.NewMem(s, disk.MemConfig{Name: "log", Persistent: true, Capacity: 32}) // 4 blocks
+	l, err := New(s, dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{7}, 900) // four to a block
+	var resumed, found int
+	s.Spawn(nil, "w", func(p *sim.Proc) {
+		for i := 0; i < 8; i++ {
+			_, _ = l.Append(p, RecUpdate, 1, rec)
+		}
+		_ = l.Force(p, l.AppendedLSN())
+		from := FirstLSN(Config{})
+		res, err := Scan(p, dev, Config{}, from)
+		if err != nil {
+			t.Errorf("scan: %v", err)
+			return
+		}
+		l2, err := OpenAt(p, s, dev, Config{}, from, res.EndLSN)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		for ; ; resumed++ {
+			if _, err := l2.Append(p, RecUpdate, 2, rec); err != nil {
+				if !errors.Is(err, ErrLogFull) {
+					t.Errorf("append: %v", err)
+				}
+				break
+			}
+			_ = l2.Force(p, l2.AppendedLSN())
+		}
+		res2, err := Scan(p, dev, Config{}, from)
+		if err != nil {
+			t.Errorf("rescan: %v", err)
+			return
+		}
+		found = len(res2.Records)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 8 || found != 16 {
+		t.Fatalf("resumed writer appended %d records and a rescan found %d; want 8 and all 16", resumed, found)
 	}
 }
 
