@@ -76,59 +76,23 @@ func main() {
 		})
 	}
 
-	// One workload per log domain. A lone domain owns every key; a fleet
-	// hash-partitions one data set that grows with the shard count (weak
-	// scaling: per-shard provisioning is constant).
+	// Run splits the workload across the log domains: a fleet hash-partitions
+	// one data set that grows with the shard count (weak scaling: per-shard
+	// provisioning is constant).
 	n := len(dep.Domains)
-	var ws []rapilog.Workload
+	var w rapilog.Workload
 	switch *wl {
 	case "tpcc":
-		base := rapilog.TPCC{Warehouses: 4 * n, Districts: 10, Customers: 30, Items: 400}
-		ws = []rapilog.Workload{&base}
-		if n > 1 {
-			ws = workloads(rapilog.PartitionTPCC(base, dep.Router))
-		}
+		w = &rapilog.TPCC{Warehouses: 4 * n, Districts: 10, Customers: 30, Items: 400}
 	case "tpcb":
-		base := rapilog.TPCB{Branches: 2 * n, Tellers: 10, Accounts: 1000}
-		ws = []rapilog.Workload{&base}
-		if n > 1 {
-			ws = workloads(rapilog.PartitionTPCB(base, dep.Router))
-		}
+		w = &rapilog.TPCB{Branches: 2 * n, Tellers: 10, Accounts: 1000}
 	case "stress":
-		for range dep.Domains {
-			ws = append(ws, &rapilog.Stress{})
-		}
+		w = &rapilog.Stress{}
 	default:
 		fatalf("unknown workload %q", *wl)
 	}
-
-	var res rapilog.ShardedResult
-	engines := make([]*rapilog.Engine, n)
-	doms := make([]*rapilog.Domain, n)
-	done := dep.S.NewEvent("done")
-	dep.S.Spawn(nil, "bench", func(p *rapilog.Proc) {
-		defer done.Fire()
-		for i, d := range dep.Domains {
-			e, err := d.Boot(p)
-			if err != nil {
-				fatalf("boot: %v", err)
-			}
-			engines[i], doms[i] = e, d.Plat.Domain()
-		}
-		for i, e := range engines {
-			if err := ws[i].Load(p, e); err != nil {
-				fatalf("load: %v", err)
-			}
-		}
-		var err error
-		res, err = rapilog.RunShardedClients(p, doms, engines, ws, nil, rapilog.RunnerConfig{
-			Clients: *clients, Duration: *duration, Warmup: *warmup,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-	})
-	if err := dep.S.RunUntilEvent(done); err != nil {
+	res, err := dep.Run(w, rapilog.RunnerConfig{Clients: *clients, Duration: *duration, Warmup: *warmup})
+	if err != nil {
 		fatalf("%v", err)
 	}
 
@@ -146,16 +110,16 @@ func main() {
 		res.Total.TxnLatency.Max().Round(time.Microsecond))
 	for i, d := range dep.Domains {
 		if n > 1 {
-			fmt.Printf("shard %-2d        %.0f tps (%d committed)\n", i, res.Shards[i].TPS(), res.Shards[i].Committed)
+			fmt.Printf("shard %-2d        %.0f tps (%d committed)\n", i, res.Domains[i].TPS(), res.Domains[i].Committed)
 		}
-		reportDomain(d, engines[i], cfg.AckPolicy)
+		reportDomain(d, res.Engines[i], cfg.AckPolicy)
 	}
 	reg := dep.Obs.Registry()
 	if n > 1 {
-		ack := rapilog.RollupHistogram(reg, n, "engine.commit.ack_latency")
+		ack := dep.RollupHistogram("engine.commit.ack_latency")
 		fmt.Printf("rollup:         %d commits, %d rapilog writes, commit ack p50=%v p99=%v\n",
-			rapilog.RollupCounter(reg, n, "engine.commits"),
-			rapilog.RollupCounter(reg, n, "rapilog.writes"),
+			dep.RollupCounter("engine.commits"),
+			dep.RollupCounter("rapilog.writes"),
 			ack.Quantile(0.50).Round(time.Microsecond),
 			ack.Quantile(0.99).Round(time.Microsecond))
 	}
@@ -207,18 +171,6 @@ func checkMeasurement(clients int, duration, warmup time.Duration) error {
 		return fmt.Errorf("-warmup %v: the warmup cannot be negative", warmup)
 	}
 	return nil
-}
-
-// workloads widens a Partition* result to the slice the client pools take.
-func workloads[W rapilog.Workload](parts []W, err error) []rapilog.Workload {
-	if err != nil {
-		fatalf("%v", err)
-	}
-	ws := make([]rapilog.Workload, len(parts))
-	for i, p := range parts {
-		ws[i] = p
-	}
-	return ws
 }
 
 // reportDomain prints one log domain's engine, WAL, RapiLog, disk and

@@ -30,22 +30,9 @@ func main() {
 	}
 	defer dep.Close()
 
-	done := dep.S.NewEvent("done")
-	dep.S.Spawn(dep.Plat.Domain(), "db", func(p *rapilog.Proc) {
-		defer done.Fire()
-		e, err := dep.Boot(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w := &rapilog.Stress{}
-		if err := w.Load(p, e); err != nil {
-			log.Fatal(err)
-		}
-		rapilog.RunClients(p, dep.Plat.Domain(), e, w, rapilog.RunnerConfig{
-			Clients: 8, Duration: 2 * time.Second, Warmup: 200 * time.Millisecond,
-		})
-	})
-	if err := dep.S.RunUntilEvent(done); err != nil {
+	if _, err := dep.Run(&rapilog.Stress{}, rapilog.RunnerConfig{
+		Clients: 8, Duration: 2 * time.Second, Warmup: 200 * time.Millisecond,
+	}); err != nil {
 		log.Fatal(err)
 	}
 

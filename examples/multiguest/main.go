@@ -69,7 +69,7 @@ func main() {
 				if err != nil {
 					log.Fatalf("%s audit: %v", p.Name(), err)
 				}
-				fmt.Printf("%s: dump replayed %3d entries; %s\n", tenant(i), rep.Shards[i].Entries, res)
+				fmt.Printf("%s: dump replayed %3d entries; %s\n", tenant(i), rep.Domains[i].Entries, res)
 			})
 		}
 	})

@@ -37,24 +37,11 @@ func run(mode rapilog.Mode, clients int) (tps float64, p50, p99 time.Duration) {
 		log.Fatal(err)
 	}
 	defer dep.Close()
-	w := &rapilog.TPCC{Warehouses: 4, Districts: 10, Customers: 30, Items: 300}
-	var res rapilog.RunResult
-	done := dep.S.NewEvent("done")
-	dep.S.Spawn(dep.Plat.Domain(), "bench", func(p *rapilog.Proc) {
-		defer done.Fire()
-		e, err := dep.Boot(p)
-		if err != nil {
-			log.Fatalf("boot: %v", err)
-		}
-		if err := w.Load(p, e); err != nil {
-			log.Fatalf("load: %v", err)
-		}
-		res = rapilog.RunClients(p, dep.Plat.Domain(), e, w, rapilog.RunnerConfig{
-			Clients: clients, Duration: 5 * time.Second, Warmup: time.Second,
-		})
+	res, err := dep.Run(&rapilog.TPCC{Warehouses: 4, Districts: 10, Customers: 30, Items: 300}, rapilog.RunnerConfig{
+		Clients: clients, Duration: 5 * time.Second, Warmup: time.Second,
 	})
-	if err := dep.S.RunUntilEvent(done); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
-	return res.TPS(), res.TxnLatency.Quantile(0.50), res.TxnLatency.Quantile(0.99)
+	return res.Total.TPS(), res.Total.TxnLatency.Quantile(0.50), res.Total.TxnLatency.Quantile(0.99)
 }

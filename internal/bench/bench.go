@@ -123,40 +123,22 @@ func IDs() []string {
 // ticks past the finish.
 func drive(s *sim.Sim, ev *sim.Event) error { return s.RunUntilEvent(ev) }
 
-// measureWorkload boots a deployment, loads wl, and measures saturation
-// throughput with the given client count. Besides the run result it returns
-// the engine's commit-latency histogram and the (closed, still readable) rig
-// for callers that report device or logger statistics.
+// measureWorkload builds a machine from cfg and measures saturation
+// throughput on it (rig.Run, with clients per log domain). Besides the
+// machine-wide result it returns the first domain's commit-latency histogram
+// and the (closed, still readable) rig for callers that report device,
+// logger or per-domain statistics.
 func measureWorkload(cfg rig.Config, wl workload.Workload, clients int, warmup, dur time.Duration) (workload.RunResult, *metrics.Histogram, *rig.Rig, error) {
 	r, err := rig.New(cfg)
 	if err != nil {
 		return workload.RunResult{}, nil, nil, err
 	}
 	defer r.Close()
-	var res workload.RunResult
-	var hist *metrics.Histogram
-	var benchErr error
-	done := r.S.NewEvent("bench.done")
-	r.S.Spawn(r.Plat.Domain(), "bench", func(p *sim.Proc) {
-		defer done.Fire()
-		e, err := r.Boot(p)
-		if err != nil {
-			benchErr = fmt.Errorf("boot: %w", err)
-			return
-		}
-		if err := wl.Load(p, e); err != nil {
-			benchErr = fmt.Errorf("load: %w", err)
-			return
-		}
-		res = workload.RunClients(p, r.Plat.Domain(), e, wl, workload.RunnerConfig{
-			Clients: clients, Duration: dur, Warmup: warmup,
-		})
-		hist = e.Stats().CommitLatency
-	})
-	if err := drive(r.S, done); err != nil {
+	res, err := r.Run(wl, workload.RunnerConfig{Clients: clients, Duration: dur, Warmup: warmup})
+	if err != nil {
 		return workload.RunResult{}, nil, nil, err
 	}
-	return res, hist, r, benchErr
+	return res.Total, res.Engines[0].Stats().CommitLatency, r, nil
 }
 
 // throughputSweep runs the E1/E2/E3/A2 shape: mode × client-count grid.

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/shard"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// runA10: sharded scale-out. N independent log domains on one machine
-// behind a hash router, provisioned per shard (4 cores, 4 clients, 4 TPC-B
+// runA10: sharded scale-out. N independent log domains on one machine under
+// hash-partitioned TPC-B, provisioned per shard (4 cores, 4 clients, 4 TPC-B
 // branches each, its own spindle), so ideal weak scaling is tps ∝ shards at
 // a flat commit-ack p50. The one thing the shards share on the safety path
 // is the PSU: every dump races the same hold-up window, so the per-shard
@@ -51,12 +48,15 @@ func runA10(opts Options) (*Report, error) {
 			continue
 		}
 
-		res, fleet, err := shardScaling(opts.Seed, n, warmup, dur)
+		// One weak-scaling point: hash-partitioned TPC-B on an n-domain SSD
+		// machine.
+		cfg := rig.Config{Seed: opts.Seed, Cores: 4 * n, Disk: rig.DiskSSD, Shards: n}
+		res, _, fleet, err := measureWorkload(cfg, &workload.TPCB{Branches: 4 * n, Tellers: 4, Accounts: 200}, 4, warmup, dur)
 		if err != nil {
 			return nil, fmt.Errorf("a10 shards=%d: %w", n, err)
 		}
-		tps, bound := res.Total.TPS(), fleet.SafeBound()
-		p50 := shard.RollupHistogram(fleet.Obs.Registry(), n, "engine.commit.ack_latency").Quantile(0.5)
+		tps, bound := res.TPS(), fleet.SafeBound()
+		p50 := fleet.RollupHistogram("engine.commit.ack_latency").Quantile(0.5)
 		table.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", tps),
 			fmt.Sprint(p50.Round(100*time.Nanosecond)), fmtBytes(bound), hdd)
 		rep.Values[key+"tps"] = tps
@@ -70,51 +70,4 @@ func runA10(opts Options) (*Report, error) {
 		"positioning round trip per concurrent dump comes off the hold-up budget).")
 	rep.Notes = append(rep.Notes, refused...)
 	return rep, nil
-}
-
-// shardScaling runs one weak-scaling point: a shards-domain SSD machine
-// under the hash-partitioned TPC-B. Like measureWorkload it returns the
-// (closed, still readable) rig beside the result, for the per-shard
-// histograms and the bound the machine was built with.
-func shardScaling(seed int64, shards int, warmup, dur time.Duration) (workload.ShardedResult, *rig.Rig, error) {
-	r, err := rig.New(rig.Config{Seed: seed, Cores: 4 * shards, Disk: rig.DiskSSD, Shards: shards})
-	if err != nil {
-		return workload.ShardedResult{}, nil, err
-	}
-	defer r.Close()
-	base := workload.TPCB{Branches: 4 * shards, Tellers: 4, Accounts: 200}
-	parts, err := workload.PartitionTPCB(base, r.Router)
-	if err != nil {
-		return workload.ShardedResult{}, nil, err
-	}
-	var res workload.ShardedResult
-	var runErr error
-	done := r.S.NewEvent("a10.done")
-	r.S.Spawn(nil, "bench", func(p *sim.Proc) {
-		defer done.Fire()
-		engines := make([]*engine.Engine, shards)
-		doms := make([]*sim.Domain, shards)
-		ws := make([]workload.Workload, shards)
-		for i, d := range r.Domains {
-			e, err := d.Boot(p)
-			if err != nil {
-				runErr = fmt.Errorf("shard %d boot: %w", i, err)
-				return
-			}
-			engines[i], doms[i], ws[i] = e, d.Plat.Domain(), parts[i]
-		}
-		for i, e := range engines {
-			if err := parts[i].Load(p, e); err != nil {
-				runErr = fmt.Errorf("shard %d load: %w", i, err)
-				return
-			}
-		}
-		res, runErr = workload.RunShardedClients(p, doms, engines, ws, nil, workload.RunnerConfig{
-			Clients: 4, Duration: dur, Warmup: warmup,
-		})
-	})
-	if err := drive(r.S, done); err != nil {
-		return workload.ShardedResult{}, nil, err
-	}
-	return res, r, runErr
 }

@@ -648,7 +648,7 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 				return
 			}
 			res.Torn, res.HadDump, res.DumpFailures = rep.Torn(), rep.HadDump(), rep.DumpFailures()
-			for _, dr := range rep.Shards {
+			for _, dr := range rep.Domains {
 				res.DumpRetries += dr.DumpRetries
 			}
 		} else {

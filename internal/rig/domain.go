@@ -10,7 +10,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replica"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -170,7 +169,7 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 		}
 	}
 	r.Domains = append(r.Domains, d)
-	r.LogDomain, r.Router = r.Domains[0], shard.NewRouter(len(r.Domains))
+	r.LogDomain = r.Domains[0]
 	return d, nil
 }
 

@@ -172,8 +172,8 @@ func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
 			t.Errorf("cycle 1 recovery: %v", err)
 			return
 		}
-		if rep.Shards[0].DumpFailures != 1 || r.LastReplicaReplay.Entries == 0 {
-			t.Errorf("cycle 1 did not take the failed-dump path: %+v, replica replay %+v", rep.Shards[0], r.LastReplicaReplay)
+		if rep.Domains[0].DumpFailures != 1 || r.LastReplicaReplay.Entries == 0 {
+			t.Errorf("cycle 1 did not take the failed-dump path: %+v, replica replay %+v", rep.Domains[0], r.LastReplicaReplay)
 			return
 		}
 
@@ -187,7 +187,7 @@ func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
 			t.Errorf("cycle 2 recovery: %v", err)
 			return
 		}
-		if got := rep.Shards[0]; got.DumpFailures != 0 || got.DumpRetries != 0 {
+		if got := rep.Domains[0]; got.DumpFailures != 0 || got.DumpRetries != 0 {
 			t.Errorf("cycle 2 reports cycle 1's dump outcome: %+v", got)
 		}
 		if rr := r.LastReplicaReplay; rr.Entries != 0 || rr.Bytes != 0 {

@@ -32,11 +32,11 @@ import (
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/hv"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replica"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -124,11 +124,11 @@ type Config struct {
 	DumpFault disk.FaultConfig
 	// Shards splits the machine into that many fully independent log domains
 	// — each with its own disks, log partition, dump zone, guest, logger and
-	// (when replicated) fabric + standby fleet — behind a key-hash Router.
-	// They share the simulation, the power supply (so each buffer is sized
-	// by the N-sharer hold-up budget) and the one hypervisor. 0 is the
-	// paper's machine: one domain, no name prefix. RapiLog mode only: the
-	// other modes have no log device to partition.
+	// (when replicated) fabric + standby fleet; Rig.Run hash-partitions a
+	// workload across them. They share the simulation, the power supply (so
+	// each buffer is sized by the N-sharer hold-up budget) and the one
+	// hypervisor. 0 is the paper's machine: one domain, no name prefix.
+	// RapiLog mode only: the other modes have no log device to partition.
 	Shards int
 	// Replicas is the standby count, and replication is nothing else: with
 	// Replicas > 0 every log domain of a RapiLog machine ships its log to its
@@ -209,9 +209,9 @@ func (c *Config) Normalize() error {
 
 // Rig is one assembled machine: the simulation, the power supply, the one
 // hypervisor, the root observability bundle with its monitor and flight
-// recorder, and 1..N log domains behind a key-hash router. The first domain
-// is embedded, so on the paper's one-domain machine r.Plat, r.Logger, r.Boot
-// and friends read as they always did.
+// recorder, and 1..N log domains. The first domain is embedded, so on the
+// paper's one-domain machine r.Plat, r.Logger, r.Boot and friends read as
+// they always did.
 type Rig struct {
 	Cfg     Config
 	S       *sim.Sim
@@ -221,8 +221,6 @@ type Rig struct {
 	// sharded machine registers its instruments under "shard.<i>.*".
 	Obs *obs.Obs
 
-	// Router maps a transaction key to the domain that owns it.
-	Router     *shard.Router
 	Domains    []*LogDomain
 	*LogDomain // Domains[0]
 
@@ -373,34 +371,30 @@ func (r *Rig) CutPower() time.Duration { return r.Machine.CutPower() }
 // RecoverAfterPower restores power, reboots the hypervisor once, and
 // rebuilds every domain's platform stack, replaying its RapiLog dump zone
 // into its log partition before the guest boots — exactly the order the
-// real system recovers in. With more than one domain the replays run in
-// parallel — each touches only its own spindle, so the machine recovers in
+// real system recovers in. Each domain recovers in its own process, all in
+// parallel: each touches only its own spindle, so the machine recovers in
 // roughly the time of its slowest domain rather than the sum. Returns one
 // report section per domain. Call Boot next.
-func (r *Rig) RecoverAfterPower(p *sim.Proc) (shard.Recovery, error) {
+func (r *Rig) RecoverAfterPower(p *sim.Proc) (Recovery, error) {
 	r.Machine.RestorePower()
 	if r.HV != nil {
 		r.HV.Reboot()
 	}
 	n := len(r.Domains)
-	rep := shard.Recovery{Shards: make([]core.RecoveryReport, n)}
+	rep := Recovery{Domains: make([]core.RecoveryReport, n)}
 	errs := make([]error, n)
-	if n == 1 {
-		rep.Shards[0], errs[0] = r.recover(p)
-	} else {
-		remaining := n
-		done := r.S.NewSignal("sharded.recover.done")
-		for i, d := range r.Domains {
-			i, d := i, d
-			r.S.Spawn(nil, fmt.Sprintf("shard%d.recover", i), func(pp *sim.Proc) {
-				rep.Shards[i], errs[i] = d.recover(pp)
-				remaining--
-				done.Broadcast()
-			})
-		}
-		for remaining > 0 {
-			done.Wait(p)
-		}
+	remaining := n
+	done := r.S.NewSignal("recover.done")
+	for i, d := range r.Domains {
+		i, d := i, d
+		r.S.Spawn(nil, d.at.prefix+"recover", func(pp *sim.Proc) {
+			rep.Domains[i], errs[i] = d.recover(pp)
+			remaining--
+			done.Broadcast()
+		})
+	}
+	for remaining > 0 {
+		done.Wait(p)
 	}
 	// The flight recorder froze when DC died; hand the black box to the
 	// caller alongside the replay summary.
@@ -411,4 +405,83 @@ func (r *Rig) RecoverAfterPower(p *sim.Proc) (shard.Recovery, error) {
 		}
 	}
 	return rep, nil
+}
+
+// Recovery is a machine's power-recovery report: one section per log domain,
+// in domain order, plus machine-wide totals.
+type Recovery struct {
+	Domains []core.RecoveryReport
+	// Flight is the flight record frozen at the power loss, when the machine
+	// was running a flight recorder; nil otherwise.
+	Flight *obs.FlightRecord
+}
+
+// Entries returns the total dump entries replayed across all domains.
+func (m Recovery) Entries() int {
+	n := 0
+	for _, d := range m.Domains {
+		n += d.Entries
+	}
+	return n
+}
+
+// Bytes returns the total bytes replayed across all domains.
+func (m Recovery) Bytes() int64 {
+	var n int64
+	for _, d := range m.Domains {
+		n += d.Bytes
+	}
+	return n
+}
+
+// HadDump reports whether any domain found a dump image.
+func (m Recovery) HadDump() bool {
+	for _, d := range m.Domains {
+		if d.HadDump {
+			return true
+		}
+	}
+	return false
+}
+
+// Torn reports whether any domain's dump image was torn — its hold-up
+// deadline hit mid-dump. One torn domain makes the machine's recovery torn.
+func (m Recovery) Torn() bool {
+	for _, d := range m.Domains {
+		if d.Torn {
+			return true
+		}
+	}
+	return false
+}
+
+// DumpFailures returns the total failed dump writes across all domains.
+func (m Recovery) DumpFailures() int {
+	n := 0
+	for _, d := range m.Domains {
+		n += d.DumpFailures
+	}
+	return n
+}
+
+// RollupCounter sums the counter name over every log domain's registry view
+// ("shard.<i>.<name>" on a sharded machine). Registry access is
+// get-or-create, so a domain that never registered the instrument adds zero.
+func (r *Rig) RollupCounter(name string) int64 {
+	var total int64
+	for _, d := range r.Domains {
+		total += d.Obs.Registry().Counter(name).Value()
+	}
+	return total
+}
+
+// RollupHistogram merges the histogram name over every log domain into one
+// machine-wide distribution (see metrics.Histogram.Merge — bucket layouts are
+// identical, so quantiles combine exactly up to quantisation).
+func (r *Rig) RollupHistogram(name string) *metrics.Histogram {
+	out := metrics.NewHistogram(name)
+	for _, d := range r.Domains {
+		out.Merge(d.Obs.Registry().Histogram(name))
+	}
+	return out
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,8 +36,8 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	if sh.Cfg.Mode != RapiLog || len(sh.Domains) != n || sh.LogDomain != sh.Domains[0] || sh.Router.Shards() != n {
-		t.Fatalf("mode=%q domains=%d router=%d", sh.Cfg.Mode, len(sh.Domains), sh.Router.Shards())
+	if sh.Cfg.Mode != RapiLog || len(sh.Domains) != n || sh.LogDomain != sh.Domains[0] {
+		t.Fatalf("mode=%q domains=%d", sh.Cfg.Mode, len(sh.Domains))
 	}
 	for i, d := range sh.Domains {
 		if d.Logger == nil {
@@ -79,7 +78,7 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 			t.Fatalf("shard %d engine.commits = %d, want >= 10", i, got)
 		}
 	}
-	if got := shard.RollupCounter(reg, n, "engine.commits"); got < 20 {
+	if got := sh.RollupCounter("engine.commits"); got < 20 {
 		t.Fatalf("fleet commits roll-up = %d, want >= 20", got)
 	}
 	// One machine, one hypervisor: every shard's guest exits into the root
@@ -148,15 +147,15 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 					t.Errorf("sharded recovery: %v", err)
 					return
 				}
-				if len(rep.Shards) != n {
-					t.Errorf("merged report has %d sections, want %d", len(rep.Shards), n)
+				if len(rep.Domains) != n {
+					t.Errorf("merged report has %d sections, want %d", len(rep.Domains), n)
 				}
 				if f := rep.Flight; f == nil || f.Reason != "power-dc-loss" {
 					t.Errorf("flight record not frozen at power-dc-loss")
 				} else if f.Monitor == nil || f.Monitor.Total != 0 {
 					t.Errorf("flight record's monitor verdict: %+v", f.Monitor)
 				}
-				for i, sr := range rep.Shards {
+				for i, sr := range rep.Domains {
 					if bound := sh.Domains[i].SafeBound(); sr.Bytes > bound {
 						t.Errorf("shard %d dumped %d bytes, exceeds its hold-up share %d", i, sr.Bytes, bound)
 					}
@@ -212,73 +211,83 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 }
 
 // TestShardedPartitionedWorkloadRouting drives hash-partitioned TPC-B
-// across shards and checks the partition is total and disjoint.
+// across shards: every shard commits, and the machine-wide merge counts
+// every commit once.
 func TestShardedPartitionedWorkloadRouting(t *testing.T) {
-	const n = 2
-	sh, err := New(Config{Seed: 13, NoDaemons: true, Shards: n})
+	sh, err := New(Config{Seed: 13, NoDaemons: true, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	base := workload.TPCB{Branches: 8, Tellers: 2, Accounts: 50}
-	parts, err := workload.PartitionTPCB(base, sh.Router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]int{}
-	total := 0
-	for i, part := range parts {
-		if len(part.Owned) == 0 {
-			t.Fatalf("shard %d owns no branches", i)
-		}
-		for _, b := range part.Owned {
-			if prev, dup := seen[b]; dup {
-				t.Fatalf("branch %d owned by shards %d and %d", b, prev, i)
-			}
-			seen[b] = i
-			total++
-		}
-	}
-	if total != base.Branches {
-		t.Fatalf("partition covers %d/%d branches", total, base.Branches)
-	}
-
-	var res workload.ShardedResult
-	sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-		engines, err := bootAll(p, sh)
-		if err != nil {
-			t.Errorf("boot: %v", err)
-			return
-		}
-		doms := make([]*sim.Domain, n)
-		ws := make([]workload.Workload, n)
-		for i := range engines {
-			doms[i] = sh.Domains[i].Plat.Domain()
-			ws[i] = parts[i]
-			if err := parts[i].Load(p, engines[i]); err != nil {
-				t.Errorf("shard %d load: %v", i, err)
-				return
-			}
-		}
-		res, err = workload.RunShardedClients(p, doms, engines, ws, nil, workload.RunnerConfig{
-			Clients: 2, Duration: 2 * time.Second,
-		})
-		if err != nil {
-			t.Errorf("sharded run: %v", err)
-		}
+	res, err := sh.Run(&workload.TPCB{Branches: 8, Tellers: 2, Accounts: 50}, workload.RunnerConfig{
+		Clients: 2, Duration: 2 * time.Second,
 	})
-	if err := sh.S.RunFor(10 * time.Minute); err != nil {
-		t.Fatal(err)
+	if err != nil {
+		t.Fatalf("sharded run: %v", err)
 	}
 	if res.Total.Committed == 0 {
 		t.Fatal("no transactions committed across the fleet")
 	}
-	for i, r := range res.Shards {
+	for i, r := range res.Domains {
 		if r.Committed == 0 {
 			t.Fatalf("shard %d committed nothing: partition starved it", i)
 		}
 	}
 	if res.Total.TxnLatency.Count() != uint64(res.Total.Committed) {
 		t.Fatalf("merged latency count %d != committed %d", res.Total.TxnLatency.Count(), res.Total.Committed)
+	}
+}
+
+// TestRecoveryMerge folds per-domain recovery sections into machine totals.
+func TestRecoveryMerge(t *testing.T) {
+	m := Recovery{Domains: []core.RecoveryReport{
+		{Entries: 3, Bytes: 1536, HadDump: true},
+		{Entries: 0, Bytes: 0},
+		{Entries: 5, Bytes: 2560, HadDump: true, Torn: true, DumpFailures: 1},
+	}}
+	if got := m.Entries(); got != 8 {
+		t.Fatalf("Entries() = %d, want 8", got)
+	}
+	if got := m.Bytes(); got != 4096 {
+		t.Fatalf("Bytes() = %d, want 4096", got)
+	}
+	if !m.HadDump() || !m.Torn() {
+		t.Fatalf("HadDump()=%v Torn()=%v, want true/true", m.HadDump(), m.Torn())
+	}
+	if got := m.DumpFailures(); got != 1 {
+		t.Fatalf("DumpFailures() = %d, want 1", got)
+	}
+}
+
+// TestRollups sums and merges an instrument over every domain's registry
+// view; a domain that never registered it contributes zero.
+func TestRollups(t *testing.T) {
+	const n = 3
+	r, err := New(Config{Seed: 1, NoDaemons: true, Disk: DiskSSD, Shards: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i, d := range r.Domains {
+		reg := d.Obs.Registry()
+		reg.Counter("engine.commits").Add(int64(10 * (i + 1)))
+		reg.Histogram("engine.commit.ack_latency").Observe(time.Duration(i+1) * time.Millisecond)
+	}
+	if got := r.Obs.Registry().Counter(obs.ShardPrefix(2) + ".engine.commits").Value(); got != 30 {
+		t.Fatalf("shard 2's view registered %d under %s.engine.commits, want 30", got, obs.ShardPrefix(2))
+	}
+	if got := r.RollupCounter("engine.commits"); got != 60 {
+		t.Fatalf("RollupCounter = %d, want 60", got)
+	}
+	h := r.RollupHistogram("engine.commit.ack_latency")
+	if h.Count() != n {
+		t.Fatalf("RollupHistogram count = %d, want %d", h.Count(), n)
+	}
+	if h.Max() < 3*time.Millisecond || h.Min() > time.Millisecond {
+		t.Fatalf("RollupHistogram min/max wrong: min=%v max=%v", h.Min(), h.Max())
+	}
+	// Roll-ups are safe to run before traffic starts.
+	if got := r.RollupCounter("engine.aborts"); got != 0 {
+		t.Fatalf("RollupCounter over unregistered = %d, want 0", got)
 	}
 }

@@ -63,8 +63,8 @@ func TestTopologyNames(t *testing.T) {
 				defer r.Close()
 				names = r.Obs.Registry().Names()
 			}
-			if len(r.Domains) != tc.domains || r.LogDomain != r.Domains[0] || r.Router.Shards() != tc.domains {
-				t.Fatalf("%d domains (router over %d), want %d with Domains[0] embedded", len(r.Domains), r.Router.Shards(), tc.domains)
+			if len(r.Domains) != tc.domains || r.LogDomain != r.Domains[0] {
+				t.Fatalf("%d domains, want %d with Domains[0] embedded", len(r.Domains), tc.domains)
 			}
 			if got := r.Machine.Name(); got != tc.machine {
 				t.Errorf("machine %q, want %q", got, tc.machine)

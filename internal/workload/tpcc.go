@@ -24,7 +24,7 @@ type TPCC struct {
 	// Owned, when set, restricts this instance to exactly these warehouse
 	// ids: Load populates only them and Do only drives them. A sharded
 	// deployment gives each shard a clone owning a disjoint subset (see
-	// PartitionTPCC), so shards never touch each other's rows.
+	// Split), so shards never touch each other's rows.
 	Owned []int
 
 	hist uint64 // history row id source (harness-side uniqueness)

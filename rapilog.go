@@ -23,6 +23,17 @@
 // crashes are first-class operations, which is how the durability
 // experiments audit the system.
 //
+// A measured run is one call on any machine, one log domain or many:
+//
+//	res, err := dep.Run(&rapilog.TPCC{}, rapilog.RunnerConfig{Clients: 8, Duration: 10 * time.Second})
+//
+// boots every log domain, gives each its own copy of the workload (on a
+// sharded machine TPC-C and TPC-B are hash-partitioned and Stress gets one
+// instance per domain) and loads it, runs one closed-loop client pool per
+// domain, and returns the machine-wide Result with a section per domain;
+// Deployment.RollupCounter and RollupHistogram sum or merge an instrument
+// over the domains.
+//
 // See the examples/ directory for complete programs, DESIGN.md for the
 // architecture and the paper-to-module map, and EXPERIMENTS.md for the
 // reproduced evaluation.
@@ -40,7 +51,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rig"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -147,58 +157,18 @@ type (
 	Stress = workload.Stress
 	// Journal records acked-commit obligations for durability audits.
 	Journal = workload.Journal
-	// RunnerConfig parameterises a client pool.
+	// RunnerConfig parameterises each log domain's client pool in
+	// Deployment.Run.
 	RunnerConfig = workload.RunnerConfig
 	// RunResult summarises a client pool run.
 	RunResult = workload.RunResult
+	// Result is a measured run (Deployment.Run): the machine-wide totals, one
+	// RunResult per log domain, and the engines the run booted.
+	Result = rig.Result
 )
 
 // NewJournal creates an empty durability journal.
 func NewJournal() *Journal { return workload.NewJournal() }
-
-// RunClients drives a workload with a closed-loop client pool.
-func RunClients(p *Proc, dom *Domain, e *Engine, w Workload, cfg RunnerConfig) RunResult {
-	return workload.RunClients(p, dom, e, w, cfg)
-}
-
-// Sharded scale-out (Config.Shards): N fully independent log domains on one
-// machine behind a hash router (Deployment.Router), with per-shard emergency
-// dumps sized against the shared PSU hold-up budget and parallel per-shard
-// recovery.
-type (
-	// ShardRouter hash-partitions transaction keys across shards.
-	ShardRouter = shard.Router
-	// ShardedResult aggregates per-shard client-pool runs.
-	ShardedResult = workload.ShardedResult
-)
-
-// RollupCounter sums a counter ("rapilog.writes", say) across all n shards.
-func RollupCounter(reg *MetricsRegistry, n int, name string) int64 {
-	return shard.RollupCounter(reg, n, name)
-}
-
-// RollupHistogram merges a histogram across all n shards into a fleet view.
-func RollupHistogram(reg *MetricsRegistry, n int, name string) *Histogram {
-	return shard.RollupHistogram(reg, n, name)
-}
-
-// PartitionTPCC splits a TPC-C workload into per-shard clones owning
-// disjoint warehouse subsets, assigned by the router.
-func PartitionTPCC(base TPCC, r *ShardRouter) ([]*TPCC, error) {
-	return workload.PartitionTPCC(base, r)
-}
-
-// PartitionTPCB splits a TPC-B workload into per-shard clones owning
-// disjoint branch subsets, assigned by the router.
-func PartitionTPCB(base TPCB, r *ShardRouter) ([]*TPCB, error) {
-	return workload.PartitionTPCB(base, r)
-}
-
-// RunShardedClients drives one client pool per shard concurrently and
-// merges the results.
-func RunShardedClients(p *Proc, doms []*Domain, engines []*Engine, ws []Workload, journals []*Journal, cfg RunnerConfig) (ShardedResult, error) {
-	return workload.RunShardedClients(p, doms, engines, ws, journals, cfg)
-}
 
 // Observability: commit-lifecycle tracing, the unified metrics registry,
 // and the durability-exposure audit. Enable tracing with Config.Trace; a
