@@ -91,10 +91,10 @@ func main() {
 		fmt.Printf("sharding: %d independent log domains, machine-wide plug-pull\n", flags.Shards)
 	}
 	if *perTrial {
-		const row = "%-6v %-12v %-8v %-6v %-6v %-9v %-9v %-9v %-10v %-12v %-9v %s\n"
-		fmt.Printf(row, "trial", "seed", "acked", "lost", "torn", "degraded", "stranded", "repl_lag", "failovers", "split-brain", "unavail", "err")
+		const row = "%-6v %-12v %-8v %-11v %-6v %-6v %-9v %-9v %-9v %-10v %-12v %-9v %s\n"
+		fmt.Printf(row, "trial", "seed", "acked", "after_fault", "lost", "torn", "degraded", "stranded", "repl_lag", "failovers", "split-brain", "unavail", "err")
 		for i, tr := range sum.Trials {
-			fmt.Printf(row, i, tr.Seed, tr.Acked, tr.Missing, tr.Torn, tr.Degraded, tr.BufferedAfter, tr.ReplLagMax,
+			fmt.Printf(row, i, tr.Seed, tr.Acked, tr.AckedAfterFault, tr.Missing, tr.Torn, tr.Degraded, tr.BufferedAfter, tr.ReplLagMax,
 				tr.Failovers, tr.SplitBrain, tr.Unavailable.Round(time.Millisecond), errStr(tr.Err))
 		}
 	}

@@ -12,7 +12,8 @@
 // against online, by every log domain of the machine. -check re-verifies the
 // events against that contract, each domain on its own events (a sharded
 // machine's events name their shard), and exits 1 on any violation, on a
-// malformed trace, or on an artifact with no contract.
+// malformed trace, on an artifact with no contract, or on one whose window
+// holds no acked transaction.
 //
 // Usage:
 //
@@ -152,8 +153,9 @@ func describe(c *rapilog.MonitorConfig) string {
 }
 
 // runCheck re-verifies the trace offline against the contract it carries:
-// events must decode, time must not run backwards, and the invariant
-// monitor must find nothing.
+// events must decode, time must not run backwards, the invariant monitor
+// must find nothing, and the window must hold at least one acked
+// transaction — an artifact that saw none proves nothing.
 func runCheck(w io.Writer, dump rapilog.TraceDump) bool {
 	if dump.Contract == nil {
 		fmt.Fprintln(w, "check:          FAIL — the artifact carries no contract (no monitor was armed on its run), so there is nothing to check it against")
@@ -172,14 +174,19 @@ func runCheck(w io.Writer, dump rapilog.TraceDump) bool {
 		}
 	}
 	rep := rapilog.RunMonitor(events, *dump.Contract)
-	if rep.Total == 0 {
-		fmt.Fprintf(w, "check:          ok — %d events, %d acked txs, 0 violations (%s)\n",
-			rep.EventsSeen, rep.TxAcked, describe(dump.Contract))
-		return true
+	switch {
+	case rep.Total > 0:
+		fmt.Fprintf(w, "check:          FAIL — %d invariant violations (%s)\n", rep.Total, describe(dump.Contract))
+		printViolations(w, &rep)
+		return false
+	case rep.TxAcked == 0:
+		fmt.Fprintf(w, "check:          FAIL — %d events but no acked transaction: the window saw nothing the invariants promise about\n",
+			rep.EventsSeen)
+		return false
 	}
-	fmt.Fprintf(w, "check:          FAIL — %d invariant violations (%s)\n", rep.Total, describe(dump.Contract))
-	printViolations(w, &rep)
-	return false
+	fmt.Fprintf(w, "check:          ok — %d events, %d acked txs, 0 violations (%s)\n",
+		rep.EventsSeen, rep.TxAcked, describe(dump.Contract))
+	return true
 }
 
 func printViolations(w io.Writer, rep *rapilog.MonitorReport) {

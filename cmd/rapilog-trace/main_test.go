@@ -188,6 +188,22 @@ func TestCheckRefusesArtifactWithoutContract(t *testing.T) {
 	}
 }
 
+// A window with no acked transaction saw nothing the invariants promise
+// about. A failover trial that idled on to its watchdog kept only fabric
+// heartbeats, and its trace read "ok — 65536 events, 0 acked txs".
+func TestCheckRefusesArtifactThatSawNothing(t *testing.T) {
+	tr := obs.NewTracer(16)
+	obs.NewMonitor(obs.MonitorConfig{Bound: 1000, Trace: tr})
+	for i := 1; i <= 4; i++ {
+		tr.Emit(time.Duration(i)*time.Millisecond, obs.EvNetSend, 0, 0, 24, 5)
+		tr.Emit(time.Duration(i)*time.Millisecond, obs.EvNetDeliver, 0, 0, 24, 5)
+	}
+	ok, out := check(artifact(t, "trace.json", tr.WriteJSON))
+	if ok || !strings.Contains(out, "no acked transaction") || strings.Contains(out, "check:          ok") {
+		t.Fatalf("a heartbeat-only artifact was not refused:\n%s", out)
+	}
+}
+
 // A flight record is a trace dump plus the freeze: one reader loads both and
 // -check verifies either against the contract.
 func TestOneReaderLoadsFlightRecordsAndTraceDumps(t *testing.T) {

@@ -32,7 +32,7 @@ func main() {
 	// power.
 	journals := make([]*rapilog.Journal, guests)
 	for i, d := range dep.Domains {
-		d, journal := d, rapilog.NewJournal()
+		journal := rapilog.NewJournal()
 		journals[i] = journal
 		dep.S.Spawn(d.Plat.Domain(), tenant(i), func(p *rapilog.Proc) {
 			e, err := d.Boot(p)
@@ -58,14 +58,13 @@ func main() {
 			log.Fatalf("recovery: %v", err)
 		}
 		for i, d := range dep.Domains {
-			i, d := i, d
-			acked := journals[i].Len() // nothing was acknowledged after the cut
 			dep.S.Spawn(d.Plat.Domain(), tenant(i)+"-recovery", func(p *rapilog.Proc) {
 				e, err := d.Boot(p)
 				if err != nil {
 					log.Fatalf("%s boot: %v", p.Name(), err)
 				}
-				res, err := journals[i].VerifyFirst(p, e, acked)
+				// Every ack a tenant saw, the hold-up window's included.
+				res, err := journals[i].Verify(p, e)
 				if err != nil {
 					log.Fatalf("%s audit: %v", p.Name(), err)
 				}

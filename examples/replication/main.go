@@ -95,10 +95,8 @@ func main() {
 		dep.CutPower()
 	})
 
-	acked := 0
 	dep.S.Spawn(nil, "operator", func(p *rapilog.Proc) {
 		done.Wait(p)
-		acked = journal.Len()
 		p.Sleep(2 * time.Second) // hold-up window expires, machine is dark
 		rep, err := dep.RecoverAfterPower(p)
 		if err != nil {
@@ -112,12 +110,12 @@ func main() {
 			if err != nil {
 				log.Fatalf("recovery boot: %v", err)
 			}
-			vr, err := journal.VerifyFirst(p, e, acked)
+			vr, err := journal.Verify(p, e)
 			if err != nil {
 				log.Fatalf("audit: %v", err)
 			}
 			fmt.Printf("\naudit: %d acknowledged commits, %d missing, %d mismatched\n",
-				acked, vr.Missing, vr.Mismatched)
+				vr.Checked, vr.Missing, vr.Mismatched)
 			fmt.Println("the machine and its dump zone died together; the standbys were the")
 			fmt.Println("durability domain — that is what a quorum ack buys.")
 		})

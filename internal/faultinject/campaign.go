@@ -2,19 +2,23 @@ package faultinject
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // This file is the campaign engine: what every trial and campaign runs on
 // whatever its fault or topology. A campaign is validate → runSeeded → fold
-// (RunCampaign); a trial is build → load → inject → recover → audit and ends
-// in finish. A new fault is a case in a trial body's operator process, a new
-// topology is a trial body; neither is a new runner.
+// (RunCampaign); a trial is build → load → inject → recover → audit, runs
+// until its audit is done (runToAudit) and ends in finish. A new fault is a
+// case in a trial body's operator process, a new topology is a trial body;
+// neither is a new runner.
 
 // runSeeded is the worker pool: it runs cfg.Trials trials with seeds
 // Rig.Seed + i·7919, up to cfg.Parallel at a time (0 means GOMAXPROCS), and
@@ -59,16 +63,54 @@ func injectDelay(s *sim.Sim, min, max time.Duration) time.Duration {
 	return min
 }
 
+// audit is the one obligation rule: every acknowledgement journal js[i]
+// holds must be found on es[i], the recovered engine of the log domain that
+// made it, whether it was made before the fault or after (atFault is how many
+// were journaled at injection). The clients are dead or done by now, so the
+// journals are complete.
+func (res *TrialResult) audit(p *sim.Proc, js []*workload.Journal, es []*engine.Engine, atFault int) error {
+	res.Acked = journaled(js)
+	res.AckedAfterFault = res.Acked - atFault
+	for i, e := range es {
+		vr, err := js[i].Verify(p, e)
+		if err != nil {
+			return fmt.Errorf("audit domain %d: %w", i, err)
+		}
+		res.Missing += vr.Missing
+		res.Mismatched += vr.Mismatched
+	}
+	return nil
+}
+
+// journaled counts the acknowledgements js hold.
+func journaled(js []*workload.Journal) int {
+	n := 0
+	for _, j := range js {
+		n += j.Len()
+	}
+	return n
+}
+
+// runToAudit drives a trial's simulation until audited fires — the trial's
+// last act — and no further, so its capture ends with the run rather than
+// with idle daemons. A trial that has not fired it within ten virtual
+// minutes did not complete.
+func runToAudit(s *sim.Sim, audited *sim.Event) error {
+	late := false
+	s.After(10*time.Minute, func() { late = true; audited.Fire() })
+	err := s.RunUntilEvent(audited)
+	if err == nil && late {
+		err = errors.New("trial did not complete")
+	}
+	return err
+}
+
 // finish is the one trial epilogue: the online monitor's verdict, the
 // forensic capture (nil unless the deployment ran traced) and the trial's
-// error — its own first, then the simulation's, then "the audit never ran".
-func (res *TrialResult) finish(s *sim.Sim, runErr error, audited *sim.Event, o *obs.Obs, mon *obs.Monitor, fl *obs.FlightRecorder) {
-	switch {
-	case res.Err != nil:
-	case runErr != nil:
+// error — its own first, then the run's (runToAudit).
+func (res *TrialResult) finish(s *sim.Sim, runErr error, o *obs.Obs, mon *obs.Monitor, fl *obs.FlightRecorder) {
+	if res.Err == nil {
 		res.Err = runErr
-	case !audited.Fired():
-		res.Err = errors.New("trial did not complete")
 	}
 	mr := mon.Report() // the zero report when no monitor is armed
 	res.MonitorViolations, res.SplitBrain = mr.Total, mr.ByKind[obs.InvSingleWriter.String()]

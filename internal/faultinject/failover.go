@@ -31,7 +31,9 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 	exLeader := c.LeaderName()
 
 	audited := s.NewEvent("failover.audited")
+	operated := s.NewEvent("failover.operated")
 	var injectAt time.Duration
+	atFault := 0
 
 	// Life 1: boot the initial leader, load, and publish it to the directory.
 	s.Spawn(c.LeaderRig().Plat.Domain(), "db", func(p *sim.Proc) {
@@ -56,6 +58,8 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 			Reg:      c.Obs.Registry(),
 			Trace:    c.Obs.Tracer(),
 		})
+		// Audit once the sessions and the operator are both done.
+		operated.Wait(p)
 		ld := dir.Leader()
 		if ld.Eng == nil || ld.Dom == nil || ld.Dom.Dead() {
 			res.Err = fmt.Errorf("no live leader at audit time (gen %d)", ld.Gen)
@@ -64,13 +68,9 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 		vdone := s.NewEvent("failover.verify")
 		s.Spawn(ld.Dom, "audit", func(vp *sim.Proc) {
 			defer vdone.Fire()
-			vr, err := j.Verify(vp, ld.Eng)
-			if err != nil {
-				res.Err = fmt.Errorf("audit: %w", err)
-				return
+			if err := res.audit(vp, []*workload.Journal{j}, []*engine.Engine{ld.Eng}, atFault); err != nil {
+				res.Err = err
 			}
-			res.Missing = vr.Missing
-			res.Mismatched = vr.Mismatched
 		})
 		vdone.Wait(p)
 	})
@@ -78,8 +78,9 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 	// Operator: inject at a sampled instant, wait for the takeover, rejoin
 	// the deposed node.
 	s.Spawn(nil, "operator", func(p *sim.Proc) {
+		defer operated.Fire()
 		p.Sleep(injectDelay(s, cfg.InjectAfterMin, cfg.InjectAfterMax))
-		res.Acked = j.Len()
+		atFault = j.Len()
 		injectAt = p.Now().Duration()
 		switch cfg.Fault {
 		case LeaderPowerCut:
@@ -121,7 +122,7 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 		}
 	})
 
-	runErr := s.RunFor(10 * time.Minute)
+	runErr := runToAudit(s, audited)
 
 	res.Failovers = c.Coord.Failovers()
 	if first, ok := dir.FirstSuccess(2); ok && first > injectAt {
@@ -132,5 +133,5 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 	res.FenceRejections = c.Obs.Registry().Counter("ha.fence_rejections").Value()
 	res.ReplayBytes = c.LastReplay.Bytes
 	res.ReplayEntries = c.LastReplay.Entries
-	res.finish(s, runErr, audited, c.Obs, c.Monitor, c.Flight)
+	res.finish(s, runErr, c.Obs, c.Monitor, c.Flight)
 }

@@ -5,8 +5,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rig"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestFailoverSummaryCountsMonitorViolations: the failover fold used to pin
@@ -86,6 +89,38 @@ func TestFailoverCampaignComposed(t *testing.T) {
 	requireClean(t, RunCampaign(failoverBase(CoordAndLeader, 2)))
 }
 
+// journalTap hands a test the journal a trial's clients record into. Stress
+// behind it runs as one client (Do), which a test that only counts acks
+// does not mind.
+type journalTap struct {
+	workload.Workload
+	j *workload.Journal
+}
+
+func (t *journalTap) Do(p *sim.Proc, e *engine.Engine, j *workload.Journal) error {
+	t.j = j
+	return t.Workload.Do(p, e, j)
+}
+
+// TestClusterTrialAckedIsWhatItAudited: a cluster trial audited every
+// journaled ack but reported only those made before injection, an eighth of
+// what it checked. Acked is now the journal the audit read.
+func TestClusterTrialAckedIsWhatItAudited(t *testing.T) {
+	cfg := failoverBase(LeaderPowerCut, 1)
+	tap := &journalTap{Workload: &workload.Stress{ValueSize: 1000}}
+	cfg.NewWorkload = func() workload.Workload { return tap }
+	res := RunTrial(cfg, 1234)
+	if !res.Ok() {
+		t.Fatalf("trial not clean: %+v err=%v", res, res.Err)
+	}
+	if tap.j == nil || res.Acked != tap.j.Len() {
+		t.Fatalf("Acked %d, but the audit checked the journal's %d", res.Acked, tap.j.Len())
+	}
+	if res.AckedAfterFault <= 0 || res.AckedAfterFault >= res.Acked {
+		t.Fatalf("%d of %d acks after the cut: a takeover trial acks on both sides of it", res.AckedAfterFault, res.Acked)
+	}
+}
+
 // TestFailoverTrialForensics checks that a traced trial captures the full
 // artifact set and the ha.* counters move.
 func TestFailoverTrialForensics(t *testing.T) {
@@ -108,12 +143,24 @@ func TestFailoverTrialForensics(t *testing.T) {
 	if res.ReplayBytes == 0 || res.ReplayEntries == 0 {
 		t.Fatalf("promotion replayed nothing: %+v", res)
 	}
-	// Schedule-preservation golden (see golden_test.go). Re-captured when
-	// the promoted engine began serving before its post-redo checkpoint: the
-	// takeover shrank from 849 ms to 509 ms, so the isolated leader has less
-	// of its deposed epoch to retransmit into the fence once healed (396
-	// rejections before).
-	if res.Acked != 2157 || res.Unavailable != 509405152*time.Nanosecond || res.Redirects != 4 ||
+	// The trial ends at its audit, so the ring holds the run. Idling on to
+	// the watchdog filled it with minutes of heartbeats: no tx_ack at all.
+	events, err := res.Artifacts.Trace.DecodedEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := 0
+	for _, e := range events {
+		if e.Kind == obs.EvTxAck {
+			acks++
+		}
+	}
+	if acks == 0 {
+		t.Fatalf("the retained trace holds no tx_ack among its %d events", len(events))
+	}
+	// Schedule-preservation golden (see golden_test.go). Acked is every
+	// journaled ack, 26 019 of them made after the isolation.
+	if res.Acked != 28176 || res.AckedAfterFault != 26019 || res.Unavailable != 509405152*time.Nanosecond || res.Redirects != 4 ||
 		res.FenceRejections != 240 || res.ReplayBytes != 11370496 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
@@ -121,8 +168,8 @@ func TestFailoverTrialForensics(t *testing.T) {
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "e5288dcf386d42d830d130cff067d1c2dc11815d83330636584f6ad1ea862afe" ||
-		me != "1d135dc67b23b261e0f46fe42a05e9a68da7d2755a55d9aa43afd99429def71f" {
+	if tr != "a9c21bdb2b680d9a4e9fcee3eb3c533aa3960adf4b00cba4e557f68d5a2a05d5" ||
+		me != "5ddd8582e4d3c0423b53c004a1fbea86f821a0c5b7ac06cae5c608bdd6b7b85a" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

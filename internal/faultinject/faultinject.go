@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/engine"
 	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -257,11 +256,14 @@ func (c *CampaignConfig) validate() error {
 
 // TrialResult is one trial's outcome.
 type TrialResult struct {
-	Seed       int64
-	Fault      Fault // what was injected; empty when the config was rejected
-	Acked      int   // transactions acknowledged before the fault
-	Missing    int   // acked transactions absent after recovery
-	Mismatched int
+	Seed  int64
+	Fault Fault // what was injected; empty when the config was rejected
+	// Acked is every ack a client saw, each an obligation (TrialResult.audit);
+	// AckedAfterFault counts those made after the fault was injected.
+	Acked           int
+	AckedAfterFault int
+	Missing         int // acked transactions absent after recovery
+	Mismatched      int
 	// Torn: the RapiLog dump ended mid-entry. Unsafe sizing tears dumps, and
 	// so, on a slow disk, can the safe bound (ROADMAP item 7).
 	Torn    bool
@@ -275,8 +277,7 @@ type TrialResult struct {
 	// Replicated-machine trials: the replication stream's peak unacked depth
 	// (records shipped but not yet held by every standby).
 	ReplLagMax int64
-	// Leader-fault trials. Missing/Mismatched then audit every acked op —
-	// before or after the takeover — against the final leader's engine.
+	// Leader-fault trials: the audit runs on the final leader's engine.
 	// Failovers is how many takeovers the coordinator completed; exactly one
 	// is clean.
 	Failovers int
@@ -318,13 +319,14 @@ func (t TrialResult) Ok() bool {
 
 // Summary aggregates a campaign.
 type Summary struct {
-	Config     CampaignConfig
-	Trials     []TrialResult
-	TotalAcked int
-	TotalLost  int
-	Violations int // trials with any loss or corruption
-	Errors     int
-	firstErr   error
+	Config               CampaignConfig
+	Trials               []TrialResult
+	TotalAcked           int
+	TotalAckedAfterFault int
+	TotalLost            int
+	Violations           int // trials with any loss or corruption
+	Errors               int
+	firstErr             error
 	// MonitorViolations totals the online monitor's findings across trials.
 	MonitorViolations int
 	DegradedTrials    int   // trials that ended with the logger in pass-through
@@ -352,6 +354,7 @@ func (s *Summary) add(res TrialResult) {
 	res.Artifacts = nil
 	s.Trials = append(s.Trials, res)
 	s.TotalAcked += res.Acked
+	s.TotalAckedAfterFault += res.AckedAfterFault
 	s.TotalLost += res.Missing
 	if res.Missing > 0 || res.Mismatched > 0 {
 		s.Violations++
@@ -434,8 +437,8 @@ func (s Summary) String() string {
 	if s.Config.Compose != "" {
 		fault += "+" + string(s.Config.Compose)
 	}
-	return fmt.Sprintf("%s/%s: %d trials, %d acked commits, %d lost, %d violating trials, %d errors%s",
-		topo, fault, len(s.Trials), s.TotalAcked, s.TotalLost, s.Violations, s.Errors, extra)
+	return fmt.Sprintf("%s/%s: %d trials, %d acked commits (%d after the fault), %d lost, %d violating trials, %d errors%s",
+		topo, fault, len(s.Trials), s.TotalAcked, s.TotalAckedAfterFault, s.TotalLost, s.Violations, s.Errors, extra)
 }
 
 // RunCampaign executes cfg.Trials independent trials on the campaign
@@ -458,10 +461,10 @@ func RunCampaign(cfg CampaignConfig) Summary {
 // RunTrial executes one load→fault→recover→audit cycle in a fresh
 // simulation with the given seed, on the topology the fault calls for: a
 // cluster for a leader fault (clusterTrial), one machine for every other
-// (machineTrial). The two bodies are different programs — guest-resident
-// clients audited on the acked-before-injection prefix, against sessions
-// outside every crash domain audited on the final leader — and everything
-// around them is shared.
+// (machineTrial). The bodies keep different client pools — guest-resident
+// clients against sessions outside every crash domain — and share the rest:
+// every journaled ack is an obligation (TrialResult.audit), and the trial
+// ends with its audit (runToAudit, then finish).
 func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -479,10 +482,10 @@ func RunTrial(cfg CampaignConfig, seed int64) TrialResult {
 }
 
 // machineTrial is the trial body on one machine. Every log domain gets its
-// own workload copy, journal and client pool, and its acked prefix is
-// audited against the engine that acked it; the machine-wide fault (PowerCut)
-// hits them all, every other fault acts on the one domain an unsharded
-// machine has.
+// own workload copy, journal and client pool, and its acks are audited
+// against the engine that made them; the machine-wide fault (PowerCut) hits
+// them all, every other fault acts on the one domain an unsharded machine
+// has.
 func machineTrial(cfg CampaignConfig, res *TrialResult) {
 	if cfg.Fault.isMediaFault() && !cfg.Rig.LogFault.Enabled {
 		// The fault layer starts quiet; the operator opens the window.
@@ -514,42 +517,23 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 
 	loaded := s.NewEvent("loaded")
 	audited := s.NewEvent("audited")
+	atFault := 0
 
-	// boot opens every domain's engine, in domain order.
-	boot := func(p *sim.Proc) ([]*engine.Engine, error) {
-		engines := make([]*engine.Engine, n)
-		for i, d := range r.Domains {
-			e, err := d.Boot(p)
-			if err != nil {
-				return nil, fmt.Errorf("domain %d: %w", i, err)
-			}
-			engines[i] = e
-		}
-		return engines, nil
-	}
 	// Life 1: boot, load, serve until the fault kills us.
-	start := func(p *sim.Proc) ([]*engine.Engine, error) {
-		engines, err := boot(p)
-		if err != nil {
-			return nil, fmt.Errorf("boot: %w", err)
-		}
+	s.Spawn(nil, "boot", func(p *sim.Proc) {
+		engines, err := r.BootAll(p)
+		res.Err = err
 		for i, e := range engines {
 			if err := wls[i].Load(p, e); err != nil {
-				return nil, fmt.Errorf("load domain %d: %w", i, err)
+				res.Err, engines = fmt.Errorf("load domain %d: %w", i, err), nil
+				break
 			}
 		}
-		return engines, nil
-	}
-	s.Spawn(nil, "boot", func(p *sim.Proc) {
-		engines, err := start(p)
-		res.Err = err
 		// The operator's inject delay and the clients draw from one generator
 		// (see injectDelay): loaded fires before any client is spawned.
 		loaded.Fire()
 		for i, e := range engines {
-			i, e := i, e
-			for c := 0; c < cfg.Clients; c++ {
-				client := c
+			for client := 0; client < cfg.Clients; client++ {
 				// Clients live in their domain's guest and die with it.
 				s.Spawn(r.Domains[i].Plat.Domain(), fmt.Sprintf("dom%d.client%d", i, client), func(cp *sim.Proc) {
 					for {
@@ -570,26 +554,12 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 			return
 		}
 		p.Sleep(injectDelay(s, cfg.InjectAfterMin, cfg.InjectAfterMax))
-		// Obligations are per domain: a commit acked by domain i must be
-		// found on domain i after recovery, not anywhere else.
-		ackedPer := make([]int, n)
-		sampleAcked := func() {
-			res.Acked = 0
-			for i, j := range journals {
-				ackedPer[i] = j.Len()
-				res.Acked += ackedPer[i]
-			}
-		}
-		sampleAcked()
+		atFault = journaled(journals)
 		powerCut := cfg.Fault == PowerCut
 		guestDown := cfg.Fault == GuestCrash
 		// composeMid fires the composed second fault at the midpoint of a
-		// replica outage. The obligation set is re-sampled first: commits
-		// acked during the outage are legitimate promises of whatever
-		// policy is active (under AckLocal the partition doesn't slow acks
-		// at all — which is exactly the exposure A9 demonstrates).
+		// replica outage.
 		composeMid := func() {
-			sampleAcked()
 			switch cfg.Compose {
 			case PowerCut:
 				r.CutPower()
@@ -653,10 +623,8 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 			}
 		} else {
 			if cfg.Fault.isMediaFault() || (cfg.Fault.isReplicaFault() && !guestDown) {
-				// The machine never died: every acknowledgement up to this
-				// crash — including those made during the fault window — is
-				// an obligation the audit must see honoured.
-				sampleAcked()
+				// The machine never died: crash its guest, so the audit
+				// reads what recovery makes of the acks made up to here.
 				r.CrashOS()
 				// The hypervisor outlives the guest; give its drainer (and,
 				// when degraded, the probe cadence) time to land the backlog
@@ -672,30 +640,20 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 		}
 		s.Spawn(nil, "audit", func(p *sim.Proc) {
 			defer audited.Fire()
-			engines, err := boot(p)
+			engines, err := r.BootAll(p)
 			if err != nil {
-				res.Err = fmt.Errorf("recovery boot: %w", err)
+				res.Err = fmt.Errorf("recovery: %w", err)
 				return
 			}
-			// Audit only what was acked before injection: acks raced with
-			// the fault are not obligations.
-			for i, e := range engines {
-				vr, err := journals[i].VerifyFirst(p, e, ackedPer[i])
-				if err != nil {
-					res.Err = fmt.Errorf("audit domain %d: %w", i, err)
-					return
-				}
-				res.Missing += vr.Missing
-				res.Mismatched += vr.Mismatched
-			}
+			res.Err = res.audit(p, journals, engines, atFault)
 		})
 	})
 
-	runErr := s.RunFor(10 * time.Minute)
+	runErr := runToAudit(s, audited)
 	for _, d := range r.Domains {
 		if d.Fabric != nil {
 			res.ReplLagMax = max(res.ReplLagMax, d.Obs.Registry().Gauge("repl.lag").Peak())
 		}
 	}
-	res.finish(s, runErr, audited, r.Obs, r.Monitor, r.Flight)
+	res.finish(s, runErr, r.Obs, r.Monitor, r.Flight)
 }

@@ -56,6 +56,27 @@ func TestRapiLogSurvivesPowerCuts(t *testing.T) {
 	}
 }
 
+// TestRapiLogKeepsAcksOfTheHoldUpWindow: the guest runs on for the PSU's
+// hold-up window, and writes already in the buffer when the power-fail
+// interrupt lands still complete and ack. Those acks are promises too. The
+// audit once checked only acks made before injection, so a logger that kept
+// acknowledging after the interrupt without buffering anything lost
+// 120 788 of 501 886 acks over eight stress trials and passed with 0 lost.
+func TestRapiLogKeepsAcksOfTheHoldUpWindow(t *testing.T) {
+	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
+	cfg.NewWorkload = func() workload.Workload { return &workload.Stress{} }
+	sum := RunCampaign(cfg)
+	if sum.Errors > 0 {
+		t.Fatalf("campaign errors: %v", sum.FirstErr())
+	}
+	if sum.TotalAckedAfterFault == 0 {
+		t.Fatalf("no ack after the power-fail interrupt: the hold-up window went unaudited: %s", sum)
+	}
+	if sum.TotalLost != 0 || sum.Violations != 0 {
+		t.Fatalf("RapiLog lost acks of the hold-up window: %s", sum)
+	}
+}
+
 func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
 	cfg.Rig.Shards = 2

@@ -69,24 +69,24 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 // and says why. The failover golden rides on TestFailoverTrialForensics,
 // which runs that trial anyway.
 //
-// All four were last re-captured when a recovered engine began serving
-// before the checkpoint that folds its redone pages: every outcome is
-// unchanged but the failover trial's takeover, and each trace's events
-// before the fault are the same (At, Kind, Arg1, Arg2) as before; only what
-// follows recovery moved. The metrics of the two unsharded machine trials
-// did not move at all.
+// All four were last re-captured when the audit began checking every
+// journaled ack and a trial began ending with its audit instead of idling
+// to the ten-minute watchdog. The three machine trials' schedule hashes did
+// not move; each acks one more transaction after the fault (Acked +1), and
+// their metrics no longer count the idle tail. The failover trial's
+// trace is the old one's first 467 098 events, cut where its audit ends.
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
 	cfg.Rig.Trace = true
 	res := RunTrial(cfg, 42)
-	if res.Err != nil || res.Acked != 3004 || res.Missing != 0 || !res.HadDump {
+	if res.Err != nil || res.Acked != 3005 || res.AckedAfterFault != 1 || res.Missing != 0 || !res.HadDump {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "1617d15f408c4a4101f904fbef311845cf61b2f95eccc0d26a97e40ac85b4d1c" ||
-		me != "e99a5fc954f8dafe642e977cd49068a4e24d85f64436e49484b06e547c86dcb7" {
+		me != "0841469d65c6110440217c94717ce238a7758c4dba0ff5bd666c1a844324b192" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -99,7 +99,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	cfg.Rig.Trace = true
 	cfg.NewWorkload = func() workload.Workload { return &workload.Stress{ValueSize: 2000} }
 	res := RunTrial(cfg, 99)
-	if res.Err != nil || res.Acked != 466 || res.Missing != 0 || res.ReplLagMax != 2 {
+	if res.Err != nil || res.Acked != 467 || res.AckedAfterFault != 1 || res.Missing != 0 || res.ReplLagMax != 2 {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
@@ -107,7 +107,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "41e58c5fe9e44e7b409841536b69bb32a288054b48562ae0c71157e59f3231ab" ||
-		me != "539885f72e56ddd7b9b97c1c2e31892de1980396028fefaf2bd0029a2ab4de6e" {
+		me != "4bce8492536bdfd2aaa067a49100ae3114cded35b9d132a8bbf8578d847ce9a1" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -120,7 +120,7 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 	cfg.Rig.Shards = 3
 	cfg.Rig.Trace, cfg.Rig.Flight = true, true
 	res := RunTrial(cfg, 42)
-	if res.Err != nil || res.Acked != 7688 || res.Missing != 0 || !res.HadDump || res.DumpRetries != 0 {
+	if res.Err != nil || res.Acked != 7689 || res.AckedAfterFault != 1 || res.Missing != 0 || !res.HadDump || res.DumpRetries != 0 {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 4201113})
@@ -129,7 +129,7 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "363e867bd41dfdd2d6682ad70123e87f9b83f12cbb5edf0cfb30905fe1e52d06" ||
-		me != "5f1e0eaf52725abc74a81b19524b1980bf64f1476b321e0bd43fd726b9840b76" {
+		me != "d2108eb556f784b54ba00ded2464a28594cae8620e36740c56fc9499ba70613a" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

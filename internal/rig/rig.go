@@ -127,8 +127,9 @@ type Config struct {
 	// (when replicated) fabric + standby fleet; Rig.Run hash-partitions a
 	// workload across them. They share the simulation, the power supply (so
 	// each buffer is sized by the N-sharer hold-up budget) and the one
-	// hypervisor. 0 is the paper's machine: one domain, no name prefix.
-	// RapiLog mode only: the other modes have no log device to partition.
+	// hypervisor. 0 is the paper's machine: one domain, no name prefix; 1 is
+	// the same machine (Normalize folds it to 0). RapiLog mode only: the other
+	// modes have no log device to partition.
 	Shards int
 	// Replicas is the standby count, and replication is nothing else: with
 	// Replicas > 0 every log domain of a RapiLog machine ships its log to its
@@ -159,8 +160,12 @@ const defaultReplicas = 2
 // Normalize resolves the config in place — defaults, then a check naming the
 // field of what no machine can be built from — and is idempotent. It is the
 // one place replication is decided: a remote AckPolicy gets Replicas 2 and K
-// 1 unless set, K ≤ Replicas, and Replicas > 0 is what "replicated" means.
+// 1 unless set, K ≤ Replicas, and Replicas > 0 is what "replicated" means. A
+// one-domain machine has one encoding: Shards 1 becomes 0.
 func (c *Config) Normalize() error {
+	if c.Shards == 1 {
+		c.Shards = 0
+	}
 	if c.Mode == "" {
 		c.Mode = RapiLog
 	}

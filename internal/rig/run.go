@@ -21,6 +21,19 @@ type Result struct {
 	Engines []*engine.Engine
 }
 
+// BootAll opens every log domain's engine, in domain order.
+func (r *Rig) BootAll(p *sim.Proc) ([]*engine.Engine, error) {
+	engines := make([]*engine.Engine, len(r.Domains))
+	for i, d := range r.Domains {
+		e, err := d.Boot(p)
+		if err != nil {
+			return nil, fmt.Errorf("rig: log domain %d boot: %w", i, err)
+		}
+		engines[i] = e
+	}
+	return engines, nil
+}
+
 // Run is the one measured run. From a driver in the machine's root domain it
 // boots every log domain in order, gives each its own copy of w and loads it,
 // then runs one closed-loop client pool per domain (workload.RunClients;
@@ -29,11 +42,10 @@ type Result struct {
 // and die with it; its pool's runner lives in the root domain, so a crash
 // cuts short only that domain's measurement.
 //
-// The paper's machine (Config.Shards 0) runs w itself. A fleet splits it
-// (workload.Split), a fleet of one included: its one clone owns every id,
-// which is its own schedule. A workload that cannot be split, or one journal
-// for several domains — an ack is audited against the domain that made it —
-// is refused before anything boots.
+// The paper's machine (one log domain) runs w itself. A fleet splits it
+// (workload.Split). A workload that cannot be split, or one journal for
+// several domains — an ack is audited against the domain that made it — is
+// refused before anything boots.
 func (r *Rig) Run(w workload.Workload, rc workload.RunnerConfig) (Result, error) {
 	n := len(r.Domains)
 	if rc.Journal != nil && n > 1 {
@@ -46,16 +58,13 @@ func (r *Rig) Run(w workload.Workload, rc workload.RunnerConfig) (Result, error)
 			return Result{}, err
 		}
 	}
-	res := Result{Domains: make([]workload.RunResult, n), Engines: make([]*engine.Engine, n)}
+	res := Result{Domains: make([]workload.RunResult, n)}
 	var runErr error
 	done := r.S.NewEvent("run.done")
 	r.S.Spawn(nil, "run", func(p *sim.Proc) {
 		defer done.Fire()
-		for i, d := range r.Domains {
-			if res.Engines[i], runErr = d.Boot(p); runErr != nil {
-				runErr = fmt.Errorf("rig: log domain %d boot: %w", i, runErr)
-				return
-			}
+		if res.Engines, runErr = r.BootAll(p); runErr != nil {
+			return
 		}
 		for i, e := range res.Engines {
 			if runErr = ws[i].Load(p, e); runErr != nil {

@@ -7,23 +7,26 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// bootAll opens every domain's engine, in domain order.
-func bootAll(p *sim.Proc, r *Rig) ([]*engine.Engine, error) {
-	engines := make([]*engine.Engine, len(r.Domains))
-	for i, d := range r.Domains {
-		e, err := d.Boot(p)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d boot: %w", i, err)
-		}
-		engines[i] = e
+// TestOneShardIsThePapersMachine: a one-domain machine has one encoding.
+// Shards 1 used to build a fleet of one: "shard0."-prefixed names, its own
+// seed offset, and a Run that split the workload into a one-clone partition
+// drawing one more random number per transaction — a second schedule for
+// the same machine.
+func TestOneShardIsThePapersMachine(t *testing.T) {
+	r, err := New(Config{Seed: 3, NoDaemons: true, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return engines, nil
+	defer r.Close()
+	if r.Cfg.Shards != 0 || len(r.Domains) != 1 || r.at.prefix != "" || r.at.seedOffset != 0 {
+		t.Fatalf("Shards 1 built a fleet: Cfg.Shards %d, %d domains, prefix %q, seed offset %d",
+			r.Cfg.Shards, len(r.Domains), r.at.prefix, r.at.seedOffset)
+	}
 }
 
 // TestShardedBootCommitAndMetrics is the scale-out smoke: every shard
@@ -49,7 +52,7 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 	}
 	journals := [n]*workload.Journal{workload.NewJournal(), workload.NewJournal()}
 	sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-		engines, err := bootAll(p, sh)
+		engines, err := sh.BootAll(p)
 		if err != nil {
 			t.Errorf("boot: %v", err)
 			return
@@ -118,7 +121,7 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 				journals[i] = workload.NewJournal()
 			}
 			sh.S.Spawn(nil, "drive", func(p *sim.Proc) {
-				engines, err := bootAll(p, sh)
+				engines, err := sh.BootAll(p)
 				if err != nil {
 					t.Errorf("boot: %v", err)
 					return
@@ -160,7 +163,7 @@ func TestShardedPowerCutZeroAckedLoss(t *testing.T) {
 						t.Errorf("shard %d dumped %d bytes, exceeds its hold-up share %d", i, sr.Bytes, bound)
 					}
 				}
-				engines, err := bootAll(p, sh)
+				engines, err := sh.BootAll(p)
 				if err != nil {
 					t.Errorf("reboot: %v", err)
 					return

@@ -66,9 +66,11 @@ func (j *Journal) Verify(p *sim.Proc, e *engine.Engine) (VerifyResult, error) {
 	return j.VerifyFirst(p, e, len(j.entries))
 }
 
-// VerifyFirst checks only the first n obligations — those recorded before
-// a known instant (e.g. fault injection). Acks that raced the fault are
-// not obligations.
+// VerifyFirst checks only the first n obligations. Every ack a client saw is
+// an obligation, so an audit calls Verify; the one caller left is the
+// benchmark's failover workload (benchmark/failover.go), which audits the
+// acks made up to its first commit on the promoted leader and switches to
+// Verify with the next change to the benchmark (ROADMAP item 4).
 func (j *Journal) VerifyFirst(p *sim.Proc, e *engine.Engine, n int) (VerifyResult, error) {
 	if n > len(j.entries) {
 		n = len(j.entries)
