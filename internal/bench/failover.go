@@ -20,9 +20,10 @@ import (
 // (the census quorum N−K+1 intersects every ack quorum, and the winner's
 // prefix is replayed before the new epoch opens), zero split-brain (the
 // fence makes the deposed epoch unackable, so the single-writer-per-epoch
-// invariant never fires), and a client-visible unavailability window of
-// about a second: failure detection, then the promoted node's recovery
-// streaming its log.
+// invariant never fires), and a client-visible unavailability window under
+// a second: failure detection — the dying leader's power-fail notice, or
+// the heartbeat detector when no notice reaches the coordinator — then the
+// promoted node's recovery streaming its log.
 func runA11(opts Options) (*Report, error) {
 	opts.applyDefaults()
 	trials := 50
@@ -88,9 +89,10 @@ func runA11(opts Options) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"expected shape: every campaign loses nothing and never double-writes an epoch — the",
 		"census quorum (N−K+1) provably intersects every ack quorum, and the fence makes the",
-		"deposed epoch unackable before the new one opens; the unavailability window is about",
-		"a second, failure detection first, then the promoted node's recovery streaming the",
-		"whole replicated log (snapshot catch-up is future work); an isolated-then-healed",
-		"leader surfaces as fence rejections, not lost data.")
+		"deposed epoch unackable before the new one opens; a plug-pull is detected at the dying",
+		"leader's power-fail notice, so its window is mostly the promoted node's recovery",
+		"streaming the whole replicated log (snapshot catch-up is future work); an isolation, or",
+		"a plug-pull nobody was watching, waits out the heartbeat detector first; an",
+		"isolated-then-healed leader surfaces as fence rejections, not lost data.")
 	return rep, nil
 }

@@ -397,7 +397,7 @@ func TestShapeA10(t *testing.T) {
 }
 
 // a11UnavailBound is each A11 campaign's unavailability p50 bound, in ms.
-var a11UnavailBound = map[string]float64{"power-cut": 800, "isolation": 600, "coordinator+power-cut": 950}
+var a11UnavailBound = map[string]float64{"power-cut": 400, "isolation": 450, "coordinator+power-cut": 950}
 
 func TestShapeA11Failover(t *testing.T) {
 	rep := runExp(t, "a11")
@@ -417,11 +417,14 @@ func TestShapeA11Failover(t *testing.T) {
 			t.Errorf("%s: %.0f trials without a single clean takeover", label, inc)
 		}
 		// A takeover that cost no downtime would mean the fault never bit.
-		// The bound is each campaign's window with the promoted engine
-		// serving before its post-redo checkpoint (731, 511 and 851 ms here,
-		// on the virtual clock), plus margin; folding on the boot path costs
-		// 160–170 ms more per campaign, and reading the log a block at a time
-		// costs seconds.
+		// The bound is each campaign's window (221, 363 and 851 ms here, on
+		// the virtual clock), plus margin. Detection on heartbeat silence
+		// alone, with sessions that wait out their op timeout on the deposed
+		// leader, fails the first two (731 and 510 ms); the composed
+		// campaign's coordinator is down when the notice is sent, so it
+		// keeps the heartbeat detector.
+		// Folding on the boot path costs 160–170 ms more per campaign, and
+		// reading the log a block at a time costs seconds.
 		if p50 := v(t, rep, label+"/unavail_p50_ms"); p50 == 0 || p50 >= a11UnavailBound[label] {
 			t.Errorf("%s: unavailability p50 %.0f ms, want a nonzero window under %.0f ms", label, p50, a11UnavailBound[label])
 		}

@@ -89,6 +89,32 @@ func TestFailoverCampaignComposed(t *testing.T) {
 	requireClean(t, RunCampaign(failoverBase(CoordAndLeader, 2)))
 }
 
+// TestComposedFaultFallsBackToHeartbeat: the dying leader's power-fail
+// notice reaches a crashed coordinator nowhere, so the composed fault's
+// takeover waits out the coordinator's outage and then the heartbeat
+// detector's 120 ms of silence. A plug-pull the coordinator watches, at the
+// same instant of the same seed, is detected at the notice: it is spared
+// more than the whole outage. Detected on silence, it was spared less, the
+// hold-up the dying leader's agent kept answering through.
+func TestComposedFaultFallsBackToHeartbeat(t *testing.T) {
+	const failAfter = 120 * time.Millisecond
+	composed := RunTrial(failoverBase(CoordAndLeader, 1), 1234)
+	watched := RunTrial(failoverBase(LeaderPowerCut, 1), 1234)
+	for _, res := range []TrialResult{composed, watched} {
+		if !res.Ok() {
+			t.Fatalf("%s trial not clean: %+v err=%v", res.Fault, res, res.Err)
+		}
+	}
+	if floor := coordOutage + failAfter; composed.Unavailable < floor {
+		t.Fatalf("composed fault unavailable %v, under the outage plus the detector's silence (%v): a lost notice counted",
+			composed.Unavailable, floor)
+	}
+	if spared := composed.Unavailable - watched.Unavailable; spared <= coordOutage {
+		t.Fatalf("watched plug-pull unavailable %v, composed %v: the notice spared %v, want more than the %v outage",
+			watched.Unavailable, composed.Unavailable, spared, coordOutage)
+	}
+}
+
 // journalTap hands a test the journal a trial's clients record into. Stress
 // behind it runs as one client (Do), which a test that only counts acks
 // does not mind.
@@ -159,17 +185,17 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("the retained trace holds no tx_ack among its %d events", len(events))
 	}
 	// Schedule-preservation golden (see golden_test.go). Acked is every
-	// journaled ack, 26 019 of them made after the isolation.
-	if res.Acked != 28176 || res.AckedAfterFault != 26019 || res.Unavailable != 509405152*time.Nanosecond || res.Redirects != 4 ||
-		res.FenceRejections != 240 || res.ReplayBytes != 11370496 {
+	// journaled ack, 26 133 of them made after the isolation.
+	if res.Acked != 28290 || res.AckedAfterFault != 26133 || res.Unavailable != 469675076*time.Nanosecond || res.Redirects != 4 ||
+		res.FenceRejections != 200 || res.ReplayBytes != 11370496 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
 		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
 	})
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "a9c21bdb2b680d9a4e9fcee3eb3c533aa3960adf4b00cba4e557f68d5a2a05d5" ||
-		me != "5ddd8582e4d3c0423b53c004a1fbea86f821a0c5b7ac06cae5c608bdd6b7b85a" {
+	if tr != "c8d92310614cb5af1262af91cdf37a512f0044d38dc3cd0568491a3b0c158b7a" ||
+		me != "bb5b1f160a28cb4bf95c90486daced47224275f93dc031e01cfc6272f06d6c04" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

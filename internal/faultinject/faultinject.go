@@ -41,16 +41,18 @@ const (
 	// then restarts them (a replicated machine only). Composable like
 	// Partition.
 	ReplicaCrash Fault = "replica-crash"
-	// LeaderPowerCut pulls the plug of a cluster's leader machine: heartbeat
-	// agent, shipper and guest all die at once.
+	// LeaderPowerCut pulls the plug of a cluster's leader machine: its
+	// power-fail interrupt sends the agent's notice to the coordinator, and
+	// heartbeat agent, shipper and guest all die when the hold-up runs out.
 	LeaderPowerCut Fault = "leader-power-cut"
 	// LeaderIsolation partitions a healthy leader from the fabric: it keeps
 	// running — and keeps trying to commit — but its acks and heartbeats go
 	// nowhere. The classic split-brain setup.
 	LeaderIsolation Fault = "leader-isolation"
 	// CoordAndLeader composes a coordinator crash with a leader power cut:
-	// nobody is watching when the leader dies, and the takeover must happen
-	// after the coordinator itself restarts.
+	// nobody is watching when the leader dies (its power-fail notice is
+	// lost), and the takeover must happen after the coordinator itself
+	// restarts, on the heartbeat detector.
 	CoordAndLeader Fault = "coordinator+leader"
 )
 
@@ -87,8 +89,9 @@ type CampaignConfig struct {
 	InjectAfterMin time.Duration
 	InjectAfterMax time.Duration
 	// SessionFor is how long a leader-fault trial's session pool runs; it
-	// must outlast injection plus the takeover (about a second: failure
-	// detection, then the promoted node's recovery streaming its log).
+	// must outlast injection plus the takeover (up to about a second:
+	// failure detection, then the promoted node's recovery streaming its
+	// log).
 	// Default 10s.
 	SessionFor time.Duration
 	// FaultWindow is how long an injected media fault lasts (DiskError,

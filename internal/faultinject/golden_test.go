@@ -75,6 +75,11 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 // not move; each acks one more transaction after the fault (Acked +1), and
 // their metrics no longer count the idle tail. The failover trial's
 // trace is the old one's first 467 098 events, cut where its audit ends.
+//
+// The failover golden alone was re-captured once more when a promotion
+// began waking the session attempts parked on the deposed leader: its
+// 35 788 events before the isolation are unchanged, and the first one that
+// moves is at the promotion instant.
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)

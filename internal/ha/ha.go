@@ -1,8 +1,11 @@
 // Package ha is the high-availability control plane: a deterministic,
 // seeded failure detector and promotion coordinator that runs over the
-// same simulated fabric the log stream uses. The coordinator heartbeats
-// the current leader's agent endpoint; on sustained silence — power loss,
-// isolation, a crashed agent — it runs an epoch-fenced takeover:
+// same simulated fabric the log stream uses. A leader whose PSU raises
+// the power-fail interrupt says so at once (PowerFail), hundreds of
+// milliseconds before its DC dies; the coordinator also heartbeats the
+// current leader's agent endpoint as the backstop for a notice that never
+// comes — isolation, a crashed agent, a coordinator that was down when it
+// was sent. On either signal it runs an epoch-fenced takeover:
 //
 //  1. Census.  StateReq every reachable standby store; wait for at least
 //     N−K+1 responses, the quorum that provably intersects every ack
@@ -63,8 +66,9 @@ type Cluster interface {
 	Promote(p *sim.Proc, winnerStore string, epoch int) (int64, error)
 }
 
-// coordName is the coordinator's fabric endpoint (and crash domain).
-const coordName = "ha.coord"
+// CoordName is the coordinator's fabric endpoint (and crash domain): where
+// a leader's agent sends its PowerFail notice.
+const CoordName = "ha.coord"
 
 // Config parameterises the coordinator.
 type Config struct {
@@ -104,6 +108,11 @@ type (
 	}
 )
 
+// PowerFail is a leader agent's power-fail notice: its machine lost AC and
+// is riding the PSU hold-up. The RapiLog device halts at the same
+// interrupt, so nothing the leader acks from here on is new.
+type PowerFail struct{ From string }
+
 // MsgBytes is the wire size charged for control-plane messages.
 const MsgBytes = 24
 
@@ -131,7 +140,7 @@ func New(s *sim.Sim, fab *netsim.Fabric, cl Cluster, cfg Config) *Coordinator {
 	cfg.applyDefaults()
 	co := &Coordinator{
 		s: s, fab: fab, cl: cl, cfg: cfg, tr: cfg.Trace,
-		ep:        fab.Endpoint(coordName),
+		ep:        fab.Endpoint(CoordName),
 		elections: cfg.Reg.Counter("ha.elections"),
 		promoteB:  cfg.Reg.Counter("ha.promote_replay_bytes"),
 	}
@@ -152,7 +161,7 @@ func (co *Coordinator) Crash() {
 	if co.dom != nil {
 		co.dom.Kill()
 	}
-	co.fab.Isolate(coordName)
+	co.fab.Isolate(CoordName)
 	co.s.Tracef("ha: coordinator crashed")
 }
 
@@ -165,14 +174,14 @@ func (co *Coordinator) Restart() {
 			break
 		}
 	}
-	co.fab.Restore(coordName)
+	co.fab.Restore(CoordName)
 	co.start()
 	co.s.Tracef("ha: coordinator restarted")
 }
 
 func (co *Coordinator) start() {
-	co.dom = co.s.NewDomain(coordName)
-	co.s.Spawn(co.dom, coordName, co.run)
+	co.dom = co.s.NewDomain(CoordName)
+	co.s.Spawn(co.dom, CoordName, co.run)
 }
 
 func (co *Coordinator) run(p *sim.Proc) {
@@ -182,20 +191,27 @@ func (co *Coordinator) run(p *sim.Proc) {
 	for {
 		p.Sleep(co.cfg.HeartbeatEvery)
 		leader := co.cl.LeaderAgent()
+		dying := false
 		for {
 			m, ok := co.ep.TryRecv()
 			if !ok {
 				break
 			}
-			// Only the current leader's pongs reset the clock: a deposed
-			// leader answering late must not mask the new one going dark.
-			if pg, ok := m.Payload.(Pong); ok && pg.From == leader {
-				lastPong = p.Now()
+			// Only the current leader's messages count: a deposed leader
+			// answering late must not mask the new one going dark, and its
+			// late notice must not depose the new one.
+			switch msg := m.Payload.(type) {
+			case Pong:
+				if msg.From == leader {
+					lastPong = p.Now()
+				}
+			case PowerFail:
+				dying = dying || msg.From == leader
 			}
 		}
 		seq++
-		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: coordName})
-		if p.Now().Sub(lastPong) > co.cfg.FailAfter {
+		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: CoordName})
+		if dying || p.Now().Sub(lastPong) > co.cfg.FailAfter {
 			co.failover(p)
 			lastPong = p.Now()
 		}
@@ -216,7 +232,7 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for len(states) < need {
 		for _, pn := range peers {
 			if _, ok := states[pn]; !ok {
-				co.ep.Send(pn, MsgBytes, replica.StateReq{From: coordName})
+				co.ep.Send(pn, MsgBytes, replica.StateReq{From: CoordName})
 			}
 		}
 		co.collect(p, func(payload any) {
@@ -272,10 +288,10 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	for !acks[winner] || len(acks) < need {
 		for _, pn := range co.cl.AllStores() {
 			if !acks[pn] {
-				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
+				co.ep.Send(pn, MsgBytes, replica.FenceMsg{Epoch: epoch, From: CoordName})
 			}
 		}
-		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: coordName})
+		co.ep.Send(co.cl.LeaderPrimary(), MsgBytes, replica.FenceMsg{Epoch: epoch, From: CoordName})
 		co.collect(p, func(payload any) {
 			if fa, ok := payload.(replica.FenceAck); ok && fa.Epoch >= epoch && peerSet[fa.From] {
 				acks[fa.From] = true
@@ -318,7 +334,7 @@ func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
 // loop for the coordinator's inbox.
 func (co *Coordinator) FenceNode(p *sim.Proc, store string) {
 	epoch := co.cl.MaxEpoch()
-	name := coordName + ".rejoin"
+	name := CoordName + ".rejoin"
 	ep := co.fab.Endpoint(name)
 	for {
 		ep.Send(store, MsgBytes, replica.FenceMsg{Epoch: epoch, From: name})

@@ -250,3 +250,42 @@ func TestShortCensusNeverPromotes(t *testing.T) {
 		t.Fatalf("after the store returned: promoted %v, err %v", c.promoted, co.LastErr())
 	}
 }
+
+// A power-fail notice from the current leader's agent starts the takeover at
+// the coordinator's next tick, although the agent still answers every ping;
+// one from any other sender — a node that does not lead, an unknown agent,
+// the leader the notice already deposed — starts none.
+func TestPowerFailNoticeStartsTakeover(t *testing.T) {
+	c := newFakeCluster(t)
+	c.feed("node1", 1, 5)
+	c.feed("node2", 1, 9)
+	co := c.coordinator()
+	notice := func(from string) { c.fab.Send(from, CoordName, MsgBytes, PowerFail{From: from}) }
+	const noticeAt = 500 * time.Millisecond
+	var stray int64
+	c.s.Spawn(nil, "op", func(p *sim.Proc) {
+		p.Sleep(noticeAt - 200*time.Millisecond)
+		notice("node1.ha")
+		notice("stranger.ha")
+		p.Sleep(200 * time.Millisecond)
+		stray = c.elections()
+		notice("node0.ha")
+		for co.Failovers() == 0 {
+			p.Sleep(time.Millisecond)
+		}
+		p.Sleep(100 * time.Millisecond)
+		notice("node0.ha") // deposed: its agent lives on, and so may its notice
+	})
+	c.run(3 * time.Second)
+	if stray != 0 {
+		t.Fatalf("%d elections on notices from agents that do not lead", stray)
+	}
+	if len(c.promoted) != 1 || c.promoted[0] != "node2.log" || co.Failovers() != 1 || c.elections() != 1 {
+		t.Fatalf("promoted %v in %d elections, want node2.log once", c.promoted, c.elections())
+	}
+	cfg := co.cfg
+	if took := c.promotedAt[0].Duration() - noticeAt; took > cfg.HeartbeatEvery+cfg.RoundTimeout {
+		t.Fatalf("promoted %v after the notice, want within one heartbeat (%v) and one census round (%v)",
+			took, cfg.HeartbeatEvery, cfg.RoundTimeout)
+	}
+}

@@ -74,7 +74,8 @@ type clusterNode struct {
 // Cluster is an assembled HA deployment. Exactly one node leads at a
 // time; its Rig carries the full machine/logger/shipper stack. The other
 // nodes run standby stores on the shared fabric. The coordinator fails
-// the leader over on silence; sessions follow via OnPromote.
+// the leader over on its power-fail notice or on silence; sessions follow
+// via OnPromote.
 type Cluster struct {
 	Cfg    ClusterConfig
 	S      *sim.Sim
@@ -182,9 +183,15 @@ func (c *Cluster) lead(idx int, r *Rig) error {
 
 // spawnAgent starts the leader's heartbeat responder in its hypervisor
 // domain: it dies with the machine (power cut) and goes unreachable with
-// it (isolation) — exactly the signals the failure detector keys on.
+// it (isolation) — exactly the signals the failure detector keys on. The
+// agent also owns the machine's power-fail interrupt: the moment the PSU
+// warns, it tells the coordinator, which starts the takeover while the
+// hold-up still runs instead of waiting for the pings to go unanswered.
 func (c *Cluster) spawnAgent(r *Rig, name string) {
 	ep := c.Fabric.Endpoint(name + ".ha")
+	r.Machine.AddPowerFailHandler(func(*sim.Proc) {
+		ep.Send(ha.CoordName, ha.MsgBytes, ha.PowerFail{From: name + ".ha"})
+	})
 	c.S.Spawn(r.HV.Domain(), name+".ha-agent", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		for {
@@ -334,7 +341,8 @@ func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, er
 // --- campaign fault surface ---
 
 // CutLeaderPower pulls the leader machine's plug; returns the sampled
-// hold-up. The heartbeat agent dies with the hypervisor domain.
+// hold-up. The agent's power-fail notice starts the takeover at once; the
+// agent itself dies with the hypervisor domain when the hold-up ends.
 func (c *Cluster) CutLeaderPower() time.Duration {
 	return c.LeaderRig().Machine.CutPower()
 }

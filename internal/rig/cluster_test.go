@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -38,6 +39,81 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// loadedCluster is a seeded 3-node cluster under four stress sessions that
+// run for a fixed span and then audit every journaled ack on whoever leads,
+// with an operator process scripting the fault alongside. The run ends once
+// both the audit and the operator are done.
+type loadedCluster struct {
+	*Cluster
+	dir      *workload.Directory
+	j        *workload.Journal
+	exLeader string
+	res      workload.RunResult
+	audit    workload.VerifyResult
+	auditErr error
+}
+
+func runLoadedCluster(t *testing.T, seed int64, sessionsFor time.Duration, operator func(p *sim.Proc, lc *loadedCluster)) *loadedCluster {
+	t.Helper()
+	c, err := NewCluster(ClusterConfig{
+		Nodes: 3,
+		Rig:   Config{Seed: seed, AckPolicy: core.AckQuorum(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	lc := &loadedCluster{Cluster: c, dir: workload.NewDirectory(), j: workload.NewJournal(), exLeader: c.LeaderName()}
+	c.OnPromote = func(gen int, name string, e *engine.Engine, dom *sim.Domain) {
+		lc.dir.Update(gen, name, e, dom)
+	}
+	w := &workload.Stress{ValueSize: 2000}
+
+	c.S.Spawn(c.LeaderRig().Plat.Domain(), "db", func(p *sim.Proc) {
+		e, err := c.LeaderRig().Boot(p)
+		if err != nil {
+			t.Errorf("boot: %v", err)
+			return
+		}
+		lc.dir.Update(1, c.LeaderName(), e, c.LeaderRig().Plat.Domain())
+	})
+	audited, operated := c.S.NewEvent("audited"), c.S.NewEvent("operated")
+	c.S.Spawn(nil, "sessions", func(p *sim.Proc) {
+		defer audited.Fire()
+		lc.res = workload.RunSessions(p, lc.dir, w, workload.SessionConfig{
+			Clients:  4,
+			Duration: sessionsFor,
+			Journal:  lc.j,
+			Reg:      c.Obs.Registry(),
+			Trace:    c.Obs.Tracer(),
+		})
+		// Every acked op — quorum-acked under gen 1 or committed on the
+		// promoted leader — must be present and correct on whoever leads now.
+		ld := lc.dir.Leader()
+		if ld.Gen != 2 {
+			t.Errorf("final generation = %d, want 2", ld.Gen)
+			return
+		}
+		vdone := p.Sim().NewEvent("audit.done")
+		p.Sim().Spawn(ld.Dom, "audit", func(vp *sim.Proc) {
+			lc.audit, lc.auditErr = lc.j.Verify(vp, ld.Eng)
+			vdone.Fire()
+		})
+		vdone.Wait(p)
+	})
+	c.S.Spawn(nil, "operator", func(p *sim.Proc) {
+		defer operated.Fire()
+		operator(p, lc)
+	})
+	if err := c.S.RunUntilEvent(operated); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.S.RunUntilEvent(audited); err != nil {
+		t.Fatal(err)
+	}
+	return lc
+}
+
 // TestClusterFailoverPowerCut is the end-to-end tentpole smoke: boot a
 // 3-node cluster, drive redirect-aware sessions through it, pull the
 // leader's plug mid-run, and require that the coordinator promotes a
@@ -46,100 +122,44 @@ func TestClusterValidation(t *testing.T) {
 // node rejoins as a fenced standby, and the single-writer invariant never
 // fires.
 func TestClusterFailoverPowerCut(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3,
-		Rig:   Config{Seed: 42, AckPolicy: core.AckQuorum(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := workload.NewDirectory()
-	c.OnPromote = func(gen int, name string, e *engine.Engine, dom *sim.Domain) {
-		dir.Update(gen, name, e, dom)
-	}
-	j := workload.NewJournal()
-	w := &workload.Stress{ValueSize: 2000}
-	exLeader := c.LeaderName()
-
-	c.S.Spawn(c.LeaderRig().Plat.Domain(), "db", func(p *sim.Proc) {
-		e, err := c.LeaderRig().Boot(p)
-		if err != nil {
-			t.Errorf("boot: %v", err)
-			return
-		}
-		dir.Update(1, c.LeaderName(), e, c.LeaderRig().Plat.Domain())
-	})
-
-	var (
-		res        workload.RunResult
-		audit      workload.VerifyResult
-		auditErr   error
-		cutAt      time.Duration
-		ackedAtCut int
-	)
-	c.S.Spawn(nil, "sessions", func(p *sim.Proc) {
-		res = workload.RunSessions(p, dir, w, workload.SessionConfig{
-			Clients:  4,
-			Duration: 45 * time.Second,
-			Journal:  j,
-			Reg:      c.Obs.Registry(),
-			Trace:    c.Obs.Tracer(),
-		})
-		// Sessions are done; audit the full journal against whoever leads
-		// now. Every acked op — quorum-acked under gen 1 or committed on
-		// the promoted leader — must be present and correct.
-		ld := dir.Leader()
-		if ld.Gen != 2 {
-			t.Errorf("final generation = %d, want 2", ld.Gen)
-			return
-		}
-		vdone := p.Sim().NewEvent("audit.done")
-		p.Sim().Spawn(ld.Dom, "audit", func(vp *sim.Proc) {
-			audit, auditErr = j.Verify(vp, ld.Eng)
-			vdone.Fire()
-		})
-		vdone.Wait(p)
-	})
-	c.S.Spawn(nil, "operator", func(p *sim.Proc) {
+	var cutAt time.Duration
+	var ackedAtCut int
+	lc := runLoadedCluster(t, 42, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
-		ackedAtCut = j.Len()
+		ackedAtCut = lc.j.Len()
 		cutAt = p.Now().Duration()
-		c.CutLeaderPower()
-		for c.Coord.Failovers() == 0 {
+		lc.CutLeaderPower()
+		for lc.Coord.Failovers() == 0 {
 			p.Sleep(10 * time.Millisecond)
 		}
-		if err := c.RejoinAsStandby(p, exLeader); err != nil {
+		if err := lc.RejoinAsStandby(p, lc.exLeader); err != nil {
 			t.Errorf("rejoin: %v", err)
 		}
 	})
-
-	if err := c.S.RunFor(10 * time.Minute); err != nil {
-		t.Fatal(err)
+	if lc.Coord.Failovers() != 1 {
+		t.Fatalf("failovers = %d (lastErr %v), want exactly 1", lc.Coord.Failovers(), lc.Coord.LastErr())
 	}
-	if c.Coord.Failovers() != 1 {
-		t.Fatalf("failovers = %d (lastErr %v), want exactly 1", c.Coord.Failovers(), c.Coord.LastErr())
+	if lc.Coord.LastErr() != nil {
+		t.Fatalf("coordinator error: %v", lc.Coord.LastErr())
 	}
-	if c.Coord.LastErr() != nil {
-		t.Fatalf("coordinator error: %v", c.Coord.LastErr())
-	}
-	if c.Generation() != 2 || c.LeaderName() == exLeader {
-		t.Fatalf("leadership after takeover: %s gen %d", c.LeaderName(), c.Generation())
+	if lc.Generation() != 2 || lc.LeaderName() == lc.exLeader {
+		t.Fatalf("leadership after takeover: %s gen %d", lc.LeaderName(), lc.Generation())
 	}
 	if ackedAtCut == 0 {
 		t.Fatal("no ops acked before the cut — test proves nothing")
 	}
-	if res.Committed == 0 {
+	if lc.res.Committed == 0 {
 		t.Fatal("sessions never committed")
 	}
-	if auditErr != nil {
-		t.Fatalf("audit: %v", auditErr)
+	if lc.auditErr != nil {
+		t.Fatalf("audit: %v", lc.auditErr)
 	}
-	if !audit.Ok() {
-		t.Fatalf("acked-op loss across takeover: %v (acked at cut %d, total %d)", audit, ackedAtCut, j.Len())
+	if !lc.audit.Ok() {
+		t.Fatalf("acked-op loss across takeover: %v (acked at cut %d, total %d)", lc.audit, ackedAtCut, lc.j.Len())
 	}
 
 	// The client-visible outage: first gen-2 commit minus the cut.
-	firstOK, ok := dir.FirstSuccess(2)
+	firstOK, ok := lc.dir.FirstSuccess(2)
 	if !ok {
 		t.Fatal("no session ever committed against the promoted leader")
 	}
@@ -147,22 +167,22 @@ func TestClusterFailoverPowerCut(t *testing.T) {
 		t.Fatalf("gen-2 first success %v precedes the cut %v", firstOK, cutAt)
 	}
 	t.Logf("unavailability window: %v; replay %d bytes / %d entries from %s",
-		firstOK-cutAt, c.LastReplay.Bytes, c.LastReplay.Entries, c.LastReplay.From)
+		firstOK-cutAt, lc.LastReplay.Bytes, lc.LastReplay.Entries, lc.LastReplay.From)
 
 	// The deposed node must have rejoined fenced at the new epoch and
 	// caught up from the live stream.
-	ex := c.Store(0)
+	ex := lc.Store(0)
 	if !ex.Alive() {
 		t.Fatal("ex-leader store not restarted")
 	}
-	if ex.Fenced() < c.epoch {
-		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), c.epoch)
+	if ex.Fenced() < lc.epoch {
+		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), lc.epoch)
 	}
-	if ex.AppliedSeq(c.epoch) == 0 {
-		t.Fatalf("ex-leader store never caught up on epoch %d", c.epoch)
+	if ex.AppliedSeq(lc.epoch) == 0 {
+		t.Fatalf("ex-leader store never caught up on epoch %d", lc.epoch)
 	}
 
-	rep := c.Monitor.Report()
+	rep := lc.Monitor.Report()
 	if rep.ByKind["single_writer_epoch"] != 0 {
 		t.Fatalf("split-brain: single_writer_epoch fired %d times", rep.ByKind["single_writer_epoch"])
 	}
@@ -177,86 +197,73 @@ func TestClusterFailoverPowerCut(t *testing.T) {
 // a standby. After healing, the deposed node rejoins; no acked op may be
 // lost and both writers must never be acked in one epoch.
 func TestClusterFailoverIsolation(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3,
-		Rig:   Config{Seed: 7, AckPolicy: core.AckQuorum(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := workload.NewDirectory()
-	c.OnPromote = func(gen int, name string, e *engine.Engine, dom *sim.Domain) {
-		dir.Update(gen, name, e, dom)
-	}
-	j := workload.NewJournal()
-	w := &workload.Stress{ValueSize: 2000}
-	exLeader := c.LeaderName()
-
-	c.S.Spawn(c.LeaderRig().Plat.Domain(), "db", func(p *sim.Proc) {
-		e, err := c.LeaderRig().Boot(p)
-		if err != nil {
-			t.Errorf("boot: %v", err)
-			return
-		}
-		dir.Update(1, c.LeaderName(), e, c.LeaderRig().Plat.Domain())
-	})
-
-	var audit workload.VerifyResult
-	var auditErr error
-	c.S.Spawn(nil, "sessions", func(p *sim.Proc) {
-		workload.RunSessions(p, dir, w, workload.SessionConfig{
-			Clients:  4,
-			Duration: 45 * time.Second,
-			Journal:  j,
-			Reg:      c.Obs.Registry(),
-			Trace:    c.Obs.Tracer(),
-		})
-		ld := dir.Leader()
-		if ld.Gen != 2 {
-			t.Errorf("final generation = %d, want 2", ld.Gen)
-			return
-		}
-		vdone := p.Sim().NewEvent("audit.done")
-		p.Sim().Spawn(ld.Dom, "audit", func(vp *sim.Proc) {
-			audit, auditErr = j.Verify(vp, ld.Eng)
-			vdone.Fire()
-		})
-		vdone.Wait(p)
-	})
-	c.S.Spawn(nil, "operator", func(p *sim.Proc) {
+	lc := runLoadedCluster(t, 7, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
-		c.IsolateLeader()
-		for c.Coord.Failovers() == 0 {
+		lc.IsolateLeader()
+		for lc.Coord.Failovers() == 0 {
 			p.Sleep(10 * time.Millisecond)
 		}
 		// Heal the partition only after the takeover: the deposed shipper's
 		// retransmits come back to a fenced cluster and must be rejected.
 		p.Sleep(100 * time.Millisecond)
-		c.HealNode(exLeader)
-		if err := c.RejoinAsStandby(p, exLeader); err != nil {
+		lc.HealNode(lc.exLeader)
+		if err := lc.RejoinAsStandby(p, lc.exLeader); err != nil {
 			t.Errorf("rejoin: %v", err)
 		}
 	})
-
-	if err := c.S.RunFor(10 * time.Minute); err != nil {
-		t.Fatal(err)
+	if lc.Coord.Failovers() != 1 || lc.Coord.LastErr() != nil {
+		t.Fatalf("failovers = %d, lastErr = %v", lc.Coord.Failovers(), lc.Coord.LastErr())
 	}
-	if c.Coord.Failovers() != 1 || c.Coord.LastErr() != nil {
-		t.Fatalf("failovers = %d, lastErr = %v", c.Coord.Failovers(), c.Coord.LastErr())
+	if lc.auditErr != nil {
+		t.Fatalf("audit: %v", lc.auditErr)
 	}
-	if auditErr != nil {
-		t.Fatalf("audit: %v", auditErr)
+	if !lc.audit.Ok() {
+		t.Fatalf("acked-op loss across partition takeover: %v", lc.audit)
 	}
-	if !audit.Ok() {
-		t.Fatalf("acked-op loss across partition takeover: %v", audit)
-	}
-	rep := c.Monitor.Report()
+	rep := lc.Monitor.Report()
 	if rep.ByKind["single_writer_epoch"] != 0 {
 		t.Fatalf("split-brain under partition: %d", rep.ByKind["single_writer_epoch"])
 	}
 	// The deposed leader's stale-epoch retransmits after the heal must show
 	// up as fencing rejections, not as applied entries.
-	if ex := c.Store(0); ex.Fenced() < c.epoch {
-		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), c.epoch)
+	if ex := lc.Store(0); ex.Fenced() < lc.epoch {
+		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), lc.epoch)
+	}
+}
+
+// TestClusterBrownoutFailsOver: AC comes back inside the hold-up. The power-
+// fail interrupt has already halted the leader's RapiLog device for good,
+// yet the machine never loses DC, so its agent keeps answering pings: with
+// the heartbeat detector alone the cluster sat wedged, acking nothing. The
+// interrupt's notice fails it over.
+func TestClusterBrownoutFailsOver(t *testing.T) {
+	var cutAt time.Duration
+	var ackedAtRestore int
+	var ex *power.Machine
+	lc := runLoadedCluster(t, 42, 6600*time.Millisecond, func(p *sim.Proc, lc *loadedCluster) {
+		p.Sleep(1500 * time.Millisecond)
+		ex, cutAt = lc.LeaderRig().Machine, p.Now().Duration()
+		ex.CutPower()
+		p.Sleep(100 * time.Millisecond)
+		ex.RestorePower()
+		ackedAtRestore = lc.j.Len()
+	})
+	if !ex.Powered() || ex.Failures() != 0 {
+		t.Fatal("test premise: the deposed leader never lost DC")
+	}
+	if lc.Coord.Failovers() != 1 || lc.Coord.LastErr() != nil {
+		t.Fatalf("failovers = %d (lastErr %v), want exactly 1", lc.Coord.Failovers(), lc.Coord.LastErr())
+	}
+	if first, ok := lc.dir.FirstSuccess(2); !ok || first <= cutAt {
+		t.Fatalf("no commit on generation 2 after the brownout (first %v, ok %v)", first, ok)
+	}
+	if after := lc.j.Len() - ackedAtRestore; after == 0 {
+		t.Fatal("nothing acked after the restore: the cluster is wedged")
+	}
+	if lc.auditErr != nil || !lc.audit.Ok() {
+		t.Fatalf("audit: %v, err %v", lc.audit, lc.auditErr)
+	}
+	if rep := lc.Monitor.Report(); rep.Total != 0 {
+		t.Fatalf("monitor violations across the brownout takeover: %+v", rep)
 	}
 }

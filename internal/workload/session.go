@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -15,7 +16,10 @@ import (
 // in which domain, under which leadership generation. It is plain harness
 // memory — the simulated DNS/config service clients consult between
 // retries — updated by the cluster's promotion hook and read by every
-// session. The per-generation first-success timestamps are the raw
+// session. It is also a push channel: a promotion wakes every session
+// attempt still parked on the deposed leader, so clients follow the new
+// generation the instant it is published rather than at their next
+// timeout. The per-generation first-success timestamps are the raw
 // material of the unavailability-window measurement: the window a client
 // actually saw runs from fault injection to the first commit the new
 // generation served.
@@ -25,6 +29,7 @@ type Directory struct {
 	eng     *engine.Engine
 	dom     *sim.Domain
 	firstOK map[int]time.Duration
+	parked  []*sim.Event // wake-ups of attempts in flight on the current generation
 }
 
 // LeaderInfo is one consistent read of the directory.
@@ -41,12 +46,27 @@ func NewDirectory() *Directory {
 	return &Directory{firstOK: make(map[int]time.Duration)}
 }
 
-// Update publishes a new leadership generation. Generations must rise.
+// Update publishes a new leadership generation and wakes every attempt
+// parked on an older one. Generations must rise.
 func (d *Directory) Update(gen int, name string, e *engine.Engine, dom *sim.Domain) {
 	if gen <= d.gen && d.gen != 0 {
 		return
 	}
 	d.gen, d.name, d.eng, d.dom = gen, name, e, dom
+	for _, ev := range d.parked {
+		ev.Fire()
+	}
+	clear(d.parked)
+	d.parked = d.parked[:0]
+}
+
+// park registers an attempt's wake-up until unpark: the next Update fires it.
+func (d *Directory) park(ev *sim.Event) { d.parked = append(d.parked, ev) }
+
+func (d *Directory) unpark(ev *sim.Event) {
+	if i := slices.Index(d.parked, ev); i >= 0 {
+		d.parked = slices.Delete(d.parked, i, i+1)
+	}
 }
 
 // Leader returns the current leadership record.
@@ -105,11 +125,12 @@ func (c *SessionConfig) applyDefaults() {
 // RunSessions drives w through a pool of redirect-aware sessions. Unlike
 // RunClients, the clients live outside every crash domain: each operation
 // is proxied to a worker process inside the current leader's guest
-// domain, and a leader that dies mid-operation just costs the session a
-// timeout, after which it re-reads the directory and retries — against
-// the new leader once a promotion publishes one. An attempt that times
-// out is killed before it can be observed to succeed, so an operation is
-// journaled exactly when its client saw the ack.
+// domain. An attempt ends when its worker finishes, when sessionOpTimeout
+// passes, or when a promotion is published: a promotion sends it straight
+// to the new leader, and a timeout (a leader that died or went dark with
+// no takeover yet) costs a backoff and a directory re-read. An attempt
+// abandoned either way is killed before it can be observed to succeed, so
+// an operation is journaled exactly when its client saw the ack.
 func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) RunResult {
 	cfg.applyDefaults()
 	s := p.Sim()
@@ -185,17 +206,27 @@ func (se *session) do(cp *sim.Proc) error {
 		}
 
 		// Proxy the op into the leader's guest domain: if the leader dies
-		// mid-op the worker dies with it and the timeout fires; a timed-out
-		// worker is killed so it cannot ack after the session gave up on it.
-		opDone := s.NewEvent("session.op")
+		// mid-op the worker dies with it and the timeout fires, unless a
+		// promotion wakes the attempt first. An abandoned worker is killed so
+		// it cannot ack after the session gave up on it; one that finished at
+		// the very instant it was abandoned has already journaled, and counts.
+		wake := s.NewEvent("session.op")
 		var opErr error
+		finished := false
 		worker := s.Spawn(ld.Dom, se.opName, func(wp *sim.Proc) {
 			opErr = DoAs(wp, ld.Eng, se.w, se.cfg.Journal, se.client)
-			opDone.Fire()
+			finished = true
+			wake.Fire()
 		})
-		opDone.WaitTimeout(cp, sessionOpTimeout)
-		if !opDone.Fired() {
+		se.dir.park(wake)
+		wake.WaitTimeout(cp, sessionOpTimeout)
+		se.dir.unpark(wake)
+		if !finished {
 			worker.Kill()
+			if se.dir.Leader().Gen != ld.Gen {
+				lastErr = fmt.Errorf("session: %s deposed mid-op (gen %d)", ld.Name, ld.Gen)
+				continue
+			}
 			lastErr = fmt.Errorf("session: op timeout against %s (gen %d)", ld.Name, ld.Gen)
 			cp.Sleep(sessionRetryBackoff)
 			continue
