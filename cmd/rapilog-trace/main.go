@@ -11,9 +11,12 @@
 // needed (0 = local acks) and the retention limit its run was checked
 // against online, by every log domain of the machine. -check re-verifies the
 // events against that contract, each domain on its own events (a sharded
-// machine's events name their shard), and exits 1 on any violation, on a
-// malformed trace, on an artifact with no contract, or on one whose window
-// holds no acked transaction.
+// machine's events name their shard): all five invariants — exposure bound,
+// ack evidence, retention bound, ack monotonicity and single writer per
+// epoch — are functions of the events, so a replay of the run reaches the
+// live verdict. It exits 1 on any violation, on a flight record frozen for
+// one or whose live monitor found one, on a malformed trace, on an artifact
+// with no contract, or on one whose window holds no acked transaction.
 //
 // Usage:
 //
@@ -29,6 +32,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro"
@@ -131,7 +135,7 @@ func analyzeFile(w io.Writer, path, perfetto string, check bool, buckets int, fi
 
 	ok := true
 	if check {
-		ok = runCheck(w, rec.TraceDump)
+		ok = runCheck(w, rec)
 	}
 	if perfetto != "" && first {
 		if err := cliflags.WriteJSON(perfetto, a.WriteChromeTrace); err != nil {
@@ -153,10 +157,12 @@ func describe(c *rapilog.MonitorConfig) string {
 }
 
 // runCheck re-verifies the trace offline against the contract it carries:
-// events must decode, time must not run backwards, the invariant monitor
-// must find nothing, and the window must hold at least one acked
-// transaction — an artifact that saw none proves nothing.
-func runCheck(w io.Writer, dump rapilog.TraceDump) bool {
+// events must decode, time must not run backwards, a flight record must not
+// have been frozen for a violation, the invariant monitor must find nothing,
+// and the window must hold at least one acked transaction — an artifact that
+// saw none proves nothing.
+func runCheck(w io.Writer, rec *rapilog.FlightRecord) bool {
+	dump := rec.TraceDump
 	if dump.Contract == nil {
 		fmt.Fprintln(w, "check:          FAIL — the artifact carries no contract (no monitor was armed on its run), so there is nothing to check it against")
 		return false
@@ -172,6 +178,18 @@ func runCheck(w io.Writer, dump rapilog.TraceDump) bool {
 				i, events[i].At, i-1, events[i-1].At)
 			return false
 		}
+	}
+	// A record carries the verdict of a monitor that saw the whole run; the
+	// record's own window (4 096 events) need not reach back to where a
+	// violation began — a retention episode spans a 520 ms grace.
+	if mr := rec.Monitor; mr != nil && mr.Total > 0 {
+		fmt.Fprintf(w, "check:          FAIL — the record's live monitor found %d invariant violations (%s)\n", mr.Total, describe(dump.Contract))
+		printViolations(w, mr)
+		return false
+	}
+	if inv, ok := strings.CutPrefix(rec.Reason, "invariant:"); ok {
+		fmt.Fprintf(w, "check:          FAIL — the record was frozen for a %s violation (%s)\n", inv, describe(dump.Contract))
+		return false
 	}
 	rep := rapilog.RunMonitor(events, *dump.Contract)
 	switch {

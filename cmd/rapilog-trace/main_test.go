@@ -233,3 +233,33 @@ func TestMetricsSnapshotIsRejected(t *testing.T) {
 		t.Fatal("a metrics snapshot was analysed as a trace")
 	}
 }
+
+// A flight record frozen for a violation carries the live verdict, and its
+// window cannot replay it: a local-ack stress campaign froze one for
+// retention_bound at 800.753 ms with 1 violation in its monitor report, and
+// -check said "ok — 4096 events, 261 acked txs", because 4 096 events do not
+// span a 520 ms grace. Either signal alone fails the check, naming the
+// invariant.
+func TestCheckFailsRecordFrozenForViolation(t *testing.T) {
+	dep := tracedRun(t, rapilog.Config{Seed: 4, Mode: rapilog.ModeRapiLog, Flight: true}, 50)
+	dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")
+	clean := *dep.Flight.Record()
+	if ok, out := check(artifact(t, "clean.json", clean.WriteJSON)); !ok {
+		t.Fatalf("test premise: the clean record failed -check:\n%s", out)
+	}
+
+	frozen := clean
+	frozen.Reason = "invariant:retention_bound"
+	ok, out := check(artifact(t, "frozen.json", frozen.WriteJSON))
+	if ok || !strings.Contains(out, "frozen for a retention_bound violation") {
+		t.Fatalf("a record frozen for a violation passed -check:\n%s", out)
+	}
+
+	flagged := clean
+	v := obs.Violation{Invariant: "retention_bound", AtNs: clean.AtNs, Detail: "retained 205684736 bytes above limit 67108864 for 520 ms"}
+	flagged.Monitor = &obs.MonitorReport{EventsSeen: 1, TxAcked: 1, Total: 1, ByKind: map[string]int{v.Invariant: 1}, Samples: []obs.Violation{v}}
+	ok, out = check(artifact(t, "flagged.json", flagged.WriteJSON))
+	if ok || !strings.Contains(out, "live monitor found 1 invariant violations") || !strings.Contains(out, "retention_bound ×1") {
+		t.Fatalf("a record whose live monitor found a violation passed -check:\n%s", out)
+	}
+}

@@ -191,11 +191,12 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
-		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
+		Bound: 6007449, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 520 * time.Millisecond,
 	})
+	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "c8d92310614cb5af1262af91cdf37a512f0044d38dc3cd0568491a3b0c158b7a" ||
-		me != "bb5b1f160a28cb4bf95c90486daced47224275f93dc031e01cfc6272f06d6c04" {
+	if tr != "ae5e476db8bae76c93e47069c6edafd8e7bd1349286faefee9f0f6cfbf6e3f56" ||
+		me != "12fdf4d1cebf9e0d52ff885692a9d3880d0db8004946a3a1f6fb48f0c2534f66" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -60,6 +61,21 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 	}
 }
 
+// requireOneVerdict fails t unless replaying the capture's trace against the
+// contract it carries reaches the live monitor's verdict: every invariant is a
+// function of the events.
+func requireOneVerdict(t *testing.T, a *Artifacts) {
+	t.Helper()
+	events, err := a.Trace.DecodedEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, replay := a.Monitor, obs.RunMonitor(events, *a.Trace.Contract)
+	if live == nil || live.Total != replay.Total || !reflect.DeepEqual(live.ByKind, replay.ByKind) || !reflect.DeepEqual(live.Samples, replay.Samples) {
+		t.Fatalf("live verdict %+v, replay %+v", live, replay)
+	}
+}
+
 // The schedule-preservation goldens: one seeded trial per topology, captured
 // before the three trial runners and two campaign loops were folded into one
 // engine. A refactor of the harness must not move one event of a seeded
@@ -80,6 +96,17 @@ func requireContract(t *testing.T, a *Artifacts, want obs.MonitorConfig) {
 // began waking the session attempts parked on the deposed leader: its
 // 35 788 events before the isolation are unchanged, and the first one that
 // moves is at the promotion instant.
+//
+// All four were re-captured once more when the monitor began reading
+// retention from the shipper's trim events instead of a registry gauge. No
+// schedule moved. Every metrics JSON lost the six monitor.violations*
+// counters and nothing else. The single-rig and sharded traces are
+// unchanged. The two replicated trials gained trim events, and with those
+// projected out their streams equal the old ones event for event: the
+// replica trial's 13 655 events (plus 622 trims) and, replayed with a 2²⁰
+// ring so nothing drops, the failover trial's 467 362 (plus 17 605 trims).
+// Every golden also checks that a replay of its trace reaches the live
+// monitor's verdict (requireOneVerdict).
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -89,9 +116,10 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
+	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "1617d15f408c4a4101f904fbef311845cf61b2f95eccc0d26a97e40ac85b4d1c" ||
-		me != "0841469d65c6110440217c94717ce238a7758c4dba0ff5bd666c1a844324b192" {
+		me != "ac1d205138559b6fdde383cecc5330c33aac2817cbbdf8800b5391bbd8950cef" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -108,11 +136,12 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
-		Bound: 6007449, QuorumK: 1, RetainLimit: 64 << 20, RetainGrace: 520 * time.Millisecond,
+		Bound: 6007449, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 520 * time.Millisecond,
 	})
+	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "41e58c5fe9e44e7b409841536b69bb32a288054b48562ae0c71157e59f3231ab" ||
-		me != "4bce8492536bdfd2aaa067a49100ae3114cded35b9d132a8bbf8578d847ce9a1" {
+	if tr != "b3b41eb155aeee815be2335070a37c4f53854871e4cda417c29c31a664a5e04e" ||
+		me != "20e65c372ebb0c9a3cb8ac14600153539ac6a17cf97217d36ff5a631a15a7b64" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -129,12 +158,13 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 4201113})
+	requireOneVerdict(t, res.Artifacts)
 	if f := res.Artifacts.Flight; res.MonitorViolations != 0 || f == nil || f.Reason != "power-dc-loss" {
 		t.Fatalf("monitor found %d violations, flight record %+v", res.MonitorViolations, f)
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "363e867bd41dfdd2d6682ad70123e87f9b83f12cbb5edf0cfb30905fe1e52d06" ||
-		me != "d2108eb556f784b54ba00ded2464a28594cae8620e36740c56fc9499ba70613a" {
+		me != "090b77dcf7d88fc3b5d7cf4455f285fc8333c81aa5bc1ce2390211fe7e8fd147" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -9,11 +9,12 @@ import (
 
 // TestShardEmitAllocs pins an Emit through a shard's tracer view, with the
 // monitor observing, at zero allocations: the view stamps a byte and the
-// monitor routes the event to its domain's state without allocating.
+// monitor routes the event to its domain's state — retention included —
+// without allocating.
 func TestShardEmitAllocs(t *testing.T) {
 	o := New(Config{TraceEnabled: true, TraceCapacity: 1 << 10})
 	tr := o.Tracer()
-	tr.SetObserver(NewMonitor(MonitorConfig{Bound: 1 << 20, Reg: o.Registry(), Trace: tr}).Consume)
+	tr.SetObserver(NewMonitor(MonitorConfig{Bound: 1 << 20, RetainLimit: 1 << 20, Trace: tr}).Consume)
 	view := o.Shard(3).Tracer()
 	var at time.Duration
 	perEvent := testing.AllocsPerRun(1000, func() {

@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Invariant identifies one of the runtime-checked safety properties. The
@@ -22,8 +20,8 @@ const (
 	// evidence — local flush covering the commit LSN, plus (QuorumK ≥ 1)
 	// EvQuorumMet for every record the covering force shipped (ackLedger).
 	InvAckEvidence
-	// InvRetention: the shipper's retained (unacked) bytes must return
-	// under RetainLimit within the eviction grace window.
+	// InvRetention: the shipper's retained bytes, as its ship and trim
+	// events state them, must return under RetainLimit within the grace.
 	InvRetention
 	// InvAckMonotone: each replica's cumulative ack sequence must never
 	// regress.
@@ -73,10 +71,6 @@ type MonitorConfig struct {
 	// the monitor calls it a violation — eviction of a dead replica
 	// legitimately takes a probe round-trip plus DeadAfter.
 	RetainGrace time.Duration `json:"retain_grace_ns"`
-	// Reg, when set, receives violation counters and provides each domain's
-	// retention gauge ("repl.retained_bytes", under ShardPrefix for a shard)
-	// the retention check reads.
-	Reg *Registry `json:"-"`
 	// Trace, when set, receives an EvViolation trace mark per violation and
 	// carries the contract in its dumps.
 	Trace *Tracer `json:"-"`
@@ -106,8 +100,9 @@ type MonitorReport struct {
 
 // Monitor re-checks the system's safety invariants online, consuming the
 // trace event stream (install it as the tracer's observer, or replay a
-// recorded trace through Consume). It never mutates the system: violations
-// become counters, trace marks, samples, and an OnViolation callback — the
+// recorded trace through Consume) and nothing else, so a replay of an
+// artifact reaches the live verdict. It never mutates the system: violations
+// become counts, trace marks, samples, and an OnViolation callback — the
 // flight recorder's freeze trigger. Each log domain is judged on its own
 // (domains); a violation in shard i says so in its Detail.
 type Monitor struct {
@@ -121,8 +116,6 @@ type Monitor struct {
 
 	counts  [invCount]int
 	samples []Violation
-	total   *metrics.Counter
-	perInv  [invCount]*metrics.Counter
 }
 
 // monitorDomain is one log domain's invariant state; every domain is checked
@@ -142,9 +135,9 @@ type monitorDomain struct {
 	// Single-writer tracking (InvSingleWriter).
 	lastEpoch int64
 
-	// Retention tracking (InvRetention): the domain's own shipper gauge, nil
-	// without a RetainLimit or a shipper.
-	retainGauge *metrics.Gauge
+	// Retention tracking (InvRetention): the domain's shipper's retained
+	// bytes, from its epoch, ship and trim events.
+	retained    int64
 	retainOver  bool
 	retainSince time.Duration
 	retainFired bool
@@ -156,31 +149,17 @@ type monitorDomain struct {
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.Trace != nil {
 		contract := cfg
-		contract.Reg, contract.Trace = nil, nil
+		contract.Trace = nil
 		cfg.Trace.contract = &contract
 	}
 	m := &Monitor{cfg: cfg}
-	if cfg.Reg != nil {
-		m.total = cfg.Reg.Counter("monitor.violations")
-		for i := Invariant(0); i < invCount; i++ {
-			m.perInv[i] = cfg.Reg.Counter("monitor.violations." + i.String())
-		}
-	}
 	m.doms.fresh = func(dom uint8) *monitorDomain {
-		d := &monitorDomain{
+		return &monitorDomain{
 			dom:      dom,
 			exposure: exposureLedger{outstanding: make(map[SpanID]ackInfo)},
 			evidence: newAckLedger(cfg.QuorumK),
 			repAck:   make(map[int64]uint64),
 		}
-		if reg := cfg.Reg; reg != nil && cfg.RetainLimit > 0 {
-			if dom > 0 {
-				reg = reg.Sub(ShardPrefix(int(dom) - 1))
-			}
-			// Looked up, not registered: a domain with no shipper retains nothing.
-			d.retainGauge = reg.gauges[reg.prefix+"repl.retained_bytes"]
-		}
-		return d
 	}
 	return m
 }
@@ -190,10 +169,6 @@ func (m *Monitor) violate(d *monitorDomain, inv Invariant, at time.Duration, det
 		detail = fmt.Sprintf("shard %d: %s", d.dom-1, detail)
 	}
 	m.counts[inv]++
-	if m.total != nil {
-		m.total.Inc()
-		m.perInv[inv].Inc()
-	}
 	v := Violation{Invariant: inv.String(), AtNs: int64(at), Detail: detail}
 	if len(m.samples) < maxSamples {
 		m.samples = append(m.samples, v)
@@ -256,6 +231,16 @@ func (m *Monitor) Consume(e Event) {
 				d.repAck[e.Arg2] = uint64(e.Arg1)
 			}
 
+		case EvShip:
+			d.retained += e.Arg2
+
+		case EvTrim:
+			// A deposed leader's shipper trimming its own stream says
+			// nothing about the live epoch's.
+			if e.Arg1 >= d.lastEpoch {
+				d.retained = e.Arg2
+			}
+
 		case EvEpoch:
 			// Single-writer-per-epoch: a shipper starting at an epoch at or
 			// below one already seen means two streams could gather quorum
@@ -266,8 +251,9 @@ func (m *Monitor) Consume(e Event) {
 			} else {
 				d.lastEpoch = e.Arg1
 			}
-			// A new shipper stream: sequence numbers restart.
+			// A new shipper stream: sequence numbers restart, nothing retained.
 			clear(d.repAck)
+			d.retained = 0
 
 		case EvPowerRestore:
 			// The machine rebooted: volatile state did not survive.
@@ -277,10 +263,10 @@ func (m *Monitor) Consume(e Event) {
 		}
 
 		// Retention is time-dependent: every event the domain sees re-checks it.
-		if d.retainGauge == nil {
+		if m.cfg.RetainLimit == 0 {
 			continue
 		}
-		switch v := d.retainGauge.Value(); {
+		switch v := d.retained; {
 		case v <= m.cfg.RetainLimit:
 			d.retainOver, d.retainFired = false, false
 		case !d.retainOver:
@@ -324,8 +310,9 @@ func (m *Monitor) Report() MonitorReport {
 }
 
 // RunMonitor replays a recorded event stream through a fresh monitor —
-// the offline form rapilog-trace -check runs on an artifact's contract. The
-// retention check is skipped unless cfg.Reg carries the live gauge.
+// the offline form rapilog-trace -check runs on an artifact's contract. All
+// five invariants are functions of the events: a replay of what the live
+// monitor saw reaches its verdict.
 func RunMonitor(events []Event, cfg MonitorConfig) MonitorReport {
 	m := NewMonitor(cfg)
 	for _, e := range events {

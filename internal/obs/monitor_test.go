@@ -126,16 +126,19 @@ func TestMonitorDetectsAckRegression(t *testing.T) {
 	}
 }
 
+// TestMonitorDetectsRetentionOverGrace: retention is the shipper's ledger as
+// its events state it — ships add, a trim says what is still retained, an
+// epoch starts from nothing — and it may sit above the limit for the grace
+// window, once per episode.
 func TestMonitorDetectsRetentionOverGrace(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("repl.retained_bytes")
-	m := NewMonitor(MonitorConfig{RetainLimit: 100, RetainGrace: 10 * time.Millisecond, Reg: reg})
+	m := NewMonitor(MonitorConfig{RetainLimit: 100, RetainGrace: 10 * time.Millisecond})
 	// Any event re-checks retention; a throttle mark touches nothing else.
 	tick := func(at time.Duration) { m.Consume(ev(at, EvHvThrottle, 0, 0, 0, 0)) }
 
-	g.Set(500)
-	tick(1 * time.Millisecond) // episode starts
-	tick(5 * time.Millisecond) // within grace
+	m.Consume(ev(0, EvEpoch, 0, 0, 1, 2))
+	m.Consume(ev(1*time.Millisecond, EvShip, 1, 0, 1, 300))
+	m.Consume(ev(1*time.Millisecond, EvShip, 2, 0, 2, 200)) // 500 retained: episode starts
+	tick(5 * time.Millisecond)                              // within grace
 	if m.Total() != 0 {
 		t.Fatalf("retention flagged inside the grace window")
 	}
@@ -147,13 +150,38 @@ func TestMonitorDetectsRetentionOverGrace(t *testing.T) {
 	if m.Total() != 1 {
 		t.Fatalf("retention episode re-fired")
 	}
-	g.Set(50)
-	tick(40 * time.Millisecond) // recovered
-	g.Set(500)
-	tick(41 * time.Millisecond)
+	m.Consume(ev(40*time.Millisecond, EvTrim, 0, 0, 1, 50)) // recovered
+	m.Consume(ev(41*time.Millisecond, EvShip, 3, 0, 3, 450))
 	tick(60 * time.Millisecond) // new episode, new violation
 	if m.Total() != 2 {
 		t.Fatalf("Total = %d after second episode, want 2", m.Total())
+	}
+	if v := m.Report().Samples[1]; v.AtNs != int64(60*time.Millisecond) || !strings.Contains(v.Detail, "retained 500 bytes") {
+		t.Fatalf("second episode reported as %+v", v)
+	}
+}
+
+// A deposed leader's shipper trims its own, older stream: that says nothing
+// about what the live epoch retains. The monitor is armed after the first
+// epoch began, so trims of an epoch it never saw start still count.
+func TestMonitorRetentionFollowsTheNewestEpoch(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	events := []Event{
+		ev(ms(1), EvShip, 1, 0, 1, 500),
+		ev(ms(2), EvTrim, 0, 0, 1, 0), // epoch 1, begun before the window
+		ev(ms(3), EvShip, 2, 0, 2, 500),
+		ev(ms(4), EvEpoch, 0, 0, 2, 2), // the promoted leader's stream
+		ev(ms(5), EvShip, 3, 0, 1, 500),
+		ev(ms(6), EvTrim, 0, 0, 1, 0), // the deposed leader lets go of its own
+		ev(ms(30), EvHvThrottle, 0, 0, 0, 0),
+	}
+	rep := RunMonitor(events, MonitorConfig{RetainLimit: 100, RetainGrace: 10 * time.Millisecond})
+	if rep.ByKind[InvRetention.String()] != 1 || rep.Samples[0].AtNs != int64(ms(30)) {
+		t.Fatalf("the live epoch's 500 retained bytes were not flagged at 30 ms: %+v", rep)
+	}
+	events[5].Arg1 = 2 // the live shipper's own trim
+	if rep := RunMonitor(events, MonitorConfig{RetainLimit: 100, RetainGrace: 10 * time.Millisecond}); rep.Total != 0 {
+		t.Fatalf("a trim of the live epoch did not clear retention: %+v", rep)
 	}
 }
 

@@ -115,6 +115,11 @@ const (
 	// it never acked may now be truncated. Arg1 = replica label id,
 	// Arg2 = retained bytes at eviction.
 	EvEvict
+	// EvTrim: the shipper freed retained records (every participating
+	// standby acked them, an eviction passed them, or the shipper stopped).
+	// Arg1 = epoch, Arg2 = bytes still retained — absolute, so a window that
+	// starts mid-stream re-anchors at its first trim.
+	EvTrim
 	// EvEpoch: a new shipper epoch began (assembly or post-power-cycle
 	// reassembly); stream sequence numbers restart. Arg1 = epoch,
 	// Arg2 = standby count.
@@ -175,6 +180,7 @@ var kindNames = map[Kind]string{
 	EvQuorumMet:    "quorum_met",
 	EvRepair:       "repair",
 	EvEvict:        "evict",
+	EvTrim:         "trim",
 	EvEpoch:        "epoch",
 	EvViolation:    "violation",
 	EvElect:        "elect",

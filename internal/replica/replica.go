@@ -15,7 +15,8 @@
 //     bounded by Config.RetainLimit: a standby whose acks stall while
 //     retention exceeds the bound is evicted (lost for the epoch once the
 //     stream is trimmed past it) and re-syncs when the next epoch restarts
-//     the stream at seq 1.
+//     the stream at seq 1. Whatever the standbys do, the stream never holds
+//     more than a hard cap of four times RetainLimit.
 //   - A Standby applies records strictly in sequence order (out-of-order
 //     arrivals are buffered, duplicates re-acknowledged) and replies with a
 //     cumulative ack: "I durably hold everything up to seq S". The ack also
@@ -72,6 +73,9 @@ const (
 	// Config.RetainLimit / Config.DeadAfter select.
 	DefaultRetainLimit = 64 << 20
 	DefaultDeadAfter   = 500 * time.Millisecond
+	// DefaultRetainCap is the hard cap on retained bytes under the default
+	// RetainLimit (see Config.RetainLimit).
+	DefaultRetainCap = graceRetainFactor * DefaultRetainLimit
 )
 
 // Config tunes the shipping protocol. The same Config parameterises the
@@ -93,7 +97,12 @@ type Config struct {
 	// retained bytes exceed RetainLimit and a standby's ack has not advanced
 	// for DeadAfter, that standby is evicted: retention is trimmed past it,
 	// and it is lost for the epoch — it re-syncs naturally at the next
-	// epoch, when the stream restarts from seq 1. Default DefaultRetainLimit
+	// epoch, when the stream restarts from seq 1. With every standby evicted
+	// the stream holds at the slowest ack so they can still be repaired, up
+	// to a hard cap of four times RetainLimit; the cap also holds for
+	// standbys that ack on, only slower than the primary writes (local acks
+	// never wait for them). Past it the oldest records go and the standbys
+	// that needed them are lost for the epoch. Default DefaultRetainLimit
 	// (64 MiB).
 	RetainLimit int64
 	// DeadAfter is the ack-stall threshold for eviction; it only applies

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -510,6 +511,108 @@ func TestAllDeadRetentionHardCap(t *testing.T) {
 	// than holding records nobody can ever be sent.
 	if got := h.sh.retainedB.Value(); got != 0 {
 		t.Fatalf("retained %d bytes with every replica lost for the epoch", got)
+	}
+}
+
+// retentionVerdict replays the shipper's trace through the invariant monitor
+// under a retention contract of limit bytes and the rig's grace: an eviction
+// window plus two probe rounds.
+func retentionVerdict(tr *obs.Tracer, limit int64, cfg Config) obs.MonitorReport {
+	return obs.RunMonitor(tr.Events(), obs.MonitorConfig{RetainLimit: limit, RetainGrace: cfg.DeadAfter + 2*RetransmitEvery})
+}
+
+// TestRetentionContractIsTheHardCap decides what the retention invariant may
+// check. With the whole fleet stalled the shipper holds their stream past
+// RetainLimit on purpose, so that they can still be repaired
+// (TestAllReplicasDeadStreamStaysRevivable); checked against RetainLimit,
+// that designed state read as a retention_bound violation. The bound the
+// shipper holds to is its hard cap.
+func TestRetentionContractIsTheHardCap(t *testing.T) {
+	cfg := Config{RetainLimit: 64 << 10, DeadAfter: 20 * time.Millisecond, Trace: obs.NewTracer(1 << 14)}
+	h := newHarness(t, 22, 2, netsim.LinkConfig{}, cfg)
+	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
+		h.fab.Isolate("standby0", "standby1")
+		for i := 0; i < 300; i++ { // 150 KB unacked: past RetainLimit, within the cap
+			h.sh.Ship(int64(i*8), payload(i, 512))
+			p.Sleep(100 * time.Microsecond)
+		}
+		p.Sleep(time.Second) // the fleet stays dark, the stream held
+		h.fab.Heal()
+	})
+	if err := h.s.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if h.sh.evictions.Value() != 2 || h.sh.rep("standby0").lost || h.sh.retainedB.Peak() <= cfg.RetainLimit {
+		t.Fatalf("test premise: %d evictions, peak %d bytes; want the fleet evicted and held revivable past RetainLimit",
+			h.sh.evictions.Value(), h.sh.retainedB.Peak())
+	}
+	if rep := retentionVerdict(cfg.Trace, cfg.RetainLimit, cfg); rep.ByKind[obs.InvRetention.String()] != 1 {
+		t.Fatalf("the held stream read clean against RetainLimit itself: %+v", rep)
+	}
+	if rep := retentionVerdict(cfg.Trace, graceRetainFactor*cfg.RetainLimit, cfg); rep.Total != 0 {
+		t.Fatalf("the shipper broke its hard cap: %+v", rep)
+	}
+}
+
+// TestSlowStandbysRetentionStaysUnderCap: standbys that keep acking, only
+// slower than a local-ack primary writes, never stall, so the stall rule never
+// evicts them. Retention used to grow with the backlog for as long as the load
+// lasted — 107 MiB after 2 s of local-ack stress, past RetainLimit for good.
+// The hard cap holds whatever the standbys do: the oldest records go, and the
+// standbys the trim passes are lost for the epoch. The shipper's trim events
+// state its retention exactly.
+func TestSlowStandbysRetentionStaysUnderCap(t *testing.T) {
+	cfg := Config{RetainLimit: 16 << 10, DeadAfter: 10 * time.Millisecond, Trace: obs.NewTracer(1 << 16)}
+	link := netsim.LinkConfig{Bandwidth: 1e6} // 1 MB/s against 5 MB/s of writes
+	h := newHarness(t, 24, 2, link, cfg)
+	hard := int64(graceRetainFactor) * cfg.RetainLimit
+	ledger := func() (b int64) {
+		for _, e := range cfg.Trace.Events() {
+			switch e.Kind {
+			case obs.EvEpoch:
+				b = 0
+			case obs.EvShip:
+				b += e.Arg2
+			case obs.EvTrim:
+				b = e.Arg2
+			}
+		}
+		return b
+	}
+	var maxRetained int64
+	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
+		for i := 0; i < 2000; i++ { // 1 MB in 200 ms
+			h.sh.Ship(int64(i*8), payload(i, 512))
+			maxRetained = max(maxRetained, h.sh.retainedB.Value())
+			if i%100 == 0 {
+				if got, want := ledger(), h.sh.retainedB.Value(); got != want {
+					t.Errorf("record %d: trace ledger %d bytes, gauge %d", i, got, want)
+				}
+			}
+			p.Sleep(100 * time.Microsecond)
+		}
+	})
+	if err := h.s.RunFor(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range h.sh.reps {
+		if r.ack == 0 || r.progressAt < sim.Time(150*time.Millisecond) {
+			t.Fatalf("test premise: %s is not acking steadily (ack %d, last progress %v)", r.name, r.ack, r.progressAt)
+		}
+		if !r.lost {
+			t.Fatalf("%s (ack %d of %d) still pins the stream", r.name, r.ack, h.sh.LastSeq())
+		}
+	}
+	// As with every standby dead, one probe interval of writes can land
+	// between trims.
+	if maxRetained > 2*hard || maxRetained <= hard {
+		t.Fatalf("retention peaked at %d bytes behind slow standbys, want in (%d, ~%d]", maxRetained, hard, 2*hard)
+	}
+	if cfg.Trace.Dropped() != 0 {
+		t.Fatalf("trace ring dropped %d events", cfg.Trace.Dropped())
+	}
+	if rep := retentionVerdict(cfg.Trace, hard, cfg); rep.Total != 0 {
+		t.Fatalf("the monitor, reading the shipper's events, found the cap broken: %+v", rep)
 	}
 }
 

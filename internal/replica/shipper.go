@@ -152,6 +152,7 @@ func (sh *Shipper) Stop() {
 	sh.retained = sh.retained[:0]
 	sh.base = sh.next
 	sh.retainedB.Add(-freed)
+	sh.tr.Emit(sh.s.Now().Duration(), obs.EvTrim, 0, 0, int64(sh.epoch), sh.retainedB.Value())
 	sh.lag.Set(0)
 	sh.s.Tracef("repl: shipper epoch %d stopped (%d bytes released)", sh.epoch, freed)
 }
@@ -421,61 +422,44 @@ func (sh *Shipper) updateLag() {
 // requires the stream to still reach a standby's first missing record, so
 // a full trim turns a transient all-standbys-stalled episode into
 // lost-for-epoch even for a standby that acks moments later. The frontier
-// instead falls back to a grace floor that trims only what RetainLimit
-// forces, keeping the newest retained suffix revivable.
+// instead holds at the slowest replica's ack, keeping the stream revivable.
+// Either way it never retains more than the hard cap (capFloor).
 func (sh *Shipper) retainMin() uint64 {
-	m := sh.next - 1
-	alive := false
+	if sh.allLost {
+		return sh.next - 1 // no replica can ever be repaired this epoch
+	}
+	m, alive := sh.next-1, false
 	for _, r := range sh.reps {
-		if r.dead {
-			continue
-		}
-		alive = true
-		if r.ack < m {
-			m = r.ack
+		if !r.dead {
+			m, alive = min(m, r.ack), true
 		}
 	}
-	if !alive && len(sh.reps) > 0 {
-		if sh.allLost {
-			return sh.next - 1 // no replica can ever be repaired this epoch
+	if !alive {
+		for _, r := range sh.reps {
+			m = min(m, r.ack)
 		}
-		return sh.graceFloor()
 	}
-	return m
+	return max(m, sh.capFloor())
 }
 
-// graceRetainFactor scales RetainLimit into the hard retention cap that
-// applies while every replica is dead. Below the cap the stream holds at
-// the slowest replica's ack, so the probe can still repair any standby
-// that comes back; above it memory wins, the oldest records go, and the
+// graceRetainFactor scales RetainLimit into the hard retention cap. Past
+// RetainLimit a stalled replica is evicted; below the cap the stream holds at
+// the slowest participating ack, so the probe can still repair any standby
+// that comes back; above it memory wins, whatever the standbys do — dead, or
+// alive but slower than the primary writes — the oldest records go, and the
 // replicas that needed them turn lost for the epoch.
 const graceRetainFactor = 4
 
-// graceFloor is the all-replicas-dead truncation frontier: the slowest
-// replica's cumulative ack (trimming past any replica's ack makes it
-// unrevivable), overridden by a byte floor once the retained suffix would
-// exceed graceRetainFactor × RetainLimit.
-func (sh *Shipper) graceFloor() uint64 {
-	m := sh.next - 1
-	for _, r := range sh.reps {
-		if r.ack < m {
-			m = r.ack
-		}
+// capFloor is the newest sequence that must go for the retained stream to
+// fit graceRetainFactor × RetainLimit (base-1 when it fits already).
+func (sh *Shipper) capFloor() uint64 {
+	over := sh.retainedB.Value() - graceRetainFactor*sh.cfg.RetainLimit
+	floor := sh.base - 1
+	for i := 0; over > 0 && i < len(sh.retained); i++ {
+		over -= int64(len(sh.retained[i].rec.Data))
+		floor++
 	}
-	hard := graceRetainFactor * sh.cfg.RetainLimit
-	var kept int64
-	byteFloor := sh.base - 1
-	for i := len(sh.retained) - 1; i >= 0; i-- {
-		kept += int64(len(sh.retained[i].rec.Data))
-		if kept > hard {
-			byteFloor = sh.base + uint64(i)
-			break
-		}
-	}
-	if byteFloor > m {
-		return byteFloor
-	}
-	return m
+	return floor
 }
 
 // truncate drops retained records every participating replica has
@@ -506,10 +490,11 @@ func (sh *Shipper) truncate() {
 	sh.retained = sh.retained[:m]
 	sh.base += uint64(n)
 	sh.retainedB.Add(-freed)
+	sh.tr.Emit(sh.s.Now().Duration(), obs.EvTrim, 0, 0, int64(sh.epoch), sh.retainedB.Value())
 	all := len(sh.reps) > 0
 	for _, r := range sh.reps {
 		if !r.lost && r.ack+1 < sh.base {
-			r.lost = true
+			r.lost, r.dead = true, true // the cap can pass a live replica too
 			sh.s.Tracef("repl: %s lost for epoch %d (ack %d, stream trimmed to %d)", r.name, sh.epoch, r.ack, sh.base)
 		}
 		all = all && r.lost
@@ -529,31 +514,20 @@ func (sh *Shipper) reapStalled(now sim.Time) {
 	if sh.retainedB.Value() <= sh.cfg.RetainLimit {
 		return
 	}
-	evicted := false
-	allDead := len(sh.reps) > 0
 	for _, r := range sh.reps {
-		if r.dead || r.ack >= sh.next-1 {
-			allDead = allDead && r.dead
+		if r.dead || r.ack >= sh.next-1 || now.Sub(r.progressAt) < sh.cfg.DeadAfter {
 			continue
 		}
-		if now.Sub(r.progressAt) >= sh.cfg.DeadAfter {
-			r.dead = true
-			evicted = true
-			sh.evictions.Inc()
-			sh.tr.Emit(now.Duration(), obs.EvEvict, 0, 0, r.labelID, sh.retainedB.Value())
-			sh.s.Tracef("repl: evicting %s (ack %d stalled %v, %d bytes retained)",
-				r.name, r.ack, now.Sub(r.progressAt), sh.retainedB.Value())
-		} else {
-			allDead = false
-		}
+		r.dead = true
+		sh.evictions.Inc()
+		sh.tr.Emit(now.Duration(), obs.EvEvict, 0, 0, r.labelID, sh.retainedB.Value())
+		sh.s.Tracef("repl: evicting %s (ack %d stalled %v, %d bytes retained)",
+			r.name, r.ack, now.Sub(r.progressAt), sh.retainedB.Value())
 	}
-	// With every replica dead no ack round will trim again, so keep calling
-	// truncate from here: the grace floor holds the stream at the slowest
-	// ack while it fits the hard cap and slides once it does not, keeping
-	// retention bounded while the primary keeps shipping.
-	if evicted || allDead {
-		sh.truncate()
-	}
+	// Trim here too: an eviction moves the frontier with no ack to trim it,
+	// with every replica dead no ack round comes at all, and stalled
+	// replicas not yet evicted can hold retention over the hard cap.
+	sh.truncate()
 }
 
 // ackLoop receives cumulative acks, advances per-replica state, observes

@@ -1,11 +1,13 @@
 package rig
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -53,12 +55,10 @@ type loadedCluster struct {
 	auditErr error
 }
 
-func runLoadedCluster(t *testing.T, seed int64, sessionsFor time.Duration, operator func(p *sim.Proc, lc *loadedCluster)) *loadedCluster {
+func runLoadedCluster(t *testing.T, rc Config, sessionsFor time.Duration, operator func(p *sim.Proc, lc *loadedCluster)) *loadedCluster {
 	t.Helper()
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3,
-		Rig:   Config{Seed: seed, AckPolicy: core.AckQuorum(1)},
-	})
+	rc.AckPolicy = core.AckQuorum(1)
+	c, err := NewCluster(ClusterConfig{Nodes: 3, Rig: rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func runLoadedCluster(t *testing.T, seed int64, sessionsFor time.Duration, opera
 func TestClusterFailoverPowerCut(t *testing.T) {
 	var cutAt time.Duration
 	var ackedAtCut int
-	lc := runLoadedCluster(t, 42, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
+	lc := runLoadedCluster(t, Config{Seed: 42}, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
 		ackedAtCut = lc.j.Len()
 		cutAt = p.Now().Duration()
@@ -197,7 +197,7 @@ func TestClusterFailoverPowerCut(t *testing.T) {
 // a standby. After healing, the deposed node rejoins; no acked op may be
 // lost and both writers must never be acked in one epoch.
 func TestClusterFailoverIsolation(t *testing.T) {
-	lc := runLoadedCluster(t, 7, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
+	lc := runLoadedCluster(t, Config{Seed: 7}, 45*time.Second, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
 		lc.IsolateLeader()
 		for lc.Coord.Failovers() == 0 {
@@ -240,7 +240,7 @@ func TestClusterBrownoutFailsOver(t *testing.T) {
 	var cutAt time.Duration
 	var ackedAtRestore int
 	var ex *power.Machine
-	lc := runLoadedCluster(t, 42, 6600*time.Millisecond, func(p *sim.Proc, lc *loadedCluster) {
+	lc := runLoadedCluster(t, Config{Seed: 42}, 6600*time.Millisecond, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
 		ex, cutAt = lc.LeaderRig().Machine, p.Now().Duration()
 		ex.CutPower()
@@ -265,5 +265,50 @@ func TestClusterBrownoutFailsOver(t *testing.T) {
 	}
 	if rep := lc.Monitor.Report(); rep.Total != 0 {
 		t.Fatalf("monitor violations across the brownout takeover: %+v", rep)
+	}
+}
+
+// TestClusterMonitorWatchesThePromotedLeader: the cluster has one monitor,
+// armed off node0's machine, and the promoted leader's shipper is the one
+// whose retention matters after a takeover. The monitor used to read node0's
+// registry gauge, so the promoted leader's retention was never checked: with
+// node1's gauge held at 1 GiB for 2 s it found nothing. Retention now comes
+// from whichever shipper's events hold the newest epoch. node0's store never
+// acks again after the cut, so node1 retains everything it ships; a replay of
+// the run with a 16 MiB limit must flag it, after the promotion, and the live
+// verdict must be the replay's under the run's own contract.
+func TestClusterMonitorWatchesThePromotedLeader(t *testing.T) {
+	var promotedAt time.Duration
+	lc := runLoadedCluster(t, Config{Seed: 42, TraceCapacity: 1 << 20}, 4*time.Second, func(p *sim.Proc, lc *loadedCluster) {
+		p.Sleep(1500 * time.Millisecond)
+		lc.CutLeaderPower()
+		for lc.Coord.Failovers() == 0 {
+			p.Sleep(10 * time.Millisecond)
+		}
+		promotedAt = p.Now().Duration()
+	})
+	if lc.LeaderName() != "node1" {
+		t.Fatalf("test premise: leadership passed to %s, want node1", lc.LeaderName())
+	}
+	tr := lc.Obs.Tracer()
+	if tr.Dropped() != 0 {
+		t.Fatalf("test premise: the ring dropped %d events", tr.Dropped())
+	}
+	events := tr.Events()
+	contract := lc.nodes[0].rig.contract()
+	live, replay := lc.Monitor.Report(), obs.RunMonitor(events, contract)
+	if live.Total != replay.Total || !reflect.DeepEqual(live.ByKind, replay.ByKind) || !reflect.DeepEqual(live.Samples, replay.Samples) {
+		t.Fatalf("live verdict %+v, replay %+v", live, replay)
+	}
+
+	contract.RetainLimit = 16 << 20
+	rep := obs.RunMonitor(events, contract)
+	if rep.ByKind[obs.InvRetention.String()] != 1 {
+		t.Fatalf("the promoted leader's retention was not flagged against a 16 MiB limit: %+v", rep)
+	}
+	if v := rep.Samples[0]; v.At() <= promotedAt {
+		t.Fatalf("retention flagged at %v, before the promotion at %v: %s", v.At(), promotedAt, v.Detail)
+	} else {
+		t.Logf("promoted at %v; at %v: %s", promotedAt, v.At(), v.Detail)
 	}
 }

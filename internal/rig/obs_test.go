@@ -1,12 +1,16 @@
 package rig
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/replica"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // A safe (default-bounded) rapilog rig must keep peak acknowledged-but-
@@ -188,3 +192,35 @@ func TestCommitStageHistogramsAllModes(t *testing.T) {
 }
 
 func key(i int) string { return "k" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) }
+
+// The monitor's verdict is a function of the events alone: replaying a run's
+// trace against its contract reaches the live verdict. On local-ack stress the
+// standbys ack on but fall behind the primary, and the two used to disagree:
+// the live monitor read the shipper's gauge and flagged retention_bound at
+// 1.726 s, while the replay, with no gauge to read, skipped retention and
+// said 0 violations. Retention now passes RetainLimit here without a stalled
+// standby to evict, and stays under the shipper's hard cap, the contract's.
+func TestOneVerdictOnlineAndOfflineLocalAckStress(t *testing.T) {
+	r, err := New(Config{Seed: 1, Mode: RapiLog, Replicas: 2, AckPolicy: core.AckLocal(), Trace: true, TraceCapacity: 1 << 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Run(&workload.Stress{}, workload.RunnerConfig{Clients: 8, Duration: 2 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	tr := r.Obs.Tracer()
+	if tr.Dropped() != 0 {
+		t.Fatalf("test premise: the ring dropped %d events", tr.Dropped())
+	}
+	if peak := r.Obs.Registry().Gauge("repl.retained_bytes").Peak(); peak <= replica.DefaultRetainLimit {
+		t.Fatalf("test premise: retention peaked at %d bytes, never past RetainLimit", peak)
+	}
+	live, replay := r.Monitor.Report(), obs.RunMonitor(tr.Events(), r.contract())
+	if live.TxAcked == 0 || live.Total != replay.Total || !reflect.DeepEqual(live.ByKind, replay.ByKind) || !reflect.DeepEqual(live.Samples, replay.Samples) {
+		t.Fatalf("live verdict %+v, replay %+v", live, replay)
+	}
+	if live.Total != 0 {
+		t.Fatalf("slow standbys broke the contract: %+v", live)
+	}
+}

@@ -300,7 +300,7 @@ func (r *Rig) setupVerification() {
 		return
 	}
 	mc := r.contract()
-	mc.Reg, mc.Trace = r.Obs.Registry(), tr
+	mc.Trace = tr
 	r.Monitor = obs.NewMonitor(mc)
 	if !r.Cfg.Flight {
 		tr.SetObserver(r.Monitor.Consume)
@@ -347,9 +347,12 @@ func (r *Rig) contract() obs.MonitorConfig {
 		c.Bound = r.Logger.MaxBuffer()
 	}
 	if r.Cfg.Replicas > 0 {
-		c.RetainLimit = replica.DefaultRetainLimit
-		// Eviction legitimately takes an ack-stall window plus a couple of
-		// probe rounds; only beyond that is high retention a violation.
+		// The shipper's memory bound is its hard cap: above RetainLimit it
+		// evicts stalled standbys, but it holds an all-evicted fleet's stream
+		// revivable up to the cap by design.
+		c.RetainLimit = replica.DefaultRetainCap
+		// An eviction takes an ack-stall window plus a couple of probe
+		// rounds; only beyond that is high retention a violation.
 		c.RetainGrace = replica.DefaultDeadAfter + 2*replica.RetransmitEvery
 	}
 	return c
