@@ -199,10 +199,14 @@ func reportDomain(d *rapilog.LogDomain, eng *rapilog.Engine, policy rapilog.AckP
 		ds.WriteLatency.Quantile(0.99).Round(time.Microsecond))
 	if d.Shipper != nil {
 		reg := d.Obs.Registry()
-		fmt.Printf("replication:    policy=%s, %d standbys, %d records shipped (%d KiB), %d resends, lag peak %d\n",
+		lost := ""
+		if n := reg.Counter("repl.evictions").Value(); n > 0 {
+			lost = fmt.Sprintf(", %d standbys lost", n)
+		}
+		fmt.Printf("replication:    policy=%s, %d standbys, %d records shipped (%d KiB), %d resends, lag peak %d%s\n",
 			policy, len(d.Standbys), reg.Counter("repl.shipped").Value(),
 			reg.Counter("repl.shipped_bytes").Value()/1024,
-			reg.Counter("repl.resends").Value(), reg.Gauge("repl.lag").Peak())
+			reg.Counter("repl.resends").Value(), reg.Gauge("repl.lag").Peak(), lost)
 		for _, pr := range d.Shipper.Progress() {
 			lat := reg.Histogram("repl." + pr.Name + ".ack_latency")
 			fmt.Printf("                %s: acked %d/%d, ack latency p50=%v p99=%v\n",

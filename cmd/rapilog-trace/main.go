@@ -181,7 +181,8 @@ func runCheck(w io.Writer, rec *rapilog.FlightRecord) bool {
 	}
 	// A record carries the verdict of a monitor that saw the whole run; the
 	// record's own window (4 096 events) need not reach back to where a
-	// violation began — a retention episode spans a 520 ms grace.
+	// violation began — a retention episode starts a grace before it is
+	// flagged.
 	if mr := rec.Monitor; mr != nil && mr.Total > 0 {
 		fmt.Fprintf(w, "check:          FAIL — the record's live monitor found %d invariant violations (%s)\n", mr.Total, describe(dump.Contract))
 		printViolations(w, mr)

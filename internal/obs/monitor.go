@@ -68,8 +68,8 @@ type MonitorConfig struct {
 	// the retention check.
 	RetainLimit int64 `json:"retain_limit"`
 	// RetainGrace is how long retention may sit above RetainLimit before
-	// the monitor calls it a violation — eviction of a dead replica
-	// legitimately takes a probe round-trip plus DeadAfter.
+	// the monitor calls it a violation — the shipper trims at its next ack
+	// or probe round, so a write can overshoot for up to that long.
 	RetainGrace time.Duration `json:"retain_grace_ns"`
 	// Trace, when set, receives an EvViolation trace mark per violation and
 	// carries the contract in its dumps.

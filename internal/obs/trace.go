@@ -111,12 +111,11 @@ const (
 	// or hole-reporting standby. Arg1 = replica label id, Arg2 = records
 	// resent.
 	EvRepair
-	// EvEvict: a dead standby was evicted from the retention set; records
-	// it never acked may now be truncated. Arg1 = replica label id,
-	// Arg2 = retained bytes at eviction.
+	// EvEvict: the trim passed this standby; it is lost for the epoch.
+	// Arg1 = replica label id, Arg2 = bytes still retained.
 	EvEvict
-	// EvTrim: the shipper freed retained records (every participating
-	// standby acked them, an eviction passed them, or the shipper stopped).
+	// EvTrim: the shipper freed retained records (every standby not lost
+	// acked them, they fell past its retention limit, or it stopped).
 	// Arg1 = epoch, Arg2 = bytes still retained — absolute, so a window that
 	// starts mid-stream re-anchors at its first trim.
 	EvTrim

@@ -12,11 +12,10 @@
 //     cumulative ack back per frame), and sends each frame to every
 //     standby. Records are
 //     retained until every standby has cumulatively acknowledged them —
-//     bounded by Config.RetainLimit: a standby whose acks stall while
-//     retention exceeds the bound is evicted (lost for the epoch once the
-//     stream is trimmed past it) and re-syncs when the next epoch restarts
-//     the stream at seq 1. Whatever the standbys do, the stream never holds
-//     more than a hard cap of four times RetainLimit.
+//     never more than Config.RetainLimit bytes, whatever the standbys do:
+//     past it the oldest records go, and a standby the trim passes is lost
+//     for the epoch and re-syncs when the next epoch restarts the stream at
+//     seq 1.
 //   - A Standby applies records strictly in sequence order (out-of-order
 //     arrivals are buffered, duplicates re-acknowledged) and replies with a
 //     cumulative ack: "I durably hold everything up to seq S". The ack also
@@ -45,8 +44,8 @@ import (
 )
 
 // The shipping protocol's timing and framing constants. No experiment,
-// campaign or test varies them; what tests do vary (the retention bound and
-// the eviction threshold) stays on Config.
+// campaign or test varies them; what tests do vary (the retention bound)
+// stays on Config.
 const (
 	// RetransmitEvery is the silent-replica probe interval: a replica whose
 	// acks have stalled for this long gets its oldest unacknowledged window
@@ -69,13 +68,8 @@ const (
 	// (validate, append to its durable log).
 	applyDelay = 2 * time.Microsecond
 
-	// DefaultRetainLimit and DefaultDeadAfter are what a zero
-	// Config.RetainLimit / Config.DeadAfter select.
-	DefaultRetainLimit = 64 << 20
-	DefaultDeadAfter   = 500 * time.Millisecond
-	// DefaultRetainCap is the hard cap on retained bytes under the default
-	// RetainLimit (see Config.RetainLimit).
-	DefaultRetainCap = graceRetainFactor * DefaultRetainLimit
+	// DefaultRetainLimit is what a zero Config.RetainLimit selects.
+	DefaultRetainLimit = 256 << 20
 )
 
 // Config tunes the shipping protocol. The same Config parameterises the
@@ -92,22 +86,14 @@ type Config struct {
 	// RetainLimit bounds the bytes of shipped-but-unacknowledged records the
 	// shipper retains for retransmission. While every standby keeps acking,
 	// retention trails the slowest cumulative ack and stays tiny; a standby
-	// that stops acking (crash, long partition) would otherwise pin the
-	// whole stream in memory at the write rate for the whole outage. When
-	// retained bytes exceed RetainLimit and a standby's ack has not advanced
-	// for DeadAfter, that standby is evicted: retention is trimmed past it,
-	// and it is lost for the epoch — it re-syncs naturally at the next
-	// epoch, when the stream restarts from seq 1. With every standby evicted
-	// the stream holds at the slowest ack so they can still be repaired, up
-	// to a hard cap of four times RetainLimit; the cap also holds for
-	// standbys that ack on, only slower than the primary writes (local acks
-	// never wait for them). Past it the oldest records go and the standbys
-	// that needed them are lost for the epoch. Default DefaultRetainLimit
-	// (64 MiB).
+	// that stops acking (crash, long partition), or acks on but slower than
+	// a local-ack primary writes, would otherwise pin the stream in memory
+	// at the write rate. The stream holds at the slowest ack so a standby
+	// that comes back can still be repaired, up to RetainLimit; past it the
+	// oldest records go, and the standbys that needed them are lost for the
+	// epoch — they re-sync at the next epoch, when the stream restarts from
+	// seq 1. Default DefaultRetainLimit (256 MiB).
 	RetainLimit int64
-	// DeadAfter is the ack-stall threshold for eviction; it only applies
-	// while retention exceeds RetainLimit. Default DefaultDeadAfter (500ms).
-	DeadAfter time.Duration
 	// Reg, when set, registers the subsystem's instruments centrally.
 	Reg *obs.Registry
 	// Trace, when set, records replication trace events (ship, replica
@@ -131,8 +117,5 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RetainLimit == 0 {
 		c.RetainLimit = DefaultRetainLimit
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = DefaultDeadAfter
 	}
 }

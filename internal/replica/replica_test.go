@@ -351,33 +351,48 @@ func TestStaleEpochAcksIgnored(t *testing.T) {
 
 // TestStalledReplicaEvictionBoundsRetention: a standby that stops acking
 // (here: a partition that never heals in-epoch) must not pin the retained
-// stream at the write rate forever. Once retention exceeds RetainLimit and
-// the standby's ack has stalled past DeadAfter, it is evicted and the
-// stream trims to the live standby's ack; the evicted standby is lost for
-// the epoch and re-syncs when the next epoch restarts the stream.
+// stream at the write rate forever. The stream holds at its ack up to
+// RetainLimit, so a standby that comes back can still be repaired; past the
+// limit the oldest records go, the trim passes the stalled standby, and it is
+// evicted — lost for the epoch — and re-syncs when the next epoch restarts
+// the stream.
 func TestStalledReplicaEvictionBoundsRetention(t *testing.T) {
-	cfg := Config{RetainLimit: 64 << 10, DeadAfter: 20 * time.Millisecond}
+	cfg := Config{RetainLimit: 256 << 10, Trace: obs.NewTracer(1 << 16)}
 	h := newHarness(t, 21, 2, netsim.LinkConfig{}, cfg)
+	var maxRetained int64
 	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
 		h.fab.Isolate("standby1")
-		for i := 0; i < 300; i++ { // 150 KB shipped, well past the 64 KB bound
+		for i := 0; i < 800; i++ { // 400 KB shipped, well past the 256 KiB limit
 			h.sh.Ship(int64(i*8), payload(i, 512))
+			maxRetained = max(maxRetained, h.sh.retainedB.Value())
 			p.Sleep(100 * time.Microsecond)
 		}
 	})
 	if err := h.s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	checkPrefix(t, h.sts[0], 1, 300)
+	checkPrefix(t, h.sts[0], 1, 800)
 	if got := h.sh.retainedB.Value(); got != 0 {
 		t.Fatalf("retained %d bytes after the live standby acked everything — the stalled standby still pins the stream", got)
 	}
-	if h.sh.evictions.Value() == 0 {
-		t.Fatal("stalled standby was never evicted")
+	// Held to the limit, not trimmed early: the peak passes RetainLimit by at
+	// most the writes of one probe round.
+	probeRound := int64(RetransmitEvery/(100*time.Microsecond)) * 512
+	if maxRetained <= cfg.RetainLimit || maxRetained > cfg.RetainLimit+probeRound {
+		t.Fatalf("retention peaked at %d bytes, want in (%d, %d]", maxRetained, cfg.RetainLimit, cfg.RetainLimit+probeRound)
 	}
 	r1 := h.sh.rep("standby1")
-	if !r1.dead || !r1.lost {
-		t.Fatalf("standby1 dead=%v lost=%v, want evicted and lost for the epoch", r1.dead, r1.lost)
+	if !r1.lost || h.sh.evictions.Value() != 1 {
+		t.Fatalf("standby1 lost=%v after %d evictions, want evicted once and lost for the epoch", r1.lost, h.sh.evictions.Value())
+	}
+	var evicts []obs.Event
+	for _, e := range cfg.Trace.Events() {
+		if e.Kind == obs.EvEvict {
+			evicts = append(evicts, e)
+		}
+	}
+	if cfg.Trace.Dropped() != 0 || len(evicts) != 1 || evicts[0].Arg1 != r1.labelID {
+		t.Fatalf("evict events %+v (ring dropped %d), want one naming standby1", evicts, cfg.Trace.Dropped())
 	}
 	// Healing mid-epoch cannot resurrect it: the records it needs are gone.
 	// The probe must stop targeting it rather than resending a window it
@@ -392,6 +407,9 @@ func TestStalledReplicaEvictionBoundsRetention(t *testing.T) {
 	}
 	if got := h.sh.resends.Value(); got != resends {
 		t.Fatalf("probe kept resending to a lost replica (%d new resends)", got-resends)
+	}
+	if !r1.lost {
+		t.Fatal("a heal revived a standby the trim had passed")
 	}
 	// The next epoch restarts the stream at seq 1; the lost standby rejoins
 	// it cleanly. (In the rig the old shipper's daemons died with the
@@ -410,15 +428,47 @@ func TestStalledReplicaEvictionBoundsRetention(t *testing.T) {
 	checkPrefix(t, h.sts[1], 2, 5)
 }
 
-// TestAllReplicasDeadStreamStaysRevivable: when retention pressure evicts
-// every standby at once (a fleet-wide stall — one switch, one rack), the
-// trim frontier used to fall back to next-1 and drop the entire retained
-// stream, turning a transient outage into lost-for-epoch for every standby
-// even though the probe explicitly supports reviving dead replicas. The
-// fixed frontier holds at the slowest ack (within a hard cap), so healed
-// standbys are repaired and revived by the normal probe machinery.
+// TestStalledReplicaHealedUnderLimitIsRepaired: a stall alone loses nothing.
+// A standby whose link goes dark for 40 ms while 200 KB pile up behind it,
+// and heals before RetainLimit, is repaired from the held stream and stays
+// in the epoch. (The shipper used to evict a standby stalled 20 ms past a
+// quarter of this bound, and this one was lost.)
+func TestStalledReplicaHealedUnderLimitIsRepaired(t *testing.T) {
+	cfg := Config{RetainLimit: 256 << 10}
+	h := newHarness(t, 21, 2, netsim.LinkConfig{}, cfg)
+	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
+		h.fab.Isolate("standby1")
+		for i := 0; i < 400; i++ { // 200 KB: past 64 KiB, under 256 KiB
+			h.sh.Ship(int64(i*8), payload(i, 512))
+			p.Sleep(100 * time.Microsecond)
+		}
+		h.fab.Heal()
+	})
+	if err := h.s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if peak := h.sh.retainedB.Peak(); peak <= 64<<10 || peak > cfg.RetainLimit {
+		t.Fatalf("test premise: retention peaked at %d bytes, want in (%d, %d]", peak, 64<<10, cfg.RetainLimit)
+	}
+	if r1 := h.sh.rep("standby1"); r1.lost || h.sh.evictions.Value() != 0 {
+		t.Fatalf("standby1 lost=%v after %d evictions, want repaired", r1.lost, h.sh.evictions.Value())
+	}
+	for _, st := range h.sts {
+		checkPrefix(t, st, 1, 400)
+	}
+	if got := h.sh.retainedB.Value(); got != 0 {
+		t.Fatalf("retained %d bytes after both standbys acked everything", got)
+	}
+}
+
+// TestAllReplicasDeadStreamStaysRevivable: when every standby stalls at once
+// (a fleet-wide stall — one switch, one rack), the trim frontier used to fall
+// back to next-1 and drop the entire retained stream, turning a transient
+// outage into lost-for-epoch for every standby. The frontier holds at the
+// slowest ack (within RetainLimit), so healed standbys are repaired by the
+// normal probe machinery.
 func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
-	cfg := Config{RetainLimit: 64 << 10, DeadAfter: 20 * time.Millisecond}
+	cfg := Config{RetainLimit: 256 << 10}
 	h := newHarness(t, 22, 2, netsim.LinkConfig{}, cfg)
 	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ { // a healthy, fully acked prefix
@@ -427,7 +477,7 @@ func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
 		}
 		p.Sleep(20 * time.Millisecond)        // acks settle; retained drains
 		h.fab.Isolate("standby0", "standby1") // the whole fleet goes dark
-		for i := 50; i < 350; i++ {           // 150 KB unacked: well past RetainLimit
+		for i := 50; i < 350; i++ {           // 150 KB unacked
 			h.sh.Ship(int64(i*8), payload(i, 512))
 			p.Sleep(100 * time.Microsecond)
 		}
@@ -435,26 +485,19 @@ func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
 	if err := h.s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if h.sh.evictions.Value() != 2 {
-		t.Fatalf("evictions = %d, want the whole fleet evicted", h.sh.evictions.Value())
-	}
 	for _, name := range []string{"standby0", "standby1"} {
-		r := h.sh.rep(name)
-		if !r.dead {
-			t.Fatalf("%s not dead after the fleet-wide stall", name)
-		}
-		if r.lost {
-			t.Fatalf("%s lost for the epoch: the all-dead trim dropped records it still needs", name)
+		if h.sh.rep(name).lost {
+			t.Fatalf("%s lost for the epoch: the fleet-wide stall dropped records it still needs", name)
 		}
 	}
 	if len(h.sh.retained) == 0 {
-		t.Fatal("retained stream empty after all-dead eviction; revival is impossible")
+		t.Fatal("retained stream empty after the fleet-wide stall; revival is impossible")
 	}
 	if h.sh.base != 51 {
 		t.Fatalf("stream base %d, want held at 51 (slowest ack + 1)", h.sh.base)
 	}
 	// The fleet comes back: the probe must repair both standbys from the
-	// held stream and their late acks must revive them.
+	// held stream.
 	h.fab.Heal()
 	if err := h.s.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -463,8 +506,8 @@ func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
 		checkPrefix(t, st, 1, 350)
 	}
 	for _, name := range []string{"standby0", "standby1"} {
-		if r := h.sh.rep(name); r.dead || r.lost {
-			t.Fatalf("%s dead=%v lost=%v after heal and full repair", name, r.dead, r.lost)
+		if h.sh.rep(name).lost {
+			t.Fatalf("%s lost after heal and full repair", name)
 		}
 	}
 	if got := h.sh.retainedB.Value(); got != 0 {
@@ -472,24 +515,21 @@ func TestAllReplicasDeadStreamStaysRevivable(t *testing.T) {
 	}
 }
 
-// TestAllDeadRetentionHardCap: grace is not a blank cheque — with every
-// standby dead and the primary still writing, the retained stream slides
-// once it passes graceRetainFactor × RetainLimit, and replicas the slide
-// passed become lost for the epoch. (Before the fix this scenario was
-// unbounded the other way: after the all-dead wipe no ack round ever
-// called truncate again, so retention regrew with every Ship.)
+// TestAllDeadRetentionHardCap: holding the stream is not a blank cheque —
+// with every standby stalled and the primary still writing, the retained
+// stream slides once it passes RetainLimit, and replicas the slide passed
+// become lost for the epoch. (Before the fix this scenario was unbounded the
+// other way: after the all-dead wipe no ack round ever called truncate
+// again, so retention regrew with every Ship.)
 func TestAllDeadRetentionHardCap(t *testing.T) {
-	cfg := Config{RetainLimit: 16 << 10, DeadAfter: 10 * time.Millisecond}
+	cfg := Config{RetainLimit: 64 << 10}
 	h := newHarness(t, 23, 2, netsim.LinkConfig{}, cfg)
-	hard := int64(graceRetainFactor) * cfg.RetainLimit
 	var maxRetained int64
 	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
 		h.fab.Isolate("standby0", "standby1")
-		for i := 0; i < 400; i++ { // 200 KB: past the 64 KB hard cap
+		for i := 0; i < 400; i++ { // 200 KB: past the 64 KiB limit
 			h.sh.Ship(int64(i*8), payload(i, 512))
-			if got := h.sh.retainedB.Value(); got > maxRetained {
-				maxRetained = got
-			}
+			maxRetained = max(maxRetained, h.sh.retainedB.Value())
 			p.Sleep(100 * time.Microsecond)
 		}
 	})
@@ -497,14 +537,14 @@ func TestAllDeadRetentionHardCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One probe interval of writes can land between trims, so the bound is
-	// the hard cap plus that accumulation — far below the 200 KB shipped.
-	if maxRetained > 2*hard {
-		t.Fatalf("retention peaked at %d bytes with every replica dead, want ≤ ~%d (hard cap %d)",
-			maxRetained, 2*hard, hard)
+	// the limit plus that accumulation — far below the 200 KB shipped.
+	if maxRetained > 2*cfg.RetainLimit {
+		t.Fatalf("retention peaked at %d bytes with every replica stalled, want ≤ ~%d (limit %d)",
+			maxRetained, 2*cfg.RetainLimit, cfg.RetainLimit)
 	}
 	for _, name := range []string{"standby0", "standby1"} {
 		if r := h.sh.rep(name); !r.lost {
-			t.Fatalf("%s still marked revivable though the hard cap trimmed past its ack", name)
+			t.Fatalf("%s still marked revivable though the trim passed its ack", name)
 		}
 	}
 	// All-lost is terminal for the epoch: retention drains entirely rather
@@ -515,57 +555,22 @@ func TestAllDeadRetentionHardCap(t *testing.T) {
 }
 
 // retentionVerdict replays the shipper's trace through the invariant monitor
-// under a retention contract of limit bytes and the rig's grace: an eviction
-// window plus two probe rounds.
-func retentionVerdict(tr *obs.Tracer, limit int64, cfg Config) obs.MonitorReport {
-	return obs.RunMonitor(tr.Events(), obs.MonitorConfig{RetainLimit: limit, RetainGrace: cfg.DeadAfter + 2*RetransmitEvery})
-}
-
-// TestRetentionContractIsTheHardCap decides what the retention invariant may
-// check. With the whole fleet stalled the shipper holds their stream past
-// RetainLimit on purpose, so that they can still be repaired
-// (TestAllReplicasDeadStreamStaysRevivable); checked against RetainLimit,
-// that designed state read as a retention_bound violation. The bound the
-// shipper holds to is its hard cap.
-func TestRetentionContractIsTheHardCap(t *testing.T) {
-	cfg := Config{RetainLimit: 64 << 10, DeadAfter: 20 * time.Millisecond, Trace: obs.NewTracer(1 << 14)}
-	h := newHarness(t, 22, 2, netsim.LinkConfig{}, cfg)
-	h.s.Spawn(nil, "writer", func(p *sim.Proc) {
-		h.fab.Isolate("standby0", "standby1")
-		for i := 0; i < 300; i++ { // 150 KB unacked: past RetainLimit, within the cap
-			h.sh.Ship(int64(i*8), payload(i, 512))
-			p.Sleep(100 * time.Microsecond)
-		}
-		p.Sleep(time.Second) // the fleet stays dark, the stream held
-		h.fab.Heal()
-	})
-	if err := h.s.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if h.sh.evictions.Value() != 2 || h.sh.rep("standby0").lost || h.sh.retainedB.Peak() <= cfg.RetainLimit {
-		t.Fatalf("test premise: %d evictions, peak %d bytes; want the fleet evicted and held revivable past RetainLimit",
-			h.sh.evictions.Value(), h.sh.retainedB.Peak())
-	}
-	if rep := retentionVerdict(cfg.Trace, cfg.RetainLimit, cfg); rep.ByKind[obs.InvRetention.String()] != 1 {
-		t.Fatalf("the held stream read clean against RetainLimit itself: %+v", rep)
-	}
-	if rep := retentionVerdict(cfg.Trace, graceRetainFactor*cfg.RetainLimit, cfg); rep.Total != 0 {
-		t.Fatalf("the shipper broke its hard cap: %+v", rep)
-	}
+// under a retention contract of limit bytes and the rig's grace: the shipper
+// trims at its next ack or probe round.
+func retentionVerdict(tr *obs.Tracer, limit int64) obs.MonitorReport {
+	return obs.RunMonitor(tr.Events(), obs.MonitorConfig{RetainLimit: limit, RetainGrace: 2 * RetransmitEvery})
 }
 
 // TestSlowStandbysRetentionStaysUnderCap: standbys that keep acking, only
-// slower than a local-ack primary writes, never stall, so the stall rule never
-// evicts them. Retention used to grow with the backlog for as long as the load
-// lasted — 107 MiB after 2 s of local-ack stress, past RetainLimit for good.
-// The hard cap holds whatever the standbys do: the oldest records go, and the
-// standbys the trim passes are lost for the epoch. The shipper's trim events
-// state its retention exactly.
+// slower than a local-ack primary writes, never stall. Retention used to grow
+// with the backlog for as long as the load lasted — 107 MiB after 2 s of
+// local-ack stress. RetainLimit holds whatever the standbys do: the oldest
+// records go, and the standbys the trim passes are lost for the epoch. The
+// shipper's trim events state its retention exactly.
 func TestSlowStandbysRetentionStaysUnderCap(t *testing.T) {
-	cfg := Config{RetainLimit: 16 << 10, DeadAfter: 10 * time.Millisecond, Trace: obs.NewTracer(1 << 16)}
+	cfg := Config{RetainLimit: 64 << 10, Trace: obs.NewTracer(1 << 16)}
 	link := netsim.LinkConfig{Bandwidth: 1e6} // 1 MB/s against 5 MB/s of writes
 	h := newHarness(t, 24, 2, link, cfg)
-	hard := int64(graceRetainFactor) * cfg.RetainLimit
 	ledger := func() (b int64) {
 		for _, e := range cfg.Trace.Events() {
 			switch e.Kind {
@@ -603,16 +608,16 @@ func TestSlowStandbysRetentionStaysUnderCap(t *testing.T) {
 			t.Fatalf("%s (ack %d of %d) still pins the stream", r.name, r.ack, h.sh.LastSeq())
 		}
 	}
-	// As with every standby dead, one probe interval of writes can land
+	// As with every standby stalled, one probe interval of writes can land
 	// between trims.
-	if maxRetained > 2*hard || maxRetained <= hard {
-		t.Fatalf("retention peaked at %d bytes behind slow standbys, want in (%d, ~%d]", maxRetained, hard, 2*hard)
+	if maxRetained > 2*cfg.RetainLimit || maxRetained <= cfg.RetainLimit {
+		t.Fatalf("retention peaked at %d bytes behind slow standbys, want in (%d, ~%d]", maxRetained, cfg.RetainLimit, 2*cfg.RetainLimit)
 	}
 	if cfg.Trace.Dropped() != 0 {
 		t.Fatalf("trace ring dropped %d events", cfg.Trace.Dropped())
 	}
-	if rep := retentionVerdict(cfg.Trace, hard, cfg); rep.Total != 0 {
-		t.Fatalf("the monitor, reading the shipper's events, found the cap broken: %+v", rep)
+	if rep := retentionVerdict(cfg.Trace, cfg.RetainLimit); rep.Total != 0 {
+		t.Fatalf("the monitor, reading the shipper's events, found the limit broken: %+v", rep)
 	}
 }
 

@@ -24,7 +24,6 @@ type repState struct {
 	lastFill   sim.Time // last hole-triggered resend
 	fillHi     uint64   // highest seq already resent to this replica
 	progressAt sim.Time // last time ack advanced (repair go-back deadline)
-	dead       bool     // ack stalled past DeadAfter under retention pressure
 	lost       bool     // retention trimmed past its ack: unrecoverable this epoch
 	labelID    int64    // interned trace label for this replica
 	ackGauge   *metrics.Gauge
@@ -263,10 +262,10 @@ func (sh *Shipper) Ship(lba int64, data []byte) uint64 {
 	sh.retainedB.Add(int64(len(data)))
 	sh.shipped.Inc()
 	sh.shippedB.Add(int64(len(data)))
-	// The pending queue holds its own buffer reference: if an all-replicas-
-	// dead eviction truncates the stream past a record that has not framed
-	// yet, the retained reference dies but the buffer stays live until the
-	// frame that finally carries it does.
+	// The pending queue holds its own buffer reference: if a trim passes a
+	// record that has not framed yet (every replica lost), the retained
+	// reference dies but the buffer stays live until the frame that finally
+	// carries it does.
 	pb.refs++
 	sh.pending = append(sh.pending, rec)
 	sh.pendingBytes += len(data)
@@ -415,45 +414,27 @@ func (sh *Shipper) updateLag() {
 }
 
 // retainMin is the truncation frontier: the slowest cumulative ack among
-// replicas still participating. Dead replicas are excluded — that is the
-// whole point of eviction — so trimming can pass them. When every replica
-// is dead there is no participant left to hold the frontier back, and
-// next-1 would drop the entire retained stream — permanently: revival
-// requires the stream to still reach a standby's first missing record, so
-// a full trim turns a transient all-standbys-stalled episode into
-// lost-for-epoch even for a standby that acks moments later. The frontier
-// instead holds at the slowest replica's ack, keeping the stream revivable.
-// Either way it never retains more than the hard cap (capFloor).
+// replicas not lost for the epoch, so the stream stays revivable for any
+// standby that comes back — but never more than RetainLimit bytes of it
+// (capFloor). Once every replica is lost no record can ever be resent, and
+// the whole stream goes.
 func (sh *Shipper) retainMin() uint64 {
 	if sh.allLost {
-		return sh.next - 1 // no replica can ever be repaired this epoch
+		return sh.next - 1
 	}
-	m, alive := sh.next-1, false
+	m := sh.next - 1
 	for _, r := range sh.reps {
-		if !r.dead {
-			m, alive = min(m, r.ack), true
-		}
-	}
-	if !alive {
-		for _, r := range sh.reps {
+		if !r.lost {
 			m = min(m, r.ack)
 		}
 	}
 	return max(m, sh.capFloor())
 }
 
-// graceRetainFactor scales RetainLimit into the hard retention cap. Past
-// RetainLimit a stalled replica is evicted; below the cap the stream holds at
-// the slowest participating ack, so the probe can still repair any standby
-// that comes back; above it memory wins, whatever the standbys do — dead, or
-// alive but slower than the primary writes — the oldest records go, and the
-// replicas that needed them turn lost for the epoch.
-const graceRetainFactor = 4
-
 // capFloor is the newest sequence that must go for the retained stream to
-// fit graceRetainFactor × RetainLimit (base-1 when it fits already).
+// fit RetainLimit (base-1 when it fits already).
 func (sh *Shipper) capFloor() uint64 {
-	over := sh.retainedB.Value() - graceRetainFactor*sh.cfg.RetainLimit
+	over := sh.retainedB.Value() - sh.cfg.RetainLimit
 	floor := sh.base - 1
 	for i := 0; over > 0 && i < len(sh.retained); i++ {
 		over -= int64(len(sh.retained[i].rec.Data))
@@ -462,11 +443,11 @@ func (sh *Shipper) capFloor() uint64 {
 	return floor
 }
 
-// truncate drops retained records every participating replica has
-// acknowledged. A replica the trim passed (its first missing record is
-// gone) is marked lost for the epoch: no amount of retransmission can fill
-// its gap now, so repair stops targeting it and it re-syncs at the next
-// epoch's stream.
+// truncate drops retained records every replica not lost has acknowledged,
+// and the oldest records past RetainLimit. A replica the trim passed (its
+// first missing record is gone) is lost for the epoch — evicted: no amount
+// of retransmission can fill its gap now, so repair stops targeting it and
+// it re-syncs at the next epoch's stream.
 func (sh *Shipper) truncate() {
 	minAck := sh.retainMin()
 	if minAck < sh.base {
@@ -494,40 +475,17 @@ func (sh *Shipper) truncate() {
 	all := len(sh.reps) > 0
 	for _, r := range sh.reps {
 		if !r.lost && r.ack+1 < sh.base {
-			r.lost, r.dead = true, true // the cap can pass a live replica too
+			r.lost = true
+			sh.evictions.Inc()
+			sh.tr.Emit(sh.s.Now().Duration(), obs.EvEvict, 0, 0, r.labelID, sh.retainedB.Value())
 			sh.s.Tracef("repl: %s lost for epoch %d (ack %d, stream trimmed to %d)", r.name, sh.epoch, r.ack, sh.base)
 		}
 		all = all && r.lost
 	}
-	// Lost is terminal within an epoch (a lost replica's gap starts below
-	// base, and base never moves back), so all-lost latches until the next
-	// epoch's shipper.
+	// Only a frame already in flight when the trim passed can bring a lost
+	// replica back (see ackLoop), so all-lost holds until such an ack lands
+	// or the next epoch's shipper starts.
 	sh.allLost = all
-}
-
-// reapStalled enforces RetainLimit: while retained bytes exceed the bound,
-// any replica whose ack has not advanced for DeadAfter is marked dead and
-// the stream is trimmed past it. Dead is reversible — a late ack revives
-// the replica if the stream still reaches back to its first missing record
-// (see ackLoop); otherwise the trim has made it lost for the epoch.
-func (sh *Shipper) reapStalled(now sim.Time) {
-	if sh.retainedB.Value() <= sh.cfg.RetainLimit {
-		return
-	}
-	for _, r := range sh.reps {
-		if r.dead || r.ack >= sh.next-1 || now.Sub(r.progressAt) < sh.cfg.DeadAfter {
-			continue
-		}
-		r.dead = true
-		sh.evictions.Inc()
-		sh.tr.Emit(now.Duration(), obs.EvEvict, 0, 0, r.labelID, sh.retainedB.Value())
-		sh.s.Tracef("repl: evicting %s (ack %d stalled %v, %d bytes retained)",
-			r.name, r.ack, now.Sub(r.progressAt), sh.retainedB.Value())
-	}
-	// Trim here too: an eviction moves the frontier with no ack to trim it,
-	// with every replica dead no ack round comes at all, and stalled
-	// replicas not yet evicted can hold retention over the hard cap.
-	sh.truncate()
 }
 
 // ackLoop receives cumulative acks, advances per-replica state, observes
@@ -576,11 +534,11 @@ func (sh *Shipper) ackLoop(p *sim.Proc) {
 			r.ack = am.Seq
 			r.progressAt = now
 			r.ackGauge.Set(int64(am.Seq))
-			// A late ack revives an evicted replica — but only if the
-			// retained stream still reaches back to its first missing
-			// record; past that, it stays lost until the next epoch.
+			// A frame in flight when the trim passed can still carry a lost
+			// replica up to the retained stream; past that, it stays lost
+			// until the next epoch.
 			if r.ack+1 >= sh.base {
-				r.dead, r.lost = false, false
+				r.lost = false
 			}
 			sh.traceQuorum(now)
 			sh.truncate()
@@ -601,7 +559,7 @@ func (sh *Shipper) ackLoop(p *sim.Proc) {
 // traceQuorum emits EvQuorumMet for every sequence that newly reached the
 // configured quorum, parented under the record's ship span. It runs before
 // truncate so the retained stream still holds the spans; a sequence whose
-// record was already trimmed (dead-replica eviction) is traced with no
+// record was already trimmed (the trim passed a replica) is traced with no
 // parent rather than dropped.
 func (sh *Shipper) traceQuorum(now sim.Time) {
 	k := sh.cfg.TraceQuorumK
@@ -634,8 +592,12 @@ func (sh *Shipper) probeLoop(p *sim.Proc) {
 			continue
 		}
 		p.Sleep(RetransmitEvery)
+		// With no ack arriving (a partition, local acks) nothing else trims:
+		// hold the stream to its limit here.
+		if sh.retainedB.Value() > sh.cfg.RetainLimit {
+			sh.truncate()
+		}
 		now := sh.s.Now()
-		sh.reapStalled(now)
 		for _, r := range sh.reps {
 			if r.lost || r.ack >= sh.next-1 {
 				continue

@@ -198,8 +198,9 @@ func key(i int) string { return "k" + string(rune('a'+i%26)) + string(rune('a'+(
 // standbys ack on but fall behind the primary, and the two used to disagree:
 // the live monitor read the shipper's gauge and flagged retention_bound at
 // 1.726 s, while the replay, with no gauge to read, skipped retention and
-// said 0 violations. Retention now passes RetainLimit here without a stalled
-// standby to evict, and stays under the shipper's hard cap, the contract's.
+// said 0 violations. Retention peaks here at about 114 MB, under RetainLimit
+// (the contract's): the replay against half that peak must flag it, so the
+// events carry retention and the agreement is not vacuous.
 func TestOneVerdictOnlineAndOfflineLocalAckStress(t *testing.T) {
 	r, err := New(Config{Seed: 1, Mode: RapiLog, Replicas: 2, AckPolicy: core.AckLocal(), Trace: true, TraceCapacity: 1 << 21})
 	if err != nil {
@@ -213,8 +214,9 @@ func TestOneVerdictOnlineAndOfflineLocalAckStress(t *testing.T) {
 	if tr.Dropped() != 0 {
 		t.Fatalf("test premise: the ring dropped %d events", tr.Dropped())
 	}
-	if peak := r.Obs.Registry().Gauge("repl.retained_bytes").Peak(); peak <= replica.DefaultRetainLimit {
-		t.Fatalf("test premise: retention peaked at %d bytes, never past RetainLimit", peak)
+	peak := r.Obs.Registry().Gauge("repl.retained_bytes").Peak()
+	if peak <= replica.DefaultRetainLimit/4 || peak > replica.DefaultRetainLimit {
+		t.Fatalf("test premise: retention peaked at %d bytes, want the standbys far behind yet under RetainLimit", peak)
 	}
 	live, replay := r.Monitor.Report(), obs.RunMonitor(tr.Events(), r.contract())
 	if live.TxAcked == 0 || live.Total != replay.Total || !reflect.DeepEqual(live.ByKind, replay.ByKind) || !reflect.DeepEqual(live.Samples, replay.Samples) {
@@ -222,5 +224,10 @@ func TestOneVerdictOnlineAndOfflineLocalAckStress(t *testing.T) {
 	}
 	if live.Total != 0 {
 		t.Fatalf("slow standbys broke the contract: %+v", live)
+	}
+	tight := r.contract()
+	tight.RetainLimit = peak / 2
+	if rep := obs.RunMonitor(tr.Events(), tight); rep.ByKind[obs.InvRetention.String()] == 0 {
+		t.Fatalf("replayed against a %d-byte limit, retention read clean: %+v", tight.RetainLimit, rep)
 	}
 }

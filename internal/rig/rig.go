@@ -347,13 +347,10 @@ func (r *Rig) contract() obs.MonitorConfig {
 		c.Bound = r.Logger.MaxBuffer()
 	}
 	if r.Cfg.Replicas > 0 {
-		// The shipper's memory bound is its hard cap: above RetainLimit it
-		// evicts stalled standbys, but it holds an all-evicted fleet's stream
-		// revivable up to the cap by design.
-		c.RetainLimit = replica.DefaultRetainCap
-		// An eviction takes an ack-stall window plus a couple of probe
-		// rounds; only beyond that is high retention a violation.
-		c.RetainGrace = replica.DefaultDeadAfter + 2*replica.RetransmitEvery
+		// The shipper trims to its RetainLimit at the next ack or probe
+		// round; only beyond that is high retention a violation.
+		c.RetainLimit = replica.DefaultRetainLimit
+		c.RetainGrace = 2 * replica.RetransmitEvery
 	}
 	return c
 }
