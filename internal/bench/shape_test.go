@@ -291,7 +291,7 @@ func TestShapeA7RecoveryCost(t *testing.T) {
 		t.Errorf("checkpointing did not reduce redo work: never=%.0f 5s=%.0f 1s=%.0f",
 			never, v(t, rep, "5s/redone"), v(t, rep, "1s/redone"))
 	}
-	// Recovery streams the log, so the never row recovers in 0.60 s; reading
+	// Recovery streams the log, so the never row recovers in 0.54 s; reading
 	// the log a block at a time, twice, costs 26.2 s. With fresh checkpoints
 	// recovery is mostly the index rebuild, which streams the data pages in
 	// 26 ms; reading them a page at a time costs 59 ms. Locks on the virtual

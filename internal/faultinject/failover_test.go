@@ -185,8 +185,8 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("the retained trace holds no tx_ack among its %d events", len(events))
 	}
 	// Schedule-preservation golden (see golden_test.go). Acked is every
-	// journaled ack, 26 133 of them made after the isolation.
-	if res.Acked != 28290 || res.AckedAfterFault != 26133 || res.Unavailable != 469675076*time.Nanosecond || res.Redirects != 4 ||
+	// journaled ack, 26 381 of them made after the isolation.
+	if res.Acked != 28538 || res.AckedAfterFault != 26381 || res.Unavailable != 386341746*time.Nanosecond || res.Redirects != 4 ||
 		res.FenceRejections != 200 || res.ReplayBytes != 11370496 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
@@ -195,8 +195,8 @@ func TestFailoverTrialForensics(t *testing.T) {
 	})
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "ae5e476db8bae76c93e47069c6edafd8e7bd1349286faefee9f0f6cfbf6e3f56" ||
-		me != "12fdf4d1cebf9e0d52ff885692a9d3880d0db8004946a3a1f6fb48f0c2534f66" {
+	if tr != "fa15cd1e0ce975c1c148a9a937d47168b9a0f21d1c2248ede1ba2c3fcdcb292e" ||
+		me != "be25267cd2c2fe4a1bb80eab87993130bf727e4f36c09ff15450884f6827e4dc" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -184,37 +184,45 @@ func (co *Coordinator) start() {
 	co.s.Spawn(co.dom, CoordName, co.run)
 }
 
+// run is the detector. It pings the leader once per HeartbeatEvery and
+// declares it dead after FailAfter without a pong, judged at the ping
+// ticks; between ticks it waits on its inbox, so the leader's PowerFail
+// notice starts the takeover the moment it arrives. A pong counts as of
+// the tick after its arrival, so silence is measured on the ping grid
+// alone.
 func (co *Coordinator) run(p *sim.Proc) {
 	p.SetDaemon(true)
 	lastPong := p.Now()
+	next := lastPong.Add(co.cfg.HeartbeatEvery)
 	var seq uint64
 	for {
-		p.Sleep(co.cfg.HeartbeatEvery)
-		leader := co.cl.LeaderAgent()
-		dying := false
-		for {
-			m, ok := co.ep.TryRecv()
-			if !ok {
-				break
-			}
+		m, ok := co.ep.RecvUntil(p, next)
+		if ok {
 			// Only the current leader's messages count: a deposed leader
 			// answering late must not mask the new one going dark, and its
 			// late notice must not depose the new one.
+			leader := co.cl.LeaderAgent()
 			switch msg := m.Payload.(type) {
 			case Pong:
 				if msg.From == leader {
-					lastPong = p.Now()
+					lastPong = next
 				}
 			case PowerFail:
-				dying = dying || msg.From == leader
+				if msg.From == leader {
+					co.failover(p)
+					lastPong = p.Now()
+					next = lastPong.Add(co.cfg.HeartbeatEvery)
+				}
 			}
+			continue
 		}
 		seq++
-		co.ep.Send(leader, MsgBytes, Ping{Seq: seq, From: CoordName})
-		if dying || p.Now().Sub(lastPong) > co.cfg.FailAfter {
+		co.ep.Send(co.cl.LeaderAgent(), MsgBytes, Ping{Seq: seq, From: CoordName})
+		if p.Now().Sub(lastPong) > co.cfg.FailAfter {
 			co.failover(p)
 			lastPong = p.Now()
 		}
+		next = p.Now().Add(co.cfg.HeartbeatEvery)
 	}
 }
 
@@ -313,16 +321,16 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	co.s.Tracef("ha: promoted %s at epoch %d (%d bytes replayed)", winner, epoch, bytes)
 }
 
-// collect polls the coordinator inbox for up to one RoundTimeout, feeding
-// every payload to sink, returning early once done() is satisfied.
+// collect feeds every payload the coordinator inbox receives within one
+// RoundTimeout to sink, returning as soon as done() is satisfied.
 func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
 	deadline := p.Now().Add(co.cfg.RoundTimeout)
-	for p.Now() < deadline && !done() {
-		if m, ok := co.ep.TryRecv(); ok {
-			sink(m.Payload)
-			continue
+	for !done() {
+		m, ok := co.ep.RecvUntil(p, deadline)
+		if !ok {
+			return
 		}
-		p.Sleep(time.Millisecond)
+		sink(m.Payload)
 	}
 }
 
@@ -338,19 +346,15 @@ func (co *Coordinator) FenceNode(p *sim.Proc, store string) {
 	ep := co.fab.Endpoint(name)
 	for {
 		ep.Send(store, MsgBytes, replica.FenceMsg{Epoch: epoch, From: name})
-		acked := false
 		deadline := p.Now().Add(co.cfg.RoundTimeout)
-		for p.Now() < deadline && !acked {
-			if m, ok := ep.TryRecv(); ok {
-				if fa, ok := m.Payload.(replica.FenceAck); ok && fa.From == store && fa.Epoch >= epoch {
-					acked = true
-				}
-				continue
+		for {
+			m, ok := ep.RecvUntil(p, deadline)
+			if !ok {
+				break
 			}
-			p.Sleep(time.Millisecond)
-		}
-		if acked {
-			return
+			if fa, ok := m.Payload.(replica.FenceAck); ok && fa.From == store && fa.Epoch >= epoch {
+				return
+			}
 		}
 	}
 }

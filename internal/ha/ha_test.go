@@ -28,13 +28,14 @@ type fakeCluster struct {
 
 	promoted   []string // winner store per Promote call
 	promotedAt []sim.Time
-	epochs     []int // fence epoch per Promote call
+	epochs     []int      // fence epoch per Promote call
+	takeoverAt []sim.Time // when each takeover began: its Quorum() call
 }
 
 func newFakeCluster(t *testing.T) *fakeCluster {
 	s := sim.New(7)
 	t.Cleanup(s.Close)
-	o := obs.New(obs.Config{})
+	o := obs.New(obs.Config{TraceEnabled: true})
 	c := &fakeCluster{
 		t: t, s: s, o: o, nodes: []string{"node0", "node1", "node2"},
 		fab:    netsim.New(s, netsim.Config{Seed: 9, Reg: o.Registry(), Trace: o.Tracer()}),
@@ -82,7 +83,13 @@ func (c *fakeCluster) elections() int64 { return c.o.Registry().Counter("ha.elec
 func (c *fakeCluster) LeaderAgent() string   { return c.leader + ".ha" }
 func (c *fakeCluster) LeaderPrimary() string { return c.leader }
 func (c *fakeCluster) MaxEpoch() int         { return c.epoch }
-func (c *fakeCluster) Quorum() int           { return c.quorum }
+
+// Quorum is the first thing a takeover asks, so it stamps the takeover's
+// start.
+func (c *fakeCluster) Quorum() int {
+	c.takeoverAt = append(c.takeoverAt, c.s.Now())
+	return c.quorum
+}
 
 func (c *fakeCluster) PeerStores() []string {
 	var out []string
@@ -109,6 +116,18 @@ func (c *fakeCluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64
 	c.leader, c.epoch = strings.TrimSuffix(winnerStore, ".log"), epoch
 	c.startAgent(c.leader)
 	return 0, nil
+}
+
+// mark returns when the trace first shows kind, failing the test if never.
+func (c *fakeCluster) mark(kind obs.Kind) time.Duration {
+	c.t.Helper()
+	for _, e := range c.o.Tracer().Events() {
+		if e.Kind == kind {
+			return e.At
+		}
+	}
+	c.t.Fatalf("no %v in the trace", kind)
+	return 0
 }
 
 func (c *fakeCluster) run(d time.Duration) {
@@ -251,8 +270,8 @@ func TestShortCensusNeverPromotes(t *testing.T) {
 	}
 }
 
-// A power-fail notice from the current leader's agent starts the takeover at
-// the coordinator's next tick, although the agent still answers every ping;
+// A power-fail notice from the current leader's agent starts the takeover as
+// it arrives, although the agent still answers every ping;
 // one from any other sender — a node that does not lead, an unknown agent,
 // the leader the notice already deposed — starts none.
 func TestPowerFailNoticeStartsTakeover(t *testing.T) {
@@ -283,9 +302,57 @@ func TestPowerFailNoticeStartsTakeover(t *testing.T) {
 	if len(c.promoted) != 1 || c.promoted[0] != "node2.log" || co.Failovers() != 1 || c.elections() != 1 {
 		t.Fatalf("promoted %v in %d elections, want node2.log once", c.promoted, c.elections())
 	}
-	cfg := co.cfg
-	if took := c.promotedAt[0].Duration() - noticeAt; took > cfg.HeartbeatEvery+cfg.RoundTimeout {
-		t.Fatalf("promoted %v after the notice, want within one heartbeat (%v) and one census round (%v)",
-			took, cfg.HeartbeatEvery, cfg.RoundTimeout)
+	if took := c.promotedAt[0].Duration() - noticeAt; took > 2*time.Millisecond {
+		t.Fatalf("promoted %v after the notice, want within 2ms: delivery plus two message round trips", took)
+	}
+}
+
+// A notice that lands between two heartbeat ticks is acted on at once: the
+// election follows the cut by the notice's flight and one census round
+// trip, and the fence by one more round trip — each round returns when its
+// last needed answer arrives, not at a polling step.
+func TestPowerFailMidTickElectsWithinTwoMilliseconds(t *testing.T) {
+	c := newFakeCluster(t)
+	c.feed("node1", 1, 5)
+	c.feed("node2", 1, 9)
+	co := c.coordinator()
+	const cutAt = 510 * time.Millisecond // halfway between the 500 and 520 ms ticks
+	c.s.Spawn(nil, "op", func(p *sim.Proc) {
+		p.Sleep(cutAt)
+		c.fab.Send("node0.ha", CoordName, MsgBytes, PowerFail{From: "node0.ha"})
+	})
+	c.run(time.Second)
+	if co.Failovers() != 1 || c.promoted[0] != "node2.log" {
+		t.Fatalf("promoted %v in %d failovers, want node2.log once", c.promoted, co.Failovers())
+	}
+	elect, fence := c.mark(obs.EvElect), c.mark(obs.EvFence)
+	if d := elect - cutAt; d < 0 || d > 2*time.Millisecond {
+		t.Fatalf("elected %v after the cut, want within 2ms", d)
+	}
+	if d := fence - elect; d >= time.Millisecond {
+		t.Fatalf("elect → fence took %v, want under 1ms: one fence round trip", d)
+	}
+}
+
+// With no notice, detection is the heartbeat's alone and keeps its tick
+// grid: pings every 20 ms, a pong counted at the tick after it arrives, and
+// the takeover starting at the first tick more than FailAfter past the last
+// counted pong. An agent killed at 510 ms answered the 500 ms ping (counted
+// at 520 ms) and no other, so the takeover begins at 660 ms.
+func TestSilenceDetectedOnTheHeartbeatGrid(t *testing.T) {
+	c := newFakeCluster(t)
+	c.feed("node1", 1, 5)
+	c.feed("node2", 1, 9)
+	co := c.coordinator()
+	c.s.Spawn(nil, "op", func(p *sim.Proc) {
+		p.Sleep(510 * time.Millisecond)
+		c.agents["node0"].Kill()
+	})
+	c.run(time.Second)
+	if co.Failovers() != 1 || len(c.takeoverAt) != 1 {
+		t.Fatalf("%d failovers from %d takeovers, want one", co.Failovers(), len(c.takeoverAt))
+	}
+	if got, want := c.takeoverAt[0].Duration(), 660*time.Millisecond; got != want {
+		t.Fatalf("takeover began at %v, want %v", got, want)
 	}
 }

@@ -399,6 +399,21 @@ func (e *Endpoint) Recv(p *sim.Proc) Message {
 	}
 }
 
+// RecvUntil blocks p until a message is available or virtual time reaches
+// t, whichever comes first: it returns a message the moment it is
+// delivered, and reports false once t arrives with the inbox empty.
+func (e *Endpoint) RecvUntil(p *sim.Proc, t sim.Time) (Message, bool) {
+	for {
+		if m, ok := e.TryRecv(); ok {
+			return m, true
+		}
+		if p.Now() >= t {
+			return Message{}, false
+		}
+		e.sig.WaitTimeout(p, t.Sub(p.Now()))
+	}
+}
+
 // Send transmits from this endpoint.
 func (e *Endpoint) Send(to string, size int, payload any) {
 	e.f.Send(e.name, to, size, payload)

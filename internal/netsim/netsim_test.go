@@ -253,3 +253,37 @@ func TestInFlightDroppedWhenPortGoesDown(t *testing.T) {
 		t.Fatalf("partition drops = %d, want 1", f.Stats().PartitionDrops.Value())
 	}
 }
+
+// TestRecvUntilWakesOnArrival: RecvUntil returns a message at its delivery
+// instant, not at the deadline, and returns empty-handed exactly at the
+// deadline when nothing comes.
+func TestRecvUntilWakesOnArrival(t *testing.T) {
+	s := sim.New(1)
+	f := New(s, Config{Seed: 3, Link: LinkConfig{Jitter: time.Nanosecond}})
+	ep := f.Endpoint("dst")
+	var got []string
+	s.Spawn(nil, "recv", func(p *sim.Proc) {
+		deadline := p.Now().Add(10 * time.Millisecond)
+		for {
+			m, ok := ep.RecvUntil(p, deadline)
+			if !ok {
+				got = append(got, fmt.Sprintf("timeout@%v", p.Now().Duration()))
+				return
+			}
+			if p.Now() != m.DeliveredAt {
+				t.Errorf("%v returned at %v, delivered at %v", m.Payload, p.Now(), m.DeliveredAt)
+			}
+			got = append(got, fmt.Sprint(m.Payload))
+		}
+	})
+	s.Spawn(nil, "send", func(p *sim.Proc) {
+		p.Sleep(3 * time.Millisecond)
+		f.Send("src", "dst", 64, "early")
+	})
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"early", "timeout@10ms"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RecvUntil saw %v, want %v", got, want)
+	}
+}

@@ -62,3 +62,23 @@ func TestShipSteadyStateAllocBound(t *testing.T) {
 			perRec, allocs, batch)
 	}
 }
+
+// TestQuorumSeqAllocFree pins QuorumSeq, which every ack and every quorum
+// wake evaluates, at zero allocations for every k — and at the k-th largest
+// ack, ties included.
+func TestQuorumSeqAllocFree(t *testing.T) {
+	h := newHarness(t, 11, 4, netsim.LinkConfig{}, Config{})
+	t.Cleanup(h.s.Close)
+	for i, ack := range []uint64{7, 3, 9, 7} {
+		h.sh.reps[i].ack = ack
+	}
+	for k, want := range []uint64{9, 7, 7, 3} {
+		var got uint64
+		if allocs := testing.AllocsPerRun(100, func() { got = h.sh.QuorumSeq(k + 1) }); allocs != 0 {
+			t.Fatalf("QuorumSeq(%d) allocates %.1f times, want 0", k+1, allocs)
+		}
+		if got != want {
+			t.Fatalf("QuorumSeq(%d) = %d, want %d", k+1, got, want)
+		}
+	}
+}

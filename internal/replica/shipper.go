@@ -2,7 +2,6 @@ package replica
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -357,12 +356,25 @@ func (sh *Shipper) QuorumSeq(k int) uint64 {
 	if k > len(sh.reps) {
 		return 0
 	}
-	acks := make([]uint64, len(sh.reps))
-	for i, r := range sh.reps {
-		acks[i] = r.ack
+	// The k-th largest ack is the largest one that at least k replicas
+	// have reached: quadratic in a handful of replicas, and allocation-free
+	// on a path every ack and every quorum wake takes.
+	var q uint64
+	for _, r := range sh.reps {
+		if r.ack <= q {
+			continue
+		}
+		n := 0
+		for _, o := range sh.reps {
+			if o.ack >= r.ack {
+				n++
+			}
+		}
+		if n >= k {
+			q = r.ack
+		}
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	return acks[k-1]
+	return q
 }
 
 // WaitQuorum parks p until at least k replicas hold seq. This is the ack

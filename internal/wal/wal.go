@@ -474,29 +474,38 @@ func (l *Log) writeBlock(p *sim.Proc, seq uint64, data []byte) error {
 
 // ScanResult is what recovery finds in the log.
 type ScanResult struct {
+	// Records' payloads alias the buffers Scan read them into, which
+	// nothing else holds.
 	Records []Record
 	EndLSN  uint64 // resume point for OpenAt
 	Torn    bool   // the tail ended mid-record (power cut during a force)
 }
 
-// scanExtentMax caps one Scan request, in blocks. Extents double from one
-// block up to it: an empty log costs a single one-block read, and a long one
-// streams at track bandwidth instead of paying a rotation per block.
-const scanExtentMax = 256
+// scanExtentBytes caps one Scan request at about one track of the default
+// HDD (500 sectors): 32 blocks of 8 KiB. Extents double from one block up
+// to it, so an empty log costs a single one-block read, and the cap bounds
+// what Scan reads past the end of a long log to two extents.
+const scanExtentBytes = 256 << 10
 
 // Scan reads records from fromLSN to the log's tail, stopping at the first
 // invalid record (torn tail, old generation, or never-written space).
 //
-// The log is read in extents of 1, 2, 4, … blocks up to scanExtentMax, each
-// one request that never crosses the circular wrap. A block's successor is
-// judged from the extent in memory; only the last block of an extent waits
-// for the next request to be judged.
+// The log is read in extents of 1, 2, 4, … blocks up to scanExtentBytes,
+// each one request that never crosses the circular wrap. A block's
+// successor is judged from the extent in memory; only the last block of an
+// extent waits for the next request to be judged. The first extent is read
+// alone. Once the log runs past it, the next extent is always queued at the
+// device behind the one in transfer, so the head streams from one into the
+// next instead of missing a rotation while the scanner judges. At the end of
+// the log Scan waits for the extent still in flight: nothing it started
+// outlives the call.
 func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
 	cfg.applyDefaults()
 	var res ScanResult
 	bs := cfg.BlockSize
 	sectorsPer := bs / dev.SectorSize()
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
+	extentMax := uint64(max(1, scanExtentBytes/bs))
 	seq := fromLSN / uint64(bs)
 	off := int(fromLSN % uint64(bs))
 	if off < blockHdrLen {
@@ -504,21 +513,18 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 	}
 	res.EndLSN = seq*uint64(bs) + uint64(off)
 
+	// judge scans one extent's blocks and reports whether the log ended in
+	// it.
 	blockTorn := false // the last block scanned ended in a torn record
-	for extent := uint64(1); ; extent = min(2*extent, scanExtentMax) {
-		n := min(extent, nBlocks-seq%nBlocks)
-		data, err := dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), int(n)*sectorsPer)
-		if err != nil {
-			return res, err
-		}
-		for i := 0; i < int(n); i, seq = i+1, seq+1 {
+	judge := func(data []byte) (end bool) {
+		for i := 0; i < len(data)/bs; i, seq = i+1, seq+1 {
 			block := data[i*bs : (i+1)*bs]
 			if !blockValid(block, seq) {
 				// End of this generation. After a torn block, a bad successor
 				// confirms the tear: with ordered writes, no later complete
 				// force can have superseded it.
 				res.Torn = blockTorn
-				return res, nil
+				return true
 			}
 			// A valid block; if it is a successor, the gap before it was
 			// only padding.
@@ -526,7 +532,52 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 			blockTorn = scanBlock(block, seq, off, &res)
 			off = blockHdrLen
 		}
+		return false
 	}
+
+	next, extent := seq, uint64(1) // the next block to request, and how many
+	span := func() (lba int64, nsec int) {
+		n := min(extent, nBlocks-next%nBlocks)
+		lba, nsec = int64(next%nBlocks)*int64(sectorsPer), int(n)*sectorsPer
+		next, extent = next+n, min(2*extent, extentMax)
+		return lba, nsec
+	}
+	// queue reads the next extent on a helper process in the scanner's
+	// domain, so that the request waits at the device behind the one in
+	// transfer while the scanner judges; a crash of the domain takes the
+	// helper too.
+	queue := func() *extentRead {
+		lba, nsec := span()
+		r := &extentRead{done: p.Sim().NewEvent("wal.scan.extent")}
+		p.Sim().Spawn(p.Domain(), "wal.scan", func(hp *sim.Proc) {
+			r.data, r.err = dev.Read(hp, lba, nsec)
+			r.done.Fire()
+		})
+		return r
+	}
+
+	lba, nsec := span()
+	data, err := dev.Read(p, lba, nsec)
+	if err != nil || judge(data) {
+		return res, err
+	}
+	cur := queue()
+	for {
+		ahead := queue()
+		cur.done.Wait(p)
+		if cur.err != nil || judge(cur.data) {
+			ahead.done.Wait(p)
+			return res, cur.err
+		}
+		cur = ahead
+	}
+}
+
+// extentRead is one Scan extent in flight on a helper process.
+type extentRead struct {
+	data []byte
+	err  error
+	done *sim.Event
 }
 
 // blockValid reports whether data holds the header of block seq of the
@@ -551,7 +602,7 @@ func scanBlock(data []byte, seq uint64, off int, res *ScanResult) (torn bool) {
 			binary.LittleEndian.Uint64(h[4:12]) != lsn {
 			return recLen != 0
 		}
-		payload := data[off+recHdrLen : off+recLen]
+		payload := data[off+recHdrLen : off+recLen : off+recLen]
 		crc := crc32.Update(0, crc32.IEEETable, h[:24])
 		crc = crc32.Update(crc, crc32.IEEETable, payload)
 		if crc != binary.LittleEndian.Uint32(h[24:28]) {
@@ -561,7 +612,7 @@ func scanBlock(data []byte, seq uint64, off int, res *ScanResult) (torn bool) {
 			LSN:     lsn,
 			TxID:    binary.LittleEndian.Uint64(h[12:20]),
 			Type:    RecType(h[22]),
-			Payload: append([]byte(nil), payload...),
+			Payload: payload,
 		})
 		off += recLen
 		res.EndLSN = seq*uint64(bs) + uint64(off)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -306,19 +305,29 @@ func requireSameScan(t *testing.T, got, want ScanResult) {
 	}
 }
 
+// scanCost is what one Scan cost the device and the clock.
+type scanCost struct {
+	reads, sectors int64
+	took           time.Duration
+}
+
 // scanBoth scans dev from fromLSN with Scan and then with the reference
-// reader, on s, and returns Scan's result, device reads and sectors read.
-func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, fromLSN uint64) (res ScanResult, reads, sectors int64) {
+// reader, on s, and returns Scan's result and cost. It fails t if a process
+// Scan started outlives the call.
+func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, fromLSN uint64) (res ScanResult, cost scanCost) {
 	t.Helper()
 	var want ScanResult
 	s.Spawn(nil, "r", func(p *sim.Proc) {
 		st := dev.Stats()
-		r0, s0 := st.Reads.Value(), st.SectorsRead.Value()
+		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), s.LiveProcs()
 		var err error
 		if res, err = Scan(p, dev, Config{}, fromLSN); err != nil {
 			t.Errorf("scan: %v", err)
 		}
-		reads, sectors = st.Reads.Value()-r0, st.SectorsRead.Value()-s0
+		cost = scanCost{st.Reads.Value() - r0, st.SectorsRead.Value() - s0, p.Now().Sub(t0)}
+		if n := s.LiveProcs(); n != live {
+			t.Errorf("%d processes alive after Scan returned, %d before", n, live)
+		}
 		if want, err = scanPerBlock(p, dev, Config{}, fromLSN); err != nil {
 			t.Errorf("reference scan: %v", err)
 		}
@@ -327,20 +336,41 @@ func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, fromLSN uint64) (res Sc
 		t.Fatal(err)
 	}
 	requireSameScan(t, res, want)
-	return res, reads, sectors
+	return res, cost
 }
 
-// TestScanStreamsInDoublingExtents: on a rotating disk, where every request
-// costs a rotation, a log of N forced blocks is read in ⌈log₂N⌉ + 2 requests
-// at most — it took 2N, each block read once and then again as its
-// predecessor's successor — and an empty log still costs one one-block read,
-// the boot I/O every steady-state schedule starts with.
+// exitDev charges every read a VM exit before it reaches the disk, as the
+// hypervisor's virtual disk does: a request issued when its predecessor
+// completes arrives after the head has passed the next sector.
+type exitDev struct{ disk.Device }
+
+func (d exitDev) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+	p.Sleep(15 * time.Microsecond)
+	return d.Device.Read(p, lba, nsec)
+}
+
+// TestScanStreamsInDoublingExtents: on a rotating disk behind a virtual
+// disk, a log of N forced blocks is read in two positionings (the first
+// extent is read alone, and the second is requested once it is judged), N
+// blocks at track bandwidth, the two extents Scan may read past the end,
+// and a rotation plus a track-to-track seek per cylinder crossed. A scan that
+// issued its next request only after judging the last one would add most
+// of a rotation per request, and one that read block by block a rotation
+// per block. An empty log still costs one one-block read, the boot I/O
+// every steady-state schedule starts with.
 func TestScanStreamsInDoublingExtents(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5, 201, 300} {
+	const (
+		bs       = 4096                        // Config's default block size
+		cylBytes = 4 * 500 * 512               // the default HDD: 4 heads × 500 sectors
+		rotation = time.Minute / 7200          // the default HDD's spindle
+		crossing = rotation + time.Millisecond // a rotation and a track-to-track seek
+	)
+	for _, n := range []int{0, 1, 2, 5, 201, 300, 1000} {
 		t.Run(fmt.Sprintf("blocks=%d", n), func(t *testing.T) {
 			s := sim.New(int64(n))
 			hdd := disk.NewHDD(s, s.NewDomain("hw"), disk.HDDConfig{})
-			dev, _ := disk.NewPartition(hdd, "log", 0, 65536)
+			part, _ := disk.NewPartition(hdd, "log", 0, 65536)
+			dev := exitDev{part}
 			l, err := New(s, dev, Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -348,7 +378,7 @@ func TestScanStreamsInDoublingExtents(t *testing.T) {
 			if n > 0 {
 				s.Spawn(nil, "w", func(p *sim.Proc) {
 					// Four 928-byte records fill a block; stop in block n-1.
-					for i := 0; l.AppendedLSN() < uint64(n-1)*4096+2000; i++ {
+					for i := 0; l.AppendedLSN() < uint64(n-1)*bs+2000; i++ {
 						if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
 							t.Errorf("append: %v", err)
 							return
@@ -362,19 +392,22 @@ func TestScanStreamsInDoublingExtents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, reads, sectors := scanBoth(t, s, dev, FirstLSN(Config{}))
+			res, cost := scanBoth(t, s, dev, FirstLSN(Config{}))
 			if n == 0 {
-				if reads != 1 || sectors != 4096/512 || len(res.Records) != 0 {
+				if cost.reads != 1 || cost.sectors != bs/512 || len(res.Records) != 0 {
 					t.Fatalf("empty log: %d reads of %d sectors found %d records, want one read of one block",
-						reads, sectors, len(res.Records))
+						cost.reads, cost.sectors, len(res.Records))
 				}
 				return
 			}
 			if res.EndLSN != l.AppendedLSN() || res.Torn {
 				t.Fatalf("scan ended at LSN %d (torn %v), log at %d", res.EndLSN, res.Torn, l.AppendedLSN())
 			}
-			if limit := int64(bits.Len(uint(n-1))) + 2; reads > limit {
-				t.Fatalf("%d device reads for %d blocks, want at most ⌈log₂N⌉+2 = %d", reads, n, limit)
+			span := int64(n)*bs + 2*scanExtentBytes
+			transfer := time.Duration(float64(span) / dev.SeqWriteBandwidth() * float64(time.Second))
+			limit := 2*dev.WorstCaseAccess() + transfer + time.Duration(span/cylBytes+1)*crossing
+			if cost.took > limit {
+				t.Fatalf("scanning %d blocks took %v in %d reads, want at most %v", n, cost.took, cost.reads, limit)
 			}
 		})
 	}
@@ -398,7 +431,7 @@ func TestScanFlagsTornRecord(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, _, _ := scanBoth(t, s, dev, FirstLSN(Config{}))
+	res, _ := scanBoth(t, s, dev, FirstLSN(Config{}))
 	if !res.Torn || len(res.Records) != 9 || res.EndLSN != 2*4096+16+928 {
 		t.Fatalf("scan found %d records to LSN %d (torn %v), want 9 to LSN %d, torn",
 			len(res.Records), res.EndLSN, res.Torn, 2*4096+16+928)
@@ -433,7 +466,7 @@ func TestScanRejectsStaleGenerationAfterWrap(t *testing.T) {
 			}
 			// Scan from the oldest surviving block boundary.
 			startSeq := (l.AppendedLSN()/uint64(4096) + 1) - 8 + 1
-			res, _, _ := scanBoth(t, s, dev, startSeq*4096)
+			res, _ := scanBoth(t, s, dev, startSeq*4096)
 			if len(res.Records) == 0 {
 				t.Fatal("scan found nothing after wrap")
 			}
