@@ -74,7 +74,7 @@ func runA11(opts Options) (*Report, error) {
 		for _, tr := range sum.Trials {
 			redirects += tr.Redirects
 			fenceRej += tr.FenceRejections
-			replayB += tr.ReplayBytes
+			replayB += tr.Replay.Bytes
 		}
 		rep.Values[c.label+"/redirects"] = float64(redirects)
 		rep.Values[c.label+"/fence_rejections"] = float64(fenceRej)
@@ -90,9 +90,9 @@ func runA11(opts Options) (*Report, error) {
 		"expected shape: every campaign loses nothing and never double-writes an epoch — the",
 		"census quorum (N−K+1) provably intersects every ack quorum, and the fence makes the",
 		"deposed epoch unackable before the new one opens; a plug-pull is detected at the dying",
-		"leader's power-fail notice, so its window is mostly the promoted node's recovery",
-		"streaming the whole replicated log (snapshot catch-up is future work); an isolation, or",
-		"a plug-pull nobody was watching, waits out the heartbeat detector first; an",
-		"isolated-then-healed leader surfaces as fence rejections, not lost data.")
+		"leader's power-fail notice, so its window is mostly the promoted node's last follower",
+		"round and the replay and scan of the tail past it (every standby redoes the stream as it",
+		"arrives); an isolation, or a plug-pull nobody was watching, waits out the heartbeat",
+		"detector first; an isolated-then-healed leader surfaces as fence rejections, not lost data.")
 	return rep, nil
 }

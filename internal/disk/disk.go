@@ -127,39 +127,54 @@ func checkRange(lba int64, nsec int, sectors int64, dataLen int) error {
 	return nil
 }
 
-// media is sparse sector storage representing the platter/flash array.
-// Contents survive power failure.
+// slabSectors is the media's allocation unit: aligned runs of 16 sectors
+// (8 KiB), so a growing log or a page write allocates once per slab rather
+// than once per sector.
+const slabSectors = 16
+
+// slab is one aligned run of slabSectors sectors; sectors never written
+// read as zero.
+type slab [slabSectors * sectorSize]byte
+
+// media is sparse sector storage representing the platter/flash array,
+// kept in aligned slabs. Contents survive power failure.
 type media struct {
-	sectors map[int64][]byte
+	slabs map[int64]*slab // lba/slabSectors → its slab
 }
 
 func newMedia() *media {
-	return &media{sectors: make(map[int64][]byte)}
+	return &media{slabs: make(map[int64]*slab)}
 }
 
-// writeSectors persists data (len multiple of sectorSize) starting at lba.
-// Rewrites copy into the existing sector buffer in place — readSectors
-// copies out, so no returned read aliases the stored buffers.
+// writeSectors persists data (len multiple of sectorSize) starting at lba,
+// copying into the slabs that hold those sectors (allocating the ones never
+// written); readSectors copies out, so no read aliases the stored bytes.
 func (m *media) writeSectors(lba int64, data []byte) {
-	for off := 0; off < len(data); off += sectorSize {
-		sec, ok := m.sectors[lba+int64(off/sectorSize)]
+	for len(data) > 0 {
+		sl, ok := m.slabs[lba/slabSectors]
 		if !ok {
-			sec = make([]byte, sectorSize)
-			m.sectors[lba+int64(off/sectorSize)] = sec
+			sl = new(slab)
+			m.slabs[lba/slabSectors] = sl
 		}
-		copy(sec, data[off:off+sectorSize])
+		n := copy(sl[(lba%slabSectors)*sectorSize:], data)
+		data = data[n:]
+		lba += int64(n / sectorSize)
 	}
 }
 
-// readSectors returns nsec sectors from lba; unwritten sectors read as zero.
-func (m *media) readSectors(lba int64, nsec int) []byte {
-	out := make([]byte, nsec*sectorSize)
-	for i := 0; i < nsec; i++ {
-		if sec, ok := m.sectors[lba+int64(i)]; ok {
-			copy(out[i*sectorSize:], sec)
+// readSectors copies the sectors from lba on into dst (len multiple of
+// sectorSize), which must arrive zeroed — a fresh buffer: unwritten sectors
+// read as zero, so only written slabs are copied.
+func (m *media) readSectors(dst []byte, lba int64) {
+	for len(dst) > 0 {
+		off := (lba % slabSectors) * sectorSize
+		n := min(len(dst), len(slab{})-int(off))
+		if sl, ok := m.slabs[lba/slabSectors]; ok {
+			copy(dst[:n], sl[off:])
 		}
+		dst = dst[n:]
+		lba += int64(n / sectorSize)
 	}
-	return out
 }
 
 // Partition exposes a contiguous sector range of a parent device as a

@@ -193,11 +193,11 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 
 	var out []byte
 	if data == nil {
-		out = make([]byte, 0, nsec*sectorSize)
+		out = make([]byte, nsec*sectorSize)
 	}
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {
-			return out // power died mid-transfer: the prefix is all there is
+			return out[:off*sectorSize] // power died mid-transfer: the prefix is all there is
 		}
 		chunk := d.cfg.ChunkSectors
 		if off+chunk > nsec {
@@ -214,7 +214,7 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 			d.med.writeSectors(start, data[off*sectorSize:(off+chunk)*sectorSize])
 			d.stats.SectorsWritten.Add(int64(chunk))
 		} else {
-			out = append(out, d.med.readSectors(start, chunk)...)
+			d.med.readSectors(out[off*sectorSize:(off+chunk)*sectorSize], start)
 			d.stats.SectorsRead.Add(int64(chunk))
 		}
 		off += chunk

@@ -88,7 +88,9 @@ func (d *Mem) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	p.Sleep(d.xferTime(nsec))
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
-	return d.med.readSectors(lba, nsec), nil
+	out := make([]byte, nsec*sectorSize)
+	d.med.readSectors(out, lba)
+	return out, nil
 }
 
 // Write implements Device. Memory writes are atomic per request (no

@@ -119,7 +119,8 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		defer d.channels.Release(1)
 		p.Sleep(time.Duration(d.pages(lba, nsec))*ssdReadLatency + d.busTime(nsec))
 	}()
-	out := d.med.readSectors(lba, nsec)
+	out := make([]byte, nsec*sectorSize)
+	d.med.readSectors(out, lba)
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
 	return out, nil

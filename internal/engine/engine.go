@@ -98,6 +98,10 @@ var Personalities = map[string]Personality{
 // walWriterEvery is the async-mode background force period.
 const walWriterEvery = 10 * time.Millisecond
 
+// maxControlRounds bounds the checkpoint's phase-1 control writes (see
+// Checkpoint).
+const maxControlRounds = 256
+
 // Config parameterises an Engine.
 type Config struct {
 	Personality
@@ -177,6 +181,9 @@ type Engine struct {
 	// completion of their page application; the checkpoint horizon must
 	// not pass their first LSN.
 	applying map[uint64]uint64 // txid → first LSN
+	// follow is the recovery state of an engine that does not lead yet
+	// (Follow); nil once Lead has opened the log.
+	follow   *follower
 	ckptBusy bool
 	ckptDone *sim.Signal
 	// bufs is a freelist of byte buffers that one transaction owns for a
@@ -272,9 +279,27 @@ func parseUpdatePayload(payload []byte) (key string, val []byte, del bool, err e
 
 // Open boots an engine on plat: double-write restore, index rebuild and WAL
 // redo, and returns it serving. After a redo the fold into a checkpoint
-// runs in the background (see step 6). It must run in the platform's
-// domain.
+// runs in the background (see Lead). It must run in the platform's domain.
+// It is Follow then Lead with no catch-up round in between.
 func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
+	e, err := Follow(p, plat, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Lead(p, -1); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Follow runs the first three steps of recovery on plat — double-write
+// restore, the control block, the index rebuild — and returns an engine
+// that does not serve yet: it holds a redo cursor at the checkpoint
+// horizon. CatchUp redoes what the log holds past the cursor, as often as
+// the log grows underneath (a warm standby's follower rounds); Lead
+// catches up one last time and opens the log for appends. It must run in
+// the platform's domain, as must CatchUp and Lead.
+func Follow(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 	cfg.applyDefaults()
 	s := plat.Sim()
 	store, err := pagestore.Open(s, plat.DataDisk(), pagestore.Config{PageSize: cfg.PageSize})
@@ -291,7 +316,11 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 		stats:    newStats(cfg.Obs.Registry()),
 		applying: make(map[uint64]uint64),
 		ckptDone: s.NewSignal("engine.ckpt_done"),
+		follow: &follower{
+			walCfg: wal.Config{BlockSize: cfg.WalBlockSize, CommitDelay: cfg.CommitDelay, Obs: cfg.Obs},
+		},
 	}
+	f := e.follow
 
 	// 1. Torn checkpoint repair.
 	if _, err := store.RecoverDoubleWrite(p); err != nil {
@@ -301,8 +330,7 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 	// 2. Recovery metadata. A missing control block proves no checkpoint
 	// ever started, hence no page was ever flushed (phase 1 writes the
 	// control before any page), so every page is known fresh.
-	walCfg := wal.Config{BlockSize: cfg.WalBlockSize, CommitDelay: cfg.CommitDelay, Obs: cfg.Obs}
-	startLSN := wal.FirstLSN(walCfg)
+	f.startLSN = wal.FirstLSN(f.walCfg)
 	nextPage := int64(1)
 	if blob, err := store.ReadControl(p); err != nil {
 		return nil, err
@@ -315,56 +343,117 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 		e.ckptLSN = binary.LittleEndian.Uint64(blob[0:8])
 		nextPage = int64(binary.LittleEndian.Uint64(blob[8:16]))
 		e.nextTxID = binary.LittleEndian.Uint64(blob[16:24])
-		startLSN = e.ckptLSN
+		f.startLSN = e.ckptLSN
 		store.SetWrittenThrough(nextPage - 1)
 	}
+	f.cursor = f.startLSN
 
 	// 3. Rebuild the in-memory index from the heap pages.
 	if err := e.heap.rebuild(p, nextPage); err != nil {
 		return nil, err
 	}
+	return e, nil
+}
 
-	// 4. Redo committed transactions from the WAL.
-	scan, err := wal.Scan(p, plat.LogDisk(), walCfg, startLSN)
-	if err != nil {
-		return nil, err
+// follower is an engine's recovery state until it leads: where the next
+// scan starts, and the updates of transactions whose commit record it has
+// not seen yet.
+type follower struct {
+	walCfg      wal.Config
+	startLSN    uint64       // the checkpoint horizon: the log from here on stays needed
+	cursor      uint64       // the next scan starts here
+	uncommitted []wal.Record // updates awaiting their commit (or abort) record, in log order
+	redone      int          // transactions redone so far
+}
+
+// CatchUp is step 4 of recovery, from the cursor on: scan the log to its
+// current end and redo every transaction whose commit record it finds,
+// holding the updates of the rest until their commit arrives. Redo is a
+// logical, idempotent put per update, so the same stretch of log redone
+// in one round or in several leaves the same pool. A caller that wrote
+// every log block gained since the last CatchUp passes how many that can
+// be at most, and the scan reads no further than the cursor's block and
+// those; a negative gained scans to the end.
+func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
+	f := e.follow
+	limit := 0
+	if gained >= 0 {
+		limit = gained + 1
 	}
-	updates := make(map[uint64][]wal.Record)
-	redone := 0
+	scan, err := wal.ScanBlocks(p, e.plat.LogDisk(), f.walCfg, f.cursor, limit)
+	if err != nil {
+		return err
+	}
 	for _, rec := range scan.Records {
 		switch rec.Type {
 		case wal.RecUpdate:
-			updates[rec.TxID] = append(updates[rec.TxID], rec)
+			f.uncommitted = append(f.uncommitted, rec)
 		case wal.RecCommit:
-			for _, u := range updates[rec.TxID] {
-				key, val, del, err := parseUpdatePayload(u.Payload)
-				if err != nil {
-					return nil, err
-				}
-				if del {
-					if err := e.heap.del(p, key); err != nil {
-						return nil, err
-					}
-				} else if err := e.heap.put(p, key, val); err != nil {
-					return nil, err
-				}
+			if err := e.redo(p, rec.TxID); err != nil {
+				return err
 			}
-			delete(updates, rec.TxID)
-			redone++
+			f.redone++
 			e.stats.RedoneTxns.Inc()
 		case wal.RecAbort:
-			delete(updates, rec.TxID)
+			f.settle(rec.TxID, nil)
 		}
 		if rec.TxID >= e.nextTxID {
 			e.nextTxID = rec.TxID + 1
 		}
 	}
+	f.cursor = scan.EndLSN
+	return nil
+}
+
+// redo applies committed transaction txid's held updates to the heap, in
+// log order.
+func (e *Engine) redo(p *sim.Proc, txid uint64) error {
+	return e.follow.settle(txid, func(u wal.Record) error {
+		key, val, del, err := parseUpdatePayload(u.Payload)
+		if err != nil {
+			return err
+		}
+		if del {
+			return e.heap.del(p, key)
+		}
+		return e.heap.put(p, key, val)
+	})
+}
+
+// settle takes transaction txid's updates out of the held ones, handing
+// each to apply (nil for an abort), in log order. A transaction appends its
+// updates and its commit record together, so few are ever held.
+func (f *follower) settle(txid uint64, apply func(wal.Record) error) error {
+	kept := f.uncommitted[:0]
+	var err error
+	for _, u := range f.uncommitted {
+		switch {
+		case u.TxID != txid:
+			kept = append(kept, u)
+		case apply != nil && err == nil:
+			err = apply(u)
+		}
+	}
+	clear(f.uncommitted[len(kept):])
+	f.uncommitted = kept
+	return err
+}
+
+// Lead ends following: a last CatchUp to the log's end (gained as for
+// CatchUp), then the engine opens the log for appends there and serves.
+func (e *Engine) Lead(p *sim.Proc, gained int) error {
+	if err := e.CatchUp(p, gained); err != nil {
+		return err
+	}
+	f := e.follow
+	e.follow = nil
 
 	// 5. Resume the log at its tail. The records from the old horizon on
 	// stay needed until a checkpoint folds the redone pages.
-	e.log, err = wal.OpenAt(p, s, plat.LogDisk(), walCfg, startLSN, scan.EndLSN)
+	var err error
+	e.log, err = wal.OpenAt(p, e.s, e.plat.LogDisk(), f.walCfg, f.startLSN, f.cursor)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.log.SetOnDurable(e.onWalDurable)
 
@@ -373,16 +462,16 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 	// a redo the checkpointer runs it as its first round while the engine
 	// serves. A boot that redid nothing folds inline (two control-block
 	// writes, no pages), and so does an engine without daemons.
-	deferFold := redone > 0 && !cfg.NoDaemons
+	deferFold := f.redone > 0 && !e.cfg.NoDaemons
 	if !deferFold {
 		if err := e.Checkpoint(p); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if !cfg.NoDaemons {
+	if !e.cfg.NoDaemons {
 		e.spawnDaemons(deferFold)
 	}
-	return e, nil
+	return nil
 }
 
 // Stats returns the engine's counters.
@@ -447,9 +536,16 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 	// crash mid-flush then still rebuilds over all flushed pages, and redo
 	// from the old horizon makes their contents consistent. The loop
 	// absorbs pages allocated while the control write itself was in
-	// flight.
-	for {
-		n := e.heap.nextPage
+	// flight, for at most maxControlRounds writes: under a steady stream of
+	// inserts a page is allocated during every one (a checkpoint that
+	// starts as a promoted engine begins to serve spun for seconds), and
+	// the flush then stops at the range the control covers. Every commit
+	// below the horizon finished applying before it was taken, so its
+	// pages are below that range; the pages past it stay dirty for the
+	// next checkpoint.
+	var n int64
+	for i := 0; i < maxControlRounds; i++ {
+		n = e.heap.nextPage
 		if err := e.store.WriteControl(p, e.controlBlob(e.ckptLSN, n)); err != nil {
 			return err
 		}
@@ -457,7 +553,7 @@ func (e *Engine) Checkpoint(p *sim.Proc) error {
 			break
 		}
 	}
-	if err := e.store.Checkpoint(p); err != nil {
+	if err := e.store.CheckpointBelow(p, n); err != nil {
 		return err
 	}
 	// Phase 2: publish the new horizon now that the pages are durable.

@@ -580,3 +580,89 @@ func TestCommitModeString(t *testing.T) {
 		t.Fatal("commit mode strings wrong")
 	}
 }
+
+// TestFollowRoundsThenLeadIsOpen: an engine that follows a live log in
+// rounds — Follow once, then CatchUp after every few commits, aborts and
+// deletes of the writer — and then leads holds exactly what the writer and
+// a cold Open of the same log hold, having redone as many transactions.
+func TestFollowRoundsThenLeadIsOpen(t *testing.T) {
+	r := newTestRig(21)
+	fresh := func(name string) *hv.Native {
+		d := disk.NewMem(r.s, disk.MemConfig{Name: name, Persistent: true, Capacity: 1 << 18})
+		r.m.AttachDevice(d)
+		return hv.NewNative(r.m, r.plat.LogDisk(), d)
+	}
+	follower, cold := fresh("data-follower"), fresh("data-cold")
+	keys := func(n int) []string {
+		var out []string
+		for i := 0; i < n; i++ {
+			out = append(out, fmt.Sprintf("k%03d", i))
+		}
+		return out
+	}(60)
+	read := func(p *sim.Proc, e *Engine) map[string]string {
+		tx := e.Begin(p)
+		defer tx.Abort()
+		out := map[string]string{}
+		for _, k := range keys {
+			if v, ok, err := tx.Get(k); err != nil {
+				t.Errorf("get %s: %v", k, err)
+			} else if ok {
+				out[k] = string(v)
+			}
+		}
+		return out
+	}
+	r.s.Spawn(r.plat.Domain(), "t", func(p *sim.Proc) {
+		w, err := Open(p, r.plat, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		f, err := Follow(p, follower, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("follow: %v", err)
+			return
+		}
+		for i := 0; i < 120; i++ {
+			tx := w.Begin(p)
+			_ = tx.Put(keys[i%len(keys)], []byte(fmt.Sprintf("v%d", i)))
+			if i%7 == 3 {
+				_ = tx.Delete(keys[(i+11)%len(keys)])
+			}
+			if i%9 == 0 {
+				tx.Abort()
+				continue
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit %d: %v", i, err)
+				return
+			}
+			if i%10 == 0 {
+				if err := f.CatchUp(p, -1); err != nil {
+					t.Errorf("catch up: %v", err)
+					return
+				}
+			}
+		}
+		if err := f.Lead(p, -1); err != nil {
+			t.Errorf("lead: %v", err)
+			return
+		}
+		c, err := Open(p, cold, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("cold open: %v", err)
+			return
+		}
+		want, got, cl := read(p, w), read(p, f), read(p, c)
+		if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(cl) != fmt.Sprint(want) {
+			t.Errorf("writer %v\nfollower %v\ncold %v", want, got, cl)
+		}
+		if f.Stats().RedoneTxns.Value() != c.Stats().RedoneTxns.Value() {
+			t.Errorf("follower redid %d transactions, a cold open %d", f.Stats().RedoneTxns.Value(), c.Stats().RedoneTxns.Value())
+		}
+	})
+	if err := r.s.RunFor(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}

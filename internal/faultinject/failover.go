@@ -131,7 +131,6 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 	}
 	res.Redirects = c.Obs.Registry().Counter("ha.redirects").Value()
 	res.FenceRejections = c.Obs.Registry().Counter("ha.fence_rejections").Value()
-	res.ReplayBytes = c.LastReplay.Bytes
-	res.ReplayEntries = c.LastReplay.Entries
+	res.Replay = c.LastReplay
 	res.finish(s, runErr, c.Obs, c.Monitor, c.Flight)
 }

@@ -166,9 +166,6 @@ func TestFailoverTrialForensics(t *testing.T) {
 	if res.FenceRejections == 0 {
 		t.Fatal("healed deposed leader produced no fencing rejections")
 	}
-	if res.ReplayBytes == 0 || res.ReplayEntries == 0 {
-		t.Fatalf("promotion replayed nothing: %+v", res)
-	}
 	// The trial ends at its audit, so the ring holds the run. Idling on to
 	// the watchdog filled it with minutes of heartbeats: no tx_ack at all.
 	events, err := res.Artifacts.Trace.DecodedEvents()
@@ -181,13 +178,26 @@ func TestFailoverTrialForensics(t *testing.T) {
 			acks++
 		}
 	}
+	// The winner's mirror cursor plus the suffix the promotion replayed
+	// covers its store's applied prefix at the fence.
+	rp := res.Replay
+	if len(rp.Applied) == 0 {
+		t.Fatalf("the promotion's winner held nothing: %+v", rp)
+	}
+	for e, seq := range rp.Applied {
+		if rp.Through[e] < seq {
+			t.Fatalf("promotion replay through %v does not cover the winner's applied prefix %v", rp.Through, rp.Applied)
+		}
+	}
 	if acks == 0 {
 		t.Fatalf("the retained trace holds no tx_ack among its %d events", len(events))
 	}
 	// Schedule-preservation golden (see golden_test.go). Acked is every
-	// journaled ack, 26 381 of them made after the isolation.
-	if res.Acked != 28538 || res.AckedAfterFault != 26381 || res.Unavailable != 386341746*time.Nanosecond || res.Redirects != 4 ||
-		res.FenceRejections != 200 || res.ReplayBytes != 11370496 {
+	// journaled ack, 27 029 of them made after the isolation. The heartbeat
+	// detector's 120 ms of silence leaves the winner's follower caught up:
+	// the promotion replays nothing past its mirror cursor.
+	if res.Acked != 29186 || res.AckedAfterFault != 27029 || res.Unavailable != 169675088*time.Nanosecond || res.Redirects != 4 ||
+		res.FenceRejections != 120 || res.Replay.Bytes != 0 || res.Replay.Lag != 0 {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
@@ -195,8 +205,8 @@ func TestFailoverTrialForensics(t *testing.T) {
 	})
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
-	if tr != "fa15cd1e0ce975c1c148a9a937d47168b9a0f21d1c2248ede1ba2c3fcdcb292e" ||
-		me != "be25267cd2c2fe4a1bb80eab87993130bf727e4f36c09ff15450884f6827e4dc" {
+	if tr != "5294e43b1946792f215dadcb33b40917be3dfdeffbfedf189875131db9c941ea" ||
+		me != "df682e6fd63930fc2d135564db50d726d493a41e74e7f4d6f6161f443df3782e" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

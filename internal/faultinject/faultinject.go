@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/replica"
 	"repro/internal/rig"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -289,11 +290,12 @@ type TrialResult struct {
 	// committed against the promoted leader.
 	Unavailable time.Duration
 	// Redirects and FenceRejections are the trial's ha.* counter readings;
-	// ReplayBytes/Entries summarise the promotion's prefix replay.
+	// Replay is the last promotion's replay (rig.Cluster.LastReplay): the
+	// suffix past the winner's mirror cursor, and how far the winner's
+	// follower trailed its store when the fence went up.
 	Redirects       int64
 	FenceRejections int64
-	ReplayBytes     int64
-	ReplayEntries   int
+	Replay          replica.RecoverReport
 	// SplitBrain counts single_writer_epoch monitor violations: >0 means two
 	// shippers were acked inside one epoch.
 	SplitBrain int
@@ -423,6 +425,16 @@ func (s Summary) String() string {
 		topo = fmt.Sprintf("cluster[%d nodes]", rc.Replicas+1)
 		extra = fmt.Sprintf(", %d split-brain, %d incomplete, unavailability p50 %v p99 %v", s.SplitBrains, s.Incomplete,
 			s.UnavailPercentile(0.50).Round(time.Millisecond), s.UnavailPercentile(0.99).Round(time.Millisecond))
+		var replayN, lagN int
+		var replayB, lagB int64
+		for _, t := range s.Trials {
+			replayN, replayB = replayN+t.Replay.Entries, replayB+t.Replay.Bytes
+			lagN, lagB = lagN+t.Replay.Lag, lagB+t.Replay.LagBytes
+		}
+		if n := float64(len(s.Trials)); n > 0 {
+			extra += fmt.Sprintf(", per-trial mean promotion replay %.1f records (%.0f B), follower lag at fence %.1f records (%.0f B)",
+				float64(replayN)/n, float64(replayB)/n, float64(lagN)/n, float64(lagB)/n)
+		}
 	}
 	if s.DegradedTrials > 0 {
 		extra += fmt.Sprintf(", %d degraded", s.DegradedTrials)

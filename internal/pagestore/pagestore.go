@@ -368,10 +368,14 @@ func (st *Store) MarkDirty(id int64) {
 // summary is marked valid, then the pages are written in place and the
 // summary cleared. A power cut at any instant leaves either the old page,
 // the new page, or a restorable double-write copy.
-func (st *Store) Checkpoint(p *sim.Proc) error {
+func (st *Store) Checkpoint(p *sim.Proc) error { return st.CheckpointBelow(p, st.numPages) }
+
+// CheckpointBelow is Checkpoint for the dirty pages with an id below limit;
+// the others stay dirty for the next checkpoint.
+func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 	var dirty []*Page
 	for _, pg := range st.pool {
-		if pg.dirty {
+		if pg.dirty && pg.ID < limit {
 			dirty = append(dirty, pg)
 		}
 	}

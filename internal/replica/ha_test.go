@@ -115,7 +115,7 @@ func TestEpochRolloverReplayOrder(t *testing.T) {
 					p.Sleep(10 * time.Millisecond) // settle before rollover
 					sh.Stop()
 				}
-				rep, err := Recover(p, []*Standby{st}, mem)
+				rep, err := Recover(p, []*Standby{st}, mem, nil)
 				if err != nil {
 					t.Errorf("recover: %v", err)
 					return

@@ -246,7 +246,7 @@ func TestEpochsAndRecover(t *testing.T) {
 		// Crash one standby: recovery must come from the survivor.
 		st0.Crash()
 		var err error
-		rep, err = Recover(p, []*Standby{st0, st1}, mem)
+		rep, err = Recover(p, []*Standby{st0, st1}, mem, nil)
 		if err != nil {
 			t.Errorf("recover: %v", err)
 		}
@@ -293,7 +293,7 @@ func TestRecoverCoalescesContiguousRuns(t *testing.T) {
 			h.sh.Ship(int64(i), payload(i, 512)) // 32 contiguous sectors
 		}
 		p.Sleep(10 * time.Millisecond)
-		rep, err := Recover(p, h.sts, mem)
+		rep, err := Recover(p, h.sts, mem, nil)
 		if err != nil {
 			t.Errorf("recover: %v", err)
 			return
@@ -662,12 +662,12 @@ func TestRecoverRejectsUnalignedRecord(t *testing.T) {
 	s := sim.New(27)
 	fab := netsim.New(s, netsim.Config{Seed: 28})
 	st := NewStandby(s, fab, "standby0", Config{})
-	st.apply(Record{Epoch: 1, Seq: 1, Lba: 0, Data: make([]byte, 700)})
+	st.apply(Record{Epoch: 1, Seq: 1, Lba: 0, Data: make([]byte, 700)}, false)
 	mem := disk.NewMem(s, disk.MemConfig{Name: "log", Persistent: true, Capacity: 1 << 20})
 	done := s.NewEvent("done")
 	s.Spawn(nil, "driver", func(p *sim.Proc) {
 		defer done.Fire()
-		if _, err := Recover(p, []*Standby{st}, mem); err == nil {
+		if _, err := Recover(p, []*Standby{st}, mem, nil); err == nil {
 			t.Error("Recover accepted a 700-byte record on a 512-byte-sector device")
 		}
 	})

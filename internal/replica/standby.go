@@ -26,8 +26,11 @@ type Standby struct {
 	applied map[int]uint64            // per-epoch contiguous applied prefix
 	seen    map[int]uint64            // per-epoch highest seq ever received
 	ooo     map[int]map[uint64]Record // buffered out-of-order arrivals
-	log     []Record                  // applied records, in apply order
+	log     []Record                  // applied records, in apply order; a retired one is zeroed (Seq 0)
+	live    map[extent]int            // a live record's sectors → its index in log
+	retired int                       // zeroed entries in log
 	arena   []byte                    // append-only copy space for kept payloads
+	onApply func()                    // called after each receiver batch that applied records
 
 	// The receiver's per-wake-up batch, reset and reused: the epochs touched,
 	// who shipped each (the ack target), and the records applied.
@@ -61,6 +64,7 @@ func NewStandby(s *sim.Sim, fab *netsim.Fabric, name string, cfg Config) *Standb
 		applied:    make(map[int]uint64),
 		seen:       make(map[int]uint64),
 		ooo:        make(map[int]map[uint64]Record),
+		live:       make(map[extent]int),
 		batchAckTo: make(map[int]string),
 		appliedC:   reg.Counter("repl." + name + ".applied"),
 		dupC:       reg.Counter("repl." + name + ".dups"),
@@ -82,10 +86,44 @@ func (st *Standby) Alive() bool { return st.alive }
 // AppliedSeq returns the contiguous applied prefix for an epoch.
 func (st *Standby) AppliedSeq(epoch int) uint64 { return st.applied[epoch] }
 
-// Records returns the standby's applied log (live; callers must not
-// mutate). Records survive crashes — the store is durable, the process is
+// Records returns the standby's live applied records, in apply order: a
+// record that rewrote exactly the sectors of an earlier one of its epoch
+// retired that one (see apply). The slice and the payloads are the store's
+// own — callers must not mutate them, and must copy what they keep past a
+// yield, since a record applied meanwhile may reuse a retired payload's
+// buffer. Records survive crashes — the store is durable, the process is
 // not.
-func (st *Standby) Records() []Record { return st.log }
+func (st *Standby) Records() []Record {
+	if st.retired > 0 {
+		st.compact()
+	}
+	return st.log
+}
+
+// SetOnApply installs a hook the receiver calls after every batch that
+// applied records, once they are held (a cluster builds a node's warm
+// follower on the first).
+func (st *Standby) SetOnApply(fn func()) { st.onApply = fn }
+
+// Position returns a copy of the standby's applied prefix, per epoch.
+func (st *Standby) Position() Position {
+	pos := make(Position, len(st.applied))
+	for e, seq := range st.applied {
+		pos[e] = seq
+	}
+	return pos
+}
+
+// Since counts the live records past pos and their payload bytes.
+func (st *Standby) Since(pos Position) (records int, bytes int64) {
+	for _, rec := range st.log {
+		if rec.Seq > pos[rec.Epoch] {
+			records++
+			bytes += int64(len(rec.Data))
+		}
+	}
+	return records, bytes
+}
 
 // Epochs returns the epochs this standby holds records for, ascending.
 func (st *Standby) Epochs() []int {
@@ -107,7 +145,7 @@ func (st *Standby) Crash() {
 	st.alive = false
 	st.fab.Isolate(st.name)
 	st.dom.Kill()
-	st.s.Tracef("replica %s: crashed (%d records held)", st.name, len(st.log))
+	st.s.Tracef("replica %s: crashed (%d records held)", st.name, len(st.log)-st.retired)
 }
 
 // Restart brings a crashed standby back: the NIC queue that died with the
@@ -153,6 +191,9 @@ func (st *Standby) spawnReceiver() {
 			}
 			if st.batchApplied > 0 {
 				p.Sleep(time.Duration(st.batchApplied) * applyDelay)
+				if st.onApply != nil {
+					st.onApply()
+				}
 			}
 			// One cumulative ack per epoch touched in this batch, addressed
 			// to whichever shipper carried that epoch's frames: a standby
@@ -203,11 +244,7 @@ func (st *Standby) handle(m netsim.Message) {
 // stateResp snapshots the standby's election evidence. The applied map is
 // copied: the response crosses the fabric by reference.
 func (st *Standby) stateResp() StateResp {
-	ap := make(map[int]uint64, len(st.applied))
-	for e, seq := range st.applied {
-		ap[e] = seq
-	}
-	return StateResp{From: st.name, Applied: ap, Fenced: st.fenced}
+	return StateResp{From: st.name, Applied: st.Position(), Fenced: st.fenced}
 }
 
 // Fenced returns the standby's current fence epoch.
@@ -261,8 +298,7 @@ func (st *Standby) handleRec(rec Record, from string) {
 	case rec.Seq <= ap:
 		st.dupC.Inc() // duplicate or already-covered resend: just re-ack
 	case rec.Seq == ap+1:
-		rec.Data, rec.buf = st.copyData(rec.Data), nil
-		st.apply(rec)
+		st.apply(rec, false)
 		st.batchApplied++
 		for {
 			nxt, ok := st.ooo[e][st.applied[e]+1]
@@ -270,7 +306,7 @@ func (st *Standby) handleRec(rec Record, from string) {
 				break
 			}
 			delete(st.ooo[e], st.applied[e]+1)
-			st.apply(nxt)
+			st.apply(nxt, true)
 			st.batchApplied++
 		}
 	default:
@@ -285,11 +321,55 @@ func (st *Standby) handleRec(rec Record, from string) {
 	}
 }
 
-func (st *Standby) apply(rec Record) {
+// extent names the exact sectors a record wrote, within its epoch.
+type extent struct {
+	epoch int
+	lba   int64
+	n     int
+}
+
+// apply appends rec to the applied log. A record that rewrites exactly the
+// sectors of an earlier live record of its epoch — the WAL's tail block,
+// rewritten at every force — takes over that record's payload buffer and
+// retires it: Recover folds a store's whole per-epoch prefix in order, so a
+// record fully rewritten later in its epoch never reaches the image, and
+// the store holds one version per live block instead of every force's. The
+// retired record's slot is zeroed and squeezed out once retired slots
+// outnumber live ones, or when Records is read. owned says rec.Data is
+// already the store's copy (an out-of-order arrival stashed earlier).
+func (st *Standby) apply(rec Record, owned bool) {
 	st.applied[rec.Epoch] = rec.Seq
+	key := extent{rec.Epoch, rec.Lba, len(rec.Data)}
+	rec.buf = nil
+	if i, ok := st.live[key]; ok {
+		buf := st.log[i].Data
+		copy(buf, rec.Data)
+		rec.Data = buf
+		st.log[i] = Record{}
+		st.retired++
+	} else if !owned {
+		rec.Data = st.copyData(rec.Data)
+	}
+	st.live[key] = len(st.log)
 	st.log = append(st.log, rec)
+	if st.retired > len(st.log)/2 {
+		st.compact()
+	}
 	st.appliedC.Inc()
 	st.tr.Emit(st.s.Now().Duration(), obs.EvReplicaApply, 0, rec.Span, int64(rec.Seq), st.labelID)
+}
+
+// compact squeezes the retired (zeroed) slots out of the log, in place.
+func (st *Standby) compact() {
+	kept := st.log[:0]
+	for _, r := range st.log {
+		if r.Seq != 0 {
+			st.live[extent{r.Epoch, r.Lba, len(r.Data)}] = len(kept)
+			kept = append(kept, r)
+		}
+	}
+	clear(st.log[len(kept):])
+	st.log, st.retired = kept, 0
 }
 
 // maxSeen returns the highest sequence this standby has received for an

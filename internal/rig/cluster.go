@@ -44,13 +44,12 @@ func (c *ClusterConfig) Normalize() error {
 		c.Rig.AckPolicy = core.AckQuorum(1)
 	}
 	if c.Rig.CheckpointEvery == 0 {
-		// Promotion rebuilds the leader's state from the replicated WAL
-		// alone; a checkpoint that let the WAL recycle would leave the
-		// stream unable to reproduce pre-checkpoint history on a fresh
-		// machine. Until snapshot-based catch-up ships (see ROADMAP),
-		// cluster mode pins checkpoints far past any trial horizon, and a
-		// promoted node recovers from the whole log, read at streaming
-		// bandwidth.
+		// A follower rebuilds the leader's state from the replicated WAL
+		// alone, and one built after a rejoin starts from the stream's
+		// first record; a checkpoint that let the WAL recycle would leave
+		// the stream unable to reproduce pre-checkpoint history on a fresh
+		// machine. So cluster mode pins checkpoints far past any trial
+		// horizon (ROADMAP item 2).
 		c.Rig.CheckpointEvery = 24 * time.Hour
 	}
 	switch {
@@ -63,19 +62,47 @@ func (c *ClusterConfig) Normalize() error {
 }
 
 // clusterNode is one machine's slot in the cluster: its store is the
-// always-on replica service, its rig exists only while (or after) the node
-// leads.
+// always-on replica service; its rig is the machine it leads with, and
+// while it does not lead, its warm follower keeps a machine of its own
+// redoing the stream the store applies.
 type clusterNode struct {
 	name  string
 	store *replica.Standby
-	rig   *Rig // nil until first promoted (or initial leader)
+	rig   *Rig      // the machine the node leads (or led) with; nil while it follows
+	f     *follower // nil while it leads or led, and until its store first applies
 }
+
+// follower is a non-leading node's warm machine: a guest whose log disk is
+// the raw log partition, and one self-clocked process that, round after
+// round, writes the records its store applied since the last round into
+// the partition (replica.Recover from the mirror cursor) and redoes them
+// (engine.CatchUp). A promotion then replays and scans only the tail.
+type follower struct {
+	r      *Rig
+	eng    *engine.Engine   // set once engine.Follow has run
+	cursor replica.Position // the store's records through here are on the partition
+	stop   *sim.Event       // fired by halt: ends the rest between rounds
+	idle   *sim.Signal      // the process stopped working: resting, halted or failed
+	busy   bool
+	halted bool
+	err    error
+	phase  string // what the round in flight is doing: "mirror", "scan" or ""
+	rounds int    // rounds whose redo is done
+}
+
+// followEvery is how long a follower rests after each round. Few, large
+// rounds keep what a round costs regardless of its size — a positioning
+// for its write and one for its scan, the partial tail block written and
+// read again, the leader's working set pushed out of the host's caches —
+// off the leader's serve window, and a promotion replays and scans at most
+// this much of the stream past the winner's last round.
+const followEvery = 200 * time.Millisecond
 
 // Cluster is an assembled HA deployment. Exactly one node leads at a
 // time; its Rig carries the full machine/logger/shipper stack. The other
-// nodes run standby stores on the shared fabric. The coordinator fails
-// the leader over on its power-fail notice or on silence; sessions follow
-// via OnPromote.
+// nodes run standby stores on the shared fabric, each with a warm follower
+// once its store holds records. The coordinator fails the leader over on
+// its power-fail notice or on silence; sessions follow via OnPromote.
 type Cluster struct {
 	Cfg    ClusterConfig
 	S      *sim.Sim
@@ -95,7 +122,9 @@ type Cluster struct {
 	// redirects through.
 	OnPromote func(gen int, name string, e *engine.Engine, dom *sim.Domain)
 
-	// LastReplay summarises the most recent promotion's prefix replay.
+	// LastReplay summarises the most recent promotion's replay: the suffix
+	// past the winner's mirror cursor, and how far its follower lagged its
+	// store when the fence went up.
 	LastReplay replica.RecoverReport
 
 	nodes      []*clusterNode
@@ -119,10 +148,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	rc := replica.Config{Reg: o.Registry(), Trace: o.Tracer()}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("node%d", i)
-		c.nodes = append(c.nodes, &clusterNode{
+		n := &clusterNode{
 			name:  name,
 			store: replica.NewStandby(s, c.Fabric, name+".log", rc),
-		})
+		}
+		c.nodes = append(c.nodes, n)
+		n.store.SetOnApply(func() { c.applied(i) })
 	}
 
 	// Node 0 leads first. Its own store is crashed while it leads: a
@@ -155,9 +186,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func (c *Cluster) Close() { c.S.Close() }
 
 // buildNode assembles a node's machine and the storage half of its log
-// domain on the cluster's simulation, fabric and peer stores. The platform
-// comes with lead, so promotion can replay the replicated prefix into the
-// log partition first.
+// domain on the cluster's simulation, fabric and peer stores. The logger
+// comes with lead, so a follower can write the replicated stream into the
+// raw log partition first.
 func (c *Cluster) buildNode(idx, startEpoch int) (*Rig, error) {
 	name := c.nodes[idx].name
 	r := newMachine(c.Cfg.Rig, c.S, name+".machine", c.Obs.Sub(name))
@@ -168,8 +199,9 @@ func (c *Cluster) buildNode(idx, startEpoch int) (*Rig, error) {
 	return r, err
 }
 
-// lead starts node idx's logger, shipper and guest on the log partition as
-// it stands, and makes the node the leader.
+// lead starts node idx's logger and shipper on the log partition as it
+// stands (a follower's guest moves onto the logger), and makes the node the
+// leader.
 func (c *Cluster) lead(idx int, r *Rig) error {
 	if err := r.assemblePlatform(); err != nil {
 		return err
@@ -179,6 +211,95 @@ func (c *Cluster) lead(idx int, r *Rig) error {
 	c.epoch = r.epoch
 	c.spawnAgent(r, c.nodes[idx].name)
 	return nil
+}
+
+// applied is node idx's store hook, run after every batch of records it
+// applies: the first one builds the node's follower. A node that leads, or
+// led and has not rejoined, follows nothing.
+func (c *Cluster) applied(idx int) {
+	if n := c.nodes[idx]; idx != c.leader && n.rig == nil && n.f == nil {
+		n.f = c.follow(idx)
+	}
+}
+
+// follow builds node idx's follower machine — the node's half of buildNode
+// plus a guest on the raw log partition — and starts its process in the
+// guest's domain. It takes no virtual time; the process's first act is
+// engine.Follow against the fresh data partition.
+func (c *Cluster) follow(idx int) *follower {
+	name := c.nodes[idx].name
+	f := &follower{
+		stop: c.S.NewEvent(name + ".follower.stop"),
+		idle: c.S.NewSignal(name + ".follower.idle"),
+		busy: true,
+	}
+	r, err := c.buildNode(idx, 0)
+	if err != nil {
+		f.busy, f.err = false, err
+		return f
+	}
+	r.Plat = r.HV.NewGuest(r.at.prefix+"db", r.LogDev, r.DataPart)
+	f.r = r
+	c.S.Spawn(r.Plat.Domain(), name+".follower", func(p *sim.Proc) {
+		p.SetDaemon(true)
+		defer func() {
+			f.busy, f.phase = false, ""
+			f.idle.Broadcast()
+		}()
+		f.err = f.run(p, c.nodes[idx].store)
+	})
+	return f
+}
+
+// run is the follower's process: engine.Follow, then a round and a rest of
+// followEvery, until halted.
+func (f *follower) run(p *sim.Proc, store *replica.Standby) error {
+	eng, err := engine.Follow(p, f.r.Plat, f.r.EngineConfig())
+	if err != nil {
+		return err
+	}
+	f.eng = eng
+	stores := []*replica.Standby{store}
+	for !f.halted {
+		f.phase = "mirror"
+		rep, err := replica.Recover(p, stores, f.r.LogDev, f.cursor)
+		if err != nil {
+			return err
+		}
+		f.cursor = rep.Through
+		if rep.Entries > 0 {
+			f.phase = "scan"
+			if err := eng.CatchUp(p, f.gained(rep)); err != nil {
+				return err
+			}
+			f.rounds++
+		}
+		f.busy, f.phase = false, ""
+		f.idle.Broadcast()
+		f.stop.WaitTimeout(p, followEvery)
+		f.busy = true
+	}
+	return nil
+}
+
+// gained bounds the log blocks a replay can have added past the engine's
+// cursor: every block the partition gained since the last scan is in that
+// replay's image, and each of its runs touches at most two blocks it does
+// not fill.
+func (f *follower) gained(rep replica.RecoverReport) int {
+	spb := int64(f.r.Cfg.Personality.WalBlockSize / f.r.LogDev.SectorSize())
+	return int(rep.Sectors/spb) + 2*rep.Runs
+}
+
+// halt stops the follower after the work in flight — engine.Follow or a
+// round — and reports what made it fail, if anything did.
+func (f *follower) halt(p *sim.Proc) error {
+	f.halted = true
+	f.stop.Fire()
+	for f.busy {
+		f.idle.Wait(p)
+	}
+	return f.err
 }
 
 // spawnAgent starts the leader's heartbeat responder in its hypervisor
@@ -271,14 +392,15 @@ func (c *Cluster) MaxEpoch() int { return c.epoch }
 // could have assembled.
 func (c *Cluster) Quorum() int { return len(c.nodes) - 1 - c.Cfg.Rig.AckPolicy.K + 1 }
 
-// Promote implements ha.Cluster: build a fresh machine stack on the
-// winner, replay the replicated prefix into its log partition, start the
-// logger + shipper at the fenced epoch, boot the engine (full-WAL
-// recovery against an empty data partition: a scan of the log that keeps
-// its next extent queued behind the one in transfer, so it runs at track
-// bandwidth, and redo into the pool; the checkpoint that folds the redone
-// pages runs in the background once the engine serves), and publish the
-// new generation. Nearly all of a takeover is spent here, on the disk.
+// Promote implements ha.Cluster: halt the winner's follower after its
+// round in flight, replay into its log partition only the records past its
+// mirror cursor (from every reachable store), start the logger + shipper at
+// the fenced epoch under its guest, let its engine catch up to the log's
+// end and lead (the checkpoint that folds the redone pages runs in the
+// background once the engine serves), and publish the new generation. A
+// winner whose store never applied a record, or whose follower failed,
+// gets a fresh follower here, which halts after engine.Follow: the same
+// path with no rounds behind it.
 func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, error) {
 	idx := -1
 	for i, n := range c.nodes {
@@ -290,9 +412,15 @@ func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, er
 		return 0, fmt.Errorf("rig: promote: unknown store %q", winnerStore)
 	}
 	node := c.nodes[idx]
-	r, err := c.buildNode(idx, epoch-1)
-	if err != nil {
-		return 0, err
+	f := node.f
+	if f == nil || f.err != nil {
+		f = c.follow(idx)
+	}
+	node.f = nil
+	applied := node.store.Position()
+	lag, lagBytes := node.store.Since(f.cursor)
+	if err := f.halt(p); err != nil {
+		return 0, fmt.Errorf("promotion follower: %w", err)
 	}
 
 	// Replay from every reachable store — the per-epoch best prefix is a
@@ -305,31 +433,31 @@ func (c *Cluster) Promote(p *sim.Proc, winnerStore string, epoch int) (int64, er
 			srcs = append(srcs, n.store)
 		}
 	}
-	rr, err := replica.Recover(p, srcs, r.LogDev)
+	rr, err := replica.Recover(p, srcs, f.r.LogDev, f.cursor)
 	if err != nil {
 		return 0, err
 	}
+	rr.Applied, rr.Lag, rr.LagBytes = applied, lag, lagBytes
 	c.LastReplay = rr
 
-	if err := c.lead(idx, r); err != nil {
+	f.r.epoch = epoch - 1
+	if err := c.lead(idx, f.r); err != nil {
 		return rr.Bytes, err
 	}
 
-	// Boot in the guest domain, like any other first boot; the
-	// coordinator waits so a takeover is not "done" until the engine
-	// serves.
+	// Lead in the guest domain, like any boot; the coordinator waits so a
+	// takeover is not "done" until the engine serves.
 	booted := c.S.NewEvent(node.name + ".booted")
 	var bootErr error
-	c.S.Spawn(r.Plat.Domain(), node.name+".db", func(bp *sim.Proc) {
+	c.S.Spawn(f.r.Plat.Domain(), node.name+".db", func(bp *sim.Proc) {
 		defer booted.Fire()
-		e, err := r.Boot(bp)
-		if err != nil {
+		if err := f.eng.Lead(bp, f.gained(rr)); err != nil {
 			bootErr = err
 			return
 		}
 		c.generation++
 		if c.OnPromote != nil {
-			c.OnPromote(c.generation, node.name, e, r.Plat.Domain())
+			c.OnPromote(c.generation, node.name, f.eng, f.r.Plat.Domain())
 		}
 	})
 	booted.Wait(p)
@@ -365,10 +493,11 @@ func (c *Cluster) HealNode(name string) {
 // RejoinAsStandby demotes a deposed ex-leader into a standby: its shipper
 // is stopped (releasing every retained buffer and killing its daemons —
 // the epoch is fenced, so the stream could never ack again anyway), its
-// guest is crashed, and its store restarts empty and fenced at the
-// current epoch. The acked-local-but-not-quorum suffix in its machine's
-// buffer and log partition is structurally truncated: nothing ever reads
-// it again, and the store catches up from the live epoch's stream.
+// guest is crashed, its machine is dropped, and its store restarts fenced
+// at the current epoch. The acked-local-but-not-quorum suffix in that
+// machine's buffer and log partition is structurally truncated: nothing
+// ever reads it again. The store's next batch builds the node a fresh
+// follower, which mirrors the whole stream the store holds.
 func (c *Cluster) RejoinAsStandby(p *sim.Proc, name string) error {
 	idx := c.nodeByName(name)
 	if idx < 0 {
@@ -383,6 +512,7 @@ func (c *Cluster) RejoinAsStandby(p *sim.Proc, name string) error {
 			node.rig.Shipper.Stop()
 		}
 		node.rig.Plat.Crash()
+		node.rig = nil
 	}
 	node.store.Restart()
 	// Fence before the store can ack anything: a crashed store missed the

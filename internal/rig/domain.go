@@ -352,7 +352,7 @@ func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
 		return rep, derr
 	}
 	if needReplica {
-		rr, err := replica.Recover(p, d.Standbys, d.LogDev)
+		rr, err := replica.Recover(p, d.Standbys, d.LogDev, nil)
 		if err != nil {
 			return rep, err
 		}

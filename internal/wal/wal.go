@@ -488,7 +488,17 @@ type ScanResult struct {
 const scanExtentBytes = 256 << 10
 
 // Scan reads records from fromLSN to the log's tail, stopping at the first
-// invalid record (torn tail, old generation, or never-written space).
+// invalid record (torn tail, old generation, or never-written space). It is
+// ScanBlocks with no limit.
+func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
+	return ScanBlocks(p, dev, cfg, fromLSN, 0)
+}
+
+// ScanBlocks is Scan reading at most limit blocks, fromLSN's own first
+// (limit ≤ 0: no limit). A caller that wrote every block the log can have
+// gained since fromLSN knows how far it can reach: the scan reads no
+// further, and starts with an extent of limit blocks (up to the cap)
+// instead of one.
 //
 // The log is read in extents of 1, 2, 4, … blocks up to scanExtentBytes,
 // each one request that never crosses the circular wrap. A block's
@@ -499,7 +509,7 @@ const scanExtentBytes = 256 << 10
 // next instead of missing a rotation while the scanner judges. At the end of
 // the log Scan waits for the extent still in flight: nothing it started
 // outlives the call.
-func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
+func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int) (ScanResult, error) {
 	cfg.applyDefaults()
 	var res ScanResult
 	bs := cfg.BlockSize
@@ -536,8 +546,12 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 	}
 
 	next, extent := seq, uint64(1) // the next block to request, and how many
+	end := ^uint64(0)              // the first block not to read
+	if limit > 0 {
+		end, extent = seq+uint64(limit), min(uint64(limit), extentMax)
+	}
 	span := func() (lba int64, nsec int) {
-		n := min(extent, nBlocks-next%nBlocks)
+		n := min(extent, nBlocks-next%nBlocks, end-next)
 		lba, nsec = int64(next%nBlocks)*int64(sectorsPer), int(n)*sectorsPer
 		next, extent = next+n, min(2*extent, extentMax)
 		return lba, nsec
@@ -545,8 +559,11 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 	// queue reads the next extent on a helper process in the scanner's
 	// domain, so that the request waits at the device behind the one in
 	// transfer while the scanner judges; a crash of the domain takes the
-	// helper too.
+	// helper too. Past the limit there is nothing to read: nil.
 	queue := func() *extentRead {
+		if next >= end {
+			return nil
+		}
 		lba, nsec := span()
 		r := &extentRead{done: p.Sim().NewEvent("wal.scan.extent")}
 		p.Sim().Spawn(p.Domain(), "wal.scan", func(hp *sim.Proc) {
@@ -561,16 +578,18 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 	if err != nil || judge(data) {
 		return res, err
 	}
-	cur := queue()
-	for {
+	for cur := queue(); cur != nil; {
 		ahead := queue()
 		cur.done.Wait(p)
 		if cur.err != nil || judge(cur.data) {
-			ahead.done.Wait(p)
+			if ahead != nil {
+				ahead.done.Wait(p)
+			}
 			return res, cur.err
 		}
 		cur = ahead
 	}
+	return res, nil
 }
 
 // extentRead is one Scan extent in flight on a helper process.

@@ -788,3 +788,60 @@ func TestForceSurrendersAfterRetryBudget(t *testing.T) {
 		t.Fatal("record not recoverable after the fault cleared")
 	}
 }
+
+// TestScanBlocksReadsNoFurtherThanItsLimit: a scan that knows how many
+// blocks the log can hold past its start reads those in one request and no
+// more, and finds what a full scan finds in them; a limit past the end
+// finds the whole log.
+func TestScanBlocksReadsNoFurtherThanItsLimit(t *testing.T) {
+	const bs = 4096
+	s, dev, l := memLog(t, 7, Config{})
+	s.Spawn(nil, "w", func(p *sim.Proc) {
+		// Four 928-byte records to a block: twelve blocks and a part.
+		for i := 0; i < 50; i++ {
+			if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
+				t.Errorf("append: %v", err)
+				return
+			}
+		}
+		if err := l.Force(p, l.AppendedLSN()); err != nil {
+			t.Errorf("force: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	from := uint64(3*bs + blockHdrLen + 928) // the second record of block 3
+	full, _ := scanBoth(t, s, dev, from)
+	for _, limit := range []int{1, 4, 10, 20} {
+		var res ScanResult
+		var reads, sectors int64
+		s.Spawn(nil, "r", func(p *sim.Proc) {
+			st := dev.Stats()
+			r0, s0 := st.Reads.Value(), st.SectorsRead.Value()
+			var err error
+			if res, err = ScanBlocks(p, dev, Config{}, from, limit); err != nil {
+				t.Errorf("scan: %v", err)
+			}
+			reads, sectors = st.Reads.Value()-r0, st.SectorsRead.Value()-s0
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var want []Record
+		for _, r := range full.Records {
+			if r.LSN < uint64(3+limit)*bs {
+				want = append(want, r)
+			}
+		}
+		if len(res.Records) != len(want) || (len(want) > 0 && res.Records[len(want)-1].LSN != want[len(want)-1].LSN) {
+			t.Fatalf("limit %d: %d records, want the full scan's %d in those blocks", limit, len(res.Records), len(want))
+		}
+		if reads != 1 || sectors > int64(limit*bs/512) {
+			t.Fatalf("limit %d: %d reads of %d sectors, want one read of at most %d", limit, reads, sectors, limit*bs/512)
+		}
+		if limit == 20 && res.EndLSN != full.EndLSN {
+			t.Fatalf("limit past the end: scan ended at %d, the log at %d", res.EndLSN, full.EndLSN)
+		}
+	}
+}
