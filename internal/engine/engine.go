@@ -187,11 +187,11 @@ type Engine struct {
 	ckptBusy bool
 	ckptDone *sim.Signal
 	// bufs is a freelist of byte buffers that one transaction owns for a
-	// while: its staged values (Tx.vals, Begin to finish) and its
-	// redo-record encode buffer (the commit's append loop — the
-	// checkpoint-retry path re-appends the same encoding after a yield,
-	// during which another transaction may commit and must take a buffer of
-	// its own).
+	// while: its staged values and its read buffer (Tx.vals and Tx.read,
+	// Begin to finish) and its redo-record encode buffer (the commit's
+	// append loop — the checkpoint-retry path re-appends the same encoding
+	// after a yield, during which another transaction may commit and must
+	// take a buffer of its own).
 	bufs       slicePool[byte]
 	lockLists  slicePool[string]  // Tx.locks backing arrays
 	writeLists slicePool[txWrite] // Tx.writes backing arrays

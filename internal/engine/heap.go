@@ -120,9 +120,9 @@ func (h *heap) insert(p *sim.Proc, key string, val []byte) error {
 	}
 }
 
-// get returns the value for key, or ok=false. The caller must hold at least
-// the S lock.
-func (h *heap) get(p *sim.Proc, key string) ([]byte, bool, error) {
+// appendGet appends the value for key to dst and returns the extended
+// slice, or nil and ok=false. The caller must hold at least the S lock.
+func (h *heap) appendGet(dst []byte, p *sim.Proc, key string) ([]byte, bool, error) {
 	loc, ok := h.index[key]
 	if !ok {
 		return nil, false, nil
@@ -138,7 +138,7 @@ func (h *heap) get(p *sim.Proc, key string) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	start := int(loc.off) + recFixedHdr + keyLen
-	return append([]byte(nil), data[start:start+valLen]...), true, nil
+	return append(dst, data[start:start+valLen]...), true, nil
 }
 
 // del tombstones key's record. The caller must hold the X lock.

@@ -35,14 +35,14 @@ func TestHeapPutGetDelete(t *testing.T) {
 		if err := h.put(p, "k", []byte("v1")); err != nil {
 			t.Errorf("put: %v", err)
 		}
-		v, ok, _ := h.get(p, "k")
+		v, ok, _ := h.appendGet(nil, p, "k")
 		if !ok || string(v) != "v1" {
 			t.Errorf("get: %q %v", v, ok)
 		}
 		if err := h.del(p, "k"); err != nil {
 			t.Errorf("del: %v", err)
 		}
-		if _, ok, _ := h.get(p, "k"); ok {
+		if _, ok, _ := h.appendGet(nil, p, "k"); ok {
 			t.Error("deleted key visible")
 		}
 		// Deleting a missing key is a no-op.
@@ -65,7 +65,7 @@ func TestHeapInPlaceUpdateKeepsLocation(t *testing.T) {
 		if loc1 != loc2 {
 			t.Errorf("same-size update relocated: %+v → %+v", loc1, loc2)
 		}
-		v, _, _ := h.get(p, "k")
+		v, _, _ := h.appendGet(nil, p, "k")
 		if !bytes.Equal(v, bytes.Repeat([]byte{2}, 100)) {
 			t.Error("in-place update content wrong")
 		}
@@ -85,7 +85,7 @@ func TestHeapGrowingUpdateRelocates(t *testing.T) {
 		if loc1 == loc2 {
 			t.Error("growing update did not relocate")
 		}
-		v, ok, _ := h.get(p, "k")
+		v, ok, _ := h.appendGet(nil, p, "k")
 		if !ok || len(v) != 1000 || v[0] != 2 {
 			t.Error("relocated content wrong")
 		}
@@ -108,7 +108,7 @@ func TestHeapFillsMultiplePages(t *testing.T) {
 			t.Errorf("nextPage = %d; 100×250B rows should span several 4KiB pages", h.nextPage)
 		}
 		for i := 0; i < 100; i++ {
-			v, ok, _ := h.get(p, fmt.Sprintf("key-%03d", i))
+			v, ok, _ := h.appendGet(nil, p, fmt.Sprintf("key-%03d", i))
 			if !ok || v[0] != byte(i) {
 				t.Errorf("key-%03d wrong after spill", i)
 				return
@@ -150,10 +150,10 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 			t.Errorf("rebuild: %v", err)
 			return
 		}
-		if _, ok, _ := h2.get(p, "k10"); ok {
+		if _, ok, _ := h2.appendGet(nil, p, "k10"); ok {
 			t.Error("tombstoned key resurrected by rebuild")
 		}
-		v, ok, _ := h2.get(p, "k20")
+		v, ok, _ := h2.appendGet(nil, p, "k20")
 		if !ok || len(v) != 600 || v[0] != 0xFF {
 			t.Error("relocated key wrong after rebuild")
 		}
@@ -161,7 +161,7 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 			if i == 10 || i == 20 {
 				continue
 			}
-			v, ok, _ := h2.get(p, fmt.Sprintf("k%02d", i))
+			v, ok, _ := h2.appendGet(nil, p, fmt.Sprintf("k%02d", i))
 			if !ok || v[0] != byte(i+1) {
 				t.Errorf("k%02d wrong after rebuild", i)
 				return
@@ -312,7 +312,7 @@ func TestHeapMatchesMapProperty(t *testing.T) {
 				return
 			}
 			for key, val := range model {
-				v, ok, _ := h2.get(p, key)
+				v, ok, _ := h2.appendGet(nil, p, key)
 				if !ok || v[0] != val {
 					good = false
 					return
@@ -321,7 +321,7 @@ func TestHeapMatchesMapProperty(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				key := fmt.Sprintf("k%d", i)
 				if _, inModel := model[key]; !inModel {
-					if _, ok, _ := h2.get(p, key); ok {
+					if _, ok, _ := h2.appendGet(nil, p, key); ok {
 						good = false
 						return
 					}

@@ -21,12 +21,13 @@ type Tx struct {
 	id   uint64
 	done bool
 
-	// All three are pooled on the engine and handed back by finish, so a
+	// All four are pooled on the engine and handed back by finish, so a
 	// transaction allocates only itself. Transactions are a few dozen rows
 	// at most, so "has this key been written" is a scan of writes, not a map.
 	locks  []string  // keys held, in acquisition order
 	writes []txWrite // staged writes, one per key (latest wins)
 	vals   []byte    // the staged values, back to back
+	read   []byte    // the value the last Get returned; each Get reuses it
 	began  sim.Time
 	span   obs.SpanID
 }
@@ -69,7 +70,11 @@ func (t *Tx) lock(key string, mode LockMode) error {
 }
 
 // Get returns the value for key under a shared lock (or the transaction's
-// own pending write).
+// own pending write). The value is a view into a buffer the transaction
+// owns: it stays valid until the transaction's next call (Get, Put, Delete,
+// Commit or Abort), which may overwrite it, so copy what must outlive that.
+// No other transaction writes to it, and changing it changes neither the
+// stored row nor a staged write.
 func (t *Tx) Get(key string) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxDone
@@ -83,13 +88,30 @@ func (t *Tx) Get(key string) ([]byte, bool, error) {
 		if w.del {
 			return nil, false, nil
 		}
-		return append([]byte(nil), t.val(w)...), true, nil
+		t.read = append(t.readBuf(), t.val(w)...)
+		return t.read, true, nil
 	}
 	t.e.stats.Reads.Inc()
-	return t.e.heap.get(t.p, key)
+	v, ok, err := t.e.heap.appendGet(t.readBuf(), t.p, key)
+	if ok {
+		t.read = v
+	}
+	return v, ok, err
 }
 
-// Put stages a write under an exclusive lock.
+// readBuf returns the read buffer emptied, taking one from the engine's
+// pool on the transaction's first read.
+func (t *Tx) readBuf() []byte {
+	if t.read == nil {
+		t.read = t.e.bufs.get()
+	}
+	return t.read[:0]
+}
+
+// Put stages a write under an exclusive lock. It copies val before its
+// first yield, so the caller may reuse val as soon as Put returns, and a
+// buffer shared by processes that take turns encoding into it is safe to
+// pass.
 func (t *Tx) Put(key string, val []byte) error {
 	if t.done {
 		return ErrTxDone
@@ -97,12 +119,13 @@ func (t *Tx) Put(key string, val []byte) error {
 	if err := t.e.checkRowSize(key, val); err != nil {
 		return err
 	}
-	t.e.burn(t.p, t.e.cfg.CPUPerOp)
-	if err := t.lock(key, LockX); err != nil {
-		return err
-	}
 	off := len(t.vals)
 	t.vals = append(t.vals, val...)
+	t.e.burn(t.p, t.e.cfg.CPUPerOp)
+	if err := t.lock(key, LockX); err != nil {
+		t.vals = t.vals[:off]
+		return err
+	}
 	t.stage(txWrite{key: key, off: off, n: len(val)})
 	return nil
 }
@@ -277,5 +300,6 @@ func (t *Tx) finish() {
 	e.lockLists.put(t.locks)
 	e.writeLists.put(t.writes)
 	e.bufs.put(t.vals)
-	t.locks, t.writes, t.vals = nil, nil, nil
+	e.bufs.put(t.read)
+	t.locks, t.writes, t.vals, t.read = nil, nil, nil, nil
 }

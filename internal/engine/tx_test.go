@@ -1,0 +1,161 @@
+package engine
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// commitRows commits each key = value pair in one transaction.
+func commitRows(p *sim.Proc, e *Engine, kv ...string) error {
+	tx := e.Begin(p)
+	for i := 0; i < len(kv); i += 2 {
+		if err := tx.Put(kv[i], []byte(kv[i+1])); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
+	return tx.Commit()
+}
+
+// readRow reads key in a transaction of its own.
+func readRow(p *sim.Proc, e *Engine, key string) string {
+	tx := e.Begin(p)
+	defer tx.Abort()
+	v, ok, err := tx.Get(key)
+	if err != nil || !ok {
+		return "<missing>"
+	}
+	return string(v)
+}
+
+// A Get's value is a view into the transaction's read buffer: the
+// transaction's next call reuses it, and nothing another transaction does
+// while this one is parked touches it.
+func TestGetViewLivesUntilTheTransactionsNextCall(t *testing.T) {
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		if err := commitRows(p, e, "a", "AAAA", "b", "BBBB", "c", "CCCC"); err != nil {
+			t.Error(err)
+			return
+		}
+		tx := e.Begin(p)
+		defer tx.Abort()
+		v, ok, err := tx.Get("a")
+		if err != nil || !ok || string(v) != "AAAA" {
+			t.Errorf("get a: %q %v %v", v, ok, err)
+			return
+		}
+		// Another transaction reads and rewrites rows on the same page
+		// while this one sleeps.
+		other := p.Sim().NewEvent("other")
+		p.Sim().Spawn(p.Domain(), "other", func(op *sim.Proc) {
+			defer other.Fire()
+			tx2 := e.Begin(op)
+			if _, _, err := tx2.Get("b"); err != nil {
+				t.Errorf("other get: %v", err)
+			}
+			_ = tx2.Put("c", []byte("cccc"))
+			if err := tx2.Commit(); err != nil {
+				t.Errorf("other commit: %v", err)
+			}
+		})
+		other.Wait(p)
+		p.Sleep(time.Millisecond)
+		if string(v) != "AAAA" {
+			t.Errorf("another transaction's work changed this one's view to %q", v)
+		}
+		if _, _, err := tx.Get("b"); err != nil {
+			t.Error(err)
+		}
+		if string(v) != "BBBB" {
+			t.Errorf("the next Get left the view at %q, want it reused for BBBB", v)
+		}
+	})
+}
+
+// Changing a returned value changes neither the stored row nor the
+// transaction's staged write.
+func TestGetViewIsNotTheRowOrTheStagedWrite(t *testing.T) {
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		if err := commitRows(p, e, "a", "AAAA"); err != nil {
+			t.Error(err)
+			return
+		}
+		tx := e.Begin(p)
+		v, _, _ := tx.Get("a")
+		copy(v, "XXXX")
+		if v, _, _ := tx.Get("a"); string(v) != "AAAA" {
+			t.Errorf("writing into a Get's value changed the row to %q", v)
+		}
+		if err := tx.Put("s", []byte("SSSS")); err != nil {
+			t.Error(err)
+		}
+		v, _, _ = tx.Get("s")
+		copy(v, "XXXX")
+		if v, _, _ := tx.Get("s"); string(v) != "SSSS" {
+			t.Errorf("writing into a Get's value changed the staged write to %q", v)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		for k, want := range map[string]string{"a": "AAAA", "s": "SSSS"} {
+			if got := readRow(p, e, k); got != want {
+				t.Errorf("row %s = %q after commit, want %s", k, got, want)
+			}
+		}
+	})
+}
+
+// Put copies its value before it first yields: the caller may reuse the
+// buffer once Put returns, and two processes that take turns encoding into
+// one buffer (a workload's row scratch) each commit their own value.
+func TestPutCopiesItsValueBeforeItYields(t *testing.T) {
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		buf := []byte("v1")
+		tx := e.Begin(p)
+		if err := tx.Put("k", buf); err != nil {
+			t.Error(err)
+		}
+		copy(buf, "XX")
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := readRow(p, e, "k"); got != "v1" {
+			t.Errorf("k = %q, want v1: Put kept the caller's buffer", got)
+		}
+
+		shared := make([]byte, 4)
+		done := p.Sim().NewEvent("writers")
+		left := 2
+		for _, kv := range [][2]string{{"ka", "AAAA"}, {"kb", "BBBB"}} {
+			kv := kv
+			p.Sim().Spawn(p.Domain(), "writer-"+kv[0], func(wp *sim.Proc) {
+				defer func() {
+					if left--; left == 0 {
+						done.Fire()
+					}
+				}()
+				tx := e.Begin(wp)
+				copy(shared, kv[1])
+				if err := tx.Put(kv[0], shared); err != nil {
+					t.Errorf("put %s: %v", kv[0], err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit %s: %v", kv[0], err)
+				}
+			})
+		}
+		done.Wait(p)
+		for _, kv := range [][2]string{{"ka", "AAAA"}, {"kb", "BBBB"}} {
+			if got := readRow(p, e, kv[0]); got != kv[1] {
+				t.Errorf("%s = %q, want %s: the other writer's encoding reached it", kv[0], got, kv[1])
+			}
+		}
+	})
+}

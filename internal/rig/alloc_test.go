@@ -7,23 +7,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-// TestUncontendedCommitAllocBound pins the whole uncontended commit path —
-// Begin, Put, Commit through engine, WAL, hypervisor and the RapiLog buffer —
-// the way the benchmark's engine.commit_probe drives it. It read 11.1
-// allocations per commit before Begin and the lock table stopped allocating.
-func TestUncontendedCommitAllocBound(t *testing.T) {
+// allocsPerCommit boots an uncontended RapiLog machine, runs load once, and
+// returns the heap allocations per call of commit, measured after eight
+// warm-up rounds have grown every pool and map the steady path uses.
+func allocsPerCommit(t *testing.T, load func(*sim.Proc, *engine.Engine) error, commit func(*sim.Proc, *engine.Engine) error) float64 {
+	t.Helper()
 	r, err := New(Config{Seed: 1, Mode: RapiLog, NoDaemons: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%04d", i)
-	}
 	const perRun = 256
 	var runErr error
 	var allocs float64
@@ -33,16 +31,15 @@ func TestUncontendedCommitAllocBound(t *testing.T) {
 			runErr = err
 			return
 		}
-		i := 0
+		if runErr = load(p, e); runErr != nil {
+			return
+		}
 		commits := func() {
-			for n := 0; n < perRun && runErr == nil; n, i = n+1, i+1 {
-				tx := e.Begin(p)
-				if runErr = tx.Put(keys[i%len(keys)], []byte("v")); runErr == nil {
-					runErr = tx.Commit()
-				}
+			for n := 0; n < perRun && runErr == nil; n++ {
+				runErr = commit(p, e)
 			}
 		}
-		for w := 0; w < 8; w++ { // insert every key, warm every pool
+		for w := 0; w < 8; w++ {
 			commits()
 		}
 		allocs = testing.AllocsPerRun(20, commits) / perRun
@@ -54,7 +51,60 @@ func TestUncontendedCommitAllocBound(t *testing.T) {
 		t.Fatal(runErr)
 	}
 	t.Logf("%.2f allocations per commit", allocs)
+	return allocs
+}
+
+// TestUncontendedCommitAllocBound pins the whole uncontended commit path —
+// Begin, Get, Put, Commit through engine, WAL, hypervisor and the RapiLog
+// buffer — the way the benchmark's engine.commit_probe drives it, plus a
+// read. It read 11.1 allocations per commit before Begin and the lock table
+// stopped allocating, and 2.0 while a Get copied its value.
+func TestUncontendedCommitAllocBound(t *testing.T) {
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	i := 0
+	allocs := allocsPerCommit(t, func(*sim.Proc, *engine.Engine) error { return nil },
+		func(p *sim.Proc, e *engine.Engine) error {
+			k := keys[i%len(keys)]
+			i++
+			tx := e.Begin(p)
+			if _, _, err := tx.Get(k); err != nil {
+				return err
+			}
+			if err := tx.Put(k, []byte("v")); err != nil {
+				return err
+			}
+			return tx.Commit()
+		})
 	if allocs > 3 {
-		t.Fatalf("uncontended Begin/Put/Commit allocates %.2f per commit, want <= 3 (11.1 before)", allocs)
+		t.Fatalf("uncontended Begin/Get/Put/Commit allocates %.2f per commit, want <= 3 (11.1 before)", allocs)
+	}
+}
+
+// TestWorkloadTransactionAllocBound pins one client's TPC-B transaction and
+// TPC-C mix (the benchmark's scales). What is left is Begin's Tx, the keys
+// of inserted rows (the engine's index keeps them), journaled rows, the keys
+// of the order and order-line rows the read-only TPC-C types look up, and
+// the amortised growth of the index. They read 12.1 and 47.9 allocations
+// per commit while every Get copied its value and every key and row was a
+// fresh allocation.
+func TestWorkloadTransactionAllocBound(t *testing.T) {
+	for _, c := range []struct {
+		wl          workload.Workload
+		max, before float64
+	}{
+		{&workload.TPCB{}, 4, 12.1},
+		{&workload.TPCC{Warehouses: 1, Customers: 10, Items: 200}, 12, 47.9},
+	} {
+		t.Run(c.wl.Name(), func(t *testing.T) {
+			allocs := allocsPerCommit(t, c.wl.Load, func(p *sim.Proc, e *engine.Engine) error {
+				return c.wl.Do(p, e, nil)
+			})
+			if allocs > c.max {
+				t.Fatalf("%s allocates %.2f per commit, want <= %v (%v before)", c.wl.Name(), allocs, c.max, c.before)
+			}
+		})
 	}
 }

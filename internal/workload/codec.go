@@ -7,10 +7,16 @@ import (
 
 // Keys and rows are text: "a:1:523" and "-37|2|xxxx…" (integer fields, each
 // followed by '|', then filler). The generators build and parse them on
-// every transaction, so they do it with strconv and no fmt: one allocation
-// per key or row, none per parse. The formats are exactly what
-// fmt.Sprintf("%s:%d:%d") / Sprintf("%d|%d|%s") / Sscanf("%d|%d|") produced
-// (codec_test.go pins that), so stored data and journals are unchanged.
+// every transaction, so they do it with strconv and no fmt, and on the
+// steady path without the heap: a row is encoded into its workload
+// instance's scratch buffer (appendRow), which Tx.Put copies before it
+// yields, and a key of a finite family (an account, a stock row) comes
+// from a table the instance fills on first use (keyTable). Only what
+// outlives the transaction allocates: keys of inserted rows, which the
+// engine's index keeps, and rows the journal keeps. Parsing never
+// allocates. The formats are exactly what fmt.Sprintf("%s:%d:%d") /
+// Sprintf("%d|%d|%s") / Sscanf("%d|%d|") produced (codec_test.go pins
+// that), so stored data and journals are unchanged.
 
 // key returns prefix followed by ":id" for each id.
 func key(prefix string, ids ...int) string {
@@ -23,14 +29,68 @@ func key(prefix string, ids ...int) string {
 	return string(b)
 }
 
-// row returns the fields, each followed by '|', then pad filler bytes.
-func row(pad int, fields ...int) []byte {
-	b := make([]byte, 0, 12*len(fields)+pad)
-	for _, f := range fields {
-		b = strconv.AppendInt(b, int64(f), 10)
-		b = append(b, '|')
+// keyTable memoises one finite key family: the keys key(prefix, ids...) for
+// every ids on the grid 1..dims[0] × 1..dims[1] × …. Entries are built on
+// first use and shared by every later one; ids off the grid are built
+// fresh.
+type keyTable struct {
+	prefix string
+	dims   []int
+	keys   []string
+}
+
+func newKeyTable(prefix string, dims ...int) keyTable {
+	return keyTable{prefix: prefix, dims: dims}
+}
+
+func (t *keyTable) key(ids ...int) string {
+	i := 0
+	for d, id := range ids {
+		if id < 1 || id > t.dims[d] {
+			return key(t.prefix, ids...)
+		}
+		i = i*t.dims[d] + id - 1
 	}
-	return appendFiller(b, pad)
+	if t.keys == nil {
+		n := 1
+		for _, d := range t.dims {
+			n *= d
+		}
+		t.keys = make([]string, n)
+	}
+	k := t.keys[i]
+	if k == "" {
+		k = key(t.prefix, ids...)
+		t.keys[i] = k
+	}
+	return k
+}
+
+// row returns the fields, each followed by '|', then pad filler bytes, in
+// a buffer of its own.
+func row(pad int, fields ...int) []byte {
+	return appendRow(make([]byte, 0, 12*len(fields)+pad), pad, fields...)
+}
+
+// appendRow appends row(pad, fields...) to dst.
+func appendRow(dst []byte, pad int, fields ...int) []byte {
+	for _, f := range fields {
+		dst = strconv.AppendInt(dst, int64(f), 10)
+		dst = append(dst, '|')
+	}
+	return appendFiller(dst, pad)
+}
+
+// scratch is the buffer one workload instance encodes the rows it Puts
+// into. Every client of the instance shares it: that is safe because no
+// client yields between encoding a row and Put's copy of it.
+type scratch []byte
+
+// row encodes row(pad, fields...) into s and returns it; the result is
+// valid until the next call.
+func (s *scratch) row(pad int, fields ...int) []byte {
+	*s = appendRow((*s)[:0], pad, fields...)
+	return *s
 }
 
 func appendFiller(b []byte, n int) []byte {

@@ -58,7 +58,7 @@ func TestRowsMatchSprintfAndParseBack(t *testing.T) {
 					{row(pad, a), fmt.Sprintf("%d|%s", a, x(pad)), []int{a}},
 					{row(pad, a, b), fmt.Sprintf("%d|%d|%s", a, b, x(pad)), []int{a, b}},
 					{row(pad, a, b, 0, b), fmt.Sprintf("%d|%d|0|%d|%s", a, b, b, x(pad)), []int{a, b, 0, b}},
-					{encDistrict(a, b, a, pad), fmt.Sprintf("%d|%d|%d|%s", a, b, a, x(pad)), []int{a, b, a}},
+					{row(pad, a, b, a), fmt.Sprintf("%d|%d|%d|%s", a, b, a, x(pad)), []int{a, b, a}},
 					{itemRow(a, b, pad), fmt.Sprintf("%d|item-%d|%s", a, b, x(pad)), []int{a}},
 				} {
 					if string(c.got) != c.want {
@@ -103,5 +103,55 @@ func TestParseRowRejectsMalformed(t *testing.T) {
 	var a, b int
 	if err := parseRow([]byte("7|xxxx"), &a, &b); err == nil || a != 7 {
 		t.Fatalf("parseRow kept a=%d err=%v, want 7 and an error", a, err)
+	}
+}
+
+// Rows encoded into a caller's buffer or an instance's scratch are the rows
+// row builds, so moving the generators onto them changed no stored byte.
+func TestAppendRowAndScratchMatchRow(t *testing.T) {
+	var sc scratch
+	for _, pad := range []int{0, 1, 60, 1000} {
+		for _, a := range codecInts {
+			want := string(row(pad, a, -a, 7))
+			if got := string(appendRow([]byte("pre"), pad, a, -a, 7)); got != "pre"+want {
+				t.Fatalf("appendRow = %q, want %q", got, "pre"+want)
+			}
+			if got := string(sc.row(pad, a, -a, 7)); got != want {
+				t.Fatalf("scratch row = %q, want %q", got, want)
+			}
+		}
+	}
+}
+
+// Every entry of every key table is the key key() builds for its ids, and
+// ids off a table's grid (0, or past the configured count) get that key too.
+func TestKeyTablesMatchKey(t *testing.T) {
+	tb := &TPCB{Branches: 3, Tellers: 4, Accounts: 5}
+	tb.applyDefaults()
+	b := tb.codec()
+	tc := &TPCC{Warehouses: 2, Districts: 3, Customers: 4, Items: 5}
+	tc.applyDefaults()
+	c := tc.codec()
+	for pass := 0; pass < 2; pass++ { // the second pass reads memoised entries
+		for x := 0; x <= 6; x++ {
+			for y := 0; y <= 6; y++ {
+				for z := 0; z <= 6; z++ {
+					for _, k := range []struct{ got, want string }{
+						{b.branch.key(x), kBranch(x)},
+						{b.teller.key(x, y), kTeller(x, y)},
+						{b.account.key(x, y), kAccount(x, y)},
+						{c.warehouse.key(x), kWarehouse(x)},
+						{c.district.key(x, y), kDistrict(x, y)},
+						{c.customer.key(x, y, z), kCustomer(x, y, z)},
+						{c.item.key(x), kItem(x)},
+						{c.stock.key(x, y), kStock(x, y)},
+					} {
+						if k.got != k.want {
+							t.Fatalf("pass %d: table key %q, key() built %q", pass, k.got, k.want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

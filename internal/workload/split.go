@@ -10,12 +10,15 @@ import (
 // branches whose key hashes to i, so the clones load disjoint rows and no
 // transaction crosses a domain boundary. Stress gets a fresh instance per
 // domain with the same ValueSize, since its per-client sequence numbers must
-// not be shared. Any other workload cannot be split and is an error.
+// not be shared. A clone shares no encoding state (row scratch, key tables)
+// with w or another clone. Any other workload cannot be split and is an
+// error.
 func Split(w Workload, n int) ([]Workload, error) {
 	switch w := w.(type) {
 	case *TPCC:
 		base := *w
 		base.applyDefaults()
+		base.enc = nil
 		return partition(n, base.Warehouses, kWarehouse, func(owned []int) Workload {
 			c := base
 			c.Owned = owned
@@ -24,6 +27,7 @@ func Split(w Workload, n int) ([]Workload, error) {
 	case *TPCB:
 		base := *w
 		base.applyDefaults()
+		base.enc = nil
 		return partition(n, base.Branches, kBranch, func(owned []int) Workload {
 			c := base
 			c.Owned = owned

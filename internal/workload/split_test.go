@@ -33,3 +33,32 @@ func TestDomainOfSpreadsKeys(t *testing.T) {
 		}
 	}
 }
+
+// A clone starts with no encoding state: it neither shares the row scratch
+// or key tables of the instance it was copied from, nor another clone's.
+func TestSplitClonesShareNoEncodingState(t *testing.T) {
+	tc := &TPCC{Warehouses: 4}
+	tc.applyDefaults()
+	tc.codec().buf.row(0, 1)
+	tb := &TPCB{Branches: 4}
+	tb.applyDefaults()
+	tb.codec().buf.row(0, 1)
+	for _, w := range []Workload{tc, tb} {
+		ws, err := Split(w, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range ws {
+			switch c := c.(type) {
+			case *TPCC:
+				if c.enc != nil {
+					t.Errorf("tpcc clone %d inherited encoding state", i)
+				}
+			case *TPCB:
+				if c.enc != nil {
+					t.Errorf("tpcb clone %d inherited encoding state", i)
+				}
+			}
+		}
+	}
+}

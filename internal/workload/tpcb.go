@@ -21,6 +21,26 @@ type TPCB struct {
 	Owned []int
 
 	hist uint64
+	enc  *tpcbCodec // built on first use; Split's clones start without one
+}
+
+// tpcbCodec is one TPCB instance's encoding state: the row scratch buffer
+// and the tables of its fixed keys (codec.go).
+type tpcbCodec struct {
+	buf                     scratch
+	branch, teller, account keyTable
+}
+
+// codec returns w's encoding state, building it on first use.
+func (w *TPCB) codec() *tpcbCodec {
+	if w.enc == nil {
+		w.enc = &tpcbCodec{
+			branch:  newKeyTable("b", w.Branches),
+			teller:  newKeyTable("t", w.Branches, w.Tellers),
+			account: newKeyTable("a", w.Branches, w.Accounts),
+		}
+	}
+	return w.enc
 }
 
 // ownedBranches returns the branch ids this instance drives.
@@ -61,13 +81,14 @@ func kBHistory(id uint64) string { return key("bh", int(id)) }
 // Load populates branches, tellers and accounts.
 func (w *TPCB) Load(p *sim.Proc, e *engine.Engine) error {
 	w.applyDefaults()
+	c := w.codec()
 	for _, b := range w.ownedBranches() {
 		tx := e.Begin(p)
-		if err := tx.Put(kBranch(b), row(w.RowFiller, 0)); err != nil {
+		if err := tx.Put(c.branch.key(b), c.buf.row(w.RowFiller, 0)); err != nil {
 			return err
 		}
 		for t := 1; t <= w.Tellers; t++ {
-			if err := tx.Put(kTeller(b, t), row(w.RowFiller, 0)); err != nil {
+			if err := tx.Put(c.teller.key(b, t), c.buf.row(w.RowFiller, 0)); err != nil {
 				return err
 			}
 		}
@@ -76,7 +97,7 @@ func (w *TPCB) Load(p *sim.Proc, e *engine.Engine) error {
 		}
 		tx = e.Begin(p)
 		for a := 1; a <= w.Accounts; a++ {
-			if err := tx.Put(kAccount(b, a), row(w.RowFiller, 0)); err != nil {
+			if err := tx.Put(c.account.key(b, a), c.buf.row(w.RowFiller, 0)); err != nil {
 				return err
 			}
 			if a%200 == 0 {
@@ -105,6 +126,7 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	a := 1 + r.Intn(w.Accounts)
 	delta := r.Intn(2000) - 1000
 
+	c := w.codec()
 	tx := e.Begin(p)
 	bump := func(key string) error {
 		v, ok, err := tx.Get(key)
@@ -116,9 +138,9 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		}
 		var bal int
 		_ = parseRow(v, &bal)
-		return tx.Put(key, row(w.RowFiller, bal+delta))
+		return tx.Put(key, c.buf.row(w.RowFiller, bal+delta))
 	}
-	for _, key := range []string{kAccount(b, a), kTeller(b, t), kBranch(b)} {
+	for _, key := range []string{c.account.key(b, a), c.teller.key(b, t), c.branch.key(b)} {
 		if err := bump(key); err != nil {
 			tx.Abort()
 			return err
@@ -126,7 +148,7 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	w.hist++
 	hk := kBHistory(w.hist)
-	hv := row(w.RowFiller, b, t, a, delta)
+	hv := row(w.RowFiller, b, t, a, delta) // the journal keeps it
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err

@@ -27,7 +27,31 @@ type TPCC struct {
 	// Split), so shards never touch each other's rows.
 	Owned []int
 
-	hist uint64 // history row id source (harness-side uniqueness)
+	hist uint64     // history row id source (harness-side uniqueness)
+	enc  *tpccCodec // built on first use; Split's clones start without one
+}
+
+// tpccCodec is one TPCC instance's encoding state: the row scratch buffer
+// and the tables of its fixed keys (codec.go). Orders, order lines and
+// history rows are inserted, so their keys are built per use: the engine's
+// index keeps them.
+type tpccCodec struct {
+	buf                                        scratch
+	warehouse, district, customer, item, stock keyTable
+}
+
+// codec returns w's encoding state, building it on first use.
+func (w *TPCC) codec() *tpccCodec {
+	if w.enc == nil {
+		w.enc = &tpccCodec{
+			warehouse: newKeyTable("w", w.Warehouses),
+			district:  newKeyTable("d", w.Warehouses, w.Districts),
+			customer:  newKeyTable("c", w.Warehouses, w.Districts, w.Customers),
+			item:      newKeyTable("i", w.Items),
+			stock:     newKeyTable("s", w.Warehouses, w.Items),
+		}
+	}
+	return w.enc
 }
 
 // ownedWarehouses returns the warehouse ids this instance drives.
@@ -82,11 +106,7 @@ func itemRow(price, id, pad int) []byte {
 	return appendFiller(b, pad)
 }
 
-// district value: nextOID|nextDeliveryOID|ytd|filler
-func encDistrict(nextOID, nextDeliv, ytd int, pad int) []byte {
-	return row(pad, nextOID, nextDeliv, ytd)
-}
-
+// decDistrict reads a district row: nextOID|nextDeliveryOID|ytd|filler.
 func decDistrict(v []byte) (nextOID, nextDeliv, ytd int, err error) {
 	err = parseRow(v, &nextOID, &nextDeliv, &ytd)
 	return
@@ -96,12 +116,12 @@ func decDistrict(v []byte) (nextOID, nextDeliv, ytd int, err error) {
 // clients start.
 func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 	w.applyDefaults()
-	put := func(tx *engine.Tx, k string, v []byte) error { return tx.Put(k, v) }
+	c := w.codec()
 
 	// Items (read-mostly).
 	tx := e.Begin(p)
 	for i := 1; i <= w.Items; i++ {
-		if err := put(tx, kItem(i), itemRow(100+i%900, i, w.RowFiller)); err != nil {
+		if err := tx.Put(c.item.key(i), itemRow(100+i%900, i, w.RowFiller)); err != nil {
 			return err
 		}
 		if i%200 == 0 { // bound transaction size during load
@@ -117,15 +137,15 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 
 	for _, wid := range w.ownedWarehouses() {
 		tx := e.Begin(p)
-		if err := put(tx, kWarehouse(wid), row(w.RowFiller, 0)); err != nil {
+		if err := tx.Put(c.warehouse.key(wid), c.buf.row(w.RowFiller, 0)); err != nil {
 			return err
 		}
 		for did := 1; did <= w.Districts; did++ {
-			if err := put(tx, kDistrict(wid, did), encDistrict(1, 1, 0, w.RowFiller)); err != nil {
+			if err := tx.Put(c.district.key(wid, did), c.buf.row(w.RowFiller, 1, 1, 0)); err != nil {
 				return err
 			}
 			for cid := 1; cid <= w.Customers; cid++ {
-				if err := put(tx, kCustomer(wid, did, cid), row(w.RowFiller, 0, 0)); err != nil {
+				if err := tx.Put(c.customer.key(wid, did, cid), c.buf.row(w.RowFiller, 0, 0)); err != nil {
 					return err
 				}
 			}
@@ -135,7 +155,7 @@ func (w *TPCC) Load(p *sim.Proc, e *engine.Engine) error {
 			tx = e.Begin(p)
 		}
 		for i := 1; i <= w.Items; i++ {
-			if err := put(tx, kStock(wid, i), row(w.RowFiller, 50+i%50, 0)); err != nil {
+			if err := tx.Put(c.stock.key(wid, i), c.buf.row(w.RowFiller, 50+i%50, 0)); err != nil {
 				return err
 			}
 			if i%200 == 0 {
@@ -194,9 +214,11 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	cid := 1 + nuRand(p, 255, 0, w.Customers-1)
 	nLines := 5 + r.Intn(11)
 
+	c := w.codec()
 	tx := e.Begin(p)
 	// District: allocate the order id.
-	dv, ok, err := tx.Get(kDistrict(wid, did))
+	dk := c.district.key(wid, did)
+	dv, ok, err := tx.Get(dk)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -210,7 +232,7 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	oid := nextOID
-	if err := tx.Put(kDistrict(wid, did), encDistrict(nextOID+1, nextDeliv, ytd, w.RowFiller)); err != nil {
+	if err := tx.Put(dk, c.buf.row(w.RowFiller, nextOID+1, nextDeliv, ytd)); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -218,7 +240,7 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	total := 0
 	for l := 1; l <= nLines; l++ {
 		iid := 1 + nuRand(p, 8191, 0, w.Items-1)
-		iv, ok, err := tx.Get(kItem(iid))
+		iv, ok, err := tx.Get(c.item.key(iid))
 		if err != nil || !ok {
 			tx.Abort()
 			if err == nil {
@@ -231,7 +253,7 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		qty := 1 + r.Intn(10)
 		total += price * qty
 
-		sk := kStock(wid, iid)
+		sk := c.stock.key(wid, iid)
 		sv, ok, err := tx.Get(sk)
 		if err != nil || !ok {
 			tx.Abort()
@@ -246,17 +268,17 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		if sQty < 10 {
 			sQty += 91
 		}
-		if err := tx.Put(sk, row(w.RowFiller, sQty, sYtd+qty)); err != nil {
+		if err := tx.Put(sk, c.buf.row(w.RowFiller, sQty, sYtd+qty)); err != nil {
 			tx.Abort()
 			return err
 		}
-		if err := tx.Put(kOrderLine(wid, did, oid, l), row(w.RowFiller, iid, qty, price*qty)); err != nil {
+		if err := tx.Put(kOrderLine(wid, did, oid, l), c.buf.row(w.RowFiller, iid, qty, price*qty)); err != nil {
 			tx.Abort()
 			return err
 		}
 	}
-	orderVal := row(w.RowFiller, cid, nLines, 0, total)
-	if err := tx.Put(kOrder(wid, did, oid), orderVal); err != nil {
+	okey := kOrder(wid, did, oid)
+	if err := tx.Put(okey, c.buf.row(w.RowFiller, cid, nLines, 0, total)); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -266,7 +288,7 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	if j != nil {
 		// The order row is written only by this transaction until its
 		// delivery; existence after recovery is the durability witness.
-		j.Add(kOrder(wid, did, oid), nil)
+		j.Add(okey, nil)
 	}
 	return nil
 }
@@ -277,8 +299,10 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	cid := 1 + nuRand(p, 255, 0, w.Customers-1)
 	amount := 1 + r.Intn(5000)
 
+	c := w.codec()
 	tx := e.Begin(p)
-	wv, ok, err := tx.Get(kWarehouse(wid))
+	wk := c.warehouse.key(wid)
+	wv, ok, err := tx.Get(wk)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -288,11 +312,12 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	var wYtd int
 	_ = parseRow(wv, &wYtd)
-	if err := tx.Put(kWarehouse(wid), row(w.RowFiller, wYtd+amount)); err != nil {
+	if err := tx.Put(wk, c.buf.row(w.RowFiller, wYtd+amount)); err != nil {
 		tx.Abort()
 		return err
 	}
-	dv, ok, err := tx.Get(kDistrict(wid, did))
+	dk := c.district.key(wid, did)
+	dv, ok, err := tx.Get(dk)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -301,11 +326,12 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	nextOID, nextDeliv, ytd, _ := decDistrict(dv)
-	if err := tx.Put(kDistrict(wid, did), encDistrict(nextOID, nextDeliv, ytd+amount, w.RowFiller)); err != nil {
+	if err := tx.Put(dk, c.buf.row(w.RowFiller, nextOID, nextDeliv, ytd+amount)); err != nil {
 		tx.Abort()
 		return err
 	}
-	cv, ok, err := tx.Get(kCustomer(wid, did, cid))
+	ck := c.customer.key(wid, did, cid)
+	cv, ok, err := tx.Get(ck)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -315,13 +341,13 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	var bal, pays int
 	_ = parseRow(cv, &bal, &pays)
-	if err := tx.Put(kCustomer(wid, did, cid), row(w.RowFiller, bal-amount, pays+1)); err != nil {
+	if err := tx.Put(ck, c.buf.row(w.RowFiller, bal-amount, pays+1)); err != nil {
 		tx.Abort()
 		return err
 	}
 	w.hist++
 	hk := kHistory(w.hist)
-	hv := row(w.RowFiller, wid, did, cid, amount)
+	hv := row(w.RowFiller, wid, did, cid, amount) // the journal keeps it
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err
@@ -338,12 +364,13 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 func (w *TPCC) orderStatus(p *sim.Proc, e *engine.Engine) error {
 	wid, did := w.pick(p)
 	cid := 1 + nuRand(p, 255, 0, w.Customers-1)
+	c := w.codec()
 	tx := e.Begin(p)
-	if _, _, err := tx.Get(kCustomer(wid, did, cid)); err != nil {
+	if _, _, err := tx.Get(c.customer.key(wid, did, cid)); err != nil {
 		tx.Abort()
 		return err
 	}
-	dv, ok, err := tx.Get(kDistrict(wid, did))
+	dv, ok, err := tx.Get(c.district.key(wid, did))
 	if err != nil || !ok {
 		tx.Abort()
 		return err
@@ -372,8 +399,10 @@ func (w *TPCC) orderStatus(p *sim.Proc, e *engine.Engine) error {
 
 func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	wid, did := w.pick(p)
+	c := w.codec()
 	tx := e.Begin(p)
-	dv, ok, err := tx.Get(kDistrict(wid, did))
+	dk := c.district.key(wid, did)
+	dv, ok, err := tx.Get(dk)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -386,7 +415,8 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return tx.Commit() // nothing to deliver
 	}
 	oid := nextDeliv
-	ov, ok, err := tx.Get(kOrder(wid, did, oid))
+	okey := kOrder(wid, did, oid)
+	ov, ok, err := tx.Get(okey)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -396,12 +426,12 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	var cid, nLines, delivered, total int
 	_ = parseRow(ov, &cid, &nLines, &delivered, &total)
-	newOrderVal := row(w.RowFiller, cid, nLines, 1, total)
-	if err := tx.Put(kOrder(wid, did, oid), newOrderVal); err != nil {
+	if err := tx.Put(okey, c.buf.row(w.RowFiller, cid, nLines, 1, total)); err != nil {
 		tx.Abort()
 		return err
 	}
-	cv, ok, err := tx.Get(kCustomer(wid, did, cid))
+	ck := c.customer.key(wid, did, cid)
+	cv, ok, err := tx.Get(ck)
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -411,11 +441,11 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 	}
 	var bal, pays int
 	_ = parseRow(cv, &bal, &pays)
-	if err := tx.Put(kCustomer(wid, did, cid), row(w.RowFiller, bal+total, pays)); err != nil {
+	if err := tx.Put(ck, c.buf.row(w.RowFiller, bal+total, pays)); err != nil {
 		tx.Abort()
 		return err
 	}
-	if err := tx.Put(kDistrict(wid, did), encDistrict(nextOID, nextDeliv+1, ytd, w.RowFiller)); err != nil {
+	if err := tx.Put(dk, c.buf.row(w.RowFiller, nextOID, nextDeliv+1, ytd)); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -423,16 +453,16 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	if j != nil {
-		j.Add(kOrder(wid, did, oid), nil) // delivered order must persist
+		j.Add(okey, nil) // delivered order must persist
 	}
 	return nil
 }
 
 func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
-	r := p.Sim().Rand()
 	wid, did := w.pick(p)
+	c := w.codec()
 	tx := e.Begin(p)
-	dv, ok, err := tx.Get(kDistrict(wid, did))
+	dv, ok, err := tx.Get(c.district.key(wid, did))
 	if err != nil || !ok {
 		tx.Abort()
 		if err == nil {
@@ -467,12 +497,11 @@ func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
 			}
 			var iid int
 			_ = parseRow(lv, &iid)
-			if _, _, err := tx.Get(kStock(wid, iid)); err != nil {
+			if _, _, err := tx.Get(c.stock.key(wid, iid)); err != nil {
 				tx.Abort()
 				return err
 			}
 		}
 	}
-	_ = r
 	return tx.Commit()
 }

@@ -283,3 +283,56 @@ func TestWorkloadNames(t *testing.T) {
 		t.Fatal("workload names wrong")
 	}
 }
+
+// The rows a journal keeps are the transaction's own: eight clients share
+// one instance's row scratch, so a journaled row encoded there would read
+// back as whatever another client encoded last.
+func TestJournalOwnsItsRows(t *testing.T) {
+	for _, w := range []Workload{&TPCB{Accounts: 200}, &TPCC{Warehouses: 1, Customers: 10, Items: 100}} {
+		t.Run(w.Name(), func(t *testing.T) {
+			s, _, plat := rig(8)
+			j := NewJournal()
+			var res VerifyResult
+			s.Spawn(nil, "harness", func(p *sim.Proc) {
+				var e *engine.Engine
+				boot := s.NewEvent("boot")
+				s.Spawn(plat.Domain(), "db", func(dp *sim.Proc) {
+					var err error
+					if e, err = engine.Open(dp, plat, engine.Config{NoDaemons: true}); err == nil {
+						err = w.Load(dp, e)
+					}
+					if err != nil {
+						t.Errorf("open and load: %v", err)
+					}
+					boot.Fire()
+				})
+				boot.Wait(p)
+				RunClients(p, plat.Domain(), e, w, RunnerConfig{Clients: 8, Duration: 150 * time.Millisecond, Journal: j})
+				audit := s.NewEvent("audit")
+				s.Spawn(plat.Domain(), "audit", func(ap *sim.Proc) {
+					defer audit.Fire()
+					var err error
+					if res, err = j.Verify(ap, e); err != nil {
+						t.Errorf("verify: %v", err)
+					}
+				})
+				audit.Wait(p)
+			})
+			if err := s.RunFor(10 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			exact := 0
+			for i := 0; i < j.Len(); i++ {
+				if j.EntryAt(i).Want != nil {
+					exact++
+				}
+			}
+			if exact < 100 {
+				t.Fatalf("only %d journaled rows with contents to check", exact)
+			}
+			if !res.Ok() || res.Checked != j.Len() {
+				t.Fatalf("%v (of %d obligations, %d with contents)", res, j.Len(), exact)
+			}
+		})
+	}
+}
