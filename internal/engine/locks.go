@@ -73,6 +73,7 @@ type lockTable struct {
 }
 
 type lock struct {
+	key     string
 	holders []holder // at most one entry per transaction
 	queue   []*lockReq
 }
@@ -130,6 +131,7 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	lk := lt.locks[key]
 	if lk == nil {
 		lk = lt.newLock()
+		lk.key = key
 		lt.locks[key] = lk
 	}
 	held, holds := lk.held(txid)

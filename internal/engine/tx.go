@@ -20,6 +20,8 @@ type Tx struct {
 	p    *sim.Proc
 	id   uint64
 	done bool
+	// logged says the commit record is in the log: the outcome is the log's.
+	logged bool
 
 	// All four are pooled on the engine and handed back by finish, so a
 	// transaction allocates only itself. Transactions are a few dozen rows
@@ -76,6 +78,7 @@ func (t *Tx) lock(key string, mode LockMode) error {
 // No other transaction writes to it, and changing it changes neither the
 // stored row nor a staged write.
 func (t *Tx) Get(key string) ([]byte, bool, error) {
+	defer t.unwind()
 	if t.done {
 		return nil, false, ErrTxDone
 	}
@@ -113,6 +116,7 @@ func (t *Tx) readBuf() []byte {
 // buffer shared by processes that take turns encoding into it is safe to
 // pass.
 func (t *Tx) Put(key string, val []byte) error {
+	defer t.unwind()
 	if t.done {
 		return ErrTxDone
 	}
@@ -132,6 +136,7 @@ func (t *Tx) Put(key string, val []byte) error {
 
 // Delete stages a deletion under an exclusive lock.
 func (t *Tx) Delete(key string) error {
+	defer t.unwind()
 	if t.done {
 		return ErrTxDone
 	}
@@ -164,6 +169,7 @@ func (t *Tx) stage(w txWrite) {
 // Commit makes the transaction durable per the engine's commit mode and
 // applies its writes. On error the transaction is aborted.
 func (t *Tx) Commit() error {
+	defer t.unwind()
 	if t.done {
 		return ErrTxDone
 	}
@@ -213,6 +219,7 @@ func (t *Tx) Commit() error {
 		t.Abort()
 		return err
 	}
+	t.logged = true
 	e.tracer().Emit(t.p.Now().Duration(), obs.EvWalAppend, 0, t.span, int64(commitLSN), 0)
 
 	// Track the commit until its record is on the log device. Appends are
@@ -280,6 +287,7 @@ func (e *Engine) dropPendingDurable(txid uint64) {
 
 // Abort discards the transaction's staged writes and releases its locks.
 func (t *Tx) Abort() {
+	defer t.unwind()
 	if t.done {
 		return
 	}
@@ -290,6 +298,38 @@ func (t *Tx) Abort() {
 		_, _ = t.e.log.Append(t.p, wal.RecAbort, t.id, nil)
 	}
 	t.e.stats.Aborts.Inc()
+	t.finish()
+}
+
+// unwind is deferred by every Tx call that can park. A call that does not
+// return — its process was killed in it, or it panicked — abandons the
+// transaction on the way out, and the unwinding goes on.
+func (t *Tx) unwind() {
+	if r := recover(); r != nil {
+		t.abandon()
+		panic(r)
+	}
+}
+
+// abandon releases a killed transaction's locks, and the lock request it
+// was waiting in, on an engine whose domain is still up (a client gave up
+// on the call). It appends nothing: no-steal, so nothing of the
+// transaction's is on a page to undo, and its update records without a
+// commit record are dropped by recovery. A transaction whose commit record
+// is in the log keeps its locks, since its outcome is the log's; and in a
+// dead domain nothing is released: the engine dies with the domain.
+func (t *Tx) abandon() {
+	e := t.e
+	if t.done || t.logged || e.plat.Domain().Dead() {
+		return
+	}
+	if lk := e.locks.waiting[t.id]; lk != nil {
+		delete(e.locks.waiting, t.id)
+		// releaseAll drops the queued request, or the grant made at the
+		// instant of the kill that lock never got to record.
+		t.locks = append(t.locks, lk.key)
+	}
+	delete(e.applying, t.id)
 	t.finish()
 }
 

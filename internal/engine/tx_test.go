@@ -159,3 +159,84 @@ func TestPutCopiesItsValueBeforeItYields(t *testing.T) {
 		}
 	})
 }
+
+// A transaction whose process is killed inside one of its calls, on an
+// engine that stays up, gives back its locks and the lock request it was
+// waiting in, and appends nothing: the next transaction on its keys
+// commits. In a dead domain the unwinding releases nothing.
+func TestKilledTransactionReleasesItsLocks(t *testing.T) {
+	cases := []struct {
+		name string
+		// park is what the victim does after staging "hot": the kill lands
+		// while it is parked in this call.
+		park       func(tx *Tx)
+		killAt     time.Duration
+		killDomain bool
+	}{
+		{"killed mid-put", func(tx *Tx) { _ = tx.Put("warm", []byte("w")) }, 0, false},
+		{"killed in a lock wait", func(tx *Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, false},
+		{"killed with its domain", func(tx *Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRig(1)
+			var e *Engine
+			var appended uint64
+			var nextErr error
+			r.s.Spawn(r.plat.Domain(), "main", func(p *sim.Proc) {
+				var err error
+				if e, err = Open(p, r.plat, Config{NoDaemons: true}); err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				s := p.Sim()
+				// holder keeps "held" X-locked for 50ms.
+				s.Spawn(p.Domain(), "holder", func(hp *sim.Proc) {
+					tx := e.Begin(hp)
+					_ = tx.Put("held", []byte("h"))
+					hp.Sleep(50 * time.Millisecond)
+					_ = tx.Commit()
+				})
+				staged := s.NewEvent("staged")
+				victim := s.Spawn(p.Domain(), "victim", func(vp *sim.Proc) {
+					vp.Sleep(time.Millisecond)
+					tx := e.Begin(vp)
+					if err := tx.Put("hot", []byte("v")); err != nil {
+						t.Errorf("victim put: %v", err)
+					}
+					staged.Fire()
+					tc.park(tx)
+					t.Error("victim survived its kill")
+				})
+				staged.Wait(p)
+				p.Sleep(tc.killAt)
+				appended = e.log.AppendedLSN()
+				if tc.killDomain {
+					p.Domain().Kill()
+				}
+				victim.Kill()
+				p.Sleep(time.Millisecond) // the unwinding, not yet holder's commit
+				if got := e.log.AppendedLSN(); got != appended {
+					t.Errorf("the unwinding appended to the log: LSN %d → %d", appended, got)
+				}
+				p.Sleep(100 * time.Millisecond)
+				nextErr = commitRows(p, e, "hot", "n", "held", "n")
+			})
+			if err := r.s.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if tc.killDomain {
+				if e.locks.locks["hot"] == nil {
+					t.Fatal("a domain kill's unwinding released the dead engine's locks")
+				}
+				return
+			}
+			if nextErr != nil {
+				t.Fatalf("next commit on the killed transaction's keys: %v", nextErr)
+			}
+			if len(e.locks.locks) != 0 || len(e.locks.waiting) != 0 {
+				t.Fatalf("lock table not empty: %d locks, %d waiting", len(e.locks.locks), len(e.locks.waiting))
+			}
+		})
+	}
+}

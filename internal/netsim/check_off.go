@@ -2,7 +2,7 @@
 
 package netsim
 
-// defaultCheckOwnership is off in normal builds; build with -tags
-// netsimcheck (or set Config.CheckOwnership per fabric) to verify the
-// delivery-by-reference contract on every delivery.
-const defaultCheckOwnership = false
+// Checked is off in normal builds; build with -tags netsimcheck (or set
+// Config.CheckOwnership per fabric) to verify the delivery-by-reference
+// contract on every delivery.
+const Checked = false

@@ -149,12 +149,14 @@ type Fabric struct {
 	stats    *Stats
 	tr       *obs.Tracer
 	nodeIDs  map[string]int64 // endpoint name → interned trace label
+	free     []*delivery      // delivery records not in flight
+	made     int              // delivery records ever made
 }
 
 // New creates a fabric. The link config applies to every pair of endpoints.
 func New(s *sim.Sim, cfg Config) *Fabric {
 	cfg.Link.applyDefaults()
-	cfg.CheckOwnership = cfg.CheckOwnership || defaultCheckOwnership
+	cfg.CheckOwnership = cfg.CheckOwnership || Checked
 	reg := cfg.Reg
 	return &Fabric{
 		s:        s,
@@ -315,35 +317,74 @@ func (f *Fabric) deliver(lk *link, from, to string, size int, payload any, dup b
 		f.stats.Reordered.Inc()
 		delay += f.cfg.Link.ReorderDelay
 	}
-	m := Message{From: from, To: to, Size: size, Payload: payload, SentAt: f.s.Now()}
-	var sentSum uint32
-	var sums Checksummer
+	d := f.newDelivery()
+	d.from, d.to, d.size, d.payload, d.cause, d.sentAt = from, to, size, payload, cause, f.s.Now()
 	if f.cfg.CheckOwnership {
 		if cs, ok := payload.(Checksummer); ok {
-			sums, sentSum = cs, cs.OwnershipSum()
+			d.sums, d.sentSum = cs, cs.OwnershipSum()
 		}
 	}
 	f.stats.InFlightBytes.Add(int64(size))
-	f.s.After(delay, func() {
-		f.stats.InFlightBytes.Add(-int64(size))
-		if f.isolated[to] {
-			// The port came down while the packet was in flight.
-			f.stats.PartitionDrops.Inc()
-			f.trace(obs.EvNetDrop, cause, size, to)
-			release(payload)
-			return
-		}
-		if sums != nil && sums.OwnershipSum() != sentSum {
-			panic("netsim: payload mutated in flight from " + from + " to " + to +
-				" — the sender reused or rewrote a delivery-by-reference message after Send")
-		}
-		f.stats.Delivered.Inc()
-		f.trace(obs.EvNetDeliver, cause, size, to)
-		m.DeliveredAt = f.s.Now()
-		ep := f.Endpoint(to)
-		ep.inbox = append(ep.inbox, m)
-		ep.sig.Broadcast()
-	})
+	f.s.After(delay, d.arrive)
+}
+
+// delivery is one message copy in flight. Records are pooled on the fabric
+// and their arrival callback is bound once, when the record is first made,
+// so scheduling a delivery allocates nothing.
+type delivery struct {
+	f        *Fabric
+	from, to string
+	size     int
+	payload  any
+	cause    obs.SpanID
+	sentAt   sim.Time
+	sums     Checksummer // set when the ownership check applies
+	sentSum  uint32
+	arrive   func() // d.land, bound once
+}
+
+// newDelivery takes a record from the pool, or makes one.
+func (f *Fabric) newDelivery() *delivery {
+	if n := len(f.free); n > 0 {
+		d := f.free[n-1]
+		f.free = f.free[:n-1]
+		return d
+	}
+	d := &delivery{f: f}
+	d.arrive = d.land
+	f.made++
+	return d
+}
+
+// land is the arrival of one copy: dropped if the port came down while it
+// was in flight, else checked and queued on the receiver's inbox. The
+// record goes back to the pool first — nothing below schedules another
+// delivery, and the payload reference now belongs to the inbox or is
+// released.
+func (d *delivery) land() {
+	f := d.f
+	from, to, size, payload, cause, sentAt := d.from, d.to, d.size, d.payload, d.cause, d.sentAt
+	sums, sentSum := d.sums, d.sentSum
+	*d = delivery{f: f, arrive: d.arrive}
+	f.free = append(f.free, d)
+
+	f.stats.InFlightBytes.Add(-int64(size))
+	if f.isolated[to] {
+		// The port came down while the packet was in flight.
+		f.stats.PartitionDrops.Inc()
+		f.trace(obs.EvNetDrop, cause, size, to)
+		release(payload)
+		return
+	}
+	if sums != nil && sums.OwnershipSum() != sentSum {
+		panic("netsim: payload mutated in flight from " + from + " to " + to +
+			" — the sender reused or rewrote a delivery-by-reference message after Send")
+	}
+	f.stats.Delivered.Inc()
+	f.trace(obs.EvNetDeliver, cause, size, to)
+	ep := f.Endpoint(to)
+	ep.inbox = append(ep.inbox, Message{From: from, To: to, Size: size, Payload: payload, SentAt: sentAt, DeliveredAt: f.s.Now()})
+	ep.sig.Broadcast()
 }
 
 // Endpoint is one named attachment point: an inbox plus a wakeup signal.

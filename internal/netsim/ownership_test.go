@@ -136,3 +136,55 @@ func TestRefcountOnDropAndDup(t *testing.T) {
 		t.Fatalf("isolated-at-delivery payload not released (released=%d)", iso.released)
 	}
 }
+
+// TestDeliveryRecordsReturnToThePool: after a run of sends under drops,
+// duplicates, reordering and a port that goes down with packets in flight,
+// every delivery record is back in the fabric's pool and every refcounted
+// payload was released exactly once — by the fabric for the copies it ate,
+// by the receiver for the ones it got.
+func TestDeliveryRecordsReturnToThePool(t *testing.T) {
+	s := sim.New(11)
+	f := New(s, Config{Seed: 12, Link: LinkConfig{DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.2}})
+	a := f.Endpoint("a")
+	recv := []*Endpoint{f.Endpoint("b"), f.Endpoint("c")}
+	const n = 400
+	msgs := make([]*rcMsg, n)
+	s.Spawn(nil, "sender", func(p *sim.Proc) {
+		for i := range msgs {
+			msgs[i] = &rcMsg{data: []byte{byte(i)}, refs: 1}
+			a.Send(recv[i%2].Name(), 256, msgs[i])
+			if i == n/2 {
+				f.Isolate("c") // packets to c still in flight are lost at arrival
+			}
+			p.Sleep(50 * time.Microsecond)
+		}
+	})
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range recv {
+		for {
+			m, ok := ep.TryRecv()
+			if !ok {
+				break
+			}
+			m.Payload.(*rcMsg).Release()
+		}
+	}
+	st := f.Stats()
+	if st.Dropped.Value() == 0 || st.Duplicated.Value() == 0 || st.Reordered.Value() == 0 || st.PartitionDrops.Value() == 0 {
+		t.Fatalf("test premise: a fault path went unexercised: %d dropped, %d dup, %d reordered, %d partition drops",
+			st.Dropped.Value(), st.Duplicated.Value(), st.Reordered.Value(), st.PartitionDrops.Value())
+	}
+	if f.made == 0 || len(f.free) != f.made {
+		t.Fatalf("%d of %d delivery records back in the pool", len(f.free), f.made)
+	}
+	if got := st.InFlightBytes.Value(); got != 0 {
+		t.Fatalf("%d bytes still in flight", got)
+	}
+	for i, m := range msgs {
+		if m.released != 1 || m.refs != 0 {
+			t.Fatalf("payload %d: released %d times, %d refs left; want once, 0", i, m.released, m.refs)
+		}
+	}
+}

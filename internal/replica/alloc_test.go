@@ -15,12 +15,13 @@ import (
 )
 
 // TestShipSteadyStateAllocBound pins the steady-state shipping cycle: with
-// payload buffers, frames, and the retained window all pooled, a full
-// ship→frame→apply→ack→truncate round must amortise to well under one
-// allocation per record. The residue is per-frame fabric scheduling and
-// occasional slice growth, not per-record copies — which is the difference
-// between this path and the one it replaced (a fresh payload copy per
-// record per Ship, plus a retained-window reallocation per ack round).
+// payload buffers, frames, the retained window, the fabric's in-flight
+// delivery records and the standbys' acks all pooled, a full
+// ship→frame→apply→ack→truncate round of 64 records allocates nothing (it
+// measures 0; the bound leaves one allocation per round for slice growth).
+// The path this replaced copied every payload per Ship, reallocated the
+// retained window per ack round, and paid a closure and a message per
+// frame and an interface box per ack: 10 allocations per round.
 func TestShipSteadyStateAllocBound(t *testing.T) {
 	const batch = 64 // exactly MaxFrameRecords: each step is one frame per link
 	h := newHarness(t, 11, 2, netsim.LinkConfig{}, Config{})
@@ -56,10 +57,13 @@ func TestShipSteadyStateAllocBound(t *testing.T) {
 	if n-start != 51*batch { // warmup call + 50 measured
 		t.Fatalf("expected %d records during measurement, got %d", 51*batch, n-start)
 	}
-	perRec := allocs / batch
-	if perRec > 0.5 {
-		t.Fatalf("steady-state shipping allocates %.3f per record (%.1f per %d-record step), want <= 0.5",
-			perRec, allocs, batch)
+	limit := 1.0
+	if netsim.Checked {
+		limit += 2 // a released ack is quarantined, not recycled: one per standby per round
+	}
+	if allocs > limit {
+		t.Fatalf("steady-state shipping allocates %.1f per %d-record step (%.3f per record), want <= %.0f",
+			allocs, batch, allocs/batch, limit)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestStaleEpochAckAfterRollover(t *testing.T) {
 	sh := NewShipper(s, fab, nil, 2, []string{"standby0"}, cfg)
 	rejBefore := sh.fenceRej.Value()
 	s.Spawn(nil, "forger", func(p *sim.Proc) {
-		fab.Send("standby0", cfg.PrimaryName, ackBytes, ackMsg{Epoch: 1, Seq: 7, Seen: 7, From: "standby0"})
+		fab.Send("standby0", cfg.PrimaryName, ackBytes, &ackMsg{Epoch: 1, Seq: 7, Seen: 7, From: "standby0", refs: 1})
 	})
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)

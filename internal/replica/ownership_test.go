@@ -46,3 +46,43 @@ func TestLossyLinkConvergesWithOwnershipCheck(t *testing.T) {
 		t.Fatal("a 30% lossy link converged without any retransmission")
 	}
 }
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not fail", what)
+		}
+	}()
+	fn()
+}
+
+// TestAckOwnership: a pooled ack is read while its reader holds a
+// reference and released exactly once. A second release always fails; under
+// the netsimcheck build tag a read after the last release fails too, and
+// the released ack is quarantined rather than handed out again, so a stale
+// reader can never see another ack's fields.
+func TestAckOwnership(t *testing.T) {
+	t.Run("released twice", func(t *testing.T) {
+		var pool ackPool
+		a := pool.get(1, 7, 9, "standby0")
+		if got := a.read(); got.Epoch != 1 || got.Seq != 7 || got.Seen != 9 || got.From != "standby0" {
+			t.Fatalf("read %+v", got)
+		}
+		a.Release()
+		mustPanic(t, "a second Release", a.Release)
+	})
+	t.Run("read after release", func(t *testing.T) {
+		if !netsim.Checked {
+			t.Skip("read-after-release detection is the netsimcheck build's")
+		}
+		var pool ackPool
+		a := pool.get(1, 7, 9, "standby0")
+		a.Release()
+		mustPanic(t, "a read after the last Release", func() { a.read() })
+		if b := pool.get(1, 8, 8, "standby0"); b == a {
+			t.Fatal("a released ack was handed out again")
+		}
+	})
+}

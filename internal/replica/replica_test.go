@@ -339,7 +339,7 @@ func TestStaleEpochAcksIgnored(t *testing.T) {
 	sh := NewShipper(s, fab, nil, 2, []string{"standby0"}, cfg)
 	s.Spawn(nil, "forger", func(p *sim.Proc) {
 		// A delayed ack from epoch 1 arrives at the epoch-2 shipper.
-		fab.Send("standby0", cfg.PrimaryName, ackBytes, ackMsg{Epoch: 1, Seq: 99, Seen: 99, From: "standby0"})
+		fab.Send("standby0", cfg.PrimaryName, ackBytes, &ackMsg{Epoch: 1, Seq: 99, Seen: 99, From: "standby0", refs: 1})
 	})
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)

@@ -517,10 +517,12 @@ func (sh *Shipper) ackLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		am, ok := m.Payload.(ackMsg)
+		ack, ok := m.Payload.(*ackMsg)
 		if !ok {
 			continue
 		}
+		am := ack.read()
+		ack.Release()
 		if am.Epoch != sh.epoch {
 			sh.fenceRej.Inc()
 			continue // stale epoch: a standby acking a dead shipper's stream

@@ -37,6 +37,7 @@ type Standby struct {
 	batchEpochs  []int
 	batchAckTo   map[int]string
 	batchApplied int
+	acks         ackPool // acks the shipper has read and released
 
 	appliedC *metrics.Counter
 	dupC     *metrics.Counter
@@ -205,9 +206,7 @@ func (st *Standby) spawnReceiver() {
 				if to == "" {
 					to = st.cfg.PrimaryName
 				}
-				st.ep.Send(to, ackBytes, ackMsg{
-					Epoch: e, Seq: st.applied[e], Seen: st.maxSeen(e), From: st.name,
-				})
+				st.ep.Send(to, ackBytes, st.acks.get(e, st.applied[e], st.maxSeen(e), st.name))
 			}
 		}
 	})

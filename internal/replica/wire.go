@@ -1,6 +1,9 @@
 package replica
 
-import "repro/internal/obs"
+import (
+	"repro/internal/netsim"
+	"repro/internal/obs"
+)
 
 // Wire-size model: per-record framing (epoch, seq, lba, length, CRC), the
 // per-frame header (epoch, record count, frame CRC), and the fixed size of
@@ -91,12 +94,59 @@ func (f *frame) OwnershipSum() uint32 {
 	return h
 }
 
-// ackMsg is a standby's cumulative acknowledgement for one epoch.
+// ackMsg is a standby's cumulative acknowledgement for one epoch. Acks are
+// pooled on the standby that sends them and refcounted (netsim.Refcounted):
+// a fresh ack holds one reference, the fabric releases dropped copies and
+// retains duplicates, and the shipper's ackLoop releases each one it
+// receives once it has read it. Readers go through read, which under the
+// netsimcheck build tag fails on an ack whose last reference is gone; that
+// build also quarantines released acks instead of recycling them, so a
+// stale reader meets a dead ack rather than someone else's live one.
 type ackMsg struct {
 	Epoch int
 	Seq   uint64 // everything ≤ Seq is durably applied
 	Seen  uint64 // highest seq received (Seen > Seq ⇒ a hole the shipper should refill)
 	From  string
+
+	refs int
+	pool *ackPool // nil for acks built by tests
+}
+
+// ackPool is a standby's freelist of acks.
+type ackPool []*ackMsg
+
+// get returns an ack holding one reference, its fields set.
+func (ap *ackPool) get(epoch int, seq, seen uint64, from string) *ackMsg {
+	var a *ackMsg
+	if n := len(*ap); n > 0 {
+		a = (*ap)[n-1]
+		*ap = (*ap)[:n-1]
+	} else {
+		a = &ackMsg{pool: ap}
+	}
+	a.Epoch, a.Seq, a.Seen, a.From, a.refs = epoch, seq, seen, from, 1
+	return a
+}
+
+// Retain and Release implement netsim.Refcounted.
+func (a *ackMsg) Retain() { a.refs++ }
+
+func (a *ackMsg) Release() {
+	a.refs--
+	switch {
+	case a.refs < 0:
+		panic("replica: ack released more times than it was referenced")
+	case a.refs == 0 && a.pool != nil && !netsim.Checked:
+		*a.pool = append(*a.pool, a)
+	}
+}
+
+// read returns the ack's contents. The caller must hold a reference.
+func (a *ackMsg) read() ackMsg {
+	if netsim.Checked && a.refs <= 0 {
+		panic("replica: ack read after its last reference was released")
+	}
+	return *a
 }
 
 // FenceMsg raises a recipient's fence to Epoch: from its arrival onward,

@@ -124,13 +124,14 @@ func (c *SessionConfig) applyDefaults() {
 
 // RunSessions drives w through a pool of redirect-aware sessions. Unlike
 // RunClients, the clients live outside every crash domain: each operation
-// is proxied to a worker process inside the current leader's guest
-// domain. An attempt ends when its worker finishes, when sessionOpTimeout
-// passes, or when a promotion is published: a promotion sends it straight
-// to the new leader, and a timeout (a leader that died or went dark with
-// no takeover yet) costs a backoff and a directory re-read. An attempt
-// abandoned either way is killed before it can be observed to succeed, so
-// an operation is journaled exactly when its client saw the ack.
+// is proxied to the session's worker process inside the current leader's
+// guest domain. An attempt ends when the worker finishes, when
+// sessionOpTimeout passes, or when a promotion is published: a promotion
+// sends it straight to the new leader, and a timeout (a leader that died or
+// went dark with no takeover yet) costs a backoff and a directory re-read.
+// An attempt abandoned either way has its worker killed before it can be
+// observed to succeed, so an operation is journaled exactly when its client
+// saw the ack. When the pool ends every session kills its idle worker.
 func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) RunResult {
 	cfg.applyDefaults()
 	s := p.Sim()
@@ -147,6 +148,7 @@ func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) Run
 		sess := &session{dir: dir, w: w, cfg: cfg, client: client, opName: name + ".op", redirects: redirects}
 		s.Spawn(nil, name, func(cp *sim.Proc) {
 			defer func() {
+				sess.retire()
 				running--
 				if running == 0 {
 					done.Fire()
@@ -173,14 +175,75 @@ func RunSessions(p *sim.Proc, dir *Directory, w Workload, cfg SessionConfig) Run
 }
 
 // session is one client's failover-aware connection state.
+//
+// A session keeps one worker process in the leader's guest domain and
+// proxies every operation to it, so the steady state spawns nothing: the
+// worker parks on next between operations, marked daemon only while it is
+// idle (an idle worker is not a deadlock; a worker hung in an operation
+// is), and the session wakes it with a single event fire — the one wake-up
+// Spawn's start event would have been, at the same instant and in the same
+// queue position. The worker is killed, and a fresh one spawned by the next
+// attempt, when an attempt is abandoned, when the leader's engine or domain
+// changes, and when the pool ends.
 type session struct {
 	dir       *Directory
 	w         Workload
 	cfg       SessionConfig
 	client    int
-	opName    string // the per-operation proxy process's name
+	opName    string // the worker process's name
 	redirects *metrics.Counter
 	gen       int // last generation this session talked to
+
+	worker *sim.Proc      // nil until the first attempt and after retire
+	eng    *engine.Engine // what the worker runs its operations against
+	dom    *sim.Domain    // the worker's domain
+	next   *sim.Event     // session → worker: run an operation
+	done   *sim.Event     // worker → session: the operation finished
+	opErr  error          // the finished operation's result
+	ended  bool           // the current attempt's operation finished
+}
+
+// dispatch starts one operation on ld: it wakes the session's worker, or
+// spawns one in ld's domain if the worker is gone or serves another
+// leader.
+func (se *session) dispatch(s *sim.Sim, ld LeaderInfo) {
+	if se.done == nil {
+		se.next, se.done = s.NewEvent(se.opName+".next"), s.NewEvent(se.opName+".done")
+	}
+	se.done.Reset()
+	se.ended = false
+	if se.worker != nil && (se.eng != ld.Eng || se.dom != ld.Dom || se.worker.Done()) {
+		se.retire()
+	}
+	if se.worker == nil {
+		se.eng, se.dom = ld.Eng, ld.Dom
+		se.worker = s.Spawn(ld.Dom, se.opName, se.work)
+		return
+	}
+	se.worker.SetDaemon(false)
+	se.next.Fire()
+}
+
+// work is the worker's body: run an operation, report it, park until the
+// next one.
+func (se *session) work(wp *sim.Proc) {
+	for {
+		se.opErr = DoAs(wp, se.eng, se.w, se.cfg.Journal, se.client)
+		se.ended = true
+		se.done.Fire()
+		wp.SetDaemon(true)
+		se.next.Reset()
+		se.next.Wait(wp)
+	}
+}
+
+// retire kills the worker, if there is one; the next attempt spawns a
+// fresh one.
+func (se *session) retire() {
+	if se.worker != nil {
+		se.worker.Kill()
+		se.worker = nil
+	}
 }
 
 // do runs one operation to completion or sessionMaxAttempts.
@@ -210,19 +273,12 @@ func (se *session) do(cp *sim.Proc) error {
 		// promotion wakes the attempt first. An abandoned worker is killed so
 		// it cannot ack after the session gave up on it; one that finished at
 		// the very instant it was abandoned has already journaled, and counts.
-		wake := s.NewEvent("session.op")
-		var opErr error
-		finished := false
-		worker := s.Spawn(ld.Dom, se.opName, func(wp *sim.Proc) {
-			opErr = DoAs(wp, ld.Eng, se.w, se.cfg.Journal, se.client)
-			finished = true
-			wake.Fire()
-		})
-		se.dir.park(wake)
-		wake.WaitTimeout(cp, sessionOpTimeout)
-		se.dir.unpark(wake)
-		if !finished {
-			worker.Kill()
+		se.dispatch(s, ld)
+		se.dir.park(se.done)
+		se.done.WaitTimeout(cp, sessionOpTimeout)
+		se.dir.unpark(se.done)
+		if !se.ended {
+			se.retire()
 			if se.dir.Leader().Gen != ld.Gen {
 				lastErr = fmt.Errorf("session: %s deposed mid-op (gen %d)", ld.Name, ld.Gen)
 				continue
@@ -231,6 +287,7 @@ func (se *session) do(cp *sim.Proc) error {
 			cp.Sleep(sessionRetryBackoff)
 			continue
 		}
+		opErr := se.opErr
 		if opErr == nil {
 			se.dir.noteSuccess(ld.Gen, cp.Now().Duration())
 			return nil

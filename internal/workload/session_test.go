@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -101,5 +104,129 @@ func TestPromotionWakesAttemptParkedOnDeposedLeader(t *testing.T) {
 				t.Fatalf("%d attempts still parked after the op finished", len(dir.parked))
 			}
 		})
+	}
+}
+
+// opFunc is a workload whose every operation runs one function, whatever
+// the engine.
+type opFunc func(p *sim.Proc, j *Journal)
+
+func (w opFunc) Name() string                                       { return "op" }
+func (w opFunc) Load(p *sim.Proc, e *engine.Engine) error           { return nil }
+func (w opFunc) Do(p *sim.Proc, e *engine.Engine, j *Journal) error { w(p, j); return nil }
+
+// TestSessionKeepsOneWorkerPerGeneration: a fault-free pool spawns one
+// worker per session per leader generation and reuses it for every
+// operation; once RunSessions returns its workers are gone, and Close
+// leaves nothing live.
+func TestSessionKeepsOneWorkerPerGeneration(t *testing.T) {
+	const clients = 3
+	s := sim.New(1)
+	defer s.Close()
+	dir := NewDirectory()
+	dir.Update(1, "n1", &engine.Engine{}, s.NewDomain("n1"))
+	workers := map[*sim.Proc]int{} // worker → generation it served
+	ops := 0
+	w := opFunc(func(p *sim.Proc, j *Journal) {
+		ops++
+		workers[p] = dir.Leader().Gen
+		p.Sleep(time.Millisecond)
+	})
+	var res RunResult
+	live := -1
+	s.Spawn(nil, "pool", func(p *sim.Proc) {
+		res = RunSessions(p, dir, w, SessionConfig{Clients: clients, Duration: time.Second, Reg: obs.NewRegistry()})
+		p.Sleep(time.Millisecond) // let the retired workers unwind
+		live = s.LiveProcs()
+	})
+	s.Spawn(nil, "operator", func(p *sim.Proc) {
+		p.Sleep(400 * time.Millisecond)
+		dir.Update(2, "n2", &engine.Engine{}, s.NewDomain("n2"))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Aborted != 0 || res.Committed != int64(ops) || ops < 1000 {
+		t.Fatalf("%d committed, %d aborted, %d ops run", res.Committed, res.Aborted, ops)
+	}
+	perGen := map[int]int{}
+	for _, gen := range workers {
+		perGen[gen]++
+	}
+	if len(workers) != 2*clients || perGen[1] != clients || perGen[2] != clients {
+		t.Fatalf("%d workers for %d ops (per generation %v), want %d per generation", len(workers), ops, perGen, clients)
+	}
+	if live != 1 { // the pool process itself
+		t.Fatalf("%d processes live after RunSessions returned, want only the caller", live)
+	}
+	s.Close()
+	if n := s.LiveProcs(); n != 0 {
+		t.Fatalf("%d processes live after Close", n)
+	}
+}
+
+// TestAbandonedWorkerIsKilledAndNeverJournals: an attempt that outlives
+// sessionOpTimeout on a leader that stays up is abandoned; its worker is
+// killed before it can journal, and the retry runs on a fresh worker.
+func TestAbandonedWorkerIsKilledAndNeverJournals(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	dir := NewDirectory()
+	dir.Update(1, "n1", &engine.Engine{}, s.NewDomain("n1"))
+	var workers []*sim.Proc
+	w := opFunc(func(p *sim.Proc, j *Journal) {
+		workers = append(workers, p)
+		if len(workers) == 1 {
+			p.Sleep(2 * sessionOpTimeout)
+			j.Add("late", nil)
+			return
+		}
+		j.Add("retry", nil)
+	})
+	j := NewJournal()
+	se := &session{dir: dir, w: w, cfg: SessionConfig{Journal: j}, opName: "op", redirects: metrics.NewCounter("ha.redirects")}
+	var opErr error
+	s.Spawn(nil, "client", func(p *sim.Proc) { opErr = se.do(p) })
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if opErr != nil {
+		t.Fatalf("op failed: %v", opErr)
+	}
+	if len(workers) != 2 || workers[0] == workers[1] || !workers[0].Done() {
+		t.Fatalf("%d attempts; want the abandoned worker dead and the retry on a fresh one", len(workers))
+	}
+	if j.Len() != 1 || j.EntryAt(0).Key != "retry" {
+		t.Fatalf("journal holds %d entries (first %q), want only the retry", j.Len(), j.EntryAt(0).Key)
+	}
+}
+
+// TestIdleWorkerIsNotADeadlock: a worker parked between operations is
+// background machinery, but a worker hung inside an operation is a
+// deadlock the kernel reports by name.
+func TestIdleWorkerIsNotADeadlock(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	dom := s.NewDomain("n1")
+	never := s.NewEvent("never")
+	calls := 0
+	w := opFunc(func(p *sim.Proc, j *Journal) {
+		if calls++; calls == 2 {
+			never.Wait(p)
+		}
+	})
+	se := &session{w: w, opName: "session0.op"}
+	ld := LeaderInfo{Gen: 1, Name: "n1", Eng: &engine.Engine{}, Dom: dom}
+	se.dispatch(s, ld)
+	if err := s.Run(); err != nil {
+		t.Fatalf("an idle worker was reported: %v", err)
+	}
+	if !se.ended || s.LiveProcs() != 1 {
+		t.Fatalf("first op ended %v with %d live processes, want the idle worker", se.ended, s.LiveProcs())
+	}
+	se.dispatch(s, ld)
+	var dl *sim.DeadlockError
+	if err := s.Run(); !errors.As(err, &dl) || len(dl.Procs) != 1 || !strings.HasPrefix(dl.Procs[0], "session0.op") {
+		t.Fatalf("a worker hung in an op: Run returned %v, want a deadlock naming it", err)
 	}
 }
