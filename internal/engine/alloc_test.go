@@ -1,0 +1,151 @@
+//go:build !race
+
+package engine
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/hv"
+	"repro/internal/pagestore"
+	"repro/internal/sim"
+)
+
+// mallocs returns the heap allocations fn makes. The simulation runs one
+// process at a time, so everything counted is fn's or the processes it
+// waits on.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// allocKeys returns n distinct keys, built before anything is measured.
+func allocKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	return keys
+}
+
+// TestRedoAndRebuildAllocBound: a follower's CatchUp over N update records
+// and a rebuild of N live rows read each key as a view into the log record
+// or the page, so they allocate per chunk of keys, per page and per log
+// extent, not per key. Redo that inserts keeps its keys in the heap's arena;
+// redo that updates rows in place keeps nothing. Each read about N
+// allocations while redo and rebuild built a string per key.
+func TestRedoAndRebuildAllocBound(t *testing.T) {
+	const n = 8192
+	keys := allocKeys(n)
+	bound := uint64(n/64 + 192)
+	r := newTestRig(1)
+	data := disk.NewMem(r.s, disk.MemConfig{Name: "data-follower", Persistent: true, Capacity: 1 << 18})
+	r.m.AttachDevice(data)
+	follower := hv.NewNative(r.m, r.plat.LogDisk(), data)
+	r.s.Spawn(r.plat.Domain(), "t", func(p *sim.Proc) {
+		w, err := Open(p, r.plat, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		f, err := Follow(p, follower, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("follow: %v", err)
+			return
+		}
+		write := func(v string) {
+			for i := 0; i < n; i += 64 {
+				tx := w.Begin(p)
+				for _, k := range keys[i : i+64] {
+					_ = tx.Put(k, []byte(v))
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}
+		for _, round := range []string{"inserting", "updating in place"} {
+			write(round[:1])
+			var err error
+			got := mallocs(func() { err = f.CatchUp(p, -1) })
+			if err != nil {
+				t.Errorf("catch up: %v", err)
+				return
+			}
+			t.Logf("redo %s %d rows: %d allocations", round, n, got)
+			if got > bound {
+				t.Errorf("redo %s %d rows allocated %d times, want <= %d", round, n, got, bound)
+			}
+		}
+		if err := f.Lead(p, -1); err != nil {
+			t.Errorf("lead: %v", err)
+			return
+		}
+		if err := f.Checkpoint(p); err != nil {
+			t.Errorf("checkpoint: %v", err)
+			return
+		}
+		st, err := pagestore.Open(r.s, data, pagestore.Config{PageSize: f.cfg.PageSize})
+		if err != nil {
+			t.Errorf("open store: %v", err)
+			return
+		}
+		st.SetWrittenThrough(f.heap.nextPage - 1)
+		h := newHeap(st)
+		got := mallocs(func() { err = h.rebuild(p, f.heap.nextPage) })
+		if err != nil {
+			t.Errorf("rebuild: %v", err)
+			return
+		}
+		t.Logf("rebuild of %d rows: %d allocations", n, got)
+		if got > bound {
+			t.Errorf("rebuild of %d rows allocated %d times, want <= %d", n, got, bound)
+		}
+		if len(h.index) != n {
+			t.Errorf("rebuild indexed %d rows, want %d", len(h.index), n)
+		}
+		for _, k := range keys {
+			if _, ok := h.index[k]; !ok {
+				t.Errorf("rebuild lost %q", k)
+				return
+			}
+		}
+	})
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLockSlabAllocBound: one transaction locking N distinct keys, as an
+// audit reading every acked row does, takes its lock entries from slabs with
+// room for the first holder. It read 2N allocations while each entry and
+// its holder slice were allocated on their own.
+func TestLockSlabAllocBound(t *testing.T) {
+	const n = 4096
+	keys := allocKeys(n)
+	bound := uint64(n/32 + 64)
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		got := mallocs(func() {
+			tx := e.Begin(p)
+			for _, k := range keys {
+				if _, _, err := tx.Get(k); err != nil {
+					t.Errorf("get %s: %v", k, err)
+					return
+				}
+			}
+			_ = tx.Commit()
+		})
+		t.Logf("one transaction reading %d keys: %d allocations", n, got)
+		if got > bound {
+			t.Errorf("one transaction reading %d keys allocated %d times, want <= %d", n, got, bound)
+		}
+	})
+}

@@ -265,16 +265,18 @@ func updatePayload(buf []byte, key string, val []byte, del bool) []byte {
 	return buf
 }
 
-func parseUpdatePayload(payload []byte) (key string, val []byte, del bool, err error) {
+// parseUpdatePayload reads a redo record. key and val are views into
+// payload.
+func parseUpdatePayload(payload []byte) (key, val []byte, del bool, err error) {
 	if len(payload) < 3 {
-		return "", nil, false, errors.New("engine: short update payload")
+		return nil, nil, false, errors.New("engine: short update payload")
 	}
 	del = payload[0] == 1
 	kl := int(binary.LittleEndian.Uint16(payload[1:3]))
 	if 3+kl > len(payload) {
-		return "", nil, false, errors.New("engine: update payload key overrun")
+		return nil, nil, false, errors.New("engine: update payload key overrun")
 	}
-	return string(payload[3 : 3+kl]), payload[3+kl:], del, nil
+	return payload[3 : 3+kl], payload[3+kl:], del, nil
 }
 
 // Open boots an engine on plat: double-write restore, index rebuild and WAL
@@ -406,7 +408,8 @@ func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 }
 
 // redo applies committed transaction txid's held updates to the heap, in
-// log order.
+// log order. A key stays a view into its log record unless the index gains
+// it (heap.putBytes).
 func (e *Engine) redo(p *sim.Proc, txid uint64) error {
 	return e.follow.settle(txid, func(u wal.Record) error {
 		key, val, del, err := parseUpdatePayload(u.Payload)
@@ -414,9 +417,9 @@ func (e *Engine) redo(p *sim.Proc, txid uint64) error {
 			return err
 		}
 		if del {
-			return e.heap.del(p, key)
+			return e.heap.del(p, string(key))
 		}
-		return e.heap.put(p, key, val)
+		return e.heap.putBytes(p, key, val)
 	})
 }
 

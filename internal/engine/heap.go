@@ -34,9 +34,17 @@ type rowLoc struct {
 }
 
 // heap manages record placement over a pagestore and the in-memory index.
+//
+// The index keeps the key strings it is given. A transaction's keys are its
+// caller's, and must not change. A key read out of a log record or a page
+// is a view into bytes that will change: it is looked up as it is
+// (index[string(b)] does not allocate) and copied into keys only when the
+// index gains it. A map assignment to a key the map holds replaces the
+// stored string, so a string(b) conversion is for lookups and deletes only.
 type heap struct {
 	store      *pagestore.Store
 	index      map[string]rowLoc
+	keys       Arena // the index's copies of keys read from the log or a page
 	insertPage int64 // current append target
 	nextPage   int64 // first never-used page
 }
@@ -58,30 +66,60 @@ func setUsed(data []byte, n int) { binary.LittleEndian.PutUint32(data[0:4], uint
 // put inserts or updates a row. It may block p on page I/O. The caller must
 // hold the X lock on key.
 func (h *heap) put(p *sim.Proc, key string, val []byte) error {
-	if recSize(len(key), valCapFor(len(val))) > h.usable()-pageUsedHdr {
-		return fmt.Errorf("%w: key %d + val %d bytes", ErrValueTooLarge, len(key), len(val))
+	if err := h.fits(len(key), len(val)); err != nil {
+		return err
 	}
 	if loc, ok := h.index[key]; ok {
-		pg, err := h.store.Get(p, loc.pageID)
-		if err != nil {
+		if inPlace, err := h.rewrite(p, loc, val); inPlace || err != nil {
 			return err
 		}
-		data := pg.Data()
-		valCap := int(binary.LittleEndian.Uint16(data[loc.off+2 : loc.off+4]))
-		if valCap >= len(val) {
-			// In-place update.
-			binary.LittleEndian.PutUint16(data[loc.off+4:], uint16(len(val)))
-			keyLen := int(binary.LittleEndian.Uint16(data[loc.off : loc.off+2]))
-			copy(data[int(loc.off)+recFixedHdr+keyLen:], val)
-			h.store.MarkDirty(loc.pageID)
-			return nil
-		}
-		// Relocate: tombstone the old record first.
-		data[loc.off+6] |= flagTombstone
-		h.store.MarkDirty(loc.pageID)
 		delete(h.index, key)
 	}
 	return h.insert(p, key, val)
+}
+
+// putBytes is put for a key that is a view into a log record: the index
+// keeps a copy of it if it gains it.
+func (h *heap) putBytes(p *sim.Proc, key, val []byte) error {
+	if err := h.fits(len(key), len(val)); err != nil {
+		return err
+	}
+	if loc, ok := h.index[string(key)]; ok {
+		if inPlace, err := h.rewrite(p, loc, val); inPlace || err != nil {
+			return err
+		}
+		delete(h.index, string(key))
+	}
+	return h.insert(p, h.keys.Copy(key), val)
+}
+
+// fits refuses a row too large for a page.
+func (h *heap) fits(keyLen, valLen int) error {
+	if recSize(keyLen, valCapFor(valLen)) > h.usable()-pageUsedHdr {
+		return fmt.Errorf("%w: key %d + val %d bytes", ErrValueTooLarge, keyLen, valLen)
+	}
+	return nil
+}
+
+// rewrite updates the live record at loc in place if val fits its slot, and
+// reports whether it did; otherwise it tombstones the record, and the caller
+// drops its key from the index and inserts the row afresh.
+func (h *heap) rewrite(p *sim.Proc, loc rowLoc, val []byte) (bool, error) {
+	pg, err := h.store.Get(p, loc.pageID)
+	if err != nil {
+		return false, err
+	}
+	data := pg.Data()
+	h.store.MarkDirty(loc.pageID)
+	valCap := int(binary.LittleEndian.Uint16(data[loc.off+2 : loc.off+4]))
+	if valCap < len(val) {
+		data[loc.off+6] |= flagTombstone
+		return false, nil
+	}
+	binary.LittleEndian.PutUint16(data[loc.off+4:], uint16(len(val)))
+	keyLen := int(binary.LittleEndian.Uint16(data[loc.off : loc.off+2]))
+	copy(data[int(loc.off)+recFixedHdr+keyLen:], val)
+	return true, nil
 }
 
 // insert appends a fresh record; the key must not be live in the index.
@@ -198,7 +236,7 @@ func (h *heap) indexPage(pg *pagestore.Page) error {
 			return fmt.Errorf("engine: page %d record at %d overruns used area", pg.ID, off)
 		}
 		if data[off+6]&flagTombstone == 0 {
-			key := string(data[off+recFixedHdr : off+recFixedHdr+keyLen])
+			key := h.keys.Copy(data[off+recFixedHdr : off+recFixedHdr+keyLen])
 			h.index[key] = rowLoc{pageID: pg.ID, off: int32(off)}
 		}
 		off += size

@@ -58,7 +58,9 @@ func (m LockMode) String() string {
 // recycles what that churns through: lock entries and blocked requests come
 // from freelists, holders are a short slice rather than a map, and deadlock
 // detection walks the waits-for graph on scratch slices. The steady state
-// allocates nothing.
+// allocates nothing. A transaction that holds many rows at once (an audit
+// reading every acked row) takes fresh entries from slabs, each with room
+// for its first holder.
 type lockTable struct {
 	s       *sim.Sim
 	timeout time.Duration
@@ -68,15 +70,20 @@ type lockTable struct {
 	waiting map[uint64]*lock
 
 	freeLocks []*lock
+	slab      []lock // fresh entries, handed out front first
 	freeReqs  []*lockReq
 	seen, dfs []uint64 // wouldDeadlock scratch
 }
 
 type lock struct {
 	key     string
-	holders []holder // at most one entry per transaction
+	holders []holder // at most one entry per transaction; starts on first
 	queue   []*lockReq
+	first   [1]holder
 }
+
+// lockSlab is how many lock entries one allocation makes.
+const lockSlab = 64
 
 type holder struct {
 	txid uint64
@@ -107,7 +114,13 @@ func (lt *lockTable) newLock() *lock {
 		lt.freeLocks = lt.freeLocks[:n-1]
 		return lk
 	}
-	return &lock{}
+	if len(lt.slab) == 0 {
+		lt.slab = make([]lock, lockSlab)
+	}
+	lk := &lt.slab[0]
+	lt.slab = lt.slab[1:]
+	lk.holders = lk.first[:0]
+	return lk
 }
 
 func (lt *lockTable) newReq(txid uint64, key string, mode LockMode) *lockReq {

@@ -3,30 +3,44 @@ package workload
 import (
 	"errors"
 	"strconv"
+
+	"repro/internal/engine"
 )
 
 // Keys and rows are text: "a:1:523" and "-37|2|xxxx…" (integer fields, each
 // followed by '|', then filler). The generators build and parse them on
-// every transaction, so they do it with strconv and no fmt, and on the
-// steady path without the heap: a row is encoded into its workload
-// instance's scratch buffer (appendRow), which Tx.Put copies before it
-// yields, and a key of a finite family (an account, a stock row) comes
-// from a table the instance fills on first use (keyTable). Only what
-// outlives the transaction allocates: keys of inserted rows, which the
-// engine's index keeps, and rows the journal keeps. Parsing never
-// allocates. The formats are exactly what fmt.Sprintf("%s:%d:%d") /
+// every transaction, so they do it with strconv and no fmt, and off the
+// heap. A row is encoded into its workload instance's scratch buffer
+// (appendRow), which Tx.Put copies before it yields. A key of a finite
+// family (an account, a stock row) comes from a table the instance fills on
+// first use (keyTable); any other key (an order, a history row) is built
+// into the instance's engine.Arena (arenaKey), because the engine's index
+// and lock table keep the string. What still allocates is a row the
+// journal keeps, and an arena's next chunk. Parsing never allocates. The
+// formats are exactly what fmt.Sprintf("%s:%d:%d") /
 // Sprintf("%d|%d|%s") / Sscanf("%d|%d|") produced (codec_test.go pins
 // that), so stored data and journals are unchanged.
 
-// key returns prefix followed by ":id" for each id.
+// appendKey appends prefix followed by ":id" for each id to dst.
+func appendKey(dst []byte, prefix string, ids ...int) []byte {
+	dst = append(dst, prefix...)
+	for _, id := range ids {
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(id), 10)
+	}
+	return dst
+}
+
+// key returns appendKey's key in a string of its own.
 func key(prefix string, ids ...int) string {
 	var buf [48]byte
-	b := append(buf[:0], prefix...)
-	for _, id := range ids {
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(id), 10)
-	}
-	return string(b)
+	return string(appendKey(buf[:0], prefix, ids...))
+}
+
+// arenaKey returns appendKey's key as a string in a.
+func arenaKey(a *engine.Arena, prefix string, ids ...int) string {
+	var buf [48]byte
+	return a.Copy(appendKey(buf[:0], prefix, ids...))
 }
 
 // keyTable memoises one finite key family: the keys key(prefix, ids...) for

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // The old generators built keys and rows with fmt.Sprintf and read them back
@@ -152,6 +154,40 @@ func TestKeyTablesMatchKey(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Every key a workload builds into its arena is the key key() builds, and a
+// key keeps its bytes however many are built after it: 10⁵ more keys roll
+// every arena over into new chunks many times.
+func TestKeyArenaMatchesKey(t *testing.T) {
+	tb, tc, st := (&TPCB{}).codec(), (&TPCC{}).codec(), &Stress{keys: new(engine.Arena)}
+	type pair struct{ got, want string }
+	keys := func(i int) []pair {
+		a, b := codecInts[i%len(codecInts)], i
+		return []pair{
+			{tc.order(a, b, i), kOrder(a, b, i)},
+			{tc.orderLine(b, a, i, a), kOrderLine(b, a, i, a)},
+			{tc.history(uint64(i)), kHistory(uint64(i))},
+			{tb.history(uint64(i)), kBHistory(uint64(i))},
+			{st.key(a, uint64(i)), key("st", a, i)},
+		}
+	}
+	var first []pair
+	for i := 0; i < 1000; i++ {
+		first = append(first, keys(i)...)
+	}
+	for i := 1000; i < 1000+100_000/5; i++ {
+		for _, k := range keys(i) {
+			if k.got != k.want {
+				t.Fatalf("arena key %q, key() built %q", k.got, k.want)
+			}
+		}
+	}
+	for _, k := range first {
+		if k.got != k.want {
+			t.Fatalf("arena key became %q after 10⁵ more keys, was %q", k.got, k.want)
 		}
 	}
 }

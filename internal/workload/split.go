@@ -10,9 +10,9 @@ import (
 // branches whose key hashes to i, so the clones load disjoint rows and no
 // transaction crosses a domain boundary. Stress gets a fresh instance per
 // domain with the same ValueSize, since its per-client sequence numbers must
-// not be shared. A clone shares no encoding state (row scratch, key tables)
-// with w or another clone. Any other workload cannot be split and is an
-// error.
+// not be shared. A clone shares no encoding state (row scratch, key tables,
+// key arena) with w or another clone. Any other workload cannot be split
+// and is an error.
 func Split(w Workload, n int) ([]Workload, error) {
 	switch w := w.(type) {
 	case *TPCC:

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
 
 	"repro/internal/engine"
@@ -24,12 +25,16 @@ type TPCB struct {
 	enc  *tpcbCodec // built on first use; Split's clones start without one
 }
 
-// tpcbCodec is one TPCB instance's encoding state: the row scratch buffer
-// and the tables of its fixed keys (codec.go).
+// tpcbCodec is one TPCB instance's encoding state: the row scratch buffer,
+// the tables of its fixed keys and the arena of its history keys
+// (codec.go).
 type tpcbCodec struct {
 	buf                     scratch
 	branch, teller, account keyTable
+	keys                    engine.Arena
 }
+
+func (c *tpcbCodec) history(id uint64) string { return arenaKey(&c.keys, "bh", int(id)) }
 
 // codec returns w's encoding state, building it on first use.
 func (w *TPCB) codec() *tpcbCodec {
@@ -147,8 +152,11 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		}
 	}
 	w.hist++
-	hk := kBHistory(w.hist)
-	hv := row(w.RowFiller, b, t, a, delta) // the journal keeps it
+	hk := c.history(w.hist)
+	hv := c.buf.row(w.RowFiller, b, t, a, delta)
+	if j != nil {
+		hv = bytes.Clone(hv) // the journal keeps it
+	}
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err
@@ -169,7 +177,8 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 type Stress struct {
 	ValueSize int // default 120
 	clientSeq map[int]uint64
-	value     []byte // the one value every row carries; never modified
+	value     []byte        // the one value every row carries; never modified
+	keys      *engine.Arena // built on first use
 }
 
 // Name implements Workload.
@@ -186,12 +195,13 @@ func (w *Stress) DoAs(p *sim.Proc, e *engine.Engine, j *Journal, client int) err
 	}
 	if w.clientSeq == nil {
 		w.clientSeq = make(map[int]uint64)
+		w.keys = new(engine.Arena)
 	}
 	if len(w.value) != w.ValueSize {
 		w.value = row(w.ValueSize)
 	}
 	w.clientSeq[client]++
-	k := key("st", client, int(w.clientSeq[client]))
+	k := w.key(client, w.clientSeq[client])
 	v := w.value
 	tx := e.Begin(p)
 	if err := tx.Put(k, v); err != nil {
@@ -205,6 +215,11 @@ func (w *Stress) DoAs(p *sim.Proc, e *engine.Engine, j *Journal, client int) err
 		j.Add(k, v)
 	}
 	return nil
+}
+
+// key is row seq of client's rows.
+func (w *Stress) key(client int, seq uint64) string {
+	return arenaKey(w.keys, "st", client, int(seq))
 }
 
 // Do implements Workload using client 0.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -31,14 +32,19 @@ type TPCC struct {
 	enc  *tpccCodec // built on first use; Split's clones start without one
 }
 
-// tpccCodec is one TPCC instance's encoding state: the row scratch buffer
-// and the tables of its fixed keys (codec.go). Orders, order lines and
-// history rows are inserted, so their keys are built per use: the engine's
-// index keeps them.
+// tpccCodec is one TPCC instance's encoding state: the row scratch buffer,
+// the tables of its fixed keys and the arena of the rest (codec.go).
 type tpccCodec struct {
 	buf                                        scratch
 	warehouse, district, customer, item, stock keyTable
+	keys                                       engine.Arena // orders, order lines, history rows
 }
+
+func (c *tpccCodec) order(wid, did, oid int) string { return arenaKey(&c.keys, "o", wid, did, oid) }
+func (c *tpccCodec) orderLine(wid, did, oid, l int) string {
+	return arenaKey(&c.keys, "ol", wid, did, oid, l)
+}
+func (c *tpccCodec) history(id uint64) string { return arenaKey(&c.keys, "h", int(id)) }
 
 // codec returns w's encoding state, building it on first use.
 func (w *TPCC) codec() *tpccCodec {
@@ -272,12 +278,12 @@ func (w *TPCC) newOrder(p *sim.Proc, e *engine.Engine, j *Journal) error {
 			tx.Abort()
 			return err
 		}
-		if err := tx.Put(kOrderLine(wid, did, oid, l), c.buf.row(w.RowFiller, iid, qty, price*qty)); err != nil {
+		if err := tx.Put(c.orderLine(wid, did, oid, l), c.buf.row(w.RowFiller, iid, qty, price*qty)); err != nil {
 			tx.Abort()
 			return err
 		}
 	}
-	okey := kOrder(wid, did, oid)
+	okey := c.order(wid, did, oid)
 	if err := tx.Put(okey, c.buf.row(w.RowFiller, cid, nLines, 0, total)); err != nil {
 		tx.Abort()
 		return err
@@ -346,8 +352,11 @@ func (w *TPCC) payment(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return err
 	}
 	w.hist++
-	hk := kHistory(w.hist)
-	hv := row(w.RowFiller, wid, did, cid, amount) // the journal keeps it
+	hk := c.history(w.hist)
+	hv := c.buf.row(w.RowFiller, wid, did, cid, amount)
+	if j != nil {
+		hv = bytes.Clone(hv) // the journal keeps it
+	}
 	if err := tx.Put(hk, hv); err != nil {
 		tx.Abort()
 		return err
@@ -378,7 +387,7 @@ func (w *TPCC) orderStatus(p *sim.Proc, e *engine.Engine) error {
 	nextOID, _, _, _ := decDistrict(dv)
 	if nextOID > 1 {
 		oid := nextOID - 1
-		ov, ok, err := tx.Get(kOrder(wid, did, oid))
+		ov, ok, err := tx.Get(c.order(wid, did, oid))
 		if err != nil {
 			tx.Abort()
 			return err
@@ -387,7 +396,7 @@ func (w *TPCC) orderStatus(p *sim.Proc, e *engine.Engine) error {
 			var ocid, nLines int
 			_ = parseRow(ov, &ocid, &nLines)
 			for l := 1; l <= nLines; l++ {
-				if _, _, err := tx.Get(kOrderLine(wid, did, oid, l)); err != nil {
+				if _, _, err := tx.Get(c.orderLine(wid, did, oid, l)); err != nil {
 					tx.Abort()
 					return err
 				}
@@ -415,7 +424,7 @@ func (w *TPCC) delivery(p *sim.Proc, e *engine.Engine, j *Journal) error {
 		return tx.Commit() // nothing to deliver
 	}
 	oid := nextDeliv
-	okey := kOrder(wid, did, oid)
+	okey := c.order(wid, did, oid)
 	ov, ok, err := tx.Get(okey)
 	if err != nil || !ok {
 		tx.Abort()
@@ -476,7 +485,7 @@ func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
 		if oid < 1 {
 			continue
 		}
-		ov, ok, err := tx.Get(kOrder(wid, did, oid))
+		ov, ok, err := tx.Get(c.order(wid, did, oid))
 		if err != nil {
 			tx.Abort()
 			return err
@@ -487,7 +496,7 @@ func (w *TPCC) stockLevel(p *sim.Proc, e *engine.Engine) error {
 		var cid, nLines int
 		_ = parseRow(ov, &cid, &nLines)
 		for l := 1; l <= nLines && l <= 5; l++ {
-			lv, ok, err := tx.Get(kOrderLine(wid, did, oid, l))
+			lv, ok, err := tx.Get(c.orderLine(wid, did, oid, l))
 			if err != nil {
 				tx.Abort()
 				return err
