@@ -21,32 +21,45 @@ import (
 	"testing"
 )
 
-// censusExempt lists the config fields that may stay settable although no
-// caller outside their declaring file sets them, each with its reason.
-var censusExempt = map[string]string{
-	"ha.Config.HeartbeatEvery":       "the A12 detection sweep's dial (ROADMAP item 2)",
-	"ha.Config.FailAfter":            "the A12 detection sweep's dial (ROADMAP item 2)",
-	"ha.Config.RoundTimeout":         "the A12 detection sweep's dial (ROADMAP item 2)",
-	"rig.ClusterConfig.HA":           "how A12 will reach the three ha.Config timings",
-	"disk.FaultConfig.ReadErrProb":   "fault-model dial; campaigns drive it at run time through Faulty.SetErrorProbs",
-	"disk.FaultConfig.TimeoutFrac":   "fault-model dial; campaigns drive it at run time through Faulty.SetErrorProbs",
-	"disk.FaultConfig.SpikeProb":     "fault-model dial; campaigns drive it at run time through Faulty.SetStorm",
-	"netsim.LinkConfig.ReorderDelay": "fault-model dial; the hold-back that pairs with ReorderProb",
+// censusTestOnly lists the config fields no production caller sets that
+// stay settable because a test needs a value the production one cannot give.
+// Each names the test file that sets it: an entry whose file stops setting
+// its field fails the census, like one whose field gains a production setter.
+var censusTestOnly = map[string]struct{ file, why string }{
+	"disk.HDDConfig.ChunkSectors":      {"internal/disk/disk_test.go", "tearing at single-sector granularity"},
+	"disk.HDDConfig.CacheSectors":      {"internal/disk/disk_test.go", "a write cache small enough to fill"},
+	"netsim.LinkConfig.DropProb":       {"internal/replica/replica_test.go", "the protocol's repair path"},
+	"netsim.LinkConfig.DupProb":        {"internal/replica/replica_test.go", "the protocol's repair path"},
+	"netsim.LinkConfig.ReorderProb":    {"internal/replica/replica_test.go", "the protocol's repair path"},
+	"netsim.LinkConfig.Jitter":         {"internal/netsim/netsim_test.go", "exact delivery times"},
+	"netsim.LinkConfig.Bandwidth":      {"internal/netsim/netsim_test.go", "link serialisation you can see"},
+	"netsim.Config.CheckOwnership":     {"internal/netsim/ownership_test.go", "the ownership check without the netsimcheck tag"},
+	"pagestore.Config.PoolPages":       {"internal/pagestore/pagestore_test.go", "a pool small enough to evict"},
+	"replica.Config.RetainLimit":       {"internal/replica/replica_test.go", "a retention bound small enough to trim"},
+	"power.PSUConfig.Name":             {"internal/power/power_test.go", "a PSU outside the presets, which live in the declaring file"},
+	"power.PSUConfig.HoldupMin":        {"internal/power/power_test.go", "a PSU outside the presets, which live in the declaring file"},
+	"power.PSUConfig.HoldupMax":        {"internal/power/power_test.go", "a PSU outside the presets, which live in the declaring file"},
+	"power.PSUConfig.InterruptLatency": {"internal/power/power_test.go", "a PSU outside the presets, which live in the declaring file"},
 }
 
 // TestConfigCensus keeps "a knob nobody turns is a constant" true by
 // construction: every exported field of every exported *Config / *Options
-// struct under internal/ must be set by some caller — a keyed composite
-// literal or an assignment (to the field or through it: cfg.Net.Latency = …
-// sets Net) in any file other than the one declaring the struct, anywhere in
-// the module, its tests, examples/ or benchmark/. A field only its own
-// applyDefaults writes is a constant wearing a field's clothes: make it one.
+// struct under internal/ must be set by some production caller — a keyed
+// composite literal or an assignment (to the field or through it:
+// cfg.Net.Latency = … sets Net) in a non-test file outside examples/ and
+// outside the file declaring the struct, anywhere in the module or
+// benchmark/. A field only tests or its own applyDefaults write is a constant
+// wearing a field's clothes: make it one, or list it in censusTestOnly.
 func TestConfigCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source (≈10 s)")
 	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset := token.NewFileSet()
-	dirs := censusParse(t, fset)
+	dirs := censusParse(t, fset, root)
 
 	// Declared fields, keyed by the position of the field name.
 	fields := map[token.Position]string{}
@@ -84,17 +97,26 @@ func TestConfigCensus(t *testing.T) {
 	// same-named field of another struct cannot confuse the count.
 	// The source importer re-parses imported packages into the same FileSet,
 	// so a field is identified by where it is declared, not by object identity.
-	set := map[token.Position]bool{}
+	// setBy maps a field to the files (relative to root) that set it.
+	setBy := map[token.Position]map[string]bool{}
 	imp := importer.ForCompiler(fset, "source", nil)
 	mark := func(info *types.Info, use ast.Node, id *ast.Ident) {
 		v, ok := info.ObjectOf(id).(*types.Var)
 		if !ok || !v.IsField() {
 			return
 		}
-		decl := fset.Position(v.Pos())
-		if decl.Filename != fset.Position(use.Pos()).Filename {
-			set[decl] = true
+		decl, at := fset.Position(v.Pos()), fset.Position(use.Pos()).Filename
+		if decl.Filename == at {
+			return
 		}
+		rel, err := filepath.Rel(root, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if setBy[decl] == nil {
+			setBy[decl] = map[string]bool{}
+		}
+		setBy[decl][filepath.ToSlash(rel)] = true
 	}
 	var markLHS func(info *types.Info, e ast.Expr)
 	markLHS = func(info *types.Info, e ast.Expr) {
@@ -147,41 +169,45 @@ func TestConfigCensus(t *testing.T) {
 		}
 	}
 
-	var unset []string
-	exempt := map[string]bool{}
+	var bad []string
+	declared := map[string]bool{}
 	for pos, f := range fields {
-		switch _, ok := censusExempt[f]; {
-		case set[pos]:
-		case ok:
-			exempt[f] = true
-		default:
-			unset = append(unset, f)
+		declared[f] = true
+		prod := false
+		for file := range setBy[pos] {
+			prod = prod || !(strings.HasSuffix(file, "_test.go") || strings.HasPrefix(file, "examples/"))
+		}
+		entry, ok := censusTestOnly[f]
+		switch {
+		case prod && ok:
+			bad = append(bad, fmt.Sprintf("%s has a production setter now: drop it from censusTestOnly", f))
+		case prod:
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s is set by no production caller outside its own file: make it a constant (or set it)", f))
+		case !setBy[pos][entry.file]:
+			bad = append(bad, fmt.Sprintf("censusTestOnly says %s sets %s, and it does not: drop the entry or name the test that needs it", entry.file, f))
 		}
 	}
-	sort.Strings(unset)
-	t.Logf("config census: %d exported *Config/*Options fields under internal/, %d exempt, %d with no setter",
-		len(fields), len(exempt), len(unset))
-	for _, f := range unset {
-		t.Errorf("%s is set by no caller outside its own file: make it a constant (or set it)", f)
-	}
-	for f := range censusExempt {
-		if !exempt[f] {
-			t.Errorf("censusExempt lists %s, which has a setter now or is gone: drop the exemption", f)
+	for f := range censusTestOnly {
+		if !declared[f] {
+			bad = append(bad, fmt.Sprintf("censusTestOnly lists %s, which is gone: drop the entry", f))
 		}
+	}
+	sort.Strings(bad)
+	t.Logf("config census: %d exported *Config/*Options fields under internal/, %d set only by the tests in censusTestOnly",
+		len(fields), len(censusTestOnly))
+	for _, msg := range bad {
+		t.Error(msg)
 	}
 }
 
-// censusParse parses every buildable .go file under the repository root,
-// tests included, grouped by directory. benchmark/ is a module of its own but
-// imports only this one, so it type-checks like any other directory.
-func censusParse(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
+// censusParse parses every buildable .go file under root, tests included,
+// grouped by directory. benchmark/ is a module of its own but imports only
+// this one, so it type-checks like any other directory.
+func censusParse(t *testing.T, fset *token.FileSet, root string) map[string][]*ast.File {
 	t.Helper()
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	dirs := map[string][]*ast.File{}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

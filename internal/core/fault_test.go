@@ -52,8 +52,8 @@ func TestTransientDrainErrorRetriesWithoutDegrading(t *testing.T) {
 	// Retry budget: attempts at 0, 2, 6, 14, 30, 62 ms — the fault clears at
 	// 10ms, inside the budget.
 	r := newFaultRig(t, 1, Config{MaxBuffer: 16384})
-	r.flt.SetErrorProbs(0, 1)
-	r.s.After(10*time.Millisecond, func() { r.flt.SetErrorProbs(0, 0) })
+	r.flt.SetWriteErrorProb(1)
+	r.s.After(10*time.Millisecond, func() { r.flt.SetWriteErrorProb(0) })
 	writes := 8 // twice the buffer bound: the later writers must throttle
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
 		for i := 0; i < writes; i++ {
@@ -93,21 +93,13 @@ func TestTransientDrainErrorRetriesWithoutDegrading(t *testing.T) {
 	}
 }
 
-// degradedCfg spends the drain's retry budget in ≈3 ms and probes a degraded
-// logger every 50 ms.
-var degradedCfg = Config{
-	DrainRetryLimit: 3,
-	DrainRetryBase:  time.Millisecond,
-	DrainProbeEvery: 50 * time.Millisecond,
-}
-
 // TestPermanentFaultDegradesAndRestores grows a bad-sector range under one
 // buffered entry. The drain budget exhausts, the device degrades to
 // synchronous pass-through (which must still be durable and must patch the
 // stranded buffered copies), and when the range is repaired the probe drains
 // the backlog and restores buffered service.
 func TestPermanentFaultDegradesAndRestores(t *testing.T) {
-	r := newFaultRig(t, 2, degradedCfg)
+	r := newFaultRig(t, 2, Config{})
 	r.flt.AddBadRange(0, 64, false) // writes into LBAs 0..64 fail forever
 	oldB := pattern(4096, 2)
 	newB := pattern(4096, 3)
@@ -120,7 +112,7 @@ func TestPermanentFaultDegradesAndRestores(t *testing.T) {
 		if err := r.l.Write(p, 1000, oldB, false); err != nil {
 			t.Errorf("write B: %v", err)
 		}
-		p.Sleep(100 * time.Millisecond) // budget is ~3ms; plenty to degrade
+		p.Sleep(100 * time.Millisecond) // the retry budget is spent at ≈62 ms
 		if !r.l.IsDegraded() {
 			t.Error("retry budget exhausted but logger not degraded")
 			return
@@ -206,7 +198,7 @@ func assertRestoredAndEmpty(t *testing.T, r *faultRig, when string) bool {
 // parked in the disk — and then repairs the media. The probe drain must get
 // the lock, land the stranded entry and restore buffered service.
 func TestGuestCrashInPassThroughDoesNotWedgeDrainer(t *testing.T) {
-	r := newFaultRig(t, 2, degradedCfg)
+	r := newFaultRig(t, 2, Config{})
 	defer r.s.Close()
 	r.flt.AddBadRange(0, 64, false)
 	inPassThrough := false
@@ -236,8 +228,7 @@ func TestGuestCrashInPassThroughDoesNotWedgeDrainer(t *testing.T) {
 // after exactly k events the guest crashes and the range is repaired.
 func TestGuestCrashAtEveryEventOfDegradedWriters(t *testing.T) {
 	const window = 200 * time.Millisecond
-	cfg := degradedCfg
-	cfg.MaxBuffer = 8192
+	cfg := Config{MaxBuffer: 8192}
 	var points, held, waiting, midGrant, wedged int
 	for k := 0; ; k++ {
 		r := newFaultRig(t, 3, cfg)

@@ -59,9 +59,16 @@ const (
 	// ackOverhead is the fixed cost of the buffered-write path (request
 	// validation, bookkeeping).
 	ackOverhead = 2 * time.Microsecond
-	// drainRetryCap caps the exponential backoff between attempts of one
-	// backing write (DrainRetryBase, ·2, ·4, … capped).
-	drainRetryCap = 256 * time.Millisecond
+	// drainRetryLimit bounds how many times one backing write is attempted
+	// before the Logger gives up on the drain and degrades.
+	drainRetryLimit = 6
+	// drainRetryBase starts the exponential backoff between attempts (base,
+	// base·2, base·4, … capped at drainRetryCap).
+	drainRetryBase = 2 * time.Millisecond
+	drainRetryCap  = 256 * time.Millisecond
+	// drainProbeEvery is how often a degraded Logger re-tries its stranded
+	// batch, hoping the fault cleared.
+	drainProbeEvery = time.Second
 )
 
 // ackCost is the guest-visible cost of buffering n bytes: the fixed overhead
@@ -114,15 +121,6 @@ type Config struct {
 	// Unsafe skips the MaxBuffer ≤ SafeBufferSize check. Used by ablation
 	// A3 to demonstrate exactly why the bound matters.
 	Unsafe bool
-	// DrainRetryLimit bounds how many times one backing write is attempted
-	// before the Logger gives up on the drain and degrades; default 6.
-	DrainRetryLimit int
-	// DrainRetryBase starts the exponential backoff between attempts (base,
-	// base·2, base·4, … capped at drainRetryCap); default 2ms.
-	DrainRetryBase time.Duration
-	// DrainProbeEvery is how often a degraded Logger re-tries its stranded
-	// batch, hoping the fault cleared; default 1s.
-	DrainProbeEvery time.Duration
 	// Obs, when set, registers the Logger's instruments centrally and
 	// traces the buffer lifecycle (hv_ack through durable/dump_done) —
 	// the events the durability-exposure audit replays.
@@ -136,15 +134,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.DrainRetryLimit == 0 {
-		c.DrainRetryLimit = 6
-	}
-	if c.DrainRetryBase == 0 {
-		c.DrainRetryBase = 2 * time.Millisecond
-	}
-	if c.DrainProbeEvery == 0 {
-		c.DrainProbeEvery = time.Second
-	}
 	if c.Policy.Remote() && c.Policy.K == 0 {
 		c.Policy.K = 1
 	}
@@ -601,7 +590,7 @@ func (l *Logger) patchPending(lba int64, data []byte) {
 func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 	l.io.Acquire(p, 1)
 	defer l.io.Release(1)
-	delay := l.cfg.DrainRetryBase
+	delay := drainRetryBase
 	for attempt := 1; ; attempt++ {
 		err := l.backing.Write(p, lba, data, true)
 		if err == nil {
@@ -610,7 +599,7 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 		if l.emergency || errors.Is(err, disk.ErrNoPower) {
 			return errHalted
 		}
-		if attempt >= l.cfg.DrainRetryLimit || !disk.IsTransient(err) {
+		if attempt >= drainRetryLimit || !disk.IsTransient(err) {
 			return err
 		}
 		l.stats.BackingRetries.Inc()
@@ -705,7 +694,7 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 				if !l.degraded {
 					l.degrade(p, err)
 				}
-				l.dirtySig.WaitTimeout(p, l.cfg.DrainProbeEvery)
+				l.dirtySig.WaitTimeout(p, drainProbeEvery)
 			}
 		}
 	})

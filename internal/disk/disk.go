@@ -36,17 +36,12 @@ var (
 	// is still there and a retry may succeed (or keep failing, for a grown
 	// defect — real controllers cannot tell the caller which).
 	ErrIO = errors.New("disk: I/O error")
-	// ErrTimeout is a request that the device gave up on. Like ErrIO it is
-	// retryable; unlike ErrIO the caller has also already paid a long wait.
-	ErrTimeout = errors.New("disk: request timed out")
 )
 
-// IsTransient reports whether err is a media fault worth retrying (ErrIO,
-// ErrTimeout). Power loss, range and alignment errors are not: retrying a
-// dead machine or a bad request can never succeed.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrIO) || errors.Is(err, ErrTimeout)
-}
+// IsTransient reports whether err is a media fault worth retrying (ErrIO).
+// Power loss, range and alignment errors are not: retrying a dead machine
+// or a bad request can never succeed.
+func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 
 // Device is a block device on virtual time. Offsets and lengths are in
 // sectors; data lengths must be multiples of the sector size.

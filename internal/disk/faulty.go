@@ -1,6 +1,6 @@
 // Faulty wraps any Device with a deterministic media-fault model: seeded
-// transient read/write errors, per-LBA-range "grown bad sector" permanent
-// errors, and latency spikes. It is how the fault-injection campaigns turn
+// transient write errors, per-LBA-range "grown bad sector" permanent
+// errors, and latency storms. It is how the fault-injection campaigns turn
 // "the drive hiccuped" into a first-class, reproducible event.
 //
 // Faults are decided by the wrapper's own RNG (seeded independently of the
@@ -20,28 +20,20 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultConfig parameterises a Faulty wrapper. The probabilities are the
-// steady state; campaigns usually start at zero and open a fault window at
-// runtime via the Set* methods.
+// FaultConfig parameterises a Faulty wrapper. A new wrapper injects
+// nothing; campaigns open a fault window at runtime via the Set* methods.
 type FaultConfig struct {
 	// Enabled gates wrapping at the rig level: a zero FaultConfig means
 	// "no fault layer at all", not "a fault layer that never fires".
 	Enabled bool
 	// Seed drives the fault decisions. Independent of the simulation seed.
 	Seed int64
-	// ReadErrProb/WriteErrProb are per-request transient error probabilities.
-	ReadErrProb  float64
-	WriteErrProb float64
-	// TimeoutFrac is the fraction of injected errors reported as ErrTimeout
-	// (after sleeping SpikeDelay — a timeout costs the caller its wait).
-	TimeoutFrac float64
-	// SpikeProb adds a latency spike of SpikeDelay to that fraction of
-	// requests; default delay 10ms.
-	SpikeProb  float64
-	SpikeDelay time.Duration
 	// Reg registers the inject_* counters; nil leaves them unregistered.
 	Reg *obs.Registry
 }
+
+// spikeDelay is what every request pays while a latency storm is on.
+const spikeDelay = 10 * time.Millisecond
 
 // badRange is a grown defect: writes into it always fail; reads too when
 // reads is set.
@@ -55,14 +47,13 @@ type badRange struct {
 // device — a failed write leaves no bytes on media, as on real hardware
 // when the controller rejects the transfer.
 type Faulty struct {
-	inner Device
-	name  string // "<inner>.flt"; labels the wrapper's counters
-	cfg   FaultConfig
-	rng   *rand.Rand
-	bad   []badRange
-	storm bool
+	inner    Device
+	name     string // "<inner>.flt"; labels the wrapper's counters
+	rng      *rand.Rand
+	bad      []badRange
+	storm    bool
+	writeErr float64 // per-write transient error probability
 
-	injReads  *metrics.Counter
 	injWrites *metrics.Counter
 	injSpikes *metrics.Counter
 	injBad    *metrics.Counter
@@ -71,26 +62,19 @@ type Faulty struct {
 // NewFaulty wraps inner with the fault model described by cfg.
 func NewFaulty(inner Device, cfg FaultConfig) *Faulty {
 	name := inner.Name() + ".flt"
-	if cfg.SpikeDelay == 0 {
-		cfg.SpikeDelay = 10 * time.Millisecond
-	}
 	return &Faulty{
 		inner:     inner,
 		name:      name,
-		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		injReads:  cfg.Reg.Counter(name + ".inject_read_errors"),
 		injWrites: cfg.Reg.Counter(name + ".inject_write_errors"),
 		injSpikes: cfg.Reg.Counter(name + ".inject_latency_spikes"),
 		injBad:    cfg.Reg.Counter(name + ".inject_bad_range_errors"),
 	}
 }
 
-// SetErrorProbs changes the transient error probabilities at runtime —
-// the campaign's fault window open/close switch.
-func (f *Faulty) SetErrorProbs(readP, writeP float64) {
-	f.cfg.ReadErrProb, f.cfg.WriteErrProb = readP, writeP
-}
+// SetWriteErrorProb sets the per-write transient error probability at
+// runtime — the campaign's fault window open/close switch.
+func (f *Faulty) SetWriteErrorProb(p float64) { f.writeErr = p }
 
 // SetStorm turns the latency storm on or off: while on, every request pays
 // the spike delay (congestion, firmware GC, a resetting expander — pick
@@ -120,33 +104,21 @@ func (f *Faulty) inBadRange(lba int64, nsec int, write bool) bool {
 	return false
 }
 
-// maybeFault runs the fault model for one request: a possible latency
+// maybeFault runs the fault model for one request: the storm's latency
 // spike, then a possible injected error. A nil return means the request
 // proceeds to the inner device.
-func (f *Faulty) maybeFault(p *sim.Proc, op string, lba int64, nsec int, write bool) error {
-	if f.storm || (f.cfg.SpikeProb > 0 && f.rng.Float64() < f.cfg.SpikeProb) {
+func (f *Faulty) maybeFault(p *sim.Proc, lba int64, nsec int, write bool) error {
+	if f.storm {
 		f.injSpikes.Inc()
-		p.Sleep(f.cfg.SpikeDelay)
+		p.Sleep(spikeDelay)
 	}
 	if f.inBadRange(lba, nsec, write) {
 		f.injBad.Inc()
 		return fmt.Errorf("%w: grown defect at lba %d+%d on %s", ErrIO, lba, nsec, f.inner.Name())
 	}
-	prob := f.cfg.ReadErrProb
-	if write {
-		prob = f.cfg.WriteErrProb
-	}
-	if prob > 0 && f.rng.Float64() < prob {
-		if write {
-			f.injWrites.Inc()
-		} else {
-			f.injReads.Inc()
-		}
-		if f.cfg.TimeoutFrac > 0 && f.rng.Float64() < f.cfg.TimeoutFrac {
-			p.Sleep(f.cfg.SpikeDelay)
-			return fmt.Errorf("%w: %s lba %d on %s", ErrTimeout, op, lba, f.inner.Name())
-		}
-		return fmt.Errorf("%w: %s lba %d on %s", ErrIO, op, lba, f.inner.Name())
+	if write && f.writeErr > 0 && f.rng.Float64() < f.writeErr {
+		f.injWrites.Inc()
+		return fmt.Errorf("%w: write lba %d on %s", ErrIO, lba, f.inner.Name())
 	}
 	return nil
 }
@@ -162,7 +134,7 @@ func (f *Faulty) Sectors() int64 { return f.inner.Sectors() }
 
 // Read implements Device.
 func (f *Faulty) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
-	if err := f.maybeFault(p, "read", lba, nsec, false); err != nil {
+	if err := f.maybeFault(p, lba, nsec, false); err != nil {
 		return nil, err
 	}
 	return f.inner.Read(p, lba, nsec)
@@ -170,7 +142,7 @@ func (f *Faulty) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 
 // Write implements Device.
 func (f *Faulty) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
-	if err := f.maybeFault(p, "write", lba, len(data)/f.SectorSize(), true); err != nil {
+	if err := f.maybeFault(p, lba, len(data)/f.SectorSize(), true); err != nil {
 		return err
 	}
 	return f.inner.Write(p, lba, data, fua)

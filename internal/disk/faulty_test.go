@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func run(t *testing.T, s *sim.Sim, fn func(p *sim.Proc)) {
 }
 
 func TestIsTransientClassification(t *testing.T) {
-	for _, err := range []error{ErrIO, ErrTimeout} {
+	for _, err := range []error{ErrIO, fmt.Errorf("wrapped: %w", ErrIO)} {
 		if !IsTransient(err) {
 			t.Errorf("IsTransient(%v) = false, want true", err)
 		}
@@ -34,7 +35,8 @@ func TestFaultyDeterministicInjection(t *testing.T) {
 	sequence := func() []bool {
 		s := sim.New(1)
 		mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-		f := NewFaulty(mem, FaultConfig{Seed: 7, WriteErrProb: 0.5})
+		f := NewFaulty(mem, FaultConfig{Seed: 7})
+		f.SetWriteErrorProb(0.5)
 		var errs []bool
 		run(t, s, func(p *sim.Proc) {
 			for i := 0; i < 64; i++ {
@@ -60,7 +62,8 @@ func TestFaultyDeterministicInjection(t *testing.T) {
 func TestFaultyInjectedErrorsAreTransientAndLeaveNoData(t *testing.T) {
 	s := sim.New(1)
 	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-	f := NewFaulty(mem, FaultConfig{Seed: 1, WriteErrProb: 1})
+	f := NewFaulty(mem, FaultConfig{Seed: 1})
+	f.SetWriteErrorProb(1)
 	run(t, s, func(p *sim.Proc) {
 		data := []byte{1, 2, 3, 4}
 		err := f.Write(p, 0, append(data, make([]byte, 508)...), true)
@@ -119,7 +122,7 @@ func TestFaultyBadRange(t *testing.T) {
 func TestFaultyLatencyStorm(t *testing.T) {
 	s := sim.New(1)
 	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-	f := NewFaulty(mem, FaultConfig{Seed: 1, SpikeDelay: 10 * time.Millisecond})
+	f := NewFaulty(mem, FaultConfig{Seed: 1})
 	var calm, stormy time.Duration
 	run(t, s, func(p *sim.Proc) {
 		buf := make([]byte, 512)
@@ -136,8 +139,8 @@ func TestFaultyLatencyStorm(t *testing.T) {
 		stormy = p.Now().Sub(start)
 		f.SetStorm(false)
 	})
-	if stormy < calm+10*time.Millisecond {
-		t.Fatalf("storm write took %v vs calm %v, want +10ms spike", stormy, calm)
+	if stormy < calm+spikeDelay {
+		t.Fatalf("storm write took %v vs calm %v, want +%v spike", stormy, calm, spikeDelay)
 	}
 	if v := f.injSpikes.Value(); v != 1 {
 		t.Fatalf("inject_latency_spikes = %d, want 1", v)

@@ -102,12 +102,14 @@ const walWriterEvery = 10 * time.Millisecond
 // Checkpoint).
 const maxControlRounds = 256
 
+// lockTimeout bounds a lock wait: the backstop behind deadlock detection.
+const lockTimeout = 200 * time.Millisecond
+
 // Config parameterises an Engine.
 type Config struct {
 	Personality
 	CommitMode      CommitMode
 	CheckpointEvery time.Duration // background checkpoint period; default 10s
-	LockTimeout     time.Duration // deadlock bound; default 200ms
 	// NoDaemons disables the background WAL writer and checkpointer;
 	// tests drive those paths explicitly.
 	NoDaemons bool
@@ -314,7 +316,7 @@ func Follow(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 		s:        s,
 		store:    store,
 		heap:     newHeap(store),
-		locks:    newLockTable(s, cfg.LockTimeout),
+		locks:    newLockTable(s, lockTimeout),
 		stats:    newStats(cfg.Obs.Registry()),
 		applying: make(map[uint64]uint64),
 		ckptDone: s.NewSignal("engine.ckpt_done"),

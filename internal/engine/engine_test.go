@@ -209,7 +209,7 @@ func TestLockTimeoutResolvesDeadlock(t *testing.T) {
 	r := newTestRig(1)
 	var timeouts int
 	r.s.Spawn(r.plat.Domain(), "main", func(p *sim.Proc) {
-		e, err := Open(p, r.plat, Config{NoDaemons: true, LockTimeout: 10 * time.Millisecond})
+		e, err := Open(p, r.plat, Config{NoDaemons: true})
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return

@@ -102,9 +102,6 @@ type lockReq struct {
 func (r *lockReq) String() string { return fmt.Sprintf("lock:%s:%d", r.key, r.txid) }
 
 func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
-	if timeout == 0 {
-		timeout = 200 * time.Millisecond
-	}
 	return &lockTable{s: s, timeout: timeout, locks: make(map[string]*lock), waiting: make(map[uint64]*lock)}
 }
 

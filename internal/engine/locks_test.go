@@ -18,7 +18,7 @@ func ltRig(seed int64, timeout time.Duration) (*sim.Sim, *lockTable) {
 }
 
 func TestLockSharedCompatible(t *testing.T) {
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	var holders int
 	for i := 0; i < 3; i++ {
 		id := uint64(i + 1)
@@ -41,7 +41,7 @@ func TestLockSharedCompatible(t *testing.T) {
 }
 
 func TestLockExclusiveBlocksShared(t *testing.T) {
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	var order []string
 	s.Spawn(nil, "writer", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 1, "k", LockX)
@@ -68,7 +68,7 @@ func TestLockExclusiveBlocksShared(t *testing.T) {
 }
 
 func TestLockReacquireStrongerIsUpgrade(t *testing.T) {
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	s.Spawn(nil, "p", func(p *sim.Proc) {
 		if _, err := lt.acquire(p, 1, "k", LockS); err != nil {
 			t.Errorf("S: %v", err)
@@ -89,7 +89,7 @@ func TestLockReacquireStrongerIsUpgrade(t *testing.T) {
 }
 
 func TestLockUpgradeWaitsForOtherReaders(t *testing.T) {
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	var upgraded sim.Time
 	s.Spawn(nil, "upgrader", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 1, "k", LockS)
@@ -234,7 +234,7 @@ func TestLockTimeoutBackstop(t *testing.T) {
 }
 
 func TestLockReleaseCleansEmptyEntries(t *testing.T) {
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	s.Spawn(nil, "p", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 1, "k1", LockX)
 		_, _ = lt.acquire(p, 1, "k2", LockS)
@@ -251,7 +251,7 @@ func TestLockReleaseCleansEmptyEntries(t *testing.T) {
 func TestLockWriterNotStarvedByReaders(t *testing.T) {
 	// Readers keep arriving; a queued writer must still get the lock
 	// (FIFO grant: readers behind the writer wait).
-	s, lt := ltRig(1, 0)
+	s, lt := ltRig(1, lockTimeout)
 	var writerAt sim.Time
 	s.Spawn(nil, "r0", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 100, "k", LockS)

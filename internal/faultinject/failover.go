@@ -53,7 +53,7 @@ func clusterTrial(cfg CampaignConfig, res *TrialResult) {
 		defer audited.Fire()
 		workload.RunSessions(p, dir, w, workload.SessionConfig{
 			Clients:  cfg.Clients,
-			Duration: cfg.SessionFor,
+			Duration: sessionFor,
 			Journal:  j,
 			Reg:      c.Obs.Registry(),
 			Trace:    c.Obs.Tracer(),

@@ -89,12 +89,6 @@ type CampaignConfig struct {
 	// 200ms..2s, and 500ms..1.5s for a leader fault.
 	InjectAfterMin time.Duration
 	InjectAfterMax time.Duration
-	// SessionFor is how long a leader-fault trial's session pool runs; it
-	// must outlast injection plus the takeover (up to about a second:
-	// failure detection, then the promoted node's recovery streaming its
-	// log).
-	// Default 10s.
-	SessionFor time.Duration
 	// FaultWindow is how long an injected media fault lasts (DiskError,
 	// LatencyStorm); default 300ms.
 	FaultWindow time.Duration
@@ -133,6 +127,11 @@ type CampaignConfig struct {
 	NewWorkload func() workload.Workload
 }
 
+// sessionFor is how long a leader-fault trial's session pool runs; it must
+// outlast injection plus the takeover (up to about a second: failure
+// detection, then the promoted node's recovery streaming its log).
+const sessionFor = 10 * time.Second
+
 // coordOutage is how long the coordinator stays down after the leader dies
 // in the composed CoordAndLeader fault.
 const coordOutage = 500 * time.Millisecond
@@ -156,9 +155,6 @@ func (c *CampaignConfig) applyDefaults() {
 		if leader {
 			c.InjectAfterMax = 1500 * time.Millisecond
 		}
-	}
-	if c.SessionFor == 0 {
-		c.SessionFor = 10 * time.Second
 	}
 	if c.FaultWindow == 0 {
 		c.FaultWindow = 300 * time.Millisecond
@@ -237,8 +233,8 @@ func (c *CampaignConfig) validate() error {
 		if err != nil {
 			return err
 		}
-		if c.SessionFor <= c.InjectAfterMax {
-			return fmt.Errorf("faultinject: SessionFor %v inside the inject window", c.SessionFor)
+		if c.InjectAfterMax >= sessionFor {
+			return fmt.Errorf("faultinject: InjectAfterMax %v outlasts the %v session pool", c.InjectAfterMax, sessionFor)
 		}
 	default:
 		return fmt.Errorf("faultinject: unknown fault %q", c.Fault)
@@ -594,9 +590,9 @@ func machineTrial(cfg CampaignConfig, res *TrialResult) {
 				r.FaultyLog.AddBadRange(0, r.LogPart.Sectors(), false)
 				p.Sleep(cfg.FaultWindow)
 			} else {
-				r.FaultyLog.SetErrorProbs(0, cfg.MediaErrProb)
+				r.FaultyLog.SetWriteErrorProb(cfg.MediaErrProb)
 				p.Sleep(cfg.FaultWindow)
-				r.FaultyLog.SetErrorProbs(0, 0)
+				r.FaultyLog.SetWriteErrorProb(0)
 			}
 		case LatencyStorm:
 			r.FaultyLog.SetStorm(true)

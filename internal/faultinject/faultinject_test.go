@@ -334,8 +334,8 @@ func TestConfigValidation(t *testing.T) {
 		{"replica fault, no standbys", quickCampaign(rig.RapiLog, Partition, 1), "needs standbys"},
 		{"leader fault composed", leader(func(c *CampaignConfig) { c.Compose = PowerCut }), "Compose only applies to replica faults"},
 		{"sessions end inside the inject window", leader(func(c *CampaignConfig) {
-			c.SessionFor, c.InjectAfterMax = time.Second, 2*time.Second
-		}), "SessionFor 1s inside the inject window"},
+			c.InjectAfterMax = sessionFor
+		}), "InjectAfterMax 10s outlasts the 10s session pool"},
 	} {
 		sum := RunCampaign(tc.cfg)
 		if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Incomplete != 0 || !sum.Bad() ||

@@ -70,30 +70,22 @@ type Cluster interface {
 // a leader's agent sends its PowerFail notice.
 const CoordName = "ha.coord"
 
-// Config parameterises the coordinator.
-type Config struct {
-	// HeartbeatEvery is the ping cadence; default 20ms.
-	HeartbeatEvery time.Duration
-	// FailAfter is how long the leader may stay silent before a takeover
-	// begins; default 120ms (six missed heartbeats).
-	FailAfter time.Duration
-	// RoundTimeout bounds one census/fence round before unanswered
-	// requests are resent; default 30ms.
-	RoundTimeout time.Duration
-	Reg          *obs.Registry
-	Trace        *obs.Tracer
-}
+// The detector's and the takeover's timings.
+const (
+	// heartbeatEvery is the ping cadence.
+	heartbeatEvery = 20 * time.Millisecond
+	// failAfter is how long the leader may stay silent before a takeover
+	// begins: six missed heartbeats.
+	failAfter = 120 * time.Millisecond
+	// roundTimeout bounds one census/fence round before unanswered
+	// requests are resent.
+	roundTimeout = 30 * time.Millisecond
+)
 
-func (c *Config) applyDefaults() {
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 20 * time.Millisecond
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 120 * time.Millisecond
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = 30 * time.Millisecond
-	}
+// Config wires the coordinator to the node's instruments.
+type Config struct {
+	Reg   *obs.Registry
+	Trace *obs.Tracer
 }
 
 // Ping is a coordinator→leader liveness probe; Pong is the agent's reply.
@@ -121,7 +113,6 @@ type Coordinator struct {
 	s   *sim.Sim
 	fab *netsim.Fabric
 	cl  Cluster
-	cfg Config
 	tr  *obs.Tracer
 
 	dom *sim.Domain
@@ -137,9 +128,8 @@ type Coordinator struct {
 // New builds a coordinator on its own sim-level domain (it is not part of
 // any machine) and starts the detector loop.
 func New(s *sim.Sim, fab *netsim.Fabric, cl Cluster, cfg Config) *Coordinator {
-	cfg.applyDefaults()
 	co := &Coordinator{
-		s: s, fab: fab, cl: cl, cfg: cfg, tr: cfg.Trace,
+		s: s, fab: fab, cl: cl, tr: cfg.Trace,
 		ep:        fab.Endpoint(CoordName),
 		elections: cfg.Reg.Counter("ha.elections"),
 		promoteB:  cfg.Reg.Counter("ha.promote_replay_bytes"),
@@ -184,8 +174,8 @@ func (co *Coordinator) start() {
 	co.s.Spawn(co.dom, CoordName, co.run)
 }
 
-// run is the detector. It pings the leader once per HeartbeatEvery and
-// declares it dead after FailAfter without a pong, judged at the ping
+// run is the detector. It pings the leader once per heartbeatEvery and
+// declares it dead after failAfter without a pong, judged at the ping
 // ticks; between ticks it waits on its inbox, so the leader's PowerFail
 // notice starts the takeover the moment it arrives. A pong counts as of
 // the tick after its arrival, so silence is measured on the ping grid
@@ -193,7 +183,7 @@ func (co *Coordinator) start() {
 func (co *Coordinator) run(p *sim.Proc) {
 	p.SetDaemon(true)
 	lastPong := p.Now()
-	next := lastPong.Add(co.cfg.HeartbeatEvery)
+	next := lastPong.Add(heartbeatEvery)
 	var seq uint64
 	for {
 		m, ok := co.ep.RecvUntil(p, next)
@@ -211,18 +201,18 @@ func (co *Coordinator) run(p *sim.Proc) {
 				if msg.From == leader {
 					co.failover(p)
 					lastPong = p.Now()
-					next = lastPong.Add(co.cfg.HeartbeatEvery)
+					next = lastPong.Add(heartbeatEvery)
 				}
 			}
 			continue
 		}
 		seq++
 		co.ep.Send(co.cl.LeaderAgent(), MsgBytes, Ping{Seq: seq, From: CoordName})
-		if p.Now().Sub(lastPong) > co.cfg.FailAfter {
+		if p.Now().Sub(lastPong) > failAfter {
 			co.failover(p)
 			lastPong = p.Now()
 		}
-		next = p.Now().Add(co.cfg.HeartbeatEvery)
+		next = p.Now().Add(heartbeatEvery)
 	}
 }
 
@@ -322,9 +312,9 @@ func (co *Coordinator) failover(p *sim.Proc) {
 }
 
 // collect feeds every payload the coordinator inbox receives within one
-// RoundTimeout to sink, returning as soon as done() is satisfied.
+// roundTimeout to sink, returning as soon as done() is satisfied.
 func (co *Coordinator) collect(p *sim.Proc, sink func(any), done func() bool) {
-	deadline := p.Now().Add(co.cfg.RoundTimeout)
+	deadline := p.Now().Add(roundTimeout)
 	for !done() {
 		m, ok := co.ep.RecvUntil(p, deadline)
 		if !ok {
@@ -346,7 +336,7 @@ func (co *Coordinator) FenceNode(p *sim.Proc, store string) {
 	ep := co.fab.Endpoint(name)
 	for {
 		ep.Send(store, MsgBytes, replica.FenceMsg{Epoch: epoch, From: name})
-		deadline := p.Now().Add(co.cfg.RoundTimeout)
+		deadline := p.Now().Add(roundTimeout)
 		for {
 			m, ok := ep.RecvUntil(p, deadline)
 			if !ok {

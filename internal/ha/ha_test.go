@@ -140,7 +140,7 @@ func (c *fakeCluster) run(d time.Duration) {
 func TestNoElectionWhileTheLeaderAnswers(t *testing.T) {
 	c := newFakeCluster(t)
 	co := c.coordinator()
-	c.run(3 * time.Second) // 150 heartbeats, 25 FailAfter windows
+	c.run(3 * time.Second) // 150 heartbeats, 25 failAfter windows
 	if c.elections() != 0 || len(c.promoted) != 0 || co.Failovers() != 0 || co.LastErr() != nil {
 		t.Fatalf("healthy leader: %d elections, promoted %v, %d failovers, err %v",
 			c.elections(), c.promoted, co.Failovers(), co.LastErr())
@@ -149,7 +149,7 @@ func TestNoElectionWhileTheLeaderAnswers(t *testing.T) {
 
 // The winner is the store with the highest (epoch, seq) applied prefix —
 // epoch first — and the smallest name among equals; the takeover starts only
-// after FailAfter of silence.
+// after failAfter of silence.
 func TestTakeoverElectsTheBestPrefix(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -178,10 +178,9 @@ func TestTakeoverElectsTheBestPrefix(t *testing.T) {
 			if len(c.promoted) != 1 || c.promoted[0] != tc.want || co.Failovers() != 1 || co.LastErr() != nil {
 				t.Fatalf("promoted %v (failovers %d, err %v), want exactly [%s]", c.promoted, co.Failovers(), co.LastErr(), tc.want)
 			}
-			cfg := co.cfg
 			silence := c.promotedAt[0].Duration() - killAt
-			if silence <= cfg.FailAfter-cfg.HeartbeatEvery || silence > cfg.FailAfter+2*cfg.HeartbeatEvery+cfg.RoundTimeout {
-				t.Fatalf("promoted %v after the leader went silent, want just past FailAfter %v", silence, cfg.FailAfter)
+			if silence <= failAfter-heartbeatEvery || silence > failAfter+2*heartbeatEvery+roundTimeout {
+				t.Fatalf("promoted %v after the leader went silent, want just past failAfter %v", silence, failAfter)
 			}
 			if c.elections() != 1 {
 				t.Fatalf("%d elections for one leader loss", c.elections())
@@ -336,7 +335,7 @@ func TestPowerFailMidTickElectsWithinTwoMilliseconds(t *testing.T) {
 
 // With no notice, detection is the heartbeat's alone and keeps its tick
 // grid: pings every 20 ms, a pong counted at the tick after it arrives, and
-// the takeover starting at the first tick more than FailAfter past the last
+// the takeover starting at the first tick more than failAfter past the last
 // counted pong. An agent killed at 510 ms answered the 500 ms ping (counted
 // at 520 ms) and no other, so the takeover begins at 660 ms.
 func TestSilenceDetectedOnTheHeartbeatGrid(t *testing.T) {

@@ -8,8 +8,7 @@
 // domain is killed only by power loss, never by software faults — rather
 // than modelling seL4 internals. The cost side of virtualisation is modelled
 // too: every virtual disk operation pays an exit cost, and guest CPU burns
-// are inflated by a configurable overhead, which is what experiment E4
-// measures.
+// are inflated by a fixed overhead, which is what experiment E4 measures.
 //
 // The Platform interface abstracts "where the database stack runs" so the
 // same engine code drives all four evaluation configurations: native,
@@ -99,45 +98,31 @@ func (n *Native) Crash() { n.dom.Kill() }
 // Reboot implements Platform.
 func (n *Native) Reboot() { n.dom.Revive() }
 
-// Config parameterises the hypervisor's cost model.
-type Config struct {
-	// ExitCost is charged on every virtual disk operation (the VM exit,
-	// request translation, and re-entry). Default 15µs.
-	ExitCost time.Duration
-	// CPUOverhead inflates guest CPU bursts (shadow paging, interrupt
-	// virtualisation). Default 0.05 (5%).
-	CPUOverhead float64
-	// Obs, when set, counts VM exits ("hv.exits") on every virtual disk
-	// operation.
-	Obs *obs.Obs
-}
-
-func (c *Config) applyDefaults() {
-	if c.ExitCost == 0 {
-		c.ExitCost = 15 * time.Microsecond
-	}
-	if c.CPUOverhead == 0 {
-		c.CPUOverhead = 0.05
-	}
-}
+// The virtualisation cost model.
+const (
+	// exitCost is charged on every virtual disk operation: the VM exit,
+	// request translation, and re-entry.
+	exitCost = 15 * time.Microsecond
+	// cpuOverhead inflates guest CPU bursts (shadow paging, interrupt
+	// virtualisation).
+	cpuOverhead = 0.05
+)
 
 // Hypervisor is the dependable layer: its domain dies only with machine
 // power. Code that must survive guest crashes (the RapiLog drain) runs here.
 type Hypervisor struct {
 	machine *power.Machine
-	cfg     Config
 	dom     *sim.Domain
 	exits   *metrics.Counter
 }
 
-// New creates a hypervisor on machine.
-func New(machine *power.Machine, cfg Config) *Hypervisor {
-	cfg.applyDefaults()
+// New creates a hypervisor on machine. o, when set, counts VM exits
+// ("hv.exits") on every virtual disk operation.
+func New(machine *power.Machine, o *obs.Obs) *Hypervisor {
 	return &Hypervisor{
 		machine: machine,
-		cfg:     cfg,
 		dom:     machine.NewDomain("hypervisor"),
-		exits:   cfg.Obs.Registry().Counter("hv.exits"),
+		exits:   o.Registry().Counter("hv.exits"),
 	}
 }
 
@@ -147,9 +132,6 @@ func (h *Hypervisor) Machine() *power.Machine { return h.machine }
 // Domain returns the hypervisor's crash domain — the verified, crash-free
 // zone. It is killed only by power loss.
 func (h *Hypervisor) Domain() *sim.Domain { return h.dom }
-
-// Config returns the cost model.
-func (h *Hypervisor) Config() Config { return h.cfg }
 
 // Reboot revives the hypervisor domain after a power cycle.
 func (h *Hypervisor) Reboot() { h.dom.Revive() }
@@ -198,7 +180,7 @@ func (g *Guest) CPU() *sim.Resource { return g.hv.machine.CPU() }
 
 // CPUTime implements Platform: guest CPU pays the virtualisation overhead.
 func (g *Guest) CPUTime(d time.Duration) time.Duration {
-	return d + time.Duration(float64(d)*g.hv.cfg.CPUOverhead)
+	return d + time.Duration(float64(d)*cpuOverhead)
 }
 
 // Crash implements Platform: the guest OS/DBMS dies; the hypervisor — and
@@ -231,7 +213,7 @@ func (v *vdisk) Stats() *disk.Stats             { return v.dev.Stats() }
 // exit charges one VM exit and counts it.
 func (v *vdisk) exit(p *sim.Proc) {
 	v.hv.exits.Inc()
-	p.Sleep(v.hv.cfg.ExitCost)
+	p.Sleep(exitCost)
 }
 
 func (v *vdisk) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {

@@ -49,7 +49,7 @@ func TestNativePlatformIdentityCosts(t *testing.T) {
 
 func TestGuestIOPaysExitCost(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{ExitCost: 100 * time.Microsecond})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var raw, virt time.Duration
 	s.Spawn(nil, "raw", func(p *sim.Proc) {
@@ -66,23 +66,24 @@ func TestGuestIOPaysExitCost(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := virt - raw; got != 100*time.Microsecond {
-		t.Fatalf("exit cost = %v, want 100µs", got)
+	if got := virt - raw; got != exitCost {
+		t.Fatalf("exit cost = %v, want %v", got, exitCost)
 	}
 }
 
 func TestGuestCPUOverhead(t *testing.T) {
 	_, m, logd, datad := rig(1)
-	h := New(m, Config{CPUOverhead: 0.10})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
-	if got := g.CPUTime(time.Millisecond); got != 1100*time.Microsecond {
-		t.Fatalf("CPUTime = %v, want 1.1ms", got)
+	want := time.Millisecond + time.Duration(cpuOverhead*float64(time.Millisecond))
+	if got := g.CPUTime(time.Millisecond); got != want || want == time.Millisecond {
+		t.Fatalf("CPUTime = %v, want %v", got, want)
 	}
 }
 
 func TestGuestCrashSparesHypervisor(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var hvAlive, guestAlive bool
 	s.Spawn(h.Domain(), "hvproc", func(p *sim.Proc) {
@@ -107,7 +108,7 @@ func TestGuestCrashSparesHypervisor(t *testing.T) {
 
 func TestPowerLossKillsHypervisorToo(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var hvAlive bool
 	s.Spawn(h.Domain(), "hvproc", func(p *sim.Proc) {
@@ -129,7 +130,7 @@ func TestPowerLossKillsHypervisorToo(t *testing.T) {
 
 func TestRebootRevivesDomains(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var recovered bool
 	s.Spawn(nil, "ctl", func(p *sim.Proc) {
@@ -150,7 +151,7 @@ func TestRebootRevivesDomains(t *testing.T) {
 
 func TestVdiskPassthroughData(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var got []byte
 	s.Spawn(g.Domain(), "io", func(p *sim.Proc) {
@@ -171,13 +172,5 @@ func TestVdiskPassthroughData(t *testing.T) {
 	}
 	if len(got) != 1024 || got[1] != 1 || got[513] != 1 {
 		t.Fatal("vdisk passthrough corrupted data")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	_, m, _, _ := rig(1)
-	h := New(m, Config{})
-	if h.Config().ExitCost == 0 || h.Config().CPUOverhead == 0 {
-		t.Fatal("defaults not applied")
 	}
 }

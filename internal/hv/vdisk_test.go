@@ -11,7 +11,7 @@ import (
 
 func TestVdiskDelegatesGeometryAndStats(t *testing.T) {
 	_, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	vd := g.LogDisk()
 	if vd.SectorSize() != logd.SectorSize() || vd.Sectors() != logd.Sectors() {
@@ -33,7 +33,7 @@ func TestVdiskDelegatesGeometryAndStats(t *testing.T) {
 
 func TestVdiskReadAndFlushPayExitCost(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{ExitCost: 200 * time.Microsecond})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	var readCost, flushCost time.Duration
 	s.Spawn(g.Domain(), "io", func(p *sim.Proc) {
@@ -52,17 +52,17 @@ func TestVdiskReadAndFlushPayExitCost(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if readCost < 200*time.Microsecond {
+	if readCost < exitCost {
 		t.Fatalf("read cost %v missing exit cost", readCost)
 	}
-	if flushCost < 200*time.Microsecond {
+	if flushCost < exitCost {
 		t.Fatalf("flush cost %v missing exit cost", flushCost)
 	}
 }
 
 func TestSetLogBackingSwapsDevice(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	replacement := disk.NewMem(s, disk.MemConfig{Name: "log2", Persistent: true})
 	g.SetLogBacking(replacement)
@@ -87,7 +87,7 @@ func TestGuestAndNativeNames(t *testing.T) {
 	if n.Name() != "native" {
 		t.Fatalf("native name %q", n.Name())
 	}
-	h := New(m, Config{})
+	h := New(m, nil)
 	g := h.NewGuest("db", logd, datad)
 	if g.Name() != "guest:db" {
 		t.Fatalf("guest name %q", g.Name())
@@ -99,7 +99,7 @@ func TestGuestAndNativeNames(t *testing.T) {
 
 func TestHypervisorRebootRevivesDomain(t *testing.T) {
 	s, m, logd, datad := rig(1)
-	h := New(m, Config{})
+	h := New(m, nil)
 	_ = h.NewGuest("db", logd, datad)
 	s.Spawn(nil, "op", func(p *sim.Proc) {
 		m.CutPower()

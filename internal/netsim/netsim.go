@@ -42,11 +42,8 @@ type LinkConfig struct {
 	// DupProb is the probability a message is delivered twice.
 	DupProb float64
 	// ReorderProb is the probability a message is held back by an extra
-	// ReorderDelay, letting later sends overtake it.
+	// 4 × Latency, letting later sends overtake it.
 	ReorderProb float64
-	// ReorderDelay is the hold-back applied to reordered messages; default
-	// 4 × Latency.
-	ReorderDelay time.Duration
 }
 
 func (c *LinkConfig) applyDefaults() {
@@ -58,9 +55,6 @@ func (c *LinkConfig) applyDefaults() {
 	}
 	if c.Bandwidth == 0 {
 		c.Bandwidth = 125e6
-	}
-	if c.ReorderDelay == 0 {
-		c.ReorderDelay = 4 * c.Latency
 	}
 }
 
@@ -315,7 +309,7 @@ func (f *Fabric) deliver(lk *link, from, to string, size int, payload any, dup b
 	}
 	if !dup && f.cfg.Link.ReorderProb > 0 && f.rng.Float64() < f.cfg.Link.ReorderProb {
 		f.stats.Reordered.Inc()
-		delay += f.cfg.Link.ReorderDelay
+		delay += 4 * f.cfg.Link.Latency
 	}
 	d := f.newDelivery()
 	d.from, d.to, d.size, d.payload, d.cause, d.sentAt = from, to, size, payload, cause, f.s.Now()

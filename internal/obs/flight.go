@@ -11,15 +11,13 @@ import (
 // virtual time: whoever owns the recorder calls Snap this often.
 const FlightSnapEvery = 250 * time.Millisecond
 
-// FlightConfig parameterises a FlightRecorder.
-type FlightConfig struct {
-	// EventWindow is how many recent trace events a frozen record keeps
-	// (default 4096).
-	EventWindow int
-	// SnapWindow is how many periodic snapshots the ring keeps
-	// (default 16).
-	SnapWindow int
-}
+const (
+	// flightEventWindow is how many recent trace events a frozen record
+	// keeps.
+	flightEventWindow = 4096
+	// flightSnapWindow is how many periodic snapshots the ring keeps.
+	flightSnapWindow = 16
+)
 
 // FlightSnap is one periodic metrics snapshot in the recorder's ring.
 type FlightSnap struct {
@@ -66,21 +64,14 @@ func ReadFlightRecord(r io.Reader) (*FlightRecord, error) {
 type FlightRecorder struct {
 	o      *Obs
 	mon    *Monitor
-	cfg    FlightConfig
 	snaps  []FlightSnap
 	nsnaps int
 	frozen *FlightRecord
 }
 
 // NewFlightRecorder creates a recorder over an obs bundle; mon may be nil.
-func NewFlightRecorder(o *Obs, mon *Monitor, cfg FlightConfig) *FlightRecorder {
-	if cfg.EventWindow <= 0 {
-		cfg.EventWindow = 4096
-	}
-	if cfg.SnapWindow <= 0 {
-		cfg.SnapWindow = 16
-	}
-	return &FlightRecorder{o: o, mon: mon, cfg: cfg, snaps: make([]FlightSnap, cfg.SnapWindow)}
+func NewFlightRecorder(o *Obs, mon *Monitor) *FlightRecorder {
+	return &FlightRecorder{o: o, mon: mon, snaps: make([]FlightSnap, flightSnapWindow)}
 }
 
 // Frozen reports whether the recorder already holds a record.
@@ -102,7 +93,7 @@ func (f *FlightRecorder) Freeze(at time.Duration, reason string) {
 		return
 	}
 	rec := &FlightRecord{
-		TraceDump: f.o.Tracer().dumpLast(f.cfg.EventWindow),
+		TraceDump: f.o.Tracer().dumpLast(flightEventWindow),
 		Reason:    reason,
 		AtNs:      int64(at),
 		Final:     f.o.Registry().Snapshot(),

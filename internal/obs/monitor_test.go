@@ -219,45 +219,46 @@ func TestMonitorObserverEmitsViolationMark(t *testing.T) {
 }
 
 func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
-	o := New(Config{TraceEnabled: true, TraceCapacity: 128})
+	const n = flightEventWindow + 20 // past both windows
+	o := New(Config{TraceEnabled: true, TraceCapacity: 2 * flightEventWindow})
 	o.Registry().Counter("c").Add(7)
 	tr := o.Tracer()
 	tr.Label("standby0")
 	mon := NewMonitor(MonitorConfig{Bound: 100, Trace: tr})
 	tr.SetObserver(mon.Consume)
 
-	fr := NewFlightRecorder(o, mon, FlightConfig{EventWindow: 8, SnapWindow: 4})
-	for i := 0; i < 20; i++ {
+	fr := NewFlightRecorder(o, mon)
+	for i := 0; i < n; i++ {
 		tr.Emit(time.Duration(i)*time.Millisecond, EvHvAck, SpanID(i+1), 0, int64(i), 10)
 		fr.Snap(time.Duration(i) * time.Millisecond)
 	}
 	if fr.Frozen() {
 		t.Fatalf("recorder froze with no trigger")
 	}
-	emitted := len(tr.Events()) // 20 hv_acks + the monitor's violation mark
+	emitted := len(tr.Events()) // n hv_acks + the monitor's violation mark
 	fr.Freeze(25*time.Millisecond, "power-dc-loss")
 	fr.Freeze(30*time.Millisecond, "degraded") // first freeze wins
 	rec := fr.Record()
 	if rec == nil || rec.Reason != "power-dc-loss" {
 		t.Fatalf("Record = %+v", rec)
 	}
-	if len(rec.Events) != 8 {
-		t.Fatalf("kept %d events, want the 8-event window", len(rec.Events))
+	if len(rec.Events) != flightEventWindow {
+		t.Fatalf("kept %d events, want the %d-event window", len(rec.Events), flightEventWindow)
 	}
-	if rec.Emitted != emitted || rec.Dropped != emitted-8 {
-		t.Fatalf("Emitted, Dropped = %d, %d, want %d, %d", rec.Emitted, rec.Dropped, emitted, emitted-8)
+	if rec.Emitted != emitted || rec.Dropped != emitted-flightEventWindow {
+		t.Fatalf("Emitted, Dropped = %d, %d, want %d, %d", rec.Emitted, rec.Dropped, emitted, emitted-flightEventWindow)
 	}
 	if rec.Contract == nil || rec.Contract.Bound != 100 {
 		t.Fatalf("contract = %+v, want the armed monitor's bound 100", rec.Contract)
 	}
-	if len(rec.Snapshots) != 4 {
-		t.Fatalf("kept %d snapshots, want the 4-snap ring", len(rec.Snapshots))
+	if len(rec.Snapshots) != flightSnapWindow {
+		t.Fatalf("kept %d snapshots, want the %d-snap ring", len(rec.Snapshots), flightSnapWindow)
 	}
 	if rec.Monitor == nil {
 		t.Fatalf("no monitor verdict attached")
 	}
 	if rec.Monitor.Total == 0 {
-		t.Fatalf("exposure violations not in verdict") // 10 B entries × 20 > bound? no: 10×20=200>100
+		t.Fatalf("exposure violations not in verdict") // n 10 B entries > bound 100
 	}
 
 	var buf bytes.Buffer
@@ -277,7 +278,7 @@ func TestFlightRecorderFreezeRoundTrip(t *testing.T) {
 	}
 	// Frozen means frozen: later snaps are no-ops.
 	fr.Snap(40 * time.Millisecond)
-	if len(fr.Record().Snapshots) != 4 {
+	if len(fr.Record().Snapshots) != flightSnapWindow {
 		t.Fatalf("snap after freeze mutated the record")
 	}
 }

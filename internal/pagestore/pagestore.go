@@ -43,13 +43,16 @@ const (
 	dwMagic     = 0x44575231 // "DWR1"
 	dwHdrSector = 1
 	dwSlotBase  = 8
+	// dwSlots is the double-write slots per checkpoint batch; their
+	// summary (12 + 8·dwSlots bytes) fits the sectors between dwHdrSector
+	// and dwSlotBase.
+	dwSlots = 256
 )
 
 // Config parameterises a Store.
 type Config struct {
 	PageSize  int // default 8192; multiple of the sector size
 	PoolPages int // soft cache bound; default 4096
-	DWSlots   int // double-write slots per checkpoint batch; default 256
 }
 
 func (c *Config) applyDefaults() {
@@ -58,9 +61,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.PoolPages == 0 {
 		c.PoolPages = 4096
-	}
-	if c.DWSlots == 0 {
-		c.DWSlots = 256
 	}
 }
 
@@ -131,11 +131,8 @@ func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 	if cfg.PageSize%dev.SectorSize() != 0 {
 		return nil, fmt.Errorf("pagestore: page size %d not a multiple of sector size %d", cfg.PageSize, dev.SectorSize())
 	}
-	if maxSlots := ((dwSlotBase-dwHdrSector)*dev.SectorSize() - 12) / 8; cfg.DWSlots > maxSlots {
-		return nil, fmt.Errorf("pagestore: DWSlots %d exceeds summary capacity %d", cfg.DWSlots, maxSlots)
-	}
 	pageSec := cfg.PageSize / dev.SectorSize()
-	pageBase := int64(dwSlotBase + cfg.DWSlots*pageSec)
+	pageBase := int64(dwSlotBase + dwSlots*pageSec)
 	numPages := (dev.Sectors() - pageBase) / int64(pageSec)
 	if numPages <= 0 {
 		return nil, fmt.Errorf("pagestore: device too small (%d sectors)", dev.Sectors())
@@ -388,8 +385,8 @@ func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 	for i, pg := range dirty {
 		vers[i] = pg.ver
 	}
-	for start := 0; start < len(dirty); start += st.cfg.DWSlots {
-		end := start + st.cfg.DWSlots
+	for start := 0; start < len(dirty); start += dwSlots {
+		end := start + dwSlots
 		if end > len(dirty) {
 			end = len(dirty)
 		}
@@ -486,7 +483,7 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 		return 0, nil
 	}
 	count := int(binary.LittleEndian.Uint32(sum[4:8]))
-	if count <= 0 || count > st.cfg.DWSlots || 8+count*8+4 > len(sum) {
+	if count <= 0 || count > dwSlots || 8+count*8+4 > len(sum) {
 		return 0, fmt.Errorf("%w: double-write summary count %d", ErrBadControl, count)
 	}
 	if crc32.ChecksumIEEE(sum[:8+count*8]) != binary.LittleEndian.Uint32(sum[8+count*8:]) {

@@ -485,9 +485,6 @@ func TestOpenRejectsBadConfigs(t *testing.T) {
 	if _, err := Open(s, dev, Config{PageSize: 1000}); err == nil {
 		t.Fatal("non-sector-multiple page size accepted")
 	}
-	if _, err := Open(s, dev, Config{DWSlots: 10000}); err == nil {
-		t.Fatal("oversized DWSlots accepted")
-	}
 	tiny := disk.NewMem(s, disk.MemConfig{Capacity: 16})
 	if _, err := Open(s, tiny, Config{}); err == nil {
 		t.Fatal("too-small device accepted")

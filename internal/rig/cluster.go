@@ -25,9 +25,6 @@ type ClusterConfig struct {
 	// cluster has no safe takeover, since no census quorum intersects an
 	// empty ack quorum.
 	Rig Config
-	// HA parameterises the coordinator (heartbeat cadence, failure
-	// detection window, round timeouts).
-	HA ha.Config
 }
 
 // Normalize resolves the cluster config in place, as Config.Normalize does a
@@ -174,10 +171,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	r.setupVerification()
 	c.Monitor, c.Flight = r.Monitor, r.Flight
 
-	hc := cfg.HA
-	hc.Reg = o.Registry()
-	hc.Trace = o.Tracer()
-	c.Coord = ha.New(s, c.Fabric, c, hc)
+	c.Coord = ha.New(s, c.Fabric, c, ha.Config{Reg: o.Registry(), Trace: o.Tracer()})
 	return c, nil
 }
 

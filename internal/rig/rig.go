@@ -279,7 +279,7 @@ func newMachine(cfg Config, s *sim.Sim, name string, o *obs.Obs) *Rig {
 	m.SetObs(o)
 	r := &Rig{Cfg: cfg, S: s, Machine: m, Obs: o}
 	if cfg.Mode.Virtualised() {
-		r.HV = hv.New(m, hv.Config{Obs: o})
+		r.HV = hv.New(m, o)
 	}
 	return r
 }
@@ -306,7 +306,7 @@ func (r *Rig) setupVerification() {
 		tr.SetObserver(r.Monitor.Consume)
 		return
 	}
-	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor, obs.FlightConfig{})
+	r.Flight = obs.NewFlightRecorder(r.Obs, r.Monitor)
 	fl := r.Flight
 	r.Monitor.OnViolation = func(v obs.Violation) {
 		fl.Freeze(v.At(), "invariant:"+v.Invariant)

@@ -2,7 +2,11 @@ package rapilog
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -109,6 +113,78 @@ func TestExperimentsMatchDocs(t *testing.T) {
 			t.Errorf("%s has sections\n  %v\nthe registry runs\n  %v", file, got, want)
 		}
 	}
+}
+
+// TestCalibrationTableMatchesConsts: every name in the first column of
+// DESIGN.md §2's calibration table is a const of the package in its last
+// column, so the table cannot name a knob that went back to being a field, or
+// a constant that was renamed or deleted.
+func TestCalibrationTableMatchesConsts(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "\n| Constant | Value | What it models | Package |\n|---|---|---|---|\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no calibration table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	ident := regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)`")
+	consts := map[string]map[string]bool{} // package → its top-level consts
+	rows := 0
+	for _, row := range strings.Split(table, "\n") {
+		cols := strings.Split(strings.Trim(row, "| "), " | ")
+		pkgs := ident.FindAllStringSubmatch(cols[len(cols)-1], -1)
+		if len(cols) != 4 || len(pkgs) != 1 {
+			t.Fatalf("malformed calibration row %q", row)
+		}
+		pkg := pkgs[0][1]
+		if consts[pkg] == nil {
+			consts[pkg] = packageConsts(t, filepath.Join("internal", pkg))
+		}
+		names := ident.FindAllStringSubmatch(cols[0], -1)
+		if len(names) == 0 {
+			t.Errorf("calibration row %q names no constant", row)
+		}
+		for _, m := range names {
+			if !consts[pkg][m[1]] {
+				t.Errorf("DESIGN.md's calibration table lists %s, which is no const of internal/%s", m[1], pkg)
+			}
+		}
+		rows++
+	}
+	t.Logf("%d calibration rows checked against %d packages", rows, len(consts))
+}
+
+// packageConsts returns the names of the top-level consts declared in dir's
+// non-test Go files.
+func packageConsts(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						names[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func TestFacadeCampaign(t *testing.T) {
