@@ -13,7 +13,7 @@ import (
 func TestMediaGrowthAllocatesPerSlab(t *testing.T) {
 	for _, n := range []int{1, 15, 16, 17, 100, 256} {
 		m := newMedia()
-		data := bytes.Repeat([]byte{0xab}, n*sectorSize)
+		data := bytes.Repeat([]byte{0xab}, n*SectorSize)
 		next := int64(3) // unaligned on purpose
 		allocs := testing.AllocsPerRun(50, func() {
 			m.writeSectors(next, data)
@@ -33,7 +33,7 @@ func TestHDDReadFillsOneBuffer(t *testing.T) {
 	s, d := newTestHDD(t, HDDConfig{})
 	var allocs float64
 	s.Spawn(nil, "io", func(p *sim.Proc) {
-		if err := d.Write(p, 0, make([]byte, 64*sectorSize), true); err != nil {
+		if err := d.Write(p, 0, make([]byte, 64*SectorSize), true); err != nil {
 			t.Error(err)
 			return
 		}
@@ -62,22 +62,22 @@ func TestMediaMatchesPerSectorModel(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		lba, n := rng.Int63n(200), 1+rng.Intn(40)
 		if rng.Intn(3) > 0 {
-			data := make([]byte, n*sectorSize)
+			data := make([]byte, n*SectorSize)
 			rng.Read(data)
 			m.writeSectors(lba, data)
 			for s := 0; s < n; s++ {
-				ref[lba+int64(s)] = data[s*sectorSize : (s+1)*sectorSize]
+				ref[lba+int64(s)] = data[s*SectorSize : (s+1)*SectorSize]
 			}
 			continue
 		}
-		got := make([]byte, n*sectorSize)
+		got := make([]byte, n*SectorSize)
 		m.readSectors(got, lba)
 		for s := 0; s < n; s++ {
 			want := ref[lba+int64(s)]
 			if want == nil {
-				want = make([]byte, sectorSize)
+				want = make([]byte, SectorSize)
 			}
-			if !bytes.Equal(got[s*sectorSize:(s+1)*sectorSize], want) {
+			if !bytes.Equal(got[s*SectorSize:(s+1)*SectorSize], want) {
 				t.Fatalf("op %d: sector %d differs from the reference", i, lba+int64(s))
 			}
 		}

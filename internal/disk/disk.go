@@ -108,12 +108,12 @@ func newStats(reg *obs.Registry, name string) *Stats {
 	}
 }
 
-// sectorSize is the sector size, in bytes, of every modelled device.
-const sectorSize = 512
+// SectorSize is the sector size, in bytes, of every modelled device.
+const SectorSize = 512
 
 // checkRange validates an access against a device extent.
 func checkRange(lba int64, nsec int, sectors int64, dataLen int) error {
-	if dataLen >= 0 && dataLen%sectorSize != 0 {
+	if dataLen >= 0 && dataLen%SectorSize != 0 {
 		return ErrMisaligned
 	}
 	if lba < 0 || nsec < 0 || lba+int64(nsec) > sectors {
@@ -129,7 +129,7 @@ const slabSectors = 16
 
 // slab is one aligned run of slabSectors sectors; sectors never written
 // read as zero.
-type slab [slabSectors * sectorSize]byte
+type slab [slabSectors * SectorSize]byte
 
 // media is sparse sector storage representing the platter/flash array,
 // kept in aligned slabs. Contents survive power failure.
@@ -141,7 +141,7 @@ func newMedia() *media {
 	return &media{slabs: make(map[int64]*slab)}
 }
 
-// writeSectors persists data (len multiple of sectorSize) starting at lba,
+// writeSectors persists data (len multiple of SectorSize) starting at lba,
 // copying into the slabs that hold those sectors (allocating the ones never
 // written); readSectors copies out, so no read aliases the stored bytes.
 func (m *media) writeSectors(lba int64, data []byte) {
@@ -151,24 +151,24 @@ func (m *media) writeSectors(lba int64, data []byte) {
 			sl = new(slab)
 			m.slabs[lba/slabSectors] = sl
 		}
-		n := copy(sl[(lba%slabSectors)*sectorSize:], data)
+		n := copy(sl[(lba%slabSectors)*SectorSize:], data)
 		data = data[n:]
-		lba += int64(n / sectorSize)
+		lba += int64(n / SectorSize)
 	}
 }
 
 // readSectors copies the sectors from lba on into dst (len multiple of
-// sectorSize), which must arrive zeroed — a fresh buffer: unwritten sectors
+// SectorSize), which must arrive zeroed — a fresh buffer: unwritten sectors
 // read as zero, so only written slabs are copied.
 func (m *media) readSectors(dst []byte, lba int64) {
 	for len(dst) > 0 {
-		off := (lba % slabSectors) * sectorSize
+		off := (lba % slabSectors) * SectorSize
 		n := min(len(dst), len(slab{})-int(off))
 		if sl, ok := m.slabs[lba/slabSectors]; ok {
 			copy(dst[:n], sl[off:])
 		}
 		dst = dst[n:]
-		lba += int64(n / sectorSize)
+		lba += int64(n / SectorSize)
 	}
 }
 
@@ -215,7 +215,7 @@ func (pt *Partition) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 
 // Write implements Device.
 func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
-	if err := checkRange(lba, len(data)/sectorSize, pt.count, len(data)); err != nil {
+	if err := checkRange(lba, len(data)/SectorSize, pt.count, len(data)); err != nil {
 		return err
 	}
 	return pt.parent.Write(p, pt.start+lba, data, fua)

@@ -119,7 +119,7 @@ func (d *HDD) resetCache() {
 func (d *HDD) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *HDD) SectorSize() int { return sectorSize }
+func (d *HDD) SectorSize() int { return SectorSize }
 
 // Sectors implements Device.
 func (d *HDD) Sectors() int64 {
@@ -131,7 +131,7 @@ func (d *HDD) Stats() *Stats { return d.stats }
 
 // SeqWriteBandwidth implements Device: one track per rotation.
 func (d *HDD) SeqWriteBandwidth() float64 {
-	trackBytes := float64(d.cfg.SectorsPerTrack * sectorSize)
+	trackBytes := float64(d.cfg.SectorsPerTrack * SectorSize)
 	return trackBytes / d.rotPeriod.Seconds()
 }
 
@@ -193,11 +193,11 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 
 	var out []byte
 	if data == nil {
-		out = make([]byte, nsec*sectorSize)
+		out = make([]byte, nsec*SectorSize)
 	}
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {
-			return out[:off*sectorSize] // power died mid-transfer: the prefix is all there is
+			return out[:off*SectorSize] // power died mid-transfer: the prefix is all there is
 		}
 		chunk := d.cfg.ChunkSectors
 		if off+chunk > nsec {
@@ -211,10 +211,10 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 		}
 		p.Sleep(time.Duration(chunk) * d.perSector)
 		if data != nil {
-			d.med.writeSectors(start, data[off*sectorSize:(off+chunk)*sectorSize])
+			d.med.writeSectors(start, data[off*SectorSize:(off+chunk)*SectorSize])
 			d.stats.SectorsWritten.Add(int64(chunk))
 		} else {
-			d.med.readSectors(out[off*sectorSize:(off+chunk)*sectorSize], start)
+			d.med.readSectors(out[off*SectorSize:(off+chunk)*SectorSize], start)
 			d.stats.SectorsRead.Add(int64(chunk))
 		}
 		off += chunk
@@ -247,7 +247,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	var out []byte
 	if allCached && nsec > 0 {
 		p.Sleep(d.busTime(nsec))
-		out = make([]byte, 0, nsec*sectorSize)
+		out = make([]byte, 0, nsec*SectorSize)
 		for i := 0; i < nsec; i++ {
 			out = append(out, d.cache[lba+int64(i)].data...)
 		}
@@ -256,7 +256,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		// Overlay any sectors that are newer in the cache.
 		for i := 0; i < nsec; i++ {
 			if e, ok := d.cache[lba+int64(i)]; ok {
-				copy(out[i*sectorSize:], e.data)
+				copy(out[i*SectorSize:], e.data)
 			}
 		}
 	}
@@ -265,7 +265,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 }
 
 func (d *HDD) busTime(nsec int) time.Duration {
-	bytes := float64(nsec * sectorSize)
+	bytes := float64(nsec * SectorSize)
 	return 10*time.Microsecond + time.Duration(bytes/hddBusBandwidth*float64(time.Second))
 }
 
@@ -274,7 +274,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / sectorSize
+	nsec := len(data) / SectorSize
 	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}
@@ -304,8 +304,8 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		}
 		d.cacheGen++
 		for i := 0; i < nsec; i++ {
-			sec := make([]byte, sectorSize)
-			copy(sec, data[i*sectorSize:(i+1)*sectorSize])
+			sec := make([]byte, SectorSize)
+			copy(sec, data[i*SectorSize:(i+1)*SectorSize])
 			d.cache[lba+int64(i)] = &cacheEntry{data: sec, gen: d.cacheGen}
 		}
 		p.Sleep(d.busTime(nsec))
@@ -366,7 +366,7 @@ func (d *HDD) spawnDrainer(dom *sim.Domain) {
 			if len(lbas) == 0 {
 				continue
 			}
-			data := make([]byte, 0, len(lbas)*sectorSize)
+			data := make([]byte, 0, len(lbas)*SectorSize)
 			for _, lba := range lbas {
 				data = append(data, snap[lba].data...)
 			}

@@ -56,7 +56,7 @@ func NewMem(s *sim.Sim, cfg MemConfig) *Mem {
 func (d *Mem) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *Mem) SectorSize() int { return sectorSize }
+func (d *Mem) SectorSize() int { return SectorSize }
 
 // Sectors implements Device.
 func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
@@ -71,7 +71,7 @@ func (d *Mem) SeqWriteBandwidth() float64 { return memBandwidth }
 func (d *Mem) WorstCaseAccess() time.Duration { return memLatency }
 
 func (d *Mem) xferTime(nsec int) time.Duration {
-	bytes := float64(nsec * sectorSize)
+	bytes := float64(nsec * SectorSize)
 	return memLatency + time.Duration(bytes/memBandwidth*float64(time.Second))
 }
 
@@ -88,7 +88,7 @@ func (d *Mem) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	p.Sleep(d.xferTime(nsec))
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
-	out := make([]byte, nsec*sectorSize)
+	out := make([]byte, nsec*SectorSize)
 	d.med.readSectors(out, lba)
 	return out, nil
 }
@@ -99,7 +99,7 @@ func (d *Mem) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / sectorSize
+	nsec := len(data) / SectorSize
 	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}

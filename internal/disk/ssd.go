@@ -65,7 +65,7 @@ func NewSSD(s *sim.Sim, cfg SSDConfig) *SSD {
 func (d *SSD) Name() string { return d.cfg.Name }
 
 // SectorSize implements Device.
-func (d *SSD) SectorSize() int { return sectorSize }
+func (d *SSD) SectorSize() int { return SectorSize }
 
 // Sectors implements Device.
 func (d *SSD) Sectors() int64 { return ssdCapacity }
@@ -76,7 +76,7 @@ func (d *SSD) Stats() *Stats { return d.stats }
 // SeqWriteBandwidth implements Device: channel-parallel page programs,
 // capped by the bus.
 func (d *SSD) SeqWriteBandwidth() float64 {
-	pageBytes := float64(ssdPageSectors * sectorSize)
+	pageBytes := float64(ssdPageSectors * SectorSize)
 	perChannel := pageBytes / ssdProgramLatency.Seconds()
 	bw := perChannel * float64(ssdChannels)
 	if bw > ssdBandwidth {
@@ -100,7 +100,7 @@ func (d *SSD) pages(lba int64, nsec int) int {
 }
 
 func (d *SSD) busTime(nsec int) time.Duration {
-	bytes := float64(nsec * sectorSize)
+	bytes := float64(nsec * SectorSize)
 	return 8*time.Microsecond + time.Duration(bytes/ssdBandwidth*float64(time.Second))
 }
 
@@ -119,7 +119,7 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		defer d.channels.Release(1)
 		p.Sleep(time.Duration(d.pages(lba, nsec))*ssdReadLatency + d.busTime(nsec))
 	}()
-	out := make([]byte, nsec*sectorSize)
+	out := make([]byte, nsec*SectorSize)
 	d.med.readSectors(out, lba)
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
@@ -131,7 +131,7 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	nsec := len(data) / sectorSize
+	nsec := len(data) / SectorSize
 	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 		if !d.powered || d.epoch != epoch {
 			return
 		}
-		d.med.writeSectors(lba+int64(start), data[start*sectorSize:(start+group)*sectorSize])
+		d.med.writeSectors(lba+int64(start), data[start*SectorSize:(start+group)*SectorSize])
 		d.stats.SectorsWritten.Add(int64(group))
 	}
 	done = true

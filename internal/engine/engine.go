@@ -188,36 +188,8 @@ type Engine struct {
 	follow   *follower
 	ckptBusy bool
 	ckptDone *sim.Signal
-	// bufs is a freelist of byte buffers that one transaction owns for a
-	// while: its staged values and its read buffer (Tx.vals and Tx.read,
-	// Begin to finish) and its redo-record encode buffer (the commit's
-	// append loop — the checkpoint-retry path re-appends the same encoding
-	// after a yield, during which another transaction may commit and must
-	// take a buffer of its own).
-	bufs       slicePool[byte]
-	lockLists  slicePool[string]  // Tx.locks backing arrays
-	writeLists slicePool[txWrite] // Tx.writes backing arrays
-}
-
-// slicePool is a freelist of slice backing arrays; get returns an empty
-// slice (nil when the pool is empty — appending grows it). put clears the
-// slice, so a pooled array keeps nothing alive.
-type slicePool[T any] [][]T
-
-func (sp *slicePool[T]) get() []T {
-	if n := len(*sp); n > 0 {
-		s := (*sp)[n-1]
-		*sp = (*sp)[:n-1]
-		return s
-	}
-	return nil
-}
-
-func (sp *slicePool[T]) put(s []T) {
-	if cap(s) > 0 {
-		clear(s)
-		*sp = append(*sp, s[:0])
-	}
+	// txFree holds the states of finished transactions for Begin to reuse.
+	txFree []*txState
 }
 
 // pendingCommit tracks one commit from WAL append to durable-on-device.

@@ -110,23 +110,6 @@ func TestDeleteCommit(t *testing.T) {
 	})
 }
 
-func TestTxDoneGuards(t *testing.T) {
-	r := newTestRig(1)
-	r.run(t, "t", func(p *sim.Proc, e *Engine) {
-		tx := e.Begin(p)
-		_ = tx.Commit()
-		if err := tx.Put("k", nil); !errors.Is(err, ErrTxDone) {
-			t.Errorf("put after commit: %v", err)
-		}
-		if _, _, err := tx.Get("k"); !errors.Is(err, ErrTxDone) {
-			t.Errorf("get after commit: %v", err)
-		}
-		if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
-			t.Errorf("double commit: %v", err)
-		}
-	})
-}
-
 func TestLargeValueRelocation(t *testing.T) {
 	r := newTestRig(1)
 	r.run(t, "t", func(p *sim.Proc, e *Engine) {

@@ -17,22 +17,6 @@ var ErrLockTimeout = errors.New("engine: lock wait timeout")
 // the waits-for graph. The victim should retry.
 var ErrDeadlock = errors.New("engine: deadlock detected")
 
-// lockError is ErrLockTimeout or ErrDeadlock with the request that met it.
-// Contended workloads abort and retry often, so the message is formatted
-// only if someone reads it.
-type lockError struct {
-	cause error
-	key   string
-	mode  LockMode
-	txid  uint64
-}
-
-func (e *lockError) Error() string {
-	return fmt.Sprintf("%v: key %q mode %v tx %d", e.cause, e.key, e.mode, e.txid)
-}
-
-func (e *lockError) Unwrap() error { return e.cause }
-
 // LockMode is a row lock strength.
 type LockMode int
 
@@ -42,13 +26,6 @@ const (
 	LockX                 // exclusive (writers)
 )
 
-func (m LockMode) String() string {
-	if m == LockS {
-		return "S"
-	}
-	return "X"
-}
-
 // lockTable is a strict two-phase-locking row lock manager with FIFO grant
 // order and timeout-based deadlock resolution. It lives and dies with the
 // engine instance: a crash abandons the whole table, which is correct
@@ -57,10 +34,11 @@ func (m LockMode) String() string {
 // Every transaction takes and drops a lock per row it touches, so the table
 // recycles what that churns through: lock entries and blocked requests come
 // from freelists, holders are a short slice rather than a map, and deadlock
-// detection walks the waits-for graph on scratch slices. The steady state
-// allocates nothing. A transaction that holds many rows at once (an audit
-// reading every acked row) takes fresh entries from slabs, each with room
-// for its first holder.
+// detection walks the waits-for graph on scratch slices. A deadlock victim
+// or a timed-out waiter gets the bare sentinel. The steady state allocates
+// nothing. A transaction that holds many rows at once (an audit reading
+// every acked row) takes fresh entries from slabs, each with room for its
+// first holder.
 type lockTable struct {
 	s       *sim.Sim
 	timeout time.Duration
@@ -158,7 +136,7 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	// Exact deadlock detection: refuse to wait if doing so closes a cycle
 	// in the waits-for graph. The requester is the victim and retries.
 	if lt.wouldDeadlock(txid, lk) {
-		return false, &lockError{ErrDeadlock, key, mode, txid}
+		return false, ErrDeadlock
 	}
 	req := lt.newReq(txid, key, mode)
 	if upgrade {
@@ -177,7 +155,7 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	// request stays behind with the abandoned transaction.)
 	lt.freeReqs = append(lt.freeReqs, req)
 	if !granted {
-		return false, &lockError{ErrLockTimeout, key, mode, txid}
+		return false, ErrLockTimeout
 	}
 	return !holds, nil
 }

@@ -280,9 +280,3 @@ func TestLockWriterNotStarvedByReaders(t *testing.T) {
 		t.Fatalf("writer waited until %v: starved by later readers", writerAt)
 	}
 }
-
-func TestLockModeString(t *testing.T) {
-	if LockS.String() != "S" || LockX.String() != "X" {
-		t.Fatal("mode strings")
-	}
-}

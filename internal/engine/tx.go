@@ -15,21 +15,35 @@ var ErrTxDone = errors.New("engine: transaction already committed or aborted")
 
 // Tx is a transaction: strict two-phase locking, deferred updates (writes
 // stay private until commit), read-your-own-writes.
+//
+// A Tx is a handle that Begin returns, one per transaction. It is dead once
+// the transaction ends in Commit or Abort, or when its process is killed
+// inside one of its calls: every call on a dead handle returns ErrTxDone
+// (Abort does nothing). The state behind the handle is pooled on the engine
+// and serves a later transaction, but txids are never reused, so a dead
+// handle cannot reach it. Copies of a handle are the same handle.
 type Tx struct {
-	e    *Engine
-	p    *sim.Proc
-	id   uint64
-	done bool
+	s  *txState
+	id uint64
+}
+
+// txState is one transaction's state. It comes from the engine's freelist
+// and keeps its slices when finish hands it back, so a transaction
+// allocates nothing once the engine has served as many at once before.
+// Transactions are a few dozen rows at most, so "has this key been
+// written" is a scan of writes, not a map.
+type txState struct {
+	e  *Engine
+	p  *sim.Proc
+	id uint64 // the running transaction's txid; 0 while the state is free
 	// logged says the commit record is in the log: the outcome is the log's.
 	logged bool
 
-	// All four are pooled on the engine and handed back by finish, so a
-	// transaction allocates only itself. Transactions are a few dozen rows
-	// at most, so "has this key been written" is a scan of writes, not a map.
 	locks  []string  // keys held, in acquisition order
 	writes []txWrite // staged writes, one per key (latest wins)
 	vals   []byte    // the staged values, back to back
 	read   []byte    // the value the last Get returned; each Get reuses it
+	redo   []byte    // Commit's redo-record encode buffer
 	began  sim.Time
 	span   obs.SpanID
 }
@@ -41,32 +55,39 @@ type txWrite struct {
 	del    bool
 }
 
-func (t *Tx) val(w txWrite) []byte { return t.vals[w.off : w.off+w.n] }
+func (s *txState) val(w txWrite) []byte { return s.vals[w.off : w.off+w.n] }
 
-// Begin starts a transaction on behalf of process p.
-func (e *Engine) Begin(p *sim.Proc) *Tx {
-	e.nextTxID++
-	t := &Tx{
-		e:      e,
-		p:      p,
-		id:     e.nextTxID,
-		locks:  e.lockLists.get(),
-		writes: e.writeLists.get(),
-		vals:   e.bufs.get(),
-		began:  p.Now(),
+// state returns the transaction's state, or nil if the handle is dead.
+func (t Tx) state() *txState {
+	if t.s == nil || t.s.id != t.id {
+		return nil
 	}
-	if tr := e.tracer(); tr.Enabled() {
-		t.span = tr.NewSpan()
-		tr.Emit(p.Now().Duration(), obs.EvTxBegin, t.span, 0, int64(t.id), 0)
-	}
-	e.burn(p, e.cfg.CPUPerTxn)
-	return t
+	return t.s
 }
 
-func (t *Tx) lock(key string, mode LockMode) error {
-	fresh, err := t.e.locks.acquire(t.p, t.id, key, mode)
+// Begin starts a transaction on behalf of process p.
+func (e *Engine) Begin(p *sim.Proc) Tx {
+	e.nextTxID++
+	var s *txState
+	if n := len(e.txFree); n > 0 {
+		s = e.txFree[n-1]
+		e.txFree = e.txFree[:n-1]
+	} else {
+		s = &txState{e: e}
+	}
+	s.p, s.id, s.logged, s.began, s.span = p, e.nextTxID, false, p.Now(), 0
+	if tr := e.tracer(); tr.Enabled() {
+		s.span = tr.NewSpan()
+		tr.Emit(p.Now().Duration(), obs.EvTxBegin, s.span, 0, int64(s.id), 0)
+	}
+	e.burn(p, e.cfg.CPUPerTxn)
+	return Tx{s, s.id}
+}
+
+func (s *txState) lock(key string, mode LockMode) error {
+	fresh, err := s.e.locks.acquire(s.p, s.id, key, mode)
 	if fresh {
-		t.locks = append(t.locks, key)
+		s.locks = append(s.locks, key)
 	}
 	return err
 }
@@ -77,131 +98,124 @@ func (t *Tx) lock(key string, mode LockMode) error {
 // Commit or Abort), which may overwrite it, so copy what must outlive that.
 // No other transaction writes to it, and changing it changes neither the
 // stored row nor a staged write.
-func (t *Tx) Get(key string) ([]byte, bool, error) {
+func (t Tx) Get(key string) ([]byte, bool, error) {
 	defer t.unwind()
-	if t.done {
+	s := t.state()
+	if s == nil {
 		return nil, false, ErrTxDone
 	}
-	t.e.burn(t.p, t.e.cfg.CPUPerOp)
-	if err := t.lock(key, LockS); err != nil {
+	s.e.burn(s.p, s.e.cfg.CPUPerOp)
+	if err := s.lock(key, LockS); err != nil {
 		return nil, false, err
 	}
-	if i := t.written(key); i >= 0 {
-		w := t.writes[i]
+	if i := s.written(key); i >= 0 {
+		w := s.writes[i]
 		if w.del {
 			return nil, false, nil
 		}
-		t.read = append(t.readBuf(), t.val(w)...)
-		return t.read, true, nil
+		s.read = append(s.read[:0], s.val(w)...)
+		return s.read, true, nil
 	}
-	t.e.stats.Reads.Inc()
-	v, ok, err := t.e.heap.appendGet(t.readBuf(), t.p, key)
+	s.e.stats.Reads.Inc()
+	v, ok, err := s.e.heap.appendGet(s.read[:0], s.p, key)
 	if ok {
-		t.read = v
+		s.read = v
 	}
 	return v, ok, err
-}
-
-// readBuf returns the read buffer emptied, taking one from the engine's
-// pool on the transaction's first read.
-func (t *Tx) readBuf() []byte {
-	if t.read == nil {
-		t.read = t.e.bufs.get()
-	}
-	return t.read[:0]
 }
 
 // Put stages a write under an exclusive lock. It copies val before its
 // first yield, so the caller may reuse val as soon as Put returns, and a
 // buffer shared by processes that take turns encoding into it is safe to
 // pass.
-func (t *Tx) Put(key string, val []byte) error {
+func (t Tx) Put(key string, val []byte) error {
 	defer t.unwind()
-	if t.done {
+	s := t.state()
+	if s == nil {
 		return ErrTxDone
 	}
-	if err := t.e.checkRowSize(key, val); err != nil {
+	if err := s.e.checkRowSize(key, val); err != nil {
 		return err
 	}
-	off := len(t.vals)
-	t.vals = append(t.vals, val...)
-	t.e.burn(t.p, t.e.cfg.CPUPerOp)
-	if err := t.lock(key, LockX); err != nil {
-		t.vals = t.vals[:off]
+	off := len(s.vals)
+	s.vals = append(s.vals, val...)
+	s.e.burn(s.p, s.e.cfg.CPUPerOp)
+	if err := s.lock(key, LockX); err != nil {
+		s.vals = s.vals[:off]
 		return err
 	}
-	t.stage(txWrite{key: key, off: off, n: len(val)})
+	s.stage(txWrite{key: key, off: off, n: len(val)})
 	return nil
 }
 
 // Delete stages a deletion under an exclusive lock.
-func (t *Tx) Delete(key string) error {
+func (t Tx) Delete(key string) error {
 	defer t.unwind()
-	if t.done {
+	s := t.state()
+	if s == nil {
 		return ErrTxDone
 	}
-	t.e.burn(t.p, t.e.cfg.CPUPerOp)
-	if err := t.lock(key, LockX); err != nil {
+	s.e.burn(s.p, s.e.cfg.CPUPerOp)
+	if err := s.lock(key, LockX); err != nil {
 		return err
 	}
-	t.stage(txWrite{key: key, del: true})
+	s.stage(txWrite{key: key, del: true})
 	return nil
 }
 
 // written returns the index in writes of the staged write to key, or -1.
-func (t *Tx) written(key string) int {
-	for i := range t.writes {
-		if t.writes[i].key == key {
+func (s *txState) written(key string) int {
+	for i := range s.writes {
+		if s.writes[i].key == key {
 			return i
 		}
 	}
 	return -1
 }
 
-func (t *Tx) stage(w txWrite) {
-	if i := t.written(w.key); i >= 0 {
-		t.writes[i] = w
+func (s *txState) stage(w txWrite) {
+	if i := s.written(w.key); i >= 0 {
+		s.writes[i] = w
 		return
 	}
-	t.writes = append(t.writes, w)
+	s.writes = append(s.writes, w)
 }
 
 // Commit makes the transaction durable per the engine's commit mode and
 // applies its writes. On error the transaction is aborted.
-func (t *Tx) Commit() error {
+func (t Tx) Commit() error {
 	defer t.unwind()
-	if t.done {
+	s := t.state()
+	if s == nil {
 		return ErrTxDone
 	}
-	e := t.e
-	commitStart := t.p.Now()
+	// finish hands the state back, so what the acknowledgement needs is
+	// read out first.
+	e, p, began, span := s.e, s.p, s.began, s.span
+	commitStart := p.Now()
 
-	if len(t.writes) == 0 {
-		t.finish()
+	if len(s.writes) == 0 {
+		s.finish()
 		e.stats.Commits.Inc()
-		e.stats.TxnLatency.Observe(t.p.Now().Sub(t.began))
-		e.tracer().Emit(t.p.Now().Duration(), obs.EvTxAck, 0, t.span, int64(t.id), 0)
+		e.stats.TxnLatency.Observe(p.Now().Sub(began))
+		e.tracer().Emit(p.Now().Duration(), obs.EvTxAck, 0, span, int64(t.id), 0)
 		return nil
 	}
 
-	// 1. Redo records. The encode buffer is pooled and owned by this commit
-	// until the loop ends: wal.Append copies synchronously, so one buffer
+	// 1. Redo records. wal.Append copies synchronously, so one buffer
 	// re-encodes every write, and it stays valid across the checkpoint
 	// retry's yield.
 	var firstLSN uint64
-	pbuf := e.bufs.get()
-	for i, w := range t.writes {
-		payload := updatePayload(pbuf, w.key, t.val(w), w.del)
-		pbuf = payload
-		lsn, err := e.log.Append(t.p, wal.RecUpdate, t.id, payload)
+	for i, w := range s.writes {
+		payload := updatePayload(s.redo, w.key, s.val(w), w.del)
+		s.redo = payload
+		lsn, err := e.log.Append(p, wal.RecUpdate, t.id, payload)
 		if err != nil {
-			if err = e.maybeCheckpointForSpace(t.p, err); err != nil {
-				e.bufs.put(pbuf)
+			if err = e.maybeCheckpointForSpace(p, err); err != nil {
 				t.Abort()
 				return err
 			}
-			if lsn, err = e.log.Append(t.p, wal.RecUpdate, t.id, payload); err != nil {
-				e.bufs.put(pbuf)
+			if lsn, err = e.log.Append(p, wal.RecUpdate, t.id, payload); err != nil {
 				t.Abort()
 				return fmt.Errorf("engine: log append after checkpoint: %v", err)
 			}
@@ -210,28 +224,27 @@ func (t *Tx) Commit() error {
 			firstLSN = lsn
 			e.applying[t.id] = firstLSN
 		}
-		e.tracer().Emit(t.p.Now().Duration(), obs.EvWalAppend, 0, t.span, int64(lsn), int64(len(payload)))
+		e.tracer().Emit(p.Now().Duration(), obs.EvWalAppend, 0, span, int64(lsn), int64(len(payload)))
 	}
-	e.bufs.put(pbuf)
-	commitLSN, err := e.log.Append(t.p, wal.RecCommit, t.id, nil)
+	commitLSN, err := e.log.Append(p, wal.RecCommit, t.id, nil)
 	if err != nil {
 		delete(e.applying, t.id)
 		t.Abort()
 		return err
 	}
-	t.logged = true
-	e.tracer().Emit(t.p.Now().Duration(), obs.EvWalAppend, 0, t.span, int64(commitLSN), 0)
+	s.logged = true
+	e.tracer().Emit(p.Now().Duration(), obs.EvWalAppend, 0, span, int64(commitLSN), 0)
 
 	// Track the commit until its record is on the log device. Appends are
 	// not preempted between the commit-record append and here, so entries
 	// stay in commit-LSN order (the callback pops a prefix).
 	e.pendingDurable = append(e.pendingDurable, pendingCommit{
-		needLSN: commitLSN + 1, txid: t.id, start: commitStart, span: t.span,
+		needLSN: commitLSN + 1, txid: t.id, start: commitStart, span: span,
 	})
 
 	// 2. Durability: the line the whole evaluation measures.
 	if e.cfg.CommitMode == CommitSync {
-		if err := e.log.Force(t.p, commitLSN+1); err != nil {
+		if err := e.log.Force(p, commitLSN+1); err != nil {
 			e.stats.ForceErrors.Inc()
 			e.dropPendingDurable(t.id)
 			delete(e.applying, t.id)
@@ -248,29 +261,29 @@ func (t *Tx) Commit() error {
 	}
 
 	// 3. Apply to the heap while still holding every lock.
-	for _, w := range t.writes {
+	for _, w := range s.writes {
 		var err error
 		if w.del {
-			err = e.heap.del(t.p, w.key)
+			err = e.heap.del(p, w.key)
 		} else {
-			err = e.heap.put(t.p, w.key, t.val(w))
+			err = e.heap.put(p, w.key, s.val(w))
 		}
 		if err != nil {
 			// The commit record is durable; the in-memory state is now
 			// behind it. This is unrecoverable without a restart — the
 			// same stance real engines take on apply-phase I/O errors.
 			delete(e.applying, t.id)
-			t.finish()
+			s.finish()
 			return fmt.Errorf("engine: apply after commit: %v", err)
 		}
 	}
 	delete(e.applying, t.id)
-	e.stats.Writes.Add(int64(len(t.writes)))
-	t.finish()
+	e.stats.Writes.Add(int64(len(s.writes)))
+	s.finish()
 	e.stats.Commits.Inc()
-	e.stats.CommitLatency.Observe(t.p.Now().Sub(commitStart))
-	e.stats.TxnLatency.Observe(t.p.Now().Sub(t.began))
-	e.tracer().Emit(t.p.Now().Duration(), obs.EvTxAck, 0, t.span, int64(t.id), 0)
+	e.stats.CommitLatency.Observe(p.Now().Sub(commitStart))
+	e.stats.TxnLatency.Observe(p.Now().Sub(began))
+	e.tracer().Emit(p.Now().Duration(), obs.EvTxAck, 0, span, int64(t.id), 0)
 	return nil
 }
 
@@ -286,25 +299,26 @@ func (e *Engine) dropPendingDurable(txid uint64) {
 }
 
 // Abort discards the transaction's staged writes and releases its locks.
-func (t *Tx) Abort() {
+func (t Tx) Abort() {
 	defer t.unwind()
-	if t.done {
+	s := t.state()
+	if s == nil {
 		return
 	}
 	// A compensating record is unnecessary (no-steal: nothing of ours can
 	// be on disk), but an abort record lets recovery drop our updates
 	// without waiting for generation end — append best-effort.
-	if len(t.writes) > 0 {
-		_, _ = t.e.log.Append(t.p, wal.RecAbort, t.id, nil)
+	if len(s.writes) > 0 {
+		_, _ = s.e.log.Append(s.p, wal.RecAbort, t.id, nil)
 	}
-	t.e.stats.Aborts.Inc()
-	t.finish()
+	s.e.stats.Aborts.Inc()
+	s.finish()
 }
 
 // unwind is deferred by every Tx call that can park. A call that does not
 // return — its process was killed in it, or it panicked — abandons the
 // transaction on the way out, and the unwinding goes on.
-func (t *Tx) unwind() {
+func (t Tx) unwind() {
 	if r := recover(); r != nil {
 		t.abandon()
 		panic(r)
@@ -318,28 +332,32 @@ func (t *Tx) unwind() {
 // commit record are dropped by recovery. A transaction whose commit record
 // is in the log keeps its locks, since its outcome is the log's; and in a
 // dead domain nothing is released: the engine dies with the domain.
-func (t *Tx) abandon() {
-	e := t.e
-	if t.done || t.logged || e.plat.Domain().Dead() {
+func (t Tx) abandon() {
+	s := t.state()
+	if s == nil || s.logged || s.e.plat.Domain().Dead() {
 		return
 	}
+	e := s.e
 	if lk := e.locks.waiting[t.id]; lk != nil {
 		delete(e.locks.waiting, t.id)
 		// releaseAll drops the queued request, or the grant made at the
 		// instant of the kill that lock never got to record.
-		t.locks = append(t.locks, lk.key)
+		s.locks = append(s.locks, lk.key)
 	}
 	delete(e.applying, t.id)
-	t.finish()
+	s.finish()
 }
 
-func (t *Tx) finish() {
-	t.done = true
-	e := t.e
-	e.locks.releaseAll(t.id, t.locks)
-	e.lockLists.put(t.locks)
-	e.writeLists.put(t.writes)
-	e.bufs.put(t.vals)
-	e.bufs.put(t.read)
-	t.locks, t.writes, t.vals, t.read = nil, nil, nil, nil
+// finish releases the transaction's locks and hands its state back to the
+// engine's freelist, which kills every handle onto it. The key lists are
+// cleared so that a free state keeps no key alive.
+func (s *txState) finish() {
+	e := s.e
+	e.locks.releaseAll(s.id, s.locks)
+	clear(s.locks)
+	clear(s.writes)
+	s.locks, s.writes = s.locks[:0], s.writes[:0]
+	s.vals, s.read = s.vals[:0], s.read[:0]
+	s.p, s.id = nil, 0
+	e.txFree = append(e.txFree, s)
 }

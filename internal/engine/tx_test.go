@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,13 +171,13 @@ func TestKilledTransactionReleasesItsLocks(t *testing.T) {
 		name string
 		// park is what the victim does after staging "hot": the kill lands
 		// while it is parked in this call.
-		park       func(tx *Tx)
+		park       func(tx Tx)
 		killAt     time.Duration
 		killDomain bool
 	}{
-		{"killed mid-put", func(tx *Tx) { _ = tx.Put("warm", []byte("w")) }, 0, false},
-		{"killed in a lock wait", func(tx *Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, false},
-		{"killed with its domain", func(tx *Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, true},
+		{"killed mid-put", func(tx Tx) { _ = tx.Put("warm", []byte("w")) }, 0, false},
+		{"killed in a lock wait", func(tx Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, false},
+		{"killed with its domain", func(tx Tx) { _, _, _ = tx.Get("held") }, 10 * time.Millisecond, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,6 +239,96 @@ func TestKilledTransactionReleasesItsLocks(t *testing.T) {
 			if len(e.locks.locks) != 0 || len(e.locks.waiting) != 0 {
 				t.Fatalf("lock table not empty: %d locks, %d waiting", len(e.locks.locks), len(e.locks.waiting))
 			}
+		})
+	}
+}
+
+// A handle is dead once its transaction ends in Commit or Abort, or its
+// process is killed in a lock wait, and it stays dead after a later Begin
+// reuses the state behind it: every call returns ErrTxDone and leaves the
+// new transaction's locks and staged writes as they were.
+func TestTxDoneGuards(t *testing.T) {
+	for _, end := range []string{"commit", "abort", "kill in a lock wait"} {
+		t.Run(end, func(t *testing.T) {
+			r := newTestRig(1)
+			r.run(t, "t", func(p *sim.Proc, e *Engine) {
+				var old Tx
+				switch end {
+				case "commit":
+					old = e.Begin(p)
+					_ = old.Put("k", []byte("old"))
+					if err := old.Commit(); err != nil {
+						t.Errorf("commit: %v", err)
+						return
+					}
+				case "abort":
+					old = e.Begin(p)
+					_ = old.Put("k", []byte("old"))
+					old.Abort()
+				default:
+					// The victim waits for "held", which holder keeps
+					// X-locked for 50ms, and is killed 10ms in.
+					s := p.Sim()
+					s.Spawn(p.Domain(), "holder", func(hp *sim.Proc) {
+						tx := e.Begin(hp)
+						_ = tx.Put("held", []byte("h"))
+						hp.Sleep(50 * time.Millisecond)
+						_ = tx.Commit()
+					})
+					victim := s.Spawn(p.Domain(), "victim", func(vp *sim.Proc) {
+						old = e.Begin(vp)
+						_ = old.Put("k", []byte("old"))
+						_, _, _ = old.Get("held")
+						t.Error("victim survived its kill")
+					})
+					p.Sleep(10 * time.Millisecond)
+					victim.Kill()
+					p.Sleep(time.Millisecond)
+				}
+
+				tx := e.Begin(p)
+				if tx.s != old.s {
+					t.Error("the next Begin did not reuse the ended transaction's state")
+					return
+				}
+				if err := tx.Put("k", []byte("new")); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				holdersOfK := func() []holder {
+					if lk := e.locks.locks["k"]; lk != nil {
+						return slices.Clone(lk.holders)
+					}
+					return nil
+				}
+				locks, writes, holders := slices.Clone(tx.s.locks), slices.Clone(tx.s.writes), holdersOfK()
+
+				if _, _, err := old.Get("k"); !errors.Is(err, ErrTxDone) {
+					t.Errorf("get after %s: %v", end, err)
+				}
+				if err := old.Put("k", []byte("stale")); !errors.Is(err, ErrTxDone) {
+					t.Errorf("put after %s: %v", end, err)
+				}
+				if err := old.Delete("k"); !errors.Is(err, ErrTxDone) {
+					t.Errorf("delete after %s: %v", end, err)
+				}
+				if err := old.Commit(); !errors.Is(err, ErrTxDone) {
+					t.Errorf("commit after %s: %v", end, err)
+				}
+				old.Abort()
+
+				if !slices.Equal(tx.s.locks, locks) || !slices.Equal(tx.s.writes, writes) ||
+					!slices.Equal(holdersOfK(), holders) {
+					t.Errorf("the dead handle changed the next transaction: locks %v → %v, writes %v → %v, holders of k %v → %v",
+						locks, tx.s.locks, writes, tx.s.writes, holders, holdersOfK())
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("the next transaction's commit: %v", err)
+				}
+				if got := readRow(p, e, "k"); got != "new" {
+					t.Errorf("k = %q, want new", got)
+				}
+			})
 		})
 	}
 }

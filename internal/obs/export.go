@@ -206,7 +206,7 @@ func (t *Tracer) dumpLast(n int) TraceDump {
 		Events: make([]WireEvent, n),
 	}
 	for i := range d.Events {
-		d.Events[i] = t.buf[(t.n-uint64(n-i))%uint64(len(t.buf))].ToWire()
+		d.Events[i] = t.slot(t.n - uint64(n-i)).ToWire()
 	}
 	return d
 }

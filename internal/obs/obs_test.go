@@ -38,24 +38,26 @@ func TestNewGatesTracerOnConfig(t *testing.T) {
 	}
 }
 
+// The ring keeps the newest events, oldest first, whether it fits in one
+// chunk or spans several and ends in a partial one.
 func TestTracerRingWrapsAndKeepsOrder(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 7; i++ {
-		tr.Emit(time.Duration(i), EvTxBegin, SpanID(i), 0, int64(i), 0)
-	}
-	if tr.Emitted() != 7 {
-		t.Fatalf("emitted = %d", tr.Emitted())
-	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d", tr.Dropped())
-	}
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("retained %d events", len(events))
-	}
-	for i, e := range events {
-		if e.Arg1 != int64(3+i) {
-			t.Fatalf("event %d has Arg1 %d; want %d (oldest-first order)", i, e.Arg1, 3+i)
+	for _, size := range []int{4, 2*traceChunk + 5} {
+		tr := NewTracer(size)
+		emitted := size + 3 + traceChunk/2
+		for i := 0; i < emitted; i++ {
+			tr.Emit(time.Duration(i), EvTxBegin, SpanID(i), 0, int64(i), 0)
+		}
+		if tr.Emitted() != emitted || tr.Dropped() != emitted-size {
+			t.Fatalf("ring of %d: emitted %d, dropped %d", size, tr.Emitted(), tr.Dropped())
+		}
+		events := tr.Events()
+		if len(events) != size {
+			t.Fatalf("ring of %d retained %d events", size, len(events))
+		}
+		for i, e := range events {
+			if want := int64(emitted - size + i); e.Arg1 != want {
+				t.Fatalf("ring of %d: event %d has Arg1 %d; want %d (oldest-first order)", size, i, e.Arg1, want)
+			}
 		}
 	}
 }

@@ -217,8 +217,9 @@ func (k Kind) String() string {
 // span parents the durable event that retires it.
 type SpanID uint64
 
-// Event is one typed trace record. Events are plain values in a
-// preallocated ring: emitting one allocates nothing.
+// Event is one typed trace record. Events are plain values in a ring that
+// allocates a chunk at a time as it first fills: once the ring has wrapped,
+// or within a chunk, emitting one allocates nothing.
 type Event struct {
 	At   time.Duration // virtual time since simulation start
 	Kind Kind
@@ -243,8 +244,12 @@ type Tracer struct {
 }
 
 type ring struct {
-	buf      []Event
-	n        uint64 // total events emitted (ring head = n % len(buf))
+	// chunks hold the events, traceChunk to a chunk. A chunk is allocated
+	// when the ring first reaches it, so a ring sized for a long run costs
+	// a short one only what it records.
+	chunks   [][]Event
+	size     uint64 // capacity in events
+	n        uint64 // total events emitted (ring head = n % size)
 	nextSpan uint64
 
 	// cause is the implicit causal context: a span id set by a caller just
@@ -270,7 +275,16 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &Tracer{ring: &ring{buf: make([]Event, capacity)}}
+	return &Tracer{ring: &ring{size: uint64(capacity)}}
+}
+
+// traceChunk is how many events one ring chunk holds (192 KiB).
+const traceChunk = 4096
+
+// slot returns the ring slot of the i-th event emitted.
+func (r *ring) slot(i uint64) *Event {
+	j := i % r.size
+	return &r.chunks[j/traceChunk][j%traceChunk]
 }
 
 // SetCause plants the implicit causal context consumed by the next
@@ -359,7 +373,10 @@ func (t *Tracer) Emit(at time.Duration, kind Kind, span, parent SpanID, arg1, ar
 		return
 	}
 	e := Event{At: at, Kind: kind, Dom: t.dom, Span: span, Parent: parent, Arg1: arg1, Arg2: arg2}
-	t.buf[t.n%uint64(len(t.buf))] = e
+	if j := t.n % t.size; j/traceChunk == uint64(len(t.chunks)) {
+		t.chunks = append(t.chunks, make([]Event, min(traceChunk, t.size-j)))
+	}
+	*t.slot(t.n) = e
 	t.n++
 	if t.observer != nil && !t.notifying {
 		t.notifying = true
@@ -382,10 +399,10 @@ func (t *Tracer) Dropped() int {
 	if t == nil {
 		return 0
 	}
-	if t.n <= uint64(len(t.buf)) {
+	if t.n <= t.size {
 		return 0
 	}
-	return int(t.n - uint64(len(t.buf)))
+	return int(t.n - t.size)
 }
 
 // Events returns the retained events in emission order (a copy).
@@ -393,15 +410,10 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	cap64 := uint64(len(t.buf))
-	if t.n <= cap64 {
-		out := make([]Event, t.n)
-		copy(out, t.buf[:t.n])
-		return out
+	kept := min(t.n, t.size)
+	out := make([]Event, kept)
+	for i := range out {
+		out[i] = *t.slot(t.n - kept + uint64(i))
 	}
-	out := make([]Event, cap64)
-	head := t.n % cap64
-	copy(out, t.buf[head:])
-	copy(out[cap64-head:], t.buf[:head])
 	return out
 }

@@ -77,12 +77,6 @@ const (
 type Config struct {
 	// PrimaryName is the shipper's endpoint on the fabric; default "primary".
 	PrimaryName string
-	// SectorSize is the log device's sector granularity. Shipped records are
-	// sector images — recovery folds them back onto sector boundaries — so
-	// Ship panics on a payload that is not a whole number of sectors: that
-	// is a protocol violation by the caller, not a runtime condition.
-	// Default 512.
-	SectorSize int
 	// RetainLimit bounds the bytes of shipped-but-unacknowledged records the
 	// shipper retains for retransmission. While every standby keeps acking,
 	// retention trails the slowest cumulative ack and stays tiny; a standby
@@ -111,9 +105,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.PrimaryName == "" {
 		c.PrimaryName = "primary"
-	}
-	if c.SectorSize == 0 {
-		c.SectorSize = 512
 	}
 	if c.RetainLimit == 0 {
 		c.RetainLimit = DefaultRetainLimit

@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 
+	"repro/internal/disk"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -243,10 +244,13 @@ func (sh *Shipper) minAck() uint64 {
 // frame-batched: the record rides the next frame the flusher builds, at the
 // same virtual timestamp as this call (signals do not advance time), so
 // batching adds zero latency; a full batch flushes synchronously right
-// here, so a producer that never yields still frames.
+// here, so a producer that never yields still frames. data is a sector
+// image, which recovery folds back onto sector boundaries, so a payload
+// that is not a whole number of disk.SectorSize sectors is the caller's
+// protocol violation, and Ship panics on it.
 func (sh *Shipper) Ship(lba int64, data []byte) uint64 {
-	if ss := sh.cfg.SectorSize; len(data) == 0 || len(data)%ss != 0 {
-		panic(fmt.Sprintf("replica: Ship(lba %d) payload of %d bytes is not a whole number of %d-byte sectors", lba, len(data), ss))
+	if len(data) == 0 || len(data)%disk.SectorSize != 0 {
+		panic(fmt.Sprintf("replica: Ship(lba %d) payload of %d bytes is not a whole number of %d-byte sectors", lba, len(data), disk.SectorSize))
 	}
 	pb := sh.getPBuf(len(data))
 	copy(pb.data, data)

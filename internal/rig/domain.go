@@ -178,7 +178,6 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 func (d *LogDomain) replicaConfig() replica.Config {
 	return replica.Config{
 		PrimaryName: d.at.endpoint,
-		SectorSize:  d.LogDev.SectorSize(),
 		Reg:         d.Obs.Registry(),
 		Trace:       d.Obs.Tracer(),
 	}
