@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rig"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -118,10 +117,6 @@ func IDs() []string {
 	}
 	return ids
 }
-
-// drive steps the simulation until ev fires, without running idle daemon
-// ticks past the finish.
-func drive(s *sim.Sim, ev *sim.Event) error { return s.RunUntilEvent(ev) }
 
 // measureWorkload builds a machine from cfg and measures saturation
 // throughput on it (rig.Run, with clients per log domain). Besides the

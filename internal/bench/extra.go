@@ -202,7 +202,7 @@ func recoveryTimeTrial(seed int64, ckptEvery, loadFor time.Duration) (redone int
 		})
 		dumpTime = t1.Sub(t0)
 	})
-	if derr := drive(s, done); derr != nil {
+	if derr := s.RunUntilEvent(done); derr != nil {
 		return 0, 0, 0, derr
 	}
 	return redone, redoTime, dumpTime, err

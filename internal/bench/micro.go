@@ -136,7 +136,7 @@ func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Device, pattern st
 			mbs = float64(bytesWritten) / elapsed.Seconds() / 1e6
 		}
 	})
-	if err := drive(s, done); err != nil {
+	if err := s.RunUntilEvent(done); err != nil {
 		return 0, 0, 0, err
 	}
 	return mean, iops, mbs, runErr

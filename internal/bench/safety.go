@@ -81,7 +81,7 @@ func runE5(opts Options) (*Report, error) {
 			// Computed side of the row.
 			s := sim.New(opts.Seed)
 			m := power.NewMachine(s, "m", 4, psu)
-			var dev disk.Device
+			var dev disk.Drive
 			switch dk {
 			case rig.DiskHDD:
 				dev = disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
@@ -92,12 +92,13 @@ func runE5(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			safe := core.SafeBufferSize(m, zone)
+			safe := core.SafeBufferSize(m, zone, 1)
 			s.Close() // only built to be measured; its device daemons never ran
 			est := "n/a"
 			live := "n/a"
 			if safe > 0 {
-				estT := zone.WorstCaseAccess() + time.Duration(float64(safe)/zone.SeqWriteBandwidth()*float64(time.Second))
+				drive := zone.Parent()
+				estT := drive.WorstCaseAccess() + time.Duration(float64(safe)/drive.SeqWriteBandwidth()*float64(time.Second))
 				est = fmt.Sprint(estT.Round(time.Millisecond))
 				ok, err := liveDumpCheck(opts.Seed, psu, dk)
 				if err != nil {
@@ -168,7 +169,7 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 				break
 			}
 			acked = append(acked, ackRec{lba, data})
-			lba += chunk / int64(r.Logger.SectorSize())
+			lba += chunk / disk.SectorSize
 		}
 		r.CutPower()
 		p.Sleep(time.Hour)
@@ -185,7 +186,7 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 		s.Spawn(boot, "auditor", func(p *sim.Proc) {
 			defer audit.Fire()
 			for _, a := range acked {
-				got, err := r.LogPart.Read(p, a.lba, len(a.data)/r.LogPart.SectorSize())
+				got, err := r.LogPart.Read(p, a.lba, len(a.data)/disk.SectorSize)
 				if err != nil || !bytes.Equal(got, a.data) {
 					return
 				}
@@ -193,7 +194,7 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 			ok = len(acked) > 0
 		})
 	})
-	if err := drive(s, audit); err != nil {
+	if err := s.RunUntilEvent(audit); err != nil {
 		return false, err
 	}
 	return ok, nil

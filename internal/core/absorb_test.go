@@ -106,16 +106,6 @@ func TestDifferentLengthWriteNotAbsorbedInPlace(t *testing.T) {
 	}
 }
 
-func TestDeviceAccessorsComplete(t *testing.T) {
-	r := newRig(t, 24, power.PSUMeasured, Config{})
-	if r.l.WorstCaseAccess() <= 0 {
-		t.Fatal("WorstCaseAccess")
-	}
-	if r.l.Stats() != r.logPart.Stats() {
-		t.Fatal("Stats should expose the backing device's counters")
-	}
-}
-
 func TestReadBeyondRangeFails(t *testing.T) {
 	r := newRig(t, 25, power.PSUMeasured, Config{})
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {

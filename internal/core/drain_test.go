@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -54,7 +55,7 @@ func TestDrainCoalescesMixedRuns(t *testing.T) {
 	// entry — coalesced or not — must have landed intact.
 	r.s.Spawn(r.guest, "check", func(p *sim.Proc) {
 		for _, w := range writes {
-			got, err := r.l.Read(p, w.lba, len(w.data)/r.l.SectorSize())
+			got, err := r.l.Read(p, w.lba, len(w.data)/disk.SectorSize)
 			if err != nil {
 				t.Errorf("read lba %d: %v", w.lba, err)
 				return

@@ -35,7 +35,7 @@ func newFaultRig(t *testing.T, seed int64, cfg Config) *faultRig {
 	flt := disk.NewFaulty(logPart, disk.FaultConfig{Seed: seed + 1})
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
-	l, err := NewLogger(m, hvDom, flt, dump, cfg)
+	l, err := NewLogger(m, hvDom, flt, dump, SafeBufferSize(m, dump, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func emergencyRig(t *testing.T, seed int64, fd *flakyDev) *rig {
 	fd.Device = dump
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
-	l, err := NewLogger(m, hvDom, logPart, fd, Config{})
+	l, err := NewLogger(m, hvDom, logPart, fd, SafeBufferSize(m, dump, 1), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func buildRigOn(t *testing.T, s *sim.Sim, m *power.Machine, mk func(*fakeReplica
 	}
 	r.hvDom = m.NewDomain("hv")
 	r.guest = m.NewDomain("guest")
-	r.l, err = NewLogger(m, r.hvDom, r.logPart, r.dump, mk(fr))
+	r.l, err = NewLogger(m, r.hvDom, r.logPart, r.dump, SafeBufferSize(m, r.dump, 1), mk(fr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestQuorumPolicyRequiresReplicator(t *testing.T) {
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
 	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
-	_, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, Config{Policy: AckQuorum(1)})
+	_, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, SafeBufferSize(m, dump, 1), Config{Policy: AckQuorum(1)})
 	if err == nil || !strings.Contains(err.Error(), "requires a replicator") {
 		t.Fatalf("err = %v, want replicator requirement", err)
 	}
@@ -235,10 +235,10 @@ func TestQuorumPolicyRejectsOverlargeK(t *testing.T) {
 	}
 	fr := countedReplicator{newFakeReplicator(s), 1}
 	hv := m.NewDomain("hv")
-	if _, err := NewLogger(m, hv, logPart, dump, Config{Policy: AckQuorum(2), Replicator: fr}); err == nil {
+	if _, err := NewLogger(m, hv, logPart, dump, SafeBufferSize(m, dump, 1), Config{Policy: AckQuorum(2), Replicator: fr}); err == nil {
 		t.Fatal("quorum k=2 accepted with a 1-replica replicator")
 	}
-	if _, err := NewLogger(m, hv, logPart, dump, Config{Policy: AckQuorum(1), Replicator: fr}); err != nil {
+	if _, err := NewLogger(m, hv, logPart, dump, SafeBufferSize(m, dump, 1), Config{Policy: AckQuorum(1), Replicator: fr}); err != nil {
 		t.Fatalf("k within the replica set rejected: %v", err)
 	}
 }

@@ -43,6 +43,8 @@ var (
 	ErrTooLarge  = errors.New("rapilog: write exceeds the buffer bound")
 	ErrBadDump   = errors.New("rapilog: dump zone contents invalid")
 	ErrZoneSmall = errors.New("rapilog: dump zone smaller than the buffer bound")
+	// ErrNoSafeBuffer: the hold-up budget cannot cover any buffer at all.
+	ErrNoSafeBuffer = errors.New("rapilog: no safe buffer possible")
 )
 
 // Calibration constants of the buffered-write path and its drain: no
@@ -116,7 +118,7 @@ func (s State) String() string {
 // Config parameterises a Logger.
 type Config struct {
 	// MaxBuffer bounds buffered-but-not-yet-on-disk bytes. Zero selects
-	// SafeBufferSize for the machine's PSU and the dump device.
+	// the safe bound NewLogger is given (the dump zone's SafeBufferSize).
 	MaxBuffer int64
 	// Unsafe skips the MaxBuffer ≤ SafeBufferSize check. Used by ablation
 	// A3 to demonstrate exactly why the bound matters.
@@ -199,6 +201,15 @@ type entry struct {
 	span obs.SpanID // the hv_ack span; parents this entry's durable event
 }
 
+// overlap intersects e with the request of nsec sectors at lba: the bytes
+// they share start at off in the request and at eoff in e.data and run n
+// bytes, n ≤ 0 when the two are disjoint.
+func (e *entry) overlap(lba int64, nsec int) (off, eoff, n int64) {
+	s0 := max(lba, e.lba)
+	s1 := min(lba+int64(nsec), e.lba+int64(len(e.data))/disk.SectorSize)
+	return (s0 - lba) * disk.SectorSize, (s0 - e.lba) * disk.SectorSize, (s1 - s0) * disk.SectorSize
+}
+
 // Logger is the RapiLog device. It implements disk.Device so a guest can be
 // given one in place of its raw log partition; reads are coherent with
 // buffered writes.
@@ -207,6 +218,7 @@ type entry struct {
 // time), so the entry and payload pools below need no locking.
 type Logger struct {
 	cfg     Config
+	safe    int64 // the dump zone's SafeBufferSize
 	s       *sim.Sim
 	backing disk.Device // physical log partition
 	dump    disk.Device // reserved emergency dump zone
@@ -236,56 +248,44 @@ type Logger struct {
 	scratch   []byte           // drain-run coalescing buffer, reused across rounds
 }
 
-// SafeBufferSize computes the paper's sizing rule: the bytes that can
-// provably reach the dump zone within the guaranteed interrupt budget,
+// SafeBufferSize computes the paper's sizing rule for a log domain that
+// dumps to zone: the bytes that can provably reach it within the machine's
+// guaranteed interrupt budget,
 //
-//	(hold-up_min − interrupt latency − 2 × worst-case positioning) × seq bandwidth,
+//	(hold-up_min − interrupt latency − 2 × sharers × worst-case positioning) × seq bandwidth,
 //
-// with a 10% engineering margin, additionally capped by the dump zone's
-// payload capacity. The positioning term is doubled because the emergency
-// write may have to wait out one in-flight disk operation before it can
-// even start seeking.
-func SafeBufferSize(m *power.Machine, dumpZone disk.Device) int64 {
-	return SafeBufferSizeShared(m, dumpZone, 1)
-}
-
-// SafeBufferSizeShared is the consolidated-deployment variant of the
-// sizing rule: sharers RapiLog instances on one machine, each dumping to
-// its own zone on its own spindle, race the same hold-up window. The
-// spindles stream independently, so sequential bandwidth is not divided —
-// but the positioning term is charged once per sharer: the power-fail
-// interrupt fans out to every instance on the same finite cores, and the
-// conservative budget assumes an emergency write may have to wait out one
-// in-flight operation per sharer before its own seek completes. With one
-// sharer this is exactly SafeBufferSize.
-func SafeBufferSizeShared(m *power.Machine, dumpZone disk.Device, sharers int) int64 {
-	if sharers < 1 {
-		sharers = 1
-	}
-	budget := m.InterruptBudget() - 2*time.Duration(sharers)*dumpZone.WorstCaseAccess()
+// with a 10% engineering margin, additionally capped by the zone's payload
+// capacity. The positioning and bandwidth figures are the zone's drive's.
+// The positioning term is doubled because the emergency write may have to
+// wait out one in-flight disk operation before it can even start seeking,
+// and charged once per sharer: sharers log domains on one machine, each
+// dumping to its own spindle, race the same hold-up window. The spindles
+// stream independently, so bandwidth is not divided, but the power-fail
+// interrupt fans out to every instance on the same finite cores.
+func SafeBufferSize(m *power.Machine, zone *disk.Partition, sharers int) int64 {
+	drive := zone.Parent()
+	budget := m.InterruptBudget() - 2*time.Duration(max(sharers, 1))*drive.WorstCaseAccess()
 	if budget <= 0 {
 		return 0
 	}
-	byBudget := int64(0.9 * budget.Seconds() * dumpZone.SeqWriteBandwidth())
-	byZone := zonePayloadCapacity(dumpZone)
-	if byZone < byBudget {
-		return byZone
-	}
-	return byBudget
+	byBudget := int64(0.9 * budget.Seconds() * drive.SeqWriteBandwidth())
+	return min(byBudget, zonePayloadCapacity(zone))
 }
 
 // zonePayloadCapacity is the dump zone's usable bytes after the header
 // sector and per-entry framing (estimated at 10%).
 func zonePayloadCapacity(zone disk.Device) int64 {
-	raw := (zone.Sectors() - 1) * int64(zone.SectorSize())
+	raw := (zone.Sectors() - 1) * disk.SectorSize
 	return raw * 9 / 10
 }
 
 // NewLogger creates a RapiLog device in front of backing, with emergency
 // dumps going to dumpZone, and starts its drain process in hvDom — the
 // domain that survives guest crashes. The machine's power-fail interrupt is
-// wired to the emergency dump.
-func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Device, cfg Config) (*Logger, error) {
+// wired to the emergency dump. safe is the zone's SafeBufferSize: the
+// default MaxBuffer, and its limit unless cfg.Unsafe or acks are
+// remote-only.
+func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Device, safe int64, cfg Config) (*Logger, error) {
 	cfg.applyDefaults()
 	if cfg.Policy.Remote() {
 		if cfg.Replicator == nil {
@@ -298,7 +298,6 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 			return nil, fmt.Errorf("rapilog: ack policy %v needs %d replicas, replicator has %d", cfg.Policy, cfg.Policy.K, rc.ReplicaCount())
 		}
 	}
-	safe := SafeBufferSize(m, dumpZone)
 	remoteOnly := cfg.Policy.Kind == AckKindRemoteOnly
 	if cfg.MaxBuffer == 0 {
 		cfg.MaxBuffer = safe
@@ -310,7 +309,7 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 		}
 	}
 	if cfg.MaxBuffer <= 0 {
-		return nil, fmt.Errorf("rapilog: no safe buffer possible (hold-up budget %v)", m.InterruptBudget())
+		return nil, fmt.Errorf("%w (hold-up budget %v)", ErrNoSafeBuffer, m.InterruptBudget())
 	}
 	// With AckRemoteOnly the dump zone is out of the durability argument
 	// entirely — the SafeBufferSize bound and the zone-capacity check are
@@ -326,6 +325,7 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 	s := m.Sim()
 	l := &Logger{
 		cfg:      cfg,
+		safe:     safe,
 		s:        s,
 		backing:  backing,
 		dump:     dumpZone,
@@ -401,6 +401,11 @@ func (l *Logger) DumpOutcome() (retries, failures int) {
 // MaxBuffer returns the configured buffer bound in bytes.
 func (l *Logger) MaxBuffer() int64 { return l.cfg.MaxBuffer }
 
+// SafeBound returns the provable exposure limit: the lesser of MaxBuffer and
+// the dump zone's SafeBufferSize (they differ only when Unsafe or
+// remote-only acks let MaxBuffer exceed it).
+func (l *Logger) SafeBound() int64 { return min(l.cfg.MaxBuffer, l.safe) }
+
 // BufferedBytes returns the bytes currently buffered.
 func (l *Logger) BufferedBytes() int64 { return l.buffered }
 
@@ -422,21 +427,8 @@ func (l *Logger) IsDegraded() bool { return l.degraded }
 // Name implements disk.Device.
 func (l *Logger) Name() string { return deviceName }
 
-// SectorSize implements disk.Device.
-func (l *Logger) SectorSize() int { return l.backing.SectorSize() }
-
 // Sectors implements disk.Device.
 func (l *Logger) Sectors() int64 { return l.backing.Sectors() }
-
-// SeqWriteBandwidth implements disk.Device: the guest-visible write
-// bandwidth is the copy bandwidth, not the disk's.
-func (l *Logger) SeqWriteBandwidth() float64 { return copyBandwidth }
-
-// WorstCaseAccess implements disk.Device.
-func (l *Logger) WorstCaseAccess() time.Duration { return ackOverhead }
-
-// Stats implements disk.Device (the backing device's counters).
-func (l *Logger) Stats() *disk.Stats { return l.backing.Stats() }
 
 // Write implements disk.Device: copy into the buffer, acknowledge. Blocks
 // only when the buffer bound is reached (throttling) — and, after a
@@ -452,8 +444,8 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if l.emergency {
 		l.never.Wait(p) // parks until the machine dies
 	}
-	nsec := len(data) / l.SectorSize()
-	if len(data)%l.SectorSize() != 0 {
+	nsec := len(data) / disk.SectorSize
+	if len(data)%disk.SectorSize != 0 {
 		return disk.ErrMisaligned
 	}
 	if lba < 0 || lba+int64(nsec) > l.Sectors() {
@@ -560,22 +552,10 @@ func (l *Logger) passthroughWrite(p *sim.Proc, lba int64, data []byte) error {
 // before a degraded pass-through write lands, it keeps the invariant that
 // buffered copies are never older than the media they shadow.
 func (l *Logger) patchPending(lba int64, data []byte) {
-	ss := int64(l.SectorSize())
-	lo, hi := lba, lba+int64(len(data))/ss
 	for _, e := range l.pending {
-		elo := e.lba
-		ehi := e.lba + int64(len(e.data))/ss
-		s0, s1 := lo, hi
-		if elo > s0 {
-			s0 = elo
+		if off, eoff, n := e.overlap(lba, len(data)/disk.SectorSize); n > 0 {
+			copy(e.data[eoff:eoff+n], data[off:off+n])
 		}
-		if ehi < s1 {
-			s1 = ehi
-		}
-		if s0 >= s1 {
-			continue
-		}
-		copy(e.data[(s0-elo)*ss:(s1-elo)*ss], data[(s0-lo)*ss:(s1-lo)*ss])
 	}
 }
 
@@ -635,22 +615,10 @@ func (l *Logger) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := int64(l.SectorSize())
-	lo, hi := lba, lba+int64(nsec)
 	for _, e := range l.pending {
-		elo := e.lba
-		ehi := e.lba + int64(len(e.data))/ss
-		s0, s1 := lo, hi
-		if elo > s0 {
-			s0 = elo
+		if off, eoff, n := e.overlap(lba, nsec); n > 0 {
+			copy(out[off:off+n], e.data[eoff:eoff+n])
 		}
-		if ehi < s1 {
-			s1 = ehi
-		}
-		if s0 >= s1 {
-			continue
-		}
-		copy(out[(s0-lo)*ss:(s1-lo)*ss], e.data[(s0-elo)*ss:(s1-elo)*ss])
 	}
 	return out, nil
 }
@@ -728,7 +696,7 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 		j := i
 		for j < batch && l.pending[j].lba == next {
 			data = append(data, l.pending[j].data...)
-			next += int64(len(l.pending[j].data)) / int64(l.SectorSize())
+			next += int64(len(l.pending[j].data)) / disk.SectorSize
 			j++
 		}
 		l.scratch = data[:0]
@@ -840,7 +808,7 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 	// Build the image in a single sized allocation. The header must not be
 	// assembled with append(header, payload...): if header had spare
 	// capacity the two would alias and the payload would overwrite it.
-	ss := l.dump.SectorSize()
+	ss := disk.SectorSize
 	payloadLen := 0
 	for _, e := range snapshot {
 		payloadLen += entHeadLen + len(e.data)
@@ -938,7 +906,7 @@ func (d Dump) Complete() bool { return d.HadDump && !d.Torn }
 // ErrBadDump; a torn payload returns the intact prefix with Torn set.
 func ReadDump(p *sim.Proc, dumpZone disk.Device) (Dump, error) {
 	var d Dump
-	ss := dumpZone.SectorSize()
+	ss := disk.SectorSize
 	header, err := dumpZone.Read(p, 0, 1)
 	if err != nil {
 		return d, err
@@ -1017,7 +985,7 @@ func (d Dump) Replay(p *sim.Proc, logPartition disk.Device) (entries int, bytes 
 // InvalidateDump zeroes the dump-zone header so a second boot does not
 // replay a stale image over a log that has moved on.
 func InvalidateDump(p *sim.Proc, dumpZone disk.Device) error {
-	return dumpZone.Write(p, 0, make([]byte, dumpZone.SectorSize()), true)
+	return dumpZone.Write(p, 0, make([]byte, disk.SectorSize), true)
 }
 
 // Recover runs at boot, before the DBMS's own log recovery: if the dump

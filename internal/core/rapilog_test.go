@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,7 +41,7 @@ func newRig(t *testing.T, seed int64, psu power.PSUConfig, cfg Config) *rig {
 	}
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
-	l, err := NewLogger(m, hvDom, logPart, dump, cfg)
+	l, err := NewLogger(m, hvDom, logPart, dump, SafeBufferSize(m, dump, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +316,7 @@ func TestUnsafeOversizedBufferTearsOnTightPSU(t *testing.T) {
 	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
-	l, err := NewLogger(m, hvDom, logPart, dump, Config{MaxBuffer: 8 << 20, Unsafe: true})
+	l, err := NewLogger(m, hvDom, logPart, dump, SafeBufferSize(m, dump, 1), Config{MaxBuffer: 8 << 20, Unsafe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,16 +361,20 @@ func TestNewLoggerRejectsUnsafeBound(t *testing.T) {
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
 	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
-	safe := SafeBufferSize(m, dump)
+	safe := SafeBufferSize(m, dump, 1)
 	if safe <= 0 {
 		t.Fatal("no safe buffer for the measured PSU (model broken)")
 	}
-	if _, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, Config{MaxBuffer: safe * 2}); err == nil {
+	if _, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, safe, Config{MaxBuffer: safe * 2}); err == nil {
 		t.Fatal("oversized MaxBuffer accepted without Unsafe")
 	}
-	if _, err := NewLogger(m, m.NewDomain("hv2"), logPart, dump, Config{MaxBuffer: safe * 2, Unsafe: true}); err != nil {
+	l, err := NewLogger(m, m.NewDomain("hv2"), logPart, dump, safe, Config{MaxBuffer: safe * 2, Unsafe: true})
+	if err != nil {
 		// Still subject to the zone capacity check, which 2×safe passes here.
 		t.Fatalf("Unsafe oversize rejected: %v", err)
+	}
+	if l.SafeBound() != safe {
+		t.Fatalf("Unsafe logger's SafeBound %d, want the safe bound %d", l.SafeBound(), safe)
 	}
 }
 
@@ -386,7 +389,7 @@ func TestNewLoggerRejectsHopelessPSU(t *testing.T) {
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
 	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
-	if _, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, Config{}); err == nil {
+	if _, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, SafeBufferSize(m, dump, 1), Config{}); err == nil {
 		t.Fatal("logger created with zero flush budget")
 	}
 }
@@ -410,7 +413,7 @@ func TestSafeBufferSizeScalesWithHoldup(t *testing.T) {
 		m := power.NewMachine(s, "m-"+psu.Name, 4, psu)
 		hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 		dump, _ := disk.NewPartition(hdd, "dump", 0, 1<<20)
-		return SafeBufferSize(m, dump)
+		return SafeBufferSize(m, dump, 1)
 	}
 	spec := mk(power.PSUATXSpec)
 	typ := mk(power.PSUTypical)
@@ -525,14 +528,11 @@ func TestDrainCoalescesContiguousWrites(t *testing.T) {
 
 func TestLoggerDeviceAccessors(t *testing.T) {
 	r := newRig(t, 14, power.PSUMeasured, Config{})
-	if r.l.SectorSize() != r.logPart.SectorSize() || r.l.Sectors() != r.logPart.Sectors() {
+	if r.l.Sectors() != r.logPart.Sectors() {
 		t.Fatal("geometry not delegated")
 	}
 	if r.l.Name() == "" || r.l.MaxBuffer() <= 0 {
 		t.Fatal("accessor defaults wrong")
-	}
-	if fmt.Sprint(r.l.SeqWriteBandwidth()) == "0" {
-		t.Fatal("zero copy bandwidth")
 	}
 }
 
@@ -543,7 +543,7 @@ func TestUPSHoldupIsZoneCapped(t *testing.T) {
 	m := power.NewMachine(s, "m0", 4, power.PSUWithUPS)
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 	dump, _ := disk.NewPartition(hdd, "dump", 0, 131072) // 64 MiB
-	safe := SafeBufferSize(m, dump)
+	safe := SafeBufferSize(m, dump, 1)
 	if want := zonePayloadCapacity(dump); safe != want {
 		t.Fatalf("UPS safe bound %d, want zone cap %d", safe, want)
 	}

@@ -44,12 +44,10 @@ var (
 func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 
 // Device is a block device on virtual time. Offsets and lengths are in
-// sectors; data lengths must be multiples of the sector size.
+// sectors of SectorSize bytes; data lengths must be multiples of it.
 type Device interface {
 	// Name identifies the device in traces and stats.
 	Name() string
-	// SectorSize returns the sector size in bytes.
-	SectorSize() int
 	// Sectors returns the device capacity in sectors.
 	Sectors() int64
 	// Read fills and returns a buffer of nsec sectors starting at lba,
@@ -61,13 +59,20 @@ type Device interface {
 	Write(p *sim.Proc, lba int64, data []byte, fua bool) error
 	// Flush blocks p until all cached writes are on media.
 	Flush(p *sim.Proc) error
+}
+
+// Drive is a physical device model (HDD, SSD, Mem): a Device plus the
+// figures only real media have. Wrappers and partitions forward I/O only;
+// whoever needs the figures asks the drive underneath.
+type Drive interface {
+	Device
 	// SeqWriteBandwidth returns the sustained sequential write bandwidth in
 	// bytes per second — the figure RapiLog's buffer-sizing rule uses.
 	SeqWriteBandwidth() float64
 	// WorstCaseAccess returns the worst-case positioning delay before a
 	// sequential stream starts (full seek plus a rotation for an HDD).
 	WorstCaseAccess() time.Duration
-	// Stats returns the device's counters (live; not a copy).
+	// Stats returns the drive's counters (live; not a copy).
 	Stats() *Stats
 }
 
@@ -172,17 +177,17 @@ func (m *media) readSectors(dst []byte, lba int64) {
 	}
 }
 
-// Partition exposes a contiguous sector range of a parent device as a
-// Device. Flushes pass through to the whole parent.
+// Partition exposes a contiguous sector range of a drive as a Device.
+// Flushes pass through to the whole drive.
 type Partition struct {
-	parent Device
+	parent Drive
 	name   string
 	start  int64
 	count  int64
 }
 
 // NewPartition creates a view of count sectors starting at start.
-func NewPartition(parent Device, name string, start, count int64) (*Partition, error) {
+func NewPartition(parent Drive, name string, start, count int64) (*Partition, error) {
 	if start < 0 || count < 0 || start+count > parent.Sectors() {
 		return nil, fmt.Errorf("%w: partition %q [%d,+%d) on %d-sector device",
 			ErrOutOfRange, name, start, count, parent.Sectors())
@@ -193,17 +198,14 @@ func NewPartition(parent Device, name string, start, count int64) (*Partition, e
 // Name returns the partition name.
 func (pt *Partition) Name() string { return pt.name }
 
-// SectorSize returns the parent's sector size.
-func (pt *Partition) SectorSize() int { return pt.parent.SectorSize() }
-
 // Sectors returns the partition length in sectors.
 func (pt *Partition) Sectors() int64 { return pt.count }
 
 // Start returns the partition's first sector on the parent device.
 func (pt *Partition) Start() int64 { return pt.start }
 
-// Parent returns the underlying device.
-func (pt *Partition) Parent() Device { return pt.parent }
+// Parent returns the underlying drive.
+func (pt *Partition) Parent() Drive { return pt.parent }
 
 // Read implements Device.
 func (pt *Partition) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
@@ -223,12 +225,3 @@ func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error 
 
 // Flush implements Device.
 func (pt *Partition) Flush(p *sim.Proc) error { return pt.parent.Flush(p) }
-
-// SeqWriteBandwidth implements Device.
-func (pt *Partition) SeqWriteBandwidth() float64 { return pt.parent.SeqWriteBandwidth() }
-
-// WorstCaseAccess implements Device.
-func (pt *Partition) WorstCaseAccess() time.Duration { return pt.parent.WorstCaseAccess() }
-
-// Stats implements Device (shared with the parent).
-func (pt *Partition) Stats() *Stats { return pt.parent.Stats() }

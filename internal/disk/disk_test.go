@@ -93,7 +93,7 @@ func TestHDDSequentialStreamingApproachesTrackBandwidth(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			lba += int64(len(chunk) / d.SectorSize())
+			lba += int64(len(chunk) / SectorSize)
 		}
 		elapsed = p.Now().Sub(start)
 	})

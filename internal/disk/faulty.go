@@ -126,9 +126,6 @@ func (f *Faulty) maybeFault(p *sim.Proc, lba int64, nsec int, write bool) error 
 // Name implements Device.
 func (f *Faulty) Name() string { return f.name }
 
-// SectorSize implements Device.
-func (f *Faulty) SectorSize() int { return f.inner.SectorSize() }
-
 // Sectors implements Device.
 func (f *Faulty) Sectors() int64 { return f.inner.Sectors() }
 
@@ -142,7 +139,7 @@ func (f *Faulty) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 
 // Write implements Device.
 func (f *Faulty) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
-	if err := f.maybeFault(p, lba, len(data)/f.SectorSize(), true); err != nil {
+	if err := f.maybeFault(p, lba, len(data)/SectorSize, true); err != nil {
 		return err
 	}
 	return f.inner.Write(p, lba, data, fua)
@@ -151,16 +148,6 @@ func (f *Faulty) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 // Flush implements Device. Barriers are never failed: the model's unit of
 // failure is the transfer, and a flush carries no data of its own.
 func (f *Faulty) Flush(p *sim.Proc) error { return f.inner.Flush(p) }
-
-// SeqWriteBandwidth implements Device.
-func (f *Faulty) SeqWriteBandwidth() float64 { return f.inner.SeqWriteBandwidth() }
-
-// WorstCaseAccess implements Device.
-func (f *Faulty) WorstCaseAccess() time.Duration { return f.inner.WorstCaseAccess() }
-
-// Stats implements Device (the inner device's counters; injected faults
-// have their own inject_* set).
-func (f *Faulty) Stats() *Stats { return f.inner.Stats() }
 
 // PowerFail implements PowerAware when the inner device does.
 func (f *Faulty) PowerFail() {

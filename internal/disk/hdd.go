@@ -118,24 +118,21 @@ func (d *HDD) resetCache() {
 // Name implements Device.
 func (d *HDD) Name() string { return d.cfg.Name }
 
-// SectorSize implements Device.
-func (d *HDD) SectorSize() int { return SectorSize }
-
 // Sectors implements Device.
 func (d *HDD) Sectors() int64 {
 	return hddCylinders * d.sectorsPerCyl()
 }
 
-// Stats implements Device.
+// Stats implements Drive.
 func (d *HDD) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Device: one track per rotation.
+// SeqWriteBandwidth implements Drive: one track per rotation.
 func (d *HDD) SeqWriteBandwidth() float64 {
 	trackBytes := float64(d.cfg.SectorsPerTrack * SectorSize)
 	return trackBytes / d.rotPeriod.Seconds()
 }
 
-// WorstCaseAccess implements Device: full-stroke seek plus one rotation.
+// WorstCaseAccess implements Drive: full-stroke seek plus one rotation.
 func (d *HDD) WorstCaseAccess() time.Duration { return hddSeekMax + d.rotPeriod }
 
 // CacheDirtySectors returns the number of sectors waiting in the volatile

@@ -55,19 +55,16 @@ func NewMem(s *sim.Sim, cfg MemConfig) *Mem {
 // Name implements Device.
 func (d *Mem) Name() string { return d.cfg.Name }
 
-// SectorSize implements Device.
-func (d *Mem) SectorSize() int { return SectorSize }
-
 // Sectors implements Device.
 func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
 
-// Stats implements Device.
+// Stats implements Drive.
 func (d *Mem) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Device.
+// SeqWriteBandwidth implements Drive.
 func (d *Mem) SeqWriteBandwidth() float64 { return memBandwidth }
 
-// WorstCaseAccess implements Device.
+// WorstCaseAccess implements Drive.
 func (d *Mem) WorstCaseAccess() time.Duration { return memLatency }
 
 func (d *Mem) xferTime(nsec int) time.Duration {

@@ -64,16 +64,13 @@ func NewSSD(s *sim.Sim, cfg SSDConfig) *SSD {
 // Name implements Device.
 func (d *SSD) Name() string { return d.cfg.Name }
 
-// SectorSize implements Device.
-func (d *SSD) SectorSize() int { return SectorSize }
-
 // Sectors implements Device.
 func (d *SSD) Sectors() int64 { return ssdCapacity }
 
-// Stats implements Device.
+// Stats implements Drive.
 func (d *SSD) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Device: channel-parallel page programs,
+// SeqWriteBandwidth implements Drive: channel-parallel page programs,
 // capped by the bus.
 func (d *SSD) SeqWriteBandwidth() float64 {
 	pageBytes := float64(ssdPageSectors * SectorSize)
@@ -85,7 +82,7 @@ func (d *SSD) SeqWriteBandwidth() float64 {
 	return bw
 }
 
-// WorstCaseAccess implements Device.
+// WorstCaseAccess implements Drive.
 func (d *SSD) WorstCaseAccess() time.Duration { return ssdProgramLatency }
 
 func (d *SSD) pageOf(lba int64) int64 { return lba / ssdPageSectors }

@@ -203,12 +203,8 @@ type vdisk struct {
 	hv  *Hypervisor
 }
 
-func (v *vdisk) Name() string                   { return v.dev.Name() + "(virt)" }
-func (v *vdisk) SectorSize() int                { return v.dev.SectorSize() }
-func (v *vdisk) Sectors() int64                 { return v.dev.Sectors() }
-func (v *vdisk) SeqWriteBandwidth() float64     { return v.dev.SeqWriteBandwidth() }
-func (v *vdisk) WorstCaseAccess() time.Duration { return v.dev.WorstCaseAccess() }
-func (v *vdisk) Stats() *disk.Stats             { return v.dev.Stats() }
+func (v *vdisk) Name() string   { return v.dev.Name() + "(virt)" }
+func (v *vdisk) Sectors() int64 { return v.dev.Sectors() }
 
 // exit charges one VM exit and counts it.
 func (v *vdisk) exit(p *sim.Proc) {

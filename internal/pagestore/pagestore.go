@@ -128,10 +128,10 @@ type Store struct {
 // (pages are self-validating); a fresh device reads as zero pages.
 func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 	cfg.applyDefaults()
-	if cfg.PageSize%dev.SectorSize() != 0 {
-		return nil, fmt.Errorf("pagestore: page size %d not a multiple of sector size %d", cfg.PageSize, dev.SectorSize())
+	if cfg.PageSize%disk.SectorSize != 0 {
+		return nil, fmt.Errorf("pagestore: page size %d not a multiple of sector size %d", cfg.PageSize, disk.SectorSize)
 	}
-	pageSec := cfg.PageSize / dev.SectorSize()
+	pageSec := cfg.PageSize / disk.SectorSize
 	pageBase := int64(dwSlotBase + dwSlots*pageSec)
 	numPages := (dev.Sectors() - pageBase) / int64(pageSec)
 	if numPages <= 0 {
@@ -425,7 +425,7 @@ func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
 	// from the CRC, so a torn summary write is simply "never valid" and
 	// the untouched in-place pages stand.
 	need := 12 + len(batch)*8
-	ss := st.dev.SectorSize()
+	ss := disk.SectorSize
 	sum := make([]byte, (need+ss-1)/ss*ss)
 	binary.LittleEndian.PutUint32(sum[0:4], dwMagic)
 	binary.LittleEndian.PutUint32(sum[4:8], uint32(len(batch)))
@@ -448,7 +448,7 @@ func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
 		return err
 	}
 	// 4. Retire the summary.
-	return st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
+	return st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
 }
 
 // writeRuns writes blob's page images (page ids[i] at blob[i·PageSize:])
@@ -489,7 +489,7 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 	if crc32.ChecksumIEEE(sum[:8+count*8]) != binary.LittleEndian.Uint32(sum[8+count*8:]) {
 		// The summary itself is torn: it never became valid, so the
 		// in-place pages were never touched. Nothing to do.
-		return 0, st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
+		return 0, st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
 	}
 	blob, err := st.dev.Read(p, dwSlotBase, count*st.pageSec)
 	if err != nil {
@@ -508,21 +508,21 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 	if err != nil {
 		return restored, err
 	}
-	return restored, st.dev.Write(p, dwHdrSector, make([]byte, st.dev.SectorSize()), true)
+	return restored, st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
 }
 
 // Control block: an engine-owned blob of at most SectorSize−12 bytes,
 // written atomically (single sector).
 
 // MaxControlLen returns the largest blob WriteControl accepts.
-func (st *Store) MaxControlLen() int { return st.dev.SectorSize() - 12 }
+func (st *Store) MaxControlLen() int { return disk.SectorSize - 12 }
 
 // WriteControl atomically persists the engine's recovery metadata.
 func (st *Store) WriteControl(p *sim.Proc, blob []byte) error {
 	if len(blob) > st.MaxControlLen() {
 		return fmt.Errorf("pagestore: control blob %d bytes exceeds %d", len(blob), st.MaxControlLen())
 	}
-	sec := make([]byte, st.dev.SectorSize())
+	sec := make([]byte, disk.SectorSize)
 	binary.LittleEndian.PutUint32(sec[0:4], ctrlMagic)
 	binary.LittleEndian.PutUint32(sec[4:8], uint32(len(blob)))
 	copy(sec[12:], blob)

@@ -87,7 +87,7 @@ func Recover(p *sim.Proc, standbys []*Standby, logDev disk.Device, from Position
 	sort.Ints(epochs)
 	rep.Epochs = len(epochs)
 
-	ss := int64(logDev.SectorSize())
+	ss := int64(disk.SectorSize)
 	var recs []Record // what the fold takes, in (epoch, seq) order
 	folding := false
 	for _, e := range epochs {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/ha"
 	"repro/internal/netsim"
@@ -281,7 +282,7 @@ func (f *follower) run(p *sim.Proc, store *replica.Standby) error {
 // replay's image, and each of its runs touches at most two blocks it does
 // not fill.
 func (f *follower) gained(rep replica.RecoverReport) int {
-	spb := int64(f.r.Cfg.Personality.WalBlockSize / f.r.LogDev.SectorSize())
+	spb := int64(f.r.Cfg.Personality.WalBlockSize / disk.SectorSize)
 	return int(rep.Sectors/spb) + 2*rep.Runs
 }
 

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ type site struct {
 	// private fault generator.
 	seedOffset int64
 	// sharers is how many log domains dump into the machine's one hold-up
-	// window; it feeds the N-aware buffer sizing rule.
+	// window; it feeds the buffer sizing rule (core.SafeBufferSize).
 	sharers int
 	// endpoint is the shipper's name on the replication fabric.
 	endpoint string
@@ -43,7 +44,7 @@ type LogDomain struct {
 	m  *Rig
 	at site
 
-	Disk     disk.Device
+	Disk     disk.Drive
 	LogPart  *disk.Partition
 	DumpPart *disk.Partition
 	DataPart *disk.Partition
@@ -81,7 +82,7 @@ type LogDomain struct {
 func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 	cfg, s, m := r.Cfg, r.S, r.Machine
 	seed := cfg.Seed + at.seedOffset
-	mkDisk := func(name string, kind DiskKind) (disk.Device, error) {
+	mkDisk := func(name string, kind DiskKind) (disk.Drive, error) {
 		switch kind {
 		case DiskHDD:
 			hc := cfg.HDD
@@ -203,17 +204,6 @@ func (d *LogDomain) assemblePlatform() error {
 	// RapiLog, the one mode Normalize leaves.
 	rlCfg := cfg.RapiLog
 	rlCfg.Obs = d.Obs
-	if d.at.sharers > 1 && rlCfg.MaxBuffer == 0 {
-		// N shards dump concurrently into the same hold-up window: size each
-		// buffer by the shared budget, not the whole one. (Metric names stay
-		// identical across shards — "rapilog.*" under each shard's Obs view —
-		// so fleet roll-ups can match by suffix.)
-		shared := core.SafeBufferSizeShared(m, d.DumpPart, d.at.sharers)
-		if shared <= 0 {
-			return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", d.at.sharers)
-		}
-		rlCfg.MaxBuffer = shared
-	}
 	if cfg.Replicas > 0 {
 		// A new power epoch gets a new shipper: the stream restarts at seq 1
 		// under the next epoch number and the standbys keep both (recovery
@@ -235,7 +225,13 @@ func (d *LogDomain) assemblePlatform() error {
 		rlCfg.Replicator = d.Shipper
 		rlCfg.Policy = cfg.AckPolicy
 	}
-	logger, err := core.NewLogger(m, hyp.Domain(), d.LogDev, d.DumpDev, rlCfg)
+	// N shards dump concurrently into the same hold-up window, so each
+	// buffer is sized by the shared budget, not the whole one.
+	safe := core.SafeBufferSize(m, d.DumpPart, d.at.sharers)
+	logger, err := core.NewLogger(m, hyp.Domain(), d.LogDev, d.DumpDev, safe, rlCfg)
+	if errors.Is(err, core.ErrNoSafeBuffer) && d.at.sharers > 1 {
+		return fmt.Errorf("rig: no safe per-shard buffer for %d sharers on this PSU", d.at.sharers)
+	}
 	if err != nil {
 		return err
 	}
@@ -259,19 +255,14 @@ func (d *LogDomain) EngineConfig() engine.Config {
 	}
 }
 
-// SafeBound returns the provable exposure limit for this domain: the lesser
-// of the configured buffer bound and SafeBufferSize — the N-sharer variant on
-// a sharded machine, since all N dumps share the hold-up window. Zero outside
-// RapiLog mode (nothing is ever exposed).
+// SafeBound returns the provable exposure limit for this domain: its
+// logger's (core.Logger.SafeBound). Zero outside RapiLog mode (nothing is
+// ever exposed).
 func (d *LogDomain) SafeBound() int64 {
 	if d.Logger == nil {
 		return 0
 	}
-	bound := d.Logger.MaxBuffer()
-	if safe := core.SafeBufferSizeShared(d.m.Machine, d.DumpPart, d.at.sharers); safe < bound {
-		bound = safe
-	}
-	return bound
+	return d.Logger.SafeBound()
 }
 
 // Boot opens the engine (running recovery if the devices hold prior state).

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -92,6 +93,64 @@ func TestShardedBootCommitAndMetrics(t *testing.T) {
 	for _, name := range reg.Names() {
 		if strings.HasSuffix(name, ".hv.exits") {
 			t.Fatalf("per-shard hypervisor instrument %q, want the shared one only", name)
+		}
+	}
+}
+
+// TestShardedBufferBoundIsTheSharedOne: a shard's buffer answers to its
+// N-sharer bound, not to the one-sharer bound of a machine with one log. A
+// MaxBuffer between the two is refused unless Unsafe, and an Unsafe shard
+// still reports the N-sharer bound as its exposure limit. Under remote-only
+// acks a PSU with no local bound at all is no reason to refuse a sharded
+// machine either: each shard gets the buffer an unsharded machine gets.
+func TestShardedBufferBoundIsTheSharedOne(t *testing.T) {
+	const n = 4
+	def, err := New(Config{Seed: 1, NoDaemons: true, Shards: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := def.SafeBound()
+	single := core.SafeBufferSize(def.Machine, def.DumpPart, 1)
+	def.Close()
+	if shared <= 0 || shared >= single {
+		t.Fatalf("test premise broken: %d-sharer bound %d, one-sharer bound %d", n, shared, single)
+	}
+	over := core.Config{MaxBuffer: (shared + single) / 2}
+	if r, err := New(Config{Seed: 1, NoDaemons: true, Shards: n, RapiLog: over}); err == nil {
+		r.Close()
+		t.Fatalf("MaxBuffer %d above the %d-sharer bound %d accepted without Unsafe", over.MaxBuffer, n, shared)
+	}
+	over.Unsafe = true
+	r, err := New(Config{Seed: 1, NoDaemons: true, Shards: n, RapiLog: over})
+	if err != nil {
+		t.Fatalf("Unsafe MaxBuffer %d refused: %v", over.MaxBuffer, err)
+	}
+	for i, d := range r.Domains {
+		if d.Logger.MaxBuffer() != over.MaxBuffer || d.SafeBound() != shared {
+			t.Errorf("shard %d: buffer %d, SafeBound %d; want %d and the %d-sharer bound %d",
+				i, d.Logger.MaxBuffer(), d.SafeBound(), over.MaxBuffer, n, shared)
+		}
+	}
+	r.Close()
+
+	hopeless := power.PSUConfig{Name: "hopeless", HoldupMin: time.Millisecond, HoldupMax: time.Millisecond,
+		InterruptLatency: 2 * time.Millisecond}
+	remote := Config{Seed: 1, NoDaemons: true, PSU: hopeless, AckPolicy: core.AckRemoteOnly(1)}
+	one, err := New(remote)
+	if err != nil {
+		t.Fatalf("unsharded remote-only machine on a hopeless PSU: %v", err)
+	}
+	want := one.Logger.MaxBuffer()
+	one.Close()
+	remote.Shards = 2
+	sh, err := New(remote)
+	if err != nil {
+		t.Fatalf("sharded remote-only machine on a hopeless PSU: %v", err)
+	}
+	defer sh.Close()
+	for i, d := range sh.Domains {
+		if got := d.Logger.MaxBuffer(); got != want {
+			t.Errorf("shard %d buffer %d, the unsharded machine's %d", i, got, want)
 		}
 	}
 }

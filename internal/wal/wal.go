@@ -183,10 +183,10 @@ type sealedBlock struct {
 // discarded; the first scan will stop at the new generation's tail).
 func New(s *sim.Sim, dev disk.Device, cfg Config) (*Log, error) {
 	cfg.applyDefaults()
-	if cfg.BlockSize%dev.SectorSize() != 0 {
-		return nil, fmt.Errorf("wal: block size %d not a multiple of sector size %d", cfg.BlockSize, dev.SectorSize())
+	if cfg.BlockSize%disk.SectorSize != 0 {
+		return nil, fmt.Errorf("wal: block size %d not a multiple of sector size %d", cfg.BlockSize, disk.SectorSize)
 	}
-	nBlocks := uint64(dev.Sectors()) / uint64(cfg.BlockSize/dev.SectorSize())
+	nBlocks := uint64(dev.Sectors()) / uint64(cfg.BlockSize/disk.SectorSize)
 	if nBlocks < 2 {
 		return nil, fmt.Errorf("wal: device too small (%d blocks)", nBlocks)
 	}
@@ -195,7 +195,7 @@ func New(s *sim.Sim, dev disk.Device, cfg Config) (*Log, error) {
 		dev:         dev,
 		cfg:         cfg,
 		nBlocks:     nBlocks,
-		sectorsPer:  cfg.BlockSize / dev.SectorSize(),
+		sectorsPer:  cfg.BlockSize / disk.SectorSize,
 		curData:     make([]byte, cfg.BlockSize),
 		curOff:      blockHdrLen,
 		flushedSig:  s.NewSignal("wal.flushed"),
@@ -513,7 +513,7 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	cfg.applyDefaults()
 	var res ScanResult
 	bs := cfg.BlockSize
-	sectorsPer := bs / dev.SectorSize()
+	sectorsPer := bs / disk.SectorSize
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
 	extentMax := uint64(max(1, scanExtentBytes/bs))
 	seq := fromLSN / uint64(bs)

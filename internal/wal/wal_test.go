@@ -14,7 +14,7 @@ import (
 	"repro/internal/sim"
 )
 
-func memLog(t *testing.T, seed int64, cfg Config) (*sim.Sim, disk.Device, *Log) {
+func memLog(t *testing.T, seed int64, cfg Config) (*sim.Sim, *disk.Mem, *Log) {
 	t.Helper()
 	s := sim.New(seed)
 	dev := disk.NewMem(s, disk.MemConfig{Name: "log", Persistent: true, Capacity: 1 << 16})
@@ -263,7 +263,7 @@ func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (Sca
 	cfg.applyDefaults()
 	var res ScanResult
 	bs := uint64(cfg.BlockSize)
-	sectorsPer := cfg.BlockSize / dev.SectorSize()
+	sectorsPer := cfg.BlockSize / disk.SectorSize
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
 	read := func(seq uint64) ([]byte, error) {
 		return dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), sectorsPer)
@@ -312,13 +312,13 @@ type scanCost struct {
 }
 
 // scanBoth scans dev from fromLSN with Scan and then with the reference
-// reader, on s, and returns Scan's result and cost. It fails t if a process
-// Scan started outlives the call.
-func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, fromLSN uint64) (res ScanResult, cost scanCost) {
+// reader, on s, and returns Scan's result and cost, counted on st (the
+// counters of the drive under dev). It fails t if a process Scan started
+// outlives the call.
+func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN uint64) (res ScanResult, cost scanCost) {
 	t.Helper()
 	var want ScanResult
 	s.Spawn(nil, "r", func(p *sim.Proc) {
-		st := dev.Stats()
 		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), s.LiveProcs()
 		var err error
 		if res, err = Scan(p, dev, Config{}, fromLSN); err != nil {
@@ -392,7 +392,7 @@ func TestScanStreamsInDoublingExtents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, cost := scanBoth(t, s, dev, FirstLSN(Config{}))
+			res, cost := scanBoth(t, s, dev, hdd.Stats(), FirstLSN(Config{}))
 			if n == 0 {
 				if cost.reads != 1 || cost.sectors != bs/512 || len(res.Records) != 0 {
 					t.Fatalf("empty log: %d reads of %d sectors found %d records, want one read of one block",
@@ -404,8 +404,8 @@ func TestScanStreamsInDoublingExtents(t *testing.T) {
 				t.Fatalf("scan ended at LSN %d (torn %v), log at %d", res.EndLSN, res.Torn, l.AppendedLSN())
 			}
 			span := int64(n)*bs + 2*scanExtentBytes
-			transfer := time.Duration(float64(span) / dev.SeqWriteBandwidth() * float64(time.Second))
-			limit := 2*dev.WorstCaseAccess() + transfer + time.Duration(span/cylBytes+1)*crossing
+			transfer := time.Duration(float64(span) / hdd.SeqWriteBandwidth() * float64(time.Second))
+			limit := 2*hdd.WorstCaseAccess() + transfer + time.Duration(span/cylBytes+1)*crossing
 			if cost.took > limit {
 				t.Fatalf("scanning %d blocks took %v in %d reads, want at most %v", n, cost.took, cost.reads, limit)
 			}
@@ -431,7 +431,7 @@ func TestScanFlagsTornRecord(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := scanBoth(t, s, dev, FirstLSN(Config{}))
+	res, _ := scanBoth(t, s, dev, dev.Stats(), FirstLSN(Config{}))
 	if !res.Torn || len(res.Records) != 9 || res.EndLSN != 2*4096+16+928 {
 		t.Fatalf("scan found %d records to LSN %d (torn %v), want 9 to LSN %d, torn",
 			len(res.Records), res.EndLSN, res.Torn, 2*4096+16+928)
@@ -466,7 +466,7 @@ func TestScanRejectsStaleGenerationAfterWrap(t *testing.T) {
 			}
 			// Scan from the oldest surviving block boundary.
 			startSeq := (l.AppendedLSN()/uint64(4096) + 1) - 8 + 1
-			res, _ := scanBoth(t, s, dev, startSeq*4096)
+			res, _ := scanBoth(t, s, dev, dev.Stats(), startSeq*4096)
 			if len(res.Records) == 0 {
 				t.Fatal("scan found nothing after wrap")
 			}
@@ -812,7 +812,7 @@ func TestScanBlocksReadsNoFurtherThanItsLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	from := uint64(3*bs + blockHdrLen + 928) // the second record of block 3
-	full, _ := scanBoth(t, s, dev, from)
+	full, _ := scanBoth(t, s, dev, dev.Stats(), from)
 	for _, limit := range []int{1, 4, 10, 20} {
 		var res ScanResult
 		var reads, sectors int64

@@ -140,9 +140,9 @@ func ParseAckPolicy(kind string, k int) (AckPolicy, error) {
 }
 
 // SafeBufferSize computes the paper's buffer-sizing rule for a machine's
-// PSU and dump device.
-func SafeBufferSize(m *power.Machine, dumpZone disk.Device) int64 {
-	return core.SafeBufferSize(m, dumpZone)
+// PSU and a dump zone, one of sharers log domains racing its hold-up window.
+func SafeBufferSize(m *power.Machine, dumpZone *disk.Partition, sharers int) int64 {
+	return core.SafeBufferSize(m, dumpZone, sharers)
 }
 
 // Workloads and the durability journal.

@@ -199,11 +199,14 @@ func TestFacadeCampaign(t *testing.T) {
 }
 
 func TestSafeBufferSizeExposed(t *testing.T) {
-	dep, err := New(Config{Seed: 2, Mode: ModeRapiLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SafeBufferSize(dep.Machine, dep.DumpPart); got != dep.Logger.MaxBuffer() {
-		t.Fatalf("SafeBufferSize %d != logger bound %d", got, dep.Logger.MaxBuffer())
+	for _, shards := range []int{0, 2} {
+		dep, err := New(Config{Seed: 2, Mode: ModeRapiLog, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SafeBufferSize(dep.Machine, dep.DumpPart, max(shards, 1)); got != dep.Logger.MaxBuffer() {
+			t.Fatalf("shards=%d: SafeBufferSize %d != logger bound %d", shards, got, dep.Logger.MaxBuffer())
+		}
+		dep.Close()
 	}
 }
