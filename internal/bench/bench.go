@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/engine"
@@ -109,15 +108,6 @@ func ByID(id string) *Experiment {
 	return nil
 }
 
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	ids := make([]string, len(All))
-	for i, e := range All {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // measureWorkload builds a machine from cfg and measures saturation
 // throughput on it (rig.Run, with clients per log domain). Besides the
 // machine-wide result it returns the first domain's commit-latency histogram
@@ -201,14 +191,4 @@ func runE3(opts Options) (*Report, error) {
 func runA2(opts Options) (*Report, error) {
 	return throughputSweep("a2", "TPC-C throughput vs clients, PG-like engine, SSD",
 		"flash discussion (§ non-rotating media)", engine.PGLike, rig.DiskSSD, opts)
-}
-
-// sortedKeys returns map keys in stable order (for deterministic notes).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

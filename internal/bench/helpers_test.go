@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -51,4 +52,14 @@ func TestSortedKeys(t *testing.T) {
 	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
 		t.Fatalf("sortedKeys = %v", keys)
 	}
+}
+
+// sortedKeys returns map keys in stable order (for deterministic notes).
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -229,9 +229,6 @@ func TestExperimentRegistry(t *testing.T) {
 	if ByID("zz") != nil {
 		t.Error("ByID(zz) found something")
 	}
-	if len(IDs()) != len(All) {
-		t.Error("IDs() length mismatch")
-	}
 }
 
 func TestShapeA4DedicatedSpindle(t *testing.T) {

@@ -73,7 +73,7 @@ func TestAbsorptionSurvivesPowerCut(t *testing.T) {
 		r.m.RestorePower()
 		boot := r.s.NewDomain("boot")
 		r.s.Spawn(boot, "recover", func(p *sim.Proc) {
-			if _, err := Recover(p, r.logPart, r.dump); err != nil {
+			if _, err := r.l.Recover(p, nil); err != nil {
 				t.Errorf("recover: %v", err)
 				return
 			}
@@ -121,7 +121,7 @@ func TestReadBeyondRangeFails(t *testing.T) {
 func TestRecoverOnCleanZoneIsNoop(t *testing.T) {
 	r := newRig(t, 26, power.PSUMeasured, Config{})
 	r.s.Spawn(nil, "recover", func(p *sim.Proc) {
-		rep, err := Recover(p, r.logPart, r.dump)
+		rep, err := r.l.Recover(p, nil)
 		if err != nil || rep.HadDump || rep.Entries != 0 {
 			t.Errorf("clean-zone recover: %+v %v", rep, err)
 		}

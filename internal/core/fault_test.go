@@ -12,10 +12,27 @@ import (
 )
 
 // faultRig is a rig whose log partition sits behind a disk.Faulty wrapper,
-// mirroring how internal/rig wires LogFault.
+// mirroring how internal/rig wires LogFault, and a defect the test can grow
+// and repair.
 type faultRig struct {
 	*rig
 	flt *disk.Faulty
+	bad *defect
+}
+
+// defect is a grown defect that can be repaired, which a disk.Faulty's
+// never is: writes into [lo, hi) fail with a transient disk.ErrIO before
+// they reach the device, until the test repairs the range (hi = 0).
+type defect struct {
+	disk.Device
+	lo, hi int64
+}
+
+func (d *defect) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
+	if lba < d.hi && lba+int64(len(data)/disk.SectorSize) > d.lo {
+		return fmt.Errorf("%w: grown defect at lba %d", disk.ErrIO, lba)
+	}
+	return d.Device.Write(p, lba, data, fua)
 }
 
 func newFaultRig(t *testing.T, seed int64, cfg Config) *faultRig {
@@ -33,15 +50,17 @@ func newFaultRig(t *testing.T, seed int64, cfg Config) *faultRig {
 		t.Fatal(err)
 	}
 	flt := disk.NewFaulty(logPart, disk.FaultConfig{Seed: seed + 1})
+	bad := &defect{Device: flt}
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
-	l, err := NewLogger(m, hvDom, flt, dump, SafeBufferSize(m, dump, 1), cfg)
+	l, err := NewLogger(m, hvDom, bad, dump, SafeBufferSize(m, dump, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &faultRig{
 		rig: &rig{s: s, m: m, hdd: hdd, logPart: logPart, dump: dump, hvDom: hvDom, guest: guest, l: l},
 		flt: flt,
+		bad: bad,
 	}
 }
 
@@ -100,7 +119,7 @@ func TestTransientDrainErrorRetriesWithoutDegrading(t *testing.T) {
 // the backlog and restores buffered service.
 func TestPermanentFaultDegradesAndRestores(t *testing.T) {
 	r := newFaultRig(t, 2, Config{})
-	r.flt.AddBadRange(0, 64, false) // writes into LBAs 0..64 fail forever
+	r.bad.lo, r.bad.hi = 0, 64 // writes into LBAs 0..64 fail until repaired
 	oldB := pattern(4096, 2)
 	newB := pattern(4096, 3)
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
@@ -141,7 +160,7 @@ func TestPermanentFaultDegradesAndRestores(t *testing.T) {
 			t.Error("read of patched entry B did not return the newest data")
 		}
 		// Repair the media; the probe must drain the backlog and restore.
-		r.flt.ClearBadRanges()
+		r.bad.hi = 0
 	})
 	if err := r.s.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -200,7 +219,7 @@ func assertRestoredAndEmpty(t *testing.T, r *faultRig, when string) bool {
 func TestGuestCrashInPassThroughDoesNotWedgeDrainer(t *testing.T) {
 	r := newFaultRig(t, 2, Config{})
 	defer r.s.Close()
-	r.flt.AddBadRange(0, 64, false)
+	r.bad.lo, r.bad.hi = 0, 64
 	inPassThrough := false
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
 		if err := r.l.Write(p, 0, pattern(4096, 1), false); err != nil {
@@ -210,7 +229,7 @@ func TestGuestCrashInPassThroughDoesNotWedgeDrainer(t *testing.T) {
 		r.s.After(200*time.Microsecond, func() {
 			inPassThrough = r.l.IsDegraded() && r.l.io.Available() == 0
 			r.guest.Kill()
-			r.flt.ClearBadRanges()
+			r.bad.hi = 0
 		})
 		_ = r.l.Write(p, 1000, pattern(4096, 2), false)
 		t.Error("guest survived its own crash")
@@ -232,7 +251,7 @@ func TestGuestCrashAtEveryEventOfDegradedWriters(t *testing.T) {
 	var points, held, waiting, midGrant, wedged int
 	for k := 0; ; k++ {
 		r := newFaultRig(t, 3, cfg)
-		r.flt.AddBadRange(0, 8, false) // under writer 0's first write only
+		r.bad.lo, r.bad.hi = 0, 8 // under writer 0's first write only
 		for w := 0; w < 2; w++ {
 			w := w
 			r.s.Spawn(r.guest, fmt.Sprintf("db%d", w), func(p *sim.Proc) {
@@ -271,7 +290,7 @@ func TestGuestCrashAtEveryEventOfDegradedWriters(t *testing.T) {
 			midGrant++
 		}
 		r.guest.Kill()
-		r.flt.ClearBadRanges()
+		r.bad.hi = 0
 		if !assertRestoredAndEmpty(t, r, fmt.Sprintf("guest killed after event %d (t=%v)", k, r.s.Now())) {
 			wedged++
 		}
@@ -349,7 +368,7 @@ func TestEmergencyDumpRetriesTransientError(t *testing.T) {
 		boot := r.s.NewDomain("boot")
 		r.s.Spawn(boot, "recover", func(p *sim.Proc) {
 			var err error
-			rep, err = Recover(p, r.logPart, r.dump)
+			rep, err = r.l.Recover(p, nil)
 			if err != nil {
 				t.Errorf("recover: %v", err)
 				return
@@ -392,7 +411,7 @@ func TestEmergencyDumpPermanentFailureIsCounted(t *testing.T) {
 		r.m.RestorePower()
 		boot := r.s.NewDomain("boot")
 		r.s.Spawn(boot, "recover", func(p *sim.Proc) {
-			rep, _ = Recover(p, r.logPart, r.dump)
+			rep, _ = r.l.Recover(p, nil)
 		})
 	})
 	if err := r.s.RunFor(10 * time.Second); err != nil {
@@ -405,7 +424,7 @@ func TestEmergencyDumpPermanentFailureIsCounted(t *testing.T) {
 	if fd.fails != 1 {
 		t.Fatalf("dump write attempted %d times, want 1 (permanent errors must not burn the budget)", fd.fails)
 	}
-	if rep.HadDump {
-		t.Fatal("recovery found a dump the failed write should never have produced")
+	if rep.HadDump || rep.DumpFailures != 1 {
+		t.Fatalf("recovery report %+v: want no dump and the one failed dump write", rep)
 	}
 }

@@ -121,3 +121,59 @@ func (l *Logger) waitPolicy(p *sim.Proc, seq uint64) {
 	l.cfg.Replicator.WaitQuorum(p, seq, l.cfg.Policy.K)
 	l.stats.QuorumWait.Observe(p.Now().Sub(start))
 }
+
+// Recover is boot-time recovery after the power loss that ended this
+// logger's epoch, before the DBMS runs its own log recovery: it merges the
+// durability domains into the log partition. The logger is the dying
+// epoch's; the power cut stopped its processes, and what Recover asks of it
+// is its devices, its policy and how its emergency dump went.
+//
+// The local domain — drained sectors on the log partition plus the dump
+// zone's snapshot of what was still buffered — is authoritative wherever it
+// is complete: it holds the newest version of every sector, while a standby
+// that lagged (a partition, a crash) holds stale images of sectors the
+// drain has since rewritten, and folding those over the log would roll
+// acked, locally durable commits back. The standbys are replayed, through
+// replayReplicas, only when the policy makes them the durability domain for
+// bytes the local domain lost:
+//
+//   - AckRemoteOnly: always. The dump is disabled by design, so the
+//     standbys are the only copy of everything still buffered at the cut.
+//   - AckQuorum: only when the dump cannot account for the buffer — a torn
+//     image, a failed dump write, an unreadable zone. Any rollback this
+//     replay inflicts is bounded to unacknowledged writes: a commit was
+//     acked only after k standbys held its bytes.
+//   - AckLocal: never. Acks are not gated on the standbys, so a lagging
+//     standby can sit arbitrarily far behind the ack frontier; replaying
+//     could only trade acked local durability for stale remote bytes.
+//
+// When both sources replay, the standbys' records land first and the dump's
+// intact entries second: the dump snapshotted the newest buffered version
+// of everything it covers, so it must win on overlap. The dump is then
+// invalidated, so a second boot does not replay it over a log that has
+// moved on. replayReplicas may be nil under AckLocal.
+func (l *Logger) Recover(p *sim.Proc, replayReplicas func(*sim.Proc) error) (RecoveryReport, error) {
+	dump, derr := ReadDump(p, l.dump)
+	rep := RecoveryReport{HadDump: dump.HadDump, Torn: dump.Torn, DumpRetries: l.dumpRetries, DumpFailures: l.dumpFailures}
+	// The local domain is complete when the dump image accounts for the
+	// whole buffer — or when there was provably nothing buffered to dump.
+	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && l.dumpFailures == 0))
+	needReplica := l.cfg.Policy.Kind == AckKindRemoteOnly ||
+		(l.cfg.Policy.Kind == AckKindQuorum && !localComplete)
+	if derr != nil && !needReplica {
+		return rep, derr
+	}
+	if needReplica {
+		if err := replayReplicas(p); err != nil {
+			return rep, err
+		}
+	}
+	if derr != nil || !dump.HadDump {
+		return rep, nil
+	}
+	var err error
+	if rep.Entries, rep.Bytes, err = dump.Replay(p, l.backing); err != nil {
+		return rep, err
+	}
+	return rep, InvalidateDump(p, l.dump)
+}

@@ -16,8 +16,8 @@
 //  5. If mains power fails, the power-fail interrupt triggers an emergency
 //     dump: everything still buffered is written in one sequential burst to
 //     a reserved dump zone, inside the PSU's hold-up window. On the next
-//     boot, Recover replays the dump into the log partition before the
-//     DBMS runs its own recovery.
+//     boot, Logger.Recover replays the dump into the log partition before
+//     the DBMS runs its own recovery.
 //
 // The safety argument is quantitative: the buffer is bounded by
 // SafeBufferSize — what can provably be dumped within the guaranteed
@@ -389,15 +389,6 @@ func (l *Logger) RapiStats() *Stats { return l.stats }
 // tracer returns the Logger's tracer (nil — a no-op — when unconfigured).
 func (l *Logger) tracer() *obs.Tracer { return l.cfg.Obs.Tracer() }
 
-// DumpOutcome reports how this logger's emergency dump went: writes retried
-// inside the hold-up window, and dumps that never made it to the zone. A
-// logger lives for one power epoch, so after a power loss this is the dying
-// epoch's outcome — failures > 0 with no dump image on the zone means "the
-// dump write failed", not "nothing was buffered".
-func (l *Logger) DumpOutcome() (retries, failures int) {
-	return l.dumpRetries, l.dumpFailures
-}
-
 // MaxBuffer returns the configured buffer bound in bytes.
 func (l *Logger) MaxBuffer() int64 { return l.cfg.MaxBuffer }
 
@@ -462,8 +453,9 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	// Write absorption: a buffered-but-not-draining write to the same
 	// block is superseded in place — the disk only ever needs the newest
 	// version. This is what keeps repeated log-tail rewrites from eating
-	// a disk rotation each in the drain.
-	if e, ok := l.absorb[lba]; ok && len(e.data) == len(data) {
+	// a disk rotation each in the drain. Not when a newer entry overlaps
+	// the block: it would land over the rewrite with older bytes.
+	if e, ok := l.absorb[lba]; ok && len(e.data) == len(data) && !l.shadowed(e, lba, nsec) {
 		copy(e.data, data)
 		l.stats.Absorbed.Inc()
 		// The rewrite is a write of the force that issued it, not of the one
@@ -521,6 +513,17 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	l.stats.Writes.Inc()
 	l.stats.AckLatency.Observe(p.Now().Sub(start))
 	return nil
+}
+
+// shadowed reports whether an entry buffered after e overlaps the nsec
+// sectors at lba. e must be pending; a log tail's rewrite finds it last.
+func (l *Logger) shadowed(e *entry, lba int64, nsec int) bool {
+	for i := len(l.pending) - 1; l.pending[i] != e; i-- {
+		if _, _, n := l.pending[i].overlap(lba, nsec); n > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // passthroughWrite is the degraded-mode write path: durability before
@@ -863,10 +866,12 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 	l.s.Tracef("%s: emergency flush complete at %v", deviceName, p.Now())
 }
 
-// RecoveryReport summarises what Recover replayed. DumpRetries and
-// DumpFailures are the previous power epoch's Logger.DumpOutcome (the rig
-// fills them in): HadDump=false with DumpFailures>0 means the dump write
-// itself failed, distinct from Torn — the dump losing the hold-up race.
+// RecoveryReport summarises what Logger.Recover replayed. DumpRetries and
+// DumpFailures are the dying epoch's emergency-dump writes retried inside
+// the hold-up window and dumps that never reached the zone (a logger lives
+// for one power epoch): HadDump=false with DumpFailures>0 means the dump
+// write itself failed, distinct from Torn — the dump losing the hold-up
+// race — and from nothing having been buffered.
 type RecoveryReport struct {
 	Entries      int
 	Bytes        int64
@@ -878,9 +883,9 @@ type RecoveryReport struct {
 
 // Dump is a parsed dump-zone image: every entry that survived intact, plus
 // the validity flags a recovery policy needs. ReadDump produces it without
-// writing anything, so a caller coordinating several durability domains
-// (rig.RecoverAfterPower with standby replicas) can decide what to replay —
-// and in which order — before the first sector changes.
+// writing anything, so Logger.Recover can decide what to replay — the dump,
+// the standbys, or both, and in which order — before the first sector
+// changes.
 type Dump struct {
 	HadDump bool
 	Torn    bool // the image ended mid-entry (hold-up deadline hit mid-dump)
@@ -896,9 +901,9 @@ type DumpEntry struct {
 // Complete reports whether the image fully accounts for what was buffered
 // at the power-fail interrupt: a valid header with no tear. A machine that
 // had nothing buffered writes no dump at all — that case is HadDump=false
-// and the buffer was trivially covered, but only the dying logger's
-// DumpOutcome can tell it apart from "the dump write itself failed"; callers
-// deciding whether local recovery is complete must consult both.
+// and the buffer was trivially covered, but only the dying logger's dump
+// failure count can tell it apart from "the dump write itself failed";
+// Logger.Recover consults both.
 func (d Dump) Complete() bool { return d.HadDump && !d.Torn }
 
 // ReadDump parses the dump zone without modifying anything. A zone with no
@@ -986,25 +991,6 @@ func (d Dump) Replay(p *sim.Proc, logPartition disk.Device) (entries int, bytes 
 // replay a stale image over a log that has moved on.
 func InvalidateDump(p *sim.Proc, dumpZone disk.Device) error {
 	return dumpZone.Write(p, 0, make([]byte, disk.SectorSize), true)
-}
-
-// Recover runs at boot, before the DBMS's own log recovery: if the dump
-// zone holds a valid dump, replay every intact entry into the log
-// partition (FUA), then invalidate the zone.
-func Recover(p *sim.Proc, logPartition, dumpZone disk.Device) (RecoveryReport, error) {
-	d, err := ReadDump(p, dumpZone)
-	rep := RecoveryReport{HadDump: d.HadDump, Torn: d.Torn}
-	if err != nil || !d.HadDump {
-		return rep, err
-	}
-	rep.Entries, rep.Bytes, err = d.Replay(p, logPartition)
-	if err != nil {
-		return rep, err
-	}
-	if err := InvalidateDump(p, dumpZone); err != nil {
-		return rep, err
-	}
-	return rep, nil
 }
 
 func min64(a, b int64) int64 {

@@ -89,9 +89,6 @@ func (f *Faulty) AddBadRange(lba, nsec int64, failReads bool) {
 	f.bad = append(f.bad, badRange{lo: lba, hi: lba + nsec, reads: failReads})
 }
 
-// ClearBadRanges forgets all grown defects (the drive was swapped).
-func (f *Faulty) ClearBadRanges() { f.bad = nil }
-
 // inBadRange reports whether [lba, lba+nsec) intersects a grown defect
 // that applies to the access direction.
 func (f *Faulty) inBadRange(lba int64, nsec int, write bool) bool {
@@ -148,17 +145,3 @@ func (f *Faulty) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 // Flush implements Device. Barriers are never failed: the model's unit of
 // failure is the transfer, and a flush carries no data of its own.
 func (f *Faulty) Flush(p *sim.Proc) error { return f.inner.Flush(p) }
-
-// PowerFail implements PowerAware when the inner device does.
-func (f *Faulty) PowerFail() {
-	if pa, ok := f.inner.(PowerAware); ok {
-		pa.PowerFail()
-	}
-}
-
-// PowerOn implements PowerAware when the inner device does.
-func (f *Faulty) PowerOn(dom *sim.Domain) {
-	if pa, ok := f.inner.(PowerAware); ok {
-		pa.PowerOn(dom)
-	}
-}

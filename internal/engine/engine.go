@@ -67,7 +67,7 @@ type Personality struct {
 	Name string
 	// CommitDelay widens the group-commit window (wal.Config.CommitDelay).
 	CommitDelay time.Duration
-	// CPUPerOp is charged for each Get/Put/Delete.
+	// CPUPerOp is charged for each Get/Put.
 	CPUPerOp time.Duration
 	// CPUPerTxn is charged once per transaction (parse/plan/etc.).
 	CPUPerTxn time.Duration
@@ -218,39 +218,42 @@ func (e *Engine) onWalDurable(lsn uint64) {
 // tracer returns the engine's tracer (nil — a no-op — when unconfigured).
 func (e *Engine) tracer() *obs.Tracer { return e.cfg.Obs.Tracer() }
 
-// updatePayload frames a logical redo record — delete flag, key, value —
-// into buf's backing array, growing it only when capacity falls short. The
-// commit path passes a pooled buffer (wal.Append copies synchronously, so
-// the same buffer re-encodes every write of the transaction).
-func updatePayload(buf []byte, key string, val []byte, del bool) []byte {
+// updatePayload frames a logical redo record — a reserved flag byte, key,
+// value — into buf's backing array, growing it only when capacity falls
+// short. The commit path passes a pooled buffer (wal.Append copies
+// synchronously, so the same buffer re-encodes every write of the
+// transaction). The flag byte is always zero, and parseUpdatePayload
+// refuses any other value.
+func updatePayload(buf []byte, key string, val []byte) []byte {
 	n := 3 + len(key) + len(val)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	flag := byte(0)
-	if del {
-		flag = 1
-	}
-	buf[0] = flag
+	buf[0] = 0
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(key)))
 	copy(buf[3:], key)
 	copy(buf[3+len(key):], val)
 	return buf
 }
 
+// errBadRedo is a redo record recovery cannot apply.
+var errBadRedo = errors.New("engine: corrupt redo record")
+
 // parseUpdatePayload reads a redo record. key and val are views into
-// payload.
-func parseUpdatePayload(payload []byte) (key, val []byte, del bool, err error) {
-	if len(payload) < 3 {
-		return nil, nil, false, errors.New("engine: short update payload")
+// payload. A non-zero flag byte is refused: no writer sets it.
+func parseUpdatePayload(payload []byte) (key, val []byte, err error) {
+	switch {
+	case len(payload) < 3:
+		return nil, nil, fmt.Errorf("%w: short update payload", errBadRedo)
+	case payload[0] != 0:
+		return nil, nil, fmt.Errorf("%w: reserved flag byte %#x", errBadRedo, payload[0])
 	}
-	del = payload[0] == 1
 	kl := int(binary.LittleEndian.Uint16(payload[1:3]))
 	if 3+kl > len(payload) {
-		return nil, nil, false, errors.New("engine: update payload key overrun")
+		return nil, nil, fmt.Errorf("%w: key overruns the payload", errBadRedo)
 	}
-	return payload[3 : 3+kl], payload[3+kl:], del, nil
+	return payload[3 : 3+kl], payload[3+kl:], nil
 }
 
 // Open boots an engine on plat: double-write restore, index rebuild and WAL
@@ -386,12 +389,9 @@ func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 // it (heap.putBytes).
 func (e *Engine) redo(p *sim.Proc, txid uint64) error {
 	return e.follow.settle(txid, func(u wal.Record) error {
-		key, val, del, err := parseUpdatePayload(u.Payload)
+		key, val, err := parseUpdatePayload(u.Payload)
 		if err != nil {
 			return err
-		}
-		if del {
-			return e.heap.del(p, string(key))
 		}
 		return e.heap.putBytes(p, key, val)
 	})

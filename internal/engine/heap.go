@@ -19,8 +19,8 @@ var ErrValueTooLarge = errors.New("engine: row too large for a page")
 //
 // valCap reserves slack so same-key updates of similar size happen in
 // place; a larger value tombstones the old record and inserts a new one.
-// Deleted records are tombstoned and their space is not reused (no
-// compactor; see DESIGN.md non-goals).
+// A tombstone's space is not reused (no compactor; see DESIGN.md
+// non-goals).
 const (
 	recFixedHdr   = 7
 	flagTombstone = 1
@@ -179,24 +179,8 @@ func (h *heap) appendGet(dst []byte, p *sim.Proc, key string) ([]byte, bool, err
 	return append(dst, data[start:start+valLen]...), true, nil
 }
 
-// del tombstones key's record. The caller must hold the X lock.
-func (h *heap) del(p *sim.Proc, key string) error {
-	loc, ok := h.index[key]
-	if !ok {
-		return nil
-	}
-	pg, err := h.store.Get(p, loc.pageID)
-	if err != nil {
-		return err
-	}
-	pg.Data()[loc.off+6] |= flagTombstone
-	h.store.MarkDirty(loc.pageID)
-	delete(h.index, key)
-	return nil
-}
-
 // rebuildExtentMax caps one rebuild request, in pages. Extents double from
-// one page up to it, as wal.Scan's do: a one-page heap costs a single
+// one page up to it, as wal.ScanBlocks's do: a one-page heap costs a single
 // one-page read, and a large one streams instead of paying a rotation per
 // page.
 const rebuildExtentMax = 256

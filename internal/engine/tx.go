@@ -52,7 +52,6 @@ type txState struct {
 type txWrite struct {
 	key    string
 	off, n int
-	del    bool
 }
 
 func (s *txState) val(w txWrite) []byte { return s.vals[w.off : w.off+w.n] }
@@ -94,7 +93,7 @@ func (s *txState) lock(key string, mode LockMode) error {
 
 // Get returns the value for key under a shared lock (or the transaction's
 // own pending write). The value is a view into a buffer the transaction
-// owns: it stays valid until the transaction's next call (Get, Put, Delete,
+// owns: it stays valid until the transaction's next call (Get, Put,
 // Commit or Abort), which may overwrite it, so copy what must outlive that.
 // No other transaction writes to it, and changing it changes neither the
 // stored row nor a staged write.
@@ -109,11 +108,7 @@ func (t Tx) Get(key string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	if i := s.written(key); i >= 0 {
-		w := s.writes[i]
-		if w.del {
-			return nil, false, nil
-		}
-		s.read = append(s.read[:0], s.val(w)...)
+		s.read = append(s.read[:0], s.val(s.writes[i])...)
 		return s.read, true, nil
 	}
 	s.e.stats.Reads.Inc()
@@ -145,21 +140,6 @@ func (t Tx) Put(key string, val []byte) error {
 		return err
 	}
 	s.stage(txWrite{key: key, off: off, n: len(val)})
-	return nil
-}
-
-// Delete stages a deletion under an exclusive lock.
-func (t Tx) Delete(key string) error {
-	defer t.unwind()
-	s := t.state()
-	if s == nil {
-		return ErrTxDone
-	}
-	s.e.burn(s.p, s.e.cfg.CPUPerOp)
-	if err := s.lock(key, LockX); err != nil {
-		return err
-	}
-	s.stage(txWrite{key: key, del: true})
 	return nil
 }
 
@@ -207,7 +187,7 @@ func (t Tx) Commit() error {
 	// retry's yield.
 	var firstLSN uint64
 	for i, w := range s.writes {
-		payload := updatePayload(s.redo, w.key, s.val(w), w.del)
+		payload := updatePayload(s.redo, w.key, s.val(w))
 		s.redo = payload
 		lsn, err := e.log.Append(p, wal.RecUpdate, t.id, payload)
 		if err != nil {
@@ -262,13 +242,7 @@ func (t Tx) Commit() error {
 
 	// 3. Apply to the heap while still holding every lock.
 	for _, w := range s.writes {
-		var err error
-		if w.del {
-			err = e.heap.del(p, w.key)
-		} else {
-			err = e.heap.put(p, w.key, s.val(w))
-		}
-		if err != nil {
+		if err := e.heap.put(p, w.key, s.val(w)); err != nil {
 			// The commit record is durable; the in-memory state is now
 			// behind it. This is unrecoverable without a restart — the
 			// same stance real engines take on apply-phase I/O errors.

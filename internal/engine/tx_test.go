@@ -309,9 +309,6 @@ func TestTxDoneGuards(t *testing.T) {
 				if err := old.Put("k", []byte("stale")); !errors.Is(err, ErrTxDone) {
 					t.Errorf("put after %s: %v", end, err)
 				}
-				if err := old.Delete("k"); !errors.Is(err, ErrTxDone) {
-					t.Errorf("delete after %s: %v", end, err)
-				}
 				if err := old.Commit(); !errors.Is(err, ErrTxDone) {
 					t.Errorf("commit after %s: %v", end, err)
 				}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"time"
 )
@@ -163,15 +162,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears all observations.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxInt64
-}
-
 // String summarises the distribution.
 func (h *Histogram) String() string {
 	if h.total == 0 {
@@ -185,7 +175,7 @@ func (h *Histogram) String() string {
 		h.max.Round(time.Microsecond))
 }
 
-// Counter is a monotonically increasing count with a helper for rates.
+// Counter is a monotonically increasing count.
 type Counter struct {
 	name  string
 	value int64
@@ -210,17 +200,6 @@ func (c *Counter) Inc() { c.value++ }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.value }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.value = 0 }
-
-// Rate returns value/elapsed in events per second.
-func (c *Counter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.value) / elapsed.Seconds()
-}
 
 // Gauge is an instantaneous level that tracks its own high-water mark.
 type Gauge struct {
@@ -317,10 +296,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsByFirstColumn orders rows lexicographically by their first cell;
-// useful when rows are produced out of experiment order.
-func (t *Table) SortRowsByFirstColumn() {
-	sort.Slice(t.rows, func(i, j int) bool { return t.rows[i][0] < t.rows[j][0] })
 }

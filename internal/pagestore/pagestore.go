@@ -3,8 +3,8 @@
 // by a double-write area (the InnoDB technique), and a small sector-atomic
 // control block for the engine's recovery metadata.
 //
-// The pool is strictly no-steal: pages are written to disk only by
-// Checkpoint, never evicted while dirty, so uncommitted in-memory state
+// The pool is strictly no-steal: pages are written to disk only by a
+// checkpoint, never evicted while dirty, so uncommitted in-memory state
 // (which the engine keeps out of pages entirely — see internal/engine)
 // never reaches the device and recovery needs no undo pass.
 //
@@ -168,17 +168,6 @@ func (st *Store) NumPages() int64 { return st.numPages }
 
 // UsableSize returns the bytes available to the engine per page.
 func (st *Store) UsableSize() int { return st.cfg.PageSize - pageHdrLen }
-
-// DirtyPages returns the number of dirty pages in the pool.
-func (st *Store) DirtyPages() int {
-	n := 0
-	for _, pg := range st.pool {
-		if pg.dirty {
-			n++
-		}
-	}
-	return n
-}
 
 func (st *Store) pageLBA(id int64) int64 { return st.pageBase + id*int64(st.pageSec) }
 
@@ -360,15 +349,12 @@ func (st *Store) MarkDirty(id int64) {
 	}
 }
 
-// Checkpoint writes every dirty page to the device, torn-write-safely:
-// each batch goes to the double-write area first (sequential, FUA), the
+// CheckpointBelow writes every dirty page with an id below limit to the
+// device, torn-write-safely; the others stay dirty for the next checkpoint.
+// Each batch goes to the double-write area first (sequential, FUA), the
 // summary is marked valid, then the pages are written in place and the
 // summary cleared. A power cut at any instant leaves either the old page,
 // the new page, or a restorable double-write copy.
-func (st *Store) Checkpoint(p *sim.Proc) error { return st.CheckpointBelow(p, st.numPages) }
-
-// CheckpointBelow is Checkpoint for the dirty pages with an id below limit;
-// the others stay dirty for the next checkpoint.
 func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 	var dirty []*Page
 	for _, pg := range st.pool {
@@ -394,9 +380,7 @@ func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 			return err
 		}
 		for i := start; i < end; i++ {
-			// Still pooled: DropCaches may have emptied the pool while the
-			// batch was in flight.
-			if pg := dirty[i]; pg.ver == vers[i] && st.pool[pg.ID] == pg {
+			if pg := dirty[i]; pg.ver == vers[i] {
 				pg.dirty = false
 				st.clean++
 			}
@@ -548,12 +532,4 @@ func (st *Store) ReadControl(p *sim.Proc) ([]byte, error) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadControl)
 	}
 	return append([]byte(nil), sec[12:12+n]...), nil
-}
-
-// DropCaches empties the buffer pool (for tests simulating a cold restart
-// on the same Store object). Dirty pages are discarded — callers model a
-// crash, where that is the point.
-func (st *Store) DropCaches() {
-	st.pool = make(map[int64]*Page)
-	st.clean = 0
 }

@@ -74,9 +74,6 @@ type Machine struct {
 	powered  bool
 	acFail   bool
 
-	failures int
-	holdups  []time.Duration
-
 	o *obs.Obs
 }
 
@@ -120,26 +117,6 @@ func (m *Machine) CPU() *sim.Resource { return m.cpu }
 // HardwareDomain returns the domain device machinery runs in. It dies on
 // power loss and is revived by RestorePower.
 func (m *Machine) HardwareDomain() *sim.Domain { return m.hwDom }
-
-// Powered reports whether DC rails are up.
-func (m *Machine) Powered() bool { return m.powered }
-
-// ACFailed reports whether mains power is currently lost (possibly still
-// inside the hold-up window).
-func (m *Machine) ACFailed() bool { return m.acFail }
-
-// Failures returns the number of completed power-loss events.
-func (m *Machine) Failures() int { return m.failures }
-
-// holdupsRetained bounds the hold-up sample history. Long campaigns cut
-// power thousands of times on one machine; retaining every sample grows
-// without limit for data nothing reads in aggregate. Failures() keeps the
-// exact event count; Holdups() keeps the most recent window.
-const holdupsRetained = 64
-
-// Holdups returns the most recent hold-up durations sampled, oldest first
-// (at most holdupsRetained; Failures counts every event).
-func (m *Machine) Holdups() []time.Duration { return m.holdups }
 
 // NewDomain creates a software crash domain that dies when machine power
 // does.
@@ -186,11 +163,6 @@ func (m *Machine) CutPower() time.Duration {
 	if span > 0 {
 		holdup += time.Duration(m.s.Rand().Int63n(int64(span) + 1))
 	}
-	if len(m.holdups) == holdupsRetained {
-		copy(m.holdups, m.holdups[1:])
-		m.holdups = m.holdups[:holdupsRetained-1]
-	}
-	m.holdups = append(m.holdups, holdup)
 	m.s.Tracef("%s: AC lost; hold-up window %v", m.name, holdup)
 	m.o.Registry().Counter("power.ac_losses").Inc()
 	m.emit(obs.EvPowerFail, int64(holdup))
@@ -217,7 +189,6 @@ func (m *Machine) dcLoss() {
 		return
 	}
 	m.powered = false
-	m.failures++
 	m.s.Tracef("%s: DC power lost", m.name)
 	m.o.Registry().Counter("power.dc_losses").Inc()
 	m.emit(obs.EvPowerDC, 0)

@@ -49,8 +49,8 @@ func TestShipSteadyStateAllocBound(t *testing.T) {
 	for i := 0; i < 16; i++ { // warm pools, inboxes, and slice capacities
 		step()
 	}
-	if h.sh.Lag() != 0 || len(h.sh.retained) != 0 {
-		t.Fatalf("pipeline not settling between steps: lag %d, %d retained", h.sh.Lag(), len(h.sh.retained))
+	if lag := h.sh.next - 1 - h.sh.minAck(); lag != 0 || len(h.sh.retained) != 0 {
+		t.Fatalf("pipeline not settling between steps: lag %d, %d retained", lag, len(h.sh.retained))
 	}
 	start := n
 	allocs := testing.AllocsPerRun(50, step)

@@ -48,8 +48,8 @@ func TestShipperStopReleasesDaemonsAndBuffers(t *testing.T) {
 	if got := sh1.retainedB.Value(); got != 0 {
 		t.Fatalf("%d bytes still retained after Stop", got)
 	}
-	if !sh1.Stopped() {
-		t.Fatal("Stopped() false after Stop")
+	if !sh1.stopped {
+		t.Fatal("not stopped after Stop")
 	}
 
 	// A second shipper in the SAME domain must work end to end.
@@ -239,7 +239,7 @@ func TestFenceDeposesShipper(t *testing.T) {
 		if fa, ok := m.Payload.(FenceAck); !ok || fa.Epoch != 2 {
 			t.Errorf("fence ack = %#v", m.Payload)
 		}
-		if !sh.Fenced() {
+		if !sh.fenced {
 			t.Error("shipper not marked fenced")
 		}
 		// Acks for the deposed epoch are dropped: quorum never advances.

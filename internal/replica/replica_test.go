@@ -89,8 +89,8 @@ func TestShipApplyAckRoundTrip(t *testing.T) {
 	for _, st := range h.sts {
 		checkPrefix(t, st, 1, 50)
 	}
-	if h.sh.Lag() != 0 {
-		t.Fatalf("lag %d after settle", h.sh.Lag())
+	if lag := h.sh.next - 1 - h.sh.minAck(); lag != 0 {
+		t.Fatalf("lag %d after settle", lag)
 	}
 	if got := h.sh.QuorumSeq(2); got != 50 {
 		t.Fatalf("QuorumSeq(2) = %d, want 50", got)

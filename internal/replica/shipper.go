@@ -156,13 +156,6 @@ func (sh *Shipper) Stop() {
 	sh.s.Tracef("repl: shipper epoch %d stopped (%d bytes released)", sh.epoch, freed)
 }
 
-// Stopped reports whether Stop has run.
-func (sh *Shipper) Stopped() bool { return sh.stopped }
-
-// Fenced reports whether a fence for a later epoch has reached this shipper:
-// it has been deposed and its acks are being rejected cluster-wide.
-func (sh *Shipper) Fenced() bool { return sh.fenced }
-
 // getPBuf takes a payload buffer from the size-class pool (or grows one),
 // already holding the retained stream's reference.
 func (sh *Shipper) getPBuf(n int) *payloadBuf {
@@ -214,18 +207,8 @@ func (sh *Shipper) putFrame(f *frame) {
 	sh.framePool = append(sh.framePool, f)
 }
 
-// Epoch returns the shipper's power epoch.
-func (sh *Shipper) Epoch() int { return sh.epoch }
-
 // LastSeq returns the newest sequence number shipped this epoch.
 func (sh *Shipper) LastSeq() uint64 { return sh.next - 1 }
-
-// Lag returns the current replication lag in records: newest shipped seq
-// minus the slowest replica's cumulative ack.
-func (sh *Shipper) Lag() uint64 {
-	minAck := sh.minAck()
-	return sh.next - 1 - minAck
-}
 
 func (sh *Shipper) minAck() uint64 {
 	m := sh.next - 1

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -239,16 +238,16 @@ func TestClusterFailoverIsolation(t *testing.T) {
 func TestClusterBrownoutFailsOver(t *testing.T) {
 	var cutAt time.Duration
 	var ackedAtRestore int
-	var ex *power.Machine
+	var ex *Rig
 	lc := runLoadedCluster(t, Config{Seed: 42}, 6600*time.Millisecond, func(p *sim.Proc, lc *loadedCluster) {
 		p.Sleep(1500 * time.Millisecond)
-		ex, cutAt = lc.LeaderRig().Machine, p.Now().Duration()
-		ex.CutPower()
+		ex, cutAt = lc.LeaderRig(), p.Now().Duration()
+		ex.Machine.CutPower()
 		p.Sleep(100 * time.Millisecond)
-		ex.RestorePower()
+		ex.Machine.RestorePower()
 		ackedAtRestore = lc.j.Len()
 	})
-	if !ex.Powered() || ex.Failures() != 0 {
+	if ex.Obs.Registry().Counter("power.dc_losses").Value() != 0 {
 		t.Fatal("test premise: the deposed leader never lost DC")
 	}
 	if lc.Coord.Failovers() != 1 || lc.Coord.LastErr() != nil {

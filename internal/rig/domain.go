@@ -52,7 +52,7 @@ type LogDomain struct {
 	// wrapped by FaultyLog when Config.LogFault is enabled.
 	LogDev    disk.Device
 	FaultyLog *disk.Faulty // nil unless Config.LogFault.Enabled
-	// DumpDev is what the emergency dump actually writes to (and Recover
+	// DumpDev is what the emergency dump actually writes to (and recovery
 	// reads from): DumpPart, wrapped by FaultyDump when Config.DumpFault
 	// is enabled.
 	DumpDev    disk.Device
@@ -283,80 +283,24 @@ func (d *LogDomain) CrashOS() { d.Plat.Crash() }
 func (d *LogDomain) RebootAfterCrash() { d.Plat.Reboot() }
 
 // recover is the per-domain half of RecoverAfterPower: with power already
-// restored and the hypervisor rebooted, it merges the domain's durability
-// domains into the log partition and rebuilds its platform.
-//
-// The local domain — drained sectors on the log partition plus the dump
-// zone's snapshot of what was still buffered — is authoritative wherever it
-// is complete: it holds the newest version of every sector, while a standby
-// that lagged (a partition, a crash) holds stale images of sectors the
-// drain has since rewritten, and folding those over the log would roll
-// acked, locally durable commits back to pre-partition contents. Replica
-// records are therefore replayed only when the ack policy makes the standbys
-// the durability domain for bytes the local domain lost (a remote policy
-// always has standbys: Config.Normalize):
-//
-//   - AckRemoteOnly: always. The dump is disabled by design, so the
-//     standbys are the only copy of everything still buffered at the cut.
-//   - AckQuorum: only when the dump cannot account for the buffer — a torn
-//     image, a failed dump write, an unreadable zone. Any rollback this
-//     replay inflicts is bounded to unacknowledged writes: a commit was
-//     acked only after k standbys held its bytes, so the surviving
-//     standbys' prefixes cover every acked sector state.
-//   - AckLocal: never. Acks are not gated on the standbys, so a lagging
-//     standby can sit arbitrarily far behind the ack frontier and there is
-//     no per-sector version metadata to merge against; replaying could
-//     only trade acked local durability for stale remote bytes. (The
-//     stream still feeds lag reporting and warm standbys under AckLocal —
-//     it just is not a recovery source.)
-//
-// When both sources replay, replica records land first and the dump's
-// intact entries second: the dump snapshotted the newest buffered version
-// of everything it covers, so it must win on overlap. With nothing to take
-// from replicas — every unreplicated RapiLog machine — this is exactly
-// core.Recover.
+// restored and the hypervisor rebooted, it runs the dying logger's dump
+// recovery (core.Logger.Recover, which decides whether the standbys are
+// replayed) and rebuilds the domain's platform for the new power epoch.
 func (d *LogDomain) recover(p *sim.Proc) (core.RecoveryReport, error) {
 	d.Plat.Reboot()
 	if d.Logger == nil {
 		return core.RecoveryReport{}, nil // no RapiLog device: nothing to replay
 	}
 	d.LastReplicaReplay = replica.RecoverReport{}
-	dump, derr := core.ReadDump(p, d.DumpDev)
-	rep := core.RecoveryReport{HadDump: dump.HadDump, Torn: dump.Torn}
-	// The dying epoch's dump outcome, asked of its logger before the logger
-	// is rebuilt: HadDump=false plus DumpFailures>0 is how an audit tells
-	// "the dump write failed" from "nothing was buffered".
-	rep.DumpRetries, rep.DumpFailures = d.Logger.DumpOutcome()
-
-	// The local domain is complete when the dump image accounts for the
-	// whole buffer — or when there was provably nothing buffered to dump.
-	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && rep.DumpFailures == 0))
-	needReplica := false
-	switch d.m.Cfg.AckPolicy.Kind {
-	case core.AckKindRemoteOnly:
-		needReplica = true
-	case core.AckKindQuorum:
-		needReplica = !localComplete
-	}
-	if derr != nil && !needReplica {
-		return rep, derr
-	}
-	if needReplica {
+	rep, err := d.Logger.Recover(p, func(p *sim.Proc) error {
 		rr, err := replica.Recover(p, d.Standbys, d.LogDev, nil)
-		if err != nil {
-			return rep, err
+		if err == nil {
+			d.LastReplicaReplay = rr
 		}
-		d.LastReplicaReplay = rr
-	}
-	if derr == nil && dump.HadDump {
-		var err error
-		rep.Entries, rep.Bytes, err = dump.Replay(p, d.LogDev)
-		if err != nil {
-			return rep, err
-		}
-		if err := core.InvalidateDump(p, d.DumpDev); err != nil {
-			return rep, err
-		}
+		return err
+	})
+	if err != nil {
+		return rep, err
 	}
 	// A fresh logger for the new power epoch.
 	return rep, d.assemblePlatform()

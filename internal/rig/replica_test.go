@@ -109,8 +109,8 @@ func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
 	}
 	// Every committed byte went through the shipper, and the rebuild after
 	// the power cycle must have advanced the stream epoch.
-	if r.Shipper.Epoch() != 2 {
-		t.Fatalf("shipper epoch = %d after one power cycle, want 2", r.Shipper.Epoch())
+	if r.epoch != 2 {
+		t.Fatalf("shipper epoch = %d after one power cycle, want 2", r.epoch)
 	}
 	for _, st := range r.Standbys {
 		if st.AppliedSeq(1) == 0 {
@@ -122,9 +122,10 @@ func TestReplicaModeBootCommitPowerCycle(t *testing.T) {
 // TestDumpOutcomeIsPerPowerEpoch: recovery must judge the dump of the epoch
 // that just died, not the machine's lifetime counters. Cycle 1 loses power
 // with the dump zone broken, so the quorum policy replays from the standbys;
-// cycle 2, on a repaired zone with nothing left buffered, must report a clean
-// dump path and take nothing from the standbys — a stale failure count used to
-// replay two epochs of replica records over a locally complete log.
+// cycle 2, with nothing left buffered (no dump is written to the zone, which
+// is still broken), must report a clean dump path and take nothing from the
+// standbys — a stale failure count used to replay two epochs of replica
+// records over a locally complete log.
 func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
 	r, err := New(Config{
 		Seed: 5, AckPolicy: core.AckQuorum(1), NoDaemons: true,
@@ -177,7 +178,6 @@ func TestDumpOutcomeIsPerPowerEpoch(t *testing.T) {
 			return
 		}
 
-		r.FaultyDump.ClearBadRanges() // the drive was swapped
 		cut = r.S.NewEvent("cut2")
 		epoch(10, true, cut)
 		cut.Wait(p)

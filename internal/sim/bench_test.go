@@ -88,7 +88,7 @@ func BenchmarkResourceHandoff(b *testing.B) {
 		s.Spawn(nil, "w", func(p *Proc) {
 			for i := 0; i < iters; i++ {
 				m.Acquire(p, 1)
-				p.Yield()
+				p.Sleep(0)
 				m.Release(1)
 			}
 		})

@@ -48,7 +48,7 @@ func mixedProgram(s *Sim, seed int64) *[]string {
 					sig.WaitTimeout(p, tick())
 				case 4:
 					sig.Broadcast()
-					p.Yield()
+					p.Sleep(0)
 				}
 				note(name)
 			}

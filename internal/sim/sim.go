@@ -551,10 +551,6 @@ func (s *Sim) selfWake(p *Proc, t Time) bool {
 	return true
 }
 
-// Yield lets every other runnable process and same-time event run before
-// resuming.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Kill unwinds this one process at its current blocking point — deferred
 // functions run — without touching its domain, which stays live. This models
 // stopping a single service (a daemon being shut down) rather than a crash.

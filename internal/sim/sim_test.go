@@ -36,7 +36,7 @@ func TestSleepZeroYields(t *testing.T) {
 	var order []string
 	s.Spawn(nil, "a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	s.Spawn(nil, "b", func(p *Proc) {

@@ -15,7 +15,7 @@
 // one force is on the disk, later committers wait and are usually covered by
 // the next round. An optional CommitDelay widens the batching window.
 //
-// Recovery. Scan walks blocks from a start LSN, validating each record's
+// Recovery. ScanBlocks walks blocks from a start LSN, validating each record's
 // length, magic, CRC, and — crucially — that the record's embedded LSN
 // matches the scan position, which is what rejects stale bytes left over
 // from a previous trip around the circular log. A torn tail (power cut
@@ -208,8 +208,8 @@ func New(s *sim.Sim, dev disk.Device, cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// OpenAt resumes appending at endLSN (the value Scan reported), reloading
-// the partial tail block from the device. fromLSN is where that Scan
+// OpenAt resumes appending at endLSN (the value ScanBlocks reported), reloading
+// the partial tail block from the device. fromLSN is where that scan
 // started: the records from it on stay needed, and the wrap barrier holds
 // there until the caller's next SetOldestNeeded.
 func OpenAt(p *sim.Proc, s *sim.Sim, dev disk.Device, cfg Config, fromLSN, endLSN uint64) (*Log, error) {
@@ -318,7 +318,7 @@ func (l *Log) sealBlock() {
 }
 
 // newBlock returns a zeroed BlockSize buffer, reusing a written-out one
-// when available. Zeroing matters: Scan treats a zero record length as
+// when available. Zeroing matters: ScanBlocks treats a zero record length as
 // never-written space, and stale bytes must not survive into a new block.
 func (l *Log) newBlock() []byte {
 	if n := len(l.blockPool); n > 0 {
@@ -474,28 +474,23 @@ func (l *Log) writeBlock(p *sim.Proc, seq uint64, data []byte) error {
 
 // ScanResult is what recovery finds in the log.
 type ScanResult struct {
-	// Records' payloads alias the buffers Scan read them into, which
+	// Records' payloads alias the buffers ScanBlocks read them into, which
 	// nothing else holds.
 	Records []Record
 	EndLSN  uint64 // resume point for OpenAt
 	Torn    bool   // the tail ended mid-record (power cut during a force)
 }
 
-// scanExtentBytes caps one Scan request at about one track of the default
+// scanExtentBytes caps one scan request at about one track of the default
 // HDD (500 sectors): 32 blocks of 8 KiB. Extents double from one block up
 // to it, so an empty log costs a single one-block read, and the cap bounds
-// what Scan reads past the end of a long log to two extents.
+// what a scan reads past the end of a long log to two extents.
 const scanExtentBytes = 256 << 10
 
-// Scan reads records from fromLSN to the log's tail, stopping at the first
-// invalid record (torn tail, old generation, or never-written space). It is
-// ScanBlocks with no limit.
-func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
-	return ScanBlocks(p, dev, cfg, fromLSN, 0)
-}
-
-// ScanBlocks is Scan reading at most limit blocks, fromLSN's own first
-// (limit ≤ 0: no limit). A caller that wrote every block the log can have
+// ScanBlocks reads records from fromLSN to the log's tail, stopping at the
+// first invalid record (torn tail, old generation, or never-written space),
+// and reads at most limit blocks, fromLSN's own first (limit ≤ 0: no
+// limit). A caller that wrote every block the log can have
 // gained since fromLSN knows how far it can reach: the scan reads no
 // further, and starts with an extent of limit blocks (up to the cap)
 // instead of one.
@@ -507,7 +502,7 @@ func Scan(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult,
 // alone. Once the log runs past it, the next extent is always queued at the
 // device behind the one in transfer, so the head streams from one into the
 // next instead of missing a rotation while the scanner judges. At the end of
-// the log Scan waits for the extent still in flight: nothing it started
+// the log the scan waits for the extent still in flight: nothing it started
 // outlives the call.
 func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int) (ScanResult, error) {
 	cfg.applyDefaults()
@@ -592,7 +587,7 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	return res, nil
 }
 
-// extentRead is one Scan extent in flight on a helper process.
+// extentRead is one ScanBlocks extent in flight on a helper process.
 type extentRead struct {
 	data []byte
 	err  error

@@ -49,7 +49,7 @@ func TestAppendForceScanRoundTrip(t *testing.T) {
 	var res ScanResult
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
 		var err error
-		res, err = Scan(p, dev, Config{}, FirstLSN(Config{}))
+		res, err = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 		}
@@ -85,7 +85,7 @@ func TestUnforcedRecordsNotOnDisk(t *testing.T) {
 	s2 := sim.New(2)
 	var n int
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ := Scan(p, dev, Config{}, FirstLSN(Config{}))
+		res, _ := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		n = len(res.Records)
 	})
 	if err := s2.Run(); err != nil {
@@ -228,7 +228,7 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 	s2 := sim.New(4)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
 		dev := s2AttachMedia(s2, hdd, m)
-		res, _ = Scan(p, dev, Config{}, FirstLSN(Config{}))
+		res, _ = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		ref, _ = scanPerBlock(p, dev, Config{}, FirstLSN(Config{}))
 	})
 	if err := s2.Run(); err != nil {
@@ -321,7 +321,7 @@ func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN
 	s.Spawn(nil, "r", func(p *sim.Proc) {
 		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), s.LiveProcs()
 		var err error
-		if res, err = Scan(p, dev, Config{}, fromLSN); err != nil {
+		if res, err = ScanBlocks(p, dev, Config{}, fromLSN, 0); err != nil {
 			t.Errorf("scan: %v", err)
 		}
 		cost = scanCost{st.Reads.Value() - r0, st.SectorsRead.Value() - s0, p.Now().Sub(t0)}
@@ -523,7 +523,7 @@ func TestOpenAtResumesTail(t *testing.T) {
 	s2 := sim.New(9)
 	var total int
 	s2.Spawn(nil, "recover", func(p *sim.Proc) {
-		res, err := Scan(p, dev, Config{}, FirstLSN(Config{}))
+		res, err := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return
@@ -538,7 +538,7 @@ func TestOpenAtResumesTail(t *testing.T) {
 			_, _ = l2.Append(p, RecUpdate, 2, []byte("after-crash"))
 		}
 		_ = l2.Force(p, l2.AppendedLSN())
-		res2, err := Scan(p, dev, Config{}, FirstLSN(Config{}))
+		res2, err := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("rescan: %v", err)
 			return
@@ -573,7 +573,7 @@ func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
 		}
 		_ = l.Force(p, l.AppendedLSN())
 		from := FirstLSN(Config{})
-		res, err := Scan(p, dev, Config{}, from)
+		res, err := ScanBlocks(p, dev, Config{}, from, 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return
@@ -592,7 +592,7 @@ func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
 			}
 			_ = l2.Force(p, l2.AppendedLSN())
 		}
-		res2, err := Scan(p, dev, Config{}, from)
+		res2, err := ScanBlocks(p, dev, Config{}, from, 0)
 		if err != nil {
 			t.Errorf("rescan: %v", err)
 			return
@@ -661,7 +661,7 @@ func TestScanReturnsForcedPrefixProperty(t *testing.T) {
 		var res ScanResult
 		s2 := sim.New(seed + 1)
 		s2.Spawn(nil, "r", func(p *sim.Proc) {
-			res, _ = Scan(p, dev, Config{}, FirstLSN(Config{}))
+			res, _ = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
 		})
 		if err := s2.Run(); err != nil {
 			return false
@@ -730,7 +730,7 @@ func TestForceRetriesTransientMediaError(t *testing.T) {
 	var res ScanResult
 	s2 := sim.New(12)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = Scan(p, mem, Config{}, FirstLSN(Config{}))
+		res, _ = ScanBlocks(p, mem, Config{}, FirstLSN(Config{}), 0)
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
@@ -779,7 +779,7 @@ func TestForceSurrendersAfterRetryBudget(t *testing.T) {
 	var res ScanResult
 	s2 := sim.New(14)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = Scan(p, mem, Config{}, FirstLSN(Config{}))
+		res, _ = ScanBlocks(p, mem, Config{}, FirstLSN(Config{}), 0)
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)

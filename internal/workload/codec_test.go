@@ -19,16 +19,16 @@ func TestKeysMatchSprintf(t *testing.T) {
 	for _, a := range codecInts {
 		for _, b := range codecInts {
 			for _, c := range []struct{ got, want string }{
-				{kBranch(a), fmt.Sprintf("b:%d", a)},
-				{kTeller(a, b), fmt.Sprintf("t:%d:%d", a, b)},
-				{kAccount(a, b), fmt.Sprintf("a:%d:%d", a, b)},
-				{kWarehouse(a), fmt.Sprintf("w:%d", a)},
-				{kDistrict(a, b), fmt.Sprintf("d:%d:%d", a, b)},
-				{kCustomer(a, b, a), fmt.Sprintf("c:%d:%d:%d", a, b, a)},
-				{kItem(b), fmt.Sprintf("i:%d", b)},
-				{kStock(a, b), fmt.Sprintf("s:%d:%d", a, b)},
-				{kOrder(a, b, b), fmt.Sprintf("o:%d:%d:%d", a, b, b)},
-				{kOrderLine(a, b, a, b), fmt.Sprintf("ol:%d:%d:%d:%d", a, b, a, b)},
+				{key("b", a), fmt.Sprintf("b:%d", a)},
+				{key("t", a, b), fmt.Sprintf("t:%d:%d", a, b)},
+				{key("a", a, b), fmt.Sprintf("a:%d:%d", a, b)},
+				{key("w", a), fmt.Sprintf("w:%d", a)},
+				{key("d", a, b), fmt.Sprintf("d:%d:%d", a, b)},
+				{key("c", a, b, a), fmt.Sprintf("c:%d:%d:%d", a, b, a)},
+				{key("i", b), fmt.Sprintf("i:%d", b)},
+				{key("s", a, b), fmt.Sprintf("s:%d:%d", a, b)},
+				{key("o", a, b, b), fmt.Sprintf("o:%d:%d:%d", a, b, b)},
+				{key("ol", a, b, a, b), fmt.Sprintf("ol:%d:%d:%d:%d", a, b, a, b)},
 				{key("st", a, b), fmt.Sprintf("st:%d:%d", a, b)},
 			} {
 				if c.got != c.want {
@@ -38,10 +38,10 @@ func TestKeysMatchSprintf(t *testing.T) {
 		}
 	}
 	for _, id := range []uint64{0, 1, 42, 1 << 40} {
-		if got, want := kBHistory(id), fmt.Sprintf("bh:%d", id); got != want {
+		if got, want := key("bh", int(id)), fmt.Sprintf("bh:%d", id); got != want {
 			t.Fatalf("key %q, fmt built %q", got, want)
 		}
-		if got, want := kHistory(id), fmt.Sprintf("h:%d", id); got != want {
+		if got, want := key("h", int(id)), fmt.Sprintf("h:%d", id); got != want {
 			t.Fatalf("key %q, fmt built %q", got, want)
 		}
 	}
@@ -139,14 +139,14 @@ func TestKeyTablesMatchKey(t *testing.T) {
 			for y := 0; y <= 6; y++ {
 				for z := 0; z <= 6; z++ {
 					for _, k := range []struct{ got, want string }{
-						{b.branch.key(x), kBranch(x)},
-						{b.teller.key(x, y), kTeller(x, y)},
-						{b.account.key(x, y), kAccount(x, y)},
-						{c.warehouse.key(x), kWarehouse(x)},
-						{c.district.key(x, y), kDistrict(x, y)},
-						{c.customer.key(x, y, z), kCustomer(x, y, z)},
-						{c.item.key(x), kItem(x)},
-						{c.stock.key(x, y), kStock(x, y)},
+						{b.branch.key(x), key("b", x)},
+						{b.teller.key(x, y), key("t", x, y)},
+						{b.account.key(x, y), key("a", x, y)},
+						{c.warehouse.key(x), key("w", x)},
+						{c.district.key(x, y), key("d", x, y)},
+						{c.customer.key(x, y, z), key("c", x, y, z)},
+						{c.item.key(x), key("i", x)},
+						{c.stock.key(x, y), key("s", x, y)},
 					} {
 						if k.got != k.want {
 							t.Fatalf("pass %d: table key %q, key() built %q", pass, k.got, k.want)
@@ -167,10 +167,10 @@ func TestKeyArenaMatchesKey(t *testing.T) {
 	keys := func(i int) []pair {
 		a, b := codecInts[i%len(codecInts)], i
 		return []pair{
-			{tc.order(a, b, i), kOrder(a, b, i)},
-			{tc.orderLine(b, a, i, a), kOrderLine(b, a, i, a)},
-			{tc.history(uint64(i)), kHistory(uint64(i))},
-			{tb.history(uint64(i)), kBHistory(uint64(i))},
+			{tc.order(a, b, i), key("o", a, b, i)},
+			{tc.orderLine(b, a, i, a), key("ol", b, a, i, a)},
+			{tc.history(uint64(i)), key("h", i)},
+			{tb.history(uint64(i)), key("bh", i)},
 			{st.key(a, uint64(i)), key("st", a, i)},
 		}
 	}

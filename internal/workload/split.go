@@ -19,7 +19,7 @@ func Split(w Workload, n int) ([]Workload, error) {
 		base := *w
 		base.applyDefaults()
 		base.enc = nil
-		return partition(n, base.Warehouses, kWarehouse, func(owned []int) Workload {
+		return partition(n, base.Warehouses, "w", func(owned []int) Workload {
 			c := base
 			c.Owned = owned
 			return &c
@@ -28,7 +28,7 @@ func Split(w Workload, n int) ([]Workload, error) {
 		base := *w
 		base.applyDefaults()
 		base.enc = nil
-		return partition(n, base.Branches, kBranch, func(owned []int) Workload {
+		return partition(n, base.Branches, "b", func(owned []int) Workload {
 			c := base
 			c.Owned = owned
 			return &c
@@ -43,18 +43,19 @@ func Split(w Workload, n int) ([]Workload, error) {
 	return nil, fmt.Errorf("workload: %T (%q) cannot be split across log domains", w, w.Name())
 }
 
-// partition assigns entity ids 1..ids to n domains by key hash, then
+// partition assigns entity ids 1..ids to n domains by the hash of their key
+// (key(prefix, id): the warehouse or branch row's own key), then
 // rebalances so that no domain is left empty — an empty Owned set would
 // silently make that domain's clone drive everything — by moving an id from
 // the fullest domain (deterministic, still disjoint). It returns one clone
 // per domain.
-func partition(n, ids int, key func(int) string, clone func(owned []int) Workload) ([]Workload, error) {
+func partition(n, ids int, prefix string, clone func(owned []int) Workload) ([]Workload, error) {
 	if ids < n {
 		return nil, fmt.Errorf("workload: %d entities cannot cover %d log domains", ids, n)
 	}
 	owned := make([][]int, n)
 	for id := 1; id <= ids; id++ {
-		i := domainOf(key(id), n)
+		i := domainOf(key(prefix, id), n)
 		owned[i] = append(owned[i], id)
 	}
 	for i := range owned {

@@ -78,11 +78,6 @@ func (w *TPCB) applyDefaults() {
 // Name implements Workload.
 func (w *TPCB) Name() string { return "tpcb" }
 
-func kBranch(b int) string       { return key("b", b) }
-func kTeller(b, t int) string    { return key("t", b, t) }
-func kAccount(b, a int) string   { return key("a", b, a) }
-func kBHistory(id uint64) string { return key("bh", int(id)) }
-
 // Load populates branches, tellers and accounts.
 func (w *TPCB) Load(p *sim.Proc, e *engine.Engine) error {
 	w.applyDefaults()

@@ -93,16 +93,6 @@ func (w *TPCC) applyDefaults() {
 // Name implements Workload.
 func (w *TPCC) Name() string { return "tpcc" }
 
-// Key builders.
-func kWarehouse(wid int) string              { return key("w", wid) }
-func kDistrict(wid, did int) string          { return key("d", wid, did) }
-func kCustomer(wid, did, cid int) string     { return key("c", wid, did, cid) }
-func kItem(iid int) string                   { return key("i", iid) }
-func kStock(wid, iid int) string             { return key("s", wid, iid) }
-func kOrder(wid, did, oid int) string        { return key("o", wid, did, oid) }
-func kOrderLine(wid, did, oid, l int) string { return key("ol", wid, did, oid, l) }
-func kHistory(id uint64) string              { return key("h", int(id)) }
-
 // itemRow is the one row with a text field: price|item-<id>|filler.
 func itemRow(price, id, pad int) []byte {
 	b := strconv.AppendInt(make([]byte, 0, 32+pad), int64(price), 10)

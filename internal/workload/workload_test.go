@@ -82,7 +82,7 @@ func TestTPCCOrderIDsAreDense(t *testing.T) {
 			}
 		}
 		tx := e.Begin(p)
-		dv, ok, _ := tx.Get(kDistrict(1, 1))
+		dv, ok, _ := tx.Get(key("d", 1, 1))
 		if !ok {
 			t.Error("district missing")
 			return
@@ -92,7 +92,7 @@ func TestTPCCOrderIDsAreDense(t *testing.T) {
 			t.Errorf("nextOID = %d, want 31", nextOID)
 		}
 		for oid := 1; oid <= 30; oid++ {
-			if _, ok, _ := tx.Get(kOrder(1, 1, oid)); !ok {
+			if _, ok, _ := tx.Get(key("o", 1, 1, oid)); !ok {
 				t.Errorf("order %d missing", oid)
 			}
 		}
@@ -124,12 +124,12 @@ func TestTPCCDeliveryConsumesOrders(t *testing.T) {
 			}
 		}
 		tx := e.Begin(p)
-		dv, _, _ := tx.Get(kDistrict(1, 1))
+		dv, _, _ := tx.Get(key("d", 1, 1))
 		_, nextDeliv, _, _ := decDistrict(dv)
 		if nextDeliv != 4 {
 			t.Errorf("nextDeliv = %d, want 4", nextDeliv)
 		}
-		ov, ok, _ := tx.Get(kOrder(1, 1, 1))
+		ov, ok, _ := tx.Get(key("o", 1, 1, 1))
 		if !ok {
 			t.Error("order 1 missing")
 		} else {
@@ -166,10 +166,10 @@ func TestTPCBBalancesConserved(t *testing.T) {
 		// same per-transaction delta.
 		tx := e.Begin(p)
 		var branchBal, accountSum int
-		bv, _, _ := tx.Get(kBranch(1))
+		bv, _, _ := tx.Get(key("b", 1))
 		_, _ = fmt.Sscanf(string(bv), "%d|", &branchBal)
 		for a := 1; a <= w.Accounts; a++ {
-			av, _, _ := tx.Get(kAccount(1, a))
+			av, _, _ := tx.Get(key("a", 1, a))
 			var bal int
 			_, _ = fmt.Sscanf(string(av), "%d|", &bal)
 			accountSum += bal

@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -137,12 +136,6 @@ const PrimaryEndpoint = rig.PrimaryEndpoint
 // "remote-only") plus quorum size.
 func ParseAckPolicy(kind string, k int) (AckPolicy, error) {
 	return core.ParseAckPolicy(kind, k)
-}
-
-// SafeBufferSize computes the paper's buffer-sizing rule for a machine's
-// PSU and a dump zone, one of sharers log domains racing its hold-up window.
-func SafeBufferSize(m *power.Machine, dumpZone *disk.Partition, sharers int) int64 {
-	return core.SafeBufferSize(m, dumpZone, sharers)
 }
 
 // Workloads and the durability journal.

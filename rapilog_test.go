@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestQuickstart is the package documentation example, end to end: build a
@@ -198,13 +200,15 @@ func TestFacadeCampaign(t *testing.T) {
 	}
 }
 
+// The deployment exposes the sizing rule's bound as its logger's buffer: on
+// a sharded machine, each shard's share of the hold-up window.
 func TestSafeBufferSizeExposed(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		dep, err := New(Config{Seed: 2, Mode: ModeRapiLog, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := SafeBufferSize(dep.Machine, dep.DumpPart, max(shards, 1)); got != dep.Logger.MaxBuffer() {
+		if got := core.SafeBufferSize(dep.Machine, dep.DumpPart, max(shards, 1)); got != dep.Logger.MaxBuffer() {
 			t.Fatalf("shards=%d: SafeBufferSize %d != logger bound %d", shards, got, dep.Logger.MaxBuffer())
 		}
 		dep.Close()
