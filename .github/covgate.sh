@@ -1,26 +1,50 @@
 #!/usr/bin/env bash
 # Real-traffic coverage gate. Folds the counters that -cover builds of the
 # CLIs and examples left in GOCOVERDIR and checks the functions nothing
-# entered against the committed allowlist:
+# entered against the committed allowlist. Run it from the module root:
 #
 #   bash .github/covgate.sh [covdir] [allowlist]
 #
-# Each allowlist line is "<file>\t<function>\t<reason>", as
-# `go tool covdata func` names them ("repro/internal/sim/sim.go",
-# "*Sim.Run"); '#' starts a comment. The gate fails on a never-entered
-# function the list does not name, on a listed function that traffic now
-# enters, and on a listed function that no longer exists.
+# Each allowlist line is "<file>\t<function>\t<reason>"; '#' starts a
+# comment. The file is the module path ("repro/internal/sim/sim.go"); the
+# function is named from its declaration, a method after its receiver's
+# type with any type parameters dropped ("fatalf", "*Sim.Run",
+# "State.String", "*Queue.Put"). `go tool covdata func` does not do: it names
+# a generic type's methods without their receiver and lists only one of two
+# that share a name, so the gate reads `go tool cover -func`'s complete list
+# and names each function from its source line. The gate fails on a
+# never-entered function the list does not name, on a listed function that
+# traffic now enters, on a listed function that no longer exists, and on two
+# declarations in one file that reach the same name.
 set -euo pipefail
 dir=${1:-${GOCOVERDIR:?set GOCOVERDIR or pass the counter directory}}
 allow=${2:-"$(dirname "$0")/covgate-allow.txt"}
 
+prof=$(mktemp)
 funcs=$(mktemp)
-trap 'rm -f "$funcs"' EXIT
-# "repro/x/y.go:12:  Name  0.0%" -> "repro/x/y.go<TAB>Name<TAB>0.0%"
-go tool covdata func -i="$dir" |
-	awk '$1 ~ /\.go:[0-9]+:$/ { sub(/:[0-9]+:$/, "", $1); print $1 "\t" $2 "\t" $3 }' >"$funcs"
+trap 'rm -f "$prof" "$funcs"' EXIT
+go tool covdata textfmt -i="$dir" -o="$prof"
+# "repro/x/y.go:12:  Name  0.0%" -> "repro/x/y.go<TAB>12<TAB>0.0%"
+go tool cover -func="$prof" |
+	awk '$1 ~ /\.go:[0-9]+:$/ { split($1, f, ":"); print f[1] "\t" f[2] "\t" $NF }' >"$funcs"
 
-awk -F'\t' -v allow="$allow" '
+awk -F'\t' -v allow="$allow" -v mod="$(go list -m)" '
+	# declared names the function declared on a source line: "Name", or
+	# "Recv.Name" with the receiver type as written, minus type parameters.
+	function declared(src,   recv, f, n) {
+		sub(/^func[ \t]+/, "", src)
+		if (src ~ /^\(/) {
+			match(src, /^\([^)]*\)/)
+			recv = substr(src, 2, RLENGTH - 2)
+			src = substr(src, RLENGTH + 1)
+			sub(/^[ \t]+/, "", src)
+			gsub(/\[[^]]*\]/, "", recv)
+			n = split(recv, f, " ")
+		}
+		match(src, /^[A-Za-z0-9_]+/)
+		return (n ? f[n] "." : "") substr(src, 1, RLENGTH)
+	}
+	function show(key) { sub(/\t/, " ", key); return key }
 	BEGIN {
 		while ((getline line < allow) > 0) {
 			if (line ~ /^[ \t]*(#|$)/) continue
@@ -29,19 +53,28 @@ awk -F'\t' -v allow="$allow" '
 			listed[f[1] "\t" f[2]] = 1
 		}
 	}
+	$1 != file {
+		file = $1
+		path = substr(file, length(mod) + 2)
+		split("", src)
+		n = 0
+		while ((getline line < path) > 0) src[++n] = line
+		close(path)
+	}
 	{
-		key = $1 "\t" $2
+		if (src[$2] !~ /^func[ \t]/) { printf "no function declared at %s:%s\n", $1, $2; bad = 1; next }
+		key = $1 "\t" declared(src[$2])
 		total++
-		seen[key] = 1
+		if (key in at) { printf "two declarations reach one allowlist key: %s (lines %s and %s)\n", show(key), at[key], $2; bad = 1 }
+		at[key] = $2
 		if ($3 != "0.0%") { entered[key] = 1; next }
 		never++
-		if (!(key in listed)) { printf "never entered and not allowlisted: %s %s\n", $1, $2; bad = 1 }
+		if (!(key in listed)) { printf "never entered and not allowlisted: %s\n", show(key); bad = 1 }
 	}
 	END {
 		for (key in listed) {
-			split(key, f, "\t")
-			if (!(key in seen)) { printf "allowlisted but gone: %s %s\n", f[1], f[2]; bad = 1 }
-			else if (key in entered) { printf "allowlisted but entered by traffic, drop it from the list: %s %s\n", f[1], f[2]; bad = 1 }
+			if (!(key in at)) { printf "allowlisted but gone: %s\n", show(key); bad = 1 }
+			else if (key in entered) { printf "allowlisted but entered by traffic, drop it from the list: %s\n", show(key); bad = 1 }
 		}
 		printf "real-traffic coverage: %d of %d functions never entered\n", never, total
 		exit bad

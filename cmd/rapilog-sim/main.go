@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rapilog-sim -mode rapilog -engine pg -disk hdd -clients 8 -duration 10s
-//	rapilog-sim -mode native-sync -workload tpcb -trace
+//	rapilog-sim -mode native-sync -workload tpcb -commit-trace
 //	rapilog-sim -commit-trace -trace-out trace.json -metrics-out metrics.json
 //	rapilog-sim -ack-policy quorum -quorum 1 -replicas 2
 //	rapilog-sim -shards 4 -workload tpcb -clients 4
@@ -38,7 +38,6 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "measured virtual time")
 		warmup   = flag.Duration("warmup", time.Second, "virtual warmup excluded from stats")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		trace    = flag.Bool("trace", false, "print kernel trace events")
 
 		commitTrace = flag.Bool("commit-trace", false, "record commit-lifecycle trace events")
 		traceCap    = flag.Int("trace-cap", 0, "trace ring capacity (default 65536)")
@@ -70,11 +69,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer dep.Close()
-	if *trace {
-		dep.S.SetTrace(func(at rapilog.Time, format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "[%12v] %s\n", at, fmt.Sprintf(format, args...))
-		})
-	}
 
 	// Run splits the workload across the log domains: a fleet hash-partitions
 	// one data set that grows with the shard count (weak scaling: per-shard
@@ -150,7 +144,7 @@ func main() {
 			fmt.Printf("                %s at %v: %s\n", v.Invariant, v.At(), v.Detail)
 		}
 	}
-	writeFileJSON(flags.TraceOut, dep.Obs.Tracer().WriteJSON)
+	writeFileJSON(flags.TraceOut, func(w io.Writer) error { return dep.Obs.Tracer().Dump().WriteJSON(w) })
 	writeFileJSON(flags.MetricsOut, reg.Snapshot().WriteJSON)
 	if dep.Flight != nil {
 		dep.Flight.Freeze(dep.S.Now().Duration(), "run-end")

@@ -166,7 +166,7 @@ func TestCheckExposureOverBound(t *testing.T) {
 	obs.NewMonitor(obs.MonitorConfig{Bound: 1000, Trace: tr}) // stamps the contract, observes nothing
 	tr.Emit(time.Millisecond, obs.EvHvAck, tr.NewSpan(), 0, 0, 800)
 	tr.Emit(2*time.Millisecond, obs.EvHvAck, tr.NewSpan(), 0, 8, 800)
-	ok, out := check(artifact(t, "trace.json", tr.WriteJSON))
+	ok, out := check(artifact(t, "trace.json", tr.Dump().WriteJSON))
 	if ok || !strings.Contains(out, "exposure_bound") {
 		t.Fatalf("1600 B buffered against a 1000 B bound passed -check:\n%s", out)
 	}
@@ -178,7 +178,7 @@ func TestCheckExposureOverBound(t *testing.T) {
 func TestCheckRefusesArtifactWithoutContract(t *testing.T) {
 	tr := obs.NewTracer(16)
 	tr.Emit(time.Millisecond, obs.EvHvAck, tr.NewSpan(), 0, 0, 800)
-	path := artifact(t, "trace.json", tr.WriteJSON)
+	path := artifact(t, "trace.json", tr.Dump().WriteJSON)
 	if !analyzeFile(io.Discard, path, "", false, 0, true) {
 		t.Fatal("a contract-less artifact failed plain analysis")
 	}
@@ -198,7 +198,7 @@ func TestCheckRefusesArtifactThatSawNothing(t *testing.T) {
 		tr.Emit(time.Duration(i)*time.Millisecond, obs.EvNetSend, 0, 0, 24, 5)
 		tr.Emit(time.Duration(i)*time.Millisecond, obs.EvNetDeliver, 0, 0, 24, 5)
 	}
-	ok, out := check(artifact(t, "trace.json", tr.WriteJSON))
+	ok, out := check(artifact(t, "trace.json", tr.Dump().WriteJSON))
 	if ok || !strings.Contains(out, "no acked transaction") || strings.Contains(out, "check:          ok") {
 		t.Fatalf("a heartbeat-only artifact was not refused:\n%s", out)
 	}
@@ -217,7 +217,7 @@ func TestOneReaderLoadsFlightRecordsAndTraceDumps(t *testing.T) {
 	if !ok || !strings.Contains(out, `frozen "run-end"`) {
 		t.Fatalf("flight record:\n%s", out)
 	}
-	ok, out = check(artifact(t, "trace.json", dep.Obs.Tracer().WriteJSON))
+	ok, out = check(artifact(t, "trace.json", dep.Obs.Tracer().Dump().WriteJSON))
 	if !ok || strings.Contains(out, "flight record:") {
 		t.Fatalf("trace dump:\n%s", out)
 	}

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dep.Obs.Tracer().WriteJSON(f); err != nil {
+	if err := dep.Obs.Tracer().Dump().WriteJSON(f); err != nil {
 		log.Fatal(err)
 	}
 	f.Close()

@@ -663,7 +663,7 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 				// probing: a cleared fault lets the backlog drain and the
 				// device return to normal service.
 				if !l.degraded {
-					l.degrade(p, err)
+					l.degrade(p)
 				}
 				l.dirtySig.WaitTimeout(p, drainProbeEvery)
 			}
@@ -742,13 +742,11 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 // retry budget is exhausted. Acknowledged entries stay buffered — visible
 // to reads, re-tried by the probe, covered by the emergency dump — so no
 // promise is abandoned; only future writes get slower.
-func (l *Logger) degrade(p *sim.Proc, cause error) {
+func (l *Logger) degrade(p *sim.Proc) {
 	l.degraded = true
 	l.stats.Degradations.Inc()
 	l.stats.Degraded.Set(1)
 	l.tracer().Emit(p.Now().Duration(), obs.EvDegraded, 0, 0, int64(len(l.pending)), l.buffered)
-	l.s.Tracef("%s: degraded to pass-through after retries exhausted (%d entries, %d bytes stranded): %v",
-		deviceName, len(l.pending), l.buffered, cause)
 	// Throttled writers must not wait for space that will never free at
 	// buffered speed; wake them into the pass-through path.
 	l.spaceSig.Broadcast()
@@ -761,7 +759,6 @@ func (l *Logger) restore(p *sim.Proc) {
 	l.stats.Restores.Inc()
 	l.stats.Degraded.Set(0)
 	l.tracer().Emit(p.Now().Duration(), obs.EvRestored, 0, 0, 0, 0)
-	l.s.Tracef("%s: backlog drained, restored to buffered operation", deviceName)
 	l.spaceSig.Broadcast()
 }
 
@@ -797,13 +794,10 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		// The replicas are the durability domain: every acked byte is
 		// already held by K standbys, and boot-time recovery replays from
 		// them. Writing a dump here would just burn hold-up budget.
-		l.s.Tracef("%s: emergency flush: remote-only policy, dump skipped (%d entries held by replicas)",
-			deviceName, len(snapshot))
 		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
 		return
 	}
 	if len(snapshot) == 0 {
-		l.s.Tracef("%s: emergency flush: buffer empty", deviceName)
 		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
 		return
 	}
@@ -837,7 +831,6 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		off += entHeadLen
 		off += copy(image[off:], e.data)
 	}
-	l.s.Tracef("%s: emergency flush: dumping %d entries (%d bytes)", deviceName, len(snapshot), payloadLen)
 	// Retry transient dump-zone errors within the remaining hold-up budget:
 	// the retry delay is tiny against the milliseconds the budget holds,
 	// and the race is physical anyway — DC loss kills this process
@@ -854,7 +847,6 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		if !disk.IsTransient(err) || attempt >= maxDumpAttempts {
 			l.dumpFailures++
 			l.stats.DumpFailures.Inc()
-			l.s.Tracef("%s: emergency dump failed after %d attempts: %v", deviceName, attempt, err)
 			return
 		}
 		l.dumpRetries++
@@ -863,7 +855,6 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 	}
 	l.stats.DumpedBytes.Add(int64(payloadLen))
 	l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, int64(len(snapshot)), int64(payloadLen))
-	l.s.Tracef("%s: emergency flush complete at %v", deviceName, p.Now())
 }
 
 // RecoveryReport summarises what Logger.Recover replayed. DumpRetries and

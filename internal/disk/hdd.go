@@ -418,9 +418,6 @@ func (d *HDD) nextDrainRun() ([]int64, map[int64]*cacheEntry) {
 // PowerFail implements PowerAware: the volatile cache vanishes.
 func (d *HDD) PowerFail() {
 	d.powered = false
-	if n := len(d.cache); n > 0 {
-		d.s.Tracef("%s: power fail: %d cached sectors lost", d.cfg.Name, n)
-	}
 	d.cache = nil
 	d.epoch++
 }

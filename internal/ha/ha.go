@@ -152,7 +152,6 @@ func (co *Coordinator) Crash() {
 		co.dom.Kill()
 	}
 	co.fab.Isolate(CoordName)
-	co.s.Tracef("ha: coordinator crashed")
 }
 
 // Restart revives a crashed coordinator with a fresh detector. Replies to
@@ -166,7 +165,6 @@ func (co *Coordinator) Restart() {
 	}
 	co.fab.Restore(CoordName)
 	co.start()
-	co.s.Tracef("ha: coordinator restarted")
 }
 
 func (co *Coordinator) start() {
@@ -269,7 +267,6 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	}
 	epoch := maxEpoch + 1
 	co.tr.Emit(p.Now().Duration(), obs.EvElect, span, 0, co.tr.Label(winner), int64(wSeq))
-	co.s.Tracef("ha: elected %s (epoch %d seq %d), fencing at %d", winner, wEpoch, wSeq, epoch)
 
 	// Fence: the winner must be fenced (it is about to be promoted over
 	// the deposed stream) plus a full quorum of the electorate — only peer
@@ -301,14 +298,12 @@ func (co *Coordinator) failover(p *sim.Proc) {
 	bytes, err := co.cl.Promote(p, winner, epoch)
 	if err != nil {
 		co.lastErr = fmt.Errorf("ha: promote %s at epoch %d: %w", winner, epoch, err)
-		co.s.Tracef("%v", co.lastErr)
 		return
 	}
 	co.promoteB.Add(bytes)
 	co.failovers++
 	co.lastErr = nil
 	co.tr.Emit(p.Now().Duration(), obs.EvPromote, 0, span, co.tr.Label(winner), bytes)
-	co.s.Tracef("ha: promoted %s at epoch %d (%d bytes replayed)", winner, epoch, bytes)
 }
 
 // collect feeds every payload the coordinator inbox receives within one

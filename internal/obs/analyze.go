@@ -374,23 +374,11 @@ func (a *Analysis) buildTimeline(buckets int) {
 	a.Timeline = bs
 }
 
-func rdns(ns int64) string { return time.Duration(ns).Round(time.Microsecond).String() }
-
-func histRow(t *metrics.Table, name string, h *metrics.Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	t.AddRow(name, fmt.Sprintf("%d", h.Count()),
-		rdns(int64(h.Mean())), rdns(int64(h.Quantile(0.50))),
-		rdns(int64(h.Quantile(0.95))), rdns(int64(h.Quantile(0.99))),
-		rdns(int64(h.Max())))
-}
-
 // StageTable renders the per-stage latency percentiles.
 func (a *Analysis) StageTable() *metrics.Table {
-	t := metrics.NewTable("stage", "n", "mean", "p50", "p95", "p99", "max")
+	t := latencyTable("stage")
 	for _, h := range a.Stages {
-		histRow(t, h.Name(), h)
+		latencyRow(t, h.Name(), snapHistogram(h))
 	}
 	return t
 }
@@ -398,10 +386,10 @@ func (a *Analysis) StageTable() *metrics.Table {
 // CriticalTable renders the per-commit critical-path decomposition,
 // separating local-force time from the replication quorum barrier.
 func (a *Analysis) CriticalTable() *metrics.Table {
-	t := metrics.NewTable("phase", "n", "mean", "p50", "p95", "p99", "max")
+	t := latencyTable("phase")
 	c := a.Critical
 	for _, h := range []*metrics.Histogram{c.Total, c.PreForce, c.Force, c.LocalForce, c.QuorumBarrier, c.PostForce} {
-		histRow(t, h.Name(), h)
+		latencyRow(t, h.Name(), snapHistogram(h))
 	}
 	return t
 }

@@ -127,19 +127,27 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // stage-latency table, sorted by name — the human-readable counterpart of
 // the JSON export, used in run reports.
 func (s Snapshot) LatencyTable() *metrics.Table {
-	table := metrics.NewTable("stage", "n", "mean", "p50", "p95", "p99", "max")
-	rd := func(ns int64) string {
-		return time.Duration(ns).Round(time.Microsecond).String()
-	}
+	t := latencyTable("stage")
 	for _, n := range sortedKeys(s.Histograms) {
-		h := s.Histograms[n]
-		if h.Count == 0 {
-			continue
-		}
-		table.AddRow(n, fmt.Sprintf("%d", h.Count),
-			rd(h.MeanNs), rd(h.P50Ns), rd(h.P95Ns), rd(h.P99Ns), rd(h.MaxNs))
+		latencyRow(t, n, s.Histograms[n])
 	}
-	return table
+	return t
+}
+
+// latencyTable starts a latency table whose rows latencyRow adds; first
+// names its row column.
+func latencyTable(first string) *metrics.Table {
+	return metrics.NewTable(first, "n", "mean", "p50", "p95", "p99", "max")
+}
+
+// latencyRow adds one histogram's count, mean and tail to a latency table,
+// rounded to the microsecond; an empty histogram adds no row.
+func latencyRow(t *metrics.Table, name string, h HistogramSnap) {
+	if h.Count == 0 {
+		return
+	}
+	us := func(ns int64) string { return time.Duration(ns).Round(time.Microsecond).String() }
+	t.AddRow(name, fmt.Sprintf("%d", h.Count), us(h.MeanNs), us(h.P50Ns), us(h.P95Ns), us(h.P99Ns), us(h.MaxNs))
 }
 
 // WireEvent is the wire form of a trace event.
@@ -226,9 +234,4 @@ func (d TraceDump) DecodedEvents() ([]Event, error) {
 		out[i] = e
 	}
 	return out, nil
-}
-
-// WriteJSON dumps the retained trace as compact JSON.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	return t.Dump().WriteJSON(w)
 }

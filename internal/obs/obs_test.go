@@ -87,7 +87,7 @@ func TestShardViewStampsItsDomain(t *testing.T) {
 		t.Fatal("a shard's label is not in the machine's table")
 	}
 	var buf bytes.Buffer
-	if err := o.Tracer().WriteJSON(&buf); err != nil {
+	if err := o.Tracer().Dump().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(buf.Bytes(), []byte(`"dom":`)); n != 1 {
@@ -168,7 +168,7 @@ func TestTraceWriteJSON(t *testing.T) {
 	tr.Emit(time.Millisecond, EvHvAck, span, 0, 100, 4096)
 	tr.Emit(2*time.Millisecond, EvDurable, 0, span, 100, 4096)
 	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := tr.Dump().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -163,7 +163,6 @@ func (m *Machine) CutPower() time.Duration {
 	if span > 0 {
 		holdup += time.Duration(m.s.Rand().Int63n(int64(span) + 1))
 	}
-	m.s.Tracef("%s: AC lost; hold-up window %v", m.name, holdup)
 	m.o.Registry().Counter("power.ac_losses").Inc()
 	m.emit(obs.EvPowerFail, int64(holdup))
 
@@ -172,7 +171,6 @@ func (m *Machine) CutPower() time.Duration {
 			if !m.acFail || !m.powered {
 				return
 			}
-			m.s.Tracef("%s: power-fail interrupt delivered", m.name)
 			for i, h := range m.handlers {
 				m.s.Spawn(m.hwDom, fmt.Sprintf("%s.pwrfail%d", m.name, i), h)
 			}
@@ -189,7 +187,6 @@ func (m *Machine) dcLoss() {
 		return
 	}
 	m.powered = false
-	m.s.Tracef("%s: DC power lost", m.name)
 	m.o.Registry().Counter("power.dc_losses").Inc()
 	m.emit(obs.EvPowerDC, 0)
 	for _, d := range m.devices {
@@ -224,7 +221,6 @@ func (m *Machine) RestorePower() {
 			pa.PowerOn(m.hwDom)
 		}
 	}
-	m.s.Tracef("%s: power restored", m.name)
 	m.o.Registry().Counter("power.restores").Inc()
 	m.emit(obs.EvPowerRestore, 0)
 }
@@ -234,7 +230,6 @@ func (m *Machine) RestorePower() {
 // configuration). Device caches survive; anything buffered in software does
 // not.
 func (m *Machine) Crash() {
-	m.s.Tracef("%s: software crash (all domains)", m.name)
 	for _, dom := range m.domains {
 		dom.Kill()
 	}

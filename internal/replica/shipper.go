@@ -153,7 +153,6 @@ func (sh *Shipper) Stop() {
 	sh.retainedB.Add(-freed)
 	sh.tr.Emit(sh.s.Now().Duration(), obs.EvTrim, 0, 0, int64(sh.epoch), sh.retainedB.Value())
 	sh.lag.Set(0)
-	sh.s.Tracef("repl: shipper epoch %d stopped (%d bytes released)", sh.epoch, freed)
 }
 
 // getPBuf takes a payload buffer from the size-class pool (or grows one),
@@ -477,7 +476,6 @@ func (sh *Shipper) truncate() {
 			r.lost = true
 			sh.evictions.Inc()
 			sh.tr.Emit(sh.s.Now().Duration(), obs.EvEvict, 0, 0, r.labelID, sh.retainedB.Value())
-			sh.s.Tracef("repl: %s lost for epoch %d (ack %d, stream trimmed to %d)", r.name, sh.epoch, r.ack, sh.base)
 		}
 		all = all && r.lost
 	}

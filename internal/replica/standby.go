@@ -146,7 +146,6 @@ func (st *Standby) Crash() {
 	st.alive = false
 	st.fab.Isolate(st.name)
 	st.dom.Kill()
-	st.s.Tracef("replica %s: crashed (%d records held)", st.name, len(st.log)-st.retired)
 }
 
 // Restart brings a crashed standby back: the NIC queue that died with the
@@ -172,7 +171,6 @@ func (st *Standby) Restart() {
 	st.fab.Restore(st.name)
 	st.dom.Revive()
 	st.spawnReceiver()
-	st.s.Tracef("replica %s: restarted at %v", st.name, st.s.Now())
 }
 
 func (st *Standby) spawnReceiver() {
@@ -232,7 +230,6 @@ func (st *Standby) handle(m netsim.Message) {
 		// completes the coordinator's wait.
 		if pl.Epoch > st.fenced {
 			st.fenced = pl.Epoch
-			st.s.Tracef("replica %s: fenced at epoch %d", st.name, pl.Epoch)
 		}
 		st.ep.Send(pl.From, fenceMsgBytes, FenceAck{Epoch: st.fenced, From: st.name})
 	case StateReq:

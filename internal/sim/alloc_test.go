@@ -168,3 +168,36 @@ func TestSpawnAllocBound(t *testing.T) {
 		t.Fatalf("Spawn + run to completion allocates %.1f, want <= 13", allocs)
 	}
 }
+
+// TestKillAllocFree pins the kill path: marking a parked process killed,
+// queueing its kill event and stepping its unwind to completion allocate
+// nothing. Fault campaigns kill every process of a domain per trial.
+func TestKillAllocFree(t *testing.T) {
+	const runs = 100
+	s := New(1)
+	defer s.Close()
+	never := s.NewEvent("never")
+	victims := make([]*Proc, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range victims {
+		victims[i] = s.Spawn(nil, "victim", func(p *Proc) { never.Wait(p) })
+		victims[i].SetDaemon(true)
+	}
+	if err := s.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		v := victims[next]
+		next++
+		v.Kill()
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !v.Done() {
+			t.Fatalf("%s still running after its kill event", v.Name())
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("killing a parked process allocates %.2f, want 0", allocs)
+	}
+}

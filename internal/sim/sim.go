@@ -71,7 +71,6 @@ type Sim struct {
 	inRun   bool
 	closed  bool
 	fatal   error
-	traceFn func(t Time, format string, args ...any)
 	nextDom int
 	root    *Domain
 
@@ -111,17 +110,6 @@ func (s *Sim) Dispatched() uint64 { return s.dispatched }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// SetTrace installs a trace hook invoked by Tracef and by kernel events
-// (spawn, kill). Pass nil to disable.
-func (s *Sim) SetTrace(fn func(t Time, format string, args ...any)) { s.traceFn = fn }
-
-// Tracef emits a trace line at the current virtual time if tracing is on.
-func (s *Sim) Tracef(format string, args ...any) {
-	if s.traceFn != nil {
-		s.traceFn(s.now, format, args...)
-	}
-}
 
 // newTimer takes a timer from the pool (or allocates one) with its time and
 // sequence number set and every payload field cleared.
@@ -563,7 +551,6 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	s := p.sim
-	s.Tracef("proc %s(%d) killed", p.name, p.id)
 	if p == s.running {
 		panic(killPanic{p})
 	}
@@ -622,8 +609,6 @@ func (d *Domain) Kill() {
 	}
 	d.dead = true
 	s := d.sim
-	s.Tracef("domain %s killed (%d procs)", d.name, len(d.procs))
-
 	ids := make([]int, 0, len(d.procs))
 	for id := range d.procs {
 		ids = append(ids, id)

@@ -305,24 +305,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	s := New(1)
-	var lines []string
-	s.SetTrace(func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: ", at)+fmt.Sprintf(format, args...))
-	})
-	s.Spawn(nil, "p", func(p *Proc) {
-		p.Sleep(ms(1))
-		s.Tracef("hello %d", 42)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 {
-		t.Fatalf("trace lines = %v", lines)
-	}
-}
-
 func TestRunUntilEvent(t *testing.T) {
 	s := New(1)
 	ev := s.NewEvent("goal")

@@ -98,9 +98,6 @@ type (
 	Proc = sim.Proc
 	// Domain is a crash boundary.
 	Domain = sim.Domain
-	// Time is an instant on the virtual clock (Deployment.S.SetTrace hands
-	// one to its callback).
-	Time = sim.Time
 )
 
 // Engine is the transactional storage engine.
