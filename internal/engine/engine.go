@@ -194,7 +194,7 @@ type Engine struct {
 
 // pendingCommit tracks one commit from WAL append to durable-on-device.
 type pendingCommit struct {
-	needLSN uint64 // durable once FlushedLSN reaches this
+	needLSN uint64 // durable once the log's flushed horizon reaches this
 	txid    uint64
 	start   sim.Time   // commit start, for the durable-latency histogram
 	span    obs.SpanID // the transaction's trace span
@@ -347,23 +347,23 @@ type follower struct {
 
 // CatchUp is step 4 of recovery, from the cursor on: scan the log to its
 // current end and redo every transaction whose commit record it finds,
-// holding the updates of the rest until their commit arrives. Redo is a
-// logical, idempotent put per update, so the same stretch of log redone
-// in one round or in several leaves the same pool. A caller that wrote
-// every log block gained since the last CatchUp passes how many that can
-// be at most, and the scan reads no further than the cursor's block and
-// those; a negative gained scans to the end.
+// holding the updates of the rest until their commit arrives. It is the
+// scan's visitor, so it works in the scan's one pass and keeps no list of
+// its own: an update joins the held ones (its payload a view into the
+// scan's read, which stays valid), a commit record is redone on the spot,
+// and an abort drops its updates. An error in redo stops the scan there and
+// comes back from CatchUp. Redo is a logical, idempotent put per update, so
+// the same stretch of log redone in one round or in several leaves the same
+// pool. A caller that wrote every log block gained since the last CatchUp
+// passes how many that can be at most, and the scan reads no further than
+// the cursor's block and those; a negative gained scans to the end.
 func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 	f := e.follow
 	limit := 0
 	if gained >= 0 {
 		limit = gained + 1
 	}
-	scan, err := wal.ScanBlocks(p, e.plat.LogDisk(), f.walCfg, f.cursor, limit)
-	if err != nil {
-		return err
-	}
-	for _, rec := range scan.Records {
+	scan, err := wal.ScanBlocks(p, e.plat.LogDisk(), f.walCfg, f.cursor, limit, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecUpdate:
 			f.uncommitted = append(f.uncommitted, rec)
@@ -379,6 +379,10 @@ func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 		if rec.TxID >= e.nextTxID {
 			e.nextTxID = rec.TxID + 1
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	f.cursor = scan.EndLSN
 	return nil

@@ -25,6 +25,8 @@ func TestAppendForceSteadyStateAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var flushed uint64
+	l.SetOnDurable(func(lsn uint64) { flushed = lsn })
 	kick := s.NewSignal("kick")
 	payload := make([]byte, 120)
 	n := 0
@@ -50,7 +52,7 @@ func TestAppendForceSteadyStateAllocBound(t *testing.T) {
 		if err := s.RunFor(time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		l.SetOldestNeeded(l.FlushedLSN())
+		l.SetOldestNeeded(flushed)
 	}
 	for i := 0; i < 64; i++ { // warm the tail buffer and the block pool
 		step()

@@ -19,7 +19,11 @@
 // length, magic, CRC, and — crucially — that the record's embedded LSN
 // matches the scan position, which is what rejects stale bytes left over
 // from a previous trip around the circular log. A torn tail (power cut
-// mid-force) truncates the log cleanly at the last valid record.
+// mid-force) truncates the log cleanly at the last valid record. The scan
+// is one pass that keeps no list: it hands each valid record to the
+// caller's visitor as it judges the record's extent, with a payload that
+// stays a valid view after the visitor returns, and a visitor's error stops
+// it at that record.
 package wal
 
 import (
@@ -251,9 +255,6 @@ func (l *Log) SetOnDurable(fn func(lsn uint64)) { l.onDurable = fn }
 // AppendedLSN returns the address one past the last appended record.
 func (l *Log) AppendedLSN() uint64 { return l.appendedLSN }
 
-// FlushedLSN returns the durability horizon.
-func (l *Log) FlushedLSN() uint64 { return l.flushedLSN }
-
 // SetOldestNeeded moves the wrap barrier forward; blocks below it may be
 // overwritten. The engine calls this after each checkpoint.
 func (l *Log) SetOldestNeeded(lsn uint64) {
@@ -472,13 +473,10 @@ func (l *Log) writeBlock(p *sim.Proc, seq uint64, data []byte) error {
 	}
 }
 
-// ScanResult is what recovery finds in the log.
+// ScanResult is where recovery finds the log's end.
 type ScanResult struct {
-	// Records' payloads alias the buffers ScanBlocks read them into, which
-	// nothing else holds.
-	Records []Record
-	EndLSN  uint64 // resume point for OpenAt
-	Torn    bool   // the tail ended mid-record (power cut during a force)
+	EndLSN uint64 // resume point for OpenAt
+	Torn   bool   // the tail ended mid-record (power cut during a force)
 }
 
 // scanExtentBytes caps one scan request at about one track of the default
@@ -490,10 +488,17 @@ const scanExtentBytes = 256 << 10
 // ScanBlocks reads records from fromLSN to the log's tail, stopping at the
 // first invalid record (torn tail, old generation, or never-written space),
 // and reads at most limit blocks, fromLSN's own first (limit ≤ 0: no
-// limit). A caller that wrote every block the log can have
-// gained since fromLSN knows how far it can reach: the scan reads no
-// further, and starts with an extent of limit blocks (up to the cap)
-// instead of one.
+// limit). A caller that wrote every block the log can have gained since
+// fromLSN knows how far it can reach: the scan reads no further, and starts
+// with an extent of limit blocks (up to the cap) instead of one.
+//
+// It makes one pass and collects nothing: each valid record goes to visit,
+// in log order, as the scan judges the extent that holds it. A record's
+// payload is a view into that extent's buffer, a fresh read that nothing
+// else holds or reuses, so the view stays valid after visit returns. If
+// visit returns an error, the scan hands over no further record, waits for
+// the extent it has queued and returns that error, with EndLSN at the
+// refused record.
 //
 // The log is read in extents of 1, 2, 4, … blocks up to scanExtentBytes,
 // each one request that never crosses the circular wrap. A block's
@@ -504,7 +509,7 @@ const scanExtentBytes = 256 << 10
 // next instead of missing a rotation while the scanner judges. At the end of
 // the log the scan waits for the extent still in flight: nothing it started
 // outlives the call.
-func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int) (ScanResult, error) {
+func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int, visit func(Record) error) (ScanResult, error) {
 	cfg.applyDefaults()
 	var res ScanResult
 	bs := cfg.BlockSize
@@ -518,10 +523,14 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	}
 	res.EndLSN = seq*uint64(bs) + uint64(off)
 
-	// judge scans one extent's blocks and reports whether the log ended in
-	// it.
+	// judge scans one extent's blocks, as its read returned them, and
+	// reports whether the scan ends there: the read failed, the log ended in
+	// the extent or visit refused a record.
 	blockTorn := false // the last block scanned ended in a torn record
-	judge := func(data []byte) (end bool) {
+	judge := func(data []byte, err error) (stop bool, _ error) {
+		if err != nil {
+			return true, err
+		}
 		for i := 0; i < len(data)/bs; i, seq = i+1, seq+1 {
 			block := data[i*bs : (i+1)*bs]
 			if !blockValid(block, seq) {
@@ -529,15 +538,17 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 				// confirms the tear: with ordered writes, no later complete
 				// force can have superseded it.
 				res.Torn = blockTorn
-				return true
+				return true, nil
 			}
 			// A valid block; if it is a successor, the gap before it was
 			// only padding.
 			res.EndLSN = seq*uint64(bs) + uint64(off)
-			blockTorn = scanBlock(block, seq, off, &res)
+			if blockTorn, err = scanBlock(block, seq, off, &res, visit); err != nil {
+				return true, err
+			}
 			off = blockHdrLen
 		}
-		return false
+		return false, nil
 	}
 
 	next, extent := seq, uint64(1) // the next block to request, and how many
@@ -569,18 +580,17 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	}
 
 	lba, nsec := span()
-	data, err := dev.Read(p, lba, nsec)
-	if err != nil || judge(data) {
+	if stop, err := judge(dev.Read(p, lba, nsec)); stop {
 		return res, err
 	}
 	for cur := queue(); cur != nil; {
 		ahead := queue()
 		cur.done.Wait(p)
-		if cur.err != nil || judge(cur.data) {
+		if stop, err := judge(cur.data, cur.err); stop {
 			if ahead != nil {
 				ahead.done.Wait(p)
 			}
-			return res, cur.err
+			return res, err
 		}
 		cur = ahead
 	}
@@ -602,10 +612,11 @@ func blockValid(data []byte, seq uint64) bool {
 		binary.LittleEndian.Uint64(data[4:12]) == seq
 }
 
-// scanBlock appends the valid records of block seq from byte off on to res,
-// advancing res.EndLSN past each, and reports whether the block ended in a
-// torn record rather than in never-written space.
-func scanBlock(data []byte, seq uint64, off int, res *ScanResult) (torn bool) {
+// scanBlock hands the valid records of block seq from byte off on to visit,
+// advancing res.EndLSN past each it accepts, and reports whether the block
+// ended in a torn record rather than in never-written space. It stops at
+// the first record visit refuses and returns visit's error.
+func scanBlock(data []byte, seq uint64, off int, res *ScanResult, visit func(Record) error) (torn bool, err error) {
 	bs := len(data)
 	for off+recHdrLen <= bs {
 		lsn := seq*uint64(bs) + uint64(off)
@@ -614,22 +625,24 @@ func scanBlock(data []byte, seq uint64, off int, res *ScanResult) (torn bool) {
 		if recLen < recHdrLen || off+recLen > bs ||
 			binary.LittleEndian.Uint16(h[20:22]) != recMagic ||
 			binary.LittleEndian.Uint64(h[4:12]) != lsn {
-			return recLen != 0
+			return recLen != 0, nil
 		}
 		payload := data[off+recHdrLen : off+recLen : off+recLen]
 		crc := crc32.Update(0, crc32.IEEETable, h[:24])
 		crc = crc32.Update(crc, crc32.IEEETable, payload)
 		if crc != binary.LittleEndian.Uint32(h[24:28]) {
-			return true
+			return true, nil
 		}
-		res.Records = append(res.Records, Record{
+		if err := visit(Record{
 			LSN:     lsn,
 			TxID:    binary.LittleEndian.Uint64(h[12:20]),
 			Type:    RecType(h[22]),
 			Payload: payload,
-		})
+		}); err != nil {
+			return false, err
+		}
 		off += recLen
 		res.EndLSN = seq*uint64(bs) + uint64(off)
 	}
-	return false
+	return false, nil
 }

@@ -46,10 +46,10 @@ func TestAppendForceScanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := sim.New(2)
-	var res ScanResult
+	var res scanned
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
 		var err error
-		res, err = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+		res, err = scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 		}
@@ -85,7 +85,7 @@ func TestUnforcedRecordsNotOnDisk(t *testing.T) {
 	s2 := sim.New(2)
 	var n int
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+		res, _ := scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		n = len(res.Records)
 	})
 	if err := s2.Run(); err != nil {
@@ -224,11 +224,11 @@ func TestTornTailTruncatesCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reboot: scan what survived.
-	var res, ref ScanResult
+	var res, ref scanned
 	s2 := sim.New(4)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
 		dev := s2AttachMedia(s2, hdd, m)
-		res, _ = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+		res, _ = scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		ref, _ = scanPerBlock(p, dev, Config{}, FirstLSN(Config{}))
 	})
 	if err := s2.Run(); err != nil {
@@ -257,11 +257,33 @@ func s2AttachMedia(s2 *sim.Sim, hdd *disk.HDD, m *power.Machine) disk.Device {
 	return part
 }
 
+// scanned is a scan's result with the records it handed over.
+type scanned struct {
+	ScanResult
+	Records []Record
+}
+
+// collect returns a visitor that appends every record to res.Records.
+func (res *scanned) collect() func(Record) error {
+	return func(r Record) error {
+		res.Records = append(res.Records, r)
+		return nil
+	}
+}
+
+// scanAll is ScanBlocks with a visitor that collects every record.
+func scanAll(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int) (scanned, error) {
+	var res scanned
+	var err error
+	res.ScanResult, err = ScanBlocks(p, dev, cfg, fromLSN, limit, res.collect())
+	return res, err
+}
+
 // scanPerBlock is the reference reader Scan must agree with: one device
 // read per block, and a second read of each block's successor to judge it.
-func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (ScanResult, error) {
+func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (scanned, error) {
 	cfg.applyDefaults()
-	var res ScanResult
+	var res scanned
 	bs := uint64(cfg.BlockSize)
 	sectorsPer := cfg.BlockSize / disk.SectorSize
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
@@ -275,7 +297,7 @@ func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (Sca
 		return res, err
 	}
 	for {
-		torn := scanBlock(data, seq, off, &res)
+		torn, _ := scanBlock(data, seq, off, &res.ScanResult, res.collect())
 		next, err := read(seq + 1)
 		if err != nil {
 			return res, err
@@ -291,7 +313,7 @@ func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (Sca
 
 // requireSameScan fails t unless got and want found the same records, end
 // and tear.
-func requireSameScan(t *testing.T, got, want ScanResult) {
+func requireSameScan(t *testing.T, got, want scanned) {
 	t.Helper()
 	if got.EndLSN != want.EndLSN || got.Torn != want.Torn || len(got.Records) != len(want.Records) {
 		t.Fatalf("scan found %d records to LSN %d (torn %v), reference %d to LSN %d (torn %v)",
@@ -315,13 +337,13 @@ type scanCost struct {
 // reader, on s, and returns Scan's result and cost, counted on st (the
 // counters of the drive under dev). It fails t if a process Scan started
 // outlives the call.
-func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN uint64) (res ScanResult, cost scanCost) {
+func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN uint64) (res scanned, cost scanCost) {
 	t.Helper()
-	var want ScanResult
+	var want scanned
 	s.Spawn(nil, "r", func(p *sim.Proc) {
 		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), s.LiveProcs()
 		var err error
-		if res, err = ScanBlocks(p, dev, Config{}, fromLSN, 0); err != nil {
+		if res, err = scanAll(p, dev, Config{}, fromLSN, 0); err != nil {
 			t.Errorf("scan: %v", err)
 		}
 		cost = scanCost{st.Reads.Value() - r0, st.SectorsRead.Value() - s0, p.Now().Sub(t0)}
@@ -438,6 +460,65 @@ func TestScanFlagsTornRecord(t *testing.T) {
 	}
 }
 
+// TestScanStopsAtVisitorError: a visitor that refuses a record stops the
+// scan there, wherever the record falls in a log of several extents (block
+// 0 is the first extent, read alone; block 5 is in the third; block 12 is
+// the tail, in the fourth). The scan returns the visitor's error, hands over
+// nothing after it, ends at the refused record and leaves no read-ahead
+// helper behind.
+func TestScanStopsAtVisitorError(t *testing.T) {
+	errStop := errors.New("visitor refuses")
+	s, dev, l := memLog(t, 16, Config{})
+	var lsns []uint64
+	s.Spawn(nil, "w", func(p *sim.Proc) {
+		// Four 928-byte records to a block: twelve blocks and a part.
+		for i := 0; i < 50; i++ {
+			lsn, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900))
+			if err != nil {
+				t.Errorf("append: %v", err)
+				return
+			}
+			lsns = append(lsns, lsn)
+		}
+		if err := l.Force(p, l.AppendedLSN()); err != nil {
+			t.Errorf("force: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, stopAt := range []int{0, 21, 49} {
+		var seen []uint64
+		var res ScanResult
+		var err error
+		s.Spawn(nil, "r", func(p *sim.Proc) {
+			live := s.LiveProcs()
+			res, err = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0, func(r Record) error {
+				seen = append(seen, r.LSN)
+				if len(seen) == stopAt+1 {
+					return errStop
+				}
+				return nil
+			})
+			if n := s.LiveProcs(); n != live {
+				t.Errorf("stop at record %d: %d processes alive after the scan returned, %d before", stopAt, n, live)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(err, errStop) {
+			t.Fatalf("stop at record %d: scan returned %v, want the visitor's error", stopAt, err)
+		}
+		if len(seen) != stopAt+1 || seen[stopAt] != lsns[stopAt] {
+			t.Fatalf("stop at record %d: visitor saw %d records, want %d ending at LSN %d", stopAt, len(seen), stopAt+1, lsns[stopAt])
+		}
+		if res.EndLSN != lsns[stopAt] {
+			t.Fatalf("stop at record %d: scan ended at LSN %d, want the refused record's %d", stopAt, res.EndLSN, lsns[stopAt])
+		}
+	}
+}
+
 func TestScanRejectsStaleGenerationAfterWrap(t *testing.T) {
 	// Fill a tiny log more than once around; scan must return only the
 	// current generation, and the same records as the reference reader —
@@ -523,7 +604,7 @@ func TestOpenAtResumesTail(t *testing.T) {
 	s2 := sim.New(9)
 	var total int
 	s2.Spawn(nil, "recover", func(p *sim.Proc) {
-		res, err := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+		res, err := scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return
@@ -538,7 +619,7 @@ func TestOpenAtResumesTail(t *testing.T) {
 			_, _ = l2.Append(p, RecUpdate, 2, []byte("after-crash"))
 		}
 		_ = l2.Force(p, l2.AppendedLSN())
-		res2, err := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+		res2, err := scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		if err != nil {
 			t.Errorf("rescan: %v", err)
 			return
@@ -573,7 +654,7 @@ func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
 		}
 		_ = l.Force(p, l.AppendedLSN())
 		from := FirstLSN(Config{})
-		res, err := ScanBlocks(p, dev, Config{}, from, 0)
+		res, err := scanAll(p, dev, Config{}, from, 0)
 		if err != nil {
 			t.Errorf("scan: %v", err)
 			return
@@ -592,7 +673,7 @@ func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
 			}
 			_ = l2.Force(p, l2.AppendedLSN())
 		}
-		res2, err := ScanBlocks(p, dev, Config{}, from, 0)
+		res2, err := scanAll(p, dev, Config{}, from, 0)
 		if err != nil {
 			t.Errorf("rescan: %v", err)
 			return
@@ -658,10 +739,10 @@ func TestScanReturnsForcedPrefixProperty(t *testing.T) {
 		if err := s.Run(); err != nil {
 			return false
 		}
-		var res ScanResult
+		var res scanned
 		s2 := sim.New(seed + 1)
 		s2.Spawn(nil, "r", func(p *sim.Proc) {
-			res, _ = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0)
+			res, _ = scanAll(p, dev, Config{}, FirstLSN(Config{}), 0)
 		})
 		if err := s2.Run(); err != nil {
 			return false
@@ -727,10 +808,10 @@ func TestForceRetriesTransientMediaError(t *testing.T) {
 	if v := l.Stats().ForceErrors.Value(); v != 0 {
 		t.Fatalf("force errors = %d, want 0", v)
 	}
-	var res ScanResult
+	var res scanned
 	s2 := sim.New(12)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = ScanBlocks(p, mem, Config{}, FirstLSN(Config{}), 0)
+		res, _ = scanAll(p, mem, Config{}, FirstLSN(Config{}), 0)
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
@@ -776,10 +857,10 @@ func TestForceSurrendersAfterRetryBudget(t *testing.T) {
 	if v := l.Stats().ForceErrors.Value(); v != 1 {
 		t.Fatalf("force errors = %d, want 1", v)
 	}
-	var res ScanResult
+	var res scanned
 	s2 := sim.New(14)
 	s2.Spawn(nil, "r", func(p *sim.Proc) {
-		res, _ = ScanBlocks(p, mem, Config{}, FirstLSN(Config{}), 0)
+		res, _ = scanAll(p, mem, Config{}, FirstLSN(Config{}), 0)
 	})
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
@@ -814,13 +895,13 @@ func TestScanBlocksReadsNoFurtherThanItsLimit(t *testing.T) {
 	from := uint64(3*bs + blockHdrLen + 928) // the second record of block 3
 	full, _ := scanBoth(t, s, dev, dev.Stats(), from)
 	for _, limit := range []int{1, 4, 10, 20} {
-		var res ScanResult
+		var res scanned
 		var reads, sectors int64
 		s.Spawn(nil, "r", func(p *sim.Proc) {
 			st := dev.Stats()
 			r0, s0 := st.Reads.Value(), st.SectorsRead.Value()
 			var err error
-			if res, err = ScanBlocks(p, dev, Config{}, from, limit); err != nil {
+			if res, err = scanAll(p, dev, Config{}, from, limit); err != nil {
 				t.Errorf("scan: %v", err)
 			}
 			reads, sectors = st.Reads.Value()-r0, st.SectorsRead.Value()-s0
