@@ -7,6 +7,9 @@
 package replica
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,5 +87,115 @@ func TestQuorumSeqAllocFree(t *testing.T) {
 		if got != want {
 			t.Fatalf("QuorumSeq(%d) = %d, want %d", k+1, got, want)
 		}
+	}
+}
+
+// TestStandbysShareShippedPayloads: two standbys take one shipper's stream
+// from a WAL-like writer that forces each tail block in place a few times
+// before moving on. Each store's live records are the last-shipped bytes of
+// every extent, and the two stores' copies of one record are one backing
+// array — the shipper's pooled buffer, referenced rather than copied. That
+// holds over a lossy, duplicating, reordering link too. On a clean one,
+// whose pools settle, the N new extents both stores end up holding cost at
+// most N/32 + c allocations between them: buffers are carved from chunks,
+// and the stores copy nothing. The lossy link's repair bursts grow the
+// frame and delivery pools by what its seed decides, so it bounds nothing.
+func TestStandbysShareShippedPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		link netsim.LinkConfig
+	}{
+		{"lossy", netsim.LinkConfig{DropProb: 0.2, DupProb: 0.2, ReorderProb: 0.2}},
+		{"clean", netsim.LinkConfig{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				n      = 2048 // new extents
+				blkSec = 4    // sectors per extent
+			)
+			s := sim.New(21)
+			fab := netsim.New(s, netsim.Config{Seed: 22, Link: tc.link})
+			var sts []*Standby
+			for i := 0; i < 2; i++ {
+				sts = append(sts, NewStandby(s, fab, fmt.Sprintf("standby%d", i), Config{}))
+			}
+			sh := NewShipper(s, fab, nil, 1, []string{"standby0", "standby1"}, Config{})
+			// Block b is forced 1 + b%3 times; fill writes version v of it.
+			fill := func(d []byte, b, v int) {
+				for k := range d {
+					d[k] = byte(b*7 + v*13 + k)
+				}
+			}
+			data := make([]byte, blkSec*512)
+			shipped, blocks := 0, 0
+			s.Spawn(nil, "writer", func(p *sim.Proc) {
+				for ; blocks < n; blocks++ {
+					for v := 0; v <= blocks%3; v++ {
+						fill(data, blocks, v)
+						sh.Ship(int64(blocks*blkSec), data)
+						shipped++
+						p.Sleep(50 * time.Microsecond)
+					}
+				}
+			})
+			// The first half warms the pools; the second half's new extents
+			// are what the bound counts.
+			if err := s.RunFor(100 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			measured := n - blocks
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := s.RunFor(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+
+			want := make(map[int64][]byte) // lba → the bytes last shipped there
+			for b := 0; b < n; b++ {
+				want[int64(b*blkSec)] = make([]byte, blkSec*512)
+				fill(want[int64(b*blkSec)], b, b%3)
+			}
+			bySeq := make(map[uint64][]byte)
+			for i, st := range sts {
+				if got := st.AppliedSeq(1); got != uint64(shipped) {
+					t.Fatalf("%s applied %d of %d records", st.Name(), got, shipped)
+				}
+				recs := st.Records()
+				if len(recs) != len(want) {
+					t.Fatalf("%s holds %d live records for %d extents", st.Name(), len(recs), len(want))
+				}
+				for _, r := range recs {
+					if !bytes.Equal(r.Data, want[r.Lba]) {
+						t.Fatalf("%s: e%d seq %d at lba %d is not the last-shipped version", st.Name(), r.Epoch, r.Seq, r.Lba)
+					}
+					if i == 0 {
+						bySeq[r.Seq] = r.Data
+						continue
+					}
+					other, ok := bySeq[r.Seq]
+					if !ok {
+						t.Fatalf("%s holds seq %d, which %s retired", st.Name(), r.Seq, sts[0].Name())
+					}
+					if &other[0] != &r.Data[0] {
+						t.Fatalf("the two stores hold seq %d in two copies", r.Seq)
+					}
+				}
+			}
+			if tc.link.DropProb > 0 {
+				if sh.resends.Value() == 0 {
+					t.Fatal("the lossy link needed no retransmission: it tested nothing")
+				}
+				return
+			}
+			if netsim.Checked {
+				return // released buffers are quarantined, not recycled
+			}
+			allocs := m1.Mallocs - m0.Mallocs
+			if limit := uint64(measured/32 + 32); allocs > limit {
+				t.Fatalf("%d new extents held by two stores took %d allocations, want <= %d", measured, allocs, limit)
+			}
+			t.Logf("%d new extents: %d allocations", measured, allocs)
+		})
 	}
 }

@@ -77,6 +77,56 @@ func TestShipperStopReleasesDaemonsAndBuffers(t *testing.T) {
 	sh2.Stop() // idempotent
 }
 
+// TestStoppedShipperPoolsNothing: frames a shipper sent before Stop still
+// land, and the stores that apply them retire the earlier versions of the
+// extents those frames rewrite — releasing the last references to those
+// buffers after the shipper stopped. A stopped shipper pools none of them
+// (it would keep them for the rest of the cluster's life and never ship
+// again), and the stores' bytes still read back intact.
+func TestStoppedShipperPoolsNothing(t *testing.T) {
+	const extents, records = 16, 3 * maxFrameRecords
+	s := sim.New(33)
+	fab := netsim.New(s, netsim.Config{Seed: 34})
+	sts := []*Standby{NewStandby(s, fab, "standby0", Config{}), NewStandby(s, fab, "standby1", Config{})}
+	sh := NewShipper(s, fab, nil, 1, []string{"standby0", "standby1"}, Config{})
+	var classes []*sizeClass
+	s.Spawn(nil, "writer", func(p *sim.Proc) {
+		// Whole frames flush inside Ship, so nothing is left pending.
+		for i := 0; i < records; i++ {
+			sh.Ship(int64(i%extents*8), payload(i, 512))
+		}
+		for _, sc := range sh.bufPool {
+			classes = append(classes, sc)
+		}
+		sh.Stop()
+		if got := sts[0].AppliedSeq(1); got != 0 {
+			t.Errorf("a store applied %d records before Stop: no frame was in flight", got)
+		}
+	})
+	if err := s.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range classes {
+		if len(sc.free) != 0 {
+			t.Fatalf("the stopped shipper pooled %d buffers the stores released", len(sc.free))
+		}
+	}
+	for _, st := range sts {
+		if got := st.AppliedSeq(1); got != records {
+			t.Fatalf("%s applied %d of the %d records sent before Stop", st.Name(), got, records)
+		}
+		recs := st.Records()
+		if len(recs) != extents {
+			t.Fatalf("%s holds %d records for %d extents: nothing was retired", st.Name(), len(recs), extents)
+		}
+		for _, r := range recs {
+			if i := int(r.Seq) - 1; !bytes.Equal(r.Data, payload(i, 512)) || i < records-extents {
+				t.Fatalf("%s: seq %d at lba %d is not intact and last", st.Name(), r.Seq, r.Lba)
+			}
+		}
+	}
+}
+
 // TestEpochRolloverReplayOrder is the rollover property: a standby holding
 // prefixes from epochs e and e+1 with overlapping lbas must replay them in
 // epoch order at recovery — for every lba, the image ends up with the data

@@ -64,8 +64,9 @@ var images = sync.Pool{New: func() any { return new([]byte) }}
 // already on the partition. So replaying from a position, after replaying
 // up to it, leaves the partition sector-identical to one cold replay of
 // the same sources. The image is the replay's own copy before the first
-// write: a store still receiving may reuse a retired record's buffer
-// while the writes are in flight.
+// write: a record a store applies while the writes are in flight may
+// retire one of these, and its buffer go back to the shipper's pool for
+// the next Ship to overwrite.
 func Recover(p *sim.Proc, standbys []*Standby, logDev disk.Device, from Position) (RecoverReport, error) {
 	rep := RecoverReport{Through: make(Position, len(from)+1)}
 	for e, seq := range from {

@@ -57,7 +57,7 @@ type Shipper struct {
 	flushSig  *sim.Signal // wakes the flusher on the 0→1 pending transition
 
 	framePool []*frame
-	bufPool   map[int][]*payloadBuf // size class (capacity) → free buffers
+	bufPool   map[int]*sizeClass // capacity → its buffers; nil once stopped
 
 	tr       *obs.Tracer
 	quorumHi uint64 // highest seq already traced as quorum-met
@@ -88,7 +88,7 @@ func NewShipper(s *sim.Sim, fab *netsim.Fabric, dom *sim.Domain, epoch int, repl
 		quorumSig: s.NewSignal("repl.quorum"),
 		workSig:   s.NewSignal("repl.work"),
 		flushSig:  s.NewSignal("repl.flush"),
-		bufPool:   make(map[int][]*payloadBuf),
+		bufPool:   make(map[int]*sizeClass),
 		tr:        cfg.Trace,
 		lag:       reg.Gauge("repl.lag"),
 		retainedB: reg.Gauge("repl.retained_bytes"),
@@ -121,23 +121,27 @@ func NewShipper(s *sim.Sim, fab *netsim.Fabric, dom *sim.Domain, epoch int, repl
 }
 
 // Stop shuts the shipper down in place: its ack/probe/flush daemons are
-// killed (the domain stays live — this is a demotion, not a crash) and every
-// payload-buffer reference the shipper itself holds, across the retained
-// stream and the unflushed pending queue, is released back to the pools.
-// Frames still in flight hold their own references and release themselves on
-// delivery or drop, so Stop is safe while the fabric is busy. Stopping a
-// shipper whose domain already died is a no-op kill (the daemons are gone)
-// plus the same buffer release. Ship must not be called after Stop.
+// killed (the domain stays live — this is a demotion, not a crash), its
+// buffer pool is dropped, and every payload-buffer reference the shipper
+// itself holds, across the retained stream and the unflushed pending queue,
+// is released. Frames still in flight hold their own references and release
+// themselves on delivery or drop, so Stop is safe while the fabric is busy;
+// stores keep theirs for as long as they hold the records. Without a pool,
+// what they release is garbage rather than spares for a shipper that will
+// never ship again. Stopping a shipper whose domain already died is a no-op
+// kill (the daemons are gone) plus the same release. Ship must not be
+// called after Stop.
 func (sh *Shipper) Stop() {
 	if sh.stopped {
 		return
 	}
 	sh.stopped = true
+	sh.bufPool = nil
 	for _, d := range sh.daemons {
 		d.Kill()
 	}
 	for i := range sh.pending {
-		sh.releasePBuf(sh.pending[i].buf)
+		sh.pending[i].buf.release()
 		sh.pending[i] = Record{}
 	}
 	sh.pending = sh.pending[:0]
@@ -145,7 +149,7 @@ func (sh *Shipper) Stop() {
 	freed := int64(0)
 	for i := range sh.retained {
 		freed += int64(len(sh.retained[i].rec.Data))
-		sh.releasePBuf(sh.retained[i].rec.buf)
+		sh.retained[i].rec.buf.release()
 		sh.retained[i] = shipRec{}
 	}
 	sh.retained = sh.retained[:0]
@@ -155,33 +159,51 @@ func (sh *Shipper) Stop() {
 	sh.lag.Set(0)
 }
 
-// getPBuf takes a payload buffer from the size-class pool (or grows one),
-// already holding the retained stream's reference.
+// pbufChunk is the backing array a size class carves its buffers from, one
+// class-sized slice at a time: standby stores hold a buffer per live extent
+// for as long as they hold the record, so the pool keeps growing with the
+// stores, and one allocation per chunk (plus one struct slab) keeps that
+// growth off the per-commit allocation count.
+const pbufChunk = 256 << 10
+
+// sizeClass is one capacity's share of a shipper's buffer pool: its free
+// buffers, and the uncarved rest of the chunk and struct slab it cuts new
+// ones from.
+type sizeClass struct {
+	free  []*payloadBuf
+	chunk []byte
+	slab  []payloadBuf
+}
+
+// getPBuf takes a payload buffer from its size class — a free one, or a
+// new one carved from the class's chunk — already holding the retained
+// stream's reference.
 func (sh *Shipper) getPBuf(n int) *payloadBuf {
 	c := 512
 	for c < n {
 		c <<= 1
 	}
-	if free := sh.bufPool[c]; len(free) > 0 {
-		pb := free[len(free)-1]
-		sh.bufPool[c] = free[:len(free)-1]
-		pb.data = pb.data[:n]
-		pb.refs = 1
-		return pb
+	sc := sh.bufPool[c]
+	if sc == nil {
+		sc = &sizeClass{}
+		sh.bufPool[c] = sc
 	}
-	return &payloadBuf{data: make([]byte, n, c), refs: 1}
-}
-
-// releasePBuf drops one reference and pools the buffer when the last one
-// dies. Nil-safe: records built outside Ship have no pooled buffer.
-func (sh *Shipper) releasePBuf(pb *payloadBuf) {
-	if pb == nil {
-		return
+	var pb *payloadBuf
+	if k := len(sc.free); k > 0 {
+		pb = sc.free[k-1]
+		sc.free = sc.free[:k-1]
+	} else {
+		if len(sc.chunk) < c {
+			sc.chunk = make([]byte, max(pbufChunk, c))
+			sc.slab = make([]payloadBuf, len(sc.chunk)/c)
+		}
+		pb = &sc.slab[0]
+		pb.data, pb.sh = sc.chunk[:0:c], sh
+		sc.chunk, sc.slab = sc.chunk[c:], sc.slab[1:]
 	}
-	if pb.refs--; pb.refs == 0 {
-		c := cap(pb.data)
-		sh.bufPool[c] = append(sh.bufPool[c], pb)
-	}
+	pb.data = pb.data[:n]
+	pb.refs = 1
+	return pb
 }
 
 func (sh *Shipper) getFrame() *frame {
@@ -198,7 +220,7 @@ func (sh *Shipper) getFrame() *frame {
 // does not pin payload arrays the truncated stream has let go of.
 func (sh *Shipper) putFrame(f *frame) {
 	for i := range f.recs {
-		sh.releasePBuf(f.recs[i].buf)
+		f.recs[i].buf.release()
 		f.recs[i] = Record{}
 	}
 	f.recs = f.recs[:0]
@@ -458,7 +480,7 @@ func (sh *Shipper) truncate() {
 	freed := int64(0)
 	for i := range sh.retained[:n] {
 		freed += int64(len(sh.retained[i].rec.Data))
-		sh.releasePBuf(sh.retained[i].rec.buf)
+		sh.retained[i].rec.buf.release()
 	}
 	// Shift in place: the old copy-on-trim reallocated the backing array on
 	// every ack round, which the steady-state zero-alloc discipline forbids.
@@ -662,9 +684,7 @@ func (sh *Shipper) resendWindow(r *repState) {
 			if len(f.recs) > 0 && bytes+len(rec.Data) > maxFrameBytes {
 				break
 			}
-			if rec.buf != nil {
-				rec.buf.refs++
-			}
+			rec.buf.refs++
 			f.recs = append(f.recs, rec)
 			bytes += len(rec.Data)
 			seq++

@@ -1,6 +1,9 @@
 package replica
 
 import (
+	"bytes"
+	"fmt"
+	"hash/crc32"
 	"sort"
 	"time"
 
@@ -25,11 +28,11 @@ type Standby struct {
 	fenced  int                       // lowest epoch still accepted; below it everything is rejected
 	applied map[int]uint64            // per-epoch contiguous applied prefix
 	seen    map[int]uint64            // per-epoch highest seq ever received
-	ooo     map[int]map[uint64]Record // buffered out-of-order arrivals
+	ooo     map[int]map[uint64]Record // buffered out-of-order arrivals, each holding its payload
 	log     []Record                  // applied records, in apply order; a retired one is zeroed (Seq 0)
 	live    map[extent]int            // a live record's sectors → its index in log
 	retired int                       // zeroed entries in log
-	arena   []byte                    // append-only copy space for kept payloads
+	sums    map[*payloadBuf]uint32    // netsimcheck only: each held payload's digest when taken
 	onApply func()                    // called after each receiver batch that applied records
 
 	// The receiver's per-wake-up batch, reset and reused: the epochs touched,
@@ -67,6 +70,7 @@ func NewStandby(s *sim.Sim, fab *netsim.Fabric, name string, cfg Config) *Standb
 		ooo:        make(map[int]map[uint64]Record),
 		live:       make(map[extent]int),
 		batchAckTo: make(map[int]string),
+		sums:       make(map[*payloadBuf]uint32),
 		appliedC:   reg.Counter("repl." + name + ".applied"),
 		dupC:       reg.Counter("repl." + name + ".dups"),
 		oooC:       reg.Counter("repl." + name + ".out_of_order"),
@@ -89,14 +93,27 @@ func (st *Standby) AppliedSeq(epoch int) uint64 { return st.applied[epoch] }
 
 // Records returns the standby's live applied records, in apply order: a
 // record that rewrote exactly the sectors of an earlier one of its epoch
-// retired that one (see apply). The slice and the payloads are the store's
-// own — callers must not mutate them, and must copy what they keep past a
-// yield, since a record applied meanwhile may reuse a retired payload's
-// buffer. Records survive crashes — the store is durable, the process is
-// not.
+// retired that one (see apply). The slice is the store's own, and each
+// payload is a buffer the shipper, its frames and other stores share —
+// callers must not mutate them, and must copy what they keep past a yield:
+// a record applied meanwhile may retire one of these, and the release can
+// return its buffer to the shipper's pool, whose next Ship overwrites it.
+// Records survive crashes — the store is durable, the process is not.
+// Under the netsimcheck build tag every returned payload is first checked
+// against the digest the store took with its reference.
 func (st *Standby) Records() []Record {
 	if st.retired > 0 {
 		st.compact()
+	}
+	if netsim.Checked {
+		for _, r := range st.log {
+			// A payload whose bytes changed was released under the store:
+			// poisoned, or recycled while the store still held it.
+			if crc32.ChecksumIEEE(r.Data) != st.sums[r.buf] {
+				panic(fmt.Sprintf("replica: %s holds e%d seq %d, whose payload changed after the store took it",
+					st.name, r.Epoch, r.Seq))
+			}
+		}
 	}
 	return st.log
 }
@@ -246,24 +263,21 @@ func (st *Standby) stateResp() StateResp {
 // Fenced returns the standby's current fence epoch.
 func (st *Standby) Fenced() int { return st.fenced }
 
-// copyData copies a wire payload into the standby's append-only arena.
-// Anything the standby keeps — applied log entries and the out-of-order
-// stash alike — must be its own copy: the shipper's pooled buffers are
-// recycled once every reference dies, while a duplicate frame may still
-// deliver long after. Chunked growth amortises the copies to zero
-// allocations per record at steady state.
-func (st *Standby) copyData(d []byte) []byte {
-	const chunk = 256 << 10
-	if len(d) > cap(st.arena)-len(st.arena) {
-		sz := chunk
-		if len(d) > sz {
-			sz = len(d)
-		}
-		st.arena = make([]byte, 0, sz)
+// hold takes the store's reference on rec's payload: a shipped record's
+// pooled buffer is shared, never copied, so every store that holds the
+// record holds the same bytes. A record that came without one (a bare
+// Record message) gets a private buffer holding a copy.
+func (st *Standby) hold(rec Record) Record {
+	if rec.buf == nil {
+		rec.buf = &payloadBuf{data: bytes.Clone(rec.Data), refs: 1}
+		rec.Data = rec.buf.data
+	} else {
+		rec.buf.refs++
 	}
-	n := len(st.arena)
-	st.arena = append(st.arena, d...)
-	return st.arena[n : n+len(d) : n+len(d)]
+	if netsim.Checked {
+		st.sums[rec.buf] = crc32.ChecksumIEEE(rec.Data)
+	}
+	return rec
 }
 
 // handleRec processes one inbound record: apply in order, buffer ahead-of-
@@ -310,8 +324,7 @@ func (st *Standby) handleRec(rec Record, from string) {
 			st.ooo[e] = make(map[uint64]Record)
 		}
 		if _, dup := st.ooo[e][rec.Seq]; !dup {
-			rec.Data, rec.buf = st.copyData(rec.Data), nil
-			st.ooo[e][rec.Seq] = rec
+			st.ooo[e][rec.Seq] = st.hold(rec)
 			st.oooC.Inc()
 		}
 	}
@@ -324,27 +337,29 @@ type extent struct {
 	n     int
 }
 
-// apply appends rec to the applied log. A record that rewrites exactly the
-// sectors of an earlier live record of its epoch — the WAL's tail block,
-// rewritten at every force — takes over that record's payload buffer and
-// retires it: Recover folds a store's whole per-epoch prefix in order, so a
-// record fully rewritten later in its epoch never reaches the image, and
-// the store holds one version per live block instead of every force's. The
-// retired record's slot is zeroed and squeezed out once retired slots
-// outnumber live ones, or when Records is read. owned says rec.Data is
-// already the store's copy (an out-of-order arrival stashed earlier).
-func (st *Standby) apply(rec Record, owned bool) {
+// apply appends rec to the applied log, holding its payload. A record that
+// rewrites exactly the sectors of an earlier live record of its epoch — the
+// WAL's tail block, rewritten at every force — retires that record and
+// drops its reference: Recover folds a store's whole per-epoch prefix in
+// order, so a record fully rewritten later in its epoch never reaches the
+// image, and the store holds one version per live block instead of every
+// force's. The retired record's slot is zeroed and squeezed out once
+// retired slots outnumber live ones, or when Records is read. held says
+// the store already holds rec's payload (an out-of-order arrival stashed
+// earlier).
+func (st *Standby) apply(rec Record, held bool) {
 	st.applied[rec.Epoch] = rec.Seq
+	if !held {
+		rec = st.hold(rec)
+	}
 	key := extent{rec.Epoch, rec.Lba, len(rec.Data)}
-	rec.buf = nil
 	if i, ok := st.live[key]; ok {
-		buf := st.log[i].Data
-		copy(buf, rec.Data)
-		rec.Data = buf
+		if netsim.Checked {
+			delete(st.sums, st.log[i].buf)
+		}
+		st.log[i].buf.release()
 		st.log[i] = Record{}
 		st.retired++
-	} else if !owned {
-		rec.Data = st.copyData(rec.Data)
 	}
 	st.live[key] = len(st.log)
 	st.log = append(st.log, rec)

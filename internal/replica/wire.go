@@ -14,11 +14,11 @@ const (
 	ackBytes       = 24
 )
 
-// Record is one shipped log write: a copy of the payload plus where it
-// belongs on the log partition. Records double as the wire format. Span is
-// the ship's trace context riding the wire (zero when tracing is off) —
-// the analogue of a traceparent header — so standby-side events parent
-// under the primary-side ship span.
+// Record is one shipped log write: the payload plus where it belongs on
+// the log partition. Records double as the wire format. Span is the ship's
+// trace context riding the wire (zero when tracing is off) — the analogue
+// of a traceparent header — so standby-side events parent under the
+// primary-side ship span.
 type Record struct {
 	Epoch int
 	Seq   uint64
@@ -26,21 +26,51 @@ type Record struct {
 	Data  []byte
 	Span  obs.SpanID
 
-	// buf is the pooled backing array behind Data on the primary side. It
-	// is nil for records built by tests, for standby-held copies, and in
-	// recovery replay — the wire format and Recover are unaffected.
+	// buf is the refcounted backing array behind Data: the shipper's pooled
+	// buffer, shared by the retained stream, every frame carrying the
+	// record and every standby store holding it. It is nil only on a record
+	// built outside Ship (a bare Record message, a test); a store that
+	// holds one gives it a private buffer. Once the last reference is
+	// released the shipper's pool recycles the array for a later Ship, so
+	// a reader holding no reference copies Data before anything can
+	// release one.
 	buf *payloadBuf
 }
 
-// payloadBuf is a pooled, refcounted backing array for a shipped record's
-// payload. The retained stream holds one reference; every frame carrying a
-// copy of the record holds one more. The buffer returns to its size-class
-// pool only when the last reference dies — which is what makes recycling
-// safe under the fabric's delivery-by-reference contract: no frame still in
-// flight can ever observe a recycled buffer.
+// payloadBuf is a refcounted backing array for a shipped record's payload,
+// pooled per size class on the shipper that cut it. The retained stream
+// holds one reference, the pending queue one until the record frames,
+// every frame carrying the record one more, and every standby store that
+// applied or stashed it one. The buffer returns to its shipper's pool only
+// when the last reference dies — which is what makes recycling safe under
+// the fabric's delivery-by-reference contract: no frame still in flight and
+// no store can ever observe a recycled buffer.
 type payloadBuf struct {
 	data []byte
 	refs int
+	sh   *Shipper // the pool it returns to; nil for a private buffer
+}
+
+// release drops one reference; the last returns the buffer to its
+// shipper's pool, unless that shipper has stopped. Under the netsimcheck
+// build tag the buffer is poisoned and quarantined instead, so a holder
+// that kept no reference reads garbage its checksum catches, never another
+// record's bytes.
+func (pb *payloadBuf) release() {
+	pb.refs--
+	switch {
+	case pb.refs < 0:
+		panic("replica: payload buffer released more times than it was referenced")
+	case pb.refs > 0:
+	case netsim.Checked:
+		poison := pb.data[:cap(pb.data)]
+		for i := range poison {
+			poison[i] = 0xDB
+		}
+	case pb.sh != nil && pb.sh.bufPool != nil:
+		sc := pb.sh.bufPool[cap(pb.data)]
+		sc.free = append(sc.free, pb)
+	}
 }
 
 // frame is one wire-level batch of records bound for a replica link: the
