@@ -299,6 +299,7 @@ func Follow(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 			walCfg: wal.Config{BlockSize: cfg.WalBlockSize, CommitDelay: cfg.CommitDelay, Obs: cfg.Obs},
 		},
 	}
+	s.OnClose(e.release)
 	f := e.follow
 
 	// 1. Torn checkpoint repair.
@@ -455,10 +456,21 @@ func (e *Engine) Lead(p *sim.Proc, gained int) error {
 	return nil
 }
 
+// release runs when the engine's simulation closes. An engine kept past
+// that keeps what stays readable — Config, Stats and its store's Stats —
+// and drops the rest: the index, the lock table, the transaction state, the
+// log (Log reads nil) and the platform down to the drives. The methods that
+// used them take a live process, and none is left.
+func (e *Engine) release() {
+	e.plat, e.log, e.heap, e.locks, e.follow = nil, nil, nil, nil, nil
+	e.pendingDurable, e.applying, e.txFree = nil, nil, nil
+}
+
 // Stats returns the engine's counters.
 func (e *Engine) Stats() *Stats { return e.stats }
 
-// Log exposes the WAL (for experiment harnesses).
+// Log exposes the WAL (for experiment harnesses); nil once the simulation
+// has closed. The log's counters stay readable in Config().Obs's registry.
 func (e *Engine) Log() *wal.Log { return e.log }
 
 // Store exposes the page store (for experiment harnesses).

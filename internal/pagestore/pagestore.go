@@ -137,7 +137,7 @@ func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 	if numPages <= 0 {
 		return nil, fmt.Errorf("pagestore: device too small (%d sectors)", dev.Sectors())
 	}
-	return &Store{
+	st := &Store{
 		s:          s,
 		dev:        dev,
 		cfg:        cfg,
@@ -147,7 +147,12 @@ func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 		pool:       make(map[int64]*Page),
 		stats:      newStats(),
 		maxWritten: numPages - 1, // conservative: read everything
-	}, nil
+	}
+	// A store kept past its simulation keeps its counters only: the pool
+	// and the device chain below it go. Whatever reads a page or the
+	// device takes a live process, and none is left.
+	s.OnClose(func() { st.pool, st.dev = nil, nil })
+	return st, nil
 }
 
 // SetWrittenThrough declares the exact page-write horizon: pages above id

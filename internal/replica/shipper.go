@@ -212,7 +212,10 @@ func (sh *Shipper) getFrame() *frame {
 		sh.framePool = sh.framePool[:n-1]
 		return f
 	}
-	return &frame{sh: sh}
+	// Sized for a full frame up front: fresh sends and repair rounds fill
+	// up to maxFrameRecords, and growing by doubling would cost a
+	// reallocation per power of two on every new frame.
+	return &frame{sh: sh, recs: make([]Record, 0, maxFrameRecords)}
 }
 
 // putFrame returns a dead frame to the pool, dropping the payload-buffer

@@ -102,14 +102,18 @@ func (p *Proc) park() {
 // point exactly as if its domain had been killed (abort hooks and deferred
 // functions run), one that never started never runs — and pending events
 // are dropped. Processes spawned by those deferred functions are closed the
-// same way. Afterwards LiveProcs is 0, no goroutine of this simulation
-// remains, and the Sim must not be used again.
+// same way. Then the close hooks run (see OnClose). Afterwards LiveProcs is
+// 0, no goroutine of this simulation remains, and the Sim must not be used
+// again.
 //
 // Close must be called from outside the simulation (not from a process or
 // an At callback). Closing twice is a no-op.
 func (s *Sim) Close() {
 	if s.inRun || s.running != nil {
 		panic("sim: Close called from inside the simulation")
+	}
+	if s.closed {
+		return
 	}
 	for len(s.procs) > 0 {
 		ids := make([]int, 0, len(s.procs))
@@ -132,4 +136,22 @@ func (s *Sim) Close() {
 	s.events = eventHeap{}
 	s.timerPool = nil
 	s.closed = true
+	hooks := s.onClose
+	s.onClose = nil
+	for _, fn := range hooks {
+		fn()
+	}
+}
+
+// OnClose registers fn to run when the simulation closes: once, in
+// registration order, after every process has unwound (those spawned by
+// deferred functions too) and the pending events are dropped. A model
+// object that outlives its simulation registers its release here, so that
+// keeping it keeps only what stays readable. Registering on a closed
+// simulation panics, as Spawn does.
+func (s *Sim) OnClose(fn func()) {
+	if s.closed {
+		panic("sim: OnClose on a closed simulation")
+	}
+	s.onClose = append(s.onClose, fn)
 }

@@ -194,6 +194,54 @@ func TestCloseHandlesSpawnDuringUnwind(t *testing.T) {
 	}
 }
 
+// Close hooks run once, in registration order, after the last process has
+// unwound — one registered by a deferred function during the unwind too —
+// and the events are dropped. A second Close runs none, and registering on
+// a closed simulation panics.
+func TestCloseHooksRunOnceAfterUnwind(t *testing.T) {
+	s := New(1)
+	var order []string
+	hook := func(name string) func() {
+		return func() {
+			if s.LiveProcs() != 0 || s.events.len() != 0 {
+				t.Errorf("hook %s ran with %d live procs, %d events", name, s.LiveProcs(), s.events.len())
+			}
+			order = append(order, name)
+		}
+	}
+	s.OnClose(hook("first"))
+	for _, name := range []string{"a", "b"} {
+		s.Spawn(nil, name, func(p *Proc) {
+			defer func() {
+				order = append(order, "unwound "+name)
+				s.OnClose(hook("late " + name))
+			}()
+			defer s.Spawn(nil, "restart "+name, func(p *Proc) { order = append(order, "restarted "+name) })
+			p.Sleep(time.Hour)
+		})
+	}
+	s.OnClose(hook("second"))
+	s.After(2*time.Hour, func() {})
+	if err := s.RunFor(ms(1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	want := "unwound a,unwound b,first,second,late a,late b"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("close ran %q, want %q", got, want)
+	}
+	s.Close()
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("a second Close ran %q", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OnClose on a closed simulation did not panic")
+		}
+	}()
+	s.OnClose(func() { t.Error("a hook registered after Close ran") })
+}
+
 func TestCloseMisuse(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

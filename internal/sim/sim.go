@@ -70,6 +70,7 @@ type Sim struct {
 	running *Proc
 	inRun   bool
 	closed  bool
+	onClose []func() // run by Close, then dropped
 	fatal   error
 	nextDom int
 	root    *Domain
