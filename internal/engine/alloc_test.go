@@ -5,6 +5,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/disk"
@@ -37,8 +38,8 @@ func allocKeys(n int) []string {
 // TestRedoAndRebuildAllocBound: a follower's CatchUp over N update records
 // and a rebuild of N live rows read each key as a view into the log record
 // or the page, so they allocate per chunk of keys, per page and per log
-// extent, not per key. Redo that inserts keeps its keys in the heap's arena;
-// redo that updates rows in place keeps nothing. Each read about N
+// extent, not per key: the index keeps a hash of each key, and the key in
+// its record only. Each read about N
 // allocations while redo and rebuild built a string per key. In bytes, redo
 // in place allocates the log extents it reads and a fixed slack: the scan
 // hands each record to redo as it reads it. A list of the scanned records
@@ -126,7 +127,7 @@ func TestRedoAndRebuildAllocBound(t *testing.T) {
 			t.Errorf("rebuild indexed %d rows, want %d", len(h.index), n)
 		}
 		for _, k := range keys {
-			if _, ok := h.index[k]; !ok {
+			if _, ok := h.index[keyHash(k)]; !ok {
 				t.Errorf("rebuild lost %q", k)
 				return
 			}
@@ -160,6 +161,71 @@ func TestLockSlabAllocBound(t *testing.T) {
 		t.Logf("one transaction reading %d keys: %d allocations", n, got)
 		if got > bound {
 			t.Errorf("one transaction reading %d keys allocated %d times, want <= %d", n, got, bound)
+		}
+	})
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIndexBytesBound: the heap index holds a hash and a location per row
+// and the key in the row's record only, so it costs a fixed number of bytes
+// a row whatever the key. After N inserts through transactions, whose keys
+// the caller drops, the heap holds at most indexRowBytes a row beyond its
+// pages, plus slack; a rebuild of the N rows over a warm pool, which reads
+// no page, allocates at most rebuildRowBytes a row, plus slack. They read
+// 36 and 72 bytes a row; an index keyed by strings, which kept each key,
+// read 95 and 169.
+func TestIndexBytesBound(t *testing.T) {
+	const (
+		n               = 1 << 16
+		indexRowBytes   = 44
+		rebuildRowBytes = 88
+		slack           = 64 << 10
+	)
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		var buf []byte
+		for i := 0; i < n; i += 64 {
+			tx := e.Begin(p)
+			for j := i; j < i+64; j++ {
+				buf = strconv.AppendInt(append(buf[:0], "key-"...), int64(j), 10)
+				if err := tx.Put(string(buf), []byte("v")); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit: %v", err)
+				return
+			}
+		}
+		nextPage := e.heap.nextPage
+		with := liveHeap()
+		e.heap = newHeap(e.store)
+		held := int64(with) - int64(liveHeap())
+		t.Logf("index of %d rows: %d live bytes, %.1f a row", n, held, float64(held)/n)
+		if held > n*indexRowBytes+slack {
+			t.Errorf("index of %d rows holds %d bytes, want <= %d a row + %d", n, held, indexRowBytes, slack)
+		}
+		var err error
+		h := newHeap(e.store)
+		_, size := allocated(func() { err = h.rebuild(p, nextPage) })
+		if err != nil {
+			t.Errorf("rebuild: %v", err)
+			return
+		}
+		t.Logf("rebuild of %d rows: %d bytes, %.1f a row", n, size, float64(size)/n)
+		if size > n*rebuildRowBytes+slack {
+			t.Errorf("rebuild of %d rows allocated %d bytes, want <= %d a row + %d", n, size, rebuildRowBytes, slack)
+		}
+		if len(h.index) != n {
+			t.Errorf("rebuild indexed %d rows, want %d", len(h.index), n)
 		}
 	})
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"time"
 
 	"repro/internal/hv"
@@ -390,15 +391,14 @@ func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 }
 
 // redo applies committed transaction txid's held updates to the heap, in
-// log order. A key stays a view into its log record unless the index gains
-// it (heap.putBytes).
+// log order. A key stays a view into its log record, hashed where it lies.
 func (e *Engine) redo(p *sim.Proc, txid uint64) error {
 	return e.follow.settle(txid, func(u wal.Record) error {
 		key, val, err := parseUpdatePayload(u.Payload)
 		if err != nil {
 			return err
 		}
-		return e.heap.putBytes(p, key, val)
+		return put(e.heap, p, maphash.Bytes(keySeed, key), key, val)
 	})
 }
 

@@ -380,10 +380,10 @@ func TestRecoveryLosesUncommittedKeepsCommitted(t *testing.T) {
 					if err := e.CatchUp(p, -1); !errors.Is(err, tc.wantErr) {
 						t.Errorf("redo: %v, want %v", err, tc.wantErr)
 					}
-					if v, ok, _ := e.heap.appendGet(nil, p, "committed"); !ok || string(v) != "yes" {
+					if v, ok, _ := e.heap.getKey(p, "committed"); !ok || string(v) != "yes" {
 						t.Error("committed transaction lost")
 					}
-					if _, ok := e.heap.index["tail"]; ok {
+					if _, ok := e.heap.index[keyHash("tail")]; ok {
 						t.Error("the tail transaction's update was applied")
 					}
 				})

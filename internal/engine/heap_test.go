@@ -29,17 +29,27 @@ func heapRig(t *testing.T, seed int64) (*sim.Sim, *pagestore.Store, *heap) {
 	return s, st, newHeap(st)
 }
 
+// putKey and getKey are put and appendGet for a key hashed as a
+// transaction hashes it.
+func (h *heap) putKey(p *sim.Proc, key string, val []byte) error {
+	return put(h, p, keyHash(key), key, val)
+}
+
+func (h *heap) getKey(p *sim.Proc, key string) ([]byte, bool, error) {
+	return h.appendGet(nil, p, keyHash(key), key)
+}
+
 func TestHeapPutGet(t *testing.T) {
 	s, _, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
-		if err := h.put(p, "k", []byte("v1")); err != nil {
+		if err := h.putKey(p, "k", []byte("v1")); err != nil {
 			t.Errorf("put: %v", err)
 		}
-		v, ok, _ := h.appendGet(nil, p, "k")
+		v, ok, _ := h.getKey(p, "k")
 		if !ok || string(v) != "v1" {
 			t.Errorf("get: %q %v", v, ok)
 		}
-		if _, ok, _ := h.appendGet(nil, p, "nope"); ok {
+		if _, ok, _ := h.getKey(p, "nope"); ok {
 			t.Error("missing key visible")
 		}
 	})
@@ -51,14 +61,14 @@ func TestHeapPutGet(t *testing.T) {
 func TestHeapInPlaceUpdateKeepsLocation(t *testing.T) {
 	s, _, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
-		_ = h.put(p, "k", bytes.Repeat([]byte{1}, 100))
-		loc1 := h.index["k"]
-		_ = h.put(p, "k", bytes.Repeat([]byte{2}, 100)) // fits valCap
-		loc2 := h.index["k"]
+		_ = h.putKey(p, "k", bytes.Repeat([]byte{1}, 100))
+		loc1 := h.index[keyHash("k")]
+		_ = h.putKey(p, "k", bytes.Repeat([]byte{2}, 100)) // fits valCap
+		loc2 := h.index[keyHash("k")]
 		if loc1 != loc2 {
 			t.Errorf("same-size update relocated: %+v → %+v", loc1, loc2)
 		}
-		v, _, _ := h.appendGet(nil, p, "k")
+		v, _, _ := h.getKey(p, "k")
 		if !bytes.Equal(v, bytes.Repeat([]byte{2}, 100)) {
 			t.Error("in-place update content wrong")
 		}
@@ -71,14 +81,14 @@ func TestHeapInPlaceUpdateKeepsLocation(t *testing.T) {
 func TestHeapGrowingUpdateRelocates(t *testing.T) {
 	s, _, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
-		_ = h.put(p, "k", bytes.Repeat([]byte{1}, 10))
-		loc1 := h.index["k"]
-		_ = h.put(p, "k", bytes.Repeat([]byte{2}, 1000)) // exceeds valCap
-		loc2 := h.index["k"]
+		_ = h.putKey(p, "k", bytes.Repeat([]byte{1}, 10))
+		loc1 := h.index[keyHash("k")]
+		_ = h.putKey(p, "k", bytes.Repeat([]byte{2}, 1000)) // exceeds valCap
+		loc2 := h.index[keyHash("k")]
 		if loc1 == loc2 {
 			t.Error("growing update did not relocate")
 		}
-		v, ok, _ := h.appendGet(nil, p, "k")
+		v, ok, _ := h.getKey(p, "k")
 		if !ok || len(v) != 1000 || v[0] != 2 {
 			t.Error("relocated content wrong")
 		}
@@ -92,7 +102,7 @@ func TestHeapFillsMultiplePages(t *testing.T) {
 	s, _, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			if err := h.put(p, fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+			if err := h.putKey(p, fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
 				t.Errorf("put %d: %v", i, err)
 				return
 			}
@@ -101,7 +111,7 @@ func TestHeapFillsMultiplePages(t *testing.T) {
 			t.Errorf("nextPage = %d; 100×250B rows should span several 4KiB pages", h.nextPage)
 		}
 		for i := 0; i < 100; i++ {
-			v, ok, _ := h.appendGet(nil, p, fmt.Sprintf("key-%03d", i))
+			v, ok, _ := h.getKey(p, fmt.Sprintf("key-%03d", i))
 			if !ok || v[0] != byte(i) {
 				t.Errorf("key-%03d wrong after spill", i)
 				return
@@ -116,7 +126,7 @@ func TestHeapFillsMultiplePages(t *testing.T) {
 func TestHeapRowTooLarge(t *testing.T) {
 	s, st, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
-		if err := h.put(p, "big", make([]byte, st.UsableSize())); !errors.Is(err, ErrValueTooLarge) {
+		if err := h.putKey(p, "big", make([]byte, st.UsableSize())); !errors.Is(err, ErrValueTooLarge) {
 			t.Errorf("oversized row: %v", err)
 		}
 	})
@@ -129,9 +139,9 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 	s, st, h := heapRig(t, 1)
 	s.Spawn(nil, "t", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
-			_ = h.put(p, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i + 1)}, 150))
+			_ = h.putKey(p, fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i + 1)}, 150))
 		}
-		_ = h.put(p, "k20", bytes.Repeat([]byte{0xFF}, 600)) // relocate: tombstones the old record
+		_ = h.putKey(p, "k20", bytes.Repeat([]byte{0xFF}, 600)) // relocate: tombstones the old record
 		if err := st.CheckpointBelow(p, st.NumPages()); err != nil {
 			t.Errorf("checkpoint: %v", err)
 		}
@@ -142,10 +152,10 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 			t.Errorf("rebuild: %v", err)
 			return
 		}
-		if h2.index["k20"] != h.index["k20"] {
-			t.Errorf("rebuild indexed k20 at %+v, its live record is at %+v", h2.index["k20"], h.index["k20"])
+		if h2.index[keyHash("k20")] != h.index[keyHash("k20")] {
+			t.Errorf("rebuild indexed k20 at %+v, its live record is at %+v", h2.index[keyHash("k20")], h.index[keyHash("k20")])
 		}
-		v, ok, _ := h2.appendGet(nil, p, "k20")
+		v, ok, _ := h2.getKey(p, "k20")
 		if !ok || len(v) != 600 || v[0] != 0xFF {
 			t.Error("relocated key wrong after rebuild")
 		}
@@ -153,14 +163,14 @@ func TestHeapRebuildRestoresIndex(t *testing.T) {
 			if i == 20 {
 				continue
 			}
-			v, ok, _ := h2.appendGet(nil, p, fmt.Sprintf("k%02d", i))
+			v, ok, _ := h2.getKey(p, fmt.Sprintf("k%02d", i))
 			if !ok || v[0] != byte(i+1) {
 				t.Errorf("k%02d wrong after rebuild", i)
 				return
 			}
 		}
 		// Inserts must continue cleanly after rebuild.
-		if err := h2.insert(p, "fresh", []byte("x")); err != nil {
+		if _, err := insert(h2, p, "fresh", []byte("x")); err != nil {
 			t.Errorf("insert after rebuild: %v", err)
 		}
 	})
@@ -215,12 +225,12 @@ func TestRebuildStreamsInDoublingExtents(t *testing.T) {
 				// which tombstones its first record.
 				for i := 0; i < 3 || h.insertPage < n-1; i++ {
 					key := fmt.Sprintf("k%04d", i)
-					if err := h.put(p, key, bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
+					if err := h.putKey(p, key, bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
 						t.Errorf("put: %v", err)
 						return
 					}
 					if i%7 == 3 {
-						_ = h.put(p, key, bytes.Repeat([]byte{byte(i)}, 1300))
+						_ = h.putKey(p, key, bytes.Repeat([]byte{byte(i)}, 1300))
 					}
 				}
 				if err := st.CheckpointBelow(p, st.NumPages()); err != nil {
@@ -254,9 +264,9 @@ func TestRebuildStreamsInDoublingExtents(t *testing.T) {
 				t.Fatalf("rebuild indexed %d rows with the cursor on page %d; reference %d rows, page %d (heap of %d pages)",
 					len(got.index), got.insertPage, len(want.index), want.insertPage, n)
 			}
-			for key, loc := range want.index {
-				if got.index[key] != loc {
-					t.Fatalf("row %s at %+v, reference %+v", key, got.index[key], loc)
+			for hash, l := range want.index {
+				if got.index[hash] != l {
+					t.Fatalf("row of hash %#x at %#x, reference %#x", hash, got.index[hash], l)
 				}
 			}
 			if pageSec := int64(8192 / 512); n == 1 && (reads != 1 || sectors != pageSec) {
@@ -283,7 +293,7 @@ func TestHeapMatchesMapProperty(t *testing.T) {
 				key := fmt.Sprintf("k%d", s.Rand().Intn(20))
 				val := byte(s.Rand().Intn(255) + 1)
 				size := 1 + s.Rand().Intn(500)
-				if err := h.put(p, key, bytes.Repeat([]byte{val}, size)); err != nil {
+				if err := h.putKey(p, key, bytes.Repeat([]byte{val}, size)); err != nil {
 					good = false
 					return
 				}
@@ -297,7 +307,7 @@ func TestHeapMatchesMapProperty(t *testing.T) {
 				return
 			}
 			for key, val := range model {
-				v, ok, _ := h2.appendGet(nil, p, key)
+				v, ok, _ := h2.getKey(p, key)
 				if !ok || v[0] != val {
 					good = false
 					return
@@ -306,7 +316,7 @@ func TestHeapMatchesMapProperty(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				key := fmt.Sprintf("k%d", i)
 				if _, inModel := model[key]; !inModel {
-					if _, ok, _ := h2.appendGet(nil, p, key); ok {
+					if _, ok, _ := h2.getKey(p, key); ok {
 						good = false
 						return
 					}

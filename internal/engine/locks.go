@@ -39,10 +39,16 @@ const (
 // nothing. A transaction that holds many rows at once (an audit reading
 // every acked row) takes fresh entries from slabs, each with room for its
 // first holder.
+//
+// Entries are keyed as the heap index is, by keyHash, and a hit is checked
+// against the entry's key; a key whose hash another held key's entry has
+// is in spill. An entry keeps its key only while it is in use, so a free
+// entry or request pins no caller's string.
 type lockTable struct {
 	s       *sim.Sim
 	timeout time.Duration
-	locks   map[string]*lock
+	locks   map[uint64]*lock // keyHash → entry
+	spill   map[string]*lock // key → entry, for a key whose hash another entry holds
 	// waiting maps a blocked transaction to the lock it waits on, forming
 	// the waits-for graph used for exact deadlock detection.
 	waiting map[uint64]*lock
@@ -55,6 +61,8 @@ type lockTable struct {
 
 type lock struct {
 	key     string
+	hash    uint64
+	spilled bool     // the entry is in spill, not locks
 	holders []holder // at most one entry per transaction; starts on first
 	queue   []*lockReq
 	first   [1]holder
@@ -80,21 +88,58 @@ type lockReq struct {
 func (r *lockReq) String() string { return fmt.Sprintf("lock:%s:%d", r.key, r.txid) }
 
 func newLockTable(s *sim.Sim, timeout time.Duration) *lockTable {
-	return &lockTable{s: s, timeout: timeout, locks: make(map[string]*lock), waiting: make(map[uint64]*lock)}
+	return &lockTable{s: s, timeout: timeout, locks: make(map[uint64]*lock), waiting: make(map[uint64]*lock)}
 }
 
-func (lt *lockTable) newLock() *lock {
-	if n := len(lt.freeLocks); n > 0 {
-		lk := lt.freeLocks[n-1]
-		lt.freeLocks = lt.freeLocks[:n-1]
+// entry returns key's lock entry, making it if key has none; hash is
+// keyHash(key).
+func (lt *lockTable) entry(hash uint64, key string) *lock {
+	lk := lt.locks[hash]
+	if lk != nil && lk.key == key {
 		return lk
 	}
-	if len(lt.slab) == 0 {
-		lt.slab = make([]lock, lockSlab)
+	if lk != nil || len(lt.spill) > 0 {
+		return lt.spilledEntry(hash, key, lk == nil)
 	}
-	lk := &lt.slab[0]
-	lt.slab = lt.slab[1:]
-	lk.holders = lk.first[:0]
+	lk = lt.newLock(hash, key)
+	lt.locks[hash] = lk
+	return lk
+}
+
+// spilledEntry is entry for a key that locks' entry for its hash does not
+// name: spill holds it, or it is new and goes to locks if hash is free
+// there and to spill if not.
+func (lt *lockTable) spilledEntry(hash uint64, key string, free bool) *lock {
+	if lk := lt.spill[key]; lk != nil {
+		return lk
+	}
+	lk := lt.newLock(hash, key)
+	if free {
+		lt.locks[hash] = lk
+		return lk
+	}
+	if lt.spill == nil {
+		lt.spill = make(map[string]*lock)
+	}
+	lk.spilled = true
+	lt.spill[key] = lk
+	return lk
+}
+
+func (lt *lockTable) newLock(hash uint64, key string) *lock {
+	var lk *lock
+	if n := len(lt.freeLocks); n > 0 {
+		lk = lt.freeLocks[n-1]
+		lt.freeLocks = lt.freeLocks[:n-1]
+	} else {
+		if len(lt.slab) == 0 {
+			lt.slab = make([]lock, lockSlab)
+		}
+		lk = &lt.slab[0]
+		lt.slab = lt.slab[1:]
+		lk.holders = lk.first[:0]
+	}
+	lk.hash, lk.key = hash, key
 	return lk
 }
 
@@ -112,31 +157,26 @@ func (lt *lockTable) newReq(txid uint64, key string, mode LockMode) *lockReq {
 	return r
 }
 
-// acquire blocks until txid holds key in at least mode, or times out. fresh
-// reports that txid did not hold key before and does now: the caller owes
-// releaseAll that key.
-func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode) (fresh bool, err error) {
-	lk := lt.locks[key]
-	if lk == nil {
-		lk = lt.newLock()
-		lk.key = key
-		lt.locks[key] = lk
-	}
+// acquire blocks until txid holds key in at least mode, or times out; hash
+// is keyHash(key). It returns key's entry, and fresh reports that txid did
+// not hold key before and does now: the caller owes releaseAll that entry.
+func (lt *lockTable) acquire(p *sim.Proc, txid, hash uint64, key string, mode LockMode) (lk *lock, fresh bool, err error) {
+	lk = lt.entry(hash, key)
 	held, holds := lk.held(txid)
 	if holds && held >= mode {
-		return false, nil // already strong enough
+		return lk, false, nil // already strong enough
 	}
 	upgrade := holds // a holder asking for more can only be going S→X
 	if lk.compatible(txid, mode) && (len(lk.queue) == 0 || upgrade) {
 		// Grant immediately. Upgrades may jump the queue: the holder
 		// blocking behind its own lock would deadlock instead.
 		lk.grant(txid, mode)
-		return !holds, nil
+		return lk, !holds, nil
 	}
 	// Exact deadlock detection: refuse to wait if doing so closes a cycle
 	// in the waits-for graph. The requester is the victim and retries.
 	if lt.wouldDeadlock(txid, lk) {
-		return false, ErrDeadlock
+		return lk, false, ErrDeadlock
 	}
 	req := lt.newReq(txid, key, mode)
 	if upgrade {
@@ -153,11 +193,12 @@ func (lt *lockTable) acquire(p *sim.Proc, txid uint64, key string, mode LockMode
 	// Granted or timed out, the request is out of the queue and nothing
 	// else refers to it. (A process killed in the wait never gets here; its
 	// request stays behind with the abandoned transaction.)
+	req.key = ""
 	lt.freeReqs = append(lt.freeReqs, req)
 	if !granted {
-		return false, ErrLockTimeout
+		return lk, false, ErrLockTimeout
 	}
-	return !holds, nil
+	return lk, !holds, nil
 }
 
 // appendBlockers appends the transactions a new waiter on lk would wait
@@ -244,21 +285,22 @@ func (lk *lock) removeReq(req *lockReq) {
 }
 
 // releaseAll frees every lock txid holds and cancels its queued requests,
-// then grants whatever became possible. keys is in acquisition order, so
+// then grants whatever became possible. held is in acquisition order, so
 // which waiter wakes first is a function of the run and not of Go's map
-// iteration order.
-func (lt *lockTable) releaseAll(txid uint64, keys []string) {
-	for _, key := range keys {
-		lk := lt.locks[key]
-		if lk == nil {
-			continue
-		}
+// iteration order; it names each entry once.
+func (lt *lockTable) releaseAll(txid uint64, held []*lock) {
+	for _, lk := range held {
 		lk.holders = slices.DeleteFunc(lk.holders, func(h holder) bool { return h.txid == txid })
 		// Drop any still-queued request from this transaction.
 		lk.queue = slices.DeleteFunc(lk.queue, func(r *lockReq) bool { return r.txid == txid })
 		lk.grantWaiters()
 		if len(lk.holders) == 0 && len(lk.queue) == 0 {
-			delete(lt.locks, key)
+			if lk.spilled {
+				delete(lt.spill, lk.key)
+			} else {
+				delete(lt.locks, lk.hash)
+			}
+			lk.key, lk.spilled = "", false
 			lt.freeLocks = append(lt.freeLocks, lk)
 		}
 	}

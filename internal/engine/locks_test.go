@@ -12,9 +12,29 @@ import (
 // Direct lock-table tests: the engine tests exercise locking through
 // transactions; these pin down the manager's own semantics.
 
-func ltRig(seed int64, timeout time.Duration) (*sim.Sim, *lockTable) {
+func ltRig(seed int64, timeout time.Duration) (*sim.Sim, ltTest) {
 	s := sim.New(seed)
-	return s, newLockTable(s, timeout)
+	return s, ltTest{newLockTable(s, timeout), make(map[uint64][]*lock)}
+}
+
+// ltTest drives a lock table as transactions do: the entries a txid takes
+// fresh are what its releaseAll releases.
+type ltTest struct {
+	*lockTable
+	held map[uint64][]*lock
+}
+
+func (lt ltTest) acquire(p *sim.Proc, txid uint64, key string, mode LockMode) (bool, error) {
+	lk, fresh, err := lt.lockTable.acquire(p, txid, keyHash(key), key, mode)
+	if fresh {
+		lt.held[txid] = append(lt.held[txid], lk)
+	}
+	return fresh, err
+}
+
+func (lt ltTest) releaseAll(txid uint64) {
+	lt.lockTable.releaseAll(txid, lt.held[txid])
+	delete(lt.held, txid)
 }
 
 func TestLockSharedCompatible(t *testing.T) {
@@ -29,7 +49,7 @@ func TestLockSharedCompatible(t *testing.T) {
 			}
 			holders++
 			p.Sleep(time.Millisecond)
-			lt.releaseAll(id, []string{"k"})
+			lt.releaseAll(id)
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -48,13 +68,13 @@ func TestLockExclusiveBlocksShared(t *testing.T) {
 		order = append(order, "X-acquired")
 		p.Sleep(5 * time.Millisecond)
 		order = append(order, "X-released")
-		lt.releaseAll(1, []string{"k"})
+		lt.releaseAll(1)
 	})
 	s.Spawn(nil, "reader", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		_, _ = lt.acquire(p, 2, "k", LockS)
 		order = append(order, "S-acquired")
-		lt.releaseAll(2, []string{"k"})
+		lt.releaseAll(2)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -81,7 +101,7 @@ func TestLockReacquireStrongerIsUpgrade(t *testing.T) {
 		if _, err := lt.acquire(p, 1, "k", LockS); err != nil {
 			t.Errorf("weaker re-acquire: %v", err)
 		}
-		lt.releaseAll(1, []string{"k"})
+		lt.releaseAll(1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -99,12 +119,12 @@ func TestLockUpgradeWaitsForOtherReaders(t *testing.T) {
 			return
 		}
 		upgraded = p.Now()
-		lt.releaseAll(1, []string{"k"})
+		lt.releaseAll(1)
 	})
 	s.Spawn(nil, "reader", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 2, "k", LockS)
 		p.Sleep(5 * time.Millisecond)
-		lt.releaseAll(2, []string{"k"})
+		lt.releaseAll(2)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -133,10 +153,10 @@ func TestLockDeadlockDetectedImmediately(t *testing.T) {
 					deadlocks++
 					resolvedAt = p.Now()
 				}
-				lt.releaseAll(id, []string{first})
+				lt.releaseAll(id)
 				return
 			}
-			lt.releaseAll(id, []string{first, second})
+			lt.releaseAll(id)
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -164,11 +184,11 @@ func TestLockThreeWayCycleDetected(t *testing.T) {
 				if errors.Is(err, ErrDeadlock) {
 					deadlocks++
 				}
-				lt.releaseAll(id, []string{first})
+				lt.releaseAll(id)
 				return
 			}
 			p.Sleep(time.Millisecond)
-			lt.releaseAll(id, []string{first, second})
+			lt.releaseAll(id)
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -195,11 +215,11 @@ func TestLockSharedUpgradeDeadlock(t *testing.T) {
 				if errors.Is(err, ErrDeadlock) {
 					deadlocks++
 				}
-				lt.releaseAll(id, []string{"k"})
+				lt.releaseAll(id)
 				return
 			}
 			upgrades++
-			lt.releaseAll(id, []string{"k"})
+			lt.releaseAll(id)
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -218,7 +238,7 @@ func TestLockTimeoutBackstop(t *testing.T) {
 	s.Spawn(nil, "holder", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 1, "k", LockX)
 		p.Sleep(time.Hour)
-		lt.releaseAll(1, []string{"k"})
+		lt.releaseAll(1)
 	})
 	s.Spawn(nil, "waiter", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
@@ -238,7 +258,7 @@ func TestLockReleaseCleansEmptyEntries(t *testing.T) {
 	s.Spawn(nil, "p", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 1, "k1", LockX)
 		_, _ = lt.acquire(p, 1, "k2", LockS)
-		lt.releaseAll(1, []string{"k1", "k2"})
+		lt.releaseAll(1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -256,13 +276,13 @@ func TestLockWriterNotStarvedByReaders(t *testing.T) {
 	s.Spawn(nil, "r0", func(p *sim.Proc) {
 		_, _ = lt.acquire(p, 100, "k", LockS)
 		p.Sleep(2 * time.Millisecond)
-		lt.releaseAll(100, []string{"k"})
+		lt.releaseAll(100)
 	})
 	s.Spawn(nil, "writer", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		_, _ = lt.acquire(p, 1, "k", LockX)
 		writerAt = p.Now()
-		lt.releaseAll(1, []string{"k"})
+		lt.releaseAll(1)
 	})
 	for i := 0; i < 5; i++ {
 		id := uint64(i + 10)
@@ -270,7 +290,7 @@ func TestLockWriterNotStarvedByReaders(t *testing.T) {
 			p.Sleep(time.Duration(i)*500*time.Microsecond + 1500*time.Microsecond)
 			_, _ = lt.acquire(p, id, "k", LockS)
 			p.Sleep(2 * time.Millisecond)
-			lt.releaseAll(id, []string{"k"})
+			lt.releaseAll(id)
 		})
 	}
 	if err := s.Run(); err != nil {

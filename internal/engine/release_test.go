@@ -5,7 +5,10 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
+	"unsafe"
 	"weak"
 
 	"repro/internal/disk"
@@ -71,4 +74,65 @@ func TestClosedEngineKeepsOnlyItsCounters(t *testing.T) {
 	if commits != 1 || hits == 0 {
 		t.Fatalf("the engine read %d commits, %d pool hits: the test exercised nothing", commits, hits)
 	}
+}
+
+// TestEngineKeepsNoCallerKey: once its transaction ends, the engine holds no
+// key string a caller passed in. The index keeps a hash, the transaction's
+// state drops its staged writes, and a lock entry or a lock request drops
+// its key when it is freed for reuse. Two writers update the same rows and
+// insert one each, so the second waits in a lock request on every row. At
+// the parent the freed entries and requests kept their keys, and the index
+// kept every key it gained.
+func TestEngineKeepsNoCallerKey(t *testing.T) {
+	const rows = 4
+	var keys []weak.Pointer[byte]
+	// put stages a write under a fresh copy of key: a string of the caller's
+	// own, of 16 bytes or more so that no other allocation shares its block.
+	put := func(tx Tx, key string) {
+		k := strings.Clone(key)
+		keys = append(keys, weak.Make(unsafe.StringData(k)))
+		if err := tx.Put(k, []byte("v")); err != nil {
+			t.Error(err)
+		}
+	}
+	r := newTestRig(1)
+	r.run(t, "t", func(p *sim.Proc, e *Engine) {
+		tx := e.Begin(p)
+		for i := 0; i < rows; i++ {
+			_ = tx.Put(fmt.Sprintf("a row of the test %02d", i), []byte("v"))
+		}
+		if err := tx.Commit(); err != nil {
+			t.Error(err)
+			return
+		}
+		var done []*sim.Event
+		for w := 0; w < 2; w++ {
+			ev := p.Sim().NewEvent("done")
+			done = append(done, ev)
+			p.Sim().Spawn(p.Domain(), fmt.Sprintf("writer%d", w), func(wp *sim.Proc) {
+				defer ev.Fire()
+				tx := e.Begin(wp)
+				for i := 0; i < rows; i++ {
+					put(tx, fmt.Sprintf("a row of the test %02d", i))
+				}
+				put(tx, fmt.Sprintf("a row writer %d inserts", w))
+				wp.Sleep(time.Millisecond)
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		for _, ev := range done {
+			ev.Wait(p)
+		}
+		if waits := len(e.locks.freeReqs); waits == 0 {
+			t.Error("no writer waited for a lock: the test exercised no lock request")
+		}
+		runtime.GC()
+		for i, k := range keys {
+			if k.Value() != nil {
+				t.Errorf("key %d of %d a caller passed in outlived its transaction", i, len(keys))
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/obs"
@@ -31,7 +32,9 @@ type Tx struct {
 // and keeps its slices when finish hands it back, so a transaction
 // allocates nothing once the engine has served as many at once before.
 // Transactions are a few dozen rows at most, so "has this key been
-// written" is a scan of writes, not a map.
+// written" is a scan of writes, not a map. Get and Put hash their key once
+// (keyHash) and hand the hash to the lock table, the scan of writes and the
+// heap.
 type txState struct {
 	e  *Engine
 	p  *sim.Proc
@@ -39,7 +42,7 @@ type txState struct {
 	// logged says the commit record is in the log: the outcome is the log's.
 	logged bool
 
-	locks  []string  // keys held, in acquisition order
+	locks  []*lock   // lock entries held, in acquisition order
 	writes []txWrite // staged writes, one per key (latest wins)
 	vals   []byte    // the staged values, back to back
 	read   []byte    // the value the last Get returned; each Get reuses it
@@ -51,6 +54,7 @@ type txState struct {
 // txWrite is one staged write; its value is vals[off:off+n].
 type txWrite struct {
 	key    string
+	hash   uint64 // keyHash(key)
 	off, n int
 }
 
@@ -83,10 +87,10 @@ func (e *Engine) Begin(p *sim.Proc) Tx {
 	return Tx{s, s.id}
 }
 
-func (s *txState) lock(key string, mode LockMode) error {
-	fresh, err := s.e.locks.acquire(s.p, s.id, key, mode)
+func (s *txState) lock(hash uint64, key string, mode LockMode) error {
+	lk, fresh, err := s.e.locks.acquire(s.p, s.id, hash, key, mode)
 	if fresh {
-		s.locks = append(s.locks, key)
+		s.locks = append(s.locks, lk)
 	}
 	return err
 }
@@ -104,15 +108,16 @@ func (t Tx) Get(key string) ([]byte, bool, error) {
 		return nil, false, ErrTxDone
 	}
 	s.e.burn(s.p, s.e.cfg.CPUPerOp)
-	if err := s.lock(key, LockS); err != nil {
+	hash := keyHash(key)
+	if err := s.lock(hash, key, LockS); err != nil {
 		return nil, false, err
 	}
-	if i := s.written(key); i >= 0 {
+	if i := s.written(hash, key); i >= 0 {
 		s.read = append(s.read[:0], s.val(s.writes[i])...)
 		return s.read, true, nil
 	}
 	s.e.stats.Reads.Inc()
-	v, ok, err := s.e.heap.appendGet(s.read[:0], s.p, key)
+	v, ok, err := s.e.heap.appendGet(s.read[:0], s.p, hash, key)
 	if ok {
 		s.read = v
 	}
@@ -135,18 +140,20 @@ func (t Tx) Put(key string, val []byte) error {
 	off := len(s.vals)
 	s.vals = append(s.vals, val...)
 	s.e.burn(s.p, s.e.cfg.CPUPerOp)
-	if err := s.lock(key, LockX); err != nil {
+	hash := keyHash(key)
+	if err := s.lock(hash, key, LockX); err != nil {
 		s.vals = s.vals[:off]
 		return err
 	}
-	s.stage(txWrite{key: key, off: off, n: len(val)})
+	s.stage(txWrite{key: key, hash: hash, off: off, n: len(val)})
 	return nil
 }
 
-// written returns the index in writes of the staged write to key, or -1.
-func (s *txState) written(key string) int {
+// written returns the index in writes of the staged write to key, or -1;
+// hash is keyHash(key).
+func (s *txState) written(hash uint64, key string) int {
 	for i := range s.writes {
-		if s.writes[i].key == key {
+		if s.writes[i].hash == hash && s.writes[i].key == key {
 			return i
 		}
 	}
@@ -154,7 +161,7 @@ func (s *txState) written(key string) int {
 }
 
 func (s *txState) stage(w txWrite) {
-	if i := s.written(w.key); i >= 0 {
+	if i := s.written(w.hash, w.key); i >= 0 {
 		s.writes[i] = w
 		return
 	}
@@ -242,7 +249,7 @@ func (t Tx) Commit() error {
 
 	// 3. Apply to the heap while still holding every lock.
 	for _, w := range s.writes {
-		if err := e.heap.put(p, w.key, s.val(w)); err != nil {
+		if err := put(e.heap, p, w.hash, w.key, s.val(w)); err != nil {
 			// The commit record is durable; the in-memory state is now
 			// behind it. This is unrecoverable without a restart — the
 			// same stance real engines take on apply-phase I/O errors.
@@ -315,16 +322,19 @@ func (t Tx) abandon() {
 	if lk := e.locks.waiting[t.id]; lk != nil {
 		delete(e.locks.waiting, t.id)
 		// releaseAll drops the queued request, or the grant made at the
-		// instant of the kill that lock never got to record.
-		s.locks = append(s.locks, lk.key)
+		// instant of the kill that lock never got to record. An upgrade
+		// waits on an entry the transaction already holds.
+		if !slices.Contains(s.locks, lk) {
+			s.locks = append(s.locks, lk)
+		}
 	}
 	delete(e.applying, t.id)
 	s.finish()
 }
 
 // finish releases the transaction's locks and hands its state back to the
-// engine's freelist, which kills every handle onto it. The key lists are
-// cleared so that a free state keeps no key alive.
+// engine's freelist, which kills every handle onto it. The lock and write
+// lists are cleared so that a free state keeps no entry or key alive.
 func (s *txState) finish() {
 	e := s.e
 	e.locks.releaseAll(s.id, s.locks)

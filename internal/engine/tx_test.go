@@ -228,7 +228,7 @@ func TestKilledTransactionReleasesItsLocks(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.killDomain {
-				if e.locks.locks["hot"] == nil {
+				if e.locks.locks[keyHash("hot")] == nil {
 					t.Fatal("a domain kill's unwinding released the dead engine's locks")
 				}
 				return
@@ -296,7 +296,7 @@ func TestTxDoneGuards(t *testing.T) {
 					return
 				}
 				holdersOfK := func() []holder {
-					if lk := e.locks.locks["k"]; lk != nil {
+					if lk := e.locks.locks[keyHash("k")]; lk != nil {
 						return slices.Clone(lk.holders)
 					}
 					return nil

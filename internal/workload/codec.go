@@ -3,8 +3,6 @@ package workload
 import (
 	"errors"
 	"strconv"
-
-	"repro/internal/engine"
 )
 
 // Keys and rows are text: "a:1:523" and "-37|2|xxxx…" (integer fields, each
@@ -14,8 +12,8 @@ import (
 // (appendRow), which Tx.Put copies before it yields. A key of a finite
 // family (an account, a stock row) comes from a table the instance fills on
 // first use (keyTable); any other key (an order, a history row) is built
-// into the instance's engine.Arena (arenaKey), because the engine's index
-// and lock table keep the string. What still allocates is a row the
+// into the instance's arena (arenaKey), because a transaction holds its keys
+// until it ends and a journal keeps them. What still allocates is a row the
 // journal keeps, and an arena's next chunk. Parsing never allocates. The
 // formats are exactly what fmt.Sprintf("%s:%d:%d") /
 // Sprintf("%d|%d|%s") / Sscanf("%d|%d|") produced (codec_test.go pins
@@ -38,9 +36,9 @@ func key(prefix string, ids ...int) string {
 }
 
 // arenaKey returns appendKey's key as a string in a.
-func arenaKey(a *engine.Arena, prefix string, ids ...int) string {
+func arenaKey(a *arena, prefix string, ids ...int) string {
 	var buf [48]byte
-	return a.Copy(appendKey(buf[:0], prefix, ids...))
+	return a.copy(appendKey(buf[:0], prefix, ids...))
 }
 
 // keyTable memoises one finite key family: the keys key(prefix, ids...) for

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
 )
 
 // The old generators built keys and rows with fmt.Sprintf and read them back
@@ -162,7 +160,7 @@ func TestKeyTablesMatchKey(t *testing.T) {
 // key keeps its bytes however many are built after it: 10⁵ more keys roll
 // every arena over into new chunks many times.
 func TestKeyArenaMatchesKey(t *testing.T) {
-	tb, tc, st := (&TPCB{}).codec(), (&TPCC{}).codec(), &Stress{keys: new(engine.Arena)}
+	tb, tc, st := (&TPCB{}).codec(), (&TPCC{}).codec(), &Stress{keys: new(arena)}
 	type pair struct{ got, want string }
 	keys := func(i int) []pair {
 		a, b := codecInts[i%len(codecInts)], i

@@ -31,7 +31,7 @@ type TPCB struct {
 type tpcbCodec struct {
 	buf                     scratch
 	branch, teller, account keyTable
-	keys                    engine.Arena
+	keys                    arena
 }
 
 func (c *tpcbCodec) history(id uint64) string { return arenaKey(&c.keys, "bh", int(id)) }
@@ -172,8 +172,8 @@ func (w *TPCB) Do(p *sim.Proc, e *engine.Engine, j *Journal) error {
 type Stress struct {
 	ValueSize int // default 120
 	clientSeq map[int]uint64
-	value     []byte        // the one value every row carries; never modified
-	keys      *engine.Arena // built on first use
+	value     []byte // the one value every row carries; never modified
+	keys      *arena // built on first use
 }
 
 // Name implements Workload.
@@ -190,7 +190,7 @@ func (w *Stress) DoAs(p *sim.Proc, e *engine.Engine, j *Journal, client int) err
 	}
 	if w.clientSeq == nil {
 		w.clientSeq = make(map[int]uint64)
-		w.keys = new(engine.Arena)
+		w.keys = new(arena)
 	}
 	if len(w.value) != w.ValueSize {
 		w.value = row(w.ValueSize)

@@ -37,7 +37,7 @@ type TPCC struct {
 type tpccCodec struct {
 	buf                                        scratch
 	warehouse, district, customer, item, stock keyTable
-	keys                                       engine.Arena // orders, order lines, history rows
+	keys                                       arena // orders, order lines, history rows
 }
 
 func (c *tpccCodec) order(wid, did, oid int) string { return arenaKey(&c.keys, "o", wid, did, oid) }
