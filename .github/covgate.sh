@@ -6,16 +6,19 @@
 #   bash .github/covgate.sh [covdir] [allowlist]
 #
 # Each allowlist line is "<file>\t<function>\t<reason>"; '#' starts a
-# comment. The file is the module path ("repro/internal/sim/sim.go"); the
-# function is named from its declaration, a method after its receiver's
-# type with any type parameters dropped ("fatalf", "*Sim.Run",
-# "State.String", "*Queue.Put"). `go tool covdata func` does not do: it names
-# a generic type's methods without their receiver and lists only one of two
-# that share a name, so the gate reads `go tool cover -func`'s complete list
-# and names each function from its source line. The gate fails on a
-# never-entered function the list does not name, on a listed function that
-# traffic now enters, on a listed function that no longer exists, and on two
-# declarations in one file that reach the same name.
+# comment. A reason opens with its category and a colon: "failure-only",
+# "interface obligation", "benchmark only" or "test seam". The file is the
+# module path ("repro/internal/sim/sim.go"); the function is named from its
+# declaration, a method after its receiver's type with any type parameters
+# dropped ("fatalf", "*Sim.Run", "Violation.At", "*Queue.Put"). `go tool
+# covdata func` does not do: it names a generic type's methods without their
+# receiver and lists only one of two that share a name, so the gate reads
+# `go tool cover -func`'s complete list and names each function from its
+# source line. The gate fails on a never-entered function the list does not
+# name, on a listed function that traffic now enters, on a listed function
+# that no longer exists, on two declarations in one file that reach the same
+# name, and on a reason outside the four categories. Its summary counts the
+# list by category.
 set -euo pipefail
 dir=${1:-${GOCOVERDIR:?set GOCOVERDIR or pass the counter directory}}
 allow=${2:-"$(dirname "$0")/covgate-allow.txt"}
@@ -46,10 +49,14 @@ awk -F'\t' -v allow="$allow" -v mod="$(go list -m)" '
 	}
 	function show(key) { sub(/\t/, " ", key); return key }
 	BEGIN {
+		ncat = split("failure-only|interface obligation|benchmark only|test seam", cat, "|")
 		while ((getline line < allow) > 0) {
 			if (line ~ /^[ \t]*(#|$)/) continue
 			n = split(line, f, "\t")
 			if (n < 3 || f[3] == "") { printf "%s: no reason given: %s\n", allow, line; bad = 1; continue }
+			for (c = ncat; c > 0 && index(f[3], cat[c] ":") != 1; c--) {}
+			if (!c) { printf "%s: reason outside the four categories: %s\n", allow, line; bad = 1; continue }
+			percat[c]++
 			listed[f[1] "\t" f[2]] = 1
 		}
 	}
@@ -76,6 +83,8 @@ awk -F'\t' -v allow="$allow" -v mod="$(go list -m)" '
 			if (!(key in at)) { printf "allowlisted but gone: %s\n", show(key); bad = 1 }
 			else if (key in entered) { printf "allowlisted but entered by traffic, drop it from the list: %s\n", show(key); bad = 1 }
 		}
-		printf "real-traffic coverage: %d of %d functions never entered\n", never, total
+		printf "real-traffic coverage: %d of %d functions never entered (", never, total
+		for (c = 1; c <= ncat; c++) printf "%s%s %d", (c > 1 ? ", " : ""), cat[c], percat[c]
+		print ")"
 		exit bad
 	}' "$funcs"

@@ -181,8 +181,8 @@ func reportDomain(d *rapilog.LogDomain, eng *rapilog.Engine, policy rapilog.AckP
 		ws.Appends.Value(), ws.Forces.Value(), ws.ForceWaits.Value(), ws.BlocksWritten.Value())
 	if d.Logger != nil {
 		rs := d.Logger.RapiStats()
-		fmt.Printf("rapilog:        %d writes (%d absorbed), %d no-op barriers, %d throttled,\n",
-			rs.Writes.Value(), rs.Absorbed.Value(), rs.Flushes.Value(), rs.Throttled.Value())
+		fmt.Printf("rapilog:        %d writes (%d absorbed), %d throttled,\n",
+			rs.Writes.Value(), rs.Absorbed.Value(), rs.Throttled.Value())
 		fmt.Printf("                buffer bound %d KiB, peak occupancy %d KiB, ack p99 %v\n",
 			d.Logger.MaxBuffer()/1024, rs.Occupancy.Peak()/1024,
 			rs.AckLatency.Quantile(0.99).Round(time.Microsecond))

@@ -26,16 +26,16 @@ func runE10(opts Options) (*Report, error) {
 
 	type devCase struct {
 		name string
-		mk   func(s *sim.Sim, hw *sim.Domain) disk.Device
+		mk   func(s *sim.Sim, hw *sim.Domain) disk.Drive
 	}
 	cases := []devCase{
-		{"hdd", func(s *sim.Sim, hw *sim.Domain) disk.Device {
+		{"hdd", func(s *sim.Sim, hw *sim.Domain) disk.Drive {
 			return disk.NewHDD(s, hw, disk.HDDConfig{})
 		}},
-		{"hdd+cache", func(s *sim.Sim, hw *sim.Domain) disk.Device {
+		{"hdd+cache", func(s *sim.Sim, hw *sim.Domain) disk.Drive {
 			return disk.NewHDD(s, hw, disk.HDDConfig{Name: "hddc", WriteCache: true})
 		}},
-		{"ssd", func(s *sim.Sim, hw *sim.Domain) disk.Device {
+		{"ssd", func(s *sim.Sim, hw *sim.Domain) disk.Drive {
 			return disk.NewSSD(s, disk.SSDConfig{})
 		}},
 	}
@@ -62,7 +62,7 @@ func runE10(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Device, pattern string, ops int) (time.Duration, float64, float64, error) {
+func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Drive, pattern string, ops int) (time.Duration, float64, float64, error) {
 	s := sim.New(seed)
 	defer s.Close()
 	m := power.NewMachine(s, "m", 2, power.PSUMeasured)

@@ -84,37 +84,6 @@ func ackCost(n int) time.Duration {
 // the emergency dump owns whatever remains.
 var errHalted = errors.New("rapilog: halted by power failure")
 
-// State is the Logger's service mode.
-type State int
-
-// Logger states.
-const (
-	// StateNormal: writes are buffered and acknowledged at copy speed.
-	StateNormal State = iota
-	// StateDegraded: the drain's retry budget ran out. Writes pass through
-	// to the backing device synchronously (FUA) — durability is preserved
-	// at the old latency instead of silently lost. Already-acknowledged
-	// entries stay buffered; a probe keeps re-trying them and the device
-	// returns to StateNormal once they land.
-	StateDegraded
-	// StateHalted: the power-fail interrupt fired; the device has stopped
-	// acknowledging and the dump zone owns the buffer.
-	StateHalted
-)
-
-func (s State) String() string {
-	switch s {
-	case StateNormal:
-		return "normal"
-	case StateDegraded:
-		return "degraded"
-	case StateHalted:
-		return "halted"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // Config parameterises a Logger.
 type Config struct {
 	// MaxBuffer bounds buffered-but-not-yet-on-disk bytes. Zero selects
@@ -146,7 +115,6 @@ func (c *Config) applyDefaults() {
 type Stats struct {
 	Writes        *metrics.Counter // buffered writes acknowledged
 	Absorbed      *metrics.Counter // writes absorbed into a pending entry
-	Flushes       *metrics.Counter // no-op barriers absorbed
 	Throttled     *metrics.Counter // writes that had to wait for space
 	DrainRounds   *metrics.Counter
 	DrainedBytes  *metrics.Counter
@@ -171,7 +139,6 @@ func newStats(reg *obs.Registry, name string) *Stats {
 	return &Stats{
 		Writes:        reg.Counter(name + ".writes"),
 		Absorbed:      reg.Counter(name + ".absorbed"),
-		Flushes:       reg.Counter(name + ".flushes"),
 		Throttled:     reg.Counter(name + ".throttled"),
 		DrainRounds:   reg.Counter(name + ".drain_rounds"),
 		DrainedBytes:  reg.Counter(name + ".drained_bytes"),
@@ -229,8 +196,8 @@ type Logger struct {
 	pending   []*entry         // FIFO, including the batch being drained
 	absorb    map[int64]*entry // pending (not draining) entries by lba, for write absorption
 	dirtySig  *sim.Signal
-	degraded  bool
-	emergency bool
+	degraded  bool       // drain retries ran out: writes pass through (FUA) until the stranded entries land
+	emergency bool       // the power-fail interrupt fired: no more acks, the dump owns the buffer
 	never     *sim.Event // parked on by writers after emergency starts
 	// io (one unit) serialises logger-initiated backing writes: the degraded
 	// pass-through path and the probe drain must not interleave, or a stale
@@ -400,23 +367,8 @@ func (l *Logger) SafeBound() int64 { return min(l.cfg.MaxBuffer, l.safe) }
 // BufferedBytes returns the bytes currently buffered.
 func (l *Logger) BufferedBytes() int64 { return l.buffered }
 
-// State returns the Logger's current service mode.
-func (l *Logger) State() State {
-	switch {
-	case l.emergency:
-		return StateHalted
-	case l.degraded:
-		return StateDegraded
-	default:
-		return StateNormal
-	}
-}
-
 // IsDegraded reports whether the Logger is in synchronous pass-through.
 func (l *Logger) IsDegraded() bool { return l.degraded }
-
-// Name implements disk.Device.
-func (l *Logger) Name() string { return deviceName }
 
 // Sectors implements disk.Device.
 func (l *Logger) Sectors() int64 { return l.backing.Sectors() }
@@ -595,16 +547,6 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 			delay = drainRetryCap
 		}
 	}
-}
-
-// Flush implements disk.Device: a no-op. Acknowledged log data is already
-// as good as durable — this is where the paper's performance win lives.
-func (l *Logger) Flush(p *sim.Proc) error {
-	if l.emergency {
-		l.never.Wait(p)
-	}
-	l.stats.Flushes.Inc()
-	return nil
 }
 
 // Read implements disk.Device: backing contents with buffered sectors

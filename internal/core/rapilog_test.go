@@ -77,28 +77,6 @@ func TestAckLatencyIsMicroseconds(t *testing.T) {
 	}
 }
 
-func TestFlushIsNoop(t *testing.T) {
-	r := newRig(t, 1, power.PSUMeasured, Config{})
-	var flushTime time.Duration
-	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
-		_ = r.l.Write(p, 0, pattern(4096, 1), false)
-		start := p.Now()
-		if err := r.l.Flush(p); err != nil {
-			t.Errorf("flush: %v", err)
-		}
-		flushTime = p.Now().Sub(start)
-	})
-	if err := r.s.RunFor(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if flushTime != 0 {
-		t.Fatalf("flush took %v, want 0 (no-op barrier)", flushTime)
-	}
-	if r.l.RapiStats().Flushes.Value() != 1 {
-		t.Fatal("flush not counted")
-	}
-}
-
 func TestReadSeesBufferedWrite(t *testing.T) {
 	r := newRig(t, 1, power.PSUMeasured, Config{})
 	var got []byte
@@ -574,7 +552,7 @@ func TestLoggerDeviceAccessors(t *testing.T) {
 	if r.l.Sectors() != r.logPart.Sectors() {
 		t.Fatal("geometry not delegated")
 	}
-	if r.l.Name() == "" || r.l.MaxBuffer() <= 0 {
+	if r.l.MaxBuffer() <= 0 {
 		t.Fatal("accessor defaults wrong")
 	}
 }

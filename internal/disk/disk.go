@@ -46,8 +46,6 @@ func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 // Device is a block device on virtual time. Offsets and lengths are in
 // sectors of SectorSize bytes; data lengths must be multiples of it.
 type Device interface {
-	// Name identifies the device in traces and stats.
-	Name() string
 	// Sectors returns the device capacity in sectors.
 	Sectors() int64
 	// Read fills and returns a buffer of nsec sectors starting at lba,
@@ -57,15 +55,16 @@ type Device interface {
 	// With fua set, the write bypasses any volatile cache and is on media
 	// when Write returns; otherwise it may be cached.
 	Write(p *sim.Proc, lba int64, data []byte, fua bool) error
-	// Flush blocks p until all cached writes are on media.
-	Flush(p *sim.Proc) error
 }
 
 // Drive is a physical device model (HDD, SSD, Mem): a Device plus the
-// figures only real media have. Wrappers and partitions forward I/O only;
-// whoever needs the figures asks the drive underneath.
+// cache barrier and the figures only real media have. Wrappers and
+// partitions forward I/O only; whoever needs the rest asks the drive
+// underneath.
 type Drive interface {
 	Device
+	// Flush blocks p until all cached writes are on media.
+	Flush(p *sim.Proc) error
 	// SeqWriteBandwidth returns the sustained sequential write bandwidth in
 	// bytes per second — the figure RapiLog's buffer-sizing rule uses.
 	SeqWriteBandwidth() float64
@@ -178,7 +177,6 @@ func (m *media) readSectors(dst []byte, lba int64) {
 }
 
 // Partition exposes a contiguous sector range of a drive as a Device.
-// Flushes pass through to the whole drive.
 type Partition struct {
 	parent Drive
 	name   string
@@ -201,9 +199,6 @@ func (pt *Partition) Name() string { return pt.name }
 // Sectors returns the partition length in sectors.
 func (pt *Partition) Sectors() int64 { return pt.count }
 
-// Start returns the partition's first sector on the parent device.
-func (pt *Partition) Start() int64 { return pt.start }
-
 // Parent returns the underlying drive.
 func (pt *Partition) Parent() Drive { return pt.parent }
 
@@ -222,6 +217,3 @@ func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error 
 	}
 	return pt.parent.Write(p, pt.start+lba, data, fua)
 }
-
-// Flush implements Device.
-func (pt *Partition) Flush(p *sim.Proc) error { return pt.parent.Flush(p) }

@@ -401,7 +401,7 @@ func TestPartitionMappingAndBounds(t *testing.T) {
 	if !bytes.Equal(direct, fill(512, 0xAA)) {
 		t.Fatal("partition write not visible at parent offset")
 	}
-	if pt.Start() != 1000 || pt.Sectors() != 100 || pt.Parent() != Device(d) {
+	if pt.Sectors() != 100 || pt.Parent() != Drive(d) {
 		t.Fatal("partition geometry accessors wrong")
 	}
 }

@@ -1,4 +1,4 @@
-// Faulty wraps any Device with a deterministic media-fault model: seeded
+// Faulty wraps a Partition with a deterministic media-fault model: seeded
 // transient write errors, per-LBA-range "grown bad sector" permanent
 // errors, and latency storms. It is how the fault-injection campaigns turn
 // "the drive hiccuped" into a first-class, reproducible event.
@@ -47,8 +47,7 @@ type badRange struct {
 // device — a failed write leaves no bytes on media, as on real hardware
 // when the controller rejects the transfer.
 type Faulty struct {
-	inner    Device
-	name     string // "<inner>.flt"; labels the wrapper's counters
+	inner    *Partition
 	rng      *rand.Rand
 	bad      []badRange
 	storm    bool
@@ -59,12 +58,12 @@ type Faulty struct {
 	injBad    *metrics.Counter
 }
 
-// NewFaulty wraps inner with the fault model described by cfg.
-func NewFaulty(inner Device, cfg FaultConfig) *Faulty {
+// NewFaulty wraps inner with the fault model described by cfg. Its
+// counters are named "<partition>.flt.inject_*".
+func NewFaulty(inner *Partition, cfg FaultConfig) *Faulty {
 	name := inner.Name() + ".flt"
 	return &Faulty{
 		inner:     inner,
-		name:      name,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		injWrites: cfg.Reg.Counter(name + ".inject_write_errors"),
 		injSpikes: cfg.Reg.Counter(name + ".inject_latency_spikes"),
@@ -120,9 +119,6 @@ func (f *Faulty) maybeFault(p *sim.Proc, lba int64, nsec int, write bool) error 
 	return nil
 }
 
-// Name implements Device.
-func (f *Faulty) Name() string { return f.name }
-
 // Sectors implements Device.
 func (f *Faulty) Sectors() int64 { return f.inner.Sectors() }
 
@@ -141,7 +137,3 @@ func (f *Faulty) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	}
 	return f.inner.Write(p, lba, data, fua)
 }
-
-// Flush implements Device. Barriers are never failed: the model's unit of
-// failure is the transfer, and a flush carries no data of its own.
-func (f *Faulty) Flush(p *sim.Proc) error { return f.inner.Flush(p) }

@@ -3,9 +3,12 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -16,6 +19,18 @@ func run(t *testing.T, s *sim.Sim, fn func(p *sim.Proc)) {
 	if err := s.RunFor(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// newFaulty wraps a partition named "log" that spans a persistent RAM
+// disk, and returns the wrapper and the disk underneath.
+func newFaulty(t *testing.T, s *sim.Sim, cfg FaultConfig) (*Faulty, *Mem) {
+	t.Helper()
+	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
+	part, err := NewPartition(mem, "log", 0, mem.Sectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFaulty(part, cfg), mem
 }
 
 func TestIsTransientClassification(t *testing.T) {
@@ -34,8 +49,7 @@ func TestIsTransientClassification(t *testing.T) {
 func TestFaultyDeterministicInjection(t *testing.T) {
 	sequence := func() []bool {
 		s := sim.New(1)
-		mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-		f := NewFaulty(mem, FaultConfig{Seed: 7})
+		f, _ := newFaulty(t, s, FaultConfig{Seed: 7})
 		f.SetWriteErrorProb(0.5)
 		var errs []bool
 		run(t, s, func(p *sim.Proc) {
@@ -61,8 +75,7 @@ func TestFaultyDeterministicInjection(t *testing.T) {
 
 func TestFaultyInjectedErrorsAreTransientAndLeaveNoData(t *testing.T) {
 	s := sim.New(1)
-	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-	f := NewFaulty(mem, FaultConfig{Seed: 1})
+	f, mem := newFaulty(t, s, FaultConfig{Seed: 1})
 	f.SetWriteErrorProb(1)
 	run(t, s, func(p *sim.Proc) {
 		data := []byte{1, 2, 3, 4}
@@ -91,8 +104,7 @@ func TestFaultyInjectedErrorsAreTransientAndLeaveNoData(t *testing.T) {
 
 func TestFaultyBadRange(t *testing.T) {
 	s := sim.New(1)
-	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-	f := NewFaulty(mem, FaultConfig{Seed: 1})
+	f, _ := newFaulty(t, s, FaultConfig{Seed: 1})
 	f.AddBadRange(100, 10, false) // writes fail, reads survive
 	run(t, s, func(p *sim.Proc) {
 		buf := make([]byte, 512)
@@ -121,8 +133,7 @@ func TestFaultyBadRange(t *testing.T) {
 
 func TestFaultyLatencyStorm(t *testing.T) {
 	s := sim.New(1)
-	mem := NewMem(s, MemConfig{Name: "m", Persistent: true})
-	f := NewFaulty(mem, FaultConfig{Seed: 1})
+	f, _ := newFaulty(t, s, FaultConfig{Seed: 1})
 	var calm, stormy time.Duration
 	run(t, s, func(p *sim.Proc) {
 		buf := make([]byte, 512)
@@ -145,4 +156,33 @@ func TestFaultyLatencyStorm(t *testing.T) {
 	if v := f.injSpikes.Value(); v != 1 {
 		t.Fatalf("inject_latency_spikes = %d, want 1", v)
 	}
+}
+
+// TestFaultyNamesFollowItsPartition: the wrapper's counters and its errors
+// carry the partition's name. CI's latency-storm gate reads
+// log.flt.inject_latency_spikes from a metrics file by that name.
+func TestFaultyNamesFollowItsPartition(t *testing.T) {
+	s := sim.New(1)
+	reg := obs.NewRegistry()
+	f, _ := newFaulty(t, s, FaultConfig{Seed: 1, Reg: reg})
+	names := reg.Names()
+	for _, want := range []string{
+		"log.flt.inject_write_errors",
+		"log.flt.inject_latency_spikes",
+		"log.flt.inject_bad_range_errors",
+	} {
+		if !slices.Contains(names, want) {
+			t.Errorf("registry lacks %s: %v", want, names)
+		}
+	}
+	f.SetWriteErrorProb(1)
+	f.AddBadRange(100, 10, true)
+	run(t, s, func(p *sim.Proc) {
+		if err := f.Write(p, 0, make([]byte, 512), true); err == nil || !strings.HasSuffix(err.Error(), " on log") {
+			t.Errorf("injected write error = %v, want one naming log", err)
+		}
+		if _, err := f.Read(p, 100, 1); err == nil || !strings.HasSuffix(err.Error(), " on log") {
+			t.Errorf("bad-range read error = %v, want one naming log", err)
+		}
+	})
 }

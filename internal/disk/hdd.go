@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -114,9 +113,6 @@ func (d *HDD) resetCache() {
 	d.dirtySig = d.s.NewSignal(d.cfg.Name + ".dirty")
 	d.drainedSig = d.s.NewSignal(d.cfg.Name + ".drained")
 }
-
-// Name implements Device.
-func (d *HDD) Name() string { return d.cfg.Name }
 
 // Sectors implements Device.
 func (d *HDD) Sectors() int64 {
@@ -329,7 +325,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	return nil
 }
 
-// Flush implements Device: block until the volatile cache is empty.
+// Flush implements Drive: block until the volatile cache is empty.
 func (d *HDD) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower
@@ -434,10 +430,4 @@ func (d *HDD) PowerOn(dom *sim.Domain) {
 	if d.cfg.WriteCache {
 		d.spawnDrainer(dom)
 	}
-}
-
-// String describes the drive.
-func (d *HDD) String() string {
-	return fmt.Sprintf("%s: %d RPM, %.1f MB/s seq, %s..%s seek, cache=%v",
-		d.cfg.Name, d.cfg.RPM, d.SeqWriteBandwidth()/1e6, hddSeekMin, hddSeekMax, d.cfg.WriteCache)
 }

@@ -52,9 +52,6 @@ func NewMem(s *sim.Sim, cfg MemConfig) *Mem {
 	return &Mem{cfg: cfg, s: s, med: newMedia(), stats: newStats(cfg.Reg, cfg.Name), powered: true}
 }
 
-// Name implements Device.
-func (d *Mem) Name() string { return d.cfg.Name }
-
 // Sectors implements Device.
 func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
 
@@ -109,7 +106,7 @@ func (d *Mem) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	return nil
 }
 
-// Flush implements Device (no volatile cache; a no-op).
+// Flush implements Drive (no volatile cache; a no-op).
 func (d *Mem) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower

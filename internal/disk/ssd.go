@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -60,9 +59,6 @@ func NewSSD(s *sim.Sim, cfg SSDConfig) *SSD {
 		channels: s.NewResource(cfg.Name+".chan", ssdChannels),
 	}
 }
-
-// Name implements Device.
-func (d *SSD) Name() string { return d.cfg.Name }
 
 // Sectors implements Device.
 func (d *SSD) Sectors() int64 { return ssdCapacity }
@@ -181,7 +177,7 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 	done = true
 }
 
-// Flush implements Device: nothing is volatile, so there is nothing to wait
+// Flush implements Drive: nothing is volatile, so there is nothing to wait
 // for.
 func (d *SSD) Flush(p *sim.Proc) error {
 	if !d.powered {
@@ -204,10 +200,4 @@ func (d *SSD) PowerOn(*sim.Domain) {
 	}
 	d.powered = true
 	d.channels = d.s.NewResource(d.cfg.Name+".chan", ssdChannels)
-}
-
-// String describes the device.
-func (d *SSD) String() string {
-	return fmt.Sprintf("%s: %.0f MB/s seq, %s program, %d channels",
-		d.cfg.Name, d.SeqWriteBandwidth()/1e6, ssdProgramLatency, ssdChannels)
 }

@@ -55,13 +55,6 @@ const (
 	CommitAsync
 )
 
-func (m CommitMode) String() string {
-	if m == CommitSync {
-		return "sync"
-	}
-	return "async"
-}
-
 // Personality bundles the parameters that make the simulated engine behave
 // like a particular DBMS family.
 type Personality struct {

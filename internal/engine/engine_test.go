@@ -573,12 +573,6 @@ func TestPersonalityPresets(t *testing.T) {
 	}
 }
 
-func TestCommitModeString(t *testing.T) {
-	if CommitSync.String() != "sync" || CommitAsync.String() != "async" {
-		t.Fatal("commit mode strings wrong")
-	}
-}
-
 // TestFollowRoundsThenLeadIsOpen: an engine that follows a live log in
 // rounds — Follow once, then CatchUp after every few commits, aborts and
 // deletes of the writer — and then leads holds exactly what the writer and

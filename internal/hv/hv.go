@@ -30,8 +30,6 @@ import (
 // in, a log and a data block device, CPU cores, and a CPU-time scaling that
 // accounts for virtualisation overhead.
 type Platform interface {
-	// Name identifies the platform configuration in reports.
-	Name() string
 	// Sim returns the owning simulation.
 	Sim() *sim.Sim
 	// Domain is the crash domain database processes run in.
@@ -70,9 +68,6 @@ func NewNative(machine *power.Machine, logDev, dataDev disk.Device) *Native {
 		dataDev: dataDev,
 	}
 }
-
-// Name implements Platform.
-func (n *Native) Name() string { return "native" }
 
 // Sim implements Platform.
 func (n *Native) Sim() *sim.Sim { return n.machine.Sim() }
@@ -126,9 +121,6 @@ func New(machine *power.Machine, o *obs.Obs) *Hypervisor {
 	}
 }
 
-// Machine returns the underlying machine.
-func (h *Hypervisor) Machine() *power.Machine { return h.machine }
-
 // Domain returns the hypervisor's crash domain — the verified, crash-free
 // zone. It is killed only by power loss.
 func (h *Hypervisor) Domain() *sim.Domain { return h.dom }
@@ -141,7 +133,6 @@ func (h *Hypervisor) Reboot() { h.dom.Revive() }
 // whatever backs it (a raw partition pass-through, or the RapiLog device).
 type Guest struct {
 	hv      *Hypervisor
-	name    string
 	dom     *sim.Domain
 	logDev  disk.Device
 	dataDev disk.Device
@@ -153,15 +144,11 @@ type Guest struct {
 func (h *Hypervisor) NewGuest(name string, logBacking, dataBacking disk.Device) *Guest {
 	return &Guest{
 		hv:      h,
-		name:    name,
 		dom:     h.machine.NewDomain(name),
 		logDev:  &vdisk{dev: logBacking, hv: h},
 		dataDev: &vdisk{dev: dataBacking, hv: h},
 	}
 }
-
-// Name implements Platform.
-func (g *Guest) Name() string { return "guest:" + g.name }
 
 // Sim implements Platform.
 func (g *Guest) Sim() *sim.Sim { return g.hv.machine.Sim() }
@@ -203,7 +190,6 @@ type vdisk struct {
 	hv  *Hypervisor
 }
 
-func (v *vdisk) Name() string   { return v.dev.Name() + "(virt)" }
 func (v *vdisk) Sectors() int64 { return v.dev.Sectors() }
 
 // exit charges one VM exit and counts it.
@@ -220,9 +206,4 @@ func (v *vdisk) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 func (v *vdisk) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	v.exit(p)
 	return v.dev.Write(p, lba, data, fua)
-}
-
-func (v *vdisk) Flush(p *sim.Proc) error {
-	v.exit(p)
-	return v.dev.Flush(p)
 }

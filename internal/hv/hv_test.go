@@ -162,9 +162,6 @@ func TestVdiskPassthroughData(t *testing.T) {
 		if err := g.DataDisk().Write(p, 7, payload, false); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		if err := g.DataDisk().Flush(p); err != nil {
-			t.Errorf("flush: %v", err)
-		}
 		got, _ = g.DataDisk().Read(p, 7, 2)
 	})
 	if err := s.Run(); err != nil {

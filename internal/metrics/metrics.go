@@ -162,30 +162,11 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// String summarises the distribution.
-func (h *Histogram) String() string {
-	if h.total == 0 {
-		return fmt.Sprintf("%s: empty", h.name)
-	}
-	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		h.name, h.total, h.Mean().Round(time.Microsecond),
-		h.Quantile(0.50).Round(time.Microsecond),
-		h.Quantile(0.95).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond),
-		h.max.Round(time.Microsecond))
-}
-
-// Counter is a monotonically increasing count.
+// Counter is a monotonically increasing count; the zero value is ready to
+// use.
 type Counter struct {
-	name  string
 	value int64
 }
-
-// NewCounter creates a zeroed counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Name returns the counter's name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments by n (n may be any non-negative value).
 func (c *Counter) Add(n int64) {
@@ -201,18 +182,12 @@ func (c *Counter) Inc() { c.value++ }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.value }
 
-// Gauge is an instantaneous level that tracks its own high-water mark.
+// Gauge is a level that tracks its own high-water mark; the zero value is
+// ready to use.
 type Gauge struct {
-	name  string
 	value int64
 	peak  int64
 }
-
-// NewGauge creates a zeroed gauge.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Name returns the gauge's name.
-func (g *Gauge) Name() string { return g.name }
 
 // Add moves the level by delta (which may be negative).
 func (g *Gauge) Add(delta int64) {

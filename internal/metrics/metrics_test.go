@@ -14,9 +14,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 {
 		t.Fatal("empty histogram returned nonzero stats")
 	}
-	if !strings.Contains(h.String(), "empty") {
-		t.Fatalf("String() = %q", h.String())
-	}
 }
 
 func TestHistogramBasicStats(t *testing.T) {
@@ -154,7 +151,7 @@ func TestBucketRoundTripRelativeError(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter("txns")
+	c := new(Counter)
 	c.Inc()
 	c.Add(9)
 	if c.Value() != 10 {
@@ -168,11 +165,11 @@ func TestCounterNegativePanics(t *testing.T) {
 			t.Fatal("no panic on negative Add")
 		}
 	}()
-	NewCounter("c").Add(-1)
+	new(Counter).Add(-1)
 }
 
 func TestGaugePeak(t *testing.T) {
-	g := NewGauge("buf")
+	g := new(Gauge)
 	g.Add(5)
 	g.Add(10)
 	g.Add(-12)

@@ -393,9 +393,6 @@ type Endpoint struct {
 // Name returns the endpoint's fabric-wide name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Pending returns the number of undelivered messages in the inbox.
-func (e *Endpoint) Pending() int { return len(e.inbox) - e.head }
-
 // inboxCompactAt is the consumed-prefix length past which TryRecv slides
 // the unconsumed tail back to the front of the backing array. Without this
 // an endpoint whose inbox never fully drains (a steady producer one message

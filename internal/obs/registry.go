@@ -55,13 +55,13 @@ func (r *Registry) Sub(prefix string) *Registry {
 // if needed.
 func (r *Registry) Counter(name string) *metrics.Counter {
 	if r == nil {
-		return metrics.NewCounter(name)
+		return new(metrics.Counter)
 	}
 	name = r.prefix + name
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := metrics.NewCounter(name)
+	c := new(metrics.Counter)
 	r.counters[name] = c
 	return c
 }
@@ -85,13 +85,13 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 // needed.
 func (r *Registry) Gauge(name string) *metrics.Gauge {
 	if r == nil {
-		return metrics.NewGauge(name)
+		return new(metrics.Gauge)
 	}
 	name = r.prefix + name
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := metrics.NewGauge(name)
+	g := new(metrics.Gauge)
 	r.gauges[name] = g
 	return g
 }

@@ -93,13 +93,13 @@ type Stats struct {
 
 func newStats() *Stats {
 	return &Stats{
-		Reads:       metrics.NewCounter("pages.reads"),
-		Writes:      metrics.NewCounter("pages.writes"),
-		Hits:        metrics.NewCounter("pages.hits"),
-		Misses:      metrics.NewCounter("pages.misses"),
-		Evictions:   metrics.NewCounter("pages.evictions"),
-		Checkpoints: metrics.NewCounter("pages.checkpoints"),
-		DWRestores:  metrics.NewCounter("pages.dw_restores"),
+		Reads:       new(metrics.Counter),
+		Writes:      new(metrics.Counter),
+		Hits:        new(metrics.Counter),
+		Misses:      new(metrics.Counter),
+		Evictions:   new(metrics.Counter),
+		Checkpoints: new(metrics.Counter),
+		DWRestores:  new(metrics.Counter),
 	}
 }
 

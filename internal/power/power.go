@@ -224,19 +224,3 @@ func (m *Machine) RestorePower() {
 	m.o.Registry().Counter("power.restores").Inc()
 	m.emit(obs.EvPowerRestore, 0)
 }
-
-// Crash kills every software domain but leaves power and devices untouched
-// — a whole-machine software crash (e.g. host OS panic in the unverified
-// configuration). Device caches survive; anything buffered in software does
-// not.
-func (m *Machine) Crash() {
-	for _, dom := range m.domains {
-		dom.Kill()
-	}
-}
-
-// String describes the machine.
-func (m *Machine) String() string {
-	return fmt.Sprintf("%s: %d cores, PSU %s (hold-up %v..%v), %d devices",
-		m.name, m.cores, m.psu.Name, m.psu.HoldupMin, m.psu.HoldupMax, len(m.devices))
-}

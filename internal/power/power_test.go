@@ -151,27 +151,6 @@ func TestCutPowerIdempotentDuringHoldup(t *testing.T) {
 	}
 }
 
-func TestSoftwareCrashSparesDeviceCache(t *testing.T) {
-	s, m, d := testMachine(6, PSUTypical)
-	dom := m.NewDomain("sw")
-	var cacheAfterCrash int
-	s.Spawn(dom, "writer", func(p *sim.Proc) {
-		_ = d.Write(p, 0, make([]byte, 8192), false)
-		m.Crash() // kills this domain too
-	})
-	s.Spawn(nil, "check", func(p *sim.Proc) {
-		p.Sleep(100 * time.Microsecond)
-		cacheAfterCrash = d.CacheDirtySectors()
-	})
-	if err := s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !m.powered {
-		t.Fatal("software crash took power down")
-	}
-	_ = cacheAfterCrash // cache may have partially drained; device must stay powered
-}
-
 func TestInterruptBudget(t *testing.T) {
 	m := NewMachine(sim.New(1), "m", 2, PSUATXSpec)
 	want := PSUATXSpec.HoldupMin - PSUATXSpec.InterruptLatency

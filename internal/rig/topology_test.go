@@ -34,20 +34,20 @@ func TestTopologyNames(t *testing.T) {
 	}{
 		{
 			name: "Shards: 0", cfg: &replicated, domains: 1, machine: "machine",
-			guests: []string{"guest:db"}, stores: []string{"standby0", "standby1"}, primary: "primary",
+			guests: []string{"db"}, stores: []string{"standby0", "standby1"}, primary: "primary",
 			metrics: []string{"rapilog.writes", "hv.exits", "disk0.writes", "repl.standby0.applied"},
 			absent:  []string{"shard.0.rapilog.writes"},
 		},
 		{
 			name: "Shards: 3", cfg: &sharded, domains: 3, machine: "machine",
-			guests: []string{"guest:shard0.db", "guest:shard1.db", "guest:shard2.db"},
+			guests: []string{"shard0.db", "shard1.db", "shard2.db"},
 			stores: []string{"standby0", "standby1"}, primary: "primary",
 			metrics: []string{"shard.1.rapilog.writes", "shard.2.disk0.writes", "shard.0.repl.standby1.applied", "hv.exits"},
 			absent:  []string{"rapilog.writes", "shard.1.hv.exits", "shard.3.rapilog.writes"},
 		},
 		{
 			name: "3-node cluster", domains: 1, machine: "node0.machine",
-			guests: []string{"guest:node0.db"}, stores: []string{"node1.log", "node2.log"}, primary: "node0",
+			guests: []string{"node0.db"}, stores: []string{"node1.log", "node2.log"}, primary: "node0",
 			metrics: []string{"node0.rapilog.writes", "node0.hv.exits", "repl.node1.log.applied"},
 			absent:  []string{"rapilog.writes", "node1.rapilog.writes"},
 		},
@@ -70,11 +70,11 @@ func TestTopologyNames(t *testing.T) {
 				t.Errorf("machine %q, want %q", got, tc.machine)
 			}
 			for i, d := range r.Domains {
-				if got := d.Plat.Name(); got != tc.guests[i] {
+				if got := d.Plat.Domain().Name(); got != tc.guests[i] {
 					t.Errorf("domain %d guest %q, want %q", i, got, tc.guests[i])
 				}
-				if got := d.Disk.Name(); got != "disk0" {
-					t.Errorf("domain %d disk %q, want disk0 (domains are told apart by registry view, not device name)", i, got)
+				if d.Obs.Registry().Counter("disk0.writes") != d.Disk.Stats().Writes {
+					t.Errorf("domain %d's drive is not disk0 in its registry view (domains are told apart by view, not device name)", i)
 				}
 			}
 			var stores []string

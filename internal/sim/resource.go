@@ -40,9 +40,6 @@ func (r *Resource) describeWait(waitMode) string { return "resource:" + r.name }
 // Available returns the units currently free.
 func (r *Resource) Available() int64 { return r.avail }
 
-// InUse returns the units currently held.
-func (r *Resource) InUse() int64 { return r.capacity - r.avail }
-
 // Waiters returns the number of queued acquirers.
 func (r *Resource) Waiters() int { return len(r.queue) }
 

@@ -56,21 +56,6 @@ const (
 	RecCheckpoint
 )
 
-func (t RecType) String() string {
-	switch t {
-	case RecUpdate:
-		return "update"
-	case RecCommit:
-		return "commit"
-	case RecAbort:
-		return "abort"
-	case RecCheckpoint:
-		return "checkpoint"
-	default:
-		return fmt.Sprintf("rectype(%d)", uint8(t))
-	}
-}
-
 // Record is one log entry.
 type Record struct {
 	LSN     uint64

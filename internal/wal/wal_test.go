@@ -688,20 +688,6 @@ func TestOpenAtHoldsTheScannedRecords(t *testing.T) {
 	}
 }
 
-func TestRecTypeStrings(t *testing.T) {
-	for _, tc := range []struct {
-		t    RecType
-		want string
-	}{
-		{RecUpdate, "update"}, {RecCommit, "commit"}, {RecAbort, "abort"},
-		{RecCheckpoint, "checkpoint"}, {RecType(99), "rectype(99)"},
-	} {
-		if tc.t.String() != tc.want {
-			t.Errorf("%d.String() = %q", tc.t, tc.t.String())
-		}
-	}
-}
-
 // Property: whatever sequence of appends and forces happens, Scan returns
 // exactly the records at or below the last force, in order, with intact
 // payloads.

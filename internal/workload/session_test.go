@@ -60,7 +60,7 @@ func TestPromotionWakesAttemptParkedOnDeposedLeader(t *testing.T) {
 			dir := NewDirectory()
 			dir.Update(1, "old", oldEng, oldDom)
 			j := NewJournal()
-			redirects := metrics.NewCounter("ha.redirects")
+			redirects := new(metrics.Counter)
 			se := &session{dir: dir, w: w, cfg: SessionConfig{Journal: j}, opName: "op", redirects: redirects}
 
 			var doneAt time.Duration
@@ -184,7 +184,7 @@ func TestAbandonedWorkerIsKilledAndNeverJournals(t *testing.T) {
 		j.Add("retry", nil)
 	})
 	j := NewJournal()
-	se := &session{dir: dir, w: w, cfg: SessionConfig{Journal: j}, opName: "op", redirects: metrics.NewCounter("ha.redirects")}
+	se := &session{dir: dir, w: w, cfg: SessionConfig{Journal: j}, opName: "op", redirects: new(metrics.Counter)}
 	var opErr error
 	s.Spawn(nil, "client", func(p *sim.Proc) { opErr = se.do(p) })
 	if err := s.RunFor(time.Second); err != nil {
