@@ -24,6 +24,11 @@
 //	rapilog-trace -perfetto ui.json trace.json
 //	rapilog-trace -check trace.json flight.json   # exit 1 on findings
 //	rapilog-trace -buckets 40 trace.json flight.json
+//	rapilog-trace -layers cpu.txt alloc.txt       # go tool pprof -traces outputs
+//
+// -layers is the host-clock layer table instead: it folds `go tool pprof
+// -traces` outputs of CPU and alloc_space profiles (.github/layers.sh makes
+// them) into each layer's share of CPU time and of allocated bytes.
 package main
 
 import (
@@ -44,12 +49,24 @@ func main() {
 		perfetto = flag.String("perfetto", "", "write the first input as Chrome trace-event JSON (Perfetto / chrome://tracing)")
 		check    = flag.Bool("check", false, "re-verify the artifact against the contract it carries and reject malformed traces; exit 1 on findings")
 		buckets  = flag.Int("buckets", 0, "timeline resolution in slices (default 24)")
+		layers   = flag.Bool("layers", false, "fold go tool pprof -traces outputs (cpu, alloc_space) into a per-layer table of CPU and allocated-bytes shares")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "rapilog-trace: no input files (pass trace/flight JSON paths)")
+		fmt.Fprintln(os.Stderr, "rapilog-trace: no input files (pass trace/flight JSON paths, or pprof -traces outputs with -layers)")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *layers {
+		fold := newLayerFold()
+		for _, path := range flag.Args() {
+			if err := fold.addFile(path); err != nil {
+				fmt.Fprintf(os.Stderr, "rapilog-trace: %v\n", err)
+				os.Exit(1)
+			}
+		}
+		fmt.Printf("%s\ntotal: %.2f s CPU, %.1f MiB allocated\n", fold.table(), fold.cpuTotal, fold.bytesTotal/(1<<20))
+		return
 	}
 
 	failed := false

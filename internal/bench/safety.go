@@ -186,8 +186,9 @@ func liveDumpCheck(seed int64, psu power.PSUConfig, dk rig.DiskKind) (bool, erro
 		s.Spawn(boot, "auditor", func(p *sim.Proc) {
 			defer audit.Fire()
 			for _, a := range acked {
-				got, err := r.LogPart.Read(p, a.lba, len(a.data)/disk.SectorSize)
-				if err != nil || !bytes.Equal(got, a.data) {
+				got := make([]byte, len(a.data))
+				n, err := r.LogPart.Read(p, a.lba, got)
+				if err != nil || !bytes.Equal(got[:n], a.data) {
 					return
 				}
 			}

@@ -23,7 +23,7 @@ func TestAbsorptionSupersedesPendingWrite(t *testing.T) {
 	var onMedia []byte
 	r.s.Spawn(nil, "check", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		onMedia, _ = r.logPart.Read(p, 64, 8)
+		onMedia, _ = readN(p, r.logPart, 64, 8)
 	})
 	if err := r.s.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestAbsorptionReadCoherence(t *testing.T) {
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
 		_ = r.l.Write(p, 8, pattern(4096, 1), false)
 		_ = r.l.Write(p, 8, pattern(4096, 9), false) // absorbed
-		got, err := r.l.Read(p, 8, 8)
+		got, err := readN(p, r.l, 8, 8)
 		if err != nil || !bytes.Equal(got, pattern(4096, 9)) {
 			t.Errorf("read after absorption: %v", err)
 		}
@@ -77,7 +77,7 @@ func TestAbsorptionSurvivesPowerCut(t *testing.T) {
 				t.Errorf("recover: %v", err)
 				return
 			}
-			got, _ = r.logPart.Read(p, 16, 8)
+			got, _ = readN(p, r.logPart, 16, 8)
 		})
 	})
 	if err := r.s.RunFor(10 * time.Second); err != nil {
@@ -93,7 +93,7 @@ func TestDifferentLengthWriteNotAbsorbedInPlace(t *testing.T) {
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
 		_ = r.l.Write(p, 32, pattern(4096, 1), false)
 		_ = r.l.Write(p, 32, pattern(8192, 2), false) // longer: new entry
-		got, _ := r.l.Read(p, 32, 16)
+		got, _ := readN(p, r.l, 32, 16)
 		if !bytes.Equal(got, pattern(8192, 2)) {
 			t.Error("longer rewrite not visible")
 		}
@@ -109,7 +109,7 @@ func TestDifferentLengthWriteNotAbsorbedInPlace(t *testing.T) {
 func TestReadBeyondRangeFails(t *testing.T) {
 	r := newRig(t, 25, power.PSUMeasured, Config{})
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
-		if _, err := r.l.Read(p, r.l.Sectors(), 1); err == nil {
+		if _, err := readN(p, r.l, r.l.Sectors(), 1); err == nil {
 			t.Error("out-of-range read accepted")
 		}
 	})

@@ -55,7 +55,7 @@ func TestDrainCoalescesMixedRuns(t *testing.T) {
 	// entry — coalesced or not — must have landed intact.
 	r.s.Spawn(r.guest, "check", func(p *sim.Proc) {
 		for _, w := range writes {
-			got, err := r.l.Read(p, w.lba, len(w.data)/disk.SectorSize)
+			got, err := readN(p, r.l, w.lba, len(w.data)/disk.SectorSize)
 			if err != nil {
 				t.Errorf("read lba %d: %v", w.lba, err)
 				return
@@ -94,7 +94,7 @@ func TestAbsorptionMismatchedSizes(t *testing.T) {
 			}
 		}
 		// Still buffered: the overlay must resolve overlaps newest-last.
-		got, err := r.l.Read(p, 512, 16)
+		got, err := readN(p, r.l, 512, 16)
 		if err != nil {
 			t.Errorf("buffered read: %v", err)
 			return
@@ -115,7 +115,7 @@ func TestAbsorptionMismatchedSizes(t *testing.T) {
 	// FIFO drain order: the 4 KiB entry lands first, the 8 KiB entry
 	// overwrites it. Disk must hold the newest data.
 	r.s.Spawn(r.guest, "check", func(p *sim.Proc) {
-		got, err := r.l.Read(p, 512, 16)
+		got, err := readN(p, r.l, 512, 16)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return

@@ -100,7 +100,7 @@ func TestTransientDrainErrorRetriesWithoutDegrading(t *testing.T) {
 	}
 	r.s.Spawn(r.guest, "check", func(p *sim.Proc) {
 		for i := 0; i < writes; i++ {
-			got, err := r.logPart.Read(p, int64(i*8), 8)
+			got, err := readN(p, r.logPart, int64(i*8), 8)
 			if err != nil || !bytes.Equal(got, pattern(4096, byte(i+1))) {
 				t.Errorf("entry %d not intact on media after retried drain", i)
 				return
@@ -143,16 +143,16 @@ func TestPermanentFaultDegradesAndRestores(t *testing.T) {
 			t.Errorf("pass-through write: %v", err)
 			return
 		}
-		onDisk, err := r.logPart.Read(p, 1000, 8)
+		onDisk, err := readN(p, r.logPart, 1000, 8)
 		if err != nil || !bytes.Equal(onDisk, newB) {
 			t.Error("pass-through write not on media before ack")
 		}
 		// Reads while degraded still see the stranded entries, newest wins.
-		got, err := r.l.Read(p, 0, 8)
+		got, err := readN(p, r.l, 0, 8)
 		if err != nil || !bytes.Equal(got, pattern(4096, 1)) {
 			t.Error("stranded entry A not visible through the overlay")
 		}
-		got, err = r.l.Read(p, 1000, 8)
+		got, err = readN(p, r.l, 1000, 8)
 		if err != nil || !bytes.Equal(got, newB) {
 			t.Error("read of patched entry B did not return the newest data")
 		}
@@ -179,11 +179,11 @@ func TestPermanentFaultDegradesAndRestores(t *testing.T) {
 		t.Fatalf("stranded bytes remain after restore: %d", occ)
 	}
 	r.s.Spawn(r.guest, "check", func(p *sim.Proc) {
-		got, err := r.logPart.Read(p, 0, 8)
+		got, err := readN(p, r.logPart, 0, 8)
 		if err != nil || !bytes.Equal(got, pattern(4096, 1)) {
 			t.Error("entry A not on media after repair")
 		}
-		got, err = r.logPart.Read(p, 1000, 8)
+		got, err = readN(p, r.logPart, 1000, 8)
 		if err != nil || !bytes.Equal(got, newB) {
 			t.Error("media at B holds stale data (patchPending missed the probe rewrite)")
 		}
@@ -370,7 +370,7 @@ func TestEmergencyDumpRetriesTransientError(t *testing.T) {
 				t.Errorf("recover: %v", err)
 				return
 			}
-			got, _ = r.logPart.Read(p, 64, 16)
+			got, _ = readN(p, r.logPart, 64, 16)
 		})
 	})
 	if err := r.s.RunFor(10 * time.Second); err != nil {

@@ -555,17 +555,17 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 // map on the hot Write path, the pending list itself serves as the range
 // index: scanned oldest to newest, later overlaps win — the same ordering
 // the drain writes to disk.
-func (l *Logger) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
-	out, err := l.backing.Read(p, lba, nsec)
+func (l *Logger) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
+	n, err := l.backing.Read(p, lba, dst)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for _, e := range l.pending {
-		if off, eoff, n := e.overlap(lba, nsec); n > 0 {
-			copy(out[off:off+n], e.data[eoff:eoff+n])
+		if off, eoff, k := e.overlap(lba, n/disk.SectorSize); k > 0 {
+			copy(dst[off:off+k], e.data[eoff:eoff+k])
 		}
 	}
-	return out, nil
+	return n, nil
 }
 
 // spawnDrainer starts the asynchronous writeback in the dependable domain.
@@ -635,16 +635,21 @@ func (l *Logger) drainRound(p *sim.Proc) error {
 	for i < batch {
 		// Coalesce the contiguous run starting at i into the persistent
 		// scratch buffer (devices copy the data during the Write call, so
-		// the buffer is free again on return).
-		data := l.scratch[:0]
-		next := l.pending[i].lba
-		j := i
+		// the buffer is free again on return). A run that outgrows it
+		// grows it once, to the run or to twice its size.
+		j, size, next := i, 0, l.pending[i].lba
 		for j < batch && l.pending[j].lba == next {
-			data = append(data, l.pending[j].data...)
+			size += len(l.pending[j].data)
 			next += int64(len(l.pending[j].data)) / disk.SectorSize
 			j++
 		}
-		l.scratch = data[:0]
+		if cap(l.scratch) < size {
+			l.scratch = make([]byte, 0, max(size, 2*cap(l.scratch)))
+		}
+		data := l.scratch[:0]
+		for _, e := range l.pending[i:j] {
+			data = append(data, e.data...)
+		}
 		if err := l.writeBackingRetry(p, l.pending[i].lba, data); err != nil {
 			return err
 		}
@@ -845,8 +850,8 @@ func (d Dump) Complete() bool { return d.HadDump && !d.Torn }
 func ReadDump(p *sim.Proc, dumpZone disk.Device) (Dump, error) {
 	var d Dump
 	ss := disk.SectorSize
-	header, err := dumpZone.Read(p, 0, 1)
-	if err != nil {
+	header := make([]byte, ss)
+	if _, err := dumpZone.Read(p, 0, header); err != nil {
 		return d, err
 	}
 	if string(header[:8]) != dumpMagic {
@@ -865,13 +870,13 @@ func ReadDump(p *sim.Proc, dumpZone disk.Device) (Dump, error) {
 	if int64(payloadSectors) > dumpZone.Sectors()-1 {
 		return d, fmt.Errorf("%w: payload length %d exceeds zone", ErrBadDump, payloadLen)
 	}
-	payload := []byte{}
+	payload := make([]byte, payloadSectors*ss)
 	if payloadSectors > 0 {
-		payload, err = dumpZone.Read(p, 1, payloadSectors)
+		n, err := dumpZone.Read(p, 1, payload)
 		if err != nil {
 			return d, err
 		}
-		payload = payload[:min64(payloadLen, int64(len(payload)))]
+		payload = payload[:min64(payloadLen, int64(n))]
 	}
 
 	off := 0

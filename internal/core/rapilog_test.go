@@ -82,7 +82,7 @@ func TestReadSeesBufferedWrite(t *testing.T) {
 	var got []byte
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
 		_ = r.l.Write(p, 10, pattern(512, 9), false)
-		got, _ = r.l.Read(p, 10, 1) // immediately, before any drain
+		got, _ = readN(p, r.l, 10, 1) // immediately, before any drain
 	})
 	if err := r.s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDrainReachesBackingInOrder(t *testing.T) {
 	r.s.Spawn(nil, "check", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond) // plenty for the drain
 		for i := 0; i < 8; i++ {
-			d, err := r.logPart.Read(p, int64(i*8), 8)
+			d, err := readN(p, r.logPart, int64(i*8), 8)
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -156,7 +156,7 @@ func TestGuestCrashDoesNotLoseBufferedData(t *testing.T) {
 	var got []byte
 	r.s.Spawn(nil, "check", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		got, _ = r.logPart.Read(p, 100, 16)
+		got, _ = readN(p, r.logPart, 100, 16)
 	})
 	if err := r.s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestPowerFailureDumpAndRecover(t *testing.T) {
 			}
 			for _, a := range acked {
 				lba, data := a[0].(int64), a[1].([]byte)
-				got, err := r.logPart.Read(p, lba, len(data)/512)
+				got, err := readN(p, r.logPart, lba, len(data)/512)
 				if err != nil || !bytes.Equal(got, data) {
 					t.Errorf("acked write at lba %d not durable after recovery", lba)
 					return
@@ -501,7 +501,7 @@ func TestDurabilityUnderRandomPowerCutProperty(t *testing.T) {
 					replayed++
 				}
 				for lba, want := range image {
-					if got, err := r.logPart.Read(p, lba, 1); err != nil || !bytes.Equal(got, want) {
+					if got, err := readN(p, r.logPart, lba, 1); err != nil || !bytes.Equal(got, want) {
 						t.Logf("seed=%d cut=%d: sector %d does not hold its last acked write", seed, cut, lba)
 						ok = false
 						return
@@ -568,4 +568,12 @@ func TestUPSHoldupIsZoneCapped(t *testing.T) {
 	if want := zonePayloadCapacity(dump); safe != want {
 		t.Fatalf("UPS safe bound %d, want zone cap %d", safe, want)
 	}
+}
+
+// readN reads nsec sectors at lba into a fresh buffer, cut to what the read
+// filled.
+func readN(p *sim.Proc, d disk.Device, lba int64, nsec int) ([]byte, error) {
+	buf := make([]byte, nsec*disk.SectorSize)
+	n, err := d.Read(p, lba, buf)
+	return buf[:n], err
 }

@@ -48,9 +48,11 @@ func IsTransient(err error) bool { return errors.Is(err, ErrIO) }
 type Device interface {
 	// Sectors returns the device capacity in sectors.
 	Sectors() int64
-	// Read fills and returns a buffer of nsec sectors starting at lba,
-	// blocking p for the modelled service time.
-	Read(p *sim.Proc, lba int64, nsec int) ([]byte, error)
+	// Read fills dst, a whole number of sectors, from lba on, blocking p
+	// for the modelled service time, and returns the bytes it filled. dst
+	// is the caller's: no device keeps it past the call. A read that power
+	// cuts short mid-transfer fills a prefix, n < len(dst), with no error.
+	Read(p *sim.Proc, lba int64, dst []byte) (n int, err error)
 	// Write stores data at lba, blocking p for the modelled service time.
 	// With fua set, the write bypasses any volatile cache and is on media
 	// when Write returns; otherwise it may be cached.
@@ -115,12 +117,13 @@ func newStats(reg *obs.Registry, name string) *Stats {
 // SectorSize is the sector size, in bytes, of every modelled device.
 const SectorSize = 512
 
-// checkRange validates an access against a device extent.
-func checkRange(lba int64, nsec int, sectors int64, dataLen int) error {
-	if dataLen >= 0 && dataLen%SectorSize != 0 {
+// checkRange validates an access of n bytes at lba against a device
+// extent.
+func checkRange(lba int64, n int, sectors int64) error {
+	if n%SectorSize != 0 {
 		return ErrMisaligned
 	}
-	if lba < 0 || nsec < 0 || lba+int64(nsec) > sectors {
+	if nsec := n / SectorSize; lba < 0 || lba+int64(nsec) > sectors {
 		return fmt.Errorf("%w: lba=%d nsec=%d cap=%d", ErrOutOfRange, lba, nsec, sectors)
 	}
 	return nil
@@ -162,14 +165,15 @@ func (m *media) writeSectors(lba int64, data []byte) {
 }
 
 // readSectors copies the sectors from lba on into dst (len multiple of
-// SectorSize), which must arrive zeroed — a fresh buffer: unwritten sectors
-// read as zero, so only written slabs are copied.
+// SectorSize); sectors never written read as zero.
 func (m *media) readSectors(dst []byte, lba int64) {
 	for len(dst) > 0 {
 		off := (lba % slabSectors) * SectorSize
 		n := min(len(dst), len(slab{})-int(off))
 		if sl, ok := m.slabs[lba/slabSectors]; ok {
 			copy(dst[:n], sl[off:])
+		} else {
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		lba += int64(n / SectorSize)
@@ -203,16 +207,16 @@ func (pt *Partition) Sectors() int64 { return pt.count }
 func (pt *Partition) Parent() Drive { return pt.parent }
 
 // Read implements Device.
-func (pt *Partition) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
-	if err := checkRange(lba, nsec, pt.count, -1); err != nil {
-		return nil, err
+func (pt *Partition) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
+	if err := checkRange(lba, len(dst), pt.count); err != nil {
+		return 0, err
 	}
-	return pt.parent.Read(p, pt.start+lba, nsec)
+	return pt.parent.Read(p, pt.start+lba, dst)
 }
 
 // Write implements Device.
 func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
-	if err := checkRange(lba, len(data)/SectorSize, pt.count, len(data)); err != nil {
+	if err := checkRange(lba, len(data), pt.count); err != nil {
 		return err
 	}
 	return pt.parent.Write(p, pt.start+lba, data, fua)

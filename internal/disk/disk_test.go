@@ -34,7 +34,7 @@ func TestHDDWriteReadRoundTrip(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 		var err error
-		got, err = d.Read(p, 100, 4)
+		got, err = readN(p, d, 100, 4)
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -51,7 +51,7 @@ func TestHDDUnwrittenSectorsReadZero(t *testing.T) {
 	s, d := newTestHDD(t, HDDConfig{})
 	var got []byte
 	s.Spawn(nil, "io", func(p *sim.Proc) {
-		got, _ = d.Read(p, 5000, 2)
+		got, _ = readN(p, d, 5000, 2)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestHDDReadSeesCachedWrite(t *testing.T) {
 	var got []byte
 	s.Spawn(nil, "io", func(p *sim.Proc) {
 		_ = d.Write(p, 42, fill(512, 0x55), false)
-		got, _ = d.Read(p, 42, 1) // before any drain completes
+		got, _ = readN(p, d, 42, 1) // before any drain completes
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func TestHDDPowerFailLosesCacheButNotMedia(t *testing.T) {
 		_ = d.Write(p, 20, fill(512, 0x22), false) // cached only
 		d.PowerFail()
 		d.PowerOn(hw2)
-		afterMedia, _ = d.Read(p, 10, 1)
-		afterCache, _ = d.Read(p, 20, 1)
+		afterMedia, _ = readN(p, d, 10, 1)
+		afterCache, _ = readN(p, d, 20, 1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestHDDTornWriteOnKill(t *testing.T) {
 	var prefix, total int
 	s.Spawn(nil, "check", func(p *sim.Proc) {
 		p.Sleep(50 * time.Millisecond)
-		data, _ := d.Read(p, 0, nsec)
+		data, _ := readN(p, d, 0, nsec)
 		for i := 0; i < nsec; i++ {
 			sector := data[i*512 : (i+1)*512]
 			if bytes.Equal(sector, fill(512, 0xEE)) {
@@ -235,7 +235,7 @@ func TestHDDRangeAndAlignmentErrors(t *testing.T) {
 		if err := d.Write(p, 0, fill(100, 1), false); !errors.Is(err, ErrMisaligned) {
 			t.Errorf("misaligned write: %v", err)
 		}
-		if _, err := d.Read(p, -1, 1); !errors.Is(err, ErrOutOfRange) {
+		if _, err := readN(p, d, -1, 1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("negative lba read: %v", err)
 		}
 	})
@@ -248,7 +248,7 @@ func TestHDDPoweredOffErrors(t *testing.T) {
 	s, d := newTestHDD(t, HDDConfig{})
 	s.Spawn(nil, "io", func(p *sim.Proc) {
 		d.PowerFail()
-		if _, err := d.Read(p, 0, 1); !errors.Is(err, ErrNoPower) {
+		if _, err := readN(p, d, 0, 1); !errors.Is(err, ErrNoPower) {
 			t.Errorf("read while off: %v", err)
 		}
 		if err := d.Write(p, 0, fill(512, 1), false); !errors.Is(err, ErrNoPower) {
@@ -333,7 +333,7 @@ func TestSSDRoundTripAndLatency(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 		wLat = p.Now().Sub(start)
-		got, _ = d.Read(p, 64, 8)
+		got, _ = readN(p, d, 64, 8)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -358,8 +358,8 @@ func TestMemPersistence(t *testing.T) {
 		nv.PowerFail()
 		ram.PowerOn(nil)
 		nv.PowerOn(nil)
-		ramGot, _ = ram.Read(p, 0, 1)
-		nvGot, _ = nv.Read(p, 0, 1)
+		ramGot, _ = readN(p, ram, 0, 1)
+		nvGot, _ = readN(p, nv, 0, 1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -387,11 +387,11 @@ func TestPartitionMappingAndBounds(t *testing.T) {
 		if err := pt.Write(p, 0, fill(512, 0xAA), false); err != nil {
 			t.Errorf("partition write: %v", err)
 		}
-		direct, _ = d.Read(p, 1000, 1)
+		direct, _ = readN(p, d, 1000, 1)
 		if err := pt.Write(p, 100, fill(512, 1), false); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("beyond-partition write: %v", err)
 		}
-		if _, err := pt.Read(p, 99, 2); !errors.Is(err, ErrOutOfRange) {
+		if _, err := readN(p, pt, 99, 2); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("straddling read: %v", err)
 		}
 	})
@@ -428,7 +428,7 @@ func TestHDDStatsAccounting(t *testing.T) {
 	s, d := newTestHDD(t, HDDConfig{})
 	s.Spawn(nil, "io", func(p *sim.Proc) {
 		_ = d.Write(p, 0, fill(1024, 1), true)
-		_, _ = d.Read(p, 0, 2)
+		_, _ = readN(p, d, 0, 2)
 		_ = d.Flush(p)
 	})
 	if err := s.Run(); err != nil {
@@ -444,4 +444,12 @@ func TestHDDStatsAccounting(t *testing.T) {
 	if st.WriteLatency.Count() != 1 || st.ReadLatency.Count() != 1 {
 		t.Fatal("latency histograms not recorded")
 	}
+}
+
+// readN reads nsec sectors at lba into a fresh buffer, cut to what the read
+// filled.
+func readN(p *sim.Proc, d Device, lba int64, nsec int) ([]byte, error) {
+	buf := make([]byte, nsec*SectorSize)
+	n, err := d.Read(p, lba, buf)
+	return buf[:n], err
 }

@@ -123,11 +123,11 @@ func (f *Faulty) maybeFault(p *sim.Proc, lba int64, nsec int, write bool) error 
 func (f *Faulty) Sectors() int64 { return f.inner.Sectors() }
 
 // Read implements Device.
-func (f *Faulty) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
-	if err := f.maybeFault(p, lba, nsec, false); err != nil {
-		return nil, err
+func (f *Faulty) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
+	if err := f.maybeFault(p, lba, len(dst)/SectorSize, false); err != nil {
+		return 0, err
 	}
-	return f.inner.Read(p, lba, nsec)
+	return f.inner.Read(p, lba, dst)
 }
 
 // Write implements Device.

@@ -87,7 +87,7 @@ func TestFaultyInjectedErrorsAreTransientAndLeaveNoData(t *testing.T) {
 			t.Error("injected error not classified transient")
 		}
 		// The request was rejected before reaching media.
-		got, rerr := mem.Read(p, 0, 1)
+		got, rerr := readN(p, mem, 0, 1)
 		if rerr != nil {
 			t.Fatalf("read-back: %v", rerr)
 		}
@@ -114,7 +114,7 @@ func TestFaultyBadRange(t *testing.T) {
 		if err := f.Write(p, 110, buf, true); err != nil {
 			t.Errorf("write just past bad range: %v", err)
 		}
-		if _, err := f.Read(p, 105, 1); err != nil {
+		if _, err := readN(p, f, 105, 1); err != nil {
 			t.Errorf("read of write-only bad range: %v", err)
 		}
 		f.bad = nil // the drive was swapped
@@ -122,7 +122,7 @@ func TestFaultyBadRange(t *testing.T) {
 			t.Errorf("write after the swap: %v", err)
 		}
 		f.AddBadRange(100, 10, true) // now reads fail too
-		if _, err := f.Read(p, 109, 4); !errors.Is(err, ErrIO) {
+		if _, err := readN(p, f, 109, 4); !errors.Is(err, ErrIO) {
 			t.Errorf("read overlapping read-bad range: %v, want ErrIO", err)
 		}
 	})
@@ -181,7 +181,7 @@ func TestFaultyNamesFollowItsPartition(t *testing.T) {
 		if err := f.Write(p, 0, make([]byte, 512), true); err == nil || !strings.HasSuffix(err.Error(), " on log") {
 			t.Errorf("injected write error = %v, want one naming log", err)
 		}
-		if _, err := f.Read(p, 100, 1); err == nil || !strings.HasSuffix(err.Error(), " on log") {
+		if _, err := readN(p, f, 100, 1); err == nil || !strings.HasSuffix(err.Error(), " on log") {
 			t.Errorf("bad-range read error = %v, want one naming log", err)
 		}
 	})

@@ -163,14 +163,15 @@ func (d *HDD) rotationalDelay(lba int64) time.Duration {
 
 // mechanicalIO takes the arm and performs a media access: position, then
 // stream chunk by chunk, committing each chunk (for writes) as it passes
-// under the head. A kill mid-stream leaves the committed prefix — a torn
-// write — and frees the arm.
-func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte {
+// under the head. It returns the bytes transferred: all of buf, or the
+// prefix that passed before power died. A kill mid-stream leaves the
+// committed prefix — a torn write — and frees the arm.
+func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, buf []byte, write bool) int {
 	d.arm.Acquire(p, 1)
 	defer d.arm.Release(1)
 	epoch := d.epoch
 	done := false
-	if data != nil {
+	if write {
 		defer func() {
 			if !done {
 				d.stats.TornWrites.Inc()
@@ -184,13 +185,10 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 	}
 	p.Sleep(d.rotationalDelay(lba))
 
-	var out []byte
-	if data == nil {
-		out = make([]byte, nsec*SectorSize)
-	}
+	nsec := len(buf) / SectorSize
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {
-			return out[:off*SectorSize] // power died mid-transfer: the prefix is all there is
+			return off * SectorSize // power died mid-transfer: the prefix is all there is
 		}
 		chunk := d.cfg.ChunkSectors
 		if off+chunk > nsec {
@@ -203,29 +201,31 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, nsec int, data []byte) []byte
 			d.curCyl = cyl
 		}
 		p.Sleep(time.Duration(chunk) * d.perSector)
-		if data != nil {
-			d.med.writeSectors(start, data[off*SectorSize:(off+chunk)*SectorSize])
+		part := buf[off*SectorSize : (off+chunk)*SectorSize]
+		if write {
+			d.med.writeSectors(start, part)
 			d.stats.SectorsWritten.Add(int64(chunk))
 		} else {
-			d.med.readSectors(out[off*SectorSize:(off+chunk)*SectorSize], start)
+			d.med.readSectors(part, start)
 			d.stats.SectorsRead.Add(int64(chunk))
 		}
 		off += chunk
 	}
 	done = true
-	return out
+	return len(buf)
 }
 
 // Read implements Device: cached sectors overlay media contents.
-func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+func (d *HDD) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	if !d.powered {
-		return nil, ErrNoPower
+		return 0, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
-		return nil, err
+	if err := checkRange(lba, len(dst), d.Sectors()); err != nil {
+		return 0, err
 	}
 	start := p.Now()
 	d.stats.Reads.Inc()
+	nsec := len(dst) / SectorSize
 
 	// Fast path: every sector is in the cache — bus transfer only.
 	allCached := d.cfg.WriteCache
@@ -237,24 +237,25 @@ func (d *HDD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 			}
 		}
 	}
-	var out []byte
+	n := len(dst)
 	if allCached && nsec > 0 {
-		p.Sleep(d.busTime(nsec))
-		out = make([]byte, 0, nsec*SectorSize)
+		// The cache's contents at the request: the drainer may retire
+		// these sectors while the bus transfers them.
 		for i := 0; i < nsec; i++ {
-			out = append(out, d.cache[lba+int64(i)].data...)
+			copy(dst[i*SectorSize:], d.cache[lba+int64(i)].data)
 		}
+		p.Sleep(d.busTime(nsec))
 	} else {
-		out = d.mechanicalIO(p, lba, nsec, nil)
+		n = d.mechanicalIO(p, lba, dst, false)
 		// Overlay any sectors that are newer in the cache.
-		for i := 0; i < nsec; i++ {
+		for i := 0; i < n/SectorSize; i++ {
 			if e, ok := d.cache[lba+int64(i)]; ok {
-				copy(out[i*SectorSize:], e.data)
+				copy(dst[i*SectorSize:], e.data)
 			}
 		}
 	}
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
-	return out, nil
+	return n, nil
 }
 
 func (d *HDD) busTime(nsec int) time.Duration {
@@ -268,7 +269,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		return ErrNoPower
 	}
 	nsec := len(data) / SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
+	if err := checkRange(lba, len(data), d.Sectors()); err != nil {
 		return err
 	}
 	start := p.Now()
@@ -320,7 +321,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		}
 		d.cacheSpace.Release(released)
 	}
-	d.mechanicalIO(p, lba, nsec, data)
+	d.mechanicalIO(p, lba, data, true)
 	d.stats.WriteLatency.Observe(p.Now().Sub(start))
 	return nil
 }
@@ -363,7 +364,7 @@ func (d *HDD) spawnDrainer(dom *sim.Domain) {
 			for _, lba := range lbas {
 				data = append(data, snap[lba].data...)
 			}
-			d.mechanicalIO(p, lbas[0], len(lbas), data)
+			d.mechanicalIO(p, lbas[0], data, true)
 			// Retire sectors not rewritten while we were draining.
 			released := int64(0)
 			for _, lba := range lbas {

@@ -70,21 +70,21 @@ func (d *Mem) xferTime(nsec int) time.Duration {
 }
 
 // Read implements Device.
-func (d *Mem) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+func (d *Mem) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	if !d.powered {
-		return nil, ErrNoPower
+		return 0, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
-		return nil, err
+	nsec := len(dst) / SectorSize
+	if err := checkRange(lba, len(dst), d.Sectors()); err != nil {
+		return 0, err
 	}
 	start := p.Now()
 	d.stats.Reads.Inc()
 	p.Sleep(d.xferTime(nsec))
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
-	out := make([]byte, nsec*SectorSize)
-	d.med.readSectors(out, lba)
-	return out, nil
+	d.med.readSectors(dst, lba)
+	return len(dst), nil
 }
 
 // Write implements Device. Memory writes are atomic per request (no
@@ -94,7 +94,7 @@ func (d *Mem) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		return ErrNoPower
 	}
 	nsec := len(data) / SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
+	if err := checkRange(lba, len(data), d.Sectors()); err != nil {
 		return err
 	}
 	start := p.Now()

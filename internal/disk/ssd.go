@@ -98,12 +98,13 @@ func (d *SSD) busTime(nsec int) time.Duration {
 }
 
 // Read implements Device.
-func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+func (d *SSD) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	if !d.powered {
-		return nil, ErrNoPower
+		return 0, ErrNoPower
 	}
-	if err := checkRange(lba, nsec, d.Sectors(), -1); err != nil {
-		return nil, err
+	nsec := len(dst) / SectorSize
+	if err := checkRange(lba, len(dst), d.Sectors()); err != nil {
+		return 0, err
 	}
 	start := p.Now()
 	d.stats.Reads.Inc()
@@ -112,11 +113,10 @@ func (d *SSD) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
 		defer d.channels.Release(1)
 		p.Sleep(time.Duration(d.pages(lba, nsec))*ssdReadLatency + d.busTime(nsec))
 	}()
-	out := make([]byte, nsec*SectorSize)
-	d.med.readSectors(out, lba)
+	d.med.readSectors(dst, lba)
 	d.stats.SectorsRead.Add(int64(nsec))
 	d.stats.ReadLatency.Observe(p.Now().Sub(start))
-	return out, nil
+	return len(dst), nil
 }
 
 // Write implements Device. Writes are torn at page granularity on kill.
@@ -125,7 +125,7 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		return ErrNoPower
 	}
 	nsec := len(data) / SectorSize
-	if err := checkRange(lba, nsec, d.Sectors(), len(data)); err != nil {
+	if err := checkRange(lba, len(data), d.Sectors()); err != nil {
 		return err
 	}
 	start := p.Now()

@@ -337,6 +337,7 @@ type follower struct {
 	startLSN    uint64       // the checkpoint horizon: the log from here on stays needed
 	cursor      uint64       // the next scan starts here
 	uncommitted []wal.Record // updates awaiting their commit (or abort) record, in log order
+	held        []byte       // their payloads, copied out of the scan; emptied when none is held
 	redone      int          // transactions redone so far
 }
 
@@ -344,14 +345,15 @@ type follower struct {
 // current end and redo every transaction whose commit record it finds,
 // holding the updates of the rest until their commit arrives. It is the
 // scan's visitor, so it works in the scan's one pass and keeps no list of
-// its own: an update joins the held ones (its payload a view into the
-// scan's read, which stays valid), a commit record is redone on the spot,
-// and an abort drops its updates. An error in redo stops the scan there and
-// comes back from CatchUp. Redo is a logical, idempotent put per update, so
-// the same stretch of log redone in one round or in several leaves the same
-// pool. A caller that wrote every log block gained since the last CatchUp
-// passes how many that can be at most, and the scan reads no further than
-// the cursor's block and those; a negative gained scans to the end.
+// its own: an update joins the held ones (its payload copied out of the
+// scan's buffer, which takes a later extent once the visit returns), a
+// commit record is redone on the spot, and an abort drops its updates. An
+// error in redo stops the scan there and comes back from CatchUp. Redo is
+// a logical, idempotent put per update, so the same stretch of log redone
+// in one round or in several leaves the same pool. A caller that wrote
+// every log block gained since the last CatchUp passes how many that can be
+// at most, and the scan reads no further than the cursor's block and
+// those; a negative gained scans to the end.
 func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 	f := e.follow
 	limit := 0
@@ -361,6 +363,9 @@ func (e *Engine) CatchUp(p *sim.Proc, gained int) error {
 	scan, err := wal.ScanBlocks(p, e.plat.LogDisk(), f.walCfg, f.cursor, limit, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecUpdate:
+			start := len(f.held)
+			f.held = append(f.held, rec.Payload...)
+			rec.Payload = f.held[start:len(f.held):len(f.held)]
 			f.uncommitted = append(f.uncommitted, rec)
 		case wal.RecCommit:
 			if err := e.redo(p, rec.TxID); err != nil {
@@ -397,7 +402,8 @@ func (e *Engine) redo(p *sim.Proc, txid uint64) error {
 
 // settle takes transaction txid's updates out of the held ones, handing
 // each to apply (nil for an abort), in log order. A transaction appends its
-// updates and its commit record together, so few are ever held.
+// updates and its commit record together, so few are ever held, and the
+// payload buffer starts over whenever none is.
 func (f *follower) settle(txid uint64, apply func(wal.Record) error) error {
 	kept := f.uncommitted[:0]
 	var err error
@@ -411,6 +417,9 @@ func (f *follower) settle(txid uint64, apply func(wal.Record) error) error {
 	}
 	clear(f.uncommitted[len(kept):])
 	f.uncommitted = kept
+	if len(kept) == 0 {
+		f.held = f.held[:0]
+	}
 	return err
 }
 

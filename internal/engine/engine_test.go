@@ -318,6 +318,64 @@ func TestRecoveryAfterCleanRun(t *testing.T) {
 	}
 }
 
+// TestRedoOfATransactionLongerThanTwoExtents: recovery redoes one
+// transaction whose update records fill more of the log than the scan's two
+// extent buffers hold, so by its commit record the buffers that held its
+// first updates have taken later extents. Its updates are redone from the
+// copies CatchUp holds, every value as committed.
+func TestRedoOfATransactionLongerThanTwoExtents(t *testing.T) {
+	const (
+		rows   = 400
+		valLen = 3000 // 1.2 MB of update records: more than four 256 KiB extents
+	)
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, valLen/2) }
+	r := newCrashRig(1)
+	r.s.Spawn(r.plat.Domain(), "life1", func(p *sim.Proc) {
+		e, err := Open(p, r.plat, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		tx := e.Begin(p)
+		for i := 0; i < rows; i++ {
+			if err := tx.Put(fmt.Sprintf("row-%03d", i), val(i)); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+	})
+	if err := r.s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	r.plat.Crash()
+	r.plat.Reboot()
+	r.s.Spawn(r.plat.Domain(), "life2", func(p *sim.Proc) {
+		e, err := Open(p, r.plat, Config{NoDaemons: true})
+		if err != nil {
+			t.Errorf("reopen: %v", err)
+			return
+		}
+		if got := e.Stats().RedoneTxns.Value(); got != 1 {
+			t.Errorf("redid %d transactions, want 1", got)
+		}
+		tx := e.Begin(p)
+		defer tx.Abort()
+		for i := 0; i < rows; i++ {
+			v, ok, err := tx.Get(fmt.Sprintf("row-%03d", i))
+			if err != nil || !ok || !bytes.Equal(v, val(i)) {
+				t.Errorf("row-%03d after redo: %d bytes, found %v, %v", i, len(v), ok, err)
+				return
+			}
+		}
+	})
+	if err := r.s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Recovery of a log whose tail, past a committed transaction, holds one
 // more transaction's update record: without its commit record it is
 // dropped; with a commit record but the redo record's reserved flag byte

@@ -198,9 +198,9 @@ func (v *vdisk) exit(p *sim.Proc) {
 	p.Sleep(exitCost)
 }
 
-func (v *vdisk) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+func (v *vdisk) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	v.exit(p)
-	return v.dev.Read(p, lba, nsec)
+	return v.dev.Read(p, lba, dst)
 }
 
 func (v *vdisk) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {

@@ -162,7 +162,7 @@ func TestVdiskPassthroughData(t *testing.T) {
 		if err := g.DataDisk().Write(p, 7, payload, false); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		got, _ = g.DataDisk().Read(p, 7, 2)
+		got, _ = readN(p, g.DataDisk(), 7, 2)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -170,4 +170,12 @@ func TestVdiskPassthroughData(t *testing.T) {
 	if len(got) != 1024 || got[1] != 1 || got[513] != 1 {
 		t.Fatal("vdisk passthrough corrupted data")
 	}
+}
+
+// readN reads nsec sectors at lba into a fresh buffer, cut to what the read
+// filled.
+func readN(p *sim.Proc, d disk.Device, lba int64, nsec int) ([]byte, error) {
+	buf := make([]byte, nsec*disk.SectorSize)
+	n, err := d.Read(p, lba, buf)
+	return buf[:n], err
 }

@@ -27,7 +27,7 @@ func TestVdiskReadPaysExitCost(t *testing.T) {
 	s.Spawn(g.Domain(), "io", func(p *sim.Proc) {
 		_ = g.LogDisk().Write(p, 0, make([]byte, 512), true)
 		start := p.Now()
-		if _, err := g.LogDisk().Read(p, 0, 1); err != nil {
+		if _, err := readN(p, g.LogDisk(), 0, 1); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		readCost = p.Now().Sub(start)
@@ -51,7 +51,7 @@ func TestSetLogBackingSwapsDevice(t *testing.T) {
 		if err := g.LogDisk().Write(p, 5, bytes.Repeat([]byte{7}, 512), true); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		got, _ = replacement.Read(p, 5, 1)
+		got, _ = readN(p, replacement, 5, 1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

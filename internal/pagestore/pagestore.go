@@ -17,6 +17,7 @@
 package pagestore
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -122,6 +123,9 @@ type Store struct {
 	// none): pages above it are known fresh and are materialised as zero
 	// pages without a device read, like a real engine extending its file.
 	maxWritten int64
+	// run is the buffer ReadRun reads into, reused by the next call (the
+	// index rebuild's extents come one at a time).
+	run []byte
 }
 
 // Open creates a Store over dev. Existing page contents remain readable
@@ -148,10 +152,10 @@ func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 		stats:      newStats(),
 		maxWritten: numPages - 1, // conservative: read everything
 	}
-	// A store kept past its simulation keeps its counters only: the pool
-	// and the device chain below it go. Whatever reads a page or the
-	// device takes a live process, and none is left.
-	s.OnClose(func() { st.pool, st.dev = nil, nil })
+	// A store kept past its simulation keeps its counters only: the pool,
+	// the device chain below it and the run buffer go. Whatever reads a
+	// page or the device takes a live process, and none is left.
+	s.OnClose(func() { st.pool, st.dev, st.run = nil, nil, nil })
 	return st, nil
 }
 
@@ -196,12 +200,13 @@ func (st *Store) Get(p *sim.Proc, id int64) (*Page, error) {
 		st.insert(pg)
 		return pg, nil
 	}
-	raw, err := st.dev.Read(p, st.pageLBA(id), st.pageSec)
-	if err != nil {
+	// The frame the page is read into is the page: decoded in place.
+	frame := make([]byte, st.cfg.PageSize)
+	if err := st.readFull(p, st.pageLBA(id), frame); err != nil {
 		return nil, err
 	}
 	st.stats.Reads.Inc()
-	pg, err := st.decode(id, raw)
+	lsn, err := st.decode(id, frame)
 	if err != nil {
 		return nil, err
 	}
@@ -210,15 +215,16 @@ func (st *Store) Get(p *sim.Proc, id int64) (*Page, error) {
 		existing.tick = st.clock
 		return existing, nil
 	}
-	pg.tick = st.clock
+	pg := &Page{ID: id, LSN: lsn, data: frame[pageHdrLen:], tick: st.clock}
 	st.insert(pg)
 	return pg, nil
 }
 
 // ReadRun visits pages [first, first+n) in id order, as n calls of Get
-// would, but reads every written page the pool lacks in one device request.
-// fn must not block: a page stays valid only until the next
-// potentially-blocking call (see Page).
+// would, but reads every written page the pool lacks in one device request,
+// into a run buffer the store keeps for the next call. fn must not block: a
+// page stays valid only until the next potentially-blocking call (see
+// Page).
 func (st *Store) ReadRun(p *sim.Proc, first int64, n int, fn func(*Page) error) error {
 	last := first + int64(n) - 1
 	if first < 0 || last >= st.numPages {
@@ -234,8 +240,8 @@ func (st *Store) ReadRun(p *sim.Proc, first int64, n int, fn func(*Page) error) 
 	}
 	var raw []byte
 	if lo <= hi {
-		var err error
-		if raw, err = st.dev.Read(p, st.pageLBA(lo), int(hi-lo+1)*st.pageSec); err != nil {
+		raw = sized(&st.run, int(hi-lo+1)*st.cfg.PageSize)
+		if err := st.readFull(p, st.pageLBA(lo), raw); err != nil {
 			return err
 		}
 	}
@@ -253,11 +259,12 @@ func (st *Store) ReadRun(p *sim.Proc, first int64, n int, fn func(*Page) error) 
 			st.clock++
 			st.stats.Misses.Inc()
 			st.stats.Reads.Inc()
-			var err error
-			if pg, err = st.decode(id, raw[(id-lo)*ps:(id-lo+1)*ps]); err != nil {
+			img := raw[(id-lo)*ps : (id-lo+1)*ps]
+			lsn, err := st.decode(id, img)
+			if err != nil {
 				return err
 			}
-			pg.tick = st.clock
+			pg = &Page{ID: id, LSN: lsn, data: bytes.Clone(img[pageHdrLen:]), tick: st.clock}
 			st.insert(pg)
 		}
 		if err := fn(pg); err != nil {
@@ -274,37 +281,45 @@ func (st *Store) insert(pg *Page) {
 	st.clean++
 }
 
-// decode validates and unwraps a raw page image. All-zero images are fresh,
-// never-written pages.
-func (st *Store) decode(id int64, raw []byte) (*Page, error) {
-	if binary.LittleEndian.Uint32(raw[0:4]) == 0 {
-		allZero := true
-		for _, b := range raw {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			return &Page{ID: id, data: make([]byte, st.UsableSize())}, nil
-		}
+// decode validates page id's image and returns its LSN; the page's data is
+// the image past its header. An all-zero image is a fresh, never-written
+// page.
+func (st *Store) decode(id int64, raw []byte) (lsn uint64, err error) {
+	if binary.LittleEndian.Uint32(raw[0:4]) == 0 && !slices.ContainsFunc(raw, func(b byte) bool { return b != 0 }) {
+		return 0, nil
 	}
 	if binary.LittleEndian.Uint32(raw[0:4]) != pageMagic ||
 		int64(binary.LittleEndian.Uint64(raw[4:12])) != id {
-		return nil, fmt.Errorf("%w: page %d: bad header", ErrBadPage, id)
+		return 0, fmt.Errorf("%w: page %d: bad header", ErrBadPage, id)
 	}
 	want := binary.LittleEndian.Uint32(raw[20:24])
 	crc := crc32.NewIEEE()
 	crc.Write(raw[:20])
 	crc.Write(raw[pageHdrLen:])
 	if crc.Sum32() != want {
-		return nil, fmt.Errorf("%w: page %d", ErrBadPage, id)
+		return 0, fmt.Errorf("%w: page %d", ErrBadPage, id)
 	}
-	return &Page{
-		ID:   id,
-		LSN:  binary.LittleEndian.Uint64(raw[12:20]),
-		data: append([]byte(nil), raw[pageHdrLen:]...),
-	}, nil
+	return binary.LittleEndian.Uint64(raw[12:20]), nil
+}
+
+// readFull fills buf from lba on. A read that power cut short is an error
+// here: a page image, the summary and the control sector are whole or
+// unread.
+func (st *Store) readFull(p *sim.Proc, lba int64, buf []byte) error {
+	n, err := st.dev.Read(p, lba, buf)
+	if err == nil && n < len(buf) {
+		err = fmt.Errorf("%w: read at lba %d cut short at byte %d of %d", disk.ErrNoPower, lba, n, len(buf))
+	}
+	return err
+}
+
+// sized returns *buf resized to n bytes, growing it when it is too small;
+// the contents are undefined.
+func sized(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // encode wraps a page into its on-disk image, filling raw (PageSize bytes).
@@ -376,12 +391,13 @@ func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 	for i, pg := range dirty {
 		vers[i] = pg.ver
 	}
+	var bufs dwBuffers
 	for start := 0; start < len(dirty); start += dwSlots {
 		end := start + dwSlots
 		if end > len(dirty) {
 			end = len(dirty)
 		}
-		if err := st.checkpointBatch(p, dirty[start:end]); err != nil {
+		if err := st.checkpointBatch(p, dirty[start:end], &bufs); err != nil {
 			return err
 		}
 		for i := start; i < end; i++ {
@@ -395,13 +411,22 @@ func (st *Store) CheckpointBelow(p *sim.Proc, limit int64) error {
 	return nil
 }
 
-func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
+// dwBuffers are a checkpoint's double-write image, summary and page ids,
+// sized by its first batch and reused by the rest. They end with the
+// checkpoint: kept by the store, an image outlives its use in every rig a
+// harness retains.
+type dwBuffers struct {
+	image, summary []byte
+	ids            []int64
+}
+
+func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page, bufs *dwBuffers) error {
 	if len(batch) == 0 {
 		return nil
 	}
 	// 1. Stream encoded images to the double-write slots, in batch order.
 	ps := st.cfg.PageSize
-	blob := make([]byte, len(batch)*ps)
+	blob := sized(&bufs.image, len(batch)*ps)
 	for i, pg := range batch {
 		st.encode(blob[i*ps:(i+1)*ps], pg)
 	}
@@ -415,7 +440,8 @@ func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
 	// the untouched in-place pages stand.
 	need := 12 + len(batch)*8
 	ss := disk.SectorSize
-	sum := make([]byte, (need+ss-1)/ss*ss)
+	sum := sized(&bufs.summary, (need+ss-1)/ss*ss)
+	clear(sum)
 	binary.LittleEndian.PutUint32(sum[0:4], dwMagic)
 	binary.LittleEndian.PutUint32(sum[4:8], uint32(len(batch)))
 	for i, pg := range batch {
@@ -427,17 +453,25 @@ func (st *Store) checkpointBatch(p *sim.Proc, batch []*Page) error {
 	}
 	// 3. Write the pages in place. A power cut that tears a run leaves pages
 	// that the double-write copies restore, exactly as for a single torn page.
-	ids := make([]int64, len(batch))
-	for i, pg := range batch {
-		ids[i] = pg.ID
+	bufs.ids = slices.Grow(bufs.ids[:0], len(batch))
+	for _, pg := range batch {
+		bufs.ids = append(bufs.ids, pg.ID)
 	}
-	n, err := st.writeRuns(p, ids, blob)
+	n, err := st.writeRuns(p, bufs.ids, blob)
 	st.stats.Writes.Add(int64(n))
 	if err != nil {
 		return err
 	}
 	// 4. Retire the summary.
-	return st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
+	return st.retireSummary(p, sum)
+}
+
+// retireSummary zeroes the double-write summary's first sector, written
+// from buf's: no batch is left to restore.
+func (st *Store) retireSummary(p *sim.Proc, buf []byte) error {
+	sec := buf[:disk.SectorSize]
+	clear(sec)
+	return st.dev.Write(p, dwHdrSector, sec, true)
 }
 
 // writeRuns writes blob's page images (page ids[i] at blob[i·PageSize:])
@@ -464,8 +498,8 @@ func (st *Store) writeRuns(p *sim.Proc, ids []int64, blob []byte) (int, error) {
 // in place. The slots are read in one request and written back in runs, as
 // the checkpoint wrote them. Returns the number of pages restored.
 func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
-	sum, err := st.dev.Read(p, dwHdrSector, dwSlotBase-dwHdrSector)
-	if err != nil {
+	sum := make([]byte, (dwSlotBase-dwHdrSector)*disk.SectorSize)
+	if err := st.readFull(p, dwHdrSector, sum); err != nil {
 		return 0, err
 	}
 	if binary.LittleEndian.Uint32(sum[0:4]) != dwMagic {
@@ -478,13 +512,13 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 	if crc32.ChecksumIEEE(sum[:8+count*8]) != binary.LittleEndian.Uint32(sum[8+count*8:]) {
 		// The summary itself is torn: it never became valid, so the
 		// in-place pages were never touched. Nothing to do.
-		return 0, st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
-	}
-	blob, err := st.dev.Read(p, dwSlotBase, count*st.pageSec)
-	if err != nil {
-		return 0, err
+		return 0, st.retireSummary(p, sum)
 	}
 	ps := st.cfg.PageSize
+	blob := make([]byte, count*ps)
+	if err := st.readFull(p, dwSlotBase, blob); err != nil {
+		return 0, err
+	}
 	ids := make([]int64, count)
 	for i := range ids {
 		ids[i] = int64(binary.LittleEndian.Uint64(sum[8+i*8:]))
@@ -497,7 +531,7 @@ func (st *Store) RecoverDoubleWrite(p *sim.Proc) (int, error) {
 	if err != nil {
 		return restored, err
 	}
-	return restored, st.dev.Write(p, dwHdrSector, make([]byte, disk.SectorSize), true)
+	return restored, st.retireSummary(p, sum)
 }
 
 // Control block: an engine-owned blob of at most SectorSize−12 bytes,
@@ -522,8 +556,8 @@ func (st *Store) WriteControl(p *sim.Proc, blob []byte) error {
 // ReadControl returns the last-written control blob, or nil if none was
 // ever written.
 func (st *Store) ReadControl(p *sim.Proc) ([]byte, error) {
-	sec, err := st.dev.Read(p, 0, 1)
-	if err != nil {
+	sec := make([]byte, disk.SectorSize)
+	if err := st.readFull(p, 0, sec); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(sec[0:4]) != ctrlMagic {
@@ -536,5 +570,5 @@ func (st *Store) ReadControl(p *sim.Proc) ([]byte, error) {
 	if crc32.ChecksumIEEE(sec[12:12+n]) != binary.LittleEndian.Uint32(sec[8:12]) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrBadControl)
 	}
-	return append([]byte(nil), sec[12:12+n]...), nil
+	return sec[12 : 12+n], nil
 }

@@ -174,7 +174,7 @@ func TestEpochRolloverReplayOrder(t *testing.T) {
 					t.Errorf("recovered %d epochs, want 2", rep.Epochs)
 				}
 				for lba, e := range winner {
-					got, err := mem.Read(p, lba, 1)
+					got, err := readN(p, mem, lba, 1)
 					if err != nil {
 						t.Errorf("read lba %d: %v", lba, err)
 						continue

@@ -50,7 +50,7 @@ func foldAll(recs []Record) map[int64][]byte {
 // readAll returns a mem disk's first n sectors.
 func readAll(t *testing.T, p *sim.Proc, d disk.Device, n int) []byte {
 	t.Helper()
-	b, err := d.Read(p, 0, n)
+	b, err := readN(p, d, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestEpochsAndRecover(t *testing.T) {
 	check := s.NewEvent("checked")
 	s.Spawn(nil, "check", func(p *sim.Proc) {
 		defer check.Fire()
-		got, err := mem.Read(p, 8, 1)
+		got, err := readN(p, mem, 8, 1)
 		if err != nil {
 			t.Errorf("read: %v", err)
 			return
@@ -674,4 +674,12 @@ func TestRecoverRejectsUnalignedRecord(t *testing.T) {
 	if err := s.RunUntilEvent(done); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readN reads nsec sectors at lba into a fresh buffer, cut to what the read
+// filled.
+func readN(p *sim.Proc, d disk.Device, lba int64, nsec int) ([]byte, error) {
+	buf := make([]byte, nsec*disk.SectorSize)
+	n, err := d.Read(p, lba, buf)
+	return buf[:n], err
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/replica"
 	"repro/internal/sim"
@@ -112,8 +113,8 @@ func TestPromotedFollowerMatchesColdRecovery(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			a, errA := warm.LogDev.Read(p, 0, int(end))
-			b, errB := cold.LogDev.Read(p, 0, int(end))
+			a, errA := readN(p, warm.LogDev, 0, int(end))
+			b, errB := readN(p, cold.LogDev, 0, int(end))
 			if errA != nil || errB != nil {
 				t.Errorf("reading the partitions: %v, %v", errA, errB)
 				return
@@ -361,4 +362,12 @@ func TestCloseEndsEveryFollower(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after Close, %d before the cluster", n, before)
 	}
+}
+
+// readN reads nsec sectors at lba into a fresh buffer, cut to what the read
+// filled.
+func readN(p *sim.Proc, d disk.Device, lba int64, nsec int) ([]byte, error) {
+	buf := make([]byte, nsec*disk.SectorSize)
+	n, err := d.Read(p, lba, buf)
+	return buf[:n], err
 }

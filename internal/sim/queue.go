@@ -8,9 +8,12 @@ var ErrClosed = errors.New("sim: queue closed")
 // popFront removes the first element by shifting the rest down one slot.
 // Reslicing with s[1:] instead would abandon the backing array's front and
 // degenerate into one reallocation per cycle once capacity runs out; the
-// shift keeps the array stable, and these queues are short.
+// shift keeps the array stable, and these queues are short. The slot the
+// shift frees is cleared: past the length it would still hold the last
+// element, a waiter whose process and closure the queue would keep alive.
 func popFront[T any](s []T) []T {
 	copy(s, s[1:])
+	clear(s[len(s)-1:])
 	return s[:len(s)-1]
 }
 

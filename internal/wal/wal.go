@@ -21,9 +21,9 @@
 // from a previous trip around the circular log. A torn tail (power cut
 // mid-force) truncates the log cleanly at the last valid record. The scan
 // is one pass that keeps no list: it hands each valid record to the
-// caller's visitor as it judges the record's extent, with a payload that
-// stays a valid view after the visitor returns, and a visitor's error stops
-// it at that record.
+// caller's visitor as it judges the record's extent, reading the log
+// through two extent buffers in turn, and a visitor's error stops it at
+// that record.
 package wal
 
 import (
@@ -212,16 +212,16 @@ func OpenAt(p *sim.Proc, s *sim.Sim, dev disk.Device, cfg Config, fromLSN, endLS
 		l.curOff = blockHdrLen
 	}
 	if l.curOff > blockHdrLen {
-		data, err := dev.Read(p, l.blockLBA(l.curSeq), l.sectorsPer)
+		n, err := dev.Read(p, l.blockLBA(l.curSeq), l.curData)
+		if err == nil && n < l.curOff {
+			err = fmt.Errorf("%w: resume block read cut short at byte %d", disk.ErrNoPower, n)
+		}
 		if err != nil {
 			return nil, err
 		}
-		l.curData = data
 		// Anything past the resume point is dead; zero it so stale bytes
 		// cannot resurrect on the next force.
-		for i := l.curOff; i < len(l.curData); i++ {
-			l.curData[i] = 0
-		}
+		clear(l.curData[l.curOff:])
 	}
 	l.appendedLSN = l.lsn()
 	l.flushedLSN = l.appendedLSN
@@ -470,6 +470,23 @@ type ScanResult struct {
 // what a scan reads past the end of a long log to two extents.
 const scanExtentBytes = 256 << 10
 
+// extents are the two buffers a scan reads the log into, in turn.
+type extents struct {
+	buf  [2][]byte
+	next int // the buffer the next extent takes
+}
+
+// take hands out the buffer for an extent of n bytes, grown to it if it is
+// smaller; its previous extent's visits are over.
+func (x *extents) take(n int) []byte {
+	b := &x.buf[x.next]
+	x.next ^= 1
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	return (*b)[:n]
+}
+
 // ScanBlocks reads records from fromLSN to the log's tail, stopping at the
 // first invalid record (torn tail, old generation, or never-written space),
 // and reads at most limit blocks, fromLSN's own first (limit ≤ 0: no
@@ -478,12 +495,13 @@ const scanExtentBytes = 256 << 10
 // with an extent of limit blocks (up to the cap) instead of one.
 //
 // It makes one pass and collects nothing: each valid record goes to visit,
-// in log order, as the scan judges the extent that holds it. A record's
-// payload is a view into that extent's buffer, a fresh read that nothing
-// else holds or reuses, so the view stays valid after visit returns. If
-// visit returns an error, the scan hands over no further record, waits for
-// the extent it has queued and returns that error, with EndLSN at the
-// refused record.
+// in log order, as the scan judges the extent that holds it. The extents
+// are read into two buffers in turn, each grown to the extents it takes, so
+// a record's payload is a view that is valid only during its visit: a
+// visitor that keeps a payload copies it. If visit returns an error, the
+// scan hands over no further
+// record, waits for the extent it has queued and returns that error, with
+// EndLSN at the refused record.
 //
 // The log is read in extents of 1, 2, 4, … blocks up to scanExtentBytes,
 // each one request that never crosses the circular wrap. A block's
@@ -497,6 +515,7 @@ const scanExtentBytes = 256 << 10
 func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit int, visit func(Record) error) (ScanResult, error) {
 	cfg.applyDefaults()
 	var res ScanResult
+	var ext extents
 	bs := cfg.BlockSize
 	sectorsPer := bs / disk.SectorSize
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
@@ -508,11 +527,22 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	}
 	res.EndLSN = seq*uint64(bs) + uint64(off)
 
-	// judge scans one extent's blocks, as its read returned them, and
-	// reports whether the scan ends there: the read failed, the log ended in
-	// the extent or visit refused a record.
+	// judge scans the blocks one extent's read filled, and reports whether
+	// the scan ends there: the read failed, the log ended in the extent or
+	// visit refused a record.
 	blockTorn := false // the last block scanned ended in a torn record
 	judge := func(data []byte, err error) (stop bool, _ error) {
+		if checked {
+			// The extent's visits are over when judge returns. Under the
+			// check build its buffer is poisoned then, before a later extent
+			// reuses it, so a payload kept past its visit reads poison.
+			defer func() {
+				data = data[:cap(data)]
+				for i := range data {
+					data[i] = 0xDB
+				}
+			}()
+		}
 		if err != nil {
 			return true, err
 		}
@@ -541,11 +571,11 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	if limit > 0 {
 		end, extent = seq+uint64(limit), min(uint64(limit), extentMax)
 	}
-	span := func() (lba int64, nsec int) {
+	span := func() (lba int64, buf []byte) {
 		n := min(extent, nBlocks-next%nBlocks, end-next)
-		lba, nsec = int64(next%nBlocks)*int64(sectorsPer), int(n)*sectorsPer
+		lba, buf = int64(next%nBlocks)*int64(sectorsPer), ext.take(int(n)*bs)
 		next, extent = next+n, min(2*extent, extentMax)
-		return lba, nsec
+		return lba, buf
 	}
 	// queue reads the next extent on a helper process in the scanner's
 	// domain, so that the request waits at the device behind the one in
@@ -555,17 +585,20 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 		if next >= end {
 			return nil
 		}
-		lba, nsec := span()
-		r := &extentRead{done: p.Sim().NewEvent("wal.scan.extent")}
+		lba, buf := span()
+		r := &extentRead{data: buf, done: p.Sim().NewEvent("wal.scan.extent")}
 		p.Sim().Spawn(p.Domain(), "wal.scan", func(hp *sim.Proc) {
-			r.data, r.err = dev.Read(hp, lba, nsec)
+			var n int
+			n, r.err = dev.Read(hp, lba, r.data)
+			r.data = r.data[:n]
 			r.done.Fire()
 		})
 		return r
 	}
 
-	lba, nsec := span()
-	if stop, err := judge(dev.Read(p, lba, nsec)); stop {
+	lba, buf := span()
+	n, err := dev.Read(p, lba, buf)
+	if stop, err := judge(buf[:n], err); stop {
 		return res, err
 	}
 	for cur := queue(); cur != nil; {
@@ -582,7 +615,8 @@ func ScanBlocks(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64, limit 
 	return res, nil
 }
 
-// extentRead is one ScanBlocks extent in flight on a helper process.
+// extentRead is one ScanBlocks extent in flight on a helper process: the
+// buffer it reads into, cut to what the read filled once done fires.
 type extentRead struct {
 	data []byte
 	err  error

@@ -263,9 +263,12 @@ type scanned struct {
 	Records []Record
 }
 
-// collect returns a visitor that appends every record to res.Records.
+// collect returns a visitor that appends every record to res.Records,
+// with a copy of its payload: the scan's view is valid only during the
+// visit.
 func (res *scanned) collect() func(Record) error {
 	return func(r Record) error {
+		r.Payload = bytes.Clone(r.Payload)
 		res.Records = append(res.Records, r)
 		return nil
 	}
@@ -288,7 +291,9 @@ func scanPerBlock(p *sim.Proc, dev disk.Device, cfg Config, fromLSN uint64) (sca
 	sectorsPer := cfg.BlockSize / disk.SectorSize
 	nBlocks := uint64(dev.Sectors()) / uint64(sectorsPer)
 	read := func(seq uint64) ([]byte, error) {
-		return dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), sectorsPer)
+		buf := make([]byte, cfg.BlockSize)
+		n, err := dev.Read(p, int64(seq%nBlocks)*int64(sectorsPer), buf)
+		return buf[:n], err
 	}
 	seq, off := fromLSN/bs, max(int(fromLSN%bs), blockHdrLen)
 	res.EndLSN = seq*bs + uint64(off)
@@ -366,9 +371,9 @@ func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN
 // completes arrives after the head has passed the next sector.
 type exitDev struct{ disk.Device }
 
-func (d exitDev) Read(p *sim.Proc, lba int64, nsec int) ([]byte, error) {
+func (d exitDev) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	p.Sleep(15 * time.Microsecond)
-	return d.Device.Read(p, lba, nsec)
+	return d.Device.Read(p, lba, dst)
 }
 
 // TestScanStreamsInDoublingExtents: on a rotating disk behind a virtual
@@ -515,6 +520,55 @@ func TestScanStopsAtVisitorError(t *testing.T) {
 		}
 		if res.EndLSN != lsns[stopAt] {
 			t.Fatalf("stop at record %d: scan ended at LSN %d, want the refused record's %d", stopAt, res.EndLSN, lsns[stopAt])
+		}
+	}
+}
+
+// TestScanPoisonsKeptPayloads: a record's payload is the scan's only during
+// its visit. Under the netsimcheck build tag a scan poisons each extent
+// buffer once its visits are over, and both when it returns, so a visitor
+// that keeps payloads instead of copying them finds every one poisoned:
+// those in extents the scan recycled and those in the last.
+func TestScanPoisonsKeptPayloads(t *testing.T) {
+	if !checked {
+		t.Skip("poisoning recycled scan buffers is the netsimcheck build's")
+	}
+	s, dev, l := memLog(t, 16, Config{})
+	s.Spawn(nil, "w", func(p *sim.Proc) {
+		// Four 928-byte records to a block: twelve blocks and a part, five
+		// extents.
+		for i := 0; i < 50; i++ {
+			if _, err := l.Append(p, RecUpdate, uint64(i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
+			}
+		}
+		if err := l.Force(p, l.AppendedLSN()); err != nil {
+			t.Errorf("force: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte
+	s.Spawn(nil, "r", func(p *sim.Proc) {
+		if _, err := ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0, func(r Record) error {
+			kept = append(kept, r.Payload)
+			return nil
+		}); err != nil {
+			t.Errorf("scan: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 50 {
+		t.Fatalf("scan handed over %d records, want 50", len(kept))
+	}
+	poison := bytes.Repeat([]byte{0xDB}, 900)
+	for i, b := range kept {
+		if !bytes.Equal(b, poison) {
+			t.Fatalf("payload %d kept past its visit reads %#x…, not poison", i, b[:4])
 		}
 	}
 }
