@@ -17,8 +17,9 @@
 # source line. The gate fails on a never-entered function the list does not
 # name, on a listed function that traffic now enters, on a listed function
 # that no longer exists, on two declarations in one file that reach the same
-# name, and on a reason outside the four categories. Its summary counts the
-# list by category.
+# name, on a reason outside the four categories, and on a test seam whose
+# reason does not cite the item that retires it ("ROADMAP item N"), so that
+# category only shrinks. Its summary counts the list by category.
 set -euo pipefail
 dir=${1:-${GOCOVERDIR:?set GOCOVERDIR or pass the counter directory}}
 allow=${2:-"$(dirname "$0")/covgate-allow.txt"}
@@ -56,6 +57,7 @@ awk -F'\t' -v allow="$allow" -v mod="$(go list -m)" '
 			if (n < 3 || f[3] == "") { printf "%s: no reason given: %s\n", allow, line; bad = 1; continue }
 			for (c = ncat; c > 0 && index(f[3], cat[c] ":") != 1; c--) {}
 			if (!c) { printf "%s: reason outside the four categories: %s\n", allow, line; bad = 1; continue }
+			if (cat[c] == "test seam" && f[3] !~ /ROADMAP item [0-9]+/) { printf "%s: a test seam names no ROADMAP item that retires it: %s\n", allow, line; bad = 1 }
 			percat[c]++
 			listed[f[1] "\t" f[2]] = 1
 		}

@@ -37,7 +37,7 @@ func main() {
 		dep.S.Spawn(d.Plat.Domain(), tenant(i), func(p *rapilog.Proc) {
 			e, err := d.Boot(p)
 			if err != nil {
-				log.Fatalf("%s boot: %v", p.Name(), err)
+				log.Fatalf("%s boot: %v", tenant(i), err)
 			}
 			w := &rapilog.Stress{ValueSize: 512}
 			for {
@@ -61,12 +61,12 @@ func main() {
 			dep.S.Spawn(d.Plat.Domain(), tenant(i)+"-recovery", func(p *rapilog.Proc) {
 				e, err := d.Boot(p)
 				if err != nil {
-					log.Fatalf("%s boot: %v", p.Name(), err)
+					log.Fatalf("%s boot: %v", tenant(i), err)
 				}
 				// Every ack a tenant saw, the hold-up window's included.
 				res, err := journals[i].Verify(p, e)
 				if err != nil {
-					log.Fatalf("%s audit: %v", p.Name(), err)
+					log.Fatalf("%s audit: %v", tenant(i), err)
 				}
 				fmt.Printf("%s: dump replayed %3d entries; %s\n", tenant(i), rep.Domains[i].Entries, res)
 			})

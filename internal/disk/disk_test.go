@@ -153,8 +153,8 @@ func TestHDDFlushDrainsCache(t *testing.T) {
 		if err := d.Flush(p); err != nil {
 			t.Errorf("flush: %v", err)
 		}
-		if d.CacheDirtySectors() != 0 {
-			t.Errorf("cache dirty after flush: %d", d.CacheDirtySectors())
+		if len(d.cache) != 0 {
+			t.Errorf("cache dirty after flush: %d", len(d.cache))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -301,7 +301,7 @@ func TestHDDCacheBoundProperty(t *testing.T) {
 				n := 1 + s.Rand().Intn(32)
 				lba := int64(s.Rand().Intn(100000))
 				_ = d.Write(p, lba, fill(n*512, byte(i)), false)
-				if d.CacheDirtySectors() > 64 {
+				if len(d.cache) > 64 {
 					ok = false
 					return
 				}
@@ -311,7 +311,7 @@ func TestHDDCacheBoundProperty(t *testing.T) {
 		if err := s.Run(); err != nil {
 			return false
 		}
-		return ok && d.CacheDirtySectors() == 0
+		return ok && len(d.cache) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(20))}); err != nil {
 		t.Fatal(err)

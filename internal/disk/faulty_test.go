@@ -3,7 +3,6 @@ package disk
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,14 +164,14 @@ func TestFaultyNamesFollowItsPartition(t *testing.T) {
 	s := sim.New(1)
 	reg := obs.NewRegistry()
 	f, _ := newFaulty(t, s, FaultConfig{Seed: 1, Reg: reg})
-	names := reg.Names()
+	counters := reg.Snapshot().Counters
 	for _, want := range []string{
 		"log.flt.inject_write_errors",
 		"log.flt.inject_latency_spikes",
 		"log.flt.inject_bad_range_errors",
 	} {
-		if !slices.Contains(names, want) {
-			t.Errorf("registry lacks %s: %v", want, names)
+		if _, ok := counters[want]; !ok {
+			t.Errorf("registry lacks %s: %v", want, counters)
 		}
 	}
 	f.SetWriteErrorProb(1)

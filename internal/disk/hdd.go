@@ -131,10 +131,6 @@ func (d *HDD) SeqWriteBandwidth() float64 {
 // WorstCaseAccess implements Drive: full-stroke seek plus one rotation.
 func (d *HDD) WorstCaseAccess() time.Duration { return hddSeekMax + d.rotPeriod }
 
-// CacheDirtySectors returns the number of sectors waiting in the volatile
-// cache.
-func (d *HDD) CacheDirtySectors() int { return len(d.cache) }
-
 func (d *HDD) sectorsPerCyl() int64 { return hddHeads * int64(d.cfg.SectorsPerTrack) }
 
 func (d *HDD) cylOf(lba int64) int { return int(lba / d.sectorsPerCyl()) }

@@ -66,6 +66,9 @@ type foldRun struct {
 	// ackedAt the number of acknowledgements at that instant.
 	served, ackedAt int
 	acks            int
+	// doms are the domains the run spawns into: the guest's, the drives'
+	// hardware domain and the operator's root domain.
+	doms []*sim.Domain
 }
 
 func newFoldRun(t *testing.T) *foldRun {
@@ -113,7 +116,7 @@ func newFoldRun(t *testing.T) *foldRun {
 			commit(p, e, fmt.Sprintf("k%03d", i), row(i, 2))
 		}
 	})
-	s.Spawn(nil, "operator", func(p *sim.Proc) {
+	op := s.Spawn(nil, "operator", func(p *sim.Proc) {
 		firstLife.Wait(p)
 		r.plat.Crash()
 		p.Sleep(time.Millisecond)
@@ -136,6 +139,7 @@ func newFoldRun(t *testing.T) *foldRun {
 			}
 		})
 	})
+	r.doms = []*sim.Domain{r.plat.Domain(), m.HardwareDomain(), op.Domain()}
 	return r
 }
 
@@ -221,8 +225,10 @@ func TestGuestCrashAtEveryEventOfTheFold(t *testing.T) {
 			t.Fatalf("k=%d: the recovered engine never finished its audit", k)
 		}
 		r.s.Close()
-		if n := r.s.LiveProcs(); n != 0 {
-			t.Fatalf("k=%d: %d processes live after Close", k, n)
+		for i, d := range r.doms {
+			if n := d.Procs(); n != 0 {
+				t.Fatalf("k=%d: %d processes live in domain %d after Close", k, n, i)
+			}
 		}
 	}
 

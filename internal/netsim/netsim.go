@@ -119,8 +119,8 @@ type link struct {
 	busyUntil sim.Time
 }
 
-// Stats exposes the fabric's counters.
-type Stats struct {
+// stats holds the fabric's counters.
+type stats struct {
 	Sent           *metrics.Counter
 	Delivered      *metrics.Counter
 	Dropped        *metrics.Counter // lost to DropProb
@@ -140,7 +140,7 @@ type Fabric struct {
 	links map[linkKey]*link
 	// isolated nodes cannot send or receive; the map is the partition.
 	isolated map[string]bool
-	stats    *Stats
+	stats    *stats
 	tr       *obs.Tracer
 	nodeIDs  map[string]int64 // endpoint name → interned trace label
 	free     []*delivery      // delivery records not in flight
@@ -161,7 +161,7 @@ func New(s *sim.Sim, cfg Config) *Fabric {
 		isolated: make(map[string]bool),
 		tr:       cfg.Trace,
 		nodeIDs:  make(map[string]int64),
-		stats: &Stats{
+		stats: &stats{
 			Sent:           reg.Counter("net.sent"),
 			Delivered:      reg.Counter("net.delivered"),
 			Dropped:        reg.Counter("net.dropped"),
@@ -172,9 +172,6 @@ func New(s *sim.Sim, cfg Config) *Fabric {
 		},
 	}
 }
-
-// Stats returns the fabric's counters (live; not a copy).
-func (f *Fabric) Stats() *Stats { return f.stats }
 
 // Endpoint returns the named endpoint, creating it on first use.
 func (f *Fabric) Endpoint(name string) *Endpoint {
@@ -389,9 +386,6 @@ type Endpoint struct {
 	head  int // consumed prefix of inbox
 	sig   *sim.Signal
 }
-
-// Name returns the endpoint's fabric-wide name.
-func (e *Endpoint) Name() string { return e.name }
 
 // inboxCompactAt is the consumed-prefix length past which TryRecv slides
 // the unconsumed tail back to the front of the backing array. Without this

@@ -112,7 +112,7 @@ func TestCleanLinkDeliversInOrder(t *testing.T) {
 			t.Fatalf("out of order at %d: got %d", i, v)
 		}
 	}
-	if f.Stats().Dropped.Value() != 0 || f.Stats().Duplicated.Value() != 0 {
+	if f.stats.Dropped.Value() != 0 || f.stats.Duplicated.Value() != 0 {
 		t.Fatal("clean link reported faults")
 	}
 }
@@ -174,8 +174,8 @@ func TestPartitionDropsAndHeal(t *testing.T) {
 	if len(got) != 1 || got[0] != "after" {
 		t.Fatalf("got %v, want only the post-heal message", got)
 	}
-	if f.Stats().PartitionDrops.Value() != 1 {
-		t.Fatalf("partition drops = %d, want 1", f.Stats().PartitionDrops.Value())
+	if f.stats.PartitionDrops.Value() != 1 {
+		t.Fatalf("partition drops = %d, want 1", f.stats.PartitionDrops.Value())
 	}
 }
 
@@ -249,8 +249,8 @@ func TestInFlightDroppedWhenPortGoesDown(t *testing.T) {
 	if delivered {
 		t.Fatal("message delivered through a down port")
 	}
-	if f.Stats().PartitionDrops.Value() != 1 {
-		t.Fatalf("partition drops = %d, want 1", f.Stats().PartitionDrops.Value())
+	if f.stats.PartitionDrops.Value() != 1 {
+		t.Fatalf("partition drops = %d, want 1", f.stats.PartitionDrops.Value())
 	}
 }
 

@@ -152,7 +152,7 @@ func TestDeliveryRecordsReturnToThePool(t *testing.T) {
 	s.Spawn(nil, "sender", func(p *sim.Proc) {
 		for i := range msgs {
 			msgs[i] = &rcMsg{data: []byte{byte(i)}, refs: 1}
-			a.Send(recv[i%2].Name(), 256, msgs[i])
+			a.Send(recv[i%2].name, 256, msgs[i])
 			if i == n/2 {
 				f.Isolate("c") // packets to c still in flight are lost at arrival
 			}
@@ -171,7 +171,7 @@ func TestDeliveryRecordsReturnToThePool(t *testing.T) {
 			m.Payload.(*rcMsg).Release()
 		}
 	}
-	st := f.Stats()
+	st := f.stats
 	if st.Dropped.Value() == 0 || st.Duplicated.Value() == 0 || st.Reordered.Value() == 0 || st.PartitionDrops.Value() == 0 {
 		t.Fatalf("test premise: a fault path went unexercised: %d dropped, %d dup, %d reordered, %d partition drops",
 			st.Dropped.Value(), st.Duplicated.Value(), st.Reordered.Value(), st.PartitionDrops.Value())

@@ -74,7 +74,7 @@ func TestShardViewStampsItsDomain(t *testing.T) {
 	sh := o.Shard(1)
 	sh.Registry().Counter("engine.commits").Inc()
 	if o.Registry().Counter("shard.1.engine.commits").Value() != 1 {
-		t.Fatalf("shard view registered %v, want shard.1.engine.commits", o.Registry().Names())
+		t.Fatalf("shard view registered %v, want shard.1.engine.commits", o.Registry().Snapshot().Counters)
 	}
 	o.Tracer().Emit(1, EvPowerFail, o.Tracer().NewSpan(), 0, 0, 0)
 	sh.Tracer().Emit(2, EvTxBegin, sh.Tracer().NewSpan(), 0, 0, 0)
@@ -122,15 +122,12 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Fatal("same name must return the same gauge")
 	}
-	names := r.Names()
-	want := []string{"a", "g", "h"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
+	snap := r.Snapshot()
+	_, a := snap.Counters["a"]
+	_, g := snap.Gauges["g"]
+	_, h := snap.Histograms["h"]
+	if !a || !g || !h || len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 3 {
+		t.Fatalf("snapshot = %+v, want counter a, gauge g and histogram h", snap)
 	}
 }
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Registry is the central owner of a deployment's instruments. Every layer
 // registers its histograms, counters and gauges here by
@@ -94,23 +90,4 @@ func (r *Registry) Gauge(name string) *metrics.Gauge {
 	g := new(metrics.Gauge)
 	r.gauges[name] = g
 	return g
-}
-
-// Names returns every registered instrument name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -106,9 +106,6 @@ func (m *Machine) emit(kind obs.Kind, arg1 int64) {
 // Sim returns the owning simulation.
 func (m *Machine) Sim() *sim.Sim { return m.s }
 
-// Name returns the machine name.
-func (m *Machine) Name() string { return m.name }
-
 // CPU returns the core pool. Callers model computation by acquiring a core
 // and sleeping for the burst length. The pool is recreated on power
 // restore; re-fetch it after a reboot.

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,30 +82,45 @@ func TestHandlerRacesDeadline(t *testing.T) {
 	}
 }
 
+// TestDeviceLosesCacheAtDeadlineNotBefore: a cached write reads back while
+// the rails hold up, and once power returns it reads what the platters held
+// before it. The write is 4 MiB, ~135 ms of draining at track bandwidth and
+// longer than any hold-up, so the tail read is still only in the cache when
+// the rails drop.
 func TestDeviceLosesCacheAtDeadlineNotBefore(t *testing.T) {
 	s, m, d := testMachine(3, PSUTypical)
-	var duringHoldup, afterRestore int
+	written := bytes.Repeat([]byte{0xa5}, 4<<20)
+	const tailLen = 8192
+	tail := int64(len(written)-tailLen) / disk.SectorSize
+	read := func(p *sim.Proc) []byte {
+		buf := make([]byte, tailLen)
+		if _, err := d.Read(p, tail, buf); err != nil {
+			t.Errorf("read: %v", err)
+		}
+		return buf
+	}
+	var duringHoldup, afterRestore []byte
 	m.AddPowerFailHandler(func(p *sim.Proc) {
-		duringHoldup = d.CacheDirtySectors() // rails still up: cache intact
+		duringHoldup = read(p) // rails still up: cache intact
 	})
 	s.Spawn(m.NewDomain("sw"), "writer", func(p *sim.Proc) {
-		_ = d.Write(p, 0, make([]byte, 8192), false)
+		_ = d.Write(p, 0, written, false)
 		m.CutPower()
 		p.Sleep(time.Hour) // will be killed
 	})
 	s.Spawn(nil, "check", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond)
 		m.RestorePower()
-		afterRestore = d.CacheDirtySectors()
+		afterRestore = read(p)
 	})
 	if err := s.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if duringHoldup == 0 {
-		t.Fatal("cache empty during hold-up (drain too fast or handler after deadline)")
+	if !bytes.Equal(duringHoldup, written[:tailLen]) {
+		t.Fatal("the write did not read back during hold-up (cache dropped early or handler after deadline)")
 	}
-	if afterRestore != 0 {
-		t.Fatal("cache contents survived power loss")
+	if !bytes.Equal(afterRestore, make([]byte, tailLen)) {
+		t.Fatal("the write's tail survived power loss")
 	}
 }
 

@@ -243,8 +243,8 @@ func TestFenceRejectsStaleStream(t *testing.T) {
 		if !ok || fa.Epoch != 2 {
 			t.Errorf("fence ack = %#v", m.Payload)
 		}
-		if st.Fenced() != 2 {
-			t.Errorf("standby fence = %d, want 2", st.Fenced())
+		if st.fenced != 2 {
+			t.Errorf("standby fence = %d, want 2", st.fenced)
 		}
 		// The deposed shipper keeps shipping: nothing may apply.
 		rej := st.fenceRej.Value()

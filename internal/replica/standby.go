@@ -260,9 +260,6 @@ func (st *Standby) stateResp() StateResp {
 	return StateResp{From: st.name, Applied: st.Position(), Fenced: st.fenced}
 }
 
-// Fenced returns the standby's current fence epoch.
-func (st *Standby) Fenced() int { return st.fenced }
-
 // hold takes the store's reference on rec's payload: a shipped record's
 // pooled buffer is shared, never copied, so every store that holds the
 // record holds the same bytes. A record that came without one (a bare

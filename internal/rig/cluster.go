@@ -345,12 +345,6 @@ func (c *Cluster) LeaderName() string { return c.nodes[c.leader].name }
 // LeaderRig returns the current leader's rig.
 func (c *Cluster) LeaderRig() *Rig { return c.nodes[c.leader].rig }
 
-// Generation returns the leadership generation (1 = the initial leader).
-func (c *Cluster) Generation() int { return c.generation }
-
-// Store returns node idx's standby store (testing and campaigns).
-func (c *Cluster) Store(idx int) *replica.Standby { return c.nodes[idx].store }
-
 // --- ha.Cluster ---
 
 // LeaderAgent implements ha.Cluster.

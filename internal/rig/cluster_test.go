@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ha"
 	"repro/internal/obs"
+	"repro/internal/replica"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -32,10 +34,10 @@ func TestClusterValidation(t *testing.T) {
 	if got := c.Quorum(); got != 2 {
 		t.Fatalf("census quorum = %d for 3 nodes / AckQuorum(1), want 2", got)
 	}
-	if c.LeaderName() != "node0" || c.Generation() != 1 {
-		t.Fatalf("initial leadership = %s gen %d", c.LeaderName(), c.Generation())
+	if c.LeaderName() != "node0" || c.generation != 1 {
+		t.Fatalf("initial leadership = %s gen %d", c.LeaderName(), c.generation)
 	}
-	if c.Store(0).Alive() {
+	if c.nodes[0].store.Alive() {
 		t.Fatal("leader's own store must be crashed while it leads")
 	}
 }
@@ -141,8 +143,8 @@ func TestClusterFailoverPowerCut(t *testing.T) {
 	if lc.Coord.LastErr() != nil {
 		t.Fatalf("coordinator error: %v", lc.Coord.LastErr())
 	}
-	if lc.Generation() != 2 || lc.LeaderName() == lc.exLeader {
-		t.Fatalf("leadership after takeover: %s gen %d", lc.LeaderName(), lc.Generation())
+	if lc.generation != 2 || lc.LeaderName() == lc.exLeader {
+		t.Fatalf("leadership after takeover: %s gen %d", lc.LeaderName(), lc.generation)
 	}
 	if ackedAtCut == 0 {
 		t.Fatal("no ops acked before the cut — test proves nothing")
@@ -170,12 +172,12 @@ func TestClusterFailoverPowerCut(t *testing.T) {
 
 	// The deposed node must have rejoined fenced at the new epoch and
 	// caught up from the live stream.
-	ex := lc.Store(0)
+	ex := lc.nodes[0].store
 	if !ex.Alive() {
 		t.Fatal("ex-leader store not restarted")
 	}
-	if ex.Fenced() < lc.epoch {
-		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), lc.epoch)
+	if fence := standingFence(t, lc.Cluster, ex.Name()); fence < lc.epoch {
+		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", fence, lc.epoch)
 	}
 	if ex.AppliedSeq(lc.epoch) == 0 {
 		t.Fatalf("ex-leader store never caught up on epoch %d", lc.epoch)
@@ -225,9 +227,30 @@ func TestClusterFailoverIsolation(t *testing.T) {
 	}
 	// The deposed leader's stale-epoch retransmits after the heal must show
 	// up as fencing rejections, not as applied entries.
-	if ex := lc.Store(0); ex.Fenced() < lc.epoch {
-		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", ex.Fenced(), lc.epoch)
+	if fence := standingFence(t, lc.Cluster, lc.nodes[0].store.Name()); fence < lc.epoch {
+		t.Fatalf("ex-leader store fenced at %d, cluster epoch %d", fence, lc.epoch)
 	}
+}
+
+// standingFence asks a store, over the cluster's fabric, for the fence it
+// stands at: a FenceMsg below a store's fence never raises it and is acked
+// at the current one. It returns -1 if no ack comes within a second.
+func standingFence(t *testing.T, c *Cluster, store string) int {
+	t.Helper()
+	fence := -1
+	done := c.S.NewEvent("fence-probe.done")
+	c.S.Spawn(nil, "fence-probe", func(p *sim.Proc) {
+		defer done.Fire()
+		ep := c.Fabric.Endpoint("fence-probe")
+		ep.Send(store, ha.MsgBytes, replica.FenceMsg{From: "fence-probe"})
+		if m, ok := ep.RecvUntil(p, p.Now().Add(time.Second)); ok {
+			fence = m.Payload.(replica.FenceAck).Epoch
+		}
+	})
+	if err := c.S.RunUntilEvent(done); err != nil {
+		t.Fatal(err)
+	}
+	return fence
 }
 
 // TestClusterBrownoutFailsOver: AC comes back inside the hold-up. The power-

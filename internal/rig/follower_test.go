@@ -189,7 +189,7 @@ func TestPromotedFollowerMatchesColdRecovery(t *testing.T) {
 			}
 		}
 		p.Sleep(300 * time.Millisecond)
-		lagging := c.Store(2).Name()
+		lagging := c.nodes[2].store.Name()
 		c.Fabric.Isolate(lagging)
 		p.Sleep(50 * time.Millisecond)
 		c.CutLeaderPower()
@@ -205,8 +205,8 @@ func TestPromotedFollowerMatchesColdRecovery(t *testing.T) {
 	if err := c.S.RunUntilEvent(done); err != nil {
 		t.Fatal(err)
 	}
-	if c.Coord.Failovers() != 2 || c.Generation() != 3 {
-		t.Fatalf("failovers %d, generation %d (last error %v): want two takeovers", c.Coord.Failovers(), c.Generation(), c.Coord.LastErr())
+	if c.Coord.Failovers() != 2 || c.generation != 3 {
+		t.Fatalf("failovers %d, generation %d (last error %v): want two takeovers", c.Coord.Failovers(), c.generation, c.Coord.LastErr())
 	}
 	if !checked {
 		t.Fatal("the comparison never completed")
@@ -351,9 +351,9 @@ func TestCloseEndsEveryFollower(t *testing.T) {
 		doms = append(doms, n.f.r.Plat.Domain())
 	}
 	tr.c.Close()
-	for _, d := range doms {
+	for i, d := range doms {
 		if d.Procs() != 0 {
-			t.Fatalf("%s: %d processes alive after Close", d.Name(), d.Procs())
+			t.Fatalf("%s: %d processes alive after Close", tr.c.nodes[i+1].name, d.Procs())
 		}
 	}
 	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {

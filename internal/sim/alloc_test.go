@@ -145,7 +145,7 @@ func TestTimedWaitZeroAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("timed wait + fire allocates %.1f per RunFor(1ms) (~1000 waits), want 0", allocs)
 	}
-	if n := s.events.len(); n > 2 {
+	if n := len(s.events.items); n > 2 {
 		t.Fatalf("%d timers queued in steady state, want <= 2", n)
 	}
 }
@@ -194,7 +194,7 @@ func TestKillAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !v.Done() {
-			t.Fatalf("%s still running after its kill event", v.Name())
+			t.Fatalf("%s still running after its kill event", v.name)
 		}
 	})
 	if allocs > 0 {

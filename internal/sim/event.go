@@ -24,8 +24,8 @@ func (s *Sim) NewEvent(name string) *Event { return &Event{name: name} }
 // that create an event per blocked request use it to format nothing.
 func (s *Sim) NewEventNamedBy(namer fmt.Stringer) *Event { return &Event{namer: namer} }
 
-// Name returns the event's name.
-func (e *Event) Name() string {
+// label renders the event's name for a deadlock report or an error.
+func (e *Event) label() string {
 	if e.namer != nil {
 		return e.namer.String()
 	}
@@ -34,9 +34,9 @@ func (e *Event) Name() string {
 
 func (e *Event) describeWait(m waitMode) string {
 	if m == waitTimed {
-		return "event:" + e.Name() + "(timeout)"
+		return "event:" + e.label() + "(timeout)"
 	}
-	return "event:" + e.Name()
+	return "event:" + e.label()
 }
 
 // Reset returns the event to the unfired state so that its owner can reuse

@@ -102,8 +102,8 @@ func (p *Proc) park() {
 // point exactly as if its domain had been killed (abort hooks and deferred
 // functions run), one that never started never runs — and pending events
 // are dropped. Processes spawned by those deferred functions are closed the
-// same way. Then the close hooks run (see OnClose). Afterwards LiveProcs is
-// 0, no goroutine of this simulation remains, and the Sim must not be used
+// same way. Then the close hooks run (see OnClose). Afterwards no process is
+// live, no goroutine of this simulation remains, and the Sim must not be used
 // again.
 //
 // Close must be called from outside the simulation (not from a process or

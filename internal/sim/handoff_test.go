@@ -36,14 +36,14 @@ func TestCancelledTimeoutLeavesHeapAndNeverFires(t *testing.T) {
 		resumedAt = p.Now()
 	})
 	s.After(ms(1), ev.Fire)
-	before := s.events.len() // start event + Fire callback
+	before := len(s.events.items) // start event + Fire callback
 	if err := s.RunFor(ms(2)); err != nil {
 		t.Fatal(err)
 	}
 	if !fired || resumedAt != Time(ms(1)) {
 		t.Fatalf("fired=%v at %v, want true at 1ms", fired, resumedAt)
 	}
-	if n := s.events.len(); n != 0 {
+	if n := len(s.events.items); n != 0 {
 		t.Fatalf("%d timers left in the heap (%d before the wait): the timeout was not cancelled", n, before)
 	}
 	d := s.Dispatched()
@@ -83,7 +83,7 @@ func TestTimedWaitsDoNotAccumulateTimers(t *testing.T) {
 		t.Fatalf("only %d rounds ran", rounds)
 	}
 	// In flight at any instant: one callback or wake, and one timeout.
-	if n := s.events.len(); n > 2 {
+	if n := len(s.events.items); n > 2 {
 		t.Fatalf("%d timers queued after %d timed waits, want <= 2", n, 2*rounds)
 	}
 }
@@ -153,8 +153,8 @@ func TestCloseUnwindsParkedAndSkipsUnstarted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Spawn(nil, "unstarted", func(p *Proc) { ranUnstarted = true })
-	if res.Waiters() != 1 || s.LiveProcs() != 3 {
-		t.Fatalf("setup: %d waiters, %d live procs", res.Waiters(), s.LiveProcs())
+	if res.Waiters() != 1 || len(s.procs) != 3 {
+		t.Fatalf("setup: %d waiters, %d live procs", res.Waiters(), len(s.procs))
 	}
 
 	s.Close()
@@ -167,8 +167,8 @@ func TestCloseUnwindsParkedAndSkipsUnstarted(t *testing.T) {
 	if res.Waiters() != 0 {
 		t.Fatal("the queued process's abort hook did not run")
 	}
-	if s.LiveProcs() != 0 {
-		t.Fatalf("%d live procs after Close", s.LiveProcs())
+	if len(s.procs) != 0 {
+		t.Fatalf("%d live procs after Close", len(s.procs))
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before the simulation", n, base)
@@ -189,8 +189,8 @@ func TestCloseHandlesSpawnDuringUnwind(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if respawned || s.LiveProcs() != 0 {
-		t.Fatalf("respawned=%v live=%d after Close", respawned, s.LiveProcs())
+	if respawned || len(s.procs) != 0 {
+		t.Fatalf("respawned=%v live=%d after Close", respawned, len(s.procs))
 	}
 }
 
@@ -203,8 +203,8 @@ func TestCloseHooksRunOnceAfterUnwind(t *testing.T) {
 	var order []string
 	hook := func(name string) func() {
 		return func() {
-			if s.LiveProcs() != 0 || s.events.len() != 0 {
-				t.Errorf("hook %s ran with %d live procs, %d events", name, s.LiveProcs(), s.events.len())
+			if len(s.procs) != 0 || len(s.events.items) != 0 {
+				t.Errorf("hook %s ran with %d live procs, %d events", name, len(s.procs), len(s.events.items))
 			}
 			order = append(order, name)
 		}

@@ -118,5 +118,3 @@ func (h *eventHeap) down(i int, tm *timer) {
 	}
 	h.items[i], tm.idx = tm, i
 }
-
-func (h *eventHeap) len() int { return len(h.items) }

@@ -270,9 +270,12 @@ func TestKillAtRandomTimesProperty(t *testing.T) {
 		s.Spawn(hv, "drain", func(p *Proc) {
 			deadline := Time(10 * time.Millisecond)
 			for p.Now() < deadline {
-				if _, ok := q.TryGet(); !ok {
+				if len(q.items) == 0 {
 					p.Sleep(50 * time.Microsecond)
+					continue
 				}
+				q.items = popFront(q.items)
+				q.refillFromPutter()
 			}
 			hvDone = true
 		})

@@ -14,7 +14,7 @@ func TestEventBroadcastWakesAll(t *testing.T) {
 		name := fmt.Sprintf("w%d", i)
 		s.Spawn(nil, name, func(p *Proc) {
 			ev.Wait(p)
-			woke = append(woke, p.Name())
+			woke = append(woke, p.name)
 		})
 	}
 	s.After(ms(5), ev.Fire)
@@ -364,30 +364,5 @@ func TestQueueCloseWakesBlockedPutter(t *testing.T) {
 	}
 	if !errors.Is(putErr, ErrClosed) {
 		t.Fatalf("blocked put after close: %v", putErr)
-	}
-}
-
-func TestQueueTryOps(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, "q", 1)
-	s.Spawn(nil, "p", func(p *Proc) {
-		if _, ok := q.TryGet(); ok {
-			t.Error("TryGet on empty succeeded")
-		}
-		ok, err := q.TryPut(1)
-		if !ok || err != nil {
-			t.Errorf("TryPut: ok=%v err=%v", ok, err)
-		}
-		ok, _ = q.TryPut(2)
-		if ok {
-			t.Error("TryPut on full succeeded")
-		}
-		v, ok := q.TryGet()
-		if !ok || v != 1 {
-			t.Errorf("TryGet: %v %v", v, ok)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -80,9 +80,6 @@ func (q *Queue[T]) describeWait(m waitMode) string {
 	return "queue:" + q.name + "(put)"
 }
 
-// Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
 // newGetter takes a getter from the pool with its waiter registered.
 func (q *Queue[T]) newGetter(p *Proc) *qGetter[T] {
 	var g *qGetter[T]
@@ -151,25 +148,6 @@ func (q *Queue[T]) Put(p *Proc, v T) error {
 	return nil
 }
 
-// TryPut appends v without blocking, reporting success. It returns false
-// when the queue is full (or has no waiting getter, for capacity zero) and
-// ErrClosed after Close.
-func (q *Queue[T]) TryPut(v T) (bool, error) {
-	if q.closed {
-		return false, ErrClosed
-	}
-	if g := q.nextGetter(); g != nil {
-		g.v, g.ok, g.delivered = v, true, true
-		g.w.wake()
-		return true, nil
-	}
-	if len(q.items) < q.cap {
-		q.items = append(q.items, v)
-		return true, nil
-	}
-	return false, nil
-}
-
 // Get removes and returns the head item, blocking p while the queue is
 // empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
@@ -196,23 +174,6 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	v, ok = g.v, g.ok
 	q.freeGetter(g)
 	return v, ok
-}
-
-// TryGet removes and returns the head item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) > 0 {
-		v = q.items[0]
-		q.items = popFront(q.items)
-		q.refillFromPutter()
-		return v, true
-	}
-	if pu := q.nextPutter(); pu != nil {
-		v = pu.v
-		pu.accepted = true
-		pu.w.wake()
-		return v, true
-	}
-	return v, false
 }
 
 // Close marks the queue closed: blocked and future Puts fail with ErrClosed;

@@ -99,7 +99,7 @@ func TestSelfWakeMatchesSingleSteppedSchedule(t *testing.T) {
 		run := New(seed)
 		got := mixedProgram(run, seed)
 		// In slices, to cross RunUntil boundaries mid-sleep as well.
-		for run.events.len() > 0 {
+		for len(run.events.items) > 0 {
 			if err := run.RunFor(170 * time.Microsecond); err != nil {
 				t.Fatal(err)
 			}

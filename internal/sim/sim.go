@@ -297,7 +297,7 @@ func (s *Sim) RunUntilEvent(ev *Event) error {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("sim: event queue drained before %q fired", ev.Name())
+			return fmt.Errorf("sim: event queue drained before %q fired", ev.label())
 		}
 	}
 	return nil
@@ -364,10 +364,6 @@ type DeadlockError struct {
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %s: %d blocked procs: %v", e.At, len(e.Procs), e.Procs)
 }
-
-// LiveProcs returns the number of processes that have started but not
-// finished.
-func (s *Sim) LiveProcs() int { return len(s.procs) }
 
 // ---------------------------------------------------------------------------
 // Proc
@@ -436,9 +432,6 @@ func (p *Proc) waitingOn() string {
 // rather than deadlocked. Daemons should block on signals when idle, not
 // poll, or Run will never terminate.
 func (p *Proc) SetDaemon(on bool) { p.daemon = on }
-
-// Name returns the process name given to Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Domain returns the domain the process belongs to.
 func (p *Proc) Domain() *Domain { return p.domain }
@@ -583,9 +576,6 @@ func (s *Sim) NewDomain(name string) *Domain {
 	s.nextDom++
 	return &Domain{sim: s, name: name, procs: make(map[int]*Proc), gen: s.nextDom}
 }
-
-// Name returns the domain name.
-func (d *Domain) Name() string { return d.name }
 
 // Dead reports whether the domain has been killed.
 func (d *Domain) Dead() bool { return d.dead }

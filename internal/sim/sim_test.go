@@ -238,14 +238,14 @@ func TestNegativeSleepIsYield(t *testing.T) {
 func TestLiveProcsCount(t *testing.T) {
 	s := New(1)
 	s.Spawn(nil, "p", func(p *Proc) { p.Sleep(ms(1)) })
-	if s.LiveProcs() != 1 {
-		t.Fatalf("LiveProcs = %d before run", s.LiveProcs())
+	if len(s.procs) != 1 {
+		t.Fatalf("%d live procs before run", len(s.procs))
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after run", s.LiveProcs())
+	if len(s.procs) != 0 {
+		t.Fatalf("%d live procs after run", len(s.procs))
 	}
 }
 

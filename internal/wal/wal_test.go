@@ -340,19 +340,19 @@ type scanCost struct {
 
 // scanBoth scans dev from fromLSN with Scan and then with the reference
 // reader, on s, and returns Scan's result and cost, counted on st (the
-// counters of the drive under dev). It fails t if a process Scan started
-// outlives the call.
+// counters of the drive under dev). It fails t if a process Scan started in
+// its caller's domain outlives the call.
 func scanBoth(t *testing.T, s *sim.Sim, dev disk.Device, st *disk.Stats, fromLSN uint64) (res scanned, cost scanCost) {
 	t.Helper()
 	var want scanned
 	s.Spawn(nil, "r", func(p *sim.Proc) {
-		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), s.LiveProcs()
+		r0, s0, t0, live := st.Reads.Value(), st.SectorsRead.Value(), p.Now(), p.Domain().Procs()
 		var err error
 		if res, err = scanAll(p, dev, Config{}, fromLSN, 0); err != nil {
 			t.Errorf("scan: %v", err)
 		}
 		cost = scanCost{st.Reads.Value() - r0, st.SectorsRead.Value() - s0, p.Now().Sub(t0)}
-		if n := s.LiveProcs(); n != live {
+		if n := p.Domain().Procs(); n != live {
 			t.Errorf("%d processes alive after Scan returned, %d before", n, live)
 		}
 		if want, err = scanPerBlock(p, dev, Config{}, fromLSN); err != nil {
@@ -497,7 +497,7 @@ func TestScanStopsAtVisitorError(t *testing.T) {
 		var res ScanResult
 		var err error
 		s.Spawn(nil, "r", func(p *sim.Proc) {
-			live := s.LiveProcs()
+			live := p.Domain().Procs()
 			res, err = ScanBlocks(p, dev, Config{}, FirstLSN(Config{}), 0, func(r Record) error {
 				seen = append(seen, r.LSN)
 				if len(seen) == stopAt+1 {
@@ -505,7 +505,7 @@ func TestScanStopsAtVisitorError(t *testing.T) {
 				}
 				return nil
 			})
-			if n := s.LiveProcs(); n != live {
+			if n := p.Domain().Procs(); n != live {
 				t.Errorf("stop at record %d: %d processes alive after the scan returned, %d before", stopAt, n, live)
 			}
 		})

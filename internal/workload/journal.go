@@ -17,9 +17,9 @@ import (
 	"repro/internal/sim"
 )
 
-// JournalEntry is one durability obligation: key must exist after recovery,
+// journalEntry is one durability obligation: key must exist after recovery,
 // and, when Want is non-nil, hold exactly that value.
-type JournalEntry struct {
+type journalEntry struct {
 	Key  string
 	Want []byte // nil: existence is enough (multi-writer keys)
 }
@@ -27,7 +27,7 @@ type JournalEntry struct {
 // Journal records the durable obligations of acknowledged transactions. It
 // is plain harness memory: simulated crashes cannot touch it.
 type Journal struct {
-	entries []JournalEntry
+	entries []journalEntry
 }
 
 // NewJournal creates an empty journal.
@@ -35,7 +35,7 @@ func NewJournal() *Journal { return &Journal{} }
 
 // Add records an obligation. Call it only after Commit returned nil.
 func (j *Journal) Add(key string, want []byte) {
-	j.entries = append(j.entries, JournalEntry{Key: key, Want: want})
+	j.entries = append(j.entries, journalEntry{Key: key, Want: want})
 }
 
 // Len returns the number of obligations recorded.
@@ -100,6 +100,3 @@ func (j *Journal) VerifyFirst(p *sim.Proc, e *engine.Engine, n int) (VerifyResul
 	}
 	return res, nil
 }
-
-// EntryAt returns the i-th obligation (diagnostics).
-func (j *Journal) EntryAt(i int) JournalEntry { return j.entries[i] }

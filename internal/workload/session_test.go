@@ -85,10 +85,10 @@ func TestPromotionWakesAttemptParkedOnDeposedLeader(t *testing.T) {
 			if doneAt != promoteAt {
 				t.Fatalf("op completed at %v, want the promotion instant %v (timeout %v)", doneAt, promoteAt, sessionOpTimeout)
 			}
-			if j.Len() != 1 || j.EntryAt(0).Key != tc.want {
+			if j.Len() != 1 || j.entries[0].Key != tc.want {
 				keys := []string{}
 				for i := 0; i < j.Len(); i++ {
-					keys = append(keys, j.EntryAt(i).Key)
+					keys = append(keys, j.entries[i].Key)
 				}
 				t.Fatalf("journal %v, want exactly [%s]", keys, tc.want)
 			}
@@ -124,7 +124,9 @@ func TestSessionKeepsOneWorkerPerGeneration(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
 	dir := NewDirectory()
-	dir.Update(1, "n1", &engine.Engine{}, s.NewDomain("n1"))
+	n1 := s.NewDomain("n1")
+	var n2 *sim.Domain
+	dir.Update(1, "n1", &engine.Engine{}, n1)
 	workers := map[*sim.Proc]int{} // worker → generation it served
 	ops := 0
 	w := opFunc(func(p *sim.Proc, j *Journal) {
@@ -133,15 +135,19 @@ func TestSessionKeepsOneWorkerPerGeneration(t *testing.T) {
 		p.Sleep(time.Millisecond)
 	})
 	var res RunResult
-	live := -1
-	s.Spawn(nil, "pool", func(p *sim.Proc) {
+	// live counts the processes of the root domain, where the caller runs,
+	// and of the two leaders' domains, where the workers run.
+	live := func(root *sim.Domain) int { return root.Procs() + n1.Procs() + n2.Procs() }
+	liveAfter := -1
+	pool := s.Spawn(nil, "pool", func(p *sim.Proc) {
 		res = RunSessions(p, dir, w, SessionConfig{Clients: clients, Duration: time.Second, Reg: obs.NewRegistry()})
 		p.Sleep(time.Millisecond) // let the retired workers unwind
-		live = s.LiveProcs()
+		liveAfter = live(p.Domain())
 	})
 	s.Spawn(nil, "operator", func(p *sim.Proc) {
 		p.Sleep(400 * time.Millisecond)
-		dir.Update(2, "n2", &engine.Engine{}, s.NewDomain("n2"))
+		n2 = s.NewDomain("n2")
+		dir.Update(2, "n2", &engine.Engine{}, n2)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -156,11 +162,11 @@ func TestSessionKeepsOneWorkerPerGeneration(t *testing.T) {
 	if len(workers) != 2*clients || perGen[1] != clients || perGen[2] != clients {
 		t.Fatalf("%d workers for %d ops (per generation %v), want %d per generation", len(workers), ops, perGen, clients)
 	}
-	if live != 1 { // the pool process itself
-		t.Fatalf("%d processes live after RunSessions returned, want only the caller", live)
+	if liveAfter != 1 { // the pool process itself
+		t.Fatalf("%d processes live after RunSessions returned, want only the caller", liveAfter)
 	}
 	s.Close()
-	if n := s.LiveProcs(); n != 0 {
+	if n := live(pool.Domain()); n != 0 {
 		t.Fatalf("%d processes live after Close", n)
 	}
 }
@@ -196,8 +202,8 @@ func TestAbandonedWorkerIsKilledAndNeverJournals(t *testing.T) {
 	if len(workers) != 2 || workers[0] == workers[1] || !workers[0].Done() {
 		t.Fatalf("%d attempts; want the abandoned worker dead and the retry on a fresh one", len(workers))
 	}
-	if j.Len() != 1 || j.EntryAt(0).Key != "retry" {
-		t.Fatalf("journal holds %d entries (first %q), want only the retry", j.Len(), j.EntryAt(0).Key)
+	if j.Len() != 1 || j.entries[0].Key != "retry" {
+		t.Fatalf("journal holds %d entries (first %q), want only the retry", j.Len(), j.entries[0].Key)
 	}
 }
 
@@ -221,8 +227,8 @@ func TestIdleWorkerIsNotADeadlock(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("an idle worker was reported: %v", err)
 	}
-	if !se.ended || s.LiveProcs() != 1 {
-		t.Fatalf("first op ended %v with %d live processes, want the idle worker", se.ended, s.LiveProcs())
+	if !se.ended || dom.Procs() != 1 {
+		t.Fatalf("first op ended %v with %d live processes, want the idle worker", se.ended, dom.Procs())
 	}
 	se.dispatch(s, ld)
 	var dl *sim.DeadlockError

@@ -36,7 +36,7 @@ func TestStressUniqueKeysPerClient(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for i := 0; i < j.Len(); i++ {
-			k := j.EntryAt(i).Key
+			k := j.entries[i].Key
 			if seen[k] {
 				t.Errorf("duplicate stress key %s", k)
 			}

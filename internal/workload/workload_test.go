@@ -323,7 +323,7 @@ func TestJournalOwnsItsRows(t *testing.T) {
 			}
 			exact := 0
 			for i := 0; i < j.Len(); i++ {
-				if j.EntryAt(i).Want != nil {
+				if j.entries[i].Want != nil {
 					exact++
 				}
 			}
