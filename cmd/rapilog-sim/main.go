@@ -188,8 +188,8 @@ func reportDomain(d *rapilog.LogDomain, eng *rapilog.Engine, policy rapilog.AckP
 			rs.AckLatency.Quantile(0.99).Round(time.Microsecond))
 	}
 	ds := d.Disk.Stats()
-	fmt.Printf("disk:           %d reads, %d writes, %d flushes, write p99 %v\n",
-		ds.Reads.Value(), ds.Writes.Value(), ds.Flushes.Value(),
+	fmt.Printf("disk:           %d reads, %d writes, write p99 %v\n",
+		ds.Reads.Value(), ds.Writes.Value(),
 		ds.WriteLatency.Quantile(0.99).Round(time.Microsecond))
 	if d.Shipper != nil {
 		reg := d.Obs.Registry()

@@ -91,7 +91,6 @@ type Stats struct {
 	Writes         *metrics.Counter
 	SectorsRead    *metrics.Counter
 	SectorsWritten *metrics.Counter
-	Flushes        *metrics.Counter
 	CacheHits      *metrics.Counter // writes absorbed by the volatile cache
 	ReadLatency    *metrics.Histogram
 	WriteLatency   *metrics.Histogram
@@ -106,7 +105,6 @@ func newStats(reg *obs.Registry, name string) *Stats {
 		Writes:         reg.Counter(name + ".writes"),
 		SectorsRead:    reg.Counter(name + ".sectors_read"),
 		SectorsWritten: reg.Counter(name + ".sectors_written"),
-		Flushes:        reg.Counter(name + ".flushes"),
 		CacheHits:      reg.Counter(name + ".cache_hits"),
 		ReadLatency:    reg.Histogram(name + ".read_latency"),
 		WriteLatency:   reg.Histogram(name + ".write_latency"),

@@ -327,7 +327,6 @@ func (d *HDD) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	d.stats.Flushes.Inc()
 	if !d.cfg.WriteCache {
 		return nil
 	}

@@ -111,7 +111,6 @@ func (d *Mem) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	d.stats.Flushes.Inc()
 	return nil
 }
 

@@ -183,7 +183,6 @@ func (d *SSD) Flush(p *sim.Proc) error {
 	if !d.powered {
 		return ErrNoPower
 	}
-	d.stats.Flushes.Inc()
 	return nil
 }
 

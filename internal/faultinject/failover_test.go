@@ -195,9 +195,7 @@ func TestFailoverTrialForensics(t *testing.T) {
 	// Schedule-preservation golden (see golden_test.go). Acked is every
 	// journaled ack, 27 029 of them made after the isolation. The heartbeat
 	// detector's 120 ms of silence leaves the winner's follower caught up:
-	// the promotion replays nothing past its mirror cursor. The metrics hash
-	// was re-pinned when node0.rapilog.flushes and node1.rapilog.flushes (a
-	// no-op barrier's always-zero counter) left the metrics JSON.
+	// the promotion replays nothing past its mirror cursor.
 	if res.Acked != 29186 || res.AckedAfterFault != 27029 || res.Unavailable != 169675088*time.Nanosecond || res.Redirects != 4 ||
 		res.FenceRejections != 120 || res.Replay.Bytes != 0 || res.Replay.Lag != 0 {
 		t.Fatalf("seeded trial moved: %+v", res)
@@ -208,7 +206,7 @@ func TestFailoverTrialForensics(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "5294e43b1946792f215dadcb33b40917be3dfdeffbfedf189875131db9c941ea" ||
-		me != "93697cb1cd4dc0e07d0221edf2ccdf2211c4f704c77094f8b302483ec6331339" {
+		me != "b75ac24186f94955c9550769cd37bf74577ca1164881b0e3b43f741cad1d1998" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

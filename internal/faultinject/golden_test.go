@@ -76,55 +76,21 @@ func requireOneVerdict(t *testing.T, a *Artifacts) {
 	}
 }
 
-// The schedule-preservation goldens: one seeded trial per topology, captured
-// before the three trial runners and two campaign loops were folded into one
-// engine. A refactor of the harness must not move one event of a seeded
-// trial, so these pin outcomes, the trace's contract, its decoded schedule
-// and the metrics JSON; a change that is meant to move the schedule (a new
-// draw from the simulation's generator, a reordered spawn) re-captures them
-// and says why. The failover golden rides on TestFailoverTrialForensics,
-// which runs that trial anyway.
+// The schedule-preservation goldens: one seeded trial per topology. A
+// refactor of the harness must not move one event of a seeded trial, so these
+// pin outcomes, the trace's contract, its decoded schedule and the metrics
+// JSON; a change that is meant to move them (a new draw from the
+// simulation's generator, a reordered spawn, a counter added or removed)
+// re-captures them once and adds a line below saying why. The failover
+// golden rides on TestFailoverTrialForensics, which runs that trial anyway.
 //
-// All four were last re-captured when the audit began checking every
-// journaled ack and a trial began ending with its audit instead of idling
-// to the ten-minute watchdog. The three machine trials' schedule hashes did
-// not move; each acks one more transaction after the fault (Acked +1), and
-// their metrics no longer count the idle tail. The failover trial's
-// trace is the old one's first 467 098 events, cut where its audit ends.
-//
-// The failover golden alone was re-captured once more when a promotion
-// began waking the session attempts parked on the deposed leader: its
-// 35 788 events before the isolation are unchanged, and the first one that
-// moves is at the promotion instant.
-//
-// All four were re-captured once more when the monitor began reading
-// retention from the shipper's trim events instead of a registry gauge. No
-// schedule moved. Every metrics JSON lost the six monitor.violations*
-// counters and nothing else. The single-rig and sharded traces are
-// unchanged. The two replicated trials gained trim events, and with those
-// projected out their streams equal the old ones event for event: the
-// replica trial's 13 655 events (plus 622 trims) and, replayed with a 2²⁰
-// ring so nothing drops, the failover trial's 467 362 (plus 17 605 trims).
-// Every golden also checks that a replay of its trace reaches the live
-// monitor's verdict (requireOneVerdict).
-//
-// All four were re-captured once more when the coordinator began acting on
-// messages as they arrive and the recovery scan began queueing its next
-// extent behind the one in transfer. Each projection onto (At, Kind, Arg1,
-// Arg2) equals the old one up to the fault and past it. The three machine
-// trials move first at the audit's first tx_begin after the reboot, which
-// the faster log scan brings forward (single rig 3633 → 3617 ms, replica
-// 3808 → 3750 ms, sharded 4147 → 4014 ms); every earlier event in their
-// rings is unchanged. The failover trial, replayed with a 2²⁰ ring, keeps
-// its first 37 305 events, the isolation and the heartbeat detection
-// included: the first that moves is the election, which the census now
-// reaches when its last needed answer arrives (921 → 920.48 ms) instead of
-// at the next millisecond poll.
-//
-// The four metrics hashes were re-pinned once more when the log device lost
-// its no-op Flush and with it the always-zero rapilog.flushes counter. Each
-// metrics JSON lost that one counter (once per shard or node, under its
-// view's prefix) and nothing else; no trace hash moved.
+// Re-captures, oldest first:
+//   - a trial ends at its audit (machine schedules kept, Acked +1);
+//   - a promotion wakes parked sessions (failover moves at the promotion);
+//   - the monitor reads retention from trim events (no schedule moved);
+//   - the coordinator acts on arrival, the scan reads ahead (later events move);
+//   - rapilog.flushes removed (metrics hashes only);
+//   - each disk's <disk>.flushes removed (metrics hashes only).
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -137,7 +103,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "2498dc4b65e750d94078d390659e804615e81fb660b5ab14745dd3cfed3d5d43" ||
-		me != "0c075e1438c125dd789de2d6c5cde36e4bd7aef315d99422efc78b05e6a73124" {
+		me != "cb9d601050b00d765b86d2c7f098873dab41ab69f07bc82fe2cc2c6dd7faafe9" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -159,7 +125,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "86ea0653e4661ccbb2d1e034ea4eb8f186cd59d92d2edcc5d939497e635625fd" ||
-		me != "fc81e086c4189a69810f44554593e5299435df66d4e12f35105cb820d2e6d60f" {
+		me != "20d5be7559628da097c109602853ed4ff2c12be471863229a3ca756bda76ee98" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -182,7 +148,7 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "176a7fb784b8933fdc8b2e178067d06019443379f760f348028787251061941b" ||
-		me != "d12054e0c8564bd68bfc4d2a17130bb26daf8cd242f402ef341103e06a2c1db9" {
+		me != "32ac258b60719f4e7248db8eef2f0665aca61a8b77d38defa68e8db148e04bc2" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -90,10 +91,11 @@ func TestFacadeSurface(t *testing.T) {
 	}
 }
 
-// TestExperimentsMatchDocs: the registry, EXPERIMENTS.md and the archived
-// full-size output name the same experiments. Derived from the three, not
-// counted, so an experiment with a write-up and no runner (or a runner with
-// no archived table) fails here instead of going unnoticed.
+// TestExperimentsMatchDocs: the registry, EXPERIMENTS.md, the archived
+// full-size output and DESIGN.md §4's experiment index name the same
+// experiments. Derived from the four, not counted, so an experiment with a
+// write-up and no runner (or a runner with no archived table) fails here
+// instead of going unnoticed.
 func TestExperimentsMatchDocs(t *testing.T) {
 	var want []string
 	for _, exp := range Experiments {
@@ -101,18 +103,22 @@ func TestExperimentsMatchDocs(t *testing.T) {
 	}
 	slices.Sort(want)
 	heading := regexp.MustCompile(`(?m)^## ([EeAa]\d+) — `)
-	for _, file := range []string{"EXPERIMENTS.md", "results_full.txt"} {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
+	docs := []struct {
+		name, text string
+		id         *regexp.Regexp
+	}{
+		{"EXPERIMENTS.md", readDoc(t, "EXPERIMENTS.md"), heading},
+		{"results_full.txt", readDoc(t, "results_full.txt"), heading},
+		{"DESIGN.md §4", designSection(t, 4), regexp.MustCompile(`(?m)^\| ([EA]\d+) \|`)},
+	}
+	for _, doc := range docs {
 		var got []string
-		for _, m := range heading.FindAllSubmatch(raw, -1) {
-			got = append(got, strings.ToLower(string(m[1])))
+		for _, m := range doc.id.FindAllStringSubmatch(doc.text, -1) {
+			got = append(got, strings.ToLower(m[1]))
 		}
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
-			t.Errorf("%s has sections\n  %v\nthe registry runs\n  %v", file, got, want)
+			t.Errorf("%s has sections\n  %v\nthe registry runs\n  %v", doc.name, got, want)
 		}
 	}
 }
@@ -187,6 +193,129 @@ func packageConsts(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// designBudget is DESIGN.md's size limit in bytes. The document says what
+// the code is and why; per-change measurements belong in CHANGES.md, and
+// superseded designs in git.
+const designBudget = 51200
+
+// TestDesignDocWithinBudget keeps DESIGN.md from regrowing silently.
+func TestDesignDocWithinBudget(t *testing.T) {
+	if n := len(readDoc(t, "DESIGN.md")); n > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte budget", n, designBudget)
+	}
+}
+
+// TestDesignInventoryNamesEveryPackage: DESIGN.md §3's numbered inventory
+// opens one item with each directory under internal/, cmd/ and examples/
+// that holds Go files, and with no directory that holds none.
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	listed := map[string]int{}
+	item := regexp.MustCompile("(?m)^\\d+\\. `((?:internal|cmd|examples)/[^`]+)`")
+	for _, m := range item.FindAllStringSubmatch(designSection(t, 3), -1) {
+		listed[m[1]]++
+	}
+	have := map[string]bool{}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				have[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dirs []string
+	for dir := range have {
+		dirs = append(dirs, dir)
+	}
+	for dir := range listed {
+		if !have[dir] {
+			dirs = append(dirs, dir)
+		}
+	}
+	slices.Sort(dirs)
+	for _, dir := range dirs {
+		if !have[dir] {
+			t.Errorf("DESIGN.md §3 lists %s, which holds no Go files", dir)
+		} else if listed[dir] != 1 {
+			t.Errorf("DESIGN.md §3 opens %d items with %s, want 1", listed[dir], dir)
+		}
+	}
+}
+
+// TestDesignSectionReferencesResolve: every "DESIGN.md §N" in Go source,
+// README, ROADMAP, EXPERIMENTS.md and the CI and tooling files under the
+// repository's hidden directories names a "## N." heading of DESIGN.md, so
+// renumbering a section cannot strand a reference.
+func TestDesignSectionReferencesResolve(t *testing.T) {
+	sections := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllStringSubmatch(readDoc(t, "DESIGN.md"), -1) {
+		sections[m[1]] = true
+	}
+	files := []string{"README.md", "ROADMAP.md", "EXPERIMENTS.md"}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case d.IsDir():
+			return nil
+		}
+		hidden := strings.HasPrefix(path, ".")
+		switch filepath.Ext(path) {
+		case ".go":
+			if !hidden {
+				files = append(files, path)
+			}
+		case ".md", ".yml", ".yaml", ".sh", ".txt":
+			if hidden {
+				files = append(files, path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A reference may wrap: "DESIGN.md" at a line's end, "§N" on the next.
+	ref := regexp.MustCompile(`DESIGN\.md(?:\s|//|#)*§(\d+)`)
+	refs := 0
+	for _, file := range files {
+		for _, m := range ref.FindAllStringSubmatch(readDoc(t, file), -1) {
+			refs++
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN.md §%s, which has no \"## %s.\" heading", file, m[1], m[1])
+			}
+		}
+	}
+	t.Logf("%d references checked in %d files", refs, len(files))
+}
+
+// readDoc returns the repository file name's contents.
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// designSection returns DESIGN.md's section n: from its "## n." heading to
+// the next level-2 heading.
+func designSection(t *testing.T, n int) string {
+	t.Helper()
+	_, sec, ok := strings.Cut(readDoc(t, "DESIGN.md"), fmt.Sprintf("\n## %d. ", n))
+	if !ok {
+		t.Fatalf("DESIGN.md has no section %d", n)
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	return sec
 }
 
 func TestFacadeCampaign(t *testing.T) {
