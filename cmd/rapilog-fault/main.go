@@ -83,7 +83,11 @@ func main() {
 
 	// The campaign resolves its Rig the way its trials build it (for a leader
 	// fault, a cluster's node template), so the header reports what ran.
-	sum := rapilog.RunCampaign(cfg)
+	sum, err := rapilog.RunCampaign(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rapilog-fault: %v\n", err)
+		os.Exit(2)
+	}
 	if rc := sum.Config.Rig; rc.Replicas > 0 {
 		fmt.Printf("replication: %d standbys, ack policy %s\n", rc.Replicas, rc.AckPolicy)
 	}

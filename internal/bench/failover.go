@@ -46,12 +46,15 @@ func runA11(opts Options) (*Report, error) {
 		"this reproduction's HA extension (leader takeover over the replicated durability domain)", table)
 
 	for _, c := range cases {
-		sum := faultinject.RunCampaign(faultinject.CampaignConfig{
+		sum, err := faultinject.RunCampaign(faultinject.CampaignConfig{
 			Rig:     rig.Config{Seed: opts.Seed, AckPolicy: core.AckQuorum(1)},
 			Fault:   c.fault,
 			Trials:  trials,
 			Clients: 4,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("a11 %s: %w", c.label, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("a11 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}

@@ -78,7 +78,10 @@ func runA9(opts Options) (*Report, error) {
 			InjectAfterMax:  2500 * time.Millisecond,
 			NewWorkload:     func() workload.Workload { return &workload.Stress{ValueSize: 6000} },
 		}
-		sum := faultinject.RunCampaign(cfg)
+		sum, err := faultinject.RunCampaign(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("a9 %s: %w", c.label, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("a9 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}

@@ -239,7 +239,10 @@ func runE6(opts Options) (*Report, error) {
 			Fault:  faultinject.PowerCut,
 			Trials: trials,
 		}
-		sum := faultinject.RunCampaign(cfg)
+		sum, err := faultinject.RunCampaign(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("e6 %s: %w", pers.Name, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("e6 %s: %d trial errors (first: %v)", pers.Name, sum.Errors, sum.FirstErr())
 		}
@@ -270,7 +273,10 @@ func runE9(opts Options) (*Report, error) {
 				return &workload.Stress{} // maximise the unsafe window
 			},
 		}
-		sum := faultinject.RunCampaign(cfg)
+		sum, err := faultinject.RunCampaign(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("e9 %s: %w", mode, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("e9 %s: %d trial errors (first: %v)", mode, sum.Errors, sum.FirstErr())
 		}
@@ -321,7 +327,10 @@ func runA3(opts Options) (*Report, error) {
 			InjectAfterMax: 2500 * time.Millisecond,
 			NewWorkload:    func() workload.Workload { return &workload.Stress{ValueSize: 6000} },
 		}
-		sum := faultinject.RunCampaign(cfg)
+		sum, err := faultinject.RunCampaign(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("a3 %s: %w", c.label, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("a3 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}
@@ -365,7 +374,10 @@ func runA8(opts Options) (*Report, error) {
 			Trials:         c.trials,
 			PermanentFault: c.permanent,
 		}
-		sum := faultinject.RunCampaign(cfg)
+		sum, err := faultinject.RunCampaign(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("a8 %s: %w", c.label, err)
+		}
 		if sum.Errors > 0 {
 			return nil, fmt.Errorf("a8 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
 		}

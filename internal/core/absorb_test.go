@@ -43,21 +43,6 @@ func TestAbsorptionSupersedesPendingWrite(t *testing.T) {
 	}
 }
 
-func TestAbsorptionReadCoherence(t *testing.T) {
-	r := newRig(t, 21, power.PSUMeasured, Config{})
-	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
-		_ = r.l.Write(p, 8, pattern(4096, 1), false)
-		_ = r.l.Write(p, 8, pattern(4096, 9), false) // absorbed
-		got, err := readN(p, r.l, 8, 8)
-		if err != nil || !bytes.Equal(got, pattern(4096, 9)) {
-			t.Errorf("read after absorption: %v", err)
-		}
-	})
-	if err := r.s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAbsorptionSurvivesPowerCut(t *testing.T) {
 	// The absorbed (newest) version must be what the dump carries.
 	r := newRig(t, 22, power.PSUMeasured, Config{})
@@ -85,24 +70,6 @@ func TestAbsorptionSurvivesPowerCut(t *testing.T) {
 	}
 	if !bytes.Equal(got, pattern(4096, 7)) {
 		t.Fatal("dump recovery did not restore the absorbed (newest) version")
-	}
-}
-
-func TestDifferentLengthWriteNotAbsorbedInPlace(t *testing.T) {
-	r := newRig(t, 23, power.PSUMeasured, Config{})
-	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
-		_ = r.l.Write(p, 32, pattern(4096, 1), false)
-		_ = r.l.Write(p, 32, pattern(8192, 2), false) // longer: new entry
-		got, _ := readN(p, r.l, 32, 16)
-		if !bytes.Equal(got, pattern(8192, 2)) {
-			t.Error("longer rewrite not visible")
-		}
-	})
-	if err := r.s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if r.l.RapiStats().Absorbed.Value() != 0 {
-		t.Fatal("length-mismatched write was absorbed in place")
 	}
 }
 

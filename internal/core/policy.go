@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/disk"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -128,52 +129,31 @@ func (l *Logger) waitPolicy(p *sim.Proc, seq uint64) {
 // epoch's; the power cut stopped its processes, and what Recover asks of it
 // is its devices, its policy and how its emergency dump went.
 //
-// The local domain — drained sectors on the log partition plus the dump
-// zone's snapshot of what was still buffered — is authoritative wherever it
-// is complete: it holds the newest version of every sector, while a standby
-// that lagged (a partition, a crash) holds stale images of sectors the
-// drain has since rewritten, and folding those over the log would roll
-// acked, locally durable commits back. The standbys are replayed, through
-// replayReplicas, only when the policy makes them the durability domain for
-// bytes the local domain lost:
-//
-//   - AckRemoteOnly: always. The dump is disabled by design, so the
-//     standbys are the only copy of everything still buffered at the cut.
-//   - AckQuorum: only when the dump cannot account for the buffer — a torn
-//     image, a failed dump write, an unreadable zone. Any rollback this
-//     replay inflicts is bounded to unacknowledged writes: a commit was
-//     acked only after k standbys held its bytes.
-//   - AckLocal: never. Acks are not gated on the standbys, so a lagging
-//     standby can sit arbitrarily far behind the ack frontier; replaying
-//     could only trade acked local durability for stale remote bytes.
-//
-// When both sources replay, the standbys' records land first and the dump's
-// intact entries second: the dump snapshotted the newest buffered version
-// of everything it covers, so it must win on overlap. The dump is then
-// invalidated, so a second boot does not replay it over a log that has
-// moved on. replayReplicas may be nil under AckLocal.
+// replicasNeeded decides whether the standbys are replayed, through
+// replayReplicas (nil is fine under AckLocal). When both sources replay,
+// the standbys' records land first and the dump's intact entries second:
+// the dump snapshotted the newest buffered version of everything it
+// covers, so it must win on overlap. The dump is then invalidated, so a
+// second boot does not replay it over a log that has moved on.
 func (l *Logger) Recover(p *sim.Proc, replayReplicas func(*sim.Proc) error) (RecoveryReport, error) {
-	dump, derr := ReadDump(p, l.dump)
-	rep := RecoveryReport{HadDump: dump.HadDump, Torn: dump.Torn, DumpRetries: l.dumpRetries, DumpFailures: l.dumpFailures}
-	// The local domain is complete when the dump image accounts for the
-	// whole buffer — or when there was provably nothing buffered to dump.
-	localComplete := derr == nil && (dump.Complete() || (!dump.HadDump && l.dumpFailures == 0))
-	needReplica := l.cfg.Policy.Kind == AckKindRemoteOnly ||
-		(l.cfg.Policy.Kind == AckKindQuorum && !localComplete)
-	if derr != nil && !needReplica {
-		return rep, derr
-	}
-	if needReplica {
+	d, derr := readDump(p, l.dump)
+	rep := RecoveryReport{HadDump: d.had, Torn: d.torn, DumpRetries: l.dumpRetries, DumpFailures: l.dumpFailures}
+	if replicasNeeded(l.cfg.Policy.Kind, d, derr != nil, l.dumpFailures) {
 		if err := replayReplicas(p); err != nil {
 			return rep, err
 		}
+	} else if derr != nil {
+		return rep, derr
 	}
-	if derr != nil || !dump.HadDump {
+	if derr != nil || !d.had {
 		return rep, nil
 	}
-	var err error
-	if rep.Entries, rep.Bytes, err = dump.Replay(p, l.backing); err != nil {
-		return rep, err
+	for i, e := range d.entries { // idempotent: the drain would write the same sectors
+		if err := l.backing.Write(p, e.lba, e.data, true); err != nil {
+			return rep, fmt.Errorf("rapilog: replaying dump entry %d: %v", i, err)
+		}
+		rep.Entries++
+		rep.Bytes += int64(len(e.data))
 	}
-	return rep, InvalidateDump(p, l.dump)
+	return rep, l.dump.Write(p, 0, make([]byte, disk.SectorSize), true)
 }

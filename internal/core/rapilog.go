@@ -25,10 +25,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"repro/internal/disk"
@@ -41,7 +39,6 @@ import (
 // Errors returned by the RapiLog device.
 var (
 	ErrTooLarge  = errors.New("rapilog: write exceeds the buffer bound")
-	ErrBadDump   = errors.New("rapilog: dump zone contents invalid")
 	ErrZoneSmall = errors.New("rapilog: dump zone smaller than the buffer bound")
 	// ErrNoSafeBuffer: the hold-up budget cannot cover any buffer at all.
 	ErrNoSafeBuffer = errors.New("rapilog: no safe buffer possible")
@@ -54,8 +51,6 @@ const (
 	// and its processes; a sharded machine tells its loggers apart by
 	// registry prefix, not by name.
 	deviceName = "rapilog"
-	// drainBatch is the max entries coalesced per drain round.
-	drainBatch = 64
 	// copyBandwidth models the hypervisor's buffer copy, bytes/s (5 GB/s).
 	copyBandwidth = 5e9
 	// ackOverhead is the fixed cost of the buffered-write path (request
@@ -72,6 +67,9 @@ const (
 	// batch, hoping the fault cleared.
 	drainProbeEvery = time.Second
 )
+
+// The buffer's rules count in sectors of their own; they are the devices'.
+var _ = [1]struct{}{}[sectorSize-disk.SectorSize]
 
 // ackCost is the guest-visible cost of buffering n bytes: the fixed overhead
 // plus the memory copy.
@@ -159,30 +157,11 @@ func newStats(reg *obs.Registry, name string) *Stats {
 	}
 }
 
-// entry is one buffered write. Its lba plus len(data) is also the range
-// index the Read path consults: pending entries, scanned oldest to newest,
-// are exactly the sectors that differ from the backing device.
-type entry struct {
-	lba  int64
-	data []byte
-	span obs.SpanID // the hv_ack span; parents this entry's durable event
-}
-
-// overlap intersects e with the request of nsec sectors at lba: the bytes
-// they share start at off in the request and at eoff in e.data and run n
-// bytes, n ≤ 0 when the two are disjoint.
-func (e *entry) overlap(lba int64, nsec int) (off, eoff, n int64) {
-	s0 := max(lba, e.lba)
-	s1 := min(lba+int64(nsec), e.lba+int64(len(e.data))/disk.SectorSize)
-	return (s0 - lba) * disk.SectorSize, (s0 - e.lba) * disk.SectorSize, (s1 - s0) * disk.SectorSize
-}
-
 // Logger is the RapiLog device. It implements disk.Device so a guest can be
 // given one in place of its raw log partition; reads are coherent with
-// buffered writes.
-//
-// The simulation is single-threaded (the kernel runs one process at a
-// time), so the entry and payload pools below need no locking.
+// buffered writes. It drives the buffer's rules (buffer.go) with processes,
+// device I/O, costs, trace and counters. The simulation is single-threaded
+// (the kernel runs one process at a time), so nothing here needs locking.
 type Logger struct {
 	cfg     Config
 	safe    int64 // the dump zone's SafeBufferSize
@@ -191,10 +170,8 @@ type Logger struct {
 	dump    disk.Device // reserved emergency dump zone
 	stats   *Stats
 
-	buffered  int64            // bytes buffered; bounded by cfg.MaxBuffer
-	spaceSig  *sim.Signal      // broadcast when buffered shrinks or the mode changes
-	pending   []*entry         // FIFO, including the batch being drained
-	absorb    map[int64]*entry // pending (not draining) entries by lba, for write absorption
+	buf       buffer
+	spaceSig  *sim.Signal // broadcast when the buffer shrinks or the mode changes
 	dirtySig  *sim.Signal
 	degraded  bool       // drain retries ran out: writes pass through (FUA) until the stranded entries land
 	emergency bool       // the power-fail interrupt fired: no more acks, the dump owns the buffer
@@ -209,10 +186,6 @@ type Logger struct {
 	// rebuilt logger the same counters: they are the machine's lifetime
 	// totals, and recovery must judge one power epoch.
 	dumpRetries, dumpFailures int
-
-	entryPool []*entry         // retired entry headers, reused by Write
-	bufPool   map[int][][]byte // retired payload buffers by size class (exact length)
-	scratch   []byte           // drain-run coalescing buffer, reused across rounds
 }
 
 // SafeBufferSize computes the paper's sizing rule for a log domain that
@@ -242,8 +215,7 @@ func SafeBufferSize(m *power.Machine, zone *disk.Partition, sharers int) int64 {
 // zonePayloadCapacity is the dump zone's usable bytes after the header
 // sector and per-entry framing (estimated at 10%).
 func zonePayloadCapacity(zone disk.Device) int64 {
-	raw := (zone.Sectors() - 1) * disk.SectorSize
-	return raw * 9 / 10
+	return (zone.Sectors() - 1) * disk.SectorSize * 9 / 10
 }
 
 // NewLogger creates a RapiLog device in front of backing, with emergency
@@ -281,10 +253,8 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 	// With AckRemoteOnly the dump zone is out of the durability argument
 	// entirely — the SafeBufferSize bound and the zone-capacity check are
 	// local-dump constraints and do not apply.
-	if !cfg.Unsafe && !remoteOnly {
-		if cfg.MaxBuffer > safe {
-			return nil, fmt.Errorf("rapilog: MaxBuffer %d exceeds safe bound %d", cfg.MaxBuffer, safe)
-		}
+	if !cfg.Unsafe && !remoteOnly && cfg.MaxBuffer > safe {
+		return nil, fmt.Errorf("rapilog: MaxBuffer %d exceeds safe bound %d", cfg.MaxBuffer, safe)
 	}
 	if !remoteOnly && cfg.MaxBuffer > zonePayloadCapacity(dumpZone) {
 		return nil, fmt.Errorf("%w: bound %d, zone payload %d", ErrZoneSmall, cfg.MaxBuffer, zonePayloadCapacity(dumpZone))
@@ -297,8 +267,7 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 		backing:  backing,
 		dump:     dumpZone,
 		stats:    newStats(cfg.Obs.Registry(), deviceName),
-		absorb:   make(map[int64]*entry),
-		bufPool:  make(map[int][][]byte),
+		buf:      newBuffer(cfg.MaxBuffer),
 		dirtySig: s.NewSignal(deviceName + ".dirty"),
 		spaceSig: s.NewSignal(deviceName + ".space"),
 		io:       s.NewResource(deviceName+".io", 1),
@@ -312,42 +281,6 @@ func NewLogger(m *power.Machine, hvDom *sim.Domain, backing, dumpZone disk.Devic
 	l.spawnDrainer(hvDom)
 	m.AddPowerFailHandler(func(p *sim.Proc) { l.EmergencyFlush(p) })
 	return l, nil
-}
-
-// getBuf returns a payload buffer of exactly n bytes, reusing a retired one
-// when the size class has stock. Contents are undefined; callers overwrite.
-func (l *Logger) getBuf(n int) []byte {
-	if bufs := l.bufPool[n]; len(bufs) > 0 {
-		b := bufs[len(bufs)-1]
-		l.bufPool[n] = bufs[:len(bufs)-1]
-		return b
-	}
-	return make([]byte, n)
-}
-
-// putBuf retires a payload buffer into its size class.
-func (l *Logger) putBuf(b []byte) {
-	l.bufPool[len(b)] = append(l.bufPool[len(b)], b)
-}
-
-// getEntry returns a blank entry header, reusing a retired one if possible.
-func (l *Logger) getEntry() *entry {
-	if n := len(l.entryPool); n > 0 {
-		e := l.entryPool[n-1]
-		l.entryPool = l.entryPool[:n-1]
-		return e
-	}
-	return &entry{}
-}
-
-// putEntry retires a drained entry: its payload buffer goes back to the
-// size-classed pool and the header to the entry pool. Only the drainer may
-// call this, and only for entries no longer reachable from pending, absorb,
-// or an emergency snapshot.
-func (l *Logger) putEntry(e *entry) {
-	l.putBuf(e.data)
-	*e = entry{}
-	l.entryPool = append(l.entryPool, e)
 }
 
 // Stats returns RapiLog's own counters.
@@ -365,7 +298,7 @@ func (l *Logger) MaxBuffer() int64 { return l.cfg.MaxBuffer }
 func (l *Logger) SafeBound() int64 { return min(l.cfg.MaxBuffer, l.safe) }
 
 // BufferedBytes returns the bytes currently buffered.
-func (l *Logger) BufferedBytes() int64 { return l.buffered }
+func (l *Logger) BufferedBytes() int64 { return l.buf.size() }
 
 // IsDegraded reports whether the Logger is in synchronous pass-through.
 func (l *Logger) IsDegraded() bool { return l.degraded }
@@ -397,39 +330,24 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if l.degraded {
 		return l.passthroughWrite(p, lba, data)
 	}
-	if int64(len(data)) > l.cfg.MaxBuffer {
+	if l.buf.tooLarge(len(data)) {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), l.cfg.MaxBuffer)
 	}
-	start := p.Now()
-
-	// Write absorption: a buffered-but-not-draining write to the same
-	// block is superseded in place — the disk only ever needs the newest
-	// version. This is what keeps repeated log-tail rewrites from eating
-	// a disk rotation each in the drain. Not when a newer entry overlaps
-	// the block: it would land over the rewrite with older bytes.
-	if e, ok := l.absorb[lba]; ok && len(e.data) == len(data) && !l.shadowed(e, lba, nsec) {
-		copy(e.data, data)
-		l.stats.Absorbed.Inc()
+	start, need := p.Now(), int64(len(data))
+	var span obs.SpanID
+	absorbed := l.buf.absorbed(lba, data)
+	if absorbed {
 		// The rewrite is a write of the force that issued it, not of the one
 		// that buffered the entry: it gets its own span under that force.
-		span := l.tracer().NewSpan()
-		l.tracer().Emit(p.Now().Duration(), obs.EvHvAbsorb, span, cause, lba, int64(len(data)))
-		// An absorbed rewrite mutates the buffered entry in place, so the
-		// replicas must see the new bytes too — their copy of the old
-		// version is now a stale shadow of what will reach the disk.
-		seq := l.ship(lba, data, span)
-		p.Sleep(ackCost(len(data)))
-		l.waitPolicy(p, seq)
-		l.stats.Writes.Inc()
-		l.stats.AckLatency.Observe(p.Now().Sub(start))
-		return nil
-	}
-
-	need := int64(len(data))
-	if l.buffered+need > l.cfg.MaxBuffer {
-		l.stats.Throttled.Inc()
-		l.tracer().Emit(p.Now().Duration(), obs.EvHvThrottle, 0, 0, lba, need)
-		for l.buffered+need > l.cfg.MaxBuffer {
+		l.stats.Absorbed.Inc()
+		span = l.tracer().NewSpan()
+		l.tracer().Emit(p.Now().Duration(), obs.EvHvAbsorb, span, cause, lba, need)
+	} else {
+		if !l.buf.fits(len(data)) {
+			l.stats.Throttled.Inc()
+			l.tracer().Emit(p.Now().Duration(), obs.EvHvThrottle, 0, 0, lba, need)
+		}
+		for !l.buf.fits(len(data)) {
 			l.spaceSig.Wait(p)
 			if l.emergency {
 				// The power-fail interrupt arrived while we were
@@ -442,22 +360,20 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 				return l.passthroughWrite(p, lba, data)
 			}
 		}
+		// hv_ack is stamped at buffer-insertion time — before the ack sleep
+		// — so it always precedes the durable event of this entry.
+		span = l.tracer().NewSpan()
+		l.tracer().Emit(p.Now().Duration(), obs.EvHvAck, span, cause, lba, need)
+		l.buf.insert(lba, data, uint64(span))
+		l.stats.Occupancy.Add(need)
 	}
-	e := l.getEntry()
-	e.lba = lba
-	e.data = l.getBuf(len(data))
-	copy(e.data, data)
-	e.span = l.tracer().NewSpan()
-	// hv_ack is stamped at buffer-insertion time — before the ack sleep — so
-	// it always precedes the durable event the drainer emits for this entry.
-	l.tracer().Emit(p.Now().Duration(), obs.EvHvAck, e.span, cause, lba, int64(len(data)))
-	l.pending = append(l.pending, e)
-	l.absorb[lba] = e
-	l.buffered += need
-	l.stats.Occupancy.Add(need)
-	seq := l.ship(lba, data, e.span)
-	l.dirtySig.Broadcast()
-
+	// An absorbed rewrite changes a buffered entry in place, so the replicas
+	// must see the new bytes too: their copy of the old version is now a
+	// stale shadow of what will reach the disk.
+	seq := l.ship(lba, data, span)
+	if !absorbed {
+		l.dirtySig.Broadcast()
+	}
 	// The guest-visible cost: fixed overhead plus the memory copy — plus,
 	// under a quorum policy, the replication round trip.
 	p.Sleep(ackCost(len(data)))
@@ -467,22 +383,9 @@ func (l *Logger) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	return nil
 }
 
-// shadowed reports whether an entry buffered after e overlaps the nsec
-// sectors at lba. e must be pending; a log tail's rewrite finds it last.
-func (l *Logger) shadowed(e *entry, lba int64, nsec int) bool {
-	for i := len(l.pending) - 1; l.pending[i] != e; i-- {
-		if _, _, n := l.pending[i].overlap(lba, nsec); n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // passthroughWrite is the degraded-mode write path: durability before
 // acknowledgement, at the backing device's own speed. Overlapping buffered
-// entries are patched in place first, so the newest bytes win everywhere
-// the buffer is still consulted — the read overlay, the probe drain, and
-// the emergency dump image.
+// entries are patched first (buffer.patch).
 func (l *Logger) passthroughWrite(p *sim.Proc, lba int64, data []byte) error {
 	start := p.Now()
 	// Pass-through writes must ship too: replica replay rewrites every lba
@@ -490,7 +393,7 @@ func (l *Logger) passthroughWrite(p *sim.Proc, lba int64, data []byte) error {
 	// to its previous contents at recovery. No quorum wait is needed — the
 	// write below is synchronously durable on local media before the ack.
 	l.ship(lba, data, 0)
-	l.patchPending(lba, data)
+	l.buf.patch(lba, data)
 	err := l.writeBackingRetry(p, lba, data)
 	if errors.Is(err, errHalted) {
 		l.never.Wait(p)
@@ -501,17 +404,6 @@ func (l *Logger) passthroughWrite(p *sim.Proc, lba int64, data []byte) error {
 	l.stats.PassThrough.Inc()
 	l.stats.PassLatency.Observe(p.Now().Sub(start))
 	return nil
-}
-
-// patchPending copies data over every overlapping buffered entry. Called
-// before a degraded pass-through write lands, it keeps the invariant that
-// buffered copies are never older than the media they shadow.
-func (l *Logger) patchPending(lba int64, data []byte) {
-	for _, e := range l.pending {
-		if off, eoff, n := e.overlap(lba, len(data)/disk.SectorSize); n > 0 {
-			copy(e.data[eoff:eoff+n], data[off:off+n])
-		}
-	}
 }
 
 // writeBackingRetry writes one FUA request to the backing device under the
@@ -550,21 +442,13 @@ func (l *Logger) writeBackingRetry(p *sim.Proc, lba int64, data []byte) error {
 }
 
 // Read implements disk.Device: backing contents with buffered sectors
-// overlaid, so the guest always reads what it last wrote. Reads are rare
-// (recovery, log scans at boot), so rather than maintaining a per-sector
-// map on the hot Write path, the pending list itself serves as the range
-// index: scanned oldest to newest, later overlaps win — the same ordering
-// the drain writes to disk.
+// overlaid, so the guest always reads what it last wrote.
 func (l *Logger) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 	n, err := l.backing.Read(p, lba, dst)
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range l.pending {
-		if off, eoff, k := e.overlap(lba, n/disk.SectorSize); k > 0 {
-			copy(dst[off:off+k], e.data[eoff:eoff+k])
-		}
-	}
+	l.buf.overlay(lba, dst[:n])
 	return n, nil
 }
 
@@ -587,7 +471,7 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 			if l.emergency {
 				return // the emergency dump owns the buffer now
 			}
-			if len(l.pending) == 0 {
+			if l.buf.count() == 0 {
 				if l.degraded {
 					l.restore(p)
 				}
@@ -613,71 +497,31 @@ func (l *Logger) spawnDrainer(hvDom *sim.Domain) {
 	})
 }
 
-// drainRound drains one batch from the head of the FIFO. On success the
-// batch is retired and space released; on failure everything stays pending
-// (writes are idempotent — a later round simply re-lands the same sectors).
+// drainRound drains one batch from the head of the FIFO, run by run. On
+// success the batch is retired and space released; on failure everything
+// stays pending (writes are idempotent — a later round simply re-lands the
+// same sectors).
 func (l *Logger) drainRound(p *sim.Proc) error {
-	batch := len(l.pending)
-	if batch > drainBatch {
-		batch = drainBatch
-	}
-	// Entries entering the drain can no longer be absorbed into.
-	batchBytes := int64(0)
-	for _, e := range l.pending[:batch] {
-		if l.absorb[e.lba] == e {
-			delete(l.absorb, e.lba)
+	n, bytes := l.buf.startDrain()
+	l.tracer().Emit(p.Now().Duration(), obs.EvDrainStart, l.tracer().NewSpan(), 0, int64(n), bytes)
+	for {
+		lba, data, ok := l.buf.nextRun()
+		if !ok {
+			break
 		}
-		batchBytes += int64(len(e.data))
-	}
-	l.tracer().Emit(p.Now().Duration(), obs.EvDrainStart, l.tracer().NewSpan(), 0, int64(batch), batchBytes)
-	drained := int64(0)
-	i := 0
-	for i < batch {
-		// Coalesce the contiguous run starting at i into the persistent
-		// scratch buffer (devices copy the data during the Write call, so
-		// the buffer is free again on return). A run that outgrows it
-		// grows it once, to the run or to twice its size.
-		j, size, next := i, 0, l.pending[i].lba
-		for j < batch && l.pending[j].lba == next {
-			size += len(l.pending[j].data)
-			next += int64(len(l.pending[j].data)) / disk.SectorSize
-			j++
-		}
-		if cap(l.scratch) < size {
-			l.scratch = make([]byte, 0, max(size, 2*cap(l.scratch)))
-		}
-		data := l.scratch[:0]
-		for _, e := range l.pending[i:j] {
-			data = append(data, e.data...)
-		}
-		if err := l.writeBackingRetry(p, l.pending[i].lba, data); err != nil {
+		if err := l.writeBackingRetry(p, lba, data); err != nil {
 			return err
 		}
 		if l.emergency {
-			// The power-fail interrupt fired during the write and
-			// snapshotted pending — the dump owns those buffers now;
-			// retiring them here would recycle live memory.
+			// The power-fail interrupt fired during the write and dumped
+			// the buffer; retiring the batch here would recycle its memory.
 			return errHalted
 		}
-		for _, e := range l.pending[i:j] {
-			drained += int64(len(e.data))
-			l.tracer().Emit(p.Now().Duration(), obs.EvDurable, 0, e.span, e.lba, int64(len(e.data)))
-		}
-		i = j
+		l.buf.runLanded(func(lba int64, n int, span uint64) {
+			l.tracer().Emit(p.Now().Duration(), obs.EvDurable, 0, obs.SpanID(span), lba, int64(n))
+		})
 	}
-	// Retire the batch: entries and their payload buffers return to the
-	// pools for the next writes, space is released, stats move. The
-	// survivors shift down so the backing array is reused rather than
-	// abandoned one batch at a time.
-	for _, e := range l.pending[:batch] {
-		l.putEntry(e)
-	}
-	rest := copy(l.pending, l.pending[batch:])
-	for k := rest; k < len(l.pending); k++ {
-		l.pending[k] = nil
-	}
-	l.pending = l.pending[:rest]
-	l.buffered -= drained
+	drained := l.buf.retire()
 	l.stats.Occupancy.Add(-drained)
 	l.stats.DrainRounds.Inc()
 	l.stats.DrainedBytes.Add(drained)
@@ -693,7 +537,7 @@ func (l *Logger) degrade(p *sim.Proc) {
 	l.degraded = true
 	l.stats.Degradations.Inc()
 	l.stats.Degraded.Set(1)
-	l.tracer().Emit(p.Now().Duration(), obs.EvDegraded, 0, 0, int64(len(l.pending)), l.buffered)
+	l.tracer().Emit(p.Now().Duration(), obs.EvDegraded, 0, 0, int64(l.buf.count()), l.buf.size())
 	// Throttled writers must not wait for space that will never free at
 	// buffered speed; wake them into the pass-through path.
 	l.spaceSig.Broadcast()
@@ -709,75 +553,27 @@ func (l *Logger) restore(p *sim.Proc) {
 	l.spaceSig.Broadcast()
 }
 
-// Dump-zone on-disk format. Everything is written as one sequential burst:
-//
-//	sector 0:  header  = magic(8) version(4) count(4) payloadLen(8) crc(4)
-//	sectors 1+: entries packed back to back, each
-//	           entMagic(4) lba(8) len(4) dataCRC(4) data...
-//
-// and the whole image padded to a sector boundary. Per-entry CRCs make a
-// torn dump recover cleanly to a prefix.
-const (
-	dumpMagic   = "RAPILOG\x00"
-	entMagic    = 0x52504c45 // "RPLE"
-	dumpVersion = 1
-	entHeadLen  = 20
-)
-
-// EmergencyFlush is the power-fail interrupt handler: snapshot everything
-// still buffered (including any batch mid-drain — its backing write may be
-// torn) and stream it to the dump zone in a single sequential FUA write.
-// It races the hold-up deadline; SafeBufferSize is what makes it win.
+// EmergencyFlush is the power-fail interrupt handler: stream everything
+// still buffered (including any batch mid-drain) to the dump zone in a
+// single sequential FUA write. It races the hold-up deadline;
+// SafeBufferSize is what makes it win.
 func (l *Logger) EmergencyFlush(p *sim.Proc) {
 	if l.emergency {
 		return
 	}
 	l.emergency = true
 	l.stats.EmergencyRuns.Inc()
-	snapshot := l.pending // includes the draining head: replay is idempotent
+	count := int64(l.buf.count())
 	dumpSpan := l.tracer().NewSpan()
-	l.tracer().Emit(p.Now().Duration(), obs.EvDumpStart, dumpSpan, 0, int64(len(snapshot)), l.stats.Occupancy.Value())
-	if l.cfg.Policy.Kind == AckKindRemoteOnly {
-		// The replicas are the durability domain: every acked byte is
-		// already held by K standbys, and boot-time recovery replays from
-		// them. Writing a dump here would just burn hold-up budget.
+	l.tracer().Emit(p.Now().Duration(), obs.EvDumpStart, dumpSpan, 0, count, l.stats.Occupancy.Value())
+	// Under AckRemoteOnly the replicas are the durability domain: every
+	// acked byte is already held by K standbys, and boot-time recovery
+	// replays from them. Writing a dump would just burn hold-up budget.
+	if l.cfg.Policy.Kind == AckKindRemoteOnly || count == 0 {
 		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
 		return
 	}
-	if len(snapshot) == 0 {
-		l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, 0, 0)
-		return
-	}
-
-	// Build the image in a single sized allocation. The header must not be
-	// assembled with append(header, payload...): if header had spare
-	// capacity the two would alias and the payload would overwrite it.
-	ss := disk.SectorSize
-	payloadLen := 0
-	for _, e := range snapshot {
-		payloadLen += entHeadLen + len(e.data)
-	}
-	imageLen := ss + payloadLen
-	if pad := imageLen % ss; pad != 0 {
-		imageLen += ss - pad
-	}
-	image := make([]byte, imageLen)
-	header := image[:ss]
-	copy(header, dumpMagic)
-	binary.LittleEndian.PutUint32(header[8:], dumpVersion)
-	binary.LittleEndian.PutUint32(header[12:], uint32(len(snapshot)))
-	binary.LittleEndian.PutUint64(header[16:], uint64(payloadLen))
-	binary.LittleEndian.PutUint32(header[24:], crc32.ChecksumIEEE(header[:24]))
-	off := ss
-	for _, e := range snapshot {
-		h := image[off : off+entHeadLen]
-		binary.LittleEndian.PutUint32(h[0:], entMagic)
-		binary.LittleEndian.PutUint64(h[4:], uint64(e.lba))
-		binary.LittleEndian.PutUint32(h[12:], uint32(len(e.data)))
-		binary.LittleEndian.PutUint32(h[16:], crc32.ChecksumIEEE(e.data))
-		off += entHeadLen
-		off += copy(image[off:], e.data)
-	}
+	image, payloadLen := l.buf.dumpImage()
 	// Retry transient dump-zone errors within the remaining hold-up budget:
 	// the retry delay is tiny against the milliseconds the budget holds,
 	// and the race is physical anyway — DC loss kills this process
@@ -801,7 +597,7 @@ func (l *Logger) EmergencyFlush(p *sim.Proc) {
 		p.Sleep(dumpRetryDelay)
 	}
 	l.stats.DumpedBytes.Add(int64(payloadLen))
-	l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, int64(len(snapshot)), int64(payloadLen))
+	l.tracer().Emit(p.Now().Duration(), obs.EvDumpDone, 0, dumpSpan, count, int64(payloadLen))
 }
 
 // RecoveryReport summarises what Logger.Recover replayed. DumpRetries and
@@ -819,121 +615,32 @@ type RecoveryReport struct {
 	DumpFailures int
 }
 
-// Dump is a parsed dump-zone image: every entry that survived intact, plus
-// the validity flags a recovery policy needs. ReadDump produces it without
-// writing anything, so Logger.Recover can decide what to replay — the dump,
-// the standbys, or both, and in which order — before the first sector
-// changes.
-type Dump struct {
-	HadDump bool
-	Torn    bool // the image ended mid-entry (hold-up deadline hit mid-dump)
-	Entries []DumpEntry
-}
-
-// DumpEntry is one intact buffered write recovered from the dump zone.
-type DumpEntry struct {
-	Lba  int64
-	Data []byte
-}
-
-// Complete reports whether the image fully accounts for what was buffered
-// at the power-fail interrupt: a valid header with no tear. A machine that
-// had nothing buffered writes no dump at all — that case is HadDump=false
-// and the buffer was trivially covered, but only the dying logger's dump
-// failure count can tell it apart from "the dump write itself failed";
-// Logger.Recover consults both.
-func (d Dump) Complete() bool { return d.HadDump && !d.Torn }
-
-// ReadDump parses the dump zone without modifying anything. A zone with no
-// dump header returns HadDump=false and no error; a corrupt header returns
-// ErrBadDump; a torn payload returns the intact prefix with Torn set.
-func ReadDump(p *sim.Proc, dumpZone disk.Device) (Dump, error) {
-	var d Dump
-	ss := disk.SectorSize
-	header := make([]byte, ss)
-	if _, err := dumpZone.Read(p, 0, header); err != nil {
+// readDump parses the dump zone without modifying anything. A zone with no
+// dump header has no dump and no error; a corrupt header is ErrBadDump; a
+// torn payload gives the intact prefix.
+func readDump(p *sim.Proc, zone disk.Device) (parsedDump, error) {
+	var d parsedDump
+	header := make([]byte, sectorSize)
+	if _, err := zone.Read(p, 0, header); err != nil {
 		return d, err
 	}
-	if string(header[:8]) != dumpMagic {
-		return d, nil // no dump: clean shutdown or nothing buffered
+	count, payloadLen, ok, err := parseDumpHeader(header)
+	if !ok {
+		return d, err
 	}
-	if crc32.ChecksumIEEE(header[:24]) != binary.LittleEndian.Uint32(header[24:28]) {
-		return d, fmt.Errorf("%w: header CRC mismatch", ErrBadDump)
-	}
-	if v := binary.LittleEndian.Uint32(header[8:12]); v != dumpVersion {
-		return d, fmt.Errorf("%w: version %d", ErrBadDump, v)
-	}
-	d.HadDump = true
-	count := int(binary.LittleEndian.Uint32(header[12:16]))
-	payloadLen := int64(binary.LittleEndian.Uint64(header[16:24]))
-	payloadSectors := int((payloadLen + int64(ss) - 1) / int64(ss))
-	if int64(payloadSectors) > dumpZone.Sectors()-1 {
+	d.had = true
+	payloadSectors := (payloadLen + sectorSize - 1) / sectorSize
+	if payloadSectors > zone.Sectors()-1 {
 		return d, fmt.Errorf("%w: payload length %d exceeds zone", ErrBadDump, payloadLen)
 	}
-	payload := make([]byte, payloadSectors*ss)
+	payload := make([]byte, payloadSectors*sectorSize)
 	if payloadSectors > 0 {
-		n, err := dumpZone.Read(p, 1, payload)
+		n, err := zone.Read(p, 1, payload)
 		if err != nil {
 			return d, err
 		}
-		payload = payload[:min64(payloadLen, int64(n))]
+		payload = payload[:min(payloadLen, int64(n))]
 	}
-
-	off := 0
-	for i := 0; i < count; i++ {
-		if off+entHeadLen > len(payload) {
-			d.Torn = true
-			break
-		}
-		h := payload[off : off+entHeadLen]
-		if binary.LittleEndian.Uint32(h[0:4]) != entMagic {
-			d.Torn = true
-			break
-		}
-		lba := int64(binary.LittleEndian.Uint64(h[4:12]))
-		dlen := int(binary.LittleEndian.Uint32(h[12:16]))
-		wantCRC := binary.LittleEndian.Uint32(h[16:20])
-		off += entHeadLen
-		if off+dlen > len(payload) {
-			d.Torn = true
-			break
-		}
-		data := payload[off : off+dlen]
-		off += dlen
-		if crc32.ChecksumIEEE(data) != wantCRC {
-			d.Torn = true
-			break
-		}
-		d.Entries = append(d.Entries, DumpEntry{Lba: lba, Data: data})
-	}
+	d.entries, d.torn = parseDumpEntries(payload, count)
 	return d, nil
-}
-
-// Replay writes every intact entry into the log partition (FUA), in dump
-// order. Replaying is idempotent — entries rewrite the same sectors the
-// drain would have — and, because the dump snapshotted the newest buffered
-// version of each sector, its entries must land AFTER any other recovery
-// source (a standby replica replay) that covers the same sectors.
-func (d Dump) Replay(p *sim.Proc, logPartition disk.Device) (entries int, bytes int64, err error) {
-	for i, e := range d.Entries {
-		if err := logPartition.Write(p, e.Lba, e.Data, true); err != nil {
-			return entries, bytes, fmt.Errorf("rapilog: replaying dump entry %d: %v", i, err)
-		}
-		entries++
-		bytes += int64(len(e.Data))
-	}
-	return entries, bytes, nil
-}
-
-// InvalidateDump zeroes the dump-zone header so a second boot does not
-// replay a stale image over a log that has moved on.
-func InvalidateDump(p *sim.Proc, dumpZone disk.Device) error {
-	return dumpZone.Write(p, 0, make([]byte, disk.SectorSize), true)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

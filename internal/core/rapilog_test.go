@@ -77,21 +77,6 @@ func TestAckLatencyIsMicroseconds(t *testing.T) {
 	}
 }
 
-func TestReadSeesBufferedWrite(t *testing.T) {
-	r := newRig(t, 1, power.PSUMeasured, Config{})
-	var got []byte
-	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
-		_ = r.l.Write(p, 10, pattern(512, 9), false)
-		got, _ = readN(p, r.l, 10, 1) // immediately, before any drain
-	})
-	if err := r.s.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pattern(512, 9)) {
-		t.Fatal("read did not observe buffered write")
-	}
-}
-
 func TestDrainReachesBackingInOrder(t *testing.T) {
 	r := newRig(t, 1, power.PSUMeasured, Config{})
 	r.s.Spawn(r.guest, "db", func(p *sim.Proc) {
@@ -458,15 +443,8 @@ func TestDurabilityUnderRandomPowerCutProperty(t *testing.T) {
 						w = extent{prev.lba + int64(rng.Intn(prev.n)), 1 + rng.Intn(16)}
 					}
 				}
-				if e, ok := r.l.absorb[w.lba]; ok && len(e.data) == w.n*ss && r.l.shadowed(e, w.lba, w.n) {
-					shadowed++
-				}
-				for _, e := range r.l.pending {
-					if e.lba == w.lba && r.l.absorb[w.lba] != e {
-						inFlight++
-						break
-					}
-				}
+				sh, fl := rewriteClass(&r.l.buf, w.lba, w.n)
+				shadowed, inFlight = shadowed+sh, inFlight+fl
 				data := pattern(w.n*ss, byte(i))
 				if err := r.l.Write(p, w.lba, data, false); err != nil {
 					return

@@ -119,7 +119,7 @@ func TestRedoAndRebuildAllocBound(t *testing.T) {
 			t.Errorf("checkpoint: %v", err)
 			return
 		}
-		st, err := pagestore.Open(r.s, data, pagestore.Config{PageSize: f.cfg.PageSize})
+		st, err := pagestore.Open(r.s, data, nil, pagestore.Config{PageSize: f.cfg.PageSize})
 		if err != nil {
 			t.Errorf("open store: %v", err)
 			return

@@ -275,7 +275,7 @@ func Open(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 func Follow(p *sim.Proc, plat hv.Platform, cfg Config) (*Engine, error) {
 	cfg.applyDefaults()
 	s := plat.Sim()
-	store, err := pagestore.Open(s, plat.DataDisk(), pagestore.Config{PageSize: cfg.PageSize})
+	store, err := pagestore.Open(s, plat.DataDisk(), cfg.Obs.Registry(), pagestore.Config{PageSize: cfg.PageSize})
 	if err != nil {
 		return nil, err
 	}

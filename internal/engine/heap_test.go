@@ -21,7 +21,7 @@ func heapRig(t *testing.T, seed int64) (*sim.Sim, *pagestore.Store, *heap) {
 	t.Helper()
 	s := sim.New(seed)
 	dev := disk.NewMem(s, disk.MemConfig{Persistent: true, Capacity: 1 << 17})
-	st, err := pagestore.Open(s, dev, pagestore.Config{PageSize: 4096})
+	st, err := pagestore.Open(s, dev, nil, pagestore.Config{PageSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRebuildStreamsInDoublingExtents(t *testing.T) {
 			hdd := disk.NewHDD(s, s.NewDomain("hw"), disk.HDDConfig{})
 			dev, _ := disk.NewPartition(hdd, "data", 0, 1<<19)
 			open := func() *pagestore.Store {
-				st, err := pagestore.Open(s, dev, pagestore.Config{})
+				st, err := pagestore.Open(s, dev, nil, pagestore.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

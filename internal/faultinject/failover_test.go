@@ -78,15 +78,15 @@ func requireClean(t *testing.T, sum Summary) {
 }
 
 func TestFailoverCampaignPowerCut(t *testing.T) {
-	requireClean(t, RunCampaign(failoverBase(LeaderPowerCut, 2)))
+	requireClean(t, runCampaign(t, failoverBase(LeaderPowerCut, 2)))
 }
 
 func TestFailoverCampaignIsolation(t *testing.T) {
-	requireClean(t, RunCampaign(failoverBase(LeaderIsolation, 2)))
+	requireClean(t, runCampaign(t, failoverBase(LeaderIsolation, 2)))
 }
 
 func TestFailoverCampaignComposed(t *testing.T) {
-	requireClean(t, RunCampaign(failoverBase(CoordAndLeader, 2)))
+	requireClean(t, runCampaign(t, failoverBase(CoordAndLeader, 2)))
 }
 
 // TestComposedFaultFallsBackToHeartbeat: the dying leader's power-fail
@@ -206,7 +206,7 @@ func TestFailoverTrialForensics(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "5294e43b1946792f215dadcb33b40917be3dfdeffbfedf189875131db9c941ea" ||
-		me != "b75ac24186f94955c9550769cd37bf74577ca1164881b0e3b43f741cad1d1998" {
+		me != "5e8e4048f7520cef4130bc58bc45c2f1c46745b207f481c6ab3c4739a1c56f31" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

@@ -454,19 +454,18 @@ func (s Summary) String() string {
 
 // RunCampaign executes cfg.Trials independent trials on the campaign
 // engine's worker pool (runSeeded), up to cfg.Parallel at a time, and folds
-// them in seed order: the Summary is identical to a sequential run's.
-func RunCampaign(cfg CampaignConfig) Summary {
+// them in seed order: the Summary is identical to a sequential run's. A
+// config no trial can run on is an error, and no trial runs.
+func RunCampaign(cfg CampaignConfig) (Summary, error) {
 	cfg.applyDefaults()
-	err := cfg.validate()
-	sum := Summary{Config: cfg}
-	if err != nil {
-		sum.add(TrialResult{Err: err})
-		return sum
+	if err := cfg.validate(); err != nil {
+		return Summary{}, err
 	}
+	sum := Summary{Config: cfg}
 	for _, res := range runSeeded(cfg) {
 		sum.add(res)
 	}
-	return sum
+	return sum, nil
 }
 
 // RunTrial executes one load→fault→recover→audit cycle in a fresh

@@ -16,6 +16,16 @@ import (
 
 func powerATX() power.PSUConfig { return power.PSUATXSpec }
 
+// runCampaign runs a campaign whose config must be valid.
+func runCampaign(t *testing.T, cfg CampaignConfig) Summary {
+	t.Helper()
+	sum, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
 func quickCampaign(mode rig.Mode, fault Fault, trials int) CampaignConfig {
 	return CampaignConfig{
 		Rig:            rig.Config{Seed: 42, Mode: mode},
@@ -31,7 +41,7 @@ func quickCampaign(mode rig.Mode, fault Fault, trials int) CampaignConfig {
 }
 
 func TestRapiLogSurvivesGuestCrashes(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.RapiLog, GuestCrash, 3))
+	sum := runCampaign(t, quickCampaign(rig.RapiLog, GuestCrash, 3))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -44,7 +54,7 @@ func TestRapiLogSurvivesGuestCrashes(t *testing.T) {
 }
 
 func TestRapiLogSurvivesPowerCuts(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.RapiLog, PowerCut, 3))
+	sum := runCampaign(t, quickCampaign(rig.RapiLog, PowerCut, 3))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -65,7 +75,7 @@ func TestRapiLogSurvivesPowerCuts(t *testing.T) {
 func TestRapiLogKeepsAcksOfTheHoldUpWindow(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
 	cfg.NewWorkload = func() workload.Workload { return &workload.Stress{} }
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %v", sum.FirstErr())
 	}
@@ -80,7 +90,7 @@ func TestRapiLogKeepsAcksOfTheHoldUpWindow(t *testing.T) {
 func TestShardedCampaignSurvivesPowerCuts(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 3)
 	cfg.Rig.Shards = 2
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -138,7 +148,7 @@ func TestShardedTrialCapturesArtifacts(t *testing.T) {
 }
 
 func TestNativeSyncSurvivesPowerCuts(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.NativeSync, PowerCut, 2))
+	sum := runCampaign(t, quickCampaign(rig.NativeSync, PowerCut, 2))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -151,7 +161,7 @@ func TestNativeAsyncLosesCommitsOnCrash(t *testing.T) {
 	cfg := quickCampaign(rig.NativeAsync, GuestCrash, 3)
 	// Stress maximises the unsafe window: every txn is an immediate ack.
 	cfg.NewWorkload = func() workload.Workload { return &workload.Stress{} }
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -178,7 +188,7 @@ func slowDiskUnsafeCampaign(trials int) CampaignConfig {
 func TestUnsafeOversizedBufferLosesData(t *testing.T) {
 	// Ablation A3: break the sizing rule and the emergency dump either
 	// tears mid-write or never lands — either way, acked commits die.
-	sum := RunCampaign(slowDiskUnsafeCampaign(3))
+	sum := runCampaign(t, slowDiskUnsafeCampaign(3))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -201,10 +211,14 @@ func TestUnsafeOversizedBufferLosesData(t *testing.T) {
 
 func TestSafeBoundSurvivesSlowDisk(t *testing.T) {
 	// Same hostile regime, but with the safe bound: the buffer throttles
-	// at a dumpable size and nothing is lost.
+	// at a dumpable size and nothing is lost. It runs no checkpoint before
+	// the cut (the engine's 10 s period outlasts the 1.5–2.5 s inject
+	// window), and only so does it pass: with 300 ms checkpoints seed 42
+	// loses 8 acked commits, its dump queued behind a drain run and a
+	// checkpoint write (ROADMAP items 7 and 17).
 	cfg := slowDiskUnsafeCampaign(2)
 	cfg.Rig.RapiLog = core.Config{} // SafeBufferSize
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -226,7 +240,7 @@ func TestTrialDeterminism(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.RapiLog, GuestCrash, 1))
+	sum := runCampaign(t, quickCampaign(rig.RapiLog, GuestCrash, 1))
 	if !strings.HasPrefix(sum.String(), "rapilog/guest-crash: 1 trials") {
 		t.Fatalf("summary %q", sum)
 	}
@@ -273,9 +287,8 @@ func TestNegativeInjectSpanIsConfigError(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("RunTrial accepted a negative inject span")
 	}
-	sum := RunCampaign(cfg)
-	if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Trials[0].Err == nil {
-		t.Fatalf("RunCampaign on a negative span: %+v", sum)
+	if sum, err := RunCampaign(cfg); err == nil || len(sum.Trials) != 0 {
+		t.Fatalf("RunCampaign on a negative span: %+v, error %v", sum, err)
 	}
 }
 
@@ -292,8 +305,8 @@ func TestCampaignSizeIsValidated(t *testing.T) {
 	} {
 		cfg := quickCampaign(rig.RapiLog, PowerCut, tc.trials)
 		cfg.Clients = tc.clients
-		if sum := RunCampaign(cfg); sum.Errors != 1 || len(sum.Trials) != 1 || sum.FirstErr() == nil || !sum.Bad() {
-			t.Errorf("%s: RunCampaign: %+v", tc.name, sum)
+		if sum, err := RunCampaign(cfg); err == nil || len(sum.Trials) != 0 {
+			t.Errorf("%s: RunCampaign: %+v, error %v", tc.name, sum, err)
 		}
 		if res := RunTrial(cfg, 1); res.Err == nil {
 			t.Errorf("%s: RunTrial accepted it", tc.name)
@@ -337,10 +350,8 @@ func TestConfigValidation(t *testing.T) {
 			c.InjectAfterMax = sessionFor
 		}), "InjectAfterMax 10s outlasts the 10s session pool"},
 	} {
-		sum := RunCampaign(tc.cfg)
-		if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Incomplete != 0 || !sum.Bad() ||
-			sum.FirstErr() == nil || !strings.Contains(sum.FirstErr().Error(), tc.want) {
-			t.Errorf("%s: RunCampaign: %v (first error %v), want a config error with %q", tc.name, sum, sum.FirstErr(), tc.want)
+		if sum, err := RunCampaign(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) || len(sum.Trials) != 0 {
+			t.Errorf("%s: RunCampaign: %d trials, error %v, want a config error with %q and no trial", tc.name, len(sum.Trials), err, tc.want)
 		}
 		if res := RunTrial(tc.cfg, 1); res.Err == nil || !strings.Contains(res.Err.Error(), tc.want) {
 			t.Errorf("%s: RunTrial: err %v, want a config error with %q", tc.name, res.Err, tc.want)
@@ -363,9 +374,8 @@ func TestNegativeWindowsAreConfigErrors(t *testing.T) {
 	if res := RunTrial(neg, 1); res.Err == nil {
 		t.Fatal("RunTrial accepted a negative FaultWindow")
 	}
-	sum := RunCampaign(neg)
-	if sum.Errors != 1 || len(sum.Trials) != 1 || sum.Trials[0].Err == nil {
-		t.Fatalf("RunCampaign on a negative FaultWindow: %+v", sum)
+	if sum, err := RunCampaign(neg); err == nil || len(sum.Trials) != 0 {
+		t.Fatalf("RunCampaign on a negative FaultWindow: %+v, error %v", sum, err)
 	}
 
 	part := quickCampaign(rig.RapiLog, Partition, 1)
@@ -390,7 +400,7 @@ func TestZeroLengthInjectWindowRuns(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 2)
 	cfg.InjectAfterMin = 400 * time.Millisecond
 	cfg.InjectAfterMax = 400 * time.Millisecond
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("zero-length inject window errored: %+v", sum.Trials)
 	}
@@ -414,7 +424,7 @@ func TestUnknownFaultIsConfigError(t *testing.T) {
 // window of transient log-media write errors, and the backlog fully drains
 // once the window closes — no stranded bytes, no lingering degraded mode.
 func TestRapiLogSurvivesTransientDiskErrors(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.RapiLog, DiskError, 3))
+	sum := runCampaign(t, quickCampaign(rig.RapiLog, DiskError, 3))
 	if sum.Violations != 0 || sum.Errors != 0 {
 		t.Fatalf("campaign: %v (first error: %v)", sum, firstTrialErr(sum))
 	}
@@ -438,7 +448,7 @@ func TestRapiLogSurvivesTransientDiskErrors(t *testing.T) {
 func TestRapiLogDegradesOnPermanentFaultWithoutLoss(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, DiskError, 1)
 	cfg.PermanentFault = true
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Violations != 0 || sum.Errors != 0 {
 		t.Fatalf("campaign: %v (first error: %v)", sum, firstTrialErr(sum))
 	}
@@ -450,7 +460,7 @@ func TestRapiLogDegradesOnPermanentFaultWithoutLoss(t *testing.T) {
 // TestRapiLogSurvivesLatencyStorm: a storm delays everything but fails
 // nothing; durability and drain-to-zero must hold exactly as in the calm.
 func TestRapiLogSurvivesLatencyStorm(t *testing.T) {
-	sum := RunCampaign(quickCampaign(rig.RapiLog, LatencyStorm, 2))
+	sum := runCampaign(t, quickCampaign(rig.RapiLog, LatencyStorm, 2))
 	if sum.Violations != 0 || sum.Errors != 0 {
 		t.Fatalf("campaign: %v (first error: %v)", sum, firstTrialErr(sum))
 	}

@@ -90,7 +90,9 @@ func requireOneVerdict(t *testing.T, a *Artifacts) {
 //   - the monitor reads retention from trim events (no schedule moved);
 //   - the coordinator acts on arrival, the scan reads ahead (later events move);
 //   - rapilog.flushes removed (metrics hashes only);
-//   - each disk's <disk>.flushes removed (metrics hashes only).
+//   - each disk's <disk>.flushes removed (metrics hashes only);
+//   - the page store's pages.* counters registered (metrics hashes only,
+//     keys added).
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -103,7 +105,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "2498dc4b65e750d94078d390659e804615e81fb660b5ab14745dd3cfed3d5d43" ||
-		me != "cb9d601050b00d765b86d2c7f098873dab41ab69f07bc82fe2cc2c6dd7faafe9" {
+		me != "e98e3669812f1a5814206b2c42d8f9fa7485d833829ad9088e5ab05ce2e493c6" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -125,7 +127,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "86ea0653e4661ccbb2d1e034ea4eb8f186cd59d92d2edcc5d939497e635625fd" ||
-		me != "20d5be7559628da097c109602853ed4ff2c12be471863229a3ca756bda76ee98" {
+		me != "26c87d77acda4205d1712ac660927dbf67e1b9aeaa832965ca374d43b24988fb" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }
@@ -148,7 +150,7 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "176a7fb784b8933fdc8b2e178067d06019443379f760f348028787251061941b" ||
-		me != "32ac258b60719f4e7248db8eef2f0665aca61a8b77d38defa68e8db148e04bc2" {
+		me != "575a82d790f9289e19394f23de4f8c3cba0fc11f55c94f4c947f1285ae4ef337" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

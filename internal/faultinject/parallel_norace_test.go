@@ -21,7 +21,7 @@ func TestParallelCampaignDeterminismFailover(t *testing.T) {
 	mk := func(par int) Summary {
 		cfg := failoverBase(LeaderPowerCut, 2)
 		cfg.Parallel = par
-		return RunCampaign(cfg)
+		return runCampaign(t, cfg)
 	}
 	seq, par := mk(1), mk(2)
 	if !reflect.DeepEqual(seq.Trials, par.Trials) {

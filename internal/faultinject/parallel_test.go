@@ -19,7 +19,7 @@ import (
 // so artifact retention (first-bad-else-last) is exercised too.
 func TestParallelCampaignDeterminism(t *testing.T) {
 	mk := func(par int) Summary {
-		return RunCampaign(CampaignConfig{
+		return runCampaign(t, CampaignConfig{
 			Rig: rig.Config{
 				Seed:      99,
 				Mode:      rig.RapiLog,

@@ -46,7 +46,7 @@ func doubleFaultCampaign(policy core.AckPolicy, trials int) CampaignConfig {
 // quorum acks, every acknowledged commit is already held by a standby, so
 // the simultaneous loss of the machine AND its dump zone loses nothing.
 func TestQuorumSurvivesPartitionPlusPowerFail(t *testing.T) {
-	sum := RunCampaign(doubleFaultCampaign(core.AckQuorum(1), 3))
+	sum := runCampaign(t, doubleFaultCampaign(core.AckQuorum(1), 3))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -66,7 +66,7 @@ func TestQuorumSurvivesPartitionPlusPowerFail(t *testing.T) {
 // that neither the (unreachable) standbys nor the (broken) dump zone hold
 // when the power dies. Asserted both ways, like A3.
 func TestLocalAcksLoseUnderSameDoubleFault(t *testing.T) {
-	sum := RunCampaign(doubleFaultCampaign(core.AckLocal(), 3))
+	sum := runCampaign(t, doubleFaultCampaign(core.AckLocal(), 3))
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -82,7 +82,7 @@ func TestQuorumSurvivesReplicaCrashPlusPowerFail(t *testing.T) {
 	cfg := doubleFaultCampaign(core.AckQuorum(1), 2)
 	cfg.Fault = ReplicaCrash
 	cfg.CrashReplicas = 1
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 {
 		t.Fatalf("campaign errors: %+v", sum.Trials)
 	}
@@ -113,7 +113,7 @@ func TestWorkingDumpSurvivesPartitionPlusPowerFail(t *testing.T) {
 		cfg.BreakDump = false
 		cfg.Rig.Seed = 808
 		cfg.NewWorkload = func() workload.Workload { return &workload.Stress{ValueSize: 400} }
-		sum := RunCampaign(cfg)
+		sum := runCampaign(t, cfg)
 		if sum.Errors > 0 {
 			t.Fatalf("%v: campaign errors: %+v", pol, sum.Trials)
 		}
@@ -159,7 +159,7 @@ func TestBarePartitionIsHarmless(t *testing.T) {
 		cfg := doubleFaultCampaign(pol, 2)
 		cfg.Compose = ""
 		cfg.BreakDump = false
-		sum := RunCampaign(cfg)
+		sum := runCampaign(t, cfg)
 		if sum.Errors > 0 {
 			t.Fatalf("%v: campaign errors: %+v", pol, sum.Trials)
 		}
@@ -180,7 +180,7 @@ func TestDoubleFaultCapturesFrozenFlightRecord(t *testing.T) {
 	cfg := doubleFaultCampaign(core.AckQuorum(1), 2)
 	cfg.Rig.Flight = true
 	cfg.Rig.TraceCapacity = 1 << 18
-	sum := RunCampaign(cfg)
+	sum := runCampaign(t, cfg)
 	if sum.Errors > 0 || sum.Violations != 0 {
 		t.Fatalf("campaign not clean: %s", sum)
 	}

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -81,7 +82,9 @@ type Page struct {
 // Data returns the page's usable byte area (PageSize − header).
 func (pg *Page) Data() []byte { return pg.data }
 
-// Stats counts store activity.
+// Stats counts store activity. Its counters are registered as "pages.*";
+// the registry hands a rebuilt store (a new boot of the same engine) the
+// same counters, as it does every layer's.
 type Stats struct {
 	Reads       *metrics.Counter // physical page reads
 	Writes      *metrics.Counter // physical page writes (incl. double writes)
@@ -92,15 +95,15 @@ type Stats struct {
 	DWRestores  *metrics.Counter
 }
 
-func newStats() *Stats {
+func newStats(reg *obs.Registry) *Stats {
 	return &Stats{
-		Reads:       new(metrics.Counter),
-		Writes:      new(metrics.Counter),
-		Hits:        new(metrics.Counter),
-		Misses:      new(metrics.Counter),
-		Evictions:   new(metrics.Counter),
-		Checkpoints: new(metrics.Counter),
-		DWRestores:  new(metrics.Counter),
+		Reads:       reg.Counter("pages.reads"),
+		Writes:      reg.Counter("pages.writes"),
+		Hits:        reg.Counter("pages.hits"),
+		Misses:      reg.Counter("pages.misses"),
+		Evictions:   reg.Counter("pages.evictions"),
+		Checkpoints: reg.Counter("pages.checkpoints"),
+		DWRestores:  reg.Counter("pages.dw_restores"),
 	}
 }
 
@@ -128,9 +131,10 @@ type Store struct {
 	run []byte
 }
 
-// Open creates a Store over dev. Existing page contents remain readable
-// (pages are self-validating); a fresh device reads as zero pages.
-func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
+// Open creates a Store over dev, with its counters in reg (nil: none).
+// Existing page contents remain readable (pages are self-validating); a
+// fresh device reads as zero pages.
+func Open(s *sim.Sim, dev disk.Device, reg *obs.Registry, cfg Config) (*Store, error) {
 	cfg.applyDefaults()
 	if cfg.PageSize%disk.SectorSize != 0 {
 		return nil, fmt.Errorf("pagestore: page size %d not a multiple of sector size %d", cfg.PageSize, disk.SectorSize)
@@ -149,7 +153,7 @@ func Open(s *sim.Sim, dev disk.Device, cfg Config) (*Store, error) {
 		pageBase:   pageBase,
 		numPages:   numPages,
 		pool:       make(map[int64]*Page),
-		stats:      newStats(),
+		stats:      newStats(reg),
 		maxWritten: numPages - 1, // conservative: read everything
 	}
 	// A store kept past its simulation keeps its counters only: the pool,

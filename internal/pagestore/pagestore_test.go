@@ -18,7 +18,7 @@ func memStore(t *testing.T, seed int64, cfg Config) (*sim.Sim, disk.Device, *Sto
 	t.Helper()
 	s := sim.New(seed)
 	dev := disk.NewMem(s, disk.MemConfig{Name: "data", Persistent: true, Capacity: 1 << 17})
-	st, err := Open(s, dev, cfg)
+	st, err := Open(s, dev, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCheckpointPersistsDirtyPages(t *testing.T) {
 	}
 	// Cold restart: new store on the same device.
 	s2 := sim.New(2)
-	st2, err := Open(s2, dev, Config{})
+	st2, err := Open(s2, dev, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestUncheckpointedChangesNotOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := sim.New(2)
-	st2, _ := Open(s2, dev, Config{})
+	st2, _ := Open(s2, dev, nil, Config{})
 	s2.Spawn(nil, "t", func(p *sim.Proc) {
 		pg, _ := st2.Get(p, 0)
 		if pg.Data()[0] != 0 {
@@ -242,7 +242,7 @@ func TestControlBlockRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := sim.New(2)
-	st2, _ := Open(s2, dev, Config{})
+	st2, _ := Open(s2, dev, nil, Config{})
 	s2.Spawn(nil, "t", func(p *sim.Proc) {
 		got, err := st2.ReadControl(p)
 		if err != nil || !bytes.Equal(got, blob) {
@@ -281,7 +281,7 @@ func TestDoubleWriteProtectsTornCheckpoint(t *testing.T) {
 			hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{ChunkSectors: 1})
 			m.AttachDevice(hdd)
 			part, _ := disk.NewPartition(hdd, "data", 0, 1<<17)
-			st, err := Open(s, part, Config{})
+			st, err := Open(s, part, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func TestDoubleWriteProtectsTornCheckpoint(t *testing.T) {
 			var got [][]byte
 			s.Spawn(boot, "recover", func(p *sim.Proc) {
 				part2, _ := disk.NewPartition(hdd, "data2", 0, 1<<17)
-				st2, err := Open(s, part2, Config{})
+				st2, err := Open(s, part2, nil, Config{})
 				if err != nil {
 					t.Errorf("open: %v", err)
 					return
@@ -379,7 +379,7 @@ func TestRecoverDoubleWriteStreamsTheSlots(t *testing.T) {
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{ChunkSectors: 1})
 	m.AttachDevice(hdd)
 	part, _ := disk.NewPartition(hdd, "data", 0, 1<<17)
-	st, err := Open(s, part, Config{})
+	st, err := Open(s, part, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestRecoverDoubleWriteStreamsTheSlots(t *testing.T) {
 	var reads, writes int64
 	got := make(map[int64][]byte)
 	s.Spawn(s.NewDomain("boot"), "recover", func(p *sim.Proc) {
-		st2, err := Open(s, part, Config{})
+		st2, err := Open(s, part, nil, Config{})
 		if err != nil {
 			t.Errorf("open: %v", err)
 			return
@@ -489,11 +489,11 @@ func TestPageIDBounds(t *testing.T) {
 func TestOpenRejectsBadConfigs(t *testing.T) {
 	s := sim.New(6)
 	dev := disk.NewMem(s, disk.MemConfig{Capacity: 1 << 17})
-	if _, err := Open(s, dev, Config{PageSize: 1000}); err == nil {
+	if _, err := Open(s, dev, nil, Config{PageSize: 1000}); err == nil {
 		t.Fatal("non-sector-multiple page size accepted")
 	}
 	tiny := disk.NewMem(s, disk.MemConfig{Capacity: 16})
-	if _, err := Open(s, tiny, Config{}); err == nil {
+	if _, err := Open(s, tiny, nil, Config{}); err == nil {
 		t.Fatal("too-small device accepted")
 	}
 }
@@ -525,7 +525,7 @@ func TestCheckpointRestartRoundTripProperty(t *testing.T) {
 		}
 		ok := true
 		s2 := sim.New(seed + 1)
-		st2, _ := Open(s2, dev, Config{})
+		st2, _ := Open(s2, dev, nil, Config{})
 		s2.Spawn(nil, "t", func(p *sim.Proc) {
 			for id, v := range expect {
 				pg, err := st2.Get(p, id)

@@ -229,8 +229,9 @@ type (
 // CampaignConfig.Rig machines.)
 const FaultPowerCut = faultinject.PowerCut
 
-// RunCampaign executes a fault-injection campaign.
-func RunCampaign(cfg CampaignConfig) CampaignSummary { return faultinject.RunCampaign(cfg) }
+// RunCampaign executes a fault-injection campaign; a config no trial can
+// run on is an error, and no trial runs.
+func RunCampaign(cfg CampaignConfig) (CampaignSummary, error) { return faultinject.RunCampaign(cfg) }
 
 // Experiments (the paper's tables and figures).
 type (

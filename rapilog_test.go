@@ -319,12 +319,12 @@ func designSection(t *testing.T, n int) string {
 }
 
 func TestFacadeCampaign(t *testing.T) {
-	sum := RunCampaign(CampaignConfig{
+	sum, err := RunCampaign(CampaignConfig{
 		Rig:    Config{Seed: 9, Mode: ModeRapiLog},
 		Fault:  FaultPowerCut,
 		Trials: 1,
 	})
-	if sum.Errors > 0 || sum.TotalLost > 0 {
+	if err != nil || sum.Errors > 0 || sum.TotalLost > 0 {
 		t.Fatalf("facade campaign: %s", sum)
 	}
 }
