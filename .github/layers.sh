@@ -3,8 +3,9 @@
 # TPC-C run on the rig, a three-node cluster that loses its leader, and
 # power-cut trials — and folds their CPU and allocated-bytes samples into
 # each layer's share with `rapilog-trace -layers`: a sample is charged to the
-# innermost repro/internal/<pkg> frame of its stack. Run it from the module
-# root:
+# innermost repro/internal/<pkg> frame of its stack. Each target also gets a
+# CPU column of its own, so the longest run does not set the pooled shares
+# alone. Run it from the module root:
 #
 #   bash .github/layers.sh
 #
@@ -16,15 +17,15 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+# name, package, test: each CPU profile's column is headed by its name.
 targets=(
-	"internal/rig ^TestRunOneDomainIsRunClients$"
-	"internal/rig ^TestWorkloadTransactionAllocBound$/^tpcc$"
-	"internal/rig ^TestClusterFailoverPowerCut$"
-	"internal/faultinject ^TestRunTrialReleasesItsSimulation$"
+	"tpcb internal/rig ^TestRunOneDomainIsRunClients$"
+	"tpcc internal/rig ^TestWorkloadTransactionAllocBound$/^tpcc$"
+	"failover internal/rig ^TestClusterFailoverPowerCut$"
+	"powercut internal/faultinject ^TestRunTrialReleasesItsSimulation$"
 )
 for t in "${targets[@]}"; do
-	read -r pkg run <<<"$t"
-	name=$(basename "$pkg").$(tr -dc 'A-Za-z' <<<"$run")
+	read -r name pkg run <<<"$t"
 	go test -count=1 -run "$run" -o "$out/$name.test" \
 		-cpuprofile "$out/$name.cpu" -memprofile "$out/$name.mem" -memprofilerate 4096 \
 		"./$pkg" >/dev/null

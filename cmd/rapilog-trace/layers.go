@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,9 +20,19 @@ import (
 // are not layers: "gc" is the background mark workers, "coroswitch" the
 // coroutine switches the simulation kernel hands off through. A stack with
 // no repository frame is "other"; the profiler's own samples are dropped.
+// Besides the pooled CPU column, each CPU profile gets one of its own, its
+// rows as shares of its own total: a long run cannot drown a short one.
 type layerFold struct {
 	cpu, bytes           map[string]float64 // seconds and bytes, by row
 	cpuTotal, bytesTotal float64
+	profiles             []cpuProfile // in the order folded
+}
+
+// cpuProfile is one CPU profile's column.
+type cpuProfile struct {
+	name  string
+	cpu   map[string]float64
+	total float64
 }
 
 func newLayerFold() *layerFold {
@@ -36,18 +47,21 @@ func (f *layerFold) addFile(path string) error {
 		return err
 	}
 	defer file.Close()
-	if err := f.add(file); err != nil {
+	name := strings.TrimSuffix(strings.TrimSuffix(filepath.Base(path), ".txt"), ".cpu")
+	if err := f.add(name, file); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
-// add folds one -traces output read from r.
-func (f *layerFold) add(r io.Reader) error {
+// add folds one -traces output read from r; a CPU profile's column is
+// headed name.
+func (f *layerFold) add(name string, r io.Reader) error {
 	var (
 		total   *float64 // the column's total; nil until the Type header
 		rows    map[string]float64
-		samples bool // past the header
+		own     *cpuProfile // a CPU profile's own column
+		samples bool        // past the header
 		value   float64
 		stack   []string
 	)
@@ -56,6 +70,10 @@ func (f *layerFold) add(r io.Reader) error {
 			if row, ok := layerOf(stack); ok {
 				rows[row] += value
 				*total += value
+				if own != nil {
+					own.cpu[row] += value
+					own.total += value
+				}
 			}
 		}
 		value, stack = 0, stack[:0]
@@ -77,6 +95,8 @@ func (f *layerFold) add(r io.Reader) error {
 			case !ok:
 			case typ == "cpu":
 				total, rows = &f.cpuTotal, f.cpu
+				f.profiles = append(f.profiles, cpuProfile{name: name, cpu: map[string]float64{}})
+				own = &f.profiles[len(f.profiles)-1]
 			case typ == "alloc_space":
 				total, rows = &f.bytesTotal, f.bytes
 			default:
@@ -175,9 +195,17 @@ func (f *layerFold) table() *metrics.Table {
 		}
 		return a < b
 	})
-	t := metrics.NewTable("layer", "cpu %", "alloc bytes %")
+	header := []string{"layer", "cpu %"}
+	for _, pr := range f.profiles {
+		header = append(header, pr.name+" %")
+	}
+	t := metrics.NewTable(append(header, "alloc bytes %")...)
 	for _, row := range rows {
-		t.AddRow(row, fmt.Sprintf("%.1f", share(f.cpu[row], f.cpuTotal)), fmt.Sprintf("%.1f", share(f.bytes[row], f.bytesTotal)))
+		cells := []string{row, fmt.Sprintf("%.1f", share(f.cpu[row], f.cpuTotal))}
+		for _, pr := range f.profiles {
+			cells = append(cells, fmt.Sprintf("%.1f", share(pr.cpu[row], pr.total)))
+		}
+		t.AddRow(append(cells, fmt.Sprintf("%.1f", share(f.bytes[row], f.bytesTotal)))...)
 	}
 	return t
 }

@@ -126,69 +126,69 @@ func measureWorkload(cfg rig.Config, wl workload.Workload, clients int, warmup, 
 	return res.Total, res.Engines[0].Stats().CommitLatency, r, nil
 }
 
-// throughputSweep runs the E1/E2/E3/A2 shape: mode × client-count grid.
-func throughputSweep(id, title, stands string, pers engine.Personality, diskKind rig.DiskKind, opts Options) (*Report, error) {
-	opts.applyDefaults()
-	// Enough warehouses that row contention (especially Payment's
-	// warehouse-YTD update) does not mask the commit path under study.
-	clientCounts := []int{1, 2, 4, 8, 16, 32, 64}
-	warmup, dur := 2*time.Second, 10*time.Second
-	wlScale := func() *workload.TPCC { return &workload.TPCC{Warehouses: 8, Districts: 10, Customers: 30, Items: 400} }
-	if opts.Quick {
-		clientCounts = []int{1, 8, 32}
-		warmup, dur = 500*time.Millisecond, 2*time.Second
-		wlScale = func() *workload.TPCC { return &workload.TPCC{Warehouses: 4, Districts: 4, Customers: 10, Items: 100} }
-	}
-
+// throughputSweep fills rep with the mode × client-count grid of E1–E3, A2
+// and A5: a fresh base machine per cell, seeded Seed + clients·stride,
+// measured under wl.
+func throughputSweep(rep *Report, opts Options, base rig.Config, stride int64, clients []int, wl func() workload.Workload, warmup, dur time.Duration) (*Report, error) {
 	header := []string{"clients"}
 	for _, m := range rig.Modes {
 		header = append(header, string(m))
 	}
-	table := metrics.NewTable(header...)
-	rep := newReport(id, title, stands, table)
-
-	for _, c := range clientCounts {
+	rep.Table = metrics.NewTable(header...)
+	for _, c := range clients {
 		row := []string{fmt.Sprintf("%d", c)}
 		for _, mode := range rig.Modes {
-			cfg := rig.Config{
-				Seed:            opts.Seed + int64(c)*101,
-				Mode:            mode,
-				Personality:     pers,
-				Disk:            diskKind,
-				CheckpointEvery: 20 * time.Second,
-			}
-			res, _, _, err := measureWorkload(cfg, wlScale(), c, warmup, dur)
+			cfg := base
+			cfg.Seed, cfg.Mode = opts.Seed+int64(c)*stride, mode
+			res, _, _, err := measureWorkload(cfg, wl(), c, warmup, dur)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s c=%d: %w", id, mode, c, err)
+				return nil, fmt.Errorf("%s %s c=%d: %w", rep.ID, mode, c, err)
 			}
 			row = append(row, fmt.Sprintf("%.0f", res.TPS()))
 			rep.Values[fmt.Sprintf("%s/c=%d", mode, c)] = res.TPS()
-			opts.progressf("%s: %-12s c=%-3d %8.0f tps", id, mode, c, res.TPS())
+			opts.progressf("%s: %-12s c=%-3d %8.0f tps", rep.ID, mode, c, res.TPS())
 		}
-		table.AddRow(row...)
+		rep.Table.AddRow(row...)
 	}
-	rep.Notes = append(rep.Notes,
-		"expected shape: rapilog ≈ native-async ≫ native-sync at low client counts;",
-		"group commit narrows the gap as clients grow; rapilog never below virt-sync.")
 	return rep, nil
 }
 
+// tpccSweep is E1–E3 and A2: TPC-C on one engine personality and device,
+// with enough warehouses that row contention (especially Payment's
+// warehouse-YTD update) does not mask the commit path under study.
+func tpccSweep(id, title, stands string, pers engine.Personality, diskKind rig.DiskKind, opts Options) (*Report, error) {
+	opts.applyDefaults()
+	clients, warmup, dur := []int{1, 2, 4, 8, 16, 32, 64}, 2*time.Second, 10*time.Second
+	scale := workload.TPCC{Warehouses: 8, Districts: 10, Customers: 30, Items: 400}
+	if opts.Quick {
+		clients, warmup, dur = []int{1, 8, 32}, 500*time.Millisecond, 2*time.Second
+		scale = workload.TPCC{Warehouses: 4, Districts: 4, Customers: 10, Items: 100}
+	}
+	wl := func() workload.Workload { w := scale; return &w }
+	rep := newReport(id, title, stands, nil)
+	rep.Notes = append(rep.Notes,
+		"expected shape: rapilog ≈ native-async ≫ native-sync at low client counts;",
+		"group commit narrows the gap as clients grow; rapilog never below virt-sync.")
+	base := rig.Config{Personality: pers, Disk: diskKind, CheckpointEvery: 20 * time.Second}
+	return throughputSweep(rep, opts, base, 101, clients, wl, warmup, dur)
+}
+
 func runE1(opts Options) (*Report, error) {
-	return throughputSweep("e1", "TPC-C throughput vs clients, PG-like engine, HDD",
+	return tpccSweep("e1", "TPC-C throughput vs clients, PG-like engine, HDD",
 		"per-engine throughput figure (PostgreSQL)", engine.PGLike, rig.DiskHDD, opts)
 }
 
 func runE2(opts Options) (*Report, error) {
-	return throughputSweep("e2", "TPC-C throughput vs clients, MY-like engine, HDD",
+	return tpccSweep("e2", "TPC-C throughput vs clients, MY-like engine, HDD",
 		"per-engine throughput figure (MySQL/InnoDB)", engine.MYLike, rig.DiskHDD, opts)
 }
 
 func runE3(opts Options) (*Report, error) {
-	return throughputSweep("e3", "TPC-C throughput vs clients, CX-like engine, HDD",
+	return tpccSweep("e3", "TPC-C throughput vs clients, CX-like engine, HDD",
 		"per-engine throughput figure (commercial engine)", engine.CXLike, rig.DiskHDD, opts)
 }
 
 func runA2(opts Options) (*Report, error) {
-	return throughputSweep("a2", "TPC-C throughput vs clients, PG-like engine, SSD",
+	return tpccSweep("a2", "TPC-C throughput vs clients, PG-like engine, SSD",
 		"flash discussion (§ non-rotating media)", engine.PGLike, rig.DiskSSD, opts)
 }

@@ -16,45 +16,18 @@ import (
 // workloads.
 func runA5(opts Options) (*Report, error) {
 	opts.applyDefaults()
-	clientCounts := []int{1, 4, 16, 64}
-	warmup, dur := 2*time.Second, 10*time.Second
-	mkWl := func() *workload.TPCB { return &workload.TPCB{Branches: 8, Tellers: 10, Accounts: 2000} }
+	clients, warmup, dur := []int{1, 4, 16, 64}, 2*time.Second, 10*time.Second
+	wl := func() workload.Workload { return &workload.TPCB{Branches: 8, Tellers: 10, Accounts: 2000} }
 	if opts.Quick {
-		clientCounts = []int{1, 16}
-		warmup, dur = 500*time.Millisecond, 2*time.Second
-		mkWl = func() *workload.TPCB { return &workload.TPCB{Branches: 4, Tellers: 5, Accounts: 500} }
+		clients, warmup, dur = []int{1, 16}, 500*time.Millisecond, 2*time.Second
+		wl = func() workload.Workload { return &workload.TPCB{Branches: 4, Tellers: 5, Accounts: 500} }
 	}
-
-	header := []string{"clients"}
-	for _, m := range rig.Modes {
-		header = append(header, string(m))
-	}
-	table := metrics.NewTable(header...)
 	rep := newReport("a5", "TPC-B (pgbench) throughput vs clients, PG-like engine, HDD",
-		"the pgbench-style companion workload", table)
-
-	for _, c := range clientCounts {
-		row := []string{fmt.Sprintf("%d", c)}
-		for _, mode := range rig.Modes {
-			cfg := rig.Config{
-				Seed:            opts.Seed + int64(c)*211,
-				Mode:            mode,
-				CheckpointEvery: 20 * time.Second,
-			}
-			res, _, _, err := measureWorkload(cfg, mkWl(), c, warmup, dur)
-			if err != nil {
-				return nil, fmt.Errorf("a5 %s c=%d: %w", mode, c, err)
-			}
-			row = append(row, fmt.Sprintf("%.0f", res.TPS()))
-			rep.Values[fmt.Sprintf("%s/c=%d", mode, c)] = res.TPS()
-			opts.progressf("a5: %-12s c=%-3d %8.0f tps", mode, c, res.TPS())
-		}
-		table.AddRow(row...)
-	}
+		"the pgbench-style companion workload", nil)
 	rep.Notes = append(rep.Notes,
 		"expected shape: same ordering as E1, with even larger rapilog/native-sync ratios —",
 		"TPC-B transactions are pure commit path.")
-	return rep, nil
+	return throughputSweep(rep, opts, rig.Config{CheckpointEvery: 20 * time.Second}, 211, clients, wl, warmup, dur)
 }
 
 // runA6: the hardware alternatives RapiLog competes with. A battery-backed

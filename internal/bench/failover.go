@@ -46,17 +46,14 @@ func runA11(opts Options) (*Report, error) {
 		"this reproduction's HA extension (leader takeover over the replicated durability domain)", table)
 
 	for _, c := range cases {
-		sum, err := faultinject.RunCampaign(faultinject.CampaignConfig{
+		sum, err := campaign("a11 "+c.label, faultinject.CampaignConfig{
 			Rig:     rig.Config{Seed: opts.Seed, AckPolicy: core.AckQuorum(1)},
 			Fault:   c.fault,
 			Trials:  trials,
 			Clients: 4,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("a11 %s: %w", c.label, err)
-		}
-		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a11 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
+			return nil, err
 		}
 		p50, p99 := sum.UnavailPercentile(0.50), sum.UnavailPercentile(0.99)
 		table.AddRow(c.label,

@@ -113,7 +113,6 @@ func runA1(opts Options) (*Report, error) {
 	if opts.Quick {
 		warmup, dur = 200*time.Millisecond, 2*time.Second
 	}
-	persPlain := engine.PGLike
 	persDelay := engine.PGLike
 	persDelay.Name = "pg+delay"
 	persDelay.CommitDelay = 2 * time.Millisecond
@@ -122,17 +121,15 @@ func runA1(opts Options) (*Report, error) {
 	rep := newReport("a1", "ablation: group commit (commit_delay) vs RapiLog",
 		"this reproduction's ablation of the complexity-reduction claim", table)
 
-	type cfgRow struct {
+	for _, row := range []struct {
 		label string
 		mode  rig.Mode
 		pers  engine.Personality
-	}
-	rows := []cfgRow{
-		{"native-sync", rig.NativeSync, persPlain},
+	}{
+		{"native-sync", rig.NativeSync, engine.PGLike},
 		{"native-sync+delay", rig.NativeSync, persDelay},
-		{"rapilog", rig.RapiLog, persPlain},
-	}
-	for _, row := range rows {
+		{"rapilog", rig.RapiLog, engine.PGLike},
+	} {
 		cells := []string{row.label}
 		for _, clients := range []int{1, 16} {
 			cfg := rig.Config{

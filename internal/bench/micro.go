@@ -69,6 +69,20 @@ func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Drive, pattern str
 	dev := mk(s, m.HardwareDomain())
 	m.AttachDevice(dev)
 
+	// A pattern is its write size and count, where write i goes, and
+	// whether every write is flushed (else only the last).
+	size, n, flushEach := 4096, ops, true
+	lba := func(i int) int64 { return int64(i * 8) }
+	switch pattern {
+	case "rand-sync-4k":
+		lba = func(int) int64 { return s.Rand().Int63n(dev.Sectors() - 8) }
+	case "seq-sync-4k":
+	case "seq-stream-256k":
+		size, n, flushEach = 256<<10, ops/8+1, false
+		lba = func(i int) int64 { return int64(i * size / disk.SectorSize) }
+	default:
+		return 0, 0, 0, fmt.Errorf("unknown pattern %q", pattern)
+	}
 	var mean time.Duration
 	var iops, mbs float64
 	var runErr error
@@ -76,64 +90,23 @@ func microRun(seed int64, mk func(*sim.Sim, *sim.Domain) disk.Drive, pattern str
 	s.Spawn(nil, "io", func(p *sim.Proc) {
 		defer done.Fire()
 		hist := metrics.NewHistogram("lat")
-		var bytesWritten int64
+		buf := make([]byte, size)
 		start := p.Now()
-		switch pattern {
-		case "rand-sync-4k":
-			buf := make([]byte, 4096)
-			for i := 0; i < ops; i++ {
-				lba := int64(s.Rand().Int63n(dev.Sectors() - 8))
-				t0 := p.Now()
-				if err := dev.Write(p, lba, buf, false); err != nil {
-					runErr = err
-					return
-				}
-				if err := dev.Flush(p); err != nil {
-					runErr = err
-					return
-				}
-				hist.Observe(p.Now().Sub(t0))
-				bytesWritten += int64(len(buf))
+		for i := 0; i < n && runErr == nil; i++ {
+			t0 := p.Now()
+			if runErr = dev.Write(p, lba(i), buf, false); runErr == nil && flushEach {
+				runErr = dev.Flush(p)
 			}
-		case "seq-sync-4k":
-			buf := make([]byte, 4096)
-			for i := 0; i < ops; i++ {
-				t0 := p.Now()
-				if err := dev.Write(p, int64(i*8), buf, false); err != nil {
-					runErr = err
-					return
-				}
-				if err := dev.Flush(p); err != nil {
-					runErr = err
-					return
-				}
-				hist.Observe(p.Now().Sub(t0))
-				bytesWritten += int64(len(buf))
-			}
-		case "seq-stream-256k":
-			buf := make([]byte, 256<<10)
-			for i := 0; i < ops/8+1; i++ {
-				t0 := p.Now()
-				if err := dev.Write(p, int64(i)*int64(len(buf)/512), buf, false); err != nil {
-					runErr = err
-					return
-				}
-				hist.Observe(p.Now().Sub(t0))
-				bytesWritten += int64(len(buf))
-			}
-			if err := dev.Flush(p); err != nil {
-				runErr = err
-				return
-			}
-		default:
-			runErr = fmt.Errorf("unknown pattern %q", pattern)
-			return
+			hist.Observe(p.Now().Sub(t0))
+		}
+		if runErr == nil && !flushEach {
+			runErr = dev.Flush(p)
 		}
 		elapsed := p.Now().Sub(start)
 		mean = hist.Mean()
 		if elapsed > 0 {
 			iops = float64(hist.Count()) / elapsed.Seconds()
-			mbs = float64(bytesWritten) / elapsed.Seconds() / 1e6
+			mbs = float64(hist.Count()) * float64(size) / elapsed.Seconds() / 1e6
 		}
 	})
 	if err := s.RunUntilEvent(done); err != nil {

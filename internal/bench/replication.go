@@ -53,17 +53,16 @@ func runA9(opts Options) (*Report, error) {
 		compose   faultinject.Fault
 		breakDump bool
 		crash     int
-		wantLoss  bool
 	}{
-		{"local/power-cut", core.AckLocal(), faultinject.PowerCut, "", false, 0, false},
-		{"quorum1/power-cut", core.AckQuorum(1), faultinject.PowerCut, "", false, 0, false},
-		{"remote1/power-cut+dump-broken", core.AckRemoteOnly(1), faultinject.PowerCut, "", true, 0, false},
-		{"local/partition+cut+dump-broken", core.AckLocal(), faultinject.Partition, faultinject.PowerCut, true, 0, true},
-		{"quorum1/partition+cut+dump-broken", core.AckQuorum(1), faultinject.Partition, faultinject.PowerCut, true, 0, false},
-		{"quorum1/replica-crash+cut", core.AckQuorum(1), faultinject.ReplicaCrash, faultinject.PowerCut, false, 1, false},
+		{"local/power-cut", core.AckLocal(), faultinject.PowerCut, "", false, 0},
+		{"quorum1/power-cut", core.AckQuorum(1), faultinject.PowerCut, "", false, 0},
+		{"remote1/power-cut+dump-broken", core.AckRemoteOnly(1), faultinject.PowerCut, "", true, 0},
+		{"local/partition+cut+dump-broken", core.AckLocal(), faultinject.Partition, faultinject.PowerCut, true, 0},
+		{"quorum1/partition+cut+dump-broken", core.AckQuorum(1), faultinject.Partition, faultinject.PowerCut, true, 0},
+		{"quorum1/replica-crash+cut", core.AckQuorum(1), faultinject.ReplicaCrash, faultinject.PowerCut, false, 1},
 	}
-	var rows []campaignRow
-	extras := map[string]float64{}
+	rep := campaignReport("a9", "replicated durability: quorum acks under partition + power-fail",
+		"this reproduction's replication extension (remote standbys as the alternative durability domain)")
 	for _, c := range cases {
 		cfg := faultinject.CampaignConfig{
 			Rig:             baseRig(c.policy),
@@ -78,23 +77,12 @@ func runA9(opts Options) (*Report, error) {
 			InjectAfterMax:  2500 * time.Millisecond,
 			NewWorkload:     func() workload.Workload { return &workload.Stress{ValueSize: 6000} },
 		}
-		sum, err := faultinject.RunCampaign(cfg)
+		sum, err := addCampaign(rep, opts, c.label, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("a9 %s: %w", c.label, err)
+			return nil, err
 		}
-		if sum.Errors > 0 {
-			return nil, fmt.Errorf("a9 %s: %d trial errors (first: %v)", c.label, sum.Errors, sum.FirstErr())
-		}
-		rows = append(rows, campaignRow{label: c.label, sum: sum})
-		extras[c.label+"/repl_lag_max"] = float64(sum.MaxReplLag)
-		extras[c.label+"/dump_failures"] = float64(sum.DumpFailures)
-		opts.progressf("a9: %-33s %d trials, %d acked, %d lost", c.label, trials, sum.TotalAcked, sum.TotalLost)
-	}
-
-	rep := campaignReport("a9", "replicated durability: quorum acks under partition + power-fail",
-		"this reproduction's replication extension (remote standbys as the alternative durability domain)", rows)
-	for k, v := range extras {
-		rep.Values[k] = v
+		rep.Values[c.label+"/repl_lag_max"] = float64(sum.MaxReplLag)
+		rep.Values[c.label+"/dump_failures"] = float64(sum.DumpFailures)
 	}
 
 	// Latency stage: what each policy charges the commit path in a healthy

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -104,10 +105,16 @@ func TestShapeE5SizingRule(t *testing.T) {
 	if v(t, rep, "atx-spec/hdd/safe_bytes") != 0 {
 		t.Error("atx-spec HDD should have no safe buffer")
 	}
-	// Every live plug-pull with a safe bound kept all data.
+	// Every row with a safe bound dumps it, in the drive's worst case,
+	// before the hold-up deadline, and its live plug-pull kept all data.
 	for key, val := range rep.Values {
-		if len(key) > 8 && key[len(key)-8:] == "/live_ok" && val != 1 {
-			t.Errorf("live dump check failed for %s", key)
+		if row, ok := strings.CutSuffix(key, "/safe_bytes"); ok && val > 0 {
+			if m := v(t, rep, row+"/worst_margin_us"); m <= 0 {
+				t.Errorf("%s: worst-case dump ends %.0fµs past the hold-up deadline", row, -m)
+			}
+			if v(t, rep, row+"/live_ok") != 1 {
+				t.Errorf("live dump check failed for %s", row)
+			}
 		}
 	}
 }

@@ -208,6 +208,14 @@ const (
 	entHeadLen  = 20
 )
 
+// imageBytes bounds the dump image of n buffered bytes: the header sector
+// and an entry head per sector (every entry one sector long), padded to a
+// sector.
+func imageBytes(n int64) int64 {
+	payload := n + (n+sectorSize-1)/sectorSize*entHeadLen
+	return sectorSize + (payload+sectorSize-1)/sectorSize*sectorSize
+}
+
 // dumpImage encodes every pending entry, the run in flight included, as one
 // image in one allocation: appending the payload to a header could alias it.
 func (b *buffer) dumpImage() (image []byte, payloadLen int) {

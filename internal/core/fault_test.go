@@ -45,7 +45,7 @@ func newFaultRig(t *testing.T, seed int64, cfg Config) *faultRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, err := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func emergencyRig(t *testing.T, seed int64, fd *flakyDev) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, err := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}

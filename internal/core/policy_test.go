@@ -92,7 +92,7 @@ func buildRigOn(t *testing.T, s *sim.Sim, m *power.Machine, mk func(*fakeReplica
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.dump, err = disk.NewPartition(r.hdd, "dump", 262144, 262144)
+	r.dump, err = disk.NewDumpZone(r.hdd, "dump", 262144, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestQuorumPolicyRequiresReplicator(t *testing.T) {
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
-	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, _ := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	_, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, SafeBufferSize(m, dump, 1), Config{Policy: AckQuorum(1)})
 	if err == nil || !strings.Contains(err.Error(), "requires a replicator") {
 		t.Fatalf("err = %v, want replicator requirement", err)
@@ -229,7 +229,7 @@ func TestQuorumPolicyRejectsOverlargeK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, err := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/disk"
@@ -188,34 +189,36 @@ type Logger struct {
 	dumpRetries, dumpFailures int
 }
 
-// SafeBufferSize computes the paper's sizing rule for a log domain that
-// dumps to zone: the bytes that can provably reach it within the machine's
-// guaranteed interrupt budget,
+// SafeBufferSize is the paper's sizing rule for a log domain that dumps to
+// zone (a disk.NewDumpZone): the most bytes n whose dump image fits the
+// zone and, from the worst state its drive can be in, is durable in time:
 //
-//	(hold-up_min − interrupt latency − 2 × sharers × worst-case positioning) × seq bandwidth,
+//	WorstCaseDump(zone, n) + (sharers − 1) × WorstCaseWrite(0) < hold-up_min − interrupt latency.
 //
-// with a 10% engineering margin, additionally capped by the zone's payload
-// capacity. The positioning and bandwidth figures are the zone's drive's.
-// The positioning term is doubled because the emergency write may have to
-// wait out one in-flight disk operation before it can even start seeking,
-// and charged once per sharer: sharers log domains on one machine, each
-// dumping to its own spindle, race the same hold-up window. The spindles
-// stream independently, so bandwidth is not divided, but the power-fail
-// interrupt fans out to every instance on the same finite cores.
+// sharers log domains on one machine race the same hold-up window, each to
+// its own spindle; each other one costs a dump's wait for the arm.
 func SafeBufferSize(m *power.Machine, zone *disk.Partition, sharers int) int64 {
-	drive := zone.Parent()
-	budget := m.InterruptBudget() - 2*time.Duration(max(sharers, 1))*drive.WorstCaseAccess()
-	if budget <= 0 {
-		return 0
-	}
-	byBudget := int64(0.9 * budget.Seconds() * drive.SeqWriteBandwidth())
-	return min(byBudget, zonePayloadCapacity(zone))
+	budget := m.InterruptBudget() - time.Duration(max(sharers, 1)-1)*zone.Parent().WorstCaseWrite(0)
+	return largest(zonePayloadCapacity(zone), func(n int64) bool { return WorstCaseDump(zone, n) < budget })
 }
 
-// zonePayloadCapacity is the dump zone's usable bytes after the header
-// sector and per-entry framing (estimated at 10%).
+// WorstCaseDump is the longest the emergency dump of n buffered bytes can
+// take to be durable on zone: its drive's answer for the dump image.
+func WorstCaseDump(zone *disk.Partition, n int64) time.Duration {
+	return zone.Parent().WorstCaseWrite(imageBytes(n))
+}
+
+// zonePayloadCapacity is the most buffered bytes whose dump image fits the
+// zone.
 func zonePayloadCapacity(zone disk.Device) int64 {
-	return (zone.Sectors() - 1) * disk.SectorSize * 9 / 10
+	size := zone.Sectors() * disk.SectorSize
+	return largest(size, func(n int64) bool { return imageBytes(n) <= size })
+}
+
+// largest is the greatest n in [0, hi] with ok(n), or 0 if there is none;
+// ok must hold on a prefix of the range.
+func largest(hi int64, ok func(int64) bool) int64 {
+	return max(int64(sort.Search(int(hi)+1, func(i int) bool { return !ok(int64(i)) }))-1, 0)
 }
 
 // NewLogger creates a RapiLog device in front of backing, with emergency

@@ -35,7 +35,7 @@ func newRig(t *testing.T, seed int64, psu power.PSUConfig, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, err := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestUnsafeOversizedBufferTearsOnTightPSU(t *testing.T) {
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
-	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, _ := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	hvDom := m.NewDomain("hv")
 	guest := m.NewDomain("guest")
 	l, err := NewLogger(m, hvDom, logPart, dump, SafeBufferSize(m, dump, 1), Config{MaxBuffer: 8 << 20, Unsafe: true})
@@ -323,7 +323,7 @@ func TestNewLoggerRejectsUnsafeBound(t *testing.T) {
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
-	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, _ := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	safe := SafeBufferSize(m, dump, 1)
 	if safe <= 0 {
 		t.Fatal("no safe buffer for the measured PSU (model broken)")
@@ -351,7 +351,7 @@ func TestNewLoggerRejectsHopelessPSU(t *testing.T) {
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
 	m.AttachDevice(hdd)
 	logPart, _ := disk.NewPartition(hdd, "log", 0, 262144)
-	dump, _ := disk.NewPartition(hdd, "dump", 262144, 262144)
+	dump, _ := disk.NewDumpZone(hdd, "dump", 262144, 262144)
 	if _, err := NewLogger(m, m.NewDomain("hv"), logPart, dump, SafeBufferSize(m, dump, 1), Config{}); err == nil {
 		t.Fatal("logger created with zero flush budget")
 	}
@@ -375,7 +375,7 @@ func TestSafeBufferSizeScalesWithHoldup(t *testing.T) {
 	mk := func(psu power.PSUConfig) int64 {
 		m := power.NewMachine(s, "m-"+psu.Name, 4, psu)
 		hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
-		dump, _ := disk.NewPartition(hdd, "dump", 0, 1<<20)
+		dump, _ := disk.NewDumpZone(hdd, "dump", 0, 1<<20)
 		return SafeBufferSize(m, dump, 1)
 	}
 	spec := mk(power.PSUATXSpec)
@@ -541,7 +541,7 @@ func TestUPSHoldupIsZoneCapped(t *testing.T) {
 	s := sim.New(15)
 	m := power.NewMachine(s, "m0", 4, power.PSUWithUPS)
 	hdd := disk.NewHDD(s, m.HardwareDomain(), disk.HDDConfig{})
-	dump, _ := disk.NewPartition(hdd, "dump", 0, 131072) // 64 MiB
+	dump, _ := disk.NewDumpZone(hdd, "dump", 0, 131072) // 64 MiB
 	safe := SafeBufferSize(m, dump, 1)
 	if want := zonePayloadCapacity(dump); safe != want {
 		t.Fatalf("UPS safe bound %d, want zone cap %d", safe, want)

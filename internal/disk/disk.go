@@ -60,22 +60,25 @@ type Device interface {
 }
 
 // Drive is a physical device model (HDD, SSD, Mem): a Device plus the
-// cache barrier and the figures only real media have. Wrappers and
+// cache barrier and what only real media can answer. Wrappers and
 // partitions forward I/O only; whoever needs the rest asks the drive
 // underneath.
 type Drive interface {
 	Device
 	// Flush blocks p until all cached writes are on media.
 	Flush(p *sim.Proc) error
-	// SeqWriteBandwidth returns the sustained sequential write bandwidth in
-	// bytes per second — the figure RapiLog's buffer-sizing rule uses.
-	SeqWriteBandwidth() float64
-	// WorstCaseAccess returns the worst-case positioning delay before a
-	// sequential stream starts (full seek plus a rotation for an HDD).
-	WorstCaseAccess() time.Duration
+	// WorstCaseWrite returns the longest a dump-zone write of n bytes can
+	// take to be durable from any state the drive's other requests leave
+	// it in: RapiLog's buffer-sizing rule asks it.
+	WorstCaseWrite(n int64) time.Duration
 	// Stats returns the drive's counters (live; not a copy).
 	Stats() *Stats
+	// writeFirst is a FUA Write served ahead of every queued request.
+	writeFirst(p *sim.Proc, lba int64, data []byte) error
 }
+
+// sectorsOf is the whole sectors n bytes occupy.
+func sectorsOf(n int64) int64 { return (n + SectorSize - 1) / SectorSize }
 
 // PowerAware devices react to machine power transitions. PowerFail drops
 // volatile state immediately; PowerOn restores service, spawning any
@@ -184,6 +187,7 @@ type Partition struct {
 	name   string
 	start  int64
 	count  int64
+	first  bool // a dump zone: its writes are served ahead of the queue
 }
 
 // NewPartition creates a view of count sectors starting at start.
@@ -193,6 +197,17 @@ func NewPartition(parent Drive, name string, start, count int64) (*Partition, er
 			ErrOutOfRange, name, start, count, parent.Sectors())
 	}
 	return &Partition{parent: parent, name: name, start: start, count: count}, nil
+}
+
+// NewDumpZone is NewPartition for an emergency-dump zone. The drive serves
+// its writes (always FUA) ahead of every queued request, and the request in
+// service yields to them, which is what Drive.WorstCaseWrite answers for.
+func NewDumpZone(parent Drive, name string, start, count int64) (*Partition, error) {
+	pt, err := NewPartition(parent, name, start, count)
+	if err == nil {
+		pt.first = true
+	}
+	return pt, err
 }
 
 // Name returns the partition name.
@@ -216,6 +231,9 @@ func (pt *Partition) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 func (pt *Partition) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	if err := checkRange(lba, len(data), pt.count); err != nil {
 		return err
+	}
+	if pt.first {
+		return pt.parent.writeFirst(p, pt.start+lba, data)
 	}
 	return pt.parent.Write(p, pt.start+lba, data, fua)
 }

@@ -101,7 +101,7 @@ func TestHDDSequentialStreamingApproachesTrackBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotBW := float64(totalBytes) / elapsed.Seconds()
-	wantBW := d.SeqWriteBandwidth()
+	wantBW := 500 * SectorSize / (time.Minute / 7200).Seconds() // the default drive: a track per rotation
 	if gotBW < 0.5*wantBW || gotBW > 1.1*wantBW {
 		t.Fatalf("sequential bandwidth %.1f MB/s, model says %.1f MB/s", gotBW/1e6, wantBW/1e6)
 	}
@@ -452,4 +452,99 @@ func readN(p *sim.Proc, d Device, lba int64, nsec int) ([]byte, error) {
 	buf := make([]byte, nsec*SectorSize)
 	n, err := d.Read(p, lba, buf)
 	return buf[:n], err
+}
+
+// TestHDDWorstCaseWriteBoundsTheModel drives the drive into the states
+// WorstCaseWrite must cover: a 2 MiB write (a checkpoint's double-write
+// batch) holds the arm at the far end of the platter, a small write is
+// queued behind it, and a dump-zone write whose image crosses a cylinder
+// boundary arrives at instants spread over the hog's first piece. The dump
+// is served next, and is durable within the drive's answer, on the default
+// drive and on a 3600 rpm, 250-sector-per-track one; the hog still lands.
+func TestHDDWorstCaseWriteBoundsTheModel(t *testing.T) {
+	for _, cfg := range []HDDConfig{{}, {RPM: 3600, SectorsPerTrack: 250}} {
+		s, d := newTestHDD(t, cfg)
+		spc := d.sectorsPerCyl()
+		zone, err := NewDumpZone(d, "dump", 0, 4*spc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := fill(int(spc)*SectorSize, 9) // from mid-cylinder: one crossing
+		budget := d.WorstCaseWrite(int64(len(image)))
+		var worst time.Duration
+		for step := 0; step < 16; step++ {
+			arrive := time.Duration(step) * d.worstStream(hddHoldSectors) / 16
+			var hogDone, smallDone, dumpDone sim.Time
+			s.Spawn(nil, "hog", func(p *sim.Proc) {
+				_ = d.Write(p, d.Sectors()-4096, fill(4096*SectorSize, 1), true)
+				hogDone = p.Now()
+			})
+			s.Spawn(nil, "small", func(p *sim.Proc) {
+				p.Sleep(arrive / 2)
+				_ = d.Write(p, d.Sectors()/2, fill(SectorSize, 2), true)
+				smallDone = p.Now()
+			})
+			start := s.Now().Add(arrive + 1)
+			s.Spawn(nil, "dump", func(p *sim.Proc) {
+				p.Sleep(arrive + 1)
+				if err := zone.Write(p, spc/2, image, true); err != nil {
+					t.Error(err)
+				}
+				dumpDone = p.Now()
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			took := dumpDone.Sub(start)
+			if took > budget {
+				t.Fatalf("rpm %d: dump arriving %v into the hog took %v, WorstCaseWrite says %v", d.cfg.RPM, arrive, took, budget)
+			}
+			if smallDone < dumpDone || hogDone < dumpDone {
+				t.Fatalf("rpm %d: dump done at %v, after the queued write (%v) or the hog (%v)", d.cfg.RPM, dumpDone, smallDone, hogDone)
+			}
+			worst = max(worst, took)
+		}
+		// The states are the hard ones: the worst of them takes most of the
+		// answer (it is short only by where the head and platter happen to be).
+		if worst < budget*3/4 {
+			t.Errorf("rpm %d: worst dump %v, under 3/4 of WorstCaseWrite %v: the test missed the hard states", d.cfg.RPM, worst, budget)
+		}
+		t.Logf("rpm %d: worst dump %v of %v", d.cfg.RPM, worst, budget)
+	}
+}
+
+// TestSSDDumpZoneWriteSkipsTheQueue: every channel busy with a 2 MiB write
+// and as many queued behind them; a dump-zone write arriving then is durable
+// within the drive's answer, long before the queue drains.
+func TestSSDDumpZoneWriteSkipsTheQueue(t *testing.T) {
+	s := sim.New(1)
+	d := NewSSD(s, SSDConfig{})
+	zone, err := NewDumpZone(d, "dump", 0, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hogsDone sim.Time
+	for i := 0; i < 2*ssdChannels; i++ {
+		lba := int64(1<<17 + i*4096)
+		s.Spawn(nil, "hog", func(p *sim.Proc) {
+			_ = d.Write(p, lba, fill(4096*SectorSize, 1), true)
+			hogsDone = max(hogsDone, p.Now())
+		})
+	}
+	image := fill(1<<20, 9)
+	var took time.Duration
+	s.Spawn(nil, "dump", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		start := p.Now()
+		if err := zone.Write(p, 1, image, true); err != nil {
+			t.Error(err)
+		}
+		took = p.Now().Sub(start)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if budget := d.WorstCaseWrite(int64(len(image))); took > budget || hogsDone.Duration() < 2*budget {
+		t.Fatalf("dump took %v, WorstCaseWrite %v; the queue drained at %v", took, budget, hogsDone)
+	}
 }

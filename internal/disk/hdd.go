@@ -18,6 +18,10 @@ const (
 	hddSeekMin      = 500 * time.Microsecond // track-to-track
 	hddSeekMax      = 8 * time.Millisecond   // full stroke
 	hddBusBandwidth = 300e6                  // bytes/s host<->drive
+	// hddHoldSectors (128 KiB) is the longest piece of a request the arm
+	// streams before a dump-zone write queued behind it gets the arm, and
+	// the longest run the write cache drains.
+	hddHoldSectors = 256
 )
 
 // HDDConfig parameterises the rotating-disk model.
@@ -67,6 +71,7 @@ type HDD struct {
 	powered bool
 
 	arm       *sim.Resource // one unit: serialises head usage
+	dumps     int           // dump-zone writes queued for the arm
 	curCyl    int
 	rotPeriod time.Duration
 	perSector time.Duration
@@ -122,14 +127,19 @@ func (d *HDD) Sectors() int64 {
 // Stats implements Drive.
 func (d *HDD) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Drive: one track per rotation.
-func (d *HDD) SeqWriteBandwidth() float64 {
-	trackBytes := float64(d.cfg.SectorsPerTrack * SectorSize)
-	return trackBytes / d.rotPeriod.Seconds()
+// WorstCaseWrite implements Drive: the longest piece an ordinary request
+// holds the arm for, then the write's own stream.
+func (d *HDD) WorstCaseWrite(n int64) time.Duration {
+	return d.worstStream(hddHoldSectors) + d.worstStream(sectorsOf(n))
 }
 
-// WorstCaseAccess implements Drive: full-stroke seek plus one rotation.
-func (d *HDD) WorstCaseAccess() time.Duration { return hddSeekMax + d.rotPeriod }
+// worstStream is the longest one arm hold streaming nsec sectors takes from
+// any head position: a full-stroke seek, a rotation, the transfer, and a
+// track-to-track seek per cylinder boundary crossed (mechanicalIO's costs).
+func (d *HDD) worstStream(nsec int64) time.Duration {
+	crossings := (nsec + d.sectorsPerCyl() - 1) / d.sectorsPerCyl()
+	return hddSeekMax + d.rotPeriod + time.Duration(nsec)*d.perSector + time.Duration(crossings)*hddSeekMin
+}
 
 func (d *HDD) sectorsPerCyl() int64 { return hddHeads * int64(d.cfg.SectorsPerTrack) }
 
@@ -161,10 +171,22 @@ func (d *HDD) rotationalDelay(lba int64) time.Duration {
 // stream chunk by chunk, committing each chunk (for writes) as it passes
 // under the head. It returns the bytes transferred: all of buf, or the
 // prefix that passed before power died. A kill mid-stream leaves the
-// committed prefix — a torn write — and frees the arm.
-func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, buf []byte, write bool) int {
-	d.arm.Acquire(p, 1)
-	defer d.arm.Release(1)
+// committed prefix — a torn write — and frees the arm. A dump-zone write
+// (first) jumps the queue; any other yields to one every hddHoldSectors.
+func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, buf []byte, write, first bool) int {
+	if first {
+		d.dumps++
+		d.arm.AcquireFirst(p, 1)
+		d.dumps--
+	} else {
+		d.arm.Acquire(p, 1)
+	}
+	held := true
+	defer func() {
+		if held {
+			d.arm.Release(1)
+		}
+	}()
 	epoch := d.epoch
 	done := false
 	if write {
@@ -175,22 +197,22 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, buf []byte, write bool) int {
 		}()
 	}
 
-	if cyl := d.cylOf(lba); cyl != d.curCyl {
-		p.Sleep(d.seekTime(d.curCyl, cyl))
-		d.curCyl = cyl
-	}
-	p.Sleep(d.rotationalDelay(lba))
-
+	d.position(p, lba)
 	nsec := len(buf) / SectorSize
-	for off := 0; off < nsec; {
+	for off, piece := 0, 0; off < nsec; {
+		chunk := min(d.cfg.ChunkSectors, nsec-off)
+		start := lba + int64(off)
+		if d.dumps > 0 && piece > 0 && piece+chunk > hddHoldSectors {
+			d.arm.Release(1)
+			held = false
+			d.arm.AcquireFirst(p, 1)
+			held = true
+			d.position(p, start)
+			piece = 0
+		}
 		if !d.powered || d.epoch != epoch {
 			return off * SectorSize // power died mid-transfer: the prefix is all there is
 		}
-		chunk := d.cfg.ChunkSectors
-		if off+chunk > nsec {
-			chunk = nsec - off
-		}
-		start := lba + int64(off)
 		// Crossing into a new cylinder costs a track-to-track seek.
 		if cyl := d.cylOf(start); cyl != d.curCyl {
 			p.Sleep(hddSeekMin)
@@ -206,9 +228,19 @@ func (d *HDD) mechanicalIO(p *sim.Proc, lba int64, buf []byte, write bool) int {
 			d.stats.SectorsRead.Add(int64(chunk))
 		}
 		off += chunk
+		piece += chunk
 	}
 	done = true
 	return len(buf)
+}
+
+// position seeks the head to lba's cylinder and waits for lba to come round.
+func (d *HDD) position(p *sim.Proc, lba int64) {
+	if cyl := d.cylOf(lba); cyl != d.curCyl {
+		p.Sleep(d.seekTime(d.curCyl, cyl))
+		d.curCyl = cyl
+	}
+	p.Sleep(d.rotationalDelay(lba))
 }
 
 // Read implements Device: cached sectors overlay media contents.
@@ -242,7 +274,7 @@ func (d *HDD) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 		}
 		p.Sleep(d.busTime(nsec))
 	} else {
-		n = d.mechanicalIO(p, lba, dst, false)
+		n = d.mechanicalIO(p, lba, dst, false, false)
 		// Overlay any sectors that are newer in the cache.
 		for i := 0; i < n/SectorSize; i++ {
 			if e, ok := d.cache[lba+int64(i)]; ok {
@@ -261,6 +293,15 @@ func (d *HDD) busTime(nsec int) time.Duration {
 
 // Write implements Device.
 func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
+	return d.write(p, lba, data, fua, false)
+}
+
+// writeFirst implements Drive.
+func (d *HDD) writeFirst(p *sim.Proc, lba int64, data []byte) error {
+	return d.write(p, lba, data, true, true)
+}
+
+func (d *HDD) write(p *sim.Proc, lba int64, data []byte, fua, first bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
@@ -317,7 +358,7 @@ func (d *HDD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 		}
 		d.cacheSpace.Release(released)
 	}
-	d.mechanicalIO(p, lba, data, true)
+	d.mechanicalIO(p, lba, data, true, first)
 	d.stats.WriteLatency.Observe(p.Now().Sub(start))
 	return nil
 }
@@ -359,7 +400,7 @@ func (d *HDD) spawnDrainer(dom *sim.Domain) {
 			for _, lba := range lbas {
 				data = append(data, snap[lba].data...)
 			}
-			d.mechanicalIO(p, lbas[0], data, true)
+			d.mechanicalIO(p, lbas[0], data, true, false)
 			// Retire sectors not rewritten while we were draining.
 			released := int64(0)
 			for _, lba := range lbas {
@@ -392,8 +433,7 @@ func (d *HDD) nextDrainRun() ([]int64, map[int64]*cacheEntry) {
 		idx = 0
 	}
 	run := []int64{all[idx]}
-	const maxRun = 256 // bound a single arm hold
-	for i := idx + 1; i < len(all) && len(run) < maxRun; i++ {
+	for i := idx + 1; i < len(all) && len(run) < hddHoldSectors; i++ {
 		if all[i] != run[len(run)-1]+1 {
 			break
 		}
@@ -411,6 +451,7 @@ func (d *HDD) nextDrainRun() ([]int64, map[int64]*cacheEntry) {
 func (d *HDD) PowerFail() {
 	d.powered = false
 	d.cache = nil
+	d.dumps = 0 // a dump still queued dies with the machine
 	d.epoch++
 }
 

@@ -58,11 +58,13 @@ func (d *Mem) Sectors() int64 { return d.cfg.Capacity }
 // Stats implements Drive.
 func (d *Mem) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Drive.
-func (d *Mem) SeqWriteBandwidth() float64 { return memBandwidth }
+// WorstCaseWrite implements Drive: requests never wait for one another.
+func (d *Mem) WorstCaseWrite(n int64) time.Duration { return d.xferTime(int(sectorsOf(n))) }
 
-// WorstCaseAccess implements Drive.
-func (d *Mem) WorstCaseAccess() time.Duration { return memLatency }
+// writeFirst implements Drive: there is no queue to jump.
+func (d *Mem) writeFirst(p *sim.Proc, lba int64, data []byte) error {
+	return d.Write(p, lba, data, true)
+}
 
 func (d *Mem) xferTime(nsec int) time.Duration {
 	bytes := float64(nsec * SectorSize)

@@ -66,20 +66,14 @@ func (d *SSD) Sectors() int64 { return ssdCapacity }
 // Stats implements Drive.
 func (d *SSD) Stats() *Stats { return d.stats }
 
-// SeqWriteBandwidth implements Drive: channel-parallel page programs,
-// capped by the bus.
-func (d *SSD) SeqWriteBandwidth() float64 {
-	pageBytes := float64(ssdPageSectors * SectorSize)
-	perChannel := pageBytes / ssdProgramLatency.Seconds()
-	bw := perChannel * float64(ssdChannels)
-	if bw > ssdBandwidth {
-		return ssdBandwidth
-	}
-	return bw
+// WorstCaseWrite implements Drive: a program round still in flight on the
+// pages the write lands on, then its bus transfer and its rounds (an
+// unaligned start touches one page more).
+func (d *SSD) WorstCaseWrite(n int64) time.Duration {
+	nsec := sectorsOf(n)
+	rounds := ((nsec+ssdPageSectors-1)/ssdPageSectors + ssdChannels) / ssdChannels
+	return d.busTime(int(nsec)) + time.Duration(1+rounds)*ssdProgramLatency
 }
-
-// WorstCaseAccess implements Drive.
-func (d *SSD) WorstCaseAccess() time.Duration { return ssdProgramLatency }
 
 func (d *SSD) pageOf(lba int64) int64 { return lba / ssdPageSectors }
 
@@ -121,6 +115,16 @@ func (d *SSD) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 
 // Write implements Device. Writes are torn at page granularity on kill.
 func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
+	return d.write(p, lba, data, false)
+}
+
+// writeFirst implements Drive: the write goes on the drive's urgent queue,
+// which no queued request is ahead of.
+func (d *SSD) writeFirst(p *sim.Proc, lba int64, data []byte) error {
+	return d.write(p, lba, data, true)
+}
+
+func (d *SSD) write(p *sim.Proc, lba int64, data []byte, urgent bool) error {
 	if !d.powered {
 		return ErrNoPower
 	}
@@ -130,7 +134,7 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 	}
 	start := p.Now()
 	d.stats.Writes.Inc()
-	d.programPages(p, lba, data, nsec)
+	d.programPages(p, lba, data, nsec, urgent)
 	d.stats.WriteLatency.Observe(p.Now().Sub(start))
 	return nil
 }
@@ -139,8 +143,9 @@ func (d *SSD) Write(p *sim.Proc, lba int64, data []byte, fua bool) error {
 // device's channels: up to Channels pages program concurrently per
 // ProgramLatency, which is what lets a single sequential stream (like the
 // RapiLog emergency dump) reach the advertised bandwidth. Each page commit
-// is atomic, so a kill tears the request at a page-group boundary.
-func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
+// is atomic, so a kill tears the request at a page-group boundary. An
+// urgent request takes no channel slot.
+func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int, urgent bool) {
 	epoch := d.epoch
 	done := false
 	defer func() {
@@ -148,8 +153,10 @@ func (d *SSD) programPages(p *sim.Proc, lba int64, data []byte, nsec int) {
 			d.stats.TornWrites.Inc()
 		}
 	}()
-	d.channels.Acquire(p, 1)
-	defer d.channels.Release(1)
+	if !urgent {
+		d.channels.Acquire(p, 1)
+		defer d.channels.Release(1)
+	}
 	p.Sleep(d.busTime(nsec))
 	for off := 0; off < nsec; {
 		if !d.powered || d.epoch != epoch {

@@ -201,7 +201,7 @@ func TestFailoverTrialForensics(t *testing.T) {
 		t.Fatalf("seeded trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
-		Bound: 6007449, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 20 * time.Millisecond,
+		Bound: 6179100, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 20 * time.Millisecond,
 	})
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)

@@ -92,7 +92,10 @@ func requireOneVerdict(t *testing.T, a *Artifacts) {
 //   - rapilog.flushes removed (metrics hashes only);
 //   - each disk's <disk>.flushes removed (metrics hashes only);
 //   - the page store's pages.* counters registered (metrics hashes only,
-//     keys added).
+//     keys added);
+//   - the sizing rule asks the drive and dump zones are served first
+//     (contracts' bounds; the sharded trial's metrics: a data write on
+//     shard 1 yields the arm to the dump and re-positions after it).
 
 func TestGoldenSingleRigPowerCut(t *testing.T) {
 	cfg := quickCampaign(rig.RapiLog, PowerCut, 1)
@@ -101,7 +104,7 @@ func TestGoldenSingleRigPowerCut(t *testing.T) {
 	if res.Err != nil || res.Acked != 3005 || res.AckedAfterFault != 1 || res.Missing != 0 || !res.HadDump {
 		t.Fatalf("trial moved: %+v", res)
 	}
-	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6007449})
+	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 6179100})
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "2498dc4b65e750d94078d390659e804615e81fb660b5ab14745dd3cfed3d5d43" ||
@@ -122,7 +125,7 @@ func TestGoldenReplicaPartitionPlusPowerCut(t *testing.T) {
 		t.Fatalf("trial moved: %+v", res)
 	}
 	requireContract(t, res.Artifacts, obs.MonitorConfig{
-		Bound: 6007449, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 20 * time.Millisecond,
+		Bound: 6179100, QuorumK: 1, RetainLimit: 256 << 20, RetainGrace: 20 * time.Millisecond,
 	})
 	requireOneVerdict(t, res.Artifacts)
 	tr, me := artifactHashes(t, res.Artifacts)
@@ -143,14 +146,14 @@ func TestGoldenShardedPowerCut(t *testing.T) {
 	if res.Err != nil || res.Acked != 7689 || res.AckedAfterFault != 1 || res.Missing != 0 || !res.HadDump || res.DumpRetries != 0 {
 		t.Fatalf("trial moved: %+v", res)
 	}
-	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 4201113})
+	requireContract(t, res.Artifacts, obs.MonitorConfig{Bound: 3995216})
 	requireOneVerdict(t, res.Artifacts)
 	if f := res.Artifacts.Flight; res.MonitorViolations != 0 || f == nil || f.Reason != "power-dc-loss" {
 		t.Fatalf("monitor found %d violations, flight record %+v", res.MonitorViolations, f)
 	}
 	tr, me := artifactHashes(t, res.Artifacts)
 	if tr != "176a7fb784b8933fdc8b2e178067d06019443379f760f348028787251061941b" ||
-		me != "575a82d790f9289e19394f23de4f8c3cba0fc11f55c94f4c947f1285ae4ef337" {
+		me != "4605549168f9432be37d5315900a2e87f2c8b507d5f5a1cb2374d141754ca843" {
 		t.Fatalf("artifacts moved: trace %s metrics %s", tr, me)
 	}
 }

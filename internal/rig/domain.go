@@ -119,7 +119,7 @@ func (r *Rig) newLogDomain(o *obs.Obs, at site) (*LogDomain, error) {
 	if err != nil {
 		return nil, err
 	}
-	dumpPart, err := disk.NewPartition(logDev, "dump", logSectors, dumpSectors)
+	dumpPart, err := disk.NewDumpZone(logDev, "dump", logSectors, dumpSectors)
 	if err != nil {
 		return nil, err
 	}

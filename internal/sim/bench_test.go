@@ -9,14 +9,28 @@ import (
 // built on. These bound how much simulated activity a wall-clock second
 // buys.
 
+// BenchmarkTimerDispatch dispatches b.N callbacks from a heap held at a
+// fixed depth: each callback queues the next of its chain, so the heap holds
+// timerDepth timers however large b.N is, as a running simulation's does.
 func BenchmarkTimerDispatch(b *testing.B) {
+	const timerDepth = 64
 	s := New(1)
-	for i := 0; i < b.N; i++ {
-		s.After(time.Microsecond, func() {})
+	fired := 0
+	var tick func()
+	tick = func() {
+		if fired++; fired <= b.N-timerDepth {
+			s.After(timerDepth*time.Microsecond, tick)
+		}
+	}
+	for i := 0; i < min(timerDepth, b.N); i++ {
+		s.After(time.Duration(i)*time.Microsecond, tick)
 	}
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if fired != b.N {
+		b.Fatalf("%d/%d", fired, b.N)
 	}
 }
 

@@ -197,6 +197,43 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	}
 }
 
+// AcquireFirst's waiter is granted before every waiter queued ahead of it,
+// and takes free units that a blocked head would leave unused.
+func TestResourceAcquireFirstIsGrantedNext(t *testing.T) {
+	s := New(1)
+	r := s.NewResource("r", 2)
+	var order []string
+	s.Spawn(nil, "holder", func(p *Proc) {
+		r.Acquire(p, 2)
+		p.Sleep(ms(2))
+		r.Release(1)
+		p.Sleep(ms(1))
+		r.Release(1)
+	})
+	for _, name := range []string{"a", "b"} {
+		name := name
+		s.Spawn(nil, name, func(p *Proc) {
+			p.Sleep(ms(1))
+			r.Acquire(p, 2)
+			order = append(order, name)
+			r.Release(2)
+		})
+	}
+	s.Spawn(nil, "first", func(p *Proc) {
+		p.Sleep(ms(1) + 1)
+		r.AcquireFirst(p, 1)
+		order = append(order, fmt.Sprintf("first@%v", p.Now()))
+		p.Sleep(ms(1))
+		r.Release(1)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[first@2ms a b]" {
+		t.Fatalf("grant order %s, want [first@2ms a b]", got)
+	}
+}
+
 func TestResourceAcquireOverCapacityPanics(t *testing.T) {
 	s := New(1)
 	r := s.NewResource("r", 1)

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Resource is a FIFO counting semaphore: a pool of capacity units that
 // processes acquire and release. Grants are strictly in arrival order (a
@@ -45,7 +48,13 @@ func (r *Resource) Waiters() int { return len(r.queue) }
 
 // Acquire takes n units, blocking p in FIFO order until they are available.
 // It panics if n exceeds the capacity (the wait could never complete).
-func (r *Resource) Acquire(p *Proc, n int64) {
+func (r *Resource) Acquire(p *Proc, n int64) { r.acquire(p, n, false) }
+
+// AcquireFirst is Acquire for the one request that must be served next: p
+// queues ahead of every waiter, so the next grant is its.
+func (r *Resource) AcquireFirst(p *Proc, n int64) { r.acquire(p, n, true) }
+
+func (r *Resource) acquire(p *Proc, n int64, first bool) {
 	p.checkKilled()
 	if n <= 0 {
 		return
@@ -53,11 +62,15 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d exceeds capacity %d", r.name, n, r.capacity))
 	}
-	if len(r.queue) == 0 && r.avail >= n {
+	if (first || len(r.queue) == 0) && r.avail >= n {
 		r.avail -= n
 		return
 	}
-	r.queue = append(r.queue, resWaiter{w: p.newWaiter(r, waitPlain), n: n})
+	at := len(r.queue)
+	if first {
+		at = 0
+	}
+	r.queue = slices.Insert(r.queue, at, resWaiter{w: p.newWaiter(r, waitPlain), n: n})
 	p.abort = r
 	p.park()
 	// Units were debited by the releaser before waking us; resumed, they

@@ -387,10 +387,12 @@ func (d exitDev) Read(p *sim.Proc, lba int64, dst []byte) (int, error) {
 // every steady-state schedule starts with.
 func TestScanStreamsInDoublingExtents(t *testing.T) {
 	const (
-		bs       = 4096                        // Config's default block size
-		cylBytes = 4 * 500 * 512               // the default HDD: 4 heads × 500 sectors
-		rotation = time.Minute / 7200          // the default HDD's spindle
-		crossing = rotation + time.Millisecond // a rotation and a track-to-track seek
+		bs       = 4096                          // Config's default block size
+		cylBytes = 4 * 500 * 512                 // the default HDD: 4 heads × 500 sectors
+		rotation = time.Minute / 7200            // the default HDD's spindle
+		crossing = rotation + time.Millisecond   // a rotation and a track-to-track seek
+		access   = 8*time.Millisecond + rotation // a full-stroke seek and a rotation
+		track    = 500 * 512                     // bytes per rotation
 	)
 	for _, n := range []int{0, 1, 2, 5, 201, 300, 1000} {
 		t.Run(fmt.Sprintf("blocks=%d", n), func(t *testing.T) {
@@ -431,8 +433,8 @@ func TestScanStreamsInDoublingExtents(t *testing.T) {
 				t.Fatalf("scan ended at LSN %d (torn %v), log at %d", res.EndLSN, res.Torn, l.AppendedLSN())
 			}
 			span := int64(n)*bs + 2*scanExtentBytes
-			transfer := time.Duration(float64(span) / hdd.SeqWriteBandwidth() * float64(time.Second))
-			limit := 2*hdd.WorstCaseAccess() + transfer + time.Duration(span/cylBytes+1)*crossing
+			transfer := time.Duration(span) * rotation / track
+			limit := 2*access + transfer + time.Duration(span/cylBytes+1)*crossing
 			if cost.took > limit {
 				t.Fatalf("scanning %d blocks took %v in %d reads, want at most %v", n, cost.took, cost.reads, limit)
 			}
